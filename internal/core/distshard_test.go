@@ -37,6 +37,7 @@ func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 		for {
 			for _, w := range workers {
 				w.ApplyDying(k, dying)
+				retiredDegreesZero(t, w, "after ApplyDying")
 			}
 			frontier, alive := 0, 0
 			for _, w := range workers {
@@ -69,6 +70,18 @@ func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 			if barrier != nil {
 				barrier(k, round, workers)
 			}
+		}
+	}
+}
+
+// retiredDegreesZero asserts the invariant the containment detector's
+// degree filter relies on: every retired hyperedge of the replica has
+// mirrored degree 0.
+func retiredDegreesZero(t *testing.T, w *DistPeeler, label string) {
+	t.Helper()
+	for g, alive := range w.eAlive {
+		if !alive && w.eDeg[g] != 0 {
+			t.Fatalf("%s: retired hyperedge %d has degree %d, want 0", label, g, w.eDeg[g])
 		}
 	}
 }
@@ -117,11 +130,21 @@ func TestDistPeelerDifferential(t *testing.T) {
 
 // TestDistPeelerReplicasAgree asserts that after a full run every
 // replica holds the same coreness mirrors — the invariant that lets
-// any worker serve the final result.
+// any worker serve the final result — and that every replica keeps
+// retired hyperedges at degree 0 at every barrier and at the end (the
+// local BSP loop also checks it after every ApplyDying).
 func TestDistPeelerReplicasAgree(t *testing.T) {
 	h := gen.RandomHypergraph(150, 120, 5, xrand.New(0xA9EE))
 	var workers []*DistPeeler
-	distDriver(t, h, 4, 3, func(k, round int, ws []*DistPeeler) { workers = ws })
+	distDriver(t, h, 4, 3, func(k, round int, ws []*DistPeeler) {
+		workers = ws
+		for _, w := range ws {
+			retiredDegreesZero(t, w, "at a barrier")
+		}
+	})
+	for _, w := range workers {
+		retiredDegreesZero(t, w, "after the run")
+	}
 	v0, e0 := workers[0].Coreness()
 	for i := 1; i < len(workers); i++ {
 		vi, ei := workers[i].Coreness()
@@ -175,7 +198,8 @@ func scramble(w *DistPeeler) {
 
 // TestDistPeelerCheckpointReplay is the barrier-replay pin: at a fixed
 // barrier every replica is checkpointed, its state scrambled, then
-// restored — and the continuation must still produce the exact
+// restored — and the restored replica must keep retired hyperedges at
+// degree 0, and the continuation must still produce the exact
 // sequential decomposition.
 func TestDistPeelerCheckpointReplay(t *testing.T) {
 	h := gen.RandomHypergraph(180, 140, 5, xrand.New(0xBEEF))
@@ -190,6 +214,7 @@ func TestDistPeelerCheckpointReplay(t *testing.T) {
 				if err := w.Restore(cp); err != nil {
 					t.Fatalf("restore at barrier %d: %v", round, err)
 				}
+				retiredDegreesZero(t, w, "after Restore")
 			}
 		})
 		sameDecomposition(t, h, got, "replayed run")

@@ -7,26 +7,29 @@ import (
 
 // This file is the package's reduction layer: the paper's
 // overlap-count machinery for detecting non-maximal hyperedges (a
-// hyperedge f is contained in g exactly when |f ∩ g| = d(f)), shared
-// by every peeling kernel in the package.  Two strategies implement
-// the same detection rule:
+// hyperedge f is contained in g exactly when |f ∩ g| = d(f)), for the
+// peeling kernels that keep their alive state outside flat arrays.
+// Two strategies implement the same detection rule:
 //
 //   - overlapTable maintains the pairwise overlap counts incrementally
 //     while vertices and hyperedges are deleted — the data structure of
 //     the sequential peeler (hypercore.go, bicore.go), where each
-//     deletion updates the table in place.  Since the CSR substrate PR
-//     it is backed by the flat-array csr.Overlaps (offset/neighbor/count
-//     int32 rows) rather than per-hyperedge Go maps;
+//     deletion updates the table in place.  It is backed by the
+//     flat-array csr.Overlaps (offset/neighbor/count int32 rows) rather
+//     than per-hyperedge Go maps;
 //   - nonMaxScratch re-derives the overlap counts of one hyperedge
-//     against a consistent alive snapshot with stamped scratch arrays —
-//     the strategy of the round-synchronous parallel peeler
-//     (parallel.go) and the sharded engine (sharded.go), whose
-//     synchronized phases make a persistent global table unnecessary.
-//     It reads the pins through a csr.CSR view.
+//     against a consistent alive snapshot with stamped scratch arrays,
+//     reading the alive state through accessors — the strategy of the
+//     round-synchronous parallel peeler (parallel.go), whose atomic
+//     alive/degree arrays cannot be handed over as flat slices.  It
+//     reads the pins through a csr.CSR view.
 //
-// Both apply the shared tie-break for equal hyperedges: of two alive
-// hyperedges with identical member sets, the lower-ID copy is the
-// maximal one.
+// The flat-array engines — the CSR peeler, the sharded engine
+// (sharded.go) and DistPeeler (distshard.go) — instead share the
+// witness-filter detector csr.Detector over their own []bool/[]int32
+// snapshot arrays.  Every detection applies the shared tie-break for
+// equal hyperedges: of two alive hyperedges with identical member
+// sets, the lower-ID copy is the maximal one.
 
 // overlapTable maintains ov(f, g) = |f ∩ g| over the currently alive
 // vertices, for every pair of initially overlapping hyperedges.  (The
@@ -81,7 +84,7 @@ func (s *nonMaxScratch) NonMaximal(c *csr.CSR, f, df int32, vAlive, eAlive func(
 	}
 	s.seq++
 	mark := s.seq // unique per check within this scratch
-	//hyperplexvet:ignore budgettick bounded: one pass over f's two-hop neighborhood through O(1) accessors; every caller charges the check
+	//hyperplexvet:ignore budgettick bounded: one pass over f's two-hop neighborhood through O(1) accessors; KCoreParallel, the only caller, charges the check per chunk
 	for _, v := range c.EdgeVertices(f) {
 		if !vAlive(v) {
 			continue

@@ -5,12 +5,13 @@
 //
 // The split of responsibilities is deliberate: hypergraph.Hypergraph
 // remains the builder/IO layer (names, validation, file formats), while
-// the hot kernels — the bucket-queue peeler in this package and the
-// overlap reduction shared with internal/core — run over a CSR whose
-// adjacency is four dense slices.  FromH is O(|V| + |F|) (the pin
-// arrays are aliased, not copied), so converting at a kernel boundary
-// is cheap; ToH rebuilds a full Hypergraph for callers that want to
-// keep analyzing a materialized block.
+// the hot kernels — the bucket-queue peeler and the containment
+// detector in this package, and the overlap reduction shared with
+// internal/core — run over a CSR whose adjacency is four dense slices.
+// FromH is O(|V| + |F|) (the pin arrays are aliased, not copied), so
+// converting at a kernel boundary is cheap; ToH rebuilds a full
+// Hypergraph for callers that want to keep analyzing a materialized
+// block.
 package csr
 
 import (
