@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -23,7 +24,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 // TestRunServesUntilHangup dials a fake coordinator that accepts the
 // connection and hangs up: the worker must exit cleanly (a coordinator
-// EOF is a normal shutdown, not an error).
+// EOF is a normal shutdown, not an error).  The fake hangs up with a
+// half-close and drains the worker's Hello and heartbeats until the
+// worker closes its end: closing outright with unread heartbeats in the
+// receive buffer would make the kernel answer with a reset instead of
+// the FIN this test means to deliver.
 func TestRunServesUntilHangup(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -36,10 +41,9 @@ func TestRunServesUntilHangup(t *testing.T) {
 		if err != nil {
 			return
 		}
-		// Drain the Hello, then hang up.
-		buf := make([]byte, 64)
-		_, _ = conn.Read(buf)
-		_ = conn.Close()
+		defer conn.Close()
+		_ = conn.(*net.TCPConn).CloseWrite()
+		_, _ = io.Copy(io.Discard, conn)
 	}()
 	var out strings.Builder
 	if err := run([]string{"-connect", ln.Addr().String(), "-heartbeat", "10ms"}, &out); err != nil {

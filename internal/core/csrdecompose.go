@@ -15,11 +15,12 @@ import (
 // single scratch arena.
 //
 // The result is the same decomposition as Decompose: identical vertex
-// coreness, edge coreness levels and MaxK.  Of duplicate equal-set
-// hyperedges the surviving copy can differ by deletion order, with
-// equal induced member-set families per level (the same caveat as
-// ShardedDecompose); the differential tests pin all three against each
-// other.
+// coreness, edge coreness levels and MaxK, with equal induced
+// member-set families per level (of duplicate equal-set hyperedges,
+// Decompose may keep another copy).  The kernel peels in the rounds of
+// ShardedDecompose and the distributed DistPeeler, so it equals those
+// engines byte for byte, edge coreness included; the differential
+// tests pin all of them against each other.
 func CSRDecompose(h *hypergraph.Hypergraph) *Decomposition {
 	d, err := CSRDecomposeCtx(context.Background(), h)
 	if err != nil {

@@ -5,13 +5,18 @@
 package core_test
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"hyperplex/internal/check"
 	"hyperplex/internal/core"
 	"hyperplex/internal/dataset"
+	"hyperplex/internal/gen"
+	"hyperplex/internal/hypergraph"
+	"hyperplex/internal/xrand"
 )
 
 // TestDifferentialKCore checks KCore against both the in-package naive
@@ -81,9 +86,9 @@ func TestDifferentialKCoreParallel(t *testing.T) {
 // the sharded engine: for shard counts {1, 2, 3, NumCPU} and a count
 // larger than the vertex count (exercising the clamp), the vertex
 // coreness vector and MaxK must equal Decompose exactly, and every
-// core level must contain the same hyperedge family (the surviving
-// copy of equal-set hyperedges is peeling-order dependent, so levels
-// are compared as member-set families via SameResult, the same
+// core level must contain the same hyperedge family (the map peeler
+// may keep another copy of an equal-set family than the rounds do, so
+// levels are compared as member-set families via SameResult, the same
 // convention as the parallel peeler).  Each instance's sharded
 // decomposition is also validated level by level against the
 // independent fixpoint oracle, and no worker goroutine may outlive the
@@ -146,14 +151,18 @@ func TestDifferentialShardedDecompose(t *testing.T) {
 }
 
 // TestDifferentialCSRDecompose pins the flat-array bucket-queue kernel
-// (internal/csr, reached through core.CSRDecompose) to both the
-// level-by-level map-based Decompose and the sharded engine, with the
-// same protocol as the sharded differential: exact vertex coreness and
-// MaxK, per-level hyperedge member-set families via SameResult (the
-// surviving copy of equal-set hyperedges is deletion-order dependent),
-// the independent fixpoint oracle, and the Cellzome golden numbers.
-// No goroutine may outlive the calls — the CSR kernel is sequential,
-// so a leak here would mean the sharded comparator leaked.
+// (internal/csr, reached through core.CSRDecompose) to the level-by-level
+// map-based Decompose and to the sharded engine.  Against Decompose it
+// uses the sharded differential's protocol: exact vertex coreness and
+// MaxK, per-level hyperedge member-set families via SameResult (the map
+// peeler may keep another member of an equal-set family), the
+// independent fixpoint oracle, and the Cellzome golden numbers.
+// Against the sharded engine it is byte equality — vertex coreness,
+// edge coreness and MaxK — at every shard count: the CSR peeler runs
+// the sharded engine's rounds, so both keep the same member of every
+// equal-set family.  No goroutine may outlive the calls — the CSR
+// kernel is sequential, so a leak here would mean the sharded
+// comparator leaked.
 func TestDifferentialCSRDecompose(t *testing.T) {
 	snapshot := check.GoroutineSnapshot()
 	defer func() {
@@ -161,6 +170,20 @@ func TestDifferentialCSRDecompose(t *testing.T) {
 			t.Error(err)
 		}
 	}()
+	sameAsSharded := func(label string, h *hypergraph.Hypergraph, got *core.Decomposition) {
+		t.Helper()
+		for _, shards := range []int{1, 2, 3, runtime.NumCPU(), h.NumVertices() + 13} {
+			sharded := core.ShardedDecompose(h, core.ShardedOptions{Shards: shards})
+			switch {
+			case sharded.MaxK != got.MaxK:
+				t.Fatalf("%s, shards=%d: sharded MaxK %d vs CSR %d", label, shards, sharded.MaxK, got.MaxK)
+			case !slices.Equal(sharded.VertexCoreness, got.VertexCoreness):
+				t.Fatalf("%s, shards=%d: vertex coreness differs from CSR:\nsharded %v\nCSR     %v", label, shards, sharded.VertexCoreness, got.VertexCoreness)
+			case !slices.Equal(sharded.EdgeCoreness, got.EdgeCoreness):
+				t.Fatalf("%s, shards=%d: edge coreness differs from CSR:\nsharded %v\nCSR     %v", label, shards, sharded.EdgeCoreness, got.EdgeCoreness)
+			}
+		}
+	}
 	for i, h := range check.Instances(58, 0xC04E6) {
 		want := core.Decompose(h)
 		got := core.CSRDecompose(h)
@@ -181,15 +204,7 @@ func TestDifferentialCSRDecompose(t *testing.T) {
 		if err := check.ValidDecomposition(h, got); err != nil {
 			t.Fatalf("instance %d %v: CSR decomposition: %v", i, h, err)
 		}
-		sharded := core.ShardedDecompose(h, core.ShardedOptions{Shards: 3})
-		if sharded.MaxK != got.MaxK {
-			t.Fatalf("instance %d %v: sharded MaxK %d vs CSR %d", i, h, sharded.MaxK, got.MaxK)
-		}
-		for k := 1; k <= got.MaxK; k++ {
-			if err := check.SameResult(h, sharded.Core(k), got.Core(k)); err != nil {
-				t.Fatalf("instance %d %v, k=%d: sharded vs CSR: %v", i, h, k, err)
-			}
-		}
+		sameAsSharded(fmt.Sprintf("instance %d %v", i, h), h, got)
 	}
 	h := dataset.Cellzome().H
 	want := core.Decompose(h)
@@ -212,6 +227,13 @@ func TestDifferentialCSRDecompose(t *testing.T) {
 	if r6.NumVertices != 41 || r6.NumEdges != 54 {
 		t.Fatalf("Cellzome CSR 6-core is %d/%d, want the paper's 41/54", r6.NumVertices, r6.NumEdges)
 	}
+	sameAsSharded("Cellzome", h, got)
+
+	// hggen -dataset random -nv 60 -ne 80 -maxsize 6 -seed 39: a
+	// peeler that tests containment after each single deletion keeps
+	// another member of an equal-set family here than the rounds do.
+	h = gen.RandomHypergraph(60, 80, 6, xrand.New(39))
+	sameAsSharded("random seed 39", h, core.CSRDecompose(h))
 }
 
 // TestDifferentialBiCore checks the (k, l)-core peeler against the

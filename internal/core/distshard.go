@@ -21,7 +21,10 @@ import (
 // applies uniformly, so the mirrors never diverge.  Degree decrements,
 // alive flips and coreness clamps are commutative within a phase, so
 // the fixpoint per level (and therefore the coreness assignment) is
-// identical to Decompose and ShardedDecompose.  The reduction test
+// identical to Decompose and ShardedDecompose, and the whole
+// decomposition, edge coreness included, equals ShardedDecompose's and
+// CSRDecompose's byte for byte: all three run one round schedule.  The
+// reduction test
 // (empty or non-maximal) is the same flat-array containment detector
 // (csr.Detector) over the replica's own mirrors, with a retired
 // hyperedge's mirrored degree zeroed so the detector's degree filter
@@ -275,10 +278,9 @@ func (w *DistPeeler) clampCore() int {
 }
 
 // checkDead reports whether alive hyperedge g (global ID) is empty or
-// non-maximal against the current stable snapshot.  No shrunk filter:
-// a round retires many vertices at once.
+// non-maximal against the current stable snapshot.
 func (w *DistPeeler) checkDead(g int32) bool {
-	dead, _ := w.det.Dead(&w.snap, g, nil, 0)
+	dead, _ := w.det.Dead(&w.snap, g)
 	return dead
 }
 

@@ -185,7 +185,7 @@ func TestNonMaximalDetectorsAgree(t *testing.T) {
 		want := hypergraph.NonMaximalEdges(h)
 		for f := 0; f < ne; f++ {
 			if eDeg[f] == 0 {
-				if dead, _ := det.Dead(snap, int32(f), nil, 0); !dead {
+				if dead, _ := det.Dead(snap, int32(f)); !dead {
 					t.Fatalf("instance %d %v: csr.Detector.Dead(%d) = false for an empty hyperedge", i, h, f)
 				}
 				continue
@@ -196,7 +196,7 @@ func TestNonMaximalDetectorsAgree(t *testing.T) {
 			if got := scratch.NonMaximal(cv, int32(f), eDeg[f], alive, alive, eDegAt); got != want[f] {
 				t.Fatalf("instance %d %v: nonMaxScratch.NonMaximal(%d) = %t, want %t", i, h, f, got, want[f])
 			}
-			if got, _ := det.Dead(snap, int32(f), nil, 0); got != want[f] {
+			if got, _ := det.Dead(snap, int32(f)); got != want[f] {
 				t.Fatalf("instance %d %v: csr.Detector.Dead(%d) = %t, want %t", i, h, f, got, want[f])
 			}
 		}
@@ -226,8 +226,8 @@ func TestNonMaximalDetectorsAgree(t *testing.T) {
 				df := eDeg[f]
 				if !eAlive[f] || df == 0 {
 					deadOrEmpty++
-					rawDead, _ := rawDet.Dead(raw, f, nil, 0)
-					sortedDead, _ := sortedDet.Dead(sorted, f, nil, 0)
+					rawDead, _ := rawDet.Dead(raw, f)
+					sortedDead, _ := sortedDet.Dead(sorted, f)
 					if !rawDead || !sortedDead {
 						t.Fatalf("instance %d trial %d: csr.Detector.Dead(%d) = %t over EAdj rows, %t over presorted rows for a dead or empty hyperedge", i, trial, f, rawDead, sortedDead)
 					}
@@ -235,10 +235,10 @@ func TestNonMaximalDetectorsAgree(t *testing.T) {
 				}
 				want, eq := bruteNonMaximal(h, vAlive, eAlive, eDeg, f)
 				equalSets += eq
-				if got, _ := rawDet.Dead(raw, f, nil, 0); got != want {
+				if got, _ := rawDet.Dead(raw, f); got != want {
 					t.Fatalf("instance %d trial %d: csr.Detector.Dead(%d) over EAdj rows = %t, want %t", i, trial, f, got, want)
 				}
-				if got, _ := sortedDet.Dead(sorted, f, nil, 0); got != want {
+				if got, _ := sortedDet.Dead(sorted, f); got != want {
 					t.Fatalf("instance %d trial %d: csr.Detector.Dead(%d) over presorted rows = %t, want %t", i, trial, f, got, want)
 				}
 				if got := scratch.NonMaximal(cv, f, df, vAliveAt, eAliveAt, eDegAt); got != want {

@@ -23,8 +23,11 @@ import (
 // travel through per-pair outboxes that the owning shard applies after
 // an exchange barrier.  Plain arrays therefore suffice — no atomics —
 // and every phase reads a snapshot that the barriers keep stable.  The
-// rounds are the same round-synchronous schedule as KCoreParallel, so
-// the engine reaches the same confluent fixpoint per level; the
+// rounds are the same round-synchronous schedule as KCoreParallel and
+// the sequential CSR peeler (csr.Decompose), so the engine reaches the
+// same confluent fixpoint per level, and with the CSR peeler and
+// DistPeeler it keeps the same member of every equal-set family: the
+// three return equal decompositions, edge coreness included.  The
 // reduction test (empty or non-maximal) is the flat-array containment
 // detector of internal/csr (csr.Detector), run by each worker on its
 // own stamp scratch against the global alive/degree arrays, which the
@@ -79,7 +82,8 @@ func normalizeShardCount(shards, numVertices int) int {
 // sharded peeling engine.  The result is the same decomposition as
 // Decompose: vertex coreness is a confluent fixpoint, and the shared
 // (degree, ID) tie-break keeps the surviving hyperedge families equal
-// level by level.
+// level by level.  It equals CSRDecompose byte for byte at every shard
+// count.
 func ShardedDecompose(h *hypergraph.Hypergraph, opts ShardedOptions) *Decomposition {
 	d, err := ShardedDecomposeCtx(context.Background(), h, opts)
 	if err != nil {
@@ -578,12 +582,11 @@ func (e *shardedEngine) checkInitial(s, worker int) error {
 }
 
 // checkDead reports whether alive hyperedge g (global ID) is empty or
-// non-maximal against the current stable global snapshot.  No shrunk
-// filter: a round retires many vertices at once.
+// non-maximal against the current stable global snapshot.
 //
 //hyperplexvet:hotpath
 func (e *shardedEngine) checkDead(det *csr.Detector, g int32) bool {
-	dead, _ := det.Dead(&e.snap, g, nil, 0)
+	dead, _ := det.Dead(&e.snap, g)
 	return dead
 }
 

@@ -7,7 +7,9 @@ package csr
 // distributed engines of internal/core.  It reads a snapshot of the
 // caller's own flat peel arrays (no accessor callbacks) and keeps its
 // stamps in per-worker scratch, so no pairwise overlap table is ever
-// maintained.
+// maintained.  Every engine calls it in rounds: each hyperedge that
+// shrank in a round is tested once against the state the round left,
+// and the dead ones are deleted only after all tests.
 
 // Snapshot is the alive state a containment test reads: the caller's
 // own peel arrays, viewed in place.  They must not change during a
@@ -63,22 +65,17 @@ func NewDetector(c *CSR) *Detector {
 //     v2, and for d(f) ≤ 2 the witnesses are the whole containment
 //     test;
 //   - degree filter: dead hyperedges have degree 0 in s.EDeg, so the
-//     tie-break comparison skips them without a liveness load;
-//   - shrunk filter (optional): candidates g with shrunk[g] == gen are
-//     skipped.  It is sound only when the snapshot is one vertex
-//     deletion past a state in which every alive hyperedge was
-//     maximal, and gen marks the hyperedges incident to that vertex: a
-//     new containment f ⊆ g needs the deleted vertex in f but not in g.
-//     A round that retires many vertices at once must pass nil.
+//     tie-break comparison skips them without a liveness load.
 //
 // The witnesses v1, v2 are the first two alive members of f in its
 // s.Rows row, so a row presorted by ascending static vertex degree
-// gives the shortest candidate scans.  Only candidates surviving every
-// filter reach the member count, so f's alive members are stamped
-// lazily on the first such candidate.
+// gives the shortest candidate scans; which alive members serve as
+// witnesses changes the cost, never the verdict.  Only candidates
+// surviving every filter reach the member count, so f's alive members
+// are stamped lazily on the first such candidate.
 //
 //hyperplexvet:hotpath
-func (d *Detector) Dead(s *Snapshot, f int32, shrunk []int32, gen int32) (bool, int) {
+func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 	// Hot loop: raw field locals keep the candidate scan free of
 	// repeated slice-header construction and pointer loads.
 	c, vAlive, eDeg := s.C, s.VAlive, s.EDeg
@@ -86,7 +83,6 @@ func (d *Detector) Dead(s *Snapshot, f int32, shrunk []int32, gen int32) (bool, 
 	if df == 0 {
 		return true, 0
 	}
-	filter := shrunk != nil
 	mrow := s.Rows[c.EOff[f]:c.EOff[f+1]]
 	var v1 int32
 	i := 0
@@ -103,7 +99,7 @@ func (d *Detector) Dead(s *Snapshot, f int32, shrunk []int32, gen int32) (bool, 
 		// Every candidate contains v1 — f's only alive member — so the
 		// tie-break alone decides.
 		for _, g := range row {
-			if g == f || (filter && shrunk[g] == gen) {
+			if g == f {
 				continue
 			}
 			if dg := eDeg[g]; dg > 1 || (dg == 1 && g < f) {
@@ -129,7 +125,7 @@ func (d *Detector) Dead(s *Snapshot, f int32, shrunk []int32, gen int32) (bool, 
 	stamp, stamped := d.stamp, false
 	//hyperplexvet:ignore budgettick bounded: one pass over v1's static incidence row; the CSR peeler charges the returned op count, the sharded check phases tick one unit per checked hyperedge at entry, and DistPeeler has no meter (its coordinator ticks once per round)
 	for k, g := range row {
-		if estamp[g] != seq || g == f || (filter && shrunk[g] == gen) {
+		if estamp[g] != seq || g == f {
 			continue
 		}
 		if dg := eDeg[g]; dg < df || (dg == df && g > f) {

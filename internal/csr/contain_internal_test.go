@@ -35,7 +35,7 @@ func TestDetectorStampWraparound(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		for f, w := range want {
 			before := d.seq
-			if got, _ := d.Dead(s, int32(f), nil, 0); got != w {
+			if got, _ := d.Dead(s, int32(f)); got != w {
 				t.Fatalf("trial %d (seq %d): Dead(%d) = %t, want %t", trial, before, f, got, w)
 			}
 			if d.seq >= before {

@@ -19,9 +19,19 @@ import (
 // coreness the level peeler assigns when it deletes v while raising the
 // threshold to core+1; hyperedges deleted in the cascade get the same
 // level's coreness (core).  The fixpoint is confluent, so the vertex
-// coreness and MaxK are identical; of duplicate equal-set hyperedges
-// the surviving copy can differ by deletion order, which is why the
-// differential tests compare induced member-set families per level.
+// coreness and MaxK are identical.
+//
+// The peel runs in rounds, the schedule of the sharded and distributed
+// engines in internal/core.  A vertex deletion changes no other
+// vertex's degree — it only shrinks hyperedges, which are queued as
+// pending — so the vertices popped between two containment rounds are
+// exactly the alive vertices at degree ≤ core: the sharded frontier.
+// A round tests every pending hyperedge once against the unchanged
+// state, collects the dead ones and only then deletes them, and the
+// level rises only when no vertex is at or below it and nothing is
+// pending.  The reduction tie-break then keeps the same member of each
+// equal-set family as those engines, so the three return the same
+// decomposition, edge coreness included.
 
 // fpBuild fires at the checkpoints of the construction phase (arena
 // setup and initial reduction), before the first vertex pops.
@@ -85,16 +95,19 @@ type peeler struct {
 	head, next, item []int32
 	nfree            int32 // next unused entry slot
 	cur              int   // lowest possibly-non-empty bucket
-	live             []int32
+
+	// Round state: pending lists the alive hyperedges shrunk since the
+	// last containment round, each once (pstamp[f] == round marks f as
+	// listed).  Both are carved from the arena; pending never exceeds
+	// ne entries.
+	pending []int32
+	pstamp  []int32
+	round   int32
 
 	// Containment test (contain.go): det's stamps are carved from the
-	// arena, snap views the peel arrays above, and shrunk[g] == dseq
-	// marks g as incident to the vertex being deleted — the shrunk
-	// filter of the single-vertex deletion.
-	det    Detector
-	snap   Snapshot
-	shrunk []int32
-	dseq   int32
+	// arena and snap views the peel arrays above.
+	det  Detector
+	snap Snapshot
 
 	// mem mirrors the CSR's edge→vertex rows with each row sorted by
 	// ascending static vertex row length, so the detector finds the
@@ -153,7 +166,8 @@ func (p *peeler) checkpointPeel(n int) {
 
 // newPeeler allocates the arena, fills the bucket queue from the
 // initial degrees and performs the initial reduction (empty and
-// non-maximal hyperedges die at coreness 0).
+// non-maximal hyperedges die at coreness 0): round 0, with every
+// hyperedge pending.
 func newPeeler(ctx context.Context, c *CSR) *peeler {
 	// Entry checkpoint: an already-cancelled context aborts before any
 	// work, even on inputs too small to reach a periodic checkpoint.
@@ -189,7 +203,7 @@ func newPeeler(ctx context.Context, c *CSR) *peeler {
 	// bucket entry arena is sized for the lazy queue's worst case
 	// (|V| initial pushes + one push per pin decrement).
 	entries := nv + pins
-	arena := make([]int32, 3*nv+5*ne+(maxDeg+1)+2*entries+maxDeg+pins)
+	arena := make([]int32, 3*nv+5*ne+(maxDeg+1)+2*entries+pins)
 	carve := func(n int) []int32 {
 		s := arena[:n:n]
 		arena = arena[n:]
@@ -202,9 +216,9 @@ func newPeeler(ctx context.Context, c *CSR) *peeler {
 	p.head = carve(maxDeg + 1)
 	p.next = carve(entries)
 	p.item = carve(entries)
-	p.live = carve(maxDeg)[:0]
+	p.pending = carve(ne)[:0]
+	p.pstamp = carve(ne)
 	p.det = Detector{stamp: carve(nv), estamp: carve(ne)}
-	p.shrunk = carve(ne)
 	p.mem = carve(pins)
 	p.snap = Snapshot{C: c, Rows: p.mem, VAlive: p.vAlive, EDeg: p.eDeg}
 
@@ -232,11 +246,6 @@ func newPeeler(ctx context.Context, c *CSR) *peeler {
 	for i := range p.head {
 		p.head[i] = -1
 	}
-	// dseq generations start at 1 (first vertex deletion), so the
-	// zeroed shrunk array marks nothing during the initial reduction.
-	for i := range p.shrunk {
-		p.shrunk[i] = -1
-	}
 	for v := 0; v < nv; v++ {
 		p.vAlive[v] = true
 		p.vDeg[v] = c.VertexDegree(int32(v))
@@ -249,20 +258,13 @@ func newPeeler(ctx context.Context, c *CSR) *peeler {
 		p.push(v, int(p.vDeg[v]))
 	}
 
-	// Initial reduction.  Collect first, then delete, so that the
-	// containment tests all see the original incidence state.  The drop
-	// list is carved from the arena (worst case: every hyperedge dies),
-	// not grown by append — the arena sizing above reserves its ne slot.
-	drop := carve(ne)[:0]
-	for f := 0; f < ne; f++ {
-		p.charge(1)
-		if p.dies(int32(f)) {
-			drop = append(drop, int32(f))
-		}
+	// Initial reduction: round 0 lists every hyperedge, so the
+	// containment tests all see the original incidence state.  The
+	// zeroed stamps match no later round, which starts at 1.
+	for f := int32(0); int(f) < ne; f++ {
+		p.pending = append(p.pending, f)
 	}
-	for _, f := range drop {
-		p.deleteEdge(f)
-	}
+	p.endRound()
 	return p
 }
 
@@ -299,13 +301,12 @@ func (p *peeler) deleteEdge(f int32) {
 	}
 }
 
-// deleteVertex removes alive vertex v at the current core level.
-// Phase one removes v from every alive hyperedge containing it; phase
-// two re-checks each shrunk hyperedge for emptiness or non-maximality,
-// cascading deleteEdge.  Only shrunk hyperedges need re-checking: a
-// containment f ⊆ g over alive vertices can only be created by f
-// losing an alive member, and the equal-set tie-break can only flip
-// against a hyperedge that shrank in the same deletion.
+// deleteVertex removes alive vertex v at the current core level and
+// shrinks every alive hyperedge containing it, listing each as pending
+// once per round.  Its containment test waits for the end of the
+// round (endRound): only a hyperedge that lost an alive member can
+// have become empty or contained in another, and it is tested once per
+// round instead of once per member lost.
 //
 //hyperplexvet:hotpath
 func (p *peeler) deleteVertex(v int32) {
@@ -313,37 +314,47 @@ func (p *peeler) deleteVertex(v int32) {
 	p.vAlive[v] = false
 	p.vCore[v] = int32(p.core)
 	p.aliveV--
-
-	p.dseq++
-	live := p.live[:0]
 	for _, f := range p.c.VertexEdges(v) {
-		p.shrunk[f] = p.dseq
-		if p.eAlive[f] {
-			live = append(live, f)
-			p.eDeg[f]--
+		if !p.eAlive[f] {
+			continue
 		}
-	}
-	for _, f := range live {
-		if p.eAlive[f] && p.dies(f) {
-			p.deleteEdge(f)
+		p.eDeg[f]--
+		if p.pstamp[f] != p.round {
+			p.pstamp[f] = p.round
+			p.pending = append(p.pending, f)
 		}
 	}
 }
 
-// dies runs the shared reduction test (Detector.Dead) on alive
-// hyperedge f — empty, or non-maximal — with the shrunk filter of the
-// current vertex deletion, sound here because the peeler deletes one
-// vertex at a time, and charges the test's operations.
+// endRound is the containment round: each pending hyperedge is tested
+// once (Detector.Dead) against the unchanged snapshot, the dead ones
+// are collected — compacted in place at the front of the pending list
+// — and only then deleted at the current level.  This is the
+// collect-then-delete rule of the sharded check phase, so the
+// equal-set tie-break sees the same state in every engine.
 //
 //hyperplexvet:hotpath
-func (p *peeler) dies(f int32) bool {
-	dead, ops := p.det.Dead(&p.snap, f, p.shrunk, p.dseq)
-	p.charge(ops)
-	return dead
+func (p *peeler) endRound() {
+	dead := p.pending[:0]
+	for _, f := range p.pending {
+		d, ops := p.det.Dead(&p.snap, f)
+		p.charge(1 + ops)
+		if d {
+			dead = append(dead, f)
+		}
+	}
+	for _, f := range dead {
+		p.deleteEdge(f)
+	}
+	p.pending = p.pending[:0]
+	p.round++
 }
 
 // peel drains the bucket queue: repeatedly pop a minimum-degree alive
 // vertex, raise the core level to its degree if higher, and delete it.
+// Before the level rises, and after the last vertex, the round ends;
+// its deaths can push vertices back to or below the current level, so
+// the level rises only once no vertex is there and nothing is pending.
 //
 //hyperplexvet:hotpath
 func (p *peeler) peel() {
@@ -351,6 +362,10 @@ func (p *peeler) peel() {
 	for p.aliveV > 0 {
 		for p.head[p.cur] == -1 {
 			p.cur++
+		}
+		if p.cur > p.core && len(p.pending) > 0 {
+			p.endRound()
+			continue
 		}
 		idx := p.head[p.cur]
 		p.head[p.cur] = p.next[idx]
@@ -366,13 +381,14 @@ func (p *peeler) peel() {
 		}
 		p.deleteVertex(v)
 	}
+	p.endRound()
 }
 
 // Decompose computes the full core decomposition of c with the
 // bucket-queue peeler.  It is the flat-array equivalent of the level
-// peeler in internal/core: identical vertex coreness, edge coreness
-// levels and MaxK (the surviving copy of duplicate equal-set
-// hyperedges may differ, with equal induced member-set families).
+// peeler in internal/core (identical vertex coreness, edge coreness
+// levels and MaxK) and returns exactly the decomposition of the
+// sharded and distributed engines, which run the same rounds.
 func Decompose(c *CSR) *Decomposition {
 	d, err := DecomposeCtx(context.Background(), c)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -31,7 +32,9 @@ func fastOpts() Options {
 
 // assertExact asserts the distributed result equals the sequential
 // decomposition on vertex coreness and MaxK (the paper-facing
-// quantities), and the sharded schedule on hyperedge coreness.
+// quantities), and equals the sharded engine and the CSR peeler byte
+// for byte: all three run the same rounds, so they agree on hyperedge
+// coreness too.
 func assertExact(t *testing.T, h *hypergraph.Hypergraph, got *core.Decomposition, label string) {
 	t.Helper()
 	want := core.Decompose(h)
@@ -43,10 +46,21 @@ func assertExact(t *testing.T, h *hypergraph.Hypergraph, got *core.Decomposition
 			t.Fatalf("%s: vertex %d coreness = %d, want %d", label, v, got.VertexCoreness[v], c)
 		}
 	}
-	sharded := core.ShardedDecompose(h, core.ShardedOptions{Shards: 3})
-	for f, c := range sharded.EdgeCoreness {
-		if got.EdgeCoreness[f] != c {
-			t.Fatalf("%s: hyperedge %d coreness = %d, want %d", label, f, got.EdgeCoreness[f], c)
+	for _, r := range []struct {
+		name string
+		ref  *core.Decomposition
+	}{
+		{"sharded", core.ShardedDecompose(h, core.ShardedOptions{Shards: 3})},
+		{"CSR", core.CSRDecompose(h)},
+	} {
+		name, ref := r.name, r.ref
+		if ref.MaxK != got.MaxK || !slices.Equal(ref.VertexCoreness, got.VertexCoreness) {
+			t.Fatalf("%s: vertex coreness or MaxK differs from the %s engine", label, name)
+		}
+		for f, c := range ref.EdgeCoreness {
+			if got.EdgeCoreness[f] != c {
+				t.Fatalf("%s: hyperedge %d coreness = %d, %s engine has %d", label, f, got.EdgeCoreness[f], name, c)
+			}
 		}
 	}
 }

@@ -2,7 +2,10 @@ package hypergraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Builder accumulates hyperedges and produces an immutable Hypergraph.
@@ -79,54 +82,62 @@ func (b *Builder) NumEdges() int { return len(b.edges) }
 // Build produces the immutable Hypergraph.  Hyperedge names must be
 // unique when non-empty; vertex names are unique by construction.
 func (b *Builder) Build() (*Hypergraph, error) {
-	nv := len(b.vertexNames)
 	ne := len(b.edges)
+	edgeNames := make([]string, ne)
+	eOff := make([]int, ne+1)
+	for f, e := range b.edges {
+		edgeNames[f] = e.name
+		eOff[f+1] = eOff[f] + len(e.members)
+	}
+	eAdj := make([]int32, 0, eOff[ne])
+	for _, e := range b.edges {
+		eAdj = append(eAdj, e.members...)
+	}
+	return assemble(append([]string(nil), b.vertexNames...), eOff, eAdj, edgeNames)
+}
 
+// assemble is the one CSR assembly behind Build and FromEdgeSets.  It
+// takes ownership of the edge-side rows — the members of hyperedge f
+// are eAdj[eOff[f]:eOff[f+1]], sorted, duplicate-free and in
+// [0, len(vertexNames)) — derives the vertex side by a counting-sort
+// transpose and indexes both name lists.  Vertex names must be unique;
+// a repeated non-empty hyperedge name is an error.
+func assemble(vertexNames []string, eOff []int, eAdj []int32, edgeNames []string) (*Hypergraph, error) {
+	nv, ne := len(vertexNames), len(eOff)-1
 	h := &Hypergraph{
-		vertexNames: append([]string(nil), b.vertexNames...),
+		vertexNames: vertexNames,
 		vertexIndex: make(map[string]int, nv),
-		edgeNames:   make([]string, ne),
+		edgeNames:   edgeNames,
 		edgeIndex:   make(map[string]int, ne),
 		vOff:        make([]int, nv+1),
-		eOff:        make([]int, ne+1),
+		vAdj:        make([]int32, len(eAdj)),
+		eOff:        eOff,
+		eAdj:        eAdj,
 	}
-	for v, name := range h.vertexNames {
+	for v, name := range vertexNames {
 		h.vertexIndex[name] = v
 	}
-
-	pins := 0
-	for f, e := range b.edges {
-		h.edgeNames[f] = e.name
-		if e.name != "" {
-			if prev, dup := h.edgeIndex[e.name]; dup {
-				return nil, fmt.Errorf("hypergraph: duplicate hyperedge name %q (edges %d and %d)", e.name, prev, f)
-			}
-			h.edgeIndex[e.name] = f
+	for f, name := range edgeNames {
+		if name == "" {
+			continue
 		}
-		pins += len(e.members)
+		if prev, dup := h.edgeIndex[name]; dup {
+			return nil, fmt.Errorf("hypergraph: duplicate hyperedge name %q (edges %d and %d)", name, prev, f)
+		}
+		h.edgeIndex[name] = f
 	}
 
-	// Edge-side CSR.
-	h.eAdj = make([]int32, 0, pins)
-	for f, e := range b.edges {
-		h.eOff[f] = len(h.eAdj)
-		h.eAdj = append(h.eAdj, e.members...)
-	}
-	h.eOff[ne] = len(h.eAdj)
-
-	// Vertex-side CSR by counting sort over pins; since edges are
-	// appended in increasing f order, each vertex's edge list comes out
+	// Vertex-side CSR by counting sort over pins; since hyperedges are
+	// visited in increasing f order, each vertex's list comes out
 	// sorted.
-	deg := make([]int, nv)
-	for _, v := range h.eAdj {
-		deg[v]++
+	for _, v := range eAdj {
+		h.vOff[v+1]++
 	}
 	for v := 0; v < nv; v++ {
-		h.vOff[v+1] = h.vOff[v] + deg[v]
+		h.vOff[v+1] += h.vOff[v]
 	}
-	h.vAdj = make([]int32, pins)
 	cursor := append([]int(nil), h.vOff[:nv]...)
-	//hyperplexvet:ignore budgettick bounded: one transpose pass over pins the Ctx readers already charged line by line; Build itself carries no context
+	//hyperplexvet:ignore budgettick bounded: one transpose pass over pins the Ctx readers already charged line by line; the assembly itself carries no context
 	for f := 0; f < ne; f++ {
 		for _, v := range h.Vertices(f) {
 			h.vAdj[cursor[v]] = int32(f)
@@ -146,21 +157,60 @@ func (b *Builder) MustBuild() *Hypergraph {
 	return h
 }
 
-// FromEdgeSets builds an unnamed hypergraph over nv vertices directly
-// from a slice of member-ID sets.  Vertices are named "v0", "v1", ...
-// and edges "f0", "f1", ... so that exported files remain readable.
+// FromEdgeSets builds a hypergraph over nv vertices directly from a
+// slice of member-ID sets, with the same result as adding each set
+// through a Builder: members may come unsorted or repeated, sets may be
+// empty, and nv ≤ 0 gives no vertices.  Vertices are named "v0", "v1",
+// ... and edges "f0", "f1", ... so that exported files remain readable.
+// A member outside [0, nv) is an error.  The sets are copied once into
+// one flat row array, where each row is sorted and compacted in place;
+// the caller's slices are never modified.
 func FromEdgeSets(nv int, edges [][]int32) (*Hypergraph, error) {
-	b := NewBuilder()
-	for v := 0; v < nv; v++ {
-		b.AddVertex(fmt.Sprintf("v%d", v))
-	}
+	pins := 0
 	for f, members := range edges {
 		for _, v := range members {
 			if v < 0 || int(v) >= nv {
 				return nil, fmt.Errorf("hypergraph: edge %d member %d out of range [0,%d)", f, v, nv)
 			}
 		}
-		b.AddEdgeIDs(fmt.Sprintf("f%d", f), members)
+		pins += len(members)
 	}
-	return b.Build()
+	eOff := make([]int, len(edges)+1)
+	eAdj := make([]int32, pins)
+	n := 0
+	for f, members := range edges {
+		row := eAdj[n : n+len(members)]
+		copy(row, members)
+		slices.Sort(row)
+		n += len(slices.Compact(row))
+		eOff[f+1] = n
+	}
+	return assemble(seqNames('v', nv), eOff, eAdj[:n:n], seqNames('f', len(edges)))
+}
+
+// seqNames returns the names prefix0 … prefix(n-1), sliced from one
+// backing string (nil for n ≤ 0).
+func seqNames(prefix byte, n int) []string {
+	if n <= 0 {
+		return nil
+	}
+	var b strings.Builder
+	b.Grow(n * (1 + len(strconv.Itoa(n-1))))
+	var num [20]byte
+	for i := 0; i < n; i++ {
+		b.WriteByte(prefix)
+		b.Write(strconv.AppendInt(num[:0], int64(i), 10))
+	}
+	all := b.String()
+	names := make([]string, n)
+	start, width, next := 0, 2, 10 // "v0" … "v9" are two bytes long
+	for i := range names {
+		if i == next {
+			width++
+			next *= 10
+		}
+		names[i] = all[start : start+width]
+		start += width
+	}
+	return names
 }

@@ -12,8 +12,9 @@
 // clique expansion), where |E| denotes the number of pins, i.e. the sum
 // of hyperedge cardinalities.
 //
-// Construction goes through a Builder; analysis algorithms live in the
-// sibling packages core (k-cores), cover (vertex covers), and stats
+// Construction goes through a Builder, or FromEdgeSets for rows of
+// vertex IDs; both share one CSR assembly.  Analysis algorithms live in
+// the sibling packages core (k-cores), cover (vertex covers), and stats
 // (network statistics).
 package hypergraph
 

@@ -55,11 +55,12 @@ func TestCollectFactsMultiPackage(t *testing.T) {
 			t.Errorf("csr trivial fixpoint missing accessor %s", fn)
 		}
 	}
-	// The peeler's live-edge list, witness rows and drop worklist are
-	// carved from one arena, so hotalloc lets appends to them through.
-	// (The containment detector's stamps are not: NewDetector makes
-	// them for the engines that run it per worker.)
-	for _, f := range []string{"live", "mem", "drop"} {
+	// The peeler's pending list (and the dead list compacted into it)
+	// and its witness rows are carved from one arena, so hotalloc lets
+	// appends to them through.  (The containment detector's stamps are
+	// not: NewDetector makes them for the engines that run it per
+	// worker.)
+	for _, f := range []string{"pending", "dead", "mem"} {
 		if !hasNamed(csr.ArenaOwned, f) {
 			t.Errorf("peeler %s not arena-owned", f)
 		}

@@ -31,6 +31,11 @@ const readCheckEvery = 256
 // (row + col int32 plus a float64), charged against MaxAlloc.
 const entryBytes = 16
 
+// maxPresize caps how many entries ReadCtx allocates up front from the
+// size line's promise, so a hostile header cannot demand more than
+// 16 MiB before a single entry has been read.
+const maxPresize = 1 << 20
+
 // Matrix is a sparse matrix in coordinate (triplet) form.  Indices are
 // 0-based in memory (the on-disk format is 1-based).  Symmetric input
 // is expanded to general form at read time.
@@ -74,11 +79,8 @@ type MatrixEvents struct {
 	// Entry is called per stored entry with 0-based indices; for a
 	// symmetric file each off-diagonal entry is delivered twice,
 	// mirrored, exactly as Read expands it.  Nil skips delivery.
+	// Consumers that retain entries charge their bytes themselves.
 	Entry func(i, j int32, v float64) error
-	// ChargeBytes charges a fixed per-entry allocation estimate
-	// against the budget.  Callers that retain every entry (ReadCtx)
-	// set it; streaming consumers leave it false.
-	ChargeBytes bool
 }
 
 // Scan parses a Matrix Market file as a stream, delivering entries to
@@ -182,11 +184,6 @@ func ScanCtx(ctx context.Context, r io.Reader, ev MatrixEvents) (*Info, error) {
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
 		}
-		if ev.ChargeBytes && read > 0 && read%readCheckEvery == 0 {
-			if err := meter.Alloc(readCheckEvery * entryBytes); err != nil {
-				return nil, err
-			}
-		}
 		fields := strings.Fields(line)
 		wantFields := 3
 		if field == "pattern" {
@@ -243,13 +240,34 @@ func Read(r io.Reader) (*Matrix, error) {
 
 // ReadCtx is Read honoring cancellation, deadline and any run.Budget
 // attached to ctx, checked at entry and at bounded entry intervals
-// (one step and a fixed per-entry allocation estimate are charged per
-// stored entry).  On any error it returns (nil, err).
+// (one step per line, and a fixed per-entry allocation estimate per
+// stored entry).  The entry arrays are sized from the size line, up to
+// maxPresize entries, whose bytes are charged before they are
+// allocated; entries beyond them are charged in blocks as they arrive.
+// On any error it returns (nil, err).
 func ReadCtx(ctx context.Context, r io.Reader) (*Matrix, error) {
+	meter := run.MeterFrom(ctx)
 	m := &Matrix{}
+	charged := 0 // entries whose bytes the budget has been charged for
 	info, err := ScanCtx(ctx, r, MatrixEvents{
-		ChargeBytes: true,
+		Size: func(_, _, nnz int) error {
+			n := min(nnz, maxPresize)
+			if err := meter.Alloc(int64(n) * entryBytes); err != nil {
+				return err
+			}
+			charged = n
+			m.RowIdx = make([]int32, 0, n)
+			m.ColIdx = make([]int32, 0, n)
+			m.Val = make([]float64, 0, n)
+			return nil
+		},
 		Entry: func(i, j int32, v float64) error {
+			if len(m.RowIdx) == charged {
+				if err := meter.Alloc(readCheckEvery * entryBytes); err != nil {
+					return err
+				}
+				charged += readCheckEvery
+			}
 			m.RowIdx = append(m.RowIdx, i)
 			m.ColIdx = append(m.ColIdx, j)
 			m.Val = append(m.Val, v)
@@ -289,9 +307,21 @@ func Write(w io.Writer, m *Matrix) error {
 // Duplicate entries collapse; empty columns become empty hyperedges and
 // are retained so |F| matches the matrix dimension.
 func ToHypergraph(m *Matrix) (*hypergraph.Hypergraph, error) {
+	// Bucket the entries by column: every column row is carved, at its
+	// exact capacity, from one flat array, so the appends never grow.
+	off := make([]int, m.Cols+1)
+	for _, j := range m.ColIdx {
+		off[j+1]++
+	}
+	for j := 0; j < m.Cols; j++ {
+		off[j+1] += off[j]
+	}
+	flat := make([]int32, m.NNZ())
 	cols := make([][]int32, m.Cols)
-	for k := 0; k < m.NNZ(); k++ {
-		j := m.ColIdx[k]
+	for j := range cols {
+		cols[j] = flat[off[j]:off[j]:off[j+1]]
+	}
+	for k, j := range m.ColIdx {
 		cols[j] = append(cols[j], m.RowIdx[k])
 	}
 	return hypergraph.FromEdgeSets(m.Rows, cols)

@@ -2,8 +2,13 @@ package mmio
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"hyperplex/internal/run"
 )
 
 const sampleGeneral = `%%MatrixMarket matrix coordinate real general
@@ -82,6 +87,39 @@ func TestReadErrors(t *testing.T) {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: Read accepted invalid input", name)
 		}
+	}
+}
+
+// TestReadPresize pins ReadCtx's sizing from the size line: a header
+// promising 2^31−1 entries over a two-line body still fails with the
+// count-mismatch error; the presized bytes are charged to MaxAlloc
+// before they are allocated, so a small budget refuses that header; and
+// on an honest file the budget sees each stored entry's bytes once.
+func TestReadPresize(t *testing.T) {
+	huge := "%%MatrixMarket matrix coordinate real general\n2 2 2147483647\n1 1 1\n2 2 1\n"
+	if _, err := Read(strings.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "read 2 entries, header promised 2147483647") {
+		t.Fatalf("huge promise: err = %v, want the count mismatch", err)
+	}
+	ctx, _ := run.WithBudget(context.Background(), run.Budget{MaxAlloc: 1 << 20})
+	if _, err := ReadCtx(ctx, strings.NewReader(huge)); !errors.Is(err, run.ErrBudgetExceeded) {
+		t.Fatalf("huge promise under a 1 MiB budget: err = %v, want ErrBudgetExceeded", err)
+	}
+
+	// Symmetric: the promised entries are presized, the mirrored ones
+	// are charged as they arrive.
+	var b strings.Builder
+	const n = 1000
+	fmt.Fprintf(&b, "%%%%MatrixMarket matrix coordinate pattern symmetric\n%d %d %d\n", n, n, n)
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&b, "%d %d\n", i, 1+(i*7)%n)
+	}
+	ctx, meter := run.WithBudget(context.Background(), run.Budget{})
+	m, err := ReadCtx(ctx, strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, lo, hi := meter.Allocated(), int64(m.NNZ())*entryBytes, int64(m.NNZ()+readCheckEvery)*entryBytes; got < lo || got >= hi {
+		t.Fatalf("charged %d bytes for %d stored entries, want [%d, %d)", got, m.NNZ(), lo, hi)
 	}
 }
 
