@@ -6,6 +6,8 @@
 package hyperplex_test
 
 import (
+	"bytes"
+	"context"
 	"io"
 	"path/filepath"
 	"runtime"
@@ -238,17 +240,36 @@ func BenchmarkExtParallelCore(b *testing.B) {
 	}
 }
 
-// bandedBench builds the shared 8000×8000 banded instance used by the
-// decomposition benchmarks.
+// bandedSpec is the shared 8000×8000 banded instance of the
+// decomposition and Matrix Market benchmarks.
+var bandedSpec = gen.MatrixSpec{Name: "bench", Rows: 8000, Cols: 8000, Band: 10, BandFill: 0.7, RandomPerRow: 2, Seed: 0xBE}
+
+// bandedBench builds the banded instance's hypergraph.
 func bandedBench(b *testing.B) *hypergraph.Hypergraph {
 	b.Helper()
-	spec := gen.MatrixSpec{Name: "bench", Rows: 8000, Cols: 8000, Band: 10, BandFill: 0.7, RandomPerRow: 2, Seed: 0xBE}
-	m := gen.SyntheticMatrix(spec)
+	m := gen.SyntheticMatrix(bandedSpec)
 	h, err := mmio.ToHypergraph(m)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return h
+}
+
+// BenchmarkReadMatrixMarket measures the Matrix Market reader on the
+// banded instance's file: the parse half of the Table 1 route.
+func BenchmarkReadMatrixMarket(b *testing.B) {
+	var buf bytes.Buffer
+	if err := mmio.Write(&buf, gen.SyntheticMatrix(bandedSpec)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mmio.ReadCtx(context.Background(), bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkDecompose measures the map-based level-by-level sequential
@@ -448,8 +469,9 @@ func BenchmarkExtShortestPath(b *testing.B) {
 
 // ---- Ablations (DESIGN.md §5) -------------------------------------------
 
-// BenchmarkAblationComponents compares bipartite-BFS labeling with the
-// union-find implementation.
+// BenchmarkAblationComponents compares Components' breadth-first search
+// over the incidence rows, which labels like a BFS of B(H) without
+// building it, with the union-find implementation.
 func BenchmarkAblationComponents(b *testing.B) {
 	h := cellzome(b).H
 	b.Run("bfs", func(b *testing.B) {

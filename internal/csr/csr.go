@@ -16,7 +16,6 @@ package csr
 
 import (
 	"fmt"
-	"slices"
 
 	"hyperplex/internal/hypergraph"
 )
@@ -119,7 +118,10 @@ func (c *CSR) ToH() (*hypergraph.Hypergraph, error) {
 // are monotone and end at the pin count, both directions describe the
 // same pin set, rows are strictly sorted, and the optional ID maps are
 // sized and ordered consistently.  Kernels assume a valid CSR; the
-// check is for tests and for code assembling CSRs by hand.
+// check is for tests, for code assembling CSRs by hand and for the
+// store's Open path.  Both offset arrays are checked in full before
+// any row is sliced, so arbitrary arrays yield an error, never a
+// panic; the cross-direction check is one linear cursor walk.
 func (c *CSR) Validate() error {
 	nv, ne := c.NumVertices(), c.NumEdges()
 	if nv < 0 || ne < 0 {
@@ -141,6 +143,13 @@ func (c *CSR) Validate() error {
 		if c.VOff[v+1] < c.VOff[v] {
 			return fmt.Errorf("csr: vertex %d has negative degree", v)
 		}
+	}
+	for f := 0; f < ne; f++ {
+		if c.EOff[f+1] < c.EOff[f] {
+			return fmt.Errorf("csr: hyperedge %d has negative cardinality", f)
+		}
+	}
+	for v := 0; v < nv; v++ {
 		row := c.VertexEdges(int32(v))
 		for i, f := range row {
 			if f < 0 || int(f) >= ne {
@@ -149,15 +158,9 @@ func (c *CSR) Validate() error {
 			if i > 0 && row[i-1] >= f {
 				return fmt.Errorf("csr: vertex %d adjacency not strictly sorted", v)
 			}
-			if !c.edgeContains(f, int32(v)) {
-				return fmt.Errorf("csr: vertex %d lists hyperedge %d, which does not contain it", v, f)
-			}
 		}
 	}
 	for f := 0; f < ne; f++ {
-		if c.EOff[f+1] < c.EOff[f] {
-			return fmt.Errorf("csr: hyperedge %d has negative cardinality", f)
-		}
 		row := c.EdgeVertices(int32(f))
 		for i, v := range row {
 			if v < 0 || int(v) >= nv {
@@ -168,6 +171,24 @@ func (c *CSR) Validate() error {
 			}
 		}
 	}
+	// Walk the hyperedges in ID order: each member v must be the next
+	// unmatched entry of v's row.  Both sides are strictly sorted and
+	// hold equal pin counts, so every pin matching means both describe
+	// the same pin set.
+	cursor := make([]int32, nv)
+	copy(cursor, c.VOff[:nv])
+	for f := int32(0); int(f) < ne; f++ {
+		for _, v := range c.EdgeVertices(f) {
+			k := cursor[v]
+			switch {
+			case k < c.VOff[v+1] && c.VAdj[k] < f:
+				return fmt.Errorf("csr: vertex %d lists hyperedge %d, which does not contain it", v, c.VAdj[k])
+			case k == c.VOff[v+1] || c.VAdj[k] > f:
+				return fmt.Errorf("csr: hyperedge %d lists vertex %d, which does not list it", f, v)
+			}
+			cursor[v]++
+		}
+	}
 	if err := validateIDMap("vertex", c.VertexID, nv); err != nil {
 		return err
 	}
@@ -175,11 +196,6 @@ func (c *CSR) Validate() error {
 		return err
 	}
 	return nil
-}
-
-func (c *CSR) edgeContains(f, v int32) bool {
-	_, ok := slices.BinarySearch(c.EdgeVertices(f), v)
-	return ok
 }
 
 func validateIDMap(kind string, ids []int32, n int) error {

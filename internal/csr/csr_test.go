@@ -159,6 +159,8 @@ func TestValidateRejects(t *testing.T) {
 		{"offset not starting at 0", func(c *csr.CSR) { c.EOff[0] = 1 }},
 		{"offset overshooting pins", func(c *csr.CSR) { c.EOff[len(c.EOff)-1]++ }},
 		{"negative cardinality", func(c *csr.CSR) { c.EOff[1] = 3; c.EOff[0] = 0 }},
+		{"interior vertex offset past the pins", func(c *csr.CSR) { c.VOff[1] = 100 }},
+		{"interior edge offset past the pins", func(c *csr.CSR) { c.EOff[1] = 100 }},
 		{"unsorted member row", func(c *csr.CSR) { c.EAdj[0], c.EAdj[1] = c.EAdj[1], c.EAdj[0] }},
 		{"out-of-range member", func(c *csr.CSR) { c.EAdj[0] = 99 }},
 		{"inconsistent directions", func(c *csr.CSR) { c.VAdj[0] = 1 }},

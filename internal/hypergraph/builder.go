@@ -3,7 +3,6 @@ package hypergraph
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -11,16 +10,16 @@ import (
 // Builder accumulates hyperedges and produces an immutable Hypergraph.
 // The zero value is ready to use.  Vertices may be added explicitly
 // (AddVertex) to include isolated vertices, or implicitly by naming
-// them in a hyperedge.
+// them in a hyperedge.  The member rows are kept in one flat array,
+// each sorted and compacted as its hyperedge is added.
 type Builder struct {
 	vertexNames []string
 	vertexIndex map[string]int
-	edges       []edgeUnderConstruction
-}
-
-type edgeUnderConstruction struct {
-	name    string
-	members []int32
+	edgeNames   []string
+	// The members of hyperedge f are pins[rowEnd[f-1]:rowEnd[f]]
+	// (from 0 for f = 0).
+	pins   []int32
+	rowEnd []int
 }
 
 // NewBuilder returns an empty Builder.
@@ -46,53 +45,57 @@ func (b *Builder) AddVertex(name string) int {
 // vertices, creating vertices as needed, and returns the hyperedge ID.
 // Duplicate member names within one call are collapsed.
 func (b *Builder) AddEdge(name string, members ...string) int {
-	ids := make([]int32, 0, len(members))
+	start := len(b.pins)
 	for _, m := range members {
-		ids = append(ids, int32(b.AddVertex(m)))
+		b.pins = append(b.pins, int32(b.AddVertex(m)))
 	}
-	return b.AddEdgeIDs(name, ids)
+	return b.endEdge(name, start)
 }
 
 // AddEdgeIDs adds a hyperedge over existing vertex IDs and returns the
-// hyperedge ID.  Duplicate IDs are collapsed; out-of-range IDs panic.
+// hyperedge ID.  Duplicate IDs are collapsed; out-of-range IDs panic,
+// before the builder changes.
 func (b *Builder) AddEdgeIDs(name string, members []int32) int {
-	ms := append([]int32(nil), members...)
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-	uniq := ms[:0]
-	for i, v := range ms {
+	for _, v := range members {
 		if v < 0 || int(v) >= len(b.vertexNames) {
 			//hyperplexvet:ignore nopanic documented builder precondition: members must name vertices already added
 			panic(fmt.Sprintf("hypergraph: AddEdgeIDs member %d out of range [0,%d)", v, len(b.vertexNames)))
 		}
-		if i == 0 || ms[i-1] != v {
-			uniq = append(uniq, v)
-		}
 	}
-	f := len(b.edges)
-	b.edges = append(b.edges, edgeUnderConstruction{name: name, members: uniq})
-	return f
+	start := len(b.pins)
+	b.pins = append(b.pins, members...)
+	return b.endEdge(name, start)
+}
+
+// endEdge sorts and compacts the member row appended since start and
+// records it as a hyperedge with the given name, returning its ID.
+func (b *Builder) endEdge(name string, start int) int {
+	row := b.pins[start:]
+	slices.Sort(row)
+	b.pins = b.pins[:start+len(slices.Compact(row))]
+	b.rowEnd = append(b.rowEnd, len(b.pins))
+	b.edgeNames = append(b.edgeNames, name)
+	return len(b.edgeNames) - 1
 }
 
 // NumVertices reports the number of vertices added so far.
 func (b *Builder) NumVertices() int { return len(b.vertexNames) }
 
 // NumEdges reports the number of hyperedges added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
+func (b *Builder) NumEdges() int { return len(b.edgeNames) }
 
 // Build produces the immutable Hypergraph.  Hyperedge names must be
-// unique when non-empty; vertex names are unique by construction.
+// unique when non-empty; vertex names are unique by construction.  The
+// hypergraph gets copies of the builder's arrays, so the builder may
+// go on adding without touching it.
 func (b *Builder) Build() (*Hypergraph, error) {
-	ne := len(b.edges)
-	edgeNames := make([]string, ne)
+	ne := len(b.edgeNames)
 	eOff := make([]int, ne+1)
-	for f, e := range b.edges {
-		edgeNames[f] = e.name
-		eOff[f+1] = eOff[f] + len(e.members)
-	}
-	eAdj := make([]int32, 0, eOff[ne])
-	for _, e := range b.edges {
-		eAdj = append(eAdj, e.members...)
-	}
+	copy(eOff[1:], b.rowEnd)
+	eAdj := make([]int32, len(b.pins))
+	copy(eAdj, b.pins)
+	edgeNames := make([]string, ne)
+	copy(edgeNames, b.edgeNames)
 	return assemble(append([]string(nil), b.vertexNames...), eOff, eAdj, edgeNames)
 }
 

@@ -66,6 +66,11 @@ func FuzzReadText(f *testing.F) {
 	// pick collapses the residual gains of everything else.
 	f.Add("t1: a b\nt2: b c\nt3: c a\n")
 	f.Add("hub1: h a\nhub2: h b\nhub3: h c\nhub4: h d\nlone: x y\n")
+	// Unicode separators, which the scanner trims and splits exactly as
+	// strings.TrimSpace and strings.Fields do, and invalid UTF-8, which
+	// is part of a name.
+	f.Add("\u3000e1:\u00a0a\u2003b\u0085\n\u2028vertex \u3000q\u00a0\ne2\u2003: b\u3000c\n")
+	f.Add("x\xff: a\xffb \xe3\x80 \xe3\x80\x80c\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		// Robustness: a pre-cancelled context surfaces context.Canceled
 		// for every input — never a partial parse, never a different

@@ -260,7 +260,9 @@ func (h *Hypergraph) Clone() *Hypergraph {
 // CSR offsets monotone, member lists sorted and duplicate-free, and the
 // two incidence directions mutually consistent.  It returns nil if the
 // hypergraph is well formed.  It is used by tests and by readers of
-// external files.
+// external files.  Both offset arrays are checked in full before any
+// row is sliced, so arrays handed to FromCSRArrays yield an error,
+// never a panic.
 func (h *Hypergraph) Validate() error {
 	nv, ne := h.NumVertices(), h.NumEdges()
 	if h.vOff[0] != 0 || h.eOff[0] != 0 {
@@ -279,6 +281,13 @@ func (h *Hypergraph) Validate() error {
 		if h.vOff[v+1] < h.vOff[v] {
 			return fmt.Errorf("hypergraph: vertex %d has negative degree", v)
 		}
+	}
+	for f := 0; f < ne; f++ {
+		if h.eOff[f+1] < h.eOff[f] {
+			return fmt.Errorf("hypergraph: hyperedge %d has negative cardinality", f)
+		}
+	}
+	for v := 0; v < nv; v++ {
 		adj := h.Edges(v)
 		for i, f := range adj {
 			if f < 0 || int(f) >= ne {
@@ -293,9 +302,6 @@ func (h *Hypergraph) Validate() error {
 		}
 	}
 	for f := 0; f < ne; f++ {
-		if h.eOff[f+1] < h.eOff[f] {
-			return fmt.Errorf("hypergraph: hyperedge %d has negative cardinality", f)
-		}
 		m := h.Vertices(f)
 		for i, v := range m {
 			if v < 0 || int(v) >= nv {

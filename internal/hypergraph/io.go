@@ -80,8 +80,16 @@ func ReadTextCtx(ctx context.Context, r io.Reader) (*Hypergraph, error) {
 			b.AddVertex(name)
 			return nil
 		},
-		Edge: func(name string, members []string) error {
-			b.AddEdge(name, members...)
+		Edge: func(name string, members [][]byte) error {
+			start := len(b.pins)
+			for _, m := range members {
+				v, ok := b.vertexIndex[string(m)]
+				if !ok {
+					v = b.AddVertex(string(m))
+				}
+				b.pins = append(b.pins, int32(v))
+			}
+			b.endEdge(name, start)
 			return nil
 		},
 	})

@@ -2,10 +2,10 @@ package hypergraph
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
-	"strings"
 
 	"hyperplex/internal/failpoint"
 	"hyperplex/internal/run"
@@ -18,10 +18,13 @@ type TextEvents struct {
 	// Vertex is called for each "vertex Name" isolated-vertex line.
 	Vertex func(name string) error
 	// Edge is called for each "name: members..." hyperedge line with
-	// the whitespace-split member names; duplicates are not yet
-	// collapsed.  The members slice is reused between calls and must
-	// not be retained.
-	Edge func(name string, members []string) error
+	// the member names as Fields splits them; duplicates are not yet
+	// collapsed.  The members alias the scanner's line buffer and the
+	// slice holding them is reused, so neither may be retained: a
+	// consumer resolves a known name with an allocation-free
+	// index[string(member)] map lookup and copies it (string(member))
+	// only when it keeps it.
+	Edge func(name string, members [][]byte) error
 	// ChargeBytes charges the consumed input bytes against the
 	// budget's allocation estimate.  Callers that retain the parsed
 	// content (ReadTextCtx) set it; streaming consumers that keep only
@@ -50,6 +53,7 @@ func ScanTextCtx(ctx context.Context, r io.Reader, ev TextEvents) error {
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	lineNo := 0
 	pending, pendingBytes := 0, int64(0)
+	var members [][]byte
 	for sc.Scan() {
 		lineNo++
 		pending++
@@ -68,32 +72,33 @@ func ScanTextCtx(ctx context.Context, r io.Reader, ev TextEvents) error {
 			}
 			pending, pendingBytes = 0, 0
 		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		if rest, ok := strings.CutPrefix(line, "vertex "); ok {
-			name := strings.TrimSpace(rest)
-			if name == "" {
+		if rest, ok := bytes.CutPrefix(line, []byte("vertex ")); ok {
+			name := bytes.TrimSpace(rest)
+			if len(name) == 0 {
 				return fmt.Errorf("hypergraph: line %d: empty vertex name", lineNo)
 			}
 			if ev.Vertex != nil {
-				if err := ev.Vertex(name); err != nil {
+				if err := ev.Vertex(string(name)); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		name, members, ok := strings.Cut(line, ":")
-		if !ok {
+		colon := bytes.IndexByte(line, ':')
+		if colon < 0 {
 			return fmt.Errorf("hypergraph: line %d: expected \"name: members...\"", lineNo)
 		}
-		name = strings.TrimSpace(name)
-		if name == "" {
+		name := bytes.TrimSpace(line[:colon])
+		if len(name) == 0 {
 			return fmt.Errorf("hypergraph: line %d: empty hyperedge name", lineNo)
 		}
 		if ev.Edge != nil {
-			if err := ev.Edge(name, strings.Fields(members)); err != nil {
+			members = Fields(members, line[colon+1:])
+			if err := ev.Edge(string(name), members); err != nil {
 				return err
 			}
 		}

@@ -25,6 +25,10 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate pattern symmetric\n% comment\n3 3 2\n1 1\n3 2\n")
 	f.Add("%%MatrixMarket matrix coordinate integer general\n2 4 1\n2 4 7\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n1 1 0\n")
+	// Unicode separators split entries exactly as strings.Fields does;
+	// signs and leading zeros go through strconv.Atoi.
+	f.Add("%%MatrixMarket\u00a0matrix coordinate real\u3000symmetric\n3\u20033 2\u0085\n+1\u00a0001\u30001.5\n\u20283 2 -2\u2003\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1\u00a0x\n")
 	// Enough entries to cross the reader's periodic checkpoint (256).
 	f.Add("%%MatrixMarket matrix coordinate pattern general\n9 9 300\n" + strings.Repeat("1 1\n", 300))
 	f.Fuzz(func(t *testing.T, data string) {

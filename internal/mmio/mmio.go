@@ -9,6 +9,7 @@ package mmio
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -132,11 +133,11 @@ func ScanCtx(ctx context.Context, r io.Reader, ev MatrixEvents) (*Info, error) {
 		if err := run.Tick(ctx, meter, 1); err != nil {
 			return nil, err
 		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '%' {
 			continue
 		}
-		sizeLine = line
+		sizeLine = string(line)
 		break
 	}
 	if sizeLine == "" {
@@ -167,6 +168,11 @@ func ScanCtx(ctx context.Context, r io.Reader, ev MatrixEvents) (*Info, error) {
 			return nil, err
 		}
 	}
+	wantFields := 3
+	if info.Pattern {
+		wantFields = 2
+	}
+	var fields [][]byte
 	read, scanned := 0, 0
 	for sc.Scan() {
 		// The checkpoint is keyed on scanned lines, not parsed entries:
@@ -180,30 +186,26 @@ func ScanCtx(ctx context.Context, r io.Reader, ev MatrixEvents) (*Info, error) {
 				return nil, err
 			}
 		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '%' {
 			continue
 		}
-		fields := strings.Fields(line)
-		wantFields := 3
-		if field == "pattern" {
-			wantFields = 2
-		}
+		fields = hypergraph.Fields(fields, line)
 		if len(fields) < wantFields {
 			return nil, fmt.Errorf("mmio: entry %d malformed: %q", read+1, line)
 		}
-		i, err1 := strconv.Atoi(fields[0])
-		j, err2 := strconv.Atoi(fields[1])
-		if err1 != nil || err2 != nil {
+		i, ok1 := atoi(fields[0])
+		j, ok2 := atoi(fields[1])
+		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("mmio: entry %d malformed: %q", read+1, line)
 		}
 		if i < 1 || i > rows || j < 1 || j > cols {
 			return nil, fmt.Errorf("mmio: entry %d out of range: %q", read+1, line)
 		}
 		v := 1.0
-		if field != "pattern" {
+		if !info.Pattern {
 			var err error
-			v, err = strconv.ParseFloat(fields[2], 64)
+			v, err = strconv.ParseFloat(string(fields[2]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("mmio: entry %d bad value: %q", read+1, line)
 			}
@@ -227,6 +229,28 @@ func ScanCtx(ctx context.Context, r io.Reader, ev MatrixEvents) (*Info, error) {
 		return nil, fmt.Errorf("mmio: read %d entries, header promised %d", read, nnz)
 	}
 	return info, nil
+}
+
+// inlineDigits is the longest all-digit field atoi converts itself:
+// 18 decimal digits fit an int64, 9 an int32.
+const inlineDigits = 9 + 9*int(^uint(0)>>63)
+
+// atoi is strconv.Atoi of b, reporting success instead of an error.
+// A field of 1 to inlineDigits ASCII digits, the shape of every index
+// Write emits, is converted inline; anything else (a sign, a longer or
+// malformed field) goes through strconv.Atoi, whose string(b) argument
+// does not escape, so a field of up to 32 bytes is not copied to the
+// heap.
+func atoi(b []byte) (int, bool) {
+	n, k := 0, 0
+	for ; k < len(b) && k < inlineDigits && '0' <= b[k] && b[k] <= '9'; k++ {
+		n = n*10 + int(b[k]-'0')
+	}
+	if k > 0 && k == len(b) {
+		return n, true
+	}
+	n, err := strconv.Atoi(string(b))
+	return n, err == nil
 }
 
 // Read parses a Matrix Market file.  Supported headers:

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -120,6 +121,103 @@ func TestReadPresize(t *testing.T) {
 	}
 	if got, lo, hi := meter.Allocated(), int64(m.NNZ())*entryBytes, int64(m.NNZ()+readCheckEvery)*entryBytes; got < lo || got >= hi {
 		t.Fatalf("charged %d bytes for %d stored entries, want [%d, %d)", got, m.NNZ(), lo, hi)
+	}
+}
+
+// TestReadUnicodeSeparators requires files separated by Unicode white
+// space, which strings.Fields accepts, to read to exactly the matrix
+// of their ASCII-separated equivalents.
+func TestReadUnicodeSeparators(t *testing.T) {
+	pairs := [][2]string{
+		{sampleGeneral, "%%MatrixMarket\u00a0matrix coordinate real\u3000general\n\u2003% a comment\n3\u00a04 5\u0085\n1\u30001 1.5\n" +
+			"\u20282 2\u2003-2\n3 3\u00a03.25\n1\u20034 4\n\u00853 1 0.5\u2028\n"},
+		{"%%MatrixMarket matrix coordinate pattern symmetric\n4 4 3\n1 1\n3 2\n4 1\n",
+			"%%MatrixMarket matrix coordinate pattern symmetric\n4\u30004\u30003\n1\u00851\n\u00a03\u00a02\u00a0\n4\u20281\n"},
+	}
+	for _, p := range pairs {
+		want, err := Read(strings.NewReader(p[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(strings.NewReader(p[1]))
+		if err != nil {
+			t.Fatalf("Read(%q): %v", p[1], err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Read(%q) = %+v, want %+v", p[1], got, want)
+		}
+	}
+}
+
+// TestReadEntryText pins how entries in unusual spellings read: signs,
+// leading zeros, overlong digit runs, Unicode white space inside a
+// field and invalid UTF-8 are accepted or rejected, with the same
+// error text, exactly as strings.Fields and strconv split and convert
+// them.
+func TestReadEntryText(t *testing.T) {
+	const (
+		realHdr    = "%%MatrixMarket matrix coordinate real general\n3 3 1\n"
+		patternHdr = "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n"
+	)
+	cases := []struct {
+		header, entry string
+		want          string // error text, or "(i,j,v)" when accepted
+	}{
+		{realHdr, "1\u00a0x 1.0", `mmio: entry 1 malformed: "1\u00a0x 1.0"`},
+		{realHdr, "99999999999999999999 1 1", `mmio: entry 1 malformed: "99999999999999999999 1 1"`},
+		{realHdr, "+1 2", `mmio: entry 1 malformed: "+1 2"`},
+		{realHdr, "2 -0", `mmio: entry 1 malformed: "2 -0"`},
+		{realHdr, "1 1 abc\u2003", `mmio: entry 1 bad value: "1 1 abc"`},
+		{realHdr, "1 2 abc\u2003def", `mmio: entry 1 bad value: "1 2 abc\u2003def"`},
+		{realHdr, "1 \xff", `mmio: entry 1 malformed: "1 \xff"`},
+		{realHdr, "1 3000000000000000000 1", `mmio: entry 1 out of range: "1 3000000000000000000 1"`},
+		{realHdr, "+1 +2 -3e1", "(0,1,-30)"},
+		{realHdr, "0001 00000000000000000002 7", "(0,1,7)"},
+		{realHdr, "\u00851\u30002\u20033\u0085", "(0,1,3)"},
+		{patternHdr, "+1 2", "(0,1,1)"},
+		{patternHdr, "2 -0", `mmio: entry 1 out of range: "2 -0"`},
+		{patternHdr, "1 2 abc\u2003def", "(0,1,1)"},
+	}
+	for _, tc := range cases {
+		got := ""
+		m, err := Read(strings.NewReader(tc.header + tc.entry + "\n"))
+		if err != nil {
+			got = err.Error()
+		} else {
+			got = fmt.Sprintf("(%d,%d,%g)", m.RowIdx[0], m.ColIdx[0], m.Val[0])
+		}
+		if got != tc.want {
+			t.Errorf("entry %q: got %s, want %s", tc.entry, got, tc.want)
+		}
+	}
+}
+
+// TestReadCtxAllocs pins ReadCtx's allocation count: entries are split
+// and converted in place, so a file costs a fixed number of
+// allocations however many entries it holds.
+func TestReadCtxAllocs(t *testing.T) {
+	const maxAllocs = 20
+	for _, pattern := range []bool{true, false} {
+		for _, nnz := range []int{1000, 20000} {
+			m := &Matrix{Rows: nnz, Cols: nnz, Pattern: pattern}
+			for k := 0; k < nnz; k++ {
+				m.RowIdx = append(m.RowIdx, int32(k))
+				m.ColIdx = append(m.ColIdx, int32((k*7919)%nnz))
+				m.Val = append(m.Val, float64(k)/7)
+			}
+			var buf bytes.Buffer
+			if err := Write(&buf, m); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := ReadCtx(context.Background(), bytes.NewReader(buf.Bytes())); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > maxAllocs {
+				t.Errorf("ReadCtx of %d entries (pattern %t): %v allocations, want at most %d", nnz, pattern, allocs, maxAllocs)
+			}
+		}
 	}
 }
 

@@ -4,11 +4,14 @@
 package stats_test
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"hyperplex/internal/check"
 	"hyperplex/internal/dataset"
+	"hyperplex/internal/graph"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/stats"
 	"hyperplex/internal/xrand"
@@ -63,4 +66,46 @@ func TestDifferentialAlternatingPath(t *testing.T) {
 
 func labelOf(i int, h *hypergraph.Hypergraph) string {
 	return fmt.Sprintf("instance %d %v", i, h)
+}
+
+// componentsBipartite is the B(H) reference for stats.Components:
+// breadth-first labels of the materialized bipartite graph, counted and
+// sorted by decreasing vertex count, then edge count, then ID.
+func componentsBipartite(h *hypergraph.Hypergraph) (vComp, eComp []int32, comps []stats.ComponentInfo) {
+	comp, n := graph.Bipartite(h).Components()
+	vComp, eComp = comp[:h.NumVertices()], comp[h.NumVertices():]
+	comps = make([]stats.ComponentInfo, n)
+	for i := range comps {
+		comps[i].ID = i
+	}
+	for _, c := range vComp {
+		comps[c].Vertices++
+	}
+	for _, c := range eComp {
+		comps[c].Edges++
+	}
+	slices.SortFunc(comps, func(a, b stats.ComponentInfo) int {
+		return cmp.Or(cmp.Compare(b.Vertices, a.Vertices), cmp.Compare(b.Edges, a.Edges), cmp.Compare(a.ID, b.ID))
+	})
+	return vComp, eComp, comps
+}
+
+// TestDifferentialComponentsBipartite requires Components, which
+// searches the incidence rows, and ComponentsUF to return exactly the
+// labels and component list of the B(H) reference on the sweep,
+// Cellzome and the 20000-protein proteome.
+func TestDifferentialComponentsBipartite(t *testing.T) {
+	hs := append(check.Instances(60, 0xC0C0), dataset.Cellzome().H, dataset.SyntheticProteome(20000, 3000, 1))
+	for i, h := range hs {
+		wantV, wantE, wantC := componentsBipartite(h)
+		for _, impl := range []struct {
+			name string
+			fn   func(*hypergraph.Hypergraph) ([]int32, []int32, []stats.ComponentInfo)
+		}{{"Components", stats.Components}, {"ComponentsUF", stats.ComponentsUF}} {
+			v, e, c := impl.fn(h)
+			if !slices.Equal(v, wantV) || !slices.Equal(e, wantE) || !slices.Equal(c, wantC) {
+				t.Fatalf("instance %d (%v): %s differs from the B(H) reference", i, h, impl.name)
+			}
+		}
+	}
 }

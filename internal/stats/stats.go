@@ -111,13 +111,59 @@ type ComponentInfo struct {
 // B(H)).  It returns per-vertex and per-hyperedge component IDs and the
 // component list sorted by decreasing vertex count (ties by edge count
 // then ID).  Isolated vertices form their own components.
+//
+// The search runs on h's own incidence rows.  Roots are taken in B(H)'s
+// node order — each unlabeled vertex by ID, then each hyperedge no
+// vertex reached, which is an empty one — so the IDs equal those of a
+// breadth-first labeling of B(H) without materializing it.
 func Components(h *hypergraph.Hypergraph) (vComp, eComp []int32, comps []ComponentInfo) {
-	bip := graph.Bipartite(h)
-	comp, n := bip.Components()
-	nv := h.NumVertices()
-	vComp = comp[:nv]
-	eComp = comp[nv:]
-	comps = make([]ComponentInfo, n)
+	nv, ne := h.NumVertices(), h.NumEdges()
+	vComp = make([]int32, nv)
+	eComp = make([]int32, ne)
+	for v := range vComp {
+		vComp[v] = -1
+	}
+	for f := range eComp {
+		eComp[f] = -1
+	}
+	n := int32(0)
+	var queue []int32
+	for s := 0; s < nv; s++ {
+		if vComp[s] >= 0 {
+			continue
+		}
+		vComp[s] = n
+		queue = append(queue[:0], int32(s))
+		for head := 0; head < len(queue); head++ {
+			for _, f := range h.Edges(int(queue[head])) {
+				if eComp[f] >= 0 {
+					continue
+				}
+				eComp[f] = n
+				for _, w := range h.Vertices(int(f)) {
+					if vComp[w] < 0 {
+						vComp[w] = n
+						queue = append(queue, w)
+					}
+				}
+			}
+		}
+		n++
+	}
+	for f := range eComp {
+		if eComp[f] < 0 {
+			eComp[f] = n
+			n++
+		}
+	}
+	return vComp, eComp, componentList(vComp, eComp, int(n))
+}
+
+// componentList counts the members of each of the n labeled components
+// and sorts the list by decreasing vertex count, then edge count, then
+// ID.
+func componentList(vComp, eComp []int32, n int) []ComponentInfo {
+	comps := make([]ComponentInfo, n)
 	for i := range comps {
 		comps[i].ID = i
 	}
@@ -136,7 +182,7 @@ func Components(h *hypergraph.Hypergraph) (vComp, eComp []int32, comps []Compone
 		}
 		return comps[i].ID < comps[j].ID
 	})
-	return vComp, eComp, comps
+	return comps
 }
 
 // StorageCosts quantifies the §1.2 space argument: the pins of the

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"sort"
-
 	"hyperplex/internal/csr"
 	"hyperplex/internal/hypergraph"
 )
@@ -43,11 +41,11 @@ func (u *unionFind) union(a, b int32) {
 }
 
 // ComponentsUF computes connected components with union-find directly
-// over the pins, without materializing the bipartite graph B(H).  It
-// returns exactly the same labeling contract as Components (IDs, and
-// the component list sorted by decreasing vertex count).  This is the
-// alternative implementation measured by the component ablation; for
-// pin-heavy hypergraphs it avoids B(H)'s extra allocation entirely.
+// over the pins.  It returns exactly the same labeling contract as
+// Components (IDs, and the component list sorted by decreasing vertex
+// count).  It shares no search logic with Components, which makes it
+// the independent reference the tests and the benchmark harness check
+// Components against, and the other arm of the component ablation.
 func ComponentsUF(h *hypergraph.Hypergraph) (vComp, eComp []int32, comps []ComponentInfo) {
 	nv, ne := h.NumVertices(), h.NumEdges()
 	u := newUnionFind(nv + ne)
@@ -77,24 +75,5 @@ func ComponentsUF(h *hypergraph.Hypergraph) (vComp, eComp []int32, comps []Compo
 	for f := 0; f < ne; f++ {
 		eComp[f] = label(int32(nv + f))
 	}
-	comps = make([]ComponentInfo, len(idOf))
-	for i := range comps {
-		comps[i].ID = i
-	}
-	for _, c := range vComp {
-		comps[c].Vertices++
-	}
-	for _, c := range eComp {
-		comps[c].Edges++
-	}
-	sort.Slice(comps, func(i, j int) bool {
-		if comps[i].Vertices != comps[j].Vertices {
-			return comps[i].Vertices > comps[j].Vertices
-		}
-		if comps[i].Edges != comps[j].Edges {
-			return comps[i].Edges > comps[j].Edges
-		}
-		return comps[i].ID < comps[j].ID
-	})
-	return vComp, eComp, comps
+	return vComp, eComp, componentList(vComp, eComp, len(idOf))
 }

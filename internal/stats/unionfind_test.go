@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -52,33 +53,7 @@ func TestPropertyComponentsUFMatchesBFS(t *testing.T) {
 		}
 		v1, e1, c1 := Components(h)
 		v2, e2, c2 := ComponentsUF(h)
-		if len(c1) != len(c2) {
-			return false
-		}
-		// The component *partition* must agree even if ID numbering
-		// differs: same-label pairs in one must be same-label in the
-		// other.
-		for i := range v1 {
-			for j := i + 1; j < len(v1); j++ {
-				if (v1[i] == v1[j]) != (v2[i] == v2[j]) {
-					return false
-				}
-			}
-		}
-		for i := range e1 {
-			for j := i + 1; j < len(e1); j++ {
-				if (e1[i] == e1[j]) != (e2[i] == e2[j]) {
-					return false
-				}
-			}
-		}
-		// Sorted component sizes agree.
-		for i := range c1 {
-			if c1[i].Vertices != c2[i].Vertices || c1[i].Edges != c2[i].Edges {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(v1, v2) && slices.Equal(e1, e2) && slices.Equal(c1, c2)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)

@@ -315,10 +315,8 @@ func buildText(ctx context.Context, meter *run.Meter, dst string, src Source) (e
 	scratchCap := 0
 	pins := int64(0)
 
-	addVertex := func(name string) (int32, error) {
-		if v, ok := vIndex[name]; ok {
-			return v, nil
-		}
+	// newVertex indexes a name the caller found missing from vIndex.
+	newVertex := func(name string) (int32, error) {
 		if int64(len(vNames)) >= maxInt32 {
 			return 0, fmt.Errorf("store: build %s: vertex count overflows the int32 index space", dst)
 		}
@@ -348,10 +346,13 @@ func buildText(ctx context.Context, meter *run.Meter, dst string, src Source) (e
 			if terr := bt.tickEvery(ctx, meter); terr != nil {
 				return terr
 			}
-			_, verr := addVertex(name)
+			if _, ok := vIndex[name]; ok {
+				return nil
+			}
+			_, verr := newVertex(name)
 			return verr
 		},
-		Edge: func(name string, members []string) error {
+		Edge: func(name string, members [][]byte) error {
 			f := len(eNames)
 			if int64(f) >= maxInt32 {
 				return fmt.Errorf("store: build %s: hyperedge count overflows the int32 index space", dst)
@@ -370,9 +371,12 @@ func buildText(ctx context.Context, meter *run.Meter, dst string, src Source) (e
 				if terr := bt.tickEvery(ctx, meter); terr != nil {
 					return terr
 				}
-				v, verr := addVertex(m)
-				if verr != nil {
-					return verr
+				v, ok := vIndex[string(m)]
+				if !ok {
+					var verr error
+					if v, verr = newVertex(string(m)); verr != nil {
+						return verr
+					}
 				}
 				scratch = append(scratch, v)
 			}
@@ -488,7 +492,7 @@ func buildText(ctx context.Context, meter *run.Meter, dst string, src Source) (e
 			}
 			return nil
 		},
-		Edge: func(name string, members []string) error {
+		Edge: func(name string, members [][]byte) error {
 			if f >= numE {
 				return changed(dst, "extra hyperedge %q", name)
 			}
@@ -497,7 +501,7 @@ func buildText(ctx context.Context, meter *run.Meter, dst string, src Source) (e
 				if terr := bt.tickEvery(ctx, meter); terr != nil {
 					return terr
 				}
-				v, ok := vIndex[m]
+				v, ok := vIndex[string(m)]
 				if !ok {
 					return changed(dst, "unknown vertex %q", m)
 				}

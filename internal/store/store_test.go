@@ -235,6 +235,28 @@ func TestOpenRejectsCorruptFiles(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsBadOffsets writes CSRs whose checksums are valid but
+// whose interior offsets point past the pins: Open must report the
+// structural error, not panic slicing a row.
+func TestOpenRejectsBadOffsets(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []*csr.CSR{
+		{VOff: []int32{0, 100, 2}, VAdj: []int32{0, 0}, EOff: []int32{0, 2}, EAdj: []int32{0, 1}},
+		{VOff: []int32{0, 1, 2}, VAdj: []int32{0, 1}, EOff: []int32{0, 100, 2}, EAdj: []int32{0, 1}},
+	} {
+		p := filepath.Join(dir, "bad.store")
+		if err := Write(p, c, nil, nil); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		for _, opts := range []Options{{}, {NoMmap: true}} {
+			if f, err := Open(p, opts); err == nil {
+				f.Close()
+				t.Fatalf("Open(%+v) accepted VOff %v, EOff %v", opts, c.VOff, c.EOff)
+			}
+		}
+	}
+}
+
 // TestWriteRejectsBadInput covers the writer-side validations.
 func TestWriteRejectsBadInput(t *testing.T) {
 	h := gen.RandomHypergraph(10, 5, 3, xrand.New(1))
