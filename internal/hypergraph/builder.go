@@ -52,6 +52,21 @@ func (b *Builder) AddEdge(name string, members ...string) int {
 	return b.endEdge(name, start)
 }
 
+// addEdgeBytes is AddEdge over members given as bytes, which it does
+// not retain: a member is looked up without a copy, and its name is
+// copied only when it adds a new vertex.
+func (b *Builder) addEdgeBytes(name string, members [][]byte) int {
+	start := len(b.pins)
+	for _, m := range members {
+		v, ok := b.vertexIndex[string(m)]
+		if !ok {
+			v = b.AddVertex(string(m))
+		}
+		b.pins = append(b.pins, int32(v))
+	}
+	return b.endEdge(name, start)
+}
+
 // AddEdgeIDs adds a hyperedge over existing vertex IDs and returns the
 // hyperedge ID.  Duplicate IDs are collapsed; out-of-range IDs panic,
 // before the builder changes.

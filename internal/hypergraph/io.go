@@ -81,15 +81,7 @@ func ReadTextCtx(ctx context.Context, r io.Reader) (*Hypergraph, error) {
 			return nil
 		},
 		Edge: func(name string, members [][]byte) error {
-			start := len(b.pins)
-			for _, m := range members {
-				v, ok := b.vertexIndex[string(m)]
-				if !ok {
-					v = b.AddVertex(string(m))
-				}
-				b.pins = append(b.pins, int32(v))
-			}
-			b.endEdge(name, start)
+			b.addEdgeBytes(name, members)
 			return nil
 		},
 	})

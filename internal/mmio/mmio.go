@@ -194,9 +194,11 @@ func ScanCtx(ctx context.Context, r io.Reader, ev MatrixEvents) (*Info, error) {
 		if len(fields) < wantFields {
 			return nil, fmt.Errorf("mmio: entry %d malformed: %q", read+1, line)
 		}
-		i, ok1 := atoi(fields[0])
-		j, ok2 := atoi(fields[1])
-		if !ok1 || !ok2 {
+		// string(b) does not escape: a field of up to 32 bytes is
+		// converted without allocating.
+		i, err1 := strconv.Atoi(string(fields[0]))
+		j, err2 := strconv.Atoi(string(fields[1]))
+		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("mmio: entry %d malformed: %q", read+1, line)
 		}
 		if i < 1 || i > rows || j < 1 || j > cols {
@@ -229,28 +231,6 @@ func ScanCtx(ctx context.Context, r io.Reader, ev MatrixEvents) (*Info, error) {
 		return nil, fmt.Errorf("mmio: read %d entries, header promised %d", read, nnz)
 	}
 	return info, nil
-}
-
-// inlineDigits is the longest all-digit field atoi converts itself:
-// 18 decimal digits fit an int64, 9 an int32.
-const inlineDigits = 9 + 9*int(^uint(0)>>63)
-
-// atoi is strconv.Atoi of b, reporting success instead of an error.
-// A field of 1 to inlineDigits ASCII digits, the shape of every index
-// Write emits, is converted inline; anything else (a sign, a longer or
-// malformed field) goes through strconv.Atoi, whose string(b) argument
-// does not escape, so a field of up to 32 bytes is not copied to the
-// heap.
-func atoi(b []byte) (int, bool) {
-	n, k := 0, 0
-	for ; k < len(b) && k < inlineDigits && '0' <= b[k] && b[k] <= '9'; k++ {
-		n = n*10 + int(b[k]-'0')
-	}
-	if k > 0 && k == len(b) {
-		return n, true
-	}
-	n, err := strconv.Atoi(string(b))
-	return n, err == nil
 }
 
 // Read parses a Matrix Market file.  Supported headers:

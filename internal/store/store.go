@@ -113,7 +113,9 @@ func Open(path string, opts Options) (*File, error) {
 // loaded via os.ReadAt, then — unless opts.SkipVerify — every section
 // checksum and the full csr.Validate structural check run, with
 // cancellation/budget checkpoints every verifyChunk bytes.  Step unit:
-// one verified chunk.  On error nothing stays mapped or open.
+// one verified chunk; the structural check's cursor, 4 bytes per
+// vertex, is charged to the allocation budget.  On error nothing stays
+// mapped or open.
 func OpenCtx(ctx context.Context, path string, opts Options) (f *File, err error) {
 	meter := run.MeterFrom(ctx)
 	if err := run.Tick(ctx, meter, 0); err != nil {
@@ -244,6 +246,11 @@ func OpenCtx(ctx context.Context, path string, opts Options) (f *File, err error
 	if !opts.SkipVerify {
 		// The structural check walks every pin once per direction.
 		if err := run.Tick(ctx, meter, hdr.pins/verifyChunk+1); err != nil {
+			return nil, err
+		}
+		// Validate's cross-direction walk keeps one int32 cursor per
+		// vertex on the heap.
+		if err := meter.Alloc(4 * hdr.numV); err != nil {
 			return nil, err
 		}
 		if err := st.c.Validate(); err != nil {

@@ -257,6 +257,38 @@ func TestOpenRejectsBadOffsets(t *testing.T) {
 	}
 }
 
+// TestOpenChargesValidateCursor: the structural check's per-vertex
+// cursor is charged to the MaxAlloc budget, so a budget of less than
+// 4 bytes per vertex rejects a verified Open, while a skipped verify
+// allocates no cursor and charges nothing.
+func TestOpenChargesValidateCursor(t *testing.T) {
+	h := gen.RandomHypergraph(500, 300, 6, xrand.New(3))
+	p := filepath.Join(t.TempDir(), "g.store")
+	if err := WriteH(p, h); err != nil {
+		t.Fatalf("WriteH: %v", err)
+	}
+	cursor := 4 * int64(h.NumVertices())
+	open := func(maxAlloc int64, opts Options) error {
+		ctx, _ := run.WithBudget(context.Background(), run.Budget{MaxAlloc: maxAlloc})
+		f, err := OpenCtx(ctx, p, opts)
+		if err == nil {
+			f.Close()
+		}
+		return err
+	}
+	for _, opts := range []Options{{}, {NoMmap: true}} {
+		if err := open(cursor-1, opts); !errors.Is(err, run.ErrBudgetExceeded) {
+			t.Errorf("Open(%+v) under a %d-byte budget: err = %v, want ErrBudgetExceeded", opts, cursor-1, err)
+		}
+		if err := open(cursor, opts); err != nil {
+			t.Errorf("Open(%+v) under a %d-byte budget: %v", opts, cursor, err)
+		}
+		if err := open(1, Options{NoMmap: opts.NoMmap, SkipVerify: true}); err != nil {
+			t.Errorf("Open(%+v, SkipVerify) under a 1-byte budget: %v", opts, err)
+		}
+	}
+}
+
 // TestWriteRejectsBadInput covers the writer-side validations.
 func TestWriteRejectsBadInput(t *testing.T) {
 	h := gen.RandomHypergraph(10, 5, 3, xrand.New(1))
