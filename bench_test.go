@@ -272,22 +272,9 @@ func BenchmarkReadMatrixMarket(b *testing.B) {
 	}
 }
 
-// BenchmarkDecompose measures the map-based level-by-level sequential
-// decomposition — the pre-CSR hot path, kept as the semantic reference.
-func BenchmarkDecompose(b *testing.B) {
-	h := bandedBench(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if d := core.Decompose(h); d.MaxK == 0 {
-			b.Fatal("degenerate decomposition")
-		}
-	}
-}
-
-// BenchmarkCSRDecompose measures the flat-array bucket-queue kernel on
-// the same instance as BenchmarkDecompose, so the two are directly
-// comparable (BENCH_PR6.json records the trajectory).
+// BenchmarkCSRDecompose measures the sequential bucket-queue peeler
+// (csr.Decompose, which every sequential core route runs) on the
+// banded instance (BENCH_PR6.json records the trajectory).
 func BenchmarkCSRDecompose(b *testing.B) {
 	h := bandedBench(b)
 	b.ReportAllocs()
@@ -312,7 +299,7 @@ func BenchmarkStoreDecompose(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if d := csr.Decompose(c); d.MaxK == 0 {
+			if d := csr.Decompose(c, 1); d.MaxK == 0 {
 				b.Fatal("degenerate decomposition")
 			}
 		}
@@ -331,7 +318,7 @@ func BenchmarkStoreDecompose(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if d := csr.Decompose(c); d.MaxK == 0 {
+			if d := csr.Decompose(c, 1); d.MaxK == 0 {
 				b.Fatal("degenerate decomposition")
 			}
 		}
@@ -340,7 +327,8 @@ func BenchmarkStoreDecompose(b *testing.B) {
 
 // BenchmarkShardedDecompose measures the sharded decomposition engine
 // against the sequential peeler on a banded hypergraph, across shard
-// counts.
+// counts.  The sequential sub-benchmark times the CSR peel, the round
+// schedule the sharded engine runs on one core.
 func BenchmarkShardedDecompose(b *testing.B) {
 	h := bandedBench(b)
 	b.Run("sequential", func(b *testing.B) {
@@ -488,11 +476,12 @@ func BenchmarkAblationComponents(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationMaximality compares the paper's overlap-count
-// maximality detection against naive pairwise containment scans.
+// BenchmarkAblationMaximality compares the witness-filter maximality
+// detection of the CSR peel (core.KCore) against naive pairwise
+// containment scans.
 func BenchmarkAblationMaximality(b *testing.B) {
 	h := gen.RandomHypergraph(600, 400, 8, xrand.New(3))
-	b.Run("overlap-count", func(b *testing.B) {
+	b.Run("witness-filter", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			core.KCore(h, 2)
 		}

@@ -23,11 +23,10 @@ import (
 )
 
 // maxCoreVia computes the maximum core with the engine selected by
-// -dist, -shards and -csr: the fault-tolerant distributed runtime when
-// -dist is set, the sharded decomposition engine when -shards is set,
-// otherwise the flat-array CSR kernel unless -csr=false, else the
-// sequential map-based peeler (all produce the same cores; the golden
-// test pins that on the paper numbers).
+// -dist and -shards: the fault-tolerant distributed runtime when -dist
+// is set, the sharded decomposition engine when -shards is set,
+// otherwise the sequential peeler (all produce the same cores; the
+// golden test pins that on the paper numbers).
 func maxCoreVia(h *hypergraph.Hypergraph, o options) (*core.Result, error) {
 	if o.store != "" {
 		tmp, err := os.CreateTemp(o.store, "experiment-*.store")
@@ -65,29 +64,10 @@ func maxCoreVia(h *hypergraph.Hypergraph, o options) (*core.Result, error) {
 		}
 	case o.shards > 0:
 		d = core.ShardedDecompose(h, core.ShardedOptions{Shards: o.shards})
-	case o.csr:
-		d = core.CSRDecompose(h)
 	default:
-		return core.MaxCore(h), nil
-	}
-	if d.MaxK == 0 {
-		// Core(0) keeps non-maximal edges; the 0-core is the reduced
-		// hypergraph, so peel it directly.
-		return core.KCore(h, 0), nil
+		d = core.Decompose(h)
 	}
 	return d.Core(d.MaxK), nil
-}
-
-// greedyVia runs the greedy cover (req == nil) or multicover with the
-// kernel selected by -csr: the flat-array CSR kernel by default, the
-// map-based reference with -csr=false.  The two kernels produce
-// identical covers — same vertices, same order, bitwise-equal weight —
-// so every experiment output is flag-independent.
-func greedyVia(h *hypergraph.Hypergraph, weights []float64, req []int, o options) (*cover.Cover, error) {
-	if o.csr {
-		return cover.CSRGreedyMulticover(h, weights, req)
-	}
-	return cover.GreedyMulticover(h, weights, req)
 }
 
 // runF1 reproduces Fig. 1: the protein degree distribution of the
@@ -304,14 +284,14 @@ func runS4(w io.Writer, o options) error {
 	h := inst.H
 	p := inst.Published
 
-	c1, err := greedyVia(h, nil, nil, o)
+	c1, err := cover.CSRGreedyMulticover(h, nil, nil)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "greedy min-cardinality cover:  %4d proteins, avg degree %.2f   (paper: %d @ %.1f)\n",
 		c1.Size(), c1.AverageDegree(h), p.GreedyCoverSize, p.GreedyCoverAvgDeg)
 
-	c2, err := greedyVia(h, cover.DegreeSquaredWeights(h), nil, o)
+	c2, err := cover.CSRGreedyMulticover(h, cover.DegreeSquaredWeights(h), nil)
 	if err != nil {
 		return err
 	}
@@ -322,7 +302,7 @@ func runS4(w io.Writer, o options) error {
 	for _, f := range inst.Singletons {
 		req[f] = 0
 	}
-	c3, err := greedyVia(h, cover.DegreeSquaredWeights(h), req, o)
+	c3, err := cover.CSRGreedyMulticover(h, cover.DegreeSquaredWeights(h), req)
 	if err != nil {
 		return err
 	}
@@ -344,7 +324,7 @@ func runX1(w io.Writer, o options) error {
 	h := inst.H
 	weights := cover.DegreeSquaredWeights(h)
 
-	c1, err := greedyVia(h, weights, nil, o)
+	c1, err := cover.CSRGreedyMulticover(h, weights, nil)
 	if err != nil {
 		return err
 	}
@@ -352,7 +332,7 @@ func runX1(w io.Writer, o options) error {
 	for _, f := range inst.Singletons {
 		req[f] = 0
 	}
-	c2, err := greedyVia(h, weights, req, o)
+	c2, err := cover.CSRGreedyMulticover(h, weights, req)
 	if err != nil {
 		return err
 	}
@@ -364,7 +344,7 @@ func runX1(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	c4, err := greedyVia(h, weights, reqR, o)
+	c4, err := cover.CSRGreedyMulticover(h, weights, reqR)
 	if err != nil {
 		return err
 	}
@@ -416,7 +396,7 @@ func runX2(w io.Writer, o options) error {
 		{"unit weights", nil},
 		{"degree² weights", cover.DegreeSquaredWeights(h)},
 	} {
-		g, err := greedyVia(h, tc.weights, nil, o)
+		g, err := cover.CSRGreedyMulticover(h, tc.weights, nil)
 		if err != nil {
 			return err
 		}
@@ -450,7 +430,7 @@ func runX2(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	gU, err := greedyVia(hu, nil, nil, o)
+	gU, err := cover.CSRGreedyMulticover(hu, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -499,8 +479,8 @@ func runX3(w io.Writer, o options) error {
 		fmt.Fprintf(w, "parallel %2d workers: %8.3fs, speedup %.2fx vs sequential [%s]\n",
 			workers, t.Seconds(), seqT.Seconds()/t.Seconds(), match)
 	}
-	fmt.Fprintf(w, "(host has %d CPU(s); with one CPU the gain is algorithmic — the round-synchronous\n", runtime.NumCPU())
-	fmt.Fprintln(w, " peeler skips the up-front global overlap table that the sequential peeler builds)")
+	fmt.Fprintf(w, "(host has %d CPU(s); the sequential peeler reads the k-core off the full decomposition,\n", runtime.NumCPU())
+	fmt.Fprintln(w, " while the round-synchronous peeler stops at level k)")
 	shardSet := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n > 4 {
 		shardSet = append(shardSet, n)
@@ -647,7 +627,7 @@ func runX7(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	c, err := greedyVia(projected, cover.DegreeSquaredWeights(projected), req, o)
+	c, err := cover.CSRGreedyMulticover(projected, cover.DegreeSquaredWeights(projected), req)
 	if err != nil {
 		return err
 	}

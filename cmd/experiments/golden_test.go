@@ -30,7 +30,7 @@ var timingRe = regexp.MustCompile(`\d+\.\d+s`)
 // accept intentional changes.
 func TestGoldenPaperNumbers(t *testing.T) {
 	var buf bytes.Buffer
-	o := options{short: false, outDir: t.TempDir(), trials: 5, csr: true}
+	o := options{short: false, outDir: t.TempDir(), trials: 5}
 	for _, id := range goldenIDs {
 		found := false
 		for _, e := range allExperiments {
@@ -113,9 +113,6 @@ func TestGoldenShardedMatchesSequential(t *testing.T) {
 		if sharded != seq {
 			t.Errorf("S3 output with shards=%d differs from sequential:\n%s", shards, firstDiff(seq, sharded))
 		}
-	}
-	if flat := runS3With(options{outDir: t.TempDir(), csr: true}); flat != seq {
-		t.Errorf("S3 output with the CSR kernel differs from sequential:\n%s", firstDiff(seq, flat))
 	}
 }
 

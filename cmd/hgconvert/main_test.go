@@ -116,6 +116,22 @@ func TestRunStoreStreamedBuild(t *testing.T) {
 	}
 }
 
+// TestRunMtxMirrorOutOfRange pins the typed error the streaming store
+// builder returns for a symmetric Matrix Market entry whose mirror lies
+// outside the size line.
+func TestRunMtxMirrorOutOfRange(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "mirror.mtx")
+	if err := os.WriteFile(path, []byte("%%MatrixMarket matrix coordinate pattern symmetric\n7 2 1\n7 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	err := run([]string{"-from", "mtx", "-to", "store", "-o", filepath.Join(dir, "mirror.store"), path}, nil, &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), `mmio: entry 1 out of range: "7 1"`) {
+		t.Errorf("got %v, want the out-of-range entry error", err)
+	}
+}
+
 func TestRunStoreNeedsRealFiles(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if err := run([]string{"-to", "store"}, strings.NewReader(sample), &out, &errOut); err == nil {

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	hgcore [-k N | -max | -decompose] [-l N] [-mtx | -store FILE] [-csr] [-parallel N] [-shards N] [-dist N [-hgshardd PATH] [-local-fallback]] [-pajek PREFIX] [file]
+//	hgcore [-k N | -max | -decompose] [-l N] [-mtx | -store FILE] [-parallel N] [-shards N] [-dist N [-hgshardd PATH] [-local-fallback]] [-pajek PREFIX] [file]
 //
 // With -k it prints the members of the k-core (or the (k, l)-core with
 // -l); with -max (default) the maximum core; with -decompose the
@@ -46,7 +46,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	storePath := fs.String("store", "", "read the hypergraph from this binary store file (memory-mapped; overrides [file] and -mtx)")
 	parallel := fs.Int("parallel", 0, "use the parallel algorithm with this many workers (0 = sequential)")
 	shards := fs.Int("shards", 0, "use the sharded decomposition engine with this many shards (0 = sequential)")
-	csr := fs.Bool("csr", true, "route -max and -decompose through the flat-array CSR kernel (-csr=false keeps the map-based peeler)")
 	distN := fs.Int("dist", 0, "run the decomposition on a fault-tolerant pool of this many workers (0 = in-process)")
 	hgshardd := fs.String("hgshardd", "", "spawn -dist workers as OS processes running this hgshardd binary (empty = in-process workers)")
 	localFallback := fs.Bool("local-fallback", false, "with -dist, degrade to the in-process sharded engine if the worker pool collapses")
@@ -78,8 +77,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 
 	// decomposeVia routes through the distributed runtime when -dist is
 	// set, the sharded engine when -shards is set, otherwise through
-	// the CSR kernel unless -csr=false; all paths produce identical
-	// vertex coreness.
+	// the sequential peeler; all three return the same decomposition.
 	decomposeVia := func() (*core.Decomposition, error) {
 		switch {
 		case *distN > 0:
@@ -95,8 +93,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 			return dist.DecomposeCtx(ctx, h, opts)
 		case *shards > 0:
 			return core.ShardedDecomposeCtx(ctx, h, core.ShardedOptions{Shards: *shards})
-		case *csr:
-			return core.CSRDecomposeCtx(ctx, h)
 		default:
 			return core.DecomposeCtx(ctx, h)
 		}
@@ -134,29 +130,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 		return report(stdout, h, r, *pajekPrefix, *quiet)
 	default:
 		_ = max
-		var r *core.Result
-		if *shards > 0 || *csr {
-			d, err := decomposeVia()
-			if err != nil {
-				return err
-			}
-			if d.MaxK == 0 {
-				// Core(0) keeps non-maximal edges; the 0-core is the
-				// reduced hypergraph, so peel it directly.
-				r, err = core.KCoreCtx(ctx, h, 0)
-				if err != nil {
-					return err
-				}
-			} else {
-				r = d.Core(d.MaxK)
-			}
-		} else {
-			r, err = core.MaxCoreCtx(ctx, h)
-		}
+		d, err := decomposeVia()
 		if err != nil {
 			return err
 		}
-		return report(stdout, h, r, *pajekPrefix, *quiet)
+		return report(stdout, h, d.Core(d.MaxK), *pajekPrefix, *quiet)
 	}
 }
 

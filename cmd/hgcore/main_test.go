@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"hyperplex/internal/check"
+	"hyperplex/internal/core"
 	"hyperplex/internal/dataset"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/store"
@@ -70,24 +73,91 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunCSRMatchesMapPeeler pins the -csr default (the flat-array
-// kernel) to the map-based peeler byte for byte, member listing
-// included, for both the maximum-core and decompose modes.
-func TestRunCSRMatchesMapPeeler(t *testing.T) {
-	for _, mode := range [][]string{
-		{"-max"},
-		{"-decompose"},
-	} {
-		var flat, maps bytes.Buffer
-		if err := run(mode, strings.NewReader(planted), &flat); err != nil {
+// TestRunMatchesOverlapOracle pins the printed cores of -max, -k 2 and
+// -k 2 -l 3 to the paper's overlap-count peel (check.OverlapCore) on
+// the planted instance and Cellzome: the same header, the same vertex
+// lines, and hyperedge lines naming the same family of member sets
+// (the oracle may keep another copy of an equal-set family).
+func TestRunMatchesOverlapOracle(t *testing.T) {
+	var cellzome bytes.Buffer
+	if err := hypergraph.WriteText(&cellzome, dataset.Cellzome().H); err != nil {
+		t.Fatal(err)
+	}
+	for name, text := range map[string]string{"planted": planted, "Cellzome": cellzome.String()} {
+		// The hypergraph as hgcore reads it: the text reader numbers
+		// vertices by first encounter.
+		h, err := hypergraph.ReadText(strings.NewReader(text))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := run(append([]string{"-csr=false"}, mode...), strings.NewReader(planted), &maps); err != nil {
-			t.Fatal(err)
+		for _, tc := range []struct {
+			args []string
+			want *core.Result
+		}{
+			{[]string{"-max"}, check.OverlapCore(h, check.OverlapDecompose(h).MaxK, 1)},
+			{[]string{"-k", "2"}, check.OverlapCore(h, 2, 1)},
+			{[]string{"-k", "2", "-l", "3"}, check.OverlapCore(h, 2, 3)},
+		} {
+			var out bytes.Buffer
+			if err := run(tc.args, strings.NewReader(text), &out); err != nil {
+				t.Fatalf("%s %v: %v", name, tc.args, err)
+			}
+			got := parseReport(t, h, out.String())
+			if got.K != tc.want.K {
+				t.Errorf("%s %v: printed the %d-core, oracle the %d-core", name, tc.args, got.K, tc.want.K)
+			}
+			if err := check.SameResult(h, got, tc.want); err != nil {
+				t.Errorf("%s %v: printed core vs the overlap peel: %v", name, tc.args, err)
+			}
 		}
-		if flat.String() != maps.String() {
-			t.Errorf("%v: csr %q vs map peeler %q", mode, flat.String(), maps.String())
+	}
+}
+
+// parseReport reads a core listing back into a Result over h's IDs,
+// checking the header's counts against the listed lines.
+func parseReport(t *testing.T, h *hypergraph.Hypergraph, out string) *core.Result {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	r := &core.Result{VertexIn: make([]bool, h.NumVertices()), EdgeIn: make([]bool, h.NumEdges())}
+	var nv, ne int
+	if _, err := fmt.Sscanf(lines[0], "%d-core: %d vertices, %d hyperedges", &r.K, &nv, &ne); err != nil {
+		t.Fatalf("header %q: %v", lines[0], err)
+	}
+	for _, line := range lines[1:] {
+		if name, ok := strings.CutPrefix(line, "vertex "); ok {
+			v, found := h.VertexID(name)
+			if !found || r.VertexIn[v] {
+				t.Fatalf("vertex line %q names no new vertex", line)
+			}
+			r.VertexIn[v] = true
+			r.NumVertices++
+		} else if name, ok := strings.CutPrefix(line, "hyperedge "); ok {
+			f, found := h.EdgeID(name)
+			if !found || r.EdgeIn[f] {
+				t.Fatalf("hyperedge line %q names no new hyperedge", line)
+			}
+			r.EdgeIn[f] = true
+			r.NumEdges++
+		} else {
+			t.Fatalf("unexpected line %q", line)
 		}
+	}
+	if r.NumVertices != nv || r.NumEdges != ne {
+		t.Fatalf("header says %d/%d, listing has %d/%d", nv, ne, r.NumVertices, r.NumEdges)
+	}
+	return r
+}
+
+// TestRunMtxMirrorOutOfRange pins the typed error for a symmetric
+// Matrix Market entry whose mirror lies outside the size line.
+func TestRunMtxMirrorOutOfRange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mirror.mtx")
+	if err := os.WriteFile(path, []byte("%%MatrixMarket matrix coordinate pattern symmetric\n7 2 1\n7 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-max", "-mtx", path}, nil, &out); err == nil || !strings.Contains(err.Error(), `mmio: entry 1 out of range: "7 1"`) {
+		t.Errorf("got %v, want the out-of-range entry error", err)
 	}
 }
 

@@ -49,7 +49,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	skipSingletons := fs.Bool("skip-singletons", false, "drop hyperedges smaller than the requirement instead of failing")
 	primalDual := fs.Bool("primal-dual", false, "use the certifying primal-dual algorithm (r must be 1)")
 	exact := fs.Bool("exact", false, "use exact branch-and-bound (small instances, r must be 1)")
-	useCSR := fs.Bool("csr", true, "run the greedy cover on the flat-array CSR kernel (false = map-based reference kernel; both produce identical covers)")
 	mtx := fs.Bool("mtx", false, "input is a Matrix Market file")
 	storePath := fs.String("store", "", "read the hypergraph from this binary store file (memory-mapped; overrides [file] and -mtx)")
 	quiet := fs.Bool("quiet", false, "suppress the member listing")
@@ -133,13 +132,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-	case *useCSR:
-		c, err = cover.CSRGreedyMulticoverCtx(ctx, h, weights, req)
-		if err != nil {
-			return err
-		}
 	default:
-		c, err = cover.GreedyMulticoverCtx(ctx, h, weights, req)
+		c, err = cover.CSRGreedyMulticoverCtx(ctx, h, weights, req)
 		if err != nil {
 			return err
 		}

@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"hyperplex/internal/cli"
+	"hyperplex/internal/cover"
+	"hyperplex/internal/dataset"
+	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/store"
 )
 
@@ -47,18 +52,48 @@ func TestRunMulticover(t *testing.T) {
 	}
 }
 
-func TestRunCSRFlagMatchesMapKernel(t *testing.T) {
-	// The default (CSR) and -csr=false (map) kernels must print the
-	// byte-identical cover, member listing included.
-	var def, mapped bytes.Buffer
-	if err := run([]string{"-weights", "degree2", "-r", "2"}, strings.NewReader(sample), &def); err != nil {
+// TestRunMatchesMapKernel pins hgcover's printed multicover, member
+// listing included, byte for byte to a listing built from the map-based
+// reference kernel cover.GreedyMulticover, on the sample and Cellzome.
+func TestRunMatchesMapKernel(t *testing.T) {
+	var cellzome bytes.Buffer
+	if err := hypergraph.WriteText(&cellzome, dataset.Cellzome().H); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-weights", "degree2", "-r", "2", "-csr=false"}, strings.NewReader(sample), &mapped); err != nil {
-		t.Fatal(err)
-	}
-	if def.String() != mapped.String() {
-		t.Errorf("kernels diverge:\n-csr (default):\n%s\n-csr=false:\n%s", def.String(), mapped.String())
+	for name, text := range map[string]string{"sample": sample, "Cellzome": cellzome.String()} {
+		h, err := hypergraph.ReadText(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := cover.UniformRequirement(h, 2)
+		skipped := 0
+		for f := range req {
+			if h.EdgeDegree(f) < req[f] {
+				req[f] = 0
+				skipped++
+			}
+		}
+		c, err := cover.GreedyMulticover(h, cover.DegreeSquaredWeights(h), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		fmt.Fprintf(&want, "cover: %d vertices, weight %.2f, average degree %.2f", c.Size(), c.Weight, c.AverageDegree(h))
+		if skipped > 0 {
+			fmt.Fprintf(&want, " (%d hyperedges skipped)", skipped)
+		}
+		fmt.Fprintln(&want)
+		for _, v := range c.Vertices {
+			fmt.Fprintln(&want, cli.VertexLabel(h, v))
+		}
+
+		var got bytes.Buffer
+		if err := run([]string{"-weights", "degree2", "-r", "2", "-skip-singletons"}, strings.NewReader(text), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: hgcover prints\n%s\nthe map kernel's cover is\n%s", name, got.String(), want.String())
+		}
 	}
 }
 

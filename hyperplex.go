@@ -6,9 +6,9 @@
 // The hypergraph has one vertex per protein and one hyperedge per
 // complex.  On top of that model the package offers:
 //
-//   - k-cores of hypergraphs (and graphs), including the paper's
-//     overlap-count algorithm for maintaining hyperedge maximality, a
-//     full core decomposition, and a parallel peeling variant;
+//   - k-cores and (k, l)-cores of hypergraphs (and graphs), read off
+//     one full core decomposition that keeps every core reduced, and a
+//     parallel peeling variant;
 //   - minimum-weight vertex covers and multicovers (greedy H_m
 //     approximation and a certifying primal-dual algorithm) for bait
 //     selection;
@@ -80,8 +80,10 @@ type CoreResult = core.Result
 // Decomposition is the full core decomposition of a hypergraph.
 type Decomposition = core.Decomposition
 
-// KCore computes the k-core of a hypergraph with the paper's
-// overlap-count peeling algorithm.
+// KCore computes the k-core of a hypergraph.  It reads the core off
+// the round-synchronous bucket-queue decomposition (Decompose); the
+// paper's overlap-count peeling algorithm is the reference it is
+// tested against.
 func KCore(h *Hypergraph, k int) *CoreResult { return core.KCore(h, k) }
 
 // MaxCore returns the maximum core of a hypergraph.
@@ -163,13 +165,13 @@ func KCoreParallelCtx(ctx context.Context, h *Hypergraph, k, workers int) (*Core
 // GreedyCoverCtx is GreedyCover with cancellation and budget
 // checkpoints.
 func GreedyCoverCtx(ctx context.Context, h *Hypergraph, weights []float64) (*Cover, error) {
-	return cover.GreedyCtx(ctx, h, weights)
+	return cover.CSRGreedyCtx(ctx, h, weights)
 }
 
 // GreedyMulticoverCtx is GreedyMulticover with cancellation and budget
 // checkpoints.
 func GreedyMulticoverCtx(ctx context.Context, h *Hypergraph, weights []float64, req []int) (*Cover, error) {
-	return cover.GreedyMulticoverCtx(ctx, h, weights, req)
+	return cover.CSRGreedyMulticoverCtx(ctx, h, weights, req)
 }
 
 // SmallWorldStatsCtx is SmallWorldStats with cancellation and budget
@@ -198,12 +200,12 @@ type PrimalDualResult = cover.PrimalDualResult
 // (Johnson–Chvátal–Lovász greedy, H_m approximation).  weights may be
 // nil for minimum cardinality.
 func GreedyCover(h *Hypergraph, weights []float64) (*Cover, error) {
-	return cover.Greedy(h, weights)
+	return cover.CSRGreedy(h, weights)
 }
 
 // GreedyMulticover covers each hyperedge f at least req[f] times.
 func GreedyMulticover(h *Hypergraph, weights []float64, req []int) (*Cover, error) {
-	return cover.GreedyMulticover(h, weights, req)
+	return cover.CSRGreedyMulticover(h, weights, req)
 }
 
 // PrimalDualCover runs the certifying primal-dual cover algorithm

@@ -149,7 +149,7 @@ func BenchmarkGuardStoreDecompose(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := csr.Decompose(c)
+		d := csr.Decompose(c, 1)
 		if d == nil || d.MaxK == 0 {
 			b.Fatal("degenerate decomposition")
 		}

@@ -81,17 +81,6 @@ func TestMain(m *testing.M) {
 // call's error for the harness to judge.
 func drivers() map[string]func(t *testing.T, ctx context.Context) error {
 	return map[string]func(t *testing.T, ctx context.Context) error{
-		"core.peel.step": func(t *testing.T, ctx context.Context) error {
-			r, err := core.KCoreCtx(ctx, bigH, 2)
-			if err == nil {
-				if verr := check.ValidCore(bigH, 2, r); verr != nil {
-					t.Errorf("successful KCoreCtx result invalid: %v", verr)
-				}
-			} else if r != nil {
-				t.Errorf("KCoreCtx returned a result alongside error %v", err)
-			}
-			return err
-		},
 		"core.parallel.worker": func(t *testing.T, ctx context.Context) error {
 			r, err := core.KCoreParallelCtx(ctx, bigH, 2, 4)
 			if err == nil {
@@ -265,7 +254,7 @@ var resilientSites = map[string]bool{
 // every run crosses the death-recovery path (making dist.reassign
 // reachable), and enables the local fallback so a pool collapse
 // degrades to the in-process engine; a successful decomposition must
-// agree with the sequential peeler exactly.
+// agree with the paper's overlap peel exactly on vertex coreness.
 func distDriver(t *testing.T, ctx context.Context) error {
 	killed := false
 	d, err := dist.DecomposeCtx(ctx, bigH, dist.Options{
@@ -283,7 +272,7 @@ func distDriver(t *testing.T, ctx context.Context) error {
 		},
 	})
 	if err == nil {
-		want := core.Decompose(bigH)
+		want := check.OverlapDecompose(bigH)
 		if d.MaxK != want.MaxK {
 			t.Errorf("successful dist.DecomposeCtx MaxK = %d, want %d", d.MaxK, want.MaxK)
 		}
@@ -301,11 +290,11 @@ func distDriver(t *testing.T, ctx context.Context) error {
 
 // shardedDriver exercises both sharded engine sites (worker and
 // exchange) through ShardedDecomposeCtx; a successful decomposition
-// must agree with the sequential peeler exactly on vertex coreness.
+// must agree with the paper's overlap peel exactly on vertex coreness.
 func shardedDriver(t *testing.T, ctx context.Context) error {
 	d, err := core.ShardedDecomposeCtx(ctx, bigH, core.ShardedOptions{Shards: 4, Workers: 4})
 	if err == nil {
-		want := core.Decompose(bigH)
+		want := check.OverlapDecompose(bigH)
 		if d.MaxK != want.MaxK {
 			t.Errorf("successful ShardedDecomposeCtx MaxK = %d, want %d", d.MaxK, want.MaxK)
 		}
@@ -321,27 +310,80 @@ func shardedDriver(t *testing.T, ctx context.Context) error {
 	return err
 }
 
-// csrDriver exercises both flat-array kernel sites (overlap-table build
-// and bucket-queue peel) through CSRDecomposeCtx; a successful
-// decomposition must agree with the map-based sequential peeler exactly
-// on vertex coreness.
+// csrDriver exercises both sites of the sequential peeler (arena build
+// with the initial reduction, and the bucket-queue peel) through each
+// route that runs it: DecomposeCtx, KCoreCtx and BiCoreCtx.  Every
+// route is called whatever the others returned, so an arm reaches all
+// three, and their errors are joined for the harness.  A successful
+// decomposition must agree with the paper's overlap peel exactly on
+// vertex coreness, and a successful core must pass the checker.
 func csrDriver(t *testing.T, ctx context.Context) error {
-	d, err := core.CSRDecomposeCtx(ctx, bigH)
-	if err == nil {
-		want := core.Decompose(bigH)
+	d, derr := core.DecomposeCtx(ctx, bigH)
+	if derr == nil {
+		want := check.OverlapDecompose(bigH)
 		if d.MaxK != want.MaxK {
-			t.Errorf("successful CSRDecomposeCtx MaxK = %d, want %d", d.MaxK, want.MaxK)
+			t.Errorf("successful DecomposeCtx MaxK = %d, want %d", d.MaxK, want.MaxK)
 		}
 		for v, c := range want.VertexCoreness {
 			if d.VertexCoreness[v] != c {
-				t.Errorf("successful CSRDecomposeCtx: vertex %d coreness %d, want %d", v, d.VertexCoreness[v], c)
+				t.Errorf("successful DecomposeCtx: vertex %d coreness %d, want %d", v, d.VertexCoreness[v], c)
 				break
 			}
 		}
 	} else if d != nil {
-		t.Errorf("CSRDecomposeCtx returned a result alongside error %v", err)
+		t.Errorf("DecomposeCtx returned a result alongside error %v", derr)
 	}
-	return err
+	r, kerr := core.KCoreCtx(ctx, bigH, 2)
+	if kerr == nil {
+		if verr := check.ValidCore(bigH, 2, r); verr != nil {
+			t.Errorf("successful KCoreCtx result invalid: %v", verr)
+		}
+	} else if r != nil {
+		t.Errorf("KCoreCtx returned a result alongside error %v", kerr)
+	}
+	b, berr := core.BiCoreCtx(ctx, bigH, 2, 3)
+	if berr == nil {
+		if verr := check.ValidBiCore(bigH, 2, 3, b); verr != nil {
+			t.Errorf("successful BiCoreCtx result invalid: %v", verr)
+		}
+	} else if b != nil {
+		t.Errorf("BiCoreCtx returned a result alongside error %v", berr)
+	}
+	return errors.Join(derr, kerr, berr)
+}
+
+// csrSweepDriver runs every route of the sequential peeler on h, each
+// whatever the others returned, and reports the first invalid result
+// or error the robustness contract does not allow.
+func csrSweepDriver(ctx context.Context, h *hypergraph.Hypergraph) error {
+	for _, route := range []func() error{
+		func() error {
+			d, err := core.DecomposeCtx(ctx, h)
+			if err == nil {
+				err = check.ValidDecomposition(h, d)
+			}
+			return err
+		},
+		func() error {
+			r, err := core.KCoreCtx(ctx, h, 2)
+			if err == nil {
+				err = check.ValidCore(h, 2, r)
+			}
+			return err
+		},
+		func() error {
+			r, err := core.BiCoreCtx(ctx, h, 2, 3)
+			if err == nil {
+				err = check.ValidBiCore(h, 2, 3, r)
+			}
+			return err
+		},
+	} {
+		if err := route(); err != nil && !cleanError(err) {
+			return err
+		}
+	}
+	return nil
 }
 
 var errBoom = errors.New("boom")
@@ -509,13 +551,6 @@ func TestChaosErrorArmOverSweep(t *testing.T) {
 		site  string
 		drive func(ctx context.Context, h *hypergraph.Hypergraph) error
 	}{
-		{"core.peel.step", func(ctx context.Context, h *hypergraph.Hypergraph) error {
-			r, err := core.KCoreCtx(ctx, h, 2)
-			if err == nil {
-				return check.ValidCore(h, 2, r)
-			}
-			return err
-		}},
 		{"core.parallel.worker", func(ctx context.Context, h *hypergraph.Hypergraph) error {
 			r, err := core.KCoreParallelCtx(ctx, h, 2, 3)
 			if err == nil {
@@ -566,20 +601,8 @@ func TestChaosErrorArmOverSweep(t *testing.T) {
 			_, err := partition.BuildCtx(ctx, h, 3)
 			return err
 		}},
-		{"csr.build", func(ctx context.Context, h *hypergraph.Hypergraph) error {
-			d, err := core.CSRDecomposeCtx(ctx, h)
-			if err == nil {
-				return check.ValidDecomposition(h, d)
-			}
-			return err
-		}},
-		{"csr.peel", func(ctx context.Context, h *hypergraph.Hypergraph) error {
-			d, err := core.CSRDecomposeCtx(ctx, h)
-			if err == nil {
-				return check.ValidDecomposition(h, d)
-			}
-			return err
-		}},
+		{"csr.build", csrSweepDriver},
+		{"csr.peel", csrSweepDriver},
 	}
 	for _, k := range kernels {
 		t.Run(k.site, func(t *testing.T) {

@@ -29,14 +29,16 @@ func testHypergraph(t *testing.T) *hypergraph.Hypergraph {
 }
 
 // TestValidCoreAcceptsAndRejects runs the checker on the real KCore
-// result, then on systematically corrupted copies: every corruption
-// must be reported.
+// and overlap-peel results, then on systematically corrupted copies:
+// every corruption must be reported.
 func TestValidCoreAcceptsAndRejects(t *testing.T) {
 	h := testHypergraph(t)
 	for k := 0; k <= 4; k++ {
-		r := core.KCore(h, k)
-		if err := ValidCore(h, k, r); err != nil {
+		if err := ValidCore(h, k, core.KCore(h, k)); err != nil {
 			t.Fatalf("k=%d: genuine result rejected: %v", k, err)
+		}
+		if err := ValidCore(h, k, OverlapCore(h, k, 1)); err != nil {
+			t.Fatalf("k=%d: overlap-peel result rejected: %v", k, err)
 		}
 	}
 
@@ -70,9 +72,11 @@ func TestValidCoreAcceptsAndRejects(t *testing.T) {
 func TestValidBiCoreMatchesBiCore(t *testing.T) {
 	h := testHypergraph(t)
 	for _, kl := range [][2]int{{0, 1}, {1, 2}, {2, 2}, {2, 3}, {1, 4}} {
-		r := core.BiCore(h, kl[0], kl[1])
-		if err := ValidBiCore(h, kl[0], kl[1], r); err != nil {
+		if err := ValidBiCore(h, kl[0], kl[1], core.BiCore(h, kl[0], kl[1])); err != nil {
 			t.Errorf("BiCore(%d,%d) rejected: %v", kl[0], kl[1], err)
+		}
+		if err := ValidBiCore(h, kl[0], kl[1], OverlapCore(h, kl[0], kl[1])); err != nil {
+			t.Errorf("OverlapCore(%d,%d) rejected: %v", kl[0], kl[1], err)
 		}
 	}
 }
@@ -82,6 +86,9 @@ func TestValidDecomposition(t *testing.T) {
 	d := core.Decompose(h)
 	if err := ValidDecomposition(h, d); err != nil {
 		t.Fatalf("genuine decomposition rejected: %v", err)
+	}
+	if err := ValidDecomposition(h, OverlapDecompose(h)); err != nil {
+		t.Fatalf("overlap-peel decomposition rejected: %v", err)
 	}
 	bad := &core.Decomposition{
 		VertexCoreness: append([]int(nil), d.VertexCoreness...),

@@ -16,7 +16,9 @@
 //   - naive oracles (KCoreOracle, BiCoreOracle, ShortestPathNaive,
 //     MulticoverOptBrute) computed directly from the definitions by
 //     fixpoint iteration, breadth-first search, or exhaustive
-//     enumeration;
+//     enumeration, and the paper's own overlap-count peel
+//     (OverlapDecompose, OverlapCore), the reference every peel engine
+//     is compared with;
 //   - a deterministic differential driver (Instances) that generates a
 //     reproducible sweep of corner-case and random hypergraphs for the
 //     TestDifferential* tests in core, cover, stats, and hypergraph.

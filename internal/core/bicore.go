@@ -15,9 +15,9 @@ import (
 // whittled down to one or two proteins by peeling are biologically
 // dubious cores, and (k, l ≥ 3) filters them.
 //
-// The implementation extends the overlap-count peeler: hyperedges die
-// when empty, non-maximal, or smaller than l; vertices die when their
-// degree drops below k.
+// The peeler is the k-core's (csr.Decompose) with one more rule:
+// hyperedges die when empty, non-maximal, or smaller than l; vertices
+// die when their degree drops below k.
 func BiCore(h *hypergraph.Hypergraph, k, l int) *Result {
 	r, err := BiCoreCtx(context.Background(), h, k, l)
 	if err != nil {
@@ -30,47 +30,22 @@ func BiCore(h *hypergraph.Hypergraph, k, l int) *Result {
 // run.Budget attached to ctx, checked every bounded number of peel
 // operations.  On cancellation or budget exhaustion it returns
 // (nil, err).
-func BiCoreCtx(ctx context.Context, h *hypergraph.Hypergraph, k, l int) (r *Result, err error) {
-	defer recoverPeelAbort(&err)
-	p := newPeeler(ctx, h)
-	if l < 1 {
-		l = 1
+func BiCoreCtx(ctx context.Context, h *hypergraph.Hypergraph, k, l int) (*Result, error) {
+	d, err := decomposeL(ctx, h, l)
+	if err != nil {
+		return nil, err
 	}
-	p.minEdgeSize = l
-	// Seed: remove undersized hyperedges before the vertex peel.
-	var drop []int
-	for f := 0; f < h.NumEdges(); f++ {
-		if p.eAlive[f] && p.eDeg[f] < int32(l) {
-			drop = append(drop, f)
-		}
-	}
-	p.k = k
-	for _, f := range drop {
-		if p.eAlive[f] {
-			p.deleteEdge(f)
-		}
-	}
-	if k < 1 {
-		p.peelTo(1)
-		return p.result(0), nil
-	}
-	p.peelTo(k)
-	return p.result(k), nil
+	return d.Core(k), nil
 }
 
 // BiCoreDecomposeL returns, for fixed l, the maximum k with a
 // non-empty (k, l)-core, plus that core.  It exists so callers can
 // sweep the l axis cheaply.
 func BiCoreDecomposeL(h *hypergraph.Hypergraph, l int) (int, *Result) {
-	best := BiCore(h, 0, l)
-	if best.NumVertices == 0 {
-		return 0, best
+	d, err := decomposeL(context.Background(), h, l)
+	if err != nil {
+		//hyperplexvet:ignore nopanic only an armed failpoint fails a peel under a background context
+		panic(err)
 	}
-	for k := 1; ; k++ {
-		r := BiCore(h, k, l)
-		if r.NumVertices == 0 {
-			return k - 1, best
-		}
-		best = r
-	}
+	return d.MaxK, d.Core(d.MaxK)
 }

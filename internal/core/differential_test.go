@@ -19,9 +19,10 @@ import (
 	"hyperplex/internal/xrand"
 )
 
-// TestDifferentialKCore checks KCore against both the in-package naive
-// implementation and check's independent fixpoint oracle on every sweep
-// instance, then on the Cellzome hypergraph.
+// TestDifferentialKCore checks KCore against the in-package naive
+// implementation, check's independent fixpoint oracle and the paper's
+// overlap-count peel (check.OverlapCore) on every sweep instance, then
+// on the Cellzome hypergraph.
 func TestDifferentialKCore(t *testing.T) {
 	for i, h := range check.Instances(58, 0xC04E1) {
 		for _, k := range []int{0, 1, 2, 3} {
@@ -32,6 +33,9 @@ func TestDifferentialKCore(t *testing.T) {
 			if err := check.SameResult(h, r, core.KCoreNaive(h, k)); err != nil {
 				t.Fatalf("instance %d %v, k=%d: KCore vs KCoreNaive: %v", i, h, k, err)
 			}
+			if err := check.SameResult(h, r, check.OverlapCore(h, k, 1)); err != nil {
+				t.Fatalf("instance %d %v, k=%d: KCore vs the overlap peel: %v", i, h, k, err)
+			}
 		}
 	}
 	h := dataset.Cellzome().H
@@ -40,6 +44,9 @@ func TestDifferentialKCore(t *testing.T) {
 		if err := check.ValidCore(h, k, r); err != nil {
 			t.Fatalf("Cellzome k=%d: %v", k, err)
 		}
+		if err := check.SameResult(h, r, check.OverlapCore(h, k, 1)); err != nil {
+			t.Fatalf("Cellzome k=%d: KCore vs the overlap peel: %v", k, err)
+		}
 	}
 	if r6 := core.KCore(h, 6); r6.NumVertices != 41 || r6.NumEdges != 54 {
 		t.Fatalf("Cellzome 6-core is %d/%d, want the paper's 41/54", r6.NumVertices, r6.NumEdges)
@@ -47,9 +54,9 @@ func TestDifferentialKCore(t *testing.T) {
 }
 
 // TestDifferentialKCoreParallel exercises the concurrent peeler with 1,
-// 2 and NumCPU workers (run under -race in CI) and requires exact
-// agreement with the sequential algorithm plus the invariant checker,
-// and that no worker goroutine outlives the calls.
+// 2 and NumCPU workers (run under -race in CI) and requires agreement
+// with the paper's overlap-count peel plus the invariant checker, and
+// that no worker goroutine outlives the calls.
 func TestDifferentialKCoreParallel(t *testing.T) {
 	snapshot := check.GoroutineSnapshot()
 	defer func() {
@@ -60,11 +67,11 @@ func TestDifferentialKCoreParallel(t *testing.T) {
 	workers := []int{1, 2, runtime.NumCPU()}
 	for i, h := range check.Instances(58, 0xC04E2) {
 		for _, k := range []int{1, 2, 3} {
-			want := core.KCore(h, k)
+			want := check.OverlapCore(h, k, 1)
 			for _, w := range workers {
 				got := core.KCoreParallel(h, k, w)
 				if err := check.SameResult(h, got, want); err != nil {
-					t.Fatalf("instance %d %v, k=%d, workers=%d: parallel vs sequential: %v", i, h, k, w, err)
+					t.Fatalf("instance %d %v, k=%d, workers=%d: parallel vs the overlap peel: %v", i, h, k, w, err)
 				}
 			}
 			if err := check.ValidCore(h, k, core.KCoreParallel(h, k, 2)); err != nil {
@@ -73,7 +80,7 @@ func TestDifferentialKCoreParallel(t *testing.T) {
 		}
 	}
 	h := dataset.Cellzome().H
-	want := core.KCore(h, 6)
+	want := check.OverlapCore(h, 6, 1)
 	for _, w := range workers {
 		got := core.KCoreParallel(h, 6, w)
 		if err := check.SameResult(h, got, want); err != nil {
@@ -85,11 +92,11 @@ func TestDifferentialKCoreParallel(t *testing.T) {
 // TestDifferentialShardedDecompose points the differential driver at
 // the sharded engine: for shard counts {1, 2, 3, NumCPU} and a count
 // larger than the vertex count (exercising the clamp), the vertex
-// coreness vector and MaxK must equal Decompose exactly, and every
-// core level must contain the same hyperedge family (the map peeler
-// may keep another copy of an equal-set family than the rounds do, so
-// levels are compared as member-set families via SameResult, the same
-// convention as the parallel peeler).  Each instance's sharded
+// coreness vector and MaxK must equal the paper's overlap-count peel
+// (check.OverlapDecompose) exactly, and every core level must contain
+// the same hyperedge family (the overlap peel may keep another copy of
+// an equal-set family than the rounds do, so levels are compared as
+// member-set families via SameResult).  Each instance's sharded
 // decomposition is also validated level by level against the
 // independent fixpoint oracle, and no worker goroutine may outlive the
 // calls.
@@ -101,7 +108,7 @@ func TestDifferentialShardedDecompose(t *testing.T) {
 		}
 	}()
 	for i, h := range check.Instances(58, 0xC04E5) {
-		want := core.Decompose(h)
+		want := check.OverlapDecompose(h)
 		shardCounts := []int{1, 2, 3, runtime.NumCPU(), h.NumVertices() + 13}
 		for _, shards := range shardCounts {
 			got := core.ShardedDecompose(h, core.ShardedOptions{Shards: shards})
@@ -116,7 +123,7 @@ func TestDifferentialShardedDecompose(t *testing.T) {
 			}
 			for k := 1; k <= want.MaxK; k++ {
 				if err := check.SameResult(h, got.Core(k), want.Core(k)); err != nil {
-					t.Fatalf("instance %d %v, shards=%d, k=%d: sharded vs sequential: %v", i, h, shards, k, err)
+					t.Fatalf("instance %d %v, shards=%d, k=%d: sharded vs the overlap peel: %v", i, h, shards, k, err)
 				}
 			}
 		}
@@ -126,7 +133,7 @@ func TestDifferentialShardedDecompose(t *testing.T) {
 		}
 	}
 	h := dataset.Cellzome().H
-	want := core.Decompose(h)
+	want := check.OverlapDecompose(h)
 	for _, shards := range []int{1, 2, 3, runtime.NumCPU(), h.NumVertices() + 13} {
 		got := core.ShardedDecompose(h, core.ShardedOptions{Shards: shards})
 		if got.MaxK != 6 {
@@ -151,12 +158,13 @@ func TestDifferentialShardedDecompose(t *testing.T) {
 }
 
 // TestDifferentialCSRDecompose pins the flat-array bucket-queue kernel
-// (internal/csr, reached through core.CSRDecompose) to the level-by-level
-// map-based Decompose and to the sharded engine.  Against Decompose it
-// uses the sharded differential's protocol: exact vertex coreness and
-// MaxK, per-level hyperedge member-set families via SameResult (the map
-// peeler may keep another member of an equal-set family), the
-// independent fixpoint oracle, and the Cellzome golden numbers.
+// (internal/csr, reached through core.Decompose) to the paper's
+// level-by-level overlap-count peel (check.OverlapDecompose) and to the
+// sharded engine.  Against the overlap peel it uses the sharded
+// differential's protocol: exact vertex coreness and MaxK, per-level
+// hyperedge member-set families via SameResult (the overlap peel may
+// keep another member of an equal-set family), the independent
+// fixpoint oracle, and the Cellzome golden numbers.
 // Against the sharded engine it is byte equality — vertex coreness,
 // edge coreness and MaxK — at every shard count: the CSR peeler runs
 // the sharded engine's rounds, so both keep the same member of every
@@ -185,8 +193,8 @@ func TestDifferentialCSRDecompose(t *testing.T) {
 		}
 	}
 	for i, h := range check.Instances(58, 0xC04E6) {
-		want := core.Decompose(h)
-		got := core.CSRDecompose(h)
+		want := check.OverlapDecompose(h)
+		got := core.Decompose(h)
 		if got.MaxK != want.MaxK {
 			t.Fatalf("instance %d %v: CSR MaxK = %d, want %d", i, h, got.MaxK, want.MaxK)
 		}
@@ -198,7 +206,7 @@ func TestDifferentialCSRDecompose(t *testing.T) {
 		}
 		for k := 1; k <= want.MaxK; k++ {
 			if err := check.SameResult(h, got.Core(k), want.Core(k)); err != nil {
-				t.Fatalf("instance %d %v, k=%d: CSR vs sequential: %v", i, h, k, err)
+				t.Fatalf("instance %d %v, k=%d: CSR vs the overlap peel: %v", i, h, k, err)
 			}
 		}
 		if err := check.ValidDecomposition(h, got); err != nil {
@@ -207,8 +215,8 @@ func TestDifferentialCSRDecompose(t *testing.T) {
 		sameAsSharded(fmt.Sprintf("instance %d %v", i, h), h, got)
 	}
 	h := dataset.Cellzome().H
-	want := core.Decompose(h)
-	got := core.CSRDecompose(h)
+	want := check.OverlapDecompose(h)
+	got := core.Decompose(h)
 	if got.MaxK != 6 {
 		t.Fatalf("Cellzome CSR MaxK = %d, want 6", got.MaxK)
 	}
@@ -219,7 +227,7 @@ func TestDifferentialCSRDecompose(t *testing.T) {
 	}
 	r6 := got.Core(6)
 	if err := check.SameResult(h, r6, want.Core(6)); err != nil {
-		t.Fatalf("Cellzome 6-core: CSR vs sequential: %v", err)
+		t.Fatalf("Cellzome 6-core: CSR vs the overlap peel: %v", err)
 	}
 	if err := check.ValidCore(h, 6, r6); err != nil {
 		t.Fatalf("Cellzome CSR 6-core: %v", err)
@@ -233,18 +241,23 @@ func TestDifferentialCSRDecompose(t *testing.T) {
 	// peeler that tests containment after each single deletion keeps
 	// another member of an equal-set family here than the rounds do.
 	h = gen.RandomHypergraph(60, 80, 6, xrand.New(39))
-	sameAsSharded("random seed 39", h, core.CSRDecompose(h))
+	sameAsSharded("random seed 39", h, core.Decompose(h))
 }
 
+// biCorePairs are the (k, l) pairs of the (k, l)-core differentials.
+var biCorePairs = [][2]int{{0, 2}, {1, 2}, {2, 2}, {1, 3}, {3, 1}, {2, 4}}
+
 // TestDifferentialBiCore checks the (k, l)-core peeler against the
-// definitional fixpoint oracle.
+// definitional fixpoint oracle and the paper's overlap-count peel.
 func TestDifferentialBiCore(t *testing.T) {
-	pairs := [][2]int{{0, 2}, {1, 2}, {2, 2}, {1, 3}, {3, 1}, {2, 4}}
 	for i, h := range check.Instances(58, 0xC04E3) {
-		for _, kl := range pairs {
+		for _, kl := range biCorePairs {
 			r := core.BiCore(h, kl[0], kl[1])
 			if err := check.ValidBiCore(h, kl[0], kl[1], r); err != nil {
 				t.Fatalf("instance %d %v, k=%d, l=%d: %v", i, h, kl[0], kl[1], err)
+			}
+			if err := check.SameResult(h, r, check.OverlapCore(h, kl[0], kl[1])); err != nil {
+				t.Fatalf("instance %d %v, k=%d, l=%d: BiCore vs the overlap peel: %v", i, h, kl[0], kl[1], err)
 			}
 		}
 	}
@@ -253,16 +266,59 @@ func TestDifferentialBiCore(t *testing.T) {
 	if err := check.ValidBiCore(h, 2, 3, r); err != nil {
 		t.Fatalf("Cellzome (2,3)-core: %v", err)
 	}
+	if err := check.SameResult(h, r, check.OverlapCore(h, 2, 3)); err != nil {
+		t.Fatalf("Cellzome (2,3)-core: BiCore vs the overlap peel: %v", err)
+	}
+}
+
+// TestDifferentialCoreRoutesMatchOverlapPeel holds KCore, BiCore and
+// MaxCore, which read their answers off one csr.Decompose, to the
+// definitional checkers and to the paper's overlap-count peel on a wide
+// sweep, Cellzome and a human-scale proteome.
+func TestDifferentialCoreRoutesMatchOverlapPeel(t *testing.T) {
+	instances := append(check.Instances(300, 7), dataset.Cellzome().H, dataset.SyntheticProteome(20000, 3000, 0x42A1))
+	for i, h := range instances {
+		for _, kl := range biCorePairs {
+			k, l := kl[0], kl[1]
+			r := core.BiCore(h, k, l)
+			if err := check.ValidBiCore(h, k, l, r); err != nil {
+				t.Fatalf("instance %d %v: BiCore(%d, %d): %v", i, h, k, l, err)
+			}
+			if err := check.SameResult(h, r, check.OverlapCore(h, k, l)); err != nil {
+				t.Fatalf("instance %d %v: BiCore(%d, %d) vs the overlap peel: %v", i, h, k, l, err)
+			}
+			r = core.KCore(h, k)
+			if err := check.ValidCore(h, k, r); err != nil {
+				t.Fatalf("instance %d %v: KCore(%d): %v", i, h, k, err)
+			}
+			if err := check.SameResult(h, r, check.OverlapCore(h, k, 1)); err != nil {
+				t.Fatalf("instance %d %v: KCore(%d) vs the overlap peel: %v", i, h, k, err)
+			}
+		}
+		mc := core.MaxCore(h)
+		if want := check.OverlapDecompose(h).MaxK; mc.K != want {
+			t.Fatalf("instance %d %v: MaxCore is the %d-core, the overlap peel's maximum is %d", i, h, mc.K, want)
+		}
+		if err := check.ValidCore(h, mc.K, mc); err != nil {
+			t.Fatalf("instance %d %v: MaxCore: %v", i, h, err)
+		}
+		if err := check.SameResult(h, mc, check.OverlapCore(h, mc.K, 1)); err != nil {
+			t.Fatalf("instance %d %v: MaxCore vs the overlap peel: %v", i, h, err)
+		}
+	}
 }
 
 // TestDifferentialDecompose validates the full decomposition level by
-// level against the oracle on the sweep, and spot-checks the Cellzome
-// maximum core against the paper's numbers.
+// level against the oracle on the sweep, level 0 included, and
+// spot-checks the Cellzome maximum core against the paper's numbers.
 func TestDifferentialDecompose(t *testing.T) {
 	for i, h := range check.Instances(58, 0xC04E4) {
 		d := core.Decompose(h)
 		if err := check.ValidDecomposition(h, d); err != nil {
 			t.Fatalf("instance %d %v: %v", i, h, err)
+		}
+		if err := check.ValidCore(h, 0, d.Core(0)); err != nil {
+			t.Fatalf("instance %d %v: Core(0): %v", i, h, err)
 		}
 	}
 	h := dataset.Cellzome().H

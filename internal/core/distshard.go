@@ -23,7 +23,7 @@ import (
 // the fixpoint per level (and therefore the coreness assignment) is
 // identical to Decompose and ShardedDecompose, and the whole
 // decomposition, edge coreness included, equals ShardedDecompose's and
-// CSRDecompose's byte for byte: all three run one round schedule.  The
+// Decompose's byte for byte: all three run one round schedule.  The
 // reduction test
 // (empty or non-maximal) is the same flat-array containment detector
 // (csr.Detector) over the replica's own mirrors, with a retired

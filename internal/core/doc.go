@@ -9,25 +9,27 @@
 // vertex is peeled, a hyperedge it belonged to is deleted as soon as it
 // stops being maximal — including the special case of becoming empty.
 //
-// The hypergraph algorithm follows the paper exactly: non-maximal
-// hyperedges are detected by maintaining pairwise overlap counts
-// (|f ∩ g|) rather than comparing membership lists — a hyperedge f is
-// contained in g precisely when its current degree equals its current
-// overlap with g.  The running time is O(|E|·(Δ₂,F + Δ_V·log Δ₂,F))
-// where |E| is the number of pins and Δ₂,F the maximum number of
-// hyperedges overlapping any single hyperedge.
+// The paper detects non-maximal hyperedges by maintaining pairwise
+// overlap counts (|f ∩ g|): a hyperedge f is contained in g precisely
+// when its current degree equals its current overlap with g.  That
+// algorithm is kept as the reference in internal/check
+// (check.OverlapDecompose, check.OverlapCore).  The peelers here test
+// containment instead with the witness-filter detector csr.Detector,
+// once per round for every hyperedge that shrank.
 //
-// Four implementations are provided, layered over a shared reduction
-// layer (reduce.go) that holds the only copy of the containment test:
+// The implementations:
 //
-//   - KCore / Decomposition: the sequential overlap-count algorithm.
+//   - Decompose / KCore / MaxCore / BiCore: one sequential peeler, the
+//     bucket-queue kernel csr.Decompose, with every core read off its
+//     decomposition; BiCore adds a minimum hyperedge size l.
 //   - KCoreNaive: a fixpoint reference that re-scans for containment
 //     each round; used by tests and the maximality ablation benchmark.
 //   - KCoreParallel: a round-synchronous peeling algorithm answering
 //     the paper's call ("for large hypergraphs, a parallel algorithm
 //     will need to be designed").
-//   - ShardedDecompose: a BSP decomposition engine over vertex-block
-//     shards from internal/partition, peeling shards in synchronized
-//     rounds with cross-shard deltas exchanged at barriers.  Vertex
-//     coreness and MaxK match Decompose exactly on every input.
+//   - ShardedDecompose and DistPeeler: BSP decomposition engines over
+//     vertex-block shards from internal/partition, peeling shards in
+//     synchronized rounds with cross-shard deltas exchanged at
+//     barriers.  They run the sequential peeler's round schedule and
+//     return its decomposition byte for byte.
 package core

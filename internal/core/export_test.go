@@ -4,10 +4,7 @@ package core
 // test package: it may import internal/check, which imports core and so
 // is an import cycle for in-package tests.
 
-type (
-	OverlapTable  = overlapTable
-	NonMaxScratch = nonMaxScratch
-)
+type NonMaxScratch = nonMaxScratch
 
 var NewNonMaxScratch = newNonMaxScratch
 

@@ -10,7 +10,7 @@ import (
 // containment (among alive vertices) and removes the contained ones.
 // It is correct directly from the definition and therefore serves as
 // the reference implementation in tests, and as the baseline in the
-// maximality-detection ablation (the paper's overlap-count scheme
+// maximality-detection ablation (the peeler's containment detector
 // versus pairwise comparison).
 func KCoreNaive(h *hypergraph.Hypergraph, k int) *Result {
 	nv, ne := h.NumVertices(), h.NumEdges()

@@ -15,14 +15,14 @@ import (
 // TestKCoreParallelWorkerFallback is the regression test for the
 // worker-count policy: workers ≤ 0 falls back to runtime.NumCPU() and
 // absurdly large requests are clamped, so every value must still
-// produce the sequential answer rather than misbehave.
+// produce the paper's overlap-peel answer rather than misbehave.
 func TestKCoreParallelWorkerFallback(t *testing.T) {
 	for i, h := range check.Instances(4, 2026) {
-		want := core.KCore(h, 2)
+		want := check.OverlapCore(h, 2, 1)
 		for _, workers := range []int{-1, 0, 1, 3, 1 << 20} {
 			got := core.KCoreParallel(h, 2, workers)
 			if err := check.SameResult(h, want, got); err != nil {
-				t.Fatalf("instance %d workers=%d: parallel disagrees with sequential: %v",
+				t.Fatalf("instance %d workers=%d: parallel disagrees with the overlap peel: %v",
 					i, workers, err)
 			}
 		}

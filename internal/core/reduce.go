@@ -1,53 +1,21 @@
 package core
 
-import (
-	"hyperplex/internal/csr"
-	"hyperplex/internal/hypergraph"
-)
+import "hyperplex/internal/csr"
 
-// This file is the package's reduction layer: the paper's
-// overlap-count machinery for detecting non-maximal hyperedges (a
-// hyperedge f is contained in g exactly when |f ∩ g| = d(f)), for the
-// peeling kernels that keep their alive state outside flat arrays.
-// Two strategies implement the same detection rule:
+// This file holds nonMaxScratch, the containment test of the
+// round-synchronous parallel peeler (parallel.go): it re-derives the
+// overlap counts of one hyperedge against a consistent alive snapshot
+// with stamped scratch arrays, reading the alive state through
+// accessors, because that peeler's atomic alive/degree arrays cannot
+// be handed over as flat slices.  It reads the pins through a csr.CSR
+// view.  A hyperedge f is contained in g exactly when |f ∩ g| = d(f).
 //
-//   - overlapTable maintains the pairwise overlap counts incrementally
-//     while vertices and hyperedges are deleted — the data structure of
-//     the sequential peeler (hypercore.go, bicore.go), where each
-//     deletion updates the table in place.  It is backed by the
-//     flat-array csr.Overlaps (offset/neighbor/count int32 rows) rather
-//     than per-hyperedge Go maps;
-//   - nonMaxScratch re-derives the overlap counts of one hyperedge
-//     against a consistent alive snapshot with stamped scratch arrays,
-//     reading the alive state through accessors — the strategy of the
-//     round-synchronous parallel peeler (parallel.go), whose atomic
-//     alive/degree arrays cannot be handed over as flat slices.  It
-//     reads the pins through a csr.CSR view.
-//
-// The flat-array engines — the CSR peeler, the sharded engine
-// (sharded.go) and DistPeeler (distshard.go) — instead share the
-// witness-filter detector csr.Detector over their own []bool/[]int32
-// snapshot arrays.  Every detection applies the shared tie-break for
-// equal hyperedges: of two alive hyperedges with identical member
-// sets, the lower-ID copy is the maximal one.
-
-// overlapTable maintains ov(f, g) = |f ∩ g| over the currently alive
-// vertices, for every pair of initially overlapping hyperedges.  (The
-// paper uses balanced trees for these sets; the flat sorted rows of
-// csr.Overlaps give the same amortized behaviour with binary searches
-// instead of pointer chasing.)  Overlap, NonMaximal, DropEdge and
-// ShrinkPairwise are promoted from the embedded table.
-type overlapTable struct {
-	csr.Overlaps
-}
-
-// Fill builds the table for h with every vertex and hyperedge alive,
-// in O(Σ_v d(v)²) time.  checkpoint is called with an operation count
-// at bounded intervals so the caller can honor cancellation and
-// budgets; pass a no-op when the construction is not cancellable.
-func (t *overlapTable) Fill(h *hypergraph.Hypergraph, checkpoint func(n int)) {
-	t.Build(csr.FromH(h), checkpoint)
-}
+// The flat-array engines — the sequential peeler csr.Decompose, the
+// sharded engine (sharded.go) and DistPeeler (distshard.go) — instead
+// share the witness-filter detector csr.Detector over their own
+// []bool/[]int32 snapshot arrays.  Every detection applies the shared
+// tie-break for equal hyperedges: of two alive hyperedges with
+// identical member sets, the lower-ID copy is the maximal one.
 
 // nonMaxScratch is the per-worker scratch for snapshot-based
 // non-maximality checks: stamped count arrays sized to the hyperedge

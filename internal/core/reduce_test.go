@@ -1,11 +1,12 @@
-// Unit tests for the containment detections: the reduction layer's
-// incremental overlap table and snapshot scratch checker (reduce.go)
-// and the witness-filter detector the flat-array engines share
-// (csr.Detector) must all implement the paper's containment rule, agree
-// with each other, and agree with the independent detection in
-// hypergraph.NonMaximalEdges and a brute-force subset check.  External
-// test package so the sweep in internal/check (which imports core) is
-// usable; export_test.go hands it the unexported layer.
+// Unit tests for the containment detections: the parallel peeler's
+// snapshot scratch checker (reduce.go), the witness-filter detector the
+// flat-array engines share (csr.Detector) and the paper's incremental
+// overlap table (check.OverlapTable) must all implement the paper's
+// containment rule, agree with each other, and agree with the
+// independent detection in hypergraph.NonMaximalEdges and a brute-force
+// subset check.  External test package so internal/check (which
+// imports core) is usable; export_test.go hands it the unexported
+// scratch.
 package core_test
 
 import (
@@ -20,8 +21,6 @@ import (
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/xrand"
 )
-
-func noCheckpoint(int) {}
 
 // reduceInstances returns a deterministic mix of crafted corner cases
 // (duplicates, nesting, a spanning edge) and random hypergraphs.
@@ -55,26 +54,6 @@ func reduceInstances(t *testing.T) []*hypergraph.Hypergraph {
 	return out
 }
 
-// TestOverlapTableFill checks the freshly built table against the
-// merge-based hypergraph.Overlap for every hyperedge pair.
-func TestOverlapTableFill(t *testing.T) {
-	for i, h := range reduceInstances(t) {
-		var tab core.OverlapTable
-		tab.Fill(h, noCheckpoint)
-		ne := h.NumEdges()
-		for f := 0; f < ne; f++ {
-			for g := 0; g < ne; g++ {
-				if f == g {
-					continue
-				}
-				if got, want := tab.Overlap(f, g), h.Overlap(f, g); got != want {
-					t.Fatalf("instance %d %v: Overlap(%d, %d) = %d, want %d", i, h, f, g, got, want)
-				}
-			}
-		}
-	}
-}
-
 // bruteOverlap counts |f ∩ g| over the alive vertices directly.
 func bruteOverlap(h *hypergraph.Hypergraph, vAlive []bool, f, g int) int {
 	inF := make(map[int32]bool)
@@ -92,70 +71,11 @@ func bruteOverlap(h *hypergraph.Hypergraph, vAlive []bool, f, g int) int {
 	return n
 }
 
-// TestOverlapTableIncremental deletes vertices one at a time the way
-// the sequential peeler does (ShrinkPairwise on the live incident
-// edges, DropEdge on emptied ones) and checks the table against brute
-// force after every deletion.
-func TestOverlapTableIncremental(t *testing.T) {
-	for i, h := range reduceInstances(t) {
-		nv, ne := h.NumVertices(), h.NumEdges()
-		var tab core.OverlapTable
-		tab.Fill(h, noCheckpoint)
-		vAlive := make([]bool, nv)
-		eAlive := make([]bool, ne)
-		eDeg := make([]int, ne)
-		for v := range vAlive {
-			vAlive[v] = true
-		}
-		for f := range eAlive {
-			eAlive[f] = true
-			eDeg[f] = h.EdgeDegree(f)
-		}
-		rng := xrand.New(uint64(0xD0D0 + i))
-		for _, v := range rng.Perm(nv) {
-			vAlive[v] = false
-			var live []int32
-			for _, f := range h.Edges(v) {
-				if eAlive[f] {
-					live = append(live, f)
-					eDeg[f]--
-				}
-			}
-			tab.ShrinkPairwise(live)
-			for _, f := range live {
-				if eDeg[f] == 0 {
-					eAlive[f] = false
-					tab.DropEdge(int(f))
-				}
-			}
-			for f := 0; f < ne; f++ {
-				if !eAlive[f] {
-					continue
-				}
-				for g := f + 1; g < ne; g++ {
-					if !eAlive[g] {
-						continue
-					}
-					want := bruteOverlap(h, vAlive, f, g)
-					if got := tab.Overlap(f, g); got != want {
-						t.Fatalf("instance %d %v after deleting vertex %d: Overlap(%d, %d) = %d, want %d",
-							i, h, v, f, g, got, want)
-					}
-					if got := tab.Overlap(g, f); got != want {
-						t.Fatalf("instance %d %v after deleting vertex %d: Overlap(%d, %d) = %d, want %d (asymmetry)",
-							i, h, v, g, f, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestNonMaximalDetectorsAgree checks the detections of the
 // containment rule against each other.  On the all-alive state of the
-// crafted and random instances: the incremental table, the snapshot
-// scratch checker, the witness-filter csr.Detector and the independent
-// hypergraph.NonMaximalEdges.  On random partial snapshots over the
+// crafted and random instances: the paper's overlap table, the
+// snapshot scratch checker, the witness-filter csr.Detector and the
+// independent hypergraph.NonMaximalEdges.  On random partial snapshots over the
 // sweep and Cellzome — dead vertices, and dead hyperedges at degree 0
 // the way the engines retire them — every alive hyperedge is checked by
 // csr.Detector over the CSR's own rows and over the peeler's presorted
@@ -167,8 +87,7 @@ func TestNonMaximalDetectorsAgree(t *testing.T) {
 	alive := func(int32) bool { return true }
 	for i, h := range reduceInstances(t) {
 		ne := h.NumEdges()
-		var tab core.OverlapTable
-		tab.Fill(h, noCheckpoint)
+		tab := check.NewOverlapTable(h)
 		scratch := core.NewNonMaxScratch(ne)
 		cv := csr.FromH(h)
 		det := csr.NewDetector(cv)
@@ -191,7 +110,7 @@ func TestNonMaximalDetectorsAgree(t *testing.T) {
 				continue
 			}
 			if got := tab.NonMaximal(f, eDeg); got != want[f] {
-				t.Fatalf("instance %d %v: overlapTable.NonMaximal(%d) = %t, want %t", i, h, f, got, want[f])
+				t.Fatalf("instance %d %v: check.OverlapTable.NonMaximal(%d) = %t, want %t", i, h, f, got, want[f])
 			}
 			if got := scratch.NonMaximal(cv, int32(f), eDeg[f], alive, alive, eDegAt); got != want[f] {
 				t.Fatalf("instance %d %v: nonMaxScratch.NonMaximal(%d) = %t, want %t", i, h, f, got, want[f])

@@ -79,11 +79,9 @@ func normalizeShardCount(shards, numVertices int) int {
 }
 
 // ShardedDecompose computes the full core decomposition of h with the
-// sharded peeling engine.  The result is the same decomposition as
-// Decompose: vertex coreness is a confluent fixpoint, and the shared
-// (degree, ID) tie-break keeps the surviving hyperedge families equal
-// level by level.  It equals CSRDecompose byte for byte at every shard
-// count.
+// sharded peeling engine.  It runs the round schedule of the
+// sequential peeler, so it equals Decompose byte for byte at every
+// shard count, edge coreness included.
 func ShardedDecompose(h *hypergraph.Hypergraph, opts ShardedOptions) *Decomposition {
 	d, err := ShardedDecomposeCtx(context.Background(), h, opts)
 	if err != nil {

@@ -15,10 +15,10 @@ import (
 // TestShardedDecomposeOptionFallback is the regression test for the
 // shard- and worker-count policies: non-positive values fall back to
 // runtime.NumCPU() and absurdly large requests are clamped, so every
-// combination must still produce the sequential answer.
+// combination must still produce the paper's overlap-peel answer.
 func TestShardedDecomposeOptionFallback(t *testing.T) {
 	for i, h := range check.Instances(4, 2027) {
-		want := core.Decompose(h)
+		want := check.OverlapDecompose(h)
 		for _, opts := range []core.ShardedOptions{
 			{Shards: -1, Workers: -1},
 			{},

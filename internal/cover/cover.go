@@ -207,6 +207,8 @@ func GreedyCtx(ctx context.Context, h *hypergraph.Hypergraph, weights []float64)
 // min-heap: α(v) = w(v) / (number of adjacent hyperedges with unmet
 // requirement).  Each pop re-computes the vertex's current cost and
 // re-inserts it if stale, which is sound because costs only increase.
+// It is the reference for CSRGreedyMulticover, the kernel the commands
+// and the public API run, which returns exactly this cover.
 func GreedyMulticover(h *hypergraph.Hypergraph, weights []float64, req []int) (*Cover, error) {
 	return GreedyMulticoverCtx(context.Background(), h, weights, req)
 }

@@ -186,7 +186,7 @@ func TestDecomposeCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i, h := range check.Instances(12, 0xC5A2) {
-		d, err := csr.DecomposeCtx(ctx, csr.FromH(h))
+		d, err := csr.DecomposeCtx(ctx, csr.FromH(h), 1)
 		if d != nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("instance %d: want (nil, context.Canceled), got (%v, %v)", i, d, err)
 		}
@@ -199,7 +199,7 @@ func TestDecomposeCtxBudget(t *testing.T) {
 	rng := xrand.New(0xC5A3)
 	h := gen.RandomHypergraph(300, 200, 6, rng)
 	ctx, _ := run.WithBudget(context.Background(), run.Budget{MaxSteps: 1})
-	d, err := csr.DecomposeCtx(ctx, csr.FromH(h))
+	d, err := csr.DecomposeCtx(ctx, csr.FromH(h), 1)
 	if d != nil || !errors.Is(err, run.ErrBudgetExceeded) {
 		t.Fatalf("want (nil, ErrBudgetExceeded), got (%v, %v)", d, err)
 	}

@@ -8,18 +8,18 @@ import (
 	"hyperplex/internal/run"
 )
 
-// This file is the flat-array decomposition kernel: a lazy bucket-queue
-// peeler over a CSR, computing the same core decomposition as the
-// level-by-level sequential peeler in internal/core but without maps,
-// per-level vertex scans, or per-deletion allocations.  All mutable
-// state lives in a single int32 arena carved into slices up front.
+// This file is the sequential decomposition kernel: a lazy bucket-queue
+// peeler over a CSR, without maps, per-level vertex scans, or
+// per-deletion allocations.  All mutable state lives in a single int32
+// arena carved into slices up front.
 //
-// The equivalence with the level peeler: popping the minimum-degree
-// vertex v at degree d and setting core = max(core, d) assigns v the
-// coreness the level peeler assigns when it deletes v while raising the
-// threshold to core+1; hyperedges deleted in the cascade get the same
-// level's coreness (core).  The fixpoint is confluent, so the vertex
-// coreness and MaxK are identical.
+// The equivalence with the paper's level-by-level peeler (kept as the
+// reference in internal/check): popping the minimum-degree vertex v at
+// degree d and setting core = max(core, d) assigns v the coreness the
+// level peeler assigns when it deletes v while raising the threshold to
+// core+1; hyperedges deleted in the cascade get the same level's
+// coreness (core).  The fixpoint is confluent, so the vertex coreness
+// and MaxK are identical.
 //
 // The peel runs in rounds, the schedule of the sharded and distributed
 // engines in internal/core.  A vertex deletion changes no other
@@ -41,7 +41,7 @@ var fpBuild = failpoint.Register("csr.build")
 var fpPeel = failpoint.Register("csr.peel")
 
 // peelCheckEvery bounds the elementary operations between two
-// cancellation/budget checkpoints, matching the sequential peeler.
+// cancellation/budget checkpoints.
 const peelCheckEvery = 64
 
 // Decomposition is the full core decomposition of a CSR, in the flat
@@ -115,6 +115,11 @@ type peeler struct {
 	// members instead of scanning the whole row.
 	mem []int32
 
+	// minSize is the l of a (k, l)-core: a pending hyperedge with fewer
+	// alive members dies at the end of its round.  l ≤ 1 leaves only
+	// the empty hyperedge, which the detector retires anyway.
+	minSize int
+
 	core   int
 	aliveV int
 }
@@ -165,10 +170,10 @@ func (p *peeler) checkpointPeel(n int) {
 }
 
 // newPeeler allocates the arena, fills the bucket queue from the
-// initial degrees and performs the initial reduction (empty and
-// non-maximal hyperedges die at coreness 0): round 0, with every
-// hyperedge pending.
-func newPeeler(ctx context.Context, c *CSR) *peeler {
+// initial degrees and performs the initial reduction (empty,
+// non-maximal and, for l > 1, undersized hyperedges die at coreness
+// 0): round 0, with every hyperedge pending.
+func newPeeler(ctx context.Context, c *CSR, l int) *peeler {
 	// Entry checkpoint: an already-cancelled context aborts before any
 	// work, even on inputs too small to reach a periodic checkpoint.
 	if err := run.Tick(ctx, run.MeterFrom(ctx), 0); err != nil {
@@ -177,12 +182,13 @@ func newPeeler(ctx context.Context, c *CSR) *peeler {
 	}
 	nv, ne, pins := c.NumVertices(), c.NumEdges(), c.NumPins()
 	p := &peeler{
-		c:      c,
-		ctx:    ctx,
-		meter:  run.MeterFrom(ctx),
-		vAlive: make([]bool, nv),
-		eAlive: make([]bool, ne),
-		aliveV: nv,
+		c:       c,
+		ctx:     ctx,
+		meter:   run.MeterFrom(ctx),
+		vAlive:  make([]bool, nv),
+		eAlive:  make([]bool, ne),
+		aliveV:  nv,
+		minSize: l,
 	}
 	p.checkpoint = p.checkpointBuild
 
@@ -326,10 +332,11 @@ func (p *peeler) deleteVertex(v int32) {
 	}
 }
 
-// endRound is the containment round: each pending hyperedge is tested
-// once (Detector.Dead) against the unchanged snapshot, the dead ones
-// are collected — compacted in place at the front of the pending list
-// — and only then deleted at the current level.  This is the
+// endRound is the containment round: each pending hyperedge below the
+// minimum size dies untested, every other one is tested once
+// (Detector.Dead) against the unchanged snapshot, the dead ones are
+// collected — compacted in place at the front of the pending list —
+// and only then deleted at the current level.  This is the
 // collect-then-delete rule of the sharded check phase, so the
 // equal-set tie-break sees the same state in every engine.
 //
@@ -337,7 +344,10 @@ func (p *peeler) deleteVertex(v int32) {
 func (p *peeler) endRound() {
 	dead := p.pending[:0]
 	for _, f := range p.pending {
-		d, ops := p.det.Dead(&p.snap, f)
+		d, ops := int(p.eDeg[f]) < p.minSize, 0
+		if !d {
+			d, ops = p.det.Dead(&p.snap, f)
+		}
 		p.charge(1 + ops)
 		if d {
 			dead = append(dead, f)
@@ -385,12 +395,13 @@ func (p *peeler) peel() {
 }
 
 // Decompose computes the full core decomposition of c with the
-// bucket-queue peeler.  It is the flat-array equivalent of the level
-// peeler in internal/core (identical vertex coreness, edge coreness
-// levels and MaxK) and returns exactly the decomposition of the
-// sharded and distributed engines, which run the same rounds.
-func Decompose(c *CSR) *Decomposition {
-	d, err := DecomposeCtx(context.Background(), c)
+// bucket-queue peeler, the one sequential peeler of the repository.
+// Hyperedges with fewer than l alive members die as well, so every
+// level k of the result is the (k, l)-core; l ≤ 1 gives the plain
+// k-core decomposition, which is exactly the decomposition of the
+// sharded and distributed engines: they run the same rounds.
+func Decompose(c *CSR, l int) *Decomposition {
+	d, err := DecomposeCtx(context.Background(), c, l)
 	if err != nil {
 		// Only reachable through an armed failpoint: a background
 		// context cannot be cancelled and carries no budget.
@@ -403,9 +414,9 @@ func Decompose(c *CSR) *Decomposition {
 // run.Budget attached to ctx, checked every bounded number of peel
 // operations.  On cancellation or budget exhaustion it returns
 // (nil, err): the half-peeled state is not a valid decomposition.
-func DecomposeCtx(ctx context.Context, c *CSR) (d *Decomposition, err error) {
+func DecomposeCtx(ctx context.Context, c *CSR, l int) (d *Decomposition, err error) {
 	defer recoverPeelAbort(&err)
-	p := newPeeler(ctx, c)
+	p := newPeeler(ctx, c, l)
 	p.peel()
 	return &Decomposition{
 		VertexCoreness: p.vCore,

@@ -91,7 +91,8 @@ func (o Options) normalized(h *hypergraph.Hypergraph) Options {
 var ErrPoolFailed = errors.New("dist: worker pool failed")
 
 // Decompose runs the distributed core decomposition of h and returns
-// a result exactly equal to core.Decompose's coreness and MaxK.
+// a result equal to core.Decompose's byte for byte, edge coreness
+// included.
 func Decompose(h *hypergraph.Hypergraph, opts Options) (*core.Decomposition, error) {
 	return DecomposeCtx(context.Background(), h, opts)
 }

@@ -30,14 +30,14 @@ func fastOpts() Options {
 	}
 }
 
-// assertExact asserts the distributed result equals the sequential
-// decomposition on vertex coreness and MaxK (the paper-facing
-// quantities), and equals the sharded engine and the CSR peeler byte
-// for byte: all three run the same rounds, so they agree on hyperedge
-// coreness too.
+// assertExact asserts the distributed result equals the paper's
+// overlap peel on vertex coreness and MaxK (the paper-facing
+// quantities), and equals the sharded engine and the sequential CSR
+// peeler byte for byte: all three run the same rounds, so they agree on
+// hyperedge coreness too.
 func assertExact(t *testing.T, h *hypergraph.Hypergraph, got *core.Decomposition, label string) {
 	t.Helper()
-	want := core.Decompose(h)
+	want := check.OverlapDecompose(h)
 	if got.MaxK != want.MaxK {
 		t.Fatalf("%s: MaxK = %d, want %d", label, got.MaxK, want.MaxK)
 	}
@@ -51,7 +51,7 @@ func assertExact(t *testing.T, h *hypergraph.Hypergraph, got *core.Decomposition
 		ref  *core.Decomposition
 	}{
 		{"sharded", core.ShardedDecompose(h, core.ShardedOptions{Shards: 3})},
-		{"CSR", core.CSRDecompose(h)},
+		{"CSR", core.Decompose(h)},
 	} {
 		name, ref := r.name, r.ref
 		if ref.MaxK != got.MaxK || !slices.Equal(ref.VertexCoreness, got.VertexCoreness) {

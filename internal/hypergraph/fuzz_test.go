@@ -109,15 +109,15 @@ func FuzzReadText(f *testing.F) {
 		default:
 			t.Fatalf("budgeted ReadTextCtx of %q: got %v, want success or ErrBudgetExceeded", data, berr)
 		}
-		// Sequential, sharded and CSR core decomposition are
+		// The paper's overlap peel and the sharded and CSR engines are
 		// differentially equivalent on every accepted input: identical
-		// vertex coreness and identical per-level edge families (the map
-		// peeler may keep another member of an equal-set family, so
-		// families are compared against it).  The CSR and sharded
+		// vertex coreness and identical per-level edge families (the
+		// overlap peel may keep another member of an equal-set family,
+		// so families are compared against it).  The CSR and sharded
 		// engines run the same rounds, so their edge coreness is equal
 		// outright.
 		if h.NumPins() <= fuzzCorePins {
-			want := core.Decompose(h)
+			want := check.OverlapDecompose(h)
 			got := core.ShardedDecompose(h, core.ShardedOptions{Shards: 3})
 			if got.MaxK != want.MaxK {
 				t.Fatalf("sharded MaxK of %q: got %d, want %d", data, got.MaxK, want.MaxK)
@@ -132,7 +132,7 @@ func FuzzReadText(f *testing.F) {
 					t.Fatalf("sharded %d-core of %q: %v", k, data, err)
 				}
 			}
-			flat := core.CSRDecompose(h)
+			flat := core.Decompose(h)
 			if flat.MaxK != want.MaxK {
 				t.Fatalf("CSR MaxK of %q: got %d, want %d", data, flat.MaxK, want.MaxK)
 			}

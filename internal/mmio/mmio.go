@@ -201,7 +201,9 @@ func ScanCtx(ctx context.Context, r io.Reader, ev MatrixEvents) (*Info, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("mmio: entry %d malformed: %q", read+1, line)
 		}
-		if i < 1 || i > rows || j < 1 || j > cols {
+		// A symmetric file also stores the mirror (j, i), which a
+		// non-square size line may not hold.
+		if i < 1 || i > rows || j < 1 || j > cols || (info.Symmetric && (j > rows || i > cols)) {
 			return nil, fmt.Errorf("mmio: entry %d out of range: %q", read+1, line)
 		}
 		v := 1.0

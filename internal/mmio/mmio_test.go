@@ -54,6 +54,22 @@ func TestReadSymmetricExpands(t *testing.T) {
 	}
 }
 
+// TestReadSymmetricMirrorRange pins the range check on the mirrored
+// entry of a symmetric file: the mirror of (7, 1) under a 7×2 size line
+// is out of range, while a non-square symmetric file whose mirrors fit
+// still reads.
+func TestReadSymmetricMirrorRange(t *testing.T) {
+	const hdr = "%%MatrixMarket matrix coordinate pattern symmetric\n7 2 1\n"
+	_, err := Read(strings.NewReader(hdr + "7 1\n"))
+	if want := `mmio: entry 1 out of range: "7 1"`; err == nil || err.Error() != want {
+		t.Errorf("mirror outside the size line: got %v, want %s", err, want)
+	}
+	m, err := Read(strings.NewReader(hdr + "1 1\n"))
+	if err != nil || m.Rows != 7 || m.Cols != 2 || m.NNZ() != 1 {
+		t.Errorf("non-square symmetric file with a diagonal entry: got %+v, %v", m, err)
+	}
+}
+
 func TestReadPattern(t *testing.T) {
 	in := `%%MatrixMarket matrix coordinate pattern general
 2 2 2

@@ -47,15 +47,16 @@ func sameDecomposition(t *testing.T, label string, got, want *core.Decomposition
 }
 
 // TestStoreDecomposeDifferential pins the mmap-backed decomposition
-// byte-identical to the in-RAM path over the full sweep: the core
-// peeler and the CSR kernel both read the hypergraph through the
-// store-served arrays and must produce exactly the in-RAM answer.
+// byte-identical to the in-RAM path over the full sweep: the paper's
+// overlap peel (check.OverlapDecompose) and the CSR kernel both read
+// the hypergraph through the store-served arrays and must produce
+// exactly the in-RAM answer.
 func TestStoreDecomposeDifferential(t *testing.T) {
 	for i, h := range check.Instances(58, 0xC04E31) {
 		_, hs := viaStore(t, h)
-		sameDecomposition(t, labelOf(i), core.Decompose(hs), core.Decompose(h))
-		gotC := csr.Decompose(csr.FromH(hs))
-		wantC := csr.Decompose(csr.FromH(h))
+		sameDecomposition(t, labelOf(i), check.OverlapDecompose(hs), check.OverlapDecompose(h))
+		gotC := csr.Decompose(csr.FromH(hs), 1)
+		wantC := csr.Decompose(csr.FromH(h), 1)
 		if gotC.MaxK != wantC.MaxK ||
 			!slices.Equal(gotC.VertexCoreness, wantC.VertexCoreness) ||
 			!slices.Equal(gotC.EdgeCoreness, wantC.EdgeCoreness) {

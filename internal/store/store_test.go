@@ -489,8 +489,8 @@ func TestBuildUnderAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotD := csr.Decompose(st.CSR())
-	wantD := csr.Decompose(csr.FromH(want))
+	gotD := csr.Decompose(st.CSR(), 1)
+	wantD := csr.Decompose(csr.FromH(want), 1)
 	if gotD.MaxK != wantD.MaxK ||
 		!slices.Equal(gotD.VertexCoreness, wantD.VertexCoreness) ||
 		!slices.Equal(gotD.EdgeCoreness, wantD.EdgeCoreness) {
