@@ -216,28 +216,22 @@ func BenchmarkExtPrimalDual(b *testing.B) {
 	}
 }
 
-// BenchmarkExtParallelCore regenerates experiment X3: sequential vs
-// round-synchronous parallel peeling on a banded hypergraph.
-func BenchmarkExtParallelCore(b *testing.B) {
-	spec := gen.MatrixSpec{Name: "bench", Rows: 8000, Cols: 8000, Band: 10, BandFill: 0.7, RandomPerRow: 2, Seed: 0xBE}
-	m := gen.SyntheticMatrix(spec)
-	h, err := mmio.ToHypergraph(m)
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkExtKCore regenerates experiment X3's sequential rows on the
+// banded instance: the peel stopped at level k against the full
+// decomposition it caps.
+func BenchmarkExtKCore(b *testing.B) {
+	h := bandedBench(b)
 	const k = 8
-	b.Run("sequential", func(b *testing.B) {
+	b.Run("kcore", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			core.KCore(h, k)
 		}
 	})
-	for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
-		b.Run("parallel-"+itoa(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.KCoreParallel(h, k, workers)
-			}
-		})
-	}
+	b.Run("decompose", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			core.Decompose(h)
+		}
+	})
 }
 
 // bandedSpec is the shared 8000×8000 banded instance of the

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -447,7 +448,9 @@ func runX2(w io.Writer, o options) error {
 	return nil
 }
 
-// runX3 measures the parallel k-core against the sequential algorithm.
+// runX3 times the k-core at scale: the one peeler stopped at level k,
+// the full decomposition it caps, and the sharded engine at several
+// shard counts, each checked against the others.
 func runX3(w io.Writer, o options) error {
 	spec := gen.MatrixSpec{Name: "scale", Rows: 30000, Cols: 30000, Band: 12, BandFill: 0.7, RandomPerRow: 2, Seed: 0xA11}
 	if o.short {
@@ -460,42 +463,29 @@ func runX3(w io.Writer, o options) error {
 	}
 	k := 8
 	start := time.Now()
-	seq := core.KCore(h, k)
-	seqT := time.Since(start)
-	fmt.Fprintf(w, "hypergraph |V|=%d |F|=%d |E|=%d, k=%d\n", h.NumVertices(), h.NumEdges(), h.NumPins(), k)
-	fmt.Fprintf(w, "sequential: %8.3fs (core %d/%d)\n", seqT.Seconds(), seq.NumVertices, seq.NumEdges)
-	workerSet := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		workerSet = append(workerSet, n)
+	kc := core.KCore(h, k)
+	kcT := time.Since(start)
+	fmt.Fprintf(w, "hypergraph |V|=%d |F|=%d |E|=%d, k=%d (host has %d CPU(s))\n", h.NumVertices(), h.NumEdges(), h.NumPins(), k, runtime.NumCPU())
+	fmt.Fprintf(w, "%-31s %8.3fs (core %d/%d)\n", fmt.Sprintf("%d-core, peel stopped at level %d:", k, k), kcT.Seconds(), kc.NumVertices, kc.NumEdges)
+	start = time.Now()
+	d := core.Decompose(h)
+	dT := time.Since(start)
+	if c := d.Core(k); !slices.Equal(c.VertexIn, kc.VertexIn) || !slices.Equal(c.EdgeIn, kc.EdgeIn) {
+		return fmt.Errorf("X3: the full decomposition's %d-core differs from KCore's", k)
 	}
-	for _, workers := range workerSet {
-		start = time.Now()
-		par := core.KCoreParallel(h, k, workers)
-		t := time.Since(start)
-		match := "OK"
-		if par.NumVertices != seq.NumVertices || par.NumEdges != seq.NumEdges {
-			match = "MISMATCH"
-		}
-		fmt.Fprintf(w, "parallel %2d workers: %8.3fs, speedup %.2fx vs sequential [%s]\n",
-			workers, t.Seconds(), seqT.Seconds()/t.Seconds(), match)
-	}
-	fmt.Fprintf(w, "(host has %d CPU(s); the sequential peeler reads the k-core off the full decomposition,\n", runtime.NumCPU())
-	fmt.Fprintln(w, " while the round-synchronous peeler stops at level k)")
+	fmt.Fprintf(w, "%-31s %8.3fs (max k = %d, %d-core %d/%d) [OK]\n", "full decomposition:", dT.Seconds(), d.MaxK, k, kc.NumVertices, kc.NumEdges)
 	shardSet := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n > 4 {
 		shardSet = append(shardSet, n)
 	}
 	for _, shards := range shardSet {
 		start = time.Now()
-		d := core.ShardedDecompose(h, core.ShardedOptions{Shards: shards})
+		sd := core.ShardedDecompose(h, core.ShardedOptions{Shards: shards})
 		t := time.Since(start)
-		sc := d.Core(k)
-		match := "OK"
-		if sc.NumVertices != seq.NumVertices || sc.NumEdges != seq.NumEdges {
-			match = "MISMATCH"
+		if sd.MaxK != d.MaxK || !slices.Equal(sd.VertexCoreness, d.VertexCoreness) || !slices.Equal(sd.EdgeCoreness, d.EdgeCoreness) {
+			return fmt.Errorf("X3: the sharded decomposition at %d shards differs from the sequential one", shards)
 		}
-		fmt.Fprintf(w, "sharded %2d shards: %8.3fs full decomposition (max k = %d, %d-core %d/%d) [%s]\n",
-			shards, t.Seconds(), d.MaxK, k, sc.NumVertices, sc.NumEdges, match)
+		fmt.Fprintf(w, "%-31s %8.3fs full decomposition [OK]\n", fmt.Sprintf("sharded %d shards:", shards), t.Seconds())
 	}
 	return nil
 }
@@ -511,13 +501,8 @@ func runX5(w io.Writer, o options) error {
 	fmt.Fprintf(w, "synthetic human-scale proteome: %v (Cellzome was 1361/232)\n", h)
 	start := time.Now()
 	mc := core.MaxCore(h)
-	seqT := time.Since(start)
-	fmt.Fprintf(w, "sequential maximum core: %d-core with %d proteins / %d complexes in %.3fs\n",
-		mc.K, mc.NumVertices, mc.NumEdges, seqT.Seconds())
-	start = time.Now()
-	par := core.KCoreParallel(h, mc.K, 0)
-	parT := time.Since(start)
-	fmt.Fprintf(w, "parallel %d-core: %d/%d in %.3fs\n", mc.K, par.NumVertices, par.NumEdges, parT.Seconds())
+	fmt.Fprintf(w, "maximum core: %d-core with %d proteins / %d complexes in %.3fs\n",
+		mc.K, mc.NumVertices, mc.NumEdges, time.Since(start).Seconds())
 	rng := xrand.New(5)
 	start = time.Now()
 	sw := stats.SmallWorldSampled(h, 256, runtime.NumCPU(), rng)

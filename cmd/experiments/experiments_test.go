@@ -20,7 +20,7 @@ func TestAllExperimentsShort(t *testing.T) {
 		"S4": {"greedy min-cardinality cover", "2-multicover", "459"},
 		"X1": {"2-multicover (r=2)", "reliability multicover", "mean recov"},
 		"X2": {"greedy weight", "dual LB", "H_m"},
-		"X3": {"sequential:", "parallel", "[OK]"},
+		"X3": {"peel stopped at level 8", "full decomposition", "sharded 4 shards", "[OK]"},
 		"X4": {"clique-expansion edges", "clustering coefficient"},
 		"X5": {"synthetic human-scale proteome", "maximum core"},
 		"X6": {"clique-expansion PPI graph", "hypergraph 6-core hyperedges"},

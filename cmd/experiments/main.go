@@ -116,7 +116,7 @@ var allExperiments = []experiment{
 	{"S4", "§4.2 — vertex covers for bait selection", runS4},
 	{"X1", "X1 — TAP reliability: cover vs multicover (extension)", runX1},
 	{"X2", "X2 — primal-dual vs greedy covers (extension)", runX2},
-	{"X3", "X3 — parallel k-core scaling (extension)", runX3},
+	{"X3", "X3 — k-core at scale: stopped peel, full and sharded decomposition (extension)", runX3},
 	{"X4", "X4 — model comparison: storage and clustering (extension)", runX4},
 	{"X5", "X5 — human-proteome-scale core computation (extension)", runX5},
 	{"X6", "X6 — complex prediction from graph cores vs the hypergraph (§3 warning)", runX6},

@@ -2,12 +2,14 @@
 //
 // Usage:
 //
-//	hgcore [-k N | -max | -decompose] [-l N] [-mtx | -store FILE] [-parallel N] [-shards N] [-dist N [-hgshardd PATH] [-local-fallback]] [-pajek PREFIX] [file]
+//	hgcore [-k N [-l N] | -max | -decompose] [-mtx | -store FILE] [-shards N] [-dist N [-hgshardd PATH] [-local-fallback]] [-pajek PREFIX] [file]
 //
 // With -k it prints the members of the k-core (or the (k, l)-core with
 // -l); with -max (default) the maximum core; with -decompose the
-// coreness of every vertex.  -pajek writes PREFIX.net and PREFIX.clu
-// with the core highlighted (Fig. 3 of the paper).
+// coreness of every vertex.  -shards and -dist run the decomposition on
+// the sharded or distributed engine, which print the same bytes; -l
+// applies only to -k without them.  -pajek writes PREFIX.net and
+// PREFIX.clu with the core highlighted (Fig. 3 of the paper).
 package main
 
 import (
@@ -39,12 +41,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("hgcore", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	k := fs.Int("k", -1, "compute the k-core for this k")
-	l := fs.Int("l", 1, "minimum hyperedge size (the l of a (k, l)-core)")
+	l := fs.Int("l", 1, "minimum hyperedge size (the l of a (k, l)-core; -k without -shards or -dist only)")
 	max := fs.Bool("max", false, "compute the maximum core (default when -k and -decompose are absent)")
 	decompose := fs.Bool("decompose", false, "print the coreness of every vertex")
 	mtx := fs.Bool("mtx", false, "input is a Matrix Market file")
 	storePath := fs.String("store", "", "read the hypergraph from this binary store file (memory-mapped; overrides [file] and -mtx)")
-	parallel := fs.Int("parallel", 0, "use the parallel algorithm with this many workers (0 = sequential)")
 	shards := fs.Int("shards", 0, "use the sharded decomposition engine with this many shards (0 = sequential)")
 	distN := fs.Int("dist", 0, "run the decomposition on a fault-tolerant pool of this many workers (0 = in-process)")
 	hgshardd := fs.String("hgshardd", "", "spawn -dist workers as OS processes running this hgshardd binary (empty = in-process workers)")
@@ -54,6 +55,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	timeout := fs.Duration("timeout", 0, "abort if reading plus peeling exceed this duration (0 = no limit)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	engine := *shards > 0 || *distN > 0
+	if *l > 1 && (*k < 0 || *decompose || engine) {
+		return fmt.Errorf("-l %d applies only to -k without -shards or -dist; -max, -decompose, -shards and -dist peel plain k-cores", *l)
 	}
 	ctx, cancel := cli.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -114,16 +119,14 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 			}
 		}
 		return nil
-	case *k >= 0:
-		var r *core.Result
-		switch {
-		case *l > 1:
-			r, err = core.BiCoreCtx(ctx, h, *k, *l)
-		case *parallel > 0:
-			r, err = core.KCoreParallelCtx(ctx, h, *k, *parallel)
-		default:
-			r, err = core.KCoreCtx(ctx, h, *k)
+	case *k >= 0 && engine:
+		d, err := decomposeVia()
+		if err != nil {
+			return err
 		}
+		return report(stdout, h, d.Core(*k), *pajekPrefix, *quiet)
+	case *k >= 0:
+		r, err := core.BiCoreCtx(ctx, h, *k, *l)
 		if err != nil {
 			return err
 		}

@@ -11,6 +11,7 @@ import (
 	"hyperplex/internal/check"
 	"hyperplex/internal/core"
 	"hyperplex/internal/dataset"
+	"hyperplex/internal/failpoint"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/store"
 )
@@ -42,16 +43,58 @@ func TestRunExplicitK(t *testing.T) {
 	}
 }
 
-func TestRunParallelMatchesSequential(t *testing.T) {
-	var seq, par bytes.Buffer
-	if err := run([]string{"-k", "3", "-quiet"}, strings.NewReader(planted), &seq); err != nil {
+// TestRunEngineFlags pins how hgcore honors its engine and size
+// flags on Cellzome.  -k with -shards or -dist reads the k-core off
+// that engine's decomposition: the engine builds its partition, and the
+// bytes equal the sequential route's.  -l above 1 anywhere but the
+// sequential -k route, and the retired -parallel flag, are usage
+// errors naming the flag.
+func TestRunEngineFlags(t *testing.T) {
+	var cellzome bytes.Buffer
+	if err := hypergraph.WriteText(&cellzome, dataset.Cellzome().H); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-k", "3", "-parallel", "2", "-quiet"}, strings.NewReader(planted), &par); err != nil {
+	text := cellzome.String()
+	var seq bytes.Buffer
+	if err := run([]string{"-k", "6"}, strings.NewReader(text), &seq); err != nil {
 		t.Fatal(err)
 	}
-	if seq.String() != par.String() {
-		t.Errorf("sequential %q vs parallel %q", seq.String(), par.String())
+	defer failpoint.Disable("partition.build")
+	for _, engine := range [][]string{{"-shards", "2"}, {"-dist", "2"}} {
+		// A zero-delay arm counts the partition builds without
+		// perturbing them.
+		if err := failpoint.Enable("partition.build", failpoint.Arm{Mode: failpoint.ModeDelay}); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err := run(append([]string{"-k", "6"}, engine...), strings.NewReader(text), &out)
+		built := failpoint.Fired("partition.build")
+		failpoint.Disable("partition.build")
+		if err != nil {
+			t.Fatalf("-k 6 %v: %v", engine, err)
+		}
+		if built == 0 {
+			t.Errorf("-k 6 %v built no partition: the engine did not run", engine)
+		}
+		if out.String() != seq.String() {
+			t.Errorf("-k 6 %v prints other bytes than -k 6", engine)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-max", "-l", "5"}, "-l 5"},
+		{[]string{"-l", "2"}, "-l 2"},
+		{[]string{"-decompose", "-l", "4"}, "-l 4"},
+		{[]string{"-k", "6", "-l", "3", "-shards", "2"}, "-l 3"},
+		{[]string{"-k", "6", "-l", "3", "-dist", "2"}, "-l 3"},
+		{[]string{"-k", "6", "-parallel", "2"}, "-parallel"},
+	} {
+		var out bytes.Buffer
+		if err := run(tc.args, strings.NewReader(text), &out); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want a usage error naming %s", tc.args, err, tc.want)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Humanscale exercises the library at the scale the paper's conclusion
 // anticipates — proteome-wide studies far larger than the 2002 yeast
 // screen — generating a synthetic 20000-protein complex network and
-// running the full analysis pipeline: statistics, core decomposition
-// (sequential and parallel), and bait selection.
+// running the full analysis pipeline: statistics, the maximum core,
+// and bait selection.
 //
 // Pass -short for a 5000-protein run.
 package main
@@ -43,18 +43,11 @@ func main() {
 	fmt.Printf("components: %d (largest %d proteins / %d complexes)\n",
 		len(comps), comps[0].Vertices, comps[0].Edges)
 
-	// Core decomposition, sequential vs parallel.
+	// Core decomposition.
 	start = time.Now()
 	mc := hyperplex.MaxCore(h)
-	seqT := time.Since(start)
-	fmt.Printf("maximum core (sequential): %d-core, %d proteins / %d complexes in %.2fs\n",
-		mc.K, mc.NumVertices, mc.NumEdges, seqT.Seconds())
-
-	start = time.Now()
-	par := hyperplex.KCoreParallel(h, mc.K, 0)
-	parT := time.Since(start)
-	fmt.Printf("maximum core (parallel):   %d-core, %d proteins / %d complexes in %.2fs (%.1fx)\n",
-		mc.K, par.NumVertices, par.NumEdges, parT.Seconds(), seqT.Seconds()/parT.Seconds())
+	fmt.Printf("maximum core: %d-core, %d proteins / %d complexes in %.2fs\n",
+		mc.K, mc.NumVertices, mc.NumEdges, time.Since(start).Seconds())
 
 	// Sampled small-world metrics (exact APSP would be |V| BFS runs).
 	rng := hyperplex.NewRNG(7)

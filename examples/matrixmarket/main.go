@@ -54,12 +54,6 @@ func main() {
 	fmt.Printf("maximum core: %d-core with %d vertices and %d hyperedges (%.3fs)\n",
 		mc.K, mc.NumVertices, mc.NumEdges, elapsed.Seconds())
 
-	// The same computation with the parallel algorithm at the max
-	// core's level.
-	start = time.Now()
-	par := hyperplex.KCoreParallel(h, mc.K, 0)
-	fmt.Printf("parallel %d-core check: %d/%d in %.3fs\n", mc.K, par.NumVertices, par.NumEdges, time.Since(start).Seconds())
-
 	// Degree distribution of the rows.
 	if fit, err := hyperplex.FitPowerLaw(hyperplex.DegreeHistogram(h.VertexDegrees())); err == nil {
 		fmt.Printf("row-degree distribution: %v\n", fit)

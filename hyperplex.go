@@ -6,9 +6,10 @@
 // The hypergraph has one vertex per protein and one hyperedge per
 // complex.  On top of that model the package offers:
 //
-//   - k-cores and (k, l)-cores of hypergraphs (and graphs), read off
-//     one full core decomposition that keeps every core reduced, and a
-//     parallel peeling variant;
+//   - k-cores and (k, l)-cores of hypergraphs (and graphs) from one
+//     peeler that keeps every core reduced: it computes the full core
+//     decomposition, or stops at level k as the paper's algorithm
+//     does;
 //   - minimum-weight vertex covers and multicovers (greedy H_m
 //     approximation and a certifying primal-dual algorithm) for bait
 //     selection;
@@ -80,8 +81,8 @@ type CoreResult = core.Result
 // Decomposition is the full core decomposition of a hypergraph.
 type Decomposition = core.Decomposition
 
-// KCore computes the k-core of a hypergraph.  It reads the core off
-// the round-synchronous bucket-queue decomposition (Decompose); the
+// KCore computes the k-core of a hypergraph.  It runs the
+// bucket-queue peeler of Decompose and stops it at level k; the
 // paper's overlap-count peeling algorithm is the reference it is
 // tested against.
 func KCore(h *Hypergraph, k int) *CoreResult { return core.KCore(h, k) }
@@ -92,10 +93,11 @@ func MaxCore(h *Hypergraph) *CoreResult { return core.MaxCore(h) }
 // Decompose computes the coreness of every vertex and hyperedge.
 func Decompose(h *Hypergraph) *Decomposition { return core.Decompose(h) }
 
-// KCoreParallel computes the k-core with a round-synchronous parallel
-// peeling algorithm (workers ≤ 0 selects NumCPU).
+// KCoreParallel returns KCore(h, k); workers is ignored.
+//
+// Deprecated: use KCore, which stops the one peeler at level k.
 func KCoreParallel(h *Hypergraph, k, workers int) *CoreResult {
-	return core.KCoreParallel(h, k, workers)
+	return core.KCore(h, k)
 }
 
 // BiCore computes the (k, l)-core: minimum vertex degree k AND minimum
@@ -155,11 +157,11 @@ func BiCoreCtx(ctx context.Context, h *Hypergraph, k, l int) (*CoreResult, error
 	return core.BiCoreCtx(ctx, h, k, l)
 }
 
-// KCoreParallelCtx is KCoreParallel with cancellation and budget
-// checkpoints; worker panics are recovered and returned as a
-// *core.WorkerPanicError.
+// KCoreParallelCtx returns KCoreCtx(ctx, h, k); workers is ignored.
+//
+// Deprecated: use KCoreCtx.
 func KCoreParallelCtx(ctx context.Context, h *Hypergraph, k, workers int) (*CoreResult, error) {
-	return core.KCoreParallelCtx(ctx, h, k, workers)
+	return core.KCoreCtx(ctx, h, k)
 }
 
 // GreedyCoverCtx is GreedyCover with cancellation and budget

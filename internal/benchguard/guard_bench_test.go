@@ -77,9 +77,9 @@ func BenchmarkGuardShardedDecompose(b *testing.B) {
 	}
 }
 
-// BenchmarkGuardDecompose pins the map-based sequential decomposition,
-// the semantic reference the CSR kernel is differentially tested
-// against.
+// BenchmarkGuardDecompose pins the full decomposition through the core
+// wrapper (core.Decompose), which runs the flat-array CSR peel and
+// widens its coreness vectors.
 func BenchmarkGuardDecompose(b *testing.B) {
 	h := guardInstance(b)
 	b.ReportAllocs()

@@ -81,17 +81,6 @@ func TestMain(m *testing.M) {
 // call's error for the harness to judge.
 func drivers() map[string]func(t *testing.T, ctx context.Context) error {
 	return map[string]func(t *testing.T, ctx context.Context) error{
-		"core.parallel.worker": func(t *testing.T, ctx context.Context) error {
-			r, err := core.KCoreParallelCtx(ctx, bigH, 2, 4)
-			if err == nil {
-				if verr := check.ValidCore(bigH, 2, r); verr != nil {
-					t.Errorf("successful KCoreParallelCtx result invalid: %v", verr)
-				}
-			} else if r != nil {
-				t.Errorf("KCoreParallelCtx returned a result alongside error %v", err)
-			}
-			return err
-		},
 		"core.sharded.worker":   shardedDriver,
 		"core.sharded.exchange": shardedDriver,
 		"csr.build":             csrDriver,
@@ -551,13 +540,6 @@ func TestChaosErrorArmOverSweep(t *testing.T) {
 		site  string
 		drive func(ctx context.Context, h *hypergraph.Hypergraph) error
 	}{
-		{"core.parallel.worker", func(ctx context.Context, h *hypergraph.Hypergraph) error {
-			r, err := core.KCoreParallelCtx(ctx, h, 2, 3)
-			if err == nil {
-				return check.ValidCore(h, 2, r)
-			}
-			return err
-		}},
 		{"cover.greedy.pop", func(ctx context.Context, h *hypergraph.Hypergraph) error {
 			c, err := cover.GreedyCtx(ctx, h, nil)
 			if err == nil {
@@ -624,38 +606,8 @@ func TestChaosErrorArmOverSweep(t *testing.T) {
 	}
 }
 
-// TestChaosWorkerPanicDetail pins the parallel peeler's panic
-// boundary: an injected worker panic must come back as a
-// *core.WorkerPanicError carrying the site marker and a stack, with no
-// goroutine leaked.
-func TestChaosWorkerPanicDetail(t *testing.T) {
-	before := check.GoroutineSnapshot()
-	if err := failpoint.Enable("core.parallel.worker", failpoint.Arm{Mode: failpoint.ModePanic}); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Disable("core.parallel.worker")
-	r, err := core.KCoreParallelCtx(context.Background(), bigH, 2, 4)
-	failpoint.Disable("core.parallel.worker")
-	if r != nil {
-		t.Fatalf("got a result alongside the injected panic: %+v", r)
-	}
-	var wpe *core.WorkerPanicError
-	if !errors.As(err, &wpe) {
-		t.Fatalf("want *core.WorkerPanicError, got %v", err)
-	}
-	if p, ok := wpe.Value.(failpoint.Panic); !ok || p.Site != "core.parallel.worker" {
-		t.Fatalf("recovered value %v, want the failpoint marker", wpe.Value)
-	}
-	if len(wpe.Stack) == 0 {
-		t.Error("recovered panic carries no stack")
-	}
-	if err := check.CheckNoLeaks(before, 2*time.Second); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestChaosShardedWorkerPanicDetail pins the sharded engine's panic
-// boundary the same way: an injected worker panic must come back as a
+// boundary: an injected worker panic must come back as a
 // *core.WorkerPanicError carrying the site marker and a stack, with no
 // goroutine leaked.
 func TestChaosShardedWorkerPanicDetail(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // (keeping the lowest-ID copy of equal hyperedges), and every vertex
 // whose alive degree is below k (below 1 for k ≤ 0, since every core is
 // a reduced hypergraph without isolated vertices).  It shares no code
-// with core.KCore, core.KCoreNaive, or core.KCoreParallel.
+// with core.KCore or core.KCoreNaive.
 func KCoreOracle(h *hypergraph.Hypergraph, k int) (vIn, eIn []bool) {
 	return coreFixpoint(h, k, 1)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 
 	"hyperplex/internal/hypergraph"
 )
@@ -17,7 +18,7 @@ import (
 //
 // The peeler is the k-core's (csr.Decompose) with one more rule:
 // hyperedges die when empty, non-maximal, or smaller than l; vertices
-// die when their degree drops below k.
+// die when their degree drops below k.  It stops at level k.
 func BiCore(h *hypergraph.Hypergraph, k, l int) *Result {
 	r, err := BiCoreCtx(context.Background(), h, k, l)
 	if err != nil {
@@ -31,7 +32,7 @@ func BiCore(h *hypergraph.Hypergraph, k, l int) *Result {
 // operations.  On cancellation or budget exhaustion it returns
 // (nil, err).
 func BiCoreCtx(ctx context.Context, h *hypergraph.Hypergraph, k, l int) (*Result, error) {
-	d, err := decomposeL(ctx, h, l)
+	d, err := decomposeL(ctx, h, l, max(k, 1))
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +43,7 @@ func BiCoreCtx(ctx context.Context, h *hypergraph.Hypergraph, k, l int) (*Result
 // non-empty (k, l)-core, plus that core.  It exists so callers can
 // sweep the l axis cheaply.
 func BiCoreDecomposeL(h *hypergraph.Hypergraph, l int) (int, *Result) {
-	d, err := decomposeL(context.Background(), h, l)
+	d, err := decomposeL(context.Background(), h, l, math.MaxInt)
 	if err != nil {
 		//hyperplexvet:ignore nopanic only an armed failpoint fails a peel under a background context
 		panic(err)

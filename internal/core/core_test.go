@@ -384,23 +384,6 @@ func TestPropertyKCoreMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestPropertyKCoreMatchesParallel(t *testing.T) {
-	prop := func(seed uint64, kRaw uint8) bool {
-		h := randomHypergraph(seed)
-		k := 1 + int(kRaw%4)
-		seq := KCore(h, k)
-		for _, workers := range []int{1, 2, 4} {
-			if !sameResult(h, seq, KCoreParallel(h, k, workers)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPropertyCoresNested(t *testing.T) {
 	// The (k+1)-core is contained in the k-core.
 	prop := func(seed uint64) bool {

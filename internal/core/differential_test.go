@@ -5,6 +5,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -13,9 +14,12 @@ import (
 
 	"hyperplex/internal/check"
 	"hyperplex/internal/core"
+	"hyperplex/internal/csr"
 	"hyperplex/internal/dataset"
 	"hyperplex/internal/gen"
 	"hyperplex/internal/hypergraph"
+	"hyperplex/internal/mmio"
+	"hyperplex/internal/run"
 	"hyperplex/internal/xrand"
 )
 
@@ -53,40 +57,69 @@ func TestDifferentialKCore(t *testing.T) {
 	}
 }
 
-// TestDifferentialKCoreParallel exercises the concurrent peeler with 1,
-// 2 and NumCPU workers (run under -race in CI) and requires agreement
-// with the paper's overlap-count peel plus the invariant checker, and
-// that no worker goroutine outlives the calls.
-func TestDifferentialKCoreParallel(t *testing.T) {
-	snapshot := check.GoroutineSnapshot()
-	defer func() {
-		if err := check.CheckNoLeaks(snapshot, 2*time.Second); err != nil {
-			t.Error(err)
+// TestDifferentialCappedPeel holds the peel stopped at level kmax to
+// the full peel: over a wide sweep, Cellzome and a human-scale
+// proteome, at l ∈ {1, …, 4} and every cap from 1 to MaxK+1, each
+// vertex and hyperedge coreness must equal the full one capped at
+// kmax, by ID, and MaxK must be min(MaxK, kmax).  KCore and BiCore,
+// which stop at level k, must return exactly Core(k) of the full
+// decomposition, the same hyperedge IDs included.
+func TestDifferentialCappedPeel(t *testing.T) {
+	capped := func(c []int32, kmax int) []int32 {
+		out := make([]int32, len(c))
+		for i, x := range c {
+			out[i] = min(x, int32(kmax))
 		}
-	}()
-	workers := []int{1, 2, runtime.NumCPU()}
-	for i, h := range check.Instances(58, 0xC04E2) {
-		for _, k := range []int{1, 2, 3} {
-			want := check.OverlapCore(h, k, 1)
-			for _, w := range workers {
-				got := core.KCoreParallel(h, k, w)
-				if err := check.SameResult(h, got, want); err != nil {
-					t.Fatalf("instance %d %v, k=%d, workers=%d: parallel vs the overlap peel: %v", i, h, k, w, err)
+		return out
+	}
+	instances := append(check.Instances(300, 7), dataset.Cellzome().H, dataset.SyntheticProteome(20000, 3000, 0x42A1))
+	for i, h := range instances {
+		c := csr.FromH(h)
+		for l := 1; l <= 4; l++ {
+			full := csr.Decompose(c, l)
+			for kmax := 1; kmax <= full.MaxK+1; kmax++ {
+				got, err := csr.DecomposeCtx(context.Background(), c, l, kmax)
+				switch {
+				case err != nil:
+					t.Fatalf("instance %d %v, l=%d, kmax=%d: %v", i, h, l, kmax, err)
+				case got.MaxK != min(full.MaxK, kmax):
+					t.Fatalf("instance %d %v, l=%d, kmax=%d: MaxK %d, full %d", i, h, l, kmax, got.MaxK, full.MaxK)
+				case !slices.Equal(got.VertexCoreness, capped(full.VertexCoreness, kmax)):
+					t.Fatalf("instance %d %v, l=%d, kmax=%d: vertex coreness is not the full one capped", i, h, l, kmax)
+				case !slices.Equal(got.EdgeCoreness, capped(full.EdgeCoreness, kmax)):
+					t.Fatalf("instance %d %v, l=%d, kmax=%d: edge coreness is not the full one capped", i, h, l, kmax)
 				}
 			}
-			if err := check.ValidCore(h, k, core.KCoreParallel(h, k, 2)); err != nil {
-				t.Fatalf("instance %d %v, k=%d: %v", i, h, k, err)
+			d := &core.Decomposition{VertexCoreness: ints(full.VertexCoreness), EdgeCoreness: ints(full.EdgeCoreness), MaxK: full.MaxK}
+			for k := 0; k <= d.MaxK+1; k++ {
+				if got, want := core.BiCore(h, k, l), d.Core(k); !sameIDs(got, want) {
+					t.Fatalf("instance %d %v: BiCore(%d, %d) differs from Core(%d) of the full decomposition", i, h, k, l, k)
+				}
+				if l > 1 {
+					continue
+				}
+				if got, want := core.KCore(h, k), d.Core(k); !sameIDs(got, want) {
+					t.Fatalf("instance %d %v: KCore(%d) differs from Core(%d) of the full decomposition", i, h, k, k)
+				}
 			}
 		}
 	}
-	h := dataset.Cellzome().H
-	want := check.OverlapCore(h, 6, 1)
-	for _, w := range workers {
-		got := core.KCoreParallel(h, 6, w)
-		if err := check.SameResult(h, got, want); err != nil {
-			t.Fatalf("Cellzome k=6, workers=%d: %v", w, err)
-		}
+}
+
+// ints widens a flat coreness vector to core's []int.
+func ints(c []int32) []int {
+	out := make([]int, len(c))
+	for i, x := range c {
+		out[i] = int(x)
 	}
+	return out
+}
+
+// sameIDs reports whether two cores hold the same vertex and hyperedge
+// IDs at the same level.
+func sameIDs(a, b *core.Result) bool {
+	return a.K == b.K && a.NumVertices == b.NumVertices && a.NumEdges == b.NumEdges &&
+		slices.Equal(a.VertexIn, b.VertexIn) && slices.Equal(a.EdgeIn, b.EdgeIn)
 }
 
 // TestDifferentialShardedDecompose points the differential driver at
@@ -329,5 +362,44 @@ func TestDifferentialDecompose(t *testing.T) {
 	r := d.Core(6)
 	if err := check.ValidCore(h, 6, r); err != nil {
 		t.Fatalf("Cellzome decomposition 6-core: %v", err)
+	}
+}
+
+// TestPeelStepPins pins the meter's step count of DecomposeCtx and of
+// KCoreCtx, which stops the same peel at level k, exactly: the
+// operations are deterministic, so any change to what the peel does
+// or charges moves a pin.  A change may re-record a pin only when it
+// changes the peel's work or its charging on purpose, and it gives the
+// reason in CHANGES.md.
+func TestPeelStepPins(t *testing.T) {
+	banded, err := mmio.ToHypergraph(gen.SyntheticMatrix(gen.MatrixSpec{Name: "bench", Rows: 8000, Cols: 8000, Band: 10, BandFill: 0.7, RandomPerRow: 2, Seed: 0xBE}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		h         *hypergraph.Hypergraph
+		decompose int64
+		kcore     map[int]int64
+	}{
+		{"Cellzome", dataset.Cellzome().H, 10618, map[int]int64{2: 6622, 6: 9727}},
+		{"banded 8000x8000", banded, 1671596, map[int]int64{2: 375993, 8: 375993}},
+	} {
+		ctx, meter := run.WithBudget(context.Background(), run.Budget{})
+		if _, err := core.DecomposeCtx(ctx, tc.h); err != nil {
+			t.Fatal(err)
+		}
+		if got := meter.Steps(); got != tc.decompose {
+			t.Errorf("%s: DecomposeCtx charged %d steps, pinned %d", tc.name, got, tc.decompose)
+		}
+		for k, want := range tc.kcore {
+			ctx, meter := run.WithBudget(context.Background(), run.Budget{})
+			if _, err := core.KCoreCtx(ctx, tc.h, k); err != nil {
+				t.Fatal(err)
+			}
+			if got := meter.Steps(); got != want {
+				t.Errorf("%s: KCoreCtx(%d) charged %d steps, pinned %d", tc.name, k, got, want)
+			}
+		}
 	}
 }

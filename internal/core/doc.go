@@ -21,15 +21,16 @@
 //
 //   - Decompose / KCore / MaxCore / BiCore: one sequential peeler, the
 //     bucket-queue kernel csr.Decompose, with every core read off its
-//     decomposition; BiCore adds a minimum hyperedge size l.
+//     decomposition.  KCore and BiCore stop the peel at level k, as
+//     the paper's algorithm does; BiCore adds a minimum hyperedge
+//     size l.
 //   - KCoreNaive: a fixpoint reference that re-scans for containment
 //     each round; used by tests and the maximality ablation benchmark.
-//   - KCoreParallel: a round-synchronous peeling algorithm answering
-//     the paper's call ("for large hypergraphs, a parallel algorithm
-//     will need to be designed").
 //   - ShardedDecompose and DistPeeler: BSP decomposition engines over
 //     vertex-block shards from internal/partition, peeling shards in
 //     synchronized rounds with cross-shard deltas exchanged at
-//     barriers.  They run the sequential peeler's round schedule and
-//     return its decomposition byte for byte.
+//     barriers, answering the paper's call ("for large hypergraphs, a
+//     parallel algorithm will need to be designed").  They run the
+//     sequential peeler's round schedule and return its decomposition
+//     byte for byte.
 package core

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 
 	"hyperplex/internal/csr"
 	"hyperplex/internal/hypergraph"
@@ -95,11 +96,12 @@ func (d *Decomposition) Profile() []CoreLevel {
 }
 
 // decomposeL computes the decomposition whose level k is the
-// (k, l)-core of h, with csr.DecomposeCtx: the hypergraph is viewed as
-// a csr.CSR (the pins are aliased) and peeled by the one sequential
-// peeler.  Every sequential route reads its answer off this call.
-func decomposeL(ctx context.Context, h *hypergraph.Hypergraph, l int) (*Decomposition, error) {
-	fd, err := csr.DecomposeCtx(ctx, csr.FromH(h), l)
+// (k, l)-core of h, capped at level kmax, with csr.DecomposeCtx: the
+// hypergraph is viewed as a csr.CSR (the pins are aliased) and peeled
+// by the one sequential peeler.  Every sequential route reads its
+// answer off this call; the k-core routes stop the peel at level k.
+func decomposeL(ctx context.Context, h *hypergraph.Hypergraph, l, kmax int) (*Decomposition, error) {
+	fd, err := csr.DecomposeCtx(ctx, csr.FromH(h), l, kmax)
 	if err != nil {
 		return nil, err
 	}
@@ -119,8 +121,8 @@ func decomposeL(ctx context.Context, h *hypergraph.Hypergraph, l int) (*Decompos
 
 // KCore computes the k-core of h and returns the surviving membership.
 // k must be ≥ 0; the 0-core is the reduced hypergraph with isolated
-// vertices removed.  It reads the core off the full decomposition
-// (Decompose), so every sequential route runs the one peeler.
+// vertices removed.  It runs the one sequential peeler of Decompose
+// and stops it at level k, as the paper's algorithm does.
 func KCore(h *hypergraph.Hypergraph, k int) *Result {
 	r, err := KCoreCtx(context.Background(), h, k)
 	if err != nil {
@@ -157,7 +159,7 @@ func Decompose(h *hypergraph.Hypergraph) *Decomposition {
 // operations (the csr.build and csr.peel checkpoint sites).  On
 // cancellation or budget exhaustion it returns (nil, err).
 func DecomposeCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Decomposition, error) {
-	return decomposeL(ctx, h, 1)
+	return decomposeL(ctx, h, 1, math.MaxInt)
 }
 
 // CSRDecompose is Decompose, under the name of the flat-array kernel

@@ -23,11 +23,11 @@ import (
 // travel through per-pair outboxes that the owning shard applies after
 // an exchange barrier.  Plain arrays therefore suffice — no atomics —
 // and every phase reads a snapshot that the barriers keep stable.  The
-// rounds are the same round-synchronous schedule as KCoreParallel and
-// the sequential CSR peeler (csr.Decompose), so the engine reaches the
-// same confluent fixpoint per level, and with the CSR peeler and
-// DistPeeler it keeps the same member of every equal-set family: the
-// three return equal decompositions, edge coreness included.  The
+// rounds are the round schedule of the sequential CSR peeler
+// (csr.Decompose), so the engine reaches the same confluent fixpoint
+// per level, and with the CSR peeler and DistPeeler it keeps the same
+// member of every equal-set family: the three return equal
+// decompositions, edge coreness included.  The
 // reduction test (empty or non-maximal) is the flat-array containment
 // detector of internal/csr (csr.Detector), run by each worker on its
 // own stamp scratch against the global alive/degree arrays, which the
@@ -55,6 +55,37 @@ var fpShardedWorker = failpoint.Register("core.sharded.worker")
 // fpShardedExchange fires at every exchange barrier, where outbox
 // updates become visible to their owning shards.
 var fpShardedExchange = failpoint.Register("core.sharded.exchange")
+
+// maxParallelWorkers caps the worker and shard counts: each worker
+// owns O(|F|) scratch and the exchange buffers are quadratic in the
+// shard count, so an absurd request would turn into an allocation bomb
+// rather than more parallelism.
+const maxParallelWorkers = 512
+
+// normalizeWorkers applies the documented worker-count policy of the
+// parallel engines: ≤ 0 selects runtime.NumCPU(), and requests beyond
+// maxParallelWorkers are clamped.
+func normalizeWorkers(workers int) int {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	if workers > maxParallelWorkers {
+		workers = maxParallelWorkers
+	}
+	return workers
+}
+
+// WorkerPanicError reports a panic recovered at a parallel worker
+// boundary: the computation is abandoned but the panic surfaces as an
+// error instead of crossing goroutines, and no worker is leaked.
+type WorkerPanicError struct {
+	Value any    // the recovered panic value
+	Stack []byte // stack of the panicking worker
+}
+
+func (e *WorkerPanicError) Error() string {
+	return fmt.Sprintf("core: parallel worker panic: %v", e.Value)
+}
 
 // ShardedOptions configures the sharded decomposition engine.
 type ShardedOptions struct {

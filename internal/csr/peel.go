@@ -3,6 +3,7 @@ package csr
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"hyperplex/internal/failpoint"
 	"hyperplex/internal/run"
@@ -32,6 +33,13 @@ import (
 // pending.  The reduction tie-break then keeps the same member of each
 // equal-set family as those engines, so the three return the same
 // decomposition, edge coreness included.
+//
+// At that rise every alive vertex has degree at least the new level
+// and every alive hyperedge is non-empty and maximal, so the alive
+// sub-hypergraph is already the core of that level: the paper's k-core
+// algorithm stops there.  A peel capped at kmax does the same when the
+// level would reach kmax, giving every survivor coreness kmax, so it
+// returns the full decomposition with each coreness capped at kmax.
 
 // fpBuild fires at the checkpoints of the construction phase (arena
 // setup and initial reduction), before the first vertex pops.
@@ -119,6 +127,8 @@ type peeler struct {
 	// alive members dies at the end of its round.  l ≤ 1 leaves only
 	// the empty hyperedge, which the detector retires anyway.
 	minSize int
+	// kmax is the level at which the peel stops (see peel).
+	kmax int
 
 	core   int
 	aliveV int
@@ -173,7 +183,7 @@ func (p *peeler) checkpointPeel(n int) {
 // initial degrees and performs the initial reduction (empty,
 // non-maximal and, for l > 1, undersized hyperedges die at coreness
 // 0): round 0, with every hyperedge pending.
-func newPeeler(ctx context.Context, c *CSR, l int) *peeler {
+func newPeeler(ctx context.Context, c *CSR, l, kmax int) *peeler {
 	// Entry checkpoint: an already-cancelled context aborts before any
 	// work, even on inputs too small to reach a periodic checkpoint.
 	if err := run.Tick(ctx, run.MeterFrom(ctx), 0); err != nil {
@@ -189,6 +199,7 @@ func newPeeler(ctx context.Context, c *CSR, l int) *peeler {
 		eAlive:  make([]bool, ne),
 		aliveV:  nv,
 		minSize: l,
+		kmax:    kmax,
 	}
 	p.checkpoint = p.checkpointBuild
 
@@ -365,6 +376,9 @@ func (p *peeler) endRound() {
 // Before the level rises, and after the last vertex, the round ends;
 // its deaths can push vertices back to or below the current level, so
 // the level rises only once no vertex is there and nothing is pending.
+// A rise to kmax or beyond ends the peel instead (stopAt): every bucket
+// below p.cur is empty, so every alive degree is at least p.cur even
+// when its bucket holds only stale entries.
 //
 //hyperplexvet:hotpath
 func (p *peeler) peel() {
@@ -373,9 +387,15 @@ func (p *peeler) peel() {
 		for p.head[p.cur] == -1 {
 			p.cur++
 		}
-		if p.cur > p.core && len(p.pending) > 0 {
-			p.endRound()
-			continue
+		if p.cur > p.core {
+			if len(p.pending) > 0 {
+				p.endRound()
+				continue
+			}
+			if p.cur >= p.kmax {
+				p.stopAt(p.kmax)
+				return
+			}
 		}
 		idx := p.head[p.cur]
 		p.head[p.cur] = p.next[idx]
@@ -394,6 +414,27 @@ func (p *peeler) peel() {
 	p.endRound()
 }
 
+// stopAt ends the peel at level k: every alive vertex and hyperedge is
+// in the k-core, so each gets coreness k, and k becomes the maximum.
+// The pass is charged one operation per survivor.
+func (p *peeler) stopAt(k int) {
+	p.core = k
+	n := 0
+	for v, alive := range p.vAlive {
+		if alive {
+			p.vCore[v] = int32(k)
+			n++
+		}
+	}
+	for f, alive := range p.eAlive {
+		if alive {
+			p.eCore[f] = int32(k)
+			n++
+		}
+	}
+	p.charge(n)
+}
+
 // Decompose computes the full core decomposition of c with the
 // bucket-queue peeler, the one sequential peeler of the repository.
 // Hyperedges with fewer than l alive members die as well, so every
@@ -401,7 +442,7 @@ func (p *peeler) peel() {
 // k-core decomposition, which is exactly the decomposition of the
 // sharded and distributed engines: they run the same rounds.
 func Decompose(c *CSR, l int) *Decomposition {
-	d, err := DecomposeCtx(context.Background(), c, l)
+	d, err := DecomposeCtx(context.Background(), c, l, math.MaxInt)
 	if err != nil {
 		// Only reachable through an armed failpoint: a background
 		// context cannot be cancelled and carries no budget.
@@ -410,13 +451,17 @@ func Decompose(c *CSR, l int) *Decomposition {
 	return d
 }
 
-// DecomposeCtx is Decompose honoring cancellation, deadline and any
-// run.Budget attached to ctx, checked every bounded number of peel
-// operations.  On cancellation or budget exhaustion it returns
-// (nil, err): the half-peeled state is not a valid decomposition.
-func DecomposeCtx(ctx context.Context, c *CSR, l int) (d *Decomposition, err error) {
+// DecomposeCtx is Decompose stopped at level kmax ≥ 1, honoring
+// cancellation, deadline and any run.Budget attached to ctx, checked
+// every bounded number of peel operations.  Every vertex and hyperedge
+// in the kmax-core gets coreness kmax and MaxK is at most kmax, so
+// each coreness is the full decomposition's capped at kmax and level
+// kmax is still the (kmax, l)-core; math.MaxInt peels every level.  On
+// cancellation or budget exhaustion it returns (nil, err): the
+// half-peeled state is not a valid decomposition.
+func DecomposeCtx(ctx context.Context, c *CSR, l, kmax int) (d *Decomposition, err error) {
 	defer recoverPeelAbort(&err)
-	p := newPeeler(ctx, c, l)
+	p := newPeeler(ctx, c, l, kmax)
 	p.peel()
 	return &Decomposition{
 		VertexCoreness: p.vCore,
