@@ -109,16 +109,17 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "maximum core: %d\n", d.MaxK)
+		w := bufio.NewWriter(stdout)
+		fmt.Fprintf(w, "maximum core: %d\n", d.MaxK)
 		for _, lvl := range d.Profile() {
-			fmt.Fprintf(stdout, "  %d-core: %d vertices, %d hyperedges\n", lvl.K, lvl.Vertices, lvl.Edges)
+			fmt.Fprintf(w, "  %d-core: %d vertices, %d hyperedges\n", lvl.K, lvl.Vertices, lvl.Edges)
 		}
 		if !*quiet {
 			for v := 0; v < h.NumVertices(); v++ {
-				fmt.Fprintf(stdout, "%s\t%d\n", cli.VertexLabel(h, v), d.VertexCoreness[v])
+				fmt.Fprintf(w, "%s\t%d\n", cli.VertexLabel(h, v), d.VertexCoreness[v])
 			}
 		}
-		return nil
+		return w.Flush()
 	case *k >= 0 && engine:
 		d, err := decomposeVia()
 		if err != nil {
@@ -142,9 +143,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 }
 
 func report(stdout io.Writer, h *hypergraph.Hypergraph, r *core.Result, pajekPrefix string, quiet bool) error {
-	fmt.Fprintf(stdout, "%d-core: %d vertices, %d hyperedges\n", r.K, r.NumVertices, r.NumEdges)
+	w := bufio.NewWriter(stdout)
+	fmt.Fprintf(w, "%d-core: %d vertices, %d hyperedges\n", r.K, r.NumVertices, r.NumEdges)
 	if !quiet {
-		w := bufio.NewWriter(stdout)
 		for v := range r.VertexIn {
 			if r.VertexIn[v] {
 				fmt.Fprintf(w, "vertex %s\n", cli.VertexLabel(h, v))
@@ -155,30 +156,38 @@ func report(stdout io.Writer, h *hypergraph.Hypergraph, r *core.Result, pajekPre
 				fmt.Fprintf(w, "hyperedge %s\n", cli.EdgeLabel(h, f))
 			}
 		}
-		w.Flush()
 	}
-	if pajekPrefix != "" {
-		if err := writePajek(h, r, pajekPrefix); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %s.net and %s.clu\n", pajekPrefix, pajekPrefix)
+	if err := w.Flush(); err != nil {
+		return err
 	}
-	return nil
+	if pajekPrefix == "" {
+		return nil
+	}
+	if err := writePajek(h, r, pajekPrefix); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(stdout, "wrote %s.net and %s.clu\n", pajekPrefix, pajekPrefix)
+	return err
 }
 
 func writePajek(h *hypergraph.Hypergraph, r *core.Result, prefix string) error {
-	nf, err := os.Create(prefix + ".net")
+	if err := writeFile(prefix+".net", func(w io.Writer) error { return pajek.WriteNet(w, h, r.VertexIn, r.EdgeIn) }); err != nil {
+		return err
+	}
+	return writeFile(prefix+".clu", func(w io.Writer) error { return pajek.WriteClu(w, h, r.VertexIn, r.EdgeIn) })
+}
+
+// writeFile creates path, runs write on it and closes it, returning the
+// first error of the three.
+func writeFile(path string, write func(io.Writer) error) (err error) {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer nf.Close()
-	if err := pajek.WriteNet(nf, h, r.VertexIn, r.EdgeIn); err != nil {
-		return err
-	}
-	cf, err := os.Create(prefix + ".clu")
-	if err != nil {
-		return err
-	}
-	defer cf.Close()
-	return pajek.WriteClu(cf, h, r.VertexIn, r.EdgeIn)
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return write(f)
 }

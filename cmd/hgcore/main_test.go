@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -330,5 +331,46 @@ func TestRunStoreBadFile(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-store", path}, nil, &out); err == nil {
 		t.Error("junk store file accepted")
+	}
+}
+
+// errFull is the error shortWriter fails with.
+var errFull = errors.New("no space left on device")
+
+// shortWriter accepts n bytes and fails every write past them, as a
+// stdout on a full disk does.
+type shortWriter struct{ n int }
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestRunWriteErrors pins that hgcore fails when its output does: a
+// stdout that fails at the first byte or only at the last one makes
+// run return the write error instead of success.
+func TestRunWriteErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-decompose"},
+		{"-decompose", "-quiet"},
+		nil,
+		{"-k", "2"},
+		{"-k", "2", "-shards", "2"},
+		{"-quiet", "-pajek", filepath.Join(t.TempDir(), "core")},
+	} {
+		var full bytes.Buffer
+		if err := run(args, strings.NewReader(planted), &full); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		for _, n := range []int{0, full.Len() - 1} {
+			if err := run(args, strings.NewReader(planted), &shortWriter{n: n}); !errors.Is(err, errFull) {
+				t.Errorf("%v, stdout failing after %d of %d bytes: err = %v, want %v", args, n, full.Len(), err, errFull)
+			}
+		}
 	}
 }

@@ -123,7 +123,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 			return err
 		}
 		c = res.Cover
-		fmt.Fprintf(stdout, "dual lower bound %.2f, certified ratio %.2f\n", res.DualValue, res.ApproxRatio())
+		if _, err := fmt.Fprintf(stdout, "dual lower bound %.2f, certified ratio %.2f\n", res.DualValue, res.ApproxRatio()); err != nil {
+			return err
+		}
 	case *exact:
 		if *r != 1 {
 			return fmt.Errorf("-exact supports only -r 1")
@@ -146,19 +148,18 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 		return fmt.Errorf("internal error: produced cover fails verification: %w", err)
 	}
 
-	fmt.Fprintf(stdout, "cover: %d vertices, weight %.2f, average degree %.2f", c.Size(), c.Weight, c.AverageDegree(h))
+	w := bufio.NewWriter(stdout)
+	fmt.Fprintf(w, "cover: %d vertices, weight %.2f, average degree %.2f", c.Size(), c.Weight, c.AverageDegree(h))
 	if skipped > 0 {
-		fmt.Fprintf(stdout, " (%d hyperedges skipped)", skipped)
+		fmt.Fprintf(w, " (%d hyperedges skipped)", skipped)
 	}
-	fmt.Fprintln(stdout)
+	fmt.Fprintln(w)
 	if !*quiet {
-		w := bufio.NewWriter(stdout)
 		for _, v := range c.Vertices {
 			fmt.Fprintln(w, cli.VertexLabel(h, v))
 		}
-		w.Flush()
 	}
-	return nil
+	return w.Flush()
 }
 
 // loadWeights reads "name weight" lines; proteins absent from the file

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -218,6 +219,45 @@ func TestRunStoreMatchesText(t *testing.T) {
 		}
 		if text.String() != mapped.String() {
 			t.Errorf("%v: text %q vs store %q", mode, text.String(), mapped.String())
+		}
+	}
+}
+
+// errFull is the error shortWriter fails with.
+var errFull = errors.New("no space left on device")
+
+// shortWriter accepts n bytes and fails every write past them, as a
+// stdout on a full disk does.
+type shortWriter struct{ n int }
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestRunWriteErrors pins that hgcover fails when its output does: a
+// stdout that fails at the first byte or only at the last one makes
+// run return the write error instead of success.
+func TestRunWriteErrors(t *testing.T) {
+	for _, args := range [][]string{
+		nil,
+		{"-quiet"},
+		{"-r", "2"},
+		{"-primal-dual"},
+	} {
+		var full bytes.Buffer
+		if err := run(args, strings.NewReader(sample), &full); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		for _, n := range []int{0, full.Len() - 1} {
+			if err := run(args, strings.NewReader(sample), &shortWriter{n: n}); !errors.Is(err, errFull) {
+				t.Errorf("%v, stdout failing after %d of %d bytes: err = %v, want %v", args, n, full.Len(), err, errFull)
+			}
 		}
 	}
 }

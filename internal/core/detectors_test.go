@@ -20,13 +20,21 @@ import (
 )
 
 // reduceInstances returns a deterministic mix of crafted corner cases
-// (duplicates, nesting, a spanning edge) and random hypergraphs.
+// (duplicates, nesting, a spanning edge, signature collisions) and
+// random hypergraphs.
 func reduceInstances(t *testing.T) []*hypergraph.Hypergraph {
 	t.Helper()
 	crafted := [][][]int32{
 		{{0, 1}, {0, 1}, {0, 1, 2}, {3}},          // duplicates + nesting
 		{{0, 1, 2, 3, 4}, {1, 2}, {2, 3}, {0, 4}}, // spanning edge over all others
 		{{0}, {1}, {2}},                           // disjoint singletons
+		// Signature collisions, where only the member count rules out
+		// f0 = {0, 1, 2} ⊂ f1.  In the first, f1 holds f0's witnesses 0
+		// and 1 in both row layouts and 66 sets the bit of 2.  In the
+		// second, 64 sets the bit of 0, and 0's extra hyperedges make 1
+		// and 2 the presorted witnesses.
+		{{0, 1, 2}, {0, 1, 3, 66}, {2, 5}},
+		{{0, 1, 2}, {64, 1, 2, 3}, {0, 4}, {0, 5}},
 	}
 	var out []*hypergraph.Hypergraph
 	for _, edges := range crafted {
@@ -71,14 +79,17 @@ func bruteOverlap(h *hypergraph.Hypergraph, vAlive []bool, f, g int) int {
 // TestNonMaximalDetectorsAgree checks the detections of the
 // containment rule against each other.  On the all-alive state of the
 // crafted and random instances: the paper's overlap table, the
-// witness-filter csr.Detector and the independent
-// hypergraph.NonMaximalEdges.  On random partial snapshots over the
-// sweep and Cellzome — dead vertices, and dead hyperedges at degree 0
-// the way the engines retire them — every alive hyperedge is checked by
-// csr.Detector over the CSR's own rows and over the peeler's presorted
-// witness rows, and by brute force.  csr.Detector owns the
-// empty-hyperedge rule too, so every dead or empty hyperedge must read
-// as dead to it; the other detections take d(f) > 0.
+// witness-filter csr.Detector over both row layouts and the
+// independent hypergraph.NonMaximalEdges.  On random partial snapshots
+// over the sweep and Cellzome — dead vertices, and dead hyperedges at
+// degree 0 the way the engines retire them — every alive hyperedge is
+// checked by csr.Detector over the CSR's own rows and over the peeler's
+// presorted witness rows, and by brute force.  A second partial pass
+// relabels the sweep's vertices v → 64·v: every member signature is
+// then bit 0, so the signature filter passes every candidate and the
+// member count decides.  csr.Detector owns the empty-hyperedge rule
+// too, so every dead or empty hyperedge must read as dead to it; the
+// other detections take d(f) > 0.
 func TestNonMaximalDetectorsAgree(t *testing.T) {
 	for i, h := range reduceInstances(t) {
 		ne := h.NumEdges()
@@ -93,40 +104,57 @@ func TestNonMaximalDetectorsAgree(t *testing.T) {
 		for v := range vAlive {
 			vAlive[v] = true
 		}
-		snap := &csr.Snapshot{C: cv, Rows: cv.EAdj, VAlive: vAlive, EDeg: eDeg}
 		want := hypergraph.NonMaximalEdges(h)
-		for f := 0; f < ne; f++ {
-			if eDeg[f] == 0 {
-				if dead, _ := det.Dead(snap, int32(f)); !dead {
-					t.Fatalf("instance %d %v: csr.Detector.Dead(%d) = false for an empty hyperedge", i, h, f)
+		for _, rows := range [][]int32{cv.EAdj, witnessRows(cv)} {
+			snap := &csr.Snapshot{C: cv, Rows: rows, VAlive: vAlive, EDeg: eDeg, Sig: csr.Signatures(cv)}
+			for f := 0; f < ne; f++ {
+				if eDeg[f] == 0 {
+					if dead, _ := det.Dead(snap, int32(f)); !dead {
+						t.Fatalf("instance %d %v: csr.Detector.Dead(%d) = false for an empty hyperedge", i, h, f)
+					}
+					continue
 				}
-				continue
-			}
-			if got := tab.NonMaximal(f, eDeg); got != want[f] {
-				t.Fatalf("instance %d %v: check.OverlapTable.NonMaximal(%d) = %t, want %t", i, h, f, got, want[f])
-			}
-			if got, _ := det.Dead(snap, int32(f)); got != want[f] {
-				t.Fatalf("instance %d %v: csr.Detector.Dead(%d) = %t, want %t", i, h, f, got, want[f])
+				if got := tab.NonMaximal(f, eDeg); got != want[f] {
+					t.Fatalf("instance %d %v: check.OverlapTable.NonMaximal(%d) = %t, want %t", i, h, f, got, want[f])
+				}
+				if got, _ := det.Dead(snap, int32(f)); got != want[f] {
+					t.Fatalf("instance %d %v: csr.Detector.Dead(%d) = %t, want %t", i, h, f, got, want[f])
+				}
 			}
 		}
 	}
 
-	// Partial snapshots.  cover counts checks by d(f) class (1, 2, ≥3)
-	// and outcome, so the witness-only and member-count paths are both
-	// known to be reached with both answers.
+	sweep := check.Instances(58, 0xC04E7)
+	spread := make([]*hypergraph.Hypergraph, len(sweep))
+	for i, h := range sweep {
+		spread[i] = spreadIDs(t, h, 64)
+	}
+	t.Run("small IDs", func(t *testing.T) {
+		checkPartialSnapshots(t, append(sweep, dataset.Cellzome().H), xrand.New(0x5A4D))
+	})
+	t.Run("IDs times 64", func(t *testing.T) {
+		checkPartialSnapshots(t, spread, xrand.New(0x5A4E))
+	})
+}
+
+// checkPartialSnapshots compares csr.Detector over both row layouts
+// with bruteNonMaximal on six random partial snapshots per instance.
+// It counts checks by d(f) class (1, 2, ≥3) and outcome, so the
+// witness-only and member-count paths are both known to be reached
+// with both answers.
+func checkPartialSnapshots(t *testing.T, instances []*hypergraph.Hypergraph, rng *xrand.RNG) {
 	var cover [3][2]int
 	equalSets, deadOrEmpty := 0, 0
-	rng := xrand.New(0x5A4D)
-	instances := append(check.Instances(58, 0xC04E7), dataset.Cellzome().H)
 	for i, h := range instances {
 		ne := h.NumEdges()
 		cv := csr.FromH(h)
+		sig := csr.Signatures(cv)
 		rawDet, sortedDet := csr.NewDetector(cv), csr.NewDetector(cv)
 		presorted := witnessRows(cv)
 		for trial := 0; trial < 6; trial++ {
 			vAlive, eAlive, eDeg := randomSnapshot(h, rng, float64(trial)/10, float64(trial%2)*0.15)
-			raw := &csr.Snapshot{C: cv, Rows: cv.EAdj, VAlive: vAlive, EDeg: eDeg}
-			sorted := &csr.Snapshot{C: cv, Rows: presorted, VAlive: vAlive, EDeg: eDeg}
+			raw := &csr.Snapshot{C: cv, Rows: cv.EAdj, VAlive: vAlive, EDeg: eDeg, Sig: sig}
+			sorted := &csr.Snapshot{C: cv, Rows: presorted, VAlive: vAlive, EDeg: eDeg, Sig: sig}
 			for f := int32(0); int(f) < ne; f++ {
 				df := eDeg[f]
 				if !eAlive[f] || df == 0 {
@@ -166,6 +194,27 @@ func TestNonMaximalDetectorsAgree(t *testing.T) {
 	if deadOrEmpty == 0 {
 		t.Error("no snapshot held a dead or empty hyperedge")
 	}
+}
+
+// spreadIDs relabels every vertex v of h as by·v; the vertices in
+// between are isolated.
+func spreadIDs(t *testing.T, h *hypergraph.Hypergraph, by int32) *hypergraph.Hypergraph {
+	t.Helper()
+	edges := make([][]int32, h.NumEdges())
+	for f := range edges {
+		for _, v := range h.Vertices(f) {
+			edges[f] = append(edges[f], by*v)
+		}
+	}
+	nv := 0
+	if n := h.NumVertices(); n > 0 {
+		nv = int(by)*(n-1) + 1
+	}
+	out, err := hypergraph.FromEdgeSets(nv, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // witnessRows returns c's edge rows presorted the way the CSR peeler
@@ -226,4 +275,86 @@ func bruteNonMaximal(h *hypergraph.Hypergraph, vAlive, eAlive []bool, eDeg []int
 		}
 	}
 	return nonMax, equal
+}
+
+// FuzzDetector checks csr.Detector over both row layouts against
+// bruteNonMaximal on hypergraphs decoded by detectorInput, whose
+// vertex IDs are spread past 64 so that member signatures collide.
+func FuzzDetector(f *testing.F) {
+	f.Add([]byte{})
+	// f0 = {0, 1, 2} against f1 = {0, 1, 3, 66}: 66 sets the bit of 2.
+	f.Add([]byte{2, 3, 0x00, 0x01, 0x02, 4, 0x00, 0x01, 0x03, 0x12, 2, 0x02, 0x05})
+	// {0, 1, 2, 66} and {0, 1, 2, 130} become an equal-set pair once 66
+	// and 130, which share the bit of 2, die.
+	f.Add([]byte{1, 4, 0x00, 0x01, 0x02, 0x12, 4, 0x00, 0x01, 0x02, 0x22, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x04, 0, 0, 0, 0, 0, 0, 0, 0x04})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, vAlive, eAlive, eDeg := detectorInput(t, data)
+		c := csr.FromH(h)
+		sig := csr.Signatures(c)
+		for _, rows := range [][]int32{c.EAdj, witnessRows(c)} {
+			det := csr.NewDetector(c)
+			s := &csr.Snapshot{C: c, Rows: rows, VAlive: vAlive, EDeg: eDeg, Sig: sig}
+			for f := int32(0); int(f) < h.NumEdges(); f++ {
+				want := true
+				if eAlive[f] && eDeg[f] > 0 {
+					want, _ = bruteNonMaximal(h, vAlive, eAlive, eDeg, f)
+				}
+				if got, _ := det.Dead(s, f); got != want {
+					t.Fatalf("%v: csr.Detector.Dead(%d) = %t, want %t", h, f, got, want)
+				}
+			}
+		}
+	})
+}
+
+// detectorInput decodes fuzz bytes into a hypergraph over 256 vertices
+// and a partial snapshot of it.  The layout is one byte m (1 + m%8
+// hyperedges), then per hyperedge a length byte n (n%6 members) and n
+// member bytes b, read as vertex (b & 15) + 64·(b>>4 & 3), so member
+// signatures use 16 bits and collide across the four pages of 64.
+// Then one byte whose bit f kills hyperedge f, and bytes whose bit v%8
+// of byte v/8 kills vertex v.  Missing bytes read as zero.
+func detectorInput(t *testing.T, data []byte) (h *hypergraph.Hypergraph, vAlive, eAlive []bool, eDeg []int32) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	edges := make([][]int32, 1+next()%8)
+	for f := range edges {
+		for n := next() % 6; n > 0; n-- {
+			b := next()
+			edges[f] = append(edges[f], int32(b&15)+64*int32(b>>4&3))
+		}
+	}
+	h, err := hypergraph.FromEdgeSets(256, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eDead := next()
+	vAlive = make([]bool, h.NumVertices())
+	var vDead byte
+	for v := range vAlive {
+		if v%8 == 0 {
+			vDead = next()
+		}
+		vAlive[v] = vDead>>(v%8)&1 == 0
+	}
+	eAlive = make([]bool, h.NumEdges())
+	eDeg = make([]int32, h.NumEdges())
+	for f := range eAlive {
+		eAlive[f] = eDead>>f&1 == 0
+		if !eAlive[f] {
+			continue
+		}
+		for _, v := range h.Vertices(f) {
+			if vAlive[v] {
+				eDeg[f]++
+			}
+		}
+	}
+	return h, vAlive, eAlive, eDeg
 }

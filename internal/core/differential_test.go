@@ -384,6 +384,7 @@ func TestPeelStepPins(t *testing.T) {
 	}{
 		{"Cellzome", dataset.Cellzome().H, 10618, map[int]int64{2: 6622, 6: 9727}},
 		{"banded 8000x8000", banded, 1671596, map[int]int64{2: 375993, 8: 375993}},
+		{"proteome 20000x3000", dataset.SyntheticProteome(20000, 3000, 42), 474407, map[int]int64{2: 104060, 14: 403843}},
 	} {
 		ctx, meter := run.WithBudget(context.Background(), run.Budget{})
 		if _, err := core.DecomposeCtx(ctx, tc.h); err != nil {

@@ -119,7 +119,7 @@ func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPee
 		shards: make([]*shardPeel, part.NumShards()),
 		det:    csr.NewDetector(c),
 	}
-	w.snap = csr.Snapshot{C: c, Rows: c.EAdj, VAlive: w.vAlive, EDeg: w.eDeg}
+	w.snap = csr.Snapshot{C: c, Rows: c.EAdj, VAlive: w.vAlive, EDeg: w.eDeg, Sig: csr.Signatures(c)}
 	for v := 0; v < nv; v++ {
 		w.vAlive[v] = true
 	}

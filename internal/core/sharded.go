@@ -30,8 +30,9 @@ import (
 // decompositions, edge coreness included.  The
 // reduction test (empty or non-maximal) is the flat-array containment
 // detector of internal/csr (csr.Detector), run by each worker on its
-// own stamp scratch against the global alive/degree arrays, which the
-// check phases only read.
+// own stamp scratch against the global alive/degree arrays and the
+// static member signatures built at set-up, which the check phases
+// only read.
 //
 // The shard-local peel state lives in the flat-array substrate: each
 // shard materializes its block as a csr.CSR (partition.MaterializeCSR)
@@ -249,7 +250,7 @@ func newShardedEngine(ctx context.Context, h *hypergraph.Hypergraph, part *parti
 		e.eAlive[f] = true
 		e.eDeg[f] = int32(h.EdgeDegree(f))
 	}
-	e.snap = csr.Snapshot{C: e.c, Rows: e.c.EAdj, VAlive: e.vAlive, EDeg: e.eDeg}
+	e.snap = csr.Snapshot{C: e.c, Rows: e.c.EAdj, VAlive: e.vAlive, EDeg: e.eDeg, Sig: csr.Signatures(e.c)}
 	for i := range e.dets {
 		e.dets[i] = csr.NewDetector(e.c)
 	}

@@ -28,6 +28,29 @@ type Snapshot struct {
 	// is dead: the degree filter then skips dead candidates without a
 	// liveness load.
 	EDeg []int32
+	// Sig[g] is hyperedge g's static member signature: the OR of bit
+	// v mod 64 over every member v of g in C (Signatures).  It never
+	// changes during a peel.
+	Sig []uint64
+}
+
+// Signatures returns the static member signature of every hyperedge of
+// c, the Snapshot.Sig of any snapshot over c.
+func Signatures(c *CSR) []uint64 {
+	sig := make([]uint64, c.NumEdges())
+	for f := range sig {
+		sig[f] = signature(c.EAdj[c.EOff[f]:c.EOff[f+1]])
+	}
+	return sig
+}
+
+// signature is the OR of bit v mod 64 over the vertices of row.
+func signature(row []int32) uint64 {
+	var sig uint64
+	for _, v := range row {
+		sig |= 1 << (v & 63)
+	}
+	return sig
 }
 
 // Detector is one worker's stamp scratch for containment tests:
@@ -39,6 +62,10 @@ type Detector struct {
 	stamp  []int32
 	estamp []int32
 	seq    int32
+
+	// memberCounts and memberPins total the member counts Dead has
+	// performed and the pins they scanned.
+	memberCounts, memberPins int64
 }
 
 // NewDetector allocates detector scratch sized for c.
@@ -65,14 +92,21 @@ func NewDetector(c *CSR) *Detector {
 //     v2, and for d(f) ≤ 2 the witnesses are the whole containment
 //     test;
 //   - degree filter: dead hyperedges have degree 0 in s.EDeg, so the
-//     tie-break comparison skips them without a liveness load.
+//     tie-break comparison skips them without a liveness load;
+//   - signature filter: g cannot contain f when f's alive members set
+//     a bit (v mod 64) that g's static signature s.Sig[g] lacks, since
+//     g's alive members are a subset of its static ones.  This is the
+//     signature test of set-containment joins; it skips only member
+//     counts that would fail.
 //
 // The witnesses v1, v2 are the first two alive members of f in its
 // s.Rows row, so a row presorted by ascending static vertex degree
 // gives the shortest candidate scans; which alive members serve as
-// witnesses changes the cost, never the verdict.  Only candidates
-// surviving every filter reach the member count, so f's alive members
-// are stamped lazily on the first such candidate.
+// witnesses changes the cost, never the verdict.  f's alive members
+// are stamped, and their signature ORed together, lazily on the first
+// candidate passing the witness and degree filters.  The signature
+// filter changes neither the verdict nor the returned op count, which
+// charges the candidate scans only.
 //
 //hyperplexvet:hotpath
 func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
@@ -121,8 +155,8 @@ func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 	for _, g := range c.VertexEdges(v2) {
 		estamp[g] = seq
 	}
-	eOff, eAdj := c.EOff, c.EAdj
-	stamp, stamped := d.stamp, false
+	eOff, eAdj, sig := c.EOff, c.EAdj, s.Sig
+	stamp, stamped, sigF := d.stamp, false, uint64(0)
 	//hyperplexvet:ignore budgettick bounded: one pass over v1's static incidence row; the CSR peeler charges the returned op count, the sharded check phases tick one unit per checked hyperedge at entry, and DistPeeler has no meter (its coordinator ticks once per round)
 	for k, g := range row {
 		if estamp[g] != seq || g == f {
@@ -139,11 +173,18 @@ func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 			for _, w := range mrow {
 				if vAlive[w] {
 					stamp[w] = seq
+					sigF |= 1 << (w & 63)
 				}
 			}
 		}
+		if sigF&^sig[g] != 0 {
+			continue // an alive member of f is no member of g
+		}
+		grow := eAdj[eOff[g]:eOff[g+1]]
+		d.memberCounts++
+		d.memberPins += int64(len(grow))
 		n := int32(0)
-		for _, w := range eAdj[eOff[g]:eOff[g+1]] {
+		for _, w := range grow {
 			if stamp[w] == seq {
 				n++
 			}

@@ -113,7 +113,8 @@ type peeler struct {
 	round   int32
 
 	// Containment test (contain.go): det's stamps are carved from the
-	// arena and snap views the peel arrays above.
+	// arena and snap views the peel arrays above, plus the static
+	// member signatures built with the witness rows.
 	det  Detector
 	snap Snapshot
 
@@ -237,17 +238,19 @@ func newPeeler(ctx context.Context, c *CSR, l, kmax int) *peeler {
 	p.pstamp = carve(ne)
 	p.det = Detector{stamp: carve(nv), estamp: carve(ne)}
 	p.mem = carve(pins)
-	p.snap = Snapshot{C: c, Rows: p.mem, VAlive: p.vAlive, EDeg: p.eDeg}
+	p.snap = Snapshot{C: c, Rows: p.mem, VAlive: p.vAlive, EDeg: p.eDeg, Sig: make([]uint64, ne)}
 
 	// Witness rows: each hyperedge's members sorted by ascending static
 	// vertex row length (insertion sort; rows are short).  The detector
 	// scans candidates over a witness's static CSR row, so the cheapest
 	// witnesses are the members with the shortest rows — a property of
-	// the immutable CSR, computable once here.
+	// the immutable CSR, computable once here, like the static member
+	// signatures of its signature filter.
 	copy(p.mem, c.EAdj)
 	for f := 0; f < ne; f++ {
 		p.charge(1)
 		row := p.mem[c.EOff[f]:c.EOff[f+1]]
+		p.snap.Sig[f] = signature(row)
 		for i := 1; i < len(row); i++ {
 			p.charge(1)
 			w := row[i]
