@@ -319,10 +319,12 @@ func BenchmarkStoreDecompose(b *testing.B) {
 	})
 }
 
-// BenchmarkShardedDecompose measures the sharded decomposition engine
-// against the sequential peeler on a banded hypergraph, across shard
-// counts.  The sequential sub-benchmark times the CSR peel, the round
-// schedule the sharded engine runs on one core.
+// BenchmarkShardedDecompose measures the sharded round loop against
+// the sequential peeler on a banded hypergraph, across shard counts.
+// The sequential sub-benchmark times the CSR peel; the sharded ones
+// time one DistPeeler replica that owns every shard and runs the same
+// round schedule in the calling goroutine, so the gap is the cost of
+// the shard bookkeeping and the per-round deltas.
 func BenchmarkShardedDecompose(b *testing.B) {
 	h := bandedBench(b)
 	b.Run("sequential", func(b *testing.B) {

@@ -6,20 +6,24 @@
 //
 // With -k it prints the members of the k-core (or the (k, l)-core with
 // -l); with -max (default) the maximum core; with -decompose the
-// coreness of every vertex.  -shards and -dist run the decomposition on
-// the sharded or distributed engine, which print the same bytes; -l
-// applies only to -k without them.  -pajek writes PREFIX.net and
-// PREFIX.clu with the core highlighted (Fig. 3 of the paper).
+// coreness of every vertex.  The three modes are alternatives.  -shards
+// and -dist run the decomposition on the sharded or distributed engine,
+// which print the same bytes; -l applies only to -k without them, and
+// -hgshardd and -local-fallback only with -dist.  -pajek writes
+// PREFIX.net and PREFIX.clu with the core of -k or -max highlighted
+// (Fig. 3 of the paper).  A flag outside its mode is a usage error.
 package main
 
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
+	"strings"
 
 	"hyperplex/internal/cli"
 	"hyperplex/internal/core"
@@ -59,6 +63,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	engine := *shards > 0 || *distN > 0
 	if *l > 1 && (*k < 0 || *decompose || engine) {
 		return fmt.Errorf("-l %d applies only to -k without -shards or -dist; -max, -decompose, -shards and -dist peel plain k-cores", *l)
+	}
+	if err := checkFlags(*k >= 0, *max, *decompose, *pajekPrefix != "", *distN > 0, *hgshardd != "", *localFallback); err != nil {
+		return err
 	}
 	ctx, cancel := cli.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -140,6 +147,34 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 		}
 		return report(stdout, h, d.Core(d.MaxK), *pajekPrefix, *quiet)
 	}
+}
+
+// checkFlags rejects the flag combinations whose extra flag would
+// otherwise be ignored without a word: -k, -max and -decompose are
+// alternatives, -pajek writes a core so -decompose has nothing to
+// write, and -hgshardd and -local-fallback only configure -dist.
+func checkFlags(k, max, decompose, pajek, dist, hgshardd, localFallback bool) error {
+	var modes []string
+	if k {
+		modes = append(modes, "-k")
+	}
+	if max {
+		modes = append(modes, "-max")
+	}
+	if decompose {
+		modes = append(modes, "-decompose")
+	}
+	switch {
+	case len(modes) > 1:
+		return fmt.Errorf("%s are alternatives: give one of -k, -max and -decompose", strings.Join(modes, " and "))
+	case decompose && pajek:
+		return errors.New("-pajek writes the core of -k or -max; -decompose lists coreness and writes no Pajek files")
+	case hgshardd && !dist:
+		return errors.New("-hgshardd names the worker binary of -dist; give -dist N with it")
+	case localFallback && !dist:
+		return errors.New("-local-fallback applies only to -dist; give -dist N with it")
+	}
+	return nil
 }
 
 func report(stdout io.Writer, h *hypergraph.Hypergraph, r *core.Result, pajekPrefix string, quiet bool) error {

@@ -99,6 +99,56 @@ func TestRunEngineFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsIgnoredFlags pins that a flag the chosen mode would
+// ignore is a usage error naming the flags, on Cellzome: -k, -max and
+// -decompose are alternatives, -decompose writes no Pajek files, and
+// -hgshardd and -local-fallback configure only -dist.  Each call fails
+// before it reads the input or writes a file.
+func TestRunRejectsIgnoredFlags(t *testing.T) {
+	var cellzome bytes.Buffer
+	if err := hypergraph.WriteText(&cellzome, dataset.Cellzome().H); err != nil {
+		t.Fatal(err)
+	}
+	prefix := filepath.Join(t.TempDir(), "core")
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-local-fallback"}, []string{"-local-fallback", "-dist"}},
+		{[]string{"-local-fallback", "-max"}, []string{"-local-fallback", "-dist"}},
+		{[]string{"-hgshardd", "/bin/false"}, []string{"-hgshardd", "-dist"}},
+		{[]string{"-decompose", "-pajek", prefix}, []string{"-decompose", "-pajek"}},
+		{[]string{"-decompose", "-k", "3"}, []string{"-decompose", "-k"}},
+		{[]string{"-max", "-k", "3"}, []string{"-max", "-k"}},
+		{[]string{"-max", "-decompose"}, []string{"-max", "-decompose"}},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, bytes.NewReader(cellzome.Bytes()), &out)
+		if err == nil {
+			t.Errorf("%v: accepted, printed %d bytes", tc.args, out.Len())
+			continue
+		}
+		for _, flag := range tc.want {
+			if !strings.Contains(err.Error(), flag) {
+				t.Errorf("%v: error %q does not name %s", tc.args, err, flag)
+			}
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %d bytes before failing", tc.args, out.Len())
+		}
+	}
+	for _, ext := range []string{".net", ".clu"} {
+		if _, err := os.Stat(prefix + ext); err == nil {
+			t.Errorf("-decompose -pajek wrote %s", prefix+ext)
+		}
+	}
+	// The engine flags stay valid together.
+	var out bytes.Buffer
+	if err := run([]string{"-decompose", "-quiet", "-dist", "2", "-local-fallback"}, bytes.NewReader(cellzome.Bytes()), &out); err != nil {
+		t.Errorf("-dist 2 -local-fallback: %v", err)
+	}
+}
+
 func TestRunShardedMatchesSequential(t *testing.T) {
 	for _, mode := range [][]string{
 		{"-max", "-quiet"},

@@ -81,7 +81,6 @@ func TestMain(m *testing.M) {
 // call's error for the harness to judge.
 func drivers() map[string]func(t *testing.T, ctx context.Context) error {
 	return map[string]func(t *testing.T, ctx context.Context) error{
-		"core.sharded.worker":   shardedDriver,
 		"core.sharded.exchange": shardedDriver,
 		"csr.build":             csrDriver,
 		"csr.peel":              csrDriver,
@@ -277,11 +276,11 @@ func distDriver(t *testing.T, ctx context.Context) error {
 	return err
 }
 
-// shardedDriver exercises both sharded engine sites (worker and
-// exchange) through ShardedDecomposeCtx; a successful decomposition
-// must agree with the paper's overlap peel exactly on vertex coreness.
+// shardedDriver exercises the sharded driver's exchange site through
+// ShardedDecomposeCtx; a successful decomposition must agree with the
+// paper's overlap peel exactly on vertex coreness.
 func shardedDriver(t *testing.T, ctx context.Context) error {
-	d, err := core.ShardedDecomposeCtx(ctx, bigH, core.ShardedOptions{Shards: 4, Workers: 4})
+	d, err := core.ShardedDecomposeCtx(ctx, bigH, core.ShardedOptions{Shards: 4})
 	if err == nil {
 		want := check.OverlapDecompose(bigH)
 		if d.MaxK != want.MaxK {
@@ -565,15 +564,8 @@ func TestChaosErrorArmOverSweep(t *testing.T) {
 			_, err := stats.SmallWorldStatsCtx(ctx, h, 2)
 			return err
 		}},
-		{"core.sharded.worker", func(ctx context.Context, h *hypergraph.Hypergraph) error {
-			d, err := core.ShardedDecomposeCtx(ctx, h, core.ShardedOptions{Shards: 3, Workers: 2})
-			if err == nil {
-				return check.ValidDecomposition(h, d)
-			}
-			return err
-		}},
 		{"core.sharded.exchange", func(ctx context.Context, h *hypergraph.Hypergraph) error {
-			d, err := core.ShardedDecomposeCtx(ctx, h, core.ShardedOptions{Shards: 3, Workers: 2})
+			d, err := core.ShardedDecomposeCtx(ctx, h, core.ShardedOptions{Shards: 3})
 			if err == nil {
 				return check.ValidDecomposition(h, d)
 			}
@@ -603,36 +595,6 @@ func TestChaosErrorArmOverSweep(t *testing.T) {
 				t.Error(err)
 			}
 		})
-	}
-}
-
-// TestChaosShardedWorkerPanicDetail pins the sharded engine's panic
-// boundary: an injected worker panic must come back as a
-// *core.WorkerPanicError carrying the site marker and a stack, with no
-// goroutine leaked.
-func TestChaosShardedWorkerPanicDetail(t *testing.T) {
-	before := check.GoroutineSnapshot()
-	if err := failpoint.Enable("core.sharded.worker", failpoint.Arm{Mode: failpoint.ModePanic}); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Disable("core.sharded.worker")
-	d, err := core.ShardedDecomposeCtx(context.Background(), bigH, core.ShardedOptions{Shards: 4, Workers: 4})
-	failpoint.Disable("core.sharded.worker")
-	if d != nil {
-		t.Fatalf("got a result alongside the injected panic: %+v", d)
-	}
-	var wpe *core.WorkerPanicError
-	if !errors.As(err, &wpe) {
-		t.Fatalf("want *core.WorkerPanicError, got %v", err)
-	}
-	if p, ok := wpe.Value.(failpoint.Panic); !ok || p.Site != "core.sharded.worker" {
-		t.Fatalf("recovered value %v, want the failpoint marker", wpe.Value)
-	}
-	if len(wpe.Stack) == 0 {
-		t.Error("recovered panic carries no stack")
-	}
-	if err := check.CheckNoLeaks(before, 2*time.Second); err != nil {
-		t.Error(err)
 	}
 }
 

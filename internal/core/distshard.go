@@ -1,34 +1,35 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"hyperplex/internal/csr"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/partition"
+	"hyperplex/internal/run"
 )
 
-// This file is the engine layer's distributed face: the per-worker
-// peel state a coordinator/worker runtime (internal/dist) drives over a
-// wire instead of through in-memory outboxes.  A DistPeeler is one
-// worker's replica — the full hypergraph as a csr.CSR, the global
-// alive/degree/coreness mirrors every worker keeps in lockstep, and the
-// shardPeel arenas of the shards assigned to this worker.  The phase
-// methods mirror the bulk-synchronous schedule of shardedEngine
-// (sharded.go) exactly, with one twist: instead of pairwise outboxes,
-// each round's cross-shard traffic is two broadcast deltas — the dying
-// hyperedge IDs and the retired vertex IDs — which every replica
-// applies uniformly, so the mirrors never diverge.  Degree decrements,
-// alive flips and coreness clamps are commutative within a phase, so
-// the fixpoint per level (and therefore the coreness assignment) is
-// identical to Decompose and ShardedDecompose, and the whole
-// decomposition, edge coreness included, equals ShardedDecompose's and
-// Decompose's byte for byte: all three run one round schedule.  The
-// reduction test
-// (empty or non-maximal) is the same flat-array containment detector
-// (csr.Detector) over the replica's own mirrors, with a retired
-// hyperedge's mirrored degree zeroed so the detector's degree filter
-// skips it.
+// This file is the engine layer's one copy of the bulk-synchronous
+// phases.  A DistPeeler is a replica of the sharded peel: the full
+// hypergraph as a csr.CSR, the global alive/degree/coreness mirrors,
+// and the shardPeel arenas of the shards assigned to it.  Two drivers
+// run the same phase methods: ShardedDecomposeCtx (sharded.go) gives
+// one replica every shard and runs the round loop in process, and the
+// internal/dist worker drives one replica per process over the wire.
+// Each round's cross-shard traffic is two deltas — the dying hyperedge
+// IDs and the retired vertex IDs — which every replica applies
+// uniformly, so the mirrors never diverge.  Degree decrements, alive
+// flips and coreness clamps are commutative within a phase, so the
+// fixpoint per level (and therefore the coreness assignment) is
+// identical to Decompose, and the whole decomposition, edge coreness
+// included, equals Decompose's byte for byte: both run one round
+// schedule.  The reduction test (empty or non-maximal) is the
+// flat-array containment detector (csr.Detector) over the replica's
+// own mirrors, with a retired hyperedge's mirrored degree zeroed so the
+// detector's degree filter skips it.  Every phase method takes the
+// caller's ctx and charges its work with run.Tick, so both drivers keep
+// budgets and cancellation.
 //
 // Fault tolerance hangs off two snapshot layers:
 //
@@ -64,6 +65,19 @@ func (sn *ShardSnapshot) Clone() *ShardSnapshot {
 	}
 }
 
+// SnapshotError reports a ShardSnapshot that AssignSnapshot rejects
+// because it cannot describe shard Shard at the replica's barrier.
+// Field names the offending ShardSnapshot field.
+type SnapshotError struct {
+	Shard int32
+	Field string // "Shard", "AliveV", "Deg" or "Dying"
+	Msg   string
+}
+
+func (e *SnapshotError) Error() string {
+	return fmt.Sprintf("core: dist shard %d snapshot: %s %s", e.Shard, e.Field, e.Msg)
+}
+
 // PeelCheckpoint is a worker-local deep copy of a DistPeeler at a
 // barrier: the global mirrors plus a ShardSnapshot per owned shard.
 type PeelCheckpoint struct {
@@ -77,10 +91,52 @@ type PeelCheckpoint struct {
 	shards []*ShardSnapshot
 }
 
-// DistPeeler is one distributed worker's replica of the sharded peel:
-// the full hypergraph, the global mirrors, and the shardPeel arenas of
-// the shards assigned to it.  It is not safe for concurrent use; the
-// dist worker drives it from a single loop.
+// shardPeel is one shard's peel state: a single int32 arena carved
+// into the degree array, the lazy bucket queue, the shrunk stamps and
+// the frontier/shrunk/dying lists.  Owned vertices are addressed by
+// their offset j in the contiguous owned block (global ID lo+j), owned
+// hyperedges by their owner-local index (their position in the
+// partition's Shards[s].Edges).
+type shardPeel struct {
+	lo int32 // first owned global vertex ID
+	n  int32 // owned vertex count
+
+	deg []int32 // current full degree per owned vertex, indexed by j
+
+	// Lazy bucket queue over the owned vertices: head[d] is the top
+	// entry index of the degree-d bucket, next links entries, item
+	// holds the owned offset of each entry.  A vertex is re-pushed on
+	// every decrement; stale entries are skipped at gather time.
+	head, next, item []int32
+	nfree            int32
+	cur              int // lowest possibly-non-empty bucket
+
+	stamp    []int32 // per owned hyperedge: last round it shrank
+	frontier []int32 // owned offsets gathered below threshold this round
+	shrunk   []int32 // owner-local hyperedge indices shrunk this round
+	dying    []int32 // owner-local hyperedge indices found dead
+
+	aliveV int
+}
+
+// push records that owned vertex j now has degree d.  Entries are
+// never removed eagerly; gathers skip entries whose recorded degree is
+// stale.
+func (p *shardPeel) push(j int32, d int) {
+	idx := p.nfree
+	p.nfree++
+	p.item[idx] = j
+	p.next[idx] = p.head[d]
+	p.head[d] = idx
+	if d < p.cur {
+		p.cur = d
+	}
+}
+
+// DistPeeler is one replica of the sharded peel: the full hypergraph,
+// the global mirrors, and the shardPeel arenas of the shards assigned
+// to it.  It is not safe for concurrent use; its driver calls the
+// phase methods from a single loop.
 type DistPeeler struct {
 	c    *csr.CSR
 	part *partition.Partition
@@ -127,6 +183,7 @@ func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPee
 		w.eAlive[f] = true
 		w.eDeg[f] = int32(h.EdgeDegree(f))
 	}
+	//hyperplexvet:ignore budgettick one O(|F|) pass over the partition's hyperedge lists at set-up, like the mirror fills above
 	for s := range part.Shards {
 		for i, g := range part.Shards[s].Edges {
 			w.eLocal[g] = int32(i)
@@ -171,9 +228,8 @@ func (w *DistPeeler) newShard(s int) *shardPeel {
 	}
 	ne := csr.MustInt32(len(sh.Edges))
 	entries := n + ownedInc
-	// One arena allocation backs every int32 slice of the shard — the
-	// same carve discipline as shardedEngine.setupShard, so the work
-	// lists shared through shardPeel stay arena-owned everywhere.
+	// One arena allocation backs every int32 slice of the shard, so the
+	// work lists the phase methods append to stay arena-owned.
 	arena := make([]int32, n+(maxDeg+1)+2*entries+ne+n+2*ne)
 	carve := func(sz int32) []int32 {
 		s := arena[:sz:sz]
@@ -199,11 +255,15 @@ func (w *DistPeeler) newShard(s int) *shardPeel {
 }
 
 // AssignFresh assigns shard s to this replica in its initial state and
-// runs the round-0 reduction over its owned hyperedges (empty and
-// initially non-maximal hyperedges die at coreness 0, exactly like
-// shardedEngine.checkInitial).  It returns the shard's first barrier
-// snapshot.
-func (w *DistPeeler) AssignFresh(s int) *ShardSnapshot {
+// runs the round-0 reduction over its owned hyperedges: empty and
+// initially non-maximal hyperedges become the shard's pending dying
+// list and die at coreness 0.  Snapshot(s) then returns the shard's
+// first barrier state.
+func (w *DistPeeler) AssignFresh(ctx context.Context, s int) error {
+	sh := &w.part.Shards[s]
+	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(len(sh.Vertices))+int64(len(sh.Edges))+1); err != nil {
+		return err
+	}
 	p := w.newShard(s)
 	for j := int32(0); j < p.n; j++ {
 		p.deg[j] = w.c.VertexDegree(p.lo + j)
@@ -211,30 +271,54 @@ func (w *DistPeeler) AssignFresh(s int) *ShardSnapshot {
 	}
 	p.aliveV = int(p.n)
 	w.shards[s] = p
-	for i, g := range w.part.Shards[s].Edges {
+	//hyperplexvet:ignore budgettick bounded pass over the shard's owned hyperedges, charged by the Tick above
+	for i, g := range sh.Edges {
 		if w.checkDead(g) {
 			p.dying = append(p.dying, int32(i))
 		}
 	}
-	return w.snapshotShard(s)
+	return nil
 }
 
 // AssignSnapshot assigns shard s to this replica, restored from a
 // barrier snapshot: degrees come from the snapshot, the bucket queue is
 // rebuilt with one push per alive owned vertex at its current degree,
 // and the pending dying list is mapped back to owner-local indices.
-// The global mirrors must already be at the same barrier.
+// The global mirrors must already be at the same barrier, and the
+// snapshot must agree with them: a *SnapshotError rejects a wrong
+// shard index, a degree array of the wrong length, an alive count
+// other than the mirrors' over the owned block, a degree outside
+// [0, static degree] (or, for an alive vertex, other than its count
+// of alive hyperedges), and a dying hyperedge the shard does not own.
 func (w *DistPeeler) AssignSnapshot(sn *ShardSnapshot) error {
 	s := int(sn.Shard)
 	if s < 0 || s >= len(w.shards) {
-		return fmt.Errorf("core: dist shard snapshot for shard %d of %d", s, len(w.shards))
+		return &SnapshotError{Shard: sn.Shard, Field: "Shard", Msg: fmt.Sprintf("is not one of %d shards", len(w.shards))}
 	}
 	p := w.newShard(s)
 	if len(sn.Deg) != int(p.n) {
-		return fmt.Errorf("core: dist shard %d snapshot has %d degrees, want %d", s, len(sn.Deg), p.n)
+		return &SnapshotError{Shard: sn.Shard, Field: "Deg", Msg: fmt.Sprintf("has %d entries, want %d", len(sn.Deg), p.n)}
+	}
+	alive := int32(0)
+	for j := int32(0); j < p.n; j++ {
+		v := p.lo + j
+		d := sn.Deg[j]
+		if d < 0 || d > w.c.VertexDegree(v) {
+			return &SnapshotError{Shard: sn.Shard, Field: "Deg", Msg: fmt.Sprintf("[%d] = %d is outside [0, %d]", j, d, w.c.VertexDegree(v))}
+		}
+		if !w.vAlive[v] {
+			continue
+		}
+		alive++
+		if live := w.aliveDegree(v); d != live {
+			return &SnapshotError{Shard: sn.Shard, Field: "Deg", Msg: fmt.Sprintf("[%d] = %d, but alive vertex %d has %d alive hyperedges", j, d, v, live)}
+		}
+	}
+	if sn.AliveV != alive {
+		return &SnapshotError{Shard: sn.Shard, Field: "AliveV", Msg: fmt.Sprintf("= %d, but the mirrors hold %d alive owned vertices", sn.AliveV, alive)}
 	}
 	copy(p.deg, sn.Deg)
-	p.aliveV = int(sn.AliveV)
+	p.aliveV = int(alive)
 	for j := int32(0); j < p.n; j++ {
 		if w.vAlive[p.lo+j] {
 			p.push(j, int(p.deg[j]))
@@ -242,7 +326,7 @@ func (w *DistPeeler) AssignSnapshot(sn *ShardSnapshot) error {
 	}
 	for _, g := range sn.Dying {
 		if g < 0 || int(g) >= len(w.eLocal) || w.part.EdgeOwner[g] != int32(s) {
-			return fmt.Errorf("core: dist shard %d snapshot dying edge %d is not owned by it", s, g)
+			return &SnapshotError{Shard: sn.Shard, Field: "Dying", Msg: fmt.Sprintf("hyperedge %d is not owned by the shard", g)}
 		}
 		p.dying = append(p.dying, w.eLocal[g])
 	}
@@ -250,11 +334,23 @@ func (w *DistPeeler) AssignSnapshot(sn *ShardSnapshot) error {
 	return nil
 }
 
+// aliveDegree counts the alive hyperedges of vertex v in the mirrors:
+// the degree an alive vertex carries at every barrier.
+func (w *DistPeeler) aliveDegree(v int32) int32 {
+	d := int32(0)
+	for _, g := range w.c.VertexEdges(v) {
+		if w.eAlive[g] {
+			d++
+		}
+	}
+	return d
+}
+
 // DropShard releases shard s (its owner moved elsewhere).
 func (w *DistPeeler) DropShard(s int) { w.shards[s] = nil }
 
-// snapshotShard captures shard s's barrier state.
-func (w *DistPeeler) snapshotShard(s int) *ShardSnapshot {
+// Snapshot captures owned shard s's barrier state.
+func (w *DistPeeler) Snapshot(s int) *ShardSnapshot {
 	p := w.shards[s]
 	sn := &ShardSnapshot{
 		Shard:  int32(s),
@@ -268,7 +364,35 @@ func (w *DistPeeler) snapshotShard(s int) *ShardSnapshot {
 	return sn
 }
 
-// clampCore mirrors shardedEngine.clampCore: state retired while
+// Snapshots returns the barrier snapshot of every owned shard, in
+// shard order.
+func (w *DistPeeler) Snapshots() []*ShardSnapshot {
+	var out []*ShardSnapshot
+	for s, p := range w.shards {
+		if p != nil {
+			out = append(out, w.Snapshot(s))
+		}
+	}
+	return out
+}
+
+// PendingDying appends every owned shard's pending dying hyperedges,
+// as global IDs, to dst: the dying delta of the next round when this
+// replica owns every shard.
+func (w *DistPeeler) PendingDying(dst []int32) []int32 {
+	//hyperplexvet:ignore budgettick bounded pass over the pending dying lists, which CheckShrunk charged as shrunk hyperedges
+	for s, p := range w.shards {
+		if p == nil {
+			continue
+		}
+		for _, fi := range p.dying {
+			dst = append(dst, w.part.Shards[s].Edges[fi])
+		}
+	}
+	return dst
+}
+
+// clampCore is the shared coreness assignment: state retired while
 // peeling toward threshold k belonged to the (k-1)-core.
 func (w *DistPeeler) clampCore() int {
 	if w.k < 1 {
@@ -279,19 +403,27 @@ func (w *DistPeeler) clampCore() int {
 
 // checkDead reports whether alive hyperedge g (global ID) is empty or
 // non-maximal against the current stable snapshot.
+//
+//hyperplexvet:hotpath
 func (w *DistPeeler) checkDead(g int32) bool {
 	dead, _ := w.det.Dead(&w.snap, g)
 	return dead
 }
 
-// ApplyDying applies a round's broadcast dying-hyperedge delta at
-// threshold k: every replica retires the edges in its mirrors (zeroing
-// their degrees for the detector's degree filter), and the owners of
-// their alive members decrement those vertices' degrees (re-pushing
-// them at the new bucket).  The union must cover every
-// shard's pending dying list; the pending lists are consumed.
-func (w *DistPeeler) ApplyDying(k int, dying []int32) {
+// ApplyDying applies a round's dying-hyperedge delta at threshold k:
+// every replica retires the edges in its mirrors (zeroing their
+// degrees for the detector's degree filter), and the owners of their
+// alive members decrement those vertices' degrees (re-pushing them at
+// the new bucket).  The delta must cover every shard's pending dying
+// list; the pending lists are consumed.
+//
+//hyperplexvet:hotpath
+func (w *DistPeeler) ApplyDying(ctx context.Context, k int, dying []int32) error {
+	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(len(dying))+1); err != nil {
+		return err
+	}
 	w.k = k
+	//hyperplexvet:ignore budgettick bounded pass over the delta, charged by the Tick above
 	for _, g := range dying {
 		w.eAlive[g] = false
 		w.eDeg[g] = 0
@@ -312,14 +444,21 @@ func (w *DistPeeler) ApplyDying(k int, dying []int32) {
 			p.dying = p.dying[:0]
 		}
 	}
+	return nil
 }
 
 // GatherFrontier gathers every owned shard's frontier — alive owned
 // vertices whose degree fell below the threshold — from the bucket
-// queues with the same stale-skipping discipline as the sharded
-// engine, and returns the local frontier size and alive-vertex count
-// for the coordinator's barrier vote.
-func (w *DistPeeler) GatherFrontier() (frontier, alive int) {
+// queues: every bucket below the threshold is drained, keeping the
+// entries whose recorded degree is still current (each alive owned
+// vertex below the threshold has exactly one such entry, pushed by its
+// last decrement).  It returns the local frontier size and alive-vertex
+// count for the barrier vote, and charges the entries it popped.
+//
+//hyperplexvet:hotpath
+func (w *DistPeeler) GatherFrontier(ctx context.Context) (frontier, alive int, err error) {
+	pops := 0
+	//hyperplexvet:ignore budgettick bounded sweep over the shards' queues; the Tick below charges every popped entry
 	for _, p := range w.shards {
 		if p == nil {
 			continue
@@ -329,8 +468,10 @@ func (w *DistPeeler) GatherFrontier() (frontier, alive int) {
 		if top > len(p.head) {
 			top = len(p.head)
 		}
+		//hyperplexvet:ignore budgettick bounded drain of the buckets below the threshold, charged by the Tick below
 		for d := p.cur; d < top; d++ {
 			for idx := p.head[d]; idx != -1; idx = p.next[idx] {
+				pops++
 				j := p.item[idx]
 				if w.vAlive[p.lo+j] && int(p.deg[j]) == d {
 					p.frontier = append(p.frontier, j)
@@ -344,33 +485,42 @@ func (w *DistPeeler) GatherFrontier() (frontier, alive int) {
 		frontier += len(p.frontier)
 		alive += p.aliveV
 	}
-	return frontier, alive
+	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(pops)+1); err != nil {
+		return 0, 0, err
+	}
+	return frontier, alive, nil
 }
 
-// CollectRetired drains the gathered frontiers as global vertex IDs for
-// the retire broadcast.  Nothing is applied yet: the coordinator
-// gathers every worker's contribution and broadcasts the union, which
-// ApplyRetired then applies uniformly.
-func (w *DistPeeler) CollectRetired() []int32 {
-	var out []int32
+// CollectRetired appends the gathered frontiers, as global vertex IDs,
+// to dst and clears them: this replica's part of the retired delta.
+// Nothing is applied yet: the driver gathers every replica's
+// contribution and hands the union to ApplyRetired.
+func (w *DistPeeler) CollectRetired(dst []int32) []int32 {
+	//hyperplexvet:ignore budgettick bounded pass over the frontiers, whose entries GatherFrontier charged
 	for _, p := range w.shards {
 		if p == nil {
 			continue
 		}
 		for _, j := range p.frontier {
-			out = append(out, p.lo+j)
+			dst = append(dst, p.lo+j)
 		}
 		p.frontier = p.frontier[:0]
 	}
-	return out
+	return dst
 }
 
-// ApplyRetired applies a round's broadcast retired-vertex delta: every
-// replica retires the vertices in its mirrors and decrements the
-// degrees of their alive hyperedges, and the owners of those hyperedges
-// record first-shrink stamps for the re-check phase.
-func (w *DistPeeler) ApplyRetired(retired []int32) {
+// ApplyRetired applies a round's retired-vertex delta: every replica
+// retires the vertices in its mirrors and decrements the degrees of
+// their alive hyperedges, and the owners of those hyperedges record
+// first-shrink stamps for the re-check phase.
+//
+//hyperplexvet:hotpath
+func (w *DistPeeler) ApplyRetired(ctx context.Context, retired []int32) error {
+	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(len(retired))+1); err != nil {
+		return err
+	}
 	w.round++
+	//hyperplexvet:ignore budgettick bounded pass over the delta, charged by the Tick above
 	for _, vg := range retired {
 		w.vAlive[vg] = false
 		w.vCore[vg] = w.clampCore()
@@ -391,32 +541,45 @@ func (w *DistPeeler) ApplyRetired(retired []int32) {
 			}
 		}
 	}
+	return nil
 }
 
 // CheckShrunk re-checks every owned hyperedge that shrank this round
 // for emptiness or non-maximality, refilling each shard's pending
-// dying list, and returns the barrier snapshot of every owned shard.
-func (w *DistPeeler) CheckShrunk() []*ShardSnapshot {
-	var out []*ShardSnapshot
+// dying list.  Snapshots or PendingDying read the result.
+//
+//hyperplexvet:hotpath
+func (w *DistPeeler) CheckShrunk(ctx context.Context) error {
+	n := 0
+	for _, p := range w.shards {
+		if p != nil {
+			n += len(p.shrunk)
+		}
+	}
+	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(n)+1); err != nil {
+		return err
+	}
+	//hyperplexvet:ignore budgettick bounded sweep over the shards' shrunk lists, charged by the Tick above
 	for s, p := range w.shards {
 		if p == nil {
 			continue
 		}
+		edges := w.part.Shards[s].Edges
 		p.dying = p.dying[:0]
+		//hyperplexvet:ignore budgettick bounded pass over the shard's shrunk list, charged by the Tick above
 		for _, fi := range p.shrunk {
-			if w.checkDead(w.part.Shards[s].Edges[fi]) {
+			if w.checkDead(edges[fi]) {
 				p.dying = append(p.dying, fi)
 			}
 		}
 		p.shrunk = p.shrunk[:0]
-		out = append(out, w.snapshotShard(s))
 	}
-	return out
+	return nil
 }
 
 // Coreness copies out the replica's coreness mirrors.  Valid once the
-// coordinator has driven every vertex to retirement; every replica
-// holds the full arrays, so any worker can serve the result.
+// driver has retired every vertex; every replica holds the full
+// arrays, so any worker can serve the result.
 func (w *DistPeeler) Coreness() (vCore, eCore []int) {
 	return append([]int(nil), w.vCore...), append([]int(nil), w.eCore...)
 }
@@ -425,7 +588,7 @@ func (w *DistPeeler) Coreness() (vCore, eCore []int) {
 // ShardSnapshot per owned shard.  Restore brings the replica back to
 // exactly this state.
 func (w *DistPeeler) Checkpoint() *PeelCheckpoint {
-	cp := &PeelCheckpoint{
+	return &PeelCheckpoint{
 		K:      w.k,
 		Round:  w.round,
 		vAlive: append([]bool(nil), w.vAlive...),
@@ -433,13 +596,8 @@ func (w *DistPeeler) Checkpoint() *PeelCheckpoint {
 		eDeg:   append([]int32(nil), w.eDeg...),
 		vCore:  append([]int(nil), w.vCore...),
 		eCore:  append([]int(nil), w.eCore...),
+		shards: w.Snapshots(),
 	}
-	for s, p := range w.shards {
-		if p != nil {
-			cp.shards = append(cp.shards, w.snapshotShard(s))
-		}
-	}
-	return cp
 }
 
 // Restore rolls the replica back to a checkpoint taken on this

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"hyperplex/internal/gen"
@@ -18,6 +21,13 @@ import (
 func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 	barrier func(k int, round int, workers []*DistPeeler)) *Decomposition {
 	t.Helper()
+	ctx := context.Background()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	part := partition.Build(h, partition.NormalizeShards(shards, h.NumVertices()))
 	workers := make([]*DistPeeler, nw)
 	for i := range workers {
@@ -25,8 +35,8 @@ func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 	}
 	var dying []int32
 	for s := 0; s < part.NumShards(); s++ {
-		sn := workers[s%nw].AssignFresh(s)
-		dying = append(dying, sn.Dying...)
+		must(workers[s%nw].AssignFresh(ctx, s))
+		dying = append(dying, workers[s%nw].Snapshot(s).Dying...)
 	}
 	round := 0
 	if barrier != nil {
@@ -36,12 +46,13 @@ func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 	for k := 1; ; k++ {
 		for {
 			for _, w := range workers {
-				w.ApplyDying(k, dying)
+				must(w.ApplyDying(ctx, k, dying))
 				retiredDegreesZero(t, w, "after ApplyDying")
 			}
 			frontier, alive := 0, 0
 			for _, w := range workers {
-				f, a := w.GatherFrontier()
+				f, a, err := w.GatherFrontier(ctx)
+				must(err)
 				frontier += f
 				alive += a
 			}
@@ -55,14 +66,15 @@ func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 			}
 			var retired []int32
 			for _, w := range workers {
-				retired = append(retired, w.CollectRetired()...)
+				retired = w.CollectRetired(retired)
 			}
 			for _, w := range workers {
-				w.ApplyRetired(retired)
+				must(w.ApplyRetired(ctx, retired))
 			}
 			dying = dying[:0]
 			for _, w := range workers {
-				for _, sn := range w.CheckShrunk() {
+				must(w.CheckShrunk(ctx))
+				for _, sn := range w.Snapshots() {
 					dying = append(dying, sn.Dying...)
 				}
 			}
@@ -86,10 +98,10 @@ func retiredDegreesZero(t *testing.T, w *DistPeeler, label string) {
 	}
 }
 
-// sameDecomposition asserts exact equality of vertex coreness and MaxK
-// against the sequential peeler, plus hyperedge coreness against the
-// in-process sharded engine (whose round schedule the dist peeler
-// replays exactly).
+// sameDecomposition asserts exact equality of vertex coreness, MaxK
+// and hyperedge coreness against the sequential CSR peel (Decompose),
+// an independent implementation of the round schedule the dist peeler
+// replays.
 func sameDecomposition(t *testing.T, h *hypergraph.Hypergraph, got *Decomposition, label string) {
 	t.Helper()
 	want := Decompose(h)
@@ -101,16 +113,15 @@ func sameDecomposition(t *testing.T, h *hypergraph.Hypergraph, got *Decompositio
 			t.Fatalf("%s: vertex %d coreness = %d, want %d", label, v, got.VertexCoreness[v], c)
 		}
 	}
-	sharded := ShardedDecompose(h, ShardedOptions{Shards: 3})
-	for f, c := range sharded.EdgeCoreness {
+	for f, c := range want.EdgeCoreness {
 		if got.EdgeCoreness[f] != c {
-			t.Fatalf("%s: hyperedge %d coreness = %d, want %d (sharded schedule)", label, f, got.EdgeCoreness[f], c)
+			t.Fatalf("%s: hyperedge %d coreness = %d, want %d", label, f, got.EdgeCoreness[f], c)
 		}
 	}
 }
 
 // TestDistPeelerDifferential pins the broadcast-delta peel against the
-// sequential and sharded engines over the sweep instances and a larger
+// sequential CSR peel over the sweep instances and a larger
 // random hypergraph, across worker and shard counts.
 func TestDistPeelerDifferential(t *testing.T) {
 	rng := xrand.New(0xD157)
@@ -236,7 +247,7 @@ func TestDistPeelerReassignment(t *testing.T) {
 		// worker 1 died at this barrier and the coordinator replayed
 		// its snapshots onto the survivor.
 		for _, s := range workers[1].Owned() {
-			sn := workers[1].snapshotShard(s)
+			sn := workers[1].Snapshot(s)
 			workers[1].DropShard(s)
 			if err := workers[0].AssignSnapshot(sn); err != nil {
 				t.Fatalf("reassign shard %d: %v", s, err)
@@ -250,20 +261,38 @@ func TestDistPeelerReassignment(t *testing.T) {
 }
 
 // TestDistPeelerSnapshotValidation pins the decoder-side defenses of
-// AssignSnapshot: wrong shard index, wrong degree length, and a dying
-// edge owned elsewhere are all rejected.
+// AssignSnapshot: wrong shard index, wrong degree length, an alive
+// count the mirrors do not hold, a degree outside [0, static degree]
+// and a dying edge owned elsewhere are each rejected with a
+// *SnapshotError naming the field, before the snapshot can wedge the
+// coordinator's level loop or panic in the bucket queue.
 func TestDistPeelerSnapshotValidation(t *testing.T) {
 	h := gen.RandomHypergraph(40, 30, 4, xrand.New(1))
 	part := partition.Build(h, 3)
 	w := NewDistPeeler(h, part)
-	sn := w.AssignFresh(1)
-	if err := w.AssignSnapshot(&ShardSnapshot{Shard: 99}); err == nil {
-		t.Error("out-of-range shard index accepted")
+	if err := w.AssignFresh(context.Background(), 1); err != nil {
+		t.Fatal(err)
 	}
+	sn := w.Snapshot(1)
+	reject := func(label, field string, bad *ShardSnapshot) {
+		t.Helper()
+		err := w.AssignSnapshot(bad)
+		var se *SnapshotError
+		if !errors.As(err, &se) || se.Field != field {
+			t.Errorf("%s: got %v, want a *SnapshotError on %s", label, err, field)
+		}
+	}
+	reject("out-of-range shard index", "Shard", &ShardSnapshot{Shard: 99})
 	bad := sn.Clone()
 	bad.Deg = bad.Deg[:1]
-	if err := w.AssignSnapshot(bad); err == nil {
-		t.Error("truncated degree array accepted")
+	reject("truncated degree array", "Deg", bad)
+	bad = sn.Clone()
+	bad.AliveV = 999
+	reject("alive count above the shard's vertices", "AliveV", bad)
+	for _, d := range []int32{-3, 1 << 20} {
+		bad = sn.Clone()
+		bad.Deg[0] = d
+		reject(fmt.Sprintf("degree %d", d), "Deg", bad)
 	}
 	bad = sn.Clone()
 	var foreign int32 = -1
@@ -275,9 +304,7 @@ func TestDistPeelerSnapshotValidation(t *testing.T) {
 	}
 	if foreign >= 0 {
 		bad.Dying = append(bad.Dying, foreign)
-		if err := w.AssignSnapshot(bad); err == nil {
-			t.Error("foreign dying edge accepted")
-		}
+		reject("foreign dying edge", "Dying", bad)
 	}
 	if err := w.AssignSnapshot(sn.Clone()); err != nil {
 		t.Errorf("valid snapshot rejected: %v", err)

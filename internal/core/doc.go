@@ -26,11 +26,14 @@
 //     size l.
 //   - KCoreNaive: a fixpoint reference that re-scans for containment
 //     each round; used by tests and the maximality ablation benchmark.
-//   - ShardedDecompose and DistPeeler: BSP decomposition engines over
-//     vertex-block shards from internal/partition, peeling shards in
-//     synchronized rounds with cross-shard deltas exchanged at
-//     barriers, answering the paper's call ("for large hypergraphs, a
-//     parallel algorithm will need to be designed").  They run the
-//     sequential peeler's round schedule and return its decomposition
-//     byte for byte.
+//   - DistPeeler and ShardedDecompose: the bulk-synchronous (BSP)
+//     decomposition over vertex-block shards from internal/partition,
+//     peeling in synchronized rounds with the dying and retired deltas
+//     exchanged at barriers, answering the paper's call ("for large
+//     hypergraphs, a parallel algorithm will need to be designed").
+//     DistPeeler's phase methods are the one copy of the phases:
+//     ShardedDecompose drives a single replica that owns every shard
+//     in process, and internal/dist drives one replica per worker over
+//     the wire.  Both run the sequential peeler's round schedule and
+//     return its decomposition byte for byte.
 package core

@@ -9,13 +9,18 @@ import (
 
 	"hyperplex/internal/check"
 	"hyperplex/internal/core"
+	"hyperplex/internal/dataset"
+	"hyperplex/internal/gen"
+	"hyperplex/internal/hypergraph"
+	"hyperplex/internal/mmio"
 	"hyperplex/internal/run"
 )
 
 // TestShardedDecomposeOptionFallback is the regression test for the
-// shard- and worker-count policies: non-positive values fall back to
-// runtime.NumCPU() and absurdly large requests are clamped, so every
-// combination must still produce the paper's overlap-peel answer.
+// shard-count policy: non-positive values fall back to runtime.NumCPU()
+// and absurdly large requests are clamped, so every combination must
+// still produce the paper's overlap-peel answer.  Workers is
+// deprecated and ignored; the combinations keep setting it to pin that.
 func TestShardedDecomposeOptionFallback(t *testing.T) {
 	for i, h := range check.Instances(4, 2027) {
 		want := check.OverlapDecompose(h)
@@ -58,5 +63,48 @@ func TestShardedDecomposeCtxBudget(t *testing.T) {
 	d, err := core.ShardedDecomposeCtx(ctx, h, core.ShardedOptions{Shards: 3})
 	if d != nil || !errors.Is(err, run.ErrBudgetExceeded) {
 		t.Fatalf("want (nil, ErrBudgetExceeded), got (%v, %v)", d, err)
+	}
+}
+
+// TestShardedCostPins pins what ShardedDecomposeCtx costs at 2 shards
+// on Cellzome and on the banded 8000x8000 instance of TestPeelStepPins:
+// the heap allocations of one call (testing.AllocsPerRun) and the steps
+// its phases charge to the run.Meter.  Both are deterministic.  The
+// round loop reuses one dying and one retired buffer and the phases
+// allocate nothing, so a per-round snapshot or buffer allocation moves
+// the allocation pin by the round count, and a change to what a phase
+// charges moves the step pin.  A change may re-record a pin only when
+// it changes the driver's allocations or charging on purpose, and it
+// gives the reason in CHANGES.md.
+func TestShardedCostPins(t *testing.T) {
+	banded, err := mmio.ToHypergraph(gen.SyntheticMatrix(gen.MatrixSpec{Name: "bench", Rows: 8000, Cols: 8000, Band: 10, BandFill: 0.7, RandomPerRow: 2, Seed: 0xBE}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.ShardedOptions{Shards: 2}
+	for _, tc := range []struct {
+		name   string
+		h      *hypergraph.Hypergraph
+		allocs float64
+		steps  int64
+	}{
+		{"Cellzome", dataset.Cellzome().H, 76, 6921},
+		{"banded 8000x8000", banded, 105, 109264},
+	} {
+		ctx, meter := run.WithBudget(context.Background(), run.Budget{})
+		if _, err := core.ShardedDecomposeCtx(ctx, tc.h, opts); err != nil {
+			t.Fatal(err)
+		}
+		if got := meter.Steps(); got != tc.steps {
+			t.Errorf("%s: ShardedDecomposeCtx at 2 shards charged %d steps, pinned %d", tc.name, got, tc.steps)
+		}
+		allocs := testing.AllocsPerRun(2, func() {
+			if _, err := core.ShardedDecomposeCtx(context.Background(), tc.h, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != tc.allocs {
+			t.Errorf("%s: ShardedDecomposeCtx at 2 shards made %v allocations, pinned %v", tc.name, allocs, tc.allocs)
+		}
 	}
 }

@@ -23,10 +23,10 @@ import (
 // CSR is an immutable compressed-sparse-row hypergraph: hyperedges
 // containing vertex v are VAdj[VOff[v]:VOff[v+1]], vertices of
 // hyperedge f are EAdj[EOff[f]:EOff[f+1]], both sorted ascending.
-// All IDs are dense int32 local to this CSR; when the CSR is a block
-// of a larger hypergraph (partition.MaterializeCSR), VertexID and
-// EdgeID map local IDs back to the original ones.  Kernels must treat
-// every slice as read-only.
+// All IDs are dense int32 local to this CSR; when the CSR covers part
+// of a larger hypergraph (a store file can carry the maps), VertexID
+// and EdgeID map local IDs back to the original ones.  Kernels must
+// treat every slice as read-only.
 type CSR struct {
 	VOff []int32 // len NumVertices()+1
 	VAdj []int32 // vertex→edge pins

@@ -198,7 +198,7 @@ func (w *workerState) handle(ctx context.Context, typ byte, payload []byte) erro
 		if err := m.decode(payload); err != nil {
 			return err
 		}
-		return w.assign(&m)
+		return w.assign(ctx, &m)
 	case mRollback:
 		var m msgRound
 		if err := m.decode(payload); err != nil {
@@ -210,21 +210,21 @@ func (w *workerState) handle(ctx context.Context, typ byte, payload []byte) erro
 		if err := m.decode(payload); err != nil {
 			return err
 		}
-		return w.apply(&m)
+		return w.apply(ctx, &m)
 	case mRetire:
 		var m msgRound
 		if err := m.decode(payload); err != nil {
 			return err
 		}
 		w.epoch = m.Epoch
-		m.IDs = w.peelerOrNil().CollectRetired()
+		m.IDs = w.peelerOrNil().CollectRetired(nil)
 		return w.send(mRetired, m.encode())
 	case mShrink:
 		var m msgRound
 		if err := m.decode(payload); err != nil {
 			return err
 		}
-		return w.shrink(&m)
+		return w.shrink(ctx, &m)
 	case mFinish:
 		var m msgRound
 		if err := m.decode(payload); err != nil {
@@ -264,23 +264,23 @@ func (w *workerState) load(ctx context.Context, m *msgLoad) error {
 	return nil
 }
 
-func (w *workerState) assign(m *msgAssign) error {
+func (w *workerState) assign(ctx context.Context, m *msgAssign) error {
 	w.epoch = m.Epoch
 	if w.peeler == nil {
 		return errors.New("dist: assign before load")
 	}
 	var snaps []*core.ShardSnapshot
 	for _, s := range m.Fresh {
-		if err := w.ctx.Err(); err != nil {
-			return err
-		}
 		if s < 0 || int(s) >= w.peeler.NumShards() {
 			return fmt.Errorf("dist: assign of unknown shard %d", s)
 		}
-		snaps = append(snaps, w.peeler.AssignFresh(int(s)))
+		if err := w.peeler.AssignFresh(ctx, int(s)); err != nil {
+			return err
+		}
+		snaps = append(snaps, w.peeler.Snapshot(int(s)))
 	}
 	for _, sn := range m.Snaps {
-		if err := w.ctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if err := w.peeler.AssignSnapshot(sn); err != nil {
@@ -325,26 +325,35 @@ func (w *workerState) rollback(m *msgRound) error {
 	return nil
 }
 
-func (w *workerState) apply(m *msgRound) error {
+func (w *workerState) apply(ctx context.Context, m *msgRound) error {
 	w.epoch = m.Epoch
 	// An Apply frame means the coordinator committed the barrier this
 	// worker last voted for: promote the tentative checkpoint.
 	if w.pending != nil {
 		w.committed, w.pending = w.pending, nil
 	}
-	w.peelerOrNil().ApplyDying(int(m.K), m.IDs)
-	f, a := w.peeler.GatherFrontier()
+	if err := w.peelerOrNil().ApplyDying(ctx, int(m.K), m.IDs); err != nil {
+		return err
+	}
+	f, a, err := w.peeler.GatherFrontier(ctx)
+	if err != nil {
+		return err
+	}
 	reply := msgRound{Epoch: w.epoch, K: m.K, Round: m.Round, A: int32(f), B: int32(a)}
 	return w.send(mFrontier, reply.encode())
 }
 
-func (w *workerState) shrink(m *msgRound) error {
+func (w *workerState) shrink(ctx context.Context, m *msgRound) error {
 	w.epoch = m.Epoch
-	w.peelerOrNil().ApplyRetired(m.IDs)
-	snaps := w.peeler.CheckShrunk()
+	if err := w.peelerOrNil().ApplyRetired(ctx, m.IDs); err != nil {
+		return err
+	}
+	if err := w.peeler.CheckShrunk(ctx); err != nil {
+		return err
+	}
 	// Tentative checkpoint: this barrier is committed only once every
 	// worker's vote lands, which the next Apply frame confirms.
 	w.pending = &tagged{k: m.K, round: m.Round, cp: w.peeler.Checkpoint()}
-	b := msgBarrier{Epoch: w.epoch, K: m.K, Round: m.Round, Snaps: snaps}
+	b := msgBarrier{Epoch: w.epoch, K: m.K, Round: m.Round, Snaps: w.peeler.Snapshots()}
 	return w.send(mBarrier, b.encode())
 }

@@ -6,8 +6,8 @@ import (
 
 // This file is the intraprocedural control-flow layer of the suite: a
 // small statement-level CFG over one function body, built from syntax
-// alone, with the reachability query the flow-sensitive analyzers
-// (budgettick, snapshotphase) are written against.
+// alone, with the reachability query the flow-sensitive analyzer
+// budgettick is written against.
 //
 // The graph is deliberately coarse.  Nodes are basic blocks of
 // statements; expressions never split a block, so a condition with side
@@ -16,7 +16,7 @@ import (
 // checkpoint statement is a checkpointed block) and asks whether one
 // block reaches another while avoiding marked blocks — path-sensitivity
 // at block granularity, which is exactly enough for "every iteration
-// path passes a checkpoint" and "no path both sends and drains".
+// path passes a checkpoint".
 
 // Block is one basic block: straight-line statements and the successor
 // edges control can take afterwards.

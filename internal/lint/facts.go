@@ -45,11 +45,6 @@ type PkgFacts struct {
 	// WireSend and WireRecv are the functions marked wiresend/wirerecv:
 	// their first byte-typed parameter carries a wire frame type.
 	WireSend, WireRecv map[types.Object]bool
-	// OutboxFields are struct fields marked //hyperplexvet:outbox.
-	OutboxFields map[types.Object]bool
-	// Phases maps each //hyperplexvet:phase function decl to its kind,
-	// "owned" or "drain".
-	Phases map[*ast.FuncDecl]string
 	// HotMarks holds the target lines of //hyperplexvet:hotpath
 	// directives, file → line → true; hotalloc resolves them against
 	// function and statement start lines.
@@ -111,8 +106,6 @@ func collectFacts(fset *token.FileSet, pkg *Package) *PkgFacts {
 		FailpointSites:   make(map[string]token.Pos),
 		WireSend:         make(map[types.Object]bool),
 		WireRecv:         make(map[types.Object]bool),
-		OutboxFields:     make(map[types.Object]bool),
-		Phases:           make(map[*ast.FuncDecl]string),
 		HotMarks:         make(map[string]map[int]bool),
 		FuncDecls:        make(map[types.Object]*ast.FuncDecl),
 	}
@@ -137,13 +130,8 @@ func (f *PkgFacts) collectDirectives(fset *token.FileSet, pkg *Package) {
 		line int
 	}
 	marks := make(map[string][]mark) // verb → targets
-	phaseKind := make(map[mark]string)
 	for _, d := range packageDirectives(fset, pkg) {
-		m := mark{d.file, d.targetLine}
-		marks[d.verb] = append(marks[d.verb], m)
-		if d.verb == "phase" {
-			phaseKind[m] = d.args
-		}
+		marks[d.verb] = append(marks[d.verb], mark{d.file, d.targetLine})
 	}
 	has := func(verb, file string, line int) bool {
 		for _, m := range marks[verb] {
@@ -178,11 +166,6 @@ func (f *PkgFacts) collectDirectives(fset *token.FileSet, pkg *Package) {
 				if has("wirerecv", filename, lineOf(decl)) {
 					f.WireRecv[obj] = true
 				}
-				for _, m := range marks["phase"] {
-					if m.file == filename && m.line == lineOf(decl) {
-						f.Phases[decl] = phaseKind[m]
-					}
-				}
 			case *ast.GenDecl:
 				if decl.Tok == token.CONST && has("wiretypes", filename, lineOf(decl)) {
 					for _, spec := range decl.Specs {
@@ -199,24 +182,6 @@ func (f *PkgFacts) collectDirectives(fset *token.FileSet, pkg *Package) {
 				}
 			}
 		}
-		// Outbox marks attach to struct fields anywhere in the file.
-		ast.Inspect(file, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, fld := range st.Fields.List {
-				if !has("outbox", filename, lineOf(fld)) {
-					continue
-				}
-				for _, name := range fld.Names {
-					if obj := pkg.Info.Defs[name]; obj != nil {
-						f.OutboxFields[obj] = true
-					}
-				}
-			}
-			return true
-		})
 	}
 }
 
@@ -484,7 +449,7 @@ func collectFuncFieldAssigns(pkg *Package) map[types.Object][]types.Object {
 // full-slice expression (s[:n:n]); a binding is arena if it is a
 // carver call, a reslice or element of an arena object, an append to
 // one, or a self-reference.  Greatest fixpoint over all bindings, so
-// mutually-recycled buffers (outbox reset via a local alias) stay
+// mutually-recycled buffers (a work list reset via a local alias) stay
 // owned as long as no binding introduces foreign storage.
 func (f *PkgFacts) collectArenaOwned(pkg *Package) {
 	carvers := collectCarvers(pkg)
@@ -495,12 +460,6 @@ func (f *PkgFacts) collectArenaOwned(pkg *Package) {
 			return
 		}
 		if !isSliceObj(obj) {
-			return
-		}
-		if isSpineMake(pkg, lhs, rhs) {
-			// obj = make([][]T, n) allocates only nil element headers;
-			// whether the storage is arena is decided by the element
-			// bindings alone (p.out[t] = carve(n)[:0] and resets).
 			return
 		}
 		sources[obj] = append(sources[obj], rhs)
@@ -552,33 +511,6 @@ func (f *PkgFacts) collectArenaOwned(pkg *Package) {
 		}
 	}
 	f.ArenaOwned = owned
-}
-
-// isSpineMake reports whether the binding allocates only the spine of
-// a nested slice: a whole-object assignment (bare identifier or field,
-// no indexing) of a make whose element type is itself a slice.  The
-// spine holds nil headers, never element storage, so it neither
-// anchors the object to the arena nor poisons it.
-func isSpineMake(pkg *Package, lhs, rhs ast.Expr) bool {
-	switch ast.Unparen(lhs).(type) {
-	case *ast.Ident, *ast.SelectorExpr:
-	default:
-		return false
-	}
-	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-	if !ok || !isBuiltinCall(pkg, call, "make") {
-		return false
-	}
-	tv, ok := pkg.Info.Types[call]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	sl, ok := tv.Type.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	_, nested := sl.Elem().Underlying().(*types.Slice)
-	return nested
 }
 
 // rootExpr unwraps reslices, element indexing and appends down to the
@@ -684,7 +616,7 @@ func isSliceObj(obj types.Object) bool {
 		return false
 	}
 	// [][]T element assignments resolve to the same field object, so a
-	// nested outbox slice counts the same as a flat one.
+	// nested slice counts the same as a flat one.
 	_, isSlice := v.Type().Underlying().(*types.Slice)
 	return isSlice
 }

@@ -114,10 +114,6 @@ func TestWireDispatchFixture(t *testing.T) {
 	runFixture(t, "wiredispatch", []*Analyzer{WireDispatch}, nil)
 }
 
-func TestSnapshotPhaseFixture(t *testing.T) {
-	runFixture(t, "snapshotphase", []*Analyzer{SnapshotPhase}, nil)
-}
-
 // TestSuppressFixture checks both suppression outcomes: well-formed
 // directives silence the analyzer (Invariant and Trailing report
 // nothing), while a directive missing its reason or naming an unknown

@@ -6,8 +6,8 @@ import (
 )
 
 // HotAlloc bans allocation inside //hyperplexvet:hotpath regions — the
-// arena-discipline guard for the CSR peeler, the shardPeel round loops
-// and the cover heap loops.  A hotpath mark on a function covers its
+// arena-discipline guard for the CSR peeler, the DistPeeler phase
+// methods and the cover heap loops.  A hotpath mark on a function covers its
 // whole body; a standalone mark above a statement covers that
 // statement's subtree.  Inside a region the analyzer reports make and
 // new calls, slice/map composite literals (and &T{...}), function

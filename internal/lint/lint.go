@@ -42,7 +42,7 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		BudgetTick, CtxFirst, CtxPair, ErrWrap, FailpointSite, GoRecover,
-		HotAlloc, Int32Narrow, NoPanic, SnapshotPhase, WireDispatch,
+		HotAlloc, Int32Narrow, NoPanic, WireDispatch,
 	}
 }
 
@@ -175,8 +175,6 @@ var directiveVerbs = map[string]bool{
 	"wiretypes": true, // marks the const block declaring the wire frame types
 	"wiresend":  true, // marks a func whose first byte param is a frame type being sent
 	"wirerecv":  true, // marks a func whose first byte param is a dispatch position
-	"outbox":    true, // marks a struct field as BSP outbox state
-	"phase":     true, // phase <owned|drain>: marks a BSP phase function
 }
 
 // packageDirectives parses every hyperplexvet directive in the package.
@@ -250,10 +248,6 @@ func scanIgnores(fset *token.FileSet, pkg *Package, known map[string]bool) (supp
 					continue
 				}
 				sup.add(d.file, d.targetLine, name)
-			}
-		case "phase":
-			if kind := strings.TrimSpace(d.args); kind != "owned" && kind != "drain" {
-				report(d.pos, "malformed phase directive: want %sphase <owned|drain>, got %q", directivePrefix, kind)
 			}
 		}
 	}

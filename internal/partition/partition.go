@@ -1,18 +1,17 @@
 // Package partition splits a hypergraph into contiguous vertex-block
-// shards for the sharded peeling engine (internal/core, sharded.go).
-// Each shard owns a block of vertices and the hyperedges anchored in
-// it; hyperedges whose members span several blocks are tracked as cut
-// edges, and the non-owned vertices reachable through owned hyperedges
-// form the shard's frontier.  Blocks are balanced by pin weight
-// (1 + d(v) per vertex), so a shard's share of the incidence structure
-// — not just its vertex count — is even.
+// shards for the sharded round loop (internal/core, sharded.go) and the
+// distributed runtime (internal/dist).  Each shard owns a block of
+// vertices and the hyperedges anchored in it; the owner of a vertex or
+// hyperedge is the replica that keeps its degree and work lists.
+// Blocks are balanced by pin weight (1 + d(v) per vertex), so a
+// shard's share of the incidence structure — not just its vertex
+// count — is even.
 package partition
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 
 	"hyperplex/internal/csr"
 	"hyperplex/internal/failpoint"
@@ -28,87 +27,22 @@ var fpBuild = failpoint.Register("partition.build")
 // checkpoints during a build.
 const buildCheckEvery = 64
 
-// Shard is one block of a Partition.  All IDs are the original
-// hypergraph's; the old↔new maps of a materialized sub-hypergraph come
-// from Materialize.
+// Shard is one block of a Partition.  All IDs are the hypergraph's.
 type Shard struct {
 	Index    int
 	Vertices []int32 // owned vertices (ascending: a contiguous block)
 	Edges    []int32 // owned hyperedges (anchored at their first member)
-	Frontier []int32 // non-owned vertices appearing in owned hyperedges
-	Cut      []int32 // owned hyperedges with members outside the block
-	Pins     int     // Σ d(f) over owned hyperedges
 }
 
 // Partition is a disjoint cover of a hypergraph's vertices and
 // hyperedges by shards.  Every vertex has exactly one owner; every
 // hyperedge is owned by the shard of its first (lowest-ID) member, so
 // edge ownership follows vertex ownership deterministically.
-//
-// Exactly one of H and C backs the incidence structure: Build fills H,
-// BuildCSR fills C.  The CSR backing serves the same ascending
-// adjacency rows (csr.FromH preserves row order), so the two paths
-// partition identically; it exists so a memory-mapped store file can
-// be sharded without first rebuilding a Hypergraph in RAM.
 type Partition struct {
 	H           *hypergraph.Hypergraph
-	C           *csr.CSR
 	VertexOwner []int32 // shard index per vertex
 	EdgeOwner   []int32 // shard index per hyperedge (empty edges → shard 0)
 	Shards      []Shard
-	CutEdges    []int32 // all hyperedges spanning more than one shard
-}
-
-// The accessors below dispatch to whichever backing is present, so the
-// block balancing, assembly, and materialization code is written once.
-
-func (p *Partition) numVertices() int {
-	if p.C != nil {
-		return p.C.NumVertices()
-	}
-	return p.H.NumVertices()
-}
-
-func (p *Partition) numEdges() int {
-	if p.C != nil {
-		return p.C.NumEdges()
-	}
-	return p.H.NumEdges()
-}
-
-func (p *Partition) numPins() int {
-	if p.C != nil {
-		return p.C.NumPins()
-	}
-	return p.H.NumPins()
-}
-
-func (p *Partition) vertexDegree(v int) int {
-	if p.C != nil {
-		return int(p.C.VertexDegree(int32(v)))
-	}
-	return p.H.VertexDegree(v)
-}
-
-func (p *Partition) edgeDegree(f int) int {
-	if p.C != nil {
-		return int(p.C.EdgeDegree(int32(f)))
-	}
-	return p.H.EdgeDegree(f)
-}
-
-func (p *Partition) edgeVertices(f int) []int32 {
-	if p.C != nil {
-		return p.C.EdgeVertices(int32(f))
-	}
-	return p.H.Vertices(f)
-}
-
-func (p *Partition) vertexEdges(v int) []int32 {
-	if p.C != nil {
-		return p.C.VertexEdges(int32(v))
-	}
-	return p.H.Edges(v)
 }
 
 // NumShards returns the number of shards.
@@ -146,33 +80,6 @@ func Build(h *hypergraph.Hypergraph, shards int) *Partition {
 // attached to ctx, checked at bounded intervals throughout the
 // construction.  On any error it returns (nil, err).
 func BuildCtx(ctx context.Context, h *hypergraph.Hypergraph, shards int) (*Partition, error) {
-	return buildCtx(ctx, &Partition{H: h}, shards)
-}
-
-// BuildCSR partitions a bare CSR — typically the mapped arrays of a
-// store file — into the requested number of shards.  The result has no
-// Hypergraph backing (H is nil): Materialize is unavailable, but
-// MaterializeCSR, RemoteEdges, and the descriptor round trip all work,
-// which is everything the sharded peeler needs.
-func BuildCSR(c *csr.CSR, shards int) *Partition {
-	p, err := BuildCSRCtx(context.Background(), c, shards)
-	if err != nil {
-		// Only reachable through an armed failpoint: the background
-		// context cannot be cancelled and carries no budget.
-		panic(err)
-	}
-	return p
-}
-
-// BuildCSRCtx is BuildCSR honoring cancellation, deadline and any
-// run.Budget attached to ctx.  On any error it returns (nil, err).
-func BuildCSRCtx(ctx context.Context, c *csr.CSR, shards int) (*Partition, error) {
-	return buildCtx(ctx, &Partition{C: c}, shards)
-}
-
-// buildCtx runs the shared block balancing over a Partition shell that
-// already carries its backing (H or C).
-func buildCtx(ctx context.Context, p *Partition, shards int) (*Partition, error) {
 	meter := run.MeterFrom(ctx)
 	// Entry checkpoint: an already-cancelled context fails before any
 	// work, even on inputs too small to reach a periodic checkpoint.
@@ -182,12 +89,15 @@ func buildCtx(ctx context.Context, p *Partition, shards int) (*Partition, error)
 	if err := failpoint.Inject(fpBuild); err != nil {
 		return nil, fmt.Errorf("partition: build: %w", err)
 	}
-	nv, ne := p.numVertices(), p.numEdges()
+	nv, ne := h.NumVertices(), h.NumEdges()
 	shards = NormalizeShards(shards, nv)
 
-	p.VertexOwner = make([]int32, nv)
-	p.EdgeOwner = make([]int32, ne)
-	p.Shards = make([]Shard, shards)
+	p := &Partition{
+		H:           h,
+		VertexOwner: make([]int32, nv),
+		EdgeOwner:   make([]int32, ne),
+		Shards:      make([]Shard, shards),
+	}
 	for s := range p.Shards {
 		p.Shards[s].Index = s
 	}
@@ -196,7 +106,7 @@ func buildCtx(ctx context.Context, p *Partition, shards int) (*Partition, error)
 	// a block when the remaining vertices exactly match the remaining
 	// shards guarantees every shard owns at least one vertex (shards ≤
 	// nv after normalization keeps that reachable).
-	target := (nv + p.numPins() + shards - 1) / shards
+	target := (nv + h.NumPins() + shards - 1) / shards
 	s, acc := 0, 0
 	for v := 0; v < nv; v++ {
 		if v%buildCheckEvery == 0 {
@@ -206,7 +116,7 @@ func buildCtx(ctx context.Context, p *Partition, shards int) (*Partition, error)
 		}
 		p.VertexOwner[v] = int32(s)
 		p.Shards[s].Vertices = append(p.Shards[s].Vertices, int32(v))
-		acc += 1 + p.vertexDegree(v)
+		acc += 1 + h.VertexDegree(v)
 		if rem := shards - s - 1; rem > 0 && (acc >= target || nv-v-1 == rem) {
 			s++
 			acc = 0
@@ -309,192 +219,21 @@ func FromDescsCtx(ctx context.Context, h *hypergraph.Hypergraph, descs []Desc) (
 	return p, nil
 }
 
-// assemble derives the ownership-dependent structure — edge anchors,
-// cut edges, frontiers — from an already-filled vertex block
-// assignment.
+// assemble anchors every hyperedge at the shard owning its first
+// member, given an already-filled vertex block assignment.
 func (p *Partition) assemble(ctx context.Context, meter *run.Meter) error {
-	nv, ne := p.numVertices(), p.numEdges()
-
-	// Anchor each hyperedge at its first member and record cut edges.
-	for f := 0; f < ne; f++ {
+	for f := 0; f < p.H.NumEdges(); f++ {
 		if f%buildCheckEvery == 0 {
 			if err := run.Tick(ctx, meter, buildCheckEvery); err != nil {
 				return err
 			}
 		}
-		members := p.edgeVertices(f)
 		owner := int32(0)
-		if len(members) > 0 {
+		if members := p.H.Vertices(f); len(members) > 0 {
 			owner = p.VertexOwner[members[0]]
 		}
 		p.EdgeOwner[f] = owner
-		sh := &p.Shards[owner]
-		sh.Edges = append(sh.Edges, int32(f))
-		sh.Pins += len(members)
-		for _, v := range members {
-			if p.VertexOwner[v] != owner {
-				sh.Cut = append(sh.Cut, int32(f))
-				p.CutEdges = append(p.CutEdges, int32(f))
-				break
-			}
-		}
-	}
-
-	// Collect each shard's frontier from its cut edges.  One shard is
-	// fully processed before the next, so frontierMark[v] — the last
-	// shard that recorded v — deduplicates within a shard while still
-	// letting v appear on several shards' frontiers.
-	frontierMark := make([]int32, nv)
-	for v := range frontierMark {
-		frontierMark[v] = -1
-	}
-	for s := range p.Shards {
-		// Per-shard checkpoint: a shard with no cut edges would
-		// otherwise pass through the loop without one.
-		if err := run.Tick(ctx, meter, 1); err != nil {
-			return err
-		}
-		sh := &p.Shards[s]
-		for i, f := range sh.Cut {
-			if i%buildCheckEvery == 0 {
-				if err := run.Tick(ctx, meter, buildCheckEvery); err != nil {
-					return err
-				}
-			}
-			for _, v := range p.edgeVertices(int(f)) {
-				if p.VertexOwner[v] != int32(s) && frontierMark[v] != int32(s) {
-					frontierMark[v] = int32(s)
-					sh.Frontier = append(sh.Frontier, v)
-				}
-			}
-		}
+		p.Shards[owner].Edges = append(p.Shards[owner].Edges, int32(f))
 	}
 	return nil
-}
-
-// Materialize builds the standalone sub-hypergraph of shard s: its
-// owned hyperedges restricted to nothing (owned and frontier vertices
-// are all kept, so owned hyperedges survive intact).  The returned
-// maps give old-ID → new-ID for vertices and hyperedges, as
-// hypergraph.Sub defines them.
-func (p *Partition) Materialize(s int) (*hypergraph.Hypergraph, map[int]int, map[int]int) {
-	if p.H == nil {
-		//hyperplexvet:ignore nopanic API misuse invariant: a BuildCSR partition has no named-vertex backing to materialize from, and the signature has no error slot
-		panic("partition: Materialize needs a Hypergraph backing; a BuildCSR partition only supports MaterializeCSR")
-	}
-	sh := &p.Shards[s]
-	keepV := make([]bool, p.H.NumVertices())
-	for _, v := range sh.Vertices {
-		keepV[v] = true
-	}
-	for _, v := range sh.Frontier {
-		keepV[v] = true
-	}
-	keepF := make([]bool, p.H.NumEdges())
-	for _, f := range sh.Edges {
-		keepF[f] = true
-	}
-	return p.H.Sub(keepV, keepF)
-}
-
-// MaterializeCSR builds shard s's block directly in the flat-array
-// kernel substrate: a csr.CSR over the shard's owned-plus-frontier
-// vertices and owned hyperedges, with local IDs assigned in ascending
-// original-ID order (the same numbering hypergraph.Sub produces).  The
-// CSR's VertexID and EdgeID arrays carry the original IDs, so the
-// block's peel results and any exchange deltas are flat int32 slices
-// mapping straight back to the full hypergraph — no maps, no name
-// tables.  Compared to Materialize it skips the builder layer
-// entirely: no vertex/edge names are synthesized, and construction is
-// O(block pins) with a binary search per pin.
-func (p *Partition) MaterializeCSR(s int) *csr.CSR {
-	sh := &p.Shards[s]
-	// Local vertex IDs: the sorted union of owned (already ascending)
-	// and frontier vertices; the two sets are disjoint and internally
-	// duplicate-free, so the union is strictly ascending after sorting.
-	keep := make([]int32, 0, len(sh.Vertices)+len(sh.Frontier))
-	keep = append(keep, sh.Vertices...)
-	keep = append(keep, sh.Frontier...)
-	slices.Sort(keep)
-	nv, ne := len(keep), len(sh.Edges)
-
-	eOff := make([]int32, ne+1)
-	for i, f := range sh.Edges {
-		eOff[i+1] = eOff[i] + int32(p.edgeDegree(int(f)))
-	}
-	// Scatter the local IDs into a global-indexed lookup: O(|V|) zeroed
-	// allocation plus O(1) per pin beats a binary search per pin.
-	local := make([]int32, p.numVertices())
-	for j, v := range keep {
-		local[v] = int32(j)
-	}
-	eAdj := make([]int32, eOff[ne])
-	for i, f := range sh.Edges {
-		row := eAdj[eOff[i]:eOff[i]]
-		for _, v := range p.edgeVertices(int(f)) {
-			// Owned hyperedges lose no members: every member is owned or
-			// on the frontier, so the lookup always hits.
-			row = append(row, local[v])
-		}
-	}
-
-	// Vertex side by counting sort over the local pins; edges are
-	// appended in ascending local ID, so each row comes out sorted.
-	vOff := make([]int32, nv+1)
-	for _, x := range eAdj {
-		vOff[x+1]++
-	}
-	for v := 0; v < nv; v++ {
-		vOff[v+1] += vOff[v]
-	}
-	vAdj := make([]int32, len(eAdj))
-	cursor := append([]int32(nil), vOff[:nv]...)
-	for fi := 0; fi < ne; fi++ {
-		for _, x := range eAdj[eOff[fi]:eOff[fi+1]] {
-			vAdj[cursor[x]] = int32(fi)
-			cursor[x]++
-		}
-	}
-	return &csr.CSR{
-		VOff:     vOff,
-		VAdj:     vAdj,
-		EOff:     eOff,
-		EAdj:     eAdj,
-		VertexID: keep,
-		EdgeID:   append([]int32(nil), sh.Edges...),
-	}
-}
-
-// RemoteEdges returns the remote-incidence rows of shard s: for the
-// i-th owned vertex (ascending, matching Shards[s].Vertices),
-// adj[off[i]:off[i+1]] lists the hyperedges incident to it that are
-// owned by other shards, as ascending original IDs.  These rows are
-// the complement of the owned rows in MaterializeCSR's block — a
-// vertex's block degree plus its remote row length is its full degree
-// — so a shard-local peel loop can notify foreign hyperedges of a
-// retired vertex without consulting the full hypergraph.
-func (p *Partition) RemoteEdges(s int) (off, adj []int32) {
-	sh := &p.Shards[s]
-	owner := int32(s)
-	off = make([]int32, len(sh.Vertices)+1)
-	total := int32(0)
-	for i, v := range sh.Vertices {
-		for _, f := range p.vertexEdges(int(v)) {
-			if p.EdgeOwner[f] != owner {
-				total++
-			}
-		}
-		off[i+1] = total
-	}
-	adj = make([]int32, total)
-	k := 0
-	for _, v := range sh.Vertices {
-		for _, f := range p.vertexEdges(int(v)) {
-			if p.EdgeOwner[f] != owner {
-				adj[k] = f
-				k++
-			}
-		}
-	}
-	return off, adj
 }

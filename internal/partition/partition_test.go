@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"hyperplex/internal/csr"
 	"hyperplex/internal/gen"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/partition"
@@ -33,8 +32,8 @@ func instances(t *testing.T) []*hypergraph.Hypergraph {
 }
 
 // validate checks the partition invariants: disjoint contiguous vertex
-// blocks covering V, edge ownership anchored at the first member,
-// consistent cut/frontier sets, and pin accounting.
+// blocks covering V, and every hyperedge owned once, by the shard of
+// its first member.
 func validate(t *testing.T, h *hypergraph.Hypergraph, p *partition.Partition) {
 	t.Helper()
 	nv, ne := h.NumVertices(), h.NumEdges()
@@ -65,23 +64,7 @@ func validate(t *testing.T, h *hypergraph.Hypergraph, p *partition.Partition) {
 		}
 	}
 	seenF := make([]bool, ne)
-	var cut int
 	for s, sh := range p.Shards {
-		pins := 0
-		cutSet := make(map[int32]bool, len(sh.Cut))
-		for _, f := range sh.Cut {
-			cutSet[f] = true
-		}
-		frontier := make(map[int32]bool, len(sh.Frontier))
-		for _, v := range sh.Frontier {
-			if p.VertexOwner[v] == int32(s) {
-				t.Fatalf("shard %d frontier contains owned vertex %d", s, v)
-			}
-			if frontier[v] {
-				t.Fatalf("shard %d frontier lists vertex %d twice", s, v)
-			}
-			frontier[v] = true
-		}
 		for _, f := range sh.Edges {
 			if seenF[f] {
 				t.Fatalf("hyperedge %d owned twice", f)
@@ -90,36 +73,15 @@ func validate(t *testing.T, h *hypergraph.Hypergraph, p *partition.Partition) {
 			if p.EdgeOwner[f] != int32(s) {
 				t.Fatalf("hyperedge %d: owner %d, listed in shard %d", f, p.EdgeOwner[f], s)
 			}
-			members := h.Vertices(int(f))
-			pins += len(members)
-			if len(members) > 0 && p.VertexOwner[members[0]] != int32(s) {
+			if members := h.Vertices(int(f)); len(members) > 0 && p.VertexOwner[members[0]] != int32(s) {
 				t.Fatalf("hyperedge %d not anchored at first member", f)
 			}
-			isCut := false
-			for _, v := range members {
-				if p.VertexOwner[v] != int32(s) {
-					isCut = true
-					if !frontier[v] {
-						t.Fatalf("shard %d: vertex %d of cut edge %d missing from frontier", s, v, f)
-					}
-				}
-			}
-			if isCut != cutSet[f] {
-				t.Fatalf("hyperedge %d: cut=%t but Cut set says %t", f, isCut, cutSet[f])
-			}
 		}
-		if pins != sh.Pins {
-			t.Fatalf("shard %d: Pins=%d, recount %d", s, sh.Pins, pins)
-		}
-		cut += len(sh.Cut)
 	}
 	for f := 0; f < ne; f++ {
 		if !seenF[f] {
 			t.Fatalf("hyperedge %d unowned", f)
 		}
-	}
-	if cut != len(p.CutEdges) {
-		t.Fatalf("CutEdges has %d entries, shards list %d", len(p.CutEdges), cut)
 	}
 }
 
@@ -153,162 +115,6 @@ func TestNormalizeShards(t *testing.T) {
 			t.Errorf("NormalizeShards(%d, %d) = %d, want %d", c.shards, c.nv, got, c.want)
 		}
 	}
-}
-
-// TestMaterialize checks that each shard's materialized sub-hypergraph
-// carries the owned hyperedges intact (frontier vertices kept).
-func TestMaterialize(t *testing.T) {
-	for i, h := range instances(t) {
-		p := partition.Build(h, 3)
-		for s := range p.Shards {
-			sub, vMap, fMap := p.Materialize(s)
-			if sub.NumEdges() != len(p.Shards[s].Edges) {
-				t.Fatalf("instance %d shard %d: %d hyperedges materialized, own %d",
-					i, s, sub.NumEdges(), len(p.Shards[s].Edges))
-			}
-			for _, f := range p.Shards[s].Edges {
-				nf, ok := fMap[int(f)]
-				if !ok {
-					t.Fatalf("instance %d shard %d: hyperedge %d not in fMap", i, s, f)
-				}
-				if sub.EdgeDegree(nf) != h.EdgeDegree(int(f)) {
-					t.Fatalf("instance %d shard %d: hyperedge %d lost members (%d → %d)",
-						i, s, f, h.EdgeDegree(int(f)), sub.EdgeDegree(nf))
-				}
-				for _, v := range h.Vertices(int(f)) {
-					if _, ok := vMap[int(v)]; !ok {
-						t.Fatalf("instance %d shard %d: member vertex %d of %d dropped", i, s, v, f)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestMaterializeCSR pins the flat-array block against the
-// builder-layer Materialize: both number the kept vertices in
-// ascending original-ID order, so the structures must agree
-// positionally — same counts, same member rows (translated through
-// vMap), valid CSR invariants, and ID maps that invert exactly.
-func TestMaterializeCSR(t *testing.T) {
-	for i, h := range instances(t) {
-		for _, shards := range []int{1, 3, 7} {
-			p := partition.Build(h, shards)
-			for s := range p.Shards {
-				c := p.MaterializeCSR(s)
-				if err := c.Validate(); err != nil {
-					t.Fatalf("instance %d shard %d/%d: %v", i, s, shards, err)
-				}
-				sub, vMap, fMap := p.Materialize(s)
-				if c.NumVertices() != sub.NumVertices() || c.NumEdges() != sub.NumEdges() || c.NumPins() != sub.NumPins() {
-					t.Fatalf("instance %d shard %d/%d: CSR block %d/%d/%d, Materialize %d/%d/%d",
-						i, s, shards, c.NumVertices(), c.NumEdges(), c.NumPins(),
-						sub.NumVertices(), sub.NumEdges(), sub.NumPins())
-				}
-				for old, nf := range fMap {
-					if int(c.EdgeID[nf]) != old {
-						t.Fatalf("instance %d shard %d/%d: EdgeID[%d] = %d, want %d", i, s, shards, nf, c.EdgeID[nf], old)
-					}
-					row := c.EdgeVertices(int32(nf))
-					want := sub.Vertices(nf)
-					if len(row) != len(want) {
-						t.Fatalf("instance %d shard %d/%d: edge %d has %d members, want %d",
-							i, s, shards, nf, len(row), len(want))
-					}
-					for j := range row {
-						if row[j] != want[j] {
-							t.Fatalf("instance %d shard %d/%d: edge %d member %d = %d, want %d",
-								i, s, shards, nf, j, row[j], want[j])
-						}
-					}
-				}
-				for old, nv := range vMap {
-					if int(c.VertexID[nv]) != old {
-						t.Fatalf("instance %d shard %d/%d: VertexID[%d] = %d, want %d", i, s, shards, nv, c.VertexID[nv], old)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestRemoteEdges checks that the remote-incidence rows are exactly
-// the complement of the owned rows in the MaterializeCSR block: for
-// every owned vertex, the block row (mapped to original IDs) plus the
-// remote row reassembles the vertex's full incidence list, ascending
-// and disjoint.
-func TestRemoteEdges(t *testing.T) {
-	for i, h := range instances(t) {
-		for _, shards := range []int{1, 3, 7} {
-			p := partition.Build(h, shards)
-			for s := range p.Shards {
-				sh := &p.Shards[s]
-				block := p.MaterializeCSR(s)
-				off, adj := p.RemoteEdges(s)
-				if len(off) != len(sh.Vertices)+1 {
-					t.Fatalf("instance %d shard %d/%d: %d offsets for %d owned vertices",
-						i, s, shards, len(off), len(sh.Vertices))
-				}
-				if int(off[len(sh.Vertices)]) != len(adj) {
-					t.Fatalf("instance %d shard %d/%d: offsets end at %d, adj has %d",
-						i, s, shards, off[len(sh.Vertices)], len(adj))
-				}
-				for j, v := range sh.Vertices {
-					remote := adj[off[j]:off[j+1]]
-					for _, f := range remote {
-						if p.EdgeOwner[f] == int32(s) {
-							t.Fatalf("instance %d shard %d/%d: remote row of vertex %d lists owned hyperedge %d",
-								i, s, shards, v, f)
-						}
-					}
-					// Rebuild the full row: owned incidences from the block
-					// (local edge IDs mapped back), remote from the rows.
-					local, ok := localID(block.VertexID, v)
-					if !ok {
-						t.Fatalf("instance %d shard %d/%d: owned vertex %d missing from block", i, s, shards, v)
-					}
-					var full []int32
-					for _, fi := range block.VertexEdges(local) {
-						full = append(full, block.EdgeID[fi])
-					}
-					full = append(full, remote...)
-					want := h.Edges(int(v))
-					if len(full) != len(want) {
-						t.Fatalf("instance %d shard %d/%d: vertex %d reassembles %d incidences, want %d",
-							i, s, shards, v, len(full), len(want))
-					}
-					seen := make(map[int32]bool, len(full))
-					for _, f := range full {
-						seen[f] = true
-					}
-					for _, f := range want {
-						if !seen[f] {
-							t.Fatalf("instance %d shard %d/%d: vertex %d incidence %d missing from block+remote",
-								i, s, shards, v, f)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// localID finds the block-local ID of original vertex v in the sorted
-// VertexID map.
-func localID(ids []int32, v int32) (int32, bool) {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ids) && ids[lo] == v {
-		return int32(lo), true
-	}
-	return 0, false
 }
 
 func TestBuildEmptyHypergraph(t *testing.T) {
@@ -365,8 +171,7 @@ func TestDescsRoundTrip(t *testing.T) {
 			}
 			for s := range p.Shards {
 				a, b := &p.Shards[s], &q.Shards[s]
-				if len(a.Vertices) != len(b.Vertices) || len(a.Edges) != len(b.Edges) ||
-					len(a.Frontier) != len(b.Frontier) || len(a.Cut) != len(b.Cut) || a.Pins != b.Pins {
+				if !slices.Equal(a.Vertices, b.Vertices) || !slices.Equal(a.Edges, b.Edges) {
 					t.Fatalf("instance %d shard %d: rebuilt shard differs: %+v vs %+v", i, s, a, b)
 				}
 			}
@@ -422,54 +227,4 @@ func TestFromDescsCtxCancelled(t *testing.T) {
 	if _, err := partition.FromDescsCtx(ctx, h, p.Descs()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled rebuild: err = %v, want context.Canceled", err)
 	}
-}
-
-// TestBuildCSRMatchesBuild pins the CSR-backed partition to the
-// Hypergraph-backed one: same owners, same shards, same materialized
-// blocks, same remote rows — so a store-mapped CSR shards exactly like
-// the hypergraph it was written from.
-func TestBuildCSRMatchesBuild(t *testing.T) {
-	for _, h := range instances(t) {
-		for _, shards := range []int{1, 2, 3, 7} {
-			want := partition.Build(h, shards)
-			got := partition.BuildCSR(csr.FromH(h), shards)
-			if !slices.Equal(got.VertexOwner, want.VertexOwner) || !slices.Equal(got.EdgeOwner, want.EdgeOwner) {
-				t.Fatalf("%v at %d shards: CSR-backed ownership differs", h, shards)
-			}
-			if !slices.Equal(got.CutEdges, want.CutEdges) {
-				t.Fatalf("%v at %d shards: CSR-backed cut edges differ", h, shards)
-			}
-			for s := range want.Shards {
-				ws, gs := &want.Shards[s], &got.Shards[s]
-				if !slices.Equal(gs.Vertices, ws.Vertices) || !slices.Equal(gs.Edges, ws.Edges) ||
-					!slices.Equal(gs.Frontier, ws.Frontier) || !slices.Equal(gs.Cut, ws.Cut) || gs.Pins != ws.Pins {
-					t.Fatalf("%v at %d shards: shard %d differs", h, shards, s)
-				}
-				wc, gc := want.MaterializeCSR(s), got.MaterializeCSR(s)
-				if !slices.Equal(gc.VOff, wc.VOff) || !slices.Equal(gc.VAdj, wc.VAdj) ||
-					!slices.Equal(gc.EOff, wc.EOff) || !slices.Equal(gc.EAdj, wc.EAdj) ||
-					!slices.Equal(gc.VertexID, wc.VertexID) || !slices.Equal(gc.EdgeID, wc.EdgeID) {
-					t.Fatalf("%v at %d shards: MaterializeCSR(%d) differs", h, shards, s)
-				}
-				wOff, wAdj := want.RemoteEdges(s)
-				gOff, gAdj := got.RemoteEdges(s)
-				if !slices.Equal(gOff, wOff) || !slices.Equal(gAdj, wAdj) {
-					t.Fatalf("%v at %d shards: RemoteEdges(%d) differs", h, shards, s)
-				}
-			}
-		}
-	}
-}
-
-// TestMaterializeNeedsH pins the contract that a CSR-backed partition
-// cannot materialize named sub-hypergraphs.
-func TestMaterializeNeedsH(t *testing.T) {
-	h := gen.RandomHypergraph(20, 10, 3, xrand.New(7))
-	p := partition.BuildCSR(csr.FromH(h), 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Materialize on a CSR-backed partition did not panic")
-		}
-	}()
-	p.Materialize(0)
 }
