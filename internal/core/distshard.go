@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"hyperplex/internal/csr"
 	"hyperplex/internal/hypergraph"
@@ -40,6 +41,9 @@ import (
 //   - PeelCheckpoint is a worker-local deep copy of the whole replica
 //     (mirrors plus every owned ShardSnapshot); survivors restore it on
 //     rollback so the round replays from the last completed barrier.
+//     Checkpoint writes into the buffers of a checkpoint the caller no
+//     longer needs, so a worker that keeps a spare allocates nothing
+//     per barrier.
 //
 // Everything else — the bucket queue, the shrink stamps, the frontier
 // lists — is reconstructed from those snapshots plus the mirrors, so a
@@ -88,7 +92,10 @@ type PeelCheckpoint struct {
 	eDeg   []int32
 	vCore  []int
 	eCore  []int
-	shards []*ShardSnapshot
+	// Shards holds the barrier snapshot of every owned shard, in shard
+	// order: the state a Barrier frame carries.  The next Checkpoint
+	// into this checkpoint overwrites them.
+	Shards []*ShardSnapshot
 }
 
 // shardPeel is one shard's peel state: a single int32 arena carved
@@ -351,29 +358,22 @@ func (w *DistPeeler) DropShard(s int) { w.shards[s] = nil }
 
 // Snapshot captures owned shard s's barrier state.
 func (w *DistPeeler) Snapshot(s int) *ShardSnapshot {
-	p := w.shards[s]
-	sn := &ShardSnapshot{
-		Shard:  int32(s),
-		AliveV: int32(p.aliveV),
-		Deg:    append([]int32(nil), p.deg...),
-		Dying:  make([]int32, 0, len(p.dying)),
-	}
-	for _, fi := range p.dying {
-		sn.Dying = append(sn.Dying, w.part.Shards[s].Edges[fi])
-	}
+	sn := &ShardSnapshot{}
+	w.snapshotInto(sn, s)
 	return sn
 }
 
-// Snapshots returns the barrier snapshot of every owned shard, in
-// shard order.
-func (w *DistPeeler) Snapshots() []*ShardSnapshot {
-	var out []*ShardSnapshot
-	for s, p := range w.shards {
-		if p != nil {
-			out = append(out, w.Snapshot(s))
-		}
+// snapshotInto writes owned shard s's barrier state into sn, reusing
+// its Deg and Dying buffers.
+func (w *DistPeeler) snapshotInto(sn *ShardSnapshot, s int) {
+	p := w.shards[s]
+	sn.Shard = int32(s)
+	sn.AliveV = int32(p.aliveV)
+	sn.Deg = append(sn.Deg[:0], p.deg...)
+	sn.Dying = slices.Grow(sn.Dying[:0], len(p.dying))
+	for _, fi := range p.dying {
+		sn.Dying = append(sn.Dying, w.part.Shards[s].Edges[fi])
 	}
-	return out
 }
 
 // PendingDying appends every owned shard's pending dying hyperedges,
@@ -546,7 +546,7 @@ func (w *DistPeeler) ApplyRetired(ctx context.Context, retired []int32) error {
 
 // CheckShrunk re-checks every owned hyperedge that shrank this round
 // for emptiness or non-maximality, refilling each shard's pending
-// dying list.  Snapshots or PendingDying read the result.
+// dying list.  Checkpoint, Snapshot or PendingDying read the result.
 //
 //hyperplexvet:hotpath
 func (w *DistPeeler) CheckShrunk(ctx context.Context) error {
@@ -584,20 +584,36 @@ func (w *DistPeeler) Coreness() (vCore, eCore []int) {
 	return append([]int(nil), w.vCore...), append([]int(nil), w.eCore...)
 }
 
-// Checkpoint deep-copies the replica at a barrier: mirrors plus one
-// ShardSnapshot per owned shard.  Restore brings the replica back to
-// exactly this state.
-func (w *DistPeeler) Checkpoint() *PeelCheckpoint {
-	return &PeelCheckpoint{
-		K:      w.k,
-		Round:  w.round,
-		vAlive: append([]bool(nil), w.vAlive...),
-		eAlive: append([]bool(nil), w.eAlive...),
-		eDeg:   append([]int32(nil), w.eDeg...),
-		vCore:  append([]int(nil), w.vCore...),
-		eCore:  append([]int(nil), w.eCore...),
-		shards: w.Snapshots(),
+// Checkpoint deep-copies the replica at a barrier into dst and returns
+// it: mirrors plus one ShardSnapshot per owned shard.  dst's buffers
+// are overwritten and reused wherever they are large enough, so dst
+// must be a checkpoint the caller will not restore again; a nil dst
+// allocates a fresh one.  Restore brings the replica back to exactly
+// this state.
+func (w *DistPeeler) Checkpoint(dst *PeelCheckpoint) *PeelCheckpoint {
+	if dst == nil {
+		dst = &PeelCheckpoint{}
 	}
+	dst.K = w.k
+	dst.Round = w.round
+	dst.vAlive = append(dst.vAlive[:0], w.vAlive...)
+	dst.eAlive = append(dst.eAlive[:0], w.eAlive...)
+	dst.eDeg = append(dst.eDeg[:0], w.eDeg...)
+	dst.vCore = append(dst.vCore[:0], w.vCore...)
+	dst.eCore = append(dst.eCore[:0], w.eCore...)
+	n := 0
+	for s, p := range w.shards {
+		if p == nil {
+			continue
+		}
+		if n == len(dst.Shards) {
+			dst.Shards = append(dst.Shards, &ShardSnapshot{})
+		}
+		w.snapshotInto(dst.Shards[n], s)
+		n++
+	}
+	dst.Shards = dst.Shards[:n]
+	return dst
 }
 
 // Restore rolls the replica back to a checkpoint taken on this
@@ -615,7 +631,7 @@ func (w *DistPeeler) Restore(cp *PeelCheckpoint) error {
 	for s := range w.shards {
 		w.shards[s] = nil
 	}
-	for _, sn := range cp.shards {
+	for _, sn := range cp.Shards {
 		if err := w.AssignSnapshot(sn); err != nil {
 			return err
 		}

@@ -74,9 +74,7 @@ func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 			dying = dying[:0]
 			for _, w := range workers {
 				must(w.CheckShrunk(ctx))
-				for _, sn := range w.Snapshots() {
-					dying = append(dying, sn.Dying...)
-				}
+				dying = w.PendingDying(dying)
 			}
 			round++
 			if barrier != nil {
@@ -211,7 +209,9 @@ func scramble(w *DistPeeler) {
 // barrier every replica is checkpointed, its state scrambled, then
 // restored — and the restored replica must keep retired hyperedges at
 // degree 0, and the continuation must still produce the exact
-// sequential decomposition.
+// sequential decomposition.  The reuse arm checkpoints into buffers
+// that already hold another replica's earlier barrier, as a worker's
+// spare slot does.
 func TestDistPeelerCheckpointReplay(t *testing.T) {
 	h := gen.RandomHypergraph(180, 140, 5, xrand.New(0xBEEF))
 	for _, target := range []int{0, 1, 3} {
@@ -220,7 +220,7 @@ func TestDistPeelerCheckpointReplay(t *testing.T) {
 				return
 			}
 			for _, w := range workers {
-				cp := w.Checkpoint()
+				cp := w.Checkpoint(nil)
 				scramble(w)
 				if err := w.Restore(cp); err != nil {
 					t.Fatalf("restore at barrier %d: %v", round, err)
@@ -229,6 +229,51 @@ func TestDistPeelerCheckpointReplay(t *testing.T) {
 			}
 		})
 		sameDecomposition(t, h, got, "replayed run")
+	}
+	for _, target := range []int{1, 3, 6} {
+		bufs := make([]*PeelCheckpoint, 2)
+		got := distDriver(t, h, 5, 2, func(k, round int, workers []*DistPeeler) {
+			// Each replica writes into the buffer the other filled at the
+			// last barrier.  Five shards over two replicas own three and
+			// two, so a reused shard list both grows and shrinks.
+			bufs[0], bufs[1] = bufs[1], bufs[0]
+			for i, w := range workers {
+				bufs[i] = w.Checkpoint(bufs[i])
+			}
+			if round != target {
+				return
+			}
+			for i, w := range workers {
+				scramble(w)
+				if err := w.Restore(bufs[i]); err != nil {
+					t.Fatalf("restore from a reused checkpoint at barrier %d: %v", round, err)
+				}
+				retiredDegreesZero(t, w, "after Restore from a reused checkpoint")
+			}
+		})
+		sameDecomposition(t, h, got, "run replayed from reused checkpoints")
+	}
+}
+
+// TestDistPeelerCheckpointAllocs pins the buffer reuse of Checkpoint:
+// checkpointing a replica into an earlier checkpoint of itself at the
+// same barrier allocates nothing.
+func TestDistPeelerCheckpointAllocs(t *testing.T) {
+	h := gen.RandomHypergraph(300, 200, 5, xrand.New(0xC0FE))
+	checked := false
+	distDriver(t, h, 3, 1, func(k, round int, workers []*DistPeeler) {
+		if round != 2 {
+			return
+		}
+		checked = true
+		w := workers[0]
+		cp := w.Checkpoint(nil)
+		if reused := testing.AllocsPerRun(20, func() { cp = w.Checkpoint(cp) }); reused != 0 {
+			t.Errorf("Checkpoint into a reused checkpoint made %v allocations, want 0", reused)
+		}
+	})
+	if !checked {
+		t.Fatal("run finished before barrier 2; enlarge the instance")
 	}
 }
 

@@ -80,8 +80,8 @@ func leakChecked(t *testing.T, body func(t *testing.T)) {
 // TestDifferentialDistDecompose is the acceptance differential: the
 // coordinator + worker pool produces vertex coreness and MaxK exactly
 // equal to sequential Decompose on the sweep instances and Cellzome —
-// on the healthy path, under a chaos kill mid-round, and through the
-// local fallback after an unrecoverable pool.
+// on the healthy path, under a chaos kill at the first or a late
+// barrier, and through the local fallback after an unrecoverable pool.
 func TestDifferentialDistDecompose(t *testing.T) {
 	instances := check.Instances(8, 0xD157)
 	cz := dataset.Cellzome().H
@@ -126,6 +126,32 @@ func TestDifferentialDistDecompose(t *testing.T) {
 				}
 				assertExact(t, h, d, "killed run")
 			}
+		})
+	})
+
+	t.Run("chaos kill at a late barrier", func(t *testing.T) {
+		leakChecked(t, func(t *testing.T) {
+			// By barrier 12 (of Cellzome's 17) every worker has recycled
+			// its checkpoint slots many times, so the survivors roll
+			// back to a checkpoint written into a much-reused spare.
+			const at = 12
+			barriers, killed := 0, false
+			opts := fastOpts()
+			opts.OnBarrier = func(k, round int32, kill func(worker int)) {
+				barriers++
+				if barriers == at {
+					killed = true
+					kill(1)
+				}
+			}
+			d, err := Decompose(cz, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !killed {
+				t.Fatalf("only %d barriers fired, want a kill at barrier %d", barriers, at)
+			}
+			assertExact(t, cz, d, "late-killed run")
 		})
 	})
 
@@ -199,6 +225,14 @@ func TestDistHeartbeatDeath(t *testing.T) {
 		h := dataset.Cellzome().H
 		opts := fastOpts()
 		opts.HeartbeatInterval = 5 * time.Millisecond
+		// Hold the coordinator at its first barrier until a heartbeat
+		// has panicked: the whole run can be shorter than three beats.
+		opts.OnBarrier = func(k, round int32, kill func(worker int)) {
+			deadline := time.Now().Add(5 * time.Second)
+			for failpoint.Fired("dist.heartbeat") == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		}
 		d, err := Decompose(h, opts)
 		if err != nil {
 			t.Fatal(err)

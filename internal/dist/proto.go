@@ -202,10 +202,21 @@ func (e *enc) u32(x uint32) {
 	e.b = binary.LittleEndian.AppendUint32(e.b, x)
 }
 func (e *enc) i32(x int32) { e.u32(uint32(x)) }
+
+// i32s appends a count-prefixed int32 slice, growing the payload at
+// most once and writing the values in place.
 func (e *enc) i32s(xs []int32) {
-	e.u32(lenU32(len(xs)))
-	for _, x := range xs {
-		e.i32(x)
+	n, size := len(e.b), 4+4*len(xs)
+	if cap(e.b)-n < size {
+		b := make([]byte, n, 2*cap(e.b)+size)
+		copy(b, e.b)
+		e.b = b
+	}
+	e.b = e.b[:n+size]
+	binary.LittleEndian.PutUint32(e.b[n:], lenU32(len(xs)))
+	out := e.b[n+4:]
+	for i, x := range xs {
+		binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
 	}
 }
 func (e *enc) bytes(b []byte) {
@@ -257,6 +268,43 @@ func (d *dec) i32s() []int32 {
 	}
 	d.b = d.b[4*n:]
 	return out
+}
+
+// i32rows reads ne count-prefixed int32 rows into one flat array, each
+// row a capped sub-slice of it.  The remaining bytes bound the array:
+// after the ne row counts, at most a quarter of the rest can be
+// members, and every row's count is checked against what is left of
+// that bound before its members are read.
+func (d *dec) i32rows(ne uint32) [][]int32 {
+	if d.err != nil {
+		return nil
+	}
+	if uint64(ne)*4 > uint64(len(d.b)) {
+		d.fail("row count %d exceeds %d remaining bytes", ne, len(d.b))
+		return nil
+	}
+	rows := make([][]int32, ne)
+	flat := make([]int32, (len(d.b)-4*int(ne))/4)
+	pos := 0
+	//hyperplexvet:ignore budgettick bounded: one decoding pass over a length-validated payload; the read loop checks ctx per frame
+	for i := range rows {
+		n := d.u32()
+		if d.err != nil {
+			return nil
+		}
+		if uint64(n) > uint64(len(flat)-pos) {
+			d.fail("row %d member count %d exceeds the %d members left in the payload", i, n, len(flat)-pos)
+			return nil
+		}
+		row := flat[pos : pos+int(n) : pos+int(n)]
+		for j := range row {
+			row[j] = int32(binary.LittleEndian.Uint32(d.b[4*j:]))
+		}
+		d.b = d.b[4*n:]
+		rows[i] = row
+		pos += int(n)
+	}
+	return rows
 }
 
 func (d *dec) bytes() []byte {
@@ -356,7 +404,11 @@ type msgLoad struct {
 }
 
 func (m *msgLoad) encode() []byte {
-	var e enc
+	size := 4 + 4 + 8*len(m.Descs) + 4 + 4 + 4*len(m.Edges)
+	for _, members := range m.Edges {
+		size += 4 * len(members)
+	}
+	e := enc{b: make([]byte, 0, size)}
 	e.u32(m.Epoch)
 	e.u32(lenU32(len(m.Descs)))
 	for _, d := range m.Descs {
@@ -387,21 +439,7 @@ func (m *msgLoad) decode(b []byte) error {
 		}
 	}
 	m.NumV = d.i32()
-	ne := d.u32()
-	// Each hyperedge row costs at least its 4-byte count.
-	if d.err == nil && uint64(ne)*4 > uint64(len(d.b)) {
-		d.fail("hyperedge count %d exceeds %d remaining bytes", ne, len(d.b))
-	}
-	if d.err == nil {
-		m.Edges = make([][]int32, ne)
-		//hyperplexvet:ignore budgettick bounded: one decoding pass over a length-validated payload; the read loop checks ctx per frame
-		for i := range m.Edges {
-			m.Edges[i] = d.i32s()
-			if d.err != nil {
-				break
-			}
-		}
-	}
+	m.Edges = d.i32rows(d.u32())
 	return d.done()
 }
 

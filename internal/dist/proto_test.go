@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"hyperplex/internal/core"
 	"hyperplex/internal/failpoint"
+	"hyperplex/internal/gen"
+	"hyperplex/internal/hypergraph"
+	"hyperplex/internal/mmio"
 	"hyperplex/internal/partition"
 )
 
@@ -178,6 +183,25 @@ func TestDecodeRejectsAllocationBombs(t *testing.T) {
 	if err := m2.decode(append((&msgRound{}).encode(), 0xEE)); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatal("trailing garbage accepted")
 	}
+	var l msgLoad
+	if err := l.decode(loadRowPastEnd()); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("Load row past the payload end: err = %v, want ErrCorruptFrame", err)
+	}
+}
+
+// loadRowPastEnd is a Load payload whose second row claims five
+// members with two behind it.
+func loadRowPastEnd() []byte {
+	var e enc
+	e.u32(0) // epoch
+	e.u32(0) // descriptors
+	e.i32(2) // NumV
+	e.u32(2) // rows
+	e.i32s([]int32{1})
+	e.u32(5)
+	e.i32(0)
+	e.i32(1)
+	return e.b
 }
 
 // FuzzDecodeFrame fuzzes the full inbound path: frame validation with
@@ -188,6 +212,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBytes(f, mApply, (&msgRound{Epoch: 1, K: 2, Round: 3, IDs: []int32{4, 5}}).encode()))
 	f.Add(frameBytes(f, mBarrier, (&msgBarrier{Epoch: 1, K: 1, Round: 1, Snaps: []*core.ShardSnapshot{{Shard: 0, Deg: []int32{1}}}}).encode()))
 	f.Add(frameBytes(f, mLoad, (&msgLoad{Descs: []partition.Desc{{First: 0, Count: 2}}, NumV: 2, Edges: [][]int32{{0, 1}}}).encode()))
+	f.Add(frameBytes(f, mLoad, (&msgLoad{NumV: 2, Edges: [][]int32{{}, {0, 1}, {}}}).encode()))
+	f.Add(frameBytes(f, mLoad, loadRowPastEnd()))
 	f.Add(frameBytes(f, mResult, (&msgResult{VCore: []int32{1}, ECore: []int32{2}}).encode()))
 	// Truncated header and payload.
 	whole := frameBytes(f, mRetired, (&msgRound{IDs: []int32{1, 2, 3}}).encode())
@@ -271,5 +297,149 @@ func TestSendRetryExhaustsBudget(t *testing.T) {
 	}
 	if fired := failpoint.Fired("dist.send"); fired != 3 {
 		t.Errorf("failpoint fired %d times, want 3 (initial attempt + 2 retries)", fired)
+	}
+}
+
+// codec is the encode/decode pair every message type carries.
+type codec interface {
+	encode() []byte
+	decode([]byte) error
+}
+
+// goldenFrames is one frame per frame type, with its bytes as recorded
+// from protocol version 1.  The bytes are the interoperability
+// contract between builds: a coordinator and hgshardd workers built
+// from different sources must frame identically, so a codec change
+// that moves any byte here needs a protoVersion bump instead.
+var goldenFrames = []struct {
+	name  string
+	typ   byte
+	msg   codec // nil: an empty payload
+	empty func() codec
+	hex   string
+}{
+	{"Hello", mHello, &msgHello{Version: protoVersion, ID: 3}, func() codec { return &msgHello{} },
+		"687801010800000019703dbb0100000003000000"},
+	{"Load", mLoad, &msgLoad{Epoch: 7, Descs: []partition.Desc{{First: 0, Count: 3}, {First: 3, Count: 2}}, NumV: 5,
+		Edges: [][]int32{{0, 1, 2}, {}, {3, 4}}}, func() codec { return &msgLoad{} },
+		"6878010240000000ee4ae2fc07000000020000000000000003000000030000000200000005000000030000000300000000000000010000000200000000000000020000000300000004000000"},
+	{"Assign", mAssign, &msgAssign{Epoch: 3, K: 2, Round: 5, Fresh: []int32{1, 4}, Snaps: []*core.ShardSnapshot{
+		{Shard: 0, AliveV: 5, Deg: []int32{1, 2, 3}, Dying: []int32{9}}, {Shard: 2}}}, func() codec { return &msgAssign{} },
+		"687801034c000000cf55305703000000020000000500000002000000010000000400000002000000000000000500000003000000010000000200000003000000010000000900000002000000000000000000000000000000"},
+	{"Rollback", mRollback, &msgRound{Epoch: 4, K: 2, Round: -1}, func() codec { return &msgRound{} },
+		"687801041800000059964d130400000002000000ffffffff000000000000000000000000"},
+	{"Apply", mApply, &msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{5, -1, 7}}, func() codec { return &msgRound{} },
+		"68780105240000008d4d1e960100000004000000090000000300000005000000ffffffff070000000000000000000000"},
+	{"Frontier", mFrontier, &msgRound{Epoch: 1, K: 4, Round: 9, A: 11, B: -2}, func() codec { return &msgRound{} },
+		"687801061800000050111f8a010000000400000009000000000000000b000000feffffff"},
+	{"Retire", mRetire, &msgRound{Epoch: 1, K: 4, Round: 9}, func() codec { return &msgRound{} },
+		"6878010718000000804a72b1010000000400000009000000000000000000000000000000"},
+	{"Retired", mRetired, &msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{2, 3}}, func() codec { return &msgRound{} },
+		"6878010820000000f57cdf870100000004000000090000000200000002000000030000000000000000000000"},
+	{"Shrink", mShrink, &msgRound{Epoch: 1, K: 4, Round: 10, IDs: []int32{2, 3}}, func() codec { return &msgRound{} },
+		"6878010920000000ddd5c1df01000000040000000a0000000200000002000000030000000000000000000000"},
+	{"Barrier", mBarrier, &msgBarrier{Epoch: 8, K: 3, Round: 12, Snaps: []*core.ShardSnapshot{
+		{Shard: 1, AliveV: 2, Deg: []int32{0, 4}, Dying: []int32{6, 8}}}}, func() codec { return &msgBarrier{} },
+		"6878010a30000000c84dd79508000000030000000c000000010000000100000002000000020000000000000004000000020000000600000008000000"},
+	{"Finish", mFinish, &msgRound{Epoch: 2, K: 5, Round: 20}, func() codec { return &msgRound{} },
+		"6878010b1800000029a46663020000000500000014000000000000000000000000000000"},
+	{"Result", mResult, &msgResult{Epoch: 2, VCore: []int32{0, 1, 2}, ECore: []int32{3}}, func() codec { return &msgResult{} },
+		"6878010c1c0000008584494702000000030000000000000001000000020000000100000003000000"},
+	{"Heartbeat", mHeartbeat, nil, nil, "6878010d0000000000000000"},
+	{"Shutdown", mShutdown, nil, nil, "6878010e0000000000000000"},
+	{"Error", mError, &msgError{Epoch: 6, Text: "worker 3: shard exploded"}, func() codec { return &msgError{} },
+		"6878010f20000000944dfc080600000018000000776f726b657220333a207368617264206578706c6f646564"},
+}
+
+// TestGoldenFrames pins the wire bytes of one frame per frame type, and
+// that decoding the golden bytes and encoding the message again
+// reproduces them.
+func TestGoldenFrames(t *testing.T) {
+	seen := make(map[byte]bool)
+	for _, g := range goldenFrames {
+		seen[g.typ] = true
+		var payload []byte
+		if g.msg != nil {
+			payload = g.msg.encode()
+		}
+		if got := hex.EncodeToString(frameBytes(t, g.typ, payload)); got != g.hex {
+			t.Errorf("%s frame:\n got %s\nwant %s", g.name, got, g.hex)
+			continue
+		}
+		raw, _ := hex.DecodeString(g.hex)
+		typ, body, err := readFrame(bytes.NewReader(raw), maxFramePayload)
+		if err != nil || typ != g.typ {
+			t.Errorf("%s frame: read type %d, err %v", g.name, typ, err)
+			continue
+		}
+		if g.msg == nil {
+			if len(body) != 0 {
+				t.Errorf("%s frame: %d payload bytes, want none", g.name, len(body))
+			}
+			continue
+		}
+		m := g.empty()
+		if err := m.decode(body); err != nil {
+			t.Errorf("%s frame: decode: %v", g.name, err)
+			continue
+		}
+		if !bytes.Equal(m.encode(), body) {
+			t.Errorf("%s frame: decode then encode does not reproduce the payload", g.name)
+		}
+	}
+	for typ := mHello; typ < mTypeMax; typ++ {
+		if !seen[typ] {
+			t.Errorf("frame type %d has no golden frame", typ)
+		}
+	}
+}
+
+// bandedLoad is the Load frame of the banded 8000×8000 benchmark
+// instance (seed 0xBE) over 2 shards, as the coordinator ships it.
+func bandedLoad(t *testing.T) (*msgLoad, *hypergraph.Hypergraph) {
+	t.Helper()
+	h, err := mmio.ToHypergraph(gen.SyntheticMatrix(gen.MatrixSpec{Name: "bench", Rows: 8000, Cols: 8000, Band: 10, BandFill: 0.7, RandomPerRow: 2, Seed: 0xBE}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := make([][]int32, h.NumEdges())
+	for f := range edges {
+		edges[f] = h.Vertices(f)
+	}
+	part := partition.Build(h, 2)
+	return &msgLoad{Epoch: 1, Descs: part.Descs(), NumV: int32(h.NumVertices()), Edges: edges}, h
+}
+
+// TestCodecAllocs pins the allocations of the bulk codec: a slice of
+// 10k int32s grows the payload at most once, the banded Load encodes
+// into one buffer sized up front, and decoding it makes three
+// allocations (descriptors, row headers, one flat member array), not
+// one per row.
+func TestCodecAllocs(t *testing.T) {
+	xs := make([]int32, 10000)
+	var e enc
+	if a := testing.AllocsPerRun(20, func() {
+		e.b = nil
+		e.i32s(xs)
+	}); a > 1 {
+		t.Errorf("enc.i32s of %d values made %v allocations, want at most 1", len(xs), a)
+	}
+	load, h := bandedLoad(t)
+	if a := testing.AllocsPerRun(5, func() { _ = load.encode() }); a != 1 {
+		t.Errorf("msgLoad.encode of the banded Load made %v allocations, want 1", a)
+	}
+	payload := load.encode()
+	var got msgLoad
+	if a := testing.AllocsPerRun(5, func() {
+		if err := got.decode(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 3 {
+		t.Errorf("msgLoad.decode of the banded Load (%d rows) made %v allocations, want 3", h.NumEdges(), a)
+	}
+	for f, row := range got.Edges {
+		if !slices.Equal(row, load.Edges[f]) || cap(row) != len(row) {
+			t.Fatalf("decoded row %d = %v (cap %d), want %v at capacity", f, row, cap(row), load.Edges[f])
+		}
 	}
 }

@@ -56,11 +56,14 @@ type tagged struct {
 }
 
 // workerState is one worker's side of the protocol: the replica, the
-// connection, and the two-slot barrier checkpoint.  pending holds the
-// snapshot taken when the worker voted at the latest barrier; the next
-// Apply frame proves the coordinator committed that barrier and
+// connection, and the barrier checkpoint slots.  pending holds the
+// checkpoint taken when the worker voted at the latest barrier; the
+// next Apply frame proves the coordinator committed that barrier and
 // promotes it to committed.  A Rollback frame names one of the two
-// tags; anything else is a protocol violation.
+// tags; anything else is a protocol violation.  spare is a checkpoint
+// neither tag can name any more: the next checkpoint is written into
+// its buffers, and it is the only slot ever overwritten, so a barrier
+// costs no replica-sized allocation.
 type workerState struct {
 	//hyperplexvet:ignore ctxfirst scoped to one ServeWorker call tree, mirroring coordinator
 	ctx  context.Context
@@ -73,8 +76,8 @@ type workerState struct {
 	part   *partition.Partition
 	peeler *core.DistPeeler
 
-	epoch              uint32
-	pending, committed *tagged
+	epoch                     uint32
+	pending, committed, spare *tagged
 
 	hbPanic atomic.Pointer[core.WorkerPanicError]
 }
@@ -260,8 +263,30 @@ func (w *workerState) load(ctx context.Context, m *msgLoad) error {
 	}
 	w.h, w.part = h, part
 	w.peeler = core.NewDistPeeler(h, part)
-	w.pending, w.committed = nil, nil
+	w.pending, w.committed, w.spare = nil, nil, nil
 	return nil
+}
+
+// checkpoint checkpoints the replica at barrier (k, round) into the
+// spare slot's buffers, or a fresh checkpoint when there is no spare,
+// and returns it; the spare slot is left empty.
+func (w *workerState) checkpoint(k, round int32) *tagged {
+	t := w.spare
+	w.spare = nil
+	if t == nil {
+		t = &tagged{}
+	}
+	t.k, t.round = k, round
+	t.cp = w.peeler.Checkpoint(t.cp)
+	return t
+}
+
+// release keeps t, a checkpoint neither tag names any more, as the
+// spare.
+func (w *workerState) release(t *tagged) {
+	if t != nil {
+		w.spare = t
+	}
 }
 
 func (w *workerState) assign(ctx context.Context, m *msgAssign) error {
@@ -289,8 +314,10 @@ func (w *workerState) assign(ctx context.Context, m *msgAssign) error {
 	}
 	// The replica now holds barrier (K, Round) state including the new
 	// shards; re-checkpoint it as the committed slot.
-	w.committed = &tagged{k: m.K, round: m.Round, cp: w.peeler.Checkpoint()}
-	w.pending = nil
+	t := w.checkpoint(m.K, m.Round)
+	w.release(w.pending)
+	w.release(w.committed)
+	w.committed, w.pending = t, nil
 	if len(m.Fresh) > 0 {
 		b := msgBarrier{Epoch: w.epoch, K: m.K, Round: m.Round, Snaps: snaps}
 		return w.send(mBarrier, b.encode())
@@ -306,21 +333,22 @@ func (w *workerState) rollback(m *msgRound) error {
 			return errors.New("dist: reset before load")
 		}
 		w.peeler = core.NewDistPeeler(w.h, w.part)
-		w.pending, w.committed = nil, nil
+		w.pending, w.committed, w.spare = nil, nil, nil
 		return nil
 	}
-	var cp *tagged
+	var cp, other *tagged
 	switch {
 	case w.pending != nil && w.pending.k == m.K && w.pending.round == m.Round:
-		cp = w.pending
+		cp, other = w.pending, w.committed
 	case w.committed != nil && w.committed.k == m.K && w.committed.round == m.Round:
-		cp = w.committed
+		cp, other = w.committed, w.pending
 	default:
 		return fmt.Errorf("dist: no checkpoint for barrier k=%d round=%d", m.K, m.Round)
 	}
 	if err := w.peeler.Restore(cp.cp); err != nil {
 		return err
 	}
+	w.release(other)
 	w.committed, w.pending = cp, nil
 	return nil
 }
@@ -330,6 +358,7 @@ func (w *workerState) apply(ctx context.Context, m *msgRound) error {
 	// An Apply frame means the coordinator committed the barrier this
 	// worker last voted for: promote the tentative checkpoint.
 	if w.pending != nil {
+		w.release(w.committed)
 		w.committed, w.pending = w.pending, nil
 	}
 	if err := w.peelerOrNil().ApplyDying(ctx, int(m.K), m.IDs); err != nil {
@@ -352,8 +381,11 @@ func (w *workerState) shrink(ctx context.Context, m *msgRound) error {
 		return err
 	}
 	// Tentative checkpoint: this barrier is committed only once every
-	// worker's vote lands, which the next Apply frame confirms.
-	w.pending = &tagged{k: m.K, round: m.Round, cp: w.peeler.Checkpoint()}
-	b := msgBarrier{Epoch: w.epoch, K: m.K, Round: m.Round, Snaps: w.peeler.Snapshots()}
+	// worker's vote lands, which the next Apply frame confirms.  The
+	// vote ships the checkpoint's own shard snapshots.
+	t := w.checkpoint(m.K, m.Round)
+	w.release(w.pending)
+	w.pending = t
+	b := msgBarrier{Epoch: w.epoch, K: m.K, Round: m.Round, Snaps: t.cp.Shards}
 	return w.send(mBarrier, b.encode())
 }

@@ -1,0 +1,204 @@
+package dist
+
+import (
+	"bytes"
+	"context"
+	"net"
+	"reflect"
+	"slices"
+	"testing"
+
+	"hyperplex/internal/core"
+	"hyperplex/internal/csr"
+	"hyperplex/internal/gen"
+	"hyperplex/internal/hypergraph"
+	"hyperplex/internal/partition"
+	"hyperplex/internal/xrand"
+)
+
+// recordConn is a worker's connection that records the frames the
+// worker sends.  The test plays the coordinator by calling handle
+// directly, so Write is the only method the worker uses.
+type recordConn struct {
+	net.Conn
+	out bytes.Buffer
+}
+
+func (c *recordConn) Write(p []byte) (int, error) { return c.out.Write(p) }
+
+// workerDriver plays the coordinator of coordinator.round against one
+// workerState that owns every shard.
+type workerDriver struct {
+	t     *testing.T
+	w     *workerState
+	conn  *recordConn
+	epoch uint32
+	maxK  int32
+}
+
+// barrierTag is a barrier the worker voted at and the dying delta its
+// vote carried.
+type barrierTag struct {
+	k, round int32
+	dying    []int32
+}
+
+// newWorkerDriver loads h and its partition into a fresh worker and
+// assigns it every shard; it returns barrier (0, 0).
+func newWorkerDriver(t *testing.T, h *hypergraph.Hypergraph, part *partition.Partition) (*workerDriver, barrierTag) {
+	t.Helper()
+	conn := &recordConn{}
+	d := &workerDriver{t: t, conn: conn, w: &workerState{ctx: context.Background(), conn: conn, opts: WorkerOptions{}.normalized()}}
+	edges := make([][]int32, h.NumEdges())
+	for f := range edges {
+		edges[f] = h.Vertices(f)
+	}
+	load := msgLoad{Descs: part.Descs(), NumV: csr.MustInt32(h.NumVertices()), Edges: edges}
+	d.call(mLoad, load.encode(), 0)
+	fresh := make([]int32, part.NumShards())
+	for s := range fresh {
+		fresh[s] = int32(s)
+	}
+	var b msgBarrier
+	d.decode(&b, d.call(mAssign, (&msgAssign{Fresh: fresh}).encode(), mBarrier))
+	return d, barrierTag{dying: snapshotsDying(b.Snaps)}
+}
+
+func snapshotsDying(snaps []*core.ShardSnapshot) []int32 {
+	var dying []int32
+	for _, sn := range snaps {
+		dying = append(dying, sn.Dying...)
+	}
+	return dying
+}
+
+// call hands the worker one frame and returns the payload of its reply
+// of type want; want 0 expects no reply.
+func (d *workerDriver) call(typ byte, payload []byte, want byte) []byte {
+	d.t.Helper()
+	if err := d.w.handle(context.Background(), typ, payload); err != nil {
+		d.t.Fatalf("frame type %d: %v", typ, err)
+	}
+	if want == 0 {
+		if d.conn.out.Len() != 0 {
+			d.t.Fatalf("frame type %d: unexpected %d-byte reply", typ, d.conn.out.Len())
+		}
+		return nil
+	}
+	got, reply, err := readFrame(&d.conn.out, maxFramePayload)
+	if err != nil || got != want || d.conn.out.Len() != 0 {
+		d.t.Fatalf("frame type %d: reply type %d (want %d), err %v, %d bytes left over", typ, got, want, err, d.conn.out.Len())
+	}
+	return reply
+}
+
+func (d *workerDriver) decode(m codec, payload []byte) {
+	d.t.Helper()
+	if err := m.decode(payload); err != nil {
+		d.t.Fatal(err)
+	}
+}
+
+// round runs one round at threshold k from barrier b, as
+// coordinator.round does, and returns the new barrier when the round
+// ends in one.
+func (d *workerDriver) round(k int32, b barrierTag) (roundStatus, barrierTag) {
+	d.t.Helper()
+	var fr msgRound
+	d.decode(&fr, d.call(mApply, (&msgRound{Epoch: d.epoch, K: k, Round: b.round, IDs: b.dying}).encode(), mFrontier))
+	if fr.A == 0 && len(b.dying) == 0 {
+		if fr.B == 0 {
+			return roundDone, b
+		}
+		d.maxK = k
+		return roundAdvance, b
+	}
+	var rt msgRound
+	d.decode(&rt, d.call(mRetire, (&msgRound{Epoch: d.epoch, K: k, Round: b.round}).encode(), mRetired))
+	var bar msgBarrier
+	next := b.round + 1
+	d.decode(&bar, d.call(mShrink, (&msgRound{Epoch: d.epoch, K: k, Round: next, IDs: rt.IDs}).encode(), mBarrier))
+	if bar.K != k || bar.Round != next {
+		d.t.Fatalf("worker voted barrier (%d, %d), want (%d, %d)", bar.K, bar.Round, k, next)
+	}
+	return roundMore, barrierTag{k: k, round: next, dying: snapshotsDying(bar.Snaps)}
+}
+
+// nextBarrier runs rounds from barrier b until the worker votes at the
+// next barrier.
+func (d *workerDriver) nextBarrier(b barrierTag) barrierTag {
+	d.t.Helper()
+	for k := max(b.k, 1); ; {
+		status, nb := d.round(k, b)
+		switch status {
+		case roundMore:
+			return nb
+		case roundAdvance:
+			k++
+		default:
+			d.t.Fatal("the peel ended before the next barrier; enlarge the instance")
+		}
+	}
+}
+
+// finish runs rounds from barrier b to the end of the peel and returns
+// the worker's result.
+func (d *workerDriver) finish(b barrierTag) *core.Decomposition {
+	d.t.Helper()
+	for k := max(b.k, 1); ; {
+		status, nb := d.round(k, b)
+		switch status {
+		case roundMore:
+			b = nb
+		case roundAdvance:
+			k++
+		default:
+			var res msgResult
+			d.decode(&res, d.call(mFinish, (&msgRound{Epoch: d.epoch, K: b.k, Round: b.round}).encode(), mResult))
+			return &core.Decomposition{VertexCoreness: coreInt(res.VCore), EdgeCoreness: coreInt(res.ECore), MaxK: int(d.maxK)}
+		}
+	}
+}
+
+// TestWorkerRollbackToCommitted drives one worker through the frames of
+// a run that loses a peer after the worker voted at barrier B2: Load,
+// Assign, a round ending in its vote at B1, an Apply that commits B1,
+// a round ending in its vote at B2, and a Rollback to B1.  The B2 vote
+// must reuse the spare checkpoint and leave the committed one intact,
+// so after the rollback the replica equals a reference worker driven
+// only to B1 (mirrors and every shard snapshot), and the continuation
+// is exact.
+func TestWorkerRollbackToCommitted(t *testing.T) {
+	h := gen.RandomHypergraph(180, 140, 5, xrand.New(0xBEEF))
+	part := partition.Build(h, 3)
+	d, b0 := newWorkerDriver(t, h, part)
+	spare := d.w.committed.cp // the Assign checkpoint, spare once B1 commits
+	b1 := d.nextBarrier(b0)
+	voted := d.w.pending.cp
+	b2 := d.nextBarrier(b1)
+	if d.w.committed.cp != voted || d.w.committed.k != b1.k || d.w.committed.round != b1.round {
+		t.Fatalf("committed slot is (%d, %d), want the B1 vote (%d, %d)", d.w.committed.k, d.w.committed.round, b1.k, b1.round)
+	}
+	if d.w.pending.cp != spare {
+		t.Fatal("the B2 vote did not reuse the spare checkpoint")
+	}
+	d.epoch++
+	d.call(mRollback, (&msgRound{Epoch: d.epoch, K: b1.k, Round: b1.round}).encode(), 0)
+	if d.w.pending != nil || d.w.spare == nil || d.w.spare.k != b2.k || d.w.spare.round != b2.round {
+		t.Fatal("after the rollback the B2 vote should be the spare and nothing pending")
+	}
+
+	ref, r0 := newWorkerDriver(t, h, part)
+	if rb1 := ref.nextBarrier(r0); rb1.k != b1.k || rb1.round != b1.round || !slices.Equal(rb1.dying, b1.dying) {
+		t.Fatalf("reference voted (%d, %d), worker voted (%d, %d)", rb1.k, rb1.round, b1.k, b1.round)
+	}
+	if got, want := d.w.peeler.Checkpoint(nil), ref.w.peeler.Checkpoint(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replica rolled back to B1 differs from the reference at B1:\n got %+v\nwant %+v", got, want)
+	}
+
+	got := d.finish(b1)
+	want := core.Decompose(h)
+	if got.MaxK != want.MaxK || !slices.Equal(got.VertexCoreness, want.VertexCoreness) || !slices.Equal(got.EdgeCoreness, want.EdgeCoreness) {
+		t.Fatal("the continuation from the rolled-back replica differs from Decompose")
+	}
+}

@@ -311,12 +311,27 @@ func Write(w io.Writer, m *Matrix) error {
 // paper's Table 1: rows become vertices and columns become hyperedges
 // (a column's hyperedge contains the rows where it has a nonzero).
 // Duplicate entries collapse; empty columns become empty hyperedges and
-// are retained so |F| matches the matrix dimension.
+// are retained so |F| matches the matrix dimension.  A hand-built m
+// with negative dimensions, index slices of unequal length or an index
+// outside the dimensions is an error; the last two name the entry.
 func ToHypergraph(m *Matrix) (*hypergraph.Hypergraph, error) {
+	if m.Rows < 0 || m.Cols < 0 {
+		return nil, fmt.Errorf("mmio: negative dimensions %d x %d", m.Rows, m.Cols)
+	}
+	if nr, nc := len(m.RowIdx), len(m.ColIdx); nr != nc {
+		missing := "row"
+		if nr > nc {
+			missing = "column"
+		}
+		return nil, fmt.Errorf("mmio: entry %d has no %s index (%d row indices, %d column indices)", min(nr, nc), missing, nr, nc)
+	}
 	// Bucket the entries by column: every column row is carved, at its
 	// exact capacity, from one flat array, so the appends never grow.
 	off := make([]int, m.Cols+1)
-	for _, j := range m.ColIdx {
+	for k, j := range m.ColIdx {
+		if j < 0 || int(j) >= m.Cols {
+			return nil, fmt.Errorf("mmio: entry %d column %d out of range [0,%d)", k, j, m.Cols)
+		}
 		off[j+1]++
 	}
 	for j := 0; j < m.Cols; j++ {

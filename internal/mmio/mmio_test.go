@@ -286,6 +286,38 @@ func TestToHypergraph(t *testing.T) {
 	}
 }
 
+// TestToHypergraphRejectsMalformedMatrix covers hand-built matrices
+// (hyperplex.MatrixToHypergraph takes one from any caller): each bad
+// shape is an error naming the offending entry, never a panic or a
+// silently dropped entry.
+func TestToHypergraphRejectsMalformedMatrix(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    Matrix
+		want string
+	}{
+		{"column past the last", Matrix{Rows: 2, Cols: 2, RowIdx: []int32{0, 1}, ColIdx: []int32{1, 2}}, "entry 1 column 2 out of range [0,2)"},
+		{"negative column", Matrix{Rows: 2, Cols: 2, RowIdx: []int32{0}, ColIdx: []int32{-1}}, "entry 0 column -1 out of range [0,2)"},
+		{"more column than row indices", Matrix{Rows: 2, Cols: 2, RowIdx: []int32{0}, ColIdx: []int32{0, 1}}, "entry 1 has no row index (1 row indices, 2 column indices)"},
+		{"more row than column indices", Matrix{Rows: 2, Cols: 2, RowIdx: []int32{0, 1, 1}, ColIdx: []int32{0}}, "entry 1 has no column index (3 row indices, 1 column indices)"},
+		{"row past the last", Matrix{Rows: 2, Cols: 2, RowIdx: []int32{0, 2}, ColIdx: []int32{0, 1}}, "edge 1 member 2 out of range [0,2)"},
+		{"negative dimensions", Matrix{Rows: 2, Cols: -3}, "negative dimensions 2 x -3"},
+	} {
+		var err error
+		func() {
+			defer func() {
+				if x := recover(); x != nil {
+					err = fmt.Errorf("panic: %v", x)
+				}
+			}()
+			_, err = ToHypergraph(&tc.m)
+		}()
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.HasPrefix(err.Error(), "panic") {
+			t.Errorf("%s: err = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestFromHypergraphRoundTrip(t *testing.T) {
 	m, err := Read(strings.NewReader(sampleGeneral))
 	if err != nil {
