@@ -266,6 +266,24 @@ func BenchmarkReadMatrixMarket(b *testing.B) {
 	}
 }
 
+// BenchmarkReadText measures the text reader on the 20000-protein
+// synthetic proteome, the read that opens every job of hgbench's baits
+// workload.
+func BenchmarkReadText(b *testing.B) {
+	var buf bytes.Buffer
+	if err := hypergraph.WriteText(&buf, dataset.SyntheticProteome(20000, 3000, 42)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := hypergraph.ReadTextCtx(context.Background(), bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCSRDecompose measures the sequential bucket-queue peeler
 // (csr.Decompose, which every sequential core route runs) on the
 // banded instance (BENCH_PR6.json records the trajectory).

@@ -295,6 +295,11 @@ func LoadInstanceCtx(ctx context.Context, dir string) (*Instance, error) {
 		Homolog:   make([]bool, h.NumVertices()),
 	}
 	for name, rec := range ann {
+		// Each name is charged like a bait line: the file is unbounded
+		// input, and every lookup walks a probe of the name index.
+		if err := run.Tick(ctx, meter, 1); err != nil {
+			return nil, err
+		}
 		v, ok := h.VertexID(name)
 		if !ok {
 			return nil, fmt.Errorf("dataset: annotated protein %q not in hypergraph", name)
@@ -314,6 +319,9 @@ func LoadInstanceCtx(ctx context.Context, dir string) (*Instance, error) {
 	}
 	inst.CoreV = make([]bool, h.NumVertices())
 	for _, name := range meta.CoreProteins {
+		if err := run.Tick(ctx, meter, 1); err != nil {
+			return nil, err
+		}
 		v, ok := h.VertexID(name)
 		if !ok {
 			return nil, fmt.Errorf("dataset: core protein %q not in hypergraph", name)
@@ -322,6 +330,9 @@ func LoadInstanceCtx(ctx context.Context, dir string) (*Instance, error) {
 	}
 	inst.CoreF = make([]bool, h.NumEdges())
 	for _, name := range meta.CoreComplexes {
+		if err := run.Tick(ctx, meter, 1); err != nil {
+			return nil, err
+		}
 		f, ok := h.EdgeID(name)
 		if !ok {
 			return nil, fmt.Errorf("dataset: core complex %q not in hypergraph", name)
@@ -329,6 +340,9 @@ func LoadInstanceCtx(ctx context.Context, dir string) (*Instance, error) {
 		inst.CoreF[f] = true
 	}
 	for _, name := range meta.Singletons {
+		if err := run.Tick(ctx, meter, 1); err != nil {
+			return nil, err
+		}
 		f, ok := h.EdgeID(name)
 		if !ok {
 			return nil, fmt.Errorf("dataset: singleton complex %q not in hypergraph", name)

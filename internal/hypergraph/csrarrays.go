@@ -8,14 +8,17 @@ import "fmt"
 // memory-mapped store file as an ordinary Hypergraph: the offsets are
 // widened into O(|V|+|F|) resident ints, while the pin arrays — the
 // part that dominates at scale — stay wherever the caller keeps them
-// (for example an mmap'd file section).  Name slices are optional; nil
-// leaves that side unnamed, with the accessors returning "".
+// (for example an mmap'd file section).  Names come in the store's
+// layout, per side an (n+1)-entry offset array from 0 and the blob it
+// indexes, name i being blob[off[i]:off[i+1]]: the offsets are aliased
+// like the pins and the blob is copied into one string.  A nil offset
+// array leaves that side unnamed, with the accessors returning "".
 //
-// Only shape consistency and name uniqueness are checked here.  The
-// arrays are otherwise trusted structurally; callers with untrusted
-// input should run csr.Validate (or Validate on the result) first, as
-// the store's Open path does.
-func FromCSRArrays(vOff, vAdj, eOff, eAdj []int32, vertexNames, edgeNames []string) (*Hypergraph, error) {
+// Only shape consistency, the name offsets and name uniqueness are
+// checked here.  The arrays are otherwise trusted structurally;
+// callers with untrusted input should run csr.Validate (or Validate on
+// the result) first, as the store's Open path does.
+func FromCSRArrays(vOff, vAdj, eOff, eAdj []int32, vNameOff []int32, vNameBlob []byte, eNameOff []int32, eNameBlob []byte) (*Hypergraph, error) {
 	if len(vOff) == 0 || len(eOff) == 0 {
 		return nil, fmt.Errorf("hypergraph: offset arrays must have at least one entry")
 	}
@@ -29,42 +32,22 @@ func FromCSRArrays(vOff, vAdj, eOff, eAdj []int32, vertexNames, edgeNames []stri
 	if len(vAdj) != len(eAdj) {
 		return nil, fmt.Errorf("hypergraph: pin counts disagree: %d vertex-side vs %d edge-side", len(vAdj), len(eAdj))
 	}
-	if vertexNames != nil && len(vertexNames) != nv {
-		return nil, fmt.Errorf("hypergraph: %d vertex names for %d vertices", len(vertexNames), nv)
+	vNames, err := blobNames("vertex", "vertices", nv, vNameOff, vNameBlob, false)
+	if err != nil {
+		return nil, err
 	}
-	if edgeNames != nil && len(edgeNames) != ne {
-		return nil, fmt.Errorf("hypergraph: %d edge names for %d hyperedges", len(edgeNames), ne)
+	eNames, err := blobNames("hyperedge", "edges", ne, eNameOff, eNameBlob, true)
+	if err != nil {
+		return nil, err
 	}
-	h := &Hypergraph{
-		vOff: widenOffsets(vOff),
-		vAdj: vAdj,
-		eOff: widenOffsets(eOff),
-		eAdj: eAdj,
-	}
-	if vertexNames != nil {
-		h.vertexNames = vertexNames
-		h.vertexIndex = make(map[string]int, nv)
-		for v, name := range vertexNames {
-			if prev, dup := h.vertexIndex[name]; dup && name != "" {
-				return nil, fmt.Errorf("hypergraph: duplicate vertex name %q (vertices %d and %d)", name, prev, v)
-			}
-			h.vertexIndex[name] = v
-		}
-	}
-	if edgeNames != nil {
-		h.edgeNames = edgeNames
-		h.edgeIndex = make(map[string]int, ne)
-		for f, name := range edgeNames {
-			if name == "" {
-				continue
-			}
-			if prev, dup := h.edgeIndex[name]; dup {
-				return nil, fmt.Errorf("hypergraph: duplicate hyperedge name %q (edges %d and %d)", name, prev, f)
-			}
-			h.edgeIndex[name] = f
-		}
-	}
-	return h, nil
+	return &Hypergraph{
+		vNames: vNames,
+		eNames: eNames,
+		vOff:   widenOffsets(vOff),
+		vAdj:   vAdj,
+		eOff:   widenOffsets(eOff),
+		eAdj:   eAdj,
+	}, nil
 }
 
 func widenOffsets(off []int32) []int {

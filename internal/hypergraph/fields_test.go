@@ -54,7 +54,7 @@ func TestReadTextUnicodeSeparators(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Unicode-separated input parsed to %v %q, want %v %q", got, got.vertexNames, want, want.vertexNames)
+		t.Fatalf("Unicode-separated input parsed to %v %q, want %v %q", got, got.vNames.s, want, want.vNames.s)
 	}
 }
 
@@ -136,7 +136,7 @@ func TestValidateRejectsBadOffsets(t *testing.T) {
 		{"decreasing edge offset", []int32{0, 1, 2}, []int32{0, 1}, []int32{0, 2, 1, 2}, []int32{0, 1}},
 	}
 	for _, tc := range cases {
-		h, err := FromCSRArrays(tc.vOff, tc.vAdj, tc.eOff, tc.eAdj, nil, nil)
+		h, err := FromCSRArrays(tc.vOff, tc.vAdj, tc.eOff, tc.eAdj, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: FromCSRArrays: %v", tc.name, err)
 		}

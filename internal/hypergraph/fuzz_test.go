@@ -6,6 +6,7 @@ package hypergraph_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -71,6 +72,15 @@ func FuzzReadText(f *testing.F) {
 	// is part of a name.
 	f.Add("\u3000e1:\u00a0a\u2003b\u0085\n\u2028vertex \u3000q\u00a0\ne2\u2003: b\u3000c\n")
 	f.Add("x\xff: a\xffb \xe3\x80 \xe3\x80\x80c\n")
+	// A repeated hyperedge name before a malformed line, which must be
+	// the reported fault, and more than 1,024 distinct names, so both
+	// name indexes grow several times.
+	f.Add("c1: a b\nc1: b c\nc3 a\n")
+	var many strings.Builder
+	for i := 0; i < 700; i++ {
+		fmt.Fprintf(&many, "c%d: p%d p%d\n", i, i, 3*i)
+	}
+	f.Add(many.String())
 	f.Fuzz(func(t *testing.T, data string) {
 		// Robustness: a pre-cancelled context surfaces context.Canceled
 		// for every input — never a partial parse, never a different
@@ -94,6 +104,22 @@ func FuzzReadText(f *testing.F) {
 		}
 		if err := check.RoundTripText(h); err != nil {
 			t.Fatalf("text round trip of %q: %v", data, err)
+		}
+		// Every name is found at its own ID, on the parsed hypergraph
+		// and on a clone, whose index is a copy.
+		for _, g := range []*hypergraph.Hypergraph{h, h.Clone()} {
+			for v := 0; v < g.NumVertices(); v++ {
+				if id, ok := g.VertexID(g.VertexName(v)); !ok || id != v {
+					t.Fatalf("VertexID(VertexName(%d)) of %q = %d, %v", v, data, id, ok)
+				}
+			}
+			for fe := 0; fe < g.NumEdges(); fe++ {
+				if name := g.EdgeName(fe); name != "" {
+					if id, ok := g.EdgeID(name); !ok || id != fe {
+						t.Fatalf("EdgeID(EdgeName(%d)) of %q = %d, %v", fe, data, id, ok)
+					}
+				}
+			}
 		}
 		// A starved step budget must either reproduce the unbudgeted
 		// parse or fail with a clean ErrBudgetExceeded — never return a

@@ -27,10 +27,8 @@ import (
 // hyperedges are identified by dense integer IDs in [0, NumVertices())
 // and [0, NumEdges()); optional string names map back and forth.
 type Hypergraph struct {
-	vertexNames []string
-	edgeNames   []string
-	vertexIndex map[string]int
-	edgeIndex   map[string]int
+	// One name table per side, nil for an unnamed side.
+	vNames, eNames *names
 
 	// CSR incidence, vertex side: edges containing vertex v are
 	// vAdj[vOff[v]:vOff[v+1]], sorted ascending.
@@ -67,35 +65,22 @@ func (h *Hypergraph) Edges(v int) []int32 { return h.vAdj[h.vOff[v]:h.vOff[v+1]]
 // slice aliases internal storage and must not be modified.
 func (h *Hypergraph) Vertices(f int) []int32 { return h.eAdj[h.eOff[f]:h.eOff[f+1]] }
 
-// VertexName returns the name of vertex v ("" if unnamed).
-func (h *Hypergraph) VertexName(v int) string {
-	if h.vertexNames == nil {
-		return ""
-	}
-	return h.vertexNames[v]
-}
+// VertexName returns the name of vertex v ("" if unnamed), a
+// substring of the side's name table.
+func (h *Hypergraph) VertexName(v int) string { return h.vNames.get(v) }
 
-// EdgeName returns the name of hyperedge f ("" if unnamed).
-func (h *Hypergraph) EdgeName(f int) string {
-	if h.edgeNames == nil {
-		return ""
-	}
-	return h.edgeNames[f]
-}
+// EdgeName returns the name of hyperedge f ("" if unnamed), a
+// substring of the side's name table.
+func (h *Hypergraph) EdgeName(f int) string { return h.eNames.get(f) }
 
 // VertexID returns the ID of the vertex with the given name, or (0,
-// false) if no such vertex exists.
-func (h *Hypergraph) VertexID(name string) (int, bool) {
-	v, ok := h.vertexIndex[name]
-	return v, ok
-}
+// false) if no such vertex exists.  It is safe for concurrent use.
+func (h *Hypergraph) VertexID(name string) (int, bool) { return h.vNames.id(name) }
 
 // EdgeID returns the ID of the hyperedge with the given name, or (0,
-// false) if no such hyperedge exists.
-func (h *Hypergraph) EdgeID(name string) (int, bool) {
-	f, ok := h.edgeIndex[name]
-	return f, ok
-}
+// false) if no such hyperedge exists; the empty name finds none.  It
+// is safe for concurrent use.
+func (h *Hypergraph) EdgeID(name string) (int, bool) { return h.eNames.id(name) }
 
 // MaxVertexDegree returns Δ_V, the maximum vertex degree (0 for an
 // empty vertex set).
@@ -233,27 +218,14 @@ func (h *Hypergraph) String() string {
 
 // Clone returns a deep copy of h.
 func (h *Hypergraph) Clone() *Hypergraph {
-	c := &Hypergraph{
-		vOff: append([]int(nil), h.vOff...),
-		vAdj: append([]int32(nil), h.vAdj...),
-		eOff: append([]int(nil), h.eOff...),
-		eAdj: append([]int32(nil), h.eAdj...),
+	return &Hypergraph{
+		vNames: h.vNames.clone(),
+		eNames: h.eNames.clone(),
+		vOff:   append([]int(nil), h.vOff...),
+		vAdj:   append([]int32(nil), h.vAdj...),
+		eOff:   append([]int(nil), h.eOff...),
+		eAdj:   append([]int32(nil), h.eAdj...),
 	}
-	if h.vertexNames != nil {
-		c.vertexNames = append([]string(nil), h.vertexNames...)
-		c.vertexIndex = make(map[string]int, len(h.vertexIndex))
-		for k, v := range h.vertexIndex {
-			c.vertexIndex[k] = v
-		}
-	}
-	if h.edgeNames != nil {
-		c.edgeNames = append([]string(nil), h.edgeNames...)
-		c.edgeIndex = make(map[string]int, len(h.edgeIndex))
-		for k, v := range h.edgeIndex {
-			c.edgeIndex[k] = v
-		}
-	}
-	return c
 }
 
 // Validate checks the structural invariants of the incidence arrays:

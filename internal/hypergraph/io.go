@@ -70,25 +70,27 @@ func ReadText(r io.Reader) (*Hypergraph, error) {
 // run.Budget attached to ctx, checked at entry and at bounded line
 // intervals.  Each checkpoint charges one step per line read plus the
 // bytes consumed against the budget's allocation estimate, so a budget
-// bounds how much of a hostile or oversized input is admitted.  On any
-// error it returns (nil, err).
+// bounds how much of a hostile or oversized input is admitted.  A
+// repeated hyperedge name is reported at the line that repeats it, so
+// the error names the first fault in file order, as the store's
+// streaming build does.  On any error it returns (nil, err).
 func ReadTextCtx(ctx context.Context, r io.Reader) (*Hypergraph, error) {
 	b := NewBuilder()
 	err := ScanTextCtx(ctx, r, TextEvents{
 		ChargeBytes: true,
 		Vertex: func(name string) error {
 			b.AddVertex(name)
-			return nil
+			return b.err
 		},
 		Edge: func(name string, members [][]byte) error {
 			b.addEdgeBytes(name, members)
-			return nil
+			return b.err
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return b.Build()
+	return b.build(false)
 }
 
 // jsonHypergraph is the JSON wire form: explicit vertex list (so

@@ -21,9 +21,10 @@ type TextEvents struct {
 	// the member names as Fields splits them; duplicates are not yet
 	// collapsed.  The members alias the scanner's line buffer and the
 	// slice holding them is reused, so neither may be retained: a
-	// consumer resolves a known name with an allocation-free
-	// index[string(member)] map lookup and copies it (string(member))
-	// only when it keeps it.
+	// consumer resolves a known name without a copy (ReadTextCtx in
+	// its name table's hash index, the store builder with an
+	// index[string(member)] map lookup) and copies the bytes only when
+	// it keeps a new name.
 	Edge func(name string, members [][]byte) error
 	// ChargeBytes charges the consumed input bytes against the
 	// budget's allocation estimate.  Callers that retain the parsed

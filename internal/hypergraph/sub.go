@@ -5,36 +5,41 @@ import "sort"
 // Sub returns the sub-hypergraph induced by keeping exactly the
 // vertices with keepV[v] == true and the hyperedges with keepF[f] ==
 // true.  A kept hyperedge retains only its kept member vertices (it may
-// become empty).  Names carry over.  IDs are renumbered densely; the
-// returned maps give old-ID → new-ID for vertices and edges (absent
-// entries were dropped).
+// become empty).  Names carry over, and an unnamed side stays unnamed.
+// IDs are renumbered densely, in their old order; the returned maps
+// give old-ID → new-ID for vertices and edges (absent entries were
+// dropped).
 func (h *Hypergraph) Sub(keepV, keepF []bool) (*Hypergraph, map[int]int, map[int]int) {
+	nv := h.NumVertices()
 	vMap := make(map[int]int)
-	b := NewBuilder()
-	for v := 0; v < h.NumVertices(); v++ {
+	newV := make([]int32, nv)
+	n := 0
+	for v := range newV {
+		newV[v] = -1
 		if keepV[v] {
-			vMap[v] = b.AddVertex(h.VertexName(v))
+			newV[v] = int32(n)
+			vMap[v] = n
+			n++
 		}
 	}
 	fMap := make(map[int]int)
+	eOff := []int{0}
+	var eAdj []int32
 	for f := 0; f < h.NumEdges(); f++ {
 		if !keepF[f] {
 			continue
 		}
-		var members []int32
+		// newV is increasing over the kept vertices, so the row stays
+		// sorted.
 		for _, v := range h.Vertices(f) {
-			if nv, ok := vMap[int(v)]; ok {
-				members = append(members, int32(nv))
+			if w := newV[v]; w >= 0 {
+				eAdj = append(eAdj, w)
 			}
 		}
-		fMap[f] = b.AddEdgeIDs(h.EdgeName(f), members)
+		fMap[f] = len(eOff) - 1
+		eOff = append(eOff, len(eAdj))
 	}
-	sub, err := b.Build()
-	if err != nil {
-		//hyperplexvet:ignore nopanic names were unique in h, so they stay unique in the restriction
-		panic("hypergraph: Sub: " + err.Error())
-	}
-	return sub, vMap, fMap
+	return assemble(h.vNames.subset(keepV), h.eNames.subset(keepF), n, eOff, eAdj), vMap, fMap
 }
 
 // SubVertices returns the sub-hypergraph induced by a vertex subset:

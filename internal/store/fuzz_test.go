@@ -30,8 +30,9 @@ func fuzzSeedBytes(t testing.TB) []byte {
 
 // FuzzStoreRoundTrip feeds arbitrary bytes to Open.  Any input must
 // either be rejected with an error or open into a store whose arrays
-// pass csr.Validate and survive an exact re-write round trip; no input
-// may panic, hang, or allocate past the header-declared sizes.
+// pass csr.Validate, whose hypergraph view finds every name, and which
+// survives an exact re-write round trip; no input may panic, hang, or
+// allocate past the header-declared sizes.
 func FuzzStoreRoundTrip(f *testing.F) {
 	seed := fuzzSeedBytes(f)
 	f.Add(seed)
@@ -60,6 +61,28 @@ func FuzzStoreRoundTrip(f *testing.F) {
 		// Open validated the structure; a second pass must agree.
 		if err := c.Validate(); err != nil {
 			t.Fatalf("opened store fails validation: %v", err)
+		}
+		// The hypergraph view rejects a repeated name or carries every
+		// name over, each non-empty one found again at its own ID.
+		if h, err := st.H(); err == nil {
+			for v := 0; v < h.NumVertices(); v++ {
+				name := h.VertexName(v)
+				if name != st.VertexName(int32(v)) {
+					t.Fatalf("vertex %d named %q in the hypergraph, %q in the store", v, name, st.VertexName(int32(v)))
+				}
+				if id, ok := h.VertexID(name); name != "" && (!ok || id != v) {
+					t.Fatalf("VertexID(%q) = %d, %v, want %d", name, id, ok, v)
+				}
+			}
+			for f := 0; f < h.NumEdges(); f++ {
+				name := h.EdgeName(f)
+				if name != st.EdgeName(int32(f)) {
+					t.Fatalf("hyperedge %d named %q in the hypergraph, %q in the store", f, name, st.EdgeName(int32(f)))
+				}
+				if id, ok := h.EdgeID(name); name != "" && (!ok || id != f) {
+					t.Fatalf("EdgeID(%q) = %d, %v, want %d", name, id, ok, f)
+				}
+			}
 		}
 		vNames, eNames := namesOf(st, c)
 		out := filepath.Join(dir, "out.store")

@@ -301,29 +301,18 @@ func (s *File) EdgeName(f int32) string {
 	return string(s.eNameBlob[s.eNameOff[f]:s.eNameOff[f+1]])
 }
 
-// names materializes one side's name slice, or nil when absent.
-func names(off []int32, blob []byte) []string {
-	if off == nil {
-		return nil
-	}
-	out := make([]string, len(off)-1)
-	for i := range out {
-		out[i] = string(blob[off[i]:off[i+1]])
-	}
-	return out
-}
-
 // H returns the builder-layer view of the stored hypergraph.  The pin
-// arrays stay backed by the store (the mapping, for a mapped file);
-// offsets, names and name indexes become RAM-resident, O(|V|+|F|).
-// The result is cached and shares the store's lifetime: do not use it
-// after Close unless the store was opened with NoMmap.
+// arrays and name offsets stay backed by the store (the mapping, for a
+// mapped file); the widened CSR offsets, one string per side's name
+// blob and the name indexes become RAM-resident, O(|V|+|F|).  The result is
+// cached and shares the store's lifetime: do not use it after Close
+// unless the store was opened with NoMmap.
 func (s *File) H() (*hypergraph.Hypergraph, error) {
 	if s.h != nil {
 		return s.h, nil
 	}
 	h, err := hypergraph.FromCSRArrays(s.c.VOff, s.c.VAdj, s.c.EOff, s.c.EAdj,
-		names(s.vNameOff, s.vNameBlob), names(s.eNameOff, s.eNameBlob))
+		s.vNameOff, s.vNameBlob, s.eNameOff, s.eNameBlob)
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", s.path, err)
 	}
