@@ -15,9 +15,9 @@ import (
 	"testing"
 
 	"hyperplex/internal/bio"
+	"hyperplex/internal/check"
 	"hyperplex/internal/core"
 	"hyperplex/internal/cover"
-	"hyperplex/internal/csr"
 	"hyperplex/internal/dataset"
 	"hyperplex/internal/gen"
 	"hyperplex/internal/graph"
@@ -284,9 +284,10 @@ func BenchmarkReadText(b *testing.B) {
 	}
 }
 
-// BenchmarkCSRDecompose measures the sequential bucket-queue peeler
-// (csr.Decompose, which every sequential core route runs) on the
-// banded instance (BENCH_PR6.json records the trajectory).
+// BenchmarkCSRDecompose measures the sequential peel (one DistPeeler
+// replica over a single shard, which every sequential core route runs)
+// on the banded instance (BENCH_PR6.json records the trajectory of the
+// bucket-queue peeler it replaced).
 func BenchmarkCSRDecompose(b *testing.B) {
 	h := bandedBench(b)
 	b.ReportAllocs()
@@ -298,21 +299,20 @@ func BenchmarkCSRDecompose(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreDecompose measures the flat-array decomposition kernel
-// over the memory-mapped store backend against the same kernel over
-// in-RAM CSR arrays, on the shared banded instance (BENCH_PR10.json
-// records the trajectory).  The mmap sub-benchmark pays the page-cache
-// walk on first touch; steady-state iterations measure the residency
-// cost of running the peel over file-backed arrays.
+// BenchmarkStoreDecompose measures the sequential decomposition over
+// the memory-mapped store backend against the same peel over in-RAM
+// arrays, on the shared banded instance (BENCH_PR10.json records the
+// trajectory).  The mmap sub-benchmark pays the page-cache walk on
+// first touch; steady-state iterations measure the residency cost of
+// running the peel over file-backed pin arrays.
 func BenchmarkStoreDecompose(b *testing.B) {
 	h := bandedBench(b)
 	b.Run("inram", func(b *testing.B) {
-		c := csr.FromH(h)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if d := csr.Decompose(c, 1); d.MaxK == 0 {
-				b.Fatal("degenerate decomposition")
+			if d, err := core.DecomposeCtx(context.Background(), h); err != nil || d.MaxK == 0 {
+				b.Fatal("degenerate decomposition", err)
 			}
 		}
 	})
@@ -326,30 +326,27 @@ func BenchmarkStoreDecompose(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer st.Close()
-		c := st.CSR()
+		sh, err := st.H()
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if d := csr.Decompose(c, 1); d.MaxK == 0 {
-				b.Fatal("degenerate decomposition")
+			if d, err := core.DecomposeCtx(context.Background(), sh); err != nil || d.MaxK == 0 {
+				b.Fatal("degenerate decomposition", err)
 			}
 		}
 	})
 }
 
-// BenchmarkShardedDecompose measures the sharded round loop against
-// the sequential peeler on a banded hypergraph, across shard counts.
-// The sequential sub-benchmark times the CSR peel; the sharded ones
-// time one DistPeeler replica that owns every shard and runs the same
-// round schedule in the calling goroutine, so the gap is the cost of
-// the shard bookkeeping and the per-round deltas.
+// BenchmarkShardedDecompose measures the round loop on a banded
+// hypergraph across shard counts: one DistPeeler replica that owns
+// every shard runs the round schedule in the calling goroutine, so the
+// gap from sharded-1 (the peel Decompose runs) is the cost of the
+// shard bookkeeping and the per-round deltas.
 func BenchmarkShardedDecompose(b *testing.B) {
 	h := bandedBench(b)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.Decompose(h)
-		}
-	})
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run("sharded-"+itoa(shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -491,8 +488,9 @@ func BenchmarkAblationComponents(b *testing.B) {
 }
 
 // BenchmarkAblationMaximality compares the witness-filter maximality
-// detection of the CSR peel (core.KCore) against naive pairwise
-// containment scans.
+// detection of the peel (core.KCore) against the definitional
+// fixpoint oracle (check.KCoreOracle), which rescans for containment
+// every round.
 func BenchmarkAblationMaximality(b *testing.B) {
 	h := gen.RandomHypergraph(600, 400, 8, xrand.New(3))
 	b.Run("witness-filter", func(b *testing.B) {
@@ -502,7 +500,7 @@ func BenchmarkAblationMaximality(b *testing.B) {
 	})
 	b.Run("naive-containment", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.KCoreNaive(h, 2)
+			check.KCoreOracle(h, 2)
 		}
 	})
 }

@@ -7,7 +7,7 @@
 // complex.  On top of that model the package offers:
 //
 //   - k-cores and (k, l)-cores of hypergraphs (and graphs) from one
-//     peeler that keeps every core reduced: it computes the full core
+//     peel that keeps every core reduced: it computes the full core
 //     decomposition, or stops at level k as the paper's algorithm
 //     does;
 //   - minimum-weight vertex covers and multicovers (greedy H_m
@@ -81,9 +81,10 @@ type CoreResult = core.Result
 // Decomposition is the full core decomposition of a hypergraph.
 type Decomposition = core.Decomposition
 
-// KCore computes the k-core of a hypergraph.  It runs the
-// bucket-queue peeler of Decompose and stops it at level k; the
-// paper's overlap-count peeling algorithm is the reference it is
+// KCore computes the k-core of a hypergraph.  It runs the peel of
+// Decompose, the bulk-synchronous rounds of the sharded and
+// distributed engines over a single shard, and stops it at level k;
+// the paper's overlap-count peeling algorithm is the reference it is
 // tested against.
 func KCore(h *Hypergraph, k int) *CoreResult { return core.KCore(h, k) }
 
@@ -95,7 +96,7 @@ func Decompose(h *Hypergraph) *Decomposition { return core.Decompose(h) }
 
 // KCoreParallel returns KCore(h, k); workers is ignored.
 //
-// Deprecated: use KCore, which stops the one peeler at level k.
+// Deprecated: use KCore, which stops the one peel at level k.
 func KCoreParallel(h *Hypergraph, k, workers int) *CoreResult {
 	return core.KCore(h, k)
 }

@@ -9,13 +9,13 @@
 package benchguard_test
 
 import (
+	"context"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"hyperplex/internal/core"
 	"hyperplex/internal/cover"
-	"hyperplex/internal/csr"
 	"hyperplex/internal/gen"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/stats"
@@ -77,9 +77,8 @@ func BenchmarkGuardShardedDecompose(b *testing.B) {
 	}
 }
 
-// BenchmarkGuardDecompose pins the full decomposition through the core
-// wrapper (core.Decompose), which runs the flat-array CSR peel and
-// widens its coreness vectors.
+// BenchmarkGuardDecompose pins the full decomposition through
+// core.Decompose, the one peel over a single shard.
 func BenchmarkGuardDecompose(b *testing.B) {
 	h := guardInstance(b)
 	b.ReportAllocs()
@@ -91,8 +90,9 @@ func BenchmarkGuardDecompose(b *testing.B) {
 	}
 }
 
-// BenchmarkGuardCSRDecompose pins the flat-array bucket-queue kernel so
-// the CSR hot path cannot silently regress toward the map-based cost.
+// BenchmarkGuardCSRDecompose pins the sequential decomposition under
+// its older name, core.CSRDecompose, so the flat-array hot path cannot
+// silently regress toward the map-based cost.
 func BenchmarkGuardCSRDecompose(b *testing.B) {
 	h := guardInstance(b)
 	b.ReportAllocs()
@@ -128,12 +128,12 @@ func BenchmarkGuardCSRGreedyMulticover(b *testing.B) {
 	}
 }
 
-// BenchmarkGuardStoreDecompose pins the flat-array decomposition
-// kernel running over the memory-mapped store backend, so the storage
+// BenchmarkGuardStoreDecompose pins the sequential decomposition
+// running over the hypergraph of a memory-mapped store, so the storage
 // seam cannot silently add per-access cost to the peel hot path.  The
-// store file is written and mapped outside the timed region; the
-// baseline is directly comparable to BenchmarkGuardCSRDecompose (the
-// same kernel over in-RAM arrays).
+// store file is written, mapped and opened as a hypergraph outside the
+// timed region; the baseline is directly comparable to
+// BenchmarkGuardCSRDecompose (the same peel over in-RAM arrays).
 func BenchmarkGuardStoreDecompose(b *testing.B) {
 	h := guardInstance(b)
 	path := filepath.Join(b.TempDir(), "guard.store")
@@ -145,13 +145,16 @@ func BenchmarkGuardStoreDecompose(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	c := st.CSR()
+	sh, err := st.H()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := csr.Decompose(c, 1)
-		if d == nil || d.MaxK == 0 {
-			b.Fatal("degenerate decomposition")
+		d, err := core.DecomposeCtx(context.Background(), sh)
+		if err != nil || d.MaxK == 0 {
+			b.Fatal("degenerate decomposition", err)
 		}
 	}
 }

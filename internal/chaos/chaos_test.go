@@ -81,9 +81,11 @@ func TestMain(m *testing.M) {
 // call's error for the harness to judge.
 func drivers() map[string]func(t *testing.T, ctx context.Context) error {
 	return map[string]func(t *testing.T, ctx context.Context) error{
-		"core.sharded.exchange": shardedDriver,
-		"csr.build":             csrDriver,
-		"csr.peel":              csrDriver,
+		"core.sharded.exchange": func(t *testing.T, ctx context.Context) error {
+			return errors.Join(shardedDriver(t, ctx), sequentialDriver(t, ctx))
+		},
+		"csr.build": sequentialDriver,
+		"csr.peel":  sequentialDriver,
 		"partition.build": func(t *testing.T, ctx context.Context) error {
 			p, err := partition.BuildCtx(ctx, bigH, 4)
 			if err == nil {
@@ -92,7 +94,7 @@ func drivers() map[string]func(t *testing.T, ctx context.Context) error {
 				}
 				owned := 0
 				for _, sh := range p.Shards {
-					owned += len(sh.Vertices)
+					owned += int(sh.Count)
 				}
 				if owned != bigH.NumVertices() {
 					t.Errorf("successful BuildCtx owns %d of %d vertices", owned, bigH.NumVertices())
@@ -100,7 +102,7 @@ func drivers() map[string]func(t *testing.T, ctx context.Context) error {
 			} else if p != nil {
 				t.Errorf("BuildCtx returned a partition alongside error %v", err)
 			}
-			return err
+			return errors.Join(err, sequentialDriver(t, ctx))
 		},
 		"cover.greedy.pop": func(t *testing.T, ctx context.Context) error {
 			c, err := cover.GreedyCtx(ctx, bigH, nil)
@@ -298,14 +300,14 @@ func shardedDriver(t *testing.T, ctx context.Context) error {
 	return err
 }
 
-// csrDriver exercises both sites of the sequential peeler (arena build
-// with the initial reduction, and the bucket-queue peel) through each
-// route that runs it: DecomposeCtx, KCoreCtx and BiCoreCtx.  Every
-// route is called whatever the others returned, so an arm reaches all
-// three, and their errors are joined for the harness.  A successful
-// decomposition must agree with the paper's overlap peel exactly on
-// vertex coreness, and a successful core must pass the checker.
-func csrDriver(t *testing.T, ctx context.Context) error {
+// sequentialDriver exercises the sequential core routes, DecomposeCtx,
+// KCoreCtx and BiCoreCtx, which pass every site of the one peel:
+// partition.build, csr.build, core.sharded.exchange and csr.peel.
+// Every route is called whatever the others returned, so an arm
+// reaches all three, and their errors are joined for the harness.  A successful decomposition must
+// agree with the paper's overlap peel exactly on vertex coreness, and
+// a successful core must pass the checker.
+func sequentialDriver(t *testing.T, ctx context.Context) error {
 	d, derr := core.DecomposeCtx(ctx, bigH)
 	if derr == nil {
 		want := check.OverlapDecompose(bigH)
@@ -340,10 +342,10 @@ func csrDriver(t *testing.T, ctx context.Context) error {
 	return errors.Join(derr, kerr, berr)
 }
 
-// csrSweepDriver runs every route of the sequential peeler on h, each
+// sequentialSweepDriver runs every sequential core route on h, each
 // whatever the others returned, and reports the first invalid result
 // or error the robustness contract does not allow.
-func csrSweepDriver(ctx context.Context, h *hypergraph.Hypergraph) error {
+func sequentialSweepDriver(ctx context.Context, h *hypergraph.Hypergraph) error {
 	for _, route := range []func() error{
 		func() error {
 			d, err := core.DecomposeCtx(ctx, h)
@@ -567,16 +569,21 @@ func TestChaosErrorArmOverSweep(t *testing.T) {
 		{"core.sharded.exchange", func(ctx context.Context, h *hypergraph.Hypergraph) error {
 			d, err := core.ShardedDecomposeCtx(ctx, h, core.ShardedOptions{Shards: 3})
 			if err == nil {
-				return check.ValidDecomposition(h, d)
+				err = check.ValidDecomposition(h, d)
 			}
-			return err
+			if err != nil && !cleanError(err) {
+				return err
+			}
+			return sequentialSweepDriver(ctx, h)
 		}},
 		{"partition.build", func(ctx context.Context, h *hypergraph.Hypergraph) error {
-			_, err := partition.BuildCtx(ctx, h, 3)
-			return err
+			if _, err := partition.BuildCtx(ctx, h, 3); err != nil && !cleanError(err) {
+				return err
+			}
+			return sequentialSweepDriver(ctx, h)
 		}},
-		{"csr.build", csrSweepDriver},
-		{"csr.peel", csrSweepDriver},
+		{"csr.build", sequentialSweepDriver},
+		{"csr.peel", sequentialSweepDriver},
 	}
 	for _, k := range kernels {
 		t.Run(k.site, func(t *testing.T) {

@@ -16,9 +16,11 @@
 //   - naive oracles (KCoreOracle, BiCoreOracle, ShortestPathNaive,
 //     MulticoverOptBrute) computed directly from the definitions by
 //     fixpoint iteration, breadth-first search, or exhaustive
-//     enumeration, and the paper's own overlap-count peel
-//     (OverlapDecompose, OverlapCore), the reference every peel engine
-//     is compared with;
+//     enumeration, the paper's own overlap-count peel
+//     (OverlapDecompose, OverlapCore), the reference every peel route
+//     is compared with, and RoundDecompose, the production peel's
+//     round schedule written out plainly, which pins its edge
+//     coreness byte for byte;
 //   - a deterministic differential driver (Instances) that generates a
 //     reproducible sweep of corner-case and random hypergraphs for the
 //     TestDifferential* tests in core, cover, stats, and hypergraph.

@@ -14,7 +14,7 @@ import (
 // (keeping the lowest-ID copy of equal hyperedges), and every vertex
 // whose alive degree is below k (below 1 for k ≤ 0, since every core is
 // a reduced hypergraph without isolated vertices).  It shares no code
-// with core.KCore or core.KCoreNaive.
+// with core.KCore.
 func KCoreOracle(h *hypergraph.Hypergraph, k int) (vIn, eIn []bool) {
 	return coreFixpoint(h, k, 1)
 }
@@ -47,17 +47,7 @@ func coreFixpoint(h *hypergraph.Hypergraph, k, l int) (vIn, eIn []bool) {
 		changed = false
 		// Alive member lists are stable for the whole edge pass because
 		// vertices are only deleted afterwards.
-		alive := make([][]int32, ne)
-		for f := 0; f < ne; f++ {
-			if !eIn[f] {
-				continue
-			}
-			for _, v := range h.Vertices(f) {
-				if vIn[v] {
-					alive[f] = append(alive[f], v)
-				}
-			}
-		}
+		alive := aliveMembers(h, vIn, eIn)
 		for f := 0; f < ne; f++ {
 			if !eIn[f] {
 				continue
@@ -84,6 +74,23 @@ func coreFixpoint(h *hypergraph.Hypergraph, k, l int) (vIn, eIn []bool) {
 		}
 	}
 	return vIn, eIn
+}
+
+// aliveMembers lists the alive vertices of every alive hyperedge, in
+// ascending order; a dead hyperedge's list is empty.
+func aliveMembers(h *hypergraph.Hypergraph, vIn, eIn []bool) [][]int32 {
+	alive := make([][]int32, h.NumEdges())
+	for f := range alive {
+		if !eIn[f] {
+			continue
+		}
+		for _, v := range h.Vertices(f) {
+			if vIn[v] {
+				alive[f] = append(alive[f], v)
+			}
+		}
+	}
+	return alive
 }
 
 // containedInAlive reports whether the alive part of f (non-empty) is a

@@ -14,11 +14,12 @@ import (
 // pairwise overlap counts |f ∩ g| over the alive vertices — f is
 // contained in g exactly when its alive degree equals its overlap with
 // g — and re-tests a hyperedge after every vertex deletion that
-// shrinks it.  The production peeler (csr.Decompose) instead tests
-// containment once per round with a witness filter, so the two share
-// no containment code.  Of two hyperedges that shrink to the same
-// member set, the two may keep different copies: compare their cores
-// with SameResult, not by hyperedge ID.
+// shrinks it.  The production peel (core's DistPeeler phases) instead
+// tests containment once per round with a witness filter, so the two
+// share no containment code.  Of two hyperedges that shrink to the
+// same member set, the two may keep different copies: compare their
+// cores with SameResult, not by hyperedge ID (RoundDecompose, which
+// runs the peel's round schedule, is the byte-for-byte reference).
 
 // OverlapTable holds ov(f, g) = |f ∩ g| over the currently alive
 // vertices, for every pair of initially overlapping hyperedges.  Row f

@@ -16,9 +16,9 @@ import (
 // whittled down to one or two proteins by peeling are biologically
 // dubious cores, and (k, l ≥ 3) filters them.
 //
-// The peeler is the k-core's (csr.Decompose) with one more rule:
-// hyperedges die when empty, non-maximal, or smaller than l; vertices
-// die when their degree drops below k.  It stops at level k.
+// The peel is the k-core's (Decompose) with one more rule: hyperedges
+// die when empty, non-maximal, or smaller than l; vertices die when
+// their degree drops below k.  It stops at level k.
 func BiCore(h *hypergraph.Hypergraph, k, l int) *Result {
 	r, err := BiCoreCtx(context.Background(), h, k, l)
 	if err != nil {
@@ -32,7 +32,7 @@ func BiCore(h *hypergraph.Hypergraph, k, l int) *Result {
 // operations.  On cancellation or budget exhaustion it returns
 // (nil, err).
 func BiCoreCtx(ctx context.Context, h *hypergraph.Hypergraph, k, l int) (*Result, error) {
-	d, err := decomposeL(ctx, h, l, max(k, 1))
+	d, err := decompose(ctx, h, 1, l, max(k, 1))
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +43,7 @@ func BiCoreCtx(ctx context.Context, h *hypergraph.Hypergraph, k, l int) (*Result
 // non-empty (k, l)-core, plus that core.  It exists so callers can
 // sweep the l axis cheaply.
 func BiCoreDecomposeL(h *hypergraph.Hypergraph, l int) (int, *Result) {
-	d, err := decomposeL(context.Background(), h, l, math.MaxInt)
+	d, err := decompose(context.Background(), h, 1, l, math.MaxInt)
 	if err != nil {
 		//hyperplexvet:ignore nopanic only an armed failpoint fails a peel under a background context
 		panic(err)

@@ -373,17 +373,6 @@ func canonicalEdges(h *hypergraph.Hypergraph, r *Result) string {
 
 func itoa(i int) string { return strconv.Itoa(i) }
 
-func TestPropertyKCoreMatchesNaive(t *testing.T) {
-	prop := func(seed uint64, kRaw uint8) bool {
-		h := randomHypergraph(seed)
-		k := 1 + int(kRaw%4)
-		return sameResult(h, KCore(h, k), KCoreNaive(h, k))
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPropertyCoresNested(t *testing.T) {
 	// The (k+1)-core is contained in the k-core.
 	prop := func(seed uint64) bool {
@@ -445,42 +434,6 @@ func TestPropertyCoreIsValid(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyCoreIsMaximal(t *testing.T) {
-	// No deleted vertex could have been kept: re-adding any single
-	// deleted vertex (with its edges restricted to the core+v) cannot
-	// yield a valid reduced sub-hypergraph with min degree ≥ k that
-	// strictly contains the core.  We verify a weaker but telling
-	// property: running KCoreNaive on the core plus one deleted vertex
-	// returns exactly the core again.
-	prop := func(seed uint64, kRaw uint8) bool {
-		h := randomHypergraph(seed)
-		k := 1 + int(kRaw%3)
-		r := KCore(h, k)
-		deleted := -1
-		for v := range r.VertexIn {
-			if !r.VertexIn[v] {
-				deleted = v
-				break
-			}
-		}
-		if deleted < 0 {
-			return true
-		}
-		keep := append([]bool(nil), r.VertexIn...)
-		keep[deleted] = true
-		sub, vMap, _ := h.SubVertices(keep)
-		rr := KCoreNaive(sub, k)
-		nd, ok := vMap[deleted]
-		if !ok {
-			return true // deleted vertex had no edges at all
-		}
-		return !rr.VertexIn[nd]
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,5 +1,5 @@
 // Unit tests for the containment detections: the witness-filter
-// detector of the peelers (csr.Detector) and the paper's incremental
+// detector of the peel (csr.Detector) and the paper's incremental
 // overlap table (check.OverlapTable) must both implement the paper's
 // containment rule, agree with each other, and agree with the
 // independent detection in hypergraph.NonMaximalEdges and a
@@ -8,7 +8,6 @@
 package core_test
 
 import (
-	"slices"
 	"testing"
 
 	"hyperplex/internal/check"
@@ -29,12 +28,12 @@ func reduceInstances(t *testing.T) []*hypergraph.Hypergraph {
 		{{0, 1, 2, 3, 4}, {1, 2}, {2, 3}, {0, 4}}, // spanning edge over all others
 		{{0}, {1}, {2}},                           // disjoint singletons
 		// Signature collisions, where only the member count rules out
-		// f0 = {0, 1, 2} ⊂ f1.  In the first, f1 holds f0's witnesses 0
-		// and 1 in both row layouts and 66 sets the bit of 2.  In the
-		// second, 64 sets the bit of 0, and 0's extra hyperedges make 1
-		// and 2 the presorted witnesses.
+		// f0 ⊂ f1 although f1 holds f0's witnesses, its first two
+		// members.  In the first, f0 = {0, 1, 2} and 66 ∈ f1 sets the
+		// bit of 2; in the second, f0 = {1, 2, 64} and 0 ∈ f1 sets the
+		// bit of 64.
 		{{0, 1, 2}, {0, 1, 3, 66}, {2, 5}},
-		{{0, 1, 2}, {64, 1, 2, 3}, {0, 4}, {0, 5}},
+		{{1, 2, 64}, {0, 1, 2, 3}, {64, 4}},
 	}
 	var out []*hypergraph.Hypergraph
 	for _, edges := range crafted {
@@ -79,12 +78,11 @@ func bruteOverlap(h *hypergraph.Hypergraph, vAlive []bool, f, g int) int {
 // TestNonMaximalDetectorsAgree checks the detections of the
 // containment rule against each other.  On the all-alive state of the
 // crafted and random instances: the paper's overlap table, the
-// witness-filter csr.Detector over both row layouts and the
-// independent hypergraph.NonMaximalEdges.  On random partial snapshots
-// over the sweep and Cellzome — dead vertices, and dead hyperedges at
-// degree 0 the way the engines retire them — every alive hyperedge is
-// checked by csr.Detector over the CSR's own rows and over the peeler's
-// presorted witness rows, and by brute force.  A second partial pass
+// witness-filter csr.Detector and the independent
+// hypergraph.NonMaximalEdges.  On random partial snapshots over the
+// sweep and Cellzome — dead vertices, and dead hyperedges at degree 0
+// the way the peel retires them — every alive hyperedge is checked by
+// csr.Detector and by brute force.  A second partial pass
 // relabels the sweep's vertices v → 64·v: every member signature is
 // then bit 0, so the signature filter passes every candidate and the
 // member count decides.  csr.Detector owns the empty-hyperedge rule
@@ -105,21 +103,19 @@ func TestNonMaximalDetectorsAgree(t *testing.T) {
 			vAlive[v] = true
 		}
 		want := hypergraph.NonMaximalEdges(h)
-		for _, rows := range [][]int32{cv.EAdj, witnessRows(cv)} {
-			snap := &csr.Snapshot{C: cv, Rows: rows, VAlive: vAlive, EDeg: eDeg, Sig: csr.Signatures(cv)}
-			for f := 0; f < ne; f++ {
-				if eDeg[f] == 0 {
-					if dead, _ := det.Dead(snap, int32(f)); !dead {
-						t.Fatalf("instance %d %v: csr.Detector.Dead(%d) = false for an empty hyperedge", i, h, f)
-					}
-					continue
+		snap := &csr.Snapshot{C: cv, VAlive: vAlive, EDeg: eDeg, Sig: csr.Signatures(cv)}
+		for f := 0; f < ne; f++ {
+			if eDeg[f] == 0 {
+				if dead, _ := det.Dead(snap, int32(f)); !dead {
+					t.Fatalf("instance %d %v: csr.Detector.Dead(%d) = false for an empty hyperedge", i, h, f)
 				}
-				if got := tab.NonMaximal(f, eDeg); got != want[f] {
-					t.Fatalf("instance %d %v: check.OverlapTable.NonMaximal(%d) = %t, want %t", i, h, f, got, want[f])
-				}
-				if got, _ := det.Dead(snap, int32(f)); got != want[f] {
-					t.Fatalf("instance %d %v: csr.Detector.Dead(%d) = %t, want %t", i, h, f, got, want[f])
-				}
+				continue
+			}
+			if got := tab.NonMaximal(f, eDeg); got != want[f] {
+				t.Fatalf("instance %d %v: check.OverlapTable.NonMaximal(%d) = %t, want %t", i, h, f, got, want[f])
+			}
+			if got, _ := det.Dead(snap, int32(f)); got != want[f] {
+				t.Fatalf("instance %d %v: csr.Detector.Dead(%d) = %t, want %t", i, h, f, got, want[f])
 			}
 		}
 	}
@@ -137,8 +133,8 @@ func TestNonMaximalDetectorsAgree(t *testing.T) {
 	})
 }
 
-// checkPartialSnapshots compares csr.Detector over both row layouts
-// with bruteNonMaximal on six random partial snapshots per instance.
+// checkPartialSnapshots compares csr.Detector with bruteNonMaximal on
+// six random partial snapshots per instance.
 // It counts checks by d(f) class (1, 2, ≥3) and outcome, so the
 // witness-only and member-count paths are both known to be reached
 // with both answers.
@@ -149,30 +145,23 @@ func checkPartialSnapshots(t *testing.T, instances []*hypergraph.Hypergraph, rng
 		ne := h.NumEdges()
 		cv := csr.FromH(h)
 		sig := csr.Signatures(cv)
-		rawDet, sortedDet := csr.NewDetector(cv), csr.NewDetector(cv)
-		presorted := witnessRows(cv)
+		det := csr.NewDetector(cv)
 		for trial := 0; trial < 6; trial++ {
 			vAlive, eAlive, eDeg := randomSnapshot(h, rng, float64(trial)/10, float64(trial%2)*0.15)
-			raw := &csr.Snapshot{C: cv, Rows: cv.EAdj, VAlive: vAlive, EDeg: eDeg, Sig: sig}
-			sorted := &csr.Snapshot{C: cv, Rows: presorted, VAlive: vAlive, EDeg: eDeg, Sig: sig}
+			snap := &csr.Snapshot{C: cv, VAlive: vAlive, EDeg: eDeg, Sig: sig}
 			for f := int32(0); int(f) < ne; f++ {
 				df := eDeg[f]
 				if !eAlive[f] || df == 0 {
 					deadOrEmpty++
-					rawDead, _ := rawDet.Dead(raw, f)
-					sortedDead, _ := sortedDet.Dead(sorted, f)
-					if !rawDead || !sortedDead {
-						t.Fatalf("instance %d trial %d: csr.Detector.Dead(%d) = %t over EAdj rows, %t over presorted rows for a dead or empty hyperedge", i, trial, f, rawDead, sortedDead)
+					if dead, _ := det.Dead(snap, f); !dead {
+						t.Fatalf("instance %d trial %d: csr.Detector.Dead(%d) = false for a dead or empty hyperedge", i, trial, f)
 					}
 					continue
 				}
 				want, eq := bruteNonMaximal(h, vAlive, eAlive, eDeg, f)
 				equalSets += eq
-				if got, _ := rawDet.Dead(raw, f); got != want {
-					t.Fatalf("instance %d trial %d: csr.Detector.Dead(%d) over EAdj rows = %t, want %t", i, trial, f, got, want)
-				}
-				if got, _ := sortedDet.Dead(sorted, f); got != want {
-					t.Fatalf("instance %d trial %d: csr.Detector.Dead(%d) over presorted rows = %t, want %t", i, trial, f, got, want)
+				if got, _ := det.Dead(snap, f); got != want {
+					t.Fatalf("instance %d trial %d: csr.Detector.Dead(%d) = %t, want %t", i, trial, f, got, want)
 				}
 				class, outcome := min(int(df), 3)-1, 0
 				if want {
@@ -215,19 +204,6 @@ func spreadIDs(t *testing.T, h *hypergraph.Hypergraph, by int32) *hypergraph.Hyp
 		t.Fatal(err)
 	}
 	return out
-}
-
-// witnessRows returns c's edge rows presorted the way the CSR peeler
-// presorts its witness rows: each row stably sorted by ascending static
-// vertex degree.
-func witnessRows(c *csr.CSR) []int32 {
-	rows := slices.Clone(c.EAdj)
-	for f := int32(0); int(f) < c.NumEdges(); f++ {
-		slices.SortStableFunc(rows[c.EOff[f]:c.EOff[f+1]], func(a, b int32) int {
-			return int(c.VertexDegree(a) - c.VertexDegree(b))
-		})
-	}
-	return rows
 }
 
 // randomSnapshot kills each vertex with probability pv and each
@@ -277,8 +253,7 @@ func bruteNonMaximal(h *hypergraph.Hypergraph, vAlive, eAlive []bool, eDeg []int
 	return nonMax, equal
 }
 
-// FuzzDetector checks csr.Detector over both row layouts against
-// bruteNonMaximal on hypergraphs decoded by detectorInput, whose
+// FuzzDetector checks csr.Detector against bruteNonMaximal on hypergraphs decoded by detectorInput, whose
 // vertex IDs are spread past 64 so that member signatures collide.
 func FuzzDetector(f *testing.F) {
 	f.Add([]byte{})
@@ -290,18 +265,15 @@ func FuzzDetector(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, vAlive, eAlive, eDeg := detectorInput(t, data)
 		c := csr.FromH(h)
-		sig := csr.Signatures(c)
-		for _, rows := range [][]int32{c.EAdj, witnessRows(c)} {
-			det := csr.NewDetector(c)
-			s := &csr.Snapshot{C: c, Rows: rows, VAlive: vAlive, EDeg: eDeg, Sig: sig}
-			for f := int32(0); int(f) < h.NumEdges(); f++ {
-				want := true
-				if eAlive[f] && eDeg[f] > 0 {
-					want, _ = bruteNonMaximal(h, vAlive, eAlive, eDeg, f)
-				}
-				if got, _ := det.Dead(s, f); got != want {
-					t.Fatalf("%v: csr.Detector.Dead(%d) = %t, want %t", h, f, got, want)
-				}
+		det := csr.NewDetector(c)
+		s := &csr.Snapshot{C: c, VAlive: vAlive, EDeg: eDeg, Sig: csr.Signatures(c)}
+		for f := int32(0); int(f) < h.NumEdges(); f++ {
+			want := true
+			if eAlive[f] && eDeg[f] > 0 {
+				want, _ = bruteNonMaximal(h, vAlive, eAlive, eDeg, f)
+			}
+			if got, _ := det.Dead(s, f); got != want {
+				t.Fatalf("%v: csr.Detector.Dead(%d) = %t, want %t", h, f, got, want)
 			}
 		}
 	})

@@ -14,7 +14,6 @@ import (
 
 	"hyperplex/internal/check"
 	"hyperplex/internal/core"
-	"hyperplex/internal/csr"
 	"hyperplex/internal/dataset"
 	"hyperplex/internal/gen"
 	"hyperplex/internal/hypergraph"
@@ -23,10 +22,10 @@ import (
 	"hyperplex/internal/xrand"
 )
 
-// TestDifferentialKCore checks KCore against the in-package naive
-// implementation, check's independent fixpoint oracle and the paper's
-// overlap-count peel (check.OverlapCore) on every sweep instance, then
-// on the Cellzome hypergraph.
+// TestDifferentialKCore checks KCore against check's independent
+// fixpoint oracle (check.KCoreOracle) and the paper's overlap-count
+// peel (check.OverlapCore) on every sweep instance, then on the
+// Cellzome hypergraph.
 func TestDifferentialKCore(t *testing.T) {
 	for i, h := range check.Instances(58, 0xC04E1) {
 		for _, k := range []int{0, 1, 2, 3} {
@@ -34,8 +33,8 @@ func TestDifferentialKCore(t *testing.T) {
 			if err := check.ValidCore(h, k, r); err != nil {
 				t.Fatalf("instance %d %v, k=%d: %v", i, h, k, err)
 			}
-			if err := check.SameResult(h, r, core.KCoreNaive(h, k)); err != nil {
-				t.Fatalf("instance %d %v, k=%d: KCore vs KCoreNaive: %v", i, h, k, err)
+			if err := check.SameResult(h, r, oracleCore(h, k)); err != nil {
+				t.Fatalf("instance %d %v, k=%d: KCore vs check.KCoreOracle: %v", i, h, k, err)
 			}
 			if err := check.SameResult(h, r, check.OverlapCore(h, k, 1)); err != nil {
 				t.Fatalf("instance %d %v, k=%d: KCore vs the overlap peel: %v", i, h, k, err)
@@ -58,61 +57,51 @@ func TestDifferentialKCore(t *testing.T) {
 }
 
 // TestDifferentialCappedPeel holds the peel stopped at level kmax to
-// the full peel: over a wide sweep, Cellzome and a human-scale
-// proteome, at l ∈ {1, …, 4} and every cap from 1 to MaxK+1, each
-// vertex and hyperedge coreness must equal the full one capped at
-// kmax, by ID, and MaxK must be min(MaxK, kmax).  KCore and BiCore,
-// which stop at level k, must return exactly Core(k) of the full
-// decomposition, the same hyperedge IDs included.
+// the round oracle (check.RoundDecompose): over a wide sweep, Cellzome
+// and a human-scale proteome, at l ∈ {1, …, 4} and every cap from 1 to
+// MaxK+1, each vertex and hyperedge coreness must equal the oracle's
+// capped at kmax, by ID, and MaxK must be min(MaxK, kmax); the cap
+// MaxK+1 is the full decomposition.  KCore and BiCore, which stop at
+// level k, must return exactly Core(k) of the oracle's decomposition,
+// the same hyperedge IDs included.
 func TestDifferentialCappedPeel(t *testing.T) {
-	capped := func(c []int32, kmax int) []int32 {
-		out := make([]int32, len(c))
+	capped := func(c []int, kmax int) []int {
+		out := make([]int, len(c))
 		for i, x := range c {
-			out[i] = min(x, int32(kmax))
+			out[i] = min(x, kmax)
 		}
 		return out
 	}
 	instances := append(check.Instances(300, 7), dataset.Cellzome().H, dataset.SyntheticProteome(20000, 3000, 0x42A1))
 	for i, h := range instances {
-		c := csr.FromH(h)
 		for l := 1; l <= 4; l++ {
-			full := csr.Decompose(c, l)
+			full := check.RoundDecompose(h, l)
 			for kmax := 1; kmax <= full.MaxK+1; kmax++ {
-				got, err := csr.DecomposeCtx(context.Background(), c, l, kmax)
+				got, err := core.DecomposeL(context.Background(), h, l, kmax)
 				switch {
 				case err != nil:
 					t.Fatalf("instance %d %v, l=%d, kmax=%d: %v", i, h, l, kmax, err)
 				case got.MaxK != min(full.MaxK, kmax):
-					t.Fatalf("instance %d %v, l=%d, kmax=%d: MaxK %d, full %d", i, h, l, kmax, got.MaxK, full.MaxK)
+					t.Fatalf("instance %d %v, l=%d, kmax=%d: MaxK %d, oracle %d", i, h, l, kmax, got.MaxK, full.MaxK)
 				case !slices.Equal(got.VertexCoreness, capped(full.VertexCoreness, kmax)):
-					t.Fatalf("instance %d %v, l=%d, kmax=%d: vertex coreness is not the full one capped", i, h, l, kmax)
+					t.Fatalf("instance %d %v, l=%d, kmax=%d: vertex coreness is not the oracle's capped", i, h, l, kmax)
 				case !slices.Equal(got.EdgeCoreness, capped(full.EdgeCoreness, kmax)):
-					t.Fatalf("instance %d %v, l=%d, kmax=%d: edge coreness is not the full one capped", i, h, l, kmax)
+					t.Fatalf("instance %d %v, l=%d, kmax=%d: edge coreness is not the oracle's capped", i, h, l, kmax)
 				}
 			}
-			d := &core.Decomposition{VertexCoreness: ints(full.VertexCoreness), EdgeCoreness: ints(full.EdgeCoreness), MaxK: full.MaxK}
-			for k := 0; k <= d.MaxK+1; k++ {
-				if got, want := core.BiCore(h, k, l), d.Core(k); !sameIDs(got, want) {
-					t.Fatalf("instance %d %v: BiCore(%d, %d) differs from Core(%d) of the full decomposition", i, h, k, l, k)
+			for k := 0; k <= full.MaxK+1; k++ {
+				if got, want := core.BiCore(h, k, l), full.Core(k); !sameIDs(got, want) {
+					t.Fatalf("instance %d %v: BiCore(%d, %d) differs from Core(%d) of the oracle's decomposition", i, h, k, l, k)
 				}
 				if l > 1 {
 					continue
 				}
-				if got, want := core.KCore(h, k), d.Core(k); !sameIDs(got, want) {
-					t.Fatalf("instance %d %v: KCore(%d) differs from Core(%d) of the full decomposition", i, h, k, k)
+				if got, want := core.KCore(h, k), full.Core(k); !sameIDs(got, want) {
+					t.Fatalf("instance %d %v: KCore(%d) differs from Core(%d) of the oracle's decomposition", i, h, k, k)
 				}
 			}
 		}
 	}
-}
-
-// ints widens a flat coreness vector to core's []int.
-func ints(c []int32) []int {
-	out := make([]int, len(c))
-	for i, x := range c {
-		out[i] = int(x)
-	}
-	return out
 }
 
 // sameIDs reports whether two cores hold the same vertex and hyperedge
@@ -190,91 +179,95 @@ func TestDifferentialShardedDecompose(t *testing.T) {
 	}
 }
 
-// TestDifferentialCSRDecompose pins the flat-array bucket-queue kernel
-// (internal/csr, reached through core.Decompose) to the paper's
-// level-by-level overlap-count peel (check.OverlapDecompose) and to the
-// sharded engine.  Against the overlap peel it uses the sharded
-// differential's protocol: exact vertex coreness and MaxK, per-level
-// hyperedge member-set families via SameResult (the overlap peel may
-// keep another member of an equal-set family), the independent
-// fixpoint oracle, and the Cellzome golden numbers.
-// Against the sharded engine it is byte equality — vertex coreness,
-// edge coreness and MaxK — at every shard count: the CSR peeler runs
-// the sharded engine's rounds, so both keep the same member of every
-// equal-set family.  No goroutine may outlive the calls — the CSR
-// kernel is sequential, so a leak here would mean the sharded
-// comparator leaked.
-func TestDifferentialCSRDecompose(t *testing.T) {
+// TestDifferentialRoundDecompose pins Decompose to the round oracle
+// (check.RoundDecompose) byte for byte — vertex coreness, edge
+// coreness and MaxK — and so to every shard count of ShardedDecompose,
+// which must equal it too: all of them run one round schedule, so they
+// keep the same member of every equal-set family.  Against the paper's
+// level-by-level overlap-count peel (check.OverlapDecompose) it uses
+// the sharded differential's protocol: exact vertex coreness and MaxK,
+// per-level hyperedge member-set families via SameResult (the overlap
+// peel may keep another member of an equal-set family), the
+// independent fixpoint oracle, and the Cellzome golden numbers.  No
+// goroutine may outlive the calls.
+func TestDifferentialRoundDecompose(t *testing.T) {
 	snapshot := check.GoroutineSnapshot()
 	defer func() {
 		if err := check.CheckNoLeaks(snapshot, 2*time.Second); err != nil {
 			t.Error(err)
 		}
 	}()
-	sameAsSharded := func(label string, h *hypergraph.Hypergraph, got *core.Decomposition) {
+	sameAsRounds := func(label string, h *hypergraph.Hypergraph, got *core.Decomposition) {
 		t.Helper()
-		for _, shards := range []int{1, 2, 3, runtime.NumCPU(), h.NumVertices() + 13} {
-			sharded := core.ShardedDecompose(h, core.ShardedOptions{Shards: shards})
+		want := check.RoundDecompose(h, 1)
+		same := func(route string, got *core.Decomposition) {
+			t.Helper()
 			switch {
-			case sharded.MaxK != got.MaxK:
-				t.Fatalf("%s, shards=%d: sharded MaxK %d vs CSR %d", label, shards, sharded.MaxK, got.MaxK)
-			case !slices.Equal(sharded.VertexCoreness, got.VertexCoreness):
-				t.Fatalf("%s, shards=%d: vertex coreness differs from CSR:\nsharded %v\nCSR     %v", label, shards, sharded.VertexCoreness, got.VertexCoreness)
-			case !slices.Equal(sharded.EdgeCoreness, got.EdgeCoreness):
-				t.Fatalf("%s, shards=%d: edge coreness differs from CSR:\nsharded %v\nCSR     %v", label, shards, sharded.EdgeCoreness, got.EdgeCoreness)
+			case got.MaxK != want.MaxK:
+				t.Fatalf("%s, %s: MaxK %d, oracle %d", label, route, got.MaxK, want.MaxK)
+			case !slices.Equal(got.VertexCoreness, want.VertexCoreness):
+				t.Fatalf("%s, %s: vertex coreness differs from the oracle:\ngot    %v\noracle %v", label, route, got.VertexCoreness, want.VertexCoreness)
+			case !slices.Equal(got.EdgeCoreness, want.EdgeCoreness):
+				t.Fatalf("%s, %s: edge coreness differs from the oracle:\ngot    %v\noracle %v", label, route, got.EdgeCoreness, want.EdgeCoreness)
 			}
+		}
+		same("Decompose", got)
+		for _, shards := range []int{1, 2, 3, runtime.NumCPU(), h.NumVertices() + 13} {
+			same(fmt.Sprintf("shards=%d", shards), core.ShardedDecompose(h, core.ShardedOptions{Shards: shards}))
 		}
 	}
 	for i, h := range check.Instances(58, 0xC04E6) {
 		want := check.OverlapDecompose(h)
 		got := core.Decompose(h)
 		if got.MaxK != want.MaxK {
-			t.Fatalf("instance %d %v: CSR MaxK = %d, want %d", i, h, got.MaxK, want.MaxK)
+			t.Fatalf("instance %d %v: MaxK = %d, want %d", i, h, got.MaxK, want.MaxK)
 		}
 		for v, c := range want.VertexCoreness {
 			if got.VertexCoreness[v] != c {
-				t.Fatalf("instance %d %v: CSR vertex %d coreness %d, want %d",
+				t.Fatalf("instance %d %v: vertex %d coreness %d, want %d",
 					i, h, v, got.VertexCoreness[v], c)
 			}
 		}
 		for k := 1; k <= want.MaxK; k++ {
 			if err := check.SameResult(h, got.Core(k), want.Core(k)); err != nil {
-				t.Fatalf("instance %d %v, k=%d: CSR vs the overlap peel: %v", i, h, k, err)
+				t.Fatalf("instance %d %v, k=%d: Decompose vs the overlap peel: %v", i, h, k, err)
 			}
 		}
 		if err := check.ValidDecomposition(h, got); err != nil {
-			t.Fatalf("instance %d %v: CSR decomposition: %v", i, h, err)
+			t.Fatalf("instance %d %v: %v", i, h, err)
 		}
-		sameAsSharded(fmt.Sprintf("instance %d %v", i, h), h, got)
+		sameAsRounds(fmt.Sprintf("instance %d %v", i, h), h, got)
 	}
 	h := dataset.Cellzome().H
 	want := check.OverlapDecompose(h)
 	got := core.Decompose(h)
 	if got.MaxK != 6 {
-		t.Fatalf("Cellzome CSR MaxK = %d, want 6", got.MaxK)
+		t.Fatalf("Cellzome MaxK = %d, want 6", got.MaxK)
 	}
 	for v, c := range want.VertexCoreness {
 		if got.VertexCoreness[v] != c {
-			t.Fatalf("Cellzome: CSR vertex %d coreness %d, want %d", v, got.VertexCoreness[v], c)
+			t.Fatalf("Cellzome: vertex %d coreness %d, want %d", v, got.VertexCoreness[v], c)
 		}
 	}
 	r6 := got.Core(6)
 	if err := check.SameResult(h, r6, want.Core(6)); err != nil {
-		t.Fatalf("Cellzome 6-core: CSR vs the overlap peel: %v", err)
+		t.Fatalf("Cellzome 6-core: Decompose vs the overlap peel: %v", err)
 	}
 	if err := check.ValidCore(h, 6, r6); err != nil {
-		t.Fatalf("Cellzome CSR 6-core: %v", err)
+		t.Fatalf("Cellzome 6-core: %v", err)
 	}
 	if r6.NumVertices != 41 || r6.NumEdges != 54 {
-		t.Fatalf("Cellzome CSR 6-core is %d/%d, want the paper's 41/54", r6.NumVertices, r6.NumEdges)
+		t.Fatalf("Cellzome 6-core is %d/%d, want the paper's 41/54", r6.NumVertices, r6.NumEdges)
 	}
-	sameAsSharded("Cellzome", h, got)
+	sameAsRounds("Cellzome", h, got)
 
 	// hggen -dataset random -nv 60 -ne 80 -maxsize 6 -seed 39: a
 	// peeler that tests containment after each single deletion keeps
 	// another member of an equal-set family here than the rounds do.
 	h = gen.RandomHypergraph(60, 80, 6, xrand.New(39))
-	sameAsSharded("random seed 39", h, core.Decompose(h))
+	sameAsRounds("random seed 39", h, core.Decompose(h))
+	h = dataset.SyntheticProteome(2000, 300, 5)
+	sameAsRounds("proteome 2000x300", h, core.Decompose(h))
 }
 
 // biCorePairs are the (k, l) pairs of the (k, l)-core differentials.
@@ -305,7 +298,7 @@ func TestDifferentialBiCore(t *testing.T) {
 }
 
 // TestDifferentialCoreRoutesMatchOverlapPeel holds KCore, BiCore and
-// MaxCore, which read their answers off one csr.Decompose, to the
+// MaxCore, which read their answers off one peel, to the
 // definitional checkers and to the paper's overlap-count peel on a wide
 // sweep, Cellzome and a human-scale proteome.
 func TestDifferentialCoreRoutesMatchOverlapPeel(t *testing.T) {
@@ -382,9 +375,9 @@ func TestPeelStepPins(t *testing.T) {
 		decompose int64
 		kcore     map[int]int64
 	}{
-		{"Cellzome", dataset.Cellzome().H, 10618, map[int]int64{2: 6622, 6: 9727}},
-		{"banded 8000x8000", banded, 1671596, map[int]int64{2: 375993, 8: 375993}},
-		{"proteome 20000x3000", dataset.SyntheticProteome(20000, 3000, 42), 474407, map[int]int64{2: 104060, 14: 403843}},
+		{"Cellzome", dataset.Cellzome().H, 15783, map[int]int64{2: 10042, 6: 14850}},
+		{"banded 8000x8000", banded, 1760831, map[int]int64{2: 321055, 8: 321067}},
+		{"proteome 20000x3000", dataset.SyntheticProteome(20000, 3000, 42), 1257673, map[int]int64{2: 377343, 14: 1170221}},
 	} {
 		ctx, meter := run.WithBudget(context.Background(), run.Budget{})
 		if _, err := core.DecomposeCtx(ctx, tc.h); err != nil {

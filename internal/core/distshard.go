@@ -3,33 +3,35 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"hyperplex/internal/csr"
+	"hyperplex/internal/failpoint"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/partition"
 	"hyperplex/internal/run"
 )
 
-// This file is the engine layer's one copy of the bulk-synchronous
-// phases.  A DistPeeler is a replica of the sharded peel: the full
-// hypergraph as a csr.CSR, the global alive/degree/coreness mirrors,
-// and the shardPeel arenas of the shards assigned to it.  Two drivers
-// run the same phase methods: ShardedDecomposeCtx (sharded.go) gives
-// one replica every shard and runs the round loop in process, and the
-// internal/dist worker drives one replica per process over the wire.
-// Each round's cross-shard traffic is two deltas — the dying hyperedge
-// IDs and the retired vertex IDs — which every replica applies
-// uniformly, so the mirrors never diverge.  Degree decrements, alive
-// flips and coreness clamps are commutative within a phase, so the
-// fixpoint per level (and therefore the coreness assignment) is
-// identical to Decompose, and the whole decomposition, edge coreness
-// included, equals Decompose's byte for byte: both run one round
-// schedule.  The reduction test (empty or non-maximal) is the
-// flat-array containment detector (csr.Detector) over the replica's
-// own mirrors, with a retired hyperedge's mirrored degree zeroed so the
-// detector's degree filter skips it.  Every phase method takes the
-// caller's ctx and charges its work with run.Tick, so both drivers keep
+// This file is the one peel kernel: the bulk-synchronous phases every
+// core route runs.  A DistPeeler is a replica of the sharded peel: the
+// full hypergraph as a csr.CSR, the global alive/degree/coreness
+// mirrors, and the shardPeel arenas of the shards assigned to it.  Two
+// drivers run the same phase methods: the in-process driver
+// (sharded.go) gives one replica every shard — a single shard for
+// Decompose, KCore, MaxCore and BiCore — and runs the round loop in
+// the calling goroutine, and the internal/dist worker drives one
+// replica per process over the wire.  Each round's cross-shard traffic
+// is two deltas — the dying hyperedge IDs and the retired vertex IDs —
+// which every replica applies uniformly, so the mirrors never diverge.
+// Degree decrements, alive flips and coreness clamps are commutative
+// within a phase, so the fixpoint per level (and therefore the whole
+// decomposition, edge coreness included) is the same at every shard
+// and worker count: every driver runs one round schedule.  The
+// reduction test (empty, non-maximal or, for a (k, l)-core, smaller
+// than l) is the flat-array containment detector (csr.Detector) over
+// the replica's own mirrors, with a retired hyperedge's mirrored
+// degree zeroed so the detector's degree filter skips it.  Every phase
+// method takes the caller's ctx and charges its work, each containment
+// test's op count included, with run.Tick, so both drivers keep
 // budgets and cancellation.
 //
 // Fault tolerance hangs off two snapshot layers:
@@ -49,6 +51,19 @@ import (
 // lists — is reconstructed from those snapshots plus the mirrors, so a
 // restored replica continues bit-identically (distshard_test.go pins
 // this).
+
+// checkEvery bounds the containment-test operations a phase performs
+// between two cancellation/budget checkpoints.
+const checkEvery = 64
+
+// fpBuild fires where a shard's arena is built over the CSR and its
+// round-0 reduction runs (AssignFresh); fpPeel fires where a peel
+// round re-checks its shrunk hyperedges (CheckShrunk).  Every core
+// route passes both.
+var (
+	fpBuild = failpoint.Register("csr.build")
+	fpPeel  = failpoint.Register("csr.peel")
+)
 
 // ShardSnapshot is the barrier state of one shard's peel, in wire-ready
 // form: flat int32 arrays, global IDs, no pointers into the arena.
@@ -86,7 +101,6 @@ func (e *SnapshotError) Error() string {
 // barrier: the global mirrors plus a ShardSnapshot per owned shard.
 type PeelCheckpoint struct {
 	K      int
-	Round  int32
 	vAlive []bool
 	eAlive []bool
 	eDeg   []int32
@@ -99,11 +113,10 @@ type PeelCheckpoint struct {
 }
 
 // shardPeel is one shard's peel state: a single int32 arena carved
-// into the degree array, the lazy bucket queue, the shrunk stamps and
-// the frontier/shrunk/dying lists.  Owned vertices are addressed by
-// their offset j in the contiguous owned block (global ID lo+j), owned
-// hyperedges by their owner-local index (their position in the
-// partition's Shards[s].Edges).
+// into the degree array, the lazy bucket queue and the
+// frontier/shrunk/dying lists.  Owned vertices are addressed by their
+// offset j in the contiguous owned block (global ID lo+j), owned
+// hyperedges by their global ID.
 type shardPeel struct {
 	lo int32 // first owned global vertex ID
 	n  int32 // owned vertex count
@@ -118,10 +131,9 @@ type shardPeel struct {
 	nfree            int32
 	cur              int // lowest possibly-non-empty bucket
 
-	stamp    []int32 // per owned hyperedge: last round it shrank
 	frontier []int32 // owned offsets gathered below threshold this round
-	shrunk   []int32 // owner-local hyperedge indices shrunk this round
-	dying    []int32 // owner-local hyperedge indices found dead
+	shrunk   []int32 // owned hyperedges shrunk this round
+	dying    []int32 // owned hyperedges found dead
 
 	aliveV int
 }
@@ -152,17 +164,22 @@ type DistPeeler struct {
 	eDeg           []int32 // alive hyperedge degrees, 0 once retired
 	vCore, eCore   []int
 
-	// eLocal maps a global hyperedge ID to its owner-local index (its
-	// position in part.Shards[owner].Edges), shared by every shard's
-	// stamp addressing.
-	eLocal []int32
+	// stamp[g] == round marks hyperedge g as listed in its owner's
+	// shrunk list this round.  round only ever advances (Restore does
+	// not roll it back), so no stamp left from earlier rounds matches.
+	stamp []int32
+	round int32
 
 	shards []*shardPeel // indexed by shard; nil when not owned here
 	snap   csr.Snapshot // the detector's view of c, vAlive and eDeg
 	det    *csr.Detector
 
-	k     int   // current peeling threshold
-	round int32 // shrink-stamp generation, advanced per retire phase
+	// minSize is the l of a (k, l)-core: a tested hyperedge with fewer
+	// alive members dies.  l ≤ 1 leaves the empty hyperedge, which the
+	// detector retires anyway.  Only the in-process driver sets it.
+	minSize int
+
+	k int // current peeling threshold
 }
 
 // NewDistPeeler builds a fresh replica over h and its partition: all
@@ -178,23 +195,17 @@ func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPee
 		eDeg:   make([]int32, ne),
 		vCore:  make([]int, nv),
 		eCore:  make([]int, ne),
-		eLocal: make([]int32, ne),
+		stamp:  make([]int32, ne),
 		shards: make([]*shardPeel, part.NumShards()),
 		det:    csr.NewDetector(c),
 	}
-	w.snap = csr.Snapshot{C: c, Rows: c.EAdj, VAlive: w.vAlive, EDeg: w.eDeg, Sig: csr.Signatures(c)}
+	w.snap = csr.Snapshot{C: c, VAlive: w.vAlive, EDeg: w.eDeg, Sig: csr.Signatures(c)}
 	for v := 0; v < nv; v++ {
 		w.vAlive[v] = true
 	}
 	for f := 0; f < ne; f++ {
 		w.eAlive[f] = true
 		w.eDeg[f] = int32(h.EdgeDegree(f))
-	}
-	//hyperplexvet:ignore budgettick one O(|F|) pass over the partition's hyperedge lists at set-up, like the mirror fills above
-	for s := range part.Shards {
-		for i, g := range part.Shards[s].Edges {
-			w.eLocal[g] = int32(i)
-		}
 	}
 	return w
 }
@@ -215,16 +226,13 @@ func (w *DistPeeler) Owned() []int {
 
 // newShard carves the structural arrays of shard s's peel: degrees,
 // the lazy bucket queue sized for one initial push per owned vertex
-// plus one per possible decrement, the owner-local shrink stamps and
-// the work lists.  Degrees and queue contents are filled by the
-// caller (fresh assign or snapshot restore).
+// plus one per possible decrement, and the work lists.  Degrees and
+// queue contents are filled by the caller (fresh assign or snapshot
+// restore).
 func (w *DistPeeler) newShard(s int) *shardPeel {
 	sh := &w.part.Shards[s]
-	n := csr.MustInt32(len(sh.Vertices))
-	p := &shardPeel{n: n}
-	if n > 0 {
-		p.lo = sh.Vertices[0]
-	}
+	n := sh.Count
+	p := &shardPeel{lo: sh.First, n: n}
 	maxDeg, ownedInc := int32(0), int32(0)
 	for j := int32(0); j < n; j++ {
 		d := w.c.VertexDegree(p.lo + j)
@@ -237,7 +245,7 @@ func (w *DistPeeler) newShard(s int) *shardPeel {
 	entries := n + ownedInc
 	// One arena allocation backs every int32 slice of the shard, so the
 	// work lists the phase methods append to stay arena-owned.
-	arena := make([]int32, n+(maxDeg+1)+2*entries+ne+n+2*ne)
+	arena := make([]int32, n+(maxDeg+1)+2*entries+n+2*ne)
 	carve := func(sz int32) []int32 {
 		s := arena[:sz:sz]
 		arena = arena[sz:]
@@ -247,29 +255,28 @@ func (w *DistPeeler) newShard(s int) *shardPeel {
 	p.head = carve(maxDeg + 1)
 	p.next = carve(entries)
 	p.item = carve(entries)
-	p.stamp = carve(ne)
 	p.frontier = carve(n)[:0]
 	p.shrunk = carve(ne)[:0]
 	p.dying = carve(ne)[:0]
 	for i := range p.head {
 		p.head[i] = -1
 	}
-	for i := range p.stamp {
-		p.stamp[i] = -1
-	}
 	p.cur = len(p.head)
 	return p
 }
 
 // AssignFresh assigns shard s to this replica in its initial state and
-// runs the round-0 reduction over its owned hyperedges: empty and
-// initially non-maximal hyperedges become the shard's pending dying
-// list and die at coreness 0.  Snapshot(s) then returns the shard's
-// first barrier state.
+// runs the round-0 reduction over its owned hyperedges: empty,
+// initially non-maximal and undersized hyperedges become the shard's
+// pending dying list and die at coreness 0.  Snapshot(s) then returns
+// the shard's first barrier state.
 func (w *DistPeeler) AssignFresh(ctx context.Context, s int) error {
 	sh := &w.part.Shards[s]
-	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(len(sh.Vertices))+int64(len(sh.Edges))+1); err != nil {
+	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(sh.Count)+int64(len(sh.Edges))+1); err != nil {
 		return err
+	}
+	if err := failpoint.Inject(fpBuild); err != nil {
+		return fmt.Errorf("core: shard build: %w", err)
 	}
 	p := w.newShard(s)
 	for j := int32(0); j < p.n; j++ {
@@ -278,25 +285,20 @@ func (w *DistPeeler) AssignFresh(ctx context.Context, s int) error {
 	}
 	p.aliveV = int(p.n)
 	w.shards[s] = p
-	//hyperplexvet:ignore budgettick bounded pass over the shard's owned hyperedges, charged by the Tick above
-	for i, g := range sh.Edges {
-		if w.checkDead(g) {
-			p.dying = append(p.dying, int32(i))
-		}
-	}
-	return nil
+	return w.testEdges(ctx, p, sh.Edges)
 }
 
 // AssignSnapshot assigns shard s to this replica, restored from a
 // barrier snapshot: degrees come from the snapshot, the bucket queue is
 // rebuilt with one push per alive owned vertex at its current degree,
-// and the pending dying list is mapped back to owner-local indices.
-// The global mirrors must already be at the same barrier, and the
-// snapshot must agree with them: a *SnapshotError rejects a wrong
-// shard index, a degree array of the wrong length, an alive count
-// other than the mirrors' over the owned block, a degree outside
-// [0, static degree] (or, for an alive vertex, other than its count
-// of alive hyperedges), and a dying hyperedge the shard does not own.
+// and the pending dying list is copied.  The global mirrors must
+// already be at the same barrier, and the snapshot must agree with
+// them: a *SnapshotError rejects a wrong shard index, a degree array
+// of the wrong length, an alive count other than the mirrors' over the
+// owned block, a degree outside [0, static degree] (or, for an alive
+// vertex, other than its count of alive hyperedges), and a dying
+// hyperedge the shard does not own, that the mirrors have already
+// retired, or that the list repeats.
 func (w *DistPeeler) AssignSnapshot(sn *ShardSnapshot) error {
 	s := int(sn.Shard)
 	if s < 0 || s >= len(w.shards) {
@@ -331,11 +333,20 @@ func (w *DistPeeler) AssignSnapshot(sn *ShardSnapshot) error {
 			p.push(j, int(p.deg[j]))
 		}
 	}
+	// A fresh stamp generation marks the listed hyperedges, so a repeat
+	// is caught; the next retire phase advances past it.
+	w.round++
 	for _, g := range sn.Dying {
-		if g < 0 || int(g) >= len(w.eLocal) || w.part.EdgeOwner[g] != int32(s) {
+		switch {
+		case g < 0 || int(g) >= len(w.eAlive) || w.part.EdgeOwner[g] != int32(s):
 			return &SnapshotError{Shard: sn.Shard, Field: "Dying", Msg: fmt.Sprintf("hyperedge %d is not owned by the shard", g)}
+		case !w.eAlive[g]:
+			return &SnapshotError{Shard: sn.Shard, Field: "Dying", Msg: fmt.Sprintf("hyperedge %d is already retired", g)}
+		case w.stamp[g] == w.round:
+			return &SnapshotError{Shard: sn.Shard, Field: "Dying", Msg: fmt.Sprintf("hyperedge %d is listed twice", g)}
 		}
-		p.dying = append(p.dying, w.eLocal[g])
+		w.stamp[g] = w.round
+		p.dying = append(p.dying, g)
 	}
 	w.shards[s] = p
 	return nil
@@ -370,23 +381,16 @@ func (w *DistPeeler) snapshotInto(sn *ShardSnapshot, s int) {
 	sn.Shard = int32(s)
 	sn.AliveV = int32(p.aliveV)
 	sn.Deg = append(sn.Deg[:0], p.deg...)
-	sn.Dying = slices.Grow(sn.Dying[:0], len(p.dying))
-	for _, fi := range p.dying {
-		sn.Dying = append(sn.Dying, w.part.Shards[s].Edges[fi])
-	}
+	sn.Dying = append(sn.Dying[:0], p.dying...)
 }
 
 // PendingDying appends every owned shard's pending dying hyperedges,
 // as global IDs, to dst: the dying delta of the next round when this
 // replica owns every shard.
 func (w *DistPeeler) PendingDying(dst []int32) []int32 {
-	//hyperplexvet:ignore budgettick bounded pass over the pending dying lists, which CheckShrunk charged as shrunk hyperedges
-	for s, p := range w.shards {
-		if p == nil {
-			continue
-		}
-		for _, fi := range p.dying {
-			dst = append(dst, w.part.Shards[s].Edges[fi])
+	for _, p := range w.shards {
+		if p != nil {
+			dst = append(dst, p.dying...)
 		}
 	}
 	return dst
@@ -401,13 +405,39 @@ func (w *DistPeeler) clampCore() int {
 	return w.k - 1
 }
 
-// checkDead reports whether alive hyperedge g (global ID) is empty or
-// non-maximal against the current stable snapshot.
+// checkDead reports whether alive hyperedge g (global ID) is smaller
+// than minSize, empty or non-maximal against the current stable
+// snapshot, and the operations the test spent.
 //
 //hyperplexvet:hotpath
-func (w *DistPeeler) checkDead(g int32) bool {
-	dead, _ := w.det.Dead(&w.snap, g)
-	return dead
+func (w *DistPeeler) checkDead(g int32) (bool, int) {
+	if int(w.eDeg[g]) < w.minSize {
+		return true, 0
+	}
+	return w.det.Dead(&w.snap, g)
+}
+
+// testEdges appends the hyperedges of edges that checkDead retires to
+// p's dying list, charging the tests' operations every checkEvery of
+// them, so a step budget bounds the detector's scans.
+//
+//hyperplexvet:hotpath
+func (w *DistPeeler) testEdges(ctx context.Context, p *shardPeel, edges []int32) error {
+	meter := run.MeterFrom(ctx)
+	ops := 0
+	for _, g := range edges {
+		dead, n := w.checkDead(g)
+		if dead {
+			p.dying = append(p.dying, g)
+		}
+		if ops += n; ops >= checkEvery {
+			if err := run.Tick(ctx, meter, int64(ops)); err != nil {
+				return err
+			}
+			ops = 0
+		}
+	}
+	return run.Tick(ctx, meter, int64(ops))
 }
 
 // ApplyDying applies a round's dying-hyperedge delta at threshold k:
@@ -532,11 +562,10 @@ func (w *DistPeeler) ApplyRetired(ctx context.Context, retired []int32) error {
 				continue
 			}
 			w.eDeg[g]--
-			if ps := w.shards[w.part.EdgeOwner[g]]; ps != nil {
-				fi := w.eLocal[g]
-				if ps.stamp[fi] != w.round {
-					ps.stamp[fi] = w.round
-					ps.shrunk = append(ps.shrunk, fi)
+			if w.stamp[g] != w.round {
+				w.stamp[g] = w.round
+				if ps := w.shards[w.part.EdgeOwner[g]]; ps != nil {
+					ps.shrunk = append(ps.shrunk, g)
 				}
 			}
 		}
@@ -545,8 +574,9 @@ func (w *DistPeeler) ApplyRetired(ctx context.Context, retired []int32) error {
 }
 
 // CheckShrunk re-checks every owned hyperedge that shrank this round
-// for emptiness or non-maximality, refilling each shard's pending
-// dying list.  Checkpoint, Snapshot or PendingDying read the result.
+// for emptiness, non-maximality or falling below minSize, refilling
+// each shard's pending dying list.  Checkpoint, Snapshot or
+// PendingDying read the result.
 //
 //hyperplexvet:hotpath
 func (w *DistPeeler) CheckShrunk(ctx context.Context) error {
@@ -559,22 +589,42 @@ func (w *DistPeeler) CheckShrunk(ctx context.Context) error {
 	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(n)+1); err != nil {
 		return err
 	}
-	//hyperplexvet:ignore budgettick bounded sweep over the shards' shrunk lists, charged by the Tick above
-	for s, p := range w.shards {
+	if err := failpoint.Inject(fpPeel); err != nil {
+		return fmt.Errorf("core: peel: %w", err)
+	}
+	//hyperplexvet:ignore budgettick bounded sweep over the shards' shrunk lists; testEdges charges each test
+	for _, p := range w.shards {
 		if p == nil {
 			continue
 		}
-		edges := w.part.Shards[s].Edges
 		p.dying = p.dying[:0]
-		//hyperplexvet:ignore budgettick bounded pass over the shard's shrunk list, charged by the Tick above
-		for _, fi := range p.shrunk {
-			if w.checkDead(edges[fi]) {
-				p.dying = append(p.dying, fi)
-			}
+		if err := w.testEdges(ctx, p, p.shrunk); err != nil {
+			return err
 		}
 		p.shrunk = p.shrunk[:0]
 	}
 	return nil
+}
+
+// stopAt ends the peel at the fixpoint of threshold k: every alive
+// vertex and hyperedge is in the k-core, so each gets coreness k.  The
+// pass is charged one step per survivor.  Only a driver that owns
+// every shard stops early, so the mirrors it fills are the result.
+func (w *DistPeeler) stopAt(ctx context.Context, k int) error {
+	n := 0
+	for v, alive := range w.vAlive {
+		if alive {
+			w.vCore[v] = k
+			n++
+		}
+	}
+	for f, alive := range w.eAlive {
+		if alive {
+			w.eCore[f] = k
+			n++
+		}
+	}
+	return run.Tick(ctx, run.MeterFrom(ctx), int64(n))
 }
 
 // Coreness copies out the replica's coreness mirrors.  Valid once the
@@ -595,7 +645,6 @@ func (w *DistPeeler) Checkpoint(dst *PeelCheckpoint) *PeelCheckpoint {
 		dst = &PeelCheckpoint{}
 	}
 	dst.K = w.k
-	dst.Round = w.round
 	dst.vAlive = append(dst.vAlive[:0], w.vAlive...)
 	dst.eAlive = append(dst.eAlive[:0], w.eAlive...)
 	dst.eDeg = append(dst.eDeg[:0], w.eDeg...)
@@ -622,7 +671,6 @@ func (w *DistPeeler) Checkpoint(dst *PeelCheckpoint) *PeelCheckpoint {
 // bit-identical to a run that never left the barrier.
 func (w *DistPeeler) Restore(cp *PeelCheckpoint) error {
 	w.k = cp.K
-	w.round = cp.Round
 	copy(w.vAlive, cp.vAlive)
 	copy(w.eAlive, cp.eAlive)
 	copy(w.eDeg, cp.eDeg)

@@ -97,12 +97,12 @@ func retiredDegreesZero(t *testing.T, w *DistPeeler, label string) {
 }
 
 // sameDecomposition asserts exact equality of vertex coreness, MaxK
-// and hyperedge coreness against the sequential CSR peel (Decompose),
+// and hyperedge coreness against check.RoundDecompose (RoundOracle),
 // an independent implementation of the round schedule the dist peeler
 // replays.
 func sameDecomposition(t *testing.T, h *hypergraph.Hypergraph, got *Decomposition, label string) {
 	t.Helper()
-	want := Decompose(h)
+	want := RoundOracle(h, 1)
 	if got.MaxK != want.MaxK {
 		t.Fatalf("%s: MaxK = %d, want %d", label, got.MaxK, want.MaxK)
 	}
@@ -119,8 +119,8 @@ func sameDecomposition(t *testing.T, h *hypergraph.Hypergraph, got *Decompositio
 }
 
 // TestDistPeelerDifferential pins the broadcast-delta peel against the
-// sequential CSR peel over the sweep instances and a larger
-// random hypergraph, across worker and shard counts.
+// round oracle over the sweep instances and a larger random
+// hypergraph, across worker and shard counts.
 func TestDistPeelerDifferential(t *testing.T) {
 	rng := xrand.New(0xD157)
 	var instances []*hypergraph.Hypergraph
@@ -307,15 +307,17 @@ func TestDistPeelerReassignment(t *testing.T) {
 
 // TestDistPeelerSnapshotValidation pins the decoder-side defenses of
 // AssignSnapshot: wrong shard index, wrong degree length, an alive
-// count the mirrors do not hold, a degree outside [0, static degree]
-// and a dying edge owned elsewhere are each rejected with a
-// *SnapshotError naming the field, before the snapshot can wedge the
-// coordinator's level loop or panic in the bucket queue.
+// count the mirrors do not hold, a degree outside [0, static degree],
+// and a dying edge owned elsewhere, listed twice or already retired in
+// the mirrors are each rejected with a *SnapshotError naming the
+// field, before the snapshot can wedge the coordinator's level loop,
+// panic in the bucket queue or decrement a degree twice.
 func TestDistPeelerSnapshotValidation(t *testing.T) {
+	ctx := context.Background()
 	h := gen.RandomHypergraph(40, 30, 4, xrand.New(1))
 	part := partition.Build(h, 3)
 	w := NewDistPeeler(h, part)
-	if err := w.AssignFresh(context.Background(), 1); err != nil {
+	if err := w.AssignFresh(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	sn := w.Snapshot(1)
@@ -353,6 +355,33 @@ func TestDistPeelerSnapshotValidation(t *testing.T) {
 	}
 	if err := w.AssignSnapshot(sn.Clone()); err != nil {
 		t.Errorf("valid snapshot rejected: %v", err)
+	}
+
+	// {0,1,2}, {0,1}, {2,3}: hyperedge 1 ⊂ 0 dies at barrier 0.
+	small, err := hypergraph.FromEdgeSets(4, [][]int32{{0, 1, 2}, {0, 1}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = NewDistPeeler(small, partition.Build(small, 1))
+	if err := w.AssignFresh(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	sn = w.Snapshot(0)
+	if len(sn.Dying) != 1 || sn.Dying[0] != 1 {
+		t.Fatalf("barrier 0 dying list %v, want [1]", sn.Dying)
+	}
+	bad = sn.Clone()
+	bad.Dying = append(bad.Dying, 1)
+	reject("dying edge listed twice", "Dying", bad)
+	if err := w.ApplyDying(ctx, 1, sn.Dying); err != nil {
+		t.Fatal(err)
+	}
+	sn = w.Snapshot(0)
+	bad = sn.Clone()
+	bad.Dying = append(bad.Dying, 1)
+	reject("dying edge already retired", "Dying", bad)
+	if err := w.AssignSnapshot(sn.Clone()); err != nil {
+		t.Errorf("valid snapshot after the barrier rejected: %v", err)
 	}
 }
 
@@ -394,7 +423,7 @@ func TestNewShardSingleArena(t *testing.T) {
 	}
 
 	p := w.newShard(1)
-	n := len(part.Shards[1].Vertices)
+	n := int(part.Shards[1].Count)
 	ne := len(part.Shards[1].Edges)
 	if cap(p.frontier) != n || len(p.frontier) != 0 {
 		t.Errorf("frontier carved len=%d cap=%d, want an empty list with capacity %d", len(p.frontier), cap(p.frontier), n)
@@ -404,7 +433,7 @@ func TestNewShardSingleArena(t *testing.T) {
 			t.Errorf("%s carved len=%d cap=%d, want an empty list with capacity %d", name, len(sl), cap(sl), ne)
 		}
 	}
-	if cap(p.deg) != len(p.deg) || cap(p.stamp) != len(p.stamp) {
+	if cap(p.deg) != len(p.deg) || cap(p.item) != len(p.item) {
 		t.Error("carved arrays are not capacity-capped; appends could bleed into the next carve")
 	}
 }

@@ -13,27 +13,29 @@
 // overlap counts (|f ∩ g|): a hyperedge f is contained in g precisely
 // when its current degree equals its current overlap with g.  That
 // algorithm is kept as the reference in internal/check
-// (check.OverlapDecompose, check.OverlapCore).  The peelers here test
+// (check.OverlapDecompose, check.OverlapCore).  The peel here tests
 // containment instead with the witness-filter detector csr.Detector,
 // once per round for every hyperedge that shrank.
 //
-// The implementations:
+// There is one peel kernel, the bulk-synchronous (BSP) phases of
+// DistPeeler over vertex-block shards from internal/partition: each
+// round retires the frontier below the threshold and the hyperedges
+// found dead, exchanging the dying and retired deltas at barriers.
+// This answers the paper's call ("for large hypergraphs, a parallel
+// algorithm will need to be designed").  Its drivers:
 //
-//   - Decompose / KCore / MaxCore / BiCore: one sequential peeler, the
-//     bucket-queue kernel csr.Decompose, with every core read off its
-//     decomposition.  KCore and BiCore stop the peel at level k, as
-//     the paper's algorithm does; BiCore adds a minimum hyperedge
-//     size l.
-//   - KCoreNaive: a fixpoint reference that re-scans for containment
-//     each round; used by tests and the maximality ablation benchmark.
-//   - DistPeeler and ShardedDecompose: the bulk-synchronous (BSP)
-//     decomposition over vertex-block shards from internal/partition,
-//     peeling in synchronized rounds with the dying and retired deltas
-//     exchanged at barriers, answering the paper's call ("for large
-//     hypergraphs, a parallel algorithm will need to be designed").
-//     DistPeeler's phase methods are the one copy of the phases:
-//     ShardedDecompose drives a single replica that owns every shard
-//     in process, and internal/dist drives one replica per worker over
-//     the wire.  Both run the sequential peeler's round schedule and
-//     return its decomposition byte for byte.
+//   - Decompose / KCore / MaxCore / BiCore: the in-process round loop
+//     over one replica that owns a single shard, with every core read
+//     off its decomposition.  KCore and BiCore stop the peel at level
+//     k, as the paper's algorithm does; BiCore adds a minimum
+//     hyperedge size l.
+//   - ShardedDecompose: the same loop over a replica that owns several
+//     shards.
+//   - internal/dist: one replica per worker process, driven over the
+//     wire by a coordinator.
+//
+// Every driver runs one round schedule, so all return the same
+// decomposition byte for byte, edge coreness included;
+// check.RoundDecompose writes that schedule out plainly as the tests'
+// reference.
 package core

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 
-	"hyperplex/internal/csr"
 	"hyperplex/internal/hypergraph"
 )
 
@@ -95,34 +94,10 @@ func (d *Decomposition) Profile() []CoreLevel {
 	return levels
 }
 
-// decomposeL computes the decomposition whose level k is the
-// (k, l)-core of h, capped at level kmax, with csr.DecomposeCtx: the
-// hypergraph is viewed as a csr.CSR (the pins are aliased) and peeled
-// by the one sequential peeler.  Every sequential route reads its
-// answer off this call; the k-core routes stop the peel at level k.
-func decomposeL(ctx context.Context, h *hypergraph.Hypergraph, l, kmax int) (*Decomposition, error) {
-	fd, err := csr.DecomposeCtx(ctx, csr.FromH(h), l, kmax)
-	if err != nil {
-		return nil, err
-	}
-	d := &Decomposition{
-		VertexCoreness: make([]int, len(fd.VertexCoreness)),
-		EdgeCoreness:   make([]int, len(fd.EdgeCoreness)),
-		MaxK:           fd.MaxK,
-	}
-	for v, c := range fd.VertexCoreness {
-		d.VertexCoreness[v] = int(c)
-	}
-	for f, c := range fd.EdgeCoreness {
-		d.EdgeCoreness[f] = int(c)
-	}
-	return d, nil
-}
-
 // KCore computes the k-core of h and returns the surviving membership.
 // k must be ≥ 0; the 0-core is the reduced hypergraph with isolated
-// vertices removed.  It runs the one sequential peeler of Decompose
-// and stops it at level k, as the paper's algorithm does.
+// vertices removed.  It runs the peel of Decompose and stops it at
+// level k, as the paper's algorithm does.
 func KCore(h *hypergraph.Hypergraph, k int) *Result {
 	r, err := KCoreCtx(context.Background(), h, k)
 	if err != nil {
@@ -142,10 +117,10 @@ func KCoreCtx(ctx context.Context, h *hypergraph.Hypergraph, k int) (*Result, er
 	return BiCoreCtx(ctx, h, k, 1)
 }
 
-// Decompose computes the full core decomposition of h with the
-// bucket-queue peeler csr.Decompose.  It equals ShardedDecompose and
-// the distributed DistPeeler byte for byte, edge coreness included:
-// all of them run one round schedule.
+// Decompose computes the full core decomposition of h: the round loop
+// of ShardedDecompose over a single shard.  It equals ShardedDecompose
+// and the distributed runtime byte for byte, edge coreness included:
+// all of them run DistPeeler's phases on one round schedule.
 func Decompose(h *hypergraph.Hypergraph) *Decomposition {
 	d, err := DecomposeCtx(context.Background(), h)
 	if err != nil {
@@ -155,19 +130,19 @@ func Decompose(h *hypergraph.Hypergraph) *Decomposition {
 }
 
 // DecomposeCtx is Decompose honoring cancellation, deadline and any
-// run.Budget attached to ctx, checked every bounded number of peel
-// operations (the csr.build and csr.peel checkpoint sites).  On
-// cancellation or budget exhaustion it returns (nil, err).
+// run.Budget attached to ctx, checked inside every phase; the
+// partition.build and core.sharded.exchange failpoints fire on its
+// way.  On cancellation or budget exhaustion it returns (nil, err).
 func DecomposeCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Decomposition, error) {
-	return decomposeL(ctx, h, 1, math.MaxInt)
+	return decompose(ctx, h, 1, 1, math.MaxInt)
 }
 
-// CSRDecompose is Decompose, under the name of the flat-array kernel
-// it runs.
+// CSRDecompose is Decompose under an older name, kept for callers
+// that use it.
 func CSRDecompose(h *hypergraph.Hypergraph) *Decomposition { return Decompose(h) }
 
-// CSRDecomposeCtx is DecomposeCtx, under the name of the flat-array
-// kernel it runs.
+// CSRDecomposeCtx is DecomposeCtx under an older name, kept for
+// callers that use it.
 func CSRDecomposeCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Decomposition, error) {
 	return DecomposeCtx(ctx, h)
 }

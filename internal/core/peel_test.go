@@ -1,0 +1,44 @@
+package core
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"hyperplex/internal/dataset"
+	"hyperplex/internal/gen"
+	"hyperplex/internal/hypergraph"
+	"hyperplex/internal/mmio"
+	"hyperplex/internal/partition"
+)
+
+// TestPeelMemberCounts pins the member counts the containment
+// detector performs over a full sequential decomposition, and the pins
+// they scan, exactly.  The signature filter and the witness order (the
+// first two alive members of a C.EAdj row) decide which candidates
+// reach a member count, so a change to either moves these pins; a
+// change re-records them only on purpose and gives the reason in
+// CHANGES.md.
+func TestPeelMemberCounts(t *testing.T) {
+	banded, err := mmio.ToHypergraph(gen.SyntheticMatrix(gen.MatrixSpec{Name: "bench", Rows: 8000, Cols: 8000, Band: 10, BandFill: 0.7, RandomPerRow: 2, Seed: 0xBE}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name         string
+		h            *hypergraph.Hypergraph
+		counts, pins int64
+	}{
+		{"banded 8000x8000", banded, 5098, 93103},
+		{"Cellzome", dataset.Cellzome().H, 4, 115},
+		{"proteome 20000x3000", dataset.SyntheticProteome(20000, 3000, 42), 289, 12983},
+	} {
+		w := NewDistPeeler(tc.h, partition.Build(tc.h, 1))
+		if _, err := w.peel(context.Background(), math.MaxInt); err != nil {
+			t.Fatal(err)
+		}
+		if counts, pins := w.det.MemberCounts(); counts != tc.counts || pins != tc.pins {
+			t.Errorf("%s: %d member counts over %d pins, pinned %d over %d", tc.name, counts, pins, tc.counts, tc.pins)
+		}
+	}
+}

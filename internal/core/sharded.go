@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"hyperplex/internal/failpoint"
 	"hyperplex/internal/hypergraph"
@@ -10,18 +11,18 @@ import (
 	"hyperplex/internal/run"
 )
 
-// This file is the in-process driver of the sharded core
-// decomposition: it partitions the hypergraph into vertex-block shards
-// (internal/partition), gives one DistPeeler replica every shard, and
+// This file is the in-process driver of every core route: it
+// partitions the hypergraph into vertex-block shards
+// (internal/partition) — one for the sequential routes, several for
+// ShardedDecompose — gives one DistPeeler replica every shard, and
 // runs the bulk-synchronous round loop of the internal/dist coordinator
 // in the calling goroutine.  The phase methods are the replica's
 // (distshard.go), the only copy of the BSP phases; this loop stands in
 // for the coordinator's broadcasts, handing each round's dying and
 // retired deltas straight back to the replica at the exchange
-// barriers.  The rounds are the round schedule of the sequential CSR
-// peeler (csr.Decompose), so the driver reaches the same confluent
-// fixpoint per level and returns Decompose's decomposition byte for
-// byte, edge coreness included.
+// barriers.  The round schedule does not depend on the shard count, so
+// every shard count returns the same decomposition byte for byte, edge
+// coreness included.
 
 // fpShardedExchange fires at every exchange barrier, where a round's
 // dying or retired delta is handed to the replica.
@@ -66,8 +67,8 @@ func normalizeShardCount(shards, numVertices int) int {
 }
 
 // ShardedDecompose computes the full core decomposition of h with the
-// sharded round loop.  It runs the round schedule of the sequential
-// peeler, so it equals Decompose byte for byte at every shard count,
+// round loop over opts.Shards vertex blocks.  It runs Decompose's round
+// schedule, so it equals Decompose byte for byte at every shard count,
 // edge coreness included.
 func ShardedDecompose(h *hypergraph.Hypergraph, opts ShardedOptions) *Decomposition {
 	d, err := ShardedDecomposeCtx(context.Background(), h, opts)
@@ -84,29 +85,48 @@ func ShardedDecompose(h *hypergraph.Hypergraph, opts ShardedOptions) *Decomposit
 // phase.  On any error it returns (nil, err): the half-peeled state is
 // not a valid decomposition.
 func ShardedDecomposeCtx(ctx context.Context, h *hypergraph.Hypergraph, opts ShardedOptions) (*Decomposition, error) {
+	return decompose(ctx, h, normalizeShardCount(opts.Shards, h.NumVertices()), 1, math.MaxInt)
+}
+
+// decompose computes, over the given number of shards, the
+// decomposition of h whose level k is the (k, l)-core, stopped at
+// level kmax ≥ 1 (see DistPeeler.peel); math.MaxInt peels every level.
+// On any error it returns (nil, err): the half-peeled state is not a
+// valid decomposition.
+func decompose(ctx context.Context, h *hypergraph.Hypergraph, shards, l, kmax int) (*Decomposition, error) {
 	// Entry checkpoint: an already-cancelled context fails before the
 	// partition is built.
 	if err := run.Tick(ctx, run.MeterFrom(ctx), 0); err != nil {
 		return nil, err
 	}
-	part, err := partition.BuildCtx(ctx, h, normalizeShardCount(opts.Shards, h.NumVertices()))
+	part, err := partition.BuildCtx(ctx, h, shards)
 	if err != nil {
 		return nil, err
 	}
 	w := NewDistPeeler(h, part)
-	for s := 0; s < part.NumShards(); s++ {
+	w.minSize = l
+	return w.peel(ctx, kmax)
+}
+
+// peel assigns every shard to the replica and runs the round loop to
+// the end, or to the fixpoint of threshold kmax, where every survivor
+// gets coreness kmax, so each coreness is the full decomposition's
+// capped at kmax.
+func (w *DistPeeler) peel(ctx context.Context, kmax int) (*Decomposition, error) {
+	for s := range w.shards {
 		if err := w.AssignFresh(ctx, s); err != nil {
 			return nil, err
 		}
 	}
-	// The round loop of coordinator.round: like Decompose, it raises
-	// the threshold one level at a time, carrying all peeling state
-	// across levels, and peels each level in rounds until the frontier
-	// and the dying delta are both empty.  One dying and one retired
-	// buffer serve every round.
+	// The round loop of coordinator.round: it raises the threshold one
+	// level at a time, carrying all peeling state across levels, and
+	// peels each level in rounds until the frontier and the dying delta
+	// are both empty.  One dying and one retired buffer serve every
+	// round.
 	dying := w.PendingDying(nil)
 	var retired []int32
 	maxK := 0
+levels:
 	for k := 1; ; k++ {
 		for {
 			if err := exchange(); err != nil {
@@ -121,9 +141,15 @@ func ShardedDecomposeCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Sha
 			}
 			if frontier == 0 && len(dying) == 0 {
 				if alive == 0 {
-					return &Decomposition{VertexCoreness: w.vCore, EdgeCoreness: w.eCore, MaxK: maxK}, nil
+					break levels
 				}
 				maxK = k // level fixpoint: every alive vertex has degree ≥ k
+				if k >= kmax {
+					if err := w.stopAt(ctx, k); err != nil {
+						return nil, err
+					}
+					break levels
+				}
 				break
 			}
 			retired = w.CollectRetired(retired[:0])
@@ -139,6 +165,7 @@ func ShardedDecomposeCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Sha
 			dying = w.PendingDying(dying[:0])
 		}
 	}
+	return &Decomposition{VertexCoreness: w.vCore, EdgeCoreness: w.eCore, MaxK: maxK}, nil
 }
 
 // exchange is the barrier at which a round's delta is handed to the

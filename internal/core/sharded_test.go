@@ -1,5 +1,6 @@
-// Policy, cancellation and budget tests for the sharded decomposition
-// engine.  External test package because check imports core.
+// Policy, cancellation and budget tests for the in-process driver
+// that every core route runs, sequential or sharded.  External test
+// package because check imports core.
 package core_test
 
 import (
@@ -14,6 +15,7 @@ import (
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/mmio"
 	"hyperplex/internal/run"
+	"hyperplex/internal/xrand"
 )
 
 // TestShardedDecomposeOptionFallback is the regression test for the
@@ -42,6 +44,32 @@ func TestShardedDecomposeOptionFallback(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDecomposeCtxCancelled pins the cancellation contract of the
+// sequential route: an already-cancelled context returns
+// (nil, context.Canceled) before any work, on every sweep instance.
+func TestDecomposeCtxCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i, h := range check.Instances(12, 0xC5A2) {
+		d, err := core.DecomposeCtx(ctx, h)
+		if d != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("instance %d: want (nil, context.Canceled), got (%v, %v)", i, d, err)
+		}
+	}
+}
+
+// TestDecomposeCtxBudget pins the budget contract of the sequential
+// route: a one-step budget trips a checkpoint on any instance big
+// enough to reach one.
+func TestDecomposeCtxBudget(t *testing.T) {
+	h := gen.RandomHypergraph(300, 200, 6, xrand.New(0xC5A3))
+	ctx, _ := run.WithBudget(context.Background(), run.Budget{MaxSteps: 1})
+	d, err := core.DecomposeCtx(ctx, h)
+	if d != nil || !errors.Is(err, run.ErrBudgetExceeded) {
+		t.Fatalf("want (nil, ErrBudgetExceeded), got (%v, %v)", d, err)
 	}
 }
 
@@ -88,8 +116,8 @@ func TestShardedCostPins(t *testing.T) {
 		allocs float64
 		steps  int64
 	}{
-		{"Cellzome", dataset.Cellzome().H, 76, 6921},
-		{"banded 8000x8000", banded, 105, 109264},
+		{"Cellzome", dataset.Cellzome().H, 40, 15784},
+		{"banded 8000x8000", banded, 48, 1760832},
 	} {
 		ctx, meter := run.WithBudget(context.Background(), run.Budget{})
 		if _, err := core.ShardedDecomposeCtx(ctx, tc.h, opts); err != nil {

@@ -2,14 +2,14 @@ package csr
 
 // This file is the package's containment detector: the one
 // implementation of the reduction test "is hyperedge f empty or
-// contained in another alive hyperedge?" shared by every flat-array
-// peel engine — the bucket-queue peeler in peel.go and the sharded and
-// distributed engines of internal/core.  It reads a snapshot of the
-// caller's own flat peel arrays (no accessor callbacks) and keeps its
-// stamps in per-worker scratch, so no pairwise overlap table is ever
-// maintained.  Every engine calls it in rounds: each hyperedge that
-// shrank in a round is tested once against the state the round left,
-// and the dead ones are deleted only after all tests.
+// contained in another alive hyperedge?" run by the one peel kernel,
+// the DistPeeler phases of internal/core that every core route drives.
+// It reads a snapshot of the caller's own flat peel arrays (no
+// accessor callbacks) and keeps its stamps in per-worker arrays, so
+// no pairwise overlap table is ever maintained.  The peel calls it in
+// rounds: each hyperedge that shrank in a round is tested once against
+// the state the round left, and the dead ones are deleted only after
+// all tests.
 
 // Snapshot is the alive state a containment test reads: the caller's
 // own peel arrays, viewed in place.  They must not change during a
@@ -17,11 +17,6 @@ package csr
 // each owns its Detector and nothing writes the arrays meanwhile.
 type Snapshot struct {
 	C *CSR
-	// Rows lists every hyperedge's members in witness order, laid out
-	// like C.EAdj (row f is Rows[C.EOff[f]:C.EOff[f+1]]): C.EAdj
-	// itself, or a per-row permutation of it that puts the members with
-	// the cheapest candidate scans first.
-	Rows []int32
 	// VAlive[v] reports whether vertex v is alive.
 	VAlive []bool
 	// EDeg[g] is the alive degree of hyperedge g and must be 0 once g
@@ -100,13 +95,12 @@ func NewDetector(c *CSR) *Detector {
 //     counts that would fail.
 //
 // The witnesses v1, v2 are the first two alive members of f in its
-// s.Rows row, so a row presorted by ascending static vertex degree
-// gives the shortest candidate scans; which alive members serve as
-// witnesses changes the cost, never the verdict.  f's alive members
-// are stamped, and their signature ORed together, lazily on the first
-// candidate passing the witness and degree filters.  The signature
-// filter changes neither the verdict nor the returned op count, which
-// charges the candidate scans only.
+// C.EAdj row; which alive members serve as witnesses changes the cost,
+// never the verdict.  f's alive members are stamped, and their
+// signature ORed together, lazily on the first candidate passing the
+// witness and degree filters.  The signature filter changes neither
+// the verdict nor the returned op count, which charges the candidate
+// scans only.
 //
 //hyperplexvet:hotpath
 func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
@@ -117,7 +111,7 @@ func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 	if df == 0 {
 		return true, 0
 	}
-	mrow := s.Rows[c.EOff[f]:c.EOff[f+1]]
+	mrow := c.EAdj[c.EOff[f]:c.EOff[f+1]]
 	var v1 int32
 	i := 0
 	//hyperplexvet:ignore budgettick bounded: eDeg[f] > 0 guarantees an alive member in mrow
@@ -157,7 +151,7 @@ func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 	}
 	eOff, eAdj, sig := c.EOff, c.EAdj, s.Sig
 	stamp, stamped, sigF := d.stamp, false, uint64(0)
-	//hyperplexvet:ignore budgettick bounded: one pass over v1's static incidence row; the CSR peeler charges the returned op count, the sharded check phases tick one unit per checked hyperedge at entry, and DistPeeler has no meter (its coordinator ticks once per round)
+	//hyperplexvet:ignore budgettick bounded: one pass over v1's static incidence row, whose cost the returned op count reports; DistPeeler's phases charge it to their meter
 	for k, g := range row {
 		if estamp[g] != seq || g == f {
 			continue
@@ -194,6 +188,12 @@ func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 		}
 	}
 	return false, 2 * len(row)
+}
+
+// MemberCounts returns the member counts Dead has performed over the
+// detector's lifetime and the pins they scanned.
+func (d *Detector) MemberCounts() (counts, pins int64) {
+	return d.memberCounts, d.memberPins
 }
 
 // nextSeq advances the stamp generation, clearing both stamp arrays on

@@ -22,7 +22,7 @@ func TestDetectorStampWraparound(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := FromH(h)
-	s := &Snapshot{C: c, Rows: c.EAdj, VAlive: make([]bool, c.NumVertices()), EDeg: make([]int32, c.NumEdges()), Sig: Signatures(c)}
+	s := &Snapshot{C: c, VAlive: make([]bool, c.NumVertices()), EDeg: make([]int32, c.NumEdges()), Sig: Signatures(c)}
 	for v := range s.VAlive {
 		s.VAlive[v] = true
 	}
@@ -80,7 +80,7 @@ func TestDetectorSignatureFilter(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := FromH(h)
-		s := &Snapshot{C: c, Rows: c.EAdj, VAlive: make([]bool, c.NumVertices()), EDeg: make([]int32, c.NumEdges()), Sig: Signatures(c)}
+		s := &Snapshot{C: c, VAlive: make([]bool, c.NumVertices()), EDeg: make([]int32, c.NumEdges()), Sig: Signatures(c)}
 		for v := range s.VAlive {
 			s.VAlive[v] = !tc.dead7 || v != 7
 		}

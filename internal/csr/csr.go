@@ -5,9 +5,10 @@
 //
 // The split of responsibilities is deliberate: hypergraph.Hypergraph
 // remains the builder/IO layer (names, validation, file formats), while
-// the hot kernels — the bucket-queue peeler and the containment
-// detector in this package, and the overlap reduction shared with
-// internal/core — run over a CSR whose adjacency is four dense slices.
+// the hot kernels — the containment detector in this package, run by
+// the one peel kernel in internal/core, and the flat-array greedy cover
+// of internal/cover — run over a CSR whose adjacency is four dense
+// slices.
 // FromH is O(|V| + |F|) (the pin arrays are aliased, not copied), so
 // converting at a kernel boundary is cheap; ToH rebuilds a full
 // Hypergraph for callers that want to keep analyzing a materialized

@@ -1,15 +1,11 @@
 // Tests for the flat-array substrate: the round-trip property of the
 // conversion layer (ToH ∘ FromH preserves the incidence structure
-// exactly), Validate's rejection of malformed arrays, and the
-// cancellation/budget contract of the bucket-queue kernel.  External
+// exactly) and Validate's rejection of malformed arrays.  External
 // test package so the sweep in internal/check (which imports core,
 // which imports this package) is usable.
 package csr_test
 
 import (
-	"context"
-	"errors"
-	"math"
 	"strings"
 	"testing"
 
@@ -17,7 +13,6 @@ import (
 	"hyperplex/internal/csr"
 	"hyperplex/internal/gen"
 	"hyperplex/internal/hypergraph"
-	"hyperplex/internal/run"
 	"hyperplex/internal/xrand"
 )
 
@@ -177,32 +172,6 @@ func TestValidateRejects(t *testing.T) {
 	}
 	if err := base(t).Validate(); err != nil {
 		t.Fatalf("unwrecked base must validate: %v", err)
-	}
-}
-
-// TestDecomposeCtxCancelled pins the cancellation contract: an
-// already-cancelled context returns (nil, context.Canceled) before any
-// work, on every sweep instance.
-func TestDecomposeCtxCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for i, h := range check.Instances(12, 0xC5A2) {
-		d, err := csr.DecomposeCtx(ctx, csr.FromH(h), 1, math.MaxInt)
-		if d != nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("instance %d: want (nil, context.Canceled), got (%v, %v)", i, d, err)
-		}
-	}
-}
-
-// TestDecomposeCtxBudget pins the budget contract: a one-step budget
-// trips a checkpoint on any instance big enough to reach one.
-func TestDecomposeCtxBudget(t *testing.T) {
-	rng := xrand.New(0xC5A3)
-	h := gen.RandomHypergraph(300, 200, 6, rng)
-	ctx, _ := run.WithBudget(context.Background(), run.Budget{MaxSteps: 1})
-	d, err := csr.DecomposeCtx(ctx, csr.FromH(h), 1, math.MaxInt)
-	if d != nil || !errors.Is(err, run.ErrBudgetExceeded) {
-		t.Fatalf("want (nil, ErrBudgetExceeded), got (%v, %v)", d, err)
 	}
 }
 

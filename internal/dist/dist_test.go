@@ -32,9 +32,9 @@ func fastOpts() Options {
 
 // assertExact asserts the distributed result equals the paper's
 // overlap peel on vertex coreness and MaxK (the paper-facing
-// quantities), and equals the sharded engine and the sequential CSR
-// peeler byte for byte: all three run the same rounds, so they agree on
-// hyperedge coreness too.
+// quantities), and equals the in-process sharded engine and the round
+// oracle (check.RoundDecompose) byte for byte: all three run the same
+// rounds, so they agree on hyperedge coreness too.
 func assertExact(t *testing.T, h *hypergraph.Hypergraph, got *core.Decomposition, label string) {
 	t.Helper()
 	want := check.OverlapDecompose(h)
@@ -50,16 +50,16 @@ func assertExact(t *testing.T, h *hypergraph.Hypergraph, got *core.Decomposition
 		name string
 		ref  *core.Decomposition
 	}{
-		{"sharded", core.ShardedDecompose(h, core.ShardedOptions{Shards: 3})},
-		{"CSR", core.Decompose(h)},
+		{"sharded engine", core.ShardedDecompose(h, core.ShardedOptions{Shards: 3})},
+		{"round oracle", check.RoundDecompose(h, 1)},
 	} {
 		name, ref := r.name, r.ref
 		if ref.MaxK != got.MaxK || !slices.Equal(ref.VertexCoreness, got.VertexCoreness) {
-			t.Fatalf("%s: vertex coreness or MaxK differs from the %s engine", label, name)
+			t.Fatalf("%s: vertex coreness or MaxK differs from the %s", label, name)
 		}
 		for f, c := range ref.EdgeCoreness {
 			if got.EdgeCoreness[f] != c {
-				t.Fatalf("%s: hyperedge %d coreness = %d, %s engine has %d", label, f, got.EdgeCoreness[f], name, c)
+				t.Fatalf("%s: hyperedge %d coreness = %d, the %s has %d", label, f, got.EdgeCoreness[f], name, c)
 			}
 		}
 	}

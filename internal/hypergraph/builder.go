@@ -175,21 +175,23 @@ func assemble(vNames, eNames *names, nv int, eOff []int, eAdj []int32) *Hypergra
 		eAdj:   eAdj,
 	}
 
-	// Vertex-side CSR by counting sort over pins; since hyperedges are
-	// visited in increasing f order, each vertex's list comes out
+	// Vertex-side CSR by counting sort over pins.  The prefix sums
+	// leave vOff[v] at the end of v's row, and each pin moves it one
+	// slot back, so it ends at the row's start; since hyperedges are
+	// visited in decreasing f order, each vertex's list comes out
 	// sorted.
 	for _, v := range eAdj {
-		h.vOff[v+1]++
+		h.vOff[v]++
 	}
-	for v := 0; v < nv; v++ {
-		h.vOff[v+1] += h.vOff[v]
+	for v := 1; v < nv; v++ {
+		h.vOff[v] += h.vOff[v-1]
 	}
-	cursor := append([]int(nil), h.vOff[:nv]...)
+	h.vOff[nv] = len(eAdj)
 	//hyperplexvet:ignore budgettick bounded: one transpose pass over pins the Ctx readers already charged line by line; the assembly itself carries no context
-	for f := 0; f < ne; f++ {
+	for f := ne - 1; f >= 0; f-- {
 		for _, v := range h.Vertices(f) {
-			h.vAdj[cursor[v]] = int32(f)
-			cursor[v]++
+			h.vOff[v]--
+			h.vAdj[h.vOff[v]] = int32(f)
 		}
 	}
 	return h

@@ -135,13 +135,13 @@ func FuzzReadText(f *testing.F) {
 		default:
 			t.Fatalf("budgeted ReadTextCtx of %q: got %v, want success or ErrBudgetExceeded", data, berr)
 		}
-		// The paper's overlap peel and the sharded and CSR engines are
-		// differentially equivalent on every accepted input: identical
-		// vertex coreness and identical per-level edge families (the
-		// overlap peel may keep another member of an equal-set family,
-		// so families are compared against it).  The CSR and sharded
-		// engines run the same rounds, so their edge coreness is equal
-		// outright.
+		// The paper's overlap peel and the sharded and sequential routes
+		// are differentially equivalent on every accepted input:
+		// identical vertex coreness and identical per-level edge
+		// families (the overlap peel may keep another member of an
+		// equal-set family, so families are compared against it).  The
+		// sequential and sharded routes run the same rounds, so their
+		// edge coreness is equal outright.
 		if h.NumPins() <= fuzzCorePins {
 			want := check.OverlapDecompose(h)
 			got := core.ShardedDecompose(h, core.ShardedOptions{Shards: 3})
@@ -160,20 +160,20 @@ func FuzzReadText(f *testing.F) {
 			}
 			flat := core.Decompose(h)
 			if flat.MaxK != want.MaxK {
-				t.Fatalf("CSR MaxK of %q: got %d, want %d", data, flat.MaxK, want.MaxK)
+				t.Fatalf("sequential MaxK of %q: got %d, want %d", data, flat.MaxK, want.MaxK)
 			}
 			for v, c := range want.VertexCoreness {
 				if flat.VertexCoreness[v] != c {
-					t.Fatalf("CSR coreness of %q: vertex %d got %d, want %d", data, v, flat.VertexCoreness[v], c)
+					t.Fatalf("sequential coreness of %q: vertex %d got %d, want %d", data, v, flat.VertexCoreness[v], c)
 				}
 			}
 			for k := 1; k <= want.MaxK; k++ {
 				if err := check.SameResult(h, flat.Core(k), want.Core(k)); err != nil {
-					t.Fatalf("CSR %d-core of %q: %v", k, data, err)
+					t.Fatalf("sequential %d-core of %q: %v", k, data, err)
 				}
 			}
 			if !slices.Equal(flat.EdgeCoreness, got.EdgeCoreness) {
-				t.Fatalf("edge coreness of %q: CSR %v, sharded %v", data, flat.EdgeCoreness, got.EdgeCoreness)
+				t.Fatalf("edge coreness of %q: sequential %v, sharded %v", data, flat.EdgeCoreness, got.EdgeCoreness)
 			}
 		}
 		// The cover layer's two greedy kernels are differentially exact:

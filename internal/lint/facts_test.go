@@ -19,10 +19,11 @@ func hasNamed(facts map[types.Object]bool, name string) bool {
 }
 
 // TestCollectFactsMultiPackage loads two real packages in one program
-// and checks the registry computed for each: the directive-backed facts
-// of internal/core (hotpath marks) and the
-// fixpoint facts of internal/csr (checkpointers, the checkpoint-field
-// idiom, trivial accessors, arena-owned peeler state, failpoint sites).
+// and checks the registry computed for each: the fixpoint facts of
+// internal/core (failpoint sites, checkpointers, arena-owned shard
+// lists) and the directive-backed hotpath marks of both, and the
+// trivial accessors of internal/csr.  The checkpoint-field idiom has
+// no caller left in the repository; the budgettick fixture covers it.
 func TestCollectFactsMultiPackage(t *testing.T) {
 	prog, err := Load("../..", "./internal/csr", "./internal/core")
 	if err != nil {
@@ -34,20 +35,15 @@ func TestCollectFactsMultiPackage(t *testing.T) {
 		t.Fatalf("CollectFacts keys = %v, want both csr and core", keysOf(all))
 	}
 
-	for _, site := range []string{"csr.build", "csr.peel"} {
-		if _, ok := csr.FailpointSites[site]; !ok {
-			t.Errorf("csr facts missing failpoint site %q", site)
-		}
+	if _, ok := core.FailpointSites["core.sharded.exchange"]; !ok {
+		t.Error("core facts missing failpoint site core.sharded.exchange")
 	}
-	for _, fn := range []string{"checkpointBuild", "checkpointPeel", "charge"} {
-		if !hasNamed(csr.Checkpointers, fn) {
-			t.Errorf("csr checkpointer fixpoint missing %s", fn)
+	// exchange injects the failpoint, the phases tick the meter, and
+	// CheckShrunk checkpoints through testEdges, a same-package call.
+	for _, fn := range []string{"exchange", "ApplyDying", "testEdges", "CheckShrunk"} {
+		if !hasNamed(core.Checkpointers, fn) {
+			t.Errorf("core checkpointer fixpoint missing %s", fn)
 		}
-	}
-	// Every value assigned to peeler.checkpoint is a checkpointer, so a
-	// call through the field always checkpoints — the charge idiom.
-	if !hasNamed(csr.CheckpointFields, "checkpoint") {
-		t.Error("peeler.checkpoint not recognized as an always-checkpointing field")
 	}
 	// Loop-free accessors over builtins stay trivial.
 	for _, fn := range []string{"NumVertices", "NumEdges", "VertexEdges"} {
@@ -55,23 +51,22 @@ func TestCollectFactsMultiPackage(t *testing.T) {
 			t.Errorf("csr trivial fixpoint missing accessor %s", fn)
 		}
 	}
-	// The peeler's pending list (and the dead list compacted into it)
-	// and its witness rows are carved from one arena, so hotalloc lets
-	// appends to them through.  (The containment detector's stamps are
-	// not: NewDetector makes them for the engines that run it per
-	// worker.)
-	for _, f := range []string{"pending", "dead", "mem"} {
-		if !hasNamed(csr.ArenaOwned, f) {
-			t.Errorf("peeler %s not arena-owned", f)
+	// A shard's work lists are carved from its one arena, so hotalloc
+	// lets the phases' appends to them through.
+	for _, f := range []string{"frontier", "shrunk", "dying"} {
+		if !hasNamed(core.ArenaOwned, f) {
+			t.Errorf("shardPeel %s not arena-owned", f)
 		}
 	}
 
-	marked := 0
-	for _, lines := range core.HotMarks {
-		marked += len(lines)
-	}
-	if marked == 0 {
-		t.Error("core hotpath marks not collected")
+	for name, facts := range map[string]*PkgFacts{"core": core, "csr": csr} {
+		marked := 0
+		for _, lines := range facts.HotMarks {
+			marked += len(lines)
+		}
+		if marked == 0 {
+			t.Errorf("%s hotpath marks not collected", name)
+		}
 	}
 }
 
@@ -108,8 +103,8 @@ func TestFactsForCrossPackage(t *testing.T) {
 	if facts == nil {
 		t.Fatal("FactsFor returned nil for a module-internal import")
 	}
-	if !hasNamed(facts.Checkpointers, "checkpointPeel") {
-		t.Error("cross-package csr facts missing checkpointPeel")
+	if !hasNamed(facts.Trivial, "VertexEdges") {
+		t.Error("cross-package csr facts missing the trivial accessor VertexEdges")
 	}
 	if facts != pass.FactsFor(csrT) {
 		t.Error("FactsFor does not memoize: two calls returned different registries")

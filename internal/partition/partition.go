@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"hyperplex/internal/csr"
 	"hyperplex/internal/failpoint"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/run"
@@ -29,9 +28,9 @@ const buildCheckEvery = 64
 
 // Shard is one block of a Partition.  All IDs are the hypergraph's.
 type Shard struct {
-	Index    int
-	Vertices []int32 // owned vertices (ascending: a contiguous block)
-	Edges    []int32 // owned hyperedges (anchored at their first member)
+	Index int
+	Desc          // owned vertices: the contiguous block [First, First+Count)
+	Edges []int32 // owned hyperedges, ascending (anchored at their first member)
 }
 
 // Partition is a disjoint cover of a hypergraph's vertices and
@@ -115,10 +114,11 @@ func BuildCtx(ctx context.Context, h *hypergraph.Hypergraph, shards int) (*Parti
 			}
 		}
 		p.VertexOwner[v] = int32(s)
-		p.Shards[s].Vertices = append(p.Shards[s].Vertices, int32(v))
+		p.Shards[s].Count++
 		acc += 1 + h.VertexDegree(v)
 		if rem := shards - s - 1; rem > 0 && (acc >= target || nv-v-1 == rem) {
 			s++
+			p.Shards[s].First = int32(v + 1)
 			acc = 0
 		}
 	}
@@ -143,11 +143,7 @@ type Desc struct {
 func (p *Partition) Descs() []Desc {
 	out := make([]Desc, len(p.Shards))
 	for s := range p.Shards {
-		sh := &p.Shards[s]
-		out[s].Count = csr.MustInt32(len(sh.Vertices))
-		if len(sh.Vertices) > 0 {
-			out[s].First = sh.Vertices[0]
-		}
+		out[s] = p.Shards[s].Desc
 	}
 	return out
 }
@@ -200,10 +196,9 @@ func FromDescsCtx(ctx context.Context, h *hypergraph.Hypergraph, descs []Desc) (
 		if d.Count == 0 && nv > 0 {
 			return nil, fmt.Errorf("partition: shard %d descriptor is empty", s)
 		}
-		for i := int32(0); i < d.Count; i++ {
-			v := next + i
+		p.Shards[s].Desc = d
+		for v := next; v < next+d.Count; v++ {
 			p.VertexOwner[v] = int32(s)
-			p.Shards[s].Vertices = append(p.Shards[s].Vertices, v)
 		}
 		next += d.Count
 		if err := run.Tick(ctx, meter, int64(d.Count)+1); err != nil {
@@ -220,9 +215,13 @@ func FromDescsCtx(ctx context.Context, h *hypergraph.Hypergraph, descs []Desc) (
 }
 
 // assemble anchors every hyperedge at the shard owning its first
-// member, given an already-filled vertex block assignment.
+// member, given an already-filled vertex block assignment.  A counting
+// pass sizes the shards' hyperedge lists, which then share one exactly
+// sized array.
 func (p *Partition) assemble(ctx context.Context, meter *run.Meter) error {
-	for f := 0; f < p.H.NumEdges(); f++ {
+	ne := p.H.NumEdges()
+	count := make([]int, len(p.Shards))
+	for f := 0; f < ne; f++ {
 		if f%buildCheckEvery == 0 {
 			if err := run.Tick(ctx, meter, buildCheckEvery); err != nil {
 				return err
@@ -233,6 +232,15 @@ func (p *Partition) assemble(ctx context.Context, meter *run.Meter) error {
 			owner = p.VertexOwner[members[0]]
 		}
 		p.EdgeOwner[f] = owner
+		count[owner]++
+	}
+	edges := make([]int32, ne)
+	for s, n := range count {
+		p.Shards[s].Edges = edges[:0:n]
+		edges = edges[n:]
+	}
+	//hyperplexvet:ignore budgettick bounded: a second pass over the hyperedges the loop above charged
+	for f, owner := range p.EdgeOwner {
 		p.Shards[owner].Edges = append(p.Shards[owner].Edges, int32(f))
 	}
 	return nil

@@ -31,40 +31,38 @@ func instances(t *testing.T) []*hypergraph.Hypergraph {
 	return out
 }
 
-// validate checks the partition invariants: disjoint contiguous vertex
-// blocks covering V, and every hyperedge owned once, by the shard of
-// its first member.
+// validate checks the partition invariants: consecutive non-empty
+// vertex blocks covering V, and every hyperedge owned once, by the
+// shard of its first member, in ascending lists sized exactly.
 func validate(t *testing.T, h *hypergraph.Hypergraph, p *partition.Partition) {
 	t.Helper()
 	nv, ne := h.NumVertices(), h.NumEdges()
-	seenV := make([]bool, nv)
+	next := int32(0)
 	for s, sh := range p.Shards {
 		if sh.Index != s {
 			t.Fatalf("shard %d has Index %d", s, sh.Index)
 		}
-		if len(sh.Vertices) == 0 && nv > 0 {
+		if sh.First != next {
+			t.Fatalf("shard %d block starts at %d, want %d", s, sh.First, next)
+		}
+		if sh.Count == 0 && nv > 0 {
 			t.Fatalf("shard %d owns no vertices", s)
 		}
-		for i, v := range sh.Vertices {
-			if seenV[v] {
-				t.Fatalf("vertex %d owned twice", v)
-			}
-			seenV[v] = true
+		for v := sh.First; v < sh.First+sh.Count; v++ {
 			if p.VertexOwner[v] != int32(s) {
-				t.Fatalf("vertex %d: owner %d, listed in shard %d", v, p.VertexOwner[v], s)
-			}
-			if i > 0 && v != sh.Vertices[i-1]+1 {
-				t.Fatalf("shard %d vertex block not contiguous: %v", s, sh.Vertices)
+				t.Fatalf("vertex %d: owner %d, in the block of shard %d", v, p.VertexOwner[v], s)
 			}
 		}
+		next += sh.Count
 	}
-	for v := 0; v < nv; v++ {
-		if !seenV[v] {
-			t.Fatalf("vertex %d unowned", v)
-		}
+	if int(next) != nv {
+		t.Fatalf("blocks cover %d of %d vertices", next, nv)
 	}
 	seenF := make([]bool, ne)
 	for s, sh := range p.Shards {
+		if cap(sh.Edges) != len(sh.Edges) || !slices.IsSorted(sh.Edges) {
+			t.Fatalf("shard %d hyperedge list %v (cap %d) is not ascending and exactly sized", s, sh.Edges, cap(sh.Edges))
+		}
 		for _, f := range sh.Edges {
 			if seenF[f] {
 				t.Fatalf("hyperedge %d owned twice", f)
@@ -171,7 +169,7 @@ func TestDescsRoundTrip(t *testing.T) {
 			}
 			for s := range p.Shards {
 				a, b := &p.Shards[s], &q.Shards[s]
-				if !slices.Equal(a.Vertices, b.Vertices) || !slices.Equal(a.Edges, b.Edges) {
+				if a.Desc != b.Desc || !slices.Equal(a.Edges, b.Edges) {
 					t.Fatalf("instance %d shard %d: rebuilt shard differs: %+v vs %+v", i, s, a, b)
 				}
 			}

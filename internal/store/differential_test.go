@@ -10,7 +10,6 @@ import (
 	"hyperplex/internal/check"
 	"hyperplex/internal/core"
 	"hyperplex/internal/cover"
-	"hyperplex/internal/csr"
 	"hyperplex/internal/dataset"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/store"
@@ -48,20 +47,14 @@ func sameDecomposition(t *testing.T, label string, got, want *core.Decomposition
 
 // TestStoreDecomposeDifferential pins the mmap-backed decomposition
 // byte-identical to the in-RAM path over the full sweep: the paper's
-// overlap peel (check.OverlapDecompose) and the CSR kernel both read
-// the hypergraph through the store-served arrays and must produce
-// exactly the in-RAM answer.
+// overlap peel (check.OverlapDecompose) and the production peel
+// (core.Decompose) both read the hypergraph through the store-served
+// arrays and must produce exactly the in-RAM answer.
 func TestStoreDecomposeDifferential(t *testing.T) {
 	for i, h := range check.Instances(58, 0xC04E31) {
 		_, hs := viaStore(t, h)
 		sameDecomposition(t, labelOf(i), check.OverlapDecompose(hs), check.OverlapDecompose(h))
-		gotC := csr.Decompose(csr.FromH(hs), 1)
-		wantC := csr.Decompose(csr.FromH(h), 1)
-		if gotC.MaxK != wantC.MaxK ||
-			!slices.Equal(gotC.VertexCoreness, wantC.VertexCoreness) ||
-			!slices.Equal(gotC.EdgeCoreness, wantC.EdgeCoreness) {
-			t.Fatalf("%s: store-backed CSR decomposition differs from in-RAM", labelOf(i))
-		}
+		sameDecomposition(t, labelOf(i), core.Decompose(hs), core.Decompose(h))
 	}
 }
 

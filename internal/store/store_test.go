@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"hyperplex/internal/check"
+	"hyperplex/internal/core"
 	"hyperplex/internal/csr"
 	"hyperplex/internal/gen"
 	"hyperplex/internal/hypergraph"
@@ -489,8 +490,11 @@ func TestBuildUnderAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotD := csr.Decompose(st.CSR(), 1)
-	wantD := csr.Decompose(csr.FromH(want), 1)
+	sh, err := st.H()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotD, wantD := core.Decompose(sh), core.Decompose(want)
 	if gotD.MaxK != wantD.MaxK ||
 		!slices.Equal(gotD.VertexCoreness, wantD.VertexCoreness) ||
 		!slices.Equal(gotD.EdgeCoreness, wantD.EdgeCoreness) {
