@@ -94,13 +94,6 @@ func MaxCore(h *Hypergraph) *CoreResult { return core.MaxCore(h) }
 // Decompose computes the coreness of every vertex and hyperedge.
 func Decompose(h *Hypergraph) *Decomposition { return core.Decompose(h) }
 
-// KCoreParallel returns KCore(h, k); workers is ignored.
-//
-// Deprecated: use KCore, which stops the one peel at level k.
-func KCoreParallel(h *Hypergraph, k, workers int) *CoreResult {
-	return core.KCore(h, k)
-}
-
 // BiCore computes the (k, l)-core: minimum vertex degree k AND minimum
 // hyperedge size l, generalizing KCore (= the (k, 1)-core).
 func BiCore(h *Hypergraph, k, l int) *CoreResult { return core.BiCore(h, k, l) }
@@ -156,13 +149,6 @@ func DecomposeCtx(ctx context.Context, h *Hypergraph) (*Decomposition, error) {
 // BiCoreCtx is BiCore with cancellation and budget checkpoints.
 func BiCoreCtx(ctx context.Context, h *Hypergraph, k, l int) (*CoreResult, error) {
 	return core.BiCoreCtx(ctx, h, k, l)
-}
-
-// KCoreParallelCtx returns KCoreCtx(ctx, h, k); workers is ignored.
-//
-// Deprecated: use KCoreCtx.
-func KCoreParallelCtx(ctx context.Context, h *Hypergraph, k, workers int) (*CoreResult, error) {
-	return core.KCoreCtx(ctx, h, k)
 }
 
 // GreedyCoverCtx is GreedyCover with cancellation and budget

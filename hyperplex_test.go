@@ -3,7 +3,6 @@ package hyperplex_test
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -37,10 +36,6 @@ func TestFacadeCorePipeline(t *testing.T) {
 	d := hyperplex.Decompose(h)
 	if d.MaxK != 3 {
 		t.Errorf("MaxK = %d", d.MaxK)
-	}
-	par, kc := hyperplex.KCoreParallel(h, 3, 2), hyperplex.KCore(h, 3)
-	if !slices.Equal(par.VertexIn, kc.VertexIn) || !slices.Equal(par.EdgeIn, kc.EdgeIn) {
-		t.Errorf("the deprecated KCoreParallel differs from KCore: %+v vs %+v", par, kc)
 	}
 	bi := hyperplex.BiCore(h, 2, 3)
 	if bi.NumVertices != 4 {

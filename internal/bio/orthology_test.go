@@ -67,7 +67,7 @@ func TestProjectHypergraph(t *testing.T) {
 	if _, ok := proj.EdgeID("proj:c3"); ok {
 		t.Error("undersized complex survived projection")
 	}
-	if err := proj.Validate(); err != nil {
+	if err := proj.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -93,7 +93,7 @@ func TestDivergeComplexes(t *testing.T) {
 	}
 	// Member drift keeps validity.
 	drift := DivergeComplexes(proj, DivergenceParams{DropMember: 0.3, AddMember: 1.5}, xrand.New(5))
-	if err := drift.Validate(); err != nil {
+	if err := drift.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -243,7 +243,7 @@ func TestInstancesDeterministicAndDiverse(t *testing.T) {
 		if wa.String() != wb.String() {
 			t.Fatalf("instance %d differs between equal-seed sweeps", i)
 		}
-		if err := a[i].Validate(); err != nil {
+		if err := a[i].CSR().Validate(); err != nil {
 			t.Errorf("instance %d invalid: %v", i, err)
 		}
 	}

@@ -97,7 +97,7 @@ func RoundTripText(h *hypergraph.Hypergraph) error {
 	if err != nil {
 		return fmt.Errorf("check: re-read of text output: %w", err)
 	}
-	if err := h2.Validate(); err != nil {
+	if err := h2.CSR().Validate(); err != nil {
 		return fmt.Errorf("check: text round trip produced invalid hypergraph: %w", err)
 	}
 	if err := SameNamed(h, h2); err != nil {
@@ -132,7 +132,7 @@ func RoundTripJSON(h *hypergraph.Hypergraph) error {
 	if err != nil {
 		return fmt.Errorf("check: json unmarshal of own output: %w", err)
 	}
-	if err := h2.Validate(); err != nil {
+	if err := h2.CSR().Validate(); err != nil {
 		return fmt.Errorf("check: json round trip produced invalid hypergraph: %w", err)
 	}
 	if err := SameNamed(h, h2); err != nil {
@@ -168,7 +168,7 @@ func RoundTripMatrixMarket(h *hypergraph.Hypergraph) error {
 	if err != nil {
 		return fmt.Errorf("check: mm to hypergraph: %w", err)
 	}
-	if err := h2.Validate(); err != nil {
+	if err := h2.CSR().Validate(); err != nil {
 		return fmt.Errorf("check: mm round trip produced invalid hypergraph: %w", err)
 	}
 	if err := SameStructure(h, h2); err != nil {

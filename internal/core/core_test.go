@@ -307,7 +307,7 @@ func TestResultSub(t *testing.T) {
 	if sub.NumVertices() != 4 || sub.NumEdges() != 4 {
 		t.Errorf("materialized core = %v", sub)
 	}
-	if err := sub.Validate(); err != nil {
+	if err := sub.CSR().Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
 	if !sub.IsReduced() {

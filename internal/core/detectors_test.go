@@ -92,7 +92,7 @@ func TestNonMaximalDetectorsAgree(t *testing.T) {
 	for i, h := range reduceInstances(t) {
 		ne := h.NumEdges()
 		tab := check.NewOverlapTable(h)
-		cv := csr.FromH(h)
+		cv := h.CSR()
 		det := csr.NewDetector(cv)
 		eDeg := make([]int32, ne)
 		for f := range eDeg {
@@ -143,7 +143,7 @@ func checkPartialSnapshots(t *testing.T, instances []*hypergraph.Hypergraph, rng
 	equalSets, deadOrEmpty := 0, 0
 	for i, h := range instances {
 		ne := h.NumEdges()
-		cv := csr.FromH(h)
+		cv := h.CSR()
 		sig := csr.Signatures(cv)
 		det := csr.NewDetector(cv)
 		for trial := 0; trial < 6; trial++ {
@@ -264,7 +264,7 @@ func FuzzDetector(f *testing.F) {
 	f.Add([]byte{1, 4, 0x00, 0x01, 0x02, 0x12, 4, 0x00, 0x01, 0x02, 0x22, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x04, 0, 0, 0, 0, 0, 0, 0, 0x04})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, vAlive, eAlive, eDeg := detectorInput(t, data)
-		c := csr.FromH(h)
+		c := h.CSR()
 		det := csr.NewDetector(c)
 		s := &csr.Snapshot{C: c, VAlive: vAlive, EDeg: eDeg, Sig: csr.Signatures(c)}
 		for f := int32(0); int(f) < h.NumEdges(); f++ {

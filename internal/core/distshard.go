@@ -74,16 +74,6 @@ type ShardSnapshot struct {
 	Dying  []int32 // pending dying hyperedges (global IDs), found by the last check phase
 }
 
-// Clone deep-copies the snapshot.
-func (sn *ShardSnapshot) Clone() *ShardSnapshot {
-	return &ShardSnapshot{
-		Shard:  sn.Shard,
-		AliveV: sn.AliveV,
-		Deg:    append([]int32(nil), sn.Deg...),
-		Dying:  append([]int32(nil), sn.Dying...),
-	}
-}
-
 // SnapshotError reports a ShardSnapshot that AssignSnapshot rejects
 // because it cannot describe shard Shard at the replica's barrier.
 // Field names the offending ShardSnapshot field.
@@ -186,7 +176,7 @@ type DistPeeler struct {
 // vertices and hyperedges alive, no shards assigned.
 func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPeeler {
 	nv, ne := h.NumVertices(), h.NumEdges()
-	c := csr.FromH(h)
+	c := h.CSR()
 	w := &DistPeeler{
 		c:      c,
 		part:   part,
@@ -212,17 +202,6 @@ func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPee
 
 // NumShards returns the partition's shard count.
 func (w *DistPeeler) NumShards() int { return w.part.NumShards() }
-
-// Owned returns the ascending indices of the shards assigned here.
-func (w *DistPeeler) Owned() []int {
-	var out []int
-	for s, p := range w.shards {
-		if p != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
 
 // newShard carves the structural arrays of shard s's peel: degrees,
 // the lazy bucket queue sized for one initial push per owned vertex

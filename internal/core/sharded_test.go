@@ -116,8 +116,8 @@ func TestShardedCostPins(t *testing.T) {
 		allocs float64
 		steps  int64
 	}{
-		{"Cellzome", dataset.Cellzome().H, 40, 15784},
-		{"banded 8000x8000", banded, 48, 1760832},
+		{"Cellzome", dataset.Cellzome().H, 37, 15784},
+		{"banded 8000x8000", banded, 45, 1760832},
 	} {
 		ctx, meter := run.WithBudget(context.Background(), run.Budget{})
 		if _, err := core.ShardedDecomposeCtx(ctx, tc.h, opts); err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"hyperplex/internal/csr"
 	"hyperplex/internal/failpoint"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/run"
@@ -12,7 +11,7 @@ import (
 
 // This file is the flat-array greedy multicover kernel: the same lazy
 // min-heap selection rule as GreedyMulticover, but with the inner loops
-// running over a csr.CSR view — gain recomputation and requirement
+// running over the hypergraph's csr.CSR arrays — gain recomputation and requirement
 // decrements walk flat VertexEdges rows, and the int32 state
 // (remaining, lastGain, the heap's vertex array) is carved from one
 // arena allocation.  Only the cost keys stay in a separate float64
@@ -84,7 +83,7 @@ func CSRGreedyMulticoverCtx(ctx context.Context, h *hypergraph.Hypergraph, weigh
 		return nil, err
 	}
 
-	view := csr.FromH(h)
+	view := h.CSR()
 	// gain(v) = number of adjacent hyperedges with unmet requirement,
 	// counted over the flat pin row.
 	gain := func(v int32) int32 {

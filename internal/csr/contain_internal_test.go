@@ -4,11 +4,36 @@
 // internal/core (detectors_test.go).
 package csr
 
-import (
-	"testing"
+import "testing"
 
-	"hyperplex/internal/hypergraph"
-)
+// fromRows builds the CSR of sorted, duplicate-free member rows over
+// nv vertices.
+func fromRows(t *testing.T, nv int, rows [][]int32) *CSR {
+	t.Helper()
+	c := &CSR{VOff: make([]int32, nv+1), EOff: make([]int32, len(rows)+1)}
+	for f, row := range rows {
+		c.EAdj = append(c.EAdj, row...)
+		c.EOff[f+1] = c.EOff[f] + int32(len(row))
+		for _, v := range row {
+			c.VOff[v+1]++
+		}
+	}
+	for v := 0; v < nv; v++ {
+		c.VOff[v+1] += c.VOff[v]
+	}
+	c.VAdj = make([]int32, len(c.EAdj))
+	next := append([]int32(nil), c.VOff[:nv]...)
+	for f, row := range rows {
+		for _, v := range row {
+			c.VAdj[next[v]] = int32(f)
+			next[v]++
+		}
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 // TestDetectorStampWraparound pins the stamp-generation wraparound:
 // tests on either side of the int32 rollover must not cross-talk
@@ -17,11 +42,7 @@ func TestDetectorStampWraparound(t *testing.T) {
 	// Edge 0 ⊂ edge 1 (d(f) = 2, decided by the witnesses alone); edge 2
 	// ⊂ edge 3 (d(f) = 3, decided by the member count); edge 4 is
 	// maximal.
-	h, err := hypergraph.FromEdgeSets(6, [][]int32{{0, 1}, {0, 1, 5}, {2, 3, 4}, {1, 2, 3, 4}, {4, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := FromH(h)
+	c := fromRows(t, 6, [][]int32{{0, 1}, {0, 1, 5}, {2, 3, 4}, {1, 2, 3, 4}, {4, 5}})
 	s := &Snapshot{C: c, VAlive: make([]bool, c.NumVertices()), EDeg: make([]int32, c.NumEdges()), Sig: Signatures(c)}
 	for v := range s.VAlive {
 		s.VAlive[v] = true
@@ -75,11 +96,7 @@ func TestDetectorSignatureFilter(t *testing.T) {
 		{"the signatures collide", []int32{0, 1, 2, 3, 71}, false, false, 1},
 		{"f's dead member sets no bit", []int32{0, 1, 2, 3, 5}, true, true, 1},
 	} {
-		h, err := hypergraph.FromEdgeSets(72, [][]int32{{0, 1, 2, 7}, tc.g})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := FromH(h)
+		c := fromRows(t, 72, [][]int32{{0, 1, 2, 7}, tc.g})
 		s := &Snapshot{C: c, VAlive: make([]bool, c.NumVertices()), EDeg: make([]int32, c.NumEdges()), Sig: Signatures(c)}
 		for v := range s.VAlive {
 			s.VAlive[v] = !tc.dead7 || v != 7

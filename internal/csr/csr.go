@@ -1,44 +1,31 @@
-// Package csr is the flat-array kernel substrate: an immutable
-// compressed-sparse-row view of a hypergraph with both incidence
-// directions as int32 index arrays, plus optional ID maps back to the
-// builder-layer hypergraph.Hypergraph it was carved from.
+// Package csr is the flat-array kernel substrate: the compressed-
+// sparse-row incidence arrays of a hypergraph, both directions as
+// int32 index arrays, plus the containment detector the peel runs
+// over them.
 //
-// The split of responsibilities is deliberate: hypergraph.Hypergraph
-// remains the builder/IO layer (names, validation, file formats), while
-// the hot kernels — the containment detector in this package, run by
-// the one peel kernel in internal/core, and the flat-array greedy cover
-// of internal/cover — run over a CSR whose adjacency is four dense
-// slices.
-// FromH is O(|V| + |F|) (the pin arrays are aliased, not copied), so
-// converting at a kernel boundary is cheap; ToH rebuilds a full
-// Hypergraph for callers that want to keep analyzing a materialized
-// block.
+// A CSR is the one incidence representation of the module:
+// hypergraph.Hypergraph holds one next to its name tables and hands it
+// out aliased (Hypergraph.CSR), and a store file maps its four
+// sections straight into one.  The hot kernels — the containment
+// detector in this package, run by the one peel kernel in
+// internal/core, and the flat-array greedy cover of internal/cover —
+// read the four dense slices directly.  This package imports no other
+// package of the module, so no conversion layer can sit between the
+// two.
 package csr
 
-import (
-	"fmt"
-
-	"hyperplex/internal/hypergraph"
-)
+import "fmt"
 
 // CSR is an immutable compressed-sparse-row hypergraph: hyperedges
 // containing vertex v are VAdj[VOff[v]:VOff[v+1]], vertices of
 // hyperedge f are EAdj[EOff[f]:EOff[f+1]], both sorted ascending.
-// All IDs are dense int32 local to this CSR; when the CSR covers part
-// of a larger hypergraph (a store file can carry the maps), VertexID
-// and EdgeID map local IDs back to the original ones.  Kernels must
-// treat every slice as read-only.
+// All IDs are dense int32.  Kernels must treat every slice as
+// read-only.
 type CSR struct {
 	VOff []int32 // len NumVertices()+1
 	VAdj []int32 // vertex→edge pins
 	EOff []int32 // len NumEdges()+1
 	EAdj []int32 // edge→vertex pins
-
-	// VertexID and EdgeID, when non-nil, give the original ID of each
-	// local vertex and hyperedge (both strictly ascending).  Nil means
-	// the identity map: the CSR covers its source hypergraph whole.
-	VertexID []int32
-	EdgeID   []int32
 }
 
 // NumVertices returns |V|.
@@ -64,21 +51,6 @@ func (c *CSR) VertexDegree(v int32) int32 { return c.VOff[v+1] - c.VOff[v] }
 // EdgeDegree returns d(f).
 func (c *CSR) EdgeDegree(f int32) int32 { return c.EOff[f+1] - c.EOff[f] }
 
-// FromH builds the CSR view of h.  The adjacency arrays are aliased
-// from h (hypergraph.Hypergraph is itself immutable), so the
-// conversion costs O(|V| + |F|) for the offset narrowing only.  The ID
-// maps are nil: the view covers h whole and local IDs equal h's IDs.
-func FromH(h *hypergraph.Hypergraph) *CSR {
-	vOff, vAdj, eOff, eAdj := h.RawCSR()
-	c := &CSR{
-		VOff: narrow(vOff),
-		VAdj: vAdj,
-		EOff: narrow(eOff),
-		EAdj: eAdj,
-	}
-	return c
-}
-
 // MustInt32 narrows a size-derived int to int32, panicking when the
 // value does not fit.  The CSR index space is int32 by design; every
 // narrowing of a length, count or offset must go through this helper
@@ -92,37 +64,14 @@ func MustInt32(x int) int32 {
 	return int32(x)
 }
 
-// narrow converts an int offset array to int32, failing loudly via
-// MustInt32 if a pin count ever exceeds the int32 index space (offsets
-// are monotone, so checking each entry checks the total).
-func narrow(off []int) []int32 {
-	out := make([]int32, len(off))
-	for i, x := range off {
-		out[i] = MustInt32(x)
-	}
-	return out
-}
-
-// ToH rebuilds a builder-layer Hypergraph from the CSR, with generated
-// names ("v0", "f0", ... over local IDs).  Structure — member sets,
-// degree sequences, pin count — round-trips exactly; names do not,
-// since the CSR never carried them.
-func (c *CSR) ToH() (*hypergraph.Hypergraph, error) {
-	edges := make([][]int32, c.NumEdges())
-	for f := range edges {
-		edges[f] = c.EdgeVertices(int32(f))
-	}
-	return hypergraph.FromEdgeSets(c.NumVertices(), edges)
-}
-
 // Validate checks the structural invariants: offsets start at zero,
 // are monotone and end at the pin count, both directions describe the
-// same pin set, rows are strictly sorted, and the optional ID maps are
-// sized and ordered consistently.  Kernels assume a valid CSR; the
-// check is for tests, for code assembling CSRs by hand and for the
-// store's Open path.  Both offset arrays are checked in full before
-// any row is sliced, so arbitrary arrays yield an error, never a
-// panic; the cross-direction check is one linear cursor walk.
+// same pin set and rows are strictly sorted.  Kernels assume a valid
+// CSR; this is the module's one structural validator, run by the
+// store's Open path, by the round-trip checks and by tests.  Both
+// offset arrays are checked in full before any row is sliced, so
+// arbitrary arrays yield an error, never a panic; the cross-direction
+// check is one linear cursor walk.
 func (c *CSR) Validate() error {
 	nv, ne := c.NumVertices(), c.NumEdges()
 	if nv < 0 || ne < 0 {
@@ -188,30 +137,6 @@ func (c *CSR) Validate() error {
 				return fmt.Errorf("csr: hyperedge %d lists vertex %d, which does not list it", f, v)
 			}
 			cursor[v]++
-		}
-	}
-	if err := validateIDMap("vertex", c.VertexID, nv); err != nil {
-		return err
-	}
-	if err := validateIDMap("hyperedge", c.EdgeID, ne); err != nil {
-		return err
-	}
-	return nil
-}
-
-func validateIDMap(kind string, ids []int32, n int) error {
-	if ids == nil {
-		return nil
-	}
-	if len(ids) != n {
-		return fmt.Errorf("csr: %s ID map has %d entries, want %d", kind, len(ids), n)
-	}
-	for i, id := range ids {
-		if id < 0 {
-			return fmt.Errorf("csr: %s ID map entry %d is negative", kind, i)
-		}
-		if i > 0 && ids[i-1] >= id {
-			return fmt.Errorf("csr: %s ID map not strictly ascending at %d", kind, i)
 		}
 	}
 	return nil

@@ -17,7 +17,7 @@ func TestCellzomeCalibration(t *testing.T) {
 	h := inst.H
 	want := inst.Published
 
-	if err := h.Validate(); err != nil {
+	if err := h.CSR().Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	if got := h.NumVertices(); got != want.Proteins {
@@ -198,7 +198,7 @@ func TestTable1Hypergraphs(t *testing.T) {
 		t.Errorf("first row = %q", names[0])
 	}
 	for i, h := range hs {
-		if err := h.Validate(); err != nil {
+		if err := h.CSR().Validate(); err != nil {
 			t.Errorf("%s: %v", names[i], err)
 		}
 	}

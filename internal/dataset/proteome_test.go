@@ -9,7 +9,7 @@ import (
 
 func TestSyntheticProteome(t *testing.T) {
 	h := SyntheticProteome(2000, 300, 7)
-	if err := h.Validate(); err != nil {
+	if err := h.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if h.NumVertices() != 2000 || h.NumEdges() != 300 {

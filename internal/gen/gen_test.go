@@ -155,7 +155,7 @@ func TestRandomHypergraph(t *testing.T) {
 	if h.NumVertices() != 50 || h.NumEdges() != 30 {
 		t.Fatalf("shape: %v", h)
 	}
-	if err := h.Validate(); err != nil {
+	if err := h.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if h.MaxEdgeDegree() > 6 {

@@ -1,10 +1,22 @@
 package hypergraph
 
 import (
+	"errors"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"slices"
+
+	"hyperplex/internal/csr"
 )
+
+// ErrPinSpace reports a hypergraph whose pins would pass the int32
+// index space of its CSR.
+var ErrPinSpace = errors.New("hypergraph: pins overflow the int32 index space")
+
+// maxPins is the most pins a hypergraph may hold, the bound of its
+// int32 offsets.  Tests lower it.
+var maxPins = math.MaxInt32
 
 // Builder accumulates hyperedges and produces an immutable Hypergraph.
 // The zero value is ready to use.  Vertices may be added explicitly
@@ -12,15 +24,16 @@ import (
 // them in a hyperedge.  Each side's names are interned once into a
 // growing name table with its hash index, and the member rows are kept
 // in one flat array, each sorted and compacted as its hyperedge is
-// added.
+// added: the CSR's edge side, ready for Build.
 type Builder struct {
 	vertices, edges arena
-	// The members of hyperedge f are pins[rowEnd[f-1]:rowEnd[f]]
-	// (from 0 for f = 0).
-	pins   []int32
-	rowEnd []int
+	// The members of hyperedge f are pins[eOff[f]:eOff[f+1]]; eOff is
+	// nil until the first hyperedge.
+	pins []int32
+	eOff []int32
 	// err is the first fault met while adding, a repeated hyperedge
-	// name or names past the int32 offset bound; Build reports it.
+	// name, names past the int32 offset bound or pins past maxPins;
+	// Build reports it.
 	err error
 }
 
@@ -66,20 +79,20 @@ func (b *Builder) AddEdge(name string, members ...string) int {
 	for _, m := range members {
 		b.pins = append(b.pins, int32(b.AddVertex(m)))
 	}
-	return b.endEdge(name, start)
+	return endEdge(b, name, maphash.String(nameSeed, name), start)
 }
 
-// addEdgeBytes is AddEdge over members given as bytes, which it does
-// not retain: a member is hashed and looked up in place, and its bytes
-// are copied only when it adds a vertex.
-func (b *Builder) addEdgeBytes(name string, members [][]byte) int {
+// addEdgeBytes is AddEdge over a name and members given as bytes,
+// which it does not retain: each is hashed and looked up in place, and
+// its bytes are copied only when it adds a name.
+func (b *Builder) addEdgeBytes(name []byte, members [][]byte) int {
 	start := len(b.pins)
 	b.pins = room(b.pins, len(members))
 	//hyperplexvet:ignore budgettick bounded: one pass over the members of one line, which the scanner charged with the line
 	for _, m := range members {
 		b.pins = append(b.pins, int32(addVertex(b, m, maphash.Bytes(nameSeed, m))))
 	}
-	return b.endEdge(name, start)
+	return endEdge(b, name, maphash.Bytes(nameSeed, name), start)
 }
 
 // AddEdgeIDs adds a hyperedge over existing vertex IDs and returns the
@@ -95,27 +108,36 @@ func (b *Builder) AddEdgeIDs(name string, members []int32) int {
 	}
 	start := len(b.pins)
 	b.pins = append(b.pins, members...)
-	return b.endEdge(name, start)
+	return endEdge(b, name, maphash.String(nameSeed, name), start)
 }
 
 // endEdge sorts and compacts the member row appended since start and
-// records it as a hyperedge with the given name, returning its ID.
-func (b *Builder) endEdge(name string, start int) int {
+// records it as a hyperedge with the given name, whose maphash is h,
+// returning its ID.  A row that carries the pins past maxPins is
+// recorded as the builder's fault.
+func endEdge[K string | []byte](b *Builder, name K, h uint64, start int) int {
 	row := b.pins[start:]
 	slices.Sort(row)
-	b.pins = b.pins[:start+len(slices.Compact(row))]
-	b.rowEnd = append(b.rowEnd, len(b.pins))
-	b.addEdgeName(name)
-	return len(b.rowEnd) - 1
+	end := start + len(slices.Compact(row))
+	b.pins = b.pins[:end]
+	if end > maxPins {
+		b.fail(fmt.Errorf("%w: %d pins", ErrPinSpace, end))
+	}
+	if b.eOff == nil {
+		b.eOff = []int32{0}
+	}
+	b.eOff = append(b.eOff, int32(end))
+	addEdgeName(b, name, h)
+	return b.NumEdges() - 1
 }
 
-// addEdgeName interns the name of the hyperedge just added.  An empty
-// name is stored but not indexed; a repeated one is stored, left
-// unindexed and recorded as the builder's fault.
-func (b *Builder) addEdgeName(name string) {
+// addEdgeName interns the name of the hyperedge just added, whose
+// maphash is h.  An empty name is stored but not indexed; a repeated
+// one is stored, left unindexed and recorded as the builder's fault.
+func addEdgeName[K string | []byte](b *Builder, name K, h uint64) {
 	slot, prev := -1, -1
-	if name != "" {
-		slot, prev = lookup(&b.edges, name, maphash.String(nameSeed, name), true)
+	if len(name) > 0 {
+		slot, prev = lookup(&b.edges, name, h, true)
 	}
 	f, err := push(&b.edges, name)
 	switch {
@@ -132,7 +154,7 @@ func (b *Builder) addEdgeName(name string) {
 func (b *Builder) NumVertices() int { return len(b.vertices.ends) }
 
 // NumEdges reports the number of hyperedges added so far.
-func (b *Builder) NumEdges() int { return len(b.rowEnd) }
+func (b *Builder) NumEdges() int { return max(len(b.eOff)-1, 0) }
 
 // Build produces the immutable Hypergraph.  Hyperedge names must be
 // unique when non-empty; vertex names are unique by construction.  The
@@ -149,10 +171,12 @@ func (b *Builder) build(copies bool) (*Hypergraph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	eOff := make([]int, len(b.rowEnd)+1)
-	copy(eOff[1:], b.rowEnd)
-	eAdj := b.pins[:len(b.pins):len(b.pins)]
+	eOff, eAdj := b.eOff, b.pins[:len(b.pins):len(b.pins)]
+	if eOff == nil {
+		eOff = []int32{0}
+	}
 	if copies {
+		eOff = append([]int32(nil), eOff...)
 		eAdj = make([]int32, len(b.pins))
 		copy(eAdj, b.pins)
 	}
@@ -164,16 +188,10 @@ func (b *Builder) build(copies bool) (*Hypergraph, error) {
 // of the edge-side rows — the members of hyperedge f are
 // eAdj[eOff[f]:eOff[f+1]], sorted, duplicate-free and in [0, nv) — and
 // derives the vertex side by a counting-sort transpose.
-func assemble(vNames, eNames *names, nv int, eOff []int, eAdj []int32) *Hypergraph {
+func assemble(vNames, eNames *names, nv int, eOff, eAdj []int32) *Hypergraph {
 	ne := len(eOff) - 1
-	h := &Hypergraph{
-		vNames: vNames,
-		eNames: eNames,
-		vOff:   make([]int, nv+1),
-		vAdj:   make([]int32, len(eAdj)),
-		eOff:   eOff,
-		eAdj:   eAdj,
-	}
+	vOff := make([]int32, nv+1)
+	vAdj := make([]int32, len(eAdj))
 
 	// Vertex-side CSR by counting sort over pins.  The prefix sums
 	// leave vOff[v] at the end of v's row, and each pin moves it one
@@ -181,20 +199,20 @@ func assemble(vNames, eNames *names, nv int, eOff []int, eAdj []int32) *Hypergra
 	// visited in decreasing f order, each vertex's list comes out
 	// sorted.
 	for _, v := range eAdj {
-		h.vOff[v]++
+		vOff[v]++
 	}
 	for v := 1; v < nv; v++ {
-		h.vOff[v] += h.vOff[v-1]
+		vOff[v] += vOff[v-1]
 	}
-	h.vOff[nv] = len(eAdj)
+	vOff[nv] = eOff[ne]
 	//hyperplexvet:ignore budgettick bounded: one transpose pass over pins the Ctx readers already charged line by line; the assembly itself carries no context
 	for f := ne - 1; f >= 0; f-- {
-		for _, v := range h.Vertices(f) {
-			h.vOff[v]--
-			h.vAdj[h.vOff[v]] = int32(f)
+		for _, v := range eAdj[eOff[f]:eOff[f+1]] {
+			vOff[v]--
+			vAdj[vOff[v]] = int32(f)
 		}
 	}
-	return h
+	return &Hypergraph{vNames: vNames, eNames: eNames, c: csr.CSR{VOff: vOff, VAdj: vAdj, EOff: eOff, EAdj: eAdj}}
 }
 
 // MustBuild is Build but panics on error; convenient in tests and
@@ -214,9 +232,9 @@ func (b *Builder) MustBuild() *Hypergraph {
 // ... and edges "f0", "f1", ... so that exported files remain readable;
 // the names share one backing string and are indexed on the first
 // VertexID or EdgeID call.
-// A member outside [0, nv) is an error.  The sets are copied once into
-// one flat row array, where each row is sorted and compacted in place;
-// the caller's slices are never modified.
+// A member outside [0, nv) is an error, as are pins past maxPins.  The sets are copied once into one flat row array,
+// where each row is sorted and compacted in place; the caller's slices
+// are never modified.
 func FromEdgeSets(nv int, edges [][]int32) (*Hypergraph, error) {
 	pins := 0
 	for f, members := range edges {
@@ -227,7 +245,7 @@ func FromEdgeSets(nv int, edges [][]int32) (*Hypergraph, error) {
 		}
 		pins += len(members)
 	}
-	eOff := make([]int, len(edges)+1)
+	eOff := make([]int32, len(edges)+1)
 	eAdj := make([]int32, pins)
 	n := 0
 	for f, members := range edges {
@@ -235,7 +253,10 @@ func FromEdgeSets(nv int, edges [][]int32) (*Hypergraph, error) {
 		copy(row, members)
 		slices.Sort(row)
 		n += len(slices.Compact(row))
-		eOff[f+1] = n
+		if n > maxPins {
+			return nil, fmt.Errorf("%w: %d pins", ErrPinSpace, n)
+		}
+		eOff[f+1] = int32(n)
 	}
 	vNames, err := seqNames('v', nv, false)
 	if err != nil {

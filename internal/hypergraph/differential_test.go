@@ -48,17 +48,16 @@ func builderRoute(nv int, edges [][]int32) (*hypergraph.Hypergraph, error) {
 // sameHypergraph reports the first difference between two hypergraphs
 // in their CSR arrays, names and name lookups.
 func sameHypergraph(got, want *hypergraph.Hypergraph) error {
-	gvOff, gvAdj, geOff, geAdj := got.RawCSR()
-	wvOff, wvAdj, weOff, weAdj := want.RawCSR()
+	g, w := got.CSR(), want.CSR()
 	switch {
-	case !slices.Equal(gvOff, wvOff):
-		return fmt.Errorf("vertex offsets %v, want %v", gvOff, wvOff)
-	case !slices.Equal(gvAdj, wvAdj):
-		return fmt.Errorf("vertex adjacency %v, want %v", gvAdj, wvAdj)
-	case !slices.Equal(geOff, weOff):
-		return fmt.Errorf("edge offsets %v, want %v", geOff, weOff)
-	case !slices.Equal(geAdj, weAdj):
-		return fmt.Errorf("edge adjacency %v, want %v", geAdj, weAdj)
+	case !slices.Equal(g.VOff, w.VOff):
+		return fmt.Errorf("vertex offsets %v, want %v", g.VOff, w.VOff)
+	case !slices.Equal(g.VAdj, w.VAdj):
+		return fmt.Errorf("vertex adjacency %v, want %v", g.VAdj, w.VAdj)
+	case !slices.Equal(g.EOff, w.EOff):
+		return fmt.Errorf("edge offsets %v, want %v", g.EOff, w.EOff)
+	case !slices.Equal(g.EAdj, w.EAdj):
+		return fmt.Errorf("edge adjacency %v, want %v", g.EAdj, w.EAdj)
 	}
 	lookups := []string{"", "v", "f", "v-1", "f-1", "v01", fmt.Sprintf("v%d", want.NumVertices()), fmt.Sprintf("f%d", want.NumEdges())}
 	for v := 0; v < want.NumVertices(); v++ {
@@ -144,7 +143,7 @@ func TestDifferentialFromEdgeSets(t *testing.T) {
 		if err := sameHypergraph(got, want); err != nil {
 			t.Fatalf("%s: FromEdgeSets vs Builder route: %v", in.name, err)
 		}
-		if err := got.Validate(); err != nil {
+		if err := got.CSR().Validate(); err != nil {
 			t.Fatalf("%s: %v", in.name, err)
 		}
 	}

@@ -122,26 +122,3 @@ func TestAddEdgeIDsPanicsBeforeChange(t *testing.T) {
 		t.Fatalf("builder changed by a rejected AddEdgeIDs: %v, want %v", got, want)
 	}
 }
-
-// TestValidateRejectsBadOffsets hands Validate, through FromCSRArrays,
-// offset arrays whose interior entries point past the pins or step
-// backwards: it must report an error, not panic slicing a row.
-func TestValidateRejectsBadOffsets(t *testing.T) {
-	cases := []struct {
-		name                   string
-		vOff, vAdj, eOff, eAdj []int32
-	}{
-		{"interior vertex offset", []int32{0, 100, 2}, []int32{0, 0}, []int32{0, 2}, []int32{0, 1}},
-		{"interior edge offset", []int32{0, 1, 2}, []int32{0, 1}, []int32{0, 100, 2}, []int32{0, 1}},
-		{"decreasing edge offset", []int32{0, 1, 2}, []int32{0, 1}, []int32{0, 2, 1, 2}, []int32{0, 1}},
-	}
-	for _, tc := range cases {
-		h, err := FromCSRArrays(tc.vOff, tc.vAdj, tc.eOff, tc.eAdj, nil, nil, nil, nil)
-		if err != nil {
-			t.Fatalf("%s: FromCSRArrays: %v", tc.name, err)
-		}
-		if err := h.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted the arrays", tc.name)
-		}
-	}
-}

@@ -91,7 +91,7 @@ func FuzzReadText(f *testing.F) {
 			t.Fatalf("cancelled ReadTextCtx of %q: got %v, want context.Canceled", data, err)
 		}
 		if h, err := hypergraph.UnmarshalJSONHypergraph([]byte(data)); err == nil {
-			if err := h.Validate(); err != nil {
+			if err := h.CSR().Validate(); err != nil {
 				t.Fatalf("JSON parser accepted %q but produced invalid hypergraph: %v", data, err)
 			}
 		}
@@ -99,7 +99,7 @@ func FuzzReadText(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := h.Validate(); err != nil {
+		if err := h.CSR().Validate(); err != nil {
 			t.Fatalf("text parser accepted %q but produced invalid hypergraph: %v", data, err)
 		}
 		if err := check.RoundTripText(h); err != nil {
@@ -244,7 +244,7 @@ func TestReadTextParsedIsValid(t *testing.T) {
 			t.Errorf("ReadText(%q): %v", in, err)
 			continue
 		}
-		if err := h.Validate(); err != nil {
+		if err := h.CSR().Validate(); err != nil {
 			t.Errorf("ReadText(%q) produced invalid hypergraph: %v", in, err)
 		}
 	}

@@ -4,23 +4,29 @@
 // arbitrary number of vertices.
 //
 // A Hypergraph is an immutable, compactly stored incidence structure.
-// Both directions of the incidence relation are stored in CSR
-// (compressed sparse row) form: for every vertex the sorted list of
-// hyperedges containing it, and for every hyperedge the sorted list of
-// vertices it contains.  This is the O(|E|) representation the paper
-// argues for (a complex with n members costs O(n), not the O(n²) of a
-// clique expansion), where |E| denotes the number of pins, i.e. the sum
-// of hyperedge cardinalities.
+// Both directions of the incidence relation are stored once, as one
+// csr.CSR (compressed sparse row, int32 offsets and pins): for every
+// vertex the sorted list of hyperedges containing it, and for every
+// hyperedge the sorted list of vertices it contains.  This is the
+// O(|E|) representation the paper argues for (a complex with n members
+// costs O(n), not the O(n²) of a clique expansion), where |E| denotes
+// the number of pins, i.e. the sum of hyperedge cardinalities.  Next to
+// it a Hypergraph keeps one name table per side.  CSR hands the arrays
+// to the flat-array kernels as they are, and FromCSR wraps arrays
+// someone else holds (a mapped store file) without copying them.
 //
 // Construction goes through a Builder, or FromEdgeSets for rows of
-// vertex IDs; both share one CSR assembly.  Analysis algorithms live in
-// the sibling packages core (k-cores), cover (vertex covers), and stats
-// (network statistics).
+// vertex IDs; both share one CSR assembly, which returns ErrPinSpace
+// rather than build pins past the int32 index space.  Analysis
+// algorithms live in the sibling packages core (k-cores), cover
+// (vertex covers), and stats (network statistics).
 package hypergraph
 
 import (
 	"fmt"
 	"sort"
+
+	"hyperplex/internal/csr"
 )
 
 // Hypergraph is an immutable hypergraph H = (V, F).  Vertices and
@@ -30,40 +36,40 @@ type Hypergraph struct {
 	// One name table per side, nil for an unnamed side.
 	vNames, eNames *names
 
-	// CSR incidence, vertex side: edges containing vertex v are
-	// vAdj[vOff[v]:vOff[v+1]], sorted ascending.
-	vOff []int
-	vAdj []int32
-
-	// CSR incidence, edge side: vertices of hyperedge f are
-	// eAdj[eOff[f]:eOff[f+1]], sorted ascending.
-	eOff []int
-	eAdj []int32
+	// The incidence arrays: edges containing vertex v are
+	// c.VAdj[c.VOff[v]:c.VOff[v+1]] and vertices of hyperedge f are
+	// c.EAdj[c.EOff[f]:c.EOff[f+1]], both sorted ascending.
+	c csr.CSR
 }
 
 // NumVertices returns |V|.
-func (h *Hypergraph) NumVertices() int { return len(h.vOff) - 1 }
+func (h *Hypergraph) NumVertices() int { return len(h.c.VOff) - 1 }
 
 // NumEdges returns |F|, the number of hyperedges.
-func (h *Hypergraph) NumEdges() int { return len(h.eOff) - 1 }
+func (h *Hypergraph) NumEdges() int { return len(h.c.EOff) - 1 }
 
 // NumPins returns |E| = Σ_f d(f) = Σ_v d(v), the size of the incidence
 // relation.  This is the space needed to represent the hypergraph.
-func (h *Hypergraph) NumPins() int { return len(h.eAdj) }
+func (h *Hypergraph) NumPins() int { return len(h.c.EAdj) }
 
 // VertexDegree returns d(v), the number of hyperedges containing v.
-func (h *Hypergraph) VertexDegree(v int) int { return h.vOff[v+1] - h.vOff[v] }
+func (h *Hypergraph) VertexDegree(v int) int { return int(h.c.VOff[v+1] - h.c.VOff[v]) }
 
 // EdgeDegree returns d(f), the number of vertices in hyperedge f.
-func (h *Hypergraph) EdgeDegree(f int) int { return h.eOff[f+1] - h.eOff[f] }
+func (h *Hypergraph) EdgeDegree(f int) int { return int(h.c.EOff[f+1] - h.c.EOff[f]) }
 
 // Edges returns the sorted hyperedge IDs containing vertex v.  The
 // returned slice aliases internal storage and must not be modified.
-func (h *Hypergraph) Edges(v int) []int32 { return h.vAdj[h.vOff[v]:h.vOff[v+1]] }
+func (h *Hypergraph) Edges(v int) []int32 { return h.c.VAdj[h.c.VOff[v]:h.c.VOff[v+1]] }
 
 // Vertices returns the sorted vertex IDs of hyperedge f.  The returned
 // slice aliases internal storage and must not be modified.
-func (h *Hypergraph) Vertices(f int) []int32 { return h.eAdj[h.eOff[f]:h.eOff[f+1]] }
+func (h *Hypergraph) Vertices(f int) []int32 { return h.c.EAdj[h.c.EOff[f]:h.c.EOff[f+1]] }
+
+// CSR returns h's incidence arrays, aliased: the flat-array kernels
+// read them in place, and nothing is copied or converted.  The arrays
+// must not be modified.
+func (h *Hypergraph) CSR() *csr.CSR { return &h.c }
 
 // VertexName returns the name of vertex v ("" if unnamed), a
 // substring of the side's name table.
@@ -201,16 +207,6 @@ func (h *Hypergraph) EdgeSet(f int) []int {
 	return out
 }
 
-// RawCSR exposes the four CSR incidence arrays backing h: vertex-side
-// offsets and adjacency (edges containing v are vAdj[vOff[v]:vOff[v+1]])
-// and edge-side offsets and adjacency (vertices of f are
-// eAdj[eOff[f]:eOff[f+1]]).  The returned slices alias internal storage
-// and must not be modified; the accessor exists so flat-array kernel
-// substrates (internal/csr) can be built without copying the pins.
-func (h *Hypergraph) RawCSR() (vOff []int, vAdj []int32, eOff []int, eAdj []int32) {
-	return h.vOff, h.vAdj, h.eOff, h.eAdj
-}
-
 // String returns a short diagnostic description.
 func (h *Hypergraph) String() string {
 	return fmt.Sprintf("Hypergraph{|V|=%d |F|=%d |E|=%d}", h.NumVertices(), h.NumEdges(), h.NumPins())
@@ -221,68 +217,11 @@ func (h *Hypergraph) Clone() *Hypergraph {
 	return &Hypergraph{
 		vNames: h.vNames.clone(),
 		eNames: h.eNames.clone(),
-		vOff:   append([]int(nil), h.vOff...),
-		vAdj:   append([]int32(nil), h.vAdj...),
-		eOff:   append([]int(nil), h.eOff...),
-		eAdj:   append([]int32(nil), h.eAdj...),
+		c: csr.CSR{
+			VOff: append([]int32(nil), h.c.VOff...),
+			VAdj: append([]int32(nil), h.c.VAdj...),
+			EOff: append([]int32(nil), h.c.EOff...),
+			EAdj: append([]int32(nil), h.c.EAdj...),
+		},
 	}
-}
-
-// Validate checks the structural invariants of the incidence arrays:
-// CSR offsets monotone, member lists sorted and duplicate-free, and the
-// two incidence directions mutually consistent.  It returns nil if the
-// hypergraph is well formed.  It is used by tests and by readers of
-// external files.  Both offset arrays are checked in full before any
-// row is sliced, so arrays handed to FromCSRArrays yield an error,
-// never a panic.
-func (h *Hypergraph) Validate() error {
-	nv, ne := h.NumVertices(), h.NumEdges()
-	if h.vOff[0] != 0 || h.eOff[0] != 0 {
-		return fmt.Errorf("hypergraph: offset arrays must start at 0")
-	}
-	if h.vOff[nv] != len(h.vAdj) {
-		return fmt.Errorf("hypergraph: vertex offsets end at %d, want %d", h.vOff[nv], len(h.vAdj))
-	}
-	if h.eOff[ne] != len(h.eAdj) {
-		return fmt.Errorf("hypergraph: edge offsets end at %d, want %d", h.eOff[ne], len(h.eAdj))
-	}
-	if len(h.vAdj) != len(h.eAdj) {
-		return fmt.Errorf("hypergraph: pin counts disagree: %d vertex-side vs %d edge-side", len(h.vAdj), len(h.eAdj))
-	}
-	for v := 0; v < nv; v++ {
-		if h.vOff[v+1] < h.vOff[v] {
-			return fmt.Errorf("hypergraph: vertex %d has negative degree", v)
-		}
-	}
-	for f := 0; f < ne; f++ {
-		if h.eOff[f+1] < h.eOff[f] {
-			return fmt.Errorf("hypergraph: hyperedge %d has negative cardinality", f)
-		}
-	}
-	for v := 0; v < nv; v++ {
-		adj := h.Edges(v)
-		for i, f := range adj {
-			if f < 0 || int(f) >= ne {
-				return fmt.Errorf("hypergraph: vertex %d lists out-of-range hyperedge %d", v, f)
-			}
-			if i > 0 && adj[i-1] >= f {
-				return fmt.Errorf("hypergraph: vertex %d adjacency not strictly sorted", v)
-			}
-			if !h.EdgeContains(int(f), v) {
-				return fmt.Errorf("hypergraph: vertex %d lists hyperedge %d, which does not contain it", v, f)
-			}
-		}
-	}
-	for f := 0; f < ne; f++ {
-		m := h.Vertices(f)
-		for i, v := range m {
-			if v < 0 || int(v) >= nv {
-				return fmt.Errorf("hypergraph: hyperedge %d lists out-of-range vertex %d", f, v)
-			}
-			if i > 0 && m[i-1] >= v {
-				return fmt.Errorf("hypergraph: hyperedge %d member list not strictly sorted", f)
-			}
-		}
-	}
-	return nil
 }

@@ -45,7 +45,7 @@ func TestBuilderBasic(t *testing.T) {
 	if got, want := h.NumPins(), 3+2+2+1+2; got != want {
 		t.Errorf("NumPins = %d, want %d", got, want)
 	}
-	if err := h.Validate(); err != nil {
+	if err := h.CSR().Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 }
@@ -198,7 +198,7 @@ func TestReduce(t *testing.T) {
 	if !ok || r.VertexName(aNew) != "a" {
 		t.Error("vMap does not track vertex a correctly")
 	}
-	if err := r.Validate(); err != nil {
+	if err := r.CSR().Validate(); err != nil {
 		t.Errorf("reduced Validate: %v", err)
 	}
 }
@@ -226,7 +226,7 @@ func TestSubVertices(t *testing.T) {
 	if got := sub.EdgeDegree(c1new); got != 2 {
 		t.Errorf("restricted deg(c1) = %d, want 2", got)
 	}
-	if err := sub.Validate(); err != nil {
+	if err := sub.CSR().Validate(); err != nil {
 		t.Errorf("sub Validate: %v", err)
 	}
 }
@@ -249,7 +249,7 @@ func TestDual(t *testing.T) {
 	if !d.EdgeContains(cEdge, c1) {
 		t.Error("dual lost the (c, c1) incidence")
 	}
-	if err := d.Validate(); err != nil {
+	if err := d.CSR().Validate(); err != nil {
 		t.Errorf("dual Validate: %v", err)
 	}
 }
@@ -354,7 +354,7 @@ func assertSameHypergraph(t *testing.T, want, got *Hypergraph) {
 			t.Errorf("edge %q members = %v, want %v", name, gotMembers, wantMembers)
 		}
 	}
-	if err := got.Validate(); err != nil {
+	if err := got.CSR().Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
 }
@@ -364,9 +364,9 @@ func TestClone(t *testing.T) {
 	c := h.Clone()
 	assertSameHypergraph(t, h, c)
 	// Mutating the clone's internals must not affect the original.
-	c.eAdj[0] = 99
-	if h.eAdj[0] == 99 {
-		t.Error("Clone shares eAdj storage with the original")
+	c.c.EAdj[0] = 99
+	if h.c.EAdj[0] == 99 {
+		t.Error("Clone shares EAdj storage with the original")
 	}
 }
 
@@ -380,7 +380,7 @@ func TestMapHypergraphRoundTrip(t *testing.T) {
 	if rebuilt.NumPins() != h.NumPins() {
 		t.Errorf("round-trip pins = %d, want %d", rebuilt.NumPins(), h.NumPins())
 	}
-	if err := rebuilt.Validate(); err != nil {
+	if err := rebuilt.CSR().Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
 }
@@ -427,7 +427,7 @@ func randomHypergraph(seed uint64, nv, ne, maxSize int) *Hypergraph {
 func TestPropertyValidateRandom(t *testing.T) {
 	prop := func(seed uint64) bool {
 		h := randomHypergraph(seed, 2+int(seed%29), 1+int(seed%17), 1+int(seed%7))
-		return h.Validate() == nil
+		return h.CSR().Validate() == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

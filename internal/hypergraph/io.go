@@ -82,7 +82,7 @@ func ReadTextCtx(ctx context.Context, r io.Reader) (*Hypergraph, error) {
 			b.AddVertex(name)
 			return b.err
 		},
-		Edge: func(name string, members [][]byte) error {
+		Edge: func(name []byte, members [][]byte) error {
 			b.addEdgeBytes(name, members)
 			return b.err
 		},

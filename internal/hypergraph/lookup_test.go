@@ -9,17 +9,19 @@ import (
 	"sync"
 	"testing"
 
+	"hyperplex/internal/csr"
 	"hyperplex/internal/dataset"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/store"
 )
 
 // readTextAllocs is the exact allocation count of one ReadTextCtx of
-// the 20000-protein synthetic proteome (seed 42): about one per
-// hyperedge line, for the edge name the scanner hands over as a
-// string, plus the growth of the flat rows and the two name tables.
-// It moves only on purpose, with the reason in CHANGES.md.
-const readTextAllocs = 3120
+// the 20000-protein synthetic proteome (seed 42): the growth of the
+// flat rows, the offsets and the two name tables, and the vertex side
+// of the CSR; no line allocates, since the scanner hands every name
+// over as bytes.  It moves only on purpose, with the reason in
+// CHANGES.md.
+const readTextAllocs = 118
 
 // TestReadTextAllocs pins the text reader's allocations on the
 // proteome that hgbench's baits workload reads.
@@ -35,6 +37,52 @@ func TestReadTextAllocs(t *testing.T) {
 	})
 	if got != readTextAllocs {
 		t.Fatalf("ReadTextCtx of the proteome: %v allocations, want %d", got, readTextAllocs)
+	}
+}
+
+// TestCSRAliases pins CSR as the hypergraph's own arrays, on Cellzome
+// and on a store-opened hypergraph: it allocates nothing, every row it
+// gives shares storage with Vertices and Edges, and a store-opened
+// hypergraph shares all four arrays with the store.
+func TestCSRAliases(t *testing.T) {
+	cz := dataset.Cellzome().H
+	path := filepath.Join(t.TempDir(), "cz.store")
+	if err := store.WriteH(path, cz); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	opened, err := st.H()
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b []int32) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+	for _, tc := range []struct {
+		name string
+		h    *hypergraph.Hypergraph
+	}{{"Cellzome", cz}, {"store", opened}} {
+		h := tc.h
+		var c *csr.CSR
+		if allocs := testing.AllocsPerRun(100, func() { c = h.CSR() }); allocs != 0 {
+			t.Errorf("%s: CSR made %v allocations, want 0", tc.name, allocs)
+		}
+		for f := 0; f < h.NumEdges(); f++ {
+			if !same(c.EdgeVertices(int32(f)), h.Vertices(f)) {
+				t.Fatalf("%s: hyperedge %d's CSR row is not Vertices(%d)", tc.name, f, f)
+			}
+		}
+		for v := 0; v < h.NumVertices(); v++ {
+			if !same(c.VertexEdges(int32(v)), h.Edges(v)) {
+				t.Fatalf("%s: vertex %d's CSR row is not Edges(%d)", tc.name, v, v)
+			}
+		}
+	}
+	c, sc := opened.CSR(), st.CSR()
+	if !same(c.VOff, sc.VOff) || !same(c.VAdj, sc.VAdj) || !same(c.EOff, sc.EOff) || !same(c.EAdj, sc.EAdj) {
+		t.Error("the store-opened hypergraph copies the store's arrays")
 	}
 }
 

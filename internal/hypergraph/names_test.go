@@ -1,6 +1,7 @@
 package hypergraph
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -8,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"hyperplex/internal/csr"
 )
 
 // rows returns every hyperedge's members, for comparing shapes.
@@ -24,7 +27,7 @@ func rows(h *Hypergraph) [][]int32 {
 // stays a vertex of its own, and the side stays unnamed.  Sub used to
 // add every kept vertex under the name "", which merged them into one.
 func TestSubKeepsUnnamedVertices(t *testing.T) {
-	h, err := FromCSRArrays([]int32{0, 1, 3, 4}, []int32{0, 0, 1, 1}, []int32{0, 2, 4}, []int32{0, 1, 1, 2}, nil, nil, nil, nil)
+	h, err := FromCSR(&csr.CSR{VOff: []int32{0, 1, 3, 4}, VAdj: []int32{0, 0, 1, 1}, EOff: []int32{0, 2, 4}, EAdj: []int32{0, 1, 1, 2}}, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +45,7 @@ func TestSubKeepsUnnamedVertices(t *testing.T) {
 	if len(vMap) != 3 {
 		t.Errorf("vertex map %v, want 3 entries", vMap)
 	}
-	if err := sub.Validate(); err != nil {
+	if err := sub.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if sub.vNames != nil || sub.eNames != nil || sub.VertexName(2) != "" {
@@ -195,11 +198,39 @@ func TestNameSpaceBound(t *testing.T) {
 	}
 }
 
-// TestFromCSRArraysNames pins the checks on store-layout names: a
-// repeated name on either side, offsets of the wrong length or past the
-// blob, and the empty vertex name, which may repeat.
-func TestFromCSRArraysNames(t *testing.T) {
-	vOff, vAdj, eOff, eAdj := []int32{0, 1, 2}, []int32{0, 1}, []int32{0, 1, 2}, []int32{0, 1}
+// TestPinSpaceBound lowers the int32 pin bound: every route that
+// assembles a CSR must return ErrPinSpace past it, and must not panic
+// (narrowing the offsets would have panicked at the first engine call).
+// Repeated members are collapsed before they count.
+func TestPinSpaceBound(t *testing.T) {
+	defer func(old int) { maxPins = old }(maxPins)
+	maxPins = 3
+
+	b := NewBuilder()
+	b.AddEdge("c1", "a", "b", "a")
+	if _, err := b.Build(); err != nil {
+		t.Fatalf("Build within the bound: %v", err)
+	}
+	b.AddEdge("c2", "b", "c")
+	if _, err := b.Build(); !errors.Is(err, ErrPinSpace) {
+		t.Errorf("Build past the bound: %v, want ErrPinSpace", err)
+	}
+	if _, err := ReadTextCtx(context.Background(), strings.NewReader("c1: a b\nc2: b c\n")); !errors.Is(err, ErrPinSpace) {
+		t.Errorf("ReadTextCtx past the bound: %v, want ErrPinSpace", err)
+	}
+	if _, err := FromEdgeSets(3, [][]int32{{0, 1, 0}, {2}}); err != nil {
+		t.Errorf("FromEdgeSets within the bound: %v", err)
+	}
+	if _, err := FromEdgeSets(3, [][]int32{{0, 1}, {1, 2}}); !errors.Is(err, ErrPinSpace) {
+		t.Errorf("FromEdgeSets past the bound: %v, want ErrPinSpace", err)
+	}
+}
+
+// TestFromCSRNames pins the checks on store-layout names: a repeated
+// name on either side, offsets of the wrong length or past the blob,
+// and the empty vertex name, which may repeat.
+func TestFromCSRNames(t *testing.T) {
+	c := &csr.CSR{VOff: []int32{0, 1, 2}, VAdj: []int32{0, 1}, EOff: []int32{0, 1, 2}, EAdj: []int32{0, 1}}
 	cases := []struct {
 		name                 string
 		vNameOff, eNameOff   []int32
@@ -213,12 +244,12 @@ func TestFromCSRArraysNames(t *testing.T) {
 		{"decreasing offsets", []int32{0, 2, 1}, nil, "a", "", "hypergraph: vertex name offsets not monotone at 2"},
 	}
 	for _, tc := range cases {
-		_, err := FromCSRArrays(vOff, vAdj, eOff, eAdj, tc.vNameOff, []byte(tc.vNameBlob), tc.eNameOff, []byte(tc.eNameBlob))
+		_, err := FromCSR(c, tc.vNameOff, []byte(tc.vNameBlob), tc.eNameOff, []byte(tc.eNameBlob))
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: %v, want %s", tc.name, err, tc.want)
 		}
 	}
-	h, err := FromCSRArrays(vOff, vAdj, eOff, eAdj, []int32{0, 0, 0}, nil, []int32{0, 0, 0}, nil)
+	h, err := FromCSR(c, []int32{0, 0, 0}, nil, []int32{0, 0, 0}, nil)
 	if err != nil {
 		t.Fatalf("empty names: %v", err)
 	}

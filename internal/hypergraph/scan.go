@@ -18,14 +18,14 @@ type TextEvents struct {
 	// Vertex is called for each "vertex Name" isolated-vertex line.
 	Vertex func(name string) error
 	// Edge is called for each "name: members..." hyperedge line with
-	// the member names as Fields splits them; duplicates are not yet
-	// collapsed.  The members alias the scanner's line buffer and the
-	// slice holding them is reused, so neither may be retained: a
-	// consumer resolves a known name without a copy (ReadTextCtx in
-	// its name table's hash index, the store builder with an
-	// index[string(member)] map lookup) and copies the bytes only when
-	// it keeps a new name.
-	Edge func(name string, members [][]byte) error
+	// the hyperedge name and the member names as Fields splits them;
+	// duplicates are not yet collapsed.  The name and the members alias
+	// the scanner's line buffer and the slice holding the members is
+	// reused, so none of them may be retained: a consumer resolves a
+	// known name without a copy (ReadTextCtx in its name table's hash
+	// index, the store builder with an index[string(member)] map
+	// lookup) and copies the bytes only when it keeps a name.
+	Edge func(name []byte, members [][]byte) error
 	// ChargeBytes charges the consumed input bytes against the
 	// budget's allocation estimate.  Callers that retain the parsed
 	// content (ReadTextCtx) set it; streaming consumers that keep only
@@ -99,7 +99,7 @@ func ScanTextCtx(ctx context.Context, r io.Reader, ev TextEvents) error {
 		}
 		if ev.Edge != nil {
 			members = Fields(members, line[colon+1:])
-			if err := ev.Edge(string(name), members); err != nil {
+			if err := ev.Edge(name, members); err != nil {
 				return err
 			}
 		}

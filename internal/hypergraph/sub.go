@@ -1,6 +1,10 @@
 package hypergraph
 
-import "sort"
+import (
+	"sort"
+
+	"hyperplex/internal/csr"
+)
 
 // Sub returns the sub-hypergraph induced by keeping exactly the
 // vertices with keepV[v] == true and the hyperedges with keepF[f] ==
@@ -23,7 +27,7 @@ func (h *Hypergraph) Sub(keepV, keepF []bool) (*Hypergraph, map[int]int, map[int
 		}
 	}
 	fMap := make(map[int]int)
-	eOff := []int{0}
+	eOff := []int32{0}
 	var eAdj []int32
 	for f := 0; f < h.NumEdges(); f++ {
 		if !keepF[f] {
@@ -37,7 +41,7 @@ func (h *Hypergraph) Sub(keepV, keepF []bool) (*Hypergraph, map[int]int, map[int
 			}
 		}
 		fMap[f] = len(eOff) - 1
-		eOff = append(eOff, len(eAdj))
+		eOff = append(eOff, csr.MustInt32(len(eAdj)))
 	}
 	return assemble(h.vNames.subset(keepV), h.eNames.subset(keepF), n, eOff, eAdj), vMap, fMap
 }

@@ -82,7 +82,7 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ToHypergraph of parsed matrix: %v", err)
 		}
-		if err := h.Validate(); err != nil {
+		if err := h.CSR().Validate(); err != nil {
 			t.Fatalf("ToHypergraph produced invalid hypergraph: %v", err)
 		}
 	})

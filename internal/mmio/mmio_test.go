@@ -281,7 +281,7 @@ func TestToHypergraph(t *testing.T) {
 	if h.EdgeDegree(1) != 1 {
 		t.Errorf("edge 1 degree = %d, want 1", h.EdgeDegree(1))
 	}
-	if err := h.Validate(); err != nil {
+	if err := h.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

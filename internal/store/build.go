@@ -301,7 +301,7 @@ func changed(dst, format string, a ...any) error {
 // 1 resolves names and counts degrees (the only RAM the build keeps);
 // pass 2 writes the sorted, deduplicated edge-side pins sequentially
 // while scattering the vertex-side transpose, exactly reproducing the
-// CSR that ReadText + csr.FromH would build in RAM.
+// CSR that ReadText builds in RAM.
 func buildText(ctx context.Context, meter *run.Meter, dst string, src Source) (err error) {
 	bt := &buildTicker{}
 
@@ -352,15 +352,16 @@ func buildText(ctx context.Context, meter *run.Meter, dst string, src Source) (e
 			_, verr := newVertex(name)
 			return verr
 		},
-		Edge: func(name string, members [][]byte) error {
+		Edge: func(nameBytes []byte, members [][]byte) error {
 			f := len(eNames)
 			if int64(f) >= maxInt32 {
 				return fmt.Errorf("store: build %s: hyperedge count overflows the int32 index space", dst)
 			}
+			if prev, dup := eIndex[string(nameBytes)]; dup {
+				return fmt.Errorf("hypergraph: duplicate hyperedge name %q (edges %d and %d)", nameBytes, prev, f)
+			}
+			name := string(nameBytes)
 			if name != "" {
-				if prev, dup := eIndex[name]; dup {
-					return fmt.Errorf("hypergraph: duplicate hyperedge name %q (edges %d and %d)", name, prev, f)
-				}
 				eIndex[name] = int32(f)
 			}
 			if aerr := meter.Alloc(int64(len(name)) + nameRAMBytes); aerr != nil {
@@ -428,7 +429,7 @@ func buildText(ctx context.Context, meter *run.Meter, dst string, src Source) (e
 	if err != nil {
 		return err
 	}
-	hdr := computeLayout(numV, numE, pins, false, vBlob, eBlob)
+	hdr := computeLayout(numV, numE, pins, vBlob, eBlob)
 
 	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp-*")
 	if err != nil {
@@ -492,7 +493,7 @@ func buildText(ctx context.Context, meter *run.Meter, dst string, src Source) (e
 			}
 			return nil
 		},
-		Edge: func(name string, members [][]byte) error {
+		Edge: func(name []byte, members [][]byte) error {
 			if f >= numE {
 				return changed(dst, "extra hyperedge %q", name)
 			}
@@ -726,7 +727,7 @@ func buildMTX(ctx context.Context, meter *run.Meter, dst string, src Source) (er
 	}
 	vCursor := make([]int32, numV)
 	copy(vCursor, vOff[:numV])
-	hdr := computeLayout(numV, numE, pins, false, -1, -1)
+	hdr := computeLayout(numV, numE, pins, -1, -1)
 
 	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp-*")
 	if err != nil {

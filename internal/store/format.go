@@ -6,13 +6,13 @@ import (
 	"hash/crc32"
 )
 
-// The store file is one 4096-byte header page followed by up to ten
+// The store file is one 4096-byte header page followed by up to eight
 // page-aligned little-endian sections, laid out in section-index order:
 //
-//	offset 0                                            page-aligned
-//	┌──────────────┬───────┬───────┬───────┬───────┬─ ─ ─┬──────────┐
-//	│ header page  │ VOff  │ VAdj  │ EOff  │ EAdj  │ IDs │  names   │
-//	└──────────────┴───────┴───────┴───────┴───────┴─ ─ ─┴──────────┘
+//	offset 0                                      page-aligned
+//	┌──────────────┬───────┬───────┬───────┬───────┬──────────┐
+//	│ header page  │ VOff  │ VAdj  │ EOff  │ EAdj  │  names   │
+//	└──────────────┴───────┴───────┴───────┴───────┴──────────┘
 //
 //	header page (little-endian):
 //	  [0:8)    magic "HYPLXST1"
@@ -25,10 +25,12 @@ import (
 //	  [240:244) CRC32 (IEEE) of bytes [0:240)
 //	  [244:4096) zero padding
 //
-// The four CSR sections are mandatory; the ID-map and name sections
-// are optional (size zero = absent).  Int32 sections hold little-
-// endian int32 values; name sections are an (n+1)-entry int32 offset
-// array plus a concatenated UTF-8 blob.  Page alignment means a
+// The four CSR sections are mandatory and the name sections optional
+// (size zero = absent).  Sections 4 and 5 once held local→original ID
+// maps; they keep their table slots but must be empty, and Open
+// rejects a file that fills them.  Int32 sections hold little-endian
+// int32 values; name sections are an (n+1)-entry int32 offset array
+// plus a concatenated UTF-8 blob.  Page alignment means a
 // memory-mapped section can be viewed as []int32 in place on a
 // little-endian host; every other host decodes via os.ReadAt.
 const (
@@ -42,8 +44,8 @@ const (
 	secVAdj      = 1
 	secEOff      = 2
 	secEAdj      = 3
-	secVertexID  = 4
-	secEdgeID    = 5
+	secVertexID  = 4 // retired, always empty
+	secEdgeID    = 5 // retired, always empty
 	secVNameOff  = 6
 	secVNameBlob = 7
 	secENameOff  = 8
@@ -81,16 +83,12 @@ func pagePad(n int64) int64 {
 // section-index order.  CRCs are filled in by the writer.  A negative
 // blob length means that side carries no names at all (no offset
 // section either).
-func computeLayout(numV, numE, pins int64, hasIDs bool, vNameBlob, eNameBlob int64) header {
+func computeLayout(numV, numE, pins, vNameBlob, eNameBlob int64) header {
 	h := header{numV: numV, numE: numE, pins: pins}
 	h.sec[secVOff].size = 4 * (numV + 1)
 	h.sec[secVAdj].size = 4 * pins
 	h.sec[secEOff].size = 4 * (numE + 1)
 	h.sec[secEAdj].size = 4 * pins
-	if hasIDs {
-		h.sec[secVertexID].size = 4 * numV
-		h.sec[secEdgeID].size = 4 * numE
-	}
 	if vNameBlob >= 0 {
 		h.sec[secVNameOff].size = 4 * (numV + 1)
 		h.sec[secVNameBlob].size = vNameBlob
@@ -202,11 +200,8 @@ func decodeHeader(b []byte, fileSize int64) (*header, error) {
 	if err := want(secEAdj, 4*h.pins); err != nil {
 		return nil, err
 	}
-	if err := want(secVertexID, 0, 4*h.numV); err != nil {
-		return nil, err
-	}
-	if err := want(secEdgeID, 0, 4*h.numE); err != nil {
-		return nil, err
+	if h.sec[secVertexID].size != 0 || h.sec[secEdgeID].size != 0 {
+		return nil, fmt.Errorf("store: sections 4 and 5 (retired ID maps) must be empty")
 	}
 	if err := want(secVNameOff, 0, 4*(h.numV+1)); err != nil {
 		return nil, err
@@ -214,10 +209,7 @@ func decodeHeader(b []byte, fileSize int64) (*header, error) {
 	if err := want(secENameOff, 0, 4*(h.numE+1)); err != nil {
 		return nil, err
 	}
-	// ID maps come in pairs, as do a side's name offsets and blob.
-	if (h.sec[secVertexID].size == 0) != (h.sec[secEdgeID].size == 0) && h.numV > 0 && h.numE > 0 {
-		return nil, fmt.Errorf("store: ID map sections must be both present or both absent")
-	}
+	// A side's name offsets and blob come in pairs.
 	if h.sec[secVNameOff].size == 0 && h.sec[secVNameBlob].size != 0 {
 		return nil, fmt.Errorf("store: vertex name blob without a vertex name offset section")
 	}

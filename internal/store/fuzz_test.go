@@ -110,11 +110,10 @@ func FuzzStoreRoundTrip(f *testing.F) {
 	})
 }
 
-// sameArrays compares the six CSR arrays exactly.
+// sameArrays compares the four CSR arrays exactly.
 func sameArrays(a, b *csr.CSR) bool {
 	return slices.Equal(a.VOff, b.VOff) && slices.Equal(a.VAdj, b.VAdj) &&
-		slices.Equal(a.EOff, b.EOff) && slices.Equal(a.EAdj, b.EAdj) &&
-		slices.Equal(a.VertexID, b.VertexID) && slices.Equal(a.EdgeID, b.EdgeID)
+		slices.Equal(a.EOff, b.EOff) && slices.Equal(a.EAdj, b.EAdj)
 }
 
 // namesOf extracts the name tables of an opened store, or nil for a

@@ -1,13 +1,13 @@
-// Package store is the storage seam under the CSR substrate: a
-// Backend presents the four CSR incidence arrays (plus optional ID
-// maps and names) to the kernels without saying where the bytes live.
-// Two implementations exist — Mem wraps the in-RAM arena csr.FromH has
-// always produced, and File serves a page-aligned flat file, memory-
-// mapped where the platform supports it (linux, little-endian) with a
-// portable os.ReadAt loader everywhere else.  BuildFile constructs the
-// file form directly from a text or MatrixMarket source in two
-// streaming passes, so an instance whose pin arrays exceed RAM (or a
-// run.MaxAlloc budget) never has to exist as an in-memory Hypergraph.
+// Package store is the out-of-core form of the CSR substrate: File
+// serves the four csr.CSR incidence arrays and the names from a
+// page-aligned flat file, memory-mapped where the platform supports it
+// (linux, little-endian) with a portable os.ReadAt loader everywhere
+// else.  A mapped file's arrays are the hypergraph's own: File.H wraps
+// them with hypergraph.FromCSR and copies none of them.  Write and
+// WriteH produce the file from arrays in RAM; BuildFile constructs it
+// directly from a text or MatrixMarket source in two streaming passes,
+// so an instance whose pin arrays exceed RAM (or a run.MaxAlloc
+// budget) never has to exist as an in-memory Hypergraph.
 package store
 
 import (
@@ -29,50 +29,6 @@ var fpOpen = failpoint.Register("store.open")
 // cancellation/budget checkpoints in OpenCtx.
 const verifyChunk = 1 << 20
 
-// Backend is the storage seam: kernels read the hypergraph through a
-// CSR view and its names without knowing whether the arrays live in
-// RAM or in a mapped file.  Every slice reachable through it is
-// read-only, and (for a File backend) only valid until Close.
-type Backend interface {
-	// CSR returns the flat incidence view.  The returned value and its
-	// arrays are shared, not copied.
-	CSR() *csr.CSR
-	// VertexName returns the name of vertex v ("" if unnamed).
-	VertexName(v int32) string
-	// EdgeName returns the name of hyperedge f ("" if unnamed).
-	EdgeName(f int32) string
-	// H returns the builder-layer view of the same hypergraph.  The
-	// pin arrays are aliased from the backend, so for a mapped file
-	// only the offsets, names and name indexes (O(|V|+|F|)) become
-	// RAM-resident.
-	H() (*hypergraph.Hypergraph, error)
-	// Close releases the backend's resources.  For a memory-mapped
-	// File every array obtained through the backend becomes invalid.
-	Close() error
-}
-
-// Mem is the in-RAM backend: the arena csr.FromH carves over an
-// ordinary Hypergraph, behind the seam interface.  Close is a no-op.
-type Mem struct {
-	h *hypergraph.Hypergraph
-	c *csr.CSR
-}
-
-// NewMem wraps h in the in-RAM backend.
-func NewMem(h *hypergraph.Hypergraph) *Mem {
-	return &Mem{h: h, c: csr.FromH(h)}
-}
-
-func (m *Mem) CSR() *csr.CSR { return m.c }
-
-func (m *Mem) VertexName(v int32) string { return m.h.VertexName(int(v)) }
-
-func (m *Mem) EdgeName(f int32) string { return m.h.EdgeName(int(f)) }
-
-func (m *Mem) H() (*hypergraph.Hypergraph, error) { return m.h, nil }
-
-func (m *Mem) Close() error { return nil }
-
 // Options configures Open.
 type Options struct {
 	// NoMmap forces the portable os.ReadAt loader even where mmap is
@@ -87,7 +43,9 @@ type Options struct {
 	SkipVerify bool
 }
 
-// File is the flat-file backend.  See format.go for the layout.
+// File is an open store file.  See format.go for the layout.  Every
+// slice reachable through it is read-only and, for a mapped file, only
+// valid until Close.
 type File struct {
 	path   string
 	f      *os.File
@@ -224,10 +182,6 @@ func OpenCtx(ctx context.Context, path string, opts Options) (f *File, err error
 		EOff: asInt32(raw[secEOff]),
 		EAdj: asInt32(raw[secEAdj]),
 	}
-	if hdr.sec[secVertexID].size != 0 || hdr.sec[secEdgeID].size != 0 {
-		st.c.VertexID = asInt32(raw[secVertexID])
-		st.c.EdgeID = asInt32(raw[secEdgeID])
-	}
 	if hdr.sec[secVNameOff].size != 0 {
 		st.vNameOff = asInt32(raw[secVNameOff])
 		st.vNameBlob = raw[secVNameBlob]
@@ -301,18 +255,17 @@ func (s *File) EdgeName(f int32) string {
 	return string(s.eNameBlob[s.eNameOff[f]:s.eNameOff[f+1]])
 }
 
-// H returns the builder-layer view of the stored hypergraph.  The pin
-// arrays and name offsets stay backed by the store (the mapping, for a
-// mapped file); the widened CSR offsets, one string per side's name
-// blob and the name indexes become RAM-resident, O(|V|+|F|).  The result is
-// cached and shares the store's lifetime: do not use it after Close
-// unless the store was opened with NoMmap.
+// H returns the stored hypergraph.  Its four incidence arrays and the
+// name offsets stay backed by the store (the mapping, for a mapped
+// file); only one string per side's name blob and the name indexes
+// become RAM-resident, O(|V|+|F|), and an unnamed file adds none.  The
+// result is cached and shares the store's lifetime: do not use it after
+// Close unless the store was opened with NoMmap.
 func (s *File) H() (*hypergraph.Hypergraph, error) {
 	if s.h != nil {
 		return s.h, nil
 	}
-	h, err := hypergraph.FromCSRArrays(s.c.VOff, s.c.VAdj, s.c.EOff, s.c.EAdj,
-		s.vNameOff, s.vNameBlob, s.eNameOff, s.eNameBlob)
+	h, err := hypergraph.FromCSR(&s.c, s.vNameOff, s.vNameBlob, s.eNameOff, s.eNameBlob)
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", s.path, err)
 	}

@@ -41,9 +41,6 @@ func sameCSR(t *testing.T, label string, got, want *csr.CSR) {
 		!slices.Equal(got.EOff, want.EOff) || !slices.Equal(got.EAdj, want.EAdj) {
 		t.Fatalf("%s: CSR arrays differ from in-RAM build", label)
 	}
-	if !slices.Equal(got.VertexID, want.VertexID) || !slices.Equal(got.EdgeID, want.EdgeID) {
-		t.Fatalf("%s: ID maps differ from in-RAM build", label)
-	}
 }
 
 // TestRoundTripSweep writes every sweep instance to a store file and
@@ -55,7 +52,7 @@ func TestRoundTripSweep(t *testing.T) {
 		if err := WriteH(path, h); err != nil {
 			t.Fatalf("instance %d: WriteH: %v", i, err)
 		}
-		want := csr.FromH(h)
+		want := h.CSR()
 		wantText := textOf(t, h)
 		for _, opts := range []Options{{}, {NoMmap: true}, {NoMmap: true, SkipVerify: true}} {
 			st, err := Open(path, opts)
@@ -112,30 +109,76 @@ func TestNoMmapArraysSurviveClose(t *testing.T) {
 	}
 }
 
-// TestIDMapRoundTrip stores a CSR carrying local→global ID maps.
-func TestIDMapRoundTrip(t *testing.T) {
+// TestOpenRejectsIDMaps fills sections 4 and 5, where files once
+// carried local→original ID maps, with well-formed maps of the right
+// sizes and valid checksums: Open must reject the file and name the
+// sections, whether or not it verifies.
+func TestOpenRejectsIDMaps(t *testing.T) {
 	h := gen.RandomHypergraph(20, 15, 4, xrand.New(3))
-	c := csr.FromH(h)
-	c.VertexID = make([]int32, h.NumVertices())
-	for i := range c.VertexID {
-		c.VertexID[i] = int32(2*i + 1)
+	path := filepath.Join(t.TempDir(), "g.store")
+	if err := Write(path, h.CSR(), nil, nil); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
-	c.EdgeID = make([]int32, h.NumEdges())
-	for i := range c.EdgeID {
-		c.EdgeID[i] = int32(3 * i)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := decodeHeader(b[:headerSize], int64(len(b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An unnamed file ends with EAdj, so the maps go after it, each
+	// entry its own ID doubled.
+	for _, m := range []struct{ sec, n int }{{secVertexID, h.NumVertices()}, {secEdgeID, h.NumEdges()}} {
+		b = append(b, make([]byte, pagePad(int64(len(b)))-int64(len(b)))...)
+		ids := make([]byte, 4*m.n)
+		for i := 0; i < m.n; i++ {
+			binary.LittleEndian.PutUint32(ids[4*i:], uint32(2*i))
+		}
+		hdr.sec[m.sec] = section{off: int64(len(b)), size: int64(len(ids)), crc: crc32.ChecksumIEEE(ids)}
+		b = append(b, ids...)
+	}
+	copy(b, encodeHeader(hdr))
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{}, {NoMmap: true}, {SkipVerify: true}} {
+		f, err := Open(path, opts)
+		if err == nil {
+			f.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "sections 4 and 5") {
+			t.Errorf("Open(%+v) of a file with ID maps: err = %v, want one naming sections 4 and 5", opts, err)
+		}
+	}
+}
+
+// TestMTXStoreHAllocs pins what File.H allocates on an unnamed,
+// mtx-built store: the Hypergraph alone, since it aliases all four of
+// the file's arrays and has no names to index.
+func TestMTXStoreHAllocs(t *testing.T) {
+	h := gen.RandomHypergraph(300, 200, 6, xrand.New(5))
+	var buf bytes.Buffer
+	if err := mmio.Write(&buf, mmio.FromHypergraph(h)); err != nil {
+		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "g.store")
-	if err := Write(path, c, nil, nil); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := BuildFile(path, memSource("mtx", buf.Bytes())); err != nil {
+		t.Fatalf("BuildFile: %v", err)
 	}
 	for _, opts := range []Options{{}, {NoMmap: true}} {
 		st, err := Open(path, opts)
 		if err != nil {
 			t.Fatalf("Open(%+v): %v", opts, err)
 		}
-		sameCSR(t, fmt.Sprintf("opts %+v", opts), st.CSR(), c)
-		if st.VertexName(0) != "" || st.EdgeName(0) != "" {
-			t.Fatalf("opts %+v: nameless store returned names", opts)
+		got := testing.AllocsPerRun(20, func() {
+			st.h = nil // H caches its result
+			if _, err := st.H(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 1 {
+			t.Errorf("File.H (%+v): %v allocations, want 1", opts, got)
 		}
 		st.Close()
 	}
@@ -293,7 +336,7 @@ func TestOpenChargesValidateCursor(t *testing.T) {
 // TestWriteRejectsBadInput covers the writer-side validations.
 func TestWriteRejectsBadInput(t *testing.T) {
 	h := gen.RandomHypergraph(10, 5, 3, xrand.New(1))
-	c := csr.FromH(h)
+	c := h.CSR()
 	dir := t.TempDir()
 	if err := Write(filepath.Join(dir, "a.store"), c, make([]string, 3), nil); err == nil ||
 		!strings.Contains(err.Error(), "vertex names") {
@@ -302,12 +345,6 @@ func TestWriteRejectsBadInput(t *testing.T) {
 	if err := Write(filepath.Join(dir, "b.store"), c, nil, make([]string, 99)); err == nil ||
 		!strings.Contains(err.Error(), "edge names") {
 		t.Fatalf("short edge names: err = %v", err)
-	}
-	bad := *c
-	bad.VertexID = []int32{1}
-	if err := Write(filepath.Join(dir, "c.store"), &bad, nil, nil); err == nil ||
-		!strings.Contains(err.Error(), "ID maps") {
-		t.Fatalf("partial ID maps: err = %v", err)
 	}
 }
 
@@ -320,7 +357,7 @@ func memSource(format string, data []byte) Source {
 
 // TestBuildTextDifferential pins the streaming text builder to the
 // in-RAM path: for every sweep instance the built store must equal
-// ReadText + csr.FromH exactly — arrays, names, and text round-trip.
+// ReadText exactly — arrays, names, and text round-trip.
 func TestBuildTextDifferential(t *testing.T) {
 	for i, h := range check.Instances(40, 0xC04E22) {
 		data := textOf(t, h)
@@ -336,7 +373,7 @@ func TestBuildTextDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("instance %d: Open: %v", i, err)
 		}
-		sameCSR(t, fmt.Sprintf("instance %d", i), st.CSR(), csr.FromH(want))
+		sameCSR(t, fmt.Sprintf("instance %d", i), st.CSR(), want.CSR())
 		h2, err := st.H()
 		if err != nil {
 			t.Fatalf("instance %d: H: %v", i, err)
@@ -376,7 +413,7 @@ func TestBuildMTXDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("input %d: ToHypergraph: %v", i, err)
 		}
-		want := csr.FromH(wantH)
+		want := wantH.CSR()
 		path := filepath.Join(t.TempDir(), "g.store")
 		if err := BuildFile(path, memSource("mtx", data)); err != nil {
 			t.Fatalf("input %d: BuildFile: %v", i, err)

@@ -148,8 +148,8 @@ func finalizeAtomic(tmp *os.File, bw *bufio.Writer, hdr *header, path string) er
 	return syncDir(filepath.Dir(path))
 }
 
-// Write serializes a CSR (with optional ID maps and names) into a
-// store file at path, atomically.
+// Write serializes a CSR (with optional names) into a store file at
+// path, atomically.
 func Write(path string, c *csr.CSR, vNames, eNames []string) error {
 	return WriteCtx(context.Background(), path, c, vNames, eNames)
 }
@@ -170,10 +170,6 @@ func WriteCtx(ctx context.Context, path string, c *csr.CSR, vNames, eNames []str
 	if numV >= maxInt32 || numE >= maxInt32 || pins > maxInt32 {
 		return fmt.Errorf("store: %d vertices / %d hyperedges / %d pins overflow the int32 index space", numV, numE, pins)
 	}
-	hasIDs := c.VertexID != nil || c.EdgeID != nil
-	if hasIDs && (int64(len(c.VertexID)) != numV || int64(len(c.EdgeID)) != numE) {
-		return fmt.Errorf("store: ID maps must cover both sides (%d/%d entries for %d/%d)", len(c.VertexID), len(c.EdgeID), numV, numE)
-	}
 	if vNames != nil && int64(len(vNames)) != numV {
 		return fmt.Errorf("store: %d vertex names for %d vertices", len(vNames), numV)
 	}
@@ -192,7 +188,7 @@ func WriteCtx(ctx context.Context, path string, c *csr.CSR, vNames, eNames []str
 			return err
 		}
 	}
-	hdr := computeLayout(numV, numE, pins, hasIDs, vBlob, eBlob)
+	hdr := computeLayout(numV, numE, pins, vBlob, eBlob)
 
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -237,8 +233,6 @@ func WriteCtx(ctx context.Context, path string, c *csr.CSR, vNames, eNames []str
 		{secVAdj, ints(c.VAdj)},
 		{secEOff, ints(c.EOff)},
 		{secEAdj, ints(c.EAdj)},
-		{secVertexID, ints(c.VertexID)},
-		{secEdgeID, ints(c.EdgeID)},
 		{secVNameOff, ints(vNameOff)},
 		{secVNameBlob, func() error { return cw.writeNameBlob(ctx, meter, vNames) }},
 		{secENameOff, ints(eNameOff)},
@@ -298,5 +292,5 @@ func WriteHCtx(ctx context.Context, path string, h *hypergraph.Hypergraph) error
 	if err != nil {
 		return err
 	}
-	return WriteCtx(ctx, path, csr.FromH(h), vNames, eNames)
+	return WriteCtx(ctx, path, h.CSR(), vNames, eNames)
 }
