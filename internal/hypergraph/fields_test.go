@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"hyperplex/internal/csr"
 )
 
 // FuzzFields pins the shared tokenizer to the standard library: on any
@@ -120,5 +122,29 @@ func TestAddEdgeIDsPanicsBeforeChange(t *testing.T) {
 	}()
 	if got := b.MustBuild(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("builder changed by a rejected AddEdgeIDs: %v, want %v", got, want)
+	}
+}
+
+// TestValidateRejectsBadOffsets wraps, through FromCSR, offset arrays
+// whose interior entries point past the pins or step backwards: FromCSR
+// trusts them and must not panic, and validating the hypergraph's own
+// arrays must report an error, not panic slicing a row.
+func TestValidateRejectsBadOffsets(t *testing.T) {
+	cases := []struct {
+		name                   string
+		vOff, vAdj, eOff, eAdj []int32
+	}{
+		{"interior vertex offset", []int32{0, 100, 2}, []int32{0, 0}, []int32{0, 2}, []int32{0, 1}},
+		{"interior edge offset", []int32{0, 1, 2}, []int32{0, 1}, []int32{0, 100, 2}, []int32{0, 1}},
+		{"decreasing edge offset", []int32{0, 1, 2}, []int32{0, 1}, []int32{0, 2, 1, 2}, []int32{0, 1}},
+	}
+	for _, tc := range cases {
+		h, err := FromCSR(&csr.CSR{VOff: tc.vOff, VAdj: tc.vAdj, EOff: tc.eOff, EAdj: tc.eAdj}, nil, nil, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: FromCSR: %v", tc.name, err)
+		}
+		if err := h.CSR().Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the arrays", tc.name)
+		}
 	}
 }
