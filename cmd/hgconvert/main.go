@@ -11,8 +11,8 @@
 // binary store format needs a real file on both sides: -from store
 // requires an input path (not stdin), -to store requires -o.  A
 // file-backed text/.mtx input converting to a store streams through
-// store.BuildFile in two passes, so the hypergraph never has to fit
-// in RAM.
+// store.BuildFile (one pass over a text file, two over a Matrix Market
+// file), so the hypergraph never has to fit in RAM.
 package main
 
 import (
@@ -53,9 +53,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	defer cancel()
 
 	// A file-backed text/.mtx source converting to a store never has to
-	// exist in RAM: the streaming builder makes two passes over the
-	// input file directly.  Stdin (not re-openable) and the other input
-	// formats fall through to the in-RAM read + write below.
+	// exist in RAM: the streaming builder reads the input file directly,
+	// once for text and twice for Matrix Market.  Stdin (not
+	// re-openable) and the other input formats fall through to the
+	// in-RAM read + write below.
 	if *to == "store" && fs.Arg(0) != "" && (*from == "text" || *from == "mtx") {
 		if *out == "" {
 			return fmt.Errorf("-to store needs -o FILE (the store is written with fsync-and-rename, not streamed)")
@@ -63,7 +64,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 		if err := store.BuildFileCtx(ctx, *out, store.FileSource(*from, fs.Arg(0))); err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "hgconvert: %s → store: streamed %s in two passes\n", *from, fs.Arg(0))
+		fmt.Fprintf(stderr, "hgconvert: %s → store: streamed %s\n", *from, fs.Arg(0))
 		return nil
 	}
 

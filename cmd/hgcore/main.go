@@ -123,7 +123,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 		}
 		if !*quiet {
 			for v := 0; v < h.NumVertices(); v++ {
-				fmt.Fprintf(w, "%s\t%d\n", cli.VertexLabel(h, v), d.VertexCoreness[v])
+				fmt.Fprintf(w, "%s\t%d\n", h.VertexLabel(v), d.VertexCoreness[v])
 			}
 		}
 		return w.Flush()
@@ -183,12 +183,12 @@ func report(stdout io.Writer, h *hypergraph.Hypergraph, r *core.Result, pajekPre
 	if !quiet {
 		for v := range r.VertexIn {
 			if r.VertexIn[v] {
-				fmt.Fprintf(w, "vertex %s\n", cli.VertexLabel(h, v))
+				fmt.Fprintf(w, "vertex %s\n", h.VertexLabel(v))
 			}
 		}
 		for f := range r.EdgeIn {
 			if r.EdgeIn[f] {
-				fmt.Fprintf(w, "hyperedge %s\n", cli.EdgeLabel(h, f))
+				fmt.Fprintf(w, "hyperedge %s\n", h.EdgeLabel(f))
 			}
 		}
 	}

@@ -156,7 +156,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	fmt.Fprintln(w)
 	if !*quiet {
 		for _, v := range c.Vertices {
-			fmt.Fprintln(w, cli.VertexLabel(h, v))
+			fmt.Fprintln(w, h.VertexLabel(v))
 		}
 	}
 	return w.Flush()

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"hyperplex/internal/cli"
 	"hyperplex/internal/cover"
 	"hyperplex/internal/dataset"
 	"hyperplex/internal/hypergraph"
@@ -85,7 +84,7 @@ func TestRunMatchesMapKernel(t *testing.T) {
 		}
 		fmt.Fprintln(&want)
 		for _, v := range c.Vertices {
-			fmt.Fprintln(&want, cli.VertexLabel(h, v))
+			fmt.Fprintln(&want, h.VertexLabel(v))
 		}
 
 		var got bytes.Buffer

@@ -72,11 +72,7 @@ func ObservedHypergraph(truth *hypergraph.Hypergraph, s *Screen) *hypergraph.Hyp
 	}
 	b := hypergraph.NewBuilder()
 	for v := 0; v < truth.NumVertices(); v++ {
-		name := truth.VertexName(v)
-		if name == "" {
-			name = fmt.Sprintf("v%d", v)
-		}
-		b.AddVertex(name)
+		b.AddVertex(truth.VertexLabel(v))
 	}
 	complexes := make([]int, 0, len(merged))
 	for f := range merged {
@@ -88,11 +84,7 @@ func ObservedHypergraph(truth *hypergraph.Hypergraph, s *Screen) *hypergraph.Hyp
 		for m := range merged[f] {
 			members = append(members, m)
 		}
-		name := truth.EdgeName(f)
-		if name == "" {
-			name = fmt.Sprintf("f%d", f)
-		}
-		b.AddEdgeIDs("obs:"+name, members)
+		b.AddEdgeIDs("obs:"+truth.EdgeLabel(f), members)
 	}
 	return b.MustBuild()
 }

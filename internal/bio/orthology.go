@@ -41,11 +41,7 @@ func GenerateOrthology(h *hypergraph.Hypergraph, orthologFrac float64, extraTarg
 	for v := 0; v < h.NumVertices(); v++ {
 		if rng.Float64() < orthologFrac {
 			m.ToTarget[v] = len(m.TargetNames)
-			name := h.VertexName(v)
-			if name == "" {
-				name = fmt.Sprintf("v%d", v)
-			}
-			m.TargetNames = append(m.TargetNames, "t:"+name)
+			m.TargetNames = append(m.TargetNames, "t:"+h.VertexLabel(v))
 		} else {
 			m.ToTarget[v] = -1
 		}
@@ -73,11 +69,7 @@ func ProjectHypergraph(h *hypergraph.Hypergraph, m *OrthologyMap, minSize int) *
 			}
 		}
 		if len(members) >= minSize {
-			name := h.EdgeName(f)
-			if name == "" {
-				name = fmt.Sprintf("f%d", f)
-			}
-			b.AddEdgeIDs("proj:"+name, members)
+			b.AddEdgeIDs("proj:"+h.EdgeLabel(f), members)
 		}
 	}
 	return b.MustBuild()
@@ -105,11 +97,7 @@ func DivergeComplexes(projected *hypergraph.Hypergraph, p DivergenceParams, rng 
 	nv := projected.NumVertices()
 	b := hypergraph.NewBuilder()
 	for v := 0; v < nv; v++ {
-		name := projected.VertexName(v)
-		if name == "" {
-			name = fmt.Sprintf("v%d", v)
-		}
-		b.AddVertex(name)
+		b.AddVertex(projected.VertexLabel(v))
 	}
 	for f := 0; f < projected.NumEdges(); f++ {
 		if rng.Float64() < p.DropComplex {
@@ -129,11 +117,7 @@ func DivergeComplexes(projected *hypergraph.Hypergraph, p DivergenceParams, rng 
 			continue
 		}
 		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		name := projected.EdgeName(f)
-		if name == "" {
-			name = fmt.Sprintf("f%d", f)
-		}
-		b.AddEdgeIDs("true:"+name, members)
+		b.AddEdgeIDs("true:"+projected.EdgeLabel(f), members)
 	}
 	return b.MustBuild()
 }

@@ -184,7 +184,12 @@ func drivers() map[string]func(t *testing.T, ctx context.Context) error {
 			st, err := store.OpenCtx(ctx, storePath, store.Options{})
 			if err == nil {
 				defer st.Close()
-				c := st.CSR()
+				h, herr := st.H()
+				if herr != nil {
+					t.Errorf("successful OpenCtx gave no hypergraph: %v", herr)
+					return nil
+				}
+				c := h.CSR()
 				if c.NumVertices() != bigH.NumVertices() || c.NumEdges() != bigH.NumEdges() || c.NumPins() != bigH.NumPins() {
 					t.Errorf("successful OpenCtx decoded %d/%d/%d, want %d/%d/%d",
 						c.NumVertices(), c.NumEdges(), c.NumPins(),
@@ -210,8 +215,13 @@ func drivers() map[string]func(t *testing.T, ctx context.Context) error {
 					return nil
 				}
 				defer st.Close()
-				if st.CSR().NumEdges() != bigH.NumEdges() {
-					t.Errorf("successful BuildFileCtx built %d edges, want %d", st.CSR().NumEdges(), bigH.NumEdges())
+				h, herr := st.H()
+				if herr != nil {
+					t.Errorf("successful BuildFileCtx left a store without a hypergraph: %v", herr)
+					return nil
+				}
+				if h.NumEdges() != bigH.NumEdges() {
+					t.Errorf("successful BuildFileCtx built %d edges, want %d", h.NumEdges(), bigH.NumEdges())
 				}
 			} else if _, serr := os.Stat(dst); serr == nil {
 				t.Errorf("failed BuildFileCtx left %s behind", dst)

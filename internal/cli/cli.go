@@ -95,18 +95,8 @@ func RecoverPanic(err *error) {
 	}
 }
 
-// VertexLabel returns the vertex's name, or a stable fallback.
-func VertexLabel(h *hypergraph.Hypergraph, v int) string {
-	if name := h.VertexName(v); name != "" {
-		return name
-	}
-	return fmt.Sprintf("v%d", v)
-}
+// VertexLabel is h.VertexLabel(v), kept for the benchmark harness.
+func VertexLabel(h *hypergraph.Hypergraph, v int) string { return h.VertexLabel(v) }
 
-// EdgeLabel returns the hyperedge's name, or a stable fallback.
-func EdgeLabel(h *hypergraph.Hypergraph, f int) string {
-	if name := h.EdgeName(f); name != "" {
-		return name
-	}
-	return fmt.Sprintf("f%d", f)
-}
+// EdgeLabel is h.EdgeLabel(f), kept for the benchmark harness.
+func EdgeLabel(h *hypergraph.Hypergraph, f int) string { return h.EdgeLabel(f) }

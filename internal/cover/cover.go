@@ -126,11 +126,7 @@ func fillRequirements(h *hypergraph.Hypergraph, req []int, remaining []int32) (i
 			return 0, fmt.Errorf("cover: negative requirement %d for hyperedge %d", r, f)
 		}
 		if r > h.EdgeDegree(f) {
-			name := h.EdgeName(f)
-			if name == "" {
-				name = fmt.Sprintf("f%d", f)
-			}
-			return 0, fmt.Errorf("cover: hyperedge %s has %d vertices but requirement %d", name, h.EdgeDegree(f), r)
+			return 0, fmt.Errorf("cover: hyperedge %s has %d vertices but requirement %d", h.EdgeLabel(f), h.EdgeDegree(f), r)
 		}
 		remaining[f] = int32(r)
 		if r > 0 {
@@ -336,11 +332,7 @@ func Verify(h *hypergraph.Hypergraph, c *Cover, req []int) error {
 			}
 		}
 		if got < r {
-			name := h.EdgeName(f)
-			if name == "" {
-				name = fmt.Sprintf("f%d", f)
-			}
-			return fmt.Errorf("cover: hyperedge %s covered %d times, need %d", name, got, r)
+			return fmt.Errorf("cover: hyperedge %s covered %d times, need %d", h.EdgeLabel(f), got, r)
 		}
 	}
 	return nil

@@ -113,18 +113,21 @@ func (b *Builder) AddEdgeIDs(name string, members []int32) int {
 
 // endEdge sorts and compacts the member row appended since start and
 // records it as a hyperedge with the given name, whose maphash is h,
-// returning its ID.  A row that carries the pins past maxPins is
-// recorded as the builder's fault.
+// returning its ID.  The row ends its predecessor's offset plus its
+// length on, so the offsets stay cumulative when ReadTextRowsCtx drops
+// each row after handing it out.  A row that carries the pins past
+// maxPins is recorded as the builder's fault.
 func endEdge[K string | []byte](b *Builder, name K, h uint64, start int) int {
 	row := b.pins[start:]
 	slices.Sort(row)
-	end := start + len(slices.Compact(row))
-	b.pins = b.pins[:end]
-	if end > maxPins {
-		b.fail(fmt.Errorf("%w: %d pins", ErrPinSpace, end))
-	}
+	n := len(slices.Compact(row))
+	b.pins = b.pins[:start+n]
 	if b.eOff == nil {
 		b.eOff = []int32{0}
+	}
+	end := int(b.eOff[len(b.eOff)-1]) + n
+	if end > maxPins {
+		b.fail(fmt.Errorf("%w: %d pins", ErrPinSpace, end))
 	}
 	b.eOff = append(b.eOff, int32(end))
 	addEdgeName(b, name, h)
@@ -148,6 +151,13 @@ func addEdgeName[K string | []byte](b *Builder, name K, h uint64) {
 	case slot >= 0:
 		b.edges.idx[slot] = int32(f + 1)
 	}
+}
+
+// footprint returns the bytes the builder holds: both name tables with
+// their indexes, the row array and the offsets.
+func (b *Builder) footprint() int64 {
+	return int64(b.vertices.buf.Cap()+b.edges.buf.Cap()) +
+		4*int64(cap(b.vertices.ends)+len(b.vertices.idx)+cap(b.edges.ends)+len(b.edges.idx)+cap(b.pins)+cap(b.eOff))
 }
 
 // NumVertices reports the number of vertices added so far.

@@ -25,6 +25,7 @@ package hypergraph
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"hyperplex/internal/csr"
 )
@@ -78,6 +79,23 @@ func (h *Hypergraph) VertexName(v int) string { return h.vNames.get(v) }
 // EdgeName returns the name of hyperedge f ("" if unnamed), a
 // substring of the side's name table.
 func (h *Hypergraph) EdgeName(f int) string { return h.eNames.get(f) }
+
+// VertexLabel returns the name of vertex v, or "v" and its ID for an
+// unnamed vertex: the label every listing, text and JSON file prints.
+func (h *Hypergraph) VertexLabel(v int) string { return label(h.VertexName(v), 'v', v) }
+
+// EdgeLabel returns the name of hyperedge f, or "f" and its ID for an
+// unnamed hyperedge.
+func (h *Hypergraph) EdgeLabel(f int) string { return label(h.EdgeName(f), 'f', f) }
+
+// label returns name, or prefix and id when name is empty.
+func label(name string, prefix byte, id int) string {
+	if name != "" {
+		return name
+	}
+	var b [24]byte
+	return string(strconv.AppendInt(append(b[:0], prefix), int64(id), 10))
+}
 
 // VertexID returns the ID of the vertex with the given name, or (0,
 // false) if no such vertex exists.  It is safe for concurrent use.

@@ -2,7 +2,9 @@ package hypergraph
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -316,6 +318,80 @@ func TestReadTextCommentsAndBlank(t *testing.T) {
 	}
 }
 
+// TestReadTextRowsMatchesReadText pins the streaming reader to
+// ReadText: every row it hands out is the hyperedge's row in ReadText's
+// hypergraph, the names are the same in the same order, and the first
+// fault is the same error.
+func TestReadTextRowsMatchesReadText(t *testing.T) {
+	var random bytes.Buffer
+	if err := WriteText(&random, randomHypergraph(7, 60, 40, 9)); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{
+		random.String(),
+		"vertex z\nc1: b a b\nc2:\nvertex y\nc3: a z c\nvertex w\n",
+		"",
+		"c1: a b\nc1: b c\n",
+		"c1: a\nno colon\n",
+	} {
+		want, wantErr := ReadText(strings.NewReader(in))
+		var rows [][]int32
+		vNames, eNames, err := ReadTextRows(strings.NewReader(in), func(row []int32) error {
+			rows = append(rows, slices.Clone(row))
+			return nil
+		})
+		if wantErr != nil || err != nil {
+			if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("%q: ReadTextRows says %v, ReadText %v", in, err, wantErr)
+			}
+			continue
+		}
+		if len(rows) != want.NumEdges() || len(eNames) != want.NumEdges() || len(vNames) != want.NumVertices() {
+			t.Fatalf("%q: %d rows, %d hyperedge and %d vertex names; ReadText has |F|=%d |V|=%d",
+				in, len(rows), len(eNames), len(vNames), want.NumEdges(), want.NumVertices())
+		}
+		for f, row := range rows {
+			if !slices.Equal(row, want.Vertices(f)) || eNames[f] != want.EdgeName(f) {
+				t.Errorf("%q: hyperedge %d is %s %v, ReadText's %s %v", in, f, eNames[f], row, want.EdgeName(f), want.Vertices(f))
+			}
+		}
+		for v, name := range vNames {
+			if name != want.VertexName(v) {
+				t.Errorf("%q: vertex %d is %q, ReadText's %q", in, v, name, want.VertexName(v))
+			}
+		}
+	}
+}
+
+// TestLabels pins the fallback label: a name where there is one, else
+// "v" or "f" and the ID.
+func TestLabels(t *testing.T) {
+	named := tiny(t)
+	unnamed, err := FromCSR(named.CSR(), nil, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < named.NumVertices(); v++ {
+		if got := named.VertexLabel(v); got != named.VertexName(v) {
+			t.Errorf("VertexLabel(%d) = %q, want the name %q", v, got, named.VertexName(v))
+		}
+		if got, want := unnamed.VertexLabel(v), fmt.Sprintf("v%d", v); got != want {
+			t.Errorf("unnamed VertexLabel(%d) = %q, want %q", v, got, want)
+		}
+	}
+	for f := 0; f < named.NumEdges(); f++ {
+		if got := named.EdgeLabel(f); got != named.EdgeName(f) {
+			t.Errorf("EdgeLabel(%d) = %q, want the name %q", f, got, named.EdgeName(f))
+		}
+		if got, want := unnamed.EdgeLabel(f), fmt.Sprintf("f%d", f); got != want {
+			t.Errorf("unnamed EdgeLabel(%d) = %q, want %q", f, got, want)
+		}
+	}
+	if got := label("", 'v', 1<<40); got != "v1099511627776" {
+		t.Errorf("label of a wide ID = %q", got)
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	h := tiny(t)
 	data, err := h.MarshalJSON()
@@ -411,7 +487,7 @@ func randomHypergraph(seed uint64, nv, ne, maxSize int) *Hypergraph {
 	rng := xrand.New(seed)
 	b := NewBuilder()
 	for v := 0; v < nv; v++ {
-		b.AddVertex(dualName("v", v))
+		b.AddVertex(label("", 'v', v))
 	}
 	for f := 0; f < ne; f++ {
 		size := 1 + rng.Intn(maxSize)
@@ -419,7 +495,7 @@ func randomHypergraph(seed uint64, nv, ne, maxSize int) *Hypergraph {
 		for i := 0; i < size; i++ {
 			members = append(members, int32(rng.Intn(nv)))
 		}
-		b.AddEdgeIDs(dualName("f", f), members)
+		b.AddEdgeIDs(label("", 'f', f), members)
 	}
 	return b.MustBuild()
 }

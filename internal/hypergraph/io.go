@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"hyperplex/internal/failpoint"
+	"hyperplex/internal/run"
 )
 
 // fpReadLine fires on every checkpoint of the text-format reader.
@@ -32,30 +33,18 @@ func WriteText(w io.Writer, h *Hypergraph) error {
 
 	inEdge := make([]bool, h.NumVertices())
 	for f := 0; f < h.NumEdges(); f++ {
-		name := h.EdgeName(f)
-		if name == "" {
-			name = fmt.Sprintf("f%d", f)
-		}
-		bw.WriteString(name)
+		bw.WriteString(h.EdgeLabel(f))
 		bw.WriteString(":")
 		for _, v := range h.Vertices(f) {
 			inEdge[v] = true
 			bw.WriteByte(' ')
-			vn := h.VertexName(int(v))
-			if vn == "" {
-				vn = fmt.Sprintf("v%d", v)
-			}
-			bw.WriteString(vn)
+			bw.WriteString(h.VertexLabel(int(v)))
 		}
 		bw.WriteByte('\n')
 	}
 	for v := 0; v < h.NumVertices(); v++ {
 		if !inEdge[v] {
-			vn := h.VertexName(v)
-			if vn == "" {
-				vn = fmt.Sprintf("v%d", v)
-			}
-			fmt.Fprintf(bw, "vertex %s\n", vn)
+			fmt.Fprintf(bw, "vertex %s\n", h.VertexLabel(v))
 		}
 	}
 	return bw.Flush()
@@ -93,6 +82,68 @@ func ReadTextCtx(ctx context.Context, r io.Reader) (*Hypergraph, error) {
 	return b.build(false)
 }
 
+// ReadTextRows is ReadTextRowsCtx with the default context.
+func ReadTextRows(r io.Reader, row func(members []int32) error) (vNames, eNames []string, err error) {
+	return ReadTextRowsCtx(context.Background(), r, row)
+}
+
+// ReadTextRowsCtx reads the text format through ReadTextCtx's Builder
+// but keeps no rows: it hands each hyperedge's members, sorted and
+// duplicate-free vertex IDs, to row as the hyperedge is read, and
+// returns both sides' names in ID order.  The IDs, the names and every
+// error are ReadTextCtx's; row must not retain its argument, and an
+// error from row stops the read and is returned.  What stays resident
+// is the builder's name tables and one offset per hyperedge, O(|V|+|F|),
+// and that is what it charges against the budget's allocation estimate
+// as it grows, in place of the input bytes ReadTextCtx charges: a
+// MaxAlloc budget bounds resident memory, not input size.
+func ReadTextRowsCtx(ctx context.Context, r io.Reader, row func(members []int32) error) (vNames, eNames []string, err error) {
+	meter := run.MeterFrom(ctx)
+	b := NewBuilder()
+	charged := int64(0)
+	charge := func() error {
+		if b.err != nil {
+			return b.err
+		}
+		grown := b.footprint() - charged
+		if grown <= 0 {
+			return nil
+		}
+		charged += grown
+		return meter.Alloc(grown)
+	}
+	err = ScanTextCtx(ctx, r, TextEvents{
+		Vertex: func(name string) error {
+			b.AddVertex(name)
+			return charge()
+		},
+		Edge: func(name []byte, members [][]byte) error {
+			b.addEdgeBytes(name, members)
+			if err := charge(); err != nil {
+				return err
+			}
+			err := row(b.pins)
+			b.pins = b.pins[:0]
+			return err
+		},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	nv, ne := b.NumVertices(), b.NumEdges()
+	if err := meter.Alloc(16 * int64(nv+ne)); err != nil {
+		return nil, nil, err
+	}
+	vNames, eNames = make([]string, nv), make([]string, ne)
+	for v := range vNames {
+		vNames[v] = b.vertices.name(v)
+	}
+	for f := range eNames {
+		eNames[f] = b.edges.name(f)
+	}
+	return vNames, eNames, nil
+}
+
 // jsonHypergraph is the JSON wire form: explicit vertex list (so
 // isolated vertices survive a round trip) and named member lists.
 type jsonHypergraph struct {
@@ -109,17 +160,10 @@ func (h *Hypergraph) MarshalJSON() ([]byte, error) {
 		Order:    make([]string, h.NumEdges()),
 	}
 	for v := range j.Vertices {
-		name := h.VertexName(v)
-		if name == "" {
-			name = fmt.Sprintf("v%d", v)
-		}
-		j.Vertices[v] = name
+		j.Vertices[v] = h.VertexLabel(v)
 	}
 	for f := 0; f < h.NumEdges(); f++ {
-		name := h.EdgeName(f)
-		if name == "" {
-			name = fmt.Sprintf("f%d", f)
-		}
+		name := h.EdgeLabel(f)
 		j.Order[f] = name
 		members := make([]string, 0, h.EdgeDegree(f))
 		for _, v := range h.Vertices(f) {

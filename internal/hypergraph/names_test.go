@@ -190,6 +190,9 @@ func TestNameSpaceBound(t *testing.T) {
 	if _, err := ReadText(strings.NewReader("e: abcd efghi\n")); !errors.Is(err, ErrNameSpace) {
 		t.Errorf("ReadText past the bound: %v, want ErrNameSpace", err)
 	}
+	if _, _, err := ReadTextRows(strings.NewReader("e: abcd efghi\n"), func([]int32) error { return nil }); !errors.Is(err, ErrNameSpace) {
+		t.Errorf("ReadTextRows past the bound: %v, want ErrNameSpace", err)
+	}
 	if _, err := FromEdgeSets(5, nil); !errors.Is(err, ErrNameSpace) {
 		t.Errorf("FromEdgeSets past the bound: %v, want ErrNameSpace", err)
 	}
@@ -199,7 +202,8 @@ func TestNameSpaceBound(t *testing.T) {
 }
 
 // TestPinSpaceBound lowers the int32 pin bound: every route that
-// assembles a CSR must return ErrPinSpace past it, and must not panic
+// assembles a CSR or streams its rows must return ErrPinSpace past it,
+// and must not panic
 // (narrowing the offsets would have panicked at the first engine call).
 // Repeated members are collapsed before they count.
 func TestPinSpaceBound(t *testing.T) {
@@ -217,6 +221,15 @@ func TestPinSpaceBound(t *testing.T) {
 	}
 	if _, err := ReadTextCtx(context.Background(), strings.NewReader("c1: a b\nc2: b c\n")); !errors.Is(err, ErrPinSpace) {
 		t.Errorf("ReadTextCtx past the bound: %v, want ErrPinSpace", err)
+	}
+	// The streaming reader drops each row but counts its pins, and
+	// hands out no row past the bound.
+	handed := 0
+	if _, _, err := ReadTextRows(strings.NewReader("c1: a b\nc2: b c\n"), func(row []int32) error {
+		handed += len(row)
+		return nil
+	}); !errors.Is(err, ErrPinSpace) || handed != 2 {
+		t.Errorf("ReadTextRows past the bound: %v after %d pins, want ErrPinSpace after 2", err, handed)
 	}
 	if _, err := FromEdgeSets(3, [][]int32{{0, 1, 0}, {2}}); err != nil {
 		t.Errorf("FromEdgeSets within the bound: %v", err)

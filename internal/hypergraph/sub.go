@@ -69,18 +69,10 @@ func (h *Hypergraph) SubVertices(keepV []bool) (*Hypergraph, map[int]int, map[in
 func (h *Hypergraph) Dual() *Hypergraph {
 	b := NewBuilder()
 	for f := 0; f < h.NumEdges(); f++ {
-		name := h.EdgeName(f)
-		if name == "" {
-			name = dualName("f", f)
-		}
-		b.AddVertex(name)
+		b.AddVertex(h.EdgeLabel(f))
 	}
 	for v := 0; v < h.NumVertices(); v++ {
-		name := h.VertexName(v)
-		if name == "" {
-			name = dualName("v", v)
-		}
-		b.AddEdgeIDs(name, h.Edges(v))
+		b.AddEdgeIDs(h.VertexLabel(v), h.Edges(v))
 	}
 	d, err := b.Build()
 	if err != nil {
@@ -88,21 +80,6 @@ func (h *Hypergraph) Dual() *Hypergraph {
 		panic("hypergraph: Dual: " + err.Error())
 	}
 	return d
-}
-
-func dualName(prefix string, id int) string {
-	// Small allocation-free itoa for the common path.
-	if id == 0 {
-		return prefix + "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for id > 0 {
-		i--
-		buf[i] = byte('0' + id%10)
-		id /= 10
-	}
-	return prefix + string(buf[i:])
 }
 
 // Reduce returns the reduced hypergraph: every hyperedge that is

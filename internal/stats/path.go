@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"fmt"
-
 	"hyperplex/internal/graph"
 	"hyperplex/internal/hypergraph"
 )
@@ -24,17 +22,9 @@ func (p HyperPath) Format(h *hypergraph.Hypergraph) string {
 	s := ""
 	for i, v := range p.Vertices {
 		if i > 0 {
-			name := h.EdgeName(p.Edges[i-1])
-			if name == "" {
-				name = fmt.Sprintf("f%d", p.Edges[i-1])
-			}
-			s += " -[" + name + "]- "
+			s += " -[" + h.EdgeLabel(p.Edges[i-1]) + "]- "
 		}
-		name := h.VertexName(v)
-		if name == "" {
-			name = fmt.Sprintf("v%d", v)
-		}
-		s += name
+		s += h.VertexLabel(v)
 	}
 	return s
 }

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"slices"
 
-	"hyperplex/internal/csr"
 	"hyperplex/internal/failpoint"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/mmio"
@@ -26,17 +25,12 @@ var fpBuild = failpoint.Register("store.build")
 // source scanners carry their own per-line checkpoints).
 const buildCheckEvery = 256
 
-// nameRAMBytes estimates the long-lived per-name RAM cost beyond the
-// name bytes themselves: a string header, a slice slot, a map entry
-// and a degree counter.  Charged against MaxAlloc — the builder's RAM
-// is O(|V|+|F|), never O(pins).
-const nameRAMBytes = 56
-
-// Source is a re-openable input for the streaming builder.  The
-// builder reads it twice (count pass, fill pass), so Open must return
-// a fresh reader over the same bytes each time; if the content changes
-// between passes the build fails with an "input changed" error rather
-// than writing a corrupt store.
+// Source is a re-openable input for the streaming builder.  A text
+// build reads it once; an mtx build reads it twice (count pass,
+// scatter pass), so Open must return a fresh reader over the same
+// bytes each time, and an mtx source whose content changes between
+// the passes fails the build with an "input changed" error rather than
+// a corrupt store.
 type Source struct {
 	// Format selects the parser: "text" (the hypergraph text format)
 	// or "mtx" (Matrix Market coordinate).
@@ -55,13 +49,15 @@ func BuildFile(dst string, src Source) error {
 	return BuildFileCtx(context.Background(), dst, src)
 }
 
-// BuildFileCtx constructs an on-disk CSR store at dst in two streaming
-// passes over src, honoring cancellation, deadline and any run.Budget
-// attached to ctx.  Resident memory is O(|V|+|F|) plus fixed buffers;
-// the pin arrays are written straight to disk (scattered through a
-// read-write mapping where the platform provides one), so an instance
-// whose pins exceed a run.MaxAlloc budget still builds.  The write is
-// atomic: dst appears only complete, via fsync-and-rename.
+// BuildFileCtx constructs an on-disk CSR store at dst by streaming
+// src, honoring cancellation, deadline and any run.Budget attached to
+// ctx.  Resident memory is O(|V|+|F|) plus fixed buffers and the
+// largest hyperedge; the pins go to a scratch file and from there
+// straight into the store (scattered through a read-write mapping
+// where the platform provides one), so an instance whose pins exceed
+// a run.MaxAlloc budget still builds.  The write is atomic: dst
+// appears only complete, via fsync-and-rename, and the scratch file is
+// removed either way.
 func BuildFileCtx(ctx context.Context, dst string, src Source) error {
 	meter := run.MeterFrom(ctx)
 	if err := run.Tick(ctx, meter, 0); err != nil {
@@ -78,15 +74,15 @@ func BuildFileCtx(ctx context.Context, dst string, src Source) error {
 }
 
 // buildTicker carries the builder's interval checkpoint state: pending
-// work units accumulate and are charged (with a failpoint probe) every
-// buildCheckEvery.
+// work units accumulate and are charged (with a failpoint probe) once
+// buildCheckEvery have gathered.
 type buildTicker struct {
 	pending int64
 }
 
-// tickEvery counts one work unit and checkpoints at the interval.
-func (b *buildTicker) tickEvery(ctx context.Context, meter *run.Meter) error {
-	if b.pending++; b.pending >= buildCheckEvery {
+// tick counts n work units and checkpoints at the interval.
+func (b *buildTicker) tick(ctx context.Context, meter *run.Meter, n int64) error {
+	if b.pending += n; b.pending >= buildCheckEvery {
 		return b.flush(ctx, meter)
 	}
 	return nil
@@ -104,10 +100,15 @@ func (b *buildTicker) flush(ctx context.Context, meter *run.Meter) error {
 	return nil
 }
 
+// mapPins reports whether pin files are served by a read-write mapping
+// (linux, little-endian).  Tests clear it to drive the pread/pwrite
+// path every other host takes.
+var mapPins = mmapSupported && nativeLittleEndian
+
 // pinFile is a writable int32 array region inside a temp file: the
-// scatter target for the transposed pin array.  Where the platform
-// provides it (linux, little-endian) the region is served by a shared
-// read-write mapping; everywhere else by pread/pwrite with explicit
+// build's scratch rows, and the scatter target for the transposed pin
+// array.  Where mapPins holds the region is served by a shared
+// read-write mapping; otherwise by pread/pwrite with explicit
 // little-endian coding.  base must be page-aligned.
 type pinFile struct {
 	f      *os.File
@@ -121,8 +122,8 @@ type pinFile struct {
 // newPinFile views entries [base, base+4n) of f, whose total size is
 // fileSize.  Mapping failure silently degrades to pread/pwrite.
 func newPinFile(f *os.File, fileSize, base, n int64) *pinFile {
-	p := &pinFile{f: f, base: base, n: n, buf: make([]byte, 1<<16)}
-	if n > 0 && mmapSupported && nativeLittleEndian {
+	p := &pinFile{f: f, base: base, n: n, buf: make([]byte, bufSize)}
+	if n > 0 && mapPins {
 		if b, err := mapFileRW(f, fileSize); err == nil {
 			p.mapped = b
 			p.view = int32View(b[base : base+4*n])
@@ -206,69 +207,6 @@ func (p *pinFile) close() error {
 	return unmapFile(b)
 }
 
-// sectionSink writes sections of the final file at their layout
-// offsets (in any order) and records their checksums, reusing one
-// write buffer across sections.
-type sectionSink struct {
-	hdr  *header
-	tmp  *os.File
-	path string
-	bw   *bufio.Writer
-	cw   *crcWriter
-}
-
-// sinkRAMBytes is the fixed buffer cost of a sectionSink, charged
-// against MaxAlloc by the builders.
-const sinkRAMBytes = 1<<18 + 1<<16
-
-func newSectionSink(hdr *header, tmp *os.File, path string) *sectionSink {
-	bw := bufio.NewWriterSize(nil, 1<<18)
-	return &sectionSink{hdr: hdr, tmp: tmp, path: path, bw: bw, cw: newCRCWriter(bw)}
-}
-
-// begin points the sink at section i.
-func (s *sectionSink) begin(i int) {
-	s.bw.Reset(io.NewOffsetWriter(s.tmp, s.hdr.sec[i].off))
-	s.cw.reset()
-}
-
-// finish flushes section i and checks the byte count against the
-// layout.
-func (s *sectionSink) finish(i int) error {
-	if err := s.bw.Flush(); err != nil {
-		return fmt.Errorf("store: build %s section %d: %w", s.path, i, err)
-	}
-	if s.cw.n != s.hdr.sec[i].size {
-		return fmt.Errorf("store: build %s section %d: wrote %d bytes, want %d", s.path, i, s.cw.n, s.hdr.sec[i].size)
-	}
-	s.hdr.sec[i].crc = s.cw.crc
-	return nil
-}
-
-// ints writes an entire int32 section in one go.
-func (s *sectionSink) ints(ctx context.Context, meter *run.Meter, i int, vals []int32) error {
-	if s.hdr.sec[i].size == 0 {
-		return nil
-	}
-	s.begin(i)
-	if err := s.cw.writeInt32s(ctx, meter, vals); err != nil {
-		return err
-	}
-	return s.finish(i)
-}
-
-// blob writes an entire name-blob section in one go.
-func (s *sectionSink) blob(ctx context.Context, meter *run.Meter, i int, names []string) error {
-	if s.hdr.sec[i].size == 0 {
-		return nil
-	}
-	s.begin(i)
-	if err := s.cw.writeNameBlob(ctx, meter, names); err != nil {
-		return err
-	}
-	return s.finish(i)
-}
-
 // fileCRC checksums [off, off+size) of f in budget-checkpointed
 // chunks, used for the scattered (non-streamed) VAdj section.
 func fileCRC(ctx context.Context, meter *run.Meter, f *os.File, off, size int64, buf []byte) (uint32, error) {
@@ -297,278 +235,113 @@ func changed(dst, format string, a ...any) error {
 	return fmt.Errorf("store: build %s: input changed between passes ("+format+")", append([]any{dst}, a...)...)
 }
 
-// buildText streams a hypergraph text source into a store file.  Pass
-// 1 resolves names and counts degrees (the only RAM the build keeps);
-// pass 2 writes the sorted, deduplicated edge-side pins sequentially
-// while scattering the vertex-side transpose, exactly reproducing the
-// CSR that ReadText builds in RAM.
-func buildText(ctx context.Context, meter *run.Meter, dst string, src Source) (err error) {
+// scratchFile creates a build's scratch file next to dst.  The
+// returned drop closes and removes it.
+func scratchFile(dst string) (*os.File, func(), error) {
+	f, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".scratch-*")
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: build %s: create scratch: %w", dst, err)
+	}
+	return f, func() {
+		f.Close()
+		os.Remove(f.Name())
+	}, nil
+}
+
+// buildText streams a hypergraph text source into a store file in one
+// pass.  hypergraph.ReadTextRowsCtx interns the names with ReadText's
+// Builder and hands over each hyperedge's sorted, duplicate-free
+// members, which are appended to a scratch file while the vertex
+// degrees are counted; writeRows then lays the rows out as the store.
+// The file is the one WriteH writes for ReadText of the same source.
+func buildText(ctx context.Context, meter *run.Meter, dst string, src Source) error {
 	bt := &buildTicker{}
-
-	vIndex := make(map[string]int32)
-	var vNames []string
+	scr, drop, err := scratchFile(dst)
+	if err != nil {
+		return err
+	}
+	defer drop()
+	if err := meter.Alloc(2 * bufSize); err != nil { // the scratch writer and its encode buffer
+		return err
+	}
+	bw := bufio.NewWriterSize(scr, bufSize)
+	enc := make([]byte, bufSize)
 	var vDeg []int32
-	var eNames []string
-	var eDeg []int32
-	eIndex := make(map[string]int32)
-	var scratch []int32
-	scratchCap := 0
-	pins := int64(0)
-
-	// newVertex indexes a name the caller found missing from vIndex.
-	newVertex := func(name string) (int32, error) {
-		if int64(len(vNames)) >= maxInt32 {
-			return 0, fmt.Errorf("store: build %s: vertex count overflows the int32 index space", dst)
+	eOff := []int32{0}
+	pins, charged := 0, 0
+	// grown charges the growth of vDeg and eOff.
+	grown := func() error {
+		c := cap(vDeg) + cap(eOff)
+		if c <= charged {
+			return nil
 		}
-		if aerr := meter.Alloc(int64(len(name)) + nameRAMBytes); aerr != nil {
-			return 0, aerr
-		}
-		v := csr.MustInt32(len(vNames))
-		vNames = append(vNames, name)
-		vDeg = append(vDeg, 0)
-		vIndex[name] = v
-		return v, nil
+		err := meter.Alloc(4 * int64(c-charged))
+		charged = c
+		return err
 	}
-	// gather resolves one record's members into scratch; dedup sorts
-	// and collapses them, mirroring Builder.AddEdgeIDs.
-	dedup := func() []int32 {
-		slices.Sort(scratch)
-		return slices.Compact(scratch)
-	}
-
-	// Pass 1: count.
 	rc, err := src.Open()
 	if err != nil {
 		return fmt.Errorf("store: build %s: open source: %w", dst, err)
 	}
-	scanErr := hypergraph.ScanTextCtx(ctx, rc, hypergraph.TextEvents{
-		Vertex: func(name string) error {
-			if terr := bt.tickEvery(ctx, meter); terr != nil {
-				return terr
+	vNames, eNames, err := hypergraph.ReadTextRowsCtx(ctx, rc, func(row []int32) error {
+		if err := bt.tick(ctx, meter, int64(len(row))); err != nil {
+			return err
+		}
+		if len(row) > 0 {
+			if n := int(row[len(row)-1]) + 1; n > len(vDeg) {
+				vDeg = append(vDeg, make([]int32, n-len(vDeg))...)
 			}
-			if _, ok := vIndex[name]; ok {
-				return nil
-			}
-			_, verr := newVertex(name)
-			return verr
-		},
-		Edge: func(nameBytes []byte, members [][]byte) error {
-			f := len(eNames)
-			if int64(f) >= maxInt32 {
-				return fmt.Errorf("store: build %s: hyperedge count overflows the int32 index space", dst)
-			}
-			if prev, dup := eIndex[string(nameBytes)]; dup {
-				return fmt.Errorf("hypergraph: duplicate hyperedge name %q (edges %d and %d)", nameBytes, prev, f)
-			}
-			name := string(nameBytes)
-			if name != "" {
-				eIndex[name] = int32(f)
-			}
-			if aerr := meter.Alloc(int64(len(name)) + nameRAMBytes); aerr != nil {
-				return aerr
-			}
-			scratch = scratch[:0]
-			for _, m := range members {
-				if terr := bt.tickEvery(ctx, meter); terr != nil {
-					return terr
-				}
-				v, ok := vIndex[string(m)]
-				if !ok {
-					var verr error
-					if v, verr = newVertex(string(m)); verr != nil {
-						return verr
-					}
-				}
-				scratch = append(scratch, v)
-			}
-			if c := cap(scratch); c > scratchCap {
-				if aerr := meter.Alloc(int64(4 * (c - scratchCap))); aerr != nil {
-					return aerr
-				}
-				scratchCap = c
-			}
-			uniq := dedup()
-			for _, v := range uniq {
-				vDeg[v]++
-			}
-			pins += int64(len(uniq))
-			if pins > maxInt32 {
-				return fmt.Errorf("store: build %s: %d pins overflow the int32 index space", dst, pins)
-			}
-			nu := len(uniq)
-			eNames = append(eNames, name)
-			eDeg = append(eDeg, int32(nu))
-			return nil
-		},
+		}
+		for _, v := range row {
+			vDeg[v]++
+		}
+		// The reader's Builder stops at ErrPinSpace before a row
+		// carries the pins past the int32 index space.
+		pins += len(row)
+		eOff = append(eOff, int32(pins))
+		if err := grown(); err != nil {
+			return err
+		}
+		return writeInt32s(ctx, meter, bw, enc, row)
 	})
 	cerr := rc.Close()
-	if scanErr != nil {
-		return scanErr
+	if err != nil {
+		return err
 	}
 	if cerr != nil {
 		return fmt.Errorf("store: build %s: close source: %w", dst, cerr)
 	}
-
-	numV, numE := int64(len(vNames)), int64(len(eNames))
-	if aerr := meter.Alloc(4 * (3*numV + 2*numE + 2)); aerr != nil {
-		return aerr
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("store: build %s: scratch write: %w", dst, err)
 	}
-	vOff := make([]int32, numV+1)
-	for v := range vDeg {
-		vOff[v+1] = vOff[v] + vDeg[v]
+	// Vertices past the last one a row holds are isolated.
+	vDeg = append(vDeg, make([]int32, len(vNames)-len(vDeg))...)
+	if err := grown(); err != nil {
+		return err
 	}
-	eOff := make([]int32, numE+1)
-	for f := range eDeg {
-		eOff[f+1] = eOff[f] + eDeg[f]
-	}
-	vNameOff, vBlob, err := nameOffsets("vertex", vNames)
+	vList, err := newNameList(ctx, meter, len(vNames), func(v int) string { return vNames[v] })
 	if err != nil {
 		return err
 	}
-	eNameOff, eBlob, err := nameOffsets("edge", eNames)
+	eList, err := newNameList(ctx, meter, len(eNames), func(f int) string { return eNames[f] })
 	if err != nil {
 		return err
 	}
-	hdr := computeLayout(numV, numE, pins, vBlob, eBlob)
-
-	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: build %s: create temp: %w", dst, err)
-	}
-	finalized := false
-	defer func() {
-		if !finalized {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := tmp.Truncate(hdr.fileSize()); err != nil {
-		return fmt.Errorf("store: build %s: size temp: %w", dst, err)
-	}
-	if aerr := meter.Alloc(sinkRAMBytes); aerr != nil {
-		return aerr
-	}
-	sink := newSectionSink(&hdr, tmp, dst)
-	if err := sink.ints(ctx, meter, secVOff, vOff); err != nil {
-		return err
-	}
-	if err := sink.ints(ctx, meter, secEOff, eOff); err != nil {
-		return err
-	}
-	if err := sink.ints(ctx, meter, secVNameOff, vNameOff); err != nil {
-		return err
-	}
-	if err := sink.blob(ctx, meter, secVNameBlob, vNames); err != nil {
-		return err
-	}
-	if err := sink.ints(ctx, meter, secENameOff, eNameOff); err != nil {
-		return err
-	}
-	if err := sink.blob(ctx, meter, secENameBlob, eNames); err != nil {
-		return err
-	}
-
-	// Pass 2: fill.  EAdj streams through the sink; VAdj is scattered
-	// through the pin file at each vertex's cursor.
-	if aerr := meter.Alloc(4*numV + 1<<16); aerr != nil {
-		return aerr
-	}
-	vadj := newPinFile(tmp, hdr.fileSize(), hdr.sec[secVAdj].off, pins)
-	defer vadj.close()
-	vCursor := make([]int32, numV)
-	copy(vCursor, vOff[:numV])
-	sink.begin(secEAdj)
-	rc2, err := src.Open()
-	if err != nil {
-		return fmt.Errorf("store: build %s: reopen source: %w", dst, err)
-	}
-	f := int64(0)
-	scanErr = hypergraph.ScanTextCtx(ctx, rc2, hypergraph.TextEvents{
-		Vertex: func(name string) error {
-			if terr := bt.tickEvery(ctx, meter); terr != nil {
-				return terr
-			}
-			if _, ok := vIndex[name]; !ok {
-				return changed(dst, "unknown vertex %q", name)
-			}
-			return nil
-		},
-		Edge: func(name []byte, members [][]byte) error {
-			if f >= numE {
-				return changed(dst, "extra hyperedge %q", name)
-			}
-			scratch = scratch[:0]
-			for _, m := range members {
-				if terr := bt.tickEvery(ctx, meter); terr != nil {
-					return terr
-				}
-				v, ok := vIndex[string(m)]
-				if !ok {
-					return changed(dst, "unknown vertex %q", m)
-				}
-				scratch = append(scratch, v)
-			}
-			uniq := dedup()
-			if int64(len(uniq)) != int64(eDeg[f]) {
-				return changed(dst, "hyperedge %d has degree %d, counted %d", f, len(uniq), eDeg[f])
-			}
-			if werr := sink.cw.writeInt32s(ctx, meter, uniq); werr != nil {
-				return werr
-			}
-			for _, v := range uniq {
-				if terr := bt.tickEvery(ctx, meter); terr != nil {
-					return terr
-				}
-				if perr := vadj.put(int64(vCursor[v]), int32(f)); perr != nil {
-					return fmt.Errorf("store: build %s: scatter: %w", dst, perr)
-				}
-				vCursor[v]++
-			}
-			f++
-			return nil
-		},
-	})
-	cerr = rc2.Close()
-	if scanErr != nil {
-		return scanErr
-	}
-	if cerr != nil {
-		return fmt.Errorf("store: build %s: close source: %w", dst, cerr)
-	}
-	if f != numE {
-		return changed(dst, "%d hyperedges, counted %d", f, numE)
-	}
-	if err := sink.finish(secEAdj); err != nil {
-		return err
-	}
-	for v := range vCursor {
-		if vCursor[v] != vOff[v+1] {
-			return changed(dst, "vertex %d degree shifted", v)
-		}
-	}
-	if err := vadj.close(); err != nil {
-		return fmt.Errorf("store: build %s: unmap: %w", dst, err)
-	}
-	crcV, err := fileCRC(ctx, meter, tmp, hdr.sec[secVAdj].off, hdr.sec[secVAdj].size, sink.cw.buf)
-	if err != nil {
-		return err
-	}
-	hdr.sec[secVAdj].crc = crcV
-	if err := finalizeAtomic(tmp, sink.bw, &hdr, dst); err != nil {
-		return err
-	}
-	finalized = true
-	return nil
+	rows := newPinFile(scr, 4*int64(pins), 0, int64(pins))
+	defer rows.close()
+	return writeRows(ctx, meter, bt, dst, rows, vDeg, eOff, vList, eList)
 }
 
 // buildMTX streams a Matrix Market coordinate source into a store
 // file: rows become vertices, columns hyperedges, exactly as
 // mmio.ToHypergraph converts in RAM (duplicates collapse, empty
 // columns stay as empty hyperedges), but the built store carries no
-// names.  The raw column-grouped pins go to a scratch file first, are
-// compacted (sort + dedup) in place, then transposed into the final
-// file; RAM stays O(rows+cols) plus the largest raw column.
-func buildMTX(ctx context.Context, meter *run.Meter, dst string, src Source) (err error) {
+// names.  Pass 1 counts the raw entries per column and pass 2 scatters
+// them, grouped by column, into a scratch file; each column is then
+// sorted and compacted in place, and writeRows lays the compacted
+// columns out as the store.  RAM stays O(rows+cols) plus the largest
+// raw column.
+func buildMTX(ctx context.Context, meter *run.Meter, dst string, src Source) error {
 	bt := &buildTicker{}
 
 	// Pass 1: dimensions and raw per-column counts (mirrored entries
@@ -613,7 +386,7 @@ func buildMTX(ctx context.Context, meter *run.Meter, dst string, src Source) (er
 		return fmt.Errorf("store: build %s: source delivered no size line", dst)
 	}
 
-	if aerr := meter.Alloc(4*(2*numE+1) + 1<<16); aerr != nil { // offsets, cursors, pinFile code buffer
+	if aerr := meter.Alloc(4*(2*numE+1) + bufSize); aerr != nil { // offsets, cursors, pinFile code buffer
 		return aerr
 	}
 	eOffRaw := make([]int32, numE+1)
@@ -628,14 +401,11 @@ func buildMTX(ctx context.Context, meter *run.Meter, dst string, src Source) (er
 	copy(cursorRaw, eOffRaw[:numE])
 
 	// Scratch file: raw pins grouped by column.
-	scr, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".scratch-*")
+	scr, drop, err := scratchFile(dst)
 	if err != nil {
-		return fmt.Errorf("store: build %s: create scratch: %w", dst, err)
+		return err
 	}
-	defer func() {
-		scr.Close()
-		os.Remove(scr.Name())
-	}()
+	defer drop()
 	if err := scr.Truncate(4 * rawPins); err != nil {
 		return fmt.Errorf("store: build %s: size scratch: %w", dst, err)
 	}
@@ -655,7 +425,7 @@ func buildMTX(ctx context.Context, meter *run.Meter, dst string, src Source) (er
 			return nil
 		},
 		Entry: func(i, j int32, v float64) error {
-			if terr := bt.tickEvery(ctx, meter); terr != nil {
+			if terr := bt.tick(ctx, meter, 1); terr != nil {
 				return terr
 			}
 			slot := cursorRaw[j]
@@ -685,15 +455,15 @@ func buildMTX(ctx context.Context, meter *run.Meter, dst string, src Source) (er
 	// Compact each column in place: sort, collapse duplicates, pack
 	// left.  The write cursor never passes the read cursor because
 	// columns only shrink.
-	if aerr := meter.Alloc(4 * (maxColRaw + numE + numV)); aerr != nil {
+	if aerr := meter.Alloc(4 * (maxColRaw + numE + 1 + numV)); aerr != nil {
 		return aerr
 	}
 	rowBuf := make([]int32, maxColRaw)
-	eDeg := make([]int32, numE)
+	eOff := make([]int32, numE+1)
 	vDeg := make([]int32, numV)
 	write := int64(0)
 	for j := int64(0); j < numE; j++ {
-		if terr := bt.tickEvery(ctx, meter); terr != nil {
+		if terr := bt.tick(ctx, meter, 1); terr != nil {
 			return terr
 		}
 		col := rowBuf[:eOffRaw[j+1]-eOffRaw[j]]
@@ -708,74 +478,76 @@ func buildMTX(ctx context.Context, meter *run.Meter, dst string, src Source) (er
 		if werr := raw.write(ctx, meter, write, uniq); werr != nil {
 			return fmt.Errorf("store: build %s: scratch write: %w", dst, werr)
 		}
-		nu := len(uniq)
-		eDeg[j] = int32(nu)
-		write += int64(nu)
+		write += int64(len(uniq))
+		eOff[j+1] = int32(write)
 	}
-	pins := write
+	return writeRows(ctx, meter, bt, dst, raw, vDeg, eOff, nameList{}, nameList{})
+}
 
-	if aerr := meter.Alloc(4*(2*numV+numE+2) + 1<<16); aerr != nil { // offsets, cursors, vadj pinFile code buffer
-		return aerr
+// writeRows is the tail both builds end in.  rows holds the members of
+// hyperedge f, sorted and duplicate-free, at entries [eOff[f],
+// eOff[f+1]), and vDeg[v] counts the rows holding vertex v.  It lays
+// the store out, writes the offset and name sections, streams EAdj
+// from rows while scattering VAdj through a pin file at each vertex's
+// cursor, then checksums VAdj and renames the file into place at dst.
+func writeRows(ctx context.Context, meter *run.Meter, bt *buildTicker, dst string, rows *pinFile, vDeg, eOff []int32, vNames, eNames nameList) error {
+	numV, numE := int64(len(vDeg)), int64(len(eOff)-1)
+	pins := int64(eOff[numE])
+	maxDeg := int32(0)
+	for f := range numE {
+		maxDeg = max(maxDeg, eOff[f+1]-eOff[f])
+	}
+	if err := meter.Alloc(4*(2*numV+1+int64(maxDeg)) + bufSize); err != nil { // offsets, cursors, row buffer, VAdj pinFile code buffer
+		return err
 	}
 	vOff := make([]int32, numV+1)
-	for v := range vDeg {
-		vOff[v+1] = vOff[v] + vDeg[v]
+	for v, d := range vDeg {
+		vOff[v+1] = vOff[v] + d
 	}
-	eOff := make([]int32, numE+1)
-	for j := range eDeg {
-		eOff[j+1] = eOff[j] + eDeg[j]
+	vCursor := slices.Clone(vOff[:numV])
+	row := make([]int32, maxDeg)
+	hdr := computeLayout(numV, numE, pins, vNames.blob, eNames.blob)
+	if err := meter.Alloc(sinkRAMBytes); err != nil {
+		return err
 	}
-	vCursor := make([]int32, numV)
-	copy(vCursor, vOff[:numV])
-	hdr := computeLayout(numV, numE, pins, -1, -1)
-
-	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp-*")
+	sink, err := newSectionSink(&hdr, dst)
 	if err != nil {
-		return fmt.Errorf("store: build %s: create temp: %w", dst, err)
+		return err
 	}
-	finalized := false
-	defer func() {
-		if !finalized {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := tmp.Truncate(hdr.fileSize()); err != nil {
-		return fmt.Errorf("store: build %s: size temp: %w", dst, err)
-	}
-	if aerr := meter.Alloc(sinkRAMBytes); aerr != nil {
-		return aerr
-	}
-	sink := newSectionSink(&hdr, tmp, dst)
+	defer sink.discard()
 	if err := sink.ints(ctx, meter, secVOff, vOff); err != nil {
 		return err
 	}
 	if err := sink.ints(ctx, meter, secEOff, eOff); err != nil {
 		return err
 	}
+	if err := sink.names(ctx, meter, secVNameOff, vNames); err != nil {
+		return err
+	}
+	if err := sink.names(ctx, meter, secENameOff, eNames); err != nil {
+		return err
+	}
 
-	// Transpose: stream the compacted columns into EAdj while
-	// scattering the vertex side.
-	vadj := newPinFile(tmp, hdr.fileSize(), hdr.sec[secVAdj].off, pins)
+	vadj := newPinFile(sink.tmp, hdr.fileSize(), hdr.sec[secVAdj].off, pins)
 	defer vadj.close()
 	sink.begin(secEAdj)
-	for j := int64(0); j < numE; j++ {
-		if terr := bt.tickEvery(ctx, meter); terr != nil {
-			return terr
+	for f := int64(0); f < numE; f++ {
+		if err := bt.tick(ctx, meter, 1); err != nil {
+			return err
 		}
-		col := rowBuf[:eDeg[j]]
-		if rerr := raw.read(ctx, meter, int64(eOff[j]), col); rerr != nil {
-			return fmt.Errorf("store: build %s: scratch read: %w", dst, rerr)
+		r := row[:eOff[f+1]-eOff[f]]
+		if err := rows.read(ctx, meter, int64(eOff[f]), r); err != nil {
+			return fmt.Errorf("store: build %s: scratch read: %w", dst, err)
 		}
-		if werr := sink.cw.writeInt32s(ctx, meter, col); werr != nil {
-			return werr
+		if err := writeInt32s(ctx, meter, sink.cw, sink.buf, r); err != nil {
+			return err
 		}
-		for _, v := range col {
-			if terr := bt.tickEvery(ctx, meter); terr != nil {
-				return terr
+		for _, v := range r {
+			if err := bt.tick(ctx, meter, 1); err != nil {
+				return err
 			}
-			if perr := vadj.put(int64(vCursor[v]), int32(j)); perr != nil {
-				return fmt.Errorf("store: build %s: scatter: %w", dst, perr)
+			if err := vadj.put(int64(vCursor[v]), int32(f)); err != nil {
+				return fmt.Errorf("store: build %s: scatter: %w", dst, err)
 			}
 			vCursor[v]++
 		}
@@ -791,14 +563,10 @@ func buildMTX(ctx context.Context, meter *run.Meter, dst string, src Source) (er
 	if err := vadj.close(); err != nil {
 		return fmt.Errorf("store: build %s: unmap: %w", dst, err)
 	}
-	crcV, err := fileCRC(ctx, meter, tmp, hdr.sec[secVAdj].off, hdr.sec[secVAdj].size, sink.cw.buf)
+	crcV, err := fileCRC(ctx, meter, sink.tmp, hdr.sec[secVAdj].off, hdr.sec[secVAdj].size, sink.buf)
 	if err != nil {
 		return err
 	}
 	hdr.sec[secVAdj].crc = crcV
-	if err := finalizeAtomic(tmp, sink.bw, &hdr, dst); err != nil {
-		return err
-	}
-	finalized = true
-	return nil
+	return sink.finalizeAtomic()
 }

@@ -80,20 +80,20 @@ func pagePad(n int64) int64 {
 
 // computeLayout assigns section offsets for the given counts: every
 // non-empty section is page-aligned and they follow each other in
-// section-index order.  CRCs are filled in by the writer.  A negative
-// blob length means that side carries no names at all (no offset
-// section either).
+// section-index order.  CRCs are filled in by the writer.  A side whose
+// name blob is empty carries no names at all (no offset section
+// either).
 func computeLayout(numV, numE, pins, vNameBlob, eNameBlob int64) header {
 	h := header{numV: numV, numE: numE, pins: pins}
 	h.sec[secVOff].size = 4 * (numV + 1)
 	h.sec[secVAdj].size = 4 * pins
 	h.sec[secEOff].size = 4 * (numE + 1)
 	h.sec[secEAdj].size = 4 * pins
-	if vNameBlob >= 0 {
+	if vNameBlob > 0 {
 		h.sec[secVNameOff].size = 4 * (numV + 1)
 		h.sec[secVNameBlob].size = vNameBlob
 	}
-	if eNameBlob >= 0 {
+	if eNameBlob > 0 {
 		h.sec[secENameOff].size = 4 * (numE + 1)
 		h.sec[secENameBlob].size = eNameBlob
 	}

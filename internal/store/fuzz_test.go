@@ -29,10 +29,11 @@ func fuzzSeedBytes(t testing.TB) []byte {
 }
 
 // FuzzStoreRoundTrip feeds arbitrary bytes to Open.  Any input must
-// either be rejected with an error or open into a store whose arrays
-// pass csr.Validate, whose hypergraph view finds every name, and which
-// survives an exact re-write round trip; no input may panic, hang, or
-// allocate past the header-declared sizes.
+// either be rejected with an error or open into a store; no input may
+// panic, hang, or allocate past the header-declared sizes.  When the
+// store's hypergraph view accepts it (it rejects a repeated name), its
+// arrays pass csr.Validate, every non-empty name is found again at its
+// own ID, and WriteH of the view round-trips every array and name.
 func FuzzStoreRoundTrip(f *testing.F) {
 	seed := fuzzSeedBytes(f)
 	f.Add(seed)
@@ -57,36 +58,31 @@ func FuzzStoreRoundTrip(f *testing.F) {
 			return // rejected, fine
 		}
 		defer st.Close()
-		c := st.CSR()
+		h, err := st.H()
+		if err != nil {
+			return // a repeated name, rejected
+		}
+		c := h.CSR()
 		// Open validated the structure; a second pass must agree.
 		if err := c.Validate(); err != nil {
 			t.Fatalf("opened store fails validation: %v", err)
 		}
-		// The hypergraph view rejects a repeated name or carries every
-		// name over, each non-empty one found again at its own ID.
-		if h, err := st.H(); err == nil {
-			for v := 0; v < h.NumVertices(); v++ {
-				name := h.VertexName(v)
-				if name != st.VertexName(int32(v)) {
-					t.Fatalf("vertex %d named %q in the hypergraph, %q in the store", v, name, st.VertexName(int32(v)))
-				}
-				if id, ok := h.VertexID(name); name != "" && (!ok || id != v) {
+		for v := 0; v < h.NumVertices(); v++ {
+			if name := h.VertexName(v); name != "" {
+				if id, ok := h.VertexID(name); !ok || id != v {
 					t.Fatalf("VertexID(%q) = %d, %v, want %d", name, id, ok, v)
 				}
 			}
-			for f := 0; f < h.NumEdges(); f++ {
-				name := h.EdgeName(f)
-				if name != st.EdgeName(int32(f)) {
-					t.Fatalf("hyperedge %d named %q in the hypergraph, %q in the store", f, name, st.EdgeName(int32(f)))
-				}
-				if id, ok := h.EdgeID(name); name != "" && (!ok || id != f) {
+		}
+		for f := 0; f < h.NumEdges(); f++ {
+			if name := h.EdgeName(f); name != "" {
+				if id, ok := h.EdgeID(name); !ok || id != f {
 					t.Fatalf("EdgeID(%q) = %d, %v, want %d", name, id, ok, f)
 				}
 			}
 		}
-		vNames, eNames := namesOf(st, c)
 		out := filepath.Join(dir, "out.store")
-		if err := store.Write(out, c, vNames, eNames); err != nil {
+		if err := store.WriteH(out, h); err != nil {
 			t.Fatalf("re-write of opened store: %v", err)
 		}
 		st2, err := store.Open(out, store.Options{NoMmap: true})
@@ -94,17 +90,21 @@ func FuzzStoreRoundTrip(f *testing.F) {
 			t.Fatalf("re-open of re-written store: %v", err)
 		}
 		defer st2.Close()
-		if !sameArrays(st2.CSR(), c) {
+		h2, err := st2.H()
+		if err != nil {
+			t.Fatalf("hypergraph of re-written store: %v", err)
+		}
+		if !sameArrays(h2.CSR(), c) {
 			t.Fatal("re-written store decodes to different arrays")
 		}
-		for i := int32(0); i < int32(c.NumVertices()); i++ {
-			if st2.VertexName(i) != st.VertexName(i) {
-				t.Fatalf("vertex %d name changed across round trip", i)
+		for v := 0; v < h.NumVertices(); v++ {
+			if h2.VertexName(v) != h.VertexName(v) {
+				t.Fatalf("vertex %d name changed across round trip", v)
 			}
 		}
-		for i := int32(0); i < int32(c.NumEdges()); i++ {
-			if st2.EdgeName(i) != st.EdgeName(i) {
-				t.Fatalf("edge %d name changed across round trip", i)
+		for f := 0; f < h.NumEdges(); f++ {
+			if h2.EdgeName(f) != h.EdgeName(f) {
+				t.Fatalf("edge %d name changed across round trip", f)
 			}
 		}
 	})
@@ -114,35 +114,4 @@ func FuzzStoreRoundTrip(f *testing.F) {
 func sameArrays(a, b *csr.CSR) bool {
 	return slices.Equal(a.VOff, b.VOff) && slices.Equal(a.VAdj, b.VAdj) &&
 		slices.Equal(a.EOff, b.EOff) && slices.Equal(a.EAdj, b.EAdj)
-}
-
-// namesOf extracts the name tables of an opened store, or nil for a
-// side with no name section (empty names throughout).
-func namesOf(st *store.File, c *csr.CSR) (vNames, eNames []string) {
-	anyV, anyE := false, false
-	for i := int32(0); i < int32(c.NumVertices()); i++ {
-		if st.VertexName(i) != "" {
-			anyV = true
-			break
-		}
-	}
-	for i := int32(0); i < int32(c.NumEdges()); i++ {
-		if st.EdgeName(i) != "" {
-			anyE = true
-			break
-		}
-	}
-	if anyV {
-		vNames = make([]string, c.NumVertices())
-		for i := range vNames {
-			vNames[i] = st.VertexName(int32(i))
-		}
-	}
-	if anyE {
-		eNames = make([]string, c.NumEdges())
-		for i := range eNames {
-			eNames[i] = st.EdgeName(int32(i))
-		}
-	}
-	return vNames, eNames
 }

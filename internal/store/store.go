@@ -3,11 +3,13 @@
 // page-aligned flat file, memory-mapped where the platform supports it
 // (linux, little-endian) with a portable os.ReadAt loader everywhere
 // else.  A mapped file's arrays are the hypergraph's own: File.H wraps
-// them with hypergraph.FromCSR and copies none of them.  Write and
-// WriteH produce the file from arrays in RAM; BuildFile constructs it
-// directly from a text or MatrixMarket source in two streaming passes,
-// so an instance whose pin arrays exceed RAM (or a run.MaxAlloc
-// budget) never has to exist as an in-memory Hypergraph.
+// them with hypergraph.FromCSR and copies none of them.  WriteH
+// produces the file from a hypergraph in RAM; BuildFile constructs it
+// straight from a source, a text file in one streaming pass or a
+// MatrixMarket file in two, so an instance whose pin arrays exceed RAM
+// (or a run.MaxAlloc budget) never has to exist as an in-memory
+// Hypergraph.  All three write through one section writer and give the
+// same bytes for the same hypergraph.
 package store
 
 import (
@@ -216,8 +218,8 @@ func OpenCtx(ctx context.Context, path string, opts Options) (f *File, err error
 }
 
 // validateNameOffsets pins the name offset array to the blob it
-// indexes, so the name accessors can slice without bounds surprises
-// even when the caller skipped the checksum verify.
+// indexes, so Open rejects a file whose names would not slice, even
+// when the caller skipped the checksum verify.
 func validateNameOffsets(kind string, off []int32, blobLen int) error {
 	if off[0] != 0 {
 		return fmt.Errorf("store: %s name offsets must start at 0", kind)
@@ -231,28 +233,6 @@ func validateNameOffsets(kind string, off []int32, blobLen int) error {
 		return fmt.Errorf("store: %s name offsets end at %d, want the %d-byte blob", kind, off[len(off)-1], blobLen)
 	}
 	return nil
-}
-
-// CSR returns the store's incidence view; for a mapped file the pin
-// arrays point straight into the mapping.
-func (s *File) CSR() *csr.CSR { return &s.c }
-
-// VertexName returns the name of vertex v ("" if the file carries no
-// vertex names).
-func (s *File) VertexName(v int32) string {
-	if s.vNameOff == nil {
-		return ""
-	}
-	return string(s.vNameBlob[s.vNameOff[v]:s.vNameOff[v+1]])
-}
-
-// EdgeName returns the name of hyperedge f ("" if the file carries no
-// edge names).
-func (s *File) EdgeName(f int32) string {
-	if s.eNameOff == nil {
-		return ""
-	}
-	return string(s.eNameBlob[s.eNameOff[f]:s.eNameOff[f+1]])
 }
 
 // H returns the stored hypergraph.  Its four incidence arrays and the
