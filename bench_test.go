@@ -266,6 +266,20 @@ func BenchmarkReadMatrixMarket(b *testing.B) {
 	}
 }
 
+// BenchmarkMatrixToHypergraph measures the conversion half of the
+// Table 1 route on the banded instance's matrix: the columns scattered
+// into one flat row array and assembled into the CSR.
+func BenchmarkMatrixToHypergraph(b *testing.B) {
+	m := gen.SyntheticMatrix(bandedSpec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mmio.ToHypergraph(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkReadText measures the text reader on the 20000-protein
 // synthetic proteome, the read that opens every job of hgbench's baits
 // workload.

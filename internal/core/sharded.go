@@ -122,9 +122,10 @@ func (w *DistPeeler) peel(ctx context.Context, kmax int) (*Decomposition, error)
 	// level at a time, carrying all peeling state across levels, and
 	// peels each level in rounds until the frontier and the dying delta
 	// are both empty.  One dying and one retired buffer serve every
-	// round.
-	dying := w.PendingDying(nil)
-	var retired []int32
+	// round, each allocated once at its bound: a round's dying delta
+	// lists each hyperedge at most once, its retired delta each vertex.
+	dying := w.PendingDying(make([]int32, 0, len(w.eAlive)))
+	retired := make([]int32, 0, len(w.vAlive))
 	maxK := 0
 levels:
 	for k := 1; ; k++ {

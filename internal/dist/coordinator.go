@@ -56,7 +56,6 @@ type coordinator struct {
 	opts  Options
 	h     *hypergraph.Hypergraph
 	part  *partition.Partition
-	edges [][]int32 // member rows shipped in Load
 
 	ln       net.Listener
 	accepted []net.Conn // every accepted conn, for panic-safe teardown
@@ -138,10 +137,6 @@ func (c *coordinator) recoverLoop() error {
 // setup serializes the problem, builds the partition, starts the
 // listener, spawns the pool, and ships Load to every joined worker.
 func (c *coordinator) setup() error {
-	c.edges = make([][]int32, c.h.NumEdges())
-	for f := range c.edges {
-		c.edges[f] = c.h.Vertices(f)
-	}
 	part, err := partition.BuildCtx(c.ctx, c.h, c.opts.Shards)
 	if err != nil {
 		return err
@@ -168,7 +163,8 @@ func (c *coordinator) setup() error {
 		return err
 	}
 
-	load := msgLoad{Epoch: c.epoch, Descs: part.Descs(), NumV: csr.MustInt32(c.h.NumVertices()), Edges: c.edges}
+	g := c.h.CSR()
+	load := msgLoad{Epoch: c.epoch, Descs: part.Descs(), NumV: csr.MustInt32(c.h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
 	payload := load.encode()
 	for _, rw := range c.workers {
 		if err := c.ctx.Err(); err != nil {

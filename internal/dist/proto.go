@@ -270,41 +270,43 @@ func (d *dec) i32s() []int32 {
 	return out
 }
 
-// i32rows reads ne count-prefixed int32 rows into one flat array, each
-// row a capped sub-slice of it.  The remaining bytes bound the array:
-// after the ne row counts, at most a quarter of the rest can be
-// members, and every row's count is checked against what is left of
-// that bound before its members are read.
-func (d *dec) i32rows(ne uint32) [][]int32 {
+// i32rows reads ne count-prefixed int32 rows into one flat pin array
+// and its ne+1 row offsets, row i being pins[off[i]:off[i+1]].  The
+// remaining bytes bound the array: after the ne row counts, at most a
+// quarter of the rest can be members, and every row's count is checked
+// against what is left of that bound before its members are read.
+func (d *dec) i32rows(ne uint32) (off, pins []int32) {
 	if d.err != nil {
-		return nil
+		return nil, nil
 	}
 	if uint64(ne)*4 > uint64(len(d.b)) {
 		d.fail("row count %d exceeds %d remaining bytes", ne, len(d.b))
-		return nil
+		return nil, nil
 	}
-	rows := make([][]int32, ne)
-	flat := make([]int32, (len(d.b)-4*int(ne))/4)
+	off = make([]int32, int(ne)+1)
+	pins = make([]int32, (len(d.b)-4*int(ne))/4)
 	pos := 0
 	//hyperplexvet:ignore budgettick bounded: one decoding pass over a length-validated payload; the read loop checks ctx per frame
-	for i := range rows {
+	for i := 0; i < int(ne); i++ {
 		n := d.u32()
 		if d.err != nil {
-			return nil
+			return nil, nil
 		}
-		if uint64(n) > uint64(len(flat)-pos) {
-			d.fail("row %d member count %d exceeds the %d members left in the payload", i, n, len(flat)-pos)
-			return nil
+		if uint64(n) > uint64(len(pins)-pos) {
+			d.fail("row %d member count %d exceeds the %d members left in the payload", i, n, len(pins)-pos)
+			return nil, nil
 		}
-		row := flat[pos : pos+int(n) : pos+int(n)]
+		row := pins[pos : pos+int(n)]
 		for j := range row {
 			row[j] = int32(binary.LittleEndian.Uint32(d.b[4*j:]))
 		}
 		d.b = d.b[4*n:]
-		rows[i] = row
 		pos += int(n)
+		// pos counts the members of one frame, at most a quarter of
+		// maxFramePayload, far below the int32 bound.
+		off[i+1] = int32(pos)
 	}
-	return rows
+	return off, pins[:pos:pos]
 }
 
 func (d *dec) bytes() []byte {
@@ -392,23 +394,23 @@ func (m *msgHello) decode(b []byte) error {
 }
 
 // msgLoad ships the problem: the partition's shard descriptors and the
-// hypergraph structure as flat member rows.  IDs — not names — are
-// what the decomposition consumes, so the structural encoding keeps
-// every worker's vertex and hyperedge numbering bit-identical to the
-// coordinator's.
+// hypergraph structure as flat member rows, the CSR's edge side.  IDs —
+// not names — are what the decomposition consumes, so the structural
+// encoding keeps every worker's vertex and hyperedge numbering
+// bit-identical to the coordinator's.  On the wire each row is a
+// count-prefixed member list.
 type msgLoad struct {
 	Epoch uint32
 	Descs []partition.Desc
 	NumV  int32
-	Edges [][]int32 // member vertex IDs per hyperedge, in edge order
+	// The member vertex IDs of hyperedge f, in edge order, are
+	// EAdj[EOff[f]:EOff[f+1]]; a nil EOff ships no hyperedges.
+	EOff, EAdj []int32
 }
 
 func (m *msgLoad) encode() []byte {
-	size := 4 + 4 + 8*len(m.Descs) + 4 + 4 + 4*len(m.Edges)
-	for _, members := range m.Edges {
-		size += 4 * len(members)
-	}
-	e := enc{b: make([]byte, 0, size)}
+	ne := max(len(m.EOff)-1, 0)
+	e := enc{b: make([]byte, 0, 4+4+8*len(m.Descs)+4+4+4*ne+4*len(m.EAdj))}
 	e.u32(m.Epoch)
 	e.u32(lenU32(len(m.Descs)))
 	for _, d := range m.Descs {
@@ -416,10 +418,10 @@ func (m *msgLoad) encode() []byte {
 		e.i32(d.Count)
 	}
 	e.i32(m.NumV)
-	e.u32(lenU32(len(m.Edges)))
+	e.u32(lenU32(ne))
 	//hyperplexvet:ignore budgettick bounded: one encoding pass over the hypergraph being shipped; the caller's send path checks ctx
-	for _, members := range m.Edges {
-		e.i32s(members)
+	for f := 0; f < ne; f++ {
+		e.i32s(m.EAdj[m.EOff[f]:m.EOff[f+1]])
 	}
 	return e.b
 }
@@ -439,7 +441,7 @@ func (m *msgLoad) decode(b []byte) error {
 		}
 	}
 	m.NumV = d.i32()
-	m.Edges = d.i32rows(d.u32())
+	m.EOff, m.EAdj = d.i32rows(d.u32())
 	return d.done()
 }
 

@@ -97,14 +97,15 @@ func TestMessageRoundTrips(t *testing.T) {
 		Epoch: 7,
 		Descs: []partition.Desc{{First: 0, Count: 3}, {First: 3, Count: 2}},
 		NumV:  5,
-		Edges: [][]int32{{0, 1, 2}, {}, {3, 4}},
+		EOff:  []int32{0, 3, 3, 5},
+		EAdj:  []int32{0, 1, 2, 3, 4},
 	}
 	var load2 msgLoad
 	if err := load2.decode(load.encode()); err != nil {
 		t.Fatalf("load decode: %v", err)
 	}
 	if len(load2.Descs) != 2 || load2.Descs[1].First != 3 || load2.Epoch != 7 ||
-		load2.NumV != 5 || len(load2.Edges) != 3 || len(load2.Edges[1]) != 0 || load2.Edges[2][1] != 4 {
+		load2.NumV != 5 || !slices.Equal(load2.EOff, load.EOff) || !slices.Equal(load2.EAdj, load.EAdj) {
 		t.Fatalf("load round-trip mismatch: %+v", load2)
 	}
 
@@ -211,8 +212,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBytes(f, mHello, (&msgHello{Version: protoVersion}).encode()))
 	f.Add(frameBytes(f, mApply, (&msgRound{Epoch: 1, K: 2, Round: 3, IDs: []int32{4, 5}}).encode()))
 	f.Add(frameBytes(f, mBarrier, (&msgBarrier{Epoch: 1, K: 1, Round: 1, Snaps: []*core.ShardSnapshot{{Shard: 0, Deg: []int32{1}}}}).encode()))
-	f.Add(frameBytes(f, mLoad, (&msgLoad{Descs: []partition.Desc{{First: 0, Count: 2}}, NumV: 2, Edges: [][]int32{{0, 1}}}).encode()))
-	f.Add(frameBytes(f, mLoad, (&msgLoad{NumV: 2, Edges: [][]int32{{}, {0, 1}, {}}}).encode()))
+	f.Add(frameBytes(f, mLoad, (&msgLoad{Descs: []partition.Desc{{First: 0, Count: 2}}, NumV: 2, EOff: []int32{0, 2}, EAdj: []int32{0, 1}}).encode()))
+	f.Add(frameBytes(f, mLoad, (&msgLoad{NumV: 2, EOff: []int32{0, 0, 2, 2}, EAdj: []int32{0, 1}}).encode()))
 	f.Add(frameBytes(f, mLoad, loadRowPastEnd()))
 	f.Add(frameBytes(f, mResult, (&msgResult{VCore: []int32{1}, ECore: []int32{2}}).encode()))
 	// Truncated header and payload.
@@ -321,7 +322,7 @@ var goldenFrames = []struct {
 	{"Hello", mHello, &msgHello{Version: protoVersion, ID: 3}, func() codec { return &msgHello{} },
 		"687801010800000019703dbb0100000003000000"},
 	{"Load", mLoad, &msgLoad{Epoch: 7, Descs: []partition.Desc{{First: 0, Count: 3}, {First: 3, Count: 2}}, NumV: 5,
-		Edges: [][]int32{{0, 1, 2}, {}, {3, 4}}}, func() codec { return &msgLoad{} },
+		EOff: []int32{0, 3, 3, 5}, EAdj: []int32{0, 1, 2, 3, 4}}, func() codec { return &msgLoad{} },
 		"6878010240000000ee4ae2fc07000000020000000000000003000000030000000200000005000000030000000300000000000000010000000200000000000000020000000300000004000000"},
 	{"Assign", mAssign, &msgAssign{Epoch: 3, K: 2, Round: 5, Fresh: []int32{1, 4}, Snaps: []*core.ShardSnapshot{
 		{Shard: 0, AliveV: 5, Deg: []int32{1, 2, 3}, Dying: []int32{9}}, {Shard: 2}}}, func() codec { return &msgAssign{} },
@@ -402,18 +403,15 @@ func bandedLoad(t *testing.T) (*msgLoad, *hypergraph.Hypergraph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := make([][]int32, h.NumEdges())
-	for f := range edges {
-		edges[f] = h.Vertices(f)
-	}
 	part := partition.Build(h, 2)
-	return &msgLoad{Epoch: 1, Descs: part.Descs(), NumV: int32(h.NumVertices()), Edges: edges}, h
+	g := h.CSR()
+	return &msgLoad{Epoch: 1, Descs: part.Descs(), NumV: int32(h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}, h
 }
 
 // TestCodecAllocs pins the allocations of the bulk codec: a slice of
 // 10k int32s grows the payload at most once, the banded Load encodes
 // into one buffer sized up front, and decoding it makes three
-// allocations (descriptors, row headers, one flat member array), not
+// allocations (descriptors, row offsets, one flat member array), not
 // one per row.
 func TestCodecAllocs(t *testing.T) {
 	xs := make([]int32, 10000)
@@ -437,9 +435,7 @@ func TestCodecAllocs(t *testing.T) {
 	}); a != 3 {
 		t.Errorf("msgLoad.decode of the banded Load (%d rows) made %v allocations, want 3", h.NumEdges(), a)
 	}
-	for f, row := range got.Edges {
-		if !slices.Equal(row, load.Edges[f]) || cap(row) != len(row) {
-			t.Fatalf("decoded row %d = %v (cap %d), want %v at capacity", f, row, cap(row), load.Edges[f])
-		}
+	if !slices.Equal(got.EOff, load.EOff) || !slices.Equal(got.EAdj, load.EAdj) || cap(got.EAdj) != len(got.EAdj) {
+		t.Fatalf("decoded rows differ from the shipped ones, or the member array (cap %d) is not at capacity %d", cap(got.EAdj), len(got.EAdj))
 	}
 }

@@ -253,7 +253,9 @@ func (w *workerState) peelerOrNil() *core.DistPeeler { return w.peeler }
 
 func (w *workerState) load(ctx context.Context, m *msgLoad) error {
 	w.epoch = m.Epoch
-	h, err := hypergraph.FromEdgeSets(int(m.NumV), m.Edges)
+	// The rows are wire input: FromRows checks their offsets and
+	// members before it sorts, compacts and assembles them in place.
+	h, err := hypergraph.FromRows(int(m.NumV), m.EOff, m.EAdj)
 	if err != nil {
 		return fmt.Errorf("dist: load graph: %w", err)
 	}

@@ -49,11 +49,8 @@ func newWorkerDriver(t *testing.T, h *hypergraph.Hypergraph, part *partition.Par
 	t.Helper()
 	conn := &recordConn{}
 	d := &workerDriver{t: t, conn: conn, w: &workerState{ctx: context.Background(), conn: conn, opts: WorkerOptions{}.normalized()}}
-	edges := make([][]int32, h.NumEdges())
-	for f := range edges {
-		edges[f] = h.Vertices(f)
-	}
-	load := msgLoad{Descs: part.Descs(), NumV: csr.MustInt32(h.NumVertices()), Edges: edges}
+	g := h.CSR()
+	load := msgLoad{Descs: part.Descs(), NumV: csr.MustInt32(h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
 	d.call(mLoad, load.encode(), 0)
 	fresh := make([]int32, part.NumShards())
 	for s := range fresh {
@@ -200,5 +197,29 @@ func TestWorkerRollbackToCommitted(t *testing.T) {
 	want := core.Decompose(h)
 	if got.MaxK != want.MaxK || !slices.Equal(got.VertexCoreness, want.VertexCoreness) || !slices.Equal(got.EdgeCoreness, want.EdgeCoreness) {
 		t.Fatal("the continuation from the rolled-back replica differs from Decompose")
+	}
+}
+
+// TestLoadRejectsBadMembers sends Load frames that decode but whose
+// rows name vertices outside [0, NumV): the worker hands the decoded
+// arrays to hypergraph.FromRows, which must refuse them with its
+// member error, and no replica is built.
+func TestLoadRejectsBadMembers(t *testing.T) {
+	for _, tc := range []struct {
+		load msgLoad
+		want string
+	}{
+		{msgLoad{NumV: 2, EOff: []int32{0, 0, 2}, EAdj: []int32{0, 5}}, "dist: load graph: hypergraph: edge 1 member 5 out of range [0,2)"},
+		{msgLoad{NumV: 2, EOff: []int32{0, 1}, EAdj: []int32{-1}}, "dist: load graph: hypergraph: edge 0 member -1 out of range [0,2)"},
+		{msgLoad{NumV: -3, EOff: []int32{0, 1}, EAdj: []int32{0}}, "dist: load graph: hypergraph: edge 0 member 0 out of range [0,-3)"},
+	} {
+		w := &workerState{ctx: context.Background(), conn: &recordConn{}, opts: WorkerOptions{}.normalized()}
+		err := w.handle(context.Background(), mLoad, tc.load.encode())
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Load %+v: err = %v, want %s", tc.load, err, tc.want)
+		}
+		if w.peeler != nil {
+			t.Errorf("Load %+v: a replica was built", tc.load)
+		}
 	}
 }

@@ -193,12 +193,16 @@ func (b *Builder) build(copies bool) (*Hypergraph, error) {
 	return assemble(b.vertices.freeze(false, copies), b.edges.freeze(true, copies), b.NumVertices(), eOff, eAdj), nil
 }
 
-// assemble is the one CSR assembly behind Build, FromEdgeSets and Sub.
+// assemble is the one CSR assembly behind Build, FromRows and Sub.
 // It takes ownership of the name tables (nil for an unnamed side) and
 // of the edge-side rows — the members of hyperedge f are
 // eAdj[eOff[f]:eOff[f+1]], sorted, duplicate-free and in [0, nv) — and
-// derives the vertex side by a counting-sort transpose.
+// derives the vertex side by a counting-sort transpose.  Pins arrays
+// without pins become nil, so every route assembles the same value.
 func assemble(vNames, eNames *names, nv int, eOff, eAdj []int32) *Hypergraph {
+	if len(eAdj) == 0 {
+		eAdj = nil
+	}
 	ne := len(eOff) - 1
 	vOff := make([]int32, nv+1)
 	vAdj := make([]int32, len(eAdj))
@@ -241,40 +245,97 @@ func (b *Builder) MustBuild() *Hypergraph {
 // empty, and nv ≤ 0 gives no vertices.  Vertices are named "v0", "v1",
 // ... and edges "f0", "f1", ... so that exported files remain readable;
 // the names share one backing string and are indexed on the first
-// VertexID or EdgeID call.
-// A member outside [0, nv) is an error, as are pins past maxPins.  The sets are copied once into one flat row array,
-// where each row is sorted and compacted in place; the caller's slices
-// are never modified.
+// VertexID or EdgeID call.  A member outside [0, nv) is an error, as
+// are pins past maxPins, and sets holding more than math.MaxInt32
+// members in all, before repeats collapse.  The sets are copied once
+// into one flat row array for FromRows; the caller's slices are never
+// modified.
 func FromEdgeSets(nv int, edges [][]int32) (*Hypergraph, error) {
 	pins := 0
+	for _, members := range edges {
+		pins += len(members)
+	}
+	if pins > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d pins", ErrPinSpace, pins)
+	}
+	eOff := make([]int32, len(edges)+1)
+	eAdj := make([]int32, 0, pins)
 	for f, members := range edges {
-		for _, v := range members {
+		eAdj = append(eAdj, members...)
+		eOff[f+1] = csr.MustInt32(len(eAdj))
+	}
+	return FromRows(nv, eOff, eAdj)
+}
+
+// FromRows builds a hypergraph over nv vertices from flat rows: the
+// members of hyperedge f are eAdj[eOff[f]:eOff[f+1]], in any order and
+// possibly repeated, with the result FromEdgeSets gives for the same
+// rows, names included.  It is the one flat entry point into the CSR
+// assembly, and it takes ownership of both slices: each row that is not
+// already sorted and duplicate-free is sorted in place, the rows are
+// compacted leftwards and the offsets rewritten to match, and the
+// hypergraph keeps the arrays.  The input is checked in full before
+// anything is changed, so untrusted rows (a decoded wire frame) are
+// safe: the offsets must start at 0, never decrease and end at
+// len(eAdj), and every member must lie in [0, nv).  Pins past maxPins
+// after compaction are ErrPinSpace.
+func FromRows(nv int, eOff, eAdj []int32) (*Hypergraph, error) {
+	if len(eOff) == 0 {
+		return nil, errors.New("hypergraph: no row offsets")
+	}
+	if eOff[0] != 0 {
+		return nil, fmt.Errorf("hypergraph: row offsets start at %d, want 0", eOff[0])
+	}
+	ne := len(eOff) - 1
+	for f := 0; f < ne; f++ {
+		if eOff[f+1] < eOff[f] {
+			return nil, fmt.Errorf("hypergraph: row offsets decrease at %d", f+1)
+		}
+	}
+	if int(eOff[ne]) != len(eAdj) {
+		return nil, fmt.Errorf("hypergraph: row offsets end at %d, want the %d pins", eOff[ne], len(eAdj))
+	}
+	for f := 0; f < ne; f++ {
+		for _, v := range eAdj[eOff[f]:eOff[f+1]] {
 			if v < 0 || int(v) >= nv {
 				return nil, fmt.Errorf("hypergraph: edge %d member %d out of range [0,%d)", f, v, nv)
 			}
 		}
-		pins += len(members)
 	}
-	eOff := make([]int32, len(edges)+1)
-	eAdj := make([]int32, pins)
-	n := 0
-	for f, members := range edges {
-		row := eAdj[n : n+len(members)]
-		copy(row, members)
-		slices.Sort(row)
-		n += len(slices.Compact(row))
+	n, start := 0, int32(0)
+	for f := 0; f < ne; f++ {
+		end := eOff[f+1]
+		row := eAdj[start:end]
+		if !strictlyIncreasing(row) {
+			slices.Sort(row)
+			row = slices.Compact(row)
+		}
+		if n != int(start) {
+			copy(eAdj[n:], row)
+		}
+		n += len(row)
 		if n > maxPins {
 			return nil, fmt.Errorf("%w: %d pins", ErrPinSpace, n)
 		}
-		eOff[f+1] = int32(n)
+		eOff[f+1], start = int32(n), end
 	}
 	vNames, err := seqNames('v', nv, false)
 	if err != nil {
 		return nil, err
 	}
-	eNames, err := seqNames('f', len(edges), true)
+	eNames, err := seqNames('f', ne, true)
 	if err != nil {
 		return nil, err
 	}
 	return assemble(vNames, eNames, max(nv, 0), eOff, eAdj[:n:n]), nil
+}
+
+// strictlyIncreasing reports whether row is sorted and duplicate-free.
+func strictlyIncreasing(row []int32) bool {
+	for k := 1; k < len(row); k++ {
+		if row[k] <= row[k-1] {
+			return false
+		}
+	}
+	return true
 }

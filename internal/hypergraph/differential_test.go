@@ -5,6 +5,7 @@ package hypergraph_test
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -87,10 +88,22 @@ func sameHypergraph(got, want *hypergraph.Hypergraph) error {
 	return nil
 }
 
+// flatRows flattens rows into the offsets and pins FromRows takes.
+func flatRows(rows [][]int32) (eOff, eAdj []int32) {
+	eOff = []int32{0}
+	for _, row := range rows {
+		eAdj = append(eAdj, row...)
+		eOff = append(eOff, int32(len(eAdj)))
+	}
+	return eOff, eAdj
+}
+
 // TestDifferentialFromEdgeSets pins FromEdgeSets, which assembles its
 // CSR arrays directly, to the Builder route it replaces: the same
 // arrays, names, name lookups and errors, with the caller's rows left
-// untouched.  The sweep instances are fed back with every row reversed
+// untouched.  FromRows, handed the same rows flattened, must return
+// what FromEdgeSets returns under reflect.DeepEqual, or the same error,
+// and what the Builder route returns.  The sweep instances are fed back with every row reversed
 // and its first member repeated; the hand-made cases cover empty rows,
 // nv of 0 and below, and out-of-range members.
 func TestDifferentialFromEdgeSets(t *testing.T) {
@@ -133,6 +146,14 @@ func TestDifferentialFromEdgeSets(t *testing.T) {
 				t.Fatalf("%s: FromEdgeSets changed input row %d from %v to %v", in.name, f, before[f], row)
 			}
 		}
+		eOff, eAdj := flatRows(in.edges)
+		rows, rerr := hypergraph.FromRows(in.nv, eOff, eAdj)
+		switch {
+		case (rerr == nil) != (gerr == nil) || rerr != nil && rerr.Error() != gerr.Error():
+			t.Fatalf("%s: FromRows error %v, FromEdgeSets error %v", in.name, rerr, gerr)
+		case gerr == nil && !reflect.DeepEqual(rows, got):
+			t.Fatalf("%s: FromRows and FromEdgeSets build different hypergraphs", in.name)
+		}
 		want, werr := builderRoute(in.nv, in.edges)
 		if werr != nil || gerr != nil {
 			if werr == nil || gerr == nil || gerr.Error() != werr.Error() {
@@ -142,6 +163,15 @@ func TestDifferentialFromEdgeSets(t *testing.T) {
 		}
 		if err := sameHypergraph(got, want); err != nil {
 			t.Fatalf("%s: FromEdgeSets vs Builder route: %v", in.name, err)
+		}
+		if err := sameHypergraph(rows, want); err != nil {
+			t.Fatalf("%s: FromRows vs Builder route: %v", in.name, err)
+		}
+		// A side without names is left unnamed (nil) by FromRows but
+		// holds an empty name table from the Builder, which no accessor
+		// tells apart; every other hypergraph is the same value.
+		if want.NumVertices() > 0 && want.NumEdges() > 0 && !reflect.DeepEqual(rows, want) {
+			t.Fatalf("%s: FromRows and the Builder route build different hypergraphs", in.name)
 		}
 		if err := got.CSR().Validate(); err != nil {
 			t.Fatalf("%s: %v", in.name, err)

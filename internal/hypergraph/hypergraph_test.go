@@ -611,3 +611,46 @@ func TestFromEdgeSets(t *testing.T) {
 		t.Error("FromEdgeSets accepted out-of-range member")
 	}
 }
+
+// TestFromRowsRejectsBadRows hands FromRows offsets and members it
+// must refuse, as a corrupt Load frame might carry them: each is an
+// error naming the fault, never a panic, and the rows are left as
+// they came.
+func TestFromRowsRejectsBadRows(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		nv         int
+		eOff, eAdj []int32
+		want       string
+	}{
+		{"no offsets", 3, nil, nil, "hypergraph: no row offsets"},
+		{"empty offsets", 3, []int32{}, []int32{0}, "hypergraph: no row offsets"},
+		{"first offset not 0", 3, []int32{1, 2}, []int32{0, 1}, "hypergraph: row offsets start at 1, want 0"},
+		{"negative first offset", 3, []int32{-1, 1}, []int32{0, 1}, "hypergraph: row offsets start at -1, want 0"},
+		{"decreasing offsets", 3, []int32{0, 2, 1, 3}, []int32{0, 1, 2}, "hypergraph: row offsets decrease at 2"},
+		{"interior offset past the pins", 3, []int32{0, 9, 3}, []int32{0, 1, 2}, "hypergraph: row offsets decrease at 2"},
+		{"last offset short of the pins", 3, []int32{0, 1, 2}, []int32{0, 1, 2}, "hypergraph: row offsets end at 2, want the 3 pins"},
+		{"last offset past the pins", 3, []int32{0, 4}, []int32{0, 1}, "hypergraph: row offsets end at 4, want the 2 pins"},
+		{"member too large", 3, []int32{0, 2, 4}, []int32{2, 0, 1, 3}, "hypergraph: edge 1 member 3 out of range [0,3)"},
+		{"negative member", 3, []int32{0, 1, 2}, []int32{0, -4}, "hypergraph: edge 1 member -4 out of range [0,3)"},
+		{"member with nv 0", 0, []int32{0, 0, 1}, []int32{0}, "hypergraph: edge 1 member 0 out of range [0,0)"},
+	} {
+		before := slices.Clone(tc.eAdj)
+		offBefore := slices.Clone(tc.eOff)
+		var err error
+		func() {
+			defer func() {
+				if x := recover(); x != nil {
+					err = fmt.Errorf("panic: %v", x)
+				}
+			}()
+			_, err = FromRows(tc.nv, tc.eOff, tc.eAdj)
+		}()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %s", tc.name, err, tc.want)
+		}
+		if !slices.Equal(tc.eAdj, before) || !slices.Equal(tc.eOff, offBefore) {
+			t.Errorf("%s: rejected rows changed to %v / %v", tc.name, tc.eOff, tc.eAdj)
+		}
+	}
+}

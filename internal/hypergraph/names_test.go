@@ -237,6 +237,12 @@ func TestPinSpaceBound(t *testing.T) {
 	if _, err := FromEdgeSets(3, [][]int32{{0, 1}, {1, 2}}); !errors.Is(err, ErrPinSpace) {
 		t.Errorf("FromEdgeSets past the bound: %v, want ErrPinSpace", err)
 	}
+	if _, err := FromRows(3, []int32{0, 3, 4}, []int32{1, 0, 1, 2}); err != nil {
+		t.Errorf("FromRows within the bound: %v", err)
+	}
+	if _, err := FromRows(3, []int32{0, 2, 4}, []int32{0, 1, 1, 2}); !errors.Is(err, ErrPinSpace) {
+		t.Errorf("FromRows past the bound: %v, want ErrPinSpace", err)
+	}
 }
 
 // TestFromCSRNames pins the checks on store-layout names: a repeated

@@ -16,10 +16,21 @@ import (
 // allocations far beyond anything the entry list can justify.
 const fuzzDimLimit = 1 << 16
 
+// fuzzShapes are the headers every line of a fuzz input is parsed
+// under: both field kinds, general and symmetric, at small, non-square
+// and int32-wide dimensions.
+var fuzzShapes = []Info{
+	{Rows: 9, Cols: 9}, {Rows: 9, Cols: 9, Pattern: true},
+	{Rows: 7, Cols: 2, Symmetric: true}, {Rows: 7, Cols: 2, Pattern: true, Symmetric: true},
+	{Rows: maxIndex, Cols: maxIndex}, {Rows: maxIndex, Cols: maxIndex, Pattern: true, Symmetric: true},
+}
+
 // FuzzReadMatrixMarket feeds arbitrary bytes to the Matrix Market
-// parser.  Accepted inputs must survive write→read with every entry bit
-// identical, and (for sane dimensions) convert to a structurally valid
-// hypergraph.
+// parser.  Every line of the input that fastEntry accepts under one of
+// fuzzShapes must be accepted by parseEntry with bit-identical indices
+// and value.  Accepted inputs must survive write→read with every entry
+// bit identical, and (for sane dimensions) convert to a structurally
+// valid hypergraph.
 func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1.5\n3 2 -2\n")
 	f.Add("%%MatrixMarket matrix coordinate pattern symmetric\n% comment\n3 3 2\n1 1\n3 2\n")
@@ -32,6 +43,20 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	// Enough entries to cross the reader's periodic checkpoint (256).
 	f.Add("%%MatrixMarket matrix coordinate pattern general\n9 9 300\n" + strings.Repeat("1 1\n", 300))
 	f.Fuzz(func(t *testing.T, data string) {
+		for _, line := range strings.Split(data, "\n") {
+			line := []byte(strings.TrimSuffix(line, "\r"))
+			for k := range fuzzShapes {
+				info := &fuzzShapes[k]
+				i, j, v, ok := fastEntry(line, info)
+				if !ok {
+					continue
+				}
+				gi, gj, gv, _, fault := parseEntry(bytes.TrimSpace(line), nil, info)
+				if fault != "" || gi != i || gj != j || math.Float64bits(gv) != math.Float64bits(v) {
+					t.Fatalf("line %q under %+v: fastEntry gives (%d,%d,%v), parseEntry (%d,%d,%v) %q", line, *info, i, j, v, gi, gj, gv, fault)
+				}
+			}
+		}
 		// A pre-cancelled context surfaces context.Canceled for every
 		// input — never a partial parse or another error class.
 		cctx, cancel := context.WithCancel(context.Background())

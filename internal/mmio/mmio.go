@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -168,10 +169,6 @@ func ScanCtx(ctx context.Context, r io.Reader, ev MatrixEvents) (*Info, error) {
 			return nil, err
 		}
 	}
-	wantFields := 3
-	if info.Pattern {
-		wantFields = 2
-	}
 	var fields [][]byte
 	read, scanned := 0, 0
 	for sc.Scan() {
@@ -186,40 +183,24 @@ func ScanCtx(ctx context.Context, r io.Reader, ev MatrixEvents) (*Info, error) {
 				return nil, err
 			}
 		}
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 || line[0] == '%' {
-			continue
-		}
-		fields = hypergraph.Fields(fields, line)
-		if len(fields) < wantFields {
-			return nil, fmt.Errorf("mmio: entry %d malformed: %q", read+1, line)
-		}
-		// string(b) does not escape: a field of up to 32 bytes is
-		// converted without allocating.
-		i, err1 := strconv.Atoi(string(fields[0]))
-		j, err2 := strconv.Atoi(string(fields[1]))
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("mmio: entry %d malformed: %q", read+1, line)
-		}
-		// A symmetric file also stores the mirror (j, i), which a
-		// non-square size line may not hold.
-		if i < 1 || i > rows || j < 1 || j > cols || (info.Symmetric && (j > rows || i > cols)) {
-			return nil, fmt.Errorf("mmio: entry %d out of range: %q", read+1, line)
-		}
-		v := 1.0
-		if !info.Pattern {
-			var err error
-			v, err = strconv.ParseFloat(string(fields[2]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("mmio: entry %d bad value: %q", read+1, line)
+		line := sc.Bytes()
+		i, j, v, ok := fastEntry(line, info)
+		if !ok {
+			line = bytes.TrimSpace(line)
+			if len(line) == 0 || line[0] == '%' {
+				continue
+			}
+			var fault string
+			if i, j, v, fields, fault = parseEntry(line, fields, info); fault != "" {
+				return nil, fmt.Errorf("mmio: entry %d %s: %q", read+1, fault, line)
 			}
 		}
 		if ev.Entry != nil {
-			if err := ev.Entry(int32(i-1), int32(j-1), v); err != nil {
+			if err := ev.Entry(i, j, v); err != nil {
 				return nil, err
 			}
 			if info.Symmetric && i != j {
-				if err := ev.Entry(int32(j-1), int32(i-1), v); err != nil {
+				if err := ev.Entry(j, i, v); err != nil {
 					return nil, err
 				}
 			}
@@ -233,6 +214,120 @@ func ScanCtx(ctx context.Context, r io.Reader, ev MatrixEvents) (*Info, error) {
 		return nil, fmt.Errorf("mmio: read %d entries, header promised %d", read, nnz)
 	}
 	return info, nil
+}
+
+// inRange reports whether the 1-based entry (i, j) lies inside the
+// size line, and in a symmetric file its mirror (j, i) too, which a
+// non-square size line may not hold.
+func (in *Info) inRange(i, j int) bool {
+	return i >= 1 && i <= in.Rows && j >= 1 && j <= in.Cols && (!in.Symmetric || (j <= in.Rows && i <= in.Cols))
+}
+
+// fastEntry parses the common entry line straight from the scanner's
+// bytes: two unsigned decimal indices of at most 10 digits and, in a
+// real or integer file, one value field of printable ASCII, separated
+// by blanks (space or tab), with blanks allowed at either end.  It
+// accepts the line only when both indices are in range, the mirror of
+// a symmetric entry included, and strconv.ParseFloat takes the value,
+// returning the 0-based indices and the value exactly as parseEntry
+// would.  Every other line, a blank or comment line, a sign, a longer
+// digit run, a byte past ASCII, an extra field or any fault, is !ok
+// and left to parseEntry, so the entries read and the error texts do
+// not depend on which parser took a line.
+//
+//hyperplexvet:hotpath
+func fastEntry(line []byte, info *Info) (i, j int32, v float64, ok bool) {
+	r, p, ok1 := decimal(line, skipBlanks(line, 0))
+	q := skipBlanks(line, p)
+	if !ok1 || q == p {
+		return 0, 0, 0, false
+	}
+	c, p, ok2 := decimal(line, q)
+	if !ok2 || !info.inRange(r, c) {
+		return 0, 0, 0, false
+	}
+	q = skipBlanks(line, p)
+	v = 1
+	if !info.Pattern {
+		start := q
+		for q < len(line) && line[q] > ' ' && line[q] < 0x7f {
+			q++
+		}
+		// The value must follow a blank and hold at least one byte.
+		if start == p || start == q {
+			return 0, 0, 0, false
+		}
+		// string(b) does not escape: a field of up to 32 bytes is
+		// converted without allocating.
+		var err error
+		if v, err = strconv.ParseFloat(string(line[start:q]), 64); err != nil {
+			return 0, 0, 0, false
+		}
+		q = skipBlanks(line, q)
+	}
+	if q != len(line) {
+		return 0, 0, 0, false
+	}
+	return int32(r - 1), int32(c - 1), v, true
+}
+
+// skipBlanks returns the position of the first byte at or after p in
+// line that is not a space or a tab.
+func skipBlanks(line []byte, p int) int {
+	for p < len(line) && (line[p] == ' ' || line[p] == '\t') {
+		p++
+	}
+	return p
+}
+
+// decimal reads the run of ASCII digits at line[p:] and returns its
+// value and the position past it; a run that is empty or longer than
+// 10 digits is !ok.
+func decimal(line []byte, p int) (n, end int, ok bool) {
+	run := line[p:min(p+11, len(line))]
+	k := 0
+	for ; k < len(run) && run[k]-'0' < 10; k++ {
+		n = n*10 + int(run[k]-'0')
+	}
+	return n, p + k, k > 0 && k <= 10
+}
+
+// parseEntry is the general parse of an entry line, trimmed and
+// neither blank nor a comment.  The line is split at any Unicode white
+// space (hypergraph.Fields, reusing fields), the indices are converted
+// by strconv.Atoi, so they may carry a sign, and range-checked, and a
+// real or integer file's value is converted by strconv.ParseFloat;
+// fields past the ones the field type reads are ignored.  It returns
+// the 0-based indices and the value with the split buffer, or the
+// fault ("malformed", "out of range" or "bad value") that rejects the
+// line.
+func parseEntry(line []byte, fields [][]byte, info *Info) (i, j int32, v float64, _ [][]byte, fault string) {
+	fields = hypergraph.Fields(fields, line)
+	want := 3
+	if info.Pattern {
+		want = 2
+	}
+	if len(fields) < want {
+		return 0, 0, 0, fields, "malformed"
+	}
+	// string(b) does not escape: a field of up to 32 bytes is
+	// converted without allocating.
+	r, err1 := strconv.Atoi(string(fields[0]))
+	c, err2 := strconv.Atoi(string(fields[1]))
+	if err1 != nil || err2 != nil {
+		return 0, 0, 0, fields, "malformed"
+	}
+	if !info.inRange(r, c) {
+		return 0, 0, 0, fields, "out of range"
+	}
+	v = 1
+	if !info.Pattern {
+		var err error
+		if v, err = strconv.ParseFloat(string(fields[2]), 64); err != nil {
+			return 0, 0, 0, fields, "bad value"
+		}
+	}
+	return int32(r - 1), int32(c - 1), v, fields, ""
 }
 
 // Read parses a Matrix Market file.  Supported headers:
@@ -325,27 +420,32 @@ func ToHypergraph(m *Matrix) (*hypergraph.Hypergraph, error) {
 		}
 		return nil, fmt.Errorf("mmio: entry %d has no %s index (%d row indices, %d column indices)", min(nr, nc), missing, nr, nc)
 	}
-	// Bucket the entries by column: every column row is carved, at its
-	// exact capacity, from one flat array, so the appends never grow.
-	off := make([]int, m.Cols+1)
+	if m.NNZ() > math.MaxInt32 {
+		return nil, fmt.Errorf("mmio: %d entries: %w", m.NNZ(), hypergraph.ErrPinSpace)
+	}
+	// Bucket the entries by column into one flat array: count each
+	// column's entries at eOff[j+1], turn the counts into row starts,
+	// scatter with eOff[j] as column j's cursor, which leaves it at the
+	// column's end, and shift the offsets back by one.  FromRows takes
+	// both arrays and sorts and compacts each column in place.
+	eOff := make([]int32, m.Cols+1)
 	for k, j := range m.ColIdx {
 		if j < 0 || int(j) >= m.Cols {
 			return nil, fmt.Errorf("mmio: entry %d column %d out of range [0,%d)", k, j, m.Cols)
 		}
-		off[j+1]++
+		eOff[j+1]++
 	}
 	for j := 0; j < m.Cols; j++ {
-		off[j+1] += off[j]
+		eOff[j+1] += eOff[j]
 	}
-	flat := make([]int32, m.NNZ())
-	cols := make([][]int32, m.Cols)
-	for j := range cols {
-		cols[j] = flat[off[j]:off[j]:off[j+1]]
-	}
+	eAdj := make([]int32, m.NNZ())
 	for k, j := range m.ColIdx {
-		cols[j] = append(cols[j], m.RowIdx[k])
+		eAdj[eOff[j]] = m.RowIdx[k]
+		eOff[j]++
 	}
-	return hypergraph.FromEdgeSets(m.Rows, cols)
+	copy(eOff[1:], eOff[:m.Cols])
+	eOff[0] = 0
+	return hypergraph.FromRows(m.Rows, eOff, eAdj)
 }
 
 // FromHypergraph converts a hypergraph back to a pattern matrix

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -174,6 +175,7 @@ func TestReadEntryText(t *testing.T) {
 	const (
 		realHdr    = "%%MatrixMarket matrix coordinate real general\n3 3 1\n"
 		patternHdr = "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n"
+		wideHdr    = "%%MatrixMarket matrix coordinate pattern general\n2147483647 2147483647 1\n"
 	)
 	cases := []struct {
 		header, entry string
@@ -193,6 +195,23 @@ func TestReadEntryText(t *testing.T) {
 		{patternHdr, "+1 2", "(0,1,1)"},
 		{patternHdr, "2 -0", `mmio: entry 1 out of range: "2 -0"`},
 		{patternHdr, "1 2 abc\u2003def", "(0,1,1)"},
+		// Blanks, line ends and digit runs around the fast line shape.
+		{realHdr, "1\t2\t3", "(0,1,3)"},
+		{realHdr, "  1 \t 2    3  ", "(0,1,3)"},
+		{realHdr, "1 2 3\r", "(0,1,3)"},
+		{realHdr, "1 2 3 \t ", "(0,1,3)"},
+		{patternHdr, "1 2\t\r", "(0,1,1)"},
+		{realHdr, "1 2\v3", "(0,1,3)"},
+		{wideHdr, "2147483647 2147483647", "(2147483646,2147483646,1)"},
+		{wideHdr, "2147483648 1", `mmio: entry 1 out of range: "2147483648 1"`},
+		{wideHdr, "1 02147483648", `mmio: entry 1 out of range: "1 02147483648"`},
+		{realHdr, "0000000003 0000000001 5", "(2,0,5)"},
+		{realHdr, "00000000003 00000000001 5", "(2,0,5)"},
+		{realHdr, "1 2 1.5\u00e9", "mmio: entry 1 bad value: \"1 2 1.5\u00e9\""},
+		{realHdr, "1 2 1\xff5", `mmio: entry 1 bad value: "1 2 1\xff5"`},
+		{realHdr, "1 2 1\u00a05", "(0,1,1)"},
+		{realHdr, "1 2 1.5x", `mmio: entry 1 bad value: "1 2 1.5x"`},
+		{realHdr, "1 2", `mmio: entry 1 malformed: "1 2"`},
 	}
 	for _, tc := range cases {
 		got := ""
@@ -204,6 +223,41 @@ func TestReadEntryText(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Errorf("entry %q: got %s, want %s", tc.entry, got, tc.want)
+		}
+	}
+}
+
+// TestWriteTakesFastPath requires every entry line Write emits, pattern
+// and real, to take fastEntry with the indices and value it was written
+// from, so a file in the form hgbench and Table 1 read never falls back
+// to the general parse.
+func TestWriteTakesFastPath(t *testing.T) {
+	vals := []float64{1, -2, 0.5, 1.0 / 3, -1e-300, 6.02214076e23, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)}
+	for _, pattern := range []bool{true, false} {
+		m := &Matrix{Rows: maxIndex, Cols: 12, Pattern: pattern}
+		for k, v := range vals {
+			m.RowIdx = append(m.RowIdx, int32([]int{0, 9, 99999, maxIndex - 1}[k%4]))
+			m.ColIdx = append(m.ColIdx, int32(k))
+			m.Val = append(m.Val, v)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		info := &Info{Rows: m.Rows, Cols: m.Cols, Pattern: pattern}
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")[2:]
+		if len(lines) != m.NNZ() {
+			t.Fatalf("pattern %t: %d entry lines, want %d", pattern, len(lines), m.NNZ())
+		}
+		for k, line := range lines {
+			i, j, v, ok := fastEntry([]byte(line), info)
+			want := m.Val[k]
+			if pattern {
+				want = 1
+			}
+			if !ok || i != m.RowIdx[k] || j != m.ColIdx[k] || math.Float64bits(v) != math.Float64bits(want) {
+				t.Errorf("pattern %t: fastEntry(%q) = (%d,%d,%v,%t), want (%d,%d,%v,true)", pattern, line, i, j, v, ok, m.RowIdx[k], m.ColIdx[k], want)
+			}
 		}
 	}
 }
