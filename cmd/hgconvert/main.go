@@ -9,10 +9,11 @@
 // Matrix Market output writes the pattern matrix of the incidence
 // relation.  Pajek is write-only (the bipartite drawing B(H)).  The
 // binary store format needs a real file on both sides: -from store
-// requires an input path (not stdin), -to store requires -o.  A
-// file-backed text/.mtx input converting to a store streams through
-// store.BuildFile (one pass over a text file, two over a Matrix Market
-// file), so the hypergraph never has to fit in RAM.
+// requires an input path (not stdin), -to store requires -o.  Text
+// input, from a file or stdin, and a Matrix Market file converting to
+// a store stream through store.BuildFile (one pass over the text, two
+// over the Matrix Market file), so the hypergraph never has to fit in
+// RAM.
 package main
 
 import (
@@ -52,19 +53,23 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	ctx, cancel := cli.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	// A file-backed text/.mtx source converting to a store never has to
-	// exist in RAM: the streaming builder reads the input file directly,
-	// once for text and twice for Matrix Market.  Stdin (not
-	// re-openable) and the other input formats fall through to the
-	// in-RAM read + write below.
-	if *to == "store" && fs.Arg(0) != "" && (*from == "text" || *from == "mtx") {
+	// A text source or a Matrix Market file converting to a store never
+	// has to exist in RAM: the streaming builder reads the input
+	// directly, once for text, so stdin serves, and twice for Matrix
+	// Market, which stdin cannot.  Matrix Market on stdin and the other
+	// input formats fall through to the in-RAM read + write below.
+	if *to == "store" && (*from == "text" || (*from == "mtx" && fs.Arg(0) != "")) {
 		if *out == "" {
 			return fmt.Errorf("-to store needs -o FILE (the store is written with fsync-and-rename, not streamed)")
 		}
-		if err := store.BuildFileCtx(ctx, *out, store.FileSource(*from, fs.Arg(0))); err != nil {
+		src, name := store.FileSource(*from, fs.Arg(0)), fs.Arg(0)
+		if name == "" {
+			src, name = store.Source{Format: *from, Open: func() (io.ReadCloser, error) { return io.NopCloser(stdin), nil }}, "stdin"
+		}
+		if err := store.BuildFileCtx(ctx, *out, src); err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "hgconvert: %s → store: streamed %s\n", *from, fs.Arg(0))
+		fmt.Fprintf(stderr, "hgconvert: %s → store: streamed %s\n", *from, name)
 		return nil
 	}
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,14 +68,31 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunStoreRoundTrip converts text → store → text through real
-// files and expects the text to survive unchanged.
+// TestRunStoreRoundTrip converts text on stdin → store → text through
+// real files and expects the text to survive unchanged.  The stdin
+// build must take the streaming builder and write the same bytes as a
+// build from the same text in a file.
 func TestRunStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	storePath := filepath.Join(dir, "g.store")
 	var devnull, errOut bytes.Buffer
 	if err := run([]string{"-to", "store", "-o", storePath}, strings.NewReader(sample), &devnull, &errOut); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(errOut.String(), "streamed stdin") {
+		t.Errorf("text on stdin → store did not take the streaming builder: %q", errOut.String())
+	}
+	textPath, filePath := filepath.Join(dir, "g.txt"), filepath.Join(dir, "file.store")
+	if err := os.WriteFile(textPath, []byte(sample), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-to", "store", "-o", filePath, textPath}, nil, &devnull, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	fromStdin, err1 := os.ReadFile(storePath)
+	fromFile, err2 := os.ReadFile(filePath)
+	if err := errors.Join(err1, err2); err != nil || !bytes.Equal(fromStdin, fromFile) {
+		t.Errorf("the store built from stdin differs from the one built from the same text in a file (%v)", err)
 	}
 	var back bytes.Buffer
 	if err := run([]string{"-from", "store", "-to", "text", storePath}, nil, &back, &errOut); err != nil {

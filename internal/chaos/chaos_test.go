@@ -81,8 +81,10 @@ func TestMain(m *testing.M) {
 // call's error for the harness to judge.
 func drivers() map[string]func(t *testing.T, ctx context.Context) error {
 	return map[string]func(t *testing.T, ctx context.Context) error{
+		// Both drivers of core.RunRounds pass the site; the coordinator
+		// runs first, so the panic arm reaches it with workers live.
 		"core.sharded.exchange": func(t *testing.T, ctx context.Context) error {
-			return errors.Join(shardedDriver(t, ctx), sequentialDriver(t, ctx))
+			return errors.Join(distDriver(t, ctx), shardedDriver(t, ctx), sequentialDriver(t, ctx))
 		},
 		"csr.build": sequentialDriver,
 		"csr.peel":  sequentialDriver,
@@ -248,7 +250,8 @@ var resilientSites = map[string]bool{
 	"dist.reassign":  true,
 }
 
-// distDriver exercises all four distributed-runtime sites through
+// distDriver exercises all four distributed-runtime sites, and the
+// coordinator's pass of core.sharded.exchange, through
 // dist.DecomposeCtx with in-process workers over real loopback
 // connections.  It kills one worker at the first committed barrier so
 // every run crosses the death-recovery path (making dist.reassign
@@ -577,7 +580,14 @@ func TestChaosErrorArmOverSweep(t *testing.T) {
 			return err
 		}},
 		{"core.sharded.exchange", func(ctx context.Context, h *hypergraph.Hypergraph) error {
-			d, err := core.ShardedDecomposeCtx(ctx, h, core.ShardedOptions{Shards: 3})
+			d, err := dist.DecomposeCtx(ctx, h, dist.Options{Workers: 2, Shards: 3})
+			if err == nil {
+				err = check.ValidDecomposition(h, d)
+			}
+			if err != nil && !cleanError(err) {
+				return err
+			}
+			d, err = core.ShardedDecomposeCtx(ctx, h, core.ShardedOptions{Shards: 3})
 			if err == nil {
 				err = check.ValidDecomposition(h, d)
 			}

@@ -14,12 +14,13 @@ import (
 // This file is the one peel kernel: the bulk-synchronous phases every
 // core route runs.  A DistPeeler is a replica of the sharded peel: the
 // full hypergraph as a csr.CSR, the global alive/degree/coreness
-// mirrors, and the shardPeel arenas of the shards assigned to it.  Two
-// drivers run the same phase methods: the in-process driver
-// (sharded.go) gives one replica every shard — a single shard for
-// Decompose, KCore, MaxCore and BiCore — and runs the round loop in
-// the calling goroutine, and the internal/dist worker drives one
-// replica per process over the wire.  Each round's cross-shard traffic
+// mirrors, and the shardPeel arenas of the shards assigned to it.  Its
+// phase methods Apply, Retire and Shrink are the calls of the one
+// round schedule (RunRounds, sharded.go).  The in-process driver gives
+// one replica every shard — a single shard for Decompose, KCore,
+// MaxCore and BiCore — and hands it to RunRounds as the Rounds; the
+// internal/dist worker runs one replica per process and calls the same
+// methods from its frame handlers.  Each round's cross-shard traffic
 // is two deltas — the dying hyperedge IDs and the retired vertex IDs —
 // which every replica applies uniformly, so the mirrors never diverge.
 // Degree decrements, alive flips and coreness clamps are commutative
@@ -58,7 +59,7 @@ const checkEvery = 64
 
 // fpBuild fires where a shard's arena is built over the CSR and its
 // round-0 reduction runs (AssignFresh); fpPeel fires where a peel
-// round re-checks its shrunk hyperedges (CheckShrunk).  Every core
+// round re-checks its shrunk hyperedges (Shrink).  Every core
 // route passes both.
 var (
 	fpBuild = failpoint.Register("csr.build")
@@ -145,7 +146,8 @@ func (p *shardPeel) push(j int32, d int) {
 // DistPeeler is one replica of the sharded peel: the full hypergraph,
 // the global mirrors, and the shardPeel arenas of the shards assigned
 // to it.  It is not safe for concurrent use; its driver calls the
-// phase methods from a single loop.
+// phase methods from a single loop.  A replica that owns every shard
+// is a Rounds on its own; its Resume reports every failure as final.
 type DistPeeler struct {
 	c    *csr.CSR
 	part *partition.Partition
@@ -163,6 +165,12 @@ type DistPeeler struct {
 	shards []*shardPeel // indexed by shard; nil when not owned here
 	snap   csr.Snapshot // the detector's view of c, vAlive and eDeg
 	det    *csr.Detector
+
+	// retiredDelta and dyingDelta hold what Retire and Shrink return,
+	// reused every round: allocated once at their bounds, since a
+	// round's retired delta lists each vertex at most once and its
+	// dying delta each hyperedge.
+	retiredDelta, dyingDelta []int32
 
 	// minSize is the l of a (k, l)-core: a tested hyperedge with fewer
 	// alive members dies.  l ≤ 1 leaves the empty hyperedge, which the
@@ -188,6 +196,9 @@ func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPee
 		stamp:  make([]int32, ne),
 		shards: make([]*shardPeel, part.NumShards()),
 		det:    csr.NewDetector(c),
+
+		retiredDelta: make([]int32, 0, nv),
+		dyingDelta:   make([]int32, 0, ne),
 	}
 	w.snap = csr.Snapshot{C: c, VAlive: w.vAlive, EDeg: w.eDeg, Sig: csr.Signatures(c)}
 	for v := 0; v < nv; v++ {
@@ -343,9 +354,6 @@ func (w *DistPeeler) aliveDegree(v int32) int32 {
 	return d
 }
 
-// DropShard releases shard s (its owner moved elsewhere).
-func (w *DistPeeler) DropShard(s int) { w.shards[s] = nil }
-
 // Snapshot captures owned shard s's barrier state.
 func (w *DistPeeler) Snapshot(s int) *ShardSnapshot {
 	sn := &ShardSnapshot{}
@@ -363,16 +371,17 @@ func (w *DistPeeler) snapshotInto(sn *ShardSnapshot, s int) {
 	sn.Dying = append(sn.Dying[:0], p.dying...)
 }
 
-// PendingDying appends every owned shard's pending dying hyperedges,
-// as global IDs, to dst: the dying delta of the next round when this
-// replica owns every shard.
-func (w *DistPeeler) PendingDying(dst []int32) []int32 {
+// pendingDying collects every owned shard's pending dying hyperedges,
+// as global IDs, into the dying buffer: the dying delta of the next
+// round when this replica owns every shard.
+func (w *DistPeeler) pendingDying() []int32 {
+	w.dyingDelta = w.dyingDelta[:0]
 	for _, p := range w.shards {
 		if p != nil {
-			dst = append(dst, p.dying...)
+			w.dyingDelta = append(w.dyingDelta, p.dying...)
 		}
 	}
-	return dst
+	return w.dyingDelta
 }
 
 // clampCore is the shared coreness assignment: state retired while
@@ -419,17 +428,25 @@ func (w *DistPeeler) testEdges(ctx context.Context, p *shardPeel, edges []int32)
 	return run.Tick(ctx, meter, int64(ops))
 }
 
-// ApplyDying applies a round's dying-hyperedge delta at threshold k:
-// every replica retires the edges in its mirrors (zeroing their
-// degrees for the detector's degree filter), and the owners of their
-// alive members decrement those vertices' degrees (re-pushing them at
-// the new bucket).  The delta must cover every shard's pending dying
-// list; the pending lists are consumed.
+// Apply applies a round's dying-hyperedge delta at threshold k and
+// gathers the frontier: every replica retires the edges in its mirrors
+// (zeroing their degrees for the detector's degree filter), and the
+// owners of their alive members decrement those vertices' degrees
+// (re-pushing them at the new bucket).  The delta must cover every
+// shard's pending dying list; the pending lists are consumed.  Every
+// owned shard's frontier — alive owned vertices whose degree fell
+// below k — is then drained from the bucket queues: every bucket below
+// the threshold is emptied, keeping the entries whose recorded degree
+// is still current (each alive owned vertex below the threshold has
+// exactly one such entry, pushed by its last decrement).  It returns
+// the local frontier size and alive-vertex count for the barrier vote,
+// and charges the delta and the entries it popped.
 //
 //hyperplexvet:hotpath
-func (w *DistPeeler) ApplyDying(ctx context.Context, k int, dying []int32) error {
-	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(len(dying))+1); err != nil {
-		return err
+func (w *DistPeeler) Apply(ctx context.Context, k int, dying []int32) (frontier, alive int, err error) {
+	meter := run.MeterFrom(ctx)
+	if err := run.Tick(ctx, meter, int64(len(dying))+1); err != nil {
+		return 0, 0, err
 	}
 	w.k = k
 	//hyperplexvet:ignore budgettick bounded pass over the delta, charged by the Tick above
@@ -448,35 +465,15 @@ func (w *DistPeeler) ApplyDying(ctx context.Context, k int, dying []int32) error
 			}
 		}
 	}
-	for _, p := range w.shards {
-		if p != nil {
-			p.dying = p.dying[:0]
-		}
-	}
-	return nil
-}
-
-// GatherFrontier gathers every owned shard's frontier — alive owned
-// vertices whose degree fell below the threshold — from the bucket
-// queues: every bucket below the threshold is drained, keeping the
-// entries whose recorded degree is still current (each alive owned
-// vertex below the threshold has exactly one such entry, pushed by its
-// last decrement).  It returns the local frontier size and alive-vertex
-// count for the barrier vote, and charges the entries it popped.
-//
-//hyperplexvet:hotpath
-func (w *DistPeeler) GatherFrontier(ctx context.Context) (frontier, alive int, err error) {
 	pops := 0
 	//hyperplexvet:ignore budgettick bounded sweep over the shards' queues; the Tick below charges every popped entry
 	for _, p := range w.shards {
 		if p == nil {
 			continue
 		}
+		p.dying = p.dying[:0]
 		p.frontier = p.frontier[:0]
-		top := w.k
-		if top > len(p.head) {
-			top = len(p.head)
-		}
+		top := min(k, len(p.head))
 		//hyperplexvet:ignore budgettick bounded drain of the buckets below the threshold, charged by the Tick below
 		for d := p.cur; d < top; d++ {
 			for idx := p.head[d]; idx != -1; idx = p.next[idx] {
@@ -494,39 +491,47 @@ func (w *DistPeeler) GatherFrontier(ctx context.Context) (frontier, alive int, e
 		frontier += len(p.frontier)
 		alive += p.aliveV
 	}
-	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(pops)+1); err != nil {
+	if err := run.Tick(ctx, meter, int64(pops)+1); err != nil {
 		return 0, 0, err
 	}
 	return frontier, alive, nil
 }
 
-// CollectRetired appends the gathered frontiers, as global vertex IDs,
-// to dst and clears them: this replica's part of the retired delta.
-// Nothing is applied yet: the driver gathers every replica's
-// contribution and hands the union to ApplyRetired.
-func (w *DistPeeler) CollectRetired(dst []int32) []int32 {
-	//hyperplexvet:ignore budgettick bounded pass over the frontiers, whose entries GatherFrontier charged
+// Retire returns the gathered frontiers, as global vertex IDs, and
+// clears them: this replica's part of the retired delta of the round
+// at threshold k, in a buffer the next Retire reuses.  Nothing is
+// applied yet: the driver gathers every replica's part and hands the
+// union to Shrink.
+func (w *DistPeeler) Retire(_ context.Context, _ int) ([]int32, error) {
+	w.retiredDelta = w.retiredDelta[:0]
+	//hyperplexvet:ignore budgettick bounded pass over the frontiers, whose entries Apply charged
 	for _, p := range w.shards {
 		if p == nil {
 			continue
 		}
 		for _, j := range p.frontier {
-			dst = append(dst, p.lo+j)
+			w.retiredDelta = append(w.retiredDelta, p.lo+j)
 		}
 		p.frontier = p.frontier[:0]
 	}
-	return dst
+	return w.retiredDelta, nil
 }
 
-// ApplyRetired applies a round's retired-vertex delta: every replica
-// retires the vertices in its mirrors and decrements the degrees of
-// their alive hyperedges, and the owners of those hyperedges record
-// first-shrink stamps for the re-check phase.
+// Shrink applies a round's retired-vertex delta and re-checks what it
+// shrank: every replica retires the vertices in its mirrors and
+// decrements the degrees of their alive hyperedges, the owners of
+// those hyperedges record first-shrink stamps, and every owned
+// hyperedge that shrank is re-checked for emptiness, non-maximality or
+// falling below minSize, refilling each shard's pending dying list.
+// Checkpoint and Snapshot read those lists; Shrink returns them, in a
+// buffer the next Shrink reuses, as the next round's dying delta when
+// this replica owns every shard.
 //
 //hyperplexvet:hotpath
-func (w *DistPeeler) ApplyRetired(ctx context.Context, retired []int32) error {
-	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(len(retired))+1); err != nil {
-		return err
+func (w *DistPeeler) Shrink(ctx context.Context, _ int, retired []int32) ([]int32, error) {
+	meter := run.MeterFrom(ctx)
+	if err := run.Tick(ctx, meter, int64(len(retired))+1); err != nil {
+		return nil, err
 	}
 	w.round++
 	//hyperplexvet:ignore budgettick bounded pass over the delta, charged by the Tick above
@@ -549,27 +554,17 @@ func (w *DistPeeler) ApplyRetired(ctx context.Context, retired []int32) error {
 			}
 		}
 	}
-	return nil
-}
-
-// CheckShrunk re-checks every owned hyperedge that shrank this round
-// for emptiness, non-maximality or falling below minSize, refilling
-// each shard's pending dying list.  Checkpoint, Snapshot or
-// PendingDying read the result.
-//
-//hyperplexvet:hotpath
-func (w *DistPeeler) CheckShrunk(ctx context.Context) error {
 	n := 0
 	for _, p := range w.shards {
 		if p != nil {
 			n += len(p.shrunk)
 		}
 	}
-	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(n)+1); err != nil {
-		return err
+	if err := run.Tick(ctx, meter, int64(n)+1); err != nil {
+		return nil, err
 	}
 	if err := failpoint.Inject(fpPeel); err != nil {
-		return fmt.Errorf("core: peel: %w", err)
+		return nil, fmt.Errorf("core: peel: %w", err)
 	}
 	//hyperplexvet:ignore budgettick bounded sweep over the shards' shrunk lists; testEdges charges each test
 	for _, p := range w.shards {
@@ -578,12 +573,16 @@ func (w *DistPeeler) CheckShrunk(ctx context.Context) error {
 		}
 		p.dying = p.dying[:0]
 		if err := w.testEdges(ctx, p, p.shrunk); err != nil {
-			return err
+			return nil, err
 		}
 		p.shrunk = p.shrunk[:0]
 	}
-	return nil
+	return w.pendingDying(), nil
 }
+
+// Resume reports err as final: a replica keeps no barrier to replay
+// from.
+func (w *DistPeeler) Resume(err error) (int, []int32, error) { return 0, nil, err }
 
 // stopAt ends the peel at the fixpoint of threshold k: every alive
 // vertex and hyperedge is in the k-core, so each gets coreness k.  The

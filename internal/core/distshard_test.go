@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"hyperplex/internal/gen"
@@ -12,76 +13,87 @@ import (
 	"hyperplex/internal/xrand"
 )
 
-// distDriver drives a set of DistPeeler replicas through the broadcast
-// BSP schedule locally — the same loop the internal/dist coordinator
-// runs over the wire, minus transport.  barrier, when non-nil, is
-// invoked after every completed barrier with the current (k, round)
-// and may mutate the replicas (the replay tests restore checkpoints
-// from inside it).
+// replicas is a Rounds over DistPeeler replicas that together own every
+// shard: each call goes to every replica, whose votes are summed and
+// whose deltas are joined, as the internal/dist coordinator does over
+// the wire.  barrier, when non-nil, runs after every Shrink with the
+// barrier's (k, round) and may mutate the replicas (the replay tests
+// restore checkpoints from inside it).
+type replicas struct {
+	t       *testing.T
+	ws      []*DistPeeler
+	round   int
+	barrier func(k, round int, ws []*DistPeeler)
+}
+
+func (r *replicas) Apply(ctx context.Context, k int, dying []int32) (frontier, alive int, _ error) {
+	for _, w := range r.ws {
+		f, a, err := w.Apply(ctx, k, dying)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		retiredDegreesZero(r.t, w, "after Apply")
+		frontier, alive = frontier+f, alive+a
+	}
+	return frontier, alive, nil
+}
+
+// join joins the deltas phase returns on every replica.
+func (r *replicas) join(phase func(w *DistPeeler) ([]int32, error)) []int32 {
+	var out []int32
+	for _, w := range r.ws {
+		delta, err := phase(w)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		out = append(out, delta...)
+	}
+	return out
+}
+
+func (r *replicas) Retire(ctx context.Context, k int) ([]int32, error) {
+	return r.join(func(w *DistPeeler) ([]int32, error) { return w.Retire(ctx, k) }), nil
+}
+
+func (r *replicas) Shrink(ctx context.Context, k int, retired []int32) ([]int32, error) {
+	dying := r.join(func(w *DistPeeler) ([]int32, error) { return w.Shrink(ctx, k, retired) })
+	r.round++
+	if r.barrier != nil {
+		r.barrier(k, r.round, r.ws)
+	}
+	return dying, nil
+}
+
+func (r *replicas) Resume(err error) (int, []int32, error) { return 0, nil, err }
+
+// distDriver assigns the shards of h round-robin over nw replicas and
+// runs RunRounds over them from barrier (0, 0), where barrier first
+// fires.
 func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 	barrier func(k int, round int, workers []*DistPeeler)) *Decomposition {
 	t.Helper()
 	ctx := context.Background()
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 	part := partition.Build(h, partition.NormalizeShards(shards, h.NumVertices()))
-	workers := make([]*DistPeeler, nw)
-	for i := range workers {
-		workers[i] = NewDistPeeler(h, part)
+	r := &replicas{t: t, ws: make([]*DistPeeler, nw), barrier: barrier}
+	for i := range r.ws {
+		r.ws[i] = NewDistPeeler(h, part)
 	}
 	var dying []int32
 	for s := 0; s < part.NumShards(); s++ {
-		must(workers[s%nw].AssignFresh(ctx, s))
-		dying = append(dying, workers[s%nw].Snapshot(s).Dying...)
-	}
-	round := 0
-	if barrier != nil {
-		barrier(0, round, workers)
-	}
-	maxK := 0
-	for k := 1; ; k++ {
-		for {
-			for _, w := range workers {
-				must(w.ApplyDying(ctx, k, dying))
-				retiredDegreesZero(t, w, "after ApplyDying")
-			}
-			frontier, alive := 0, 0
-			for _, w := range workers {
-				f, a, err := w.GatherFrontier(ctx)
-				must(err)
-				frontier += f
-				alive += a
-			}
-			if frontier == 0 && len(dying) == 0 {
-				if alive == 0 {
-					vCore, eCore := workers[0].Coreness()
-					return &Decomposition{VertexCoreness: vCore, EdgeCoreness: eCore, MaxK: maxK}
-				}
-				maxK = k
-				break
-			}
-			var retired []int32
-			for _, w := range workers {
-				retired = w.CollectRetired(retired)
-			}
-			for _, w := range workers {
-				must(w.ApplyRetired(ctx, retired))
-			}
-			dying = dying[:0]
-			for _, w := range workers {
-				must(w.CheckShrunk(ctx))
-				dying = w.PendingDying(dying)
-			}
-			round++
-			if barrier != nil {
-				barrier(k, round, workers)
-			}
+		if err := r.ws[s%nw].AssignFresh(ctx, s); err != nil {
+			t.Fatal(err)
 		}
+		dying = append(dying, r.ws[s%nw].Snapshot(s).Dying...)
 	}
+	if barrier != nil {
+		barrier(0, 0, r.ws)
+	}
+	maxK, err := RunRounds(ctx, r, dying, math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vCore, eCore := r.ws[0].Coreness()
+	return &Decomposition{VertexCoreness: vCore, EdgeCoreness: eCore, MaxK: maxK}
 }
 
 // retiredDegreesZero asserts the invariant the containment detector's
@@ -141,7 +153,7 @@ func TestDistPeelerDifferential(t *testing.T) {
 // replica holds the same coreness mirrors — the invariant that lets
 // any worker serve the final result — and that every replica keeps
 // retired hyperedges at degree 0 at every barrier and at the end (the
-// local BSP loop also checks it after every ApplyDying).
+// replicas' Apply also checks it after every call).
 func TestDistPeelerReplicasAgree(t *testing.T) {
 	h := gen.RandomHypergraph(150, 120, 5, xrand.New(0xA9EE))
 	var workers []*DistPeeler
@@ -373,7 +385,7 @@ func TestDistPeelerSnapshotValidation(t *testing.T) {
 	bad = sn.Clone()
 	bad.Dying = append(bad.Dying, 1)
 	reject("dying edge listed twice", "Dying", bad)
-	if err := w.ApplyDying(ctx, 1, sn.Dying); err != nil {
+	if _, _, err := w.Apply(ctx, 1, sn.Dying); err != nil {
 		t.Fatal(err)
 	}
 	sn = w.Snapshot(0)

@@ -24,18 +24,18 @@
 // This answers the paper's call ("for large hypergraphs, a parallel
 // algorithm will need to be designed").  Its drivers:
 //
-//   - Decompose / KCore / MaxCore / BiCore: the in-process round loop
-//     over one replica that owns a single shard, with every core read
-//     off its decomposition.  KCore and BiCore stop the peel at level
-//     k, as the paper's algorithm does; BiCore adds a minimum
-//     hyperedge size l.
-//   - ShardedDecompose: the same loop over a replica that owns several
+//   - Decompose / KCore / MaxCore / BiCore: RunRounds over one replica
+//     that owns a single shard, with every core read off its
+//     decomposition.  KCore and BiCore stop the peel at level k, as
+//     the paper's algorithm does; BiCore adds a minimum hyperedge
+//     size l.
+//   - ShardedDecompose: RunRounds over a replica that owns several
 //     shards.
-//   - internal/dist: one replica per worker process, driven over the
-//     wire by a coordinator.
+//   - internal/dist: RunRounds over a coordinator that drives one
+//     replica per worker process over the wire.
 //
-// Every driver runs one round schedule, so all return the same
-// decomposition byte for byte, edge coreness included;
+// RunRounds is the one round schedule, so every driver returns the
+// same decomposition byte for byte, edge coreness included;
 // check.RoundDecompose writes that schedule out plainly as the tests'
 // reference.
 package core

@@ -45,3 +45,6 @@ func (w *DistPeeler) Owned() []int {
 	}
 	return out
 }
+
+// DropShard releases shard s (its owner moved elsewhere).
+func (w *DistPeeler) DropShard(s int) { w.shards[s] = nil }

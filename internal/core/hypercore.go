@@ -117,8 +117,8 @@ func KCoreCtx(ctx context.Context, h *hypergraph.Hypergraph, k int) (*Result, er
 	return BiCoreCtx(ctx, h, k, 1)
 }
 
-// Decompose computes the full core decomposition of h: the round loop
-// of ShardedDecompose over a single shard.  It equals ShardedDecompose
+// Decompose computes the full core decomposition of h: the round
+// schedule of ShardedDecompose over a single shard.  It equals ShardedDecompose
 // and the distributed runtime byte for byte, edge coreness included:
 // all of them run DistPeeler's phases on one round schedule.
 func Decompose(h *hypergraph.Hypergraph) *Decomposition {

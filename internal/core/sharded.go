@@ -11,21 +11,20 @@ import (
 	"hyperplex/internal/run"
 )
 
-// This file is the in-process driver of every core route: it
-// partitions the hypergraph into vertex-block shards
-// (internal/partition) — one for the sequential routes, several for
-// ShardedDecompose — gives one DistPeeler replica every shard, and
-// runs the bulk-synchronous round loop of the internal/dist coordinator
-// in the calling goroutine.  The phase methods are the replica's
-// (distshard.go), the only copy of the BSP phases; this loop stands in
-// for the coordinator's broadcasts, handing each round's dying and
-// retired deltas straight back to the replica at the exchange
-// barriers.  The round schedule does not depend on the shard count, so
-// every shard count returns the same decomposition byte for byte, edge
-// coreness included.
+// This file holds the one round schedule, RunRounds, the only code
+// that raises the peeling threshold or detects a level fixpoint, and
+// the in-process driver of every core route: it partitions the
+// hypergraph into vertex-block shards (internal/partition) — one for
+// the sequential routes, several for ShardedDecompose — and runs
+// RunRounds over one DistPeeler replica that owns every shard.  The
+// internal/dist coordinator runs RunRounds over its worker pool.  The
+// phase methods are the replica's (distshard.go), the only copy of the
+// BSP phases.  The schedule does not depend on the shard or worker
+// count, so every driver returns the same decomposition byte for byte,
+// edge coreness included.
 
-// fpShardedExchange fires at every exchange barrier, where a round's
-// dying or retired delta is handed to the replica.
+// fpShardedExchange fires at every exchange barrier of RunRounds,
+// before a round's dying or retired delta is handed to the driver.
 var fpShardedExchange = failpoint.Register("core.sharded.exchange")
 
 // maxShards caps the shard count: every phase loops over the shards,
@@ -66,10 +65,10 @@ func normalizeShardCount(shards, numVertices int) int {
 	return shards
 }
 
-// ShardedDecompose computes the full core decomposition of h with the
-// round loop over opts.Shards vertex blocks.  It runs Decompose's round
-// schedule, so it equals Decompose byte for byte at every shard count,
-// edge coreness included.
+// ShardedDecompose computes the full core decomposition of h over
+// opts.Shards vertex blocks.  It runs Decompose's round schedule, so it
+// equals Decompose byte for byte at every shard count, edge coreness
+// included.
 func ShardedDecompose(h *hypergraph.Hypergraph, opts ShardedOptions) *Decomposition {
 	d, err := ShardedDecomposeCtx(context.Background(), h, opts)
 	if err != nil {
@@ -108,69 +107,90 @@ func decompose(ctx context.Context, h *hypergraph.Hypergraph, shards, l, kmax in
 	return w.peel(ctx, kmax)
 }
 
-// peel assigns every shard to the replica and runs the round loop to
-// the end, or to the fixpoint of threshold kmax, where every survivor
-// gets coreness kmax, so each coreness is the full decomposition's
-// capped at kmax.
+// peel assigns every shard to the replica and runs the round schedule
+// to the end, or to the fixpoint of threshold kmax, where every
+// survivor gets coreness kmax, so each coreness is the full
+// decomposition's capped at kmax.
 func (w *DistPeeler) peel(ctx context.Context, kmax int) (*Decomposition, error) {
 	for s := range w.shards {
 		if err := w.AssignFresh(ctx, s); err != nil {
 			return nil, err
 		}
 	}
-	// The round loop of coordinator.round: it raises the threshold one
-	// level at a time, carrying all peeling state across levels, and
-	// peels each level in rounds until the frontier and the dying delta
-	// are both empty.  One dying and one retired buffer serve every
-	// round, each allocated once at its bound: a round's dying delta
-	// lists each hyperedge at most once, its retired delta each vertex.
-	dying := w.PendingDying(make([]int32, 0, len(w.eAlive)))
-	retired := make([]int32, 0, len(w.vAlive))
-	maxK := 0
-levels:
-	for k := 1; ; k++ {
-		for {
-			if err := exchange(); err != nil {
-				return nil, err
-			}
-			if err := w.ApplyDying(ctx, k, dying); err != nil {
-				return nil, err
-			}
-			frontier, alive, err := w.GatherFrontier(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if frontier == 0 && len(dying) == 0 {
-				if alive == 0 {
-					break levels
-				}
-				maxK = k // level fixpoint: every alive vertex has degree ≥ k
-				if k >= kmax {
-					if err := w.stopAt(ctx, k); err != nil {
-						return nil, err
-					}
-					break levels
-				}
-				break
-			}
-			retired = w.CollectRetired(retired[:0])
-			if err := exchange(); err != nil {
-				return nil, err
-			}
-			if err := w.ApplyRetired(ctx, retired); err != nil {
-				return nil, err
-			}
-			if err := w.CheckShrunk(ctx); err != nil {
-				return nil, err
-			}
-			dying = w.PendingDying(dying[:0])
-		}
+	maxK, err := RunRounds(ctx, w, w.pendingDying(), kmax)
+	if err == nil && maxK >= kmax {
+		err = w.stopAt(ctx, maxK)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &Decomposition{VertexCoreness: w.vCore, EdgeCoreness: w.eCore, MaxK: maxK}, nil
 }
 
+// Rounds is one driver of the round schedule RunRounds runs: a
+// DistPeeler that owns every shard, or the internal/dist coordinator,
+// which broadcasts each call to its workers and sums their replies.
+type Rounds interface {
+	// Apply applies a round's dying delta at threshold k and returns
+	// the frontier vote: the frontier size and the alive vertices.
+	Apply(ctx context.Context, k int, dying []int32) (frontier, alive int, err error)
+	// Retire returns the retired delta of the round at threshold k.
+	Retire(ctx context.Context, k int) ([]int32, error)
+	// Shrink applies the round's retired delta, ends the round at a
+	// barrier, and returns the next round's dying delta.
+	Shrink(ctx context.Context, k int, retired []int32) ([]int32, error)
+	// Resume answers a failed call with the last committed barrier's k
+	// and dying delta, from which the schedule replays, or returns the
+	// error when the failure is not recoverable.
+	Resume(err error) (k int, dying []int32, rerr error)
+}
+
+// RunRounds runs the round schedule from barrier 0, whose dying delta
+// is dying.  It raises the threshold k one level at a time, carrying
+// all peeling state across levels, and peels each level in rounds
+// until the frontier and the dying delta are both empty: the level
+// fixpoint, where every alive vertex has degree ≥ k.  It stops at a
+// fixpoint with nothing alive, returning MaxK, or at the fixpoint of
+// level kmax, returning kmax.  A failed call goes to r.Resume.
+func RunRounds(ctx context.Context, r Rounds, dying []int32, kmax int) (maxK int, err error) {
+	k := 1
+	for {
+		frontier, alive := 0, 0
+		if err = exchange(); err == nil {
+			frontier, alive, err = r.Apply(ctx, k, dying)
+		}
+		if err == nil && frontier == 0 && len(dying) == 0 {
+			if alive == 0 {
+				return maxK, nil
+			}
+			maxK = k
+			if k >= kmax {
+				return maxK, nil
+			}
+			k++
+			continue
+		}
+		var retired []int32
+		if err == nil {
+			retired, err = r.Retire(ctx, k)
+		}
+		if err == nil {
+			err = exchange()
+		}
+		if err == nil {
+			dying, err = r.Shrink(ctx, k, retired)
+		}
+		if err != nil {
+			if k, dying, err = r.Resume(err); err != nil {
+				return 0, err
+			}
+			k = max(k, 1)
+		}
+	}
+}
+
 // exchange is the barrier at which a round's delta is handed to the
-// replica; the failpoint makes the hand-off injectable.
+// driver; the failpoint makes the hand-off injectable.
 func exchange() error {
 	if err := failpoint.Inject(fpShardedExchange); err != nil {
 		return fmt.Errorf("core: sharded exchange: %w", err)

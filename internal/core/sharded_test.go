@@ -98,7 +98,7 @@ func TestShardedDecomposeCtxBudget(t *testing.T) {
 // on Cellzome and on the banded 8000x8000 instance of TestPeelStepPins:
 // the heap allocations of one call (testing.AllocsPerRun) and the steps
 // its phases charge to the run.Meter.  Both are deterministic.  The
-// round loop allocates one dying and one retired buffer per call, at
+// replica allocates its dying and retired buffers once per call, at
 // their bounds, and the phases allocate nothing, so the allocation pin
 // does not depend on the instance; a per-round snapshot or buffer
 // allocation moves it by the round count, and a change to what a phase

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os/exec"
 	"strconv"
@@ -25,8 +26,8 @@ import (
 var fpReassign = failpoint.Register("dist.reassign")
 
 // errWorkerLost is the internal signal that at least one worker died
-// mid-phase; the coordinator's main loop answers it with a recovery
-// and a replay from the last committed barrier.
+// mid-phase; the coordinator's Resume answers it with a recovery, and
+// the round schedule replays from the last committed barrier.
 var errWorkerLost = errors.New("dist: worker lost")
 
 type frameMsg struct {
@@ -49,8 +50,12 @@ type remoteWorker struct {
 
 func (rw *remoteWorker) alive() bool { return rw != nil && !rw.dead }
 
+// coordinator drives the worker pool.  It is the core.Rounds of a
+// distributed run: core.RunRounds calls its Apply, Retire and Shrink,
+// which broadcast one frame each and await every live worker's reply,
+// and its Resume, which recovers the pool after a worker death.
 type coordinator struct {
-	//hyperplexvet:ignore ctxfirst scoped to one runCoordinator call tree, mirroring core.peeler
+	//hyperplexvet:ignore ctxfirst scoped to one runCoordinator call tree, as workerState's is to ServeWorker's
 	ctx   context.Context
 	meter *run.Meter
 	opts  Options
@@ -74,7 +79,6 @@ type coordinator struct {
 	barRound    int32
 	haveBarrier bool
 
-	maxK       int
 	recoveries int
 }
 
@@ -85,53 +89,30 @@ func runCoordinator(ctx context.Context, meter *run.Meter, h *hypergraph.Hypergr
 		return nil, err
 	}
 	if err := c.initialAssign(); err != nil {
-		if !errors.Is(err, errWorkerLost) {
-			return nil, err
-		}
-		if rerr := c.recoverLoop(); rerr != nil {
-			return nil, rerr
-		}
-	}
-	k := 1
-	for {
-		status, err := c.round(k)
-		switch {
-		case err == nil && status == roundMore:
-			// Barrier committed; stay at this threshold.
-		case err == nil && status == roundAdvance:
-			c.maxK = k
-			k++
-		case err == nil && status == roundDone:
-			return c.finish()
-		case errors.Is(err, errWorkerLost):
-			if rerr := c.recoverLoop(); rerr != nil {
-				return nil, rerr
-			}
-			// Replay from the committed barrier's threshold.
-			k = int(c.barK)
-			if k < 1 {
-				k = 1
-			}
-		default:
+		if _, _, err := c.Resume(err); err != nil {
 			return nil, err
 		}
 	}
+	maxK, err := core.RunRounds(ctx, c, c.dying, math.MaxInt)
+	if err != nil {
+		return nil, err
+	}
+	return c.finish(maxK)
 }
 
-// recoverLoop runs worker-death recovery, answering further deaths
-// during the recovery itself with another attempt, until the pool is
-// consistent again, the recovery budget runs out, or a fatal error
-// surfaces.
-func (c *coordinator) recoverLoop() error {
-	for {
-		err := c.recoverPool()
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, errWorkerLost) {
-			return err
-		}
+// Resume answers a worker death with recovery, attempted again while
+// further deaths interrupt it, until the pool is consistent, the
+// recovery budget runs out, or a fatal error surfaces.  It returns the
+// last committed barrier's k and dying delta, the replay point; any
+// other error is final.
+func (c *coordinator) Resume(err error) (int, []int32, error) {
+	for errors.Is(err, errWorkerLost) {
+		err = c.recoverPool()
 	}
+	if err != nil {
+		return 0, nil, err
+	}
+	return int(c.barK), c.dying, nil
 }
 
 // setup serializes the problem, builds the partition, starts the
@@ -481,14 +462,9 @@ func (c *coordinator) initialAssign() error {
 // awaitBarrier awaits rw's Barrier frame for (k, round) and returns
 // its validated snapshots.
 func (c *coordinator) awaitBarrier(rw *remoteWorker, k, round int32) ([]*core.ShardSnapshot, error) {
-	payload, err := c.await(rw, mBarrier)
-	if err != nil {
-		return nil, err
-	}
 	var m msgBarrier
-	if err := m.decode(payload); err != nil {
-		c.kill(rw)
-		return nil, fmt.Errorf("%w: worker %d: %w", errWorkerLost, rw.id, err)
+	if err := c.awaitDecode(rw, mBarrier, &m); err != nil {
+		return nil, err
 	}
 	if m.K != k || m.Round != round {
 		c.kill(rw)
@@ -504,75 +480,75 @@ func (c *coordinator) awaitBarrier(rw *remoteWorker, k, round int32) ([]*core.Sh
 	return m.Snaps, nil
 }
 
-type roundStatus int
-
-const (
-	roundMore    roundStatus = iota // barrier committed, stay at k
-	roundAdvance                    // level fixpoint with survivors: k++
-	roundDone                       // level fixpoint with nothing alive
-)
-
-// round drives one BSP round at threshold k: broadcast the dying
-// delta, gather the frontier vote, and either detect the level
-// fixpoint or retire-shrink-barrier.
-func (c *coordinator) round(k int) (roundStatus, error) {
-	if err := run.Tick(c.ctx, c.meter, int64(len(c.dying))+1); err != nil {
-		return 0, err
+// awaitDecode awaits rw's next frame of type want and decodes it into
+// m; a frame that does not decode kills the worker.
+func (c *coordinator) awaitDecode(rw *remoteWorker, want byte, m interface{ decode([]byte) error }) error {
+	payload, err := c.await(rw, want)
+	if err != nil {
+		return err
 	}
-	apply := msgRound{Epoch: c.epoch, K: int32(k), Round: c.barRound, IDs: c.dying}
+	if err := m.decode(payload); err != nil {
+		c.kill(rw)
+		return fmt.Errorf("%w: worker %d: %w", errWorkerLost, rw.id, err)
+	}
+	return nil
+}
+
+// Apply broadcasts a round's dying delta at threshold k and sums the
+// workers' frontier votes.
+func (c *coordinator) Apply(ctx context.Context, k int, dying []int32) (frontier, alive int, err error) {
+	if err := run.Tick(ctx, c.meter, int64(len(dying))+1); err != nil {
+		return 0, 0, err
+	}
+	apply := msgRound{Epoch: c.epoch, K: int32(k), Round: c.barRound, IDs: dying}
 	if err := c.broadcast(mApply, apply.encode()); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	frontier, alive := 0, 0
 	for _, rw := range c.aliveWorkers() {
-		payload, err := c.await(rw, mFrontier)
-		if err != nil {
-			return 0, err
-		}
 		var m msgRound
-		if err := m.decode(payload); err != nil {
-			c.kill(rw)
-			return 0, fmt.Errorf("%w: worker %d: %w", errWorkerLost, rw.id, err)
+		if err := c.awaitDecode(rw, mFrontier, &m); err != nil {
+			return 0, 0, err
 		}
 		frontier += int(m.A)
 		alive += int(m.B)
 	}
-	if frontier == 0 && len(c.dying) == 0 {
-		if alive == 0 {
-			return roundDone, nil
-		}
-		return roundAdvance, nil
-	}
+	return frontier, alive, nil
+}
 
+// Retire asks every worker for its part of the retired delta of the
+// round at threshold k and returns their union.
+func (c *coordinator) Retire(_ context.Context, k int) ([]int32, error) {
 	retire := msgRound{Epoch: c.epoch, K: int32(k), Round: c.barRound}
 	if err := c.broadcast(mRetire, retire.encode()); err != nil {
-		return 0, err
+		return nil, err
 	}
 	var retired []int32
 	for _, rw := range c.aliveWorkers() {
-		payload, err := c.await(rw, mRetired)
-		if err != nil {
-			return 0, err
-		}
 		var m msgRound
-		if err := m.decode(payload); err != nil {
-			c.kill(rw)
-			return 0, fmt.Errorf("%w: worker %d: %w", errWorkerLost, rw.id, err)
+		if err := c.awaitDecode(rw, mRetired, &m); err != nil {
+			return nil, err
 		}
 		retired = append(retired, m.IDs...)
 	}
+	return retired, nil
+}
 
+// Shrink broadcasts the retired delta of the round at threshold k,
+// collects every worker's barrier vote and commits the barrier: its
+// shard snapshots and the union of their dying lists become the replay
+// point, and the union is the next round's dying delta.
+func (c *coordinator) Shrink(_ context.Context, k int, retired []int32) ([]int32, error) {
 	newRound := c.barRound + 1
 	shrink := msgRound{Epoch: c.epoch, K: int32(k), Round: newRound, IDs: retired}
 	if err := c.broadcast(mShrink, shrink.encode()); err != nil {
-		return 0, err
+		return nil, err
 	}
 	collected := make([]*core.ShardSnapshot, c.part.NumShards())
 	var dying []int32
 	for _, rw := range c.aliveWorkers() {
 		snaps, err := c.awaitBarrier(rw, int32(k), newRound)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		for _, sn := range snaps {
 			collected[sn.Shard] = sn
@@ -581,14 +557,14 @@ func (c *coordinator) round(k int) (roundStatus, error) {
 	}
 	for s, sn := range collected {
 		if sn == nil {
-			return 0, fmt.Errorf("%w: shard %d missing from barrier %d", errWorkerLost, s, newRound)
+			return nil, fmt.Errorf("%w: shard %d missing from barrier %d", errWorkerLost, s, newRound)
 		}
 	}
 	c.snaps = collected
 	c.dying = dying
 	c.barK, c.barRound = int32(k), newRound
 	c.fireBarrierHook()
-	return roundMore, nil
+	return dying, nil
 }
 
 func (c *coordinator) fireBarrierHook() {
@@ -664,7 +640,7 @@ func (c *coordinator) recoverPool() error {
 
 // finish asks a surviving replica for the final mirrors; any replica
 // holds the complete answer, so each is tried in turn.
-func (c *coordinator) finish() (*core.Decomposition, error) {
+func (c *coordinator) finish(maxK int) (*core.Decomposition, error) {
 	fin := msgRound{Epoch: c.epoch, K: c.barK, Round: c.barRound}
 	for _, rw := range c.aliveWorkers() {
 		if err := sendRetry(c.ctx, rw.conn, mFinish, fin.encode(), c.opts.SendRetries); err != nil {
@@ -686,7 +662,7 @@ func (c *coordinator) finish() (*core.Decomposition, error) {
 		return &core.Decomposition{
 			VertexCoreness: coreInt(m.VCore),
 			EdgeCoreness:   coreInt(m.ECore),
-			MaxK:           c.maxK,
+			MaxK:           maxK,
 		}, nil
 	}
 	return nil, fmt.Errorf("%w: no worker could report the result", ErrPoolFailed)

@@ -52,9 +52,10 @@ type Options struct {
 
 	// OnBarrier, when set, runs on the coordinator after every
 	// committed barrier with the barrier's (k, round) tag and a kill
-	// switch that severs a live worker's connection.  It exists as the
-	// deterministic worker-death harness for this package's tests and
-	// the chaos suite; production callers leave it nil.
+	// switch that severs a live worker's connection.  It is the
+	// deterministic worker-death harness of this package's tests and
+	// the chaos suite, and the benchmark's barrier counter; the CLIs
+	// leave it nil.
 	OnBarrier func(k, round int32, kill func(worker int))
 }
 

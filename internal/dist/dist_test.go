@@ -213,6 +213,56 @@ func TestDifferentialDistDecompose(t *testing.T) {
 	})
 }
 
+// TestDifferentialSchedule pins that the in-process driver and the
+// coordinator run one round schedule, over the sweep instances,
+// Cellzome and the banded 8000×8000 instance at 1–3 workers and 2–5
+// shards.  ShardedDecomposeCtx passes csr.peel once per Shrink call and
+// core.sharded.exchange before every Apply and every Shrink; the
+// distributed run must commit one barrier per Shrink after barrier
+// (0, 0), pass the exchange site as often, and return the same
+// decomposition.
+func TestDifferentialSchedule(t *testing.T) {
+	defer failpoint.DisableAll()
+	// hits runs decompose with both sites counting and returns its
+	// result and the hits of each.
+	hits := func(decompose func() (*core.Decomposition, error)) (d *core.Decomposition, shrinks, exchanges int) {
+		t.Helper()
+		for _, site := range []string{"csr.peel", "core.sharded.exchange"} {
+			if err := failpoint.Enable(site, failpoint.Arm{Mode: failpoint.ModeDelay}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := decompose()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, failpoint.Fired("csr.peel"), failpoint.Fired("core.sharded.exchange")
+	}
+	_, banded := bandedLoad(t)
+	leakChecked(t, func(t *testing.T) {
+		for i, h := range append(check.Instances(10, 0x5C4E), dataset.Cellzome().H, banded) {
+			for _, cfg := range [][2]int{{1, 2}, {2, 3}, {3, 4}, {2, 5}} {
+				local, shrinks, localEx := hits(func() (*core.Decomposition, error) {
+					return core.ShardedDecomposeCtx(context.Background(), h, core.ShardedOptions{Shards: cfg[1]})
+				})
+				// A slow beat: a worker declared dead would replay
+				// rounds and commit extra barriers.
+				barriers := 0
+				opts := Options{Workers: cfg[0], Shards: cfg[1], HeartbeatInterval: time.Second}
+				opts.OnBarrier = func(int32, int32, func(int)) { barriers++ }
+				d, _, distEx := hits(func() (*core.Decomposition, error) { return Decompose(h, opts) })
+				if shrinks != barriers-1 || localEx != distEx || local.MaxK != d.MaxK {
+					t.Fatalf("instance %d, %d workers, %d shards: in process %d Shrink calls, %d exchanges, MaxK %d; distributed %d barriers after (0, 0), %d exchanges, MaxK %d",
+						i, cfg[0], cfg[1], shrinks, localEx, local.MaxK, barriers-1, distEx, d.MaxK)
+				}
+				if !slices.Equal(local.VertexCoreness, d.VertexCoreness) || !slices.Equal(local.EdgeCoreness, d.EdgeCoreness) {
+					t.Fatalf("instance %d, %d workers, %d shards: the distributed decomposition differs from ShardedDecomposeCtx's", i, cfg[0], cfg[1])
+				}
+			}
+		}
+	})
+}
+
 // TestDistHeartbeatDeath kills a worker through the dist.heartbeat
 // panic arm — the injected panic is recovered in the worker, its
 // connection severed, and the coordinator recovers the run.

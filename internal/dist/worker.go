@@ -220,7 +220,10 @@ func (w *workerState) handle(ctx context.Context, typ byte, payload []byte) erro
 			return err
 		}
 		w.epoch = m.Epoch
-		m.IDs = w.peelerOrNil().CollectRetired(nil)
+		var err error
+		if m.IDs, err = w.peelerOrNil().Retire(ctx, int(m.K)); err != nil {
+			return err
+		}
 		return w.send(mRetired, m.encode())
 	case mShrink:
 		var m msgRound
@@ -363,10 +366,7 @@ func (w *workerState) apply(ctx context.Context, m *msgRound) error {
 		w.release(w.committed)
 		w.committed, w.pending = w.pending, nil
 	}
-	if err := w.peelerOrNil().ApplyDying(ctx, int(m.K), m.IDs); err != nil {
-		return err
-	}
-	f, a, err := w.peeler.GatherFrontier(ctx)
+	f, a, err := w.peelerOrNil().Apply(ctx, int(m.K), m.IDs)
 	if err != nil {
 		return err
 	}
@@ -376,10 +376,7 @@ func (w *workerState) apply(ctx context.Context, m *msgRound) error {
 
 func (w *workerState) shrink(ctx context.Context, m *msgRound) error {
 	w.epoch = m.Epoch
-	if err := w.peelerOrNil().ApplyRetired(ctx, m.IDs); err != nil {
-		return err
-	}
-	if err := w.peeler.CheckShrunk(ctx); err != nil {
+	if _, err := w.peelerOrNil().Shrink(ctx, int(m.K), m.IDs); err != nil {
 		return err
 	}
 	// Tentative checkpoint: this barrier is committed only once every

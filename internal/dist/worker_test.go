@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"context"
+	"errors"
+	"math"
 	"net"
 	"reflect"
 	"slices"
@@ -26,14 +28,17 @@ type recordConn struct {
 
 func (c *recordConn) Write(p []byte) (int, error) { return c.out.Write(p) }
 
-// workerDriver plays the coordinator of coordinator.round against one
-// workerState that owns every shard.
+// workerDriver plays the coordinator against one workerState that
+// owns every shard: it is a core.Rounds over the worker's frames, so
+// core.RunRounds schedules the rounds.  atBarrier, when set, runs after
+// every vote; an error it returns ends the run.
 type workerDriver struct {
-	t     *testing.T
-	w     *workerState
-	conn  *recordConn
-	epoch uint32
-	maxK  int32
+	t         *testing.T
+	w         *workerState
+	conn      *recordConn
+	epoch     uint32
+	bar       barrierTag // the barrier the worker last voted at
+	atBarrier func(b barrierTag) error
 }
 
 // barrierTag is a barrier the worker voted at and the dying delta its
@@ -44,8 +49,8 @@ type barrierTag struct {
 }
 
 // newWorkerDriver loads h and its partition into a fresh worker and
-// assigns it every shard; it returns barrier (0, 0).
-func newWorkerDriver(t *testing.T, h *hypergraph.Hypergraph, part *partition.Partition) (*workerDriver, barrierTag) {
+// assigns it every shard, which leaves it at barrier (0, 0).
+func newWorkerDriver(t *testing.T, h *hypergraph.Hypergraph, part *partition.Partition) *workerDriver {
 	t.Helper()
 	conn := &recordConn{}
 	d := &workerDriver{t: t, conn: conn, w: &workerState{ctx: context.Background(), conn: conn, opts: WorkerOptions{}.normalized()}}
@@ -58,7 +63,8 @@ func newWorkerDriver(t *testing.T, h *hypergraph.Hypergraph, part *partition.Par
 	}
 	var b msgBarrier
 	d.decode(&b, d.call(mAssign, (&msgAssign{Fresh: fresh}).encode(), mBarrier))
-	return d, barrierTag{dying: snapshotsDying(b.Snaps)}
+	d.bar = barrierTag{dying: snapshotsDying(b.Snaps)}
+	return d
 }
 
 func snapshotsDying(snaps []*core.ShardSnapshot) []int32 {
@@ -96,83 +102,83 @@ func (d *workerDriver) decode(m codec, payload []byte) {
 	}
 }
 
-// round runs one round at threshold k from barrier b, as
-// coordinator.round does, and returns the new barrier when the round
-// ends in one.
-func (d *workerDriver) round(k int32, b barrierTag) (roundStatus, barrierTag) {
-	d.t.Helper()
+func (d *workerDriver) Apply(_ context.Context, k int, dying []int32) (int, int, error) {
 	var fr msgRound
-	d.decode(&fr, d.call(mApply, (&msgRound{Epoch: d.epoch, K: k, Round: b.round, IDs: b.dying}).encode(), mFrontier))
-	if fr.A == 0 && len(b.dying) == 0 {
-		if fr.B == 0 {
-			return roundDone, b
-		}
-		d.maxK = k
-		return roundAdvance, b
-	}
+	d.decode(&fr, d.call(mApply, (&msgRound{Epoch: d.epoch, K: int32(k), Round: d.bar.round, IDs: dying}).encode(), mFrontier))
+	return int(fr.A), int(fr.B), nil
+}
+
+func (d *workerDriver) Retire(_ context.Context, k int) ([]int32, error) {
 	var rt msgRound
-	d.decode(&rt, d.call(mRetire, (&msgRound{Epoch: d.epoch, K: k, Round: b.round}).encode(), mRetired))
+	d.decode(&rt, d.call(mRetire, (&msgRound{Epoch: d.epoch, K: int32(k), Round: d.bar.round}).encode(), mRetired))
+	return rt.IDs, nil
+}
+
+func (d *workerDriver) Shrink(_ context.Context, k int, retired []int32) ([]int32, error) {
+	d.t.Helper()
 	var bar msgBarrier
-	next := b.round + 1
-	d.decode(&bar, d.call(mShrink, (&msgRound{Epoch: d.epoch, K: k, Round: next, IDs: rt.IDs}).encode(), mBarrier))
-	if bar.K != k || bar.Round != next {
+	next := d.bar.round + 1
+	d.decode(&bar, d.call(mShrink, (&msgRound{Epoch: d.epoch, K: int32(k), Round: next, IDs: retired}).encode(), mBarrier))
+	if bar.K != int32(k) || bar.Round != next {
 		d.t.Fatalf("worker voted barrier (%d, %d), want (%d, %d)", bar.K, bar.Round, k, next)
 	}
-	return roundMore, barrierTag{k: k, round: next, dying: snapshotsDying(bar.Snaps)}
-}
-
-// nextBarrier runs rounds from barrier b until the worker votes at the
-// next barrier.
-func (d *workerDriver) nextBarrier(b barrierTag) barrierTag {
-	d.t.Helper()
-	for k := max(b.k, 1); ; {
-		status, nb := d.round(k, b)
-		switch status {
-		case roundMore:
-			return nb
-		case roundAdvance:
-			k++
-		default:
-			d.t.Fatal("the peel ended before the next barrier; enlarge the instance")
+	d.bar = barrierTag{k: int32(k), round: next, dying: snapshotsDying(bar.Snaps)}
+	if d.atBarrier != nil {
+		if err := d.atBarrier(d.bar); err != nil {
+			return nil, err
 		}
 	}
+	return d.bar.dying, nil
 }
 
-// finish runs rounds from barrier b to the end of the peel and returns
-// the worker's result.
-func (d *workerDriver) finish(b barrierTag) *core.Decomposition {
+func (d *workerDriver) Resume(err error) (int, []int32, error) { return 0, nil, err }
+
+// run runs the round schedule from the last barrier, which must be at
+// k ≤ 1, where RunRounds starts.  It returns RunRounds' error, or the
+// worker's result at the end of the peel.
+func (d *workerDriver) run() (*core.Decomposition, error) {
 	d.t.Helper()
-	for k := max(b.k, 1); ; {
-		status, nb := d.round(k, b)
-		switch status {
-		case roundMore:
-			b = nb
-		case roundAdvance:
-			k++
-		default:
-			var res msgResult
-			d.decode(&res, d.call(mFinish, (&msgRound{Epoch: d.epoch, K: b.k, Round: b.round}).encode(), mResult))
-			return &core.Decomposition{VertexCoreness: coreInt(res.VCore), EdgeCoreness: coreInt(res.ECore), MaxK: int(d.maxK)}
-		}
+	maxK, err := core.RunRounds(context.Background(), d, d.bar.dying, math.MaxInt)
+	if err != nil {
+		return nil, err
 	}
+	var res msgResult
+	d.decode(&res, d.call(mFinish, (&msgRound{Epoch: d.epoch, K: d.bar.k, Round: d.bar.round}).encode(), mResult))
+	return &core.Decomposition{VertexCoreness: coreInt(res.VCore), EdgeCoreness: coreInt(res.ECore), MaxK: maxK}, nil
 }
+
+// errPeerLost stands for a peer's death after the worker's vote: the
+// barrier is never committed.
+var errPeerLost = errors.New("peer lost")
 
 // TestWorkerRollbackToCommitted drives one worker through the frames of
 // a run that loses a peer after the worker voted at barrier B2: Load,
 // Assign, a round ending in its vote at B1, an Apply that commits B1,
 // a round ending in its vote at B2, and a Rollback to B1.  The B2 vote
 // must reuse the spare checkpoint and leave the committed one intact,
-// so after the rollback the replica equals a reference worker driven
-// only to B1 (mirrors and every shard snapshot), and the continuation
-// is exact.
+// so after the rollback the replica equals a reference worker stopped
+// at its vote at B1 (mirrors and every shard snapshot), and the
+// continuation from B1 is exact.
 func TestWorkerRollbackToCommitted(t *testing.T) {
 	h := gen.RandomHypergraph(180, 140, 5, xrand.New(0xBEEF))
 	part := partition.Build(h, 3)
-	d, b0 := newWorkerDriver(t, h, part)
+	d := newWorkerDriver(t, h, part)
 	spare := d.w.committed.cp // the Assign checkpoint, spare once B1 commits
-	b1 := d.nextBarrier(b0)
-	voted := d.w.pending.cp
-	b2 := d.nextBarrier(b1)
+	var b1 barrierTag
+	var voted *core.PeelCheckpoint
+	d.atBarrier = func(b barrierTag) error {
+		if b.round == 1 {
+			b1, voted = b, d.w.pending.cp
+			return nil
+		}
+		return errPeerLost
+	}
+	if _, err := d.run(); !errors.Is(err, errPeerLost) {
+		t.Fatalf("run: err = %v, want it stopped at B2", err)
+	}
+	if b2 := d.bar; b1.k != 1 || b2.round != 2 {
+		t.Fatalf("B1 at (%d, %d), B2 at (%d, %d): want B1 at k = 1, where RunRounds resumes, and B2 after it", b1.k, b1.round, b2.k, b2.round)
+	}
 	if d.w.committed.cp != voted || d.w.committed.k != b1.k || d.w.committed.round != b1.round {
 		t.Fatalf("committed slot is (%d, %d), want the B1 vote (%d, %d)", d.w.committed.k, d.w.committed.round, b1.k, b1.round)
 	}
@@ -181,19 +187,27 @@ func TestWorkerRollbackToCommitted(t *testing.T) {
 	}
 	d.epoch++
 	d.call(mRollback, (&msgRound{Epoch: d.epoch, K: b1.k, Round: b1.round}).encode(), 0)
-	if d.w.pending != nil || d.w.spare == nil || d.w.spare.k != b2.k || d.w.spare.round != b2.round {
+	if d.w.pending != nil || d.w.spare == nil || d.w.spare.k != d.bar.k || d.w.spare.round != d.bar.round {
 		t.Fatal("after the rollback the B2 vote should be the spare and nothing pending")
 	}
 
-	ref, r0 := newWorkerDriver(t, h, part)
-	if rb1 := ref.nextBarrier(r0); rb1.k != b1.k || rb1.round != b1.round || !slices.Equal(rb1.dying, b1.dying) {
+	ref := newWorkerDriver(t, h, part)
+	ref.atBarrier = func(barrierTag) error { return errPeerLost }
+	if _, err := ref.run(); !errors.Is(err, errPeerLost) {
+		t.Fatalf("reference run: err = %v, want it stopped at its first vote", err)
+	}
+	if rb1 := ref.bar; rb1.k != b1.k || rb1.round != b1.round || !slices.Equal(rb1.dying, b1.dying) {
 		t.Fatalf("reference voted (%d, %d), worker voted (%d, %d)", rb1.k, rb1.round, b1.k, b1.round)
 	}
 	if got, want := d.w.peeler.Checkpoint(nil), ref.w.peeler.Checkpoint(nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replica rolled back to B1 differs from the reference at B1:\n got %+v\nwant %+v", got, want)
 	}
 
-	got := d.finish(b1)
+	d.atBarrier, d.bar = nil, b1
+	got, err := d.run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := core.Decompose(h)
 	if got.MaxK != want.MaxK || !slices.Equal(got.VertexCoreness, want.VertexCoreness) || !slices.Equal(got.EdgeCoreness, want.EdgeCoreness) {
 		t.Fatal("the continuation from the rolled-back replica differs from Decompose")

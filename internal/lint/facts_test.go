@@ -39,8 +39,8 @@ func TestCollectFactsMultiPackage(t *testing.T) {
 		t.Error("core facts missing failpoint site core.sharded.exchange")
 	}
 	// exchange injects the failpoint, the phases tick the meter, and
-	// CheckShrunk checkpoints through testEdges, a same-package call.
-	for _, fn := range []string{"exchange", "ApplyDying", "testEdges", "CheckShrunk"} {
+	// Shrink also checkpoints through testEdges, a same-package call.
+	for _, fn := range []string{"exchange", "Apply", "testEdges", "Shrink"} {
 		if !hasNamed(core.Checkpointers, fn) {
 			t.Errorf("core checkpointer fixpoint missing %s", fn)
 		}
