@@ -583,56 +583,6 @@ func BenchmarkAblationCoverHeap(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationStorage compares traversal over the CSR hypergraph
-// against the map-of-sets representation.
-func BenchmarkAblationStorage(b *testing.B) {
-	h := gen.RandomHypergraph(5000, 3000, 12, xrand.New(7))
-	m := hypergraph.NewMapHypergraph(h)
-	b.Run("csr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sum := 0
-			for v := 0; v < h.NumVertices(); v++ {
-				for _, f := range h.Edges(v) {
-					sum += h.EdgeDegree(int(f))
-				}
-			}
-			if sum == 0 {
-				b.Fatal("no pins")
-			}
-		}
-	})
-	b.Run("mapset", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sum := 0
-			for v := range m.VertexEdges {
-				for f := range m.VertexEdges[v] {
-					sum += m.EdgeDegree(f)
-				}
-			}
-			if sum == 0 {
-				b.Fatal("no pins")
-			}
-		}
-	})
-}
-
-// BenchmarkAblationAPSP compares exact all-pairs BFS against sampled
-// landmarks for the average path length.
-func BenchmarkAblationAPSP(b *testing.B) {
-	h := cellzome(b).H
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			stats.SmallWorldStats(h, runtime.NumCPU())
-		}
-	})
-	b.Run("sampled-64", func(b *testing.B) {
-		rng := xrand.New(11)
-		for i := 0; i < b.N; i++ {
-			stats.SmallWorldSampled(h, 64, runtime.NumCPU(), rng)
-		}
-	})
-}
-
 func itoa(i int) string {
 	if i == 0 {
 		return "0"

@@ -14,9 +14,10 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden experiments output")
 
 // goldenIDs is the deterministic subset of the experiment registry:
-// everything except the experiments that sample trial noise (X1, X5),
-// time-dependent scaling runs (T1, X3) or write artifact files whose
-// content is covered elsewhere (F3).
+// everything except the experiment that samples trial noise (X1), the
+// human-scale run whose small-world numbers stats pins on its own
+// (X5), time-dependent scaling runs (T1, X3) or write artifact files
+// whose content is covered elsewhere (F3).
 var goldenIDs = []string{"F1", "F2", "S2", "S3", "S4", "X2"}
 
 // timingRe erases wall-clock measurements so the pinned output only

@@ -16,7 +16,6 @@ import (
 
 	"hyperplex"
 	"hyperplex/internal/dataset"
-	"hyperplex/internal/stats"
 )
 
 func main() {
@@ -49,12 +48,11 @@ func main() {
 	fmt.Printf("maximum core: %d-core, %d proteins / %d complexes in %.2fs\n",
 		mc.K, mc.NumVertices, mc.NumEdges, time.Since(start).Seconds())
 
-	// Sampled small-world metrics (exact APSP would be |V| BFS runs).
-	rng := hyperplex.NewRNG(7)
+	// Exact small-world metrics: all-pairs distances, 64 sources per sweep.
 	start = time.Now()
-	sw := stats.SmallWorldSampled(h, 256, runtime.NumCPU(), rng)
-	fmt.Printf("sampled small-world: diameter ≥ %d, avg path ≈ %.2f (%.2fs from 256 sources)\n",
-		sw.Diameter, sw.AvgPathLength, time.Since(start).Seconds())
+	sw := hyperplex.SmallWorldStats(h, runtime.NumCPU())
+	fmt.Printf("exact small-world: diameter %d, avg path %.3f (%.2fs from all %d sources)\n",
+		sw.Diameter, sw.AvgPathLength, time.Since(start).Seconds(), sw.Sources)
 
 	// Bait selection at scale.
 	start = time.Now()

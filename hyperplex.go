@@ -164,8 +164,8 @@ func GreedyMulticoverCtx(ctx context.Context, h *Hypergraph, weights []float64, 
 }
 
 // SmallWorldStatsCtx is SmallWorldStats with cancellation and budget
-// checkpoints.  On error the returned summary is a partial sampled
-// estimate over the sources completed so far.
+// checkpoints.  On error the returned summary covers the BFS sources
+// whose sweeps completed, and its diameter is a lower bound.
 func SmallWorldStatsCtx(ctx context.Context, h *Hypergraph, workers int) (SmallWorld, error) {
 	return stats.SmallWorldStatsCtx(ctx, h, workers)
 }
@@ -262,7 +262,7 @@ func JudgeDistribution(hist []int, threshold float64) DistributionVerdict {
 func Components(h *Hypergraph) ([]int32, []int32, []ComponentInfo) { return stats.Components(h) }
 
 // SmallWorldStats computes the exact diameter and average path length
-// with a parallel all-pairs BFS.
+// with a parallel all-pairs BFS, 64 sources per sweep.
 func SmallWorldStats(h *Hypergraph, workers int) SmallWorld { return stats.SmallWorldStats(h, workers) }
 
 // ComputeStorageCosts measures the §1.2 space argument on h.

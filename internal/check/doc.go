@@ -14,9 +14,9 @@
 //     ValidCover, ValidPrimalDual, ValidPath) that verify a result
 //     satisfies the paper's definitions on the original hypergraph;
 //   - naive oracles (KCoreOracle, BiCoreOracle, ShortestPathNaive,
-//     MulticoverOptBrute) computed directly from the definitions by
-//     fixpoint iteration, breadth-first search, or exhaustive
-//     enumeration, the paper's own overlap-count peel
+//     SmallWorldNaive, MulticoverOptBrute) computed directly from the
+//     definitions by fixpoint iteration, breadth-first search, or
+//     exhaustive enumeration, the paper's own overlap-count peel
 //     (OverlapDecompose, OverlapCore), the reference every peel route
 //     is compared with, and RoundDecompose, the production peel's
 //     round schedule written out plainly, which pins its edge

@@ -50,3 +50,48 @@ func ValidPath(h *hypergraph.Hypergraph, from, to int, p stats.HyperPath) error 
 	}
 	return nil
 }
+
+// SmallWorldNaive is the oracle of stats.SmallWorldStats: one plain
+// breadth-first search per source vertex over the incidence lists,
+// independent of internal/graph and of the stats kernel.  Diameter is
+// the largest distance found, AvgPathLength the mean over ordered
+// pairs of distinct connected vertices, and Pairs counts those pairs
+// unordered.
+func SmallWorldNaive(h *hypergraph.Hypergraph) stats.SmallWorld {
+	nv := h.NumVertices()
+	sw := stats.SmallWorld{Sources: nv}
+	var sum, pairs int64
+	d := make([]int, nv)
+	for src := 0; src < nv; src++ {
+		for i := range d {
+			d[i] = -1
+		}
+		eSeen := make([]bool, h.NumEdges())
+		d[src] = 0
+		queue := []int{src}
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, f := range h.Edges(u) {
+				if eSeen[f] {
+					continue
+				}
+				eSeen[f] = true
+				for _, w := range h.Vertices(int(f)) {
+					if d[w] >= 0 {
+						continue
+					}
+					d[w] = d[u] + 1
+					sw.Diameter = max(sw.Diameter, d[w])
+					sum += int64(d[w])
+					pairs++
+					queue = append(queue, int(w))
+				}
+			}
+		}
+	}
+	if pairs > 0 {
+		sw.AvgPathLength = float64(sum) / float64(pairs)
+	}
+	sw.Pairs = pairs / 2
+	return sw
+}

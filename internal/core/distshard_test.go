@@ -88,7 +88,7 @@ func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 	if barrier != nil {
 		barrier(0, 0, r.ws)
 	}
-	maxK, err := RunRounds(ctx, r, dying, math.MaxInt)
+	maxK, err := RunRounds(ctx, r, dying, math.MaxInt, h.MaxVertexDegree())
 	if err != nil {
 		t.Fatal(err)
 	}

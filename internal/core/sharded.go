@@ -104,20 +104,20 @@ func decompose(ctx context.Context, h *hypergraph.Hypergraph, shards, l, kmax in
 	}
 	w := NewDistPeeler(h, part)
 	w.minSize = l
-	return w.peel(ctx, kmax)
+	return w.peel(ctx, kmax, h.MaxVertexDegree())
 }
 
 // peel assigns every shard to the replica and runs the round schedule
 // to the end, or to the fixpoint of threshold kmax, where every
 // survivor gets coreness kmax, so each coreness is the full
-// decomposition's capped at kmax.
-func (w *DistPeeler) peel(ctx context.Context, kmax int) (*Decomposition, error) {
+// decomposition's capped at kmax.  maxDeg is the hypergraph's ΔV.
+func (w *DistPeeler) peel(ctx context.Context, kmax, maxDeg int) (*Decomposition, error) {
 	for s := range w.shards {
 		if err := w.AssignFresh(ctx, s); err != nil {
 			return nil, err
 		}
 	}
-	maxK, err := RunRounds(ctx, w, w.pendingDying(), kmax)
+	maxK, err := RunRounds(ctx, w, w.pendingDying(), kmax, maxDeg)
 	if err == nil && maxK >= kmax {
 		err = w.stopAt(ctx, maxK)
 	}
@@ -152,7 +152,12 @@ type Rounds interface {
 // fixpoint, where every alive vertex has degree ≥ k.  It stops at a
 // fixpoint with nothing alive, returning MaxK, or at the fixpoint of
 // level kmax, returning kmax.  A failed call goes to r.Resume.
-func RunRounds(ctx context.Context, r Rounds, dying []int32, kmax int) (maxK int, err error) {
+//
+// maxDeg is ΔV, the hypergraph's largest vertex degree.  No vertex
+// survives level ΔV + 1, so a vote that keeps a vertex alive at that
+// fixpoint is wrong, and RunRounds returns an error instead of raising
+// k forever.
+func RunRounds(ctx context.Context, r Rounds, dying []int32, kmax, maxDeg int) (maxK int, err error) {
 	k := 1
 	for {
 		frontier, alive := 0, 0
@@ -162,6 +167,9 @@ func RunRounds(ctx context.Context, r Rounds, dying []int32, kmax int) (maxK int
 		if err == nil && frontier == 0 && len(dying) == 0 {
 			if alive == 0 {
 				return maxK, nil
+			}
+			if k > maxDeg {
+				return 0, fmt.Errorf("core: level %d ends with vertices alive (the vote counts %d), but no vertex survives level ΔV + 1 = %d", k, alive, maxDeg+1)
 			}
 			maxK = k
 			if k >= kmax {

@@ -6,6 +6,9 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"hyperplex/internal/check"
@@ -135,5 +138,37 @@ func TestShardedCostPins(t *testing.T) {
 		if allocs != tc.allocs {
 			t.Errorf("%s: ShardedDecomposeCtx at 2 shards made %v allocations, pinned %v", tc.name, allocs, tc.allocs)
 		}
+	}
+}
+
+// stuckVote is a core.Rounds whose frontier vote never empties a
+// level: every Apply reports no frontier and one alive vertex.
+type stuckVote struct{ levels int }
+
+func (s *stuckVote) Apply(context.Context, int, []int32) (int, int, error) {
+	s.levels++
+	if s.levels > 1000 {
+		return 0, 0, errors.New("RunRounds still raising k after 1000 levels")
+	}
+	return 0, 1, nil
+}
+func (s *stuckVote) Retire(context.Context, int) ([]int32, error)          { return nil, nil }
+func (s *stuckVote) Shrink(context.Context, int, []int32) ([]int32, error) { return nil, nil }
+func (s *stuckVote) Resume(err error) (int, []int32, error)                { return 0, nil, err }
+
+// TestRunRoundsStopsAtDegreeBound requires RunRounds to reject a vote
+// that keeps a vertex alive at the fixpoint of level ΔV + 1, where no
+// vertex survives, with an error naming the level and the bound,
+// after at most ΔV + 1 levels instead of raising k until cancelled.
+func TestRunRoundsStopsAtDegreeBound(t *testing.T) {
+	maxDeg := dataset.Cellzome().H.MaxVertexDegree()
+	r := &stuckVote{}
+	_, err := core.RunRounds(context.Background(), r, nil, math.MaxInt, maxDeg)
+	want := fmt.Sprintf("level %d ends with vertices alive (the vote counts 1), but no vertex survives level ΔV + 1 = %d", maxDeg+1, maxDeg+1)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("RunRounds error %v, want one containing %q", err, want)
+	}
+	if r.levels > maxDeg+1 {
+		t.Fatalf("RunRounds ran %d levels, want at most ΔV + 1 = %d", r.levels, maxDeg+1)
 	}
 }

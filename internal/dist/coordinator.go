@@ -93,7 +93,7 @@ func runCoordinator(ctx context.Context, meter *run.Meter, h *hypergraph.Hypergr
 			return nil, err
 		}
 	}
-	maxK, err := core.RunRounds(ctx, c, c.dying, math.MaxInt)
+	maxK, err := core.RunRounds(ctx, c, c.dying, math.MaxInt, h.MaxVertexDegree())
 	if err != nil {
 		return nil, err
 	}

@@ -39,6 +39,7 @@ type workerDriver struct {
 	epoch     uint32
 	bar       barrierTag // the barrier the worker last voted at
 	atBarrier func(b barrierTag) error
+	maxDeg    int // the loaded hypergraph's ΔV
 }
 
 // barrierTag is a barrier the worker voted at and the dying delta its
@@ -53,7 +54,7 @@ type barrierTag struct {
 func newWorkerDriver(t *testing.T, h *hypergraph.Hypergraph, part *partition.Partition) *workerDriver {
 	t.Helper()
 	conn := &recordConn{}
-	d := &workerDriver{t: t, conn: conn, w: &workerState{ctx: context.Background(), conn: conn, opts: WorkerOptions{}.normalized()}}
+	d := &workerDriver{t: t, conn: conn, w: &workerState{ctx: context.Background(), conn: conn, opts: WorkerOptions{}.normalized()}, maxDeg: h.MaxVertexDegree()}
 	g := h.CSR()
 	load := msgLoad{Descs: part.Descs(), NumV: csr.MustInt32(h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
 	d.call(mLoad, load.encode(), 0)
@@ -138,7 +139,7 @@ func (d *workerDriver) Resume(err error) (int, []int32, error) { return 0, nil, 
 // worker's result at the end of the peel.
 func (d *workerDriver) run() (*core.Decomposition, error) {
 	d.t.Helper()
-	maxK, err := core.RunRounds(context.Background(), d, d.bar.dying, math.MaxInt)
+	maxK, err := core.RunRounds(context.Background(), d, d.bar.dying, math.MaxInt, d.maxDeg)
 	if err != nil {
 		return nil, err
 	}

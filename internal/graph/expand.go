@@ -26,15 +26,6 @@ func CliqueExpansion(h *hypergraph.Hypergraph) *Graph {
 	return MustBuild(h.NumVertices(), edges)
 }
 
-// CliqueExpansionEdgeCount returns the number of distinct edges the
-// clique expansion would create, without materializing it.  (Used by
-// storage-cost accounting; it simply builds the deduplicated structure
-// and reports, since exact deduplicated counting requires the
-// structure anyway.)
-func CliqueExpansionEdgeCount(h *hypergraph.Hypergraph) int {
-	return CliqueExpansion(h).NumEdges()
-}
-
 // StarExpansion returns the protein-protein interaction graph in which
 // every complex is replaced by a star: the complex's bait protein is
 // connected to every other member.  baitOf[f] gives the bait vertex of

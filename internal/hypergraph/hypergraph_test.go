@@ -446,42 +446,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestMapHypergraphRoundTrip(t *testing.T) {
-	h := tiny(t)
-	m := NewMapHypergraph(h)
-	if m.NumVertices() != h.NumVertices() || m.NumEdges() != h.NumEdges() {
-		t.Fatalf("MapHypergraph shape mismatch")
-	}
-	rebuilt, _, _ := m.Build()
-	if rebuilt.NumPins() != h.NumPins() {
-		t.Errorf("round-trip pins = %d, want %d", rebuilt.NumPins(), h.NumPins())
-	}
-	if err := rebuilt.CSR().Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestMapHypergraphDelete(t *testing.T) {
-	h := tiny(t)
-	m := NewMapHypergraph(h)
-	c, _ := h.VertexID("c")
-	m.DeleteVertex(c)
-	for f := 0; f < h.NumEdges(); f++ {
-		if m.EdgeContains(f, c) {
-			t.Errorf("edge %d still contains deleted vertex", f)
-		}
-	}
-	c1, _ := h.EdgeID("c1")
-	if got := m.EdgeDegree(c1); got != 2 {
-		t.Errorf("after DeleteVertex, deg(c1) = %d, want 2", got)
-	}
-	m.DeleteEdge(c1)
-	a, _ := h.VertexID("a")
-	if got := m.VertexDegree(a); got != 0 {
-		t.Errorf("after DeleteEdge, deg(a) = %d, want 0", got)
-	}
-}
-
 // randomHypergraph builds a random hypergraph for property tests.
 func randomHypergraph(seed uint64, nv, ne, maxSize int) *Hypergraph {
 	rng := xrand.New(seed)

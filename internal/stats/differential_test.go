@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"hyperplex/internal/check"
 	"hyperplex/internal/dataset"
@@ -64,6 +65,33 @@ func TestDifferentialAlternatingPath(t *testing.T) {
 	}
 }
 
+// TestPropertyShortestPathMatchesDistance requires ShortestPath on
+// random small hypergraphs to agree with the oracle on reachability
+// and distance, and every returned path to pass ValidPath.
+func TestPropertyShortestPathMatchesDistance(t *testing.T) {
+	prop := func(seed uint64) bool {
+		rng := xrand.New(seed)
+		nv := 4 + rng.Intn(15)
+		ne := 2 + rng.Intn(12)
+		edges := make([][]int32, ne)
+		for f := range edges {
+			size := 1 + rng.Intn(4)
+			for i := 0; i < size; i++ {
+				edges[f] = append(edges[f], int32(rng.Intn(nv)))
+			}
+		}
+		h, err := hypergraph.FromEdgeSets(nv, edges)
+		if err != nil {
+			return false
+		}
+		comparePair(t, fmt.Sprintf("seed %#x", seed), h, rng.Intn(nv), rng.Intn(nv))
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
 func labelOf(i int, h *hypergraph.Hypergraph) string {
 	return fmt.Sprintf("instance %d %v", i, h)
 }
@@ -107,5 +135,34 @@ func TestDifferentialComponentsBipartite(t *testing.T) {
 				t.Fatalf("instance %d (%v): %s differs from the B(H) reference", i, h, impl.name)
 			}
 		}
+	}
+}
+
+// TestDifferentialSmallWorld requires SmallWorldStats to equal the
+// per-source BFS oracle field for field, on every sweep instance and on
+// Cellzome, at every worker count.
+func TestDifferentialSmallWorld(t *testing.T) {
+	hs := append(check.Instances(60, 0x5A11), dataset.Cellzome().H)
+	for i, h := range hs {
+		want := check.SmallWorldNaive(h)
+		for _, w := range []int{1, 2, 3, 8} {
+			if got := stats.SmallWorldStats(h, w); got != want {
+				t.Fatalf("%s, %d workers: SmallWorldStats = %+v, oracle %+v", labelOf(i, h), w, got, want)
+			}
+		}
+	}
+}
+
+// TestSmallWorldProteomePin pins the exact small-world numbers of X5's
+// 20000-protein proteome: every one of its 199,990,000 pairs is
+// connected.
+func TestSmallWorldProteomePin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("all-pairs distances over 20000 proteins")
+	}
+	h := dataset.SyntheticProteome(20000, 3000, 0x42A1)
+	want := stats.SmallWorld{Diameter: 5, AvgPathLength: 2.9427923246162306, Pairs: 199_990_000, Sources: 20000}
+	if got := stats.SmallWorldStats(h, 0); got != want {
+		t.Fatalf("SmallWorldStats = %+v, want %+v", got, want)
 	}
 }

@@ -1,7 +1,9 @@
 package stats
 
 import (
-	"hyperplex/internal/graph"
+	"slices"
+
+	"hyperplex/internal/csr"
 	"hyperplex/internal/hypergraph"
 )
 
@@ -31,50 +33,58 @@ func (p HyperPath) Format(h *hypergraph.Hypergraph) string {
 
 // ShortestPath returns a shortest alternating path between two
 // vertices, or ok = false if they are disconnected.  A vertex's
-// distance to itself is the empty path.  BFS over the bipartite graph
-// B(H) guarantees minimality in the number of hyperedges.
+// distance to itself is the empty path.  A BFS over the incidence
+// arrays, alternating vertex and hyperedge steps, guarantees
+// minimality in the number of hyperedges.
 func ShortestPath(h *hypergraph.Hypergraph, from, to int) (HyperPath, bool) {
 	if from == to {
 		return HyperPath{Vertices: []int{from}}, true
 	}
-	bip := graph.Bipartite(h)
-	n := bip.NumVertices()
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = -2 // unvisited
+	c := h.CSR()
+	// vPar[v] is the hyperedge the BFS reached vertex v through, and
+	// ePar[f] the vertex it reached hyperedge f from; -1 is unvisited.
+	vPar := make([]int32, h.NumVertices())
+	ePar := make([]int32, h.NumEdges())
+	for i := range vPar {
+		vPar[i] = -1
 	}
-	parent[from] = -1
-	queue := []int32{int32(from)}
+	for i := range ePar {
+		ePar[i] = -1
+	}
+	src := csr.MustInt32(from)
+	queue := []int32{src}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for _, w := range bip.Neighbors(int(u)) {
-			if parent[w] != -2 {
+		for _, f := range c.VertexEdges(u) {
+			if ePar[f] >= 0 {
 				continue
 			}
-			parent[w] = u
-			if int(w) == to {
-				return tracePath(h, parent, to), true
+			ePar[f] = u
+			for _, w := range c.EdgeVertices(f) {
+				if w == src || vPar[w] >= 0 {
+					continue
+				}
+				vPar[w] = f
+				if int(w) == to {
+					return tracePath(vPar, ePar, src, w), true
+				}
+				queue = append(queue, w)
 			}
-			queue = append(queue, w)
 		}
 	}
 	return HyperPath{}, false
 }
 
-func tracePath(h *hypergraph.Hypergraph, parent []int32, to int) HyperPath {
-	nv := h.NumVertices()
-	var rev []int
-	for at := to; at != -1; at = int(parent[at]) {
-		rev = append(rev, at)
+// tracePath walks the BFS parents back from to and returns the path
+// from src.
+func tracePath(vPar, ePar []int32, src, to int32) HyperPath {
+	var p HyperPath
+	for v := to; v != src; v = ePar[vPar[v]] {
+		p.Vertices = append(p.Vertices, int(v))
+		p.Edges = append(p.Edges, int(vPar[v]))
 	}
-	p := HyperPath{}
-	for i := len(rev) - 1; i >= 0; i-- {
-		id := rev[i]
-		if id < nv {
-			p.Vertices = append(p.Vertices, id)
-		} else {
-			p.Edges = append(p.Edges, id-nv)
-		}
-	}
+	p.Vertices = append(p.Vertices, int(src))
+	slices.Reverse(p.Vertices)
+	slices.Reverse(p.Edges)
 	return p
 }

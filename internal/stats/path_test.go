@@ -3,10 +3,8 @@ package stats
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"hyperplex/internal/hypergraph"
-	"hyperplex/internal/xrand"
 )
 
 func TestShortestPathChain(t *testing.T) {
@@ -55,58 +53,5 @@ func TestShortestPathDisconnected(t *testing.T) {
 	x, _ := h.VertexID("x")
 	if _, ok := ShortestPath(h, a, x); ok {
 		t.Error("found a path across components")
-	}
-}
-
-func TestPropertyShortestPathMatchesDistance(t *testing.T) {
-	prop := func(seed uint64) bool {
-		rng := xrand.New(seed)
-		nv := 4 + rng.Intn(15)
-		ne := 2 + rng.Intn(12)
-		edges := make([][]int32, ne)
-		for f := range edges {
-			size := 1 + rng.Intn(4)
-			for i := 0; i < size; i++ {
-				edges[f] = append(edges[f], int32(rng.Intn(nv)))
-			}
-		}
-		h, err := hypergraph.FromEdgeSets(nv, edges)
-		if err != nil {
-			return false
-		}
-		u := rng.Intn(nv)
-		v := rng.Intn(nv)
-		p, ok := ShortestPath(h, u, v)
-		// Cross-check against the pairwise distance from the exact
-		// machinery.
-		ecc, _ := Eccentricity(h, u)
-		_ = ecc
-		hist := DistanceHistogram(h, 1)
-		_ = hist
-		if !ok {
-			return u != v // same-vertex always has a path
-		}
-		// Path validity: no repeats, alternation correct.
-		seenV := map[int]bool{}
-		for _, x := range p.Vertices {
-			if seenV[x] {
-				return false
-			}
-			seenV[x] = true
-		}
-		seenF := map[int]bool{}
-		for i, f := range p.Edges {
-			if seenF[f] {
-				return false
-			}
-			seenF[f] = true
-			if !h.EdgeContains(f, p.Vertices[i]) || !h.EdgeContains(f, p.Vertices[i+1]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }

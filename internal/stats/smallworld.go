@@ -3,19 +3,24 @@ package stats
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"hyperplex/internal/csr"
 	"hyperplex/internal/failpoint"
-	"hyperplex/internal/graph"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/run"
-	"hyperplex/internal/xrand"
 )
 
-// fpBFSSource fires before each BFS source in the all-pairs sweep.
+// fpBFSSource fires before each sweep of the all-pairs kernel, once
+// per batch of up to sweepWidth BFS sources.
 var fpBFSSource = failpoint.Register("stats.bfs.source")
+
+// sweepWidth is the number of BFS sources one sweep runs: one bit of a
+// uint64 mask per source.
+const sweepWidth = 64
 
 // SmallWorld summarizes the distance structure of a hypergraph under
 // the paper's path metric (path length = number of hyperedges on an
@@ -28,18 +33,18 @@ type SmallWorld struct {
 	// distinct vertices in the same component.
 	AvgPathLength float64
 	// Pairs is the number of (unordered) connected vertex pairs the
-	// average is taken over.
+	// average is taken over; a partial result counts ordered pairs.
 	Pairs int64
-	// Sources is the number of BFS sources used (|V| for the exact
-	// computation, the sample size for the sampled one).
+	// Sources is the number of BFS sources the summary covers: |V|
+	// unless the run was interrupted.
 	Sources int
 }
 
 // SmallWorldStats computes the exact diameter and average path length
-// by running one BFS per vertex over the bipartite graph B(H),
-// splitting the sources over `workers` goroutines (≤ 0 selects
-// runtime.NumCPU()).  Hypergraph distances are bipartite distances
-// halved.
+// from a BFS of every vertex, run 64 sources per sweep over the
+// incidence arrays, with the sweeps split over `workers` goroutines
+// (≤ 0 selects runtime.NumCPU()).  The result does not depend on the
+// worker count.
 func SmallWorldStats(h *hypergraph.Hypergraph, workers int) SmallWorld {
 	sw, err := SmallWorldStatsCtx(context.Background(), h, workers)
 	if err != nil {
@@ -49,240 +54,185 @@ func SmallWorldStats(h *hypergraph.Hypergraph, workers int) SmallWorld {
 }
 
 // SmallWorldStatsCtx is SmallWorldStats honoring cancellation, deadline
-// and any run.Budget attached to ctx (one checkpoint per BFS source,
-// charging |V| steps each).  On cancellation or budget exhaustion it
-// degrades to a sampled estimate: the returned SmallWorld summarizes
-// the BFS sources completed before the interruption (Sources reports
-// how many, Diameter becomes a lower bound — exactly the semantics of
-// SmallWorldSampled) alongside the non-nil error.
+// and any run.Budget attached to ctx: one checkpoint per BFS level of a
+// sweep, charging the 2·|E| pins the level reads.  On cancellation or
+// budget exhaustion the returned SmallWorld summarizes the sweeps
+// completed before the interruption, alongside the non-nil error:
+// Sources counts their sources, Diameter is a lower bound and Pairs
+// counts ordered (source, target) pairs.
 func SmallWorldStatsCtx(ctx context.Context, h *hypergraph.Hypergraph, workers int) (SmallWorld, error) {
-	return smallWorldCtx(ctx, h, workers, nil)
+	hist, sources, err := distanceHistogram(ctx, h, workers)
+	sw := SmallWorld{Sources: sources}
+	var sum int64
+	for d, c := range hist {
+		if c > 0 {
+			sw.Diameter = d
+		}
+		sum += int64(d) * c
+		sw.Pairs += c
+	}
+	if sw.Pairs > 0 {
+		sw.AvgPathLength = float64(sum) / float64(sw.Pairs)
+	}
+	if sources == h.NumVertices() {
+		sw.Pairs /= 2 // every unordered pair was counted from both ends
+	}
+	return sw, err
 }
 
-// SmallWorldSampled estimates diameter (as the max eccentricity over
-// the sampled sources — a lower bound) and average path length from a
-// uniform sample of BFS sources.  It is the cheap alternative assessed
-// by the APSP ablation benchmark.
-func SmallWorldSampled(h *hypergraph.Hypergraph, samples int, workers int, rng *xrand.RNG) SmallWorld {
-	sw, err := SmallWorldSampledCtx(context.Background(), h, samples, workers, rng)
-	if err != nil {
-		panic(err) // only reachable through an armed failpoint
-	}
-	return sw
-}
-
-// SmallWorldSampledCtx is SmallWorldSampled honoring cancellation,
-// deadline and any run.Budget attached to ctx, with the same
-// partial-result semantics as SmallWorldStatsCtx (the estimate shrinks
-// to the sources completed before the interruption).
-func SmallWorldSampledCtx(ctx context.Context, h *hypergraph.Hypergraph, samples int, workers int, rng *xrand.RNG) (SmallWorld, error) {
-	nv := h.NumVertices()
-	if samples >= nv {
-		return smallWorldCtx(ctx, h, workers, nil)
-	}
-	perm := rng.Perm(nv)
-	return smallWorldCtx(ctx, h, workers, perm[:samples])
-}
-
-// smallWorldCtx runs BFS from the given sources (nil = all vertices),
-// dispatching sources to workers through an atomic index.  A worker
-// panic is recovered at the worker boundary and returned as an error;
-// the remaining workers drain quickly because every iteration begins by
-// checking whether a failure was already recorded.  The returned
-// SmallWorld always summarizes the sources that completed.
-func smallWorldCtx(ctx context.Context, h *hypergraph.Hypergraph, workers int, sources []int) (SmallWorld, error) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+// distanceHistogram is the traversal kernel: a BFS from every vertex,
+// run as multi-source BFS over h's incidence arrays (MS-BFS; Then et
+// al., "The More the Merrier", VLDB 2015), sweepWidth sources per
+// sweep.  hist[d] counts the ordered (source, target) pairs at
+// distance d ≥ 1 found by the sweeps that completed, and sources
+// counts those sweeps' sources.  Workers take sweeps from an atomic
+// counter and add integer histograms, so the result is the same at
+// every worker count.  A worker panic is recovered at the worker
+// boundary and returned as an error; the other workers stop before
+// their next sweep.
+func distanceHistogram(ctx context.Context, h *hypergraph.Hypergraph, workers int) (hist []int64, sources int, err error) {
 	nv := h.NumVertices()
 	if nv == 0 {
-		return SmallWorld{}, nil
+		return nil, 0, nil
 	}
 	meter := run.MeterFrom(ctx)
 	if err := run.Tick(ctx, meter, 0); err != nil {
-		return SmallWorld{}, err
+		return nil, 0, err
 	}
-	bip := graph.Bipartite(h)
-
-	if sources == nil {
-		sources = make([]int, nv)
-		for i := range sources {
-			sources[i] = i
-		}
+	sweeps := (nv + sweepWidth - 1) / sweepWidth
+	if workers <= 0 {
+		workers = runtime.NumCPU()
 	}
+	workers = min(workers, sweeps)
 
 	type acc struct {
-		diameter int
-		sum      int64
-		pairs    int64
-		done     int64 // sources fully processed by this worker
+		hist    []int64
+		sources int // sources of the sweeps this worker completed
 	}
 	results := make([]acc, workers)
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	var firstErr atomic.Pointer[error]
 	fail := func(err error) { firstErr.CompareAndSwap(nil, &err) }
-	//hyperplexvet:ignore budgettick bounded spawn loop: at most workers iterations of O(1) setup; each worker ticks per BFS source
-	for w := 0; w < workers; w++ {
+	//hyperplexvet:ignore budgettick bounded spawn loop: at most workers iterations of O(1) setup; each worker ticks per BFS level
+	for w := range results {
 		wg.Add(1)
-		go func(w int) {
+		go func(a *acc) {
 			defer wg.Done()
 			defer func() {
 				if x := recover(); x != nil {
 					fail(fmt.Errorf("stats: BFS worker panic: %v", x))
 				}
 			}()
-			var dist []int32
-			a := &results[w]
+			s := newSweep(h.CSR())
 			for firstErr.Load() == nil {
 				i := int(next.Add(1)) - 1
-				if i >= len(sources) {
+				if i >= sweeps {
 					return
 				}
 				if err := failpoint.Inject(fpBFSSource); err != nil {
 					fail(err)
 					return
 				}
-				if err := run.Tick(ctx, meter, int64(nv)); err != nil {
+				first := i * sweepWidth
+				n := min(sweepWidth, nv-first)
+				if err := s.run(ctx, meter, first, n); err != nil {
 					fail(err)
 					return
 				}
-				src := sources[i]
-				dist = bip.BFS(src, dist)
-				for v := 0; v < nv; v++ {
-					if v == src || dist[v] < 0 {
-						continue
-					}
-					d := int(dist[v]) / 2 // hyperedge count = bipartite hops / 2
-					if d > a.diameter {
-						a.diameter = d
-					}
-					a.sum += int64(d)
-					a.pairs++
-				}
-				a.done++
+				a.hist = addHist(a.hist, s.hist)
+				a.sources += n
 			}
-		}(w)
+		}(&results[w])
 	}
 	wg.Wait()
 
-	var total acc
+	//hyperplexvet:ignore budgettick bounded merge of one histogram per worker, each as long as the levels the workers' Ticks charged
 	for _, a := range results {
-		if a.diameter > total.diameter {
-			total.diameter = a.diameter
-		}
-		total.sum += a.sum
-		total.pairs += a.pairs
-		total.done += a.done
-	}
-	// Each unordered pair is counted from both endpoints only when every
-	// vertex served as a completed source; an interrupted or sampled run
-	// reports ordered (source, target) pairs, like SmallWorldSampled.
-	exact := len(sources) == nv && total.done == int64(len(sources))
-	sw := SmallWorld{Diameter: total.diameter, Pairs: total.pairs / boolTo64(exact, 2, 1), Sources: int(total.done)}
-	if total.pairs > 0 {
-		sw.AvgPathLength = float64(total.sum) / float64(total.pairs)
+		hist = addHist(hist, a.hist)
+		sources += a.sources
 	}
 	if ep := firstErr.Load(); ep != nil {
-		return sw, *ep
+		return hist, sources, *ep
 	}
-	return sw, nil
+	return hist, sources, nil
 }
 
-func boolTo64(b bool, t, f int64) int64 {
-	if b {
-		return t
+// addHist adds histogram b into a, growing a as needed.
+func addHist(a, b []int64) []int64 {
+	if len(a) < len(b) {
+		a = append(a, make([]int64, len(b)-len(a))...)
 	}
-	return f
+	for d, c := range b {
+		a[d] += c
+	}
+	return a
 }
 
-// Eccentricity returns the eccentricity of vertex v in the hypergraph
-// metric: the maximum finite distance from v to any other vertex, and
-// the number of vertices reachable from v (excluding v itself).
-func Eccentricity(h *hypergraph.Hypergraph, v int) (ecc int, reachable int) {
-	bip := graph.Bipartite(h)
-	dist := bip.BFS(v, nil)
-	for u := 0; u < h.NumVertices(); u++ {
-		if u == v || dist[u] < 0 {
-			continue
+// sweep is one worker's state for a multi-source BFS.  Bit i of every
+// mask stands for source first+i of the current sweep.
+type sweep struct {
+	c                    *csr.CSR
+	seen, frontier, next []uint64 // per vertex: sources that reached it, at the last level, at this level
+	eMask                []uint64 // per hyperedge: sources with a member in the frontier
+	hist                 []int64  // the sweep's ordered pairs by distance
+}
+
+func newSweep(c *csr.CSR) *sweep {
+	nv := c.NumVertices()
+	return &sweep{
+		c:    c,
+		seen: make([]uint64, nv), frontier: make([]uint64, nv), next: make([]uint64, nv),
+		eMask: make([]uint64, c.NumEdges()),
+	}
+}
+
+// run runs the BFS of sources first..first+n-1 (n ≤ sweepWidth) to
+// the end and leaves their pairs by distance in s.hist.  Each level
+// makes two passes: a hyperedge's mask is the OR of its members'
+// frontier masks, and a vertex's next mask is the OR of its
+// hyperedges' masks minus the sources that have already seen it.  A
+// hyperedge that a source reached at an earlier level holds only
+// vertices that source has seen, so it adds nothing, and the
+// hyperedges need no seen masks of their own.
+func (s *sweep) run(ctx context.Context, meter *run.Meter, first, n int) error {
+	c := s.c
+	clear(s.seen)
+	clear(s.frontier)
+	for i := 0; i < n; i++ {
+		s.seen[first+i] = 1 << i
+		s.frontier[first+i] = 1 << i
+	}
+	s.hist = append(s.hist[:0], 0)
+	pins := 2 * int64(c.NumPins())
+	for {
+		if err := run.Tick(ctx, meter, pins); err != nil {
+			return err
 		}
-		reachable++
-		if d := int(dist[u]) / 2; d > ecc {
-			ecc = d
-		}
-	}
-	return ecc, reachable
-}
-
-// DistanceHistogram returns the distribution of pairwise hypergraph
-// distances: hist[d] = number of unordered connected vertex pairs at
-// distance d.  Exact (all-pairs BFS), parallelized.
-func DistanceHistogram(h *hypergraph.Hypergraph, workers int) []int64 {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	nv := h.NumVertices()
-	bip := graph.Bipartite(h)
-	hists := make([][]int64, workers)
-	var wg sync.WaitGroup
-	next := make(chan int, nv)
-	for v := 0; v < nv; v++ {
-		next <- v
-	}
-	close(next)
-	var panicked atomic.Pointer[any]
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if x := recover(); x != nil {
-					panicked.CompareAndSwap(nil, &x)
-				}
-			}()
-			var dist []int32
-			local := []int64{}
-			for src := range next {
-				dist = bip.BFS(src, dist)
-				for v := src + 1; v < nv; v++ { // unordered pairs once
-					if dist[v] < 0 {
-						continue
-					}
-					d := int(dist[v]) / 2
-					for len(local) <= d {
-						local = append(local, 0)
-					}
-					local[d]++
-				}
+		//hyperplexvet:ignore budgettick bounded pass over EAdj, charged by the Tick above
+		for f := range s.eMask {
+			var m uint64
+			for _, v := range c.EAdj[c.EOff[f]:c.EOff[f+1]] {
+				m |= s.frontier[v]
 			}
-			hists[w] = local
-		}(w)
-	}
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
-		//hyperplexvet:ignore nopanic re-raising a worker panic on the caller goroutine after the recover boundary
-		panic(*p)
-	}
-	var out []int64
-	for _, local := range hists {
-		for d, c := range local {
-			for len(out) <= d {
-				out = append(out, 0)
+			s.eMask[f] = m
+		}
+		var reached int64
+		//hyperplexvet:ignore budgettick bounded pass over VAdj, charged by the Tick above
+		for v := range s.next {
+			var m uint64
+			for _, f := range c.VAdj[c.VOff[v]:c.VOff[v+1]] {
+				m |= s.eMask[f]
 			}
-			out[d] += c
+			m &^= s.seen[v]
+			s.next[v] = m
+			s.seen[v] |= m
+			reached += int64(bits.OnesCount64(m))
 		}
-	}
-	return out
-}
-
-// FormatDistanceHistogram renders a distance histogram as aligned rows
-// for reports.
-func FormatDistanceHistogram(hist []int64) string {
-	s := ""
-	for d, c := range hist {
-		if c > 0 {
-			s += fmt.Sprintf("  d=%d: %d pairs\n", d, c)
+		if reached == 0 {
+			return nil
 		}
+		s.hist = append(s.hist, reached)
+		s.frontier, s.next = s.next, s.frontier
 	}
-	return s
 }

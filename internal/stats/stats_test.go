@@ -1,10 +1,14 @@
 package stats
 
 import (
+	"context"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"hyperplex/internal/failpoint"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/xrand"
 )
@@ -177,8 +181,11 @@ func TestSmallWorldEmpty(t *testing.T) {
 }
 
 func TestSmallWorldWorkerInvariance(t *testing.T) {
-	h := chainH(9)
+	h := chainH(200) // 201 proteins: four sweeps to share out
 	base := SmallWorldStats(h, 1)
+	if base.Diameter != 200 || base.Sources != 201 {
+		t.Fatalf("one worker gave %+v, want diameter 200 from 201 sources", base)
+	}
 	for _, w := range []int{2, 3, 8} {
 		got := SmallWorldStats(h, w)
 		if got != base {
@@ -187,52 +194,38 @@ func TestSmallWorldWorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestSmallWorldSampled(t *testing.T) {
-	h := chainH(9)
-	rng := xrand.New(7)
-	sw := SmallWorldSampled(h, 4, 2, rng)
-	if sw.Sources != 4 {
-		t.Errorf("sources = %d, want 4", sw.Sources)
+// TestSmallWorldPartial checks the summary of an interrupted run: with
+// one worker and the third sweep failing, it covers the 128 sources of
+// the first two sweeps, its diameter is theirs, and Pairs counts
+// ordered pairs.
+func TestSmallWorldPartial(t *testing.T) {
+	defer failpoint.Disable("stats.bfs.source")
+	if err := failpoint.Enable("stats.bfs.source", failpoint.Arm{Mode: failpoint.ModeError, After: 2, Times: 1}); err != nil {
+		t.Fatal(err)
 	}
-	exact := SmallWorldStats(h, 2)
-	if sw.Diameter > exact.Diameter {
-		t.Errorf("sampled diameter %d exceeds exact %d", sw.Diameter, exact.Diameter)
+	sw, err := SmallWorldStatsCtx(context.Background(), chainH(200), 1)
+	if !errors.Is(err, failpoint.ErrInjected) {
+		t.Fatalf("err = %v, want the injected error", err)
 	}
-	// Sampling more sources than vertices falls back to exact.
-	all := SmallWorldSampled(h, 1000, 2, rng)
-	if all.Diameter != exact.Diameter || all.AvgPathLength != exact.AvgPathLength {
-		t.Error("oversampled stats differ from exact")
+	// Protein i of the 201-protein chain is i and 200-i hops from its ends.
+	var sum int64
+	for i := int64(0); i < 128; i++ {
+		sum += i*(i+1)/2 + (200-i)*(201-i)/2
 	}
-}
-
-func TestEccentricity(t *testing.T) {
-	h := chainH(4)
-	v0, _ := h.VertexID("v0")
-	v2, _ := h.VertexID("v2")
-	ecc0, reach0 := Eccentricity(h, v0)
-	if ecc0 != 4 || reach0 != 4 {
-		t.Errorf("ecc(v0) = %d reach %d, want 4, 4", ecc0, reach0)
-	}
-	ecc2, _ := Eccentricity(h, v2)
-	if ecc2 != 2 {
-		t.Errorf("ecc(v2) = %d, want 2", ecc2)
+	want := SmallWorld{Diameter: 200, AvgPathLength: float64(sum) / (128 * 200), Pairs: 128 * 200, Sources: 128}
+	if sw != want {
+		t.Errorf("partial summary %+v, want %+v", sw, want)
 	}
 }
 
 func TestDistanceHistogram(t *testing.T) {
-	h := chainH(4)
-	hist := DistanceHistogram(h, 2)
-	want := []int64{0, 4, 3, 2, 1}
-	if len(hist) != len(want) {
-		t.Fatalf("hist = %v, want %v", hist, want)
+	// Chain of 4 complexes over 5 proteins: ordered pairs by distance.
+	hist, sources, err := distanceHistogram(context.Background(), chainH(4), 2)
+	if err != nil || sources != 5 {
+		t.Fatalf("distanceHistogram: %d sources, err %v", sources, err)
 	}
-	for i := range want {
-		if hist[i] != want[i] {
-			t.Errorf("hist[%d] = %d, want %d", i, hist[i], want[i])
-		}
-	}
-	if FormatDistanceHistogram(hist) == "" {
-		t.Error("FormatDistanceHistogram returned empty")
+	if want := []int64{0, 8, 6, 4, 2}; !slices.Equal(hist, want) {
+		t.Errorf("hist = %v, want %v", hist, want)
 	}
 }
 
@@ -252,21 +245,6 @@ func TestComputeStorageCosts(t *testing.T) {
 	}
 	if math.Abs(s.CliqueBlowupFactor-4.5) > 1e-12 {
 		t.Errorf("blowup = %v, want 4.5", s.CliqueBlowupFactor)
-	}
-}
-
-func TestPropertySampledAvgConsistent(t *testing.T) {
-	// Sampled average path length from all sources equals exact.
-	prop := func(seed uint64) bool {
-		rng := xrand.New(seed)
-		c := 2 + rng.Intn(8)
-		h := chainH(c)
-		exact := SmallWorldStats(h, 2)
-		sampled := SmallWorldSampled(h, h.NumVertices(), 2, rng)
-		return sampled == exact
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
 	}
 }
 
