@@ -164,7 +164,7 @@ func BenchmarkSec4Covers(b *testing.B) {
 	b.Run("greedy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := cover.Greedy(h, nil); err != nil {
+			if _, err := cover.GreedyMulticover(h, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -173,7 +173,7 @@ func BenchmarkSec4Covers(b *testing.B) {
 		w := cover.DegreeSquaredWeights(h)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := cover.Greedy(h, w); err != nil {
+			if _, err := cover.GreedyMulticover(h, w, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -571,7 +571,7 @@ func BenchmarkAblationCoverHeap(b *testing.B) {
 	h := gen.RandomHypergraph(4000, 2500, 10, xrand.New(5))
 	b.Run("lazy-heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cover.Greedy(h, nil); err != nil {
+			if _, err := cover.GreedyMulticover(h, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -192,6 +192,41 @@ func TestRunWeightFile(t *testing.T) {
 	}
 }
 
+// TestRunWeightFileLabels keys one weights file by the labels of a
+// Matrix Market file's unnamed vertices and requires the -mtx route and
+// the -store route over the file's store build to apply it alike.
+func TestRunWeightFileLabels(t *testing.T) {
+	dir := t.TempDir()
+	mtxPath := filepath.Join(dir, "m.mtx")
+	// Rows are the vertices v0…v3, columns the hyperedges; v0 is in
+	// all three, so only the weights keep it out of the cover.
+	mtx := "%%MatrixMarket matrix coordinate pattern general\n4 3 6\n1 1\n2 1\n1 2\n3 2\n1 3\n4 3\n"
+	if err := os.WriteFile(mtxPath, []byte(mtx), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	storePath := filepath.Join(dir, "m.store")
+	if err := store.BuildFile(storePath, store.FileSource("mtx", mtxPath)); err != nil {
+		t.Fatal(err)
+	}
+	wPath := filepath.Join(dir, "w.txt")
+	if err := os.WriteFile(wPath, []byte("v0 100\nv2 5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var viaMTX, viaStore bytes.Buffer
+	if err := run([]string{"-weights", "file:" + wPath, "-mtx", mtxPath}, nil, &viaMTX); err != nil {
+		t.Fatalf("-mtx: %v", err)
+	}
+	if err := run([]string{"-weights", "file:" + wPath, "-store", storePath}, nil, &viaStore); err != nil {
+		t.Fatalf("-store: %v", err)
+	}
+	if !strings.Contains(viaMTX.String(), "cover: 3 vertices, weight 7.00") {
+		t.Errorf("-mtx output, want v1, v2 and v3 at weight 7:\n%s", viaMTX.String())
+	}
+	if viaMTX.String() != viaStore.String() {
+		t.Errorf("-mtx %q vs -store %q", viaMTX.String(), viaStore.String())
+	}
+}
+
 // TestRunStoreMatchesText pins the -store route byte for byte against
 // the text route, including a 2-multicover.
 func TestRunStoreMatchesText(t *testing.T) {

@@ -49,8 +49,8 @@ import (
 
 // Hypergraph is an immutable hypergraph H = (V, F): vertices are
 // proteins, hyperedges are complexes.  See internal/hypergraph for the
-// full method set (degrees, adjacency, reduction, dual, sub-hypergraphs,
-// serialization).
+// full method set (degrees, adjacency, names and labels,
+// sub-hypergraphs, serialization).
 type Hypergraph = hypergraph.Hypergraph
 
 // Builder accumulates vertices and hyperedges and produces an
@@ -61,7 +61,9 @@ type Builder = hypergraph.Builder
 func NewBuilder() *Builder { return hypergraph.NewBuilder() }
 
 // FromEdgeSets builds a hypergraph over nv vertices from member-ID
-// sets.
+// sets.  Both sides stay unnamed: vertices are labeled "v0", "v1", ...
+// and hyperedges "f0", "f1", ..., and VertexID and EdgeID find those
+// labels.
 func FromEdgeSets(nv int, edges [][]int32) (*Hypergraph, error) {
 	return hypergraph.FromEdgeSets(nv, edges)
 }

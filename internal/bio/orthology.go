@@ -128,7 +128,7 @@ func DivergeComplexes(projected *hypergraph.Hypergraph, p DivergenceParams, rng 
 func TransferBaits(projected, truth *hypergraph.Hypergraph, baits []int) ([]int, error) {
 	out := make([]int, 0, len(baits))
 	for _, b := range baits {
-		name := projected.VertexName(b)
+		name := projected.VertexLabel(b)
 		t, ok := truth.VertexID(name)
 		if !ok {
 			return nil, fmt.Errorf("bio: bait %q missing from the target proteome", name)

@@ -107,13 +107,13 @@ func drivers() map[string]func(t *testing.T, ctx context.Context) error {
 			return errors.Join(err, sequentialDriver(t, ctx))
 		},
 		"cover.greedy.pop": func(t *testing.T, ctx context.Context) error {
-			c, err := cover.GreedyCtx(ctx, bigH, nil)
+			c, err := cover.GreedyMulticoverCtx(ctx, bigH, nil, nil)
 			if err == nil {
 				if verr := check.ValidCover(bigH, c, nil, nil); verr != nil {
-					t.Errorf("successful GreedyCtx result invalid: %v", verr)
+					t.Errorf("successful GreedyMulticoverCtx result invalid: %v", verr)
 				}
 			} else if c != nil {
-				t.Errorf("GreedyCtx returned a cover alongside error %v", err)
+				t.Errorf("GreedyMulticoverCtx returned a cover alongside error %v", err)
 			}
 			return err
 		},
@@ -555,7 +555,7 @@ func TestChaosErrorArmOverSweep(t *testing.T) {
 		drive func(ctx context.Context, h *hypergraph.Hypergraph) error
 	}{
 		{"cover.greedy.pop", func(ctx context.Context, h *hypergraph.Hypergraph) error {
-			c, err := cover.GreedyCtx(ctx, h, nil)
+			c, err := cover.GreedyMulticoverCtx(ctx, h, nil, nil)
 			if err == nil {
 				return check.ValidCover(h, c, nil, nil)
 			}

@@ -103,7 +103,7 @@ func TestValidDecomposition(t *testing.T) {
 
 func TestValidCoverAcceptsAndRejects(t *testing.T) {
 	h := testHypergraph(t)
-	c, err := cover.Greedy(h, nil)
+	c, err := cover.GreedyMulticover(h, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

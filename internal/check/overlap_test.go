@@ -8,18 +8,22 @@ import (
 	"hyperplex/internal/xrand"
 )
 
-// TestOverlapTableFill checks the freshly built table against the
-// merge-based hypergraph.Overlap for every hyperedge pair.
+// TestOverlapTableFill checks the freshly built table against a
+// brute-force count for every hyperedge pair.
 func TestOverlapTableFill(t *testing.T) {
 	for i, h := range Instances(20, 0x5ED0CE) {
 		tab := NewOverlapTable(h)
 		ne := h.NumEdges()
+		allAlive := make([]bool, h.NumVertices())
+		for v := range allAlive {
+			allAlive[v] = true
+		}
 		for f := 0; f < ne; f++ {
 			for g := 0; g < ne; g++ {
 				if f == g {
 					continue
 				}
-				if got, want := tab.Overlap(f, g), h.Overlap(f, g); got != want {
+				if got, want := tab.Overlap(f, g), bruteOverlap(h, allAlive, f, g); got != want {
 					t.Fatalf("instance %d %v: Overlap(%d, %d) = %d, want %d", i, h, f, g, got, want)
 				}
 			}

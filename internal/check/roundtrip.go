@@ -10,25 +10,10 @@ import (
 	"hyperplex/internal/pajek"
 )
 
-// defaultVertexName mirrors the writers' substitution for unnamed IDs.
-func defaultVertexName(h *hypergraph.Hypergraph, v int) string {
-	if n := h.VertexName(v); n != "" {
-		return n
-	}
-	return fmt.Sprintf("v%d", v)
-}
-
-func defaultEdgeName(h *hypergraph.Hypergraph, f int) string {
-	if n := h.EdgeName(f); n != "" {
-		return n
-	}
-	return fmt.Sprintf("f%d", f)
-}
-
 // SameNamed verifies that two hypergraphs are equal up to vertex ID
-// permutation under name identity (with the writers' v%d/f%d defaults
-// substituted for empty names): same vertex name set, same hyperedge
-// sequence, and the same member name set for every hyperedge.  This is
+// permutation under label identity (VertexLabel and EdgeLabel, the
+// names the writers print): same vertex label set, same hyperedge
+// sequence, and the same member label set for every hyperedge.  This is
 // the equality a text-format round trip preserves, where vertex IDs are
 // reassigned in order of appearance.
 func SameNamed(a, b *hypergraph.Hypergraph) error {
@@ -37,15 +22,15 @@ func SameNamed(a, b *hypergraph.Hypergraph) error {
 	}
 	bID := make(map[string]int, b.NumVertices())
 	for v := 0; v < b.NumVertices(); v++ {
-		bID[defaultVertexName(b, v)] = v
+		bID[b.VertexLabel(v)] = v
 	}
 	for v := 0; v < a.NumVertices(); v++ {
-		if _, ok := bID[defaultVertexName(a, v)]; !ok {
-			return fmt.Errorf("check: vertex %q missing from second hypergraph", defaultVertexName(a, v))
+		if _, ok := bID[a.VertexLabel(v)]; !ok {
+			return fmt.Errorf("check: vertex %q missing from second hypergraph", a.VertexLabel(v))
 		}
 	}
 	for f := 0; f < a.NumEdges(); f++ {
-		if an, bn := defaultEdgeName(a, f), defaultEdgeName(b, f); an != bn {
+		if an, bn := a.EdgeLabel(f), b.EdgeLabel(f); an != bn {
 			return fmt.Errorf("check: hyperedge %d named %q vs %q", f, an, bn)
 		}
 		am, bm := a.Vertices(f), b.Vertices(f)
@@ -53,10 +38,10 @@ func SameNamed(a, b *hypergraph.Hypergraph) error {
 			return fmt.Errorf("check: hyperedge %d has %d vs %d members", f, len(am), len(bm))
 		}
 		for _, v := range am {
-			w, ok := bID[defaultVertexName(a, int(v))]
+			w, ok := bID[a.VertexLabel(int(v))]
 			if !ok || !b.EdgeContains(f, w) {
 				return fmt.Errorf("check: hyperedge %d member %q missing from second hypergraph",
-					f, defaultVertexName(a, int(v)))
+					f, a.VertexLabel(int(v)))
 			}
 		}
 	}
@@ -183,10 +168,13 @@ func sameMatrix(a, b *mmio.Matrix) error {
 			a.Rows, a.Cols, a.NNZ(), a.Pattern, b.Rows, b.Cols, b.NNZ(), b.Pattern)
 	}
 	for k := 0; k < a.NNZ(); k++ {
-		if a.RowIdx[k] != b.RowIdx[k] || a.ColIdx[k] != b.ColIdx[k] ||
-			math.Float64bits(a.Val[k]) != math.Float64bits(b.Val[k]) {
-			return fmt.Errorf("check: matrix entry %d differs: (%d,%d,%g) vs (%d,%d,%g)",
-				k, a.RowIdx[k], a.ColIdx[k], a.Val[k], b.RowIdx[k], b.ColIdx[k], b.Val[k])
+		if a.RowIdx[k] != b.RowIdx[k] || a.ColIdx[k] != b.ColIdx[k] {
+			return fmt.Errorf("check: matrix entry %d differs: (%d,%d) vs (%d,%d)",
+				k, a.RowIdx[k], a.ColIdx[k], b.RowIdx[k], b.ColIdx[k])
+		}
+		if !a.Pattern && math.Float64bits(a.Val[k]) != math.Float64bits(b.Val[k]) {
+			return fmt.Errorf("check: matrix entry %d (%d,%d) holds %g vs %g",
+				k, a.RowIdx[k], a.ColIdx[k], a.Val[k], b.Val[k])
 		}
 	}
 	return nil
@@ -209,13 +197,13 @@ func RoundTripPajek(h *hypergraph.Hypergraph) error {
 		return fmt.Errorf("check: pajek round trip kept %d labels, want %d", len(info.Labels), nv+ne)
 	}
 	for v := 0; v < nv; v++ {
-		if info.Labels[v] != defaultVertexName(h, v) {
-			return fmt.Errorf("check: pajek vertex %d labeled %q, want %q", v, info.Labels[v], defaultVertexName(h, v))
+		if info.Labels[v] != h.VertexLabel(v) {
+			return fmt.Errorf("check: pajek vertex %d labeled %q, want %q", v, info.Labels[v], h.VertexLabel(v))
 		}
 	}
 	for f := 0; f < ne; f++ {
-		if info.Labels[nv+f] != defaultEdgeName(h, f) {
-			return fmt.Errorf("check: pajek hyperedge %d labeled %q, want %q", f, info.Labels[nv+f], defaultEdgeName(h, f))
+		if info.Labels[nv+f] != h.EdgeLabel(f) {
+			return fmt.Errorf("check: pajek hyperedge %d labeled %q, want %q", f, info.Labels[nv+f], h.EdgeLabel(f))
 		}
 	}
 	if len(info.Edges) != h.NumPins() {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 
 	"hyperplex/internal/hypergraph"
 )
@@ -37,16 +36,4 @@ func BiCoreCtx(ctx context.Context, h *hypergraph.Hypergraph, k, l int) (*Result
 		return nil, err
 	}
 	return d.Core(k), nil
-}
-
-// BiCoreDecomposeL returns, for fixed l, the maximum k with a
-// non-empty (k, l)-core, plus that core.  It exists so callers can
-// sweep the l axis cheaply.
-func BiCoreDecomposeL(h *hypergraph.Hypergraph, l int) (int, *Result) {
-	d, err := decompose(context.Background(), h, 1, l, math.MaxInt)
-	if err != nil {
-		//hyperplexvet:ignore nopanic only an armed failpoint fails a peel under a background context
-		panic(err)
-	}
-	return d.MaxK, d.Core(d.MaxK)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -69,49 +71,27 @@ func TestBiCoreCascadeThroughL(t *testing.T) {
 	}
 }
 
-func TestBiCoreValidity(t *testing.T) {
-	prop := func(seed uint64, kRaw, lRaw uint8) bool {
-		h := randomHypergraph(seed)
-		k := 1 + int(kRaw%3)
-		l := 1 + int(lRaw%3)
-		r := BiCore(h, k, l)
-		if r.NumVertices == 0 {
-			return r.NumEdges == 0
-		}
-		sub, _, _ := r.Sub(h)
-		if !sub.IsReduced() {
-			return false
-		}
-		for v := 0; v < sub.NumVertices(); v++ {
-			if sub.VertexDegree(v) < k {
-				return false
-			}
-		}
-		for f := 0; f < sub.NumEdges(); f++ {
-			if sub.EdgeDegree(f) < l {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
+// TestBiCoreDecomposeL peels the whole (k, l) decomposition at a
+// fixed l and reads the maximum k and its core off it.
 func TestBiCoreDecomposeL(t *testing.T) {
 	h := plantedHypergraph(t)
-	k, r := BiCoreDecomposeL(h, 3)
-	if k != 3 {
-		t.Errorf("max k at l=3 is %d, want 3 (core edges all have 3 members)", k)
+	d, err := decompose(context.Background(), h, 1, 3, math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.NumVertices != 4 || r.NumEdges != 4 {
+	if d.MaxK != 3 {
+		t.Errorf("max k at l=3 is %d, want 3 (core edges all have 3 members)", d.MaxK)
+	}
+	if r := d.Core(d.MaxK); r.NumVertices != 4 || r.NumEdges != 4 {
 		t.Errorf("core = %d/%d, want 4/4", r.NumVertices, r.NumEdges)
 	}
 	// At l = 4 nothing survives (all planted edges have 3 members).
-	k4, r4 := BiCoreDecomposeL(h, 4)
-	if k4 != 0 || r4.NumVertices != 0 {
-		t.Errorf("l=4: k=%d, %d vertices; want empty", k4, r4.NumVertices)
+	d4, err := decompose(context.Background(), h, 1, 4, math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r4 := d4.Core(d4.MaxK); d4.MaxK != 0 || r4.NumVertices != 0 {
+		t.Errorf("l=4: k=%d, %d vertices; want empty", d4.MaxK, r4.NumVertices)
 	}
 }
 

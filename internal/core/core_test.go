@@ -300,21 +300,6 @@ func TestDecomposeCoreness(t *testing.T) {
 	}
 }
 
-func TestResultSub(t *testing.T) {
-	h := plantedHypergraph(t)
-	r := KCore(h, 3)
-	sub, _, _ := r.Sub(h)
-	if sub.NumVertices() != 4 || sub.NumEdges() != 4 {
-		t.Errorf("materialized core = %v", sub)
-	}
-	if err := sub.CSR().Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-	if !sub.IsReduced() {
-		t.Error("materialized core is not reduced")
-	}
-}
-
 func randomHypergraph(seed uint64) *hypergraph.Hypergraph {
 	rng := xrand.New(seed)
 	nv := 3 + rng.Intn(20)
@@ -408,32 +393,6 @@ func TestPropertyDecomposeConsistentWithKCore(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyCoreIsValid(t *testing.T) {
-	// Every vertex in the k-core has degree ≥ k inside it, and the core
-	// is reduced.
-	prop := func(seed uint64, kRaw uint8) bool {
-		h := randomHypergraph(seed)
-		k := 1 + int(kRaw%4)
-		r := KCore(h, k)
-		if r.NumVertices == 0 {
-			return r.NumEdges == 0
-		}
-		sub, _, _ := r.Sub(h)
-		if !sub.IsReduced() {
-			return false
-		}
-		for v := 0; v < sub.NumVertices(); v++ {
-			if sub.VertexDegree(v) < k {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
 }

@@ -14,9 +14,12 @@ import (
 // RandomHypergraph is the property tests' small random instance.
 var RandomHypergraph = randomHypergraph
 
+// PlantedHypergraph is the instance with a known 3-core.
+var PlantedHypergraph = plantedHypergraph
+
 // DecomposeL is the sequential peel of the decomposition whose level k
-// is the (k, l)-core, capped at level kmax: the call KCore, BiCore and
-// BiCoreDecomposeL read their answers off.
+// is the (k, l)-core, capped at level kmax: the call KCore and BiCore
+// read their answers off.
 func DecomposeL(ctx context.Context, h *hypergraph.Hypergraph, l, kmax int) (*Decomposition, error) {
 	return decompose(ctx, h, 1, l, kmax)
 }

@@ -65,7 +65,11 @@ func TestPropertyCoreIsMaximal(t *testing.T) {
 		}
 		keep := append([]bool(nil), r.VertexIn...)
 		keep[deleted] = true
-		sub, vMap, _ := h.SubVertices(keep)
+		keepF := make([]bool, h.NumEdges())
+		for f := range keepF {
+			keepF[f] = true
+		}
+		sub, vMap, _ := h.Sub(keep, keepF)
 		vIn, _ := check.KCoreOracle(sub, k)
 		nd, ok := vMap[deleted]
 		if !ok {
@@ -74,6 +78,54 @@ func TestPropertyCoreIsMaximal(t *testing.T) {
 		return !vIn[nd]
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestResultSub materializes the planted 3-core, which check.ValidCore
+// accepts as exactly the paper's reduced 3-core, as a valid
+// sub-hypergraph of its four vertices and four hyperedges.
+func TestResultSub(t *testing.T) {
+	h := core.PlantedHypergraph(t)
+	r := core.KCore(h, 3)
+	if err := check.ValidCore(h, 3, r); err != nil {
+		t.Fatal(err)
+	}
+	sub, _, _ := r.Sub(h)
+	if sub.NumVertices() != 4 || sub.NumEdges() != 4 {
+		t.Errorf("materialized core = %v", sub)
+	}
+	if err := sub.CSR().Validate(); err != nil {
+		t.Errorf("Validate: %v", err)
+	}
+}
+
+// TestPropertyCoreIsValid requires every k-core of a random instance
+// to pass check.ValidCore: every vertex has degree ≥ k inside it, every
+// hyperedge is maximal among the survivors, and no larger such
+// sub-hypergraph exists.
+func TestPropertyCoreIsValid(t *testing.T) {
+	prop := func(seed uint64, kRaw uint8) bool {
+		h := core.RandomHypergraph(seed)
+		k := 1 + int(kRaw%4)
+		return check.ValidCore(h, k, core.KCore(h, k)) == nil
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestBiCoreValidity is TestPropertyCoreIsValid for the (k, l)-core
+// and check.ValidBiCore, which also requires every surviving hyperedge
+// to keep l vertices.
+func TestBiCoreValidity(t *testing.T) {
+	prop := func(seed uint64, kRaw, lRaw uint8) bool {
+		h := core.RandomHypergraph(seed)
+		k := 1 + int(kRaw%3)
+		l := 1 + int(lRaw%3)
+		return check.ValidBiCore(h, k, l, core.BiCore(h, k, l)) == nil
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

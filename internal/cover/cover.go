@@ -175,28 +175,12 @@ func (h *costHeap) popItem() (float64, int32) {
 	return c, v
 }
 
-// Greedy computes an approximate minimum-weight vertex cover.  weights
-// may be nil for the unweighted (minimum cardinality) problem; all
-// weights must be positive.  It returns an error if some non-empty
-// hyperedge cannot be covered (impossible for valid input) or if a
-// hyperedge is empty.
-func Greedy(h *hypergraph.Hypergraph, weights []float64) (*Cover, error) {
-	return GreedyMulticover(h, weights, nil)
-}
-
-// GreedyCtx is Greedy honoring cancellation, deadline and any
-// run.Budget attached to ctx (one step per heap pop, checked at
-// bounded intervals).  On cancellation or budget exhaustion it returns
-// (nil, err): a partially built cover does not satisfy the covering
-// constraints.
-func GreedyCtx(ctx context.Context, h *hypergraph.Hypergraph, weights []float64) (*Cover, error) {
-	return GreedyMulticoverCtx(ctx, h, weights, nil)
-}
-
 // GreedyMulticover computes an approximate minimum-weight multicover:
 // at least req[f] distinct vertices of every hyperedge f must be
-// chosen.  req may be nil (then every requirement is 1); requirements
-// of 0 mean the hyperedge is ignored.  A hyperedge with req[f] greater
+// chosen.  req may be nil (then every requirement is 1: a plain
+// vertex cover); requirements of 0 mean the hyperedge is ignored.
+// weights may be nil for the unweighted (minimum cardinality) problem;
+// all weights must be positive.  A hyperedge with req[f] greater
 // than its cardinality is infeasible and yields an error naming it.
 //
 // The implementation follows the paper's greedy rule with a lazy

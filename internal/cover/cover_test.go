@@ -27,7 +27,7 @@ func TestGreedyStar(t *testing.T) {
 	b.AddEdge("f2", "hub", "b")
 	b.AddEdge("f3", "hub", "c")
 	h := b.MustBuild()
-	c, err := Greedy(h, nil)
+	c, err := GreedyMulticover(h, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestGreedyStar(t *testing.T) {
 
 func TestGreedyTriangle(t *testing.T) {
 	h := triangleH(t)
-	c, err := Greedy(h, nil)
+	c, err := GreedyMulticover(h, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestGreedyWeights(t *testing.T) {
 	w := UnitWeights(h)
 	hub, _ := h.VertexID("hub")
 	w[hub] = 100
-	c, err := Greedy(h, w)
+	c, err := GreedyMulticover(h, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,8 @@ func TestGreedyInvalidWeights(t *testing.T) {
 		{math.NaN(), 1, 1},  // NaN
 		{math.Inf(1), 1, 1}, // Inf
 	} {
-		if _, err := Greedy(h, bad); err == nil {
-			t.Errorf("Greedy accepted invalid weights %v", bad)
+		if _, err := GreedyMulticover(h, bad, nil); err == nil {
+			t.Errorf("GreedyMulticover accepted invalid weights %v", bad)
 		}
 	}
 }
@@ -315,7 +315,7 @@ func TestPropertyGreedyFeasibleAndBounded(t *testing.T) {
 		if h.NumVertices() > 14 {
 			return true // keep the brute force cheap
 		}
-		c, err := Greedy(h, w)
+		c, err := GreedyMulticover(h, w, nil)
 		if err != nil {
 			return false
 		}
@@ -384,7 +384,7 @@ func TestPropertyMulticoverFeasible(t *testing.T) {
 func TestPropertyCoverNoDuplicates(t *testing.T) {
 	prop := func(seed uint64) bool {
 		h, w := randomCoverInstance(seed)
-		c, err := Greedy(h, w)
+		c, err := GreedyMulticover(h, w, nil)
 		if err != nil {
 			return false
 		}

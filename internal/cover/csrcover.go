@@ -29,8 +29,9 @@ import (
 var fpCSRPop = failpoint.Register("cover.csr.pop")
 
 // CSRGreedy computes an approximate minimum-weight vertex cover with
-// the flat-array kernel.  It returns the exact cover Greedy returns,
-// selected in the same order.
+// the flat-array kernel.  It returns the exact cover
+// GreedyMulticover returns with nil requirements, selected in the same
+// order.
 func CSRGreedy(h *hypergraph.Hypergraph, weights []float64) (*Cover, error) {
 	return CSRGreedyMulticover(h, weights, nil)
 }

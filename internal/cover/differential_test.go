@@ -46,10 +46,10 @@ func feasibleReq(h *hypergraph.Hypergraph, r int) []int {
 // the H_m guarantee) on tiny instances.
 func TestDifferentialGreedyCover(t *testing.T) {
 	for i, h := range check.Instances(58, 0xC0FE1) {
-		c, err := cover.Greedy(h, nil)
+		c, err := cover.GreedyMulticover(h, nil, nil)
 		if err != nil {
 			if !hasEmptyEdge(h) {
-				t.Fatalf("instance %d %v: Greedy failed without an empty hyperedge: %v", i, h, err)
+				t.Fatalf("instance %d %v: GreedyMulticover failed without an empty hyperedge: %v", i, h, err)
 			}
 			continue
 		}
@@ -58,7 +58,7 @@ func TestDifferentialGreedyCover(t *testing.T) {
 		}
 	}
 	for i, h := range tinyInstances(40, 0xC0FE2) {
-		c, err := cover.Greedy(h, nil)
+		c, err := cover.GreedyMulticover(h, nil, nil)
 		if err != nil {
 			t.Fatalf("tiny %d %v: %v", i, h, err)
 		}
@@ -76,7 +76,7 @@ func TestDifferentialGreedyCover(t *testing.T) {
 	}
 	h := dataset.Cellzome().H
 	for _, w := range [][]float64{nil, cover.DegreeSquaredWeights(h)} {
-		c, err := cover.Greedy(h, w)
+		c, err := cover.GreedyMulticover(h, w, nil)
 		if err != nil {
 			t.Fatalf("Cellzome greedy: %v", err)
 		}

@@ -46,7 +46,7 @@ func Exact(h *hypergraph.Hypergraph, weights []float64, maxNodes int64) (*Cover,
 	}
 
 	// Start from the greedy solution as the incumbent.
-	incumbent, err := Greedy(h, weights)
+	incumbent, err := GreedyMulticover(h, weights, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -97,7 +97,7 @@ func TestPropertyExactMatchesBruteForce(t *testing.T) {
 func TestPropertyGreedyWithinHarmonicOfExact(t *testing.T) {
 	prop := func(seed uint64) bool {
 		h, w := randomCoverInstance(seed)
-		g, err := Greedy(h, w)
+		g, err := GreedyMulticover(h, w, nil)
 		if err != nil {
 			return false
 		}

@@ -7,15 +7,16 @@ import (
 	"hyperplex/internal/hypergraph"
 )
 
-// ExampleGreedy selects bait proteins covering every complex.
-func ExampleGreedy() {
+// ExampleGreedyMulticover_cover selects bait proteins covering every
+// complex once: nil requirements ask for a plain vertex cover.
+func ExampleGreedyMulticover_cover() {
 	b := hypergraph.NewBuilder()
 	b.AddEdge("c1", "hub", "p1")
 	b.AddEdge("c2", "hub", "p2")
 	b.AddEdge("c3", "hub", "p3")
 	h := b.MustBuild()
 
-	c, _ := cover.Greedy(h, nil)
+	c, _ := cover.GreedyMulticover(h, nil, nil)
 	fmt.Printf("%d bait covers all %d complexes\n", c.Size(), h.NumEdges())
 	// Output:
 	// 1 bait covers all 3 complexes

@@ -100,13 +100,13 @@ func TestCellzomeCalibration(t *testing.T) {
 	}
 
 	// Cover shapes (§4.2).
-	c1, err := cover.Greedy(h, nil)
+	c1, err := cover.GreedyMulticover(h, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("greedy cover: %d proteins avg deg %.2f (paper %d @ %.1f)",
 		c1.Size(), c1.AverageDegree(h), want.GreedyCoverSize, want.GreedyCoverAvgDeg)
-	c2, err := cover.Greedy(h, cover.DegreeSquaredWeights(h))
+	c2, err := cover.GreedyMulticover(h, cover.DegreeSquaredWeights(h), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"hyperplex/internal/failpoint"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/run"
-	"hyperplex/internal/store"
 )
 
 // fpLoad fires once per file opened by LoadInstanceCtx, so chaos tests
@@ -23,15 +22,13 @@ var fpLoad = failpoint.Register("dataset.load")
 
 // The on-disk layout of a saved instance:
 //
-//	DIR/hypergraph.txt    native text format (Save), or
-//	DIR/hypergraph.store  binary store file (SaveStore)
+//	DIR/hypergraph.txt    native text format
 //	DIR/baits.txt         one protein name per line; reported baits
 //	                      marked with a trailing " *"
 //	DIR/annotations.json  per-protein annotation records
 //	DIR/meta.json         core membership and singleton complexes
 //
 // Everything is name-keyed so the files survive vertex renumbering.
-// LoadInstance prefers hypergraph.store when both are present.
 
 type annotationRecord struct {
 	Known     bool `json:"known"`
@@ -109,22 +106,7 @@ func (inst *Instance) Save(dir string) error {
 	return inst.saveAux(dir)
 }
 
-// SaveStore is Save with the hypergraph written as a binary store file
-// (DIR/hypergraph.store) instead of text, so LoadInstance can map it
-// back without rebuilding the adjacency in RAM.  The auxiliary files
-// are identical to Save's.
-func (inst *Instance) SaveStore(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dataset: create %s: %w", dir, err)
-	}
-	if err := store.WriteH(filepath.Join(dir, "hypergraph.store"), inst.H); err != nil {
-		return err
-	}
-	return inst.saveAux(dir)
-}
-
-// saveAux writes the three name-keyed sidecar files shared by Save and
-// SaveStore.
+// saveAux writes Save's three name-keyed sidecar files.
 func (inst *Instance) saveAux(dir string) error {
 	h := inst.H
 	// Baits.
@@ -138,7 +120,7 @@ func (inst *Instance) saveAux(dir string) error {
 			if reported[v] {
 				mark = " *"
 			}
-			if _, err := fmt.Fprintf(w, "%s%s\n", h.VertexName(v), mark); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s\n", h.VertexLabel(v), mark); err != nil {
 				return err
 			}
 		}
@@ -149,7 +131,7 @@ func (inst *Instance) saveAux(dir string) error {
 	// Annotations.
 	ann := make(map[string]annotationRecord, h.NumVertices())
 	for v := 0; v < h.NumVertices(); v++ {
-		ann[h.VertexName(v)] = annotationRecord{
+		ann[h.VertexLabel(v)] = annotationRecord{
 			Known:     inst.Ann.Known[v],
 			Essential: inst.Ann.Essential[v],
 			Homolog:   inst.Ann.Homolog[v],
@@ -162,16 +144,16 @@ func (inst *Instance) saveAux(dir string) error {
 	meta := metaRecord{}
 	for v, in := range inst.CoreV {
 		if in {
-			meta.CoreProteins = append(meta.CoreProteins, h.VertexName(v))
+			meta.CoreProteins = append(meta.CoreProteins, h.VertexLabel(v))
 		}
 	}
 	for f, in := range inst.CoreF {
 		if in {
-			meta.CoreComplexes = append(meta.CoreComplexes, h.EdgeName(f))
+			meta.CoreComplexes = append(meta.CoreComplexes, h.EdgeLabel(f))
 		}
 	}
 	for _, f := range inst.Singletons {
-		meta.Singletons = append(meta.Singletons, h.EdgeName(f))
+		meta.Singletons = append(meta.Singletons, h.EdgeLabel(f))
 	}
 	return writeJSON(filepath.Join(dir, "meta.json"), meta)
 }
@@ -187,32 +169,15 @@ func writeJSON(path string, v interface{}) error {
 	})
 }
 
-// LoadInstance reads an instance saved by Save or SaveStore.  The
+// LoadInstance reads an instance saved by Save.  The
 // Published targets are re-attached (they are constants of the paper,
 // not data).
 func LoadInstance(dir string) (*Instance, error) {
 	return LoadInstanceCtx(context.Background(), dir)
 }
 
-// loadHypergraph reads DIR/hypergraph.store when present (decoded
-// without mmap so the arrays outlive the handle), falling back to the
-// text format otherwise.
+// loadHypergraph reads DIR/hypergraph.txt.
 func loadHypergraph(ctx context.Context, dir string) (*hypergraph.Hypergraph, error) {
-	storePath := filepath.Join(dir, "hypergraph.store")
-	if _, err := os.Stat(storePath); err == nil {
-		st, err := store.OpenCtx(ctx, storePath, store.Options{NoMmap: true})
-		if err != nil {
-			return nil, err
-		}
-		h, err := st.H()
-		if cerr := st.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: load %s: %w", storePath, err)
-		}
-		return h, nil
-	}
 	hf, err := os.Open(filepath.Join(dir, "hypergraph.txt"))
 	if err != nil {
 		return nil, fmt.Errorf("dataset: load hypergraph: %w", err)
@@ -227,7 +192,7 @@ func loadHypergraph(ctx context.Context, dir string) (*hypergraph.Hypergraph, er
 // LoadInstanceCtx is LoadInstance honoring cancellation, deadline and
 // any run.Budget attached to ctx: the checkpoint runs before each of
 // the four files is opened, and the hypergraph itself is read with
-// ReadTextCtx or the store loader.  On any error it returns (nil, err).
+// ReadTextCtx.  On any error it returns (nil, err).
 func LoadInstanceCtx(ctx context.Context, dir string) (*Instance, error) {
 	meter := run.MeterFrom(ctx)
 	checkpoint := func() error {

@@ -8,93 +8,69 @@ import (
 	"testing"
 
 	"hyperplex/internal/core"
+	"hyperplex/internal/hypergraph"
 )
 
+// TestSaveLoadRoundTrip saves Cellzome and loads it back, the proteins
+// matched by name; and the same instance over an unnamed copy of its
+// hypergraph, whose files key every protein and complex by the labels
+// hypergraph.txt prints.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	inst := Cellzome()
-	if err := inst.Save(dir); err != nil {
+	cz := Cellzome()
+	rows := make([][]int32, cz.H.NumEdges())
+	for f := range rows {
+		rows[f] = cz.H.Vertices(f)
+	}
+	h, err := hypergraph.FromEdgeSets(cz.H.NumVertices(), rows)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"hypergraph.txt", "baits.txt", "annotations.json", "meta.json"} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-			t.Errorf("missing %s: %v", f, err)
+	unnamed := *cz
+	unnamed.H = h
+	for _, inst := range []*Instance{cz, &unnamed} {
+		dir := t.TempDir()
+		if err := inst.Save(dir); err != nil {
+			t.Fatal(err)
 		}
-	}
+		for _, f := range []string{"hypergraph.txt", "baits.txt", "annotations.json", "meta.json"} {
+			if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+				t.Errorf("missing %s: %v", f, err)
+			}
+		}
 
-	got, err := LoadInstance(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.H.NumVertices() != inst.H.NumVertices() || got.H.NumEdges() != inst.H.NumEdges() || got.H.NumPins() != inst.H.NumPins() {
-		t.Fatalf("hypergraph shape changed: %v vs %v", got.H, inst.H)
-	}
-	if len(got.BaitsUsed) != len(inst.BaitsUsed) || len(got.BaitsReported) != len(inst.BaitsReported) {
-		t.Errorf("baits: %d/%d vs %d/%d", len(got.BaitsUsed), len(got.BaitsReported), len(inst.BaitsUsed), len(inst.BaitsReported))
-	}
-	// Annotations survive by name.
-	for v := 0; v < inst.H.NumVertices(); v++ {
-		name := inst.H.VertexName(v)
-		gv, ok := got.H.VertexID(name)
-		if !ok {
-			t.Fatalf("protein %q lost", name)
+		got, err := LoadInstance(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.Ann.Known[gv] != inst.Ann.Known[v] ||
-			got.Ann.Essential[gv] != inst.Ann.Essential[v] ||
-			got.Ann.Homolog[gv] != inst.Ann.Homolog[v] {
-			t.Fatalf("annotations for %q changed", name)
+		if got.H.NumVertices() != inst.H.NumVertices() || got.H.NumEdges() != inst.H.NumEdges() || got.H.NumPins() != inst.H.NumPins() {
+			t.Fatalf("hypergraph shape changed: %v vs %v", got.H, inst.H)
 		}
-	}
-	// The loaded core matches a fresh computation.
-	mc := core.MaxCore(got.H)
-	for v := range mc.VertexIn {
-		if mc.VertexIn[v] != got.CoreV[v] {
-			t.Fatalf("loaded CoreV disagrees with computed core at %s", got.H.VertexName(v))
+		if len(got.BaitsUsed) != len(inst.BaitsUsed) || len(got.BaitsReported) != len(inst.BaitsReported) {
+			t.Errorf("baits: %d/%d vs %d/%d", len(got.BaitsUsed), len(got.BaitsReported), len(inst.BaitsUsed), len(inst.BaitsReported))
 		}
-	}
-	if len(got.Singletons) != len(inst.Singletons) {
-		t.Errorf("singletons: %d vs %d", len(got.Singletons), len(inst.Singletons))
-	}
-}
-
-func TestSaveStoreLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	inst := Cellzome()
-	if err := inst.SaveStore(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "hypergraph.store")); err != nil {
-		t.Fatalf("missing hypergraph.store: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "hypergraph.txt")); err == nil {
-		t.Fatal("SaveStore also wrote hypergraph.txt")
-	}
-	got, err := LoadInstance(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.H.NumVertices() != inst.H.NumVertices() || got.H.NumEdges() != inst.H.NumEdges() || got.H.NumPins() != inst.H.NumPins() {
-		t.Fatalf("hypergraph shape changed: %v vs %v", got.H, inst.H)
-	}
-	for v := 0; v < inst.H.NumVertices(); v++ {
-		if got.H.VertexName(v) != inst.H.VertexName(v) {
-			t.Fatalf("vertex %d renamed across store round trip", v)
+		// Annotations survive by name.
+		for v := 0; v < inst.H.NumVertices(); v++ {
+			name := inst.H.VertexLabel(v)
+			gv, ok := got.H.VertexID(name)
+			if !ok {
+				t.Fatalf("protein %q lost", name)
+			}
+			if got.Ann.Known[gv] != inst.Ann.Known[v] ||
+				got.Ann.Essential[gv] != inst.Ann.Essential[v] ||
+				got.Ann.Homolog[gv] != inst.Ann.Homolog[v] {
+				t.Fatalf("annotations for %q changed", name)
+			}
 		}
-	}
-	if len(got.BaitsUsed) != len(inst.BaitsUsed) || len(got.BaitsReported) != len(inst.BaitsReported) {
-		t.Errorf("baits: %d/%d vs %d/%d", len(got.BaitsUsed), len(got.BaitsReported), len(inst.BaitsUsed), len(inst.BaitsReported))
-	}
-	// When both formats are present the store wins; plant a decoy text
-	// file with a different shape to prove which one was read.
-	if err := os.WriteFile(filepath.Join(dir, "hypergraph.txt"), []byte("decoy: A B\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	again, err := LoadInstance(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.H.NumVertices() != inst.H.NumVertices() {
-		t.Fatal("LoadInstance preferred hypergraph.txt over hypergraph.store")
+		// The loaded core matches a fresh computation.
+		mc := core.MaxCore(got.H)
+		for v := range mc.VertexIn {
+			if mc.VertexIn[v] != got.CoreV[v] {
+				t.Fatalf("loaded CoreV disagrees with computed core at %s", got.H.VertexName(v))
+			}
+		}
+		if len(got.Singletons) != len(inst.Singletons) {
+			t.Errorf("singletons: %d vs %d", len(got.Singletons), len(inst.Singletons))
+		}
 	}
 }
 

@@ -154,7 +154,7 @@ func (c *coordinator) setup() error {
 		if !rw.alive() {
 			continue
 		}
-		if err := sendRetry(c.ctx, rw.conn, mLoad, payload, c.opts.SendRetries); err != nil {
+		if err := sendRetry(c.ctx, rw.conn, mLoad, payload, sendRetries); err != nil {
 			c.kill(rw)
 		}
 	}
@@ -182,7 +182,7 @@ func (c *coordinator) spawn(i int, addr string) error {
 		return nil
 	}
 	c.workers = append(c.workers, &remoteWorker{id: i})
-	wopts := WorkerOptions{ID: i, HeartbeatInterval: c.opts.HeartbeatInterval, SendRetries: c.opts.SendRetries}
+	wopts := WorkerOptions{ID: i, HeartbeatInterval: c.opts.HeartbeatInterval}
 	ctx := c.ctx
 	c.wg.Add(1)
 	go func() {
@@ -347,7 +347,7 @@ func (c *coordinator) broadcast(typ byte, payload []byte) error {
 		if !rw.alive() {
 			continue
 		}
-		if err := sendRetry(c.ctx, rw.conn, typ, payload, c.opts.SendRetries); err != nil {
+		if err := sendRetry(c.ctx, rw.conn, typ, payload, sendRetries); err != nil {
 			c.kill(rw)
 			lost = true
 		}
@@ -431,7 +431,7 @@ func (c *coordinator) initialAssign() error {
 	}
 	for _, rw := range alive {
 		m := msgAssign{Epoch: c.epoch, K: 0, Round: 0, Fresh: fresh[rw.id]}
-		if err := sendRetry(c.ctx, rw.conn, mAssign, m.encode(), c.opts.SendRetries); err != nil {
+		if err := sendRetry(c.ctx, rw.conn, mAssign, m.encode(), sendRetries); err != nil {
 			c.kill(rw)
 			return errWorkerLost
 		}
@@ -630,7 +630,7 @@ func (c *coordinator) recoverPool() error {
 			continue
 		}
 		m := msgAssign{Epoch: c.epoch, K: c.barK, Round: c.barRound, Snaps: snaps}
-		if err := sendRetry(c.ctx, rw.conn, mAssign, m.encode(), c.opts.SendRetries); err != nil {
+		if err := sendRetry(c.ctx, rw.conn, mAssign, m.encode(), sendRetries); err != nil {
 			c.kill(rw)
 			return errWorkerLost
 		}
@@ -643,7 +643,7 @@ func (c *coordinator) recoverPool() error {
 func (c *coordinator) finish(maxK int) (*core.Decomposition, error) {
 	fin := msgRound{Epoch: c.epoch, K: c.barK, Round: c.barRound}
 	for _, rw := range c.aliveWorkers() {
-		if err := sendRetry(c.ctx, rw.conn, mFinish, fin.encode(), c.opts.SendRetries); err != nil {
+		if err := sendRetry(c.ctx, rw.conn, mFinish, fin.encode(), sendRetries); err != nil {
 			c.kill(rw)
 			continue
 		}

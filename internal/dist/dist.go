@@ -37,9 +37,6 @@ type Options struct {
 	// PhaseTimeout bounds every protocol phase: worker join, load, and
 	// each await of a round reply.  Defaults to 30s.
 	PhaseTimeout time.Duration
-	// SendRetries bounds retry-with-backoff on transient send failures
-	// (default 3).
-	SendRetries int
 	// MaxRecoveries bounds worker-death recoveries before the pool is
 	// declared failed (default 3).
 	MaxRecoveries int
@@ -72,9 +69,6 @@ func (o Options) normalized(h *hypergraph.Hypergraph) Options {
 	}
 	if o.PhaseTimeout <= 0 {
 		o.PhaseTimeout = 30 * time.Second
-	}
-	if o.SendRetries <= 0 {
-		o.SendRetries = 3
 	}
 	if o.MaxRecoveries <= 0 {
 		o.MaxRecoveries = 3

@@ -120,6 +120,10 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return nil
 }
 
+// sendRetries is how many times both ends retry a transient send
+// failure before giving up.
+const sendRetries = 3
+
 // sendRetry is writeFrame with bounded retry-with-backoff on transient
 // failures: injected faults and network timeouts back off 1, 2, 4…
 // milliseconds; hard errors (a broken connection) return immediately.

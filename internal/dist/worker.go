@@ -31,17 +31,11 @@ type WorkerOptions struct {
 	// a silent worker dead after several missed beats.  Defaults to
 	// 100ms.
 	HeartbeatInterval time.Duration
-	// SendRetries bounds retry-with-backoff on transient reply-send
-	// failures.  Defaults to 3.
-	SendRetries int
 }
 
 func (o WorkerOptions) normalized() WorkerOptions {
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = 100 * time.Millisecond
-	}
-	if o.SendRetries <= 0 {
-		o.SendRetries = 3
 	}
 	return o
 }
@@ -178,7 +172,7 @@ func (w *workerState) heartbeatLoop(ctx context.Context, stop <-chan struct{}) {
 func (w *workerState) send(typ byte, payload []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	return sendRetry(w.ctx, w.conn, typ, payload, w.opts.SendRetries)
+	return sendRetry(w.ctx, w.conn, typ, payload, sendRetries)
 }
 
 // report best-effort ships a typed failure to the coordinator before

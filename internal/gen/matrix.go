@@ -33,7 +33,6 @@ func SyntheticMatrix(spec MatrixSpec) *mmio.Matrix {
 		}
 		m.RowIdx = append(m.RowIdx, int32(i))
 		m.ColIdx = append(m.ColIdx, int32(j))
-		m.Val = append(m.Val, 1)
 	}
 	for i := 0; i < spec.Rows; i++ {
 		add(i, i) // always keep the diagonal

@@ -240,12 +240,11 @@ func (b *Builder) MustBuild() *Hypergraph {
 }
 
 // FromEdgeSets builds a hypergraph over nv vertices directly from a
-// slice of member-ID sets, with the same result as adding each set
-// through a Builder: members may come unsorted or repeated, sets may be
-// empty, and nv ≤ 0 gives no vertices.  Vertices are named "v0", "v1",
-// ... and edges "f0", "f1", ... so that exported files remain readable;
-// the names share one backing string and are indexed on the first
-// VertexID or EdgeID call.  A member outside [0, nv) is an error, as
+// slice of member-ID sets, with the rows adding each set through a
+// Builder would give: members may come unsorted or repeated, sets may
+// be empty, and nv ≤ 0 gives no vertices.  Both sides stay unnamed:
+// VertexLabel and EdgeLabel print "v0", "f0", ..., and VertexID and
+// EdgeID find those labels.  A member outside [0, nv) is an error, as
 // are pins past maxPins, and sets holding more than math.MaxInt32
 // members in all, before repeats collapse.  The sets are copied once
 // into one flat row array for FromRows; the caller's slices are never
@@ -270,7 +269,7 @@ func FromEdgeSets(nv int, edges [][]int32) (*Hypergraph, error) {
 // FromRows builds a hypergraph over nv vertices from flat rows: the
 // members of hyperedge f are eAdj[eOff[f]:eOff[f+1]], in any order and
 // possibly repeated, with the result FromEdgeSets gives for the same
-// rows, names included.  It is the one flat entry point into the CSR
+// rows: both sides unnamed.  It is the one flat entry point into the CSR
 // assembly, and it takes ownership of both slices: each row that is not
 // already sorted and duplicate-free is sorted in place, the rows are
 // compacted leftwards and the offsets rewritten to match, and the
@@ -319,15 +318,7 @@ func FromRows(nv int, eOff, eAdj []int32) (*Hypergraph, error) {
 		}
 		eOff[f+1], start = int32(n), end
 	}
-	vNames, err := seqNames('v', nv, false)
-	if err != nil {
-		return nil, err
-	}
-	eNames, err := seqNames('f', ne, true)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(vNames, eNames, max(nv, 0), eOff, eAdj[:n:n]), nil
+	return assemble(nil, nil, max(nv, 0), eOff, eAdj[:n:n]), nil
 }
 
 // strictlyIncreasing reports whether row is sorted and duplicate-free.

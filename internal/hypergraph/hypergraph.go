@@ -11,9 +11,11 @@
 // O(|E|) representation the paper argues for (a complex with n members
 // costs O(n), not the O(n²) of a clique expansion), where |E| denotes
 // the number of pins, i.e. the sum of hyperedge cardinalities.  Next to
-// it a Hypergraph keeps one name table per side.  CSR hands the arrays
-// to the flat-array kernels as they are, and FromCSR wraps arrays
-// someone else holds (a mapped store file) without copying them.
+// it a Hypergraph keeps a name table for each named side; a side built
+// from IDs has none, and its labels ("v12", "f3") stand in for names
+// in lookups and output.  CSR hands the arrays to the flat-array
+// kernels as they are, and FromCSR wraps arrays someone else holds (a
+// mapped store file) without copying them.
 //
 // Construction goes through a Builder, or FromEdgeSets for rows of
 // vertex IDs; both share one CSR assembly, which returns ErrPinSpace
@@ -98,13 +100,39 @@ func label(name string, prefix byte, id int) string {
 }
 
 // VertexID returns the ID of the vertex with the given name, or (0,
-// false) if no such vertex exists.  It is safe for concurrent use.
-func (h *Hypergraph) VertexID(name string) (int, bool) { return h.vNames.id(name) }
+// false) if no such vertex exists.  On an unnamed side the names are
+// the labels VertexLabel prints.  It is safe for concurrent use.
+func (h *Hypergraph) VertexID(name string) (int, bool) {
+	if h.vNames == nil {
+		return labelID(name, 'v', h.NumVertices())
+	}
+	return h.vNames.id(name)
+}
 
 // EdgeID returns the ID of the hyperedge with the given name, or (0,
-// false) if no such hyperedge exists; the empty name finds none.  It
-// is safe for concurrent use.
-func (h *Hypergraph) EdgeID(name string) (int, bool) { return h.eNames.id(name) }
+// false) if no such hyperedge exists; the empty name finds none.  On
+// an unnamed side the names are the labels EdgeLabel prints.  It is
+// safe for concurrent use.
+func (h *Hypergraph) EdgeID(name string) (int, bool) {
+	if h.eNames == nil {
+		return labelID(name, 'f', h.NumEdges())
+	}
+	return h.eNames.id(name)
+}
+
+// labelID inverts label on an unnamed side of n entries: it returns
+// the ID below n whose label is s, which is prefix and the ID in
+// canonical decimal, without sign or leading zero.
+func labelID(s string, prefix byte, n int) (int, bool) {
+	if s == "" {
+		return 0, false
+	}
+	id, err := strconv.Atoi(s[1:])
+	if err != nil || id < 0 || id >= n || label("", prefix, id) != s {
+		return 0, false
+	}
+	return id, true
+}
 
 // MaxVertexDegree returns Δ_V, the maximum vertex degree (0 for an
 // empty vertex set).
@@ -138,23 +166,9 @@ func (h *Hypergraph) EdgeContains(f, v int) bool {
 	return i < len(m) && m[i] == int32(v)
 }
 
-// Degree2Edge returns d₂(f): the number of other hyperedges with which
-// f shares at least one vertex (the number of hyperedges reachable from
-// f by a path of length two in the bipartite graph B(H)).
-func (h *Hypergraph) Degree2Edge(f int) int {
-	seen := make(map[int32]struct{})
-	for _, v := range h.Vertices(f) {
-		for _, g := range h.Edges(int(v)) {
-			if g != int32(f) {
-				seen[g] = struct{}{}
-			}
-		}
-	}
-	return len(seen)
-}
-
-// MaxDegree2Edge returns Δ₂,F, the maximum d₂(f) over all hyperedges.
-// It runs in O(Σ_v d(v)²) time.
+// MaxDegree2Edge returns Δ₂,F, the maximum over all hyperedges f of
+// d₂(f), the number of other hyperedges sharing a vertex with f.  It
+// runs in O(Σ_v d(v)²) time.
 func (h *Hypergraph) MaxDegree2Edge() int {
 	// Count distinct overlapping edges per edge with a stamped scratch
 	// array instead of per-edge maps: one pass over each edge's
@@ -181,21 +195,6 @@ func (h *Hypergraph) MaxDegree2Edge() int {
 	return max
 }
 
-// Degree2Vertex returns d₂(v): the number of distinct vertices other
-// than v that share a hyperedge with v (vertices reachable by a
-// length-two path in B(H)).
-func (h *Hypergraph) Degree2Vertex(v int) int {
-	seen := make(map[int32]struct{})
-	for _, f := range h.Edges(v) {
-		for _, w := range h.Vertices(int(f)) {
-			if w != int32(v) {
-				seen[w] = struct{}{}
-			}
-		}
-	}
-	return len(seen)
-}
-
 // VertexDegrees returns a fresh slice of all vertex degrees.
 func (h *Hypergraph) VertexDegrees() []int {
 	d := make([]int, h.NumVertices())
@@ -214,32 +213,7 @@ func (h *Hypergraph) EdgeDegrees() []int {
 	return d
 }
 
-// EdgeSet returns the members of hyperedge f as a fresh int slice
-// (convenience for callers that want to own the memory).
-func (h *Hypergraph) EdgeSet(f int) []int {
-	m := h.Vertices(f)
-	out := make([]int, len(m))
-	for i, v := range m {
-		out[i] = int(v)
-	}
-	return out
-}
-
 // String returns a short diagnostic description.
 func (h *Hypergraph) String() string {
 	return fmt.Sprintf("Hypergraph{|V|=%d |F|=%d |E|=%d}", h.NumVertices(), h.NumEdges(), h.NumPins())
-}
-
-// Clone returns a deep copy of h.
-func (h *Hypergraph) Clone() *Hypergraph {
-	return &Hypergraph{
-		vNames: h.vNames.clone(),
-		eNames: h.eNames.clone(),
-		c: csr.CSR{
-			VOff: append([]int32(nil), h.c.VOff...),
-			VAdj: append([]int32(nil), h.c.VAdj...),
-			EOff: append([]int32(nil), h.c.EOff...),
-			EAdj: append([]int32(nil), h.c.EAdj...),
-		},
-	}
 }

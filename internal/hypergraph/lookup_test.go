@@ -84,18 +84,24 @@ func TestCSRAliases(t *testing.T) {
 }
 
 // TestConcurrentFirstLookup runs the first name lookups of a shared
-// hypergraph from several goroutines at once: on FromEdgeSets' names,
-// whose index is built by whichever lookup comes first, and on a
-// store-opened hypergraph with names.  Every lookup must find its ID;
-// the race detector checks the index is built once and published
+// hypergraph from several goroutines at once: on a restriction's
+// names, whose index is built by whichever lookup comes first, and on
+// a store-opened hypergraph with names.  Every lookup must find its
+// ID; the race detector checks the index is built once and published
 // safely.
 func TestConcurrentFirstLookup(t *testing.T) {
-	generated, err := hypergraph.FromEdgeSets(3000, [][]int32{{0, 1, 2}, {2, 2999}, {}, {17}})
-	if err != nil {
-		t.Fatal(err)
+	proteome := dataset.SyntheticProteome(2000, 300, 7)
+	keepV := make([]bool, proteome.NumVertices())
+	for v := range keepV {
+		keepV[v] = v%3 != 0
 	}
+	keepF := make([]bool, proteome.NumEdges())
+	for f := range keepF {
+		keepF[f] = f%2 == 0
+	}
+	sub, _, _ := proteome.Sub(keepV, keepF)
 	path := filepath.Join(t.TempDir(), "named.store")
-	if err := store.WriteH(path, dataset.SyntheticProteome(2000, 300, 7)); err != nil {
+	if err := store.WriteH(path, proteome); err != nil {
 		t.Fatal(err)
 	}
 	st, err := store.Open(path, store.Options{})
@@ -110,7 +116,7 @@ func TestConcurrentFirstLookup(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		h    *hypergraph.Hypergraph
-	}{{"FromEdgeSets", generated}, {"store", opened}} {
+	}{{"Sub", sub}, {"store", opened}} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := tc.h
 			start := make(chan struct{})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -177,9 +176,9 @@ func (a *arena) freeze(skipEmpty, copies bool) *names {
 }
 
 // names is one side's name table in a Hypergraph.  A table built
-// without an index (generated names, a restriction) builds it on the
-// first lookup, under once, since a Hypergraph is shared read-only
-// across goroutines.  skipEmpty marks the hyperedge side.
+// without an index (a restriction) builds it on the first lookup,
+// under once, since a Hypergraph is shared read-only across
+// goroutines.  skipEmpty marks the hyperedge side.
 type names struct {
 	table
 	skipEmpty bool
@@ -197,12 +196,8 @@ func (n *names) index() []int32 {
 	return n.idx
 }
 
-// id returns the ID of the named entry, or (0, false).  A nil table
-// (an unnamed side) finds nothing.
+// id returns the ID of the named entry, or (0, false).
 func (n *names) id(key string) (int, bool) {
-	if n == nil {
-		return 0, false
-	}
 	n.index()
 	if _, id := find(&n.table, key, maphash.String(nameSeed, key)); id >= 0 {
 		return id, true
@@ -216,23 +211,6 @@ func (n *names) get(i int) string {
 		return ""
 	}
 	return n.name(i)
-}
-
-// clone returns a deep copy with its index built, nil for nil.
-func (n *names) clone() *names {
-	if n == nil {
-		return nil
-	}
-	c := &names{
-		table: table{
-			s:    n.s,
-			ends: append([]int32(nil), n.ends...),
-			idx:  append([]int32(nil), n.index()...),
-		},
-		skipEmpty: n.skipEmpty,
-	}
-	c.index()
-	return c
 }
 
 // subset returns the table of the names with keep[i] set, in order,
@@ -253,29 +231,6 @@ func (n *names) subset(keep []bool) *names {
 		}
 	}
 	return &names{table: table{s: b.String(), ends: ends}, skipEmpty: n.skipEmpty}
-}
-
-// seqNames returns the generated names prefix0 … prefix(n-1) in one
-// backing string, to be indexed on first lookup (nil for n ≤ 0).
-func seqNames(prefix byte, n int, skipEmpty bool) (*names, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	width := 1 + len(strconv.Itoa(n-1))
-	if n > maxNameBytes/width {
-		return nil, fmt.Errorf("%w: %d generated names", ErrNameSpace, n)
-	}
-	var b strings.Builder
-	b.Grow(n * width)
-	var num [20]byte
-	ends := make([]int32, n)
-	for i := range ends {
-		b.WriteByte(prefix)
-		b.Write(strconv.AppendInt(num[:0], int64(i), 10))
-		end := b.Len() // at most n*width, which fits maxNameBytes
-		ends[i] = int32(end)
-	}
-	return &names{table: table{s: b.String(), ends: ends}, skipEmpty: skipEmpty}, nil
 }
 
 // blobNames wraps one side of a store file's names, an (n+1)-entry

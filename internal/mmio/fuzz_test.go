@@ -93,11 +93,15 @@ func FuzzReadMatrixMarket(f *testing.F) {
 			t.Fatalf("round trip changed shape: %dx%d/%d/%t to %dx%d/%d/%t",
 				m.Rows, m.Cols, m.NNZ(), m.Pattern, m2.Rows, m2.Cols, m2.NNZ(), m2.Pattern)
 		}
+		if m.Pattern && (m.Val != nil || m2.Val != nil) {
+			t.Fatalf("pattern matrix holds %d values, its re-read %d", len(m.Val), len(m2.Val))
+		}
 		for k := 0; k < m.NNZ(); k++ {
-			if m.RowIdx[k] != m2.RowIdx[k] || m.ColIdx[k] != m2.ColIdx[k] ||
-				math.Float64bits(m.Val[k]) != math.Float64bits(m2.Val[k]) {
-				t.Fatalf("entry %d changed: (%d,%d,%g) to (%d,%d,%g)",
-					k, m.RowIdx[k], m.ColIdx[k], m.Val[k], m2.RowIdx[k], m2.ColIdx[k], m2.Val[k])
+			if m.RowIdx[k] != m2.RowIdx[k] || m.ColIdx[k] != m2.ColIdx[k] {
+				t.Fatalf("entry %d changed: (%d,%d) to (%d,%d)", k, m.RowIdx[k], m.ColIdx[k], m2.RowIdx[k], m2.ColIdx[k])
+			}
+			if !m.Pattern && math.Float64bits(m.Val[k]) != math.Float64bits(m2.Val[k]) {
+				t.Fatalf("entry %d (%d,%d) changed value: %g to %g", k, m.RowIdx[k], m.ColIdx[k], m.Val[k], m2.Val[k])
 			}
 		}
 		if m.Rows > fuzzDimLimit || m.Cols > fuzzDimLimit {

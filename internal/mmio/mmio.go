@@ -30,8 +30,12 @@ var fpReadEntry = failpoint.Register("mmio.read.entry")
 const readCheckEvery = 256
 
 // entryBytes is the estimated long-lived cost of one stored entry
-// (row + col int32 plus a float64), charged against MaxAlloc.
-const entryBytes = 16
+// (row + col int32 plus a float64), charged against MaxAlloc; an entry
+// of a pattern file holds no value and costs patternEntryBytes.
+const (
+	entryBytes        = 16
+	patternEntryBytes = 8
+)
 
 // maxPresize caps how many entries ReadCtx allocates up front from the
 // size line's promise, so a hostile header cannot demand more than
@@ -43,7 +47,9 @@ const maxPresize = 1 << 20
 // is expanded to general form at read time.
 type Matrix struct {
 	Rows, Cols int
-	// RowIdx[k], ColIdx[k], Val[k] describe the k-th stored entry.
+	// RowIdx[k], ColIdx[k], Val[k] describe the k-th stored entry.  A
+	// pattern matrix holds no values: its Val is nil, and every entry
+	// stands for a one.
 	RowIdx []int32
 	ColIdx []int32
 	Val    []float64
@@ -74,10 +80,10 @@ type Info struct {
 // MatrixEvents receives the entries of a coordinate file as ScanCtx
 // parses them.
 type MatrixEvents struct {
-	// Size is called once with the validated size-line dimensions,
+	// Size is called once with the validated header and size line,
 	// before any Entry call, so consumers can size allocations.  Nil
 	// skips delivery.
-	Size func(rows, cols, nnz int) error
+	Size func(info *Info) error
 	// Entry is called per stored entry with 0-based indices; for a
 	// symmetric file each off-diagonal entry is delivered twice,
 	// mirrored, exactly as Read expands it.  Nil skips delivery.
@@ -165,7 +171,7 @@ func ScanCtx(ctx context.Context, r io.Reader, ev MatrixEvents) (*Info, error) {
 		Symmetric: sym == "symmetric",
 	}
 	if ev.Size != nil {
-		if err := ev.Size(rows, cols, nnz); err != nil {
+		if err := ev.Size(info); err != nil {
 			return nil, err
 		}
 	}
@@ -345,40 +351,49 @@ func Read(r io.Reader) (*Matrix, error) {
 // stored entry).  The entry arrays are sized from the size line, up to
 // maxPresize entries, whose bytes are charged before they are
 // allocated; entries beyond them are charged in blocks as they arrive.
-// On any error it returns (nil, err).
+// A pattern file's entries keep no values.  On any error it returns
+// (nil, err).
 func ReadCtx(ctx context.Context, r io.Reader) (*Matrix, error) {
 	meter := run.MeterFrom(ctx)
 	m := &Matrix{}
+	perEntry := int64(entryBytes)
 	charged := 0 // entries whose bytes the budget has been charged for
-	info, err := ScanCtx(ctx, r, MatrixEvents{
-		Size: func(_, _, nnz int) error {
-			n := min(nnz, maxPresize)
-			if err := meter.Alloc(int64(n) * entryBytes); err != nil {
+	_, err := ScanCtx(ctx, r, MatrixEvents{
+		Size: func(info *Info) error {
+			m.Rows, m.Cols, m.Pattern = info.Rows, info.Cols, info.Pattern
+			if m.Pattern {
+				perEntry = patternEntryBytes
+			}
+			n := min(info.NNZ, maxPresize)
+			if err := meter.Alloc(int64(n) * perEntry); err != nil {
 				return err
 			}
 			charged = n
 			m.RowIdx = make([]int32, 0, n)
 			m.ColIdx = make([]int32, 0, n)
-			m.Val = make([]float64, 0, n)
+			if !m.Pattern {
+				m.Val = make([]float64, 0, n)
+			}
 			return nil
 		},
 		Entry: func(i, j int32, v float64) error {
 			if len(m.RowIdx) == charged {
-				if err := meter.Alloc(readCheckEvery * entryBytes); err != nil {
+				if err := meter.Alloc(readCheckEvery * perEntry); err != nil {
 					return err
 				}
 				charged += readCheckEvery
 			}
 			m.RowIdx = append(m.RowIdx, i)
 			m.ColIdx = append(m.ColIdx, j)
-			m.Val = append(m.Val, v)
+			if !m.Pattern {
+				m.Val = append(m.Val, v)
+			}
 			return nil
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	m.Rows, m.Cols, m.Pattern = info.Rows, info.Cols, info.Pattern
 	return m, nil
 }
 
@@ -456,7 +471,6 @@ func FromHypergraph(h *hypergraph.Hypergraph) *Matrix {
 		for _, v := range h.Vertices(f) {
 			m.RowIdx = append(m.RowIdx, v)
 			m.ColIdx = append(m.ColIdx, int32(f))
-			m.Val = append(m.Val, 1)
 		}
 	}
 	return m

@@ -81,8 +81,8 @@ func TestReadPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Pattern || m.NNZ() != 2 || m.Val[0] != 1 {
-		t.Errorf("pattern read wrong: %+v", m)
+	if !m.Pattern || m.NNZ() != 2 || m.Val != nil {
+		t.Errorf("pattern read wrong, want two entries and no values: %+v", m)
 	}
 }
 
@@ -112,7 +112,8 @@ func TestReadErrors(t *testing.T) {
 // promising 2^31−1 entries over a two-line body still fails with the
 // count-mismatch error; the presized bytes are charged to MaxAlloc
 // before they are allocated, so a small budget refuses that header; and
-// on an honest file the budget sees each stored entry's bytes once.
+// on an honest file the budget sees each stored entry's bytes once:
+// 16 with a value, 8 in a pattern file, which keeps none.
 func TestReadPresize(t *testing.T) {
 	huge := "%%MatrixMarket matrix coordinate real general\n2 2 2147483647\n1 1 1\n2 2 1\n"
 	if _, err := Read(strings.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "read 2 entries, header promised 2147483647") {
@@ -125,19 +126,27 @@ func TestReadPresize(t *testing.T) {
 
 	// Symmetric: the promised entries are presized, the mirrored ones
 	// are charged as they arrive.
-	var b strings.Builder
-	const n = 1000
-	fmt.Fprintf(&b, "%%%%MatrixMarket matrix coordinate pattern symmetric\n%d %d %d\n", n, n, n)
-	for i := 1; i <= n; i++ {
-		fmt.Fprintf(&b, "%d %d\n", i, 1+(i*7)%n)
-	}
-	ctx, meter := run.WithBudget(context.Background(), run.Budget{})
-	m, err := ReadCtx(ctx, strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, lo, hi := meter.Allocated(), int64(m.NNZ())*entryBytes, int64(m.NNZ()+readCheckEvery)*entryBytes; got < lo || got >= hi {
-		t.Fatalf("charged %d bytes for %d stored entries, want [%d, %d)", got, m.NNZ(), lo, hi)
+	for _, tc := range []struct {
+		field, value string
+		perEntry     int64
+	}{{"pattern", "", patternEntryBytes}, {"real", " 2.5", entryBytes}} {
+		var b strings.Builder
+		const n = 1000
+		fmt.Fprintf(&b, "%%%%MatrixMarket matrix coordinate %s symmetric\n%d %d %d\n", tc.field, n, n, n)
+		for i := 1; i <= n; i++ {
+			fmt.Fprintf(&b, "%d %d%s\n", i, 1+(i*7)%n, tc.value)
+		}
+		ctx, meter := run.WithBudget(context.Background(), run.Budget{})
+		m, err := ReadCtx(ctx, strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, lo, hi := meter.Allocated(), int64(m.NNZ())*tc.perEntry, int64(m.NNZ()+readCheckEvery)*tc.perEntry; got < lo || got >= hi {
+			t.Fatalf("%s: charged %d bytes for %d stored entries, want [%d, %d)", tc.field, got, m.NNZ(), lo, hi)
+		}
+		if (m.Val == nil) != m.Pattern {
+			t.Fatalf("%s: %d values for %d entries", tc.field, len(m.Val), m.NNZ())
+		}
 	}
 }
 
@@ -219,7 +228,11 @@ func TestReadEntryText(t *testing.T) {
 		if err != nil {
 			got = err.Error()
 		} else {
-			got = fmt.Sprintf("(%d,%d,%g)", m.RowIdx[0], m.ColIdx[0], m.Val[0])
+			v := 1.0 // a pattern entry stands for a one
+			if !m.Pattern {
+				v = m.Val[0]
+			}
+			got = fmt.Sprintf("(%d,%d,%g)", m.RowIdx[0], m.ColIdx[0], v)
 		}
 		if got != tc.want {
 			t.Errorf("entry %q: got %s, want %s", tc.entry, got, tc.want)
@@ -238,7 +251,9 @@ func TestWriteTakesFastPath(t *testing.T) {
 		for k, v := range vals {
 			m.RowIdx = append(m.RowIdx, int32([]int{0, 9, 99999, maxIndex - 1}[k%4]))
 			m.ColIdx = append(m.ColIdx, int32(k))
-			m.Val = append(m.Val, v)
+			if !pattern {
+				m.Val = append(m.Val, v)
+			}
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, m); err != nil {
@@ -251,9 +266,9 @@ func TestWriteTakesFastPath(t *testing.T) {
 		}
 		for k, line := range lines {
 			i, j, v, ok := fastEntry([]byte(line), info)
-			want := m.Val[k]
-			if pattern {
-				want = 1
+			want := 1.0
+			if !pattern {
+				want = m.Val[k]
 			}
 			if !ok || i != m.RowIdx[k] || j != m.ColIdx[k] || math.Float64bits(v) != math.Float64bits(want) {
 				t.Errorf("pattern %t: fastEntry(%q) = (%d,%d,%v,%t), want (%d,%d,%v,true)", pattern, line, i, j, v, ok, m.RowIdx[k], m.ColIdx[k], want)
@@ -273,7 +288,9 @@ func TestReadCtxAllocs(t *testing.T) {
 			for k := 0; k < nnz; k++ {
 				m.RowIdx = append(m.RowIdx, int32(k))
 				m.ColIdx = append(m.ColIdx, int32((k*7919)%nnz))
-				m.Val = append(m.Val, float64(k)/7)
+				if !pattern {
+					m.Val = append(m.Val, float64(k)/7)
+				}
 			}
 			var buf bytes.Buffer
 			if err := Write(&buf, m); err != nil {

@@ -42,26 +42,18 @@ func WriteNet(w io.Writer, h *hypergraph.Hypergraph, coreV, coreF []bool) error 
 	nv, ne := h.NumVertices(), h.NumEdges()
 	fmt.Fprintf(bw, "*Vertices %d\n", nv+ne)
 	for v := 0; v < nv; v++ {
-		name := h.VertexName(v)
-		if name == "" {
-			name = "v" + strconv.Itoa(v)
-		}
 		color := ColorProtein
 		if coreV != nil && coreV[v] {
 			color = ColorProteinCore
 		}
-		fmt.Fprintf(bw, "%d %q ic %s\n", v+1, name, color)
+		fmt.Fprintf(bw, "%d %q ic %s\n", v+1, h.VertexLabel(v), color)
 	}
 	for f := 0; f < ne; f++ {
-		name := h.EdgeName(f)
-		if name == "" {
-			name = "f" + strconv.Itoa(f)
-		}
 		color := ColorComplex
 		if coreF != nil && coreF[f] {
 			color = ColorComplexCore
 		}
-		fmt.Fprintf(bw, "%d %q ic %s\n", nv+f+1, name, color)
+		fmt.Fprintf(bw, "%d %q ic %s\n", nv+f+1, h.EdgeLabel(f), color)
 	}
 	fmt.Fprintln(bw, "*Edges")
 	for f := 0; f < ne; f++ {

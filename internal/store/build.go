@@ -335,8 +335,8 @@ func buildText(ctx context.Context, meter *run.Meter, dst string, src Source) er
 // buildMTX streams a Matrix Market coordinate source into a store
 // file: rows become vertices, columns hyperedges, exactly as
 // mmio.ToHypergraph converts in RAM (duplicates collapse, empty
-// columns stay as empty hyperedges), but the built store carries no
-// names.  Pass 1 counts the raw entries per column and pass 2 scatters
+// columns stay as empty hyperedges, neither side is named), so the
+// store holds the bytes WriteH writes for that conversion.  Pass 1 counts the raw entries per column and pass 2 scatters
 // them, grouped by column, into a scratch file; each column is then
 // sorted and compacted in place, and writeRows lays the compacted
 // columns out as the store.  RAM stays O(rows+cols) plus the largest
@@ -355,15 +355,15 @@ func buildMTX(ctx context.Context, meter *run.Meter, dst string, src Source) err
 		return fmt.Errorf("store: build %s: open source: %w", dst, err)
 	}
 	_, scanErr := mmio.ScanCtx(ctx, rc, mmio.MatrixEvents{
-		Size: func(rows, cols, nnz int) error {
-			if int64(rows) >= maxInt32 || int64(cols) >= maxInt32 {
-				return fmt.Errorf("store: build %s: %d x %d dimensions overflow the int32 index space", dst, rows, cols)
+		Size: func(info *mmio.Info) error {
+			if int64(info.Rows) >= maxInt32 || int64(info.Cols) >= maxInt32 {
+				return fmt.Errorf("store: build %s: %d x %d dimensions overflow the int32 index space", dst, info.Rows, info.Cols)
 			}
-			numV, numE, sized = int64(rows), int64(cols), true
+			numV, numE, sized = int64(info.Rows), int64(info.Cols), true
 			if aerr := meter.Alloc(4 * numE); aerr != nil {
 				return aerr
 			}
-			eDegRaw = make([]int32, cols)
+			eDegRaw = make([]int32, numE)
 			return nil
 		},
 		Entry: func(i, j int32, v float64) error {
@@ -418,9 +418,9 @@ func buildMTX(ctx context.Context, meter *run.Meter, dst string, src Source) err
 		return fmt.Errorf("store: build %s: reopen source: %w", dst, err)
 	}
 	_, scanErr = mmio.ScanCtx(ctx, rc2, mmio.MatrixEvents{
-		Size: func(rows, cols, nnz int) error {
-			if int64(rows) != numV || int64(cols) != numE {
-				return changed(dst, "size %dx%d, counted %dx%d", rows, cols, numV, numE)
+		Size: func(info *mmio.Info) error {
+			if int64(info.Rows) != numV || int64(info.Cols) != numE {
+				return changed(dst, "size %dx%d, counted %dx%d", info.Rows, info.Cols, numV, numE)
 			}
 			return nil
 		},

@@ -77,8 +77,10 @@ func writeHBytes(t *testing.T, label string, h *hypergraph.Hypergraph) []byte {
 // file writes the bytes WriteH writes for ReadText of it, on Cellzome,
 // the 20000-protein proteome and every sweep instance, those with no
 // vertices or no hyperedges included, and BuildFile of the banded
-// 2000-row Matrix Market file writes the bytes WriteH writes for its
-// File.H().  A text build opens its source once, an mtx build twice.
+// 2000-row Matrix Market file writes the bytes WriteH writes for the
+// in-RAM conversion of the matrix, which names neither side, and for
+// its own File.H().  A text build opens its source once, an mtx build
+// twice.
 func TestBuildFileMatchesWriteH(t *testing.T) {
 	type input struct {
 		label string
@@ -109,6 +111,13 @@ func TestBuildFileMatchesWriteH(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := buildBytes(t, "banded", "mtx", banded.Bytes(), 2)
+	inRAM, err := mmio.ToHypergraph(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, writeHBytes(t, "banded", inRAM)) {
+		t.Error("banded: BuildFile of the mtx file differs from WriteH of mmio.ToHypergraph")
+	}
 	path := filepath.Join(t.TempDir(), "banded.store")
 	if err := os.WriteFile(path, got, 0o644); err != nil {
 		t.Fatal(err)
