@@ -21,12 +21,6 @@ type Result struct {
 	NumEdges    int
 }
 
-// Sub materializes the core as a sub-hypergraph of h (with old→new ID
-// maps), for callers that want to keep analyzing it.
-func (r *Result) Sub(h *hypergraph.Hypergraph) (*hypergraph.Hypergraph, map[int]int, map[int]int) {
-	return h.Sub(r.VertexIn, r.EdgeIn)
-}
-
 // Decomposition is the full core decomposition of a hypergraph.
 type Decomposition struct {
 	// VertexCoreness[v] is the largest k such that v is in the k-core

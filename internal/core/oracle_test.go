@@ -83,15 +83,16 @@ func TestPropertyCoreIsMaximal(t *testing.T) {
 }
 
 // TestResultSub materializes the planted 3-core, which check.ValidCore
-// accepts as exactly the paper's reduced 3-core, as a valid
-// sub-hypergraph of its four vertices and four hyperedges.
+// accepts as exactly the paper's reduced 3-core, with h.Sub over its
+// membership slices as a valid sub-hypergraph of its four vertices and
+// four hyperedges.
 func TestResultSub(t *testing.T) {
 	h := core.PlantedHypergraph(t)
 	r := core.KCore(h, 3)
 	if err := check.ValidCore(h, 3, r); err != nil {
 		t.Fatal(err)
 	}
-	sub, _, _ := r.Sub(h)
+	sub, _, _ := h.Sub(r.VertexIn, r.EdgeIn)
 	if sub.NumVertices() != 4 || sub.NumEdges() != 4 {
 		t.Errorf("materialized core = %v", sub)
 	}

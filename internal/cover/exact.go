@@ -46,7 +46,7 @@ func Exact(h *hypergraph.Hypergraph, weights []float64, maxNodes int64) (*Cover,
 	}
 
 	// Start from the greedy solution as the incumbent.
-	incumbent, err := GreedyMulticover(h, weights, nil)
+	incumbent, err := CSRGreedyMulticover(h, weights, nil)
 	if err != nil {
 		return nil, err
 	}

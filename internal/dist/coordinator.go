@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -36,13 +37,16 @@ type frameMsg struct {
 }
 
 // remoteWorker is the coordinator's handle on one worker: its
-// connection, its decoded inbound frames, and its last-heard-from
-// clock (any frame counts, heartbeats exist to keep it fresh while
-// the worker computes).
+// connection, its inbound frames, and its last-heard-from clock (any
+// frame counts, heartbeats exist to keep it fresh while the worker
+// computes).  The reader goroutine owns each payload until it hands it
+// over on frames; the consumer hands it back on free once decoded, and
+// the reader reads a later frame into it.
 type remoteWorker struct {
 	id       int
 	conn     net.Conn
 	frames   chan frameMsg
+	free     chan []byte
 	lastBeat atomic.Int64 // unix nanos of the last frame received
 	dead     bool
 	cmd      *exec.Cmd // non-nil when spawned as an OS process
@@ -50,9 +54,19 @@ type remoteWorker struct {
 
 func (rw *remoteWorker) alive() bool { return rw != nil && !rw.dead }
 
+// recycle hands a decoded payload back to rw's reader; when the reader
+// has enough spare buffers it is dropped.
+func (rw *remoteWorker) recycle(payload []byte) {
+	select {
+	case rw.free <- payload:
+	default:
+	}
+}
+
 // coordinator drives the worker pool.  It is the core.Rounds of a
-// distributed run: core.RunRounds calls its Apply, Retire and Shrink,
-// which broadcast one frame each and await every live worker's reply,
+// distributed run: core.RunRounds calls its Apply and Shrink, which
+// broadcast one frame each and await every live worker's reply, its
+// Retire, which returns the retired delta the Frontier votes carried,
 // and its Resume, which recovers the pool after a worker death.
 type coordinator struct {
 	//hyperplexvet:ignore ctxfirst scoped to one runCoordinator call tree, as workerState's is to ServeWorker's
@@ -78,6 +92,23 @@ type coordinator struct {
 	barK        int32
 	barRound    int32
 	haveBarrier bool
+
+	// The barrier before the committed one, which no replay names any
+	// more: the next barrier's snapshots are decoded into its per-shard
+	// snapshots and its dying union built in its buffer, and commit
+	// swaps them with snaps and dying.
+	spareSnaps []*core.ShardSnapshot
+	spareDying []int32
+
+	// Reused across rounds: out holds every frame the coordinator sends
+	// except Load; vote and bar are the decode targets of Frontier and
+	// Barrier replies; retired gathers the round's retired delta off
+	// the votes; timer times every await.
+	out     []byte
+	vote    msgRound
+	bar     msgBarrier
+	retired []int32
+	timer   *time.Timer
 
 	recoveries int
 }
@@ -125,6 +156,10 @@ func (c *coordinator) setup() error {
 	c.part = part
 	c.owner = make([]int, part.NumShards())
 	c.snaps = make([]*core.ShardSnapshot, part.NumShards())
+	c.spareSnaps = make([]*core.ShardSnapshot, part.NumShards())
+	for s := range c.spareSnaps {
+		c.snaps[s], c.spareSnaps[s] = &core.ShardSnapshot{}, &core.ShardSnapshot{}
+	}
 
 	ln, err := net.Listen("tcp", c.opts.Listen)
 	if err != nil {
@@ -146,7 +181,8 @@ func (c *coordinator) setup() error {
 
 	g := c.h.CSR()
 	load := msgLoad{Epoch: c.epoch, Descs: part.Descs(), NumV: csr.MustInt32(c.h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
-	payload := load.encode()
+	// The Load frame is the one frame of its size; out does not keep it.
+	frame := load.encode(nil)
 	for _, rw := range c.workers {
 		if err := c.ctx.Err(); err != nil {
 			return err
@@ -154,7 +190,7 @@ func (c *coordinator) setup() error {
 		if !rw.alive() {
 			continue
 		}
-		if err := sendRetry(c.ctx, rw.conn, mLoad, payload, sendRetries); err != nil {
+		if err := sendRetry(c.ctx, rw.conn, mLoad, frame, sendRetries); err != nil {
 			c.kill(rw)
 		}
 	}
@@ -231,9 +267,10 @@ func (c *coordinator) join() error {
 		// panics out of hello, teardown still severs it, so the worker
 		// behind it cannot be left blocked on a read.
 		c.accepted = append(c.accepted, conn)
+		rd := bufio.NewReader(conn)
 		var id int
 		if err = conn.SetReadDeadline(deadline); err == nil {
-			id, err = c.hello(conn)
+			id, err = c.hello(rd)
 		}
 		if err == nil && (id < 0 || id >= len(c.workers) || c.workers[id].conn != nil) {
 			err = fmt.Errorf("%w: hello claims worker slot %d", ErrCorruptFrame, id)
@@ -246,8 +283,12 @@ func (c *coordinator) join() error {
 		_ = conn.SetReadDeadline(time.Time{})
 		rw.conn = conn
 		rw.frames = make(chan frameMsg, 4)
+		// free holds as many buffers as frames can queue payloads, so
+		// a recycled buffer is dropped only when more frames than that
+		// were read ahead of their consumer.
+		rw.free = make(chan []byte, cap(rw.frames))
 		rw.lastBeat.Store(time.Now().UnixNano())
-		c.startReader(rw)
+		c.startReader(rw, rd)
 		joined++
 	}
 	for _, rw := range c.workers {
@@ -261,10 +302,10 @@ func (c *coordinator) join() error {
 	return nil
 }
 
-// hello validates one join handshake and returns the worker ID the
-// connection claims.
-func (c *coordinator) hello(conn net.Conn) (int, error) {
-	typ, payload, err := readFrame(conn, 64)
+// hello validates one join handshake read off rd and returns the
+// worker ID the connection claims.
+func (c *coordinator) hello(rd *bufio.Reader) (int, error) {
+	typ, payload, err := readFrame(rd, 64, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -281,10 +322,13 @@ func (c *coordinator) hello(conn net.Conn) (int, error) {
 	return int(m.ID), nil
 }
 
-// startReader decodes rw's inbound frames into its channel; any read
-// failure (connection death, corrupt frame, injected fault) closes the
-// channel, which every consumer treats as worker death.
-func (c *coordinator) startReader(rw *remoteWorker) {
+// startReader reads rw's inbound frames off rd, the connection's one
+// buffered reader, into its channel; any read failure (connection
+// death, corrupt frame, injected fault) closes the channel, which every
+// consumer treats as worker death.  Heartbeats are read into the same
+// buffer over and over; after handing a frame over, the reader takes a
+// recycled buffer, or reads the next frame into a fresh one.
+func (c *coordinator) startReader(rw *remoteWorker, rd *bufio.Reader) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -292,19 +336,26 @@ func (c *coordinator) startReader(rw *remoteWorker) {
 			_ = recover() // an injected recv panic is a dead worker, not a crash
 			close(rw.frames)
 		}()
+		var buf []byte
 		for {
-			typ, payload, err := readFrame(rw.conn, maxFramePayload)
+			typ, payload, err := readFrame(rd, maxFramePayload, buf)
 			if err != nil {
 				return
 			}
 			rw.lastBeat.Store(time.Now().UnixNano())
 			if typ == mHeartbeat {
+				buf = payload
 				continue
 			}
 			select {
 			case rw.frames <- frameMsg{typ: typ, payload: payload}:
 			case <-c.done:
 				return
+			}
+			select {
+			case buf = <-rw.free:
+			default:
+				buf = nil
 			}
 		}
 	}()
@@ -338,7 +389,7 @@ func (c *coordinator) kill(rw *remoteWorker) {
 
 // broadcast sends one frame to every live worker; send failure kills
 // the worker and reports the loss after the sweep completes.
-func (c *coordinator) broadcast(typ byte, payload []byte) error {
+func (c *coordinator) broadcast(typ byte, frame []byte) error {
 	lost := false
 	for _, rw := range c.workers {
 		if err := c.ctx.Err(); err != nil {
@@ -347,7 +398,7 @@ func (c *coordinator) broadcast(typ byte, payload []byte) error {
 		if !rw.alive() {
 			continue
 		}
-		if err := sendRetry(c.ctx, rw.conn, typ, payload, sendRetries); err != nil {
+		if err := sendRetry(c.ctx, rw.conn, typ, frame, sendRetries); err != nil {
 			c.kill(rw)
 			lost = true
 		}
@@ -358,11 +409,31 @@ func (c *coordinator) broadcast(typ byte, payload []byte) error {
 	return nil
 }
 
+// arm resets the await timer to fire once after d and returns its
+// channel.  A tick left in the channel by an expiry nobody received
+// is drained first.
+func (c *coordinator) arm(d time.Duration) <-chan time.Time {
+	if c.timer == nil {
+		c.timer = time.NewTimer(d)
+		return c.timer.C
+	}
+	if !c.timer.Stop() {
+		select {
+		case <-c.timer.C:
+		default:
+		}
+	}
+	c.timer.Reset(d)
+	return c.timer.C
+}
+
 // await blocks for the next current-epoch frame from rw, expecting
-// want.  Stale-epoch frames (replies raced by a recovery) are dropped;
-// a closed channel, an Error frame, a protocol violation, a missed-
-// heartbeat window or the phase deadline all kill the worker and
-// report errWorkerLost; context and budget failures surface as-is.
+// want, and returns its payload, which the caller may hand back with
+// rw.recycle once it is decoded.  Stale-epoch frames (replies raced by
+// a recovery) are dropped; a closed channel, an Error frame, a
+// protocol violation, a missed-heartbeat window or the phase deadline
+// all kill the worker and report errWorkerLost; context and budget
+// failures surface as-is.
 //
 //hyperplexvet:wirerecv
 func (c *coordinator) await(rw *remoteWorker, want byte) ([]byte, error) {
@@ -377,10 +448,8 @@ func (c *coordinator) await(rw *remoteWorker, want byte) ([]byte, error) {
 			c.kill(rw)
 			return nil, fmt.Errorf("%w: worker %d phase deadline", errWorkerLost, rw.id)
 		}
-		timer := time.NewTimer(tick)
 		select {
 		case fm, ok := <-rw.frames:
-			timer.Stop()
 			if !ok {
 				c.kill(rw)
 				return nil, fmt.Errorf("%w: worker %d connection", errWorkerLost, rw.id)
@@ -391,6 +460,7 @@ func (c *coordinator) await(rw *remoteWorker, want byte) ([]byte, error) {
 				return nil, fmt.Errorf("%w: worker %d sent an epochless frame", errWorkerLost, rw.id)
 			}
 			if ep != c.epoch {
+				rw.recycle(fm.payload)
 				continue // stale reply from before a recovery
 			}
 			if fm.typ == mError {
@@ -405,9 +475,8 @@ func (c *coordinator) await(rw *remoteWorker, want byte) ([]byte, error) {
 			}
 			return fm.payload, nil
 		case <-c.ctx.Done():
-			timer.Stop()
 			return nil, c.ctx.Err()
-		case <-timer.C:
+		case <-c.arm(tick):
 			if time.Since(time.Unix(0, rw.lastBeat.Load())) > missWindow {
 				c.kill(rw)
 				return nil, fmt.Errorf("%w: worker %d missed heartbeats", errWorkerLost, rw.id)
@@ -431,12 +500,13 @@ func (c *coordinator) initialAssign() error {
 	}
 	for _, rw := range alive {
 		m := msgAssign{Epoch: c.epoch, K: 0, Round: 0, Fresh: fresh[rw.id]}
-		if err := sendRetry(c.ctx, rw.conn, mAssign, m.encode(), sendRetries); err != nil {
+		c.out = m.encode(c.out)
+		if err := sendRetry(c.ctx, rw.conn, mAssign, c.out, sendRetries); err != nil {
 			c.kill(rw)
 			return errWorkerLost
 		}
 	}
-	dying := []int32{}
+	c.spareDying = c.spareDying[:0]
 	for _, rw := range alive {
 		if err := c.ctx.Err(); err != nil {
 			return err
@@ -444,44 +514,55 @@ func (c *coordinator) initialAssign() error {
 		if len(fresh[rw.id]) == 0 {
 			continue
 		}
-		snaps, err := c.awaitBarrier(rw, 0, 0)
-		if err != nil {
+		if err := c.awaitBarrier(rw, 0, 0); err != nil {
 			return err
 		}
-		for _, sn := range snaps {
-			c.snaps[sn.Shard] = sn
-			dying = append(dying, sn.Dying...)
-		}
 	}
-	c.dying = dying
-	c.barK, c.barRound, c.haveBarrier = 0, 0, true
-	c.fireBarrierHook()
+	c.haveBarrier = true
+	c.commit(0, 0)
 	return nil
 }
 
-// awaitBarrier awaits rw's Barrier frame for (k, round) and returns
-// its validated snapshots.
-func (c *coordinator) awaitBarrier(rw *remoteWorker, k, round int32) ([]*core.ShardSnapshot, error) {
-	var m msgBarrier
-	if err := c.awaitDecode(rw, mBarrier, &m); err != nil {
-		return nil, err
-	}
-	if m.K != k || m.Round != round {
-		c.kill(rw)
-		return nil, fmt.Errorf("%w: worker %d voted barrier (%d,%d), want (%d,%d)", errWorkerLost, rw.id, m.K, m.Round, k, round)
-	}
-	//hyperplexvet:ignore budgettick bounded validation pass over one decoded frame; kill runs on the error path only
-	for _, sn := range m.Snaps {
-		if sn.Shard < 0 || int(sn.Shard) >= c.part.NumShards() {
-			c.kill(rw)
-			return nil, fmt.Errorf("%w: worker %d snapshot for unknown shard %d", errWorkerLost, rw.id, sn.Shard)
+// awaitBarrier awaits rw's Barrier frame for (k, round).  The frame
+// must list the snapshots of exactly the shards rw owns, in shard
+// order, and each is decoded into its shard's spare snapshot; their
+// dying lists are added to the spare dying union.
+func (c *coordinator) awaitBarrier(rw *remoteWorker, k, round int32) error {
+	c.bar.Snaps = c.bar.Snaps[:0]
+	for s, id := range c.owner {
+		if id == rw.id {
+			c.bar.Snaps = append(c.bar.Snaps, c.spareSnaps[s])
 		}
 	}
-	return m.Snaps, nil
+	owned := len(c.bar.Snaps)
+	if err := c.awaitDecode(rw, mBarrier, &c.bar); err != nil {
+		return err
+	}
+	if c.bar.K != k || c.bar.Round != round {
+		c.kill(rw)
+		return fmt.Errorf("%w: worker %d voted barrier (%d,%d), want (%d,%d)", errWorkerLost, rw.id, c.bar.K, c.bar.Round, k, round)
+	}
+	if len(c.bar.Snaps) != owned {
+		c.kill(rw)
+		return fmt.Errorf("%w: worker %d voted %d snapshots for the %d shards it owns", errWorkerLost, rw.id, len(c.bar.Snaps), owned)
+	}
+	//hyperplexvet:ignore budgettick bounded validation pass over one decoded frame; kill runs on the error path only
+	for _, sn := range c.bar.Snaps {
+		// Snapshot i was decoded into the spare of the i-th owned
+		// shard, so it names its own shard exactly when it is that
+		// shard's spare.
+		if sn.Shard < 0 || int(sn.Shard) >= len(c.spareSnaps) || c.spareSnaps[sn.Shard] != sn {
+			c.kill(rw)
+			return fmt.Errorf("%w: worker %d voted a snapshot for shard %d out of the order of the shards it owns", errWorkerLost, rw.id, sn.Shard)
+		}
+		c.spareDying = append(c.spareDying, sn.Dying...)
+	}
+	return nil
 }
 
-// awaitDecode awaits rw's next frame of type want and decodes it into
-// m; a frame that does not decode kills the worker.
+// awaitDecode awaits rw's next frame of type want, decodes it into m
+// and hands the payload back to rw's reader; a frame that does not
+// decode kills the worker.
 func (c *coordinator) awaitDecode(rw *remoteWorker, want byte, m interface{ decode([]byte) error }) error {
 	payload, err := c.await(rw, want)
 	if err != nil {
@@ -491,46 +572,45 @@ func (c *coordinator) awaitDecode(rw *remoteWorker, want byte, m interface{ deco
 		c.kill(rw)
 		return fmt.Errorf("%w: worker %d: %w", errWorkerLost, rw.id, err)
 	}
+	rw.recycle(payload)
 	return nil
 }
 
-// Apply broadcasts a round's dying delta at threshold k and sums the
-// workers' frontier votes.
+// Apply broadcasts a round's dying delta at threshold k, sums the
+// workers' frontier votes and gathers the retired IDs they carry.
 func (c *coordinator) Apply(ctx context.Context, k int, dying []int32) (frontier, alive int, err error) {
 	if err := run.Tick(ctx, c.meter, int64(len(dying))+1); err != nil {
 		return 0, 0, err
 	}
 	apply := msgRound{Epoch: c.epoch, K: int32(k), Round: c.barRound, IDs: dying}
-	if err := c.broadcast(mApply, apply.encode()); err != nil {
+	c.out = apply.encode(c.out)
+	if err := c.broadcast(mApply, c.out); err != nil {
 		return 0, 0, err
 	}
-	for _, rw := range c.aliveWorkers() {
-		var m msgRound
-		if err := c.awaitDecode(rw, mFrontier, &m); err != nil {
+	c.retired = c.retired[:0]
+	for _, rw := range c.workers {
+		if !rw.alive() {
+			continue
+		}
+		if err := c.awaitDecode(rw, mFrontier, &c.vote); err != nil {
 			return 0, 0, err
 		}
-		frontier += int(m.A)
-		alive += int(m.B)
+		if int(c.vote.A) != len(c.vote.IDs) {
+			c.kill(rw)
+			return 0, 0, fmt.Errorf("%w: worker %d voted a frontier of %d with %d retired vertices", errWorkerLost, rw.id, c.vote.A, len(c.vote.IDs))
+		}
+		frontier += int(c.vote.A)
+		alive += int(c.vote.B)
+		c.retired = append(c.retired, c.vote.IDs...)
 	}
 	return frontier, alive, nil
 }
 
-// Retire asks every worker for its part of the retired delta of the
-// round at threshold k and returns their union.
-func (c *coordinator) Retire(_ context.Context, k int) ([]int32, error) {
-	retire := msgRound{Epoch: c.epoch, K: int32(k), Round: c.barRound}
-	if err := c.broadcast(mRetire, retire.encode()); err != nil {
-		return nil, err
-	}
-	var retired []int32
-	for _, rw := range c.aliveWorkers() {
-		var m msgRound
-		if err := c.awaitDecode(rw, mRetired, &m); err != nil {
-			return nil, err
-		}
-		retired = append(retired, m.IDs...)
-	}
-	return retired, nil
+// Retire returns the retired delta of the round at threshold k: the
+// union of the retired IDs the round's Frontier votes carried, which
+// Apply gathered.  It costs no wire traffic.
+func (c *coordinator) Retire(context.Context, int) ([]int32, error) {
+	return c.retired, nil
 }
 
 // Shrink broadcasts the retired delta of the round at threshold k,
@@ -540,31 +620,31 @@ func (c *coordinator) Retire(_ context.Context, k int) ([]int32, error) {
 func (c *coordinator) Shrink(_ context.Context, k int, retired []int32) ([]int32, error) {
 	newRound := c.barRound + 1
 	shrink := msgRound{Epoch: c.epoch, K: int32(k), Round: newRound, IDs: retired}
-	if err := c.broadcast(mShrink, shrink.encode()); err != nil {
+	c.out = shrink.encode(c.out)
+	if err := c.broadcast(mShrink, c.out); err != nil {
 		return nil, err
 	}
-	collected := make([]*core.ShardSnapshot, c.part.NumShards())
-	var dying []int32
-	for _, rw := range c.aliveWorkers() {
-		snaps, err := c.awaitBarrier(rw, int32(k), newRound)
-		if err != nil {
+	c.spareDying = c.spareDying[:0]
+	for _, rw := range c.workers {
+		if !rw.alive() {
+			continue
+		}
+		if err := c.awaitBarrier(rw, int32(k), newRound); err != nil {
 			return nil, err
 		}
-		for _, sn := range snaps {
-			collected[sn.Shard] = sn
-			dying = append(dying, sn.Dying...)
-		}
 	}
-	for s, sn := range collected {
-		if sn == nil {
-			return nil, fmt.Errorf("%w: shard %d missing from barrier %d", errWorkerLost, s, newRound)
-		}
-	}
-	c.snaps = collected
-	c.dying = dying
-	c.barK, c.barRound = int32(k), newRound
+	c.commit(int32(k), newRound)
+	return c.dying, nil
+}
+
+// commit makes the barrier just collected into the spare snapshots and
+// dying union the committed one, tagged (k, round); the barrier it
+// replaces becomes the spare.
+func (c *coordinator) commit(k, round int32) {
+	c.snaps, c.spareSnaps = c.spareSnaps, c.snaps
+	c.dying, c.spareDying = c.spareDying, c.dying
+	c.barK, c.barRound = k, round
 	c.fireBarrierHook()
-	return dying, nil
 }
 
 func (c *coordinator) fireBarrierHook() {
@@ -602,13 +682,15 @@ func (c *coordinator) recoverPool() error {
 		// The pool broke before the first barrier committed: reset the
 		// survivors and redo the initial assignment from scratch.
 		reset := msgRound{Epoch: c.epoch, K: 0, Round: -1}
-		if err := c.broadcast(mRollback, reset.encode()); err != nil {
+		c.out = reset.encode(c.out)
+		if err := c.broadcast(mRollback, c.out); err != nil {
 			return err
 		}
 		return c.initialAssign()
 	}
 	rb := msgRound{Epoch: c.epoch, K: c.barK, Round: c.barRound}
-	if err := c.broadcast(mRollback, rb.encode()); err != nil {
+	c.out = rb.encode(c.out)
+	if err := c.broadcast(mRollback, c.out); err != nil {
 		return err
 	}
 	// Reassign orphaned shards from the barrier snapshots.
@@ -630,7 +712,8 @@ func (c *coordinator) recoverPool() error {
 			continue
 		}
 		m := msgAssign{Epoch: c.epoch, K: c.barK, Round: c.barRound, Snaps: snaps}
-		if err := sendRetry(c.ctx, rw.conn, mAssign, m.encode(), sendRetries); err != nil {
+		c.out = m.encode(c.out)
+		if err := sendRetry(c.ctx, rw.conn, mAssign, c.out, sendRetries); err != nil {
 			c.kill(rw)
 			return errWorkerLost
 		}
@@ -642,8 +725,9 @@ func (c *coordinator) recoverPool() error {
 // holds the complete answer, so each is tried in turn.
 func (c *coordinator) finish(maxK int) (*core.Decomposition, error) {
 	fin := msgRound{Epoch: c.epoch, K: c.barK, Round: c.barRound}
+	c.out = fin.encode(c.out)
 	for _, rw := range c.aliveWorkers() {
-		if err := sendRetry(c.ctx, rw.conn, mFinish, fin.encode(), sendRetries); err != nil {
+		if err := sendRetry(c.ctx, rw.conn, mFinish, c.out, sendRetries); err != nil {
 			c.kill(rw)
 			continue
 		}
@@ -672,6 +756,10 @@ func (c *coordinator) finish(maxK int) (*core.Decomposition, error) {
 // connections, closed listener, and a bounded wait for every reader
 // goroutine, in-process worker, and worker process.
 func (c *coordinator) teardown() {
+	if c.timer != nil {
+		c.timer.Stop()
+	}
+	shutdown := newEnc(c.out).b
 	//hyperplexvet:ignore budgettick bounded teardown sweep over the worker table; shutdown must proceed under a cancelled ctx
 	for _, rw := range c.workers {
 		if rw == nil {
@@ -682,7 +770,7 @@ func (c *coordinator) teardown() {
 			// panic must not abort the rest of the teardown.
 			func() {
 				defer func() { _ = recover() }()
-				_ = writeFrame(rw.conn, mShutdown, nil)
+				_ = writeFrame(rw.conn, mShutdown, shutdown)
 			}()
 		}
 		if rw.conn != nil {

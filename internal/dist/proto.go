@@ -3,9 +3,11 @@
 // assignments to worker processes over a length-prefixed binary wire
 // protocol, drives the bulk-synchronous rounds with broadcast deltas
 // (dying hyperedges, retired vertices), and collects a barrier
-// snapshot of every shard each round.  Workers that die — connection
-// error, missed heartbeats, corrupt frame, injected fault — have their
-// shards reassigned to survivors and the round replays from the last
+// snapshot of every shard each round.  A round is two round trips:
+// Apply → Frontier, whose vote carries each worker's retired vertices,
+// and Shrink → Barrier.  Workers that die — connection error, missed
+// heartbeats, corrupt frame, injected fault — have their shards
+// reassigned to survivors and the round replays from the last
 // completed barrier; with Options.LocalFallback an unrecoverable pool
 // collapses the run onto the in-process sharded engine instead of
 // failing.  The peel itself is internal/core's DistPeeler, whose
@@ -36,7 +38,8 @@ var fpSend = failpoint.Register("dist.send")
 // stall the receive path of either end.
 var fpRecv = failpoint.Register("dist.recv")
 
-// Wire format: every frame is a 12-byte header followed by a payload.
+// Wire format: every frame is a 12-byte header followed by a payload,
+// written with one Write.
 //
 //	offset 0: magic "hx"
 //	offset 2: protocol version (protoVersion)
@@ -52,8 +55,11 @@ var fpRecv = failpoint.Register("dist.recv")
 // validated against the bytes actually present before the slice is
 // allocated (the same allocation-capped discipline as the mmio and
 // pajek readers).
+//
+// Version 2 carries the retired delta in the Frontier vote; version 1
+// had Retire and Retired frames for it, so the two refuse each other.
 const (
-	protoVersion = 1
+	protoVersion = 2
 	headerLen    = 12
 	// maxFramePayload caps a frame's payload allocation.  The largest
 	// legitimate frame is the Load graph blob; 1 GiB leaves room for
@@ -74,10 +80,8 @@ const (
 	mLoad                       // c→w: shard descriptors + serialized hypergraph
 	mAssign                     // c→w: fresh shards to set up, or snapshots to restore
 	mRollback                   // c→w: restore the checkpoint at (k, round); round -1 = full reset
-	mApply                      // c→w: apply dying delta at threshold k, gather frontier
-	mFrontier                   // w→c: frontier size + alive count vote
-	mRetire                     // c→w: collect the gathered frontier
-	mRetired                    // w→c: retired vertex IDs
+	mApply                      // c→w: apply dying delta at threshold k, gather and retire the frontier
+	mFrontier                   // w→c: frontier size + alive count vote, and the retired vertex IDs
 	mShrink                     // c→w: apply retired delta, re-check shrunk edges
 	mBarrier                    // w→c: per-shard barrier snapshots (the vote + replay state)
 	mFinish                     // c→w: send the final coreness mirrors
@@ -92,30 +96,28 @@ const (
 // its checksum; the connection it arrived on is unusable afterwards.
 var ErrCorruptFrame = errors.New("dist: corrupt frame")
 
-// writeFrame encodes and writes one frame.  The failpoint fires before
-// any bytes hit the wire, so an injected failure never half-writes.
+// writeFrame fills in the header of frame, a frame built by enc (its
+// first headerLen bytes are the header's room, the rest the payload),
+// and writes the whole frame with one Write.  The failpoint fires
+// before any bytes hit the wire, so an injected failure never
+// half-writes.
 //
 //hyperplexvet:wiresend
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
+func writeFrame(w io.Writer, typ byte, frame []byte) error {
 	if err := failpoint.Inject(fpSend); err != nil {
 		return fmt.Errorf("dist: send: %w", err)
 	}
+	payload := frame[headerLen:]
 	if len(payload) > maxFramePayload {
 		return fmt.Errorf("dist: send: %d-byte payload exceeds the %d cap", len(payload), maxFramePayload)
 	}
-	var hdr [headerLen]byte
-	hdr[0], hdr[1] = frameMagic[0], frameMagic[1]
-	hdr[2] = protoVersion
-	hdr[3] = typ
-	binary.LittleEndian.PutUint32(hdr[4:8], lenU32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
+	frame[0], frame[1] = frameMagic[0], frameMagic[1]
+	frame[2] = protoVersion
+	frame[3] = typ
+	binary.LittleEndian.PutUint32(frame[4:8], lenU32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("dist: send: %w", err)
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return fmt.Errorf("dist: send: %w", err)
-		}
 	}
 	return nil
 }
@@ -131,10 +133,10 @@ const sendRetries = 3
 // sequence at the next attempt boundary instead of sleeping it out.
 //
 //hyperplexvet:wiresend
-func sendRetry(ctx context.Context, w io.Writer, typ byte, payload []byte, retries int) error {
+func sendRetry(ctx context.Context, w io.Writer, typ byte, frame []byte, retries int) error {
 	backoff := time.Millisecond
 	for attempt := 0; ; attempt++ {
-		err := writeFrame(w, typ, payload)
+		err := writeFrame(w, typ, frame)
 		if err == nil {
 			return nil
 		}
@@ -153,15 +155,19 @@ func sendRetry(ctx context.Context, w io.Writer, typ byte, payload []byte, retri
 	}
 }
 
-// readFrame reads and validates one frame.  maxPayload further
-// restricts the global cap for peers that should never send large
-// frames (workers, for everything except Result).
-func readFrame(r io.Reader, maxPayload uint32) (typ byte, payload []byte, err error) {
+// readFrame reads and validates one frame into buf's storage, which
+// it overwrites, and returns its type and payload.  A frame that does
+// not fit in cap(buf) gets a fresh buffer of its exact size, so a
+// caller that keeps the returned payload's storage for the next read
+// stops allocating once its buffer holds its largest frame.
+// maxPayload further restricts the global cap for peers that should
+// never send large frames.
+func readFrame(r io.Reader, maxPayload uint32, buf []byte) (typ byte, payload []byte, err error) {
 	if err := failpoint.Inject(fpRecv); err != nil {
 		return 0, nil, fmt.Errorf("dist: recv: %w", err)
 	}
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := sized(buf, headerLen)
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, fmt.Errorf("dist: recv: %w", err)
 	}
 	if hdr[0] != frameMagic[0] || hdr[1] != frameMagic[1] {
@@ -178,16 +184,25 @@ func readFrame(r io.Reader, maxPayload uint32) (typ byte, payload []byte, err er
 	if n > maxPayload {
 		return 0, nil, fmt.Errorf("%w: %d-byte payload exceeds the %d cap", ErrCorruptFrame, n, maxPayload)
 	}
-	if n > 0 {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return 0, nil, fmt.Errorf("dist: recv: %w", err)
-		}
+	sum := binary.LittleEndian.Uint32(hdr[8:12])
+	// The header has been read out, so the payload may overwrite it.
+	payload = sized(hdr, int(n))
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return 0, nil, fmt.Errorf("dist: recv: %w", err)
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[8:12]) {
+	if crc32.ChecksumIEEE(payload) != sum {
 		return 0, nil, fmt.Errorf("%w: payload checksum mismatch", ErrCorruptFrame)
 	}
 	return typ, payload, nil
+}
+
+// sized returns b's storage cut to n bytes, or a fresh n-byte slice
+// when b's capacity is short.
+func sized(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
 }
 
 // lenU32 narrows a length or count for the wire.  Routing it through
@@ -199,8 +214,13 @@ func lenU32(n int) uint32 {
 	return uint32(csr.MustInt32(n))
 }
 
-// enc is an append-only payload builder.
+// enc is an append-only frame builder.  Its buffer starts with
+// headerLen bytes of room, which writeFrame fills in, so header and
+// payload leave in one Write; the payload is appended after them.
 type enc struct{ b []byte }
+
+// newEnc starts an empty frame in buf's storage, which it overwrites.
+func newEnc(buf []byte) enc { return enc{b: append(buf[:0], make([]byte, headerLen)...)} }
 
 func (e *enc) u32(x uint32) {
 	e.b = binary.LittleEndian.AppendUint32(e.b, x)
@@ -223,14 +243,16 @@ func (e *enc) i32s(xs []int32) {
 		binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
 	}
 }
-func (e *enc) bytes(b []byte) {
-	e.u32(lenU32(len(b)))
-	e.b = append(e.b, b...)
+func (e *enc) str(s string) {
+	e.u32(lenU32(len(s)))
+	e.b = append(e.b, s...)
 }
 
 // dec is a bounds-checked payload reader: every count is validated
 // against the bytes still present before anything is allocated, and
-// the first error sticks.
+// the first error sticks.  Nothing it returns aliases the payload
+// except bytes' blob, which its one caller copies: a payload buffer may
+// be reused for the next read as soon as its message is decoded.
 type dec struct {
 	b   []byte
 	err error
@@ -257,16 +279,22 @@ func (d *dec) u32() uint32 {
 
 func (d *dec) i32() int32 { return int32(d.u32()) }
 
-func (d *dec) i32s() []int32 {
+// i32s reads a count-prefixed int32 slice into dst's storage, which
+// it overwrites, growing it only when it is short.
+func (d *dec) i32s(dst []int32) []int32 {
 	n := d.u32()
 	if d.err != nil {
-		return nil
+		return dst[:0]
 	}
 	if uint64(n)*4 > uint64(len(d.b)) {
 		d.fail("int32 slice count %d exceeds %d remaining bytes", n, len(d.b))
-		return nil
+		return dst[:0]
 	}
-	out := make([]int32, n)
+	out := dst[:0]
+	if cap(out) < int(n) {
+		out = make([]int32, n)
+	}
+	out = out[:n]
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(d.b[4*i:]))
 	}
@@ -347,11 +375,12 @@ func encSnapshot(e *enc, sn *core.ShardSnapshot) {
 	e.i32s(sn.Dying)
 }
 
-func decSnapshot(d *dec) *core.ShardSnapshot {
-	sn := &core.ShardSnapshot{Shard: d.i32(), AliveV: d.i32()}
-	sn.Deg = d.i32s()
-	sn.Dying = d.i32s()
-	return sn
+// decSnapshot decodes one snapshot into sn, reusing its buffers.
+func decSnapshot(d *dec, sn *core.ShardSnapshot) {
+	sn.Shard = d.i32()
+	sn.AliveV = d.i32()
+	sn.Deg = d.i32s(sn.Deg)
+	sn.Dying = d.i32s(sn.Dying)
 }
 
 func encSnapshots(e *enc, snaps []*core.ShardSnapshot) {
@@ -362,23 +391,38 @@ func encSnapshots(e *enc, snaps []*core.ShardSnapshot) {
 	}
 }
 
-func decSnapshots(d *dec) []*core.ShardSnapshot {
+// decSnapshots decodes a count-prefixed snapshot list into dst,
+// reusing its snapshots and their buffers by position (the rule of
+// core.PeelCheckpoint's Shards), and returns it.
+func decSnapshots(d *dec, dst []*core.ShardSnapshot) []*core.ShardSnapshot {
 	n := d.u32()
 	if d.err != nil {
-		return nil
+		return dst[:0]
 	}
 	// Each snapshot is at least 4 int32s (shard, alive, two counts).
 	if uint64(n)*16 > uint64(len(d.b)) {
 		d.fail("snapshot count %d exceeds %d remaining bytes", n, len(d.b))
-		return nil
+		return dst[:0]
 	}
-	out := make([]*core.ShardSnapshot, 0, n)
 	//hyperplexvet:ignore budgettick bounded: one decoding pass over a length-validated payload; the read loop checks ctx per frame
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		out = append(out, decSnapshot(d))
+	for i := 0; i < int(n); i++ {
+		if i == len(dst) {
+			dst = append(dst, &core.ShardSnapshot{})
+		}
+		if decSnapshot(d, dst[i]); d.err != nil {
+			return dst[:0]
+		}
 	}
-	return out
+	return dst[:n]
 }
+
+// Every message type encodes itself as a whole frame, header room
+// included, into the storage of the buffer it is handed (overwriting
+// it; nil allocates) and returns the frame, so a sender that keeps the
+// returned frame for its next message stops allocating once the buffer
+// holds its largest frame.  decode overwrites the message from a
+// payload, reusing the storage of its slices, and keeps no reference
+// to the payload.
 
 // msgHello is the worker's join handshake: its protocol version and
 // the worker ID the spawner assigned it.  The ID is what lets the
@@ -389,7 +433,13 @@ type msgHello struct {
 	ID      int32
 }
 
-func (m *msgHello) encode() []byte { var e enc; e.u32(m.Version); e.i32(m.ID); return e.b }
+func (m *msgHello) encode(buf []byte) []byte {
+	e := newEnc(buf)
+	e.u32(m.Version)
+	e.i32(m.ID)
+	return e.b
+}
+
 func (m *msgHello) decode(b []byte) error {
 	d := dec{b: b}
 	m.Version = d.u32()
@@ -402,7 +452,9 @@ func (m *msgHello) decode(b []byte) error {
 // not names — are what the decomposition consumes, so the structural
 // encoding keeps every worker's vertex and hyperedge numbering
 // bit-identical to the coordinator's.  On the wire each row is a
-// count-prefixed member list.
+// count-prefixed member list.  Unlike the other messages, decode
+// allocates fresh arrays, exactly sized: the worker hands them to the
+// replica it builds.
 type msgLoad struct {
 	Epoch uint32
 	Descs []partition.Desc
@@ -412,9 +464,12 @@ type msgLoad struct {
 	EOff, EAdj []int32
 }
 
-func (m *msgLoad) encode() []byte {
+func (m *msgLoad) encode(buf []byte) []byte {
 	ne := max(len(m.EOff)-1, 0)
-	e := enc{b: make([]byte, 0, 4+4+8*len(m.Descs)+4+4+4*ne+4*len(m.EAdj))}
+	if size := headerLen + 4 + 4 + 8*len(m.Descs) + 4 + 4 + 4*ne + 4*len(m.EAdj); cap(buf) < size {
+		buf = make([]byte, 0, size)
+	}
+	e := newEnc(buf)
 	e.u32(m.Epoch)
 	e.u32(lenU32(len(m.Descs)))
 	for _, d := range m.Descs {
@@ -461,8 +516,8 @@ type msgAssign struct {
 	Snaps []*core.ShardSnapshot
 }
 
-func (m *msgAssign) encode() []byte {
-	var e enc
+func (m *msgAssign) encode(buf []byte) []byte {
+	e := newEnc(buf)
 	e.u32(m.Epoch)
 	e.i32(m.K)
 	e.i32(m.Round)
@@ -476,25 +531,26 @@ func (m *msgAssign) decode(b []byte) error {
 	m.Epoch = d.u32()
 	m.K = d.i32()
 	m.Round = d.i32()
-	m.Fresh = d.i32s()
-	m.Snaps = decSnapshots(&d)
+	m.Fresh = d.i32s(m.Fresh)
+	m.Snaps = decSnapshots(&d, m.Snaps)
 	return d.done()
 }
 
 // msgRound is the shared shape of the per-round frames: Apply and
-// Shrink carry a delta, Frontier carries the vote counts, Rollback
-// carries only the barrier tag (Round -1 means full reset), Retire and
-// the worker's Retired reply carry the frontier.
+// Shrink carry a delta, Frontier carries the vote counts and the
+// worker's part of the retired delta, Rollback carries only the
+// barrier tag (Round -1 means full reset), and Finish the tag of the
+// last barrier.
 type msgRound struct {
 	Epoch uint32
 	K     int32
 	Round int32
-	IDs   []int32 // dying (Apply), retired (Shrink, Retired); nil otherwise
+	IDs   []int32 // dying (Apply), retired (Frontier, Shrink); empty otherwise
 	A, B  int32   // Frontier vote: frontier size, alive owned vertices
 }
 
-func (m *msgRound) encode() []byte {
-	var e enc
+func (m *msgRound) encode(buf []byte) []byte {
+	e := newEnc(buf)
 	e.u32(m.Epoch)
 	e.i32(m.K)
 	e.i32(m.Round)
@@ -509,14 +565,14 @@ func (m *msgRound) decode(b []byte) error {
 	m.Epoch = d.u32()
 	m.K = d.i32()
 	m.Round = d.i32()
-	m.IDs = d.i32s()
+	m.IDs = d.i32s(m.IDs)
 	m.A = d.i32()
 	m.B = d.i32()
 	return d.done()
 }
 
 // msgBarrier is the worker's end-of-round vote and replay state: one
-// snapshot per owned shard.
+// snapshot per owned shard, in shard order.
 type msgBarrier struct {
 	Epoch uint32
 	K     int32
@@ -524,8 +580,8 @@ type msgBarrier struct {
 	Snaps []*core.ShardSnapshot
 }
 
-func (m *msgBarrier) encode() []byte {
-	var e enc
+func (m *msgBarrier) encode(buf []byte) []byte {
+	e := newEnc(buf)
 	e.u32(m.Epoch)
 	e.i32(m.K)
 	e.i32(m.Round)
@@ -538,7 +594,7 @@ func (m *msgBarrier) decode(b []byte) error {
 	m.Epoch = d.u32()
 	m.K = d.i32()
 	m.Round = d.i32()
-	m.Snaps = decSnapshots(&d)
+	m.Snaps = decSnapshots(&d, m.Snaps)
 	return d.done()
 }
 
@@ -548,8 +604,8 @@ type msgResult struct {
 	VCore, ECore []int32
 }
 
-func (m *msgResult) encode() []byte {
-	var e enc
+func (m *msgResult) encode(buf []byte) []byte {
+	e := newEnc(buf)
 	e.u32(m.Epoch)
 	e.i32s(m.VCore)
 	e.i32s(m.ECore)
@@ -559,8 +615,8 @@ func (m *msgResult) encode() []byte {
 func (m *msgResult) decode(b []byte) error {
 	d := dec{b: b}
 	m.Epoch = d.u32()
-	m.VCore = d.i32s()
-	m.ECore = d.i32s()
+	m.VCore = d.i32s(m.VCore)
+	m.ECore = d.i32s(m.ECore)
 	return d.done()
 }
 
@@ -570,16 +626,17 @@ type msgError struct {
 	Text  string
 }
 
-func (m *msgError) encode() []byte {
-	var e enc
+func (m *msgError) encode(buf []byte) []byte {
+	e := newEnc(buf)
 	e.u32(m.Epoch)
-	e.bytes([]byte(m.Text))
+	e.str(m.Text)
 	return e.b
 }
 
 func (m *msgError) decode(b []byte) error {
 	d := dec{b: b}
 	m.Epoch = d.u32()
+	// The conversion copies: Text must not alias the payload.
 	m.Text = string(d.bytes())
 	return d.done()
 }

@@ -21,20 +21,26 @@ import (
 	"hyperplex/internal/partition"
 )
 
-// frameBytes builds a valid frame for test and fuzz seeds.
+// frameBytes builds a valid frame around payload for test and fuzz
+// seeds.
 func frameBytes(t testing.TB, typ byte, payload []byte) []byte {
 	t.Helper()
+	e := newEnc(nil)
+	e.b = append(e.b, payload...)
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, typ, payload); err != nil {
+	if err := writeFrame(&buf, typ, e.b); err != nil {
 		t.Fatalf("writeFrame: %v", err)
 	}
 	return buf.Bytes()
 }
 
+// payloadOf returns the payload of m's frame.
+func payloadOf(m codec) []byte { return m.encode(nil)[headerLen:] }
+
 func TestFrameRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 4096)} {
 		raw := frameBytes(t, mApply, payload)
-		typ, got, err := readFrame(bytes.NewReader(raw), maxFramePayload)
+		typ, got, err := readFrame(bytes.NewReader(raw), maxFramePayload, nil)
 		if err != nil {
 			t.Fatalf("readFrame: %v", err)
 		}
@@ -62,14 +68,14 @@ func TestFrameRejectsCorruption(t *testing.T) {
 		}(),
 	}
 	for name, raw := range cases {
-		if _, _, err := readFrame(bytes.NewReader(raw), maxFramePayload); !errors.Is(err, ErrCorruptFrame) {
+		if _, _, err := readFrame(bytes.NewReader(raw), maxFramePayload, nil); !errors.Is(err, ErrCorruptFrame) {
 			t.Errorf("%s: err = %v, want ErrCorruptFrame", name, err)
 		}
 	}
-	if _, _, err := readFrame(bytes.NewReader(base[:7]), maxFramePayload); err == nil {
+	if _, _, err := readFrame(bytes.NewReader(base[:7]), maxFramePayload, nil); err == nil {
 		t.Error("truncated header accepted")
 	}
-	if _, _, err := readFrame(bytes.NewReader(base[:len(base)-3]), maxFramePayload); err == nil {
+	if _, _, err := readFrame(bytes.NewReader(base[:len(base)-3]), maxFramePayload, nil); err == nil {
 		t.Error("truncated payload accepted")
 	}
 }
@@ -82,7 +88,7 @@ func TestFrameLengthCap(t *testing.T) {
 	hdr[0], hdr[1], hdr[2], hdr[3] = 'h', 'x', protoVersion, mApply
 	binary.LittleEndian.PutUint32(hdr[4:8], 1<<31)
 	binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(nil))
-	_, _, err := readFrame(bytes.NewReader(hdr), 1<<20)
+	_, _, err := readFrame(bytes.NewReader(hdr), 1<<20, nil)
 	if !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("oversized length: err = %v, want ErrCorruptFrame", err)
 	}
@@ -101,7 +107,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		EAdj:  []int32{0, 1, 2, 3, 4},
 	}
 	var load2 msgLoad
-	if err := load2.decode(load.encode()); err != nil {
+	if err := load2.decode(payloadOf(&load)); err != nil {
 		t.Fatalf("load decode: %v", err)
 	}
 	if len(load2.Descs) != 2 || load2.Descs[1].First != 3 || load2.Epoch != 7 ||
@@ -111,7 +117,7 @@ func TestMessageRoundTrips(t *testing.T) {
 
 	asn := msgAssign{Epoch: 3, K: 2, Round: 5, Fresh: []int32{1, 4}, Snaps: snaps}
 	var asn2 msgAssign
-	if err := asn2.decode(asn.encode()); err != nil {
+	if err := asn2.decode(payloadOf(&asn)); err != nil {
 		t.Fatalf("assign decode: %v", err)
 	}
 	if len(asn2.Snaps) != 2 || asn2.Snaps[0].AliveV != 5 || asn2.Snaps[0].Deg[2] != 3 || asn2.Snaps[1].Shard != 2 {
@@ -120,7 +126,7 @@ func TestMessageRoundTrips(t *testing.T) {
 
 	rd := msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{5, -1, 7}, A: 11, B: -2}
 	var rd2 msgRound
-	if err := rd2.decode(rd.encode()); err != nil {
+	if err := rd2.decode(payloadOf(&rd)); err != nil {
 		t.Fatalf("round decode: %v", err)
 	}
 	if rd2.K != 4 || rd2.Round != 9 || len(rd2.IDs) != 3 || rd2.IDs[1] != -1 || rd2.A != 11 || rd2.B != -2 {
@@ -129,7 +135,7 @@ func TestMessageRoundTrips(t *testing.T) {
 
 	bar := msgBarrier{Epoch: 8, K: 3, Round: 12, Snaps: snaps}
 	var bar2 msgBarrier
-	if err := bar2.decode(bar.encode()); err != nil {
+	if err := bar2.decode(payloadOf(&bar)); err != nil {
 		t.Fatalf("barrier decode: %v", err)
 	}
 	if len(bar2.Snaps) != 2 || bar2.Snaps[0].Dying[0] != 9 {
@@ -138,7 +144,7 @@ func TestMessageRoundTrips(t *testing.T) {
 
 	res := msgResult{Epoch: 2, VCore: []int32{0, 1, 2}, ECore: []int32{3}}
 	var res2 msgResult
-	if err := res2.decode(res.encode()); err != nil {
+	if err := res2.decode(payloadOf(&res)); err != nil {
 		t.Fatalf("result decode: %v", err)
 	}
 	if len(res2.VCore) != 3 || res2.ECore[0] != 3 {
@@ -147,13 +153,13 @@ func TestMessageRoundTrips(t *testing.T) {
 
 	em := msgError{Epoch: 6, Text: "worker 3: shard exploded"}
 	var emDec msgError
-	if err := emDec.decode(em.encode()); err != nil || emDec.Text != em.Text || emDec.Epoch != 6 {
+	if err := emDec.decode(payloadOf(&em)); err != nil || emDec.Text != em.Text || emDec.Epoch != 6 {
 		t.Fatalf("error round-trip mismatch: %+v err=%v", emDec, err)
 	}
 
 	hello := msgHello{Version: protoVersion, ID: 3}
 	var hello2 msgHello
-	if err := hello2.decode(hello.encode()); err != nil || hello2.Version != protoVersion || hello2.ID != 3 {
+	if err := hello2.decode(payloadOf(&hello)); err != nil || hello2.Version != protoVersion || hello2.ID != 3 {
 		t.Fatalf("hello round-trip mismatch: %+v err=%v", hello2, err)
 	}
 }
@@ -181,7 +187,7 @@ func TestDecodeRejectsAllocationBombs(t *testing.T) {
 		t.Fatalf("snapshot bomb: err = %v, want ErrCorruptFrame", err)
 	}
 	var m2 msgRound
-	if err := m2.decode(append((&msgRound{}).encode(), 0xEE)); !errors.Is(err, ErrCorruptFrame) {
+	if err := m2.decode(append(payloadOf(&msgRound{}), 0xEE)); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatal("trailing garbage accepted")
 	}
 	var l msgLoad
@@ -209,15 +215,15 @@ func loadRowPastEnd() []byte {
 // a bounded payload cap, then every message decoder over the payload.
 // Nothing here may panic or over-allocate, whatever the bytes.
 func FuzzDecodeFrame(f *testing.F) {
-	f.Add(frameBytes(f, mHello, (&msgHello{Version: protoVersion}).encode()))
-	f.Add(frameBytes(f, mApply, (&msgRound{Epoch: 1, K: 2, Round: 3, IDs: []int32{4, 5}}).encode()))
-	f.Add(frameBytes(f, mBarrier, (&msgBarrier{Epoch: 1, K: 1, Round: 1, Snaps: []*core.ShardSnapshot{{Shard: 0, Deg: []int32{1}}}}).encode()))
-	f.Add(frameBytes(f, mLoad, (&msgLoad{Descs: []partition.Desc{{First: 0, Count: 2}}, NumV: 2, EOff: []int32{0, 2}, EAdj: []int32{0, 1}}).encode()))
-	f.Add(frameBytes(f, mLoad, (&msgLoad{NumV: 2, EOff: []int32{0, 0, 2, 2}, EAdj: []int32{0, 1}}).encode()))
+	f.Add(frameBytes(f, mHello, payloadOf(&msgHello{Version: protoVersion})))
+	f.Add(frameBytes(f, mApply, payloadOf(&msgRound{Epoch: 1, K: 2, Round: 3, IDs: []int32{4, 5}})))
+	f.Add(frameBytes(f, mBarrier, payloadOf(&msgBarrier{Epoch: 1, K: 1, Round: 1, Snaps: []*core.ShardSnapshot{{Shard: 0, Deg: []int32{1}}}})))
+	f.Add(frameBytes(f, mLoad, payloadOf(&msgLoad{Descs: []partition.Desc{{First: 0, Count: 2}}, NumV: 2, EOff: []int32{0, 2}, EAdj: []int32{0, 1}})))
+	f.Add(frameBytes(f, mLoad, payloadOf(&msgLoad{NumV: 2, EOff: []int32{0, 0, 2, 2}, EAdj: []int32{0, 1}})))
 	f.Add(frameBytes(f, mLoad, loadRowPastEnd()))
-	f.Add(frameBytes(f, mResult, (&msgResult{VCore: []int32{1}, ECore: []int32{2}}).encode()))
+	f.Add(frameBytes(f, mResult, payloadOf(&msgResult{VCore: []int32{1}, ECore: []int32{2}})))
 	// Truncated header and payload.
-	whole := frameBytes(f, mRetired, (&msgRound{IDs: []int32{1, 2, 3}}).encode())
+	whole := frameBytes(f, mFrontier, payloadOf(&msgRound{IDs: []int32{1, 2, 3}, A: 3}))
 	f.Add(whole[:5])
 	f.Add(whole[:len(whole)-2])
 	// Oversized claimed length.
@@ -230,7 +236,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(bad)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := readFrame(bytes.NewReader(data), 1<<20)
+		typ, payload, err := readFrame(bytes.NewReader(data), 1<<20, nil)
 		if err != nil {
 			if payload != nil && err == io.EOF {
 				t.Fatal("payload returned alongside an error")
@@ -303,12 +309,12 @@ func TestSendRetryExhaustsBudget(t *testing.T) {
 
 // codec is the encode/decode pair every message type carries.
 type codec interface {
-	encode() []byte
+	encode([]byte) []byte
 	decode([]byte) error
 }
 
 // goldenFrames is one frame per frame type, with its bytes as recorded
-// from protocol version 1.  The bytes are the interoperability
+// from protocol version 2.  The bytes are the interoperability
 // contract between builds: a coordinator and hgshardd workers built
 // from different sources must frame identically, so a codec change
 // that moves any byte here needs a protoVersion bump instead.
@@ -320,36 +326,32 @@ var goldenFrames = []struct {
 	hex   string
 }{
 	{"Hello", mHello, &msgHello{Version: protoVersion, ID: 3}, func() codec { return &msgHello{} },
-		"687801010800000019703dbb0100000003000000"},
+		"6878020108000000fa77b2350200000003000000"},
 	{"Load", mLoad, &msgLoad{Epoch: 7, Descs: []partition.Desc{{First: 0, Count: 3}, {First: 3, Count: 2}}, NumV: 5,
 		EOff: []int32{0, 3, 3, 5}, EAdj: []int32{0, 1, 2, 3, 4}}, func() codec { return &msgLoad{} },
-		"6878010240000000ee4ae2fc07000000020000000000000003000000030000000200000005000000030000000300000000000000010000000200000000000000020000000300000004000000"},
+		"6878020240000000ee4ae2fc07000000020000000000000003000000030000000200000005000000030000000300000000000000010000000200000000000000020000000300000004000000"},
 	{"Assign", mAssign, &msgAssign{Epoch: 3, K: 2, Round: 5, Fresh: []int32{1, 4}, Snaps: []*core.ShardSnapshot{
 		{Shard: 0, AliveV: 5, Deg: []int32{1, 2, 3}, Dying: []int32{9}}, {Shard: 2}}}, func() codec { return &msgAssign{} },
-		"687801034c000000cf55305703000000020000000500000002000000010000000400000002000000000000000500000003000000010000000200000003000000010000000900000002000000000000000000000000000000"},
+		"687802034c000000cf55305703000000020000000500000002000000010000000400000002000000000000000500000003000000010000000200000003000000010000000900000002000000000000000000000000000000"},
 	{"Rollback", mRollback, &msgRound{Epoch: 4, K: 2, Round: -1}, func() codec { return &msgRound{} },
-		"687801041800000059964d130400000002000000ffffffff000000000000000000000000"},
+		"687802041800000059964d130400000002000000ffffffff000000000000000000000000"},
 	{"Apply", mApply, &msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{5, -1, 7}}, func() codec { return &msgRound{} },
-		"68780105240000008d4d1e960100000004000000090000000300000005000000ffffffff070000000000000000000000"},
-	{"Frontier", mFrontier, &msgRound{Epoch: 1, K: 4, Round: 9, A: 11, B: -2}, func() codec { return &msgRound{} },
-		"687801061800000050111f8a010000000400000009000000000000000b000000feffffff"},
-	{"Retire", mRetire, &msgRound{Epoch: 1, K: 4, Round: 9}, func() codec { return &msgRound{} },
-		"6878010718000000804a72b1010000000400000009000000000000000000000000000000"},
-	{"Retired", mRetired, &msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{2, 3}}, func() codec { return &msgRound{} },
-		"6878010820000000f57cdf870100000004000000090000000200000002000000030000000000000000000000"},
+		"68780205240000008d4d1e960100000004000000090000000300000005000000ffffffff070000000000000000000000"},
+	{"Frontier", mFrontier, &msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{2, 3}, A: 2, B: 11}, func() codec { return &msgRound{} },
+		"687802062000000089fcfb12010000000400000009000000020000000200000003000000020000000b000000"},
 	{"Shrink", mShrink, &msgRound{Epoch: 1, K: 4, Round: 10, IDs: []int32{2, 3}}, func() codec { return &msgRound{} },
-		"6878010920000000ddd5c1df01000000040000000a0000000200000002000000030000000000000000000000"},
+		"6878020720000000ddd5c1df01000000040000000a0000000200000002000000030000000000000000000000"},
 	{"Barrier", mBarrier, &msgBarrier{Epoch: 8, K: 3, Round: 12, Snaps: []*core.ShardSnapshot{
 		{Shard: 1, AliveV: 2, Deg: []int32{0, 4}, Dying: []int32{6, 8}}}}, func() codec { return &msgBarrier{} },
-		"6878010a30000000c84dd79508000000030000000c000000010000000100000002000000020000000000000004000000020000000600000008000000"},
+		"6878020830000000c84dd79508000000030000000c000000010000000100000002000000020000000000000004000000020000000600000008000000"},
 	{"Finish", mFinish, &msgRound{Epoch: 2, K: 5, Round: 20}, func() codec { return &msgRound{} },
-		"6878010b1800000029a46663020000000500000014000000000000000000000000000000"},
+		"687802091800000029a46663020000000500000014000000000000000000000000000000"},
 	{"Result", mResult, &msgResult{Epoch: 2, VCore: []int32{0, 1, 2}, ECore: []int32{3}}, func() codec { return &msgResult{} },
-		"6878010c1c0000008584494702000000030000000000000001000000020000000100000003000000"},
-	{"Heartbeat", mHeartbeat, nil, nil, "6878010d0000000000000000"},
-	{"Shutdown", mShutdown, nil, nil, "6878010e0000000000000000"},
+		"6878020a1c0000008584494702000000030000000000000001000000020000000100000003000000"},
+	{"Heartbeat", mHeartbeat, nil, nil, "6878020b0000000000000000"},
+	{"Shutdown", mShutdown, nil, nil, "6878020c0000000000000000"},
 	{"Error", mError, &msgError{Epoch: 6, Text: "worker 3: shard exploded"}, func() codec { return &msgError{} },
-		"6878010f20000000944dfc080600000018000000776f726b657220333a207368617264206578706c6f646564"},
+		"6878020d20000000944dfc080600000018000000776f726b657220333a207368617264206578706c6f646564"},
 }
 
 // TestGoldenFrames pins the wire bytes of one frame per frame type, and
@@ -361,14 +363,14 @@ func TestGoldenFrames(t *testing.T) {
 		seen[g.typ] = true
 		var payload []byte
 		if g.msg != nil {
-			payload = g.msg.encode()
+			payload = payloadOf(g.msg)
 		}
 		if got := hex.EncodeToString(frameBytes(t, g.typ, payload)); got != g.hex {
 			t.Errorf("%s frame:\n got %s\nwant %s", g.name, got, g.hex)
 			continue
 		}
 		raw, _ := hex.DecodeString(g.hex)
-		typ, body, err := readFrame(bytes.NewReader(raw), maxFramePayload)
+		typ, body, err := readFrame(bytes.NewReader(raw), maxFramePayload, nil)
 		if err != nil || typ != g.typ {
 			t.Errorf("%s frame: read type %d, err %v", g.name, typ, err)
 			continue
@@ -384,7 +386,7 @@ func TestGoldenFrames(t *testing.T) {
 			t.Errorf("%s frame: decode: %v", g.name, err)
 			continue
 		}
-		if !bytes.Equal(m.encode(), body) {
+		if !bytes.Equal(payloadOf(m), body) {
 			t.Errorf("%s frame: decode then encode does not reproduce the payload", g.name)
 		}
 	}
@@ -408,11 +410,13 @@ func bandedLoad(t *testing.T) (*msgLoad, *hypergraph.Hypergraph) {
 	return &msgLoad{Epoch: 1, Descs: part.Descs(), NumV: int32(h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}, h
 }
 
-// TestCodecAllocs pins the allocations of the bulk codec: a slice of
-// 10k int32s grows the payload at most once, the banded Load encodes
-// into one buffer sized up front, and decoding it makes three
-// allocations (descriptors, row offsets, one flat member array), not
-// one per row.
+// TestCodecAllocs pins the allocations of the codec: a slice of 10k
+// int32s grows the payload at most once, the banded Load encodes into
+// one buffer sized up front, and decoding it makes three allocations
+// (descriptors, row offsets, one flat member array), not one per row.
+// The per-round frames cost nothing once warm: msgRound and msgBarrier
+// encode into a warm frame buffer, readFrame reads into a warm payload
+// buffer, and both decode into warm messages, with no allocation.
 func TestCodecAllocs(t *testing.T) {
 	xs := make([]int32, 10000)
 	var e enc
@@ -423,10 +427,10 @@ func TestCodecAllocs(t *testing.T) {
 		t.Errorf("enc.i32s of %d values made %v allocations, want at most 1", len(xs), a)
 	}
 	load, h := bandedLoad(t)
-	if a := testing.AllocsPerRun(5, func() { _ = load.encode() }); a != 1 {
+	if a := testing.AllocsPerRun(5, func() { _ = load.encode(nil) }); a != 1 {
 		t.Errorf("msgLoad.encode of the banded Load made %v allocations, want 1", a)
 	}
-	payload := load.encode()
+	payload := payloadOf(load)
 	var got msgLoad
 	if a := testing.AllocsPerRun(5, func() {
 		if err := got.decode(payload); err != nil {
@@ -437,5 +441,46 @@ func TestCodecAllocs(t *testing.T) {
 	}
 	if !slices.Equal(got.EOff, load.EOff) || !slices.Equal(got.EAdj, load.EAdj) || cap(got.EAdj) != len(got.EAdj) {
 		t.Fatalf("decoded rows differ from the shipped ones, or the member array (cap %d) is not at capacity %d", cap(got.EAdj), len(got.EAdj))
+	}
+
+	ids := make([]int32, 3000)
+	round := msgRound{Epoch: 2, K: 3, Round: 4, IDs: ids, A: 3000, B: 5000}
+	bar := msgBarrier{Epoch: 2, K: 3, Round: 4, Snaps: []*core.ShardSnapshot{
+		{Shard: 0, AliveV: 4000, Deg: make([]int32, 4000), Dying: ids},
+		{Shard: 1, AliveV: 4000, Deg: make([]int32, 4000), Dying: ids[:10]},
+	}}
+	for _, m := range []struct {
+		name      string
+		typ       byte
+		msg, warm codec
+	}{{"msgRound", mFrontier, &round, &msgRound{}}, {"msgBarrier", mBarrier, &bar, &msgBarrier{}}} {
+		buf := m.msg.encode(nil)
+		if a := testing.AllocsPerRun(20, func() { buf = m.msg.encode(buf) }); a != 0 {
+			t.Errorf("%s.encode into a warm buffer made %v allocations, want 0", m.name, a)
+		}
+		raw := frameBytes(t, m.typ, buf[headerLen:])
+		r := bytes.NewReader(raw)
+		_, in, err := readFrame(r, maxFramePayload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(20, func() {
+			r.Reset(raw)
+			if _, in, err = readFrame(r, maxFramePayload, in); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("readFrame of a %s frame into a warm buffer made %v allocations, want 0", m.name, a)
+		}
+		if err := m.warm.decode(in); err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(20, func() {
+			if err := m.warm.decode(in); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("%s.decode into a warm message made %v allocations, want 0", m.name, a)
+		}
 	}
 }

@@ -1,0 +1,296 @@
+package dist
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"net"
+	"os/exec"
+	"sync"
+	"testing"
+	"time"
+
+	"hyperplex/internal/dataset"
+)
+
+// countConn is a connection that checks and tallies the frames crossing
+// it.  Every Write must carry exactly one whole frame; the bytes Read
+// are split back into frames, so both directions are counted by type.
+type countConn struct {
+	net.Conn
+	mu         sync.Mutex
+	writes     int
+	bad        []string // Writes that were not exactly one frame
+	sent, recv [mTypeMax]int
+	pending    []byte // bytes read but not yet a whole frame
+}
+
+// frameLen returns the length of the whole frame b starts with, or -1
+// when b is too short to hold its header.
+func frameLen(b []byte) int {
+	if len(b) < headerLen {
+		return -1
+	}
+	return headerLen + int(binary.LittleEndian.Uint32(b[4:8]))
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes++
+	if n := frameLen(p); n != len(p) || p[3] == 0 || p[3] >= mTypeMax {
+		c.bad = append(c.bad, fmt.Sprintf("write %d: %d bytes, not one frame", c.writes, len(p)))
+	} else {
+		c.sent[p[3]]++
+	}
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+func (c *countConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.pending = append(c.pending, p[:n]...)
+	for n := frameLen(c.pending); n >= 0 && n <= len(c.pending); n = frameLen(c.pending) {
+		c.recv[c.pending[3]]++
+		c.pending = c.pending[n:]
+	}
+	c.mu.Unlock()
+	return n, err
+}
+
+// counts returns a copy of the tallies.
+func (c *countConn) counts() (writes int, bad []string, sent, recv [mTypeMax]int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writes, append([]string(nil), c.bad...), c.sent, c.recv
+}
+
+// bufioReader reads b through a buffered reader, as both ends read
+// their connections.
+func bufioReader(b []byte) *bufio.Reader { return bufio.NewReader(bytes.NewReader(b)) }
+
+// nopConn accepts every Write and Close and holds nothing.
+type nopConn struct{ net.Conn }
+
+func (nopConn) Write(p []byte) (int, error) { return len(p), nil }
+func (nopConn) Close() error                { return nil }
+
+// TestTransportOneWritePerFrame pins that every frame leaves in one
+// Write: each frame the coordinator broadcasts, its teardown's
+// Shutdown, and a worker's heartbeats and Error report.
+func TestTransportOneWritePerFrame(t *testing.T) {
+	cc := &countConn{Conn: nopConn{}}
+	c := &coordinator{ctx: context.Background(), done: make(chan struct{}), workers: []*remoteWorker{{id: 0, conn: cc}}}
+	toWorker := map[byte]bool{mLoad: true, mAssign: true, mRollback: true, mApply: true, mShrink: true, mFinish: true}
+	for _, g := range goldenFrames {
+		if toWorker[g.typ] {
+			if err := c.broadcast(g.typ, g.msg.encode(nil)); err != nil {
+				t.Fatalf("%s broadcast: %v", g.name, err)
+			}
+		}
+	}
+	c.teardown()
+	writes, bad, sent, _ := cc.counts()
+	if len(bad) != 0 || writes != len(toWorker)+1 {
+		t.Fatalf("coordinator: %d writes for %d frames, bad: %v", writes, len(toWorker)+1, bad)
+	}
+	for typ := range toWorker {
+		if sent[typ] != 1 {
+			t.Errorf("coordinator sent %d frames of type %d, want 1", sent[typ], typ)
+		}
+	}
+	if sent[mShutdown] != 1 {
+		t.Errorf("teardown sent %d Shutdown frames, want 1", sent[mShutdown])
+	}
+
+	wc := &countConn{Conn: nopConn{}}
+	w := &workerState{ctx: context.Background(), conn: wc, opts: WorkerOptions{HeartbeatInterval: time.Millisecond}}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.heartbeatLoop(context.Background(), stop)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if _, _, sent, _ := wc.counts(); sent[mHeartbeat] >= 3 {
+			break
+		}
+	}
+	close(stop)
+	<-done
+	w.report(errors.New("shard exploded"))
+	writes, bad, sent, _ = wc.counts()
+	if sent[mHeartbeat] < 3 || sent[mError] != 1 || len(bad) != 0 || writes != sent[mHeartbeat]+1 {
+		t.Fatalf("worker: %d writes for %d heartbeats and %d Error frames, bad: %v", writes, sent[mHeartbeat], sent[mError], bad)
+	}
+}
+
+// TestTransportFramesPerBarrier runs Cellzome over 2 workers whose
+// connections the test serves through countConns: the coordinator
+// spawns a command that exits at once, and the test dials its listener
+// and runs ServeWorker for worker IDs 0 and 1, with heartbeats fast
+// enough to interleave with the replies.  Every frame a worker writes
+// must be one Write, and, heartbeats aside, each worker's frames must
+// be Hello, Load, Assign and its Barrier, an Apply and its Frontier
+// vote per round, a Shrink and its Barrier vote per committed barrier,
+// and Shutdown, plus Finish and Result at the worker that serves them.
+// So a round that ends at a committed barrier costs 8 frames at 2
+// workers, and a level fixpoint's Apply 4; there is one fixpoint per
+// level, MaxK + 1 in all.
+func TestTransportFramesPerBarrier(t *testing.T) {
+	noop, err := exec.LookPath("true")
+	if err != nil {
+		t.Skipf("no true command to stand in for the worker processes: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	h := dataset.Cellzome().H
+	barriers := 0
+	opts := Options{Workers: 2, Shards: 2, WorkerCommand: []string{noop}, Listen: addr,
+		HeartbeatInterval: time.Second, PhaseTimeout: 10 * time.Second}
+	opts.OnBarrier = func(int32, int32, func(int)) { barriers++ }
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	conns := make([]*countConn, 2)
+	served := make(chan error, len(conns))
+	for id := range conns {
+		go func() {
+			var conn net.Conn
+			var err error
+			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+				if conn, err = net.Dial("tcp", addr); err == nil {
+					break
+				}
+			}
+			if err != nil {
+				served <- err
+				return
+			}
+			conns[id] = &countConn{Conn: conn}
+			err = ServeWorker(ctx, conns[id], WorkerOptions{ID: id, HeartbeatInterval: time.Millisecond})
+			conn.Close()
+			served <- err
+		}()
+	}
+	d, err := DecomposeCtx(ctx, h, opts)
+	for range conns {
+		if serr := <-served; serr != nil {
+			t.Errorf("worker: %v", serr)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertExact(t, h, d, "counted run")
+
+	b := barriers - 1 // barrier (0, 0) commits the assignment, not a round
+	applies := b + d.MaxK + 1
+	if b <= 0 {
+		t.Fatalf("%d barriers committed", barriers)
+	}
+	results := 0
+	for id, cc := range conns {
+		_, bad, sent, recv := cc.counts()
+		if len(bad) != 0 {
+			t.Errorf("worker %d: writes that were not one frame: %v", id, bad)
+		}
+		finish := recv[mFinish]
+		results += sent[mResult]
+		want := [mTypeMax]int{
+			mHello: 1, mLoad: 1, mAssign: 1, mBarrier: b + 1,
+			mApply: applies, mFrontier: applies, mShrink: b,
+			mFinish: finish, mResult: finish, mShutdown: 1,
+		}
+		got := recv
+		for typ, n := range sent {
+			got[typ] += n
+		}
+		got[mHeartbeat] = 0
+		if got != want {
+			t.Errorf("worker %d: frames by type %v, want %v", id, got, want)
+		}
+	}
+	if results != 1 {
+		t.Errorf("%d workers sent a Result, want 1", results)
+	}
+	t.Logf("%d committed barriers at 8 frames, %d level fixpoints at 4", b, d.MaxK+1)
+}
+
+// TestTransportRejectsVersion1Hello pins that protocol version 2 is a
+// deliberate break: a version-1 worker's Hello fails the join with
+// ErrCorruptFrame, whether the version shows in the frame header or
+// only in the Hello payload.
+func TestTransportRejectsVersion1Hello(t *testing.T) {
+	v1 := frameBytes(t, mHello, payloadOf(&msgHello{Version: 1, ID: 0}))
+	v1[2] = 1
+	if _, err := (&coordinator{}).hello(bufioReader(v1)); !errors.Is(err, ErrCorruptFrame) {
+		t.Errorf("version-1 header: err = %v, want ErrCorruptFrame", err)
+	}
+	v1payload := frameBytes(t, mHello, payloadOf(&msgHello{Version: 1, ID: 0}))
+	if _, err := (&coordinator{}).hello(bufioReader(v1payload)); !errors.Is(err, ErrCorruptFrame) {
+		t.Errorf("version-1 Hello payload: err = %v, want ErrCorruptFrame", err)
+	}
+	v2 := frameBytes(t, mHello, payloadOf(&msgHello{Version: protoVersion, ID: 1}))
+	if id, err := (&coordinator{}).hello(bufioReader(v2)); err != nil || id != 1 {
+		t.Errorf("version-2 Hello: id %d, err %v", id, err)
+	}
+}
+
+// TestTransportDecodeOwnsItsBuffers is the aliasing guard behind the
+// recycled read buffers: for every message type, a payload is decoded,
+// the buffer it came from is overwritten, and re-encoding the message
+// must still reproduce the original bytes.  Each message is decoded
+// twice, into a fresh and then into the same, warm value, as the
+// coordinator and worker loops decode.
+func TestTransportDecodeOwnsItsBuffers(t *testing.T) {
+	for _, g := range goldenFrames {
+		if g.msg == nil {
+			continue
+		}
+		want := payloadOf(g.msg)
+		m := g.empty()
+		for pass := 0; pass < 2; pass++ {
+			buf := append([]byte(nil), want...)
+			if err := m.decode(buf); err != nil {
+				t.Fatalf("%s: decode: %v", g.name, err)
+			}
+			for i := range buf {
+				buf[i] = 0xA5
+			}
+			if got := payloadOf(m); !bytes.Equal(got, want) {
+				t.Errorf("%s (decode %d): the message changed with the payload buffer it was decoded from", g.name, pass+1)
+			}
+		}
+	}
+}
+
+// TestTransportDecomposeAllocs bounds the allocations of one in-process
+// DecomposeCtx of the banded 8000×8000 benchmark instance over 2
+// workers and 2 shards: with frame, payload and snapshot buffers
+// reused, what is left is set-up (the Load frame and each replica's
+// build) and a fixed cost per connection, not a cost per frame.
+// Protocol version 1, with a fresh buffer per frame, made about 4,300.
+func TestTransportDecomposeAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("decomposes the banded instance five times")
+	}
+	_, h := bandedLoad(t)
+	opts := Options{Workers: 2, Shards: 2}
+	allocs := testing.AllocsPerRun(4, func() {
+		if _, err := DecomposeCtx(context.Background(), h, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2000 {
+		t.Errorf("one distributed decomposition made %v allocations, want at most 2,000", allocs)
+	}
+}

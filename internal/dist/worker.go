@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -50,14 +51,14 @@ type tagged struct {
 }
 
 // workerState is one worker's side of the protocol: the replica, the
-// connection, and the barrier checkpoint slots.  pending holds the
-// checkpoint taken when the worker voted at the latest barrier; the
-// next Apply frame proves the coordinator committed that barrier and
-// promotes it to committed.  A Rollback frame names one of the two
-// tags; anything else is a protocol violation.  spare is a checkpoint
-// neither tag can name any more: the next checkpoint is written into
-// its buffers, and it is the only slot ever overwritten, so a barrier
-// costs no replica-sized allocation.
+// connection, the buffers of its single loop, and the barrier
+// checkpoint slots.  pending holds the checkpoint taken when the worker
+// voted at the latest barrier; the next Apply frame proves the
+// coordinator committed that barrier and promotes it to committed.  A
+// Rollback frame names one of the two tags; anything else is a protocol
+// violation.  spare is a checkpoint neither tag can name any more: the
+// next checkpoint is written into its buffers, and it is the only slot
+// ever overwritten, so a barrier costs no replica-sized allocation.
 type workerState struct {
 	//hyperplexvet:ignore ctxfirst scoped to one ServeWorker call tree, mirroring coordinator
 	ctx  context.Context
@@ -65,6 +66,16 @@ type workerState struct {
 	opts WorkerOptions
 
 	wmu sync.Mutex // serializes frame writes (main loop vs heartbeat)
+
+	// The loop reads every frame into in, decodes per-round frames into
+	// msg and Assign frames into asn, and encodes every reply into out;
+	// each is reused once the frame it holds is handled.  A Load
+	// payload is read into a fresh buffer that in does not keep: it is
+	// the one frame of its size a run ships.
+	in  []byte
+	msg msgRound
+	asn msgAssign
+	out []byte
 
 	h      *hypergraph.Hypergraph
 	part   *partition.Partition
@@ -90,7 +101,8 @@ func ServeWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) (err er
 		}
 	}()
 	w := &workerState{ctx: ctx, conn: conn, opts: opts.normalized()}
-	if err := w.send(mHello, (&msgHello{Version: protoVersion, ID: int32(w.opts.ID)}).encode()); err != nil {
+	hello := msgHello{Version: protoVersion, ID: int32(w.opts.ID)}
+	if err := w.send(mHello, hello.encode(nil)); err != nil {
 		return err
 	}
 
@@ -118,8 +130,9 @@ func ServeWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) (err er
 		wg.Wait()
 	}()
 
+	rd := bufio.NewReader(conn)
 	for {
-		typ, payload, rerr := readFrame(conn, maxFramePayload)
+		typ, payload, rerr := readFrame(rd, maxFramePayload, w.in)
 		if rerr != nil {
 			if p := w.hbPanic.Load(); p != nil {
 				return p
@@ -131,6 +144,9 @@ func ServeWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) (err er
 				return nil // coordinator hung up cleanly
 			}
 			return rerr
+		}
+		if typ != mLoad {
+			w.in = payload
 		}
 		if herr := w.handle(ctx, typ, payload); herr != nil {
 			if errors.Is(herr, errShutdown) {
@@ -147,6 +163,7 @@ func ServeWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) (err er
 func (w *workerState) heartbeatLoop(ctx context.Context, stop <-chan struct{}) {
 	ticker := time.NewTicker(w.opts.HeartbeatInterval)
 	defer ticker.Stop()
+	beat := newEnc(nil).b
 	for {
 		select {
 		case <-stop:
@@ -159,7 +176,7 @@ func (w *workerState) heartbeatLoop(ctx context.Context, stop <-chan struct{}) {
 				continue // beat skipped; enough of these reads as death
 			}
 			w.wmu.Lock()
-			err := writeFrame(w.conn, mHeartbeat, nil)
+			err := writeFrame(w.conn, mHeartbeat, beat)
 			w.wmu.Unlock()
 			if err != nil && !errors.Is(err, failpoint.ErrInjected) {
 				return // connection is gone; the main loop will notice
@@ -169,16 +186,18 @@ func (w *workerState) heartbeatLoop(ctx context.Context, stop <-chan struct{}) {
 }
 
 // send writes one frame under the write lock with bounded retry.
-func (w *workerState) send(typ byte, payload []byte) error {
+func (w *workerState) send(typ byte, frame []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	return sendRetry(w.ctx, w.conn, typ, payload, sendRetries)
+	return sendRetry(w.ctx, w.conn, typ, frame, sendRetries)
 }
 
 // report best-effort ships a typed failure to the coordinator before
 // the worker gives up.
 func (w *workerState) report(err error) {
-	_ = w.send(mError, (&msgError{Epoch: w.epoch, Text: err.Error()}).encode())
+	m := msgError{Epoch: w.epoch, Text: err.Error()}
+	w.out = m.encode(w.out)
+	_ = w.send(mError, w.out)
 }
 
 //hyperplexvet:wirerecv
@@ -191,49 +210,35 @@ func (w *workerState) handle(ctx context.Context, typ byte, payload []byte) erro
 		}
 		return w.load(ctx, &m)
 	case mAssign:
-		var m msgAssign
-		if err := m.decode(payload); err != nil {
+		if err := w.asn.decode(payload); err != nil {
 			return err
 		}
-		return w.assign(ctx, &m)
+		return w.assign(ctx, &w.asn)
 	case mRollback:
-		var m msgRound
-		if err := m.decode(payload); err != nil {
+		if err := w.msg.decode(payload); err != nil {
 			return err
 		}
-		return w.rollback(&m)
+		return w.rollback(&w.msg)
 	case mApply:
-		var m msgRound
-		if err := m.decode(payload); err != nil {
+		if err := w.msg.decode(payload); err != nil {
 			return err
 		}
-		return w.apply(ctx, &m)
-	case mRetire:
-		var m msgRound
-		if err := m.decode(payload); err != nil {
-			return err
-		}
-		w.epoch = m.Epoch
-		var err error
-		if m.IDs, err = w.peelerOrNil().Retire(ctx, int(m.K)); err != nil {
-			return err
-		}
-		return w.send(mRetired, m.encode())
+		return w.apply(ctx, &w.msg)
 	case mShrink:
-		var m msgRound
-		if err := m.decode(payload); err != nil {
+		if err := w.msg.decode(payload); err != nil {
 			return err
 		}
-		return w.shrink(ctx, &m)
+		return w.shrink(ctx, &w.msg)
 	case mFinish:
-		var m msgRound
-		if err := m.decode(payload); err != nil {
+		if err := w.msg.decode(payload); err != nil {
 			return err
 		}
-		w.epoch = m.Epoch
+		w.epoch = w.msg.Epoch
 		vCore, eCore := w.peelerOrNil().Coreness()
 		res := msgResult{Epoch: w.epoch, VCore: coreInt32(vCore), ECore: coreInt32(eCore)}
-		return w.send(mResult, res.encode())
+		// The Result frame is sent once and dwarfs the round frames, so
+		// out does not keep it.
+		return w.send(mResult, res.encode(nil))
 	case mShutdown:
 		return errShutdown
 	case mHeartbeat:
@@ -319,7 +324,8 @@ func (w *workerState) assign(ctx context.Context, m *msgAssign) error {
 	w.committed, w.pending = t, nil
 	if len(m.Fresh) > 0 {
 		b := msgBarrier{Epoch: w.epoch, K: m.K, Round: m.Round, Snaps: snaps}
-		return w.send(mBarrier, b.encode())
+		w.out = b.encode(w.out)
+		return w.send(mBarrier, w.out)
 	}
 	return nil
 }
@@ -352,6 +358,10 @@ func (w *workerState) rollback(m *msgRound) error {
 	return nil
 }
 
+// apply runs the replica's Apply and then its Retire, and answers with
+// the Frontier vote, which carries the retired IDs: the coordinator
+// needs no second round trip to gather the retired delta.  At a level
+// fixpoint the frontier is empty and Retire returns nothing.
 func (w *workerState) apply(ctx context.Context, m *msgRound) error {
 	w.epoch = m.Epoch
 	// An Apply frame means the coordinator committed the barrier this
@@ -360,12 +370,18 @@ func (w *workerState) apply(ctx context.Context, m *msgRound) error {
 		w.release(w.committed)
 		w.committed, w.pending = w.pending, nil
 	}
-	f, a, err := w.peelerOrNil().Apply(ctx, int(m.K), m.IDs)
+	p := w.peelerOrNil()
+	f, a, err := p.Apply(ctx, int(m.K), m.IDs)
 	if err != nil {
 		return err
 	}
-	reply := msgRound{Epoch: w.epoch, K: m.K, Round: m.Round, A: int32(f), B: int32(a)}
-	return w.send(mFrontier, reply.encode())
+	retired, err := p.Retire(ctx, int(m.K))
+	if err != nil {
+		return err
+	}
+	reply := msgRound{Epoch: w.epoch, K: m.K, Round: m.Round, IDs: retired, A: int32(f), B: int32(a)}
+	w.out = reply.encode(w.out)
+	return w.send(mFrontier, w.out)
 }
 
 func (w *workerState) shrink(ctx context.Context, m *msgRound) error {
@@ -380,5 +396,6 @@ func (w *workerState) shrink(ctx context.Context, m *msgRound) error {
 	w.release(w.pending)
 	w.pending = t
 	b := msgBarrier{Epoch: w.epoch, K: m.K, Round: m.Round, Snaps: t.cp.Shards}
-	return w.send(mBarrier, b.encode())
+	w.out = b.encode(w.out)
+	return w.send(mBarrier, w.out)
 }

@@ -38,6 +38,7 @@ type workerDriver struct {
 	conn      *recordConn
 	epoch     uint32
 	bar       barrierTag // the barrier the worker last voted at
+	retired   []int32    // the retired IDs of the last Frontier vote
 	atBarrier func(b barrierTag) error
 	maxDeg    int // the loaded hypergraph's ΔV
 }
@@ -57,13 +58,13 @@ func newWorkerDriver(t *testing.T, h *hypergraph.Hypergraph, part *partition.Par
 	d := &workerDriver{t: t, conn: conn, w: &workerState{ctx: context.Background(), conn: conn, opts: WorkerOptions{}.normalized()}, maxDeg: h.MaxVertexDegree()}
 	g := h.CSR()
 	load := msgLoad{Descs: part.Descs(), NumV: csr.MustInt32(h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
-	d.call(mLoad, load.encode(), 0)
+	d.call(mLoad, payloadOf(&load), 0)
 	fresh := make([]int32, part.NumShards())
 	for s := range fresh {
 		fresh[s] = int32(s)
 	}
 	var b msgBarrier
-	d.decode(&b, d.call(mAssign, (&msgAssign{Fresh: fresh}).encode(), mBarrier))
+	d.decode(&b, d.call(mAssign, payloadOf(&msgAssign{Fresh: fresh}), mBarrier))
 	d.bar = barrierTag{dying: snapshotsDying(b.Snaps)}
 	return d
 }
@@ -89,7 +90,7 @@ func (d *workerDriver) call(typ byte, payload []byte, want byte) []byte {
 		}
 		return nil
 	}
-	got, reply, err := readFrame(&d.conn.out, maxFramePayload)
+	got, reply, err := readFrame(&d.conn.out, maxFramePayload, nil)
 	if err != nil || got != want || d.conn.out.Len() != 0 {
 		d.t.Fatalf("frame type %d: reply type %d (want %d), err %v, %d bytes left over", typ, got, want, err, d.conn.out.Len())
 	}
@@ -105,21 +106,22 @@ func (d *workerDriver) decode(m codec, payload []byte) {
 
 func (d *workerDriver) Apply(_ context.Context, k int, dying []int32) (int, int, error) {
 	var fr msgRound
-	d.decode(&fr, d.call(mApply, (&msgRound{Epoch: d.epoch, K: int32(k), Round: d.bar.round, IDs: dying}).encode(), mFrontier))
+	d.decode(&fr, d.call(mApply, payloadOf(&msgRound{Epoch: d.epoch, K: int32(k), Round: d.bar.round, IDs: dying}), mFrontier))
+	d.retired = fr.IDs
 	return int(fr.A), int(fr.B), nil
 }
 
-func (d *workerDriver) Retire(_ context.Context, k int) ([]int32, error) {
-	var rt msgRound
-	d.decode(&rt, d.call(mRetire, (&msgRound{Epoch: d.epoch, K: int32(k), Round: d.bar.round}).encode(), mRetired))
-	return rt.IDs, nil
+// Retire returns the retired IDs the last Frontier vote carried, as
+// the coordinator does.
+func (d *workerDriver) Retire(context.Context, int) ([]int32, error) {
+	return d.retired, nil
 }
 
 func (d *workerDriver) Shrink(_ context.Context, k int, retired []int32) ([]int32, error) {
 	d.t.Helper()
 	var bar msgBarrier
 	next := d.bar.round + 1
-	d.decode(&bar, d.call(mShrink, (&msgRound{Epoch: d.epoch, K: int32(k), Round: next, IDs: retired}).encode(), mBarrier))
+	d.decode(&bar, d.call(mShrink, payloadOf(&msgRound{Epoch: d.epoch, K: int32(k), Round: next, IDs: retired}), mBarrier))
 	if bar.K != int32(k) || bar.Round != next {
 		d.t.Fatalf("worker voted barrier (%d, %d), want (%d, %d)", bar.K, bar.Round, k, next)
 	}
@@ -144,7 +146,7 @@ func (d *workerDriver) run() (*core.Decomposition, error) {
 		return nil, err
 	}
 	var res msgResult
-	d.decode(&res, d.call(mFinish, (&msgRound{Epoch: d.epoch, K: d.bar.k, Round: d.bar.round}).encode(), mResult))
+	d.decode(&res, d.call(mFinish, payloadOf(&msgRound{Epoch: d.epoch, K: d.bar.k, Round: d.bar.round}), mResult))
 	return &core.Decomposition{VertexCoreness: coreInt(res.VCore), EdgeCoreness: coreInt(res.ECore), MaxK: maxK}, nil
 }
 
@@ -187,7 +189,7 @@ func TestWorkerRollbackToCommitted(t *testing.T) {
 		t.Fatal("the B2 vote did not reuse the spare checkpoint")
 	}
 	d.epoch++
-	d.call(mRollback, (&msgRound{Epoch: d.epoch, K: b1.k, Round: b1.round}).encode(), 0)
+	d.call(mRollback, payloadOf(&msgRound{Epoch: d.epoch, K: b1.k, Round: b1.round}), 0)
 	if d.w.pending != nil || d.w.spare == nil || d.w.spare.k != d.bar.k || d.w.spare.round != d.bar.round {
 		t.Fatal("after the rollback the B2 vote should be the spare and nothing pending")
 	}
@@ -229,7 +231,7 @@ func TestLoadRejectsBadMembers(t *testing.T) {
 		{msgLoad{NumV: -3, EOff: []int32{0, 1}, EAdj: []int32{0}}, "dist: load graph: hypergraph: edge 0 member 0 out of range [0,-3)"},
 	} {
 		w := &workerState{ctx: context.Background(), conn: &recordConn{}, opts: WorkerOptions{}.normalized()}
-		err := w.handle(context.Background(), mLoad, tc.load.encode())
+		err := w.handle(context.Background(), mLoad, payloadOf(&tc.load))
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("Load %+v: err = %v, want %s", tc.load, err, tc.want)
 		}
