@@ -298,16 +298,17 @@ func BenchmarkReadText(b *testing.B) {
 	}
 }
 
-// BenchmarkCSRDecompose measures the sequential peel (one DistPeeler
-// replica over a single shard, which every sequential core route runs)
-// on the banded instance (BENCH_PR6.json records the trajectory of the
-// bucket-queue peeler it replaced).
+// BenchmarkCSRDecompose measures the sequential peel, core.Decompose
+// (one DistPeeler replica over a single shard, which every sequential
+// core route runs), on the banded instance (BENCH_PR6.json records the
+// trajectory of the bucket-queue peeler it replaced).  The name is kept
+// from the retired core.CSRDecompose, so earlier results compare.
 func BenchmarkCSRDecompose(b *testing.B) {
 	h := bandedBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if d := core.CSRDecompose(h); d.MaxK == 0 {
+		if d := core.Decompose(h); d.MaxK == 0 {
 			b.Fatal("degenerate decomposition")
 		}
 	}

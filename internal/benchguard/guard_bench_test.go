@@ -90,14 +90,15 @@ func BenchmarkGuardDecompose(b *testing.B) {
 	}
 }
 
-// BenchmarkGuardCSRDecompose pins the sequential decomposition under
-// its older name, core.CSRDecompose, so the flat-array hot path cannot
-// silently regress toward the map-based cost.
+// BenchmarkGuardCSRDecompose pins the sequential decomposition,
+// core.Decompose, so the flat-array hot path cannot silently regress
+// toward the map-based cost.  It keeps the name of the retired
+// core.CSRDecompose, the key of its recorded baseline.
 func BenchmarkGuardCSRDecompose(b *testing.B) {
 	h := guardInstance(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d := core.CSRDecompose(h)
+		d := core.Decompose(h)
 		if d == nil || d.MaxK == 0 {
 			b.Fatal("degenerate decomposition")
 		}

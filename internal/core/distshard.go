@@ -13,20 +13,21 @@ import (
 
 // This file is the one peel kernel: the bulk-synchronous phases every
 // core route runs.  A DistPeeler is a replica of the sharded peel: the
-// full hypergraph as a csr.CSR, the global alive/degree/coreness
-// mirrors, and the shardPeel arenas of the shards assigned to it.  Its
-// phase methods Apply, Retire and Shrink are the calls of the one
-// round schedule (RunRounds, sharded.go).  The in-process driver gives
+// full hypergraph as a csr.CSR, the global alive/degree mirrors, and
+// the shardPeel arenas of the shards assigned to it.  Its phase
+// methods Apply and Shrink are the calls of the one round schedule
+// (RunRounds, sharded.go), which records the coreness from the deltas
+// it hands out, so a replica holds none.  The in-process driver gives
 // one replica every shard — a single shard for Decompose, KCore,
 // MaxCore and BiCore — and hands it to RunRounds as the Rounds; the
 // internal/dist worker runs one replica per process and calls the same
 // methods from its frame handlers.  Each round's cross-shard traffic
 // is two deltas — the dying hyperedge IDs and the retired vertex IDs —
 // which every replica applies uniformly, so the mirrors never diverge.
-// Degree decrements, alive flips and coreness clamps are commutative
-// within a phase, so the fixpoint per level (and therefore the whole
-// decomposition, edge coreness included) is the same at every shard
-// and worker count: every driver runs one round schedule.  The
+// Degree decrements and alive flips are commutative within a phase,
+// so the fixpoint per level (and therefore the whole decomposition,
+// edge coreness included) is the same at every shard and worker count:
+// every driver runs one round schedule.  The
 // reduction test (empty, non-maximal or, for a (k, l)-core, smaller
 // than l) is the flat-array containment detector (csr.Detector) over
 // the replica's own mirrors, with a retired hyperedge's mirrored
@@ -48,7 +49,7 @@ import (
 //     longer needs, so a worker that keeps a spare allocates nothing
 //     per barrier.
 //
-// Everything else — the bucket queue, the shrink stamps, the frontier
+// Everything else — the bucket queue, the shrink stamps, the shrunk
 // lists — is reconstructed from those snapshots plus the mirrors, so a
 // restored replica continues bit-identically (distshard_test.go pins
 // this).
@@ -91,12 +92,9 @@ func (e *SnapshotError) Error() string {
 // PeelCheckpoint is a worker-local deep copy of a DistPeeler at a
 // barrier: the global mirrors plus a ShardSnapshot per owned shard.
 type PeelCheckpoint struct {
-	K      int
 	vAlive []bool
 	eAlive []bool
 	eDeg   []int32
-	vCore  []int
-	eCore  []int
 	// Shards holds the barrier snapshot of every owned shard, in shard
 	// order: the state a Barrier frame carries.  The next Checkpoint
 	// into this checkpoint overwrites them.
@@ -104,8 +102,8 @@ type PeelCheckpoint struct {
 }
 
 // shardPeel is one shard's peel state: a single int32 arena carved
-// into the degree array, the lazy bucket queue and the
-// frontier/shrunk/dying lists.  Owned vertices are addressed by their
+// into the degree array, the lazy bucket queue and the shrunk and
+// dying lists.  Owned vertices are addressed by their
 // offset j in the contiguous owned block (global ID lo+j), owned
 // hyperedges by their global ID.
 type shardPeel struct {
@@ -122,9 +120,8 @@ type shardPeel struct {
 	nfree            int32
 	cur              int // lowest possibly-non-empty bucket
 
-	frontier []int32 // owned offsets gathered below threshold this round
-	shrunk   []int32 // owned hyperedges shrunk this round
-	dying    []int32 // owned hyperedges found dead
+	shrunk []int32 // owned hyperedges shrunk this round
+	dying  []int32 // owned hyperedges found dead
 
 	aliveV int
 }
@@ -154,7 +151,6 @@ type DistPeeler struct {
 
 	vAlive, eAlive []bool
 	eDeg           []int32 // alive hyperedge degrees, 0 once retired
-	vCore, eCore   []int
 
 	// stamp[g] == round marks hyperedge g as listed in its owner's
 	// shrunk list this round.  round only ever advances (Restore does
@@ -166,7 +162,7 @@ type DistPeeler struct {
 	snap   csr.Snapshot // the detector's view of c, vAlive and eDeg
 	det    *csr.Detector
 
-	// retiredDelta and dyingDelta hold what Retire and Shrink return,
+	// retiredDelta and dyingDelta hold what Apply and Shrink return,
 	// reused every round: allocated once at their bounds, since a
 	// round's retired delta lists each vertex at most once and its
 	// dying delta each hyperedge.
@@ -176,8 +172,6 @@ type DistPeeler struct {
 	// alive members dies.  l ≤ 1 leaves the empty hyperedge, which the
 	// detector retires anyway.  Only the in-process driver sets it.
 	minSize int
-
-	k int // current peeling threshold
 }
 
 // NewDistPeeler builds a fresh replica over h and its partition: all
@@ -191,8 +185,6 @@ func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPee
 		vAlive: make([]bool, nv),
 		eAlive: make([]bool, ne),
 		eDeg:   make([]int32, ne),
-		vCore:  make([]int, nv),
-		eCore:  make([]int, ne),
 		stamp:  make([]int32, ne),
 		shards: make([]*shardPeel, part.NumShards()),
 		det:    csr.NewDetector(c),
@@ -235,7 +227,7 @@ func (w *DistPeeler) newShard(s int) *shardPeel {
 	entries := n + ownedInc
 	// One arena allocation backs every int32 slice of the shard, so the
 	// work lists the phase methods append to stay arena-owned.
-	arena := make([]int32, n+(maxDeg+1)+2*entries+n+2*ne)
+	arena := make([]int32, n+(maxDeg+1)+2*entries+2*ne)
 	carve := func(sz int32) []int32 {
 		s := arena[:sz:sz]
 		arena = arena[sz:]
@@ -245,7 +237,6 @@ func (w *DistPeeler) newShard(s int) *shardPeel {
 	p.head = carve(maxDeg + 1)
 	p.next = carve(entries)
 	p.item = carve(entries)
-	p.frontier = carve(n)[:0]
 	p.shrunk = carve(ne)[:0]
 	p.dying = carve(ne)[:0]
 	for i := range p.head {
@@ -384,15 +375,6 @@ func (w *DistPeeler) pendingDying() []int32 {
 	return w.dyingDelta
 }
 
-// clampCore is the shared coreness assignment: state retired while
-// peeling toward threshold k belonged to the (k-1)-core.
-func (w *DistPeeler) clampCore() int {
-	if w.k < 1 {
-		return 0
-	}
-	return w.k - 1
-}
-
 // checkDead reports whether alive hyperedge g (global ID) is smaller
 // than minSize, empty or non-maximal against the current stable
 // snapshot, and the operations the test spent.
@@ -439,21 +421,22 @@ func (w *DistPeeler) testEdges(ctx context.Context, p *shardPeel, edges []int32)
 // the threshold is emptied, keeping the entries whose recorded degree
 // is still current (each alive owned vertex below the threshold has
 // exactly one such entry, pushed by its last decrement).  It returns
-// the local frontier size and alive-vertex count for the barrier vote,
-// and charges the delta and the entries it popped.
+// the frontier vote: the frontier as global vertex IDs, this replica's
+// part of the round's retired delta, in a buffer the next Apply
+// reuses, and the alive owned vertices.  Nothing is retired yet: the
+// driver gathers every replica's part and hands the union to Shrink.
+// Apply charges the delta and the entries it popped.
 //
 //hyperplexvet:hotpath
-func (w *DistPeeler) Apply(ctx context.Context, k int, dying []int32) (frontier, alive int, err error) {
+func (w *DistPeeler) Apply(ctx context.Context, k int, dying []int32) (retired []int32, alive int, err error) {
 	meter := run.MeterFrom(ctx)
 	if err := run.Tick(ctx, meter, int64(len(dying))+1); err != nil {
-		return 0, 0, err
+		return nil, 0, err
 	}
-	w.k = k
 	//hyperplexvet:ignore budgettick bounded pass over the delta, charged by the Tick above
 	for _, g := range dying {
 		w.eAlive[g] = false
 		w.eDeg[g] = 0
-		w.eCore[g] = w.clampCore()
 		for _, v := range w.c.EdgeVertices(g) {
 			if !w.vAlive[v] {
 				continue
@@ -465,6 +448,7 @@ func (w *DistPeeler) Apply(ctx context.Context, k int, dying []int32) (frontier,
 			}
 		}
 	}
+	w.retiredDelta = w.retiredDelta[:0]
 	pops := 0
 	//hyperplexvet:ignore budgettick bounded sweep over the shards' queues; the Tick below charges every popped entry
 	for _, p := range w.shards {
@@ -472,7 +456,6 @@ func (w *DistPeeler) Apply(ctx context.Context, k int, dying []int32) (frontier,
 			continue
 		}
 		p.dying = p.dying[:0]
-		p.frontier = p.frontier[:0]
 		top := min(k, len(p.head))
 		//hyperplexvet:ignore budgettick bounded drain of the buckets below the threshold, charged by the Tick below
 		for d := p.cur; d < top; d++ {
@@ -480,7 +463,8 @@ func (w *DistPeeler) Apply(ctx context.Context, k int, dying []int32) (frontier,
 				pops++
 				j := p.item[idx]
 				if w.vAlive[p.lo+j] && int(p.deg[j]) == d {
-					p.frontier = append(p.frontier, j)
+					//hyperplexvet:ignore hotalloc retiredDelta is allocated at capacity |V| and a round retires each vertex at most once, so the append never grows it
+					w.retiredDelta = append(w.retiredDelta, p.lo+j)
 				}
 			}
 			p.head[d] = -1
@@ -488,33 +472,12 @@ func (w *DistPeeler) Apply(ctx context.Context, k int, dying []int32) (frontier,
 		if p.cur < top {
 			p.cur = top
 		}
-		frontier += len(p.frontier)
 		alive += p.aliveV
 	}
 	if err := run.Tick(ctx, meter, int64(pops)+1); err != nil {
-		return 0, 0, err
+		return nil, 0, err
 	}
-	return frontier, alive, nil
-}
-
-// Retire returns the gathered frontiers, as global vertex IDs, and
-// clears them: this replica's part of the retired delta of the round
-// at threshold k, in a buffer the next Retire reuses.  Nothing is
-// applied yet: the driver gathers every replica's part and hands the
-// union to Shrink.
-func (w *DistPeeler) Retire(_ context.Context, _ int) ([]int32, error) {
-	w.retiredDelta = w.retiredDelta[:0]
-	//hyperplexvet:ignore budgettick bounded pass over the frontiers, whose entries Apply charged
-	for _, p := range w.shards {
-		if p == nil {
-			continue
-		}
-		for _, j := range p.frontier {
-			w.retiredDelta = append(w.retiredDelta, p.lo+j)
-		}
-		p.frontier = p.frontier[:0]
-	}
-	return w.retiredDelta, nil
+	return w.retiredDelta, alive, nil
 }
 
 // Shrink applies a round's retired-vertex delta and re-checks what it
@@ -537,7 +500,6 @@ func (w *DistPeeler) Shrink(ctx context.Context, _ int, retired []int32) ([]int3
 	//hyperplexvet:ignore budgettick bounded pass over the delta, charged by the Tick above
 	for _, vg := range retired {
 		w.vAlive[vg] = false
-		w.vCore[vg] = w.clampCore()
 		if p := w.shards[w.part.VertexOwner[vg]]; p != nil {
 			p.aliveV--
 		}
@@ -584,32 +546,25 @@ func (w *DistPeeler) Shrink(ctx context.Context, _ int, retired []int32) ([]int3
 // from.
 func (w *DistPeeler) Resume(err error) (int, []int32, error) { return 0, nil, err }
 
-// stopAt ends the peel at the fixpoint of threshold k: every alive
-// vertex and hyperedge is in the k-core, so each gets coreness k.  The
-// pass is charged one step per survivor.  Only a driver that owns
-// every shard stops early, so the mirrors it fills are the result.
-func (w *DistPeeler) stopAt(ctx context.Context, k int) error {
+// stopAt ends the peel at the fixpoint of level d.MaxK: every alive
+// vertex and hyperedge is in the MaxK-core, so each gets coreness MaxK
+// in d.  The pass is charged one step per survivor.  Only a driver that
+// owns every shard stops early, so its mirrors name every survivor.
+func (w *DistPeeler) stopAt(ctx context.Context, d *Decomposition) error {
 	n := 0
 	for v, alive := range w.vAlive {
 		if alive {
-			w.vCore[v] = k
+			d.VertexCoreness[v] = d.MaxK
 			n++
 		}
 	}
 	for f, alive := range w.eAlive {
 		if alive {
-			w.eCore[f] = k
+			d.EdgeCoreness[f] = d.MaxK
 			n++
 		}
 	}
 	return run.Tick(ctx, run.MeterFrom(ctx), int64(n))
-}
-
-// Coreness copies out the replica's coreness mirrors.  Valid once the
-// driver has retired every vertex; every replica holds the full
-// arrays, so any worker can serve the result.
-func (w *DistPeeler) Coreness() (vCore, eCore []int) {
-	return append([]int(nil), w.vCore...), append([]int(nil), w.eCore...)
 }
 
 // Checkpoint deep-copies the replica at a barrier into dst and returns
@@ -622,12 +577,9 @@ func (w *DistPeeler) Checkpoint(dst *PeelCheckpoint) *PeelCheckpoint {
 	if dst == nil {
 		dst = &PeelCheckpoint{}
 	}
-	dst.K = w.k
 	dst.vAlive = append(dst.vAlive[:0], w.vAlive...)
 	dst.eAlive = append(dst.eAlive[:0], w.eAlive...)
 	dst.eDeg = append(dst.eDeg[:0], w.eDeg...)
-	dst.vCore = append(dst.vCore[:0], w.vCore...)
-	dst.eCore = append(dst.eCore[:0], w.eCore...)
 	n := 0
 	for s, p := range w.shards {
 		if p == nil {
@@ -648,12 +600,9 @@ func (w *DistPeeler) Checkpoint(dst *PeelCheckpoint) *PeelCheckpoint {
 // rebuilt from its barrier snapshot, so the continuation is
 // bit-identical to a run that never left the barrier.
 func (w *DistPeeler) Restore(cp *PeelCheckpoint) error {
-	w.k = cp.K
 	copy(w.vAlive, cp.vAlive)
 	copy(w.eAlive, cp.eAlive)
 	copy(w.eDeg, cp.eDeg)
-	copy(w.vCore, cp.vCore)
-	copy(w.eCore, cp.eCore)
 	for s := range w.shards {
 		w.shards[s] = nil
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"hyperplex/internal/gen"
@@ -26,37 +27,27 @@ type replicas struct {
 	barrier func(k, round int, ws []*DistPeeler)
 }
 
-func (r *replicas) Apply(ctx context.Context, k int, dying []int32) (frontier, alive int, _ error) {
+func (r *replicas) Apply(ctx context.Context, k int, dying []int32) (retired []int32, alive int, _ error) {
 	for _, w := range r.ws {
-		f, a, err := w.Apply(ctx, k, dying)
+		part, a, err := w.Apply(ctx, k, dying)
 		if err != nil {
 			r.t.Fatal(err)
 		}
 		retiredDegreesZero(r.t, w, "after Apply")
-		frontier, alive = frontier+f, alive+a
+		retired, alive = append(retired, part...), alive+a
 	}
-	return frontier, alive, nil
-}
-
-// join joins the deltas phase returns on every replica.
-func (r *replicas) join(phase func(w *DistPeeler) ([]int32, error)) []int32 {
-	var out []int32
-	for _, w := range r.ws {
-		delta, err := phase(w)
-		if err != nil {
-			r.t.Fatal(err)
-		}
-		out = append(out, delta...)
-	}
-	return out
-}
-
-func (r *replicas) Retire(ctx context.Context, k int) ([]int32, error) {
-	return r.join(func(w *DistPeeler) ([]int32, error) { return w.Retire(ctx, k) }), nil
+	return retired, alive, nil
 }
 
 func (r *replicas) Shrink(ctx context.Context, k int, retired []int32) ([]int32, error) {
-	dying := r.join(func(w *DistPeeler) ([]int32, error) { return w.Shrink(ctx, k, retired) })
+	var dying []int32
+	for _, w := range r.ws {
+		part, err := w.Shrink(ctx, k, retired)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		dying = append(dying, part...)
+	}
 	r.round++
 	if r.barrier != nil {
 		r.barrier(k, r.round, r.ws)
@@ -88,12 +79,11 @@ func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 	if barrier != nil {
 		barrier(0, 0, r.ws)
 	}
-	maxK, err := RunRounds(ctx, r, dying, math.MaxInt, h.MaxVertexDegree())
+	d, err := RunRounds(ctx, r, h, dying, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vCore, eCore := r.ws[0].Coreness()
-	return &Decomposition{VertexCoreness: vCore, EdgeCoreness: eCore, MaxK: maxK}
+	return d
 }
 
 // retiredDegreesZero asserts the invariant the containment detector's
@@ -149,41 +139,35 @@ func TestDistPeelerDifferential(t *testing.T) {
 	}
 }
 
-// TestDistPeelerReplicasAgree asserts that after a full run every
-// replica holds the same coreness mirrors — the invariant that lets
-// any worker serve the final result — and that every replica keeps
-// retired hyperedges at degree 0 at every barrier and at the end (the
+// TestDistPeelerReplicasAgree asserts that at every barrier every
+// replica holds the same alive and degree mirrors — the invariant that
+// lets any replica's shards move to another at a barrier — and keeps
+// retired hyperedges at degree 0, at every barrier and at the end (the
 // replicas' Apply also checks it after every call).
 func TestDistPeelerReplicasAgree(t *testing.T) {
 	h := gen.RandomHypergraph(150, 120, 5, xrand.New(0xA9EE))
 	var workers []*DistPeeler
+	barriers := 0
 	distDriver(t, h, 4, 3, func(k, round int, ws []*DistPeeler) {
 		workers = ws
-		for _, w := range ws {
+		barriers++
+		for i, w := range ws {
 			retiredDegreesZero(t, w, "at a barrier")
+			if !slices.Equal(w.vAlive, ws[0].vAlive) || !slices.Equal(w.eAlive, ws[0].eAlive) || !slices.Equal(w.eDeg, ws[0].eDeg) {
+				t.Fatalf("barrier (%d, %d): replica %d's mirrors differ from replica 0's", k, round, i)
+			}
 		}
 	})
+	if barriers < 3 {
+		t.Fatalf("%d barriers; enlarge the instance", barriers)
+	}
 	for _, w := range workers {
 		retiredDegreesZero(t, w, "after the run")
-	}
-	v0, e0 := workers[0].Coreness()
-	for i := 1; i < len(workers); i++ {
-		vi, ei := workers[i].Coreness()
-		for v := range v0 {
-			if vi[v] != v0[v] {
-				t.Fatalf("replica %d vertex %d coreness %d, replica 0 has %d", i, v, vi[v], v0[v])
-			}
-		}
-		for f := range e0 {
-			if ei[f] != e0[f] {
-				t.Fatalf("replica %d hyperedge %d coreness %d, replica 0 has %d", i, f, ei[f], e0[f])
-			}
-		}
 	}
 }
 
 // scramble vandalizes a replica's mutable state the way a half-applied
-// round would: degrees, queue heads, mirrors and coreness all change.
+// round would: degrees, queue heads and mirrors all change.
 func scramble(w *DistPeeler) {
 	for i := range w.vAlive {
 		if i%3 == 0 {
@@ -192,12 +176,6 @@ func scramble(w *DistPeeler) {
 	}
 	for i := range w.eDeg {
 		w.eDeg[i] += int32(i%5) - 2
-	}
-	for i := range w.vCore {
-		w.vCore[i] += 7
-	}
-	for i := range w.eCore {
-		w.eCore[i] += 7
 	}
 	w.round += 13
 	for _, p := range w.shards {
@@ -212,7 +190,7 @@ func scramble(w *DistPeeler) {
 		}
 		p.nfree = 0
 		p.cur = 0
-		p.frontier = append(p.frontier[:0], 0)
+		p.shrunk = append(p.shrunk[:0], 0)
 		p.aliveV += 5
 	}
 }
@@ -435,11 +413,7 @@ func TestNewShardSingleArena(t *testing.T) {
 	}
 
 	p := w.newShard(1)
-	n := int(part.Shards[1].Count)
 	ne := len(part.Shards[1].Edges)
-	if cap(p.frontier) != n || len(p.frontier) != 0 {
-		t.Errorf("frontier carved len=%d cap=%d, want an empty list with capacity %d", len(p.frontier), cap(p.frontier), n)
-	}
 	for name, sl := range map[string][]int32{"shrunk": p.shrunk, "dying": p.dying} {
 		if cap(sl) != ne || len(sl) != 0 {
 			t.Errorf("%s carved len=%d cap=%d, want an empty list with capacity %d", name, len(sl), cap(sl), ne)

@@ -131,12 +131,12 @@ func DecomposeCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Decomposition
 	return decompose(ctx, h, 1, 1, math.MaxInt)
 }
 
-// CSRDecompose is Decompose under an older name, kept for callers
-// that use it.
-func CSRDecompose(h *hypergraph.Hypergraph) *Decomposition { return Decompose(h) }
-
 // CSRDecomposeCtx is DecomposeCtx under an older name, kept for
 // callers that use it.
+//
+// Deprecated: use DecomposeCtx, or Decompose without a context.
+//
+//hyperplexvet:ignore ctxpair an alias of DecomposeCtx, whose plain twin is Decompose; the older plain name is retired
 func CSRDecomposeCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Decomposition, error) {
 	return DecomposeCtx(ctx, h)
 }

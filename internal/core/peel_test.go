@@ -34,7 +34,7 @@ func TestPeelMemberCounts(t *testing.T) {
 		{"proteome 20000x3000", dataset.SyntheticProteome(20000, 3000, 42), 289, 12983},
 	} {
 		w := NewDistPeeler(tc.h, partition.Build(tc.h, 1))
-		if _, err := w.peel(context.Background(), math.MaxInt, tc.h.MaxVertexDegree()); err != nil {
+		if _, err := w.peel(context.Background(), tc.h, math.MaxInt); err != nil {
 			t.Fatal(err)
 		}
 		if counts, pins := w.det.MemberCounts(); counts != tc.counts || pins != tc.pins {

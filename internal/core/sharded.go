@@ -104,38 +104,38 @@ func decompose(ctx context.Context, h *hypergraph.Hypergraph, shards, l, kmax in
 	}
 	w := NewDistPeeler(h, part)
 	w.minSize = l
-	return w.peel(ctx, kmax, h.MaxVertexDegree())
+	return w.peel(ctx, h, kmax)
 }
 
-// peel assigns every shard to the replica and runs the round schedule
-// to the end, or to the fixpoint of threshold kmax, where every
-// survivor gets coreness kmax, so each coreness is the full
-// decomposition's capped at kmax.  maxDeg is the hypergraph's ΔV.
-func (w *DistPeeler) peel(ctx context.Context, kmax, maxDeg int) (*Decomposition, error) {
+// peel assigns every shard to the replica, which was built over h, and
+// runs the round schedule to the end, or to the fixpoint of threshold
+// kmax, where every survivor gets coreness kmax, so each coreness is
+// the full decomposition's capped at kmax.
+func (w *DistPeeler) peel(ctx context.Context, h *hypergraph.Hypergraph, kmax int) (*Decomposition, error) {
 	for s := range w.shards {
 		if err := w.AssignFresh(ctx, s); err != nil {
 			return nil, err
 		}
 	}
-	maxK, err := RunRounds(ctx, w, w.pendingDying(), kmax, maxDeg)
-	if err == nil && maxK >= kmax {
-		err = w.stopAt(ctx, maxK)
+	d, err := RunRounds(ctx, w, h, w.pendingDying(), kmax)
+	if err == nil && d.MaxK >= kmax {
+		err = w.stopAt(ctx, d)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &Decomposition{VertexCoreness: w.vCore, EdgeCoreness: w.eCore, MaxK: maxK}, nil
+	return d, nil
 }
 
 // Rounds is one driver of the round schedule RunRounds runs: a
 // DistPeeler that owns every shard, or the internal/dist coordinator,
-// which broadcasts each call to its workers and sums their replies.
+// which broadcasts each call to its workers and joins their replies.
 type Rounds interface {
 	// Apply applies a round's dying delta at threshold k and returns
-	// the frontier vote: the frontier size and the alive vertices.
-	Apply(ctx context.Context, k int, dying []int32) (frontier, alive int, err error)
-	// Retire returns the retired delta of the round at threshold k.
-	Retire(ctx context.Context, k int) ([]int32, error)
+	// the frontier vote: the round's retired delta, every alive vertex
+	// whose degree fell below k, and the count of alive vertices.  The
+	// retired delta is valid until the next Apply.
+	Apply(ctx context.Context, k int, dying []int32) (retired []int32, alive int, err error)
 	// Shrink applies the round's retired delta, ends the round at a
 	// barrier, and returns the next round's dying delta.
 	Shrink(ctx context.Context, k int, retired []int32) ([]int32, error)
@@ -145,44 +145,57 @@ type Rounds interface {
 	Resume(err error) (k int, dying []int32, rerr error)
 }
 
-// RunRounds runs the round schedule from barrier 0, whose dying delta
-// is dying.  It raises the threshold k one level at a time, carrying
-// all peeling state across levels, and peels each level in rounds
-// until the frontier and the dying delta are both empty: the level
-// fixpoint, where every alive vertex has degree ≥ k.  It stops at a
-// fixpoint with nothing alive, returning MaxK, or at the fixpoint of
-// level kmax, returning kmax.  A failed call goes to r.Resume.
+// RunRounds runs the round schedule over h from barrier 0, whose dying
+// delta is dying, and returns the decomposition it records.  It raises
+// the threshold k one level at a time, carrying all peeling state
+// across levels, and peels each level in rounds until the retired and
+// the dying delta are both empty: the level fixpoint, where every alive
+// vertex has degree ≥ k.  It stops at a fixpoint with nothing alive, or
+// at the fixpoint of level kmax with MaxK = kmax, where the survivors'
+// coreness is left for the caller to set.  A failed call goes to
+// r.Resume.
 //
-// maxDeg is ΔV, the hypergraph's largest vertex degree.  No vertex
-// survives level ΔV + 1, so a vote that keeps a vertex alive at that
-// fixpoint is wrong, and RunRounds returns an error instead of raising
-// k forever.
-func RunRounds(ctx context.Context, r Rounds, dying []int32, kmax, maxDeg int) (maxK int, err error) {
+// What leaves at threshold k belonged to the (k-1)-core: every
+// hyperedge of a dying delta handed to Apply at k, and every vertex of
+// the retired delta Apply returns at k, gets coreness k-1.  A round
+// replayed after Resume hands out the same deltas at the same k, so it
+// records the same values again.
+//
+// No vertex survives level ΔV + 1, h's largest vertex degree plus
+// one, so a vote that keeps a vertex alive at that fixpoint is wrong,
+// and RunRounds returns an error instead of raising k forever.
+func RunRounds(ctx context.Context, r Rounds, h *hypergraph.Hypergraph, dying []int32, kmax int) (*Decomposition, error) {
+	d := &Decomposition{VertexCoreness: make([]int, h.NumVertices()), EdgeCoreness: make([]int, h.NumEdges())}
+	maxDeg := h.MaxVertexDegree()
 	k := 1
 	for {
-		frontier, alive := 0, 0
-		if err = exchange(); err == nil {
-			frontier, alive, err = r.Apply(ctx, k, dying)
+		var retired []int32
+		alive := 0
+		err := exchange()
+		if err == nil {
+			for _, g := range dying {
+				d.EdgeCoreness[g] = k - 1
+			}
+			retired, alive, err = r.Apply(ctx, k, dying)
 		}
-		if err == nil && frontier == 0 && len(dying) == 0 {
+		if err == nil && len(retired) == 0 && len(dying) == 0 {
 			if alive == 0 {
-				return maxK, nil
+				return d, nil
 			}
 			if k > maxDeg {
-				return 0, fmt.Errorf("core: level %d ends with vertices alive (the vote counts %d), but no vertex survives level ΔV + 1 = %d", k, alive, maxDeg+1)
+				return nil, fmt.Errorf("core: level %d ends with vertices alive (the vote counts %d), but no vertex survives level ΔV + 1 = %d", k, alive, maxDeg+1)
 			}
-			maxK = k
+			d.MaxK = k
 			if k >= kmax {
-				return maxK, nil
+				return d, nil
 			}
 			k++
 			continue
 		}
-		var retired []int32
 		if err == nil {
-			retired, err = r.Retire(ctx, k)
-		}
-		if err == nil {
+			for _, v := range retired {
+				d.VertexCoreness[v] = k - 1
+			}
 			err = exchange()
 		}
 		if err == nil {
@@ -190,7 +203,7 @@ func RunRounds(ctx context.Context, r Rounds, dying []int32, kmax, maxDeg int) (
 		}
 		if err != nil {
 			if k, dying, err = r.Resume(err); err != nil {
-				return 0, err
+				return nil, err
 			}
 			k = max(k, 1)
 		}

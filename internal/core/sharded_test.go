@@ -145,14 +145,13 @@ func TestShardedCostPins(t *testing.T) {
 // level: every Apply reports no frontier and one alive vertex.
 type stuckVote struct{ levels int }
 
-func (s *stuckVote) Apply(context.Context, int, []int32) (int, int, error) {
+func (s *stuckVote) Apply(context.Context, int, []int32) ([]int32, int, error) {
 	s.levels++
 	if s.levels > 1000 {
-		return 0, 0, errors.New("RunRounds still raising k after 1000 levels")
+		return nil, 0, errors.New("RunRounds still raising k after 1000 levels")
 	}
-	return 0, 1, nil
+	return nil, 1, nil
 }
-func (s *stuckVote) Retire(context.Context, int) ([]int32, error)          { return nil, nil }
 func (s *stuckVote) Shrink(context.Context, int, []int32) ([]int32, error) { return nil, nil }
 func (s *stuckVote) Resume(err error) (int, []int32, error)                { return 0, nil, err }
 
@@ -161,9 +160,10 @@ func (s *stuckVote) Resume(err error) (int, []int32, error)                { ret
 // vertex survives, with an error naming the level and the bound,
 // after at most ΔV + 1 levels instead of raising k until cancelled.
 func TestRunRoundsStopsAtDegreeBound(t *testing.T) {
-	maxDeg := dataset.Cellzome().H.MaxVertexDegree()
+	h := dataset.Cellzome().H
+	maxDeg := h.MaxVertexDegree()
 	r := &stuckVote{}
-	_, err := core.RunRounds(context.Background(), r, nil, math.MaxInt, maxDeg)
+	_, err := core.RunRounds(context.Background(), r, h, nil, math.MaxInt)
 	want := fmt.Sprintf("level %d ends with vertices alive (the vote counts 1), but no vertex survives level ΔV + 1 = %d", maxDeg+1, maxDeg+1)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("RunRounds error %v, want one containing %q", err, want)

@@ -65,9 +65,10 @@ func (rw *remoteWorker) recycle(payload []byte) {
 
 // coordinator drives the worker pool.  It is the core.Rounds of a
 // distributed run: core.RunRounds calls its Apply and Shrink, which
-// broadcast one frame each and await every live worker's reply, its
-// Retire, which returns the retired delta the Frontier votes carried,
-// and its Resume, which recovers the pool after a worker death.
+// broadcast one frame each and await every live worker's reply, and
+// its Resume, which recovers the pool after a worker death.  RunRounds
+// records the decomposition from the deltas, so the IDs the workers
+// vote are checked before they reach it.
 type coordinator struct {
 	//hyperplexvet:ignore ctxfirst scoped to one runCoordinator call tree, as workerState's is to ServeWorker's
 	ctx   context.Context
@@ -124,11 +125,7 @@ func runCoordinator(ctx context.Context, meter *run.Meter, h *hypergraph.Hypergr
 			return nil, err
 		}
 	}
-	maxK, err := core.RunRounds(ctx, c, c.dying, math.MaxInt, h.MaxVertexDegree())
-	if err != nil {
-		return nil, err
-	}
-	return c.finish(maxK)
+	return core.RunRounds(ctx, c, h, c.dying, math.MaxInt)
 }
 
 // Resume answers a worker death with recovery, attempted again while
@@ -525,8 +522,9 @@ func (c *coordinator) initialAssign() error {
 
 // awaitBarrier awaits rw's Barrier frame for (k, round).  The frame
 // must list the snapshots of exactly the shards rw owns, in shard
-// order, and each is decoded into its shard's spare snapshot; their
-// dying lists are added to the spare dying union.
+// order, each naming only dying hyperedges its shard owns, and each is
+// decoded into its shard's spare snapshot; their dying lists are added
+// to the spare dying union.
 func (c *coordinator) awaitBarrier(rw *remoteWorker, k, round int32) error {
 	c.bar.Snaps = c.bar.Snaps[:0]
 	for s, id := range c.owner {
@@ -555,6 +553,13 @@ func (c *coordinator) awaitBarrier(rw *remoteWorker, k, round int32) error {
 			c.kill(rw)
 			return fmt.Errorf("%w: worker %d voted a snapshot for shard %d out of the order of the shards it owns", errWorkerLost, rw.id, sn.Shard)
 		}
+		//hyperplexvet:ignore budgettick bounded validation pass over one decoded frame; kill runs on the error path only
+		for _, g := range sn.Dying {
+			if g < 0 || int(g) >= len(c.part.EdgeOwner) || c.part.EdgeOwner[g] != sn.Shard {
+				c.kill(rw)
+				return fmt.Errorf("%w: worker %d voted dying hyperedge %d, which shard %d does not own", errWorkerLost, rw.id, g, sn.Shard)
+			}
+		}
 		c.spareDying = append(c.spareDying, sn.Dying...)
 	}
 	return nil
@@ -576,16 +581,18 @@ func (c *coordinator) awaitDecode(rw *remoteWorker, want byte, m interface{ deco
 	return nil
 }
 
-// Apply broadcasts a round's dying delta at threshold k, sums the
-// workers' frontier votes and gathers the retired IDs they carry.
-func (c *coordinator) Apply(ctx context.Context, k int, dying []int32) (frontier, alive int, err error) {
+// Apply broadcasts a round's dying delta at threshold k and gathers
+// the workers' frontier votes: the union of the retired IDs they
+// carry, each of which must be a vertex of a shard its voter owns, and
+// the sum of their alive counts.
+func (c *coordinator) Apply(ctx context.Context, k int, dying []int32) (retired []int32, alive int, err error) {
 	if err := run.Tick(ctx, c.meter, int64(len(dying))+1); err != nil {
-		return 0, 0, err
+		return nil, 0, err
 	}
 	apply := msgRound{Epoch: c.epoch, K: int32(k), Round: c.barRound, IDs: dying}
 	c.out = apply.encode(c.out)
 	if err := c.broadcast(mApply, c.out); err != nil {
-		return 0, 0, err
+		return nil, 0, err
 	}
 	c.retired = c.retired[:0]
 	for _, rw := range c.workers {
@@ -593,24 +600,18 @@ func (c *coordinator) Apply(ctx context.Context, k int, dying []int32) (frontier
 			continue
 		}
 		if err := c.awaitDecode(rw, mFrontier, &c.vote); err != nil {
-			return 0, 0, err
+			return nil, 0, err
 		}
-		if int(c.vote.A) != len(c.vote.IDs) {
-			c.kill(rw)
-			return 0, 0, fmt.Errorf("%w: worker %d voted a frontier of %d with %d retired vertices", errWorkerLost, rw.id, c.vote.A, len(c.vote.IDs))
+		for _, v := range c.vote.IDs {
+			if v < 0 || int(v) >= len(c.part.VertexOwner) || c.owner[c.part.VertexOwner[v]] != rw.id {
+				c.kill(rw)
+				return nil, 0, fmt.Errorf("%w: worker %d voted to retire vertex %d, which no shard it owns holds", errWorkerLost, rw.id, v)
+			}
 		}
-		frontier += int(c.vote.A)
-		alive += int(c.vote.B)
+		alive += int(c.vote.Alive)
 		c.retired = append(c.retired, c.vote.IDs...)
 	}
-	return frontier, alive, nil
-}
-
-// Retire returns the retired delta of the round at threshold k: the
-// union of the retired IDs the round's Frontier votes carried, which
-// Apply gathered.  It costs no wire traffic.
-func (c *coordinator) Retire(context.Context, int) ([]int32, error) {
-	return c.retired, nil
+	return c.retired, alive, nil
 }
 
 // Shrink broadcasts the retired delta of the round at threshold k,
@@ -719,37 +720,6 @@ func (c *coordinator) recoverPool() error {
 		}
 	}
 	return nil
-}
-
-// finish asks a surviving replica for the final mirrors; any replica
-// holds the complete answer, so each is tried in turn.
-func (c *coordinator) finish(maxK int) (*core.Decomposition, error) {
-	fin := msgRound{Epoch: c.epoch, K: c.barK, Round: c.barRound}
-	c.out = fin.encode(c.out)
-	for _, rw := range c.aliveWorkers() {
-		if err := sendRetry(c.ctx, rw.conn, mFinish, c.out, sendRetries); err != nil {
-			c.kill(rw)
-			continue
-		}
-		payload, err := c.await(rw, mResult)
-		if err != nil {
-			if errors.Is(err, errWorkerLost) {
-				continue
-			}
-			return nil, err
-		}
-		var m msgResult
-		if err := m.decode(payload); err != nil {
-			c.kill(rw)
-			continue
-		}
-		return &core.Decomposition{
-			VertexCoreness: coreInt(m.VCore),
-			EdgeCoreness:   coreInt(m.ECore),
-			MaxK:           maxK,
-		}, nil
-	}
-	return nil, fmt.Errorf("%w: no worker could report the result", ErrPoolFailed)
 }
 
 // teardown shuts the pool down: best-effort Shutdown frames, severed

@@ -11,7 +11,9 @@
 // completed barrier; with Options.LocalFallback an unrecoverable pool
 // collapses the run onto the in-process sharded engine instead of
 // failing.  The peel itself is internal/core's DistPeeler, whose
-// broadcast schedule reproduces Decompose's coreness exactly.
+// broadcast schedule reproduces Decompose's coreness exactly; the
+// coordinator records that coreness from the deltas it broadcasts, so
+// no coreness crosses the wire.
 package dist
 
 import (
@@ -21,7 +23,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"time"
 
 	"hyperplex/internal/core"
@@ -56,10 +57,13 @@ var fpRecv = failpoint.Register("dist.recv")
 // allocated (the same allocation-capped discipline as the mmio and
 // pajek readers).
 //
-// Version 2 carries the retired delta in the Frontier vote; version 1
-// had Retire and Retired frames for it, so the two refuse each other.
+// Version 3 ends a run with no Finish and Result frames, since the
+// coordinator records the coreness from the deltas it hands out, and
+// its Frontier vote carries no frontier count beside the retired IDs.
+// Version 2 had both; version 1 also had Retire and Retired frames for
+// the retired delta.  Each version refuses the others.
 const (
-	protoVersion = 2
+	protoVersion = 3
 	headerLen    = 12
 	// maxFramePayload caps a frame's payload allocation.  The largest
 	// legitimate frame is the Load graph blob; 1 GiB leaves room for
@@ -80,12 +84,10 @@ const (
 	mLoad                       // c→w: shard descriptors + serialized hypergraph
 	mAssign                     // c→w: fresh shards to set up, or snapshots to restore
 	mRollback                   // c→w: restore the checkpoint at (k, round); round -1 = full reset
-	mApply                      // c→w: apply dying delta at threshold k, gather and retire the frontier
-	mFrontier                   // w→c: frontier size + alive count vote, and the retired vertex IDs
+	mApply                      // c→w: apply dying delta at threshold k, gather the frontier
+	mFrontier                   // w→c: the frontier's retired vertex IDs and the alive count
 	mShrink                     // c→w: apply retired delta, re-check shrunk edges
 	mBarrier                    // w→c: per-shard barrier snapshots (the vote + replay state)
-	mFinish                     // c→w: send the final coreness mirrors
-	mResult                     // w→c: vertex + hyperedge coreness
 	mHeartbeat                  // w→c: liveness beacon
 	mShutdown                   // c→w: exit cleanly
 	mError                      // w→c: typed failure report
@@ -537,16 +539,15 @@ func (m *msgAssign) decode(b []byte) error {
 }
 
 // msgRound is the shared shape of the per-round frames: Apply and
-// Shrink carry a delta, Frontier carries the vote counts and the
-// worker's part of the retired delta, Rollback carries only the
-// barrier tag (Round -1 means full reset), and Finish the tag of the
-// last barrier.
+// Shrink carry a delta, Frontier carries the worker's part of the
+// retired delta and its alive count, and Rollback carries only the
+// barrier tag (Round -1 means full reset).
 type msgRound struct {
 	Epoch uint32
 	K     int32
 	Round int32
 	IDs   []int32 // dying (Apply), retired (Frontier, Shrink); empty otherwise
-	A, B  int32   // Frontier vote: frontier size, alive owned vertices
+	Alive int32   // Frontier vote: alive owned vertices
 }
 
 func (m *msgRound) encode(buf []byte) []byte {
@@ -555,8 +556,7 @@ func (m *msgRound) encode(buf []byte) []byte {
 	e.i32(m.K)
 	e.i32(m.Round)
 	e.i32s(m.IDs)
-	e.i32(m.A)
-	e.i32(m.B)
+	e.i32(m.Alive)
 	return e.b
 }
 
@@ -566,8 +566,7 @@ func (m *msgRound) decode(b []byte) error {
 	m.K = d.i32()
 	m.Round = d.i32()
 	m.IDs = d.i32s(m.IDs)
-	m.A = d.i32()
-	m.B = d.i32()
+	m.Alive = d.i32()
 	return d.done()
 }
 
@@ -595,28 +594,6 @@ func (m *msgBarrier) decode(b []byte) error {
 	m.K = d.i32()
 	m.Round = d.i32()
 	m.Snaps = decSnapshots(&d, m.Snaps)
-	return d.done()
-}
-
-// msgResult carries a replica's full coreness mirrors.
-type msgResult struct {
-	Epoch        uint32
-	VCore, ECore []int32
-}
-
-func (m *msgResult) encode(buf []byte) []byte {
-	e := newEnc(buf)
-	e.u32(m.Epoch)
-	e.i32s(m.VCore)
-	e.i32s(m.ECore)
-	return e.b
-}
-
-func (m *msgResult) decode(b []byte) error {
-	d := dec{b: b}
-	m.Epoch = d.u32()
-	m.VCore = d.i32s(m.VCore)
-	m.ECore = d.i32s(m.ECore)
 	return d.done()
 }
 
@@ -648,26 +625,4 @@ func peekEpoch(payload []byte) (uint32, bool) {
 		return 0, false
 	}
 	return binary.LittleEndian.Uint32(payload[:4]), true
-}
-
-// coreInt32 narrows a coreness array for the wire; coreness is bounded
-// by the vertex degree, which is int32 already.
-func coreInt32(xs []int) []int32 {
-	out := make([]int32, len(xs))
-	for i, x := range xs {
-		if x > math.MaxInt32 {
-			x = math.MaxInt32
-		}
-		out[i] = int32(x)
-	}
-	return out
-}
-
-// coreInt widens a wire coreness array.
-func coreInt(xs []int32) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = int(x)
-	}
-	return out
 }

@@ -9,11 +9,14 @@ import (
 	"fmt"
 	"net"
 	"os/exec"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"hyperplex/internal/core"
 	"hyperplex/internal/dataset"
+	"hyperplex/internal/partition"
 )
 
 // countConn is a connection that checks and tallies the frames crossing
@@ -84,7 +87,7 @@ func (nopConn) Close() error                { return nil }
 func TestTransportOneWritePerFrame(t *testing.T) {
 	cc := &countConn{Conn: nopConn{}}
 	c := &coordinator{ctx: context.Background(), done: make(chan struct{}), workers: []*remoteWorker{{id: 0, conn: cc}}}
-	toWorker := map[byte]bool{mLoad: true, mAssign: true, mRollback: true, mApply: true, mShrink: true, mFinish: true}
+	toWorker := map[byte]bool{mLoad: true, mAssign: true, mRollback: true, mApply: true, mShrink: true}
 	for _, g := range goldenFrames {
 		if toWorker[g.typ] {
 			if err := c.broadcast(g.typ, g.msg.encode(nil)); err != nil {
@@ -128,6 +131,80 @@ func TestTransportOneWritePerFrame(t *testing.T) {
 	}
 }
 
+// bareCoordinator is a coordinator over a two-shard partition, one
+// shard per worker, whose connections swallow every frame: a test plays
+// the workers by queueing their replies on the frames channels.
+func bareCoordinator(t *testing.T, part *partition.Partition) *coordinator {
+	c := &coordinator{ctx: context.Background(), done: make(chan struct{}), part: part, owner: []int{0, 1},
+		opts:       Options{HeartbeatInterval: 50 * time.Millisecond, PhaseTimeout: 5 * time.Second},
+		spareSnaps: []*core.ShardSnapshot{{}, {}}}
+	for id := range c.owner {
+		rw := &remoteWorker{id: id, conn: nopConn{}, frames: make(chan frameMsg, 1)}
+		rw.lastBeat.Store(time.Now().UnixNano())
+		c.workers = append(c.workers, rw)
+	}
+	t.Cleanup(c.teardown)
+	return c
+}
+
+// TestCoordinatorChecksVotedIDs feeds the coordinator Frontier and
+// Barrier votes that name IDs outside what the voter owns: a retired
+// vertex below 0, at |V| or in the other worker's shard, and a dying
+// hyperedge below 0, at |F| or owned by another shard than the
+// snapshot's.  core.RunRounds indexes the coreness arrays with these
+// IDs, and the next broadcast would hand them to every worker, so each
+// vote must kill its worker with errWorkerLost instead.  Votes that
+// name owned IDs pass.
+func TestCoordinatorChecksVotedIDs(t *testing.T) {
+	h := dataset.Cellzome().H
+	nv, ne := int32(h.NumVertices()), int32(h.NumEdges())
+	part := partition.Build(h, 2)
+	first := func(owner []int32, shard int32) int32 {
+		for id, s := range owner {
+			if s == shard {
+				return int32(id)
+			}
+		}
+		t.Fatalf("shard %d owns no ID", shard)
+		return -1
+	}
+	own0, own1 := first(part.VertexOwner, 0), first(part.VertexOwner, 1)
+	edge0, edge1 := first(part.EdgeOwner, 0), first(part.EdgeOwner, 1)
+	vote := func(rw *remoteWorker, m codec, typ byte) {
+		rw.frames <- frameMsg{typ: typ, payload: payloadOf(m)}
+	}
+
+	for _, bad := range []int32{-1, nv, own1} {
+		c := bareCoordinator(t, part)
+		vote(c.workers[0], &msgRound{K: 1, IDs: []int32{own0, bad}, Alive: 1}, mFrontier)
+		if _, _, err := c.Apply(context.Background(), 1, nil); !errors.Is(err, errWorkerLost) || !c.workers[0].dead {
+			t.Errorf("Frontier vote retiring vertex %d: err = %v, worker dead %v; want errWorkerLost and a dead worker", bad, err, c.workers[0].dead)
+		}
+	}
+	c := bareCoordinator(t, part)
+	vote(c.workers[0], &msgRound{K: 1, IDs: []int32{own0}, Alive: 1}, mFrontier)
+	vote(c.workers[1], &msgRound{K: 1, IDs: []int32{own1}, Alive: 2}, mFrontier)
+	if retired, alive, err := c.Apply(context.Background(), 1, nil); err != nil || !slices.Equal(retired, []int32{own0, own1}) || alive != 3 {
+		t.Errorf("owned votes: retired %v, alive %d, err %v; want [%d %d], 3, nil", retired, alive, err, own0, own1)
+	}
+
+	snap := func(dying ...int32) *msgBarrier {
+		return &msgBarrier{K: 1, Round: 1, Snaps: []*core.ShardSnapshot{{Shard: 0, Deg: make([]int32, part.Shards[0].Count), Dying: dying}}}
+	}
+	for _, bad := range []int32{-1, ne, edge1} {
+		c := bareCoordinator(t, part)
+		vote(c.workers[0], snap(edge0, bad), mBarrier)
+		if err := c.awaitBarrier(c.workers[0], 1, 1); !errors.Is(err, errWorkerLost) || !c.workers[0].dead {
+			t.Errorf("Barrier vote with dying hyperedge %d: err = %v, worker dead %v; want errWorkerLost and a dead worker", bad, err, c.workers[0].dead)
+		}
+	}
+	c = bareCoordinator(t, part)
+	vote(c.workers[0], snap(edge0), mBarrier)
+	if err := c.awaitBarrier(c.workers[0], 1, 1); err != nil || !slices.Equal(c.spareDying, []int32{edge0}) {
+		t.Errorf("owned Barrier vote: dying union %v, err %v; want [%d], nil", c.spareDying, err, edge0)
+	}
+}
+
 // TestTransportFramesPerBarrier runs Cellzome over 2 workers whose
 // connections the test serves through countConns: the coordinator
 // spawns a command that exits at once, and the test dials its listener
@@ -136,10 +213,10 @@ func TestTransportOneWritePerFrame(t *testing.T) {
 // must be one Write, and, heartbeats aside, each worker's frames must
 // be Hello, Load, Assign and its Barrier, an Apply and its Frontier
 // vote per round, a Shrink and its Barrier vote per committed barrier,
-// and Shutdown, plus Finish and Result at the worker that serves them.
-// So a round that ends at a committed barrier costs 8 frames at 2
-// workers, and a level fixpoint's Apply 4; there is one fixpoint per
-// level, MaxK + 1 in all.
+// and Shutdown: the coordinator records the result itself, so no
+// frame carries it.  So a round that ends at a committed barrier costs
+// 8 frames at 2 workers, and a level fixpoint's Apply 4; there is one
+// fixpoint per level, MaxK + 1 in all.
 func TestTransportFramesPerBarrier(t *testing.T) {
 	noop, err := exec.LookPath("true")
 	if err != nil {
@@ -197,18 +274,15 @@ func TestTransportFramesPerBarrier(t *testing.T) {
 	if b <= 0 {
 		t.Fatalf("%d barriers committed", barriers)
 	}
-	results := 0
 	for id, cc := range conns {
 		_, bad, sent, recv := cc.counts()
 		if len(bad) != 0 {
 			t.Errorf("worker %d: writes that were not one frame: %v", id, bad)
 		}
-		finish := recv[mFinish]
-		results += sent[mResult]
 		want := [mTypeMax]int{
 			mHello: 1, mLoad: 1, mAssign: 1, mBarrier: b + 1,
 			mApply: applies, mFrontier: applies, mShrink: b,
-			mFinish: finish, mResult: finish, mShutdown: 1,
+			mShutdown: 1,
 		}
 		got := recv
 		for typ, n := range sent {
@@ -219,29 +293,28 @@ func TestTransportFramesPerBarrier(t *testing.T) {
 			t.Errorf("worker %d: frames by type %v, want %v", id, got, want)
 		}
 	}
-	if results != 1 {
-		t.Errorf("%d workers sent a Result, want 1", results)
-	}
 	t.Logf("%d committed barriers at 8 frames, %d level fixpoints at 4", b, d.MaxK+1)
 }
 
-// TestTransportRejectsVersion1Hello pins that protocol version 2 is a
-// deliberate break: a version-1 worker's Hello fails the join with
-// ErrCorruptFrame, whether the version shows in the frame header or
-// only in the Hello payload.
+// TestTransportRejectsVersion1Hello pins that protocol versions 2 and
+// 3 are deliberate breaks: a version-1 or version-2 worker's Hello
+// fails the join with ErrCorruptFrame, whether the version shows in
+// the frame header or only in the Hello payload.
 func TestTransportRejectsVersion1Hello(t *testing.T) {
-	v1 := frameBytes(t, mHello, payloadOf(&msgHello{Version: 1, ID: 0}))
-	v1[2] = 1
-	if _, err := (&coordinator{}).hello(bufioReader(v1)); !errors.Is(err, ErrCorruptFrame) {
-		t.Errorf("version-1 header: err = %v, want ErrCorruptFrame", err)
+	for _, old := range []uint32{1, 2} {
+		header := frameBytes(t, mHello, payloadOf(&msgHello{Version: old, ID: 0}))
+		header[2] = byte(old)
+		if _, err := (&coordinator{}).hello(bufioReader(header)); !errors.Is(err, ErrCorruptFrame) {
+			t.Errorf("version-%d header: err = %v, want ErrCorruptFrame", old, err)
+		}
+		payload := frameBytes(t, mHello, payloadOf(&msgHello{Version: old, ID: 0}))
+		if _, err := (&coordinator{}).hello(bufioReader(payload)); !errors.Is(err, ErrCorruptFrame) {
+			t.Errorf("version-%d Hello payload: err = %v, want ErrCorruptFrame", old, err)
+		}
 	}
-	v1payload := frameBytes(t, mHello, payloadOf(&msgHello{Version: 1, ID: 0}))
-	if _, err := (&coordinator{}).hello(bufioReader(v1payload)); !errors.Is(err, ErrCorruptFrame) {
-		t.Errorf("version-1 Hello payload: err = %v, want ErrCorruptFrame", err)
-	}
-	v2 := frameBytes(t, mHello, payloadOf(&msgHello{Version: protoVersion, ID: 1}))
-	if id, err := (&coordinator{}).hello(bufioReader(v2)); err != nil || id != 1 {
-		t.Errorf("version-2 Hello: id %d, err %v", id, err)
+	current := frameBytes(t, mHello, payloadOf(&msgHello{Version: protoVersion, ID: 1}))
+	if id, err := (&coordinator{}).hello(bufioReader(current)); err != nil || id != 1 {
+		t.Errorf("version-%d Hello: id %d, err %v", protoVersion, id, err)
 	}
 }
 

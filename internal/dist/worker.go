@@ -229,16 +229,6 @@ func (w *workerState) handle(ctx context.Context, typ byte, payload []byte) erro
 			return err
 		}
 		return w.shrink(ctx, &w.msg)
-	case mFinish:
-		if err := w.msg.decode(payload); err != nil {
-			return err
-		}
-		w.epoch = w.msg.Epoch
-		vCore, eCore := w.peelerOrNil().Coreness()
-		res := msgResult{Epoch: w.epoch, VCore: coreInt32(vCore), ECore: coreInt32(eCore)}
-		// The Result frame is sent once and dwarfs the round frames, so
-		// out does not keep it.
-		return w.send(mResult, res.encode(nil))
 	case mShutdown:
 		return errShutdown
 	case mHeartbeat:
@@ -358,10 +348,8 @@ func (w *workerState) rollback(m *msgRound) error {
 	return nil
 }
 
-// apply runs the replica's Apply and then its Retire, and answers with
-// the Frontier vote, which carries the retired IDs: the coordinator
-// needs no second round trip to gather the retired delta.  At a level
-// fixpoint the frontier is empty and Retire returns nothing.
+// apply runs the replica's Apply and answers with the Frontier vote:
+// the retired IDs and the alive count it returns.
 func (w *workerState) apply(ctx context.Context, m *msgRound) error {
 	w.epoch = m.Epoch
 	// An Apply frame means the coordinator committed the barrier this
@@ -370,16 +358,11 @@ func (w *workerState) apply(ctx context.Context, m *msgRound) error {
 		w.release(w.committed)
 		w.committed, w.pending = w.pending, nil
 	}
-	p := w.peelerOrNil()
-	f, a, err := p.Apply(ctx, int(m.K), m.IDs)
+	retired, alive, err := w.peelerOrNil().Apply(ctx, int(m.K), m.IDs)
 	if err != nil {
 		return err
 	}
-	retired, err := p.Retire(ctx, int(m.K))
-	if err != nil {
-		return err
-	}
-	reply := msgRound{Epoch: w.epoch, K: m.K, Round: m.Round, IDs: retired, A: int32(f), B: int32(a)}
+	reply := msgRound{Epoch: w.epoch, K: m.K, Round: m.Round, IDs: retired, Alive: int32(alive)}
 	w.out = reply.encode(w.out)
 	return w.send(mFrontier, w.out)
 }

@@ -30,17 +30,17 @@ func (c *recordConn) Write(p []byte) (int, error) { return c.out.Write(p) }
 
 // workerDriver plays the coordinator against one workerState that
 // owns every shard: it is a core.Rounds over the worker's frames, so
-// core.RunRounds schedules the rounds.  atBarrier, when set, runs after
-// every vote; an error it returns ends the run.
+// core.RunRounds schedules the rounds and records the result.
+// atBarrier, when set, runs after every vote; an error it returns ends
+// the run.
 type workerDriver struct {
 	t         *testing.T
 	w         *workerState
 	conn      *recordConn
 	epoch     uint32
 	bar       barrierTag // the barrier the worker last voted at
-	retired   []int32    // the retired IDs of the last Frontier vote
 	atBarrier func(b barrierTag) error
-	maxDeg    int // the loaded hypergraph's ΔV
+	h         *hypergraph.Hypergraph // the loaded hypergraph
 }
 
 // barrierTag is a barrier the worker voted at and the dying delta its
@@ -55,7 +55,7 @@ type barrierTag struct {
 func newWorkerDriver(t *testing.T, h *hypergraph.Hypergraph, part *partition.Partition) *workerDriver {
 	t.Helper()
 	conn := &recordConn{}
-	d := &workerDriver{t: t, conn: conn, w: &workerState{ctx: context.Background(), conn: conn, opts: WorkerOptions{}.normalized()}, maxDeg: h.MaxVertexDegree()}
+	d := &workerDriver{t: t, conn: conn, w: &workerState{ctx: context.Background(), conn: conn, opts: WorkerOptions{}.normalized()}, h: h}
 	g := h.CSR()
 	load := msgLoad{Descs: part.Descs(), NumV: csr.MustInt32(h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
 	d.call(mLoad, payloadOf(&load), 0)
@@ -104,17 +104,10 @@ func (d *workerDriver) decode(m codec, payload []byte) {
 	}
 }
 
-func (d *workerDriver) Apply(_ context.Context, k int, dying []int32) (int, int, error) {
+func (d *workerDriver) Apply(_ context.Context, k int, dying []int32) ([]int32, int, error) {
 	var fr msgRound
 	d.decode(&fr, d.call(mApply, payloadOf(&msgRound{Epoch: d.epoch, K: int32(k), Round: d.bar.round, IDs: dying}), mFrontier))
-	d.retired = fr.IDs
-	return int(fr.A), int(fr.B), nil
-}
-
-// Retire returns the retired IDs the last Frontier vote carried, as
-// the coordinator does.
-func (d *workerDriver) Retire(context.Context, int) ([]int32, error) {
-	return d.retired, nil
+	return fr.IDs, int(fr.Alive), nil
 }
 
 func (d *workerDriver) Shrink(_ context.Context, k int, retired []int32) ([]int32, error) {
@@ -137,17 +130,12 @@ func (d *workerDriver) Shrink(_ context.Context, k int, retired []int32) ([]int3
 func (d *workerDriver) Resume(err error) (int, []int32, error) { return 0, nil, err }
 
 // run runs the round schedule from the last barrier, which must be at
-// k ≤ 1, where RunRounds starts.  It returns RunRounds' error, or the
-// worker's result at the end of the peel.
+// k ≤ 1, where RunRounds starts, and returns what RunRounds returns.
+// Vertices and hyperedges retired before that barrier left at k = 1,
+// so the coreness 0 RunRounds starts them at is theirs.
 func (d *workerDriver) run() (*core.Decomposition, error) {
 	d.t.Helper()
-	maxK, err := core.RunRounds(context.Background(), d, d.bar.dying, math.MaxInt, d.maxDeg)
-	if err != nil {
-		return nil, err
-	}
-	var res msgResult
-	d.decode(&res, d.call(mFinish, payloadOf(&msgRound{Epoch: d.epoch, K: d.bar.k, Round: d.bar.round}), mResult))
-	return &core.Decomposition{VertexCoreness: coreInt(res.VCore), EdgeCoreness: coreInt(res.ECore), MaxK: maxK}, nil
+	return core.RunRounds(context.Background(), d, d.h, d.bar.dying, math.MaxInt)
 }
 
 // errPeerLost stands for a peer's death after the worker's vote: the

@@ -114,9 +114,7 @@ func deepCopy(h *Hypergraph) *Hypergraph {
 		if n == nil {
 			return nil
 		}
-		c := &names{table: table{s: n.s, ends: slices.Clone(n.ends), idx: slices.Clone(n.index())}, skipEmpty: n.skipEmpty}
-		c.index()
-		return c
+		return &names{table: table{s: n.s, ends: slices.Clone(n.ends), idx: slices.Clone(n.idx)}, skipEmpty: n.skipEmpty}
 	}
 	return &Hypergraph{
 		vNames: copyNames(h.vNames),

@@ -213,6 +213,23 @@ func (h *Hypergraph) EdgeDegrees() []int {
 	return d
 }
 
+// SortedEdgeIDsByDegree returns hyperedge IDs sorted by ascending
+// cardinality (ties by ID); useful for deterministic processing orders.
+func (h *Hypergraph) SortedEdgeIDsByDegree() []int {
+	ids := make([]int, h.NumEdges())
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		di, dj := h.EdgeDegree(ids[i]), h.EdgeDegree(ids[j])
+		if di != dj {
+			return di < dj
+		}
+		return ids[i] < ids[j]
+	})
+	return ids
+}
+
 // String returns a short diagnostic description.
 func (h *Hypergraph) String() string {
 	return fmt.Sprintf("Hypergraph{|V|=%d |F|=%d |E|=%d}", h.NumVertices(), h.NumEdges(), h.NumPins())

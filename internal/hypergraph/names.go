@@ -6,7 +6,6 @@ import (
 	"hash/maphash"
 	"math"
 	"strings"
-	"sync"
 )
 
 // ErrNameSpace reports names whose bytes on one side of a hypergraph
@@ -161,44 +160,32 @@ func push[K string | []byte](a *arena, key K) (int, error) {
 }
 
 // freeze turns the arena into a hypergraph's name table, index
-// included.  With copies the arena may go on growing; without them the
-// table shares the arena's arrays, and the arena must not be used
-// again.
+// included: an arena that never looked a name up, whose names are all
+// empty hyperedge names, is indexed here.  With copies the arena may
+// go on growing; without them the table shares the arena's arrays,
+// and the arena must not be used again.
 func (a *arena) freeze(skipEmpty, copies bool) *names {
 	t := a.table
 	if copies {
 		t.ends = append([]int32(nil), t.ends...)
 		t.idx = append([]int32(nil), t.idx...)
 	}
-	n := &names{table: t, skipEmpty: skipEmpty}
-	n.index()
-	return n
+	if t.idx == nil {
+		t.reindex(slotsFor(len(t.ends)), skipEmpty)
+	}
+	return &names{table: t, skipEmpty: skipEmpty}
 }
 
-// names is one side's name table in a Hypergraph.  A table built
-// without an index (a restriction) builds it on the first lookup,
-// under once, since a Hypergraph is shared read-only across
-// goroutines.  skipEmpty marks the hyperedge side.
+// names is one side's name table in a Hypergraph, indexed when it is
+// built, so a Hypergraph shared read-only across goroutines only reads
+// it.  skipEmpty marks the hyperedge side.
 type names struct {
 	table
 	skipEmpty bool
-	once      sync.Once
-}
-
-// index returns the table's index, building it on first use.  A table
-// constructed with its index calls it at once to mark it built.
-func (n *names) index() []int32 {
-	n.once.Do(func() {
-		if n.idx == nil {
-			n.reindex(slotsFor(len(n.ends)), n.skipEmpty)
-		}
-	})
-	return n.idx
 }
 
 // id returns the ID of the named entry, or (0, false).
 func (n *names) id(key string) (int, bool) {
-	n.index()
 	if _, id := find(&n.table, key, maphash.String(nameSeed, key)); id >= 0 {
 		return id, true
 	}
@@ -211,26 +198,6 @@ func (n *names) get(i int) string {
 		return ""
 	}
 	return n.name(i)
-}
-
-// subset returns the table of the names with keep[i] set, in order,
-// to be indexed on first lookup; nil for nil.
-func (n *names) subset(keep []bool) *names {
-	if n == nil {
-		return nil
-	}
-	var b strings.Builder
-	var ends []int32
-	end := int32(0)
-	for i := range n.ends {
-		if keep[i] {
-			lo, hi := n.bounds(i)
-			b.WriteString(n.s[lo:hi])
-			end += hi - lo
-			ends = append(ends, end)
-		}
-	}
-	return &names{table: table{s: b.String(), ends: ends}, skipEmpty: n.skipEmpty}
 }
 
 // blobNames wraps one side of a store file's names, an (n+1)-entry
@@ -257,6 +224,5 @@ func blobNames(kind, plural string, n int, off []int32, blob []byte, skipEmpty b
 	if dup, prev := t.reindex(slotsFor(n), skipEmpty); dup >= 0 {
 		return nil, fmt.Errorf("hypergraph: duplicate %s name %q (%s %d and %d)", kind, t.name(dup), plural, prev, dup)
 	}
-	t.index()
 	return t, nil
 }

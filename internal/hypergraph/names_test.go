@@ -5,86 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
 	"hyperplex/internal/csr"
 )
-
-// rows returns every hyperedge's members, for comparing shapes.
-func rows(h *Hypergraph) [][]int32 {
-	out := make([][]int32, h.NumEdges())
-	for f := range out {
-		out[f] = slices.Clone(h.Vertices(f))
-	}
-	return out
-}
-
-// TestSubKeepsUnnamedVertices pins the restriction of a hypergraph
-// without vertex names, as every store-opened one is: each kept vertex
-// stays a vertex of its own, and the side stays unnamed.  Sub used to
-// add every kept vertex under the name "", which merged them into one.
-func TestSubKeepsUnnamedVertices(t *testing.T) {
-	h, err := FromCSR(&csr.CSR{VOff: []int32{0, 1, 3, 4}, VAdj: []int32{0, 0, 1, 1}, EOff: []int32{0, 2, 4}, EAdj: []int32{0, 1, 1, 2}}, nil, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keepAll := func(n int) []bool {
-		keep := make([]bool, n)
-		for i := range keep {
-			keep[i] = true
-		}
-		return keep
-	}
-	sub, vMap, _ := h.Sub(keepAll(3), keepAll(2))
-	if sub.NumVertices() != 3 || !reflect.DeepEqual(rows(sub), [][]int32{{0, 1}, {1, 2}}) {
-		t.Fatalf("Sub keeping everything = %v with rows %v, want |V|=3 and rows [[0 1] [1 2]]", sub, rows(sub))
-	}
-	if len(vMap) != 3 {
-		t.Errorf("vertex map %v, want 3 entries", vMap)
-	}
-	if err := sub.CSR().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if sub.vNames != nil || sub.eNames != nil || sub.VertexName(2) != "" {
-		t.Errorf("Sub named an unnamed side: %q", sub.VertexName(2))
-	}
-	if _, ok := sub.VertexID(""); ok {
-		t.Error("VertexID(\"\") found a vertex on an unnamed side")
-	}
-}
-
-// TestSubCarriesNames requires a named restriction to keep the kept
-// names in order and to find them by name, through the index it
-// builds on first lookup.
-func TestSubCarriesNames(t *testing.T) {
-	h := tiny(t)
-	keepV := make([]bool, h.NumVertices())
-	for _, name := range []string{"a", "c", "z"} {
-		v, _ := h.VertexID(name)
-		keepV[v] = true
-	}
-	keepF := make([]bool, h.NumEdges())
-	c3, _ := h.EdgeID("c3")
-	keepF[c3] = true
-	sub, vMap, fMap := h.Sub(keepV, keepF)
-	for old, v := range vMap {
-		if got, want := sub.VertexName(v), h.VertexName(old); got != want {
-			t.Errorf("vertex %d named %q, want %q", v, got, want)
-		}
-		if id, ok := sub.VertexID(h.VertexName(old)); !ok || id != v {
-			t.Errorf("VertexID(%q) = %d, %v, want %d", h.VertexName(old), id, ok, v)
-		}
-	}
-	if f, ok := sub.EdgeID("c3"); !ok || f != fMap[c3] || sub.EdgeDegree(f) != 1 {
-		t.Errorf("EdgeID(c3) = %d, %v, want %d with one member", f, ok, fMap[c3])
-	}
-	if _, ok := sub.EdgeID("c1"); ok {
-		t.Error("a dropped hyperedge is still found")
-	}
-}
 
 // TestNameHashesAgree pins the premise of one index for both key
 // kinds: a name hashes the same as bytes and as a string.

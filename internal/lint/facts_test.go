@@ -53,7 +53,7 @@ func TestCollectFactsMultiPackage(t *testing.T) {
 	}
 	// A shard's work lists are carved from its one arena, so hotalloc
 	// lets the phases' appends to them through.
-	for _, f := range []string{"frontier", "shrunk", "dying"} {
+	for _, f := range []string{"shrunk", "dying"} {
 		if !hasNamed(core.ArenaOwned, f) {
 			t.Errorf("shardPeel %s not arena-owned", f)
 		}
