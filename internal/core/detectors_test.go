@@ -27,10 +27,15 @@ func reduceInstances(t *testing.T) []*hypergraph.Hypergraph {
 		{{0, 1, 2, 3, 4}, {1, 2}, {2, 3}, {0, 4}}, // spanning edge over all others
 		{{0}, {1}, {2}},                           // disjoint singletons
 		// Signature collisions, where only the member count rules out
-		// f0 ⊂ f1 although f1 holds f0's witnesses, its first two
-		// members.  In the first, f0 = {0, 1, 2} and 66 ∈ f1 sets the
-		// bit of 2; in the second, f0 = {1, 2, 64} and 0 ∈ f1 sets the
-		// bit of 64.
+		// f0 ⊂ f1 although f1 holds f0's witnesses, its first and last
+		// members.  In the first, f0 = {0, 1, 2} and 65 ∈ f1 sets the
+		// bit of 1; in the second, f0 = {1, 2, 64} and 66 ∈ f1 sets the
+		// bit of 2.
+		{{0, 1, 2}, {0, 2, 3, 65}, {2, 5}},
+		{{1, 2, 64}, {1, 3, 64, 66}, {64, 4}},
+		// Collisions where f1 holds f0's first two members but not its
+		// last, so the witness filter rules f1 out: 66 sets the bit of
+		// 2, and 0 the bit of 64.
 		{{0, 1, 2}, {0, 1, 3, 66}, {2, 5}},
 		{{1, 2, 64}, {0, 1, 2, 3}, {64, 4}},
 	}
@@ -266,6 +271,17 @@ func FuzzDetector(f *testing.F) {
 	// {0, 1, 2, 66} and {0, 1, 2, 130} become an equal-set pair once 66
 	// and 130, which share the bit of 2, die.
 	f.Add([]byte{1, 4, 0x00, 0x01, 0x02, 0x12, 4, 0x00, 0x01, 0x02, 0x22, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x04, 0, 0, 0, 0, 0, 0, 0, 0x04})
+	// The first alive member is a hub.  f0 = {0, 5, 9} lies in
+	// f5 = {0, 5, 9, 10}; vertex 0 is in all six hyperedges and 9, the
+	// last member, in two, so 9's row is the one scanned.
+	f.Add([]byte{5, 3, 0x00, 0x05, 0x09, 2, 0x00, 0x01, 2, 0x00, 0x02, 2, 0x00, 0x03, 2, 0x00, 0x04, 4, 0x00, 0x05, 0x09, 0x0A})
+	// The same with 9 dead: f0's last alive member is 5, and f0 = {0, 5}
+	// is decided by its witnesses.
+	f.Add([]byte{5, 3, 0x00, 0x05, 0x09, 2, 0x00, 0x01, 2, 0x00, 0x02, 2, 0x00, 0x03, 2, 0x00, 0x04, 4, 0x00, 0x05, 0x09, 0x0A, 0, 0, 0x02})
+	// A hub first and a signature collision in the middle: f0 = {0, 1, 2}
+	// against f4 = {0, 2, 3, 65}, where 65 sets the bit of 1, over the
+	// hub 0's hyperedges {0, 4}, {0, 5} and {0, 6}.
+	f.Add([]byte{4, 3, 0x00, 0x01, 0x02, 2, 0x00, 0x04, 2, 0x00, 0x05, 2, 0x00, 0x06, 4, 0x00, 0x02, 0x03, 0x11})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, vAlive, eAlive, eDeg := detectorInput(t, data)
 		c := h.CSR()

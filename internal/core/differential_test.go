@@ -183,13 +183,16 @@ func TestDifferentialShardedDecompose(t *testing.T) {
 // (check.RoundDecompose) byte for byte — vertex coreness, edge
 // coreness and MaxK — and so to every shard count of ShardedDecompose,
 // which must equal it too: all of them run one round schedule, so they
-// keep the same member of every equal-set family.  Against the paper's
-// level-by-level overlap-count peel (check.OverlapDecompose) it uses
-// the sharded differential's protocol: exact vertex coreness and MaxK,
-// per-level hyperedge member-set families via SameResult (the overlap
-// peel may keep another member of an equal-set family), the
-// independent fixpoint oracle, and the Cellzome golden numbers.  No
-// goroutine may outlive the calls.
+// keep the same member of every equal-set family.  The benchmark-scale
+// instances, the banded 8000x8000 file and the 20000-protein proteome,
+// are checked at 1 and 2 shards: every engine runs the one containment
+// detector, so only the oracle can catch a detector fault there.
+// Against the paper's level-by-level overlap-count peel
+// (check.OverlapDecompose) it uses the sharded differential's
+// protocol: exact vertex coreness and MaxK, per-level hyperedge
+// member-set families via SameResult (the overlap peel may keep another
+// member of an equal-set family), the independent fixpoint oracle, and
+// the Cellzome golden numbers.  No goroutine may outlive the calls.
 func TestDifferentialRoundDecompose(t *testing.T) {
 	snapshot := check.GoroutineSnapshot()
 	defer func() {
@@ -197,7 +200,10 @@ func TestDifferentialRoundDecompose(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	sameAsRounds := func(label string, h *hypergraph.Hypergraph, got *core.Decomposition) {
+	everyShardCount := func(h *hypergraph.Hypergraph) []int {
+		return []int{1, 2, 3, runtime.NumCPU(), h.NumVertices() + 13}
+	}
+	sameAsRounds := func(label string, h *hypergraph.Hypergraph, got *core.Decomposition, shardCounts []int) {
 		t.Helper()
 		want := check.RoundDecompose(h, 1)
 		same := func(route string, got *core.Decomposition) {
@@ -212,7 +218,7 @@ func TestDifferentialRoundDecompose(t *testing.T) {
 			}
 		}
 		same("Decompose", got)
-		for _, shards := range []int{1, 2, 3, runtime.NumCPU(), h.NumVertices() + 13} {
+		for _, shards := range shardCounts {
 			same(fmt.Sprintf("shards=%d", shards), core.ShardedDecompose(h, core.ShardedOptions{Shards: shards}))
 		}
 	}
@@ -236,7 +242,7 @@ func TestDifferentialRoundDecompose(t *testing.T) {
 		if err := check.ValidDecomposition(h, got); err != nil {
 			t.Fatalf("instance %d %v: %v", i, h, err)
 		}
-		sameAsRounds(fmt.Sprintf("instance %d %v", i, h), h, got)
+		sameAsRounds(fmt.Sprintf("instance %d %v", i, h), h, got, everyShardCount(h))
 	}
 	h := dataset.Cellzome().H
 	want := check.OverlapDecompose(h)
@@ -259,15 +265,23 @@ func TestDifferentialRoundDecompose(t *testing.T) {
 	if r6.NumVertices != 41 || r6.NumEdges != 54 {
 		t.Fatalf("Cellzome 6-core is %d/%d, want the paper's 41/54", r6.NumVertices, r6.NumEdges)
 	}
-	sameAsRounds("Cellzome", h, got)
+	sameAsRounds("Cellzome", h, got, everyShardCount(h))
 
 	// hggen -dataset random -nv 60 -ne 80 -maxsize 6 -seed 39: a
 	// peeler that tests containment after each single deletion keeps
 	// another member of an equal-set family here than the rounds do.
 	h = gen.RandomHypergraph(60, 80, 6, xrand.New(39))
-	sameAsRounds("random seed 39", h, core.Decompose(h))
+	sameAsRounds("random seed 39", h, core.Decompose(h), everyShardCount(h))
 	h = dataset.SyntheticProteome(2000, 300, 5)
-	sameAsRounds("proteome 2000x300", h, core.Decompose(h))
+	sameAsRounds("proteome 2000x300", h, core.Decompose(h), everyShardCount(h))
+
+	h, err := mmio.ToHypergraph(gen.SyntheticMatrix(gen.MatrixSpec{Name: "bench", Rows: 8000, Cols: 8000, Band: 10, BandFill: 0.7, RandomPerRow: 2, Seed: 0xBE}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsRounds("banded 8000x8000", h, core.Decompose(h), []int{1, 2})
+	h = dataset.SyntheticProteome(20000, 3000, 42)
+	sameAsRounds("proteome 20000x3000", h, core.Decompose(h), []int{1, 2})
 }
 
 // biCorePairs are the (k, l) pairs of the (k, l)-core differentials.
@@ -375,9 +389,9 @@ func TestPeelStepPins(t *testing.T) {
 		decompose int64
 		kcore     map[int]int64
 	}{
-		{"Cellzome", dataset.Cellzome().H, 15783, map[int]int64{2: 10042, 6: 14850}},
-		{"banded 8000x8000", banded, 1760831, map[int]int64{2: 321055, 8: 321067}},
-		{"proteome 20000x3000", dataset.SyntheticProteome(20000, 3000, 42), 1257673, map[int]int64{2: 377343, 14: 1170221}},
+		{"Cellzome", dataset.Cellzome().H, 11938, map[int]int64{2: 7654, 6: 11005}},
+		{"banded 8000x8000", banded, 1672374, map[int]int64{2: 303301, 8: 303313}},
+		{"proteome 20000x3000", dataset.SyntheticProteome(20000, 3000, 42), 475044, map[int]int64{2: 103785, 14: 404332}},
 	} {
 		ctx, meter := run.WithBudget(context.Background(), run.Budget{})
 		if _, err := core.DecomposeCtx(ctx, tc.h); err != nil {

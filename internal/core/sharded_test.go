@@ -120,8 +120,8 @@ func TestShardedCostPins(t *testing.T) {
 		allocs float64
 		steps  int64
 	}{
-		{"Cellzome", dataset.Cellzome().H, 25, 15784},
-		{"banded 8000x8000", banded, 25, 1760832},
+		{"Cellzome", dataset.Cellzome().H, 25, 11939},
+		{"banded 8000x8000", banded, 25, 1672375},
 	} {
 		ctx, meter := run.WithBudget(context.Background(), run.Budget{})
 		if _, err := core.ShardedDecomposeCtx(ctx, tc.h, opts); err != nil {

@@ -50,7 +50,7 @@ func signature(row []int32) uint64 {
 
 // Detector is one worker's stamp scratch for containment tests:
 // stamp[w] == seq marks w as an alive member of the hyperedge under
-// test, estamp[g] == seq marks g as incident to its second witness.
+// test, estamp[g] == seq marks g as incident to its stamped witness.
 // Generations make a test O(1) to reset; the arrays are cleared only on
 // the int32 wraparound.
 type Detector struct {
@@ -80,12 +80,12 @@ func NewDetector(c *CSR) *Detector {
 // elementary operations it spent, for callers that charge a budget.
 //
 // Instead of counting overlaps, it scans the hyperedges incident to an
-// alive member v1 of f — any g containing f must appear there — and
-// prunes the candidates before counting members:
+// alive member of f, the scanned witness — any g containing f must
+// appear there — and prunes the candidates before counting members:
 //
-//   - witness filter: g must also be incident to a second alive member
-//     v2, and for d(f) ≤ 2 the witnesses are the whole containment
-//     test;
+//   - witness filter: g must also be incident to a second alive member,
+//     the stamped witness, and for d(f) ≤ 2 the witnesses are the whole
+//     containment test;
 //   - degree filter: dead hyperedges have degree 0 in s.EDeg, so the
 //     tie-break comparison skips them without a liveness load;
 //   - signature filter: g cannot contain f when f's alive members set
@@ -94,9 +94,15 @@ func NewDetector(c *CSR) *Detector {
 //     signature test of set-containment joins; it skips only member
 //     counts that would fail.
 //
-// The witnesses v1, v2 are the first two alive members of f in its
-// C.EAdj row; which alive members serve as witnesses changes the cost,
-// never the verdict.  f's alive members are stamped, and their
+// The witnesses are the first and the last alive member of f in its
+// C.EAdj row, and the one with the shorter static incidence row (the
+// first on a tie) is the scanned one.  Members far apart in a row
+// share fewer hyperedges than neighbours do (on a banded matrix the
+// first two members of a row share almost all of theirs), so fewer
+// candidates pass the witness filter, and the scan is the shorter of
+// the two rows.  Which alive members serve as witnesses changes the
+// cost, never the verdict: a g that contains alive(f) is incident to
+// every alive member of f.  f's alive members are stamped, and their
 // signature ORed together, lazily on the first candidate passing the
 // witness and degree filters.  The signature filter changes neither
 // the verdict nor the returned op count, which charges the candidate
@@ -112,20 +118,18 @@ func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 		return true, 0
 	}
 	mrow := c.EAdj[c.EOff[f]:c.EOff[f+1]]
-	var v1 int32
-	i := 0
+	var first int32
 	//hyperplexvet:ignore budgettick bounded: eDeg[f] > 0 guarantees an alive member in mrow
-	for ; ; i++ {
+	for i := 0; ; i++ {
 		if w := mrow[i]; vAlive[w] {
-			v1 = w
-			i++
+			first = w
 			break
 		}
 	}
-	row := c.VertexEdges(v1)
+	row := c.VertexEdges(first)
 	if df == 1 {
-		// Every candidate contains v1 — f's only alive member — so the
-		// tie-break alone decides.
+		// Every candidate contains first — f's only alive member — so
+		// the tie-break alone decides.
 		for _, g := range row {
 			if g == f {
 				continue
@@ -136,22 +140,27 @@ func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 		}
 		return false, len(row)
 	}
-	var v2 int32
-	//hyperplexvet:ignore budgettick bounded: df >= 2 here, so a second alive member follows in mrow
-	for ; ; i++ {
+	var last int32
+	//hyperplexvet:ignore budgettick bounded: df >= 2 here, so scanning mrow backwards meets an alive member after first
+	for i := len(mrow) - 1; ; i-- {
 		if w := mrow[i]; vAlive[w] {
-			v2 = w
+			last = w
 			break
 		}
 	}
+	// The lighter witness's row is scanned, the other one's stamped.
+	wrow := c.VertexEdges(last)
+	if len(wrow) < len(row) {
+		row, wrow = wrow, row
+	}
 	seq := d.nextSeq()
 	estamp := d.estamp
-	for _, g := range c.VertexEdges(v2) {
+	for _, g := range wrow {
 		estamp[g] = seq
 	}
 	eOff, eAdj, sig := c.EOff, c.EAdj, s.Sig
 	stamp, stamped, sigF := d.stamp, false, uint64(0)
-	//hyperplexvet:ignore budgettick bounded: one pass over v1's static incidence row, whose cost the returned op count reports; DistPeeler's phases charge it to their meter
+	//hyperplexvet:ignore budgettick bounded: one pass over the scanned witness's static incidence row, whose cost the returned op count reports; DistPeeler's phases charge it to their meter
 	for k, g := range row {
 		if estamp[g] != seq || g == f {
 			continue

@@ -1,7 +1,7 @@
-// In-package tests of the containment detector's stamp generations
-// and signature filter, which the exported API does not reach.  The
-// detector's agreement with the other detections is pinned in
-// internal/core (detectors_test.go).
+// In-package tests of the containment detector's stamp generations,
+// signature filter and witness choice, which the exported API does not
+// reach.  The detector's agreement with the other detections is pinned
+// in internal/core (detectors_test.go).
 package csr
 
 import "testing"
@@ -80,7 +80,8 @@ func TestDetectorStampWraparound(t *testing.T) {
 
 // TestDetectorSignatureFilter pins what the signature filter lets
 // through to the member count.  In each case the candidate g holds the
-// witnesses 0 and 1 of f = {0, 1, 2, 7} and is larger, so only the
+// witnesses of f = {0, 1, 2, 7}, its first and last alive members (0
+// and 7, or 0 and 2 once 7 is dead), and is larger, so only the
 // signature filter and the member count can rule it out.  The filter
 // must build f's signature from its alive members: with 7 dead, the
 // last case is a containment that 7's bit would hide.
@@ -92,8 +93,8 @@ func TestDetectorSignatureFilter(t *testing.T) {
 		want   bool
 		counts int64
 	}{
-		{"the signature rules g out", []int32{0, 1, 2, 3, 5}, false, false, 0},
-		{"the signatures collide", []int32{0, 1, 2, 3, 71}, false, false, 1},
+		{"the signature rules g out", []int32{0, 1, 3, 5, 7}, false, false, 0},
+		{"the signatures collide", []int32{0, 1, 3, 7, 66}, false, false, 1},
 		{"f's dead member sets no bit", []int32{0, 1, 2, 3, 5}, true, true, 1},
 	} {
 		c := fromRows(t, 72, [][]int32{{0, 1, 2, 7}, tc.g})
@@ -111,6 +112,57 @@ func TestDetectorSignatureFilter(t *testing.T) {
 		}
 		if d.memberCounts != tc.counts || d.memberPins != 5*tc.counts {
 			t.Errorf("%s: %d member counts over %d pins, want %d over %d", tc.name, d.memberCounts, d.memberPins, tc.counts, 5*tc.counts)
+		}
+	}
+}
+
+// TestDetectorWitnessRule pins which witnesses Dead takes through the
+// op count it returns: f's first and last alive members, of which the
+// one with the shorter incidence row is scanned.  Vertex 0 is a hub of
+// 9 hyperedges, 1 is in 3 and 2 in 2.  A maximal f costs two passes
+// over the scanned row, and a test that finds its container at
+// position k of the scanned row costs the row plus k + 1.  In the first
+// two cases, scanning the hub, as the first two alive members did,
+// would cost 18 and 10, and in the first scanning 1, the lighter of
+// the first two, 6.
+func TestDetectorWitnessRule(t *testing.T) {
+	rows := [][]int32{{0, 1, 2}, {0, 2}}
+	for i := int32(0); i < 7; i++ {
+		rows = append(rows, []int32{0, 10 + i})
+	}
+	rows = append(rows, []int32{1, 20}, []int32{1, 21})
+	c := fromRows(t, 22, rows)
+	for _, tc := range []struct {
+		name  string
+		f     int32
+		dead2 bool
+		want  bool
+		ops   int
+	}{
+		// Witnesses 0 and 2: 2's row [0 1] is scanned; {0, 2} is
+		// smaller than f, so f is maximal.
+		{"hub first, light last", 0, false, false, 4},
+		// d(f) = 2, witnesses 0 and 2: f's container {0, 1, 2} heads
+		// 2's row, and the witnesses decide.
+		{"d(f) = 2, hub first", 1, false, true, 3},
+		// With 2 dead the last alive member is 1, whose row [0 9 10]
+		// is scanned; d(f) = 2 and no other hyperedge holds 0 and 1.
+		{"the last alive member", 0, true, false, 6},
+	} {
+		s := &Snapshot{C: c, VAlive: make([]bool, c.NumVertices()), EDeg: make([]int32, c.NumEdges()), Sig: Signatures(c)}
+		for v := range s.VAlive {
+			s.VAlive[v] = !tc.dead2 || v != 2
+		}
+		for f := range s.EDeg {
+			for _, v := range c.EAdj[c.EOff[f]:c.EOff[f+1]] {
+				if s.VAlive[v] {
+					s.EDeg[f]++
+				}
+			}
+		}
+		got, ops := NewDetector(c).Dead(s, tc.f)
+		if got != tc.want || ops != tc.ops {
+			t.Errorf("%s: Dead(%d) = %t at %d ops, want %t at %d", tc.name, tc.f, got, ops, tc.want, tc.ops)
 		}
 	}
 }

@@ -111,6 +111,12 @@ type coordinator struct {
 	retired []int32
 	timer   *time.Timer
 
+	// seen[id] == gen marks a vertex or hyperedge ID the vote under
+	// check has named, so a repeat is caught (newGen); it is sized for
+	// both sides and cleared only on the int32 wraparound.
+	seen []int32
+	gen  int32
+
 	recoveries int
 }
 
@@ -152,6 +158,7 @@ func (c *coordinator) setup() error {
 	}
 	c.part = part
 	c.owner = make([]int, part.NumShards())
+	c.seen = make([]int32, max(len(part.VertexOwner), len(part.EdgeOwner)))
 	c.snaps = make([]*core.ShardSnapshot, part.NumShards())
 	c.spareSnaps = make([]*core.ShardSnapshot, part.NumShards())
 	for s := range c.spareSnaps {
@@ -522,9 +529,9 @@ func (c *coordinator) initialAssign() error {
 
 // awaitBarrier awaits rw's Barrier frame for (k, round).  The frame
 // must list the snapshots of exactly the shards rw owns, in shard
-// order, each naming only dying hyperedges its shard owns, and each is
-// decoded into its shard's spare snapshot; their dying lists are added
-// to the spare dying union.
+// order, each naming only dying hyperedges its shard owns, none twice,
+// and each is decoded into its shard's spare snapshot; their dying
+// lists are added to the spare dying union.
 func (c *coordinator) awaitBarrier(rw *remoteWorker, k, round int32) error {
 	c.bar.Snaps = c.bar.Snaps[:0]
 	for s, id := range c.owner {
@@ -553,12 +560,18 @@ func (c *coordinator) awaitBarrier(rw *remoteWorker, k, round int32) error {
 			c.kill(rw)
 			return fmt.Errorf("%w: worker %d voted a snapshot for shard %d out of the order of the shards it owns", errWorkerLost, rw.id, sn.Shard)
 		}
+		gen := c.newGen()
 		//hyperplexvet:ignore budgettick bounded validation pass over one decoded frame; kill runs on the error path only
 		for _, g := range sn.Dying {
 			if g < 0 || int(g) >= len(c.part.EdgeOwner) || c.part.EdgeOwner[g] != sn.Shard {
 				c.kill(rw)
 				return fmt.Errorf("%w: worker %d voted dying hyperedge %d, which shard %d does not own", errWorkerLost, rw.id, g, sn.Shard)
 			}
+			if c.seen[g] == gen {
+				c.kill(rw)
+				return fmt.Errorf("%w: worker %d voted dying hyperedge %d twice", errWorkerLost, rw.id, g)
+			}
+			c.seen[g] = gen
 		}
 		c.spareDying = append(c.spareDying, sn.Dying...)
 	}
@@ -583,8 +596,8 @@ func (c *coordinator) awaitDecode(rw *remoteWorker, want byte, m interface{ deco
 
 // Apply broadcasts a round's dying delta at threshold k and gathers
 // the workers' frontier votes: the union of the retired IDs they
-// carry, each of which must be a vertex of a shard its voter owns, and
-// the sum of their alive counts.
+// carry, each of which must be a vertex of a shard its voter owns,
+// named once, and the sum of their alive counts.
 func (c *coordinator) Apply(ctx context.Context, k int, dying []int32) (retired []int32, alive int, err error) {
 	if err := run.Tick(ctx, c.meter, int64(len(dying))+1); err != nil {
 		return nil, 0, err
@@ -602,16 +615,34 @@ func (c *coordinator) Apply(ctx context.Context, k int, dying []int32) (retired 
 		if err := c.awaitDecode(rw, mFrontier, &c.vote); err != nil {
 			return nil, 0, err
 		}
+		gen := c.newGen()
 		for _, v := range c.vote.IDs {
 			if v < 0 || int(v) >= len(c.part.VertexOwner) || c.owner[c.part.VertexOwner[v]] != rw.id {
 				c.kill(rw)
 				return nil, 0, fmt.Errorf("%w: worker %d voted to retire vertex %d, which no shard it owns holds", errWorkerLost, rw.id, v)
 			}
+			if c.seen[v] == gen {
+				c.kill(rw)
+				return nil, 0, fmt.Errorf("%w: worker %d voted to retire vertex %d twice", errWorkerLost, rw.id, v)
+			}
+			c.seen[v] = gen
 		}
 		alive += int(c.vote.Alive)
 		c.retired = append(c.retired, c.vote.IDs...)
 	}
 	return c.retired, alive, nil
+}
+
+// newGen advances the generation that marks a vote's IDs in seen,
+// clearing seen on the (rare) int32 wraparound so stale marks cannot
+// alias.
+func (c *coordinator) newGen() int32 {
+	if c.gen == math.MaxInt32 {
+		c.gen = 0
+		clear(c.seen)
+	}
+	c.gen++
+	return c.gen
 }
 
 // Shrink broadcasts the retired delta of the round at threshold k,

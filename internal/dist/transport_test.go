@@ -137,7 +137,7 @@ func TestTransportOneWritePerFrame(t *testing.T) {
 func bareCoordinator(t *testing.T, part *partition.Partition) *coordinator {
 	c := &coordinator{ctx: context.Background(), done: make(chan struct{}), part: part, owner: []int{0, 1},
 		opts:       Options{HeartbeatInterval: 50 * time.Millisecond, PhaseTimeout: 5 * time.Second},
-		spareSnaps: []*core.ShardSnapshot{{}, {}}}
+		spareSnaps: []*core.ShardSnapshot{{}, {}}, seen: make([]int32, max(len(part.VertexOwner), len(part.EdgeOwner)))}
 	for id := range c.owner {
 		rw := &remoteWorker{id: id, conn: nopConn{}, frames: make(chan frameMsg, 1)}
 		rw.lastBeat.Store(time.Now().UnixNano())
@@ -153,8 +153,10 @@ func bareCoordinator(t *testing.T, part *partition.Partition) *coordinator {
 // hyperedge below 0, at |F| or owned by another shard than the
 // snapshot's.  core.RunRounds indexes the coreness arrays with these
 // IDs, and the next broadcast would hand them to every worker, so each
-// vote must kill its worker with errWorkerLost instead.  Votes that
-// name owned IDs pass.
+// vote must kill its worker with errWorkerLost instead.  So must a vote
+// that names an owned ID twice: every worker's Shrink would retire a
+// repeated vertex twice, and Apply would lower a repeated hyperedge's
+// member degrees twice.  Votes that name owned IDs once pass.
 func TestCoordinatorChecksVotedIDs(t *testing.T) {
 	h := dataset.Cellzome().H
 	nv, ne := int32(h.NumVertices()), int32(h.NumEdges())
@@ -174,7 +176,7 @@ func TestCoordinatorChecksVotedIDs(t *testing.T) {
 		rw.frames <- frameMsg{typ: typ, payload: payloadOf(m)}
 	}
 
-	for _, bad := range []int32{-1, nv, own1} {
+	for _, bad := range []int32{-1, nv, own1, own0} {
 		c := bareCoordinator(t, part)
 		vote(c.workers[0], &msgRound{K: 1, IDs: []int32{own0, bad}, Alive: 1}, mFrontier)
 		if _, _, err := c.Apply(context.Background(), 1, nil); !errors.Is(err, errWorkerLost) || !c.workers[0].dead {
@@ -191,7 +193,7 @@ func TestCoordinatorChecksVotedIDs(t *testing.T) {
 	snap := func(dying ...int32) *msgBarrier {
 		return &msgBarrier{K: 1, Round: 1, Snaps: []*core.ShardSnapshot{{Shard: 0, Deg: make([]int32, part.Shards[0].Count), Dying: dying}}}
 	}
-	for _, bad := range []int32{-1, ne, edge1} {
+	for _, bad := range []int32{-1, ne, edge1, edge0} {
 		c := bareCoordinator(t, part)
 		vote(c.workers[0], snap(edge0, bad), mBarrier)
 		if err := c.awaitBarrier(c.workers[0], 1, 1); !errors.Is(err, errWorkerLost) || !c.workers[0].dead {
