@@ -49,7 +49,7 @@ import (
 //     longer needs, so a worker that keeps a spare allocates nothing
 //     per barrier.
 //
-// Everything else — the bucket queue, the shrink stamps, the shrunk
+// Everything else — the bucket order, the shrink stamps, the shrunk
 // lists — is reconstructed from those snapshots plus the mirrors, so a
 // restored replica continues bit-identically (distshard_test.go pins
 // this).
@@ -102,23 +102,25 @@ type PeelCheckpoint struct {
 }
 
 // shardPeel is one shard's peel state: a single int32 arena carved
-// into the degree array, the lazy bucket queue and the shrunk and
-// dying lists.  Owned vertices are addressed by their
-// offset j in the contiguous owned block (global ID lo+j), owned
-// hyperedges by their global ID.
+// into the degree array, the bucket order and the shrunk and dying
+// lists.  Owned vertices are addressed by their offset j in the
+// contiguous owned block (global ID lo+j), owned hyperedges by their
+// global ID.
 type shardPeel struct {
 	lo int32 // first owned global vertex ID
 	n  int32 // owned vertex count
 
 	deg []int32 // current full degree per owned vertex, indexed by j
 
-	// Lazy bucket queue over the owned vertices: head[d] is the top
-	// entry index of the degree-d bucket, next links entries, item
-	// holds the owned offset of each entry.  A vertex is re-pushed on
-	// every decrement; stale entries are skipped at gather time.
-	head, next, item []int32
-	nfree            int32
-	cur              int // lowest possibly-non-empty bucket
+	// The bucket order of Batagelj and Zaveršnik's cores algorithm
+	// over the owned offsets: vert lists the retired owned vertices,
+	// vert[:done], then the alive ones by degree, and pos is its
+	// inverse.  At threshold k, bin[d] is the start of degree d's
+	// block vert[bin[d]:bin[d+1]] (the last one ends at n) for every
+	// d ≥ k, and the alive owned vertices whose degree fell below k
+	// are vert[done:bin[k]]: the frontier, with no stale entry.
+	vert, pos, bin []int32
+	done           int32
 
 	shrunk []int32 // owned hyperedges shrunk this round
 	dying  []int32 // owned hyperedges found dead
@@ -126,18 +128,21 @@ type shardPeel struct {
 	aliveV int
 }
 
-// push records that owned vertex j now has degree d.  Entries are
-// never removed eagerly; gathers skip entries whose recorded degree is
-// stale.
-func (p *shardPeel) push(j int32, d int) {
-	idx := p.nfree
-	p.nfree++
-	p.item[idx] = j
-	p.next[idx] = p.head[d]
-	p.head[d] = idx
-	if d < p.cur {
-		p.cur = d
+// decrement lowers owned vertex j's degree at threshold k.  A vertex
+// whose degree d was still ≥ k swaps to the front of its block, which
+// then starts one later, so the vertex ends block d-1 or, at d = k,
+// joins the frontier; one already below k stays where it is.
+func (p *shardPeel) decrement(j int32, k int) {
+	d := p.deg[j]
+	p.deg[j] = d - 1
+	if int(d) < k {
+		return
 	}
+	b, at := p.bin[d], p.pos[j]
+	u := p.vert[b]
+	p.vert[b], p.vert[at] = j, u
+	p.pos[j], p.pos[u] = b, at
+	p.bin[d] = b + 1
 }
 
 // DistPeeler is one replica of the sharded peel: the full hypergraph,
@@ -206,51 +211,81 @@ func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPee
 // NumShards returns the partition's shard count.
 func (w *DistPeeler) NumShards() int { return w.part.NumShards() }
 
-// newShard carves the structural arrays of shard s's peel: degrees,
-// the lazy bucket queue sized for one initial push per owned vertex
-// plus one per possible decrement, and the work lists.  Degrees and
-// queue contents are filled by the caller (fresh assign or snapshot
-// restore).
+// newShard carves the structural arrays of shard s's peel from one
+// arena of 3n + maxDeg + 1 + 2·|owned edges| int32s: degrees, the
+// bucket order (vert, pos and a block start per possible degree) and
+// the work lists.  The caller fills the degrees and lays the order
+// out (fresh assign or snapshot restore).
 func (w *DistPeeler) newShard(s int) *shardPeel {
 	sh := &w.part.Shards[s]
 	n := sh.Count
 	p := &shardPeel{lo: sh.First, n: n}
-	maxDeg, ownedInc := int32(0), int32(0)
+	maxDeg := int32(0)
 	for j := int32(0); j < n; j++ {
-		d := w.c.VertexDegree(p.lo + j)
-		if d > maxDeg {
-			maxDeg = d
-		}
-		ownedInc += d
+		maxDeg = max(maxDeg, w.c.VertexDegree(p.lo+j))
 	}
 	ne := csr.MustInt32(len(sh.Edges))
-	entries := n + ownedInc
 	// One arena allocation backs every int32 slice of the shard, so the
 	// work lists the phase methods append to stay arena-owned.
-	arena := make([]int32, n+(maxDeg+1)+2*entries+2*ne)
+	arena := make([]int32, 3*int(n)+int(maxDeg)+1+2*int(ne))
 	carve := func(sz int32) []int32 {
 		s := arena[:sz:sz]
 		arena = arena[sz:]
 		return s
 	}
 	p.deg = carve(n)
-	p.head = carve(maxDeg + 1)
-	p.next = carve(entries)
-	p.item = carve(entries)
+	p.vert = carve(n)
+	p.pos = carve(n)
+	p.bin = carve(maxDeg + 1)
 	p.shrunk = carve(ne)[:0]
 	p.dying = carve(ne)[:0]
-	for i := range p.head {
-		p.head[i] = -1
-	}
-	p.cur = len(p.head)
 	return p
 }
 
-// AssignFresh assigns shard s to this replica in its initial state and
-// runs the round-0 reduction over its owned hyperedges: empty,
-// initially non-maximal and undersized hyperedges become the shard's
-// pending dying list and die at coreness 0.  Snapshot(s) then returns
-// the shard's first barrier state.
+// layout lays shard p's bucket order out by one counting sort over its
+// degrees and the mirrors' liveness: the owned vertices the mirrors
+// retired first, in offset order, then the alive ones by degree, with
+// every block start exact.  Every alive owned vertex's degree must lie
+// in [0, len(p.bin)).
+func (w *DistPeeler) layout(p *shardPeel) {
+	clear(p.bin)
+	retired := int32(0)
+	for j := int32(0); j < p.n; j++ {
+		if w.vAlive[p.lo+j] {
+			p.bin[p.deg[j]]++
+		} else {
+			retired++
+		}
+	}
+	start := retired
+	for d, count := range p.bin {
+		p.bin[d] = start
+		start += count
+	}
+	r := int32(0)
+	for j := int32(0); j < p.n; j++ {
+		at := r
+		if d := p.deg[j]; w.vAlive[p.lo+j] {
+			at = p.bin[d]
+			p.bin[d]++
+		} else {
+			r++
+		}
+		p.vert[at], p.pos[j] = j, at
+	}
+	// Placing moved every block start to the next block's start.
+	copy(p.bin[1:], p.bin)
+	p.bin[0] = retired
+	p.done = retired
+}
+
+// AssignFresh assigns shard s to this replica in its initial state,
+// every owned vertex alive at its static degree and the bucket order
+// laid out over those degrees, and runs the round-0 reduction over its
+// owned hyperedges: empty, initially non-maximal and undersized
+// hyperedges become the shard's pending dying list and die at
+// coreness 0.  Snapshot(s) then returns the shard's first barrier
+// state.
 func (w *DistPeeler) AssignFresh(ctx context.Context, s int) error {
 	sh := &w.part.Shards[s]
 	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(sh.Count)+int64(len(sh.Edges))+1); err != nil {
@@ -262,17 +297,18 @@ func (w *DistPeeler) AssignFresh(ctx context.Context, s int) error {
 	p := w.newShard(s)
 	for j := int32(0); j < p.n; j++ {
 		p.deg[j] = w.c.VertexDegree(p.lo + j)
-		p.push(j, int(p.deg[j]))
 	}
 	p.aliveV = int(p.n)
+	w.layout(p)
 	w.shards[s] = p
 	return w.testEdges(ctx, p, sh.Edges)
 }
 
 // AssignSnapshot assigns shard s to this replica, restored from a
-// barrier snapshot: degrees come from the snapshot, the bucket queue is
-// rebuilt with one push per alive owned vertex at its current degree,
-// and the pending dying list is copied.  The global mirrors must
+// barrier snapshot: degrees come from the snapshot, the bucket order is
+// laid out anew over them and the mirrors' liveness once the checks
+// below have passed (its counting sort indexes a block start by
+// degree), and the pending dying list is copied.  The global mirrors must
 // already be at the same barrier, and the snapshot must agree with
 // them: a *SnapshotError rejects a wrong shard index, a degree array
 // of the wrong length, an alive count other than the mirrors' over the
@@ -309,11 +345,7 @@ func (w *DistPeeler) AssignSnapshot(sn *ShardSnapshot) error {
 	}
 	copy(p.deg, sn.Deg)
 	p.aliveV = int(alive)
-	for j := int32(0); j < p.n; j++ {
-		if w.vAlive[p.lo+j] {
-			p.push(j, int(p.deg[j]))
-		}
-	}
+	w.layout(p)
 	// A fresh stamp generation marks the listed hyperedges, so a repeat
 	// is caught; the next retire phase advances past it.
 	w.round++
@@ -413,19 +445,19 @@ func (w *DistPeeler) testEdges(ctx context.Context, p *shardPeel, edges []int32)
 // Apply applies a round's dying-hyperedge delta at threshold k and
 // gathers the frontier: every replica retires the edges in its mirrors
 // (zeroing their degrees for the detector's degree filter), and the
-// owners of their alive members decrement those vertices' degrees
-// (re-pushing them at the new bucket).  The delta must cover every
-// shard's pending dying list; the pending lists are consumed.  Every
-// owned shard's frontier — alive owned vertices whose degree fell
-// below k — is then drained from the bucket queues: every bucket below
-// the threshold is emptied, keeping the entries whose recorded degree
-// is still current (each alive owned vertex below the threshold has
-// exactly one such entry, pushed by its last decrement).  It returns
-// the frontier vote: the frontier as global vertex IDs, this replica's
+// owners of their alive members decrement those vertices' degrees,
+// moving each one that was still at k or above within the bucket
+// order.  The delta must cover every shard's pending dying list; the
+// pending lists are consumed.  Every owned shard's frontier — alive
+// owned vertices whose degree fell below k, vert[done:bin[k]] — is
+// then handed out whole and done advances past it.  k must not fall
+// below an earlier Apply's since the order was last laid out, as the
+// round schedule never lowers it without a Restore.  It returns the
+// frontier vote: the frontier as global vertex IDs, this replica's
 // part of the round's retired delta, in a buffer the next Apply
 // reuses, and the alive owned vertices.  Nothing is retired yet: the
 // driver gathers every replica's part and hands the union to Shrink.
-// Apply charges the delta and the entries it popped.
+// Apply charges the delta and the frontier it hands out.
 //
 //hyperplexvet:hotpath
 func (w *DistPeeler) Apply(ctx context.Context, k int, dying []int32) (retired []int32, alive int, err error) {
@@ -442,39 +474,31 @@ func (w *DistPeeler) Apply(ctx context.Context, k int, dying []int32) (retired [
 				continue
 			}
 			if p := w.shards[w.part.VertexOwner[v]]; p != nil {
-				j := v - p.lo
-				p.deg[j]--
-				p.push(j, int(p.deg[j]))
+				p.decrement(v-p.lo, k)
 			}
 		}
 	}
 	w.retiredDelta = w.retiredDelta[:0]
-	pops := 0
-	//hyperplexvet:ignore budgettick bounded sweep over the shards' queues; the Tick below charges every popped entry
+	frontier := 0
+	//hyperplexvet:ignore budgettick bounded sweep over the shards' frontiers; the Tick below charges every vertex handed out
 	for _, p := range w.shards {
 		if p == nil {
 			continue
 		}
 		p.dying = p.dying[:0]
-		top := min(k, len(p.head))
-		//hyperplexvet:ignore budgettick bounded drain of the buckets below the threshold, charged by the Tick below
-		for d := p.cur; d < top; d++ {
-			for idx := p.head[d]; idx != -1; idx = p.next[idx] {
-				pops++
-				j := p.item[idx]
-				if w.vAlive[p.lo+j] && int(p.deg[j]) == d {
-					//hyperplexvet:ignore hotalloc retiredDelta is allocated at capacity |V| and a round retires each vertex at most once, so the append never grows it
-					w.retiredDelta = append(w.retiredDelta, p.lo+j)
-				}
-			}
-			p.head[d] = -1
+		top := p.n
+		if k < len(p.bin) {
+			top = p.bin[k]
 		}
-		if p.cur < top {
-			p.cur = top
+		for _, j := range p.vert[p.done:top] {
+			//hyperplexvet:ignore hotalloc retiredDelta is allocated at capacity |V| and a round retires each vertex at most once, so the append never grows it
+			w.retiredDelta = append(w.retiredDelta, p.lo+j)
 		}
+		frontier += int(top - p.done)
+		p.done = top
 		alive += p.aliveV
 	}
-	if err := run.Tick(ctx, meter, int64(pops)+1); err != nil {
+	if err := run.Tick(ctx, meter, int64(frontier)+1); err != nil {
 		return nil, 0, err
 	}
 	return w.retiredDelta, alive, nil

@@ -8,8 +8,10 @@ import (
 	"slices"
 	"testing"
 
+	"hyperplex/internal/dataset"
 	"hyperplex/internal/gen"
 	"hyperplex/internal/hypergraph"
+	"hyperplex/internal/mmio"
 	"hyperplex/internal/partition"
 	"hyperplex/internal/xrand"
 )
@@ -34,6 +36,7 @@ func (r *replicas) Apply(ctx context.Context, k int, dying []int32) (retired []i
 			r.t.Fatal(err)
 		}
 		retiredDegreesZero(r.t, w, "after Apply")
+		bucketOrderExact(r.t, w, k, part, "after Apply")
 		retired, alive = append(retired, part...), alive+a
 	}
 	return retired, alive, nil
@@ -46,6 +49,7 @@ func (r *replicas) Shrink(ctx context.Context, k int, retired []int32) ([]int32,
 		if err != nil {
 			r.t.Fatal(err)
 		}
+		bucketOrderExact(r.t, w, k, nil, "after Shrink")
 		dying = append(dying, part...)
 	}
 	r.round++
@@ -98,13 +102,63 @@ func retiredDegreesZero(t *testing.T, w *DistPeeler, label string) {
 	}
 }
 
+// bucketOrderExact asserts the bucket order of every shard w owns at
+// threshold k: vert is a permutation of the owned offsets and pos its
+// inverse; vert[:done] holds exactly the owned vertices the mirrors
+// retired or handed, the part of the retired delta an Apply just
+// returned (nil after Shrink), of which each has degree below k; and
+// every other owned vertex, alive with degree d ≥ k, lies in
+// vert[bin[d]:bin[d+1]], the last block ending at n.
+func bucketOrderExact(t *testing.T, w *DistPeeler, k int, handed []int32, label string) {
+	t.Helper()
+	for s, p := range w.shards {
+		if p == nil {
+			continue
+		}
+		inDelta := make([]bool, p.n)
+		for _, v := range handed {
+			if p.lo <= v && v < p.lo+p.n {
+				inDelta[v-p.lo] = true
+			}
+		}
+		seen := make([]bool, p.n)
+		for i, j := range p.vert {
+			if j < 0 || j >= p.n || seen[j] || p.pos[j] != int32(i) {
+				t.Fatalf("%s: shard %d: vert is no permutation of the owned offsets with inverse pos (vert[%d] = %d)", label, s, i, j)
+			}
+			seen[j] = true
+		}
+		end := func(d int32) int32 {
+			if int(d)+1 < len(p.bin) {
+				return p.bin[d+1]
+			}
+			return p.n
+		}
+		for j := int32(0); j < p.n; j++ {
+			at, d := p.pos[j], p.deg[j]
+			alive := w.vAlive[p.lo+j] && !inDelta[j]
+			switch {
+			case (at < p.done) == alive:
+				t.Fatalf("%s: shard %d: vertex %d at %d, done %d, but alive = %t and handed = %t", label, s, p.lo+j, at, p.done, w.vAlive[p.lo+j], inDelta[j])
+			case inDelta[j] && (!w.vAlive[p.lo+j] || int(d) >= k):
+				t.Fatalf("%s: shard %d: vertex %d handed out at degree %d, threshold %d, alive = %t", label, s, p.lo+j, d, k, w.vAlive[p.lo+j])
+			case !alive:
+			case int(d) < k:
+				t.Fatalf("%s: shard %d: alive vertex %d kept at degree %d below threshold %d", label, s, p.lo+j, d, k)
+			case at < p.bin[d] || at >= end(d):
+				t.Fatalf("%s: shard %d: vertex %d of degree %d at %d, outside its block [%d, %d)", label, s, p.lo+j, d, at, p.bin[d], end(d))
+			}
+		}
+	}
+}
+
 // sameDecomposition asserts exact equality of vertex coreness, MaxK
-// and hyperedge coreness against check.RoundDecompose (RoundOracle),
+// and hyperedge coreness against want, the decomposition
+// check.RoundDecompose (RoundOracle) returns for the same hypergraph:
 // an independent implementation of the round schedule the dist peeler
 // replays.
-func sameDecomposition(t *testing.T, h *hypergraph.Hypergraph, got *Decomposition, label string) {
+func sameDecomposition(t *testing.T, want, got *Decomposition, label string) {
 	t.Helper()
-	want := RoundOracle(h, 1)
 	if got.MaxK != want.MaxK {
 		t.Fatalf("%s: MaxK = %d, want %d", label, got.MaxK, want.MaxK)
 	}
@@ -121,20 +175,26 @@ func sameDecomposition(t *testing.T, h *hypergraph.Hypergraph, got *Decompositio
 }
 
 // TestDistPeelerDifferential pins the broadcast-delta peel against the
-// round oracle over the sweep instances and a larger random
-// hypergraph, across worker and shard counts.
+// round oracle over the sweep instances, a larger random hypergraph,
+// Cellzome and the banded 8000×8000 file, across worker and shard
+// counts, while the replicas check their bucket order after every
+// phase (bucketOrderExact).
 func TestDistPeelerDifferential(t *testing.T) {
+	banded, err := mmio.ToHypergraph(gen.SyntheticMatrix(gen.MatrixSpec{Name: "bench", Rows: 8000, Cols: 8000, Band: 10, BandFill: 0.7, RandomPerRow: 2, Seed: 0xBE}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := xrand.New(0xD157)
 	var instances []*hypergraph.Hypergraph
 	for i := 0; i < 10; i++ {
 		instances = append(instances, gen.RandomHypergraph(10+17*i, 8+13*i, 2+i%5, rng))
 	}
-	instances = append(instances, gen.RandomHypergraph(220, 160, 6, rng))
+	instances = append(instances, gen.RandomHypergraph(220, 160, 6, rng), dataset.Cellzome().H, banded)
 	for i, h := range instances {
-		for _, cfg := range [][2]int{{1, 1}, {3, 2}, {4, 3}, {7, 2}} {
+		want := RoundOracle(h, 1)
+		for _, cfg := range [][2]int{{1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 2}} {
 			got := distDriver(t, h, cfg[0], cfg[1], nil)
-			sameDecomposition(t, h, got, "instance")
-			_ = i
+			sameDecomposition(t, want, got, fmt.Sprintf("instance %d at %d shards over %d replicas", i, cfg[0], cfg[1]))
 		}
 	}
 }
@@ -167,7 +227,7 @@ func TestDistPeelerReplicasAgree(t *testing.T) {
 }
 
 // scramble vandalizes a replica's mutable state the way a half-applied
-// round would: degrees, queue heads and mirrors all change.
+// round would: degrees, the bucket order and mirrors all change.
 func scramble(w *DistPeeler) {
 	for i := range w.vAlive {
 		if i%3 == 0 {
@@ -185,11 +245,14 @@ func scramble(w *DistPeeler) {
 		for j := range p.deg {
 			p.deg[j] += int32(j%3) - 1
 		}
-		for i := range p.head {
-			p.head[i] = -1
+		slices.Reverse(p.vert)
+		for j := range p.pos {
+			p.pos[j] = int32(j % 2)
 		}
-		p.nfree = 0
-		p.cur = 0
+		for d := range p.bin {
+			p.bin[d] = int32(d) % (p.n + 1)
+		}
+		p.done = p.n / 2
 		p.shrunk = append(p.shrunk[:0], 0)
 		p.aliveV += 5
 	}
@@ -218,7 +281,7 @@ func TestDistPeelerCheckpointReplay(t *testing.T) {
 				retiredDegreesZero(t, w, "after Restore")
 			}
 		})
-		sameDecomposition(t, h, got, "replayed run")
+		sameDecomposition(t, RoundOracle(h, 1), got, "replayed run")
 	}
 	for _, target := range []int{1, 3, 6} {
 		bufs := make([]*PeelCheckpoint, 2)
@@ -241,7 +304,7 @@ func TestDistPeelerCheckpointReplay(t *testing.T) {
 				retiredDegreesZero(t, w, "after Restore from a reused checkpoint")
 			}
 		})
-		sameDecomposition(t, h, got, "run replayed from reused checkpoints")
+		sameDecomposition(t, RoundOracle(h, 1), got, "run replayed from reused checkpoints")
 	}
 }
 
@@ -292,7 +355,7 @@ func TestDistPeelerReassignment(t *testing.T) {
 	if !moved {
 		t.Fatal("run finished before the reassignment barrier; enlarge the instance")
 	}
-	sameDecomposition(t, h, got, "reassigned run")
+	sameDecomposition(t, RoundOracle(h, 1), got, "reassigned run")
 }
 
 // TestDistPeelerSnapshotValidation pins the decoder-side defenses of
@@ -301,7 +364,8 @@ func TestDistPeelerReassignment(t *testing.T) {
 // and a dying edge owned elsewhere, listed twice or already retired in
 // the mirrors are each rejected with a *SnapshotError naming the
 // field, before the snapshot can wedge the coordinator's level loop,
-// panic in the bucket queue or decrement a degree twice.
+// index the bucket order's block starts out of range or decrement a
+// degree twice.
 func TestDistPeelerSnapshotValidation(t *testing.T) {
 	ctx := context.Background()
 	h := gen.RandomHypergraph(40, 30, 4, xrand.New(1))
@@ -390,15 +454,17 @@ func TestDistPeelerEmptyAndDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDecomposition(t, one, distDriver(t, one, 2, 2, nil), "degenerate")
+	sameDecomposition(t, RoundOracle(one, 1), distDriver(t, one, 2, 2, nil), "degenerate")
 }
 
 // TestNewShardSingleArena pins the allocation discipline of the dist
 // shard setup: every int32 array of a shardPeel is carved from one
 // arena allocation, so assigning a shard costs two heap objects (the
-// struct and the arena) instead of one per work list — and the carved
-// slices tile the arena with full-slice-expression caps, so an append
-// past a list's budget cannot silently bleed into its neighbor.
+// struct and the arena) instead of one per array, and the carves
+// total exactly 3n + maxDeg + 1 + 2·|owned edges| int32s, nothing per
+// pin — and the carved slices tile the arena with full-slice-expression
+// caps, so an append past a list's budget cannot silently bleed into
+// its neighbor.
 func TestNewShardSingleArena(t *testing.T) {
 	rng := xrand.New(0xA7E4A)
 	h := gen.RandomHypergraph(300, 200, 5, rng)
@@ -408,18 +474,37 @@ func TestNewShardSingleArena(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		_ = w.newShard(1)
 	})
-	if allocs > 3 {
-		t.Errorf("newShard allocates %.1f objects per call, want at most 3 (shardPeel + arena)", allocs)
+	if allocs != 2 {
+		t.Errorf("newShard allocates %.1f objects per call, want 2 (shardPeel + arena)", allocs)
 	}
 
 	p := w.newShard(1)
-	ne := len(part.Shards[1].Edges)
-	for name, sl := range map[string][]int32{"shrunk": p.shrunk, "dying": p.dying} {
-		if cap(sl) != ne || len(sl) != 0 {
-			t.Errorf("%s carved len=%d cap=%d, want an empty list with capacity %d", name, len(sl), cap(sl), ne)
-		}
+	sh := part.Shards[1]
+	n, ne, maxDeg := int(sh.Count), len(sh.Edges), 0
+	for v := sh.First; v < sh.First+sh.Count; v++ {
+		maxDeg = max(maxDeg, int(h.CSR().VertexDegree(v)))
 	}
-	if cap(p.deg) != len(p.deg) || cap(p.item) != len(p.item) {
-		t.Error("carved arrays are not capacity-capped; appends could bleed into the next carve")
+	carves := []struct {
+		name string
+		sl   []int32
+		size int
+		list bool
+	}{
+		{"deg", p.deg, n, false},
+		{"vert", p.vert, n, false},
+		{"pos", p.pos, n, false},
+		{"bin", p.bin, maxDeg + 1, false},
+		{"shrunk", p.shrunk, ne, true},
+		{"dying", p.dying, ne, true},
+	}
+	total := 0
+	for _, c := range carves {
+		if cap(c.sl) != c.size || (c.list && len(c.sl) != 0) || (!c.list && len(c.sl) != c.size) {
+			t.Errorf("%s carved len=%d cap=%d, want capacity %d, capped, and empty for a work list", c.name, len(c.sl), cap(c.sl), c.size)
+		}
+		total += cap(c.sl)
+	}
+	if want := 3*n + maxDeg + 1 + 2*ne; total != want {
+		t.Errorf("the arena holds %d int32s, want 3n + maxDeg + 1 + 2·|owned edges| = %d", total, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -120,8 +121,8 @@ func TestShardedCostPins(t *testing.T) {
 		allocs float64
 		steps  int64
 	}{
-		{"Cellzome", dataset.Cellzome().H, 25, 11939},
-		{"banded 8000x8000", banded, 25, 1672375},
+		{"Cellzome", dataset.Cellzome().H, 25, 14005},
+		{"banded 8000x8000", banded, 25, 1739298},
 	} {
 		ctx, meter := run.WithBudget(context.Background(), run.Budget{})
 		if _, err := core.ShardedDecomposeCtx(ctx, tc.h, opts); err != nil {
@@ -137,6 +138,43 @@ func TestShardedCostPins(t *testing.T) {
 		})
 		if allocs != tc.allocs {
 			t.Errorf("%s: ShardedDecomposeCtx at 2 shards made %v allocations, pinned %v", tc.name, allocs, tc.allocs)
+		}
+	}
+}
+
+// TestPeelHeapBound pins the peel's heap to |V|+|F|: one
+// ShardedDecomposeCtx at 1 and at 2 shards allocates at most 48 bytes
+// per vertex plus hyperedge on Cellzome, the 20000-protein proteome
+// and the banded 8000×8000 file, the result included, so no working
+// array of the peel may grow with the pins.
+func TestPeelHeapBound(t *testing.T) {
+	const bound = 48
+	banded, err := mmio.ToHypergraph(gen.SyntheticMatrix(gen.MatrixSpec{Name: "bench", Rows: 8000, Cols: 8000, Band: 10, BandFill: 0.7, RandomPerRow: 2, Seed: 0xBE}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		h    *hypergraph.Hypergraph
+	}{
+		{"Cellzome", dataset.Cellzome().H},
+		{"proteome 20000x3000", dataset.SyntheticProteome(20000, 3000, 42)},
+		{"banded 8000x8000", banded},
+	} {
+		elems := float64(tc.h.NumVertices() + tc.h.NumEdges())
+		for _, shards := range []int{1, 2} {
+			const runs = 3
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := core.ShardedDecomposeCtx(context.Background(), tc.h, core.ShardedOptions{Shards: shards}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if per := float64(after.TotalAlloc-before.TotalAlloc) / runs / elems; per > bound {
+				t.Errorf("%s: ShardedDecomposeCtx at %d shards allocates %.1f bytes per vertex plus hyperedge, want at most %d", tc.name, shards, per, bound)
+			}
 		}
 	}
 }

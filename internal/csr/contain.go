@@ -105,8 +105,9 @@ func NewDetector(c *CSR) *Detector {
 // every alive member of f.  f's alive members are stamped, and their
 // signature ORed together, lazily on the first candidate passing the
 // witness and degree filters.  The signature filter changes neither
-// the verdict nor the returned op count, which charges the candidate
-// scans only.
+// the verdict nor the returned op count, which charges the stamping
+// pass over the stamped witness's row and the entries of the scanned
+// row read, not the member counts.
 //
 //hyperplexvet:hotpath
 func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
@@ -169,7 +170,7 @@ func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 			continue
 		}
 		if df == 2 {
-			return true, len(row) + k + 1 // g contains both witnesses — all of alive(f)
+			return true, len(wrow) + k + 1 // g contains both witnesses — all of alive(f)
 		}
 		if !stamped {
 			stamped = true
@@ -193,10 +194,10 @@ func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 			}
 		}
 		if n == df {
-			return true, len(row) + k + 1
+			return true, len(wrow) + k + 1
 		}
 	}
-	return false, 2 * len(row)
+	return false, len(wrow) + len(row)
 }
 
 // MemberCounts returns the member counts Dead has performed over the

@@ -118,13 +118,13 @@ func TestDetectorSignatureFilter(t *testing.T) {
 
 // TestDetectorWitnessRule pins which witnesses Dead takes through the
 // op count it returns: f's first and last alive members, of which the
-// one with the shorter incidence row is scanned.  Vertex 0 is a hub of
-// 9 hyperedges, 1 is in 3 and 2 in 2.  A maximal f costs two passes
-// over the scanned row, and a test that finds its container at
-// position k of the scanned row costs the row plus k + 1.  In the first
-// two cases, scanning the hub, as the first two alive members did,
-// would cost 18 and 10, and in the first scanning 1, the lighter of
-// the first two, 6.
+// one with the shorter incidence row is scanned and the other one's
+// row stamped.  Vertex 0 is a hub of 9 hyperedges, 1 is in 3 and 2 in
+// 2.  A maximal f costs both witness rows, and a test that finds its
+// container at position k of the scanned row costs the stamped row
+// plus k + 1.  In the first case the first two alive members, 0 and
+// 1, would cost 9 + 3 = 12; in the second, scanning the hub and
+// stamping 2's row would cost 2 + 1 = 3.
 func TestDetectorWitnessRule(t *testing.T) {
 	rows := [][]int32{{0, 1, 2}, {0, 2}}
 	for i := int32(0); i < 7; i++ {
@@ -141,13 +141,13 @@ func TestDetectorWitnessRule(t *testing.T) {
 	}{
 		// Witnesses 0 and 2: 2's row [0 1] is scanned; {0, 2} is
 		// smaller than f, so f is maximal.
-		{"hub first, light last", 0, false, false, 4},
+		{"hub first, light last", 0, false, false, 11},
 		// d(f) = 2, witnesses 0 and 2: f's container {0, 1, 2} heads
 		// 2's row, and the witnesses decide.
-		{"d(f) = 2, hub first", 1, false, true, 3},
+		{"d(f) = 2, hub first", 1, false, true, 10},
 		// With 2 dead the last alive member is 1, whose row [0 9 10]
 		// is scanned; d(f) = 2 and no other hyperedge holds 0 and 1.
-		{"the last alive member", 0, true, false, 6},
+		{"the last alive member", 0, true, false, 12},
 	} {
 		s := &Snapshot{C: c, VAlive: make([]bool, c.NumVertices()), EDeg: make([]int32, c.NumEdges()), Sig: Signatures(c)}
 		for v := range s.VAlive {

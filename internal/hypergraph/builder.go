@@ -28,9 +28,13 @@ var maxPins = math.MaxInt32
 type Builder struct {
 	vertices, edges arena
 	// The members of hyperedge f are pins[eOff[f]:eOff[f+1]]; eOff is
-	// nil until the first hyperedge.
+	// nil until the first hyperedge.  ReadTextRowsCtx drops each row
+	// and its offset once it has handed the row out.
 	pins []int32
 	eOff []int32
+	// npins counts the pins of every row added so far, which maxPins
+	// bounds.
+	npins int
 	// err is the first fault met while adding, a repeated hyperedge
 	// name, names past the int32 offset bound or pins past maxPins;
 	// Build reports it.
@@ -113,25 +117,26 @@ func (b *Builder) AddEdgeIDs(name string, members []int32) int {
 
 // endEdge sorts and compacts the member row appended since start and
 // records it as a hyperedge with the given name, whose maphash is h,
-// returning its ID.  The row ends its predecessor's offset plus its
-// length on, so the offsets stay cumulative when ReadTextRowsCtx drops
-// each row after handing it out.  A row that carries the pins past
-// maxPins is recorded as the builder's fault.
+// returning its ID.  The running pin count, not the offsets, carries
+// the maxPins check, so it holds when ReadTextRowsCtx drops the
+// offsets: a row that carries the pins past maxPins is recorded as the
+// builder's fault.
 func endEdge[K string | []byte](b *Builder, name K, h uint64, start int) int {
 	row := b.pins[start:]
 	slices.Sort(row)
 	n := len(slices.Compact(row))
 	b.pins = b.pins[:start+n]
+	b.npins += n
+	if b.npins > maxPins {
+		b.fail(fmt.Errorf("%w: %d pins", ErrPinSpace, b.npins))
+	}
 	if b.eOff == nil {
 		b.eOff = []int32{0}
 	}
-	end := int(b.eOff[len(b.eOff)-1]) + n
-	if end > maxPins {
-		b.fail(fmt.Errorf("%w: %d pins", ErrPinSpace, end))
-	}
-	b.eOff = append(b.eOff, int32(end))
+	b.eOff = append(b.eOff, int32(b.npins))
+	f := b.NumEdges()
 	addEdgeName(b, name, h)
-	return b.NumEdges() - 1
+	return f
 }
 
 // addEdgeName interns the name of the hyperedge just added, whose
@@ -163,8 +168,9 @@ func (b *Builder) footprint() int64 {
 // NumVertices reports the number of vertices added so far.
 func (b *Builder) NumVertices() int { return len(b.vertices.ends) }
 
-// NumEdges reports the number of hyperedges added so far.
-func (b *Builder) NumEdges() int { return max(len(b.eOff)-1, 0) }
+// NumEdges reports the number of hyperedges added so far: every one
+// stores its name, empty or not.
+func (b *Builder) NumEdges() int { return len(b.edges.ends) }
 
 // Build produces the immutable Hypergraph.  Hyperedge names must be
 // unique when non-empty; vertex names are unique by construction.  The

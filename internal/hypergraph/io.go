@@ -93,10 +93,12 @@ func ReadTextRows(r io.Reader, row func(members []int32) error) (vNames, eNames 
 // returns both sides' names in ID order.  The IDs, the names and every
 // error are ReadTextCtx's; row must not retain its argument, and an
 // error from row stops the read and is returned.  What stays resident
-// is the builder's name tables and one offset per hyperedge, O(|V|+|F|),
-// and that is what it charges against the budget's allocation estimate
-// as it grows, in place of the input bytes ReadTextCtx charges: a
-// MaxAlloc budget bounds resident memory, not input size.
+// is the builder's name tables with their indexes, O(|V|+|F|) plus the
+// names' bytes, and the row being handed out; one running pin count
+// carries ReadTextCtx's ErrPinSpace check.  That footprint is what it
+// charges against the budget's allocation estimate as it grows, in
+// place of the input bytes ReadTextCtx charges: a MaxAlloc budget
+// bounds resident memory, not input size.
 func ReadTextRowsCtx(ctx context.Context, r io.Reader, row func(members []int32) error) (vNames, eNames []string, err error) {
 	meter := run.MeterFrom(ctx)
 	b := NewBuilder()
@@ -123,7 +125,7 @@ func ReadTextRowsCtx(ctx context.Context, r io.Reader, row func(members []int32)
 				return err
 			}
 			err := row(b.pins)
-			b.pins = b.pins[:0]
+			b.pins, b.eOff = b.pins[:0], b.eOff[:0]
 			return err
 		},
 	})
