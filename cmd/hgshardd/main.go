@@ -23,7 +23,6 @@ import (
 	"log"
 	"net"
 	"os"
-	"time"
 
 	"hyperplex/internal/cli"
 	"hyperplex/internal/dist"
@@ -43,7 +42,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	fs.SetOutput(stdout)
 	connect := fs.String("connect", "", "coordinator address to dial (required)")
 	id := fs.Int("id", 0, "worker slot assigned by the coordinator")
-	heartbeat := fs.Duration("heartbeat", 100*time.Millisecond, "liveness beacon interval")
+	heartbeat := fs.Duration("heartbeat", dist.DefaultHeartbeatInterval, "liveness beacon interval")
 	timeout := fs.Duration("timeout", 0, "abort if serving exceeds this duration (0 = no limit)")
 	if err := fs.Parse(args); err != nil {
 		return err

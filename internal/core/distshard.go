@@ -36,23 +36,16 @@ import (
 // test's op count included, with run.Tick, so both drivers keep
 // budgets and cancellation.
 //
-// Fault tolerance hangs off two snapshot layers:
-//
-//   - ShardSnapshot is the wire-serializable barrier state of a single
-//     shardPeel (owned degrees, alive count, pending dying edges); the
-//     coordinator collects one per shard at every barrier and replays
-//     it onto a surviving worker when the owner dies.
-//   - PeelCheckpoint is a worker-local deep copy of the whole replica
-//     (mirrors plus every owned ShardSnapshot); survivors restore it on
-//     rollback so the round replays from the last completed barrier.
-//     Checkpoint writes into the buffers of a checkpoint the caller no
-//     longer needs, so a worker that keeps a spare allocates nothing
-//     per barrier.
-//
-// Everything else — the bucket order, the shrink stamps, the shrunk
-// lists — is reconstructed from those snapshots plus the mirrors, so a
+// Fault tolerance keeps no copy of a replica.  The peel only ever
+// retires hyperedges and vertices, and every degree it keeps counts
+// what is still alive, so a replica at a barrier is fixed by two sets:
+// the hyperedges the committed rounds killed and the vertices they
+// retired.  Restore rebuilds a replica from those two logs, which the
+// driver keeps: it resets the mirrors, marks the logged IDs, recounts
+// every degree and lays each shard's bucket order out anew, and the
+// driver replays from the committed dying union it holds, so the
 // restored replica continues bit-identically (distshard_test.go pins
-// this).
+// this at every barrier).
 
 // checkEvery bounds the containment-test operations a phase performs
 // between two cancellation/budget checkpoints.
@@ -66,40 +59,6 @@ var (
 	fpBuild = failpoint.Register("csr.build")
 	fpPeel  = failpoint.Register("csr.peel")
 )
-
-// ShardSnapshot is the barrier state of one shard's peel, in wire-ready
-// form: flat int32 arrays, global IDs, no pointers into the arena.
-type ShardSnapshot struct {
-	Shard  int32   // shard index
-	AliveV int32   // alive owned vertices
-	Deg    []int32 // current degree per owned vertex, by owned offset
-	Dying  []int32 // pending dying hyperedges (global IDs), found by the last check phase
-}
-
-// SnapshotError reports a ShardSnapshot that AssignSnapshot rejects
-// because it cannot describe shard Shard at the replica's barrier.
-// Field names the offending ShardSnapshot field.
-type SnapshotError struct {
-	Shard int32
-	Field string // "Shard", "AliveV", "Deg" or "Dying"
-	Msg   string
-}
-
-func (e *SnapshotError) Error() string {
-	return fmt.Sprintf("core: dist shard %d snapshot: %s %s", e.Shard, e.Field, e.Msg)
-}
-
-// PeelCheckpoint is a worker-local deep copy of a DistPeeler at a
-// barrier: the global mirrors plus a ShardSnapshot per owned shard.
-type PeelCheckpoint struct {
-	vAlive []bool
-	eAlive []bool
-	eDeg   []int32
-	// Shards holds the barrier snapshot of every owned shard, in shard
-	// order: the state a Barrier frame carries.  The next Checkpoint
-	// into this checkpoint overwrites them.
-	Shards []*ShardSnapshot
-}
 
 // shardPeel is one shard's peel state: a single int32 arena carved
 // into the degree array, the bucket order and the shrunk and dying
@@ -198,13 +157,8 @@ func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPee
 		dyingDelta:   make([]int32, 0, ne),
 	}
 	w.snap = csr.Snapshot{C: c, VAlive: w.vAlive, EDeg: w.eDeg, Sig: csr.Signatures(c)}
-	for v := 0; v < nv; v++ {
-		w.vAlive[v] = true
-	}
-	for f := 0; f < ne; f++ {
-		w.eAlive[f] = true
-		w.eDeg[f] = int32(h.EdgeDegree(f))
-	}
+	// Empty logs name no ID, so the reset cannot fail.
+	_ = w.reset(nil, nil)
 	return w
 }
 
@@ -215,7 +169,7 @@ func (w *DistPeeler) NumShards() int { return w.part.NumShards() }
 // arena of 3n + maxDeg + 1 + 2·|owned edges| int32s: degrees, the
 // bucket order (vert, pos and a block start per possible degree) and
 // the work lists.  The caller fills the degrees and lays the order
-// out (fresh assign or snapshot restore).
+// out (AssignFresh or Restore).
 func (w *DistPeeler) newShard(s int) *shardPeel {
 	sh := &w.part.Shards[s]
 	n := sh.Count
@@ -284,8 +238,8 @@ func (w *DistPeeler) layout(p *shardPeel) {
 // laid out over those degrees, and runs the round-0 reduction over its
 // owned hyperedges: empty, initially non-maximal and undersized
 // hyperedges become the shard's pending dying list and die at
-// coreness 0.  Snapshot(s) then returns the shard's first barrier
-// state.
+// coreness 0.  PendingDying then returns them with the other owned
+// shards' lists: the dying delta of barrier (0, 0).
 func (w *DistPeeler) AssignFresh(ctx context.Context, s int) error {
 	sh := &w.part.Shards[s]
 	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(sh.Count)+int64(len(sh.Edges))+1); err != nil {
@@ -304,67 +258,6 @@ func (w *DistPeeler) AssignFresh(ctx context.Context, s int) error {
 	return w.testEdges(ctx, p, sh.Edges)
 }
 
-// AssignSnapshot assigns shard s to this replica, restored from a
-// barrier snapshot: degrees come from the snapshot, the bucket order is
-// laid out anew over them and the mirrors' liveness once the checks
-// below have passed (its counting sort indexes a block start by
-// degree), and the pending dying list is copied.  The global mirrors must
-// already be at the same barrier, and the snapshot must agree with
-// them: a *SnapshotError rejects a wrong shard index, a degree array
-// of the wrong length, an alive count other than the mirrors' over the
-// owned block, a degree outside [0, static degree] (or, for an alive
-// vertex, other than its count of alive hyperedges), and a dying
-// hyperedge the shard does not own, that the mirrors have already
-// retired, or that the list repeats.
-func (w *DistPeeler) AssignSnapshot(sn *ShardSnapshot) error {
-	s := int(sn.Shard)
-	if s < 0 || s >= len(w.shards) {
-		return &SnapshotError{Shard: sn.Shard, Field: "Shard", Msg: fmt.Sprintf("is not one of %d shards", len(w.shards))}
-	}
-	p := w.newShard(s)
-	if len(sn.Deg) != int(p.n) {
-		return &SnapshotError{Shard: sn.Shard, Field: "Deg", Msg: fmt.Sprintf("has %d entries, want %d", len(sn.Deg), p.n)}
-	}
-	alive := int32(0)
-	for j := int32(0); j < p.n; j++ {
-		v := p.lo + j
-		d := sn.Deg[j]
-		if d < 0 || d > w.c.VertexDegree(v) {
-			return &SnapshotError{Shard: sn.Shard, Field: "Deg", Msg: fmt.Sprintf("[%d] = %d is outside [0, %d]", j, d, w.c.VertexDegree(v))}
-		}
-		if !w.vAlive[v] {
-			continue
-		}
-		alive++
-		if live := w.aliveDegree(v); d != live {
-			return &SnapshotError{Shard: sn.Shard, Field: "Deg", Msg: fmt.Sprintf("[%d] = %d, but alive vertex %d has %d alive hyperedges", j, d, v, live)}
-		}
-	}
-	if sn.AliveV != alive {
-		return &SnapshotError{Shard: sn.Shard, Field: "AliveV", Msg: fmt.Sprintf("= %d, but the mirrors hold %d alive owned vertices", sn.AliveV, alive)}
-	}
-	copy(p.deg, sn.Deg)
-	p.aliveV = int(alive)
-	w.layout(p)
-	// A fresh stamp generation marks the listed hyperedges, so a repeat
-	// is caught; the next retire phase advances past it.
-	w.round++
-	for _, g := range sn.Dying {
-		switch {
-		case g < 0 || int(g) >= len(w.eAlive) || w.part.EdgeOwner[g] != int32(s):
-			return &SnapshotError{Shard: sn.Shard, Field: "Dying", Msg: fmt.Sprintf("hyperedge %d is not owned by the shard", g)}
-		case !w.eAlive[g]:
-			return &SnapshotError{Shard: sn.Shard, Field: "Dying", Msg: fmt.Sprintf("hyperedge %d is already retired", g)}
-		case w.stamp[g] == w.round:
-			return &SnapshotError{Shard: sn.Shard, Field: "Dying", Msg: fmt.Sprintf("hyperedge %d is listed twice", g)}
-		}
-		w.stamp[g] = w.round
-		p.dying = append(p.dying, g)
-	}
-	w.shards[s] = p
-	return nil
-}
-
 // aliveDegree counts the alive hyperedges of vertex v in the mirrors:
 // the degree an alive vertex carries at every barrier.
 func (w *DistPeeler) aliveDegree(v int32) int32 {
@@ -377,27 +270,10 @@ func (w *DistPeeler) aliveDegree(v int32) int32 {
 	return d
 }
 
-// Snapshot captures owned shard s's barrier state.
-func (w *DistPeeler) Snapshot(s int) *ShardSnapshot {
-	sn := &ShardSnapshot{}
-	w.snapshotInto(sn, s)
-	return sn
-}
-
-// snapshotInto writes owned shard s's barrier state into sn, reusing
-// its Deg and Dying buffers.
-func (w *DistPeeler) snapshotInto(sn *ShardSnapshot, s int) {
-	p := w.shards[s]
-	sn.Shard = int32(s)
-	sn.AliveV = int32(p.aliveV)
-	sn.Deg = append(sn.Deg[:0], p.deg...)
-	sn.Dying = append(sn.Dying[:0], p.dying...)
-}
-
-// pendingDying collects every owned shard's pending dying hyperedges,
-// as global IDs, into the dying buffer: the dying delta of the next
-// round when this replica owns every shard.
-func (w *DistPeeler) pendingDying() []int32 {
+// PendingDying collects every owned shard's pending dying hyperedges,
+// as global IDs, into a buffer the next call or Shrink reuses: this
+// replica's part of the next round's dying delta.
+func (w *DistPeeler) PendingDying() []int32 {
 	w.dyingDelta = w.dyingDelta[:0]
 	for _, p := range w.shards {
 		if p != nil {
@@ -510,9 +386,8 @@ func (w *DistPeeler) Apply(ctx context.Context, k int, dying []int32) (retired [
 // those hyperedges record first-shrink stamps, and every owned
 // hyperedge that shrank is re-checked for emptiness, non-maximality or
 // falling below minSize, refilling each shard's pending dying list.
-// Checkpoint and Snapshot read those lists; Shrink returns them, in a
-// buffer the next Shrink reuses, as the next round's dying delta when
-// this replica owns every shard.
+// Shrink returns them as PendingDying does: the next round's dying
+// delta when this replica owns every shard.
 //
 //hyperplexvet:hotpath
 func (w *DistPeeler) Shrink(ctx context.Context, _ int, retired []int32) ([]int32, error) {
@@ -563,7 +438,7 @@ func (w *DistPeeler) Shrink(ctx context.Context, _ int, retired []int32) ([]int3
 		}
 		p.shrunk = p.shrunk[:0]
 	}
-	return w.pendingDying(), nil
+	return w.PendingDying(), nil
 }
 
 // Resume reports err as final: a replica keeps no barrier to replay
@@ -591,48 +466,85 @@ func (w *DistPeeler) stopAt(ctx context.Context, d *Decomposition) error {
 	return run.Tick(ctx, run.MeterFrom(ctx), int64(n))
 }
 
-// Checkpoint deep-copies the replica at a barrier into dst and returns
-// it: mirrors plus one ShardSnapshot per owned shard.  dst's buffers
-// are overwritten and reused wherever they are large enough, so dst
-// must be a checkpoint the caller will not restore again; a nil dst
-// allocates a fresh one.  Restore brings the replica back to exactly
-// this state.
-func (w *DistPeeler) Checkpoint(dst *PeelCheckpoint) *PeelCheckpoint {
-	if dst == nil {
-		dst = &PeelCheckpoint{}
+// Restore resets the replica to a committed barrier of the round
+// schedule, given by the driver's two logs: dead, every hyperedge the
+// committed rounds killed, and retired, every vertex they retired.
+// Everything else is alive, every alive hyperedge's degree and every
+// alive owned vertex's degree are recounted over what is alive, and
+// shards names the shards the replica owns from now on, each with its
+// bucket order laid out anew and no pending dying list: the driver
+// replays from the committed dying union it keeps.  Empty logs and no
+// shards return the replica to its initial state.  The lists arrive
+// off the wire, so an ID outside the hypergraph or a shard outside the
+// partition is an error, after which the replica must be restored
+// again.  Restore charges its work up front, with every pin counted
+// once as a bound on the incidence rows the recount reads.
+func (w *DistPeeler) Restore(ctx context.Context, dead, retired, shards []int32) error {
+	work := int64(len(w.vAlive)+len(w.eAlive)+len(dead)+len(retired)+len(shards)) + int64(w.c.NumPins())
+	if err := run.Tick(ctx, run.MeterFrom(ctx), work+1); err != nil {
+		return err
 	}
-	dst.vAlive = append(dst.vAlive[:0], w.vAlive...)
-	dst.eAlive = append(dst.eAlive[:0], w.eAlive...)
-	dst.eDeg = append(dst.eDeg[:0], w.eDeg...)
-	n := 0
-	for s, p := range w.shards {
-		if p == nil {
-			continue
-		}
-		if n == len(dst.Shards) {
-			dst.Shards = append(dst.Shards, &ShardSnapshot{})
-		}
-		w.snapshotInto(dst.Shards[n], s)
-		n++
+	if err := w.reset(dead, retired); err != nil {
+		return err
 	}
-	dst.Shards = dst.Shards[:n]
-	return dst
+	clear(w.shards)
+	for _, s := range shards {
+		if s < 0 || int(s) >= len(w.shards) {
+			return fmt.Errorf("core: restore: shard %d is not one of %d", s, len(w.shards))
+		}
+		p := w.newShard(int(s))
+		for j := int32(0); j < p.n; j++ {
+			if w.vAlive[p.lo+j] {
+				p.deg[j] = w.aliveDegree(p.lo + j)
+				p.aliveV++
+			}
+		}
+		w.layout(p)
+		w.shards[s] = p
+	}
+	return nil
 }
 
-// Restore rolls the replica back to a checkpoint taken on this
-// replica: mirrors are copied back and every owned shardPeel is
-// rebuilt from its barrier snapshot, so the continuation is
-// bit-identical to a run that never left the barrier.
-func (w *DistPeeler) Restore(cp *PeelCheckpoint) error {
-	copy(w.vAlive, cp.vAlive)
-	copy(w.eAlive, cp.eAlive)
-	copy(w.eDeg, cp.eDeg)
-	for s := range w.shards {
-		w.shards[s] = nil
+// reset sets the mirrors to the state the two logs give: every
+// hyperedge of dead and every vertex of retired retired, everything
+// else alive, and every alive hyperedge's degree its count of alive
+// members.  An ID outside the hypergraph is an error.
+func (w *DistPeeler) reset(dead, retired []int32) error {
+	for v := range w.vAlive {
+		w.vAlive[v] = true
 	}
-	for _, sn := range cp.Shards {
-		if err := w.AssignSnapshot(sn); err != nil {
-			return err
+	for f := range w.eAlive {
+		w.eAlive[f] = true
+	}
+	for _, g := range dead {
+		if g < 0 || int(g) >= len(w.eAlive) {
+			return fmt.Errorf("core: restore: hyperedge %d is outside [0, %d)", g, len(w.eAlive))
+		}
+		w.eAlive[g] = false
+	}
+	for _, v := range retired {
+		if v < 0 || int(v) >= len(w.vAlive) {
+			return fmt.Errorf("core: restore: vertex %d is outside [0, %d)", v, len(w.vAlive))
+		}
+		w.vAlive[v] = false
+	}
+	// An alive hyperedge's degree is its static degree less its retired
+	// members, so a fresh replica's recount reads no incidence row.
+	for f, alive := range w.eAlive {
+		w.eDeg[f] = 0
+		if alive {
+			w.eDeg[f] = w.c.EdgeDegree(int32(f))
+		}
+	}
+	//hyperplexvet:ignore budgettick bounded pass over the retired vertices' rows, charged by Restore's Tick; a new replica's reset retires nothing
+	for v, alive := range w.vAlive {
+		if alive {
+			continue
+		}
+		for _, g := range w.c.VertexEdges(int32(v)) {
+			if w.eAlive[g] {
+				w.eDeg[g]--
+			}
 		}
 	}
 	return nil

@@ -19,17 +19,49 @@ import (
 // replicas is a Rounds over DistPeeler replicas that together own every
 // shard: each call goes to every replica, whose votes are summed and
 // whose deltas are joined, as the internal/dist coordinator does over
-// the wire.  barrier, when non-nil, runs after every Shrink with the
-// barrier's (k, round) and may mutate the replicas (the replay tests
-// restore checkpoints from inside it).
+// the wire.  Like the coordinator it logs the dying and the retired
+// delta of every round that reaches its barrier: dead and retired, from
+// which Restore rebuilds a replica.  barrier, when non-nil, runs at
+// barrier (0, 0) and after every Shrink with the barrier's k and the
+// next round's dying delta, and may restore the replicas (the replay
+// tests do).  from, when set, is a barrier to resume at: the first
+// Apply fails and Resume answers with it, as the coordinator's does
+// after a recovery.
 type replicas struct {
 	t       *testing.T
+	part    *partition.Partition
 	ws      []*DistPeeler
 	round   int
-	barrier func(k, round int, ws []*DistPeeler)
+	barrier func(r *replicas, k int, dying []int32)
+	from    *resumePoint
+
+	dead, retired, applied []int32
+}
+
+// resumePoint is a committed barrier: its threshold and the dying
+// delta the round after it applies.
+type resumePoint struct {
+	k     int
+	dying []int32
+}
+
+// errResume fails the first Apply of a run that resumes at a barrier.
+var errResume = errors.New("resume at a committed barrier")
+
+// newReplicas builds nw fresh replicas of h over part, owning no shard.
+func newReplicas(t *testing.T, h *hypergraph.Hypergraph, part *partition.Partition, nw int) *replicas {
+	r := &replicas{t: t, part: part, ws: make([]*DistPeeler, nw)}
+	for i := range r.ws {
+		r.ws[i] = NewDistPeeler(h, part)
+	}
+	return r
 }
 
 func (r *replicas) Apply(ctx context.Context, k int, dying []int32) (retired []int32, alive int, _ error) {
+	if r.from != nil {
+		return nil, 0, errResume
+	}
+	r.applied = dying
 	for _, w := range r.ws {
 		part, a, err := w.Apply(ctx, k, dying)
 		if err != nil {
@@ -52,36 +84,63 @@ func (r *replicas) Shrink(ctx context.Context, k int, retired []int32) ([]int32,
 		bucketOrderExact(r.t, w, k, nil, "after Shrink")
 		dying = append(dying, part...)
 	}
+	r.dead = append(r.dead, r.applied...)
+	r.retired = append(r.retired, retired...)
 	r.round++
 	if r.barrier != nil {
-		r.barrier(k, r.round, r.ws)
+		r.barrier(r, k, dying)
 	}
 	return dying, nil
 }
 
-func (r *replicas) Resume(err error) (int, []int32, error) { return 0, nil, err }
+func (r *replicas) Resume(err error) (int, []int32, error) {
+	if from := r.from; from != nil && errors.Is(err, errResume) {
+		r.from = nil
+		return from.k, from.dying, nil
+	}
+	return 0, nil, err
+}
+
+// restoreFrom restores every replica of r from the logs of src, dealing
+// shard s to replica (s + shift) mod len(r.ws).
+func (r *replicas) restoreFrom(src *replicas, shift int) {
+	r.t.Helper()
+	owned := make([][]int32, len(r.ws))
+	for s := 0; s < r.part.NumShards(); s++ {
+		i := (s + shift) % len(r.ws)
+		owned[i] = append(owned[i], int32(s))
+	}
+	for i, w := range r.ws {
+		if err := w.Restore(context.Background(), src.dead, src.retired, owned[i]); err != nil {
+			r.t.Fatalf("restore replica %d at barrier %d: %v", i, src.round, err)
+		}
+		retiredDegreesZero(r.t, w, "after Restore")
+	}
+	r.dead = append(r.dead[:0], src.dead...)
+	r.retired = append(r.retired[:0], src.retired...)
+	r.round = src.round
+}
 
 // distDriver assigns the shards of h round-robin over nw replicas and
 // runs RunRounds over them from barrier (0, 0), where barrier first
 // fires.
 func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
-	barrier func(k int, round int, workers []*DistPeeler)) *Decomposition {
+	barrier func(r *replicas, k int, dying []int32)) *Decomposition {
 	t.Helper()
 	ctx := context.Background()
-	part := partition.Build(h, partition.NormalizeShards(shards, h.NumVertices()))
-	r := &replicas{t: t, ws: make([]*DistPeeler, nw), barrier: barrier}
-	for i := range r.ws {
-		r.ws[i] = NewDistPeeler(h, part)
-	}
-	var dying []int32
-	for s := 0; s < part.NumShards(); s++ {
+	r := newReplicas(t, h, partition.Build(h, partition.NormalizeShards(shards, h.NumVertices())), nw)
+	r.barrier = barrier
+	for s := 0; s < r.part.NumShards(); s++ {
 		if err := r.ws[s%nw].AssignFresh(ctx, s); err != nil {
 			t.Fatal(err)
 		}
-		dying = append(dying, r.ws[s%nw].Snapshot(s).Dying...)
+	}
+	var dying []int32
+	for _, w := range r.ws {
+		dying = append(dying, w.PendingDying()...)
 	}
 	if barrier != nil {
-		barrier(0, 0, r.ws)
+		barrier(r, 0, dying)
 	}
 	d, err := RunRounds(ctx, r, h, dying, math.MaxInt)
 	if err != nil {
@@ -208,13 +267,13 @@ func TestDistPeelerReplicasAgree(t *testing.T) {
 	h := gen.RandomHypergraph(150, 120, 5, xrand.New(0xA9EE))
 	var workers []*DistPeeler
 	barriers := 0
-	distDriver(t, h, 4, 3, func(k, round int, ws []*DistPeeler) {
-		workers = ws
+	distDriver(t, h, 4, 3, func(r *replicas, k int, _ []int32) {
+		workers = r.ws
 		barriers++
-		for i, w := range ws {
+		for i, w := range r.ws {
 			retiredDegreesZero(t, w, "at a barrier")
-			if !slices.Equal(w.vAlive, ws[0].vAlive) || !slices.Equal(w.eAlive, ws[0].eAlive) || !slices.Equal(w.eDeg, ws[0].eDeg) {
-				t.Fatalf("barrier (%d, %d): replica %d's mirrors differ from replica 0's", k, round, i)
+			if !slices.Equal(w.vAlive, r.ws[0].vAlive) || !slices.Equal(w.eAlive, r.ws[0].eAlive) || !slices.Equal(w.eDeg, r.ws[0].eDeg) {
+				t.Fatalf("barrier (%d, %d): replica %d's mirrors differ from replica 0's", k, r.round, i)
 			}
 		}
 	})
@@ -258,184 +317,183 @@ func scramble(w *DistPeeler) {
 	}
 }
 
-// TestDistPeelerCheckpointReplay is the barrier-replay pin: at a fixed
-// barrier every replica is checkpointed, its state scrambled, then
-// restored — and the restored replica must keep retired hyperedges at
-// degree 0, and the continuation must still produce the exact
-// sequential decomposition.  The reuse arm checkpoints into buffers
-// that already hold another replica's earlier barrier, as a worker's
-// spare slot does.
-func TestDistPeelerCheckpointReplay(t *testing.T) {
-	h := gen.RandomHypergraph(180, 140, 5, xrand.New(0xBEEF))
-	for _, target := range []int{0, 1, 3} {
-		got := distDriver(t, h, 4, 2, func(k, round int, workers []*DistPeeler) {
-			if round != target {
-				return
-			}
-			for _, w := range workers {
-				cp := w.Checkpoint(nil)
-				scramble(w)
-				if err := w.Restore(cp); err != nil {
-					t.Fatalf("restore at barrier %d: %v", round, err)
-				}
-				retiredDegreesZero(t, w, "after Restore")
-			}
-		})
-		sameDecomposition(t, RoundOracle(h, 1), got, "replayed run")
+// sameReplica asserts that replica got, restored at a barrier, holds
+// what the live replica want holds there: the same mirrors, the same
+// shards, and in each the same alive count and the same degree for
+// every alive owned vertex.
+func sameReplica(t *testing.T, want, got *DistPeeler, label string) {
+	t.Helper()
+	if !slices.Equal(got.vAlive, want.vAlive) || !slices.Equal(got.eAlive, want.eAlive) || !slices.Equal(got.eDeg, want.eDeg) {
+		t.Fatalf("%s: the restored mirrors differ from the live ones", label)
 	}
-	for _, target := range []int{1, 3, 6} {
-		bufs := make([]*PeelCheckpoint, 2)
-		got := distDriver(t, h, 5, 2, func(k, round int, workers []*DistPeeler) {
-			// Each replica writes into the buffer the other filled at the
-			// last barrier.  Five shards over two replicas own three and
-			// two, so a reused shard list both grows and shrinks.
-			bufs[0], bufs[1] = bufs[1], bufs[0]
-			for i, w := range workers {
-				bufs[i] = w.Checkpoint(bufs[i])
+	for s, p := range want.shards {
+		q := got.shards[s]
+		if (p == nil) != (q == nil) {
+			t.Fatalf("%s: shard %d owned live %t, restored %t", label, s, p != nil, q != nil)
+		}
+		if p == nil {
+			continue
+		}
+		if q.aliveV != p.aliveV {
+			t.Fatalf("%s: shard %d has %d alive vertices restored, %d live", label, s, q.aliveV, p.aliveV)
+		}
+		for j := int32(0); j < p.n; j++ {
+			if want.vAlive[p.lo+j] && q.deg[j] != p.deg[j] {
+				t.Fatalf("%s: alive vertex %d has degree %d restored, %d live", label, p.lo+j, q.deg[j], p.deg[j])
 			}
-			if round != target {
-				return
-			}
-			for i, w := range workers {
-				scramble(w)
-				if err := w.Restore(bufs[i]); err != nil {
-					t.Fatalf("restore from a reused checkpoint at barrier %d: %v", round, err)
-				}
-				retiredDegreesZero(t, w, "after Restore from a reused checkpoint")
-			}
-		})
-		sameDecomposition(t, RoundOracle(h, 1), got, "run replayed from reused checkpoints")
+		}
 	}
 }
 
-// TestDistPeelerCheckpointAllocs pins the buffer reuse of Checkpoint:
-// checkpointing a replica into an earlier checkpoint of itself at the
-// same barrier allocates nothing.
-func TestDistPeelerCheckpointAllocs(t *testing.T) {
-	h := gen.RandomHypergraph(300, 200, 5, xrand.New(0xC0FE))
-	checked := false
-	distDriver(t, h, 3, 1, func(k, round int, workers []*DistPeeler) {
-		if round != 2 {
-			return
+// TestDistPeelerRestoreReplay is the barrier-replay pin.  At every
+// barrier of a run, a second set of replicas, scrambled, is restored
+// from the run's logs with the live replicas' shards: each must hold
+// what its live twin holds (sameReplica) in an exact bucket order, and
+// the restored set then resumes the run at that barrier, as a dist
+// worker pool does after a recovery, and runs it to the end, where
+// every vertex and hyperedge still alive at the barrier must have
+// Decompose's coreness.  The restored set is reused from barrier to
+// barrier, so each restore starts from where the last continuation
+// ended.  It covers Cellzome, a 2000-protein proteome and a
+// 2000×2000 banded matrix at (shards, replicas) (1, 1), (2, 2), (3, 2)
+// and (4, 3).
+func TestDistPeelerRestoreReplay(t *testing.T) {
+	banded, err := mmio.ToHypergraph(gen.SyntheticMatrix(gen.MatrixSpec{Name: "banded", Rows: 2000, Cols: 2000, Band: 10, BandFill: 0.7, RandomPerRow: 2, Seed: 0xBE}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range []struct {
+		name string
+		h    *hypergraph.Hypergraph
+	}{{"cellzome", dataset.Cellzome().H}, {"proteome", dataset.SyntheticProteome(2000, 300, 5)}, {"banded", banded}} {
+		h, want := inst.h, Decompose(inst.h)
+		for _, cfg := range [][2]int{{1, 1}, {2, 2}, {3, 2}, {4, 3}} {
+			var twin *replicas
+			barriers := 0
+			got := distDriver(t, h, cfg[0], cfg[1], func(r *replicas, k int, dying []int32) {
+				barriers++
+				label := fmt.Sprintf("%s at %d shards over %d replicas, barrier (%d, %d)", inst.name, cfg[0], cfg[1], k, r.round)
+				if twin == nil {
+					twin = newReplicas(t, h, r.part, len(r.ws))
+				}
+				for _, w := range twin.ws {
+					scramble(w)
+				}
+				twin.restoreFrom(r, 0)
+				for i, w := range twin.ws {
+					sameReplica(t, r.ws[i], w, label)
+					bucketOrderExact(t, w, k, nil, label+" after Restore")
+				}
+				twin.from = &resumePoint{k: k, dying: dying}
+				cont, err := RunRounds(context.Background(), twin, h, nil, math.MaxInt)
+				if err != nil {
+					t.Fatalf("%s: continuation: %v", label, err)
+				}
+				// A continuation records the level fixpoints from k on.
+				wantMax := want.MaxK
+				if k > want.MaxK {
+					wantMax = 0
+				}
+				if cont.MaxK != wantMax {
+					t.Fatalf("%s: continuation MaxK = %d, want %d", label, cont.MaxK, wantMax)
+				}
+				live := r.ws[0]
+				for v, alive := range live.vAlive {
+					if alive && cont.VertexCoreness[v] != want.VertexCoreness[v] {
+						t.Fatalf("%s: continuation gives vertex %d coreness %d, want %d", label, v, cont.VertexCoreness[v], want.VertexCoreness[v])
+					}
+				}
+				for f, alive := range live.eAlive {
+					if alive && cont.EdgeCoreness[f] != want.EdgeCoreness[f] {
+						t.Fatalf("%s: continuation gives hyperedge %d coreness %d, want %d", label, f, cont.EdgeCoreness[f], want.EdgeCoreness[f])
+					}
+				}
+			})
+			sameDecomposition(t, want, got, fmt.Sprintf("%s at %d shards over %d replicas", inst.name, cfg[0], cfg[1]))
+			t.Logf("%s at %d shards over %d replicas: %d barriers replayed", inst.name, cfg[0], cfg[1], barriers)
 		}
-		checked = true
-		w := workers[0]
-		cp := w.Checkpoint(nil)
-		if reused := testing.AllocsPerRun(20, func() { cp = w.Checkpoint(cp) }); reused != 0 {
-			t.Errorf("Checkpoint into a reused checkpoint made %v allocations, want 0", reused)
-		}
-	})
-	if !checked {
-		t.Fatal("run finished before barrier 2; enlarge the instance")
 	}
 }
 
-// TestDistPeelerReassignment moves a shard between replicas at a
-// barrier through its wire snapshot — the coordinator's worker-death
-// recovery path — and asserts the continuation is exact.
+// TestDistPeelerReassignment restores the live replicas in place at
+// every barrier, scrambled first, with every shard moved to the next
+// replica, so each replica's shard set changes at every barrier, as
+// when the coordinator hands a dead worker's shards to the survivors,
+// and asserts the run stays exact.  Five shards over two replicas own
+// three and two, so a replica's shard list grows and shrinks.
 func TestDistPeelerReassignment(t *testing.T) {
 	h := gen.RandomHypergraph(180, 140, 5, xrand.New(0xFEED))
-	moved := false
-	got := distDriver(t, h, 5, 2, func(k, round int, workers []*DistPeeler) {
-		if moved || round < 2 {
-			return
+	moves := 0
+	got := distDriver(t, h, 5, 2, func(r *replicas, k int, _ []int32) {
+		for _, w := range r.ws {
+			scramble(w)
 		}
-		moved = true
-		// Move every shard owned by worker 1 onto worker 0, as if
-		// worker 1 died at this barrier and the coordinator replayed
-		// its snapshots onto the survivor.
-		for _, s := range workers[1].Owned() {
-			sn := workers[1].Snapshot(s)
-			workers[1].DropShard(s)
-			if err := workers[0].AssignSnapshot(sn); err != nil {
-				t.Fatalf("reassign shard %d: %v", s, err)
-			}
-		}
+		moves++
+		r.restoreFrom(r, moves)
 	})
-	if !moved {
-		t.Fatal("run finished before the reassignment barrier; enlarge the instance")
+	if moves < 3 {
+		t.Fatalf("%d barriers; enlarge the instance", moves)
 	}
 	sameDecomposition(t, RoundOracle(h, 1), got, "reassigned run")
 }
 
-// TestDistPeelerSnapshotValidation pins the decoder-side defenses of
-// AssignSnapshot: wrong shard index, wrong degree length, an alive
-// count the mirrors do not hold, a degree outside [0, static degree],
-// and a dying edge owned elsewhere, listed twice or already retired in
-// the mirrors are each rejected with a *SnapshotError naming the
-// field, before the snapshot can wedge the coordinator's level loop,
-// index the bucket order's block starts out of range or decrement a
-// degree twice.
-func TestDistPeelerSnapshotValidation(t *testing.T) {
+// TestDistPeelerRestoreValidation pins Restore's defenses against its
+// wire input: a hyperedge or vertex ID outside the hypergraph and a
+// shard outside the partition are each an error, not an index panic.
+// Empty logs and no shards return a used replica to its initial
+// state, a repeated ID changes nothing, and a restore allocates only
+// the two objects of each shard it lays out (TestNewShardSingleArena).
+func TestDistPeelerRestoreValidation(t *testing.T) {
 	ctx := context.Background()
 	h := gen.RandomHypergraph(40, 30, 4, xrand.New(1))
 	part := partition.Build(h, 3)
 	w := NewDistPeeler(h, part)
+	nv, ne := int32(h.NumVertices()), int32(h.NumEdges())
+	for _, bad := range []struct {
+		dead, retired, shards []int32
+		want                  string
+	}{
+		{dead: []int32{0, -1}, want: "core: restore: hyperedge -1 is outside [0, 30)"},
+		{dead: []int32{ne}, want: "core: restore: hyperedge 30 is outside [0, 30)"},
+		{retired: []int32{-1}, want: "core: restore: vertex -1 is outside [0, 40)"},
+		{retired: []int32{nv}, want: "core: restore: vertex 40 is outside [0, 40)"},
+		{shards: []int32{-1}, want: "core: restore: shard -1 is not one of 3"},
+		{shards: []int32{1, 3}, want: "core: restore: shard 3 is not one of 3"},
+	} {
+		if err := w.Restore(ctx, bad.dead, bad.retired, bad.shards); err == nil || err.Error() != bad.want {
+			t.Errorf("Restore(%v, %v, %v): err = %v, want %s", bad.dead, bad.retired, bad.shards, err, bad.want)
+		}
+	}
+
+	fresh := NewDistPeeler(h, part)
 	if err := w.AssignFresh(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	sn := w.Snapshot(1)
-	reject := func(label, field string, bad *ShardSnapshot) {
-		t.Helper()
-		err := w.AssignSnapshot(bad)
-		var se *SnapshotError
-		if !errors.As(err, &se) || se.Field != field {
-			t.Errorf("%s: got %v, want a *SnapshotError on %s", label, err, field)
-		}
+	if _, _, err := w.Apply(ctx, 2, []int32{0, 1}); err != nil {
+		t.Fatal(err)
 	}
-	reject("out-of-range shard index", "Shard", &ShardSnapshot{Shard: 99})
-	bad := sn.Clone()
-	bad.Deg = bad.Deg[:1]
-	reject("truncated degree array", "Deg", bad)
-	bad = sn.Clone()
-	bad.AliveV = 999
-	reject("alive count above the shard's vertices", "AliveV", bad)
-	for _, d := range []int32{-3, 1 << 20} {
-		bad = sn.Clone()
-		bad.Deg[0] = d
-		reject(fmt.Sprintf("degree %d", d), "Deg", bad)
+	if err := w.Restore(ctx, nil, nil, nil); err != nil {
+		t.Fatal(err)
 	}
-	bad = sn.Clone()
-	var foreign int32 = -1
-	for g := int32(0); int(g) < h.NumEdges(); g++ {
-		if part.EdgeOwner[g] != 1 {
-			foreign = g
-			break
-		}
-	}
-	if foreign >= 0 {
-		bad.Dying = append(bad.Dying, foreign)
-		reject("foreign dying edge", "Dying", bad)
-	}
-	if err := w.AssignSnapshot(sn.Clone()); err != nil {
-		t.Errorf("valid snapshot rejected: %v", err)
+	if !slices.Equal(w.vAlive, fresh.vAlive) || !slices.Equal(w.eAlive, fresh.eAlive) || !slices.Equal(w.eDeg, fresh.eDeg) || slices.ContainsFunc(w.shards, func(p *shardPeel) bool { return p != nil }) {
+		t.Error("Restore with empty logs and no shards left the replica off its initial state")
 	}
 
-	// {0,1,2}, {0,1}, {2,3}: hyperedge 1 ⊂ 0 dies at barrier 0.
-	small, err := hypergraph.FromEdgeSets(4, [][]int32{{0, 1, 2}, {0, 1}, {2, 3}})
-	if err != nil {
+	dead, retired, shards := []int32{0, 5}, []int32{1, 2, 3}, []int32{0, 2}
+	ref := NewDistPeeler(h, part)
+	if err := ref.Restore(ctx, dead, retired, shards); err != nil {
 		t.Fatal(err)
 	}
-	w = NewDistPeeler(small, partition.Build(small, 1))
-	if err := w.AssignFresh(ctx, 0); err != nil {
+	if err := w.Restore(ctx, []int32{5, 0, 5}, []int32{3, 1, 2, 1}, []int32{2, 0, 2}); err != nil {
 		t.Fatal(err)
 	}
-	sn = w.Snapshot(0)
-	if len(sn.Dying) != 1 || sn.Dying[0] != 1 {
-		t.Fatalf("barrier 0 dying list %v, want [1]", sn.Dying)
-	}
-	bad = sn.Clone()
-	bad.Dying = append(bad.Dying, 1)
-	reject("dying edge listed twice", "Dying", bad)
-	if _, _, err := w.Apply(ctx, 1, sn.Dying); err != nil {
-		t.Fatal(err)
-	}
-	sn = w.Snapshot(0)
-	bad = sn.Clone()
-	bad.Dying = append(bad.Dying, 1)
-	reject("dying edge already retired", "Dying", bad)
-	if err := w.AssignSnapshot(sn.Clone()); err != nil {
-		t.Errorf("valid snapshot after the barrier rejected: %v", err)
+	sameReplica(t, ref, w, "logs with repeats")
+	if a := testing.AllocsPerRun(20, func() {
+		if err := w.Restore(ctx, dead, retired, shards); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 2*float64(len(shards)) {
+		t.Errorf("Restore of %d shards made %v allocations, want %d", len(shards), a, 2*len(shards))
 	}
 }
 

@@ -117,7 +117,7 @@ func (w *DistPeeler) peel(ctx context.Context, h *hypergraph.Hypergraph, kmax in
 			return nil, err
 		}
 	}
-	d, err := RunRounds(ctx, w, h, w.pendingDying(), kmax)
+	d, err := RunRounds(ctx, w, h, w.PendingDying(), kmax)
 	if err == nil && d.MaxK >= kmax {
 		err = w.stopAt(ctx, d)
 	}

@@ -86,28 +86,28 @@ type coordinator struct {
 	epoch uint32
 	owner []int // shard → worker id
 
-	// Last committed barrier: per-shard snapshots, the pending dying
-	// union, and its (k, round) tag.  This is the replay point.
-	snaps       []*core.ShardSnapshot
-	dying       []int32
-	barK        int32
-	barRound    int32
-	haveBarrier bool
+	// The replay point: the last committed barrier's (k, round) tag and
+	// dying union, which the round after it applies, and the logs of
+	// the committed rounds' deltas, every hyperedge they killed and
+	// every vertex they retired, from which a recovery rebuilds the
+	// survivors' replicas.
+	dying               []int32
+	deadLog, retiredLog []int32
+	barK                int32
+	barRound            int32
+	haveBarrier         bool
 
-	// The barrier before the committed one, which no replay names any
-	// more: the next barrier's snapshots are decoded into its per-shard
-	// snapshots and its dying union built in its buffer, and commit
-	// swaps them with snaps and dying.
-	spareSnaps []*core.ShardSnapshot
+	// spareDying is the buffer the next barrier's votes build their
+	// dying union in; commit swaps it with dying, so a collection cut
+	// short by a death leaves the replay point intact.
 	spareDying []int32
 
 	// Reused across rounds: out holds every frame the coordinator sends
-	// except Load; vote and bar are the decode targets of Frontier and
-	// Barrier replies; retired gathers the round's retired delta off
-	// the votes; timer times every await.
+	// except Load; vote is the decode target of the Frontier and Barrier
+	// votes; retired gathers the round's retired delta off the votes;
+	// timer times every await.
 	out     []byte
 	vote    msgRound
-	bar     msgBarrier
 	retired []int32
 	timer   *time.Timer
 
@@ -159,11 +159,9 @@ func (c *coordinator) setup() error {
 	c.part = part
 	c.owner = make([]int, part.NumShards())
 	c.seen = make([]int32, max(len(part.VertexOwner), len(part.EdgeOwner)))
-	c.snaps = make([]*core.ShardSnapshot, part.NumShards())
-	c.spareSnaps = make([]*core.ShardSnapshot, part.NumShards())
-	for s := range c.spareSnaps {
-		c.snaps[s], c.spareSnaps[s] = &core.ShardSnapshot{}, &core.ShardSnapshot{}
-	}
+	// Each hyperedge dies and each vertex retires in one committed round.
+	c.deadLog = make([]int32, 0, c.h.NumEdges())
+	c.retiredLog = make([]int32, 0, c.h.NumVertices())
 
 	ln, err := net.Listen("tcp", c.opts.Listen)
 	if err != nil {
@@ -489,8 +487,9 @@ func (c *coordinator) await(rw *remoteWorker, want byte) ([]byte, error) {
 	}
 }
 
-// initialAssign distributes every shard fresh, round-robin over the
-// live pool, and commits barrier (0, 0) from the returned snapshots.
+// initialAssign resets every live worker with an Assign that deals it
+// its shards fresh, round-robin over the live pool, and commits barrier
+// (0, 0) from the dying hyperedges their votes carry.
 func (c *coordinator) initialAssign() error {
 	alive := c.aliveWorkers()
 	if len(alive) == 0 {
@@ -503,11 +502,8 @@ func (c *coordinator) initialAssign() error {
 		fresh[rw.id] = append(fresh[rw.id], int32(s))
 	}
 	for _, rw := range alive {
-		m := msgAssign{Epoch: c.epoch, K: 0, Round: 0, Fresh: fresh[rw.id]}
-		c.out = m.encode(c.out)
-		if err := sendRetry(c.ctx, rw.conn, mAssign, c.out, sendRetries); err != nil {
-			c.kill(rw)
-			return errWorkerLost
+		if err := c.sendAssign(rw, &msgAssign{Epoch: c.epoch, Fresh: fresh[rw.id]}); err != nil {
+			return err
 		}
 	}
 	c.spareDying = c.spareDying[:0]
@@ -523,58 +519,57 @@ func (c *coordinator) initialAssign() error {
 		}
 	}
 	c.haveBarrier = true
-	c.commit(0, 0)
+	c.commit(0, 0, nil)
 	return nil
 }
 
-// awaitBarrier awaits rw's Barrier frame for (k, round).  The frame
-// must list the snapshots of exactly the shards rw owns, in shard
-// order, each naming only dying hyperedges its shard owns, none twice,
-// and each is decoded into its shard's spare snapshot; their dying
-// lists are added to the spare dying union.
-func (c *coordinator) awaitBarrier(rw *remoteWorker, k, round int32) error {
-	c.bar.Snaps = c.bar.Snaps[:0]
-	for s, id := range c.owner {
-		if id == rw.id {
-			c.bar.Snaps = append(c.bar.Snaps, c.spareSnaps[s])
-		}
+// sendAssign sends rw an Assign frame; a failed send kills rw.
+func (c *coordinator) sendAssign(rw *remoteWorker, m *msgAssign) error {
+	c.out = m.encode(c.out)
+	if err := sendRetry(c.ctx, rw.conn, mAssign, c.out, sendRetries); err != nil {
+		c.kill(rw)
+		return errWorkerLost
 	}
-	owned := len(c.bar.Snaps)
-	if err := c.awaitDecode(rw, mBarrier, &c.bar); err != nil {
+	return nil
+}
+
+// awaitVote awaits rw's vote of type want for round (k, round), decodes
+// it into c.vote and checks the IDs it names against owner, the
+// partition's vertex or hyperedge owners: each must lie in
+// [0, len(owner)) in a shard rw owns, named once.  RunRounds indexes
+// the coreness arrays with them and the next broadcast hands them to
+// every worker, so a vote with any other ID or a repeat kills rw.
+func (c *coordinator) awaitVote(rw *remoteWorker, want byte, k, round int32, owner []int32, what string) error {
+	if err := c.awaitDecode(rw, want, &c.vote); err != nil {
 		return err
 	}
-	if c.bar.K != k || c.bar.Round != round {
+	if c.vote.K != k || c.vote.Round != round {
 		c.kill(rw)
-		return fmt.Errorf("%w: worker %d voted barrier (%d,%d), want (%d,%d)", errWorkerLost, rw.id, c.bar.K, c.bar.Round, k, round)
+		return fmt.Errorf("%w: worker %d voted at (%d,%d), want (%d,%d)", errWorkerLost, rw.id, c.vote.K, c.vote.Round, k, round)
 	}
-	if len(c.bar.Snaps) != owned {
-		c.kill(rw)
-		return fmt.Errorf("%w: worker %d voted %d snapshots for the %d shards it owns", errWorkerLost, rw.id, len(c.bar.Snaps), owned)
-	}
-	//hyperplexvet:ignore budgettick bounded validation pass over one decoded frame; kill runs on the error path only
-	for _, sn := range c.bar.Snaps {
-		// Snapshot i was decoded into the spare of the i-th owned
-		// shard, so it names its own shard exactly when it is that
-		// shard's spare.
-		if sn.Shard < 0 || int(sn.Shard) >= len(c.spareSnaps) || c.spareSnaps[sn.Shard] != sn {
+	gen := c.newGen()
+	//hyperplexvet:ignore budgettick bounded validation pass over one decoded vote; kill runs on the error path only
+	for _, id := range c.vote.IDs {
+		if id < 0 || int(id) >= len(owner) || c.owner[owner[id]] != rw.id {
 			c.kill(rw)
-			return fmt.Errorf("%w: worker %d voted a snapshot for shard %d out of the order of the shards it owns", errWorkerLost, rw.id, sn.Shard)
+			return fmt.Errorf("%w: worker %d voted %s %d, which no shard it owns holds", errWorkerLost, rw.id, what, id)
 		}
-		gen := c.newGen()
-		//hyperplexvet:ignore budgettick bounded validation pass over one decoded frame; kill runs on the error path only
-		for _, g := range sn.Dying {
-			if g < 0 || int(g) >= len(c.part.EdgeOwner) || c.part.EdgeOwner[g] != sn.Shard {
-				c.kill(rw)
-				return fmt.Errorf("%w: worker %d voted dying hyperedge %d, which shard %d does not own", errWorkerLost, rw.id, g, sn.Shard)
-			}
-			if c.seen[g] == gen {
-				c.kill(rw)
-				return fmt.Errorf("%w: worker %d voted dying hyperedge %d twice", errWorkerLost, rw.id, g)
-			}
-			c.seen[g] = gen
+		if c.seen[id] == gen {
+			c.kill(rw)
+			return fmt.Errorf("%w: worker %d voted %s %d twice", errWorkerLost, rw.id, what, id)
 		}
-		c.spareDying = append(c.spareDying, sn.Dying...)
+		c.seen[id] = gen
 	}
+	return nil
+}
+
+// awaitBarrier awaits rw's Barrier vote for (k, round) and adds the
+// dying hyperedges it names to the spare dying union.
+func (c *coordinator) awaitBarrier(rw *remoteWorker, k, round int32) error {
+	if err := c.awaitVote(rw, mBarrier, k, round, c.part.EdgeOwner, "dying hyperedge"); err != nil {
+		return err
+	}
+	c.spareDying = append(c.spareDying, c.vote.IDs...)
 	return nil
 }
 
@@ -612,20 +607,8 @@ func (c *coordinator) Apply(ctx context.Context, k int, dying []int32) (retired 
 		if !rw.alive() {
 			continue
 		}
-		if err := c.awaitDecode(rw, mFrontier, &c.vote); err != nil {
+		if err := c.awaitVote(rw, mFrontier, int32(k), c.barRound, c.part.VertexOwner, "retired vertex"); err != nil {
 			return nil, 0, err
-		}
-		gen := c.newGen()
-		for _, v := range c.vote.IDs {
-			if v < 0 || int(v) >= len(c.part.VertexOwner) || c.owner[c.part.VertexOwner[v]] != rw.id {
-				c.kill(rw)
-				return nil, 0, fmt.Errorf("%w: worker %d voted to retire vertex %d, which no shard it owns holds", errWorkerLost, rw.id, v)
-			}
-			if c.seen[v] == gen {
-				c.kill(rw)
-				return nil, 0, fmt.Errorf("%w: worker %d voted to retire vertex %d twice", errWorkerLost, rw.id, v)
-			}
-			c.seen[v] = gen
 		}
 		alive += int(c.vote.Alive)
 		c.retired = append(c.retired, c.vote.IDs...)
@@ -646,9 +629,9 @@ func (c *coordinator) newGen() int32 {
 }
 
 // Shrink broadcasts the retired delta of the round at threshold k,
-// collects every worker's barrier vote and commits the barrier: its
-// shard snapshots and the union of their dying lists become the replay
-// point, and the union is the next round's dying delta.
+// collects every worker's Barrier vote and commits the barrier: the
+// union of the votes' dying hyperedges becomes the replay point and
+// the next round's dying delta.
 func (c *coordinator) Shrink(_ context.Context, k int, retired []int32) ([]int32, error) {
 	newRound := c.barRound + 1
 	shrink := msgRound{Epoch: c.epoch, K: int32(k), Round: newRound, IDs: retired}
@@ -665,15 +648,18 @@ func (c *coordinator) Shrink(_ context.Context, k int, retired []int32) ([]int32
 			return nil, err
 		}
 	}
-	c.commit(int32(k), newRound)
+	c.commit(int32(k), newRound, retired)
 	return c.dying, nil
 }
 
-// commit makes the barrier just collected into the spare snapshots and
-// dying union the committed one, tagged (k, round); the barrier it
-// replaces becomes the spare.
-func (c *coordinator) commit(k, round int32) {
-	c.snaps, c.spareSnaps = c.spareSnaps, c.snaps
+// commit makes the barrier just collected the committed one, tagged
+// (k, round).  The round applied the dying union committed before it,
+// which RunRounds hands every Apply, so that union and the round's
+// retired delta join the logs; the union the votes built in the spare
+// buffer becomes the committed one.
+func (c *coordinator) commit(k, round int32, retired []int32) {
+	c.deadLog = append(c.deadLog, c.dying...)
+	c.retiredLog = append(c.retiredLog, retired...)
 	c.dying, c.spareDying = c.spareDying, c.dying
 	c.barK, c.barRound = k, round
 	c.fireBarrierHook()
@@ -693,10 +679,11 @@ func (c *coordinator) fireBarrierHook() {
 }
 
 // recoverPool is the worker-death recovery: bump the epoch so stale
-// replies are discarded, roll the survivors back to the last committed
-// barrier (or fully reset if none exists yet), and reassign the dead
-// workers' shards from the coordinator-held snapshots, round-robin
-// over survivors.
+// replies are discarded, deal the dead workers' shards round-robin to
+// the survivors, and send every survivor one Assign, with the logs and
+// every shard it now owns, from which it rebuilds its replica at the
+// last committed barrier.  Before barrier (0, 0) commits there are no
+// logs, and the Assign deals the shards fresh as the first one did.
 func (c *coordinator) recoverPool() error {
 	c.recoveries++
 	if c.recoveries > c.opts.MaxRecoveries {
@@ -711,43 +698,27 @@ func (c *coordinator) recoverPool() error {
 	}
 	c.epoch++
 	if !c.haveBarrier {
-		// The pool broke before the first barrier committed: reset the
-		// survivors and redo the initial assignment from scratch.
-		reset := msgRound{Epoch: c.epoch, K: 0, Round: -1}
-		c.out = reset.encode(c.out)
-		if err := c.broadcast(mRollback, c.out); err != nil {
-			return err
-		}
 		return c.initialAssign()
 	}
-	rb := msgRound{Epoch: c.epoch, K: c.barK, Round: c.barRound}
-	c.out = rb.encode(c.out)
-	if err := c.broadcast(mRollback, c.out); err != nil {
-		return err
-	}
-	// Reassign orphaned shards from the barrier snapshots.
-	assign := make(map[int][]*core.ShardSnapshot)
-	for s := 0; s < c.part.NumShards(); s++ {
-		if c.workers[c.owner[s]].alive() {
-			continue
+	for s, id := range c.owner {
+		if !c.workers[id].alive() {
+			c.owner[s] = alive[s%len(alive)].id
 		}
-		rw := alive[s%len(alive)]
-		c.owner[s] = rw.id
-		assign[rw.id] = append(assign[rw.id], c.snaps[s])
 	}
+	var shards []int32
 	for _, rw := range alive {
 		if err := c.ctx.Err(); err != nil {
 			return err
 		}
-		snaps := assign[rw.id]
-		if len(snaps) == 0 {
-			continue
+		shards = shards[:0]
+		for s, id := range c.owner {
+			if id == rw.id {
+				shards = append(shards, int32(s))
+			}
 		}
-		m := msgAssign{Epoch: c.epoch, K: c.barK, Round: c.barRound, Snaps: snaps}
-		c.out = m.encode(c.out)
-		if err := sendRetry(c.ctx, rw.conn, mAssign, c.out, sendRetries); err != nil {
-			c.kill(rw)
-			return errWorkerLost
+		m := msgAssign{Epoch: c.epoch, K: c.barK, Round: c.barRound, Shards: shards, Dead: c.deadLog, Retired: c.retiredLog}
+		if err := c.sendAssign(rw, &m); err != nil {
+			return err
 		}
 	}
 	return nil

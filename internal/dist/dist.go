@@ -13,6 +13,11 @@ import (
 	"hyperplex/internal/run"
 )
 
+// DefaultHeartbeatInterval is the worker beacon period when none is
+// set: Options.HeartbeatInterval, WorkerOptions.HeartbeatInterval and
+// hgshardd's -heartbeat flag.
+const DefaultHeartbeatInterval = 100 * time.Millisecond
+
 // Options configures a distributed decomposition.
 type Options struct {
 	// Workers is the worker pool size.  ≤ 0 selects 2.  The pool is
@@ -31,8 +36,9 @@ type Options struct {
 	// LocalFallback collapses an unrecoverable worker pool onto the
 	// in-process sharded engine instead of failing.
 	LocalFallback bool
-	// HeartbeatInterval is the worker beacon period (default 100ms); a
-	// worker silent for 4 intervals is declared dead.
+	// HeartbeatInterval is the worker beacon period (default
+	// DefaultHeartbeatInterval); a worker silent for 4 intervals is
+	// declared dead.
 	HeartbeatInterval time.Duration
 	// PhaseTimeout bounds every protocol phase: worker join, load, and
 	// each await of a round reply.  Defaults to 30s.
@@ -65,7 +71,7 @@ func (o Options) normalized(h *hypergraph.Hypergraph) Options {
 		o.Workers = o.Shards
 	}
 	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 100 * time.Millisecond
+		o.HeartbeatInterval = DefaultHeartbeatInterval
 	}
 	if o.PhaseTimeout <= 0 {
 		o.PhaseTimeout = 30 * time.Second
@@ -94,7 +100,7 @@ func Decompose(h *hypergraph.Hypergraph, opts Options) (*core.Decomposition, err
 
 // DecomposeCtx is Decompose honoring cancellation, deadline and any
 // run.Budget attached to ctx.  Worker deaths are recovered by shard
-// reassignment and replay from the last completed barrier; only a
+// reassignment and replay from the last committed barrier; only a
 // pool-level collapse fails the run (or, with Options.LocalFallback,
 // degrades it to core.ShardedDecomposeCtx).  Context and budget errors
 // are never masked by the fallback.

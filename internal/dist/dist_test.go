@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"os/exec"
@@ -80,8 +81,9 @@ func leakChecked(t *testing.T, body func(t *testing.T)) {
 // TestDifferentialDistDecompose is the acceptance differential: the
 // coordinator + worker pool produces vertex coreness and MaxK exactly
 // equal to sequential Decompose on the sweep instances and Cellzome —
-// on the healthy path, under a chaos kill at the first or a late
-// barrier, and through the local fallback after an unrecoverable pool.
+// on the healthy path, under a chaos kill at the first, a late or
+// every barrier in turn, and through the local fallback after an
+// unrecoverable pool.
 func TestDifferentialDistDecompose(t *testing.T) {
 	instances := check.Instances(8, 0xD157)
 	cz := dataset.Cellzome().H
@@ -131,9 +133,8 @@ func TestDifferentialDistDecompose(t *testing.T) {
 
 	t.Run("chaos kill at a late barrier", func(t *testing.T) {
 		leakChecked(t, func(t *testing.T) {
-			// By barrier 12 (of Cellzome's 17) every worker has recycled
-			// its checkpoint slots many times, so the survivors roll
-			// back to a checkpoint written into a much-reused spare.
+			// At barrier 12 (of Cellzome's 17) the survivors rebuild
+			// their replicas from logs of eleven committed rounds.
 			const at = 12
 			barriers, killed := 0, false
 			opts := fastOpts()
@@ -152,6 +153,36 @@ func TestDifferentialDistDecompose(t *testing.T) {
 				t.Fatalf("only %d barriers fired, want a kill at barrier %d", barriers, at)
 			}
 			assertExact(t, cz, d, "late-killed run")
+		})
+	})
+
+	t.Run("chaos kill at every barrier", func(t *testing.T) {
+		leakChecked(t, func(t *testing.T) {
+			// Worker 2 owns one of the five shards, which goes to worker
+			// 0, so worker 1 takes no shard and must still restore the
+			// replica it moved past the barrier.  A kill at each barrier
+			// in turn restores from every prefix of the logs.
+			for i, h := range append(instances[:4:4], cz) {
+				for at := 1; ; at++ {
+					barriers, killed := 0, false
+					opts := fastOpts()
+					opts.OnBarrier = func(k, round int32, kill func(worker int)) {
+						barriers++
+						if barriers == at {
+							killed = true
+							kill(2)
+						}
+					}
+					d, err := Decompose(h, opts)
+					if err != nil {
+						t.Fatalf("instance %d, kill at barrier %d: %v", i, at, err)
+					}
+					if !killed {
+						break
+					}
+					assertExact(t, h, d, fmt.Sprintf("instance %d killed at barrier %d", i, at))
+				}
+			}
 		})
 	})
 

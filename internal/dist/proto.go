@@ -1,19 +1,21 @@
 // Package dist executes the sharded core decomposition across OS
 // processes: a coordinator partitions the hypergraph, ships shard
 // assignments to worker processes over a length-prefixed binary wire
-// protocol, drives the bulk-synchronous rounds with broadcast deltas
-// (dying hyperedges, retired vertices), and collects a barrier
-// snapshot of every shard each round.  A round is two round trips:
-// Apply → Frontier, whose vote carries each worker's retired vertices,
-// and Shrink → Barrier.  Workers that die — connection error, missed
+// protocol, and drives the bulk-synchronous rounds with broadcast
+// deltas (dying hyperedges, retired vertices).  A round is two round
+// trips: Apply → Frontier, whose vote carries each worker's retired
+// vertices, and Shrink → Barrier, whose vote carries the hyperedges
+// its shards found dying.  The coordinator logs the deltas of every
+// committed round.  Workers that die — connection error, missed
 // heartbeats, corrupt frame, injected fault — have their shards
-// reassigned to survivors and the round replays from the last
-// completed barrier; with Options.LocalFallback an unrecoverable pool
-// collapses the run onto the in-process sharded engine instead of
-// failing.  The peel itself is internal/core's DistPeeler, whose
-// broadcast schedule reproduces Decompose's coreness exactly; the
-// coordinator records that coreness from the deltas it broadcasts, so
-// no coreness crosses the wire.
+// reassigned to survivors, each of which rebuilds its replica from
+// those logs, and the round replays from the last committed barrier;
+// with Options.LocalFallback an unrecoverable pool collapses the run
+// onto the in-process sharded engine instead of failing.  The peel
+// itself is internal/core's DistPeeler, whose broadcast schedule
+// reproduces Decompose's coreness exactly; the coordinator records
+// that coreness from the deltas it broadcasts, so no coreness crosses
+// the wire.
 package dist
 
 import (
@@ -25,7 +27,6 @@ import (
 	"io"
 	"time"
 
-	"hyperplex/internal/core"
 	"hyperplex/internal/csr"
 	"hyperplex/internal/failpoint"
 	"hyperplex/internal/partition"
@@ -57,13 +58,16 @@ var fpRecv = failpoint.Register("dist.recv")
 // allocated (the same allocation-capped discipline as the mmio and
 // pajek readers).
 //
-// Version 3 ends a run with no Finish and Result frames, since the
-// coordinator records the coreness from the deltas it hands out, and
-// its Frontier vote carries no frontier count beside the retired IDs.
-// Version 2 had both; version 1 also had Retire and Retired frames for
-// the retired delta.  Each version refuses the others.
+// Version 4 recovers from the coordinator's logs of the committed
+// deltas: it has no Rollback frame, the Assign that follows a worker
+// death carries the logs, and a Barrier vote is the worker's dying
+// hyperedge IDs, with no per-shard snapshot of degrees.  Version 3 had
+// Rollback frames and snapshot votes; version 2 also ended a run with
+// Finish and Result frames and counted the frontier beside the
+// Frontier vote's IDs; version 1 also had Retire and Retired frames
+// for the retired delta.  Each version refuses the others.
 const (
-	protoVersion = 3
+	protoVersion = 4
 	headerLen    = 12
 	// maxFramePayload caps a frame's payload allocation.  The largest
 	// legitimate frame is the Load graph blob; 1 GiB leaves room for
@@ -82,12 +86,11 @@ var frameMagic = [2]byte{'h', 'x'}
 const (
 	mHello     = byte(iota + 1) // w→c: protocol version
 	mLoad                       // c→w: shard descriptors + serialized hypergraph
-	mAssign                     // c→w: fresh shards to set up, or snapshots to restore
-	mRollback                   // c→w: restore the checkpoint at (k, round); round -1 = full reset
+	mAssign                     // c→w: reset; fresh shards to set up, or the logs and shards to restore
 	mApply                      // c→w: apply dying delta at threshold k, gather the frontier
 	mFrontier                   // w→c: the frontier's retired vertex IDs and the alive count
 	mShrink                     // c→w: apply retired delta, re-check shrunk edges
-	mBarrier                    // w→c: per-shard barrier snapshots (the vote + replay state)
+	mBarrier                    // w→c: the dying hyperedge IDs its shards found
 	mHeartbeat                  // w→c: liveness beacon
 	mShutdown                   // c→w: exit cleanly
 	mError                      // w→c: typed failure report
@@ -368,56 +371,6 @@ func (d *dec) done() error {
 	return nil
 }
 
-// snapshot encoding, shared by Assign and Barrier frames.
-
-func encSnapshot(e *enc, sn *core.ShardSnapshot) {
-	e.i32(sn.Shard)
-	e.i32(sn.AliveV)
-	e.i32s(sn.Deg)
-	e.i32s(sn.Dying)
-}
-
-// decSnapshot decodes one snapshot into sn, reusing its buffers.
-func decSnapshot(d *dec, sn *core.ShardSnapshot) {
-	sn.Shard = d.i32()
-	sn.AliveV = d.i32()
-	sn.Deg = d.i32s(sn.Deg)
-	sn.Dying = d.i32s(sn.Dying)
-}
-
-func encSnapshots(e *enc, snaps []*core.ShardSnapshot) {
-	e.u32(lenU32(len(snaps)))
-	//hyperplexvet:ignore budgettick bounded: one encoding pass over the snapshots being framed; the caller's send path checks ctx
-	for _, sn := range snaps {
-		encSnapshot(e, sn)
-	}
-}
-
-// decSnapshots decodes a count-prefixed snapshot list into dst,
-// reusing its snapshots and their buffers by position (the rule of
-// core.PeelCheckpoint's Shards), and returns it.
-func decSnapshots(d *dec, dst []*core.ShardSnapshot) []*core.ShardSnapshot {
-	n := d.u32()
-	if d.err != nil {
-		return dst[:0]
-	}
-	// Each snapshot is at least 4 int32s (shard, alive, two counts).
-	if uint64(n)*16 > uint64(len(d.b)) {
-		d.fail("snapshot count %d exceeds %d remaining bytes", n, len(d.b))
-		return dst[:0]
-	}
-	//hyperplexvet:ignore budgettick bounded: one decoding pass over a length-validated payload; the read loop checks ctx per frame
-	for i := 0; i < int(n); i++ {
-		if i == len(dst) {
-			dst = append(dst, &core.ShardSnapshot{})
-		}
-		if decSnapshot(d, dst[i]); d.err != nil {
-			return dst[:0]
-		}
-	}
-	return dst[:n]
-}
-
 // Every message type encodes itself as a whole frame, header room
 // included, into the storage of the buffer it is handed (overwriting
 // it; nil allocates) and returns the frame, so a sender that keeps the
@@ -506,16 +459,22 @@ func (m *msgLoad) decode(b []byte) error {
 	return d.done()
 }
 
-// msgAssign hands shards to a worker: Fresh ones are set up from the
-// initial state (and answered with a Barrier frame carrying their
-// round-0 snapshots), Snaps are restored from barrier snapshots during
-// recovery.
+// msgAssign resets a worker's replica and hands it shards.  Before
+// the first barrier commits, Fresh lists the shards to set up from the
+// initial state, and the worker answers with a Barrier vote for
+// barrier (K, Round) = (0, 0).  After a worker death, Dead and Retired
+// are the coordinator's logs, every hyperedge the committed rounds
+// killed and every vertex they retired up to barrier (K, Round), and
+// Shards lists every shard the worker owns from then on: it rebuilds
+// its replica from the logs and answers nothing.
 type msgAssign struct {
-	Epoch uint32
-	K     int32
-	Round int32
-	Fresh []int32
-	Snaps []*core.ShardSnapshot
+	Epoch   uint32
+	K       int32
+	Round   int32
+	Fresh   []int32
+	Shards  []int32
+	Dead    []int32
+	Retired []int32
 }
 
 func (m *msgAssign) encode(buf []byte) []byte {
@@ -524,7 +483,9 @@ func (m *msgAssign) encode(buf []byte) []byte {
 	e.i32(m.K)
 	e.i32(m.Round)
 	e.i32s(m.Fresh)
-	encSnapshots(&e, m.Snaps)
+	e.i32s(m.Shards)
+	e.i32s(m.Dead)
+	e.i32s(m.Retired)
 	return e.b
 }
 
@@ -534,19 +495,21 @@ func (m *msgAssign) decode(b []byte) error {
 	m.K = d.i32()
 	m.Round = d.i32()
 	m.Fresh = d.i32s(m.Fresh)
-	m.Snaps = decSnapshots(&d, m.Snaps)
+	m.Shards = d.i32s(m.Shards)
+	m.Dead = d.i32s(m.Dead)
+	m.Retired = d.i32s(m.Retired)
 	return d.done()
 }
 
 // msgRound is the shared shape of the per-round frames: Apply and
-// Shrink carry a delta, Frontier carries the worker's part of the
-// retired delta and its alive count, and Rollback carries only the
-// barrier tag (Round -1 means full reset).
+// Shrink carry a delta, a Frontier vote carries the worker's part of
+// the retired delta and its alive count, and a Barrier vote its part
+// of the next round's dying delta.
 type msgRound struct {
 	Epoch uint32
 	K     int32
 	Round int32
-	IDs   []int32 // dying (Apply), retired (Frontier, Shrink); empty otherwise
+	IDs   []int32 // dying (Apply, Barrier) or retired (Frontier, Shrink)
 	Alive int32   // Frontier vote: alive owned vertices
 }
 
@@ -567,33 +530,6 @@ func (m *msgRound) decode(b []byte) error {
 	m.Round = d.i32()
 	m.IDs = d.i32s(m.IDs)
 	m.Alive = d.i32()
-	return d.done()
-}
-
-// msgBarrier is the worker's end-of-round vote and replay state: one
-// snapshot per owned shard, in shard order.
-type msgBarrier struct {
-	Epoch uint32
-	K     int32
-	Round int32
-	Snaps []*core.ShardSnapshot
-}
-
-func (m *msgBarrier) encode(buf []byte) []byte {
-	e := newEnc(buf)
-	e.u32(m.Epoch)
-	e.i32(m.K)
-	e.i32(m.Round)
-	encSnapshots(&e, m.Snaps)
-	return e.b
-}
-
-func (m *msgBarrier) decode(b []byte) error {
-	d := dec{b: b}
-	m.Epoch = d.u32()
-	m.K = d.i32()
-	m.Round = d.i32()
-	m.Snaps = decSnapshots(&d, m.Snaps)
 	return d.done()
 }
 

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"hyperplex/internal/core"
 	"hyperplex/internal/failpoint"
 	"hyperplex/internal/gen"
 	"hyperplex/internal/hypergraph"
@@ -98,10 +97,6 @@ func TestFrameLengthCap(t *testing.T) {
 }
 
 func TestMessageRoundTrips(t *testing.T) {
-	snaps := []*core.ShardSnapshot{
-		{Shard: 0, AliveV: 5, Deg: []int32{1, 2, 3}, Dying: []int32{9}},
-		{Shard: 2, AliveV: 0, Deg: nil, Dying: nil},
-	}
 	load := msgLoad{
 		Epoch: 7,
 		Descs: []partition.Desc{{First: 0, Count: 3}, {First: 3, Count: 2}},
@@ -118,12 +113,13 @@ func TestMessageRoundTrips(t *testing.T) {
 		t.Fatalf("load round-trip mismatch: %+v", load2)
 	}
 
-	asn := msgAssign{Epoch: 3, K: 2, Round: 5, Fresh: []int32{1, 4}, Snaps: snaps}
+	asn := msgAssign{Epoch: 3, K: 2, Round: 5, Fresh: []int32{1, 4}, Shards: []int32{0, 2}, Dead: []int32{9, 7}, Retired: []int32{1, 2, 3}}
 	var asn2 msgAssign
 	if err := asn2.decode(payloadOf(&asn)); err != nil {
 		t.Fatalf("assign decode: %v", err)
 	}
-	if len(asn2.Snaps) != 2 || asn2.Snaps[0].AliveV != 5 || asn2.Snaps[0].Deg[2] != 3 || asn2.Snaps[1].Shard != 2 {
+	if asn2.Epoch != 3 || asn2.K != 2 || asn2.Round != 5 || !slices.Equal(asn2.Fresh, asn.Fresh) || !slices.Equal(asn2.Shards, asn.Shards) ||
+		!slices.Equal(asn2.Dead, asn.Dead) || !slices.Equal(asn2.Retired, asn.Retired) {
 		t.Fatalf("assign round-trip mismatch: %+v", asn2)
 	}
 
@@ -134,15 +130,6 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 	if rd2.K != 4 || rd2.Round != 9 || len(rd2.IDs) != 3 || rd2.IDs[1] != -1 || rd2.Alive != -2 {
 		t.Fatalf("round round-trip mismatch: %+v", rd2)
-	}
-
-	bar := msgBarrier{Epoch: 8, K: 3, Round: 12, Snaps: snaps}
-	var bar2 msgBarrier
-	if err := bar2.decode(payloadOf(&bar)); err != nil {
-		t.Fatalf("barrier decode: %v", err)
-	}
-	if len(bar2.Snaps) != 2 || bar2.Snaps[0].Dying[0] != 9 {
-		t.Fatalf("barrier round-trip mismatch: %+v", bar2)
 	}
 
 	em := msgError{Epoch: 6, Text: "worker 3: shard exploded"}
@@ -175,10 +162,12 @@ func TestDecodeRejectsAllocationBombs(t *testing.T) {
 	en2.u32(0)
 	en2.i32(0)
 	en2.i32(0)
-	en2.u32(1 << 29) // snapshot count with no bytes behind it
-	var b msgBarrier
-	if err := b.decode(en2.b); !errors.Is(err, ErrCorruptFrame) {
-		t.Fatalf("snapshot bomb: err = %v, want ErrCorruptFrame", err)
+	en2.i32s(nil)
+	en2.i32s([]int32{0})
+	en2.u32(1 << 29) // dead log count with no bytes behind it
+	var a msgAssign
+	if err := a.decode(en2.b); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("log bomb: err = %v, want ErrCorruptFrame", err)
 	}
 	var m2 msgRound
 	if err := m2.decode(append(payloadOf(&msgRound{}), 0xEE)); !errors.Is(err, ErrCorruptFrame) {
@@ -211,11 +200,11 @@ func loadRowPastEnd() []byte {
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBytes(f, mHello, payloadOf(&msgHello{Version: protoVersion})))
 	f.Add(frameBytes(f, mApply, payloadOf(&msgRound{Epoch: 1, K: 2, Round: 3, IDs: []int32{4, 5}})))
-	f.Add(frameBytes(f, mBarrier, payloadOf(&msgBarrier{Epoch: 1, K: 1, Round: 1, Snaps: []*core.ShardSnapshot{{Shard: 0, Deg: []int32{1}}}})))
+	f.Add(frameBytes(f, mBarrier, payloadOf(&msgRound{Epoch: 1, K: 1, Round: 1, IDs: []int32{1}})))
 	f.Add(frameBytes(f, mLoad, payloadOf(&msgLoad{Descs: []partition.Desc{{First: 0, Count: 2}}, NumV: 2, EOff: []int32{0, 2}, EAdj: []int32{0, 1}})))
 	f.Add(frameBytes(f, mLoad, payloadOf(&msgLoad{NumV: 2, EOff: []int32{0, 0, 2, 2}, EAdj: []int32{0, 1}})))
 	f.Add(frameBytes(f, mLoad, loadRowPastEnd()))
-	f.Add(frameBytes(f, mAssign, payloadOf(&msgAssign{Epoch: 1, K: 2, Round: 3, Fresh: []int32{0}, Snaps: []*core.ShardSnapshot{{Shard: 1, AliveV: 1, Deg: []int32{2}, Dying: []int32{3}}}})))
+	f.Add(frameBytes(f, mAssign, payloadOf(&msgAssign{Epoch: 1, K: 2, Round: 3, Shards: []int32{1}, Dead: []int32{3}, Retired: []int32{2, 4}})))
 	// Truncated header and payload.
 	whole := frameBytes(f, mFrontier, payloadOf(&msgRound{IDs: []int32{1, 2, 3}, Alive: 3}))
 	f.Add(whole[:5])
@@ -245,14 +234,12 @@ func FuzzDecodeFrame(f *testing.F) {
 			l  msgLoad
 			a  msgAssign
 			r  msgRound
-			b  msgBarrier
 			em msgError
 		)
 		_ = h.decode(payload)
 		_ = l.decode(payload)
 		_ = a.decode(payload)
 		_ = r.decode(payload)
-		_ = b.decode(payload)
 		_ = em.decode(payload)
 	})
 }
@@ -336,7 +323,7 @@ type codec interface {
 }
 
 // goldenFrames is one frame per frame type, with its bytes as recorded
-// from protocol version 3.  The bytes are the interoperability
+// from protocol version 4.  The bytes are the interoperability
 // contract between builds: a coordinator and hgshardd workers built
 // from different sources must frame identically, so a codec change
 // that moves any byte here needs a protoVersion bump instead.
@@ -348,28 +335,25 @@ var goldenFrames = []struct {
 	hex   string
 }{
 	{"Hello", mHello, &msgHello{Version: protoVersion, ID: 3}, func() codec { return &msgHello{} },
-		"6878030108000000647718f90300000003000000"},
+		"68780401080000007d7eddf30400000003000000"},
 	{"Load", mLoad, &msgLoad{Epoch: 7, Descs: []partition.Desc{{First: 0, Count: 3}, {First: 3, Count: 2}}, NumV: 5,
 		EOff: []int32{0, 3, 3, 5}, EAdj: []int32{0, 1, 2, 3, 4}}, func() codec { return &msgLoad{} },
-		"6878030240000000ee4ae2fc07000000020000000000000003000000030000000200000005000000030000000300000000000000010000000200000000000000020000000300000004000000"},
-	{"Assign", mAssign, &msgAssign{Epoch: 3, K: 2, Round: 5, Fresh: []int32{1, 4}, Snaps: []*core.ShardSnapshot{
-		{Shard: 0, AliveV: 5, Deg: []int32{1, 2, 3}, Dying: []int32{9}}, {Shard: 2}}}, func() codec { return &msgAssign{} },
-		"687803034c000000cf55305703000000020000000500000002000000010000000400000002000000000000000500000003000000010000000200000003000000010000000900000002000000000000000000000000000000"},
-	{"Rollback", mRollback, &msgRound{Epoch: 4, K: 2, Round: -1}, func() codec { return &msgRound{} },
-		"6878030414000000276cb2420400000002000000ffffffff0000000000000000"},
+		"6878040240000000ee4ae2fc07000000020000000000000003000000030000000200000005000000030000000300000000000000010000000200000000000000020000000300000004000000"},
+	{"Assign", mAssign, &msgAssign{Epoch: 3, K: 2, Round: 5, Fresh: []int32{1, 4}, Shards: []int32{0, 2},
+		Dead: []int32{9, 6}, Retired: []int32{1, 2, 3}}, func() codec { return &msgAssign{} },
+		"6878040340000000f0e09cd703000000020000000500000002000000010000000400000002000000000000000200000002000000090000000600000003000000010000000200000003000000"},
 	{"Apply", mApply, &msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{5, -1, 7}}, func() codec { return &msgRound{} },
-		"6878030520000000bf5d30e60100000004000000090000000300000005000000ffffffff0700000000000000"},
+		"6878040420000000bf5d30e60100000004000000090000000300000005000000ffffffff0700000000000000"},
 	{"Frontier", mFrontier, &msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{2, 3}, Alive: 11}, func() codec { return &msgRound{} },
-		"687803061c00000041c26a220100000004000000090000000200000002000000030000000b000000"},
+		"687804051c00000041c26a220100000004000000090000000200000002000000030000000b000000"},
 	{"Shrink", mShrink, &msgRound{Epoch: 1, K: 4, Round: 10, IDs: []int32{2, 3}}, func() codec { return &msgRound{} },
-		"687803071c0000008a08c25a01000000040000000a00000002000000020000000300000000000000"},
-	{"Barrier", mBarrier, &msgBarrier{Epoch: 8, K: 3, Round: 12, Snaps: []*core.ShardSnapshot{
-		{Shard: 1, AliveV: 2, Deg: []int32{0, 4}, Dying: []int32{6, 8}}}}, func() codec { return &msgBarrier{} },
-		"6878030830000000c84dd79508000000030000000c000000010000000100000002000000020000000000000004000000020000000600000008000000"},
-	{"Heartbeat", mHeartbeat, nil, nil, "687803090000000000000000"},
-	{"Shutdown", mShutdown, nil, nil, "6878030a0000000000000000"},
+		"687804061c0000008a08c25a01000000040000000a00000002000000020000000300000000000000"},
+	{"Barrier", mBarrier, &msgRound{Epoch: 8, K: 3, Round: 12, IDs: []int32{6, 8}}, func() codec { return &msgRound{} },
+		"687804071c000000f4908fbd08000000030000000c00000002000000060000000800000000000000"},
+	{"Heartbeat", mHeartbeat, nil, nil, "687804080000000000000000"},
+	{"Shutdown", mShutdown, nil, nil, "687804090000000000000000"},
 	{"Error", mError, &msgError{Epoch: 6, Text: "worker 3: shard exploded"}, func() codec { return &msgError{} },
-		"6878030b20000000944dfc080600000018000000776f726b657220333a207368617264206578706c6f646564"},
+		"6878040a20000000944dfc080600000018000000776f726b657220333a207368617264206578706c6f646564"},
 }
 
 // TestGoldenFrames pins the wire bytes of one frame per frame type, and
@@ -432,9 +416,10 @@ func bandedLoad(t *testing.T) (*msgLoad, *hypergraph.Hypergraph) {
 // int32s grows the payload at most once, the banded Load encodes into
 // one buffer sized up front, and decoding it makes three allocations
 // (descriptors, row offsets, one flat member array), not one per row.
-// The per-round frames cost nothing once warm: msgRound and msgBarrier
-// encode into a warm frame buffer, readFrame reads into a warm payload
-// buffer, and both decode into warm messages, with no allocation.
+// The per-round frames and a recovery Assign cost nothing once warm:
+// msgRound and msgAssign encode into a warm frame buffer, readFrame
+// reads into a warm payload buffer, and both decode into warm
+// messages, with no allocation.
 func TestCodecAllocs(t *testing.T) {
 	xs := make([]int32, 10000)
 	var e enc
@@ -463,15 +448,12 @@ func TestCodecAllocs(t *testing.T) {
 
 	ids := make([]int32, 3000)
 	round := msgRound{Epoch: 2, K: 3, Round: 4, IDs: ids, Alive: 5000}
-	bar := msgBarrier{Epoch: 2, K: 3, Round: 4, Snaps: []*core.ShardSnapshot{
-		{Shard: 0, AliveV: 4000, Deg: make([]int32, 4000), Dying: ids},
-		{Shard: 1, AliveV: 4000, Deg: make([]int32, 4000), Dying: ids[:10]},
-	}}
+	assign := msgAssign{Epoch: 2, K: 3, Round: 4, Shards: []int32{0, 1}, Dead: ids, Retired: make([]int32, 4000)}
 	for _, m := range []struct {
 		name      string
 		typ       byte
 		msg, warm codec
-	}{{"msgRound", mFrontier, &round, &msgRound{}}, {"msgBarrier", mBarrier, &bar, &msgBarrier{}}} {
+	}{{"msgRound", mFrontier, &round, &msgRound{}}, {"msgAssign", mAssign, &assign, &msgAssign{}}} {
 		buf := m.msg.encode(nil)
 		if a := testing.AllocsPerRun(20, func() { buf = m.msg.encode(buf) }); a != 0 {
 			t.Errorf("%s.encode into a warm buffer made %v allocations, want 0", m.name, a)

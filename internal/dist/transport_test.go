@@ -16,6 +16,7 @@ import (
 
 	"hyperplex/internal/core"
 	"hyperplex/internal/dataset"
+	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/partition"
 )
 
@@ -87,7 +88,7 @@ func (nopConn) Close() error                { return nil }
 func TestTransportOneWritePerFrame(t *testing.T) {
 	cc := &countConn{Conn: nopConn{}}
 	c := &coordinator{ctx: context.Background(), done: make(chan struct{}), workers: []*remoteWorker{{id: 0, conn: cc}}}
-	toWorker := map[byte]bool{mLoad: true, mAssign: true, mRollback: true, mApply: true, mShrink: true}
+	toWorker := map[byte]bool{mLoad: true, mAssign: true, mApply: true, mShrink: true}
 	for _, g := range goldenFrames {
 		if toWorker[g.typ] {
 			if err := c.broadcast(g.typ, g.msg.encode(nil)); err != nil {
@@ -136,8 +137,8 @@ func TestTransportOneWritePerFrame(t *testing.T) {
 // the workers by queueing their replies on the frames channels.
 func bareCoordinator(t *testing.T, part *partition.Partition) *coordinator {
 	c := &coordinator{ctx: context.Background(), done: make(chan struct{}), part: part, owner: []int{0, 1},
-		opts:       Options{HeartbeatInterval: 50 * time.Millisecond, PhaseTimeout: 5 * time.Second},
-		spareSnaps: []*core.ShardSnapshot{{}, {}}, seen: make([]int32, max(len(part.VertexOwner), len(part.EdgeOwner)))}
+		opts: Options{HeartbeatInterval: 50 * time.Millisecond, PhaseTimeout: 5 * time.Second},
+		seen: make([]int32, max(len(part.VertexOwner), len(part.EdgeOwner)))}
 	for id := range c.owner {
 		rw := &remoteWorker{id: id, conn: nopConn{}, frames: make(chan frameMsg, 1)}
 		rw.lastBeat.Store(time.Now().UnixNano())
@@ -150,8 +151,7 @@ func bareCoordinator(t *testing.T, part *partition.Partition) *coordinator {
 // TestCoordinatorChecksVotedIDs feeds the coordinator Frontier and
 // Barrier votes that name IDs outside what the voter owns: a retired
 // vertex below 0, at |V| or in the other worker's shard, and a dying
-// hyperedge below 0, at |F| or owned by another shard than the
-// snapshot's.  core.RunRounds indexes the coreness arrays with these
+// hyperedge below 0, at |F| or owned by the other worker's shard.  core.RunRounds indexes the coreness arrays with these
 // IDs, and the next broadcast would hand them to every worker, so each
 // vote must kill its worker with errWorkerLost instead.  So must a vote
 // that names an owned ID twice: every worker's Shrink would retire a
@@ -190,36 +190,31 @@ func TestCoordinatorChecksVotedIDs(t *testing.T) {
 		t.Errorf("owned votes: retired %v, alive %d, err %v; want [%d %d], 3, nil", retired, alive, err, own0, own1)
 	}
 
-	snap := func(dying ...int32) *msgBarrier {
-		return &msgBarrier{K: 1, Round: 1, Snaps: []*core.ShardSnapshot{{Shard: 0, Deg: make([]int32, part.Shards[0].Count), Dying: dying}}}
-	}
+	barrier := func(dying ...int32) *msgRound { return &msgRound{K: 1, Round: 1, IDs: dying} }
 	for _, bad := range []int32{-1, ne, edge1, edge0} {
 		c := bareCoordinator(t, part)
-		vote(c.workers[0], snap(edge0, bad), mBarrier)
+		vote(c.workers[0], barrier(edge0, bad), mBarrier)
 		if err := c.awaitBarrier(c.workers[0], 1, 1); !errors.Is(err, errWorkerLost) || !c.workers[0].dead {
 			t.Errorf("Barrier vote with dying hyperedge %d: err = %v, worker dead %v; want errWorkerLost and a dead worker", bad, err, c.workers[0].dead)
 		}
 	}
 	c = bareCoordinator(t, part)
-	vote(c.workers[0], snap(edge0), mBarrier)
+	vote(c.workers[0], barrier(edge0), mBarrier)
 	if err := c.awaitBarrier(c.workers[0], 1, 1); err != nil || !slices.Equal(c.spareDying, []int32{edge0}) {
 		t.Errorf("owned Barrier vote: dying union %v, err %v; want [%d], nil", c.spareDying, err, edge0)
 	}
 }
 
-// TestTransportFramesPerBarrier runs Cellzome over 2 workers whose
-// connections the test serves through countConns: the coordinator
-// spawns a command that exits at once, and the test dials its listener
-// and runs ServeWorker for worker IDs 0 and 1, with heartbeats fast
-// enough to interleave with the replies.  Every frame a worker writes
-// must be one Write, and, heartbeats aside, each worker's frames must
-// be Hello, Load, Assign and its Barrier, an Apply and its Frontier
-// vote per round, a Shrink and its Barrier vote per committed barrier,
-// and Shutdown: the coordinator records the result itself, so no
-// frame carries it.  So a round that ends at a committed barrier costs
-// 8 frames at 2 workers, and a level fixpoint's Apply 4; there is one
-// fixpoint per level, MaxK + 1 in all.
-func TestTransportFramesPerBarrier(t *testing.T) {
+// servedRun runs DecomposeCtx of h over 2 workers whose connections
+// the test serves through countConns: the coordinator spawns a command
+// that exits at once, and the test dials its listener and runs serve
+// for worker IDs 0 and 1.  onBarrier is the run's OnBarrier, given the
+// count of barriers committed so far.  It returns the decomposition,
+// each worker's connection and what serve returned for it, and the
+// count of committed barriers.
+func servedRun(t *testing.T, h *hypergraph.Hypergraph, onBarrier func(n int, kill func(int)),
+	serve func(ctx context.Context, id int, conn net.Conn) error) (*core.Decomposition, []*countConn, []error, int) {
+	t.Helper()
 	noop, err := exec.LookPath("true")
 	if err != nil {
 		t.Skipf("no true command to stand in for the worker processes: %v", err)
@@ -231,79 +226,181 @@ func TestTransportFramesPerBarrier(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	h := dataset.Cellzome().H
 	barriers := 0
 	opts := Options{Workers: 2, Shards: 2, WorkerCommand: []string{noop}, Listen: addr,
 		HeartbeatInterval: time.Second, PhaseTimeout: 10 * time.Second}
-	opts.OnBarrier = func(int32, int32, func(int)) { barriers++ }
+	opts.OnBarrier = func(_, _ int32, kill func(int)) {
+		barriers++
+		if onBarrier != nil {
+			onBarrier(barriers, kill)
+		}
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	conns := make([]*countConn, 2)
-	served := make(chan error, len(conns))
+	errs := make([]error, len(conns))
+	var wg sync.WaitGroup
 	for id := range conns {
+		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			var conn net.Conn
-			var err error
 			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-				if conn, err = net.Dial("tcp", addr); err == nil {
+				if conn, errs[id] = net.Dial("tcp", addr); errs[id] == nil {
 					break
 				}
 			}
-			if err != nil {
-				served <- err
+			if errs[id] != nil {
 				return
 			}
 			conns[id] = &countConn{Conn: conn}
-			err = ServeWorker(ctx, conns[id], WorkerOptions{ID: id, HeartbeatInterval: time.Millisecond})
+			errs[id] = serve(ctx, id, conns[id])
 			conn.Close()
-			served <- err
 		}()
 	}
 	d, err := DecomposeCtx(ctx, h, opts)
-	for range conns {
-		if serr := <-served; serr != nil {
-			t.Errorf("worker: %v", serr)
-		}
-	}
+	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertExact(t, h, d, "counted run")
+	for id, conn := range conns {
+		if conn == nil {
+			t.Fatalf("worker %d never connected: %v", id, errs[id])
+		}
+	}
+	assertExact(t, h, d, "served run")
+	return d, conns, errs, barriers
+}
 
+// serveWorker is servedRun's worker: ServeWorker with heartbeats fast
+// enough to interleave with the replies.
+func serveWorker(ctx context.Context, id int, conn net.Conn) error {
+	return ServeWorker(ctx, conn, WorkerOptions{ID: id, HeartbeatInterval: time.Millisecond})
+}
+
+// frames returns the frames that crossed cc by type, both directions,
+// heartbeats aside, and fails t if a Write carried anything but one
+// whole frame.
+func frames(t *testing.T, id int, cc *countConn) [mTypeMax]int {
+	t.Helper()
+	_, bad, sent, got := cc.counts()
+	if len(bad) != 0 {
+		t.Errorf("worker %d: writes that were not one frame: %v", id, bad)
+	}
+	for typ, n := range sent {
+		got[typ] += n
+	}
+	got[mHeartbeat] = 0
+	return got
+}
+
+// TestTransportFramesPerBarrier runs Cellzome over 2 workers served by
+// the test (servedRun).  Every frame a worker writes must be one
+// Write, and, heartbeats aside, each worker's frames must be Hello,
+// Load, Assign and its Barrier vote, an Apply and its Frontier vote per
+// round, a Shrink and its Barrier vote per committed barrier, and
+// Shutdown: the coordinator records the result itself, so no frame
+// carries it.  So a round that ends at a committed barrier costs 8
+// frames at 2 workers, and a level fixpoint's Apply 4; there is one
+// fixpoint per level, MaxK + 1 in all.  The killed arm severs worker
+// 1 at the fifth committed barrier: the survivor's recovery costs one
+// Assign, which carries the logs it rebuilds its replica from, and the
+// Apply it answered before the death was noticed, which it is sent
+// again; it gets no second Load.
+func TestTransportFramesPerBarrier(t *testing.T) {
+	h := dataset.Cellzome().H
+	d, conns, errs, barriers := servedRun(t, h, nil, serveWorker)
 	b := barriers - 1 // barrier (0, 0) commits the assignment, not a round
 	applies := b + d.MaxK + 1
 	if b <= 0 {
 		t.Fatalf("%d barriers committed", barriers)
 	}
+	want := [mTypeMax]int{
+		mHello: 1, mLoad: 1, mAssign: 1, mBarrier: b + 1,
+		mApply: applies, mFrontier: applies, mShrink: b,
+		mShutdown: 1,
+	}
 	for id, cc := range conns {
-		_, bad, sent, recv := cc.counts()
-		if len(bad) != 0 {
-			t.Errorf("worker %d: writes that were not one frame: %v", id, bad)
+		if errs[id] != nil {
+			t.Errorf("worker %d: %v", id, errs[id])
 		}
-		want := [mTypeMax]int{
-			mHello: 1, mLoad: 1, mAssign: 1, mBarrier: b + 1,
-			mApply: applies, mFrontier: applies, mShrink: b,
-			mShutdown: 1,
-		}
-		got := recv
-		for typ, n := range sent {
-			got[typ] += n
-		}
-		got[mHeartbeat] = 0
-		if got != want {
+		if got := frames(t, id, cc); got != want {
 			t.Errorf("worker %d: frames by type %v, want %v", id, got, want)
 		}
 	}
 	t.Logf("%d committed barriers at 8 frames, %d level fixpoints at 4", b, d.MaxK+1)
+
+	const at = 5
+	_, conns, errs, killedBarriers := servedRun(t, h, func(n int, kill func(int)) {
+		if n == at {
+			kill(1)
+		}
+	}, serveWorker)
+	if killedBarriers != barriers {
+		t.Errorf("killed run committed %d barriers, the healthy one %d", killedBarriers, barriers)
+	}
+	if errs[0] != nil {
+		t.Errorf("surviving worker: %v", errs[0])
+	}
+	want[mAssign]++
+	want[mApply]++
+	want[mFrontier]++
+	if got := frames(t, 0, conns[0]); got != want {
+		t.Errorf("survivor: frames by type %v, want %v", got, want)
+	}
+	if got := frames(t, 1, conns[1]); got[mLoad] != 1 || got[mAssign] != 1 || got[mBarrier] != at {
+		t.Errorf("killed worker: frames by type %v, want 1 Load, 1 Assign and %d Barrier votes", got, at)
+	}
 }
 
-// TestTransportRejectsVersion1Hello pins that protocol versions 2 and
-// 3 are deliberate breaks: a version-1 or version-2 worker's Hello
+// TestTransportDeathBeforeFirstBarrier serves worker 1 with a fake
+// that hangs up after its Assign, before its first Barrier vote, so
+// the pool dies before barrier (0, 0) commits.  The recovery takes the
+// one path a later death takes: every survivor gets one Assign, which
+// resets its replica, and here deals it every shard fresh.  The run
+// must be exact, the survivor must get no second Load, and nothing may
+// leak.
+func TestTransportDeathBeforeFirstBarrier(t *testing.T) {
+	leakChecked(t, func(t *testing.T) {
+		h := dataset.Cellzome().H
+		d, conns, errs, barriers := servedRun(t, h, nil, func(ctx context.Context, id int, conn net.Conn) error {
+			if id == 0 {
+				return serveWorker(ctx, id, conn)
+			}
+			if err := writeFrame(conn, mHello, (&msgHello{Version: protoVersion, ID: int32(id)}).encode(nil)); err != nil {
+				return err
+			}
+			rd := bufio.NewReader(conn)
+			for {
+				typ, _, err := readFrame(rd, maxFramePayload, nil)
+				if err != nil || typ == mAssign {
+					return err
+				}
+			}
+		})
+		if errs[0] != nil || errs[1] != nil {
+			t.Fatalf("workers: %v", errs)
+		}
+		b := barriers - 1
+		applies := b + d.MaxK + 1
+		want := [mTypeMax]int{
+			mHello: 1, mLoad: 1, mAssign: 2, mBarrier: b + 2,
+			mApply: applies, mFrontier: applies, mShrink: b,
+			mShutdown: 1,
+		}
+		if got := frames(t, 0, conns[0]); got != want {
+			t.Errorf("survivor: frames by type %v, want %v", got, want)
+		}
+	})
+}
+
+// TestTransportRejectsVersion1Hello pins that protocol versions 2, 3
+// and 4 are deliberate breaks: a worker's Hello of version 1, 2 or 3
 // fails the join with ErrCorruptFrame, whether the version shows in
 // the frame header or only in the Hello payload.
 func TestTransportRejectsVersion1Hello(t *testing.T) {
-	for _, old := range []uint32{1, 2} {
+	for _, old := range []uint32{1, 2, 3} {
 		header := frameBytes(t, mHello, payloadOf(&msgHello{Version: old, ID: 0}))
 		header[2] = byte(old)
 		if _, err := (&coordinator{}).hello(bufioReader(header)); !errors.Is(err, ErrCorruptFrame) {
@@ -350,9 +447,9 @@ func TestTransportDecodeOwnsItsBuffers(t *testing.T) {
 
 // TestTransportDecomposeAllocs bounds the allocations of one in-process
 // DecomposeCtx of the banded 8000×8000 benchmark instance over 2
-// workers and 2 shards: with frame, payload and snapshot buffers
-// reused, what is left is set-up (the Load frame and each replica's
-// build) and a fixed cost per connection, not a cost per frame.
+// workers and 2 shards: with frame, payload and vote buffers reused,
+// what is left is set-up (the Load frame and each replica's build) and
+// a fixed cost per connection, not a cost per frame.
 // Protocol version 1, with a fresh buffer per frame, made about 4,300.
 func TestTransportDecomposeAllocs(t *testing.T) {
 	if testing.Short() {

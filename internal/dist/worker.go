@@ -30,13 +30,13 @@ type WorkerOptions struct {
 	ID int
 	// HeartbeatInterval is the beacon period; the coordinator declares
 	// a silent worker dead after several missed beats.  Defaults to
-	// 100ms.
+	// DefaultHeartbeatInterval.
 	HeartbeatInterval time.Duration
 }
 
 func (o WorkerOptions) normalized() WorkerOptions {
 	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 100 * time.Millisecond
+		o.HeartbeatInterval = DefaultHeartbeatInterval
 	}
 	return o
 }
@@ -44,21 +44,14 @@ func (o WorkerOptions) normalized() WorkerOptions {
 // errShutdown signals a clean coordinator-requested exit.
 var errShutdown = errors.New("dist: shutdown requested")
 
-// tagged is one checkpoint slot: the peel state at barrier (k, round).
-type tagged struct {
-	k, round int32
-	cp       *core.PeelCheckpoint
-}
+// errBeforeLoad rejects a frame that needs the replica, which only a
+// Load frame builds.
+var errBeforeLoad = errors.New("dist: frame before Load")
 
 // workerState is one worker's side of the protocol: the replica, the
-// connection, the buffers of its single loop, and the barrier
-// checkpoint slots.  pending holds the checkpoint taken when the worker
-// voted at the latest barrier; the next Apply frame proves the
-// coordinator committed that barrier and promotes it to committed.  A
-// Rollback frame names one of the two tags; anything else is a protocol
-// violation.  spare is a checkpoint neither tag can name any more: the
-// next checkpoint is written into its buffers, and it is the only slot
-// ever overwritten, so a barrier costs no replica-sized allocation.
+// connection and the buffers of its single loop.  The replica keeps no
+// barrier state of its own: after a worker death the coordinator's
+// Assign carries what it needs to rebuild it.
 type workerState struct {
 	//hyperplexvet:ignore ctxfirst scoped to one ServeWorker call tree, mirroring coordinator
 	ctx  context.Context
@@ -77,12 +70,8 @@ type workerState struct {
 	asn msgAssign
 	out []byte
 
-	h      *hypergraph.Hypergraph
-	part   *partition.Partition
 	peeler *core.DistPeeler
-
-	epoch                     uint32
-	pending, committed, spare *tagged
+	epoch  uint32
 
 	hbPanic atomic.Pointer[core.WorkerPanicError]
 }
@@ -202,6 +191,9 @@ func (w *workerState) report(err error) {
 
 //hyperplexvet:wirerecv
 func (w *workerState) handle(ctx context.Context, typ byte, payload []byte) error {
+	if w.peeler == nil && typ != mLoad && typ != mHeartbeat && typ != mShutdown {
+		return fmt.Errorf("%w: frame type %d", errBeforeLoad, typ)
+	}
 	switch typ {
 	case mLoad:
 		var m msgLoad
@@ -214,11 +206,6 @@ func (w *workerState) handle(ctx context.Context, typ byte, payload []byte) erro
 			return err
 		}
 		return w.assign(ctx, &w.asn)
-	case mRollback:
-		if err := w.msg.decode(payload); err != nil {
-			return err
-		}
-		return w.rollback(&w.msg)
 	case mApply:
 		if err := w.msg.decode(payload); err != nil {
 			return err
@@ -238,11 +225,6 @@ func (w *workerState) handle(ctx context.Context, typ byte, payload []byte) erro
 	}
 }
 
-// peelerOrNil returns the replica; frames arriving before Load are a
-// coordinator bug and surface as the nil-pointer panic recovered at
-// ServeWorker into a typed error, so no silent wrong answers.
-func (w *workerState) peelerOrNil() *core.DistPeeler { return w.peeler }
-
 func (w *workerState) load(ctx context.Context, m *msgLoad) error {
 	w.epoch = m.Epoch
 	// The rows are wire input: FromRows checks their offsets and
@@ -255,40 +237,22 @@ func (w *workerState) load(ctx context.Context, m *msgLoad) error {
 	if err != nil {
 		return fmt.Errorf("dist: load partition: %w", err)
 	}
-	w.h, w.part = h, part
 	w.peeler = core.NewDistPeeler(h, part)
-	w.pending, w.committed, w.spare = nil, nil, nil
 	return nil
 }
 
-// checkpoint checkpoints the replica at barrier (k, round) into the
-// spare slot's buffers, or a fresh checkpoint when there is no spare,
-// and returns it; the spare slot is left empty.
-func (w *workerState) checkpoint(k, round int32) *tagged {
-	t := w.spare
-	w.spare = nil
-	if t == nil {
-		t = &tagged{}
-	}
-	t.k, t.round = k, round
-	t.cp = w.peeler.Checkpoint(t.cp)
-	return t
-}
-
-// release keeps t, a checkpoint neither tag names any more, as the
-// spare.
-func (w *workerState) release(t *tagged) {
-	if t != nil {
-		w.spare = t
-	}
-}
-
+// assign resets the replica: to the committed barrier the coordinator's
+// logs give, with the shards it lists, or, for a fresh assignment, to
+// the initial state, with the fresh shards set up and answered with a
+// Barrier vote of their round-0 dying hyperedges.
 func (w *workerState) assign(ctx context.Context, m *msgAssign) error {
 	w.epoch = m.Epoch
-	if w.peeler == nil {
-		return errors.New("dist: assign before load")
+	if err := w.peeler.Restore(ctx, m.Dead, m.Retired, m.Shards); err != nil {
+		return err
 	}
-	var snaps []*core.ShardSnapshot
+	if len(m.Fresh) == 0 {
+		return nil
+	}
 	for _, s := range m.Fresh {
 		if s < 0 || int(s) >= w.peeler.NumShards() {
 			return fmt.Errorf("dist: assign of unknown shard %d", s)
@@ -296,89 +260,35 @@ func (w *workerState) assign(ctx context.Context, m *msgAssign) error {
 		if err := w.peeler.AssignFresh(ctx, int(s)); err != nil {
 			return err
 		}
-		snaps = append(snaps, w.peeler.Snapshot(int(s)))
 	}
-	for _, sn := range m.Snaps {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := w.peeler.AssignSnapshot(sn); err != nil {
-			return err
-		}
-	}
-	// The replica now holds barrier (K, Round) state including the new
-	// shards; re-checkpoint it as the committed slot.
-	t := w.checkpoint(m.K, m.Round)
-	w.release(w.pending)
-	w.release(w.committed)
-	w.committed, w.pending = t, nil
-	if len(m.Fresh) > 0 {
-		b := msgBarrier{Epoch: w.epoch, K: m.K, Round: m.Round, Snaps: snaps}
-		w.out = b.encode(w.out)
-		return w.send(mBarrier, w.out)
-	}
-	return nil
-}
-
-func (w *workerState) rollback(m *msgRound) error {
-	w.epoch = m.Epoch
-	if m.Round < 0 {
-		// Full reset: the pool died before the first barrier committed.
-		if w.h == nil {
-			return errors.New("dist: reset before load")
-		}
-		w.peeler = core.NewDistPeeler(w.h, w.part)
-		w.pending, w.committed, w.spare = nil, nil, nil
-		return nil
-	}
-	var cp, other *tagged
-	switch {
-	case w.pending != nil && w.pending.k == m.K && w.pending.round == m.Round:
-		cp, other = w.pending, w.committed
-	case w.committed != nil && w.committed.k == m.K && w.committed.round == m.Round:
-		cp, other = w.committed, w.pending
-	default:
-		return fmt.Errorf("dist: no checkpoint for barrier k=%d round=%d", m.K, m.Round)
-	}
-	if err := w.peeler.Restore(cp.cp); err != nil {
-		return err
-	}
-	w.release(other)
-	w.committed, w.pending = cp, nil
-	return nil
+	return w.vote(mBarrier, m.K, m.Round, w.peeler.PendingDying(), 0)
 }
 
 // apply runs the replica's Apply and answers with the Frontier vote:
 // the retired IDs and the alive count it returns.
 func (w *workerState) apply(ctx context.Context, m *msgRound) error {
 	w.epoch = m.Epoch
-	// An Apply frame means the coordinator committed the barrier this
-	// worker last voted for: promote the tentative checkpoint.
-	if w.pending != nil {
-		w.release(w.committed)
-		w.committed, w.pending = w.pending, nil
-	}
-	retired, alive, err := w.peelerOrNil().Apply(ctx, int(m.K), m.IDs)
+	retired, alive, err := w.peeler.Apply(ctx, int(m.K), m.IDs)
 	if err != nil {
 		return err
 	}
-	reply := msgRound{Epoch: w.epoch, K: m.K, Round: m.Round, IDs: retired, Alive: int32(alive)}
-	w.out = reply.encode(w.out)
-	return w.send(mFrontier, w.out)
+	return w.vote(mFrontier, m.K, m.Round, retired, alive)
 }
 
+// shrink runs the replica's Shrink and answers with the Barrier vote:
+// the dying hyperedges its shards found.
 func (w *workerState) shrink(ctx context.Context, m *msgRound) error {
 	w.epoch = m.Epoch
-	if _, err := w.peelerOrNil().Shrink(ctx, int(m.K), m.IDs); err != nil {
+	dying, err := w.peeler.Shrink(ctx, int(m.K), m.IDs)
+	if err != nil {
 		return err
 	}
-	// Tentative checkpoint: this barrier is committed only once every
-	// worker's vote lands, which the next Apply frame confirms.  The
-	// vote ships the checkpoint's own shard snapshots.
-	t := w.checkpoint(m.K, m.Round)
-	w.release(w.pending)
-	w.pending = t
-	b := msgBarrier{Epoch: w.epoch, K: m.K, Round: m.Round, Snaps: t.cp.Shards}
-	w.out = b.encode(w.out)
-	return w.send(mBarrier, w.out)
+	return w.vote(mBarrier, m.K, m.Round, dying, 0)
+}
+
+// vote sends a vote of type typ for round (k, round).
+func (w *workerState) vote(typ byte, k, round int32, ids []int32, alive int) error {
+	reply := msgRound{Epoch: w.epoch, K: k, Round: round, IDs: ids, Alive: int32(alive)}
+	w.out = reply.encode(w.out)
+	return w.send(typ, w.out)
 }

@@ -1,14 +1,16 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"math"
 	"net"
-	"reflect"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"hyperplex/internal/core"
 	"hyperplex/internal/csr"
@@ -30,24 +32,30 @@ func (c *recordConn) Write(p []byte) (int, error) { return c.out.Write(p) }
 
 // workerDriver plays the coordinator against one workerState that
 // owns every shard: it is a core.Rounds over the worker's frames, so
-// core.RunRounds schedules the rounds and records the result.
-// atBarrier, when set, runs after every vote; an error it returns ends
-// the run.
+// core.RunRounds schedules the rounds and records the result.  Like the
+// coordinator it logs every committed round's deltas.  atBarrier, when
+// set, runs after every vote; an error it returns ends the run.  ref,
+// when set, is a second driver that every round is also handed to,
+// whose votes must name the same IDs.
 type workerDriver struct {
 	t         *testing.T
 	w         *workerState
 	conn      *recordConn
 	epoch     uint32
+	shards    []int32    // every shard; the worker owns them all
 	bar       barrierTag // the barrier the worker last voted at
 	atBarrier func(b barrierTag) error
+	ref       *workerDriver
 	h         *hypergraph.Hypergraph // the loaded hypergraph
 }
 
-// barrierTag is a barrier the worker voted at and the dying delta its
-// vote carried.
+// barrierTag is a barrier the worker voted at: its tag, the dying
+// delta its vote carried, and the logs of every hyperedge the rounds
+// before it killed and every vertex they retired.
 type barrierTag struct {
-	k, round int32
-	dying    []int32
+	k, round      int32
+	dying         []int32
+	dead, retired []int32
 }
 
 // newWorkerDriver loads h and its partition into a fresh worker and
@@ -59,22 +67,13 @@ func newWorkerDriver(t *testing.T, h *hypergraph.Hypergraph, part *partition.Par
 	g := h.CSR()
 	load := msgLoad{Descs: part.Descs(), NumV: csr.MustInt32(h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
 	d.call(mLoad, payloadOf(&load), 0)
-	fresh := make([]int32, part.NumShards())
-	for s := range fresh {
-		fresh[s] = int32(s)
+	for s := 0; s < part.NumShards(); s++ {
+		d.shards = append(d.shards, int32(s))
 	}
-	var b msgBarrier
-	d.decode(&b, d.call(mAssign, payloadOf(&msgAssign{Fresh: fresh}), mBarrier))
-	d.bar = barrierTag{dying: snapshotsDying(b.Snaps)}
+	var vote msgRound
+	d.decode(&vote, d.call(mAssign, payloadOf(&msgAssign{Fresh: d.shards}), mBarrier))
+	d.bar = barrierTag{dying: vote.IDs}
 	return d
-}
-
-func snapshotsDying(snaps []*core.ShardSnapshot) []int32 {
-	var dying []int32
-	for _, sn := range snaps {
-		dying = append(dying, sn.Dying...)
-	}
-	return dying
 }
 
 // call hands the worker one frame and returns the payload of its reply
@@ -104,21 +103,46 @@ func (d *workerDriver) decode(m codec, payload []byte) {
 	}
 }
 
-func (d *workerDriver) Apply(_ context.Context, k int, dying []int32) ([]int32, int, error) {
+// sameIDs asserts that a vote named the IDs the reference's vote did,
+// in any order.
+func (d *workerDriver) sameIDs(what string, got, want []int32) {
+	d.t.Helper()
+	got, want = slices.Clone(got), slices.Clone(want)
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		d.t.Fatalf("after barrier (%d, %d) the %s vote names %v, the reference's %v", d.bar.k, d.bar.round, what, got, want)
+	}
+}
+
+func (d *workerDriver) Apply(ctx context.Context, k int, dying []int32) ([]int32, int, error) {
 	var fr msgRound
 	d.decode(&fr, d.call(mApply, payloadOf(&msgRound{Epoch: d.epoch, K: int32(k), Round: d.bar.round, IDs: dying}), mFrontier))
+	if d.ref != nil {
+		retired, alive, _ := d.ref.Apply(ctx, k, dying)
+		d.sameIDs("Frontier", fr.IDs, retired)
+		if int(fr.Alive) != alive {
+			d.t.Fatalf("after barrier (%d, %d) the Frontier vote counts %d alive, the reference's %d", d.bar.k, d.bar.round, fr.Alive, alive)
+		}
+	}
 	return fr.IDs, int(fr.Alive), nil
 }
 
-func (d *workerDriver) Shrink(_ context.Context, k int, retired []int32) ([]int32, error) {
+func (d *workerDriver) Shrink(ctx context.Context, k int, retired []int32) ([]int32, error) {
 	d.t.Helper()
-	var bar msgBarrier
+	var vote msgRound
 	next := d.bar.round + 1
-	d.decode(&bar, d.call(mShrink, payloadOf(&msgRound{Epoch: d.epoch, K: int32(k), Round: next, IDs: retired}), mBarrier))
-	if bar.K != int32(k) || bar.Round != next {
-		d.t.Fatalf("worker voted barrier (%d, %d), want (%d, %d)", bar.K, bar.Round, k, next)
+	d.decode(&vote, d.call(mShrink, payloadOf(&msgRound{Epoch: d.epoch, K: int32(k), Round: next, IDs: retired}), mBarrier))
+	if vote.K != int32(k) || vote.Round != next {
+		d.t.Fatalf("worker voted barrier (%d, %d), want (%d, %d)", vote.K, vote.Round, k, next)
 	}
-	d.bar = barrierTag{k: int32(k), round: next, dying: snapshotsDying(bar.Snaps)}
+	if d.ref != nil {
+		dying, _ := d.ref.Shrink(ctx, k, retired)
+		d.sameIDs("Barrier", vote.IDs, dying)
+	}
+	// The round applied the dying delta of the barrier before it.
+	d.bar = barrierTag{k: int32(k), round: next, dying: vote.IDs,
+		dead: slices.Concat(d.bar.dead, d.bar.dying), retired: slices.Concat(d.bar.retired, retired)}
 	if d.atBarrier != nil {
 		if err := d.atBarrier(d.bar); err != nil {
 			return nil, err
@@ -142,24 +166,22 @@ func (d *workerDriver) run() (*core.Decomposition, error) {
 // barrier is never committed.
 var errPeerLost = errors.New("peer lost")
 
-// TestWorkerRollbackToCommitted drives one worker through the frames of
-// a run that loses a peer after the worker voted at barrier B2: Load,
-// Assign, a round ending in its vote at B1, an Apply that commits B1,
-// a round ending in its vote at B2, and a Rollback to B1.  The B2 vote
-// must reuse the spare checkpoint and leave the committed one intact,
-// so after the rollback the replica equals a reference worker stopped
-// at its vote at B1 (mirrors and every shard snapshot), and the
-// continuation from B1 is exact.
-func TestWorkerRollbackToCommitted(t *testing.T) {
+// TestWorkerRestoreAtCommittedBarrier drives one worker through the
+// frames of a run that loses a peer after the worker voted at barrier
+// B2: Load, Assign, a round ending in its vote at B1, a round ending
+// in its vote at B2, and the recovery's one Assign, which carries the
+// logs up to B1 and every shard and gets no reply.  From B1 on, every
+// vote of the restored worker must name the same IDs as the vote of a
+// reference worker stopped at its vote at B1, and the continuation
+// must equal Decompose.
+func TestWorkerRestoreAtCommittedBarrier(t *testing.T) {
 	h := gen.RandomHypergraph(180, 140, 5, xrand.New(0xBEEF))
 	part := partition.Build(h, 3)
 	d := newWorkerDriver(t, h, part)
-	spare := d.w.committed.cp // the Assign checkpoint, spare once B1 commits
 	var b1 barrierTag
-	var voted *core.PeelCheckpoint
 	d.atBarrier = func(b barrierTag) error {
 		if b.round == 1 {
-			b1, voted = b, d.w.pending.cp
+			b1 = b
 			return nil
 		}
 		return errPeerLost
@@ -167,20 +189,12 @@ func TestWorkerRollbackToCommitted(t *testing.T) {
 	if _, err := d.run(); !errors.Is(err, errPeerLost) {
 		t.Fatalf("run: err = %v, want it stopped at B2", err)
 	}
-	if b2 := d.bar; b1.k != 1 || b2.round != 2 {
-		t.Fatalf("B1 at (%d, %d), B2 at (%d, %d): want B1 at k = 1, where RunRounds resumes, and B2 after it", b1.k, b1.round, b2.k, b2.round)
-	}
-	if d.w.committed.cp != voted || d.w.committed.k != b1.k || d.w.committed.round != b1.round {
-		t.Fatalf("committed slot is (%d, %d), want the B1 vote (%d, %d)", d.w.committed.k, d.w.committed.round, b1.k, b1.round)
-	}
-	if d.w.pending.cp != spare {
-		t.Fatal("the B2 vote did not reuse the spare checkpoint")
+	if b2 := d.bar; b1.k != 1 || b2.round != 2 || len(b1.retired) == 0 || len(b2.retired) <= len(b1.retired) {
+		t.Fatalf("B1 at (%d, %d) after %d retirements, B2 at (%d, %d) after %d: want B1 at k = 1, where RunRounds resumes, and retirements before B1 and between B1 and B2",
+			b1.k, b1.round, len(b1.retired), b2.k, b2.round, len(b2.retired))
 	}
 	d.epoch++
-	d.call(mRollback, payloadOf(&msgRound{Epoch: d.epoch, K: b1.k, Round: b1.round}), 0)
-	if d.w.pending != nil || d.w.spare == nil || d.w.spare.k != d.bar.k || d.w.spare.round != d.bar.round {
-		t.Fatal("after the rollback the B2 vote should be the spare and nothing pending")
-	}
+	d.call(mAssign, payloadOf(&msgAssign{Epoch: d.epoch, K: b1.k, Round: b1.round, Shards: d.shards, Dead: b1.dead, Retired: b1.retired}), 0)
 
 	ref := newWorkerDriver(t, h, part)
 	ref.atBarrier = func(barrierTag) error { return errPeerLost }
@@ -190,18 +204,64 @@ func TestWorkerRollbackToCommitted(t *testing.T) {
 	if rb1 := ref.bar; rb1.k != b1.k || rb1.round != b1.round || !slices.Equal(rb1.dying, b1.dying) {
 		t.Fatalf("reference voted (%d, %d), worker voted (%d, %d)", rb1.k, rb1.round, b1.k, b1.round)
 	}
-	if got, want := d.w.peeler.Checkpoint(nil), ref.w.peeler.Checkpoint(nil); !reflect.DeepEqual(got, want) {
-		t.Fatalf("replica rolled back to B1 differs from the reference at B1:\n got %+v\nwant %+v", got, want)
-	}
 
-	d.atBarrier, d.bar = nil, b1
+	ref.atBarrier = nil
+	d.atBarrier, d.bar, d.ref = nil, b1, ref
 	got, err := d.run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := core.Decompose(h)
 	if got.MaxK != want.MaxK || !slices.Equal(got.VertexCoreness, want.VertexCoreness) || !slices.Equal(got.EdgeCoreness, want.EdgeCoreness) {
-		t.Fatal("the continuation from the rolled-back replica differs from Decompose")
+		t.Fatal("the continuation from the restored replica differs from Decompose")
+	}
+}
+
+// TestWorkerFramesBeforeLoad sends Apply, Shrink and Assign frames to
+// workers that have had no Load: handle must refuse each with
+// errBeforeLoad, and ServeWorker must report it in an Error frame and
+// return it, with no panic recovered.
+func TestWorkerFramesBeforeLoad(t *testing.T) {
+	for _, f := range []struct {
+		typ byte
+		msg codec
+	}{
+		{mApply, &msgRound{K: 1, IDs: []int32{0}}},
+		{mShrink, &msgRound{K: 1, Round: 1, IDs: []int32{0}}},
+		{mAssign, &msgAssign{Fresh: []int32{0}}},
+	} {
+		w := &workerState{ctx: context.Background(), conn: &recordConn{}, opts: WorkerOptions{}.normalized()}
+		if err := w.handle(context.Background(), f.typ, payloadOf(f.msg)); !errors.Is(err, errBeforeLoad) {
+			t.Errorf("frame type %d before Load: err = %v, want errBeforeLoad", f.typ, err)
+		}
+
+		coord, worker := net.Pipe()
+		served := make(chan error, 1)
+		go func() {
+			served <- ServeWorker(context.Background(), worker, WorkerOptions{HeartbeatInterval: time.Hour})
+		}()
+		rd := bufio.NewReader(coord)
+		if typ, _, err := readFrame(rd, maxFramePayload, nil); err != nil || typ != mHello {
+			t.Fatalf("first frame: type %d, err %v; want Hello", typ, err)
+		}
+		if err := writeFrame(coord, f.typ, f.msg.encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		var report msgError
+		typ, payload, err := readFrame(rd, maxFramePayload, nil)
+		if err == nil && typ == mError {
+			err = report.decode(payload)
+		}
+		if err != nil || typ != mError || !strings.Contains(report.Text, errBeforeLoad.Error()) {
+			t.Errorf("frame type %d before Load: reply type %d %q, err %v; want an Error frame naming %q", f.typ, typ, report.Text, err, errBeforeLoad)
+		}
+		err = <-served
+		var panicked *core.WorkerPanicError
+		if !errors.Is(err, errBeforeLoad) || errors.As(err, &panicked) {
+			t.Errorf("frame type %d before Load: ServeWorker returned %v, want errBeforeLoad and no recovered panic", f.typ, err)
+		}
+		coord.Close()
+		worker.Close()
 	}
 }
 
