@@ -389,9 +389,9 @@ func TestPeelStepPins(t *testing.T) {
 		decompose int64
 		kcore     map[int]int64
 	}{
-		{"Cellzome", dataset.Cellzome().H, 14004, map[int]int64{2: 8900, 6: 13072}},
-		{"banded 8000x8000", banded, 1739297, map[int]int64{2: 321574, 8: 321586}},
-		{"proteome 20000x3000", dataset.SyntheticProteome(20000, 3000, 42), 867235, map[int]int64{2: 240973, 14: 788330}},
+		{"Cellzome", dataset.Cellzome().H, 12571, map[int]int64{2: 8895, 6: 11693}},
+		{"banded 8000x8000", banded, 1021325, map[int]int64{2: 321574, 8: 321586}},
+		{"proteome 20000x3000", dataset.SyntheticProteome(20000, 3000, 42), 838393, map[int]int64{2: 240578, 14: 770934}},
 	} {
 		ctx, meter := run.WithBudget(context.Background(), run.Budget{})
 		if _, err := core.DecomposeCtx(ctx, tc.h); err != nil {

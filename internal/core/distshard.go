@@ -110,7 +110,6 @@ func (p *shardPeel) decrement(j int32, k int) {
 // phase methods from a single loop.  A replica that owns every shard
 // is a Rounds on its own; its Resume reports every failure as final.
 type DistPeeler struct {
-	c    *csr.CSR
 	part *partition.Partition
 
 	vAlive, eAlive []bool
@@ -123,8 +122,10 @@ type DistPeeler struct {
 	round int32
 
 	shards []*shardPeel // indexed by shard; nil when not owned here
-	snap   csr.Snapshot // the detector's view of c, vAlive and eDeg
-	det    *csr.Detector
+	// snap holds the hypergraph's CSR and is the detector's view of
+	// vAlive and eDeg.
+	snap csr.Snapshot
+	det  *csr.Detector
 
 	// retiredDelta and dyingDelta hold what Apply and Shrink return,
 	// reused every round: allocated once at their bounds, since a
@@ -144,7 +145,6 @@ func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPee
 	nv, ne := h.NumVertices(), h.NumEdges()
 	c := h.CSR()
 	w := &DistPeeler{
-		c:      c,
 		part:   part,
 		vAlive: make([]bool, nv),
 		eAlive: make([]bool, ne),
@@ -156,7 +156,7 @@ func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPee
 		retiredDelta: make([]int32, 0, nv),
 		dyingDelta:   make([]int32, 0, ne),
 	}
-	w.snap = csr.Snapshot{C: c, VAlive: w.vAlive, EDeg: w.eDeg, Sig: csr.Signatures(c)}
+	w.snap = csr.Snapshot{C: c, VAlive: w.vAlive, EDeg: w.eDeg}
 	// Empty logs name no ID, so the reset cannot fail.
 	_ = w.reset(nil, nil)
 	return w
@@ -176,7 +176,7 @@ func (w *DistPeeler) newShard(s int) *shardPeel {
 	p := &shardPeel{lo: sh.First, n: n}
 	maxDeg := int32(0)
 	for j := int32(0); j < n; j++ {
-		maxDeg = max(maxDeg, w.c.VertexDegree(p.lo+j))
+		maxDeg = max(maxDeg, w.snap.C.VertexDegree(p.lo+j))
 	}
 	ne := csr.MustInt32(len(sh.Edges))
 	// One arena allocation backs every int32 slice of the shard, so the
@@ -250,7 +250,7 @@ func (w *DistPeeler) AssignFresh(ctx context.Context, s int) error {
 	}
 	p := w.newShard(s)
 	for j := int32(0); j < p.n; j++ {
-		p.deg[j] = w.c.VertexDegree(p.lo + j)
+		p.deg[j] = w.snap.C.VertexDegree(p.lo + j)
 	}
 	p.aliveV = int(p.n)
 	w.layout(p)
@@ -262,7 +262,7 @@ func (w *DistPeeler) AssignFresh(ctx context.Context, s int) error {
 // the degree an alive vertex carries at every barrier.
 func (w *DistPeeler) aliveDegree(v int32) int32 {
 	d := int32(0)
-	for _, g := range w.c.VertexEdges(v) {
+	for _, g := range w.snap.C.VertexEdges(v) {
 		if w.eAlive[g] {
 			d++
 		}
@@ -345,7 +345,7 @@ func (w *DistPeeler) Apply(ctx context.Context, k int, dying []int32) (retired [
 	for _, g := range dying {
 		w.eAlive[g] = false
 		w.eDeg[g] = 0
-		for _, v := range w.c.EdgeVertices(g) {
+		for _, v := range w.snap.C.EdgeVertices(g) {
 			if !w.vAlive[v] {
 				continue
 			}
@@ -402,7 +402,7 @@ func (w *DistPeeler) Shrink(ctx context.Context, _ int, retired []int32) ([]int3
 		if p := w.shards[w.part.VertexOwner[vg]]; p != nil {
 			p.aliveV--
 		}
-		for _, g := range w.c.VertexEdges(vg) {
+		for _, g := range w.snap.C.VertexEdges(vg) {
 			if !w.eAlive[g] {
 				continue
 			}
@@ -480,7 +480,7 @@ func (w *DistPeeler) stopAt(ctx context.Context, d *Decomposition) error {
 // again.  Restore charges its work up front, with every pin counted
 // once as a bound on the incidence rows the recount reads.
 func (w *DistPeeler) Restore(ctx context.Context, dead, retired, shards []int32) error {
-	work := int64(len(w.vAlive)+len(w.eAlive)+len(dead)+len(retired)+len(shards)) + int64(w.c.NumPins())
+	work := int64(len(w.vAlive)+len(w.eAlive)+len(dead)+len(retired)+len(shards)) + int64(w.snap.C.NumPins())
 	if err := run.Tick(ctx, run.MeterFrom(ctx), work+1); err != nil {
 		return err
 	}
@@ -508,8 +508,11 @@ func (w *DistPeeler) Restore(ctx context.Context, dead, retired, shards []int32)
 // reset sets the mirrors to the state the two logs give: every
 // hyperedge of dead and every vertex of retired retired, everything
 // else alive, and every alive hyperedge's degree its count of alive
-// members.  An ID outside the hypergraph is an error.
+// members.  The state may revive what the replica had retired, so the
+// detector forgets its certificates.  An ID outside the hypergraph is
+// an error.
 func (w *DistPeeler) reset(dead, retired []int32) error {
+	w.det.Forget()
 	for v := range w.vAlive {
 		w.vAlive[v] = true
 	}
@@ -533,7 +536,7 @@ func (w *DistPeeler) reset(dead, retired []int32) error {
 	for f, alive := range w.eAlive {
 		w.eDeg[f] = 0
 		if alive {
-			w.eDeg[f] = w.c.EdgeDegree(int32(f))
+			w.eDeg[f] = w.snap.C.EdgeDegree(int32(f))
 		}
 	}
 	//hyperplexvet:ignore budgettick bounded pass over the retired vertices' rows, charged by Restore's Tick; a new replica's reset retires nothing
@@ -541,7 +544,7 @@ func (w *DistPeeler) reset(dead, retired []int32) error {
 		if alive {
 			continue
 		}
-		for _, g := range w.c.VertexEdges(int32(v)) {
+		for _, g := range w.snap.C.VertexEdges(int32(v)) {
 			if w.eAlive[g] {
 				w.eDeg[g]--
 			}

@@ -497,6 +497,41 @@ func TestDistPeelerRestoreValidation(t *testing.T) {
 	}
 }
 
+// TestDistPeelerRestoreForgets moves a replica off its run: a Restore
+// to a state that revives what the replica had seen die must drop the
+// detector's certificates, or a stale one answers a test.  With g =
+// {0, 1, 2, 3} in the dead log, retiring vertex 1 shrinks f = {0, 1, 2}
+// to {0, 2}, which no alive hyperedge holds, so its test certifies 0
+// and 2.  Restored with g alive, the same retirement must find f
+// contained in g, whose witnesses 0 and 2 are alive again.
+func TestDistPeelerRestoreForgets(t *testing.T) {
+	ctx := context.Background()
+	h, err := hypergraph.FromEdgeSets(4, [][]int32{{0, 1, 2}, {0, 1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewDistPeeler(h, partition.Build(h, 1))
+	for _, tc := range []struct {
+		name  string
+		dead  []int32
+		dying []int32
+	}{
+		{"g dead", []int32{1}, nil},
+		{"g alive", nil, []int32{0}},
+	} {
+		if err := w.Restore(ctx, tc.dead, nil, []int32{0}); err != nil {
+			t.Fatal(err)
+		}
+		dying, err := w.Shrink(ctx, 1, []int32{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(dying, tc.dying) {
+			t.Errorf("%s: retiring vertex 1 kills %v, want %v", tc.name, dying, tc.dying)
+		}
+	}
+}
+
 // TestDistPeelerEmptyAndDegenerate covers the empty hypergraph and
 // memberless hyperedges through the dist schedule.
 func TestDistPeelerEmptyAndDegenerate(t *testing.T) {

@@ -121,8 +121,8 @@ func TestShardedCostPins(t *testing.T) {
 		allocs float64
 		steps  int64
 	}{
-		{"Cellzome", dataset.Cellzome().H, 25, 14005},
-		{"banded 8000x8000", banded, 25, 1739298},
+		{"Cellzome", dataset.Cellzome().H, 25, 12572},
+		{"banded 8000x8000", banded, 25, 1021326},
 	} {
 		ctx, meter := run.WithBudget(context.Background(), run.Budget{})
 		if _, err := core.ShardedDecomposeCtx(ctx, tc.h, opts); err != nil {

@@ -9,7 +9,10 @@ package csr
 // no pairwise overlap table is ever maintained.  The peel calls it in
 // rounds: each hyperedge that shrank in a round is tested once against
 // the state the round left, and the dead ones are deleted only after
-// all tests.
+// all tests.  Within a peel vertices and hyperedges only die, so an
+// alive verdict leaves a certificate behind: a pair of alive members
+// no other alive hyperedge holds, which answers the next test of the
+// same hyperedge while both members live.
 
 // Snapshot is the alive state a containment test reads: the caller's
 // own peel arrays, viewed in place.  They must not change during a
@@ -23,53 +26,42 @@ type Snapshot struct {
 	// is dead: the degree filter then skips dead candidates without a
 	// liveness load.
 	EDeg []int32
-	// Sig[g] is hyperedge g's static member signature: the OR of bit
-	// v mod 64 over every member v of g in C (Signatures).  It never
-	// changes during a peel.
-	Sig []uint64
 }
 
-// Signatures returns the static member signature of every hyperedge of
-// c, the Snapshot.Sig of any snapshot over c.
-func Signatures(c *CSR) []uint64 {
-	sig := make([]uint64, c.NumEdges())
-	for f := range sig {
-		sig[f] = signature(c.EAdj[c.EOff[f]:c.EOff[f+1]])
-	}
-	return sig
-}
-
-// signature is the OR of bit v mod 64 over the vertices of row.
-func signature(row []int32) uint64 {
-	var sig uint64
-	for _, v := range row {
-		sig |= 1 << (v & 63)
-	}
-	return sig
-}
-
-// Detector is one worker's stamp scratch for containment tests:
-// stamp[w] == seq marks w as an alive member of the hyperedge under
-// test, estamp[g] == seq marks g as incident to its stamped witness.
-// Generations make a test O(1) to reset; the arrays are cleared only on
-// the int32 wraparound.
+// Detector is one worker's scratch for containment tests: stamp[w] ==
+// seq marks w as an alive member of the hyperedge under test, and
+// estamp[g] == seq marks g as incident to its stamped witness.
+// Generations make a test O(1) to reset; the stamp arrays are cleared
+// only on the int32 wraparound.  cert[2f] and cert[2f+1] are f's
+// certificate, the witnesses of an alive verdict on f that no other
+// alive hyperedge held both of.  The second witness follows the first
+// in f's sorted row, so it is never 0, and cert[2f+1] == 0 means f has
+// none.
 type Detector struct {
 	stamp  []int32
 	estamp []int32
 	seq    int32
+	cert   []int32
 
 	// memberCounts and memberPins total the member counts Dead has
-	// performed and the pins they scanned.
-	memberCounts, memberPins int64
+	// performed and the pins they scanned; certified counts the
+	// verdicts a certificate answered.
+	memberCounts, memberPins, certified int64
 }
 
-// NewDetector allocates detector scratch sized for c.
+// NewDetector allocates detector scratch sized for c, with no
+// certificate.
 func NewDetector(c *CSR) *Detector {
 	return &Detector{
 		stamp:  make([]int32, c.NumVertices()),
 		estamp: make([]int32, c.NumEdges()),
+		cert:   make([]int32, 2*c.NumEdges()),
 	}
 }
+
+// Forget drops every certificate.  A caller whose snapshot revives a
+// vertex or a hyperedge, or moves to unrelated state, calls it first.
+func (d *Detector) Forget() { clear(d.cert) }
 
 // Dead reports whether hyperedge f is dead or non-maximal in s, so the
 // reduction retires it: f has no alive member (s.EDeg[f] == 0, which is
@@ -79,6 +71,9 @@ func NewDetector(c *CSR) *Detector {
 // copy of an equal-set family survives).  It also returns the
 // elementary operations it spent, for callers that charge a budget.
 //
+// Between two calls on one detector without a Forget, vertices and
+// hyperedges of s may only die: the certificates rest on that.
+//
 // Instead of counting overlaps, it scans the hyperedges incident to an
 // alive member of f, the scanned witness — any g containing f must
 // appear there — and prunes the candidates before counting members:
@@ -87,12 +82,7 @@ func NewDetector(c *CSR) *Detector {
 //     the stamped witness, and for d(f) ≤ 2 the witnesses are the whole
 //     containment test;
 //   - degree filter: dead hyperedges have degree 0 in s.EDeg, so the
-//     tie-break comparison skips them without a liveness load;
-//   - signature filter: g cannot contain f when f's alive members set
-//     a bit (v mod 64) that g's static signature s.Sig[g] lacks, since
-//     g's alive members are a subset of its static ones.  This is the
-//     signature test of set-containment joins; it skips only member
-//     counts that would fail.
+//     tie-break comparison skips them without a liveness load.
 //
 // The witnesses are the first and the last alive member of f in its
 // C.EAdj row, and the one with the shorter static incidence row (the
@@ -102,12 +92,17 @@ func NewDetector(c *CSR) *Detector {
 // candidates pass the witness filter, and the scan is the shorter of
 // the two rows.  Which alive members serve as witnesses changes the
 // cost, never the verdict: a g that contains alive(f) is incident to
-// every alive member of f.  f's alive members are stamped, and their
-// signature ORed together, lazily on the first candidate passing the
-// witness and degree filters.  The signature filter changes neither
-// the verdict nor the returned op count, which charges the stamping
-// pass over the stamped witness's row and the entries of the scanned
-// row read, not the member counts.
+// every alive member of f.  f's alive members are stamped lazily, on
+// the first candidate passing both filters.  The returned op count
+// charges the stamping pass over the stamped witness's row and the
+// entries of the scanned row read, not the member counts.
+//
+// A scan that ends alive with no alive candidate passing the witness
+// filter leaves the witness pair as f's certificate: no alive g ≠ f
+// holds both, and as hyperedges only die none ever will, so while both
+// witnesses live f is maximal.  For d(f) ≥ 2 the certificate is read
+// first, and one whose witnesses both live answers alive at 1 op; the
+// certificates change the cost, never the verdict.
 //
 //hyperplexvet:hotpath
 func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
@@ -117,6 +112,12 @@ func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 	df := eDeg[f]
 	if df == 0 {
 		return true, 0
+	}
+	if df >= 2 {
+		if a, b := d.cert[2*int(f)], d.cert[2*int(f)+1]; b != 0 && vAlive[a] && vAlive[b] {
+			d.certified++
+			return false, 1
+		}
 	}
 	mrow := c.EAdj[c.EOff[f]:c.EOff[f+1]]
 	var first int32
@@ -159,14 +160,19 @@ func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 	for _, g := range wrow {
 		estamp[g] = seq
 	}
-	eOff, eAdj, sig := c.EOff, c.EAdj, s.Sig
-	stamp, stamped, sigF := d.stamp, false, uint64(0)
+	eOff, eAdj := c.EOff, c.EAdj
+	stamp, stamped := d.stamp, false
+	// held ORs the degrees of the candidates passing the witness filter:
+	// 0 at the end when no alive g ≠ f holds both witnesses.
+	held := int32(0)
 	//hyperplexvet:ignore budgettick bounded: one pass over the scanned witness's static incidence row, whose cost the returned op count reports; DistPeeler's phases charge it to their meter
 	for k, g := range row {
 		if estamp[g] != seq || g == f {
 			continue
 		}
-		if dg := eDeg[g]; dg < df || (dg == df && g > f) {
+		dg := eDeg[g]
+		held |= dg
+		if dg < df || (dg == df && g > f) {
 			continue
 		}
 		if df == 2 {
@@ -177,12 +183,8 @@ func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 			for _, w := range mrow {
 				if vAlive[w] {
 					stamp[w] = seq
-					sigF |= 1 << (w & 63)
 				}
 			}
-		}
-		if sigF&^sig[g] != 0 {
-			continue // an alive member of f is no member of g
 		}
 		grow := eAdj[eOff[g]:eOff[g+1]]
 		d.memberCounts++
@@ -197,6 +199,9 @@ func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 			return true, len(wrow) + k + 1
 		}
 	}
+	if held == 0 {
+		d.cert[2*int(f)], d.cert[2*int(f)+1] = first, last
+	}
 	return false, len(wrow) + len(row)
 }
 
@@ -204,6 +209,12 @@ func (d *Detector) Dead(s *Snapshot, f int32) (bool, int) {
 // detector's lifetime and the pins they scanned.
 func (d *Detector) MemberCounts() (counts, pins int64) {
 	return d.memberCounts, d.memberPins
+}
+
+// Certified returns the verdicts a certificate has answered over the
+// detector's lifetime, each a test that scanned no row.
+func (d *Detector) Certified() int64 {
+	return d.certified
 }
 
 // nextSeq advances the stamp generation, clearing both stamp arrays on
