@@ -336,7 +336,7 @@ func BenchmarkStoreDecompose(b *testing.B) {
 		if err := store.WriteH(path, h); err != nil {
 			b.Fatal(err)
 		}
-		st, err := store.Open(path, store.Options{})
+		st, err := store.Open(path)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func maxCoreVia(h *hypergraph.Hypergraph, o options) (*core.Result, error) {
 		if err := store.WriteH(path, h); err != nil {
 			return nil, err
 		}
-		st, err := store.Open(path, store.Options{})
+		st, err := store.Open(path)
 		if err != nil {
 			return nil, err
 		}

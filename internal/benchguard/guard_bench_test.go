@@ -77,19 +77,6 @@ func BenchmarkGuardShardedDecompose(b *testing.B) {
 	}
 }
 
-// BenchmarkGuardDecompose pins the full decomposition through
-// core.Decompose, the one peel over a single shard.
-func BenchmarkGuardDecompose(b *testing.B) {
-	h := guardInstance(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d := core.Decompose(h)
-		if d == nil || d.MaxK == 0 {
-			b.Fatal("degenerate decomposition")
-		}
-	}
-}
-
 // BenchmarkGuardCSRDecompose pins the sequential decomposition,
 // core.Decompose, so the flat-array hot path cannot silently regress
 // toward the map-based cost.  It keeps the name of the retired
@@ -141,7 +128,7 @@ func BenchmarkGuardStoreDecompose(b *testing.B) {
 	if err := store.WriteH(path, h); err != nil {
 		b.Fatal(err)
 	}
-	st, err := store.Open(path, store.Options{})
+	st, err := store.Open(path)
 	if err != nil {
 		b.Fatal(err)
 	}

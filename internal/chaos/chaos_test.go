@@ -183,7 +183,7 @@ func drivers() map[string]func(t *testing.T, ctx context.Context) error {
 			return err
 		},
 		"store.open": func(t *testing.T, ctx context.Context) error {
-			st, err := store.OpenCtx(ctx, storePath, store.Options{})
+			st, err := store.OpenCtx(ctx, storePath)
 			if err == nil {
 				defer st.Close()
 				h, herr := st.H()
@@ -211,7 +211,7 @@ func drivers() map[string]func(t *testing.T, ctx context.Context) error {
 				},
 			})
 			if err == nil {
-				st, oerr := store.Open(dst, store.Options{NoMmap: true})
+				st, oerr := store.Open(dst)
 				if oerr != nil {
 					t.Errorf("successful BuildFileCtx left an unopenable store: %v", oerr)
 					return nil

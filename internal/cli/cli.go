@@ -58,7 +58,7 @@ func OpenStore(path string) (*store.File, *hypergraph.Hypergraph, error) {
 // OpenStoreCtx is OpenStore honoring cancellation, deadline and any
 // run.Budget attached to ctx.
 func OpenStoreCtx(ctx context.Context, path string) (*store.File, *hypergraph.Hypergraph, error) {
-	st, err := store.OpenCtx(ctx, path, store.Options{})
+	st, err := store.OpenCtx(ctx, path)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -389,9 +389,9 @@ func TestPeelStepPins(t *testing.T) {
 		decompose int64
 		kcore     map[int]int64
 	}{
-		{"Cellzome", dataset.Cellzome().H, 12571, map[int]int64{2: 8895, 6: 11693}},
-		{"banded 8000x8000", banded, 1021325, map[int]int64{2: 321574, 8: 321586}},
-		{"proteome 20000x3000", dataset.SyntheticProteome(20000, 3000, 42), 838393, map[int]int64{2: 240578, 14: 770934}},
+		{"Cellzome", dataset.Cellzome().H, 12572, map[int]int64{2: 8896, 6: 11694}},
+		{"banded 8000x8000", banded, 1021326, map[int]int64{2: 321575, 8: 321587}},
+		{"proteome 20000x3000", dataset.SyntheticProteome(20000, 3000, 42), 838394, map[int]int64{2: 240579, 14: 770935}},
 	} {
 		ctx, meter := run.WithBudget(context.Background(), run.Budget{})
 		if _, err := core.DecomposeCtx(ctx, tc.h); err != nil {

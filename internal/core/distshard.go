@@ -40,19 +40,18 @@ import (
 // retires hyperedges and vertices, and every degree it keeps counts
 // what is still alive, so a replica at a barrier is fixed by two sets:
 // the hyperedges the committed rounds killed and the vertices they
-// retired.  Restore rebuilds a replica from those two logs, which the
-// driver keeps: it resets the mirrors, marks the logged IDs, recounts
-// every degree and lays each shard's bucket order out anew, and the
-// driver replays from the committed dying union it holds, so the
-// restored replica continues bit-identically (distshard_test.go pins
-// this at every barrier).
+// retired.  Restore builds a replica from those two logs, which the
+// driver keeps, and is the only way a replica gets shards, from empty
+// logs at the start of a run.  It re-derives the replica's part of the
+// barrier's dying delta too, so the restored replica continues exactly
+// (distshard_test.go pins this at every barrier).
 
 // checkEvery bounds the containment-test operations a phase performs
 // between two cancellation/budget checkpoints.
 const checkEvery = 64
 
-// fpBuild fires where a shard's arena is built over the CSR and its
-// round-0 reduction runs (AssignFresh); fpPeel fires where a peel
+// fpBuild fires where a replica's shards are built over the CSR and
+// their alive hyperedges tested (Restore); fpPeel fires where a peel
 // round re-checks its shrunk hyperedges (Shrink).  Every core
 // route passes both.
 var (
@@ -139,8 +138,9 @@ type DistPeeler struct {
 	minSize int
 }
 
-// NewDistPeeler builds a fresh replica over h and its partition: all
-// vertices and hyperedges alive, no shards assigned.
+// NewDistPeeler builds a replica over h and its partition that owns no
+// shard and holds no state yet: Restore gives it both before its first
+// phase.
 func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPeeler {
 	nv, ne := h.NumVertices(), h.NumEdges()
 	c := h.CSR()
@@ -157,8 +157,6 @@ func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPee
 		dyingDelta:   make([]int32, 0, ne),
 	}
 	w.snap = csr.Snapshot{C: c, VAlive: w.vAlive, EDeg: w.eDeg}
-	// Empty logs name no ID, so the reset cannot fail.
-	_ = w.reset(nil, nil)
 	return w
 }
 
@@ -168,8 +166,8 @@ func (w *DistPeeler) NumShards() int { return w.part.NumShards() }
 // newShard carves the structural arrays of shard s's peel from one
 // arena of 3n + maxDeg + 1 + 2·|owned edges| int32s: degrees, the
 // bucket order (vert, pos and a block start per possible degree) and
-// the work lists.  The caller fills the degrees and lays the order
-// out (AssignFresh or Restore).
+// the work lists.  Every owned vertex starts at its static degree;
+// Restore subtracts the dead hyperedges and lays the order out.
 func (w *DistPeeler) newShard(s int) *shardPeel {
 	sh := &w.part.Shards[s]
 	n := sh.Count
@@ -193,14 +191,17 @@ func (w *DistPeeler) newShard(s int) *shardPeel {
 	p.bin = carve(maxDeg + 1)
 	p.shrunk = carve(ne)[:0]
 	p.dying = carve(ne)[:0]
+	for j := int32(0); j < n; j++ {
+		p.deg[j] = w.snap.C.VertexDegree(p.lo + j)
+	}
 	return p
 }
 
 // layout lays shard p's bucket order out by one counting sort over its
 // degrees and the mirrors' liveness: the owned vertices the mirrors
 // retired first, in offset order, then the alive ones by degree, with
-// every block start exact.  Every alive owned vertex's degree must lie
-// in [0, len(p.bin)).
+// every block start exact, and counts the alive ones.  Every alive
+// owned vertex's degree must lie in [0, len(p.bin)).
 func (w *DistPeeler) layout(p *shardPeel) {
 	clear(p.bin)
 	retired := int32(0)
@@ -231,43 +232,7 @@ func (w *DistPeeler) layout(p *shardPeel) {
 	copy(p.bin[1:], p.bin)
 	p.bin[0] = retired
 	p.done = retired
-}
-
-// AssignFresh assigns shard s to this replica in its initial state,
-// every owned vertex alive at its static degree and the bucket order
-// laid out over those degrees, and runs the round-0 reduction over its
-// owned hyperedges: empty, initially non-maximal and undersized
-// hyperedges become the shard's pending dying list and die at
-// coreness 0.  PendingDying then returns them with the other owned
-// shards' lists: the dying delta of barrier (0, 0).
-func (w *DistPeeler) AssignFresh(ctx context.Context, s int) error {
-	sh := &w.part.Shards[s]
-	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(sh.Count)+int64(len(sh.Edges))+1); err != nil {
-		return err
-	}
-	if err := failpoint.Inject(fpBuild); err != nil {
-		return fmt.Errorf("core: shard build: %w", err)
-	}
-	p := w.newShard(s)
-	for j := int32(0); j < p.n; j++ {
-		p.deg[j] = w.snap.C.VertexDegree(p.lo + j)
-	}
-	p.aliveV = int(p.n)
-	w.layout(p)
-	w.shards[s] = p
-	return w.testEdges(ctx, p, sh.Edges)
-}
-
-// aliveDegree counts the alive hyperedges of vertex v in the mirrors:
-// the degree an alive vertex carries at every barrier.
-func (w *DistPeeler) aliveDegree(v int32) int32 {
-	d := int32(0)
-	for _, g := range w.snap.C.VertexEdges(v) {
-		if w.eAlive[g] {
-			d++
-		}
-	}
-	return d
+	p.aliveV = int(p.n - retired)
 }
 
 // PendingDying collects every owned shard's pending dying hyperedges,
@@ -427,6 +392,17 @@ func (w *DistPeeler) Shrink(ctx context.Context, _ int, retired []int32) ([]int3
 	if err := failpoint.Inject(fpPeel); err != nil {
 		return nil, fmt.Errorf("core: peel: %w", err)
 	}
+	if err := w.retest(ctx); err != nil {
+		return nil, err
+	}
+	return w.PendingDying(), nil
+}
+
+// retest re-checks every owned shard's shrunk hyperedges, refilling its
+// pending dying list, and empties the shrunk lists.
+//
+//hyperplexvet:hotpath
+func (w *DistPeeler) retest(ctx context.Context) error {
 	//hyperplexvet:ignore budgettick bounded sweep over the shards' shrunk lists; testEdges charges each test
 	for _, p := range w.shards {
 		if p == nil {
@@ -434,11 +410,11 @@ func (w *DistPeeler) Shrink(ctx context.Context, _ int, retired []int32) ([]int3
 		}
 		p.dying = p.dying[:0]
 		if err := w.testEdges(ctx, p, p.shrunk); err != nil {
-			return nil, err
+			return err
 		}
 		p.shrunk = p.shrunk[:0]
 	}
-	return w.PendingDying(), nil
+	return nil
 }
 
 // Resume reports err as final: a replica keeps no barrier to replay
@@ -466,51 +442,66 @@ func (w *DistPeeler) stopAt(ctx context.Context, d *Decomposition) error {
 	return run.Tick(ctx, run.MeterFrom(ctx), int64(n))
 }
 
-// Restore resets the replica to a committed barrier of the round
-// schedule, given by the driver's two logs: dead, every hyperedge the
-// committed rounds killed, and retired, every vertex they retired.
-// Everything else is alive, every alive hyperedge's degree and every
-// alive owned vertex's degree are recounted over what is alive, and
-// shards names the shards the replica owns from now on, each with its
-// bucket order laid out anew and no pending dying list: the driver
-// replays from the committed dying union it keeps.  Empty logs and no
-// shards return the replica to its initial state.  The lists arrive
-// off the wire, so an ID outside the hypergraph or a shard outside the
-// partition is an error, after which the replica must be restored
-// again.  Restore charges its work up front, with every pin counted
-// once as a bound on the incidence rows the recount reads.
+// Restore is the only way a replica gets shards.  It resets the
+// replica to a committed barrier of the round schedule, given by the
+// driver's two logs: dead, every hyperedge the committed rounds killed,
+// and retired, every vertex they retired; everything else is alive, and
+// shards names the shards the replica owns from now on.  It recounts
+// the degrees, lays each shard's bucket order out anew and tests every
+// alive owned hyperedge as Shrink tests a shrunk one, so PendingDying
+// then returns this replica's part of the barrier's dying delta.  From
+// empty logs that is the round-0 reduction of barrier (0, 0): the
+// empty, initially non-maximal and undersized hyperedges, which die at
+// coreness 0.  At a later barrier it is the owned part of the committed
+// dying union, since a hyperedge that did not shrink in a round keeps
+// its alive members while every other one only loses some, so it stays
+// maximal.  The lists arrive off the wire, so an ID outside the
+// hypergraph or a shard outside the partition is an error, after which
+// the replica must be restored again.  Restore charges one step per
+// vertex, hyperedge, logged ID and shard up front, then the incidence
+// entries the recount reads and the tests' operations.
 func (w *DistPeeler) Restore(ctx context.Context, dead, retired, shards []int32) error {
-	work := int64(len(w.vAlive)+len(w.eAlive)+len(dead)+len(retired)+len(shards)) + int64(w.snap.C.NumPins())
-	if err := run.Tick(ctx, run.MeterFrom(ctx), work+1); err != nil {
+	meter := run.MeterFrom(ctx)
+	if err := run.Tick(ctx, meter, int64(len(w.vAlive)+len(w.eAlive)+len(dead)+len(retired)+len(shards))+1); err != nil {
 		return err
+	}
+	if err := failpoint.Inject(fpBuild); err != nil {
+		return fmt.Errorf("core: shard build: %w", err)
 	}
 	if err := w.reset(dead, retired); err != nil {
 		return err
 	}
 	clear(w.shards)
+	//hyperplexvet:ignore budgettick bounded pass over the shard list, whose IDs and arenas the first Tick charges
 	for _, s := range shards {
 		if s < 0 || int(s) >= len(w.shards) {
 			return fmt.Errorf("core: restore: shard %d is not one of %d", s, len(w.shards))
 		}
-		p := w.newShard(int(s))
-		for j := int32(0); j < p.n; j++ {
-			if w.vAlive[p.lo+j] {
-				p.deg[j] = w.aliveDegree(p.lo + j)
-				p.aliveV++
-			}
+		w.shards[s] = w.newShard(int(s))
+	}
+	if err := run.Tick(ctx, meter, w.recount()); err != nil {
+		return err
+	}
+	//hyperplexvet:ignore budgettick bounded pass over the owned shards and their hyperedges, charged by the first Tick; retest charges each test
+	for s, p := range w.shards {
+		if p == nil {
+			continue
 		}
 		w.layout(p)
-		w.shards[s] = p
+		for _, g := range w.part.Shards[s].Edges {
+			if w.eAlive[g] {
+				p.shrunk = append(p.shrunk, g)
+			}
+		}
 	}
-	return nil
+	return w.retest(ctx)
 }
 
-// reset sets the mirrors to the state the two logs give: every
+// reset marks the state the two logs give in the mirrors: every
 // hyperedge of dead and every vertex of retired retired, everything
-// else alive, and every alive hyperedge's degree its count of alive
-// members.  The state may revive what the replica had retired, so the
-// detector forgets its certificates.  An ID outside the hypergraph is
-// an error.
+// else alive.  The state may revive what the replica had retired, so
+// the detector forgets its certificates.  An ID outside the hypergraph
+// is an error.
 func (w *DistPeeler) reset(dead, retired []int32) error {
 	w.det.Forget()
 	for v := range w.vAlive {
@@ -531,24 +522,45 @@ func (w *DistPeeler) reset(dead, retired []int32) error {
 		}
 		w.vAlive[v] = false
 	}
-	// An alive hyperedge's degree is its static degree less its retired
-	// members, so a fresh replica's recount reads no incidence row.
+	return nil
+}
+
+// recount sets the degrees over the marked mirrors: every alive
+// hyperedge's to its static degree less its retired members, and every
+// alive owned vertex's, which newShard set to its static degree, to
+// that less its dead hyperedges.  It returns the incidence entries it
+// read, the rows of the retired vertices and of the dead hyperedges,
+// so a replica restored from empty logs reads none.
+func (w *DistPeeler) recount() int64 {
+	c := w.snap.C
+	rows := 0
+	//hyperplexvet:ignore budgettick bounded pass over the dead hyperedges' rows, whose entries Restore charges on return
 	for f, alive := range w.eAlive {
 		w.eDeg[f] = 0
 		if alive {
-			w.eDeg[f] = w.snap.C.EdgeDegree(int32(f))
+			w.eDeg[f] = c.EdgeDegree(int32(f))
+			continue
+		}
+		members := c.EdgeVertices(int32(f))
+		rows += len(members)
+		for _, v := range members {
+			if p := w.shards[w.part.VertexOwner[v]]; p != nil && w.vAlive[v] {
+				p.deg[v-p.lo]--
+			}
 		}
 	}
-	//hyperplexvet:ignore budgettick bounded pass over the retired vertices' rows, charged by Restore's Tick; a new replica's reset retires nothing
+	//hyperplexvet:ignore budgettick bounded pass over the retired vertices' rows, whose entries Restore charges on return
 	for v, alive := range w.vAlive {
 		if alive {
 			continue
 		}
-		for _, g := range w.snap.C.VertexEdges(int32(v)) {
+		edges := c.VertexEdges(int32(v))
+		rows += len(edges)
+		for _, g := range edges {
 			if w.eAlive[g] {
 				w.eDeg[g]--
 			}
 		}
 	}
-	return nil
+	return int64(rows)
 }

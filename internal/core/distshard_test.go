@@ -21,7 +21,7 @@ import (
 // whose deltas are joined, as the internal/dist coordinator does over
 // the wire.  Like the coordinator it logs the dying and the retired
 // delta of every round that reaches its barrier: dead and retired, from
-// which Restore rebuilds a replica.  barrier, when non-nil, runs at
+// which Restore builds a replica.  barrier, when non-nil, runs at
 // barrier (0, 0) and after every Shrink with the barrier's k and the
 // next round's dying delta, and may restore the replicas (the replay
 // tests do).  from, when set, is a barrier to resume at: the first
@@ -48,7 +48,8 @@ type resumePoint struct {
 // errResume fails the first Apply of a run that resumes at a barrier.
 var errResume = errors.New("resume at a committed barrier")
 
-// newReplicas builds nw fresh replicas of h over part, owning no shard.
+// newReplicas builds nw replicas of h over part, which own no shard
+// until a Restore.
 func newReplicas(t *testing.T, h *hypergraph.Hypergraph, part *partition.Partition, nw int) *replicas {
 	r := &replicas{t: t, part: part, ws: make([]*DistPeeler, nw)}
 	for i := range r.ws {
@@ -121,20 +122,16 @@ func (r *replicas) restoreFrom(src *replicas, shift int) {
 	r.round = src.round
 }
 
-// distDriver assigns the shards of h round-robin over nw replicas and
-// runs RunRounds over them from barrier (0, 0), where barrier first
-// fires.
+// distDriver restores nw replicas of h from empty logs, dealing the
+// shards round-robin, and runs RunRounds over them from barrier (0, 0),
+// where barrier first fires.
 func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 	barrier func(r *replicas, k int, dying []int32)) *Decomposition {
 	t.Helper()
 	ctx := context.Background()
-	r := newReplicas(t, h, partition.Build(h, partition.NormalizeShards(shards, h.NumVertices())), nw)
+	r := newReplicas(t, h, partition.Build(h, shards), nw)
 	r.barrier = barrier
-	for s := 0; s < r.part.NumShards(); s++ {
-		if err := r.ws[s%nw].AssignFresh(ctx, s); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r.restoreFrom(r, 0)
 	var dying []int32
 	for _, w := range r.ws {
 		dying = append(dying, w.PendingDying()...)
@@ -349,10 +346,11 @@ func sameReplica(t *testing.T, want, got *DistPeeler, label string) {
 // barrier of a run, a second set of replicas, scrambled, is restored
 // from the run's logs with the live replicas' shards: each must hold
 // what its live twin holds (sameReplica) in an exact bucket order, and
-// the restored set then resumes the run at that barrier, as a dist
-// worker pool does after a recovery, and runs it to the end, where
-// every vertex and hyperedge still alive at the barrier must have
-// Decompose's coreness.  The restored set is reused from barrier to
+// the union of their pending dying lists must hold the same hyperedges
+// as the barrier's dying delta.  The restored set then resumes the run
+// at that barrier from that union, as a dist worker pool does after a
+// recovery, and runs it to the end, where every vertex and hyperedge
+// still alive at the barrier must have Decompose's coreness.  The restored set is reused from barrier to
 // barrier, so each restore starts from where the last continuation
 // ended.  It covers Cellzome, a 2000-protein proteome and a
 // 2000×2000 banded matrix at (shards, replicas) (1, 1), (2, 2), (3, 2)
@@ -380,11 +378,16 @@ func TestDistPeelerRestoreReplay(t *testing.T) {
 					scramble(w)
 				}
 				twin.restoreFrom(r, 0)
+				var union []int32
 				for i, w := range twin.ws {
 					sameReplica(t, r.ws[i], w, label)
 					bucketOrderExact(t, w, k, nil, label+" after Restore")
+					union = append(union, w.PendingDying()...)
 				}
-				twin.from = &resumePoint{k: k, dying: dying}
+				if !sameSet(union, dying) {
+					t.Fatalf("%s: the restored replicas re-derive the dying union %v, the barrier's is %v", label, union, dying)
+				}
+				twin.from = &resumePoint{k: k, dying: union}
 				cont, err := RunRounds(context.Background(), twin, h, nil, math.MaxInt)
 				if err != nil {
 					t.Fatalf("%s: continuation: %v", label, err)
@@ -415,6 +418,14 @@ func TestDistPeelerRestoreReplay(t *testing.T) {
 	}
 }
 
+// sameSet reports whether a and b hold the same IDs, each once.
+func sameSet(a, b []int32) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b) && len(slices.Compact(a)) == len(b)
+}
+
 // TestDistPeelerReassignment restores the live replicas in place at
 // every barrier, scrambled first, with every shard moved to the next
 // replica, so each replica's shard set changes at every barrier, as
@@ -440,9 +451,10 @@ func TestDistPeelerReassignment(t *testing.T) {
 // TestDistPeelerRestoreValidation pins Restore's defenses against its
 // wire input: a hyperedge or vertex ID outside the hypergraph and a
 // shard outside the partition are each an error, not an index panic.
-// Empty logs and no shards return a used replica to its initial
-// state, a repeated ID changes nothing, and a restore allocates only
-// the two objects of each shard it lays out (TestNewShardSingleArena).
+// Empty logs return a used replica to the state a new replica restored
+// from them holds, a repeated ID changes nothing, and a restore
+// allocates only the two objects of each shard it lays out
+// (TestNewShardSingleArena).
 func TestDistPeelerRestoreValidation(t *testing.T) {
 	ctx := context.Background()
 	h := gen.RandomHypergraph(40, 30, 4, xrand.New(1))
@@ -465,18 +477,23 @@ func TestDistPeelerRestoreValidation(t *testing.T) {
 		}
 	}
 
+	one := []int32{1}
 	fresh := NewDistPeeler(h, part)
-	if err := w.AssignFresh(ctx, 1); err != nil {
+	if err := fresh.Restore(ctx, nil, nil, one); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Restore(ctx, nil, nil, one); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := w.Apply(ctx, 2, []int32{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Restore(ctx, nil, nil, nil); err != nil {
+	if err := w.Restore(ctx, nil, nil, one); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(w.vAlive, fresh.vAlive) || !slices.Equal(w.eAlive, fresh.eAlive) || !slices.Equal(w.eDeg, fresh.eDeg) || slices.ContainsFunc(w.shards, func(p *shardPeel) bool { return p != nil }) {
-		t.Error("Restore with empty logs and no shards left the replica off its initial state")
+	sameReplica(t, fresh, w, "empty logs")
+	if !slices.Equal(w.PendingDying(), fresh.PendingDying()) {
+		t.Error("Restore with empty logs left the replica off the initial round-0 reduction")
 	}
 
 	dead, retired, shards := []int32{0, 5}, []int32{1, 2, 3}, []int32{0, 2}
@@ -500,9 +517,10 @@ func TestDistPeelerRestoreValidation(t *testing.T) {
 // TestDistPeelerRestoreForgets moves a replica off its run: a Restore
 // to a state that revives what the replica had seen die must drop the
 // detector's certificates, or a stale one answers a test.  With g =
-// {0, 1, 2, 3} in the dead log, retiring vertex 1 shrinks f = {0, 1, 2}
-// to {0, 2}, which no alive hyperedge holds, so its test certifies 0
-// and 2.  Restored with g alive, the same retirement must find f
+// {0, 1, 2, 3} in the dead log no alive hyperedge holds f = {0, 1, 2},
+// so the restore's test of f certifies its witnesses 0 and 2, and
+// retiring vertex 1 leaves f = {0, 2} alive.  Restored with g alive,
+// the restore's test and the same retirement must both find f
 // contained in g, whose witnesses 0 and 2 are alive again.
 func TestDistPeelerRestoreForgets(t *testing.T) {
 	ctx := context.Background()
@@ -521,6 +539,9 @@ func TestDistPeelerRestoreForgets(t *testing.T) {
 	} {
 		if err := w.Restore(ctx, tc.dead, nil, []int32{0}); err != nil {
 			t.Fatal(err)
+		}
+		if dying := w.PendingDying(); !slices.Equal(dying, tc.dying) {
+			t.Errorf("%s: the restore finds %v dying, want %v", tc.name, dying, tc.dying)
 		}
 		dying, err := w.Shrink(ctx, 1, []int32{1})
 		if err != nil {

@@ -27,11 +27,6 @@ import (
 // before a round's dying or retired delta is handed to the driver.
 var fpShardedExchange = failpoint.Register("core.sharded.exchange")
 
-// maxShards caps the shard count: every phase loops over the shards,
-// so an absurd request would turn into per-round overhead and one
-// arena per empty-handed shard rather than a finer partition.
-const maxShards = 512
-
 // WorkerPanicError reports a panic recovered at a parallel worker
 // boundary: the computation is abandoned but the panic surfaces as an
 // error instead of crossing goroutines, and no worker is leaked.
@@ -46,23 +41,14 @@ func (e *WorkerPanicError) Error() string {
 
 // ShardedOptions configures the sharded decomposition.
 type ShardedOptions struct {
-	// Shards is the number of vertex blocks: ≤ 0 selects
+	// Shards is the number of vertex blocks, under the shard-count
+	// policy of partition.NormalizeShards: ≤ 0 selects
 	// runtime.NumCPU(), and the count is clamped to the vertex count
-	// and to 512 (every phase loops over the shards).
+	// and to 512.
 	Shards int
 	// Deprecated: ShardedDecomposeCtx runs every shard's phases in the
 	// calling goroutine, so nothing reads Workers.
 	Workers int
-}
-
-// normalizeShardCount applies the documented shard policy of
-// ShardedOptions.Shards.
-func normalizeShardCount(shards, numVertices int) int {
-	shards = partition.NormalizeShards(shards, numVertices)
-	if shards > maxShards {
-		shards = maxShards
-	}
-	return shards
 }
 
 // ShardedDecompose computes the full core decomposition of h over
@@ -84,12 +70,13 @@ func ShardedDecompose(h *hypergraph.Hypergraph, opts ShardedOptions) *Decomposit
 // phase.  On any error it returns (nil, err): the half-peeled state is
 // not a valid decomposition.
 func ShardedDecomposeCtx(ctx context.Context, h *hypergraph.Hypergraph, opts ShardedOptions) (*Decomposition, error) {
-	return decompose(ctx, h, normalizeShardCount(opts.Shards, h.NumVertices()), 1, math.MaxInt)
+	return decompose(ctx, h, opts.Shards, 1, math.MaxInt)
 }
 
-// decompose computes, over the given number of shards, the
-// decomposition of h whose level k is the (k, l)-core, stopped at
-// level kmax ≥ 1 (see DistPeeler.peel); math.MaxInt peels every level.
+// decompose computes, over the given number of shards (normalized by
+// partition.NormalizeShards), the decomposition of h whose level k is
+// the (k, l)-core, stopped at level kmax ≥ 1 (see DistPeeler.peel);
+// math.MaxInt peels every level.
 // On any error it returns (nil, err): the half-peeled state is not a
 // valid decomposition.
 func decompose(ctx context.Context, h *hypergraph.Hypergraph, shards, l, kmax int) (*Decomposition, error) {
@@ -107,15 +94,18 @@ func decompose(ctx context.Context, h *hypergraph.Hypergraph, shards, l, kmax in
 	return w.peel(ctx, h, kmax)
 }
 
-// peel assigns every shard to the replica, which was built over h, and
-// runs the round schedule to the end, or to the fixpoint of threshold
-// kmax, where every survivor gets coreness kmax, so each coreness is
-// the full decomposition's capped at kmax.
+// peel restores the replica, which was built over h, from empty logs
+// with every shard, and runs the round schedule from the barrier (0, 0)
+// that leaves it at to the end, or to the fixpoint of threshold kmax,
+// where every survivor gets coreness kmax, so each coreness is the full
+// decomposition's capped at kmax.
 func (w *DistPeeler) peel(ctx context.Context, h *hypergraph.Hypergraph, kmax int) (*Decomposition, error) {
-	for s := range w.shards {
-		if err := w.AssignFresh(ctx, s); err != nil {
-			return nil, err
-		}
+	all := make([]int32, w.NumShards())
+	for s := range all {
+		all[s] = int32(s)
+	}
+	if err := w.Restore(ctx, nil, nil, all); err != nil {
+		return nil, err
 	}
 	d, err := RunRounds(ctx, w, h, w.PendingDying(), kmax)
 	if err == nil && d.MaxK >= kmax {

@@ -103,7 +103,8 @@ func TestShardedDecomposeCtxBudget(t *testing.T) {
 // the heap allocations of one call (testing.AllocsPerRun) and the steps
 // its phases charge to the run.Meter.  Both are deterministic.  The
 // replica allocates its dying and retired buffers once per call, at
-// their bounds, and the phases allocate nothing, so the allocation pin
+// their bounds, the driver one list of every shard for the replica's
+// Restore, and the phases allocate nothing, so the allocation pin
 // does not depend on the instance; a per-round snapshot or buffer
 // allocation moves it by the round count, and a change to what a phase
 // charges moves the step pin.  A change may re-record a pin only when
@@ -121,8 +122,8 @@ func TestShardedCostPins(t *testing.T) {
 		allocs float64
 		steps  int64
 	}{
-		{"Cellzome", dataset.Cellzome().H, 25, 12572},
-		{"banded 8000x8000", banded, 25, 1021326},
+		{"Cellzome", dataset.Cellzome().H, 26, 12573},
+		{"banded 8000x8000", banded, 26, 1021327},
 	} {
 		ctx, meter := run.WithBudget(context.Background(), run.Budget{})
 		if _, err := core.ShardedDecomposeCtx(ctx, tc.h, opts); err != nil {

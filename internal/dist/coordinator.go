@@ -84,18 +84,17 @@ type coordinator struct {
 	done     chan struct{}
 
 	epoch uint32
-	owner []int // shard → worker id
+	owner []int // shard → worker id, -1 before the first deal
 
 	// The replay point: the last committed barrier's (k, round) tag and
 	// dying union, which the round after it applies, and the logs of
 	// the committed rounds' deltas, every hyperedge they killed and
-	// every vertex they retired, from which a recovery rebuilds the
-	// survivors' replicas.
+	// every vertex they retired, from which every Assign rebuilds the
+	// workers' replicas.
 	dying               []int32
 	deadLog, retiredLog []int32
 	barK                int32
 	barRound            int32
-	haveBarrier         bool
 
 	// spareDying is the buffer the next barrier's votes build their
 	// dying union in; commit swaps it with dying, so a collection cut
@@ -126,7 +125,7 @@ func runCoordinator(ctx context.Context, meter *run.Meter, h *hypergraph.Hypergr
 	if err := c.setup(); err != nil {
 		return nil, err
 	}
-	if err := c.initialAssign(); err != nil {
+	if err := c.assign(); err != nil {
 		if _, _, err := c.Resume(err); err != nil {
 			return nil, err
 		}
@@ -158,6 +157,9 @@ func (c *coordinator) setup() error {
 	}
 	c.part = part
 	c.owner = make([]int, part.NumShards())
+	for s := range c.owner {
+		c.owner[s] = -1
+	}
 	c.seen = make([]int32, max(len(part.VertexOwner), len(part.EdgeOwner)))
 	// Each hyperedge dies and each vertex retires in one committed round.
 	c.deadLog = make([]int32, 0, c.h.NumEdges())
@@ -487,39 +489,46 @@ func (c *coordinator) await(rw *remoteWorker, want byte) ([]byte, error) {
 	}
 }
 
-// initialAssign resets every live worker with an Assign that deals it
-// its shards fresh, round-robin over the live pool, and commits barrier
-// (0, 0) from the dying hyperedges their votes carry.
-func (c *coordinator) initialAssign() error {
+// assign deals every shard no live worker owns round-robin over the
+// live pool, which at the first deal is every shard, and sends every
+// live worker one Assign, with the logs and every shard it owns, from
+// which it rebuilds its replica at the last committed barrier: (0, 0)
+// with empty logs before any round.  The union of the workers' Barrier
+// votes is the barrier's dying union again, the same hyperedges as
+// before a recovery, and commits it at the same tag.
+func (c *coordinator) assign() error {
 	alive := c.aliveWorkers()
 	if len(alive) == 0 {
-		return fmt.Errorf("%w: no workers to assign", ErrPoolFailed)
+		return fmt.Errorf("%w: no live workers", ErrPoolFailed)
 	}
-	fresh := make(map[int][]int32, len(alive))
-	for s := 0; s < c.part.NumShards(); s++ {
-		rw := alive[s%len(alive)]
-		c.owner[s] = rw.id
-		fresh[rw.id] = append(fresh[rw.id], int32(s))
+	for s, id := range c.owner {
+		if id < 0 || !c.workers[id].alive() {
+			c.owner[s] = alive[s%len(alive)].id
+		}
 	}
+	var shards []int32
 	for _, rw := range alive {
-		if err := c.sendAssign(rw, &msgAssign{Epoch: c.epoch, Fresh: fresh[rw.id]}); err != nil {
+		if err := c.ctx.Err(); err != nil {
+			return err
+		}
+		shards = shards[:0]
+		for s, id := range c.owner {
+			if id == rw.id {
+				shards = append(shards, int32(s))
+			}
+		}
+		m := msgAssign{Epoch: c.epoch, K: c.barK, Round: c.barRound, Shards: shards, Dead: c.deadLog, Retired: c.retiredLog}
+		if err := c.sendAssign(rw, &m); err != nil {
 			return err
 		}
 	}
 	c.spareDying = c.spareDying[:0]
 	for _, rw := range alive {
-		if err := c.ctx.Err(); err != nil {
-			return err
-		}
-		if len(fresh[rw.id]) == 0 {
-			continue
-		}
-		if err := c.awaitBarrier(rw, 0, 0); err != nil {
+		if err := c.awaitBarrier(rw, c.barK, c.barRound); err != nil {
 			return err
 		}
 	}
-	c.haveBarrier = true
-	c.commit(0, 0, nil)
+	c.commit(c.barK, c.barRound)
 	return nil
 }
 
@@ -648,18 +657,18 @@ func (c *coordinator) Shrink(_ context.Context, k int, retired []int32) ([]int32
 			return nil, err
 		}
 	}
-	c.commit(int32(k), newRound, retired)
+	// The round applied the dying union committed before it, which
+	// RunRounds hands every Apply, so that union and the round's retired
+	// delta join the logs.
+	c.deadLog = append(c.deadLog, c.dying...)
+	c.retiredLog = append(c.retiredLog, retired...)
+	c.commit(int32(k), newRound)
 	return c.dying, nil
 }
 
-// commit makes the barrier just collected the committed one, tagged
-// (k, round).  The round applied the dying union committed before it,
-// which RunRounds hands every Apply, so that union and the round's
-// retired delta join the logs; the union the votes built in the spare
-// buffer becomes the committed one.
-func (c *coordinator) commit(k, round int32, retired []int32) {
-	c.deadLog = append(c.deadLog, c.dying...)
-	c.retiredLog = append(c.retiredLog, retired...)
+// commit makes the union the votes just built in the spare buffer the
+// committed dying union, of barrier (k, round), and fires OnBarrier.
+func (c *coordinator) commit(k, round int32) {
 	c.dying, c.spareDying = c.spareDying, c.dying
 	c.barK, c.barRound = k, round
 	c.fireBarrierHook()
@@ -679,11 +688,9 @@ func (c *coordinator) fireBarrierHook() {
 }
 
 // recoverPool is the worker-death recovery: bump the epoch so stale
-// replies are discarded, deal the dead workers' shards round-robin to
-// the survivors, and send every survivor one Assign, with the logs and
-// every shard it now owns, from which it rebuilds its replica at the
-// last committed barrier.  Before barrier (0, 0) commits there are no
-// logs, and the Assign deals the shards fresh as the first one did.
+// replies are discarded, and assign the pool anew, which deals the dead
+// workers' shards to the survivors and restores every survivor at the
+// last committed barrier.
 func (c *coordinator) recoverPool() error {
 	c.recoveries++
 	if c.recoveries > c.opts.MaxRecoveries {
@@ -692,36 +699,8 @@ func (c *coordinator) recoverPool() error {
 	if err := failpoint.Inject(fpReassign); err != nil {
 		return fmt.Errorf("%w: reassign: %w", ErrPoolFailed, err)
 	}
-	alive := c.aliveWorkers()
-	if len(alive) == 0 {
-		return fmt.Errorf("%w: no surviving workers", ErrPoolFailed)
-	}
 	c.epoch++
-	if !c.haveBarrier {
-		return c.initialAssign()
-	}
-	for s, id := range c.owner {
-		if !c.workers[id].alive() {
-			c.owner[s] = alive[s%len(alive)].id
-		}
-	}
-	var shards []int32
-	for _, rw := range alive {
-		if err := c.ctx.Err(); err != nil {
-			return err
-		}
-		shards = shards[:0]
-		for s, id := range c.owner {
-			if id == rw.id {
-				shards = append(shards, int32(s))
-			}
-		}
-		m := msgAssign{Epoch: c.epoch, K: c.barK, Round: c.barRound, Shards: shards, Dead: c.deadLog, Retired: c.retiredLog}
-		if err := c.sendAssign(rw, &m); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.assign()
 }
 
 // teardown shuts the pool down: best-effort Shutdown frames, severed

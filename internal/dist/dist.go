@@ -24,8 +24,10 @@ type Options struct {
 	// capped at the shard count: a worker holds a full replica, so
 	// shardless workers only add memory.
 	Workers int
-	// Shards is the partition width, under the same policy as
-	// core.ShardedOptions (≤ 0 → NumCPU, clamped to the vertex count).
+	// Shards is the partition width, under the shard-count policy
+	// core.ShardedOptions follows too, partition.NormalizeShards (≤ 0 →
+	// NumCPU, clamped to the vertex count and to 512), so LocalFallback
+	// runs the width the pool did.
 	Shards int
 	// WorkerCommand, when non-empty, is the argv prefix used to spawn
 	// each worker as an OS process (typically {"hgshardd"}); the

@@ -373,6 +373,20 @@ func TestDistHeartbeatMissDetection(t *testing.T) {
 	}
 }
 
+// TestOptionsShardPolicy pins that the pool's partition width follows
+// the shard-count policy of core.ShardedOptions: a request for 100,000
+// shards over 200,000 vertices is capped at 512, the width the local
+// fallback's in-process run takes too.
+func TestOptionsShardPolicy(t *testing.T) {
+	h, err := hypergraph.FromEdgeSets(200000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := (Options{Shards: 100000}).normalized(h).Shards; got != 512 {
+		t.Errorf("Options{Shards: 100000} over %d vertices normalizes to %d shards, want 512", h.NumVertices(), got)
+	}
+}
+
 // TestDistNoWorkers pins pool-collapse at the join phase: a worker
 // command that never connects is a pool failure, or a silent local
 // degrade with the fallback.

@@ -6,10 +6,12 @@
 // trips: Apply → Frontier, whose vote carries each worker's retired
 // vertices, and Shrink → Barrier, whose vote carries the hyperedges
 // its shards found dying.  The coordinator logs the deltas of every
-// committed round.  Workers that die — connection error, missed
-// heartbeats, corrupt frame, injected fault — have their shards
-// reassigned to survivors, each of which rebuilds its replica from
-// those logs, and the round replays from the last committed barrier;
+// committed round, and a worker gets its shards one way: an Assign
+// carrying those logs (empty at the first deal), from which it rebuilds
+// its replica, answered by a Barrier vote.  Workers that die —
+// connection error, missed heartbeats, corrupt frame, injected fault —
+// have their shards reassigned to survivors, each of which gets such
+// an Assign, and the round replays from the last committed barrier;
 // with Options.LocalFallback an unrecoverable pool collapses the run
 // onto the in-process sharded engine instead of failing.  The peel
 // itself is internal/core's DistPeeler, whose broadcast schedule
@@ -58,16 +60,18 @@ var fpRecv = failpoint.Register("dist.recv")
 // allocated (the same allocation-capped discipline as the mmio and
 // pajek readers).
 //
-// Version 4 recovers from the coordinator's logs of the committed
-// deltas: it has no Rollback frame, the Assign that follows a worker
-// death carries the logs, and a Barrier vote is the worker's dying
-// hyperedge IDs, with no per-shard snapshot of degrees.  Version 3 had
-// Rollback frames and snapshot votes; version 2 also ended a run with
-// Finish and Result frames and counted the frontier beside the
-// Frontier vote's IDs; version 1 also had Retire and Retired frames
-// for the retired delta.  Each version refuses the others.
+// Version 5 hands a worker its shards one way: every Assign carries
+// the coordinator's logs of the committed deltas, from empty ones on,
+// with the shards the worker owns, and is answered by a Barrier vote,
+// whose dying hyperedge IDs the coordinator commits.  Version 4's
+// Assign also carried a list of shards to set up fresh, beside the list
+// to restore, and got a vote only when that list was not empty.
+// Version 3 had Rollback frames and snapshot votes; version 2 also
+// ended a run with Finish and Result frames and counted the frontier
+// beside the Frontier vote's IDs; version 1 also had Retire and Retired
+// frames for the retired delta.  Each version refuses the others.
 const (
-	protoVersion = 4
+	protoVersion = 5
 	headerLen    = 12
 	// maxFramePayload caps a frame's payload allocation.  The largest
 	// legitimate frame is the Load graph blob; 1 GiB leaves room for
@@ -86,11 +90,11 @@ var frameMagic = [2]byte{'h', 'x'}
 const (
 	mHello     = byte(iota + 1) // w→c: protocol version
 	mLoad                       // c→w: shard descriptors + serialized hypergraph
-	mAssign                     // c→w: reset; fresh shards to set up, or the logs and shards to restore
+	mAssign                     // c→w: the logs and the shards to restore the replica from
 	mApply                      // c→w: apply dying delta at threshold k, gather the frontier
 	mFrontier                   // w→c: the frontier's retired vertex IDs and the alive count
 	mShrink                     // c→w: apply retired delta, re-check shrunk edges
-	mBarrier                    // w→c: the dying hyperedge IDs its shards found
+	mBarrier                    // w→c: the dying hyperedge IDs its shards found or re-derived
 	mHeartbeat                  // w→c: liveness beacon
 	mShutdown                   // c→w: exit cleanly
 	mError                      // w→c: typed failure report
@@ -459,19 +463,18 @@ func (m *msgLoad) decode(b []byte) error {
 	return d.done()
 }
 
-// msgAssign resets a worker's replica and hands it shards.  Before
-// the first barrier commits, Fresh lists the shards to set up from the
-// initial state, and the worker answers with a Barrier vote for
-// barrier (K, Round) = (0, 0).  After a worker death, Dead and Retired
-// are the coordinator's logs, every hyperedge the committed rounds
-// killed and every vertex they retired up to barrier (K, Round), and
-// Shards lists every shard the worker owns from then on: it rebuilds
-// its replica from the logs and answers nothing.
+// msgAssign hands a worker its shards by resetting its replica to
+// barrier (K, Round): Dead and Retired are the coordinator's logs,
+// every hyperedge the committed rounds killed and every vertex they
+// retired up to that barrier (both empty for the first assignment, at
+// barrier (0, 0)), and Shards lists every shard the worker owns from
+// then on.  The worker rebuilds its replica from the logs and answers
+// with a Barrier vote for (K, Round), the dying hyperedges of its
+// shards there.
 type msgAssign struct {
 	Epoch   uint32
 	K       int32
 	Round   int32
-	Fresh   []int32
 	Shards  []int32
 	Dead    []int32
 	Retired []int32
@@ -482,7 +485,6 @@ func (m *msgAssign) encode(buf []byte) []byte {
 	e.u32(m.Epoch)
 	e.i32(m.K)
 	e.i32(m.Round)
-	e.i32s(m.Fresh)
 	e.i32s(m.Shards)
 	e.i32s(m.Dead)
 	e.i32s(m.Retired)
@@ -494,7 +496,6 @@ func (m *msgAssign) decode(b []byte) error {
 	m.Epoch = d.u32()
 	m.K = d.i32()
 	m.Round = d.i32()
-	m.Fresh = d.i32s(m.Fresh)
 	m.Shards = d.i32s(m.Shards)
 	m.Dead = d.i32s(m.Dead)
 	m.Retired = d.i32s(m.Retired)

@@ -113,12 +113,12 @@ func TestMessageRoundTrips(t *testing.T) {
 		t.Fatalf("load round-trip mismatch: %+v", load2)
 	}
 
-	asn := msgAssign{Epoch: 3, K: 2, Round: 5, Fresh: []int32{1, 4}, Shards: []int32{0, 2}, Dead: []int32{9, 7}, Retired: []int32{1, 2, 3}}
+	asn := msgAssign{Epoch: 3, K: 2, Round: 5, Shards: []int32{0, 2}, Dead: []int32{9, 7}, Retired: []int32{1, 2, 3}}
 	var asn2 msgAssign
 	if err := asn2.decode(payloadOf(&asn)); err != nil {
 		t.Fatalf("assign decode: %v", err)
 	}
-	if asn2.Epoch != 3 || asn2.K != 2 || asn2.Round != 5 || !slices.Equal(asn2.Fresh, asn.Fresh) || !slices.Equal(asn2.Shards, asn.Shards) ||
+	if asn2.Epoch != 3 || asn2.K != 2 || asn2.Round != 5 || !slices.Equal(asn2.Shards, asn.Shards) ||
 		!slices.Equal(asn2.Dead, asn.Dead) || !slices.Equal(asn2.Retired, asn.Retired) {
 		t.Fatalf("assign round-trip mismatch: %+v", asn2)
 	}
@@ -162,7 +162,6 @@ func TestDecodeRejectsAllocationBombs(t *testing.T) {
 	en2.u32(0)
 	en2.i32(0)
 	en2.i32(0)
-	en2.i32s(nil)
 	en2.i32s([]int32{0})
 	en2.u32(1 << 29) // dead log count with no bytes behind it
 	var a msgAssign
@@ -323,7 +322,7 @@ type codec interface {
 }
 
 // goldenFrames is one frame per frame type, with its bytes as recorded
-// from protocol version 4.  The bytes are the interoperability
+// from protocol version 5.  The bytes are the interoperability
 // contract between builds: a coordinator and hgshardd workers built
 // from different sources must frame identically, so a codec change
 // that moves any byte here needs a protoVersion bump instead.
@@ -335,25 +334,25 @@ var goldenFrames = []struct {
 	hex   string
 }{
 	{"Hello", mHello, &msgHello{Version: protoVersion, ID: 3}, func() codec { return &msgHello{} },
-		"68780401080000007d7eddf30400000003000000"},
+		"6878050108000000e37e773f0500000003000000"},
 	{"Load", mLoad, &msgLoad{Epoch: 7, Descs: []partition.Desc{{First: 0, Count: 3}, {First: 3, Count: 2}}, NumV: 5,
 		EOff: []int32{0, 3, 3, 5}, EAdj: []int32{0, 1, 2, 3, 4}}, func() codec { return &msgLoad{} },
-		"6878040240000000ee4ae2fc07000000020000000000000003000000030000000200000005000000030000000300000000000000010000000200000000000000020000000300000004000000"},
-	{"Assign", mAssign, &msgAssign{Epoch: 3, K: 2, Round: 5, Fresh: []int32{1, 4}, Shards: []int32{0, 2},
+		"6878050240000000ee4ae2fc07000000020000000000000003000000030000000200000005000000030000000300000000000000010000000200000000000000020000000300000004000000"},
+	{"Assign", mAssign, &msgAssign{Epoch: 3, K: 2, Round: 5, Shards: []int32{0, 2},
 		Dead: []int32{9, 6}, Retired: []int32{1, 2, 3}}, func() codec { return &msgAssign{} },
-		"6878040340000000f0e09cd703000000020000000500000002000000010000000400000002000000000000000200000002000000090000000600000003000000010000000200000003000000"},
+		"6878050334000000574a350403000000020000000500000002000000000000000200000002000000090000000600000003000000010000000200000003000000"},
 	{"Apply", mApply, &msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{5, -1, 7}}, func() codec { return &msgRound{} },
-		"6878040420000000bf5d30e60100000004000000090000000300000005000000ffffffff0700000000000000"},
+		"6878050420000000bf5d30e60100000004000000090000000300000005000000ffffffff0700000000000000"},
 	{"Frontier", mFrontier, &msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{2, 3}, Alive: 11}, func() codec { return &msgRound{} },
-		"687804051c00000041c26a220100000004000000090000000200000002000000030000000b000000"},
+		"687805051c00000041c26a220100000004000000090000000200000002000000030000000b000000"},
 	{"Shrink", mShrink, &msgRound{Epoch: 1, K: 4, Round: 10, IDs: []int32{2, 3}}, func() codec { return &msgRound{} },
-		"687804061c0000008a08c25a01000000040000000a00000002000000020000000300000000000000"},
+		"687805061c0000008a08c25a01000000040000000a00000002000000020000000300000000000000"},
 	{"Barrier", mBarrier, &msgRound{Epoch: 8, K: 3, Round: 12, IDs: []int32{6, 8}}, func() codec { return &msgRound{} },
-		"687804071c000000f4908fbd08000000030000000c00000002000000060000000800000000000000"},
-	{"Heartbeat", mHeartbeat, nil, nil, "687804080000000000000000"},
-	{"Shutdown", mShutdown, nil, nil, "687804090000000000000000"},
+		"687805071c000000f4908fbd08000000030000000c00000002000000060000000800000000000000"},
+	{"Heartbeat", mHeartbeat, nil, nil, "687805080000000000000000"},
+	{"Shutdown", mShutdown, nil, nil, "687805090000000000000000"},
 	{"Error", mError, &msgError{Epoch: 6, Text: "worker 3: shard exploded"}, func() codec { return &msgError{} },
-		"6878040a20000000944dfc080600000018000000776f726b657220333a207368617264206578706c6f646564"},
+		"6878050a20000000944dfc080600000018000000776f726b657220333a207368617264206578706c6f646564"},
 }
 
 // TestGoldenFrames pins the wire bytes of one frame per frame type, and

@@ -305,9 +305,10 @@ func frames(t *testing.T, id int, cc *countConn) [mTypeMax]int {
 // frames at 2 workers, and a level fixpoint's Apply 4; there is one
 // fixpoint per level, MaxK + 1 in all.  The killed arm severs worker
 // 1 at the fifth committed barrier: the survivor's recovery costs one
-// Assign, which carries the logs it rebuilds its replica from, and the
-// Apply it answered before the death was noticed, which it is sent
-// again; it gets no second Load.
+// Assign, which carries the logs it rebuilds its replica from, the
+// Barrier vote that answers it, with which the coordinator commits the
+// fifth barrier again, and the Apply it answered before the death was
+// noticed, which it is sent again; it gets no second Load.
 func TestTransportFramesPerBarrier(t *testing.T) {
 	h := dataset.Cellzome().H
 	d, conns, errs, barriers := servedRun(t, h, nil, serveWorker)
@@ -337,13 +338,14 @@ func TestTransportFramesPerBarrier(t *testing.T) {
 			kill(1)
 		}
 	}, serveWorker)
-	if killedBarriers != barriers {
-		t.Errorf("killed run committed %d barriers, the healthy one %d", killedBarriers, barriers)
+	if killedBarriers != barriers+1 {
+		t.Errorf("killed run committed %d barriers, want the healthy run's %d and the recovery's", killedBarriers, barriers)
 	}
 	if errs[0] != nil {
 		t.Errorf("surviving worker: %v", errs[0])
 	}
 	want[mAssign]++
+	want[mBarrier]++
 	want[mApply]++
 	want[mFrontier]++
 	if got := frames(t, 0, conns[0]); got != want {
@@ -358,9 +360,9 @@ func TestTransportFramesPerBarrier(t *testing.T) {
 // that hangs up after its Assign, before its first Barrier vote, so
 // the pool dies before barrier (0, 0) commits.  The recovery takes the
 // one path a later death takes: every survivor gets one Assign, which
-// resets its replica, and here deals it every shard fresh.  The run
-// must be exact, the survivor must get no second Load, and nothing may
-// leak.
+// restores its replica from the logs, here empty, with every shard it
+// now owns, and answers with a Barrier vote.  The run must be exact,
+// the survivor must get no second Load, and nothing may leak.
 func TestTransportDeathBeforeFirstBarrier(t *testing.T) {
 	leakChecked(t, func(t *testing.T) {
 		h := dataset.Cellzome().H
@@ -395,12 +397,12 @@ func TestTransportDeathBeforeFirstBarrier(t *testing.T) {
 	})
 }
 
-// TestTransportRejectsVersion1Hello pins that protocol versions 2, 3
-// and 4 are deliberate breaks: a worker's Hello of version 1, 2 or 3
-// fails the join with ErrCorruptFrame, whether the version shows in
-// the frame header or only in the Hello payload.
+// TestTransportRejectsVersion1Hello pins that protocol versions 2 to 5
+// are deliberate breaks: a worker's Hello of version 1, 2, 3 or 4 fails
+// the join with ErrCorruptFrame, whether the version shows in the frame
+// header or only in the Hello payload.
 func TestTransportRejectsVersion1Hello(t *testing.T) {
-	for _, old := range []uint32{1, 2, 3} {
+	for _, old := range []uint32{1, 2, 3, 4} {
 		header := frameBytes(t, mHello, payloadOf(&msgHello{Version: old, ID: 0}))
 		header[2] = byte(old)
 		if _, err := (&coordinator{}).hello(bufioReader(header)); !errors.Is(err, ErrCorruptFrame) {

@@ -50,8 +50,8 @@ var errBeforeLoad = errors.New("dist: frame before Load")
 
 // workerState is one worker's side of the protocol: the replica, the
 // connection and the buffers of its single loop.  The replica keeps no
-// barrier state of its own: after a worker death the coordinator's
-// Assign carries what it needs to rebuild it.
+// barrier state of its own: every Assign, the first included, carries
+// what it needs to rebuild it.
 type workerState struct {
 	//hyperplexvet:ignore ctxfirst scoped to one ServeWorker call tree, mirroring coordinator
 	ctx  context.Context
@@ -241,25 +241,13 @@ func (w *workerState) load(ctx context.Context, m *msgLoad) error {
 	return nil
 }
 
-// assign resets the replica: to the committed barrier the coordinator's
-// logs give, with the shards it lists, or, for a fresh assignment, to
-// the initial state, with the fresh shards set up and answered with a
-// Barrier vote of their round-0 dying hyperedges.
+// assign restores the replica to the committed barrier the
+// coordinator's logs give, with the shards it lists, and answers with
+// the Barrier vote of the dying hyperedges the restore re-derived.
 func (w *workerState) assign(ctx context.Context, m *msgAssign) error {
 	w.epoch = m.Epoch
 	if err := w.peeler.Restore(ctx, m.Dead, m.Retired, m.Shards); err != nil {
 		return err
-	}
-	if len(m.Fresh) == 0 {
-		return nil
-	}
-	for _, s := range m.Fresh {
-		if s < 0 || int(s) >= w.peeler.NumShards() {
-			return fmt.Errorf("dist: assign of unknown shard %d", s)
-		}
-		if err := w.peeler.AssignFresh(ctx, int(s)); err != nil {
-			return err
-		}
 	}
 	return w.vote(mBarrier, m.K, m.Round, w.peeler.PendingDying(), 0)
 }

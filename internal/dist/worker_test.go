@@ -47,6 +47,7 @@ type workerDriver struct {
 	atBarrier func(b barrierTag) error
 	ref       *workerDriver
 	h         *hypergraph.Hypergraph // the loaded hypergraph
+	resume    bool                   // the next Apply fails with errResume
 }
 
 // barrierTag is a barrier the worker voted at: its tag, the dying
@@ -58,8 +59,9 @@ type barrierTag struct {
 	dead, retired []int32
 }
 
-// newWorkerDriver loads h and its partition into a fresh worker and
-// assigns it every shard, which leaves it at barrier (0, 0).
+// newWorkerDriver loads h and its partition into a new worker and
+// assigns it every shard with empty logs, which leaves it at barrier
+// (0, 0).
 func newWorkerDriver(t *testing.T, h *hypergraph.Hypergraph, part *partition.Partition) *workerDriver {
 	t.Helper()
 	conn := &recordConn{}
@@ -71,7 +73,7 @@ func newWorkerDriver(t *testing.T, h *hypergraph.Hypergraph, part *partition.Par
 		d.shards = append(d.shards, int32(s))
 	}
 	var vote msgRound
-	d.decode(&vote, d.call(mAssign, payloadOf(&msgAssign{Fresh: d.shards}), mBarrier))
+	d.decode(&vote, d.call(mAssign, payloadOf(&msgAssign{Shards: d.shards}), mBarrier))
 	d.bar = barrierTag{dying: vote.IDs}
 	return d
 }
@@ -103,19 +105,23 @@ func (d *workerDriver) decode(m codec, payload []byte) {
 	}
 }
 
-// sameIDs asserts that a vote named the IDs the reference's vote did,
-// in any order.
+// sameIDs asserts that a vote named the IDs of want, the reference's
+// vote or the committed union, in any order.
 func (d *workerDriver) sameIDs(what string, got, want []int32) {
 	d.t.Helper()
 	got, want = slices.Clone(got), slices.Clone(want)
 	slices.Sort(got)
 	slices.Sort(want)
 	if !slices.Equal(got, want) {
-		d.t.Fatalf("after barrier (%d, %d) the %s vote names %v, the reference's %v", d.bar.k, d.bar.round, what, got, want)
+		d.t.Fatalf("after barrier (%d, %d) the %s vote names %v, want %v", d.bar.k, d.bar.round, what, got, want)
 	}
 }
 
 func (d *workerDriver) Apply(ctx context.Context, k int, dying []int32) ([]int32, int, error) {
+	if d.resume {
+		d.resume = false
+		return nil, 0, errResume
+	}
 	var fr msgRound
 	d.decode(&fr, d.call(mApply, payloadOf(&msgRound{Epoch: d.epoch, K: int32(k), Round: d.bar.round, IDs: dying}), mFrontier))
 	if d.ref != nil {
@@ -151,15 +157,26 @@ func (d *workerDriver) Shrink(ctx context.Context, k int, retired []int32) ([]in
 	return d.bar.dying, nil
 }
 
-func (d *workerDriver) Resume(err error) (int, []int32, error) { return 0, nil, err }
+// Resume answers errResume with the last barrier, as the coordinator's
+// answers a worker death with the committed one.
+func (d *workerDriver) Resume(err error) (int, []int32, error) {
+	if errors.Is(err, errResume) {
+		return int(d.bar.k), d.bar.dying, nil
+	}
+	return 0, nil, err
+}
 
-// run runs the round schedule from the last barrier, which must be at
-// k ≤ 1, where RunRounds starts, and returns what RunRounds returns.
-// Vertices and hyperedges retired before that barrier left at k = 1,
-// so the coreness 0 RunRounds starts them at is theirs.
+// errResume fails the first Apply of a run, so that RunRounds resumes
+// at the last barrier.
+var errResume = errors.New("resume at the last barrier")
+
+// run runs the round schedule from the last barrier and returns what
+// RunRounds returns: what the rounds from there record, coreness 0 for
+// every vertex and hyperedge retired before it.
 func (d *workerDriver) run() (*core.Decomposition, error) {
 	d.t.Helper()
-	return core.RunRounds(context.Background(), d, d.h, d.bar.dying, math.MaxInt)
+	d.resume = true
+	return core.RunRounds(context.Background(), d, d.h, nil, math.MaxInt)
 }
 
 // errPeerLost stands for a peer's death after the worker's vote: the
@@ -168,52 +185,93 @@ var errPeerLost = errors.New("peer lost")
 
 // TestWorkerRestoreAtCommittedBarrier drives one worker through the
 // frames of a run that loses a peer after the worker voted at barrier
-// B2: Load, Assign, a round ending in its vote at B1, a round ending
-// in its vote at B2, and the recovery's one Assign, which carries the
-// logs up to B1 and every shard and gets no reply.  From B1 on, every
-// vote of the restored worker must name the same IDs as the vote of a
-// reference worker stopped at its vote at B1, and the continuation
-// must equal Decompose.
+// B2: Load, Assign, rounds up to its vote at B1, the first barrier
+// whose dying delta is not empty (at k = 1 no later barrier has one:
+// a vertex retires there only once all its hyperedges are dead, so it
+// shrinks none), a round ending in its vote at B2, and the recovery's
+// one Assign, which carries the logs up to B1 and every shard.  The
+// worker must answer it with a Barrier vote at B1's tag that names the
+// IDs its vote at B1 named, the committed dying union.  From B1 on,
+// resumed from that vote, every vote of the restored worker must name
+// the same IDs as the vote of a reference worker stopped at its vote
+// at B1, and the continuation must give every vertex and hyperedge
+// alive at B1 its Decompose coreness.
 func TestWorkerRestoreAtCommittedBarrier(t *testing.T) {
 	h := gen.RandomHypergraph(180, 140, 5, xrand.New(0xBEEF))
 	part := partition.Build(h, 3)
 	d := newWorkerDriver(t, h, part)
 	var b1 barrierTag
 	d.atBarrier = func(b barrierTag) error {
-		if b.round == 1 {
+		switch {
+		case len(b1.dying) > 0:
+			return errPeerLost
+		case b.round > 0 && len(b.dying) > 0:
 			b1 = b
-			return nil
 		}
-		return errPeerLost
+		return nil
 	}
 	if _, err := d.run(); !errors.Is(err, errPeerLost) {
 		t.Fatalf("run: err = %v, want it stopped at B2", err)
 	}
-	if b2 := d.bar; b1.k != 1 || b2.round != 2 || len(b1.retired) == 0 || len(b2.retired) <= len(b1.retired) {
-		t.Fatalf("B1 at (%d, %d) after %d retirements, B2 at (%d, %d) after %d: want B1 at k = 1, where RunRounds resumes, and retirements before B1 and between B1 and B2",
-			b1.k, b1.round, len(b1.retired), b2.k, b2.round, len(b2.retired))
+	if b2 := d.bar; len(b1.dying) == 0 || b2.round != b1.round+1 || len(b1.retired) == 0 {
+		t.Fatalf("B1 at (%d, %d) after %d retirements with %d dying, B2 at (%d, %d): want a dying delta and retirements before B1, and B2 the barrier after it",
+			b1.k, b1.round, len(b1.retired), len(b1.dying), b2.k, b2.round)
 	}
 	d.epoch++
-	d.call(mAssign, payloadOf(&msgAssign{Epoch: d.epoch, K: b1.k, Round: b1.round, Shards: d.shards, Dead: b1.dead, Retired: b1.retired}), 0)
+	var vote msgRound
+	d.decode(&vote, d.call(mAssign, payloadOf(&msgAssign{Epoch: d.epoch, K: b1.k, Round: b1.round, Shards: d.shards, Dead: b1.dead, Retired: b1.retired}), mBarrier))
+	if vote.Epoch != d.epoch || vote.K != b1.k || vote.Round != b1.round {
+		t.Fatalf("the recovery Assign's vote is tagged epoch %d at (%d, %d), want epoch %d at B1 (%d, %d)", vote.Epoch, vote.K, vote.Round, d.epoch, b1.k, b1.round)
+	}
+	d.bar = b1
+	d.sameIDs("recovery Barrier", vote.IDs, b1.dying)
 
 	ref := newWorkerDriver(t, h, part)
-	ref.atBarrier = func(barrierTag) error { return errPeerLost }
-	if _, err := ref.run(); !errors.Is(err, errPeerLost) {
-		t.Fatalf("reference run: err = %v, want it stopped at its first vote", err)
+	ref.atBarrier = func(b barrierTag) error {
+		if b.k == b1.k && b.round == b1.round {
+			return errPeerLost
+		}
+		return nil
 	}
-	if rb1 := ref.bar; rb1.k != b1.k || rb1.round != b1.round || !slices.Equal(rb1.dying, b1.dying) {
-		t.Fatalf("reference voted (%d, %d), worker voted (%d, %d)", rb1.k, rb1.round, b1.k, b1.round)
+	if _, err := ref.run(); !errors.Is(err, errPeerLost) {
+		t.Fatalf("reference run: err = %v, want it stopped at its vote at B1", err)
+	}
+	if rb1 := ref.bar; !slices.Equal(rb1.dying, b1.dying) || !slices.Equal(rb1.dead, b1.dead) || !slices.Equal(rb1.retired, b1.retired) {
+		t.Fatalf("the reference's vote and logs at B1 (%d, %d) differ from the worker's", b1.k, b1.round)
 	}
 
 	ref.atBarrier = nil
+	b1.dying = vote.IDs
 	d.atBarrier, d.bar, d.ref = nil, b1, ref
 	got, err := d.run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := core.Decompose(h)
-	if got.MaxK != want.MaxK || !slices.Equal(got.VertexCoreness, want.VertexCoreness) || !slices.Equal(got.EdgeCoreness, want.EdgeCoreness) {
-		t.Fatal("the continuation from the restored replica differs from Decompose")
+	// A continuation records the level fixpoints from B1's k on.
+	wantMax := want.MaxK
+	if int(b1.k) > want.MaxK {
+		wantMax = 0
+	}
+	if got.MaxK != wantMax {
+		t.Fatalf("the continuation's MaxK is %d, want %d", got.MaxK, wantMax)
+	}
+	retired, dead := make([]bool, h.NumVertices()), make([]bool, h.NumEdges())
+	for _, v := range b1.retired {
+		retired[v] = true
+	}
+	for _, f := range b1.dead {
+		dead[f] = true
+	}
+	for v, c := range want.VertexCoreness {
+		if !retired[v] && got.VertexCoreness[v] != c {
+			t.Fatalf("the continuation gives vertex %d, alive at B1, coreness %d, want %d", v, got.VertexCoreness[v], c)
+		}
+	}
+	for f, c := range want.EdgeCoreness {
+		if !dead[f] && got.EdgeCoreness[f] != c {
+			t.Fatalf("the continuation gives hyperedge %d, alive at B1, coreness %d, want %d", f, got.EdgeCoreness[f], c)
+		}
 	}
 }
 
@@ -228,7 +286,7 @@ func TestWorkerFramesBeforeLoad(t *testing.T) {
 	}{
 		{mApply, &msgRound{K: 1, IDs: []int32{0}}},
 		{mShrink, &msgRound{K: 1, Round: 1, IDs: []int32{0}}},
-		{mAssign, &msgAssign{Fresh: []int32{0}}},
+		{mAssign, &msgAssign{Shards: []int32{0}}},
 	} {
 		w := &workerState{ctx: context.Background(), conn: &recordConn{}, opts: WorkerOptions{}.normalized()}
 		if err := w.handle(context.Background(), f.typ, payloadOf(f.msg)); !errors.Is(err, errBeforeLoad) {

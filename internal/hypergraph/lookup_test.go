@@ -51,7 +51,7 @@ func TestCSRAliases(t *testing.T) {
 	if err := store.WriteH(path, cz); err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(path, store.Options{})
+	st, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestConcurrentFirstLookup(t *testing.T) {
 	if err := store.WriteH(path, proteome); err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(path, store.Options{})
+	st, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,20 +47,17 @@ type Partition struct {
 // NumShards returns the number of shards.
 func (p *Partition) NumShards() int { return len(p.Shards) }
 
-// NormalizeShards applies the shared shard-count policy: requests ≤ 0
-// select runtime.NumCPU(), and the count is clamped to the vertex
-// count (at least one shard even for an empty hypergraph).
+// NormalizeShards applies the shard-count policy the sharded and the
+// distributed engines share: requests ≤ 0 select runtime.NumCPU(), and
+// the count is clamped to the vertex count (at least one shard even for
+// an empty hypergraph) and to 512.  Every phase of a round loops over
+// the shards, so an absurd request would turn into per-round overhead
+// and one arena per empty-handed shard rather than a finer partition.
 func NormalizeShards(shards, numVertices int) int {
 	if shards <= 0 {
 		shards = runtime.NumCPU()
 	}
-	if shards > numVertices {
-		shards = numVertices
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
+	return max(min(shards, numVertices, 512), 1)
 }
 
 // Build partitions h into the requested number of shards (normalized

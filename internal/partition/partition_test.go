@@ -104,6 +104,7 @@ func TestNormalizeShards(t *testing.T) {
 		{7, 3, 3},
 		{5, 0, 1},
 		{1, 1, 1},
+		{100000, 200000, 512},
 	}
 	for _, c := range cases {
 		if c.nv < c.want { // NumCPU may exceed tiny nv

@@ -100,14 +100,9 @@ func (b *buildTicker) flush(ctx context.Context, meter *run.Meter) error {
 	return nil
 }
 
-// mapPins reports whether pin files are served by a read-write mapping
-// (linux, little-endian).  Tests clear it to drive the pread/pwrite
-// path every other host takes.
-var mapPins = mmapSupported && nativeLittleEndian
-
 // pinFile is a writable int32 array region inside a temp file: the
 // build's scratch rows, and the scatter target for the transposed pin
-// array.  Where mapPins holds the region is served by a shared
+// array.  Where useMmap holds the region is served by a shared
 // read-write mapping; otherwise by pread/pwrite with explicit
 // little-endian coding.  base must be page-aligned.
 type pinFile struct {
@@ -123,7 +118,7 @@ type pinFile struct {
 // fileSize.  Mapping failure silently degrades to pread/pwrite.
 func newPinFile(f *os.File, fileSize, base, n int64) *pinFile {
 	p := &pinFile{f: f, base: base, n: n, buf: make([]byte, bufSize)}
-	if n > 0 && mapPins {
+	if n > 0 && useMmap {
 		if b, err := mapFileRW(f, fileSize); err == nil {
 			p.mapped = b
 			p.view = int32View(b[base : base+4*n])

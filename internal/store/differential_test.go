@@ -24,7 +24,7 @@ func viaStore(t *testing.T, h *hypergraph.Hypergraph) (*store.File, *hypergraph.
 	if err := store.WriteH(path, h); err != nil {
 		t.Fatalf("WriteH: %v", err)
 	}
-	st, err := store.Open(path, store.Options{})
+	st, err := store.Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

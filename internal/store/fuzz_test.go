@@ -28,13 +28,17 @@ func fuzzSeedBytes(t testing.TB) []byte {
 	return b
 }
 
-// FuzzStoreRoundTrip feeds arbitrary bytes to Open.  Any input must
-// either be rejected with an error or open into a store; no input may
-// panic, hang, or allocate past the header-declared sizes.  When the
+// FuzzStoreRoundTrip feeds arbitrary bytes to Open's os.ReadAt loader.
+// Any input must either be rejected with an error or open into a
+// store; no input may panic, hang, or allocate past the
+// header-declared sizes.  When the
 // store's hypergraph view accepts it (it rejects a repeated name), its
 // arrays pass csr.Validate, every non-empty name is found again at its
 // own ID, and WriteH of the view round-trips every array and name.
 func FuzzStoreRoundTrip(f *testing.F) {
+	saved := *store.UseMmap
+	*store.UseMmap = false
+	f.Cleanup(func() { *store.UseMmap = saved })
 	seed := fuzzSeedBytes(f)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
@@ -53,7 +57,7 @@ func FuzzStoreRoundTrip(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatalf("WriteFile: %v", err)
 		}
-		st, err := store.Open(path, store.Options{NoMmap: true})
+		st, err := store.Open(path)
 		if err != nil {
 			return // rejected, fine
 		}
@@ -85,7 +89,7 @@ func FuzzStoreRoundTrip(f *testing.F) {
 		if err := store.WriteH(out, h); err != nil {
 			t.Fatalf("re-write of opened store: %v", err)
 		}
-		st2, err := store.Open(out, store.Options{NoMmap: true})
+		st2, err := store.Open(out)
 		if err != nil {
 			t.Fatalf("re-open of re-written store: %v", err)
 		}

@@ -31,19 +31,11 @@ var fpOpen = failpoint.Register("store.open")
 // cancellation/budget checkpoints in OpenCtx.
 const verifyChunk = 1 << 20
 
-// Options configures Open.
-type Options struct {
-	// NoMmap forces the portable os.ReadAt loader even where mmap is
-	// available.  The arrays are then ordinary heap memory and stay
-	// valid after Close — dataset loading uses this so a loaded
-	// instance does not pin a file descriptor.
-	NoMmap bool
-	// SkipVerify skips the section checksums and the structural CSR
-	// validation, for files this process just wrote or otherwise
-	// trusts.  The header and the name offset arrays are always
-	// validated, so even a skipped verify cannot read out of bounds.
-	SkipVerify bool
-}
+// useMmap reports whether store files are served by memory mappings
+// (linux, little-endian): Open maps a file read-only, and the builder
+// maps its pin files read-write.  Tests clear it to drive the os.ReadAt
+// loader and the pread/pwrite pin files every other host takes.
+var useMmap = mmapSupported && nativeLittleEndian
 
 // File is an open store file.  See format.go for the layout.  Every
 // slice reachable through it is read-only and, for a mapped file, only
@@ -62,21 +54,20 @@ type File struct {
 }
 
 // Open opens a store file with the default context.
-func Open(path string, opts Options) (*File, error) {
-	return OpenCtx(context.Background(), path, opts)
+func Open(path string) (*File, error) {
+	return OpenCtx(context.Background(), path)
 }
 
 // OpenCtx opens a store file: header validation first (allocation-
 // capped — nothing proportional to the declared counts is allocated or
 // mapped until the header proves the sections consistent with the file
 // size), then the arrays are mapped (linux, little-endian hosts) or
-// loaded via os.ReadAt, then — unless opts.SkipVerify — every section
-// checksum and the full csr.Validate structural check run, with
-// cancellation/budget checkpoints every verifyChunk bytes.  Step unit:
-// one verified chunk; the structural check's cursor, 4 bytes per
-// vertex, is charged to the allocation budget.  On error nothing stays
-// mapped or open.
-func OpenCtx(ctx context.Context, path string, opts Options) (f *File, err error) {
+// loaded via os.ReadAt, then every section checksum and the full
+// csr.Validate structural check run, with cancellation/budget
+// checkpoints every verifyChunk bytes.  Step unit: one verified chunk;
+// the structural check's cursor, 4 bytes per vertex, is charged to the
+// allocation budget.  On error nothing stays mapped or open.
+func OpenCtx(ctx context.Context, path string) (f *File, err error) {
 	meter := run.MeterFrom(ctx)
 	if err := run.Tick(ctx, meter, 0); err != nil {
 		return nil, err
@@ -111,7 +102,7 @@ func OpenCtx(ctx context.Context, path string, opts Options) (f *File, err error
 		return nil, fmt.Errorf("%w (%s)", err, path)
 	}
 
-	if !opts.NoMmap && mmapSupported && nativeLittleEndian {
+	if useMmap {
 		// Portable fallback on mapping failure: a filesystem that
 		// cannot map (or an exhausted address space) serves via ReadAt.
 		if b, merr := mapFile(osf, size); merr == nil {
@@ -143,26 +134,24 @@ func OpenCtx(ctx context.Context, path string, opts Options) (f *File, err error
 		}
 	}
 
-	if !opts.SkipVerify {
-		for i, b := range raw {
-			if err := run.Tick(ctx, meter, 0); err != nil {
+	for i, b := range raw {
+		if err := run.Tick(ctx, meter, 0); err != nil {
+			return nil, err
+		}
+		var got uint32
+		for len(b) > 0 {
+			if err := failpoint.Inject(fpOpen); err != nil {
 				return nil, err
 			}
-			var got uint32
-			for len(b) > 0 {
-				if err := failpoint.Inject(fpOpen); err != nil {
-					return nil, err
-				}
-				if err := run.Tick(ctx, meter, 1); err != nil {
-					return nil, err
-				}
-				n := min(len(b), verifyChunk)
-				got = crc32.Update(got, crc32.IEEETable, b[:n])
-				b = b[n:]
+			if err := run.Tick(ctx, meter, 1); err != nil {
+				return nil, err
 			}
-			if got != hdr.sec[i].crc {
-				return nil, fmt.Errorf("store: %s: section %d checksum mismatch (file corrupt?)", path, i)
-			}
+			n := min(len(b), verifyChunk)
+			got = crc32.Update(got, crc32.IEEETable, b[:n])
+			b = b[n:]
+		}
+		if got != hdr.sec[i].crc {
+			return nil, fmt.Errorf("store: %s: section %d checksum mismatch (file corrupt?)", path, i)
 		}
 	}
 
@@ -199,27 +188,26 @@ func OpenCtx(ctx context.Context, path string, opts Options) (f *File, err error
 		}
 	}
 
-	if !opts.SkipVerify {
-		// The structural check walks every pin once per direction.
-		if err := run.Tick(ctx, meter, hdr.pins/verifyChunk+1); err != nil {
-			return nil, err
-		}
-		// Validate's cross-direction walk keeps one int32 cursor per
-		// vertex on the heap.
-		if err := meter.Alloc(4 * hdr.numV); err != nil {
-			return nil, err
-		}
-		if err := st.c.Validate(); err != nil {
-			return nil, fmt.Errorf("store: %s: %w", path, err)
-		}
+	// The structural check walks every pin once per direction.
+	if err := run.Tick(ctx, meter, hdr.pins/verifyChunk+1); err != nil {
+		return nil, err
+	}
+	// Validate's cross-direction walk keeps one int32 cursor per vertex
+	// on the heap.
+	if err := meter.Alloc(4 * hdr.numV); err != nil {
+		return nil, err
+	}
+	if err := st.c.Validate(); err != nil {
+		return nil, fmt.Errorf("store: %s: %w", path, err)
 	}
 	opened = true
 	return st, nil
 }
 
 // validateNameOffsets pins the name offset array to the blob it
-// indexes, so Open rejects a file whose names would not slice, even
-// when the caller skipped the checksum verify.
+// indexes, so Open rejects a file whose names would not slice: the
+// checksums show only that a section is the one written, and
+// csr.Validate checks no name.
 func validateNameOffsets(kind string, off []int32, blobLen int) error {
 	if off[0] != 0 {
 		return fmt.Errorf("store: %s name offsets must start at 0", kind)
@@ -240,7 +228,7 @@ func validateNameOffsets(kind string, off []int32, blobLen int) error {
 // file); only one string per side's name blob and the name indexes
 // become RAM-resident, O(|V|+|F|), and an unnamed file adds none.  The
 // result is cached and shares the store's lifetime: do not use it after
-// Close unless the store was opened with NoMmap.
+// Close.
 func (s *File) H() (*hypergraph.Hypergraph, error) {
 	if s.h != nil {
 		return s.h, nil
@@ -254,8 +242,8 @@ func (s *File) H() (*hypergraph.Hypergraph, error) {
 }
 
 // Close unmaps (when mapped) and closes the file.  Idempotent.  After
-// Close, arrays obtained from a mapped store must not be touched; a
-// NoMmap store's arrays are ordinary heap memory and stay valid.
+// Close, arrays obtained from a mapped store must not be touched; those
+// the os.ReadAt loader read are ordinary heap memory and stay valid.
 func (s *File) Close() error {
 	if s.closed {
 		return nil

@@ -60,6 +60,24 @@ func inMapping(c *csr.CSR, m []byte) bool {
 	return true
 }
 
+// eachLoader runs body with each file loader in turn, the mapping where
+// the host has one and then the os.ReadAt loader every other host
+// takes, and names the loader.
+func eachLoader(t *testing.T, body func(loader string)) {
+	t.Helper()
+	saved := useMmap
+	t.Cleanup(func() { useMmap = saved })
+	for _, mapped := range []bool{saved, false} {
+		useMmap = mapped
+		loader := "os.ReadAt"
+		if mapped {
+			loader = "mmap"
+		}
+		body(loader)
+	}
+	useMmap = saved
+}
+
 // TestRoundTripSweep writes every sweep instance to a store file and
 // reads it back through both loaders, checking the CSR arrays, the
 // names, and the text form of File.H against the original; a mapped
@@ -72,12 +90,12 @@ func TestRoundTripSweep(t *testing.T) {
 		}
 		want := h.CSR()
 		wantText := textOf(t, h)
-		for _, opts := range []Options{{}, {NoMmap: true}, {NoMmap: true, SkipVerify: true}} {
-			st, err := Open(path, opts)
+		eachLoader(t, func(loader string) {
+			st, err := Open(path)
 			if err != nil {
-				t.Fatalf("instance %d: Open(%+v): %v", i, opts, err)
+				t.Fatalf("instance %d: Open (%s): %v", i, loader, err)
 			}
-			label := fmt.Sprintf("instance %d (%+v)", i, opts)
+			label := fmt.Sprintf("instance %d (%s)", i, loader)
 			h2, err := st.H()
 			if err != nil {
 				t.Fatalf("%s: H: %v", label, err)
@@ -102,19 +120,23 @@ func TestRoundTripSweep(t *testing.T) {
 			if err := st.Close(); err != nil {
 				t.Fatalf("%s: Close: %v", label, err)
 			}
-		}
+		})
 	}
 }
 
-// TestNoMmapArraysSurviveClose pins the documented contract dataset
-// loading relies on: a NoMmap store's arrays stay valid after Close.
+// TestNoMmapArraysSurviveClose pins Close's documented contract for the
+// os.ReadAt loader: the arrays it read are heap memory and stay valid
+// after Close.
 func TestNoMmapArraysSurviveClose(t *testing.T) {
 	h := gen.RandomHypergraph(50, 30, 5, xrand.New(7))
 	path := filepath.Join(t.TempDir(), "g.store")
 	if err := WriteH(path, h); err != nil {
 		t.Fatalf("WriteH: %v", err)
 	}
-	st, err := Open(path, Options{NoMmap: true})
+	saved := useMmap
+	useMmap = false
+	t.Cleanup(func() { useMmap = saved })
+	st, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -126,14 +148,14 @@ func TestNoMmapArraysSurviveClose(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	if !bytes.Equal(textOf(t, h2), textOf(t, h)) {
-		t.Fatal("NoMmap arrays changed after Close")
+		t.Fatal("the os.ReadAt loader's arrays changed after Close")
 	}
 }
 
 // TestOpenRejectsIDMaps fills sections 4 and 5, where files once
 // carried local→original ID maps, with well-formed maps of the right
 // sizes and valid checksums: Open must reject the file and name the
-// sections, whether or not it verifies.
+// sections, through either loader.
 func TestOpenRejectsIDMaps(t *testing.T) {
 	h := unnamed(t, gen.RandomHypergraph(20, 15, 4, xrand.New(3)).CSR())
 	path := filepath.Join(t.TempDir(), "g.store")
@@ -163,15 +185,15 @@ func TestOpenRejectsIDMaps(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []Options{{}, {NoMmap: true}, {SkipVerify: true}} {
-		f, err := Open(path, opts)
+	eachLoader(t, func(loader string) {
+		f, err := Open(path)
 		if err == nil {
 			f.Close()
 		}
 		if err == nil || !strings.Contains(err.Error(), "sections 4 and 5") {
-			t.Errorf("Open(%+v) of a file with ID maps: err = %v, want one naming sections 4 and 5", opts, err)
+			t.Errorf("Open (%s) of a file with ID maps: err = %v, want one naming sections 4 and 5", loader, err)
 		}
-	}
+	})
 }
 
 // TestMTXStoreHAllocs pins what File.H allocates on an unnamed,
@@ -187,10 +209,10 @@ func TestMTXStoreHAllocs(t *testing.T) {
 	if err := BuildFile(path, memSource("mtx", buf.Bytes())); err != nil {
 		t.Fatalf("BuildFile: %v", err)
 	}
-	for _, opts := range []Options{{}, {NoMmap: true}} {
-		st, err := Open(path, opts)
+	eachLoader(t, func(loader string) {
+		st, err := Open(path)
 		if err != nil {
-			t.Fatalf("Open(%+v): %v", opts, err)
+			t.Fatalf("Open (%s): %v", loader, err)
 		}
 		got := testing.AllocsPerRun(20, func() {
 			st.h = nil // H caches its result
@@ -199,10 +221,10 @@ func TestMTXStoreHAllocs(t *testing.T) {
 			}
 		})
 		if got != 1 {
-			t.Errorf("File.H (%+v): %v allocations, want 1", opts, got)
+			t.Errorf("File.H (%s): %v allocations, want 1", loader, got)
 		}
 		st.Close()
-	}
+	})
 }
 
 // corruptCase mutates a valid store file and names the error Open must
@@ -274,29 +296,16 @@ func TestOpenRejectsCorruptFiles(t *testing.T) {
 		}, "inconsistent with the header counts"},
 	}
 	for _, tc := range cases {
-		for _, opts := range []Options{{}, {NoMmap: true}} {
+		eachLoader(t, func(loader string) {
 			p := filepath.Join(dir, "bad.store")
 			if err := os.WriteFile(p, tc.mutate(slices.Clone(orig)), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := Open(p, opts)
+			_, err := Open(p)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("%s (%+v): Open err = %v, want substring %q", tc.name, opts, err, tc.want)
+				t.Fatalf("%s (%s): Open err = %v, want substring %q", tc.name, loader, err, tc.want)
 			}
-		}
-	}
-	// SkipVerify must still reject everything except payload bit flips.
-	for _, tc := range cases {
-		if tc.name == "section bit flip" {
-			continue
-		}
-		p := filepath.Join(dir, "bad.store")
-		if err := os.WriteFile(p, tc.mutate(slices.Clone(orig)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Open(p, Options{SkipVerify: true}); err == nil {
-			t.Fatalf("%s: SkipVerify Open accepted a structurally invalid file", tc.name)
-		}
+		})
 	}
 }
 
@@ -324,19 +333,18 @@ func TestOpenRejectsBadOffsets(t *testing.T) {
 		if err := WriteH(p, unnamed(t, c)); err != nil {
 			t.Fatalf("WriteH: %v", err)
 		}
-		for _, opts := range []Options{{}, {NoMmap: true}} {
-			if f, err := Open(p, opts); err == nil {
+		eachLoader(t, func(loader string) {
+			if f, err := Open(p); err == nil {
 				f.Close()
-				t.Fatalf("Open(%+v) accepted VOff %v, EOff %v", opts, c.VOff, c.EOff)
+				t.Fatalf("Open (%s) accepted VOff %v, EOff %v", loader, c.VOff, c.EOff)
 			}
-		}
+		})
 	}
 }
 
 // TestOpenChargesValidateCursor: the structural check's per-vertex
 // cursor is charged to the MaxAlloc budget, so a budget of less than
-// 4 bytes per vertex rejects a verified Open, while a skipped verify
-// allocates no cursor and charges nothing.
+// 4 bytes per vertex rejects Open, through either loader.
 func TestOpenChargesValidateCursor(t *testing.T) {
 	h := gen.RandomHypergraph(500, 300, 6, xrand.New(3))
 	p := filepath.Join(t.TempDir(), "g.store")
@@ -344,25 +352,22 @@ func TestOpenChargesValidateCursor(t *testing.T) {
 		t.Fatalf("WriteH: %v", err)
 	}
 	cursor := 4 * int64(h.NumVertices())
-	open := func(maxAlloc int64, opts Options) error {
+	open := func(maxAlloc int64) error {
 		ctx, _ := run.WithBudget(context.Background(), run.Budget{MaxAlloc: maxAlloc})
-		f, err := OpenCtx(ctx, p, opts)
+		f, err := OpenCtx(ctx, p)
 		if err == nil {
 			f.Close()
 		}
 		return err
 	}
-	for _, opts := range []Options{{}, {NoMmap: true}} {
-		if err := open(cursor-1, opts); !errors.Is(err, run.ErrBudgetExceeded) {
-			t.Errorf("Open(%+v) under a %d-byte budget: err = %v, want ErrBudgetExceeded", opts, cursor-1, err)
+	eachLoader(t, func(loader string) {
+		if err := open(cursor - 1); !errors.Is(err, run.ErrBudgetExceeded) {
+			t.Errorf("Open (%s) under a %d-byte budget: err = %v, want ErrBudgetExceeded", loader, cursor-1, err)
 		}
-		if err := open(cursor, opts); err != nil {
-			t.Errorf("Open(%+v) under a %d-byte budget: %v", opts, cursor, err)
+		if err := open(cursor); err != nil {
+			t.Errorf("Open (%s) under a %d-byte budget: %v", loader, cursor, err)
 		}
-		if err := open(1, Options{NoMmap: opts.NoMmap, SkipVerify: true}); err != nil {
-			t.Errorf("Open(%+v, SkipVerify) under a 1-byte budget: %v", opts, err)
-		}
-	}
+	})
 }
 
 // memSource serves the same in-memory bytes on every Open.
@@ -386,7 +391,7 @@ func TestBuildTextDifferential(t *testing.T) {
 		if err := BuildFile(path, memSource("text", data)); err != nil {
 			t.Fatalf("instance %d: BuildFile: %v", i, err)
 		}
-		st, err := Open(path, Options{})
+		st, err := Open(path)
 		if err != nil {
 			t.Fatalf("instance %d: Open: %v", i, err)
 		}
@@ -435,7 +440,7 @@ func TestBuildMTXDifferential(t *testing.T) {
 		if err := BuildFile(path, memSource("mtx", data)); err != nil {
 			t.Fatalf("input %d: BuildFile: %v", i, err)
 		}
-		st, err := Open(path, Options{})
+		st, err := Open(path)
 		if err != nil {
 			t.Fatalf("input %d: Open: %v", i, err)
 		}
@@ -537,7 +542,7 @@ func TestBuildUnderAllocBudget(t *testing.T) {
 		t.Fatalf("BuildFileCtx under budget: %v", err)
 	}
 
-	st, err := Open(path, Options{})
+	st, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -603,7 +608,7 @@ func builtBytes(t *testing.T, format string, data []byte) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "built.store")
 	if err := BuildFile(path, memSource(format, data)); err != nil {
-		t.Fatalf("%s BuildFile (mapped %v): %v", format, mapPins, err)
+		t.Fatalf("%s BuildFile (mapped %v): %v", format, useMmap, err)
 	}
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -619,8 +624,8 @@ func builtBytes(t *testing.T, format string, data []byte) []byte {
 // its checkpoints, mapped or not, must return context.Canceled and
 // leave neither the destination nor a temp or scratch file.
 func TestBuildUnmappedPins(t *testing.T) {
-	saved := mapPins
-	t.Cleanup(func() { mapPins = saved })
+	saved := useMmap
+	t.Cleanup(func() { useMmap = saved })
 	mtxOf := func(h *hypergraph.Hypergraph) []byte {
 		var buf bytes.Buffer
 		if err := mmio.Write(&buf, mmio.FromHypergraph(h)); err != nil {
@@ -638,16 +643,16 @@ func TestBuildUnmappedPins(t *testing.T) {
 		{"mtx", mtxOf(large), mtxOf(small)},
 	}
 	for _, in := range inputs {
-		mapPins = saved
+		useMmap = saved
 		mapped := builtBytes(t, in.format, in.data)
-		mapPins = false
+		useMmap = false
 		if !bytes.Equal(builtBytes(t, in.format, in.data), mapped) {
 			t.Errorf("the unmapped %s build differs from the mapped one", in.format)
 		}
 	}
 
 	for _, mapping := range []bool{saved, false} {
-		mapPins = mapping
+		useMmap = mapping
 		for _, in := range inputs {
 			for k := 0; ; k++ {
 				label := fmt.Sprintf("%s (mapped %v) cancelled at checkpoint %d", in.format, mapping, k)

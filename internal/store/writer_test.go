@@ -122,7 +122,7 @@ func TestBuildFileMatchesWriteH(t *testing.T) {
 	if err := os.WriteFile(path, got, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(path, store.Options{})
+	st, err := store.Open(path)
 	if err != nil {
 		t.Fatalf("banded: Open: %v", err)
 	}
