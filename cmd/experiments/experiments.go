@@ -14,62 +14,12 @@ import (
 	"hyperplex/internal/core"
 	"hyperplex/internal/cover"
 	"hyperplex/internal/dataset"
-	"hyperplex/internal/dist"
 	"hyperplex/internal/gen"
 	"hyperplex/internal/graph"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/stats"
-	"hyperplex/internal/store"
 	"hyperplex/internal/xrand"
 )
-
-// maxCoreVia computes the maximum core with the engine selected by
-// -dist and -shards: the fault-tolerant distributed runtime when -dist
-// is set, the sharded decomposition engine when -shards is set,
-// otherwise the sequential peeler (all produce the same cores; the
-// golden test pins that on the paper numbers).
-func maxCoreVia(h *hypergraph.Hypergraph, o options) (*core.Result, error) {
-	if o.store != "" {
-		tmp, err := os.CreateTemp(o.store, "experiment-*.store")
-		if err != nil {
-			return nil, err
-		}
-		path := tmp.Name()
-		tmp.Close()
-		defer os.Remove(path)
-		if err := store.WriteH(path, h); err != nil {
-			return nil, err
-		}
-		st, err := store.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer st.Close()
-		mapped, err := st.H()
-		if err != nil {
-			return nil, err
-		}
-		// Recurse once with the store-backed hypergraph; the peel below
-		// then reads the mapped arrays.
-		h = mapped
-		o.store = ""
-		return maxCoreVia(h, o)
-	}
-	var d *core.Decomposition
-	switch {
-	case o.dist > 0:
-		var err error
-		d, err = dist.Decompose(h, dist.Options{Workers: o.dist, Shards: o.shards, LocalFallback: true, WorkerStderr: os.Stderr})
-		if err != nil {
-			return nil, err
-		}
-	case o.shards > 0:
-		d = core.ShardedDecompose(h, core.ShardedOptions{Shards: o.shards})
-	default:
-		d = core.Decompose(h)
-	}
-	return d.Core(d.MaxK), nil
-}
 
 // runF1 reproduces Fig. 1: the protein degree distribution of the
 // Cellzome hypergraph and its power-law fit.
@@ -161,10 +111,7 @@ func runT1(w io.Writer, o options) error {
 			MaxDeg2F: h.MaxDegree2Edge(),
 		}
 		start := time.Now()
-		mc, err := maxCoreVia(h, o)
-		if err != nil {
-			return err
-		}
+		mc := core.MaxCore(h)
 		row.ElapsedSec = time.Since(start).Seconds()
 		row.MaxCoreK = mc.K
 		row.CoreV = mc.NumVertices
@@ -224,10 +171,7 @@ func runS3(w io.Writer, o options) error {
 	p := inst.Published
 
 	start := time.Now()
-	mc, err := maxCoreVia(h, o)
-	if err != nil {
-		return err
-	}
+	mc := core.MaxCore(h)
 	elapsed := time.Since(start)
 	fmt.Fprintf(w, "maximum core: %d-core with %d proteins and %d complexes in %.3fs (paper: %d-core, %d/%d, 0.47s)\n",
 		mc.K, mc.NumVertices, mc.NumEdges, elapsed.Seconds(), p.MaxCoreK, p.MaxCoreProteins, p.MaxCoreComplexes)

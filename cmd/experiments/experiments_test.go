@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 )
@@ -44,28 +43,5 @@ func TestAllExperimentsShort(t *testing.T) {
 	}
 	if len(checks) != len(allExperiments) {
 		t.Errorf("checks cover %d experiments, registry has %d", len(checks), len(allExperiments))
-	}
-}
-
-// TestStoreOptionMatches runs a maximum-core experiment in out-of-core
-// mode (-store DIR routes the input through a memory-mapped store
-// file) and checks the cores come out identical to the in-RAM run.
-func TestStoreOptionMatches(t *testing.T) {
-	o := options{short: true, outDir: t.TempDir(), trials: 5, store: t.TempDir()}
-	var buf bytes.Buffer
-	if err := runS3(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "6-core with 41 proteins and 54 complexes") {
-		t.Errorf("out-of-core S3 lost the paper core:\n%s", buf.String())
-	}
-	// The store directory must not accumulate files: each round-trip
-	// cleans up after itself.
-	entries, err := os.ReadDir(o.store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("store directory littered: %v", entries)
 	}
 }

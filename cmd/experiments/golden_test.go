@@ -7,8 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"hyperplex/internal/core"
+	"hyperplex/internal/dataset"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden experiments output")
@@ -88,31 +92,21 @@ func TestGoldenPaperNumbers(t *testing.T) {
 }
 
 // TestGoldenShardedMatchesSequential pins that the sharded engine
-// prints the identical paper numbers: the §3 core-proteome experiment
-// run with -shards must produce byte-identical output (after erasing
-// wall-clock timings) to the sequential run, including the headline
-// "6-core with 41 proteins and 54 complexes".
+// finds the paper's core proteome: on the Cellzome hypergraph S3
+// reads, its maximum core at 1, 3 and 16 shards is the one
+// core.MaxCore gives and S3 prints, the 6-core with 41 proteins and 54
+// complexes.
 func TestGoldenShardedMatchesSequential(t *testing.T) {
-	runS3With := func(o options) string {
-		var buf bytes.Buffer
-		for _, e := range allExperiments {
-			if e.id != "S3" {
-				continue
-			}
-			if err := e.run(&buf, o); err != nil {
-				t.Fatalf("S3 with %+v: %v", o, err)
-			}
-		}
-		return timingRe.ReplaceAllString(buf.String(), "<time>")
-	}
-	seq := runS3With(options{outDir: t.TempDir()})
-	if !strings.Contains(seq, "6-core with 41 proteins and 54 complexes") {
-		t.Fatalf("sequential S3 lost the paper's core proteome:\n%s", seq)
+	h := dataset.Cellzome().H
+	want := core.MaxCore(h)
+	if want.K != 6 || want.NumVertices != 41 || want.NumEdges != 54 {
+		t.Fatalf("MaxCore gives a %d-core with %d proteins and %d complexes, want the paper's 6-core with 41 and 54", want.K, want.NumVertices, want.NumEdges)
 	}
 	for _, shards := range []int{1, 3, 16} {
-		sharded := runS3With(options{outDir: t.TempDir(), shards: shards})
-		if sharded != seq {
-			t.Errorf("S3 output with shards=%d differs from sequential:\n%s", shards, firstDiff(seq, sharded))
+		d := core.ShardedDecompose(h, core.ShardedOptions{Shards: shards})
+		got := d.Core(d.MaxK)
+		if got.K != want.K || !slices.Equal(got.VertexIn, want.VertexIn) || !slices.Equal(got.EdgeIn, want.EdgeIn) {
+			t.Errorf("the sharded engine at %d shards gives a %d-core with %d proteins and %d complexes, MaxCore the paper's", shards, got.K, got.NumVertices, got.NumEdges)
 		}
 	}
 }

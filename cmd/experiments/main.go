@@ -26,9 +26,6 @@ func main() {
 	short := flag.Bool("short", false, "shrink the Table 1 matrices and trial counts for a quick run")
 	outDir := flag.String("out", ".", "directory for generated artifacts (fig3.net, fig3.clu)")
 	trials := flag.Int("trials", 100, "TAP simulation trials for X1")
-	shards := flag.Int("shards", 0, "compute maximum cores with the sharded engine on this many shards (0 = sequential peeler)")
-	distW := flag.Int("dist", 0, "compute maximum cores on a fault-tolerant distributed pool of this many workers (0 = in-process)")
-	storeDir := flag.String("store", "", "round every maximum-core input through a memory-mapped store file in this directory (out-of-core mode)")
 	timeout := flag.Duration("timeout", 0, "stop starting new experiments after this duration (0 = no limit)")
 	flag.Parse()
 	ctx, cancel := cli.WithTimeout(context.Background(), *timeout)
@@ -45,7 +42,7 @@ func main() {
 		}
 	}
 
-	opts := options{short: *short, outDir: *outDir, trials: *trials, shards: *shards, dist: *distW, store: *storeDir}
+	opts := options{short: *short, outDir: *outDir, trials: *trials}
 	if *short && *trials > 20 {
 		opts.trials = 20
 	}
@@ -85,19 +82,6 @@ type options struct {
 	short  bool
 	outDir string
 	trials int
-	// shards > 0 routes maximum-core computations through the sharded
-	// decomposition engine; 0 keeps the sequential peeler.
-	shards int
-	// dist > 0 routes maximum-core computations through the
-	// fault-tolerant distributed runtime with this many workers
-	// (local fallback enabled, so a pool collapse degrades rather
-	// than fails).
-	dist int
-	// store, when non-empty, names a directory: every maximum-core
-	// input is first written to a store file there and re-read through
-	// the memory-mapped backend, so the peel runs over the on-disk
-	// arrays (out-of-core mode).  The cores are identical either way.
-	store string
 }
 
 type experiment struct {

@@ -50,7 +50,7 @@ import (
 // Hypergraph is an immutable hypergraph H = (V, F): vertices are
 // proteins, hyperedges are complexes.  See internal/hypergraph for the
 // full method set (degrees, adjacency, names and labels,
-// sub-hypergraphs, serialization).
+// serialization).
 type Hypergraph = hypergraph.Hypergraph
 
 // Builder accumulates vertices and hyperedges and produces an

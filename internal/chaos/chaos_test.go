@@ -239,10 +239,10 @@ func drivers() map[string]func(t *testing.T, ctx context.Context) error {
 
 // resilientSites are the fault-tolerant distributed-runtime sites.
 // Their robustness contract is inverted relative to the kernels: an
-// injected fault there is absorbed by retry-with-backoff, worker-death
-// replay from the last committed barrier, or the local fallback, so an
-// error arm that fired followed by a clean, validated result is the
-// expected outcome — not a swallowed error.
+// injected fault there is absorbed by worker-death replay from the last
+// committed barrier or by the local fallback, so an error arm that
+// fired followed by a clean, validated result is the expected outcome
+// — not a swallowed error.
 var resilientSites = map[string]bool{
 	"dist.send":      true,
 	"dist.recv":      true,

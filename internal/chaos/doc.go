@@ -13,9 +13,9 @@
 //
 // The distributed runtime's sites (dist.send, dist.recv,
 // dist.heartbeat, dist.reassign) carry an inverted contract: the
-// coordinator absorbs injected faults by retry-with-backoff,
-// worker-death replay from the last committed barrier, or the local
-// fallback, so a fired error arm followed by a clean, exactly-correct
+// coordinator absorbs injected faults by worker-death replay from the
+// last committed barrier (a failed send is a death like any other) or
+// the local fallback, so a fired error arm followed by a clean, exactly-correct
 // result is the expected outcome there.  Their driver kills a worker
 // at the first committed barrier so every run also crosses the
 // death-recovery path.

@@ -82,8 +82,6 @@ type shardPeel struct {
 
 	shrunk []int32 // owned hyperedges shrunk this round
 	dying  []int32 // owned hyperedges found dead
-
-	aliveV int
 }
 
 // decrement lowers owned vertex j's degree at threshold k.  A vertex
@@ -160,8 +158,8 @@ func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPee
 	return w
 }
 
-// NumShards returns the partition's shard count.
-func (w *DistPeeler) NumShards() int { return w.part.NumShards() }
+// Partition returns the partition the replica was built over.
+func (w *DistPeeler) Partition() *partition.Partition { return w.part }
 
 // newShard carves the structural arrays of shard s's peel from one
 // arena of 3n + maxDeg + 1 + 2·|owned edges| int32s: degrees, the
@@ -200,8 +198,8 @@ func (w *DistPeeler) newShard(s int) *shardPeel {
 // layout lays shard p's bucket order out by one counting sort over its
 // degrees and the mirrors' liveness: the owned vertices the mirrors
 // retired first, in offset order, then the alive ones by degree, with
-// every block start exact, and counts the alive ones.  Every alive
-// owned vertex's degree must lie in [0, len(p.bin)).
+// every block start exact.  Every alive owned vertex's degree must lie
+// in [0, len(p.bin)).
 func (w *DistPeeler) layout(p *shardPeel) {
 	clear(p.bin)
 	retired := int32(0)
@@ -232,7 +230,6 @@ func (w *DistPeeler) layout(p *shardPeel) {
 	copy(p.bin[1:], p.bin)
 	p.bin[0] = retired
 	p.done = retired
-	p.aliveV = int(p.n - retired)
 }
 
 // PendingDying collects every owned shard's pending dying hyperedges,
@@ -296,15 +293,15 @@ func (w *DistPeeler) testEdges(ctx context.Context, p *shardPeel, edges []int32)
 // round schedule never lowers it without a Restore.  It returns the
 // frontier vote: the frontier as global vertex IDs, this replica's
 // part of the round's retired delta, in a buffer the next Apply
-// reuses, and the alive owned vertices.  Nothing is retired yet: the
-// driver gathers every replica's part and hands the union to Shrink.
+// reuses.  Nothing is retired yet: the driver gathers every replica's
+// part and hands the union to Shrink.
 // Apply charges the delta and the frontier it hands out.
 //
 //hyperplexvet:hotpath
-func (w *DistPeeler) Apply(ctx context.Context, k int, dying []int32) (retired []int32, alive int, err error) {
+func (w *DistPeeler) Apply(ctx context.Context, k int, dying []int32) ([]int32, error) {
 	meter := run.MeterFrom(ctx)
 	if err := run.Tick(ctx, meter, int64(len(dying))+1); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	//hyperplexvet:ignore budgettick bounded pass over the delta, charged by the Tick above
 	for _, g := range dying {
@@ -337,12 +334,11 @@ func (w *DistPeeler) Apply(ctx context.Context, k int, dying []int32) (retired [
 		}
 		frontier += int(top - p.done)
 		p.done = top
-		alive += p.aliveV
 	}
 	if err := run.Tick(ctx, meter, int64(frontier)+1); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return w.retiredDelta, alive, nil
+	return w.retiredDelta, nil
 }
 
 // Shrink applies a round's retired-vertex delta and re-checks what it
@@ -364,9 +360,6 @@ func (w *DistPeeler) Shrink(ctx context.Context, _ int, retired []int32) ([]int3
 	//hyperplexvet:ignore budgettick bounded pass over the delta, charged by the Tick above
 	for _, vg := range retired {
 		w.vAlive[vg] = false
-		if p := w.shards[w.part.VertexOwner[vg]]; p != nil {
-			p.aliveV--
-		}
 		for _, g := range w.snap.C.VertexEdges(vg) {
 			if !w.eAlive[g] {
 				continue

@@ -17,16 +17,18 @@ import (
 )
 
 // replicas is a Rounds over DistPeeler replicas that together own every
-// shard: each call goes to every replica, whose votes are summed and
-// whose deltas are joined, as the internal/dist coordinator does over
-// the wire.  Like the coordinator it logs the dying and the retired
-// delta of every round that reaches its barrier: dead and retired, from
-// which Restore builds a replica.  barrier, when non-nil, runs at
-// barrier (0, 0) and after every Shrink with the barrier's k and the
-// next round's dying delta, and may restore the replicas (the replay
-// tests do).  from, when set, is a barrier to resume at: the first
-// Apply fails and Resume answers with it, as the coordinator's does
-// after a recovery.
+// shard: each call goes to every replica, whose deltas are joined, as
+// the internal/dist coordinator does over the wire.  Like the
+// coordinator it logs the dying and the retired delta of every round
+// that reaches its barrier: dead and retired, from which Restore builds
+// a replica.  It also records what every call returned, in call order,
+// in calls.  barrier, when non-nil, runs at barrier (0, 0) and after
+// every Shrink with the barrier's k and the next round's dying delta,
+// and may restore the replicas (the replay tests do).  replay, when not
+// empty, is another run's calls, which the calls return in turn without
+// reaching the replicas.  from, when set, is a barrier to resume at:
+// the first Apply after the replay fails and Resume answers with it,
+// as the coordinator's does after a recovery.
 type replicas struct {
 	t       *testing.T
 	part    *partition.Partition
@@ -35,6 +37,8 @@ type replicas struct {
 	barrier func(r *replicas, k int, dying []int32)
 	from    *resumePoint
 
+	start                  []int32 // the dying delta of barrier (0, 0)
+	calls, replay          [][]int32
 	dead, retired, applied []int32
 }
 
@@ -58,24 +62,42 @@ func newReplicas(t *testing.T, h *hypergraph.Hypergraph, part *partition.Partiti
 	return r
 }
 
-func (r *replicas) Apply(ctx context.Context, k int, dying []int32) (retired []int32, alive int, _ error) {
+// replayed returns the next recorded call's result while the replay
+// lasts.
+func (r *replicas) replayed() ([]int32, bool) {
+	if len(r.replay) == 0 {
+		return nil, false
+	}
+	ids := r.replay[0]
+	r.replay = r.replay[1:]
+	return ids, true
+}
+
+func (r *replicas) Apply(ctx context.Context, k int, dying []int32) (retired []int32, _ error) {
+	if ids, ok := r.replayed(); ok {
+		return ids, nil
+	}
 	if r.from != nil {
-		return nil, 0, errResume
+		return nil, errResume
 	}
 	r.applied = dying
 	for _, w := range r.ws {
-		part, a, err := w.Apply(ctx, k, dying)
+		part, err := w.Apply(ctx, k, dying)
 		if err != nil {
 			r.t.Fatal(err)
 		}
 		retiredDegreesZero(r.t, w, "after Apply")
 		bucketOrderExact(r.t, w, k, part, "after Apply")
-		retired, alive = append(retired, part...), alive+a
+		retired = append(retired, part...)
 	}
-	return retired, alive, nil
+	r.calls = append(r.calls, retired)
+	return retired, nil
 }
 
 func (r *replicas) Shrink(ctx context.Context, k int, retired []int32) ([]int32, error) {
+	if ids, ok := r.replayed(); ok {
+		return ids, nil
+	}
 	var dying []int32
 	for _, w := range r.ws {
 		part, err := w.Shrink(ctx, k, retired)
@@ -88,6 +110,7 @@ func (r *replicas) Shrink(ctx context.Context, k int, retired []int32) ([]int32,
 	r.dead = append(r.dead, r.applied...)
 	r.retired = append(r.retired, retired...)
 	r.round++
+	r.calls = append(r.calls, dying)
 	if r.barrier != nil {
 		r.barrier(r, k, dying)
 	}
@@ -132,14 +155,13 @@ func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 	r := newReplicas(t, h, partition.Build(h, shards), nw)
 	r.barrier = barrier
 	r.restoreFrom(r, 0)
-	var dying []int32
 	for _, w := range r.ws {
-		dying = append(dying, w.PendingDying()...)
+		r.start = append(r.start, w.PendingDying()...)
 	}
 	if barrier != nil {
-		barrier(r, 0, dying)
+		barrier(r, 0, r.start)
 	}
-	d, err := RunRounds(ctx, r, h, dying, math.MaxInt)
+	d, err := RunRounds(ctx, r, h, r.start, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,14 +332,12 @@ func scramble(w *DistPeeler) {
 		}
 		p.done = p.n / 2
 		p.shrunk = append(p.shrunk[:0], 0)
-		p.aliveV += 5
 	}
 }
 
 // sameReplica asserts that replica got, restored at a barrier, holds
 // what the live replica want holds there: the same mirrors, the same
-// shards, and in each the same alive count and the same degree for
-// every alive owned vertex.
+// shards, and in each the same degree for every alive owned vertex.
 func sameReplica(t *testing.T, want, got *DistPeeler, label string) {
 	t.Helper()
 	if !slices.Equal(got.vAlive, want.vAlive) || !slices.Equal(got.eAlive, want.eAlive) || !slices.Equal(got.eDeg, want.eDeg) {
@@ -330,9 +350,6 @@ func sameReplica(t *testing.T, want, got *DistPeeler, label string) {
 		}
 		if p == nil {
 			continue
-		}
-		if q.aliveV != p.aliveV {
-			t.Fatalf("%s: shard %d has %d alive vertices restored, %d live", label, s, q.aliveV, p.aliveV)
 		}
 		for j := int32(0); j < p.n; j++ {
 			if want.vAlive[p.lo+j] && q.deg[j] != p.deg[j] {
@@ -349,12 +366,13 @@ func sameReplica(t *testing.T, want, got *DistPeeler, label string) {
 // the union of their pending dying lists must hold the same hyperedges
 // as the barrier's dying delta.  The restored set then resumes the run
 // at that barrier from that union, as a dist worker pool does after a
-// recovery, and runs it to the end, where every vertex and hyperedge
-// still alive at the barrier must have Decompose's coreness.  The restored set is reused from barrier to
-// barrier, so each restore starts from where the last continuation
-// ended.  It covers Cellzome, a 2000-protein proteome and a
-// 2000×2000 banded matrix at (shards, replicas) (1, 1), (2, 2), (3, 2)
-// and (4, 3).
+// recovery: a second RunRounds is handed the live run's deltas up to
+// the barrier (replicas.replay), then resumes there over the restored
+// set and runs to the end, where it must have recorded Decompose's
+// decomposition.  The restored set is reused from barrier to barrier,
+// so each restore starts from where the last continuation ended.  It
+// covers Cellzome, a 2000-protein proteome and a 2000×2000 banded
+// matrix at (shards, replicas) (1, 1), (2, 2), (3, 2) and (4, 3).
 func TestDistPeelerRestoreReplay(t *testing.T) {
 	banded, err := mmio.ToHypergraph(gen.SyntheticMatrix(gen.MatrixSpec{Name: "banded", Rows: 2000, Cols: 2000, Band: 10, BandFill: 0.7, RandomPerRow: 2, Seed: 0xBE}))
 	if err != nil {
@@ -388,29 +406,12 @@ func TestDistPeelerRestoreReplay(t *testing.T) {
 					t.Fatalf("%s: the restored replicas re-derive the dying union %v, the barrier's is %v", label, union, dying)
 				}
 				twin.from = &resumePoint{k: k, dying: union}
-				cont, err := RunRounds(context.Background(), twin, h, nil, math.MaxInt)
+				twin.replay = r.calls
+				cont, err := RunRounds(context.Background(), twin, h, r.start, math.MaxInt)
 				if err != nil {
 					t.Fatalf("%s: continuation: %v", label, err)
 				}
-				// A continuation records the level fixpoints from k on.
-				wantMax := want.MaxK
-				if k > want.MaxK {
-					wantMax = 0
-				}
-				if cont.MaxK != wantMax {
-					t.Fatalf("%s: continuation MaxK = %d, want %d", label, cont.MaxK, wantMax)
-				}
-				live := r.ws[0]
-				for v, alive := range live.vAlive {
-					if alive && cont.VertexCoreness[v] != want.VertexCoreness[v] {
-						t.Fatalf("%s: continuation gives vertex %d coreness %d, want %d", label, v, cont.VertexCoreness[v], want.VertexCoreness[v])
-					}
-				}
-				for f, alive := range live.eAlive {
-					if alive && cont.EdgeCoreness[f] != want.EdgeCoreness[f] {
-						t.Fatalf("%s: continuation gives hyperedge %d coreness %d, want %d", label, f, cont.EdgeCoreness[f], want.EdgeCoreness[f])
-					}
-				}
+				sameDecomposition(t, want, cont, label+", continuation")
 			})
 			sameDecomposition(t, want, got, fmt.Sprintf("%s at %d shards over %d replicas", inst.name, cfg[0], cfg[1]))
 			t.Logf("%s at %d shards over %d replicas: %d barriers replayed", inst.name, cfg[0], cfg[1], barriers)
@@ -446,6 +447,69 @@ func TestDistPeelerReassignment(t *testing.T) {
 		t.Fatalf("%d barriers; enlarge the instance", moves)
 	}
 	sameDecomposition(t, RoundOracle(h, 1), got, "reassigned run")
+}
+
+// lostShrink is a Rounds over replicas whose Shrink fails once per
+// round that retires a vertex, after Apply named it, as a worker death
+// between a round's two votes does; Resume then restores the replicas
+// from their logs and resumes at the last barrier, whose k and dying
+// delta are last, so RunRounds hands the round out again.
+type lostShrink struct {
+	*replicas
+	last   resumePoint
+	lostAt int // the barrier count of the round that failed last
+	lost   int
+}
+
+var errShrinkLost = errors.New("a replica was lost before its Barrier vote")
+
+func (l *lostShrink) Shrink(ctx context.Context, k int, retired []int32) ([]int32, error) {
+	if len(retired) > 0 && l.lostAt != l.round {
+		l.lostAt, l.lost = l.round, l.lost+1
+		return nil, errShrinkLost
+	}
+	dying, err := l.replicas.Shrink(ctx, k, retired)
+	l.last = resumePoint{k: k, dying: dying}
+	return dying, err
+}
+
+func (l *lostShrink) Resume(err error) (int, []int32, error) {
+	if !errors.Is(err, errShrinkLost) {
+		return 0, nil, err
+	}
+	l.restoreFrom(l.replicas, 0)
+	return l.last.k, l.last.dying, nil
+}
+
+// TestRunRoundsReplayCountsOnce replays every round that retires a
+// vertex (lostShrink): the replayed Apply names the vertices the lost
+// round's Apply named, and RunRounds must count each of them once, so
+// the run still ends at the fixpoint where none is alive with
+// Decompose's decomposition.  A count that took them twice would reach
+// 0 at a fixpoint with vertices alive, or pass it and fail at level
+// ΔV + 1.
+func TestRunRoundsReplayCountsOnce(t *testing.T) {
+	for _, h := range []*hypergraph.Hypergraph{
+		dataset.Cellzome().H,
+		gen.RandomHypergraph(180, 140, 5, xrand.New(0x10C7)),
+	} {
+		for _, cfg := range [][2]int{{1, 1}, {3, 2}} {
+			label := fmt.Sprintf("%v at %d shards over %d replicas", h, cfg[0], cfg[1])
+			l := &lostShrink{replicas: newReplicas(t, h, partition.Build(h, cfg[0]), cfg[1]), lostAt: -1}
+			l.restoreFrom(l.replicas, 0)
+			for _, w := range l.ws {
+				l.last.dying = append(l.last.dying, w.PendingDying()...)
+			}
+			got, err := RunRounds(context.Background(), l, h, l.last.dying, math.MaxInt)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if l.lost < 3 {
+				t.Fatalf("%s: %d rounds replayed; enlarge the instance", label, l.lost)
+			}
+			sameDecomposition(t, Decompose(h), got, label)
+		}
+	}
 }
 
 // TestDistPeelerRestoreValidation pins Restore's defenses against its
@@ -485,7 +549,7 @@ func TestDistPeelerRestoreValidation(t *testing.T) {
 	if err := w.Restore(ctx, nil, nil, one); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := w.Apply(ctx, 2, []int32{0, 1}); err != nil {
+	if _, err := w.Apply(ctx, 2, []int32{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Restore(ctx, nil, nil, one); err != nil {

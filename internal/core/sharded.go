@@ -100,7 +100,7 @@ func decompose(ctx context.Context, h *hypergraph.Hypergraph, shards, l, kmax in
 // where every survivor gets coreness kmax, so each coreness is the full
 // decomposition's capped at kmax.
 func (w *DistPeeler) peel(ctx context.Context, h *hypergraph.Hypergraph, kmax int) (*Decomposition, error) {
-	all := make([]int32, w.NumShards())
+	all := make([]int32, w.part.NumShards())
 	for s := range all {
 		all[s] = int32(s)
 	}
@@ -123,9 +123,9 @@ func (w *DistPeeler) peel(ctx context.Context, h *hypergraph.Hypergraph, kmax in
 type Rounds interface {
 	// Apply applies a round's dying delta at threshold k and returns
 	// the frontier vote: the round's retired delta, every alive vertex
-	// whose degree fell below k, and the count of alive vertices.  The
-	// retired delta is valid until the next Apply.
-	Apply(ctx context.Context, k int, dying []int32) (retired []int32, alive int, err error)
+	// whose degree fell below k.  The retired delta is valid until the
+	// next Apply.
+	Apply(ctx context.Context, k int, dying []int32) (retired []int32, err error)
 	// Shrink applies the round's retired delta, ends the round at a
 	// barrier, and returns the next round's dying delta.
 	Shrink(ctx context.Context, k int, retired []int32) ([]int32, error)
@@ -140,40 +140,48 @@ type Rounds interface {
 // the threshold k one level at a time, carrying all peeling state
 // across levels, and peels each level in rounds until the retired and
 // the dying delta are both empty: the level fixpoint, where every alive
-// vertex has degree ≥ k.  It stops at a fixpoint with nothing alive, or
-// at the fixpoint of level kmax with MaxK = kmax, where the survivors'
-// coreness is left for the caller to set.  A failed call goes to
-// r.Resume.
+// vertex has degree ≥ k.  It counts the vertices alive, those no
+// retired delta it recorded has named yet, and stops at a fixpoint
+// where that count is 0, or at the fixpoint of level kmax with MaxK =
+// kmax, where the survivors' coreness is left for the caller to set.
+// A failed call goes to r.Resume.
 //
 // What leaves at threshold k belonged to the (k-1)-core: every
 // hyperedge of a dying delta handed to Apply at k, and every vertex of
 // the retired delta Apply returns at k, gets coreness k-1.  A round
 // replayed after Resume hands out the same deltas at the same k, so it
-// records the same values again.
+// records the same values again and counts no vertex twice.
 //
 // No vertex survives level ΔV + 1, h's largest vertex degree plus
-// one, so a vote that keeps a vertex alive at that fixpoint is wrong,
-// and RunRounds returns an error instead of raising k forever.
+// one, so a count above 0 at that fixpoint means a driver left a
+// vertex out of its retired deltas, and RunRounds returns an error
+// instead of raising k forever.
 func RunRounds(ctx context.Context, r Rounds, h *hypergraph.Hypergraph, dying []int32, kmax int) (*Decomposition, error) {
 	d := &Decomposition{VertexCoreness: make([]int, h.NumVertices()), EdgeCoreness: make([]int, h.NumEdges())}
+	// Until a retired delta names it, a vertex holds coreness -1, which
+	// marks it as counted in alive, so the count needs no array of its
+	// own.
+	alive := len(d.VertexCoreness)
+	for v := range d.VertexCoreness {
+		d.VertexCoreness[v] = -1
+	}
 	maxDeg := h.MaxVertexDegree()
 	k := 1
 	for {
 		var retired []int32
-		alive := 0
 		err := exchange()
 		if err == nil {
 			for _, g := range dying {
 				d.EdgeCoreness[g] = k - 1
 			}
-			retired, alive, err = r.Apply(ctx, k, dying)
+			retired, err = r.Apply(ctx, k, dying)
 		}
 		if err == nil && len(retired) == 0 && len(dying) == 0 {
 			if alive == 0 {
 				return d, nil
 			}
 			if k > maxDeg {
-				return nil, fmt.Errorf("core: level %d ends with vertices alive (the vote counts %d), but no vertex survives level ΔV + 1 = %d", k, alive, maxDeg+1)
+				return nil, fmt.Errorf("core: level %d ends with %d vertices that no retired delta named, but no vertex survives level ΔV + 1 = %d", k, alive, maxDeg+1)
 			}
 			d.MaxK = k
 			if k >= kmax {
@@ -184,6 +192,9 @@ func RunRounds(ctx context.Context, r Rounds, h *hypergraph.Hypergraph, dying []
 		}
 		if err == nil {
 			for _, v := range retired {
+				if d.VertexCoreness[v] < 0 {
+					alive--
+				}
 				d.VertexCoreness[v] = k - 1
 			}
 			err = exchange()

@@ -180,30 +180,32 @@ func TestPeelHeapBound(t *testing.T) {
 	}
 }
 
-// stuckVote is a core.Rounds whose frontier vote never empties a
-// level: every Apply reports no frontier and one alive vertex.
+// stuckVote is a core.Rounds whose frontier vote never names a
+// vertex: every Apply returns an empty retired delta, so no level
+// fixpoint lowers the count of alive vertices RunRounds keeps.
 type stuckVote struct{ levels int }
 
-func (s *stuckVote) Apply(context.Context, int, []int32) ([]int32, int, error) {
+func (s *stuckVote) Apply(context.Context, int, []int32) ([]int32, error) {
 	s.levels++
 	if s.levels > 1000 {
-		return nil, 0, errors.New("RunRounds still raising k after 1000 levels")
+		return nil, errors.New("RunRounds still raising k after 1000 levels")
 	}
-	return nil, 1, nil
+	return nil, nil
 }
 func (s *stuckVote) Shrink(context.Context, int, []int32) ([]int32, error) { return nil, nil }
 func (s *stuckVote) Resume(err error) (int, []int32, error)                { return 0, nil, err }
 
-// TestRunRoundsStopsAtDegreeBound requires RunRounds to reject a vote
-// that keeps a vertex alive at the fixpoint of level ΔV + 1, where no
-// vertex survives, with an error naming the level and the bound,
-// after at most ΔV + 1 levels instead of raising k until cancelled.
+// TestRunRoundsStopsAtDegreeBound requires RunRounds to reject a run
+// whose votes leave a vertex alive at the fixpoint of level ΔV + 1,
+// where no vertex survives, with an error naming the level, the count
+// of vertices no retired delta named and the bound, after at most
+// ΔV + 1 levels instead of raising k until cancelled.
 func TestRunRoundsStopsAtDegreeBound(t *testing.T) {
 	h := dataset.Cellzome().H
 	maxDeg := h.MaxVertexDegree()
 	r := &stuckVote{}
 	_, err := core.RunRounds(context.Background(), r, h, nil, math.MaxInt)
-	want := fmt.Sprintf("level %d ends with vertices alive (the vote counts 1), but no vertex survives level ΔV + 1 = %d", maxDeg+1, maxDeg+1)
+	want := fmt.Sprintf("level %d ends with %d vertices that no retired delta named, but no vertex survives level ΔV + 1 = %d", maxDeg+1, h.NumVertices(), maxDeg+1)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("RunRounds error %v, want one containing %q", err, want)
 	}

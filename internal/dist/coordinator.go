@@ -70,7 +70,7 @@ func (rw *remoteWorker) recycle(payload []byte) {
 // records the decomposition from the deltas, so the IDs the workers
 // vote are checked before they reach it.
 type coordinator struct {
-	//hyperplexvet:ignore ctxfirst scoped to one runCoordinator call tree, as workerState's is to ServeWorker's
+	//hyperplexvet:ignore ctxfirst scoped to one runCoordinator call tree
 	ctx   context.Context
 	meter *run.Meter
 	opts  Options
@@ -148,8 +148,9 @@ func (c *coordinator) Resume(err error) (int, []int32, error) {
 	return int(c.barK), c.dying, nil
 }
 
-// setup serializes the problem, builds the partition, starts the
-// listener, spawns the pool, and ships Load to every joined worker.
+// setup builds the partition, starts the listener, spawns the pool,
+// and ships Load, the shard count and the hypergraph's rows, to every
+// joined worker.
 func (c *coordinator) setup() error {
 	part, err := partition.BuildCtx(c.ctx, c.h, c.opts.Shards)
 	if err != nil {
@@ -184,7 +185,7 @@ func (c *coordinator) setup() error {
 	}
 
 	g := c.h.CSR()
-	load := msgLoad{Epoch: c.epoch, Descs: part.Descs(), NumV: csr.MustInt32(c.h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
+	load := msgLoad{Epoch: c.epoch, Shards: csr.MustInt32(part.NumShards()), NumV: csr.MustInt32(c.h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
 	// The Load frame is the one frame of its size; out does not keep it.
 	frame := load.encode(nil)
 	for _, rw := range c.workers {
@@ -194,7 +195,7 @@ func (c *coordinator) setup() error {
 		if !rw.alive() {
 			continue
 		}
-		if err := sendRetry(c.ctx, rw.conn, mLoad, frame, sendRetries); err != nil {
+		if err := writeFrame(rw.conn, mLoad, frame); err != nil {
 			c.kill(rw)
 		}
 	}
@@ -320,9 +321,6 @@ func (c *coordinator) hello(rd *bufio.Reader) (int, error) {
 	if err := m.decode(payload); err != nil {
 		return 0, err
 	}
-	if m.Version != protoVersion {
-		return 0, fmt.Errorf("%w: worker protocol version %d, want %d", ErrCorruptFrame, m.Version, protoVersion)
-	}
 	return int(m.ID), nil
 }
 
@@ -402,7 +400,7 @@ func (c *coordinator) broadcast(typ byte, frame []byte) error {
 		if !rw.alive() {
 			continue
 		}
-		if err := sendRetry(c.ctx, rw.conn, typ, frame, sendRetries); err != nil {
+		if err := writeFrame(rw.conn, typ, frame); err != nil {
 			c.kill(rw)
 			lost = true
 		}
@@ -535,7 +533,7 @@ func (c *coordinator) assign() error {
 // sendAssign sends rw an Assign frame; a failed send kills rw.
 func (c *coordinator) sendAssign(rw *remoteWorker, m *msgAssign) error {
 	c.out = m.encode(c.out)
-	if err := sendRetry(c.ctx, rw.conn, mAssign, c.out, sendRetries); err != nil {
+	if err := writeFrame(rw.conn, mAssign, c.out); err != nil {
 		c.kill(rw)
 		return errWorkerLost
 	}
@@ -601,15 +599,15 @@ func (c *coordinator) awaitDecode(rw *remoteWorker, want byte, m interface{ deco
 // Apply broadcasts a round's dying delta at threshold k and gathers
 // the workers' frontier votes: the union of the retired IDs they
 // carry, each of which must be a vertex of a shard its voter owns,
-// named once, and the sum of their alive counts.
-func (c *coordinator) Apply(ctx context.Context, k int, dying []int32) (retired []int32, alive int, err error) {
+// named once.
+func (c *coordinator) Apply(ctx context.Context, k int, dying []int32) ([]int32, error) {
 	if err := run.Tick(ctx, c.meter, int64(len(dying))+1); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	apply := msgRound{Epoch: c.epoch, K: int32(k), Round: c.barRound, IDs: dying}
 	c.out = apply.encode(c.out)
 	if err := c.broadcast(mApply, c.out); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	c.retired = c.retired[:0]
 	for _, rw := range c.workers {
@@ -617,12 +615,11 @@ func (c *coordinator) Apply(ctx context.Context, k int, dying []int32) (retired 
 			continue
 		}
 		if err := c.awaitVote(rw, mFrontier, int32(k), c.barRound, c.part.VertexOwner, "retired vertex"); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		alive += int(c.vote.Alive)
 		c.retired = append(c.retired, c.vote.IDs...)
 	}
-	return c.retired, alive, nil
+	return c.retired, nil
 }
 
 // newGen advances the generation that marks a vote's IDs in seen,

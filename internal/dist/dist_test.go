@@ -325,12 +325,15 @@ func TestDistHeartbeatDeath(t *testing.T) {
 	})
 }
 
-// TestDistSendFaultsRetried pins retry-with-backoff: transient
-// injected send failures (every 7th send, three at most per site hit)
-// are absorbed without any worker death.
+// TestDistSendFaultsRetried pins that a failed send is a worker death
+// like any other: two injected send failures (the 7th and the 14th
+// send, by either end) each cost at most the worker the frame was for
+// or from, or a heartbeat, and the coordinator recovers the run from
+// the last committed barrier, so the round is retried over the
+// survivors and the result is exact.
 func TestDistSendFaultsRetried(t *testing.T) {
 	leakChecked(t, func(t *testing.T) {
-		if err := failpoint.Enable("dist.send", failpoint.Arm{Mode: failpoint.ModeError, Every: 7}); err != nil {
+		if err := failpoint.Enable("dist.send", failpoint.Arm{Mode: failpoint.ModeError, Every: 7, Times: 2}); err != nil {
 			t.Fatal(err)
 		}
 		defer failpoint.Disable("dist.send")

@@ -1,8 +1,9 @@
 // Package dist executes the sharded core decomposition across OS
-// processes: a coordinator partitions the hypergraph, ships shard
-// assignments to worker processes over a length-prefixed binary wire
-// protocol, and drives the bulk-synchronous rounds with broadcast
-// deltas (dying hyperedges, retired vertices).  A round is two round
+// processes: a coordinator ships the hypergraph and a shard count to
+// worker processes over a length-prefixed binary wire protocol, every
+// process builds the same partition from them, and the coordinator
+// drives the bulk-synchronous rounds with broadcast deltas (dying
+// hyperedges, retired vertices).  A round is two round
 // trips: Apply → Frontier, whose vote carries each worker's retired
 // vertices, and Shrink → Barrier, whose vote carries the hyperedges
 // its shards found dying.  The coordinator logs the deltas of every
@@ -21,21 +22,18 @@
 package dist
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"time"
 
 	"hyperplex/internal/csr"
 	"hyperplex/internal/failpoint"
-	"hyperplex/internal/partition"
 )
 
-// fpSend fires before every frame write, so chaos tests can inject
-// transient send failures (retried with backoff) and hard ones.
+// fpSend fires before every frame write, so chaos tests can fail a
+// send; a failed send is the death of the worker it was for or from.
 var fpSend = failpoint.Register("dist.send")
 
 // fpRecv fires before every frame read, so chaos tests can fail or
@@ -60,18 +58,21 @@ var fpRecv = failpoint.Register("dist.recv")
 // allocated (the same allocation-capped discipline as the mmio and
 // pajek readers).
 //
-// Version 5 hands a worker its shards one way: every Assign carries
-// the coordinator's logs of the committed deltas, from empty ones on,
-// with the shards the worker owns, and is answered by a Barrier vote,
-// whose dying hyperedge IDs the coordinator commits.  Version 4's
-// Assign also carried a list of shards to set up fresh, beside the list
-// to restore, and got a vote only when that list was not empty.
-// Version 3 had Rollback frames and snapshot votes; version 2 also
-// ended a run with Finish and Result frames and counted the frontier
-// beside the Frontier vote's IDs; version 1 also had Retire and Retired
-// frames for the retired delta.  Each version refuses the others.
+// Version 6 ships only what a worker cannot derive: Load carries the
+// shard count and the hypergraph's two flat CSR arrays, from which the
+// worker builds the coordinator's partition itself; Hello carries only
+// the worker ID, since the header already carries the version; and a
+// Frontier vote carries only the retired IDs, since core.RunRounds
+// counts the alive vertices off them.  Version 5 shipped shard
+// descriptors and per-row member counts in Load, a version in Hello
+// and an alive count in every Frontier vote.  Version 4's Assign also
+// carried a list of shards to set up fresh, beside the list to
+// restore.  Version 3 had Rollback frames and snapshot votes; version 2
+// also ended a run with Finish and Result frames; version 1 also had
+// Retire and Retired frames for the retired delta.  Each version
+// refuses the others.
 const (
-	protoVersion = 5
+	protoVersion = 6
 	headerLen    = 12
 	// maxFramePayload caps a frame's payload allocation.  The largest
 	// legitimate frame is the Load graph blob; 1 GiB leaves room for
@@ -88,11 +89,11 @@ var frameMagic = [2]byte{'h', 'x'}
 //
 //hyperplexvet:wiretypes
 const (
-	mHello     = byte(iota + 1) // w→c: protocol version
-	mLoad                       // c→w: shard descriptors + serialized hypergraph
+	mHello     = byte(iota + 1) // w→c: the worker ID
+	mLoad                       // c→w: shard count + the hypergraph's CSR rows
 	mAssign                     // c→w: the logs and the shards to restore the replica from
 	mApply                      // c→w: apply dying delta at threshold k, gather the frontier
-	mFrontier                   // w→c: the frontier's retired vertex IDs and the alive count
+	mFrontier                   // w→c: the frontier's retired vertex IDs
 	mShrink                     // c→w: apply retired delta, re-check shrunk edges
 	mBarrier                    // w→c: the dying hyperedge IDs its shards found or re-derived
 	mHeartbeat                  // w→c: liveness beacon
@@ -129,39 +130,6 @@ func writeFrame(w io.Writer, typ byte, frame []byte) error {
 		return fmt.Errorf("dist: send: %w", err)
 	}
 	return nil
-}
-
-// sendRetries is how many times both ends retry a transient send
-// failure before giving up.
-const sendRetries = 3
-
-// sendRetry is writeFrame with bounded retry-with-backoff on transient
-// failures: injected faults and network timeouts back off 1, 2, 4…
-// milliseconds; hard errors (a broken connection) return immediately.
-// The backoff waits on ctx, so a cancelled peel abandons the retry
-// sequence at the next attempt boundary instead of sleeping it out.
-//
-//hyperplexvet:wiresend
-func sendRetry(ctx context.Context, w io.Writer, typ byte, frame []byte, retries int) error {
-	backoff := time.Millisecond
-	for attempt := 0; ; attempt++ {
-		err := writeFrame(w, typ, frame)
-		if err == nil {
-			return nil
-		}
-		var nerr interface{ Timeout() bool }
-		transient := errors.Is(err, failpoint.ErrInjected) ||
-			(errors.As(err, &nerr) && nerr.Timeout())
-		if !transient || attempt >= retries {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("dist: send retry abandoned: %w", ctx.Err())
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-	}
 }
 
 // readFrame reads and validates one frame into buf's storage, which
@@ -311,45 +279,6 @@ func (d *dec) i32s(dst []int32) []int32 {
 	return out
 }
 
-// i32rows reads ne count-prefixed int32 rows into one flat pin array
-// and its ne+1 row offsets, row i being pins[off[i]:off[i+1]].  The
-// remaining bytes bound the array: after the ne row counts, at most a
-// quarter of the rest can be members, and every row's count is checked
-// against what is left of that bound before its members are read.
-func (d *dec) i32rows(ne uint32) (off, pins []int32) {
-	if d.err != nil {
-		return nil, nil
-	}
-	if uint64(ne)*4 > uint64(len(d.b)) {
-		d.fail("row count %d exceeds %d remaining bytes", ne, len(d.b))
-		return nil, nil
-	}
-	off = make([]int32, int(ne)+1)
-	pins = make([]int32, (len(d.b)-4*int(ne))/4)
-	pos := 0
-	//hyperplexvet:ignore budgettick bounded: one decoding pass over a length-validated payload; the read loop checks ctx per frame
-	for i := 0; i < int(ne); i++ {
-		n := d.u32()
-		if d.err != nil {
-			return nil, nil
-		}
-		if uint64(n) > uint64(len(pins)-pos) {
-			d.fail("row %d member count %d exceeds the %d members left in the payload", i, n, len(pins)-pos)
-			return nil, nil
-		}
-		row := pins[pos : pos+int(n)]
-		for j := range row {
-			row[j] = int32(binary.LittleEndian.Uint32(d.b[4*j:]))
-		}
-		d.b = d.b[4*n:]
-		pos += int(n)
-		// pos counts the members of one frame, at most a quarter of
-		// maxFramePayload, far below the int32 bound.
-		off[i+1] = int32(pos)
-	}
-	return off, pins[:pos:pos]
-}
-
 func (d *dec) bytes() []byte {
 	n := d.u32()
 	if d.err != nil {
@@ -383,83 +312,65 @@ func (d *dec) done() error {
 // payload, reusing the storage of its slices, and keeps no reference
 // to the payload.
 
-// msgHello is the worker's join handshake: its protocol version and
-// the worker ID the spawner assigned it.  The ID is what lets the
-// coordinator pair an accepted connection with the process it spawned
-// — dial order is not spawn order.
+// msgHello is the worker's join handshake: the worker ID the spawner
+// assigned it.  The ID is what lets the coordinator pair an accepted
+// connection with the process it spawned — dial order is not spawn
+// order.
 type msgHello struct {
-	Version uint32
-	ID      int32
+	ID int32
 }
 
 func (m *msgHello) encode(buf []byte) []byte {
 	e := newEnc(buf)
-	e.u32(m.Version)
 	e.i32(m.ID)
 	return e.b
 }
 
 func (m *msgHello) decode(b []byte) error {
 	d := dec{b: b}
-	m.Version = d.u32()
 	m.ID = d.i32()
 	return d.done()
 }
 
-// msgLoad ships the problem: the partition's shard descriptors and the
-// hypergraph structure as flat member rows, the CSR's edge side.  IDs —
-// not names — are what the decomposition consumes, so the structural
-// encoding keeps every worker's vertex and hyperedge numbering
-// bit-identical to the coordinator's.  On the wire each row is a
-// count-prefixed member list.  Unlike the other messages, decode
-// allocates fresh arrays, exactly sized: the worker hands them to the
-// replica it builds.
+// msgLoad ships the problem: the shard count and the hypergraph
+// structure as its CSR's edge side, two flat count-prefixed arrays.
+// IDs — not names — are what the decomposition consumes, so the
+// structural encoding keeps every worker's vertex and hyperedge
+// numbering bit-identical to the coordinator's, and the partition,
+// a function of the structure and the shard count, comes out the same
+// when the worker builds it.  Unlike the other messages, decode
+// allocates fresh arrays, exactly sized: the worker hands them to
+// hypergraph.FromRows, which validates them and builds the replica's
+// hypergraph in place.
 type msgLoad struct {
-	Epoch uint32
-	Descs []partition.Desc
-	NumV  int32
+	Epoch  uint32
+	Shards int32
+	NumV   int32
 	// The member vertex IDs of hyperedge f, in edge order, are
-	// EAdj[EOff[f]:EOff[f+1]]; a nil EOff ships no hyperedges.
+	// EAdj[EOff[f]:EOff[f+1]].
 	EOff, EAdj []int32
 }
 
 func (m *msgLoad) encode(buf []byte) []byte {
-	ne := max(len(m.EOff)-1, 0)
-	if size := headerLen + 4 + 4 + 8*len(m.Descs) + 4 + 4 + 4*ne + 4*len(m.EAdj); cap(buf) < size {
+	if size := headerLen + 4*5 + 4*len(m.EOff) + 4*len(m.EAdj); cap(buf) < size {
 		buf = make([]byte, 0, size)
 	}
 	e := newEnc(buf)
 	e.u32(m.Epoch)
-	e.u32(lenU32(len(m.Descs)))
-	for _, d := range m.Descs {
-		e.i32(d.First)
-		e.i32(d.Count)
-	}
+	e.i32(m.Shards)
 	e.i32(m.NumV)
-	e.u32(lenU32(ne))
-	//hyperplexvet:ignore budgettick bounded: one encoding pass over the hypergraph being shipped; the caller's send path checks ctx
-	for f := 0; f < ne; f++ {
-		e.i32s(m.EAdj[m.EOff[f]:m.EOff[f+1]])
-	}
+	e.i32s(m.EOff)
+	e.i32s(m.EAdj)
 	return e.b
 }
 
 func (m *msgLoad) decode(b []byte) error {
 	d := dec{b: b}
 	m.Epoch = d.u32()
-	n := d.u32()
-	if d.err == nil && uint64(n)*8 > uint64(len(d.b)) {
-		d.fail("descriptor count %d exceeds %d remaining bytes", n, len(d.b))
-	}
-	if d.err == nil {
-		m.Descs = make([]partition.Desc, n)
-		for i := range m.Descs {
-			m.Descs[i].First = d.i32()
-			m.Descs[i].Count = d.i32()
-		}
-	}
+	m.Shards = d.i32()
 	m.NumV = d.i32()
-	m.EOff, m.EAdj = d.i32rows(d.u32())
+	m.EOff = d.i32s(nil)
+	m.EAdj = d.i32s(nil)
 	return d.done()
 }
 
@@ -504,14 +415,13 @@ func (m *msgAssign) decode(b []byte) error {
 
 // msgRound is the shared shape of the per-round frames: Apply and
 // Shrink carry a delta, a Frontier vote carries the worker's part of
-// the retired delta and its alive count, and a Barrier vote its part
-// of the next round's dying delta.
+// the retired delta, and a Barrier vote its part of the next round's
+// dying delta.
 type msgRound struct {
 	Epoch uint32
 	K     int32
 	Round int32
 	IDs   []int32 // dying (Apply, Barrier) or retired (Frontier, Shrink)
-	Alive int32   // Frontier vote: alive owned vertices
 }
 
 func (m *msgRound) encode(buf []byte) []byte {
@@ -520,7 +430,6 @@ func (m *msgRound) encode(buf []byte) []byte {
 	e.i32(m.K)
 	e.i32(m.Round)
 	e.i32s(m.IDs)
-	e.i32(m.Alive)
 	return e.b
 }
 
@@ -530,7 +439,6 @@ func (m *msgRound) decode(b []byte) error {
 	m.K = d.i32()
 	m.Round = d.i32()
 	m.IDs = d.i32s(m.IDs)
-	m.Alive = d.i32()
 	return d.done()
 }
 

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -14,13 +13,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
-	"hyperplex/internal/failpoint"
 	"hyperplex/internal/gen"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/mmio"
-	"hyperplex/internal/partition"
 )
 
 // frameBytes builds a valid frame around payload for test and fuzz
@@ -98,17 +94,17 @@ func TestFrameLengthCap(t *testing.T) {
 
 func TestMessageRoundTrips(t *testing.T) {
 	load := msgLoad{
-		Epoch: 7,
-		Descs: []partition.Desc{{First: 0, Count: 3}, {First: 3, Count: 2}},
-		NumV:  5,
-		EOff:  []int32{0, 3, 3, 5},
-		EAdj:  []int32{0, 1, 2, 3, 4},
+		Epoch:  7,
+		Shards: 2,
+		NumV:   5,
+		EOff:   []int32{0, 3, 3, 5},
+		EAdj:   []int32{0, 1, 2, 3, 4},
 	}
 	var load2 msgLoad
 	if err := load2.decode(payloadOf(&load)); err != nil {
 		t.Fatalf("load decode: %v", err)
 	}
-	if len(load2.Descs) != 2 || load2.Descs[1].First != 3 || load2.Epoch != 7 ||
+	if load2.Shards != 2 || load2.Epoch != 7 ||
 		load2.NumV != 5 || !slices.Equal(load2.EOff, load.EOff) || !slices.Equal(load2.EAdj, load.EAdj) {
 		t.Fatalf("load round-trip mismatch: %+v", load2)
 	}
@@ -123,12 +119,12 @@ func TestMessageRoundTrips(t *testing.T) {
 		t.Fatalf("assign round-trip mismatch: %+v", asn2)
 	}
 
-	rd := msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{5, -1, 7}, Alive: -2}
+	rd := msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{5, -1, 7}}
 	var rd2 msgRound
 	if err := rd2.decode(payloadOf(&rd)); err != nil {
 		t.Fatalf("round decode: %v", err)
 	}
-	if rd2.K != 4 || rd2.Round != 9 || len(rd2.IDs) != 3 || rd2.IDs[1] != -1 || rd2.Alive != -2 {
+	if rd2.K != 4 || rd2.Round != 9 || len(rd2.IDs) != 3 || rd2.IDs[1] != -1 {
 		t.Fatalf("round round-trip mismatch: %+v", rd2)
 	}
 
@@ -138,9 +134,9 @@ func TestMessageRoundTrips(t *testing.T) {
 		t.Fatalf("error round-trip mismatch: %+v err=%v", emDec, err)
 	}
 
-	hello := msgHello{Version: protoVersion, ID: 3}
+	hello := msgHello{ID: 3}
 	var hello2 msgHello
-	if err := hello2.decode(payloadOf(&hello)); err != nil || hello2.Version != protoVersion || hello2.ID != 3 {
+	if err := hello2.decode(payloadOf(&hello)); err != nil || hello2.ID != 3 {
 		t.Fatalf("hello round-trip mismatch: %+v err=%v", hello2, err)
 	}
 }
@@ -172,21 +168,28 @@ func TestDecodeRejectsAllocationBombs(t *testing.T) {
 	if err := m2.decode(append(payloadOf(&msgRound{}), 0xEE)); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatal("trailing garbage accepted")
 	}
+	var offBomb enc
+	offBomb.u32(0)       // epoch
+	offBomb.i32(1)       // shards
+	offBomb.i32(2)       // NumV
+	offBomb.u32(1 << 29) // EOff count with no bytes behind it
 	var l msgLoad
-	if err := l.decode(loadRowPastEnd()); !errors.Is(err, ErrCorruptFrame) {
-		t.Fatalf("Load row past the payload end: err = %v, want ErrCorruptFrame", err)
+	if err := l.decode(offBomb.b); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("Load EOff count past the payload end: err = %v, want ErrCorruptFrame", err)
+	}
+	if err := l.decode(loadAdjPastEnd()); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("Load EAdj count past the payload end: err = %v, want ErrCorruptFrame", err)
 	}
 }
 
-// loadRowPastEnd is a Load payload whose second row claims five
+// loadAdjPastEnd is a Load payload whose EAdj count claims five
 // members with two behind it.
-func loadRowPastEnd() []byte {
+func loadAdjPastEnd() []byte {
 	var e enc
 	e.u32(0) // epoch
-	e.u32(0) // descriptors
+	e.i32(1) // shards
 	e.i32(2) // NumV
-	e.u32(2) // rows
-	e.i32s([]int32{1})
+	e.i32s([]int32{0, 1, 2})
 	e.u32(5)
 	e.i32(0)
 	e.i32(1)
@@ -197,15 +200,15 @@ func loadRowPastEnd() []byte {
 // a bounded payload cap, then every message decoder over the payload.
 // Nothing here may panic or over-allocate, whatever the bytes.
 func FuzzDecodeFrame(f *testing.F) {
-	f.Add(frameBytes(f, mHello, payloadOf(&msgHello{Version: protoVersion})))
+	f.Add(frameBytes(f, mHello, payloadOf(&msgHello{})))
 	f.Add(frameBytes(f, mApply, payloadOf(&msgRound{Epoch: 1, K: 2, Round: 3, IDs: []int32{4, 5}})))
 	f.Add(frameBytes(f, mBarrier, payloadOf(&msgRound{Epoch: 1, K: 1, Round: 1, IDs: []int32{1}})))
-	f.Add(frameBytes(f, mLoad, payloadOf(&msgLoad{Descs: []partition.Desc{{First: 0, Count: 2}}, NumV: 2, EOff: []int32{0, 2}, EAdj: []int32{0, 1}})))
-	f.Add(frameBytes(f, mLoad, payloadOf(&msgLoad{NumV: 2, EOff: []int32{0, 0, 2, 2}, EAdj: []int32{0, 1}})))
-	f.Add(frameBytes(f, mLoad, loadRowPastEnd()))
+	f.Add(frameBytes(f, mLoad, payloadOf(&msgLoad{Shards: 1, NumV: 2, EOff: []int32{0, 2}, EAdj: []int32{0, 1}})))
+	f.Add(frameBytes(f, mLoad, payloadOf(&msgLoad{Shards: 2, NumV: 2, EOff: []int32{0, 0, 2, 2}, EAdj: []int32{0, 1}})))
+	f.Add(frameBytes(f, mLoad, loadAdjPastEnd()))
 	f.Add(frameBytes(f, mAssign, payloadOf(&msgAssign{Epoch: 1, K: 2, Round: 3, Shards: []int32{1}, Dead: []int32{3}, Retired: []int32{2, 4}})))
 	// Truncated header and payload.
-	whole := frameBytes(f, mFrontier, payloadOf(&msgRound{IDs: []int32{1, 2, 3}, Alive: 3}))
+	whole := frameBytes(f, mFrontier, payloadOf(&msgRound{IDs: []int32{1, 2, 3}}))
 	f.Add(whole[:5])
 	f.Add(whole[:len(whole)-2])
 	// Oversized claimed length.
@@ -273,48 +276,6 @@ func TestFuzzSeedsAtProtoVersion(t *testing.T) {
 	}
 }
 
-// TestSendRetryAbandonedOnCancel pins the context contract of the send
-// retry loop: with the send failpoint hard-arming every attempt and the
-// context already cancelled, sendRetry surfaces the abandonment error
-// at the first backoff boundary instead of sleeping out the exponential
-// schedule (30 retries would otherwise back off for days).
-func TestSendRetryAbandonedOnCancel(t *testing.T) {
-	if err := failpoint.Enable("dist.send", failpoint.Arm{Mode: failpoint.ModeError}); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Disable("dist.send")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	err := sendRetry(ctx, io.Discard, mHello, nil, 30)
-	if err == nil || !strings.Contains(err.Error(), "dist: send retry abandoned") {
-		t.Fatalf("err = %v, want the retry-abandoned error", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("abandonment error does not wrap context.Canceled: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("sendRetry took %v under a cancelled context; the backoff is not ctx-aware", elapsed)
-	}
-}
-
-// TestSendRetryExhaustsBudget pins the other exit: with a live context
-// the loop retries through the budget and returns the underlying
-// injected error once attempts run out.
-func TestSendRetryExhaustsBudget(t *testing.T) {
-	if err := failpoint.Enable("dist.send", failpoint.Arm{Mode: failpoint.ModeError}); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Disable("dist.send")
-	err := sendRetry(context.Background(), io.Discard, mHello, nil, 2)
-	if !errors.Is(err, failpoint.ErrInjected) {
-		t.Fatalf("err = %v, want the injected send failure after the budget", err)
-	}
-	if fired := failpoint.Fired("dist.send"); fired != 3 {
-		t.Errorf("failpoint fired %d times, want 3 (initial attempt + 2 retries)", fired)
-	}
-}
-
 // codec is the encode/decode pair every message type carries.
 type codec interface {
 	encode([]byte) []byte
@@ -322,7 +283,7 @@ type codec interface {
 }
 
 // goldenFrames is one frame per frame type, with its bytes as recorded
-// from protocol version 5.  The bytes are the interoperability
+// from protocol version 6.  The bytes are the interoperability
 // contract between builds: a coordinator and hgshardd workers built
 // from different sources must frame identically, so a codec change
 // that moves any byte here needs a protoVersion bump instead.
@@ -333,26 +294,26 @@ var goldenFrames = []struct {
 	empty func() codec
 	hex   string
 }{
-	{"Hello", mHello, &msgHello{Version: protoVersion, ID: 3}, func() codec { return &msgHello{} },
-		"6878050108000000e37e773f0500000003000000"},
-	{"Load", mLoad, &msgLoad{Epoch: 7, Descs: []partition.Desc{{First: 0, Count: 3}, {First: 3, Count: 2}}, NumV: 5,
+	{"Hello", mHello, &msgHello{ID: 3}, func() codec { return &msgHello{} },
+		"6878060104000000f270f13303000000"},
+	{"Load", mLoad, &msgLoad{Epoch: 7, Shards: 2, NumV: 5,
 		EOff: []int32{0, 3, 3, 5}, EAdj: []int32{0, 1, 2, 3, 4}}, func() codec { return &msgLoad{} },
-		"6878050240000000ee4ae2fc07000000020000000000000003000000030000000200000005000000030000000300000000000000010000000200000000000000020000000300000004000000"},
+		"6878060238000000b8866c320700000002000000050000000400000000000000030000000300000005000000050000000000000001000000020000000300000004000000"},
 	{"Assign", mAssign, &msgAssign{Epoch: 3, K: 2, Round: 5, Shards: []int32{0, 2},
 		Dead: []int32{9, 6}, Retired: []int32{1, 2, 3}}, func() codec { return &msgAssign{} },
-		"6878050334000000574a350403000000020000000500000002000000000000000200000002000000090000000600000003000000010000000200000003000000"},
+		"6878060334000000574a350403000000020000000500000002000000000000000200000002000000090000000600000003000000010000000200000003000000"},
 	{"Apply", mApply, &msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{5, -1, 7}}, func() codec { return &msgRound{} },
-		"6878050420000000bf5d30e60100000004000000090000000300000005000000ffffffff0700000000000000"},
-	{"Frontier", mFrontier, &msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{2, 3}, Alive: 11}, func() codec { return &msgRound{} },
-		"687805051c00000041c26a220100000004000000090000000200000002000000030000000b000000"},
+		"687806041c00000092221ea60100000004000000090000000300000005000000ffffffff07000000"},
+	{"Frontier", mFrontier, &msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{2, 3}}, func() codec { return &msgRound{} },
+		"68780605180000008c7cd90d010000000400000009000000020000000200000003000000"},
 	{"Shrink", mShrink, &msgRound{Epoch: 1, K: 4, Round: 10, IDs: []int32{2, 3}}, func() codec { return &msgRound{} },
-		"687805061c0000008a08c25a01000000040000000a00000002000000020000000300000000000000"},
+		"68780606180000007ec8112401000000040000000a000000020000000200000003000000"},
 	{"Barrier", mBarrier, &msgRound{Epoch: 8, K: 3, Round: 12, IDs: []int32{6, 8}}, func() codec { return &msgRound{} },
-		"687805071c000000f4908fbd08000000030000000c00000002000000060000000800000000000000"},
-	{"Heartbeat", mHeartbeat, nil, nil, "687805080000000000000000"},
-	{"Shutdown", mShutdown, nil, nil, "687805090000000000000000"},
+		"68780607180000006bd7a79608000000030000000c000000020000000600000008000000"},
+	{"Heartbeat", mHeartbeat, nil, nil, "687806080000000000000000"},
+	{"Shutdown", mShutdown, nil, nil, "687806090000000000000000"},
 	{"Error", mError, &msgError{Epoch: 6, Text: "worker 3: shard exploded"}, func() codec { return &msgError{} },
-		"6878050a20000000944dfc080600000018000000776f726b657220333a207368617264206578706c6f646564"},
+		"6878060a20000000944dfc080600000018000000776f726b657220333a207368617264206578706c6f646564"},
 }
 
 // TestGoldenFrames pins the wire bytes of one frame per frame type, and
@@ -406,15 +367,14 @@ func bandedLoad(t *testing.T) (*msgLoad, *hypergraph.Hypergraph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part := partition.Build(h, 2)
 	g := h.CSR()
-	return &msgLoad{Epoch: 1, Descs: part.Descs(), NumV: int32(h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}, h
+	return &msgLoad{Epoch: 1, Shards: 2, NumV: int32(h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}, h
 }
 
 // TestCodecAllocs pins the allocations of the codec: a slice of 10k
 // int32s grows the payload at most once, the banded Load encodes into
-// one buffer sized up front, and decoding it makes three allocations
-// (descriptors, row offsets, one flat member array), not one per row.
+// one buffer sized up front, and decoding it makes two allocations,
+// the row offsets and the flat member array, not one per row.
 // The per-round frames and a recovery Assign cost nothing once warm:
 // msgRound and msgAssign encode into a warm frame buffer, readFrame
 // reads into a warm payload buffer, and both decode into warm
@@ -438,15 +398,15 @@ func TestCodecAllocs(t *testing.T) {
 		if err := got.decode(payload); err != nil {
 			t.Fatal(err)
 		}
-	}); a != 3 {
-		t.Errorf("msgLoad.decode of the banded Load (%d rows) made %v allocations, want 3", h.NumEdges(), a)
+	}); a != 2 {
+		t.Errorf("msgLoad.decode of the banded Load (%d rows) made %v allocations, want 2", h.NumEdges(), a)
 	}
 	if !slices.Equal(got.EOff, load.EOff) || !slices.Equal(got.EAdj, load.EAdj) || cap(got.EAdj) != len(got.EAdj) {
 		t.Fatalf("decoded rows differ from the shipped ones, or the member array (cap %d) is not at capacity %d", cap(got.EAdj), len(got.EAdj))
 	}
 
 	ids := make([]int32, 3000)
-	round := msgRound{Epoch: 2, K: 3, Round: 4, IDs: ids, Alive: 5000}
+	round := msgRound{Epoch: 2, K: 3, Round: 4, IDs: ids}
 	assign := msgAssign{Epoch: 2, K: 3, Round: 4, Shards: []int32{0, 1}, Dead: ids, Retired: make([]int32, 4000)}
 	for _, m := range []struct {
 		name      string

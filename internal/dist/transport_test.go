@@ -111,7 +111,7 @@ func TestTransportOneWritePerFrame(t *testing.T) {
 	}
 
 	wc := &countConn{Conn: nopConn{}}
-	w := &workerState{ctx: context.Background(), conn: wc, opts: WorkerOptions{HeartbeatInterval: time.Millisecond}}
+	w := &workerState{conn: wc, opts: WorkerOptions{HeartbeatInterval: time.Millisecond}}
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -178,16 +178,16 @@ func TestCoordinatorChecksVotedIDs(t *testing.T) {
 
 	for _, bad := range []int32{-1, nv, own1, own0} {
 		c := bareCoordinator(t, part)
-		vote(c.workers[0], &msgRound{K: 1, IDs: []int32{own0, bad}, Alive: 1}, mFrontier)
-		if _, _, err := c.Apply(context.Background(), 1, nil); !errors.Is(err, errWorkerLost) || !c.workers[0].dead {
+		vote(c.workers[0], &msgRound{K: 1, IDs: []int32{own0, bad}}, mFrontier)
+		if _, err := c.Apply(context.Background(), 1, nil); !errors.Is(err, errWorkerLost) || !c.workers[0].dead {
 			t.Errorf("Frontier vote retiring vertex %d: err = %v, worker dead %v; want errWorkerLost and a dead worker", bad, err, c.workers[0].dead)
 		}
 	}
 	c := bareCoordinator(t, part)
-	vote(c.workers[0], &msgRound{K: 1, IDs: []int32{own0}, Alive: 1}, mFrontier)
-	vote(c.workers[1], &msgRound{K: 1, IDs: []int32{own1}, Alive: 2}, mFrontier)
-	if retired, alive, err := c.Apply(context.Background(), 1, nil); err != nil || !slices.Equal(retired, []int32{own0, own1}) || alive != 3 {
-		t.Errorf("owned votes: retired %v, alive %d, err %v; want [%d %d], 3, nil", retired, alive, err, own0, own1)
+	vote(c.workers[0], &msgRound{K: 1, IDs: []int32{own0}}, mFrontier)
+	vote(c.workers[1], &msgRound{K: 1, IDs: []int32{own1}}, mFrontier)
+	if retired, err := c.Apply(context.Background(), 1, nil); err != nil || !slices.Equal(retired, []int32{own0, own1}) {
+		t.Errorf("owned votes: retired %v, err %v; want [%d %d], nil", retired, err, own0, own1)
 	}
 
 	barrier := func(dying ...int32) *msgRound { return &msgRound{K: 1, Round: 1, IDs: dying} }
@@ -370,7 +370,7 @@ func TestTransportDeathBeforeFirstBarrier(t *testing.T) {
 			if id == 0 {
 				return serveWorker(ctx, id, conn)
 			}
-			if err := writeFrame(conn, mHello, (&msgHello{Version: protoVersion, ID: int32(id)}).encode(nil)); err != nil {
+			if err := writeFrame(conn, mHello, (&msgHello{ID: int32(id)}).encode(nil)); err != nil {
 				return err
 			}
 			rd := bufio.NewReader(conn)
@@ -397,23 +397,26 @@ func TestTransportDeathBeforeFirstBarrier(t *testing.T) {
 	})
 }
 
-// TestTransportRejectsVersion1Hello pins that protocol versions 2 to 5
-// are deliberate breaks: a worker's Hello of version 1, 2, 3 or 4 fails
-// the join with ErrCorruptFrame, whether the version shows in the frame
-// header or only in the Hello payload.
+// TestTransportRejectsVersion1Hello pins that protocol versions 2 to 6
+// are deliberate breaks: a worker's Hello framed at version 1, 2, 3, 4
+// or 5 fails the join with ErrCorruptFrame, and so does a version-5
+// Hello payload, which led with the version before the ID, under a
+// version-6 header.
 func TestTransportRejectsVersion1Hello(t *testing.T) {
-	for _, old := range []uint32{1, 2, 3, 4} {
-		header := frameBytes(t, mHello, payloadOf(&msgHello{Version: old, ID: 0}))
-		header[2] = byte(old)
+	for _, old := range []byte{1, 2, 3, 4, 5} {
+		header := frameBytes(t, mHello, payloadOf(&msgHello{ID: 0}))
+		header[2] = old
 		if _, err := (&coordinator{}).hello(bufioReader(header)); !errors.Is(err, ErrCorruptFrame) {
 			t.Errorf("version-%d header: err = %v, want ErrCorruptFrame", old, err)
 		}
-		payload := frameBytes(t, mHello, payloadOf(&msgHello{Version: old, ID: 0}))
-		if _, err := (&coordinator{}).hello(bufioReader(payload)); !errors.Is(err, ErrCorruptFrame) {
-			t.Errorf("version-%d Hello payload: err = %v, want ErrCorruptFrame", old, err)
-		}
 	}
-	current := frameBytes(t, mHello, payloadOf(&msgHello{Version: protoVersion, ID: 1}))
+	var v5 enc
+	v5.u32(5) // version
+	v5.i32(0) // ID
+	if _, err := (&coordinator{}).hello(bufioReader(frameBytes(t, mHello, v5.b))); !errors.Is(err, ErrCorruptFrame) {
+		t.Errorf("version-5 Hello payload: err = %v, want ErrCorruptFrame", err)
+	}
+	current := frameBytes(t, mHello, payloadOf(&msgHello{ID: 1}))
 	if id, err := (&coordinator{}).hello(bufioReader(current)); err != nil || id != 1 {
 		t.Errorf("version-%d Hello: id %d, err %v", protoVersion, id, err)
 	}

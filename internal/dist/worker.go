@@ -53,8 +53,6 @@ var errBeforeLoad = errors.New("dist: frame before Load")
 // barrier state of its own: every Assign, the first included, carries
 // what it needs to rebuild it.
 type workerState struct {
-	//hyperplexvet:ignore ctxfirst scoped to one ServeWorker call tree, mirroring coordinator
-	ctx  context.Context
 	conn net.Conn
 	opts WorkerOptions
 
@@ -89,8 +87,8 @@ func ServeWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) (err er
 			err = &core.WorkerPanicError{Value: x, Stack: stack}
 		}
 	}()
-	w := &workerState{ctx: ctx, conn: conn, opts: opts.normalized()}
-	hello := msgHello{Version: protoVersion, ID: int32(w.opts.ID)}
+	w := &workerState{conn: conn, opts: opts.normalized()}
+	hello := msgHello{ID: int32(w.opts.ID)}
 	if err := w.send(mHello, hello.encode(nil)); err != nil {
 		return err
 	}
@@ -174,11 +172,13 @@ func (w *workerState) heartbeatLoop(ctx context.Context, stop <-chan struct{}) {
 	}
 }
 
-// send writes one frame under the write lock with bounded retry.
+// send writes one frame under the write lock.  A failed send ends
+// ServeWorker, and the coordinator recovers the run as from any other
+// worker death.
 func (w *workerState) send(typ byte, frame []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	return sendRetry(w.ctx, w.conn, typ, frame, sendRetries)
+	return writeFrame(w.conn, typ, frame)
 }
 
 // report best-effort ships a typed failure to the coordinator before
@@ -225,15 +225,23 @@ func (w *workerState) handle(ctx context.Context, typ byte, payload []byte) erro
 	}
 }
 
+// load builds the replica from a Load: the hypergraph from its rows
+// and, from the hypergraph and the shard count, the partition the
+// coordinator built, since partition.BuildCtx is deterministic.
 func (w *workerState) load(ctx context.Context, m *msgLoad) error {
 	w.epoch = m.Epoch
 	// The rows are wire input: FromRows checks their offsets and
 	// members before it sorts, compacts and assembles them in place.
 	h, err := hypergraph.FromRows(int(m.NumV), m.EOff, m.EAdj)
 	if err != nil {
-		return fmt.Errorf("dist: load graph: %w", err)
+		return fmt.Errorf("%w: load graph: %w", ErrCorruptFrame, err)
 	}
-	part, err := partition.FromDescsCtx(ctx, h, m.Descs)
+	// The coordinator ships a normalized count, which BuildCtx would
+	// keep; any other count would give a different partition.
+	if n := partition.NormalizeShards(int(m.Shards), h.NumVertices()); n != int(m.Shards) {
+		return fmt.Errorf("%w: load names %d shards, the shard-count policy gives %d at %d vertices", ErrCorruptFrame, m.Shards, n, h.NumVertices())
+	}
+	part, err := partition.BuildCtx(ctx, h, int(m.Shards))
 	if err != nil {
 		return fmt.Errorf("dist: load partition: %w", err)
 	}
@@ -249,18 +257,18 @@ func (w *workerState) assign(ctx context.Context, m *msgAssign) error {
 	if err := w.peeler.Restore(ctx, m.Dead, m.Retired, m.Shards); err != nil {
 		return err
 	}
-	return w.vote(mBarrier, m.K, m.Round, w.peeler.PendingDying(), 0)
+	return w.vote(mBarrier, m.K, m.Round, w.peeler.PendingDying())
 }
 
 // apply runs the replica's Apply and answers with the Frontier vote:
-// the retired IDs and the alive count it returns.
+// the retired IDs it returns.
 func (w *workerState) apply(ctx context.Context, m *msgRound) error {
 	w.epoch = m.Epoch
-	retired, alive, err := w.peeler.Apply(ctx, int(m.K), m.IDs)
+	retired, err := w.peeler.Apply(ctx, int(m.K), m.IDs)
 	if err != nil {
 		return err
 	}
-	return w.vote(mFrontier, m.K, m.Round, retired, alive)
+	return w.vote(mFrontier, m.K, m.Round, retired)
 }
 
 // shrink runs the replica's Shrink and answers with the Barrier vote:
@@ -271,12 +279,12 @@ func (w *workerState) shrink(ctx context.Context, m *msgRound) error {
 	if err != nil {
 		return err
 	}
-	return w.vote(mBarrier, m.K, m.Round, dying, 0)
+	return w.vote(mBarrier, m.K, m.Round, dying)
 }
 
 // vote sends a vote of type typ for round (k, round).
-func (w *workerState) vote(typ byte, k, round int32, ids []int32, alive int) error {
-	reply := msgRound{Epoch: w.epoch, K: k, Round: round, IDs: ids, Alive: int32(alive)}
+func (w *workerState) vote(typ byte, k, round int32, ids []int32) error {
+	reply := msgRound{Epoch: w.epoch, K: k, Round: round, IDs: ids}
 	w.out = reply.encode(w.out)
 	return w.send(typ, w.out)
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"slices"
@@ -12,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"hyperplex/internal/check"
 	"hyperplex/internal/core"
 	"hyperplex/internal/csr"
+	"hyperplex/internal/dataset"
 	"hyperplex/internal/gen"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/partition"
@@ -65,10 +68,8 @@ type barrierTag struct {
 func newWorkerDriver(t *testing.T, h *hypergraph.Hypergraph, part *partition.Partition) *workerDriver {
 	t.Helper()
 	conn := &recordConn{}
-	d := &workerDriver{t: t, conn: conn, w: &workerState{ctx: context.Background(), conn: conn, opts: WorkerOptions{}.normalized()}, h: h}
-	g := h.CSR()
-	load := msgLoad{Descs: part.Descs(), NumV: csr.MustInt32(h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
-	d.call(mLoad, payloadOf(&load), 0)
+	d := &workerDriver{t: t, conn: conn, w: &workerState{conn: conn, opts: WorkerOptions{}.normalized()}, h: h}
+	d.call(mLoad, payloadOf(loadOf(h, part)), 0)
 	for s := 0; s < part.NumShards(); s++ {
 		d.shards = append(d.shards, int32(s))
 	}
@@ -117,21 +118,18 @@ func (d *workerDriver) sameIDs(what string, got, want []int32) {
 	}
 }
 
-func (d *workerDriver) Apply(ctx context.Context, k int, dying []int32) ([]int32, int, error) {
+func (d *workerDriver) Apply(ctx context.Context, k int, dying []int32) ([]int32, error) {
 	if d.resume {
 		d.resume = false
-		return nil, 0, errResume
+		return nil, errResume
 	}
 	var fr msgRound
 	d.decode(&fr, d.call(mApply, payloadOf(&msgRound{Epoch: d.epoch, K: int32(k), Round: d.bar.round, IDs: dying}), mFrontier))
 	if d.ref != nil {
-		retired, alive, _ := d.ref.Apply(ctx, k, dying)
+		retired, _ := d.ref.Apply(ctx, k, dying)
 		d.sameIDs("Frontier", fr.IDs, retired)
-		if int(fr.Alive) != alive {
-			d.t.Fatalf("after barrier (%d, %d) the Frontier vote counts %d alive, the reference's %d", d.bar.k, d.bar.round, fr.Alive, alive)
-		}
 	}
-	return fr.IDs, int(fr.Alive), nil
+	return fr.IDs, nil
 }
 
 func (d *workerDriver) Shrink(ctx context.Context, k int, retired []int32) ([]int32, error) {
@@ -171,8 +169,7 @@ func (d *workerDriver) Resume(err error) (int, []int32, error) {
 var errResume = errors.New("resume at the last barrier")
 
 // run runs the round schedule from the last barrier and returns what
-// RunRounds returns: what the rounds from there record, coreness 0 for
-// every vertex and hyperedge retired before it.
+// RunRounds returns.
 func (d *workerDriver) run() (*core.Decomposition, error) {
 	d.t.Helper()
 	d.resume = true
@@ -188,47 +185,24 @@ var errPeerLost = errors.New("peer lost")
 // B2: Load, Assign, rounds up to its vote at B1, the first barrier
 // whose dying delta is not empty (at k = 1 no later barrier has one:
 // a vertex retires there only once all its hyperedges are dead, so it
-// shrinks none), a round ending in its vote at B2, and the recovery's
-// one Assign, which carries the logs up to B1 and every shard.  The
-// worker must answer it with a Barrier vote at B1's tag that names the
-// IDs its vote at B1 named, the committed dying union.  From B1 on,
-// resumed from that vote, every vote of the restored worker must name
-// the same IDs as the vote of a reference worker stopped at its vote
-// at B1, and the continuation must give every vertex and hyperedge
-// alive at B1 its Decompose coreness.
+// shrinks none), and a round ending in its vote at B2.  There the run
+// recovers as the coordinator does: one Assign, which carries the
+// logs up to B1 and every shard, must be answered with a Barrier vote
+// at B1's tag that names the IDs the worker's vote at B1 named, the
+// committed dying union, and RunRounds resumes at B1 from that vote,
+// handing the lost round out again.  A reference worker stopped at its
+// vote at B1 finds B1; from B1 on every vote of the restored worker
+// must name the same IDs as the reference's vote, and the run must end
+// with Decompose's decomposition, so the replayed round's retired
+// vertices are counted once.
 func TestWorkerRestoreAtCommittedBarrier(t *testing.T) {
 	h := gen.RandomHypergraph(180, 140, 5, xrand.New(0xBEEF))
 	part := partition.Build(h, 3)
-	d := newWorkerDriver(t, h, part)
-	var b1 barrierTag
-	d.atBarrier = func(b barrierTag) error {
-		switch {
-		case len(b1.dying) > 0:
-			return errPeerLost
-		case b.round > 0 && len(b.dying) > 0:
-			b1 = b
-		}
-		return nil
-	}
-	if _, err := d.run(); !errors.Is(err, errPeerLost) {
-		t.Fatalf("run: err = %v, want it stopped at B2", err)
-	}
-	if b2 := d.bar; len(b1.dying) == 0 || b2.round != b1.round+1 || len(b1.retired) == 0 {
-		t.Fatalf("B1 at (%d, %d) after %d retirements with %d dying, B2 at (%d, %d): want a dying delta and retirements before B1, and B2 the barrier after it",
-			b1.k, b1.round, len(b1.retired), len(b1.dying), b2.k, b2.round)
-	}
-	d.epoch++
-	var vote msgRound
-	d.decode(&vote, d.call(mAssign, payloadOf(&msgAssign{Epoch: d.epoch, K: b1.k, Round: b1.round, Shards: d.shards, Dead: b1.dead, Retired: b1.retired}), mBarrier))
-	if vote.Epoch != d.epoch || vote.K != b1.k || vote.Round != b1.round {
-		t.Fatalf("the recovery Assign's vote is tagged epoch %d at (%d, %d), want epoch %d at B1 (%d, %d)", vote.Epoch, vote.K, vote.Round, d.epoch, b1.k, b1.round)
-	}
-	d.bar = b1
-	d.sameIDs("recovery Barrier", vote.IDs, b1.dying)
-
 	ref := newWorkerDriver(t, h, part)
+	var b1 barrierTag
 	ref.atBarrier = func(b barrierTag) error {
-		if b.k == b1.k && b.round == b1.round {
+		if b.round > 0 && len(b.dying) > 0 {
+			b1 = b
 			return errPeerLost
 		}
 		return nil
@@ -236,43 +210,117 @@ func TestWorkerRestoreAtCommittedBarrier(t *testing.T) {
 	if _, err := ref.run(); !errors.Is(err, errPeerLost) {
 		t.Fatalf("reference run: err = %v, want it stopped at its vote at B1", err)
 	}
-	if rb1 := ref.bar; !slices.Equal(rb1.dying, b1.dying) || !slices.Equal(rb1.dead, b1.dead) || !slices.Equal(rb1.retired, b1.retired) {
-		t.Fatalf("the reference's vote and logs at B1 (%d, %d) differ from the worker's", b1.k, b1.round)
+	if len(b1.dying) == 0 || len(b1.retired) == 0 {
+		t.Fatalf("B1 at (%d, %d) after %d retirements with %d dying: want a dying delta and retirements before it",
+			b1.k, b1.round, len(b1.retired), len(b1.dying))
 	}
-
 	ref.atBarrier = nil
-	b1.dying = vote.IDs
-	d.atBarrier, d.bar, d.ref = nil, b1, ref
+
+	d := newWorkerDriver(t, h, part)
+	recovered := false
+	d.atBarrier = func(b barrierTag) error {
+		switch b.round {
+		case b1.round:
+			if !slices.Equal(b.dying, b1.dying) || !slices.Equal(b.dead, b1.dead) || !slices.Equal(b.retired, b1.retired) {
+				t.Fatalf("the worker's vote and logs at B1 (%d, %d) differ from the reference's", b1.k, b1.round)
+			}
+		case b1.round + 1:
+			d.atBarrier = nil
+			d.epoch++
+			var vote msgRound
+			d.decode(&vote, d.call(mAssign, payloadOf(&msgAssign{Epoch: d.epoch, K: b1.k, Round: b1.round, Shards: d.shards, Dead: b1.dead, Retired: b1.retired}), mBarrier))
+			if vote.Epoch != d.epoch || vote.K != b1.k || vote.Round != b1.round {
+				t.Fatalf("the recovery Assign's vote is tagged epoch %d at (%d, %d), want epoch %d at B1 (%d, %d)", vote.Epoch, vote.K, vote.Round, d.epoch, b1.k, b1.round)
+			}
+			d.bar = b1
+			d.sameIDs("recovery Barrier", vote.IDs, b1.dying)
+			d.bar.dying, d.ref, recovered = vote.IDs, ref, true
+			return errResume
+		}
+		return nil
+	}
 	got, err := d.run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !recovered {
+		t.Fatalf("the run ended before B2, the barrier after B1 (%d, %d)", b1.k, b1.round)
+	}
 	want := core.Decompose(h)
-	// A continuation records the level fixpoints from B1's k on.
-	wantMax := want.MaxK
-	if int(b1.k) > want.MaxK {
-		wantMax = 0
+	if got.MaxK != want.MaxK || !slices.Equal(got.VertexCoreness, want.VertexCoreness) || !slices.Equal(got.EdgeCoreness, want.EdgeCoreness) {
+		t.Fatalf("the recovered run's decomposition (MaxK %d) differs from Decompose's (MaxK %d)", got.MaxK, want.MaxK)
 	}
-	if got.MaxK != wantMax {
-		t.Fatalf("the continuation's MaxK is %d, want %d", got.MaxK, wantMax)
-	}
-	retired, dead := make([]bool, h.NumVertices()), make([]bool, h.NumEdges())
-	for _, v := range b1.retired {
-		retired[v] = true
-	}
-	for _, f := range b1.dead {
-		dead[f] = true
-	}
-	for v, c := range want.VertexCoreness {
-		if !retired[v] && got.VertexCoreness[v] != c {
-			t.Fatalf("the continuation gives vertex %d, alive at B1, coreness %d, want %d", v, got.VertexCoreness[v], c)
+}
+
+// loadOf is the Load frame the coordinator ships for h over part.
+func loadOf(h *hypergraph.Hypergraph, part *partition.Partition) *msgLoad {
+	g := h.CSR()
+	return &msgLoad{Shards: csr.MustInt32(part.NumShards()), NumV: csr.MustInt32(h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
+}
+
+// TestWorkerBuildsCoordinatorPartition loads the sweep instances and
+// Cellzome into a worker at every shard count from 1 to 8, as the
+// coordinator normalizes it: the partition the worker builds from the
+// Load must be the coordinator's, with the same vertex and hyperedge
+// owners and the same bounds and hyperedges in every shard, since the
+// replicas and the coordinator's vote checks address shards by index.
+func TestWorkerBuildsCoordinatorPartition(t *testing.T) {
+	for i, h := range append(check.Instances(6, 0xB10C), dataset.Cellzome().H) {
+		for shards := 1; shards <= 8; shards++ {
+			want := partition.Build(h, shards)
+			w := &workerState{conn: &recordConn{}, opts: WorkerOptions{}.normalized()}
+			if err := w.handle(context.Background(), mLoad, payloadOf(loadOf(h, want))); err != nil {
+				t.Fatalf("instance %d at %d shards: %v", i, shards, err)
+			}
+			got := w.peeler.Partition()
+			if !slices.Equal(got.VertexOwner, want.VertexOwner) || !slices.Equal(got.EdgeOwner, want.EdgeOwner) || len(got.Shards) != len(want.Shards) {
+				t.Fatalf("instance %d at %d shards: the worker's owners or shard count differ from the coordinator's", i, shards)
+			}
+			for s, sh := range want.Shards {
+				g := got.Shards[s]
+				if g.Index != sh.Index || g.First != sh.First || g.Count != sh.Count || !slices.Equal(g.Edges, sh.Edges) {
+					t.Fatalf("instance %d at %d shards: shard %d is [%d,+%d) with %d hyperedges at the worker, [%d,+%d) with %d at the coordinator",
+						i, shards, s, g.First, g.Count, len(g.Edges), sh.First, sh.Count, len(sh.Edges))
+				}
+			}
 		}
 	}
-	for f, c := range want.EdgeCoreness {
-		if !dead[f] && got.EdgeCoreness[f] != c {
-			t.Fatalf("the continuation gives hyperedge %d, alive at B1, coreness %d, want %d", f, got.EdgeCoreness[f], c)
-		}
+}
+
+// serveFrame serves a worker over a pipe, sends it frame, a frame of
+// type typ, after its Hello, and returns the text of the Error frame
+// the worker must answer with and what ServeWorker returned, which
+// must not be a recovered panic.
+func serveFrame(t *testing.T, typ byte, frame []byte) (string, error) {
+	t.Helper()
+	coord, worker := net.Pipe()
+	defer coord.Close()
+	defer worker.Close()
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeWorker(context.Background(), worker, WorkerOptions{HeartbeatInterval: time.Hour})
+	}()
+	rd := bufio.NewReader(coord)
+	if got, _, err := readFrame(rd, maxFramePayload, nil); err != nil || got != mHello {
+		t.Fatalf("first frame: type %d, err %v; want Hello", got, err)
 	}
+	if err := writeFrame(coord, typ, frame); err != nil {
+		t.Fatal(err)
+	}
+	var report msgError
+	got, payload, err := readFrame(rd, maxFramePayload, nil)
+	if err == nil && got == mError {
+		err = report.decode(payload)
+	}
+	if err != nil || got != mError {
+		t.Fatalf("frame type %d: reply type %d, err %v; want an Error frame", typ, got, err)
+	}
+	err = <-served
+	var panicked *core.WorkerPanicError
+	if errors.As(err, &panicked) {
+		t.Fatalf("frame type %d: ServeWorker recovered a panic: %v", typ, err)
+	}
+	return report.Text, err
 }
 
 // TestWorkerFramesBeforeLoad sends Apply, Shrink and Assign frames to
@@ -288,61 +336,54 @@ func TestWorkerFramesBeforeLoad(t *testing.T) {
 		{mShrink, &msgRound{K: 1, Round: 1, IDs: []int32{0}}},
 		{mAssign, &msgAssign{Shards: []int32{0}}},
 	} {
-		w := &workerState{ctx: context.Background(), conn: &recordConn{}, opts: WorkerOptions{}.normalized()}
+		w := &workerState{conn: &recordConn{}, opts: WorkerOptions{}.normalized()}
 		if err := w.handle(context.Background(), f.typ, payloadOf(f.msg)); !errors.Is(err, errBeforeLoad) {
 			t.Errorf("frame type %d before Load: err = %v, want errBeforeLoad", f.typ, err)
 		}
-
-		coord, worker := net.Pipe()
-		served := make(chan error, 1)
-		go func() {
-			served <- ServeWorker(context.Background(), worker, WorkerOptions{HeartbeatInterval: time.Hour})
-		}()
-		rd := bufio.NewReader(coord)
-		if typ, _, err := readFrame(rd, maxFramePayload, nil); err != nil || typ != mHello {
-			t.Fatalf("first frame: type %d, err %v; want Hello", typ, err)
+		report, err := serveFrame(t, f.typ, f.msg.encode(nil))
+		if !strings.Contains(report, errBeforeLoad.Error()) || !errors.Is(err, errBeforeLoad) {
+			t.Errorf("frame type %d before Load: Error frame %q, ServeWorker returned %v; want both to name %q", f.typ, report, err, errBeforeLoad)
 		}
-		if err := writeFrame(coord, f.typ, f.msg.encode(nil)); err != nil {
-			t.Fatal(err)
-		}
-		var report msgError
-		typ, payload, err := readFrame(rd, maxFramePayload, nil)
-		if err == nil && typ == mError {
-			err = report.decode(payload)
-		}
-		if err != nil || typ != mError || !strings.Contains(report.Text, errBeforeLoad.Error()) {
-			t.Errorf("frame type %d before Load: reply type %d %q, err %v; want an Error frame naming %q", f.typ, typ, report.Text, err, errBeforeLoad)
-		}
-		err = <-served
-		var panicked *core.WorkerPanicError
-		if !errors.Is(err, errBeforeLoad) || errors.As(err, &panicked) {
-			t.Errorf("frame type %d before Load: ServeWorker returned %v, want errBeforeLoad and no recovered panic", f.typ, err)
-		}
-		coord.Close()
-		worker.Close()
 	}
 }
 
-// TestLoadRejectsBadMembers sends Load frames that decode but whose
-// rows name vertices outside [0, NumV): the worker hands the decoded
-// arrays to hypergraph.FromRows, which must refuse them with its
-// member error, and no replica is built.
+// TestLoadRejectsBadMembers sends Load frames that decode but that no
+// replica can be built from: rows that hypergraph.FromRows, the one
+// row validator, refuses (members outside [0, NumV), offsets that end
+// short of the members), and sound rows with a shard count the
+// shard-count policy would change, from which the worker would build a
+// partition other than the coordinator's.  Each must fail as a corrupt
+// frame with the error the table gives, through handle, which must
+// build no replica, and through ServeWorker, which must answer with an
+// Error frame carrying the same text.
 func TestLoadRejectsBadMembers(t *testing.T) {
+	rows := func(nv, shards int32) msgLoad {
+		return msgLoad{Shards: shards, NumV: nv, EOff: []int32{0, 2}, EAdj: []int32{0, 1}}
+	}
+	cpus := partition.NormalizeShards(0, 1000)
 	for _, tc := range []struct {
 		load msgLoad
 		want string
 	}{
-		{msgLoad{NumV: 2, EOff: []int32{0, 0, 2}, EAdj: []int32{0, 5}}, "dist: load graph: hypergraph: edge 1 member 5 out of range [0,2)"},
-		{msgLoad{NumV: 2, EOff: []int32{0, 1}, EAdj: []int32{-1}}, "dist: load graph: hypergraph: edge 0 member -1 out of range [0,2)"},
-		{msgLoad{NumV: -3, EOff: []int32{0, 1}, EAdj: []int32{0}}, "dist: load graph: hypergraph: edge 0 member 0 out of range [0,-3)"},
+		{msgLoad{Shards: 1, NumV: 2, EOff: []int32{0, 0, 2}, EAdj: []int32{0, 5}}, "dist: corrupt frame: load graph: hypergraph: edge 1 member 5 out of range [0,2)"},
+		{msgLoad{Shards: 1, NumV: 2, EOff: []int32{0, 1}, EAdj: []int32{-1}}, "dist: corrupt frame: load graph: hypergraph: edge 0 member -1 out of range [0,2)"},
+		{msgLoad{Shards: 1, NumV: -3, EOff: []int32{0, 1}, EAdj: []int32{0}}, "dist: corrupt frame: load graph: hypergraph: edge 0 member 0 out of range [0,-3)"},
+		{msgLoad{Shards: 1, NumV: 2, EOff: []int32{0, 2}, EAdj: []int32{0}}, "dist: corrupt frame: load graph: hypergraph: row offsets end at 2, want the 1 pins"},
+		{rows(1000, 0), fmt.Sprintf("dist: corrupt frame: load names 0 shards, the shard-count policy gives %d at 1000 vertices", cpus)},
+		{rows(1000, -1), fmt.Sprintf("dist: corrupt frame: load names -1 shards, the shard-count policy gives %d at 1000 vertices", cpus)},
+		{rows(2, 3), "dist: corrupt frame: load names 3 shards, the shard-count policy gives 2 at 2 vertices"},
+		{rows(1000, 513), "dist: corrupt frame: load names 513 shards, the shard-count policy gives 512 at 1000 vertices"},
 	} {
-		w := &workerState{ctx: context.Background(), conn: &recordConn{}, opts: WorkerOptions{}.normalized()}
+		w := &workerState{conn: &recordConn{}, opts: WorkerOptions{}.normalized()}
 		err := w.handle(context.Background(), mLoad, payloadOf(&tc.load))
-		if err == nil || err.Error() != tc.want {
-			t.Errorf("Load %+v: err = %v, want %s", tc.load, err, tc.want)
+		if !errors.Is(err, ErrCorruptFrame) || err.Error() != tc.want {
+			t.Errorf("Load %+v: err = %v, want ErrCorruptFrame as %s", tc.load, err, tc.want)
 		}
 		if w.peeler != nil {
 			t.Errorf("Load %+v: a replica was built", tc.load)
+		}
+		if report, err := serveFrame(t, mLoad, tc.load.encode(nil)); report != tc.want || !errors.Is(err, ErrCorruptFrame) {
+			t.Errorf("Load %+v: Error frame %q, ServeWorker returned %v; want %s", tc.load, report, err, tc.want)
 		}
 	}
 }

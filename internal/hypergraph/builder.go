@@ -199,7 +199,7 @@ func (b *Builder) build(copies bool) (*Hypergraph, error) {
 	return assemble(b.vertices.freeze(false, copies), b.edges.freeze(true, copies), b.NumVertices(), eOff, eAdj), nil
 }
 
-// assemble is the one CSR assembly behind Build, FromRows and Sub.
+// assemble is the one CSR assembly behind Build and FromRows.
 // It takes ownership of the name tables (nil for an unnamed side) and
 // of the edge-side rows — the members of hyperedge f are
 // eAdj[eOff[f]:eOff[f+1]], sorted, duplicate-free and in [0, nv) — and

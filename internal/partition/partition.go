@@ -29,7 +29,8 @@ const buildCheckEvery = 64
 // Shard is one block of a Partition.  All IDs are the hypergraph's.
 type Shard struct {
 	Index int
-	Desc          // owned vertices: the contiguous block [First, First+Count)
+	First int32   // first owned vertex: the shard owns [First, First+Count)
+	Count int32   // owned vertex count
 	Edges []int32 // owned hyperedges, ascending (anchored at their first member)
 }
 
@@ -74,7 +75,10 @@ func Build(h *hypergraph.Hypergraph, shards int) *Partition {
 
 // BuildCtx is Build honoring cancellation, deadline and any run.Budget
 // attached to ctx, checked at bounded intervals throughout the
-// construction.  On any error it returns (nil, err).
+// construction.  On any error it returns (nil, err).  The partition is
+// a function of h's structure and the shard count alone, so a dist
+// worker that holds the same hypergraph builds the coordinator's
+// partition itself.
 func BuildCtx(ctx context.Context, h *hypergraph.Hypergraph, shards int) (*Partition, error) {
 	meter := run.MeterFrom(ctx)
 	// Entry checkpoint: an already-cancelled context fails before any
@@ -125,94 +129,8 @@ func BuildCtx(ctx context.Context, h *hypergraph.Hypergraph, shards int) (*Parti
 	return p, nil
 }
 
-// Desc is a serializable shard descriptor: one contiguous owned vertex
-// block, identified by its first vertex and length.  A []Desc is the
-// whole partition in wire-ready form — a coordinator computes the
-// balanced blocks once and ships descriptors, and every worker rebuilds
-// the identical Partition with FromDescs regardless of the balancing
-// heuristic's inputs.
-type Desc struct {
-	First int32 // first owned vertex ID
-	Count int32 // owned vertex count
-}
-
-// Descs returns the partition's shard descriptors, in shard order.
-func (p *Partition) Descs() []Desc {
-	out := make([]Desc, len(p.Shards))
-	for s := range p.Shards {
-		out[s] = p.Shards[s].Desc
-	}
-	return out
-}
-
-// FromDescs rebuilds a Partition of h from shard descriptors.
-func FromDescs(h *hypergraph.Hypergraph, descs []Desc) *Partition {
-	p, err := FromDescsCtx(context.Background(), h, descs)
-	if err != nil {
-		// Unreachable for descriptors produced by Descs on the same
-		// hypergraph under a background context; invalid wire input must
-		// go through FromDescsCtx.
-		panic(err)
-	}
-	return p
-}
-
-// FromDescsCtx is FromDescs honoring cancellation, deadline and any
-// run.Budget attached to ctx.  The descriptors must cover h's vertices
-// exactly with contiguous, ascending, non-empty blocks (except that a
-// vertexless hypergraph is described by a single empty block); anything
-// else — including descriptors from another hypergraph — returns an
-// error, so a worker can reject a corrupt or mismatched assignment
-// instead of building a partition that silently disagrees with the
-// coordinator's.
-func FromDescsCtx(ctx context.Context, h *hypergraph.Hypergraph, descs []Desc) (*Partition, error) {
-	meter := run.MeterFrom(ctx)
-	if err := run.Tick(ctx, meter, 0); err != nil {
-		return nil, err
-	}
-	if err := failpoint.Inject(fpBuild); err != nil {
-		return nil, fmt.Errorf("partition: build from descriptors: %w", err)
-	}
-	nv, ne := h.NumVertices(), h.NumEdges()
-	if len(descs) == 0 {
-		return nil, fmt.Errorf("partition: no shard descriptors")
-	}
-	p := &Partition{
-		H:           h,
-		VertexOwner: make([]int32, nv),
-		EdgeOwner:   make([]int32, ne),
-		Shards:      make([]Shard, len(descs)),
-	}
-	next := int32(0)
-	for s, d := range descs {
-		p.Shards[s].Index = s
-		if d.First != next || d.Count < 0 || int(next)+int(d.Count) > nv {
-			return nil, fmt.Errorf("partition: shard %d descriptor [%d,+%d) does not continue the block cover at %d of %d vertices",
-				s, d.First, d.Count, next, nv)
-		}
-		if d.Count == 0 && nv > 0 {
-			return nil, fmt.Errorf("partition: shard %d descriptor is empty", s)
-		}
-		p.Shards[s].Desc = d
-		for v := next; v < next+d.Count; v++ {
-			p.VertexOwner[v] = int32(s)
-		}
-		next += d.Count
-		if err := run.Tick(ctx, meter, int64(d.Count)+1); err != nil {
-			return nil, err
-		}
-	}
-	if int(next) != nv {
-		return nil, fmt.Errorf("partition: descriptors cover %d of %d vertices", next, nv)
-	}
-	if err := p.assemble(ctx, meter); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // assemble anchors every hyperedge at the shard owning its first
-// member, given an already-filled vertex block assignment.  A counting
+// member, given the filled vertex block assignment.  A counting
 // pass sizes the shards' hyperedge lists, which then share one exactly
 // sized array.
 func (p *Partition) assemble(ctx context.Context, meter *run.Meter) error {

@@ -145,85 +145,3 @@ func TestBuildCtxBudget(t *testing.T) {
 		t.Fatalf("budgeted build: err = %v, want ErrBudgetExceeded", err)
 	}
 }
-
-// TestDescsRoundTrip pins the serializable shard descriptors: for
-// every instance and shard count, FromDescs(h, p.Descs()) rebuilds a
-// partition identical to p in every derived structure.
-func TestDescsRoundTrip(t *testing.T) {
-	for i, h := range instances(t) {
-		for _, shards := range []int{1, 2, 3, 5, runtime.NumCPU()} {
-			p := partition.Build(h, shards)
-			q := partition.FromDescs(h, p.Descs())
-			if q.NumShards() != p.NumShards() {
-				t.Fatalf("instance %d shards %d: rebuilt %d shards, want %d", i, shards, q.NumShards(), p.NumShards())
-			}
-			validate(t, h, q)
-			for v := range p.VertexOwner {
-				if q.VertexOwner[v] != p.VertexOwner[v] {
-					t.Fatalf("instance %d: vertex %d owner %d, want %d", i, v, q.VertexOwner[v], p.VertexOwner[v])
-				}
-			}
-			for f := range p.EdgeOwner {
-				if q.EdgeOwner[f] != p.EdgeOwner[f] {
-					t.Fatalf("instance %d: edge %d owner %d, want %d", i, f, q.EdgeOwner[f], p.EdgeOwner[f])
-				}
-			}
-			for s := range p.Shards {
-				a, b := &p.Shards[s], &q.Shards[s]
-				if a.Desc != b.Desc || !slices.Equal(a.Edges, b.Edges) {
-					t.Fatalf("instance %d shard %d: rebuilt shard differs: %+v vs %+v", i, s, a, b)
-				}
-			}
-		}
-	}
-}
-
-// TestFromDescsRejectsInvalid pins the wire-input defenses: gaps,
-// overlaps, empty blocks, short and over-long covers are all rejected
-// with an error rather than a silently divergent partition.
-func TestFromDescsRejectsInvalid(t *testing.T) {
-	h := gen.RandomHypergraph(10, 8, 3, xrand.New(7))
-	cases := []struct {
-		name  string
-		descs []partition.Desc
-	}{
-		{"none", nil},
-		{"gap", []partition.Desc{{First: 0, Count: 4}, {First: 5, Count: 5}}},
-		{"overlap", []partition.Desc{{First: 0, Count: 6}, {First: 4, Count: 6}}},
-		{"empty block", []partition.Desc{{First: 0, Count: 0}, {First: 0, Count: 10}}},
-		{"short cover", []partition.Desc{{First: 0, Count: 6}}},
-		{"over-long", []partition.Desc{{First: 0, Count: 11}}},
-		{"negative", []partition.Desc{{First: 0, Count: -1}}},
-	}
-	for _, tc := range cases {
-		if _, err := partition.FromDescsCtx(context.Background(), h, tc.descs); err == nil {
-			t.Errorf("%s: invalid descriptors accepted", tc.name)
-		}
-	}
-}
-
-// TestFromDescsEmptyHypergraph: a vertexless hypergraph round-trips
-// through its single empty descriptor.
-func TestFromDescsEmptyHypergraph(t *testing.T) {
-	h, err := hypergraph.FromEdgeSets(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := partition.Build(h, 4)
-	q := partition.FromDescs(h, p.Descs())
-	if q.NumShards() != 1 {
-		t.Fatalf("rebuilt %d shards, want 1", q.NumShards())
-	}
-	validate(t, h, q)
-}
-
-// TestFromDescsCtxCancelled: the Ctx variant fails fast when cancelled.
-func TestFromDescsCtxCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	h := gen.RandomHypergraph(50, 30, 4, xrand.New(1))
-	p := partition.Build(h, 4)
-	if _, err := partition.FromDescsCtx(ctx, h, p.Descs()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled rebuild: err = %v, want context.Canceled", err)
-	}
-}
