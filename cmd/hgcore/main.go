@@ -70,22 +70,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	ctx, cancel := cli.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	var h *hypergraph.Hypergraph
-	if *storePath != "" {
-		st, sh, err := cli.OpenStoreCtx(ctx, *storePath)
-		if err != nil {
-			return err
-		}
-		// The hypergraph aliases the store's mapped arrays; keep the
-		// backend open for the whole run.
-		defer st.Close()
-		h = sh
-	} else {
-		h, err = cli.ReadHypergraphCtx(ctx, *mtx, fs.Arg(0), stdin)
-		if err != nil {
-			return err
-		}
+	h, release, err := cli.OpenInput(ctx, *storePath, *mtx, fs.Arg(0), stdin)
+	if err != nil {
+		return err
 	}
+	// A store's hypergraph aliases its mapped arrays; keep the input
+	// open for the whole run.
+	defer release()
 
 	// decomposeVia routes through the distributed runtime when -dist is
 	// set, the sharded engine when -shards is set, otherwise through

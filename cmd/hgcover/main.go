@@ -59,22 +59,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	ctx, cancel := cli.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	var h *hypergraph.Hypergraph
-	if *storePath != "" {
-		st, sh, err := cli.OpenStoreCtx(ctx, *storePath)
-		if err != nil {
-			return err
-		}
-		// The hypergraph aliases the store's mapped arrays; keep the
-		// backend open for the whole run.
-		defer st.Close()
-		h = sh
-	} else {
-		h, err = cli.ReadHypergraphCtx(ctx, *mtx, fs.Arg(0), stdin)
-		if err != nil {
-			return err
-		}
+	h, release, err := cli.OpenInput(ctx, *storePath, *mtx, fs.Arg(0), stdin)
+	if err != nil {
+		return err
 	}
+	// A store's hypergraph aliases its mapped arrays; keep the input
+	// open for the whole run.
+	defer release()
 
 	var weights []float64
 	switch {
@@ -118,7 +109,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 		if *r != 1 {
 			return fmt.Errorf("-primal-dual supports only -r 1")
 		}
-		res, err := cover.PrimalDual(h, weights)
+		res, err := cover.PrimalDualCtx(ctx, h, weights)
 		if err != nil {
 			return err
 		}

@@ -2,15 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"hyperplex/internal/cover"
 	"hyperplex/internal/dataset"
+	"hyperplex/internal/failpoint"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/store"
 )
@@ -150,6 +153,25 @@ func TestRunPrimalDualAndExact(t *testing.T) {
 	}
 	if err := run([]string{"-exact", "-r", "2"}, strings.NewReader(sample), &out); err == nil {
 		t.Error("-exact with -r 2 accepted")
+	}
+}
+
+// TestRunPrimalDualTimeout pins that -timeout bounds the primal-dual
+// solve, not only the read: with every scan checkpoint slowed to
+// 300 ms, a 100 ms bound must end the Cellzome run with
+// context.DeadlineExceeded instead of a cover.
+func TestRunPrimalDualTimeout(t *testing.T) {
+	var cellzome bytes.Buffer
+	if err := hypergraph.WriteText(&cellzome, dataset.Cellzome().H); err != nil {
+		t.Fatal(err)
+	}
+	if err := failpoint.Enable("cover.primaldual.scan", failpoint.Arm{Mode: failpoint.ModeDelay, Delay: 300 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Disable("cover.primaldual.scan")
+	var out bytes.Buffer
+	if err := run([]string{"-primal-dual", "-quiet", "-timeout", "100ms"}, &cellzome, &out); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, output %q; want context.DeadlineExceeded", err, out.String())
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command hgshardd is a distributed-decomposition worker daemon: it
-// dials the coordinator (a dist.DecomposeCtx run, typically launched
-// by hgcore -dist or experiments -dist), receives its hypergraph and
+// dials the coordinator (a dist.DecomposeCtx run, such as the one
+// hgcore -dist N -hgshardd PATH starts), receives its hypergraph and
 // shard assignments over the dist wire protocol, and serves BSP peel
 // rounds — heartbeating throughout — until the coordinator shuts it
 // down or the connection drops.

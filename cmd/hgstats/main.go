@@ -23,7 +23,6 @@ import (
 
 	"hyperplex/internal/cli"
 	"hyperplex/internal/core"
-	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/stats"
 )
 
@@ -51,22 +50,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	ctx, cancel := cli.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	var h *hypergraph.Hypergraph
-	if *storePath != "" {
-		st, sh, err := cli.OpenStoreCtx(ctx, *storePath)
-		if err != nil {
-			return err
-		}
-		// The hypergraph aliases the store's mapped arrays; keep the
-		// backend open for the whole run.
-		defer st.Close()
-		h = sh
-	} else {
-		h, err = cli.ReadHypergraphCtx(ctx, *mtx, fs.Arg(0), stdin)
-		if err != nil {
-			return err
-		}
+	h, release, err := cli.OpenInput(ctx, *storePath, *mtx, fs.Arg(0), stdin)
+	if err != nil {
+		return err
 	}
+	// A store's hypergraph aliases its mapped arrays; keep the input
+	// open for the whole run.
+	defer release()
 
 	fmt.Fprintf(stdout, "|V| = %d   |F| = %d   |E| = %d\n", h.NumVertices(), h.NumEdges(), h.NumPins())
 	fmt.Fprintf(stdout, "ΔV = %d   ΔF = %d   Δ2,F = %d\n", h.MaxVertexDegree(), h.MaxEdgeDegree(), h.MaxDegree2Edge())

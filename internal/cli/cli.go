@@ -70,6 +70,23 @@ func OpenStoreCtx(ctx context.Context, path string) (*store.File, *hypergraph.Hy
 	return st, h, nil
 }
 
+// OpenInput opens the hypergraph a command reads: the store file at
+// storePath when one is given, else what ReadHypergraphCtx reads from
+// path or stdin.  A store's hypergraph aliases its mapped arrays, so
+// the caller calls release once it is done with the hypergraph; for a
+// hypergraph read into memory release does nothing.
+func OpenInput(ctx context.Context, storePath string, mtx bool, path string, stdin io.Reader) (h *hypergraph.Hypergraph, release func() error, err error) {
+	if storePath == "" {
+		h, err = ReadHypergraphCtx(ctx, mtx, path, stdin)
+		return h, func() error { return nil }, err
+	}
+	st, h, err := OpenStoreCtx(ctx, storePath)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, st.Close, nil
+}
+
 // WithTimeout returns ctx bounded by the -timeout flag value: a zero
 // or negative timeout means no bound (the cancel func is still
 // non-nil and must be deferred).

@@ -25,16 +25,9 @@ var ErrSearchCapped = errors.New("cover: exact search capped")
 // optimality is proved.
 func Exact(h *hypergraph.Hypergraph, weights []float64, maxNodes int64) (*Cover, error) {
 	nv, ne := h.NumVertices(), h.NumEdges()
-	if weights == nil {
-		weights = UnitWeights(h)
-	}
-	if len(weights) != nv {
-		return nil, fmt.Errorf("cover: %d weights for %d vertices", len(weights), nv)
-	}
-	for v, w := range weights {
-		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("cover: weight of vertex %d is %v; weights must be positive and finite", v, w)
-		}
+	weights, err := checkWeights(h, weights)
+	if err != nil {
+		return nil, err
 	}
 	for f := 0; f < ne; f++ {
 		if h.EdgeDegree(f) == 0 {

@@ -10,7 +10,6 @@ import (
 	"os/exec"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hyperplex/internal/core"
@@ -31,37 +30,19 @@ var fpReassign = failpoint.Register("dist.reassign")
 // the round schedule replays from the last committed barrier.
 var errWorkerLost = errors.New("dist: worker lost")
 
-type frameMsg struct {
-	typ     byte
-	payload []byte
-}
-
 // remoteWorker is the coordinator's handle on one worker: its
-// connection, its inbound frames, and its last-heard-from clock (any
-// frame counts, heartbeats exist to keep it fresh while the worker
-// computes).  The reader goroutine owns each payload until it hands it
-// over on frames; the consumer hands it back on free once decoded, and
-// the reader reads a later frame into it.
+// connection, the connection's one buffered reader, and the buffer
+// every frame from it is read into, reused for the next.
 type remoteWorker struct {
-	id       int
-	conn     net.Conn
-	frames   chan frameMsg
-	free     chan []byte
-	lastBeat atomic.Int64 // unix nanos of the last frame received
-	dead     bool
-	cmd      *exec.Cmd // non-nil when spawned as an OS process
+	id   int
+	conn net.Conn
+	rd   *bufio.Reader
+	in   []byte
+	dead bool
+	cmd  *exec.Cmd // non-nil when spawned as an OS process
 }
 
 func (rw *remoteWorker) alive() bool { return rw != nil && !rw.dead }
-
-// recycle hands a decoded payload back to rw's reader; when the reader
-// has enough spare buffers it is dropped.
-func (rw *remoteWorker) recycle(payload []byte) {
-	select {
-	case rw.free <- payload:
-	default:
-	}
-}
 
 // coordinator drives the worker pool.  It is the core.Rounds of a
 // distributed run: core.RunRounds calls its Apply and Shrink, which
@@ -78,10 +59,9 @@ type coordinator struct {
 	part  *partition.Partition
 
 	ln       net.Listener
-	accepted []net.Conn // every accepted conn, for panic-safe teardown
+	accepted []net.Conn // every accepted conn, which teardown and a cancellation close
 	workers  []*remoteWorker
-	wg       sync.WaitGroup // reader goroutines + in-process workers
-	done     chan struct{}
+	wg       sync.WaitGroup // in-process workers
 
 	epoch uint32
 	owner []int // shard → worker id, -1 before the first deal
@@ -103,12 +83,10 @@ type coordinator struct {
 
 	// Reused across rounds: out holds every frame the coordinator sends
 	// except Load; vote is the decode target of the Frontier and Barrier
-	// votes; retired gathers the round's retired delta off the votes;
-	// timer times every await.
+	// votes; retired gathers the round's retired delta off the votes.
 	out     []byte
 	vote    msgRound
 	retired []int32
-	timer   *time.Timer
 
 	// seen[id] == gen marks a vertex or hyperedge ID the vote under
 	// check has named, so a repeat is caught (newGen); it is sized for
@@ -120,9 +98,22 @@ type coordinator struct {
 }
 
 func runCoordinator(ctx context.Context, meter *run.Meter, h *hypergraph.Hypergraph, opts Options) (*core.Decomposition, error) {
-	c := &coordinator{ctx: ctx, meter: meter, opts: opts, h: h, done: make(chan struct{})}
+	c := &coordinator{ctx: ctx, meter: meter, opts: opts, h: h}
 	defer c.teardown()
 	if err := c.setup(); err != nil {
+		return nil, err
+	}
+	// The accepted connections are final now.  A cancellation closes
+	// them, which ends any read or write blocked on one at once.
+	stop := context.AfterFunc(ctx, c.closeAccepted)
+	defer stop()
+	return c.peel()
+}
+
+// peel ships Load to the joined pool, deals the shards and runs the
+// rounds to the decomposition.
+func (c *coordinator) peel() (*core.Decomposition, error) {
+	if err := c.load(); err != nil {
 		return nil, err
 	}
 	if err := c.assign(); err != nil {
@@ -130,7 +121,7 @@ func runCoordinator(ctx context.Context, meter *run.Meter, h *hypergraph.Hypergr
 			return nil, err
 		}
 	}
-	return core.RunRounds(ctx, c, h, c.dying, math.MaxInt)
+	return core.RunRounds(c.ctx, c, c.h, c.dying, math.MaxInt)
 }
 
 // Resume answers a worker death with recovery, attempted again while
@@ -148,9 +139,8 @@ func (c *coordinator) Resume(err error) (int, []int32, error) {
 	return int(c.barK), c.dying, nil
 }
 
-// setup builds the partition, starts the listener, spawns the pool,
-// and ships Load, the shard count and the hypergraph's rows, to every
-// joined worker.
+// setup builds the partition, starts the listener, spawns the pool
+// and joins it.
 func (c *coordinator) setup() error {
 	part, err := partition.BuildCtx(c.ctx, c.h, c.opts.Shards)
 	if err != nil {
@@ -180,12 +170,14 @@ func (c *coordinator) setup() error {
 			return err
 		}
 	}
-	if err := c.join(); err != nil {
-		return err
-	}
+	return c.join()
+}
 
+// load ships Load, the shard count and the hypergraph's rows, to every
+// joined worker.
+func (c *coordinator) load() error {
 	g := c.h.CSR()
-	load := msgLoad{Epoch: c.epoch, Shards: csr.MustInt32(part.NumShards()), NumV: csr.MustInt32(c.h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
+	load := msgLoad{Epoch: c.epoch, Shards: csr.MustInt32(c.part.NumShards()), NumV: csr.MustInt32(c.h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
 	// The Load frame is the one frame of its size; out does not keep it.
 	frame := load.encode(nil)
 	for _, rw := range c.workers {
@@ -285,15 +277,7 @@ func (c *coordinator) join() error {
 			continue
 		}
 		rw := c.workers[id]
-		_ = conn.SetReadDeadline(time.Time{})
-		rw.conn = conn
-		rw.frames = make(chan frameMsg, 4)
-		// free holds as many buffers as frames can queue payloads, so
-		// a recycled buffer is dropped only when more frames than that
-		// were read ahead of their consumer.
-		rw.free = make(chan []byte, cap(rw.frames))
-		rw.lastBeat.Store(time.Now().UnixNano())
-		c.startReader(rw, rd)
+		rw.conn, rw.rd = conn, rd
 		joined++
 	}
 	for _, rw := range c.workers {
@@ -324,45 +308,6 @@ func (c *coordinator) hello(rd *bufio.Reader) (int, error) {
 	return int(m.ID), nil
 }
 
-// startReader reads rw's inbound frames off rd, the connection's one
-// buffered reader, into its channel; any read failure (connection
-// death, corrupt frame, injected fault) closes the channel, which every
-// consumer treats as worker death.  Heartbeats are read into the same
-// buffer over and over; after handing a frame over, the reader takes a
-// recycled buffer, or reads the next frame into a fresh one.
-func (c *coordinator) startReader(rw *remoteWorker, rd *bufio.Reader) {
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		defer func() {
-			_ = recover() // an injected recv panic is a dead worker, not a crash
-			close(rw.frames)
-		}()
-		var buf []byte
-		for {
-			typ, payload, err := readFrame(rd, maxFramePayload, buf)
-			if err != nil {
-				return
-			}
-			rw.lastBeat.Store(time.Now().UnixNano())
-			if typ == mHeartbeat {
-				buf = payload
-				continue
-			}
-			select {
-			case rw.frames <- frameMsg{typ: typ, payload: payload}:
-			case <-c.done:
-				return
-			}
-			select {
-			case buf = <-rw.free:
-			default:
-				buf = nil
-			}
-		}
-	}()
-}
-
 func (c *coordinator) aliveWorkers() []*remoteWorker {
 	var out []*remoteWorker
 	for _, rw := range c.workers {
@@ -373,9 +318,8 @@ func (c *coordinator) aliveWorkers() []*remoteWorker {
 	return out
 }
 
-// kill marks a worker dead and severs its connection; its reader
-// goroutine and (for processes) a bounded Wait are cleaned up here and
-// at teardown.
+// kill marks a worker dead and severs its connection; a worker process
+// is killed here and waited for at teardown.
 func (c *coordinator) kill(rw *remoteWorker) {
 	if rw.dead {
 		return
@@ -411,80 +355,73 @@ func (c *coordinator) broadcast(typ byte, frame []byte) error {
 	return nil
 }
 
-// arm resets the await timer to fire once after d and returns its
-// channel.  A tick left in the channel by an expiry nobody received
-// is drained first.
-func (c *coordinator) arm(d time.Duration) <-chan time.Time {
-	if c.timer == nil {
-		c.timer = time.NewTimer(d)
-		return c.timer.C
-	}
-	if !c.timer.Stop() {
-		select {
-		case <-c.timer.C:
-		default:
-		}
-	}
-	c.timer.Reset(d)
-	return c.timer.C
-}
-
-// await blocks for the next current-epoch frame from rw, expecting
-// want, and returns its payload, which the caller may hand back with
-// rw.recycle once it is decoded.  Stale-epoch frames (replies raced by
-// a recovery) are dropped; a closed channel, an Error frame, a
-// protocol violation, a missed-heartbeat window or the phase deadline
-// all kill the worker and report errWorkerLost; context and budget
-// failures surface as-is.
+// await reads rw's frames up to the next current-epoch one, expecting
+// want, and returns its payload, which the next read from rw
+// overwrites.  Heartbeats and stale-epoch frames (replies raced by a
+// recovery) are skipped.  A failed read (a closed connection, a
+// corrupt frame, a missed-heartbeat window or the phase deadline), an
+// Error frame or a protocol violation kills the worker and reports
+// errWorkerLost; a cancelled context surfaces as-is.
 //
 //hyperplexvet:wirerecv
 func (c *coordinator) await(rw *remoteWorker, want byte) ([]byte, error) {
 	deadline := time.Now().Add(c.opts.PhaseTimeout)
-	missWindow := 4 * c.opts.HeartbeatInterval
 	for {
-		tick := c.opts.HeartbeatInterval
-		if until := time.Until(deadline); until < tick {
-			tick = until
-		}
-		if tick <= 0 {
+		typ, payload, err := c.read(rw, deadline)
+		if err != nil {
+			if cerr := c.ctx.Err(); cerr != nil {
+				return nil, cerr
+			}
 			c.kill(rw)
-			return nil, fmt.Errorf("%w: worker %d phase deadline", errWorkerLost, rw.id)
+			return nil, fmt.Errorf("%w: worker %d: %w", errWorkerLost, rw.id, err)
 		}
-		select {
-		case fm, ok := <-rw.frames:
-			if !ok {
-				c.kill(rw)
-				return nil, fmt.Errorf("%w: worker %d connection", errWorkerLost, rw.id)
-			}
-			ep, ok := peekEpoch(fm.payload)
-			if !ok {
-				c.kill(rw)
-				return nil, fmt.Errorf("%w: worker %d sent an epochless frame", errWorkerLost, rw.id)
-			}
-			if ep != c.epoch {
-				rw.recycle(fm.payload)
-				continue // stale reply from before a recovery
-			}
-			if fm.typ == mError {
-				var m msgError
-				_ = m.decode(fm.payload)
-				c.kill(rw)
-				return nil, fmt.Errorf("%w: worker %d failed: %s", errWorkerLost, rw.id, m.Text)
-			}
-			if fm.typ != want {
-				c.kill(rw)
-				return nil, fmt.Errorf("%w: worker %d sent frame type %d, want %d", errWorkerLost, rw.id, fm.typ, want)
-			}
-			return fm.payload, nil
-		case <-c.ctx.Done():
-			return nil, c.ctx.Err()
-		case <-c.arm(tick):
-			if time.Since(time.Unix(0, rw.lastBeat.Load())) > missWindow {
-				c.kill(rw)
-				return nil, fmt.Errorf("%w: worker %d missed heartbeats", errWorkerLost, rw.id)
-			}
+		if typ == mHeartbeat {
+			continue
 		}
+		ep, ok := peekEpoch(payload)
+		if !ok {
+			c.kill(rw)
+			return nil, fmt.Errorf("%w: worker %d sent an epochless frame", errWorkerLost, rw.id)
+		}
+		if ep != c.epoch {
+			continue // stale reply from before a recovery
+		}
+		if typ == mError {
+			var m msgError
+			_ = m.decode(payload)
+			c.kill(rw)
+			return nil, fmt.Errorf("%w: worker %d failed: %s", errWorkerLost, rw.id, m.Text)
+		}
+		if typ != want {
+			c.kill(rw)
+			return nil, fmt.Errorf("%w: worker %d sent frame type %d, want %d", errWorkerLost, rw.id, typ, want)
+		}
+		return payload, nil
 	}
+}
+
+// read reads rw's next frame into rw.in.  The read must end by the
+// phase deadline and within 4 heartbeat intervals, so any frame counts
+// as a beat and a silent worker is caught one window after its last
+// one.  A panic (an injected recv fault) is returned as an error: it
+// costs the worker, not the run.
+func (c *coordinator) read(rw *remoteWorker, deadline time.Time) (typ byte, payload []byte, err error) {
+	defer func() {
+		if x := recover(); x != nil {
+			err = fmt.Errorf("dist: recv panicked: %v", x)
+		}
+	}()
+	if miss := time.Now().Add(4 * c.opts.HeartbeatInterval); miss.Before(deadline) {
+		deadline = miss
+	}
+	if err := rw.conn.SetReadDeadline(deadline); err != nil {
+		return 0, nil, fmt.Errorf("dist: recv: %w", err)
+	}
+	typ, payload, err = readFrame(rw.rd, maxFramePayload, rw.in)
+	if err == nil {
+		rw.in = payload
+	}
+	return typ, payload, err
 }
 
 // assign deals every shard no live worker owns round-robin over the
@@ -505,6 +442,7 @@ func (c *coordinator) assign() error {
 		}
 	}
 	var shards []int32
+	var lost error
 	for _, rw := range alive {
 		if err := c.ctx.Err(); err != nil {
 			return err
@@ -516,28 +454,52 @@ func (c *coordinator) assign() error {
 			}
 		}
 		m := msgAssign{Epoch: c.epoch, K: c.barK, Round: c.barRound, Shards: shards, Dead: c.deadLog, Retired: c.retiredLog}
-		if err := c.sendAssign(rw, &m); err != nil {
-			return err
+		c.out = m.encode(c.out)
+		if err := writeFrame(rw.conn, mAssign, c.out); err != nil {
+			c.kill(rw)
+			lost = errWorkerLost
 		}
 	}
-	c.spareDying = c.spareDying[:0]
-	for _, rw := range alive {
-		if err := c.awaitBarrier(rw, c.barK, c.barRound); err != nil {
-			return err
-		}
+	if err := c.gather(lost, mBarrier, c.barK, c.barRound); err != nil {
+		return err
 	}
 	c.commit(c.barK, c.barRound)
 	return nil
 }
 
-// sendAssign sends rw an Assign frame; a failed send kills rw.
-func (c *coordinator) sendAssign(rw *remoteWorker, m *msgAssign) error {
-	c.out = m.encode(c.out)
-	if err := writeFrame(rw.conn, mAssign, c.out); err != nil {
-		c.kill(rw)
-		return errWorkerLost
+// gather awaits every live worker's vote of type want, Frontier or
+// Barrier, for round (k, round) and collects the IDs the votes name:
+// the retired vertices in retired, the dying hyperedges in spareDying.
+// lost is the error of the sends that asked for the votes.  A lost
+// worker, there or at its vote, does not end the sweep: every
+// survivor's vote is read before the loss is reported.  A survivor
+// whose vote were left unread, and outgrew the socket buffers, would
+// block in that send and never read the recovery's Assign, whose write
+// would block the coordinator in turn.  Any other error returns at
+// once.
+func (c *coordinator) gather(lost error, want byte, k, round int32) error {
+	if lost != nil && !errors.Is(lost, errWorkerLost) {
+		return lost
 	}
-	return nil
+	ids, owner, what := &c.retired, c.part.VertexOwner, "retired vertex"
+	if want == mBarrier {
+		ids, owner, what = &c.spareDying, c.part.EdgeOwner, "dying hyperedge"
+	}
+	*ids = (*ids)[:0]
+	for _, rw := range c.workers {
+		if rw.alive() {
+			err := c.awaitVote(rw, want, k, round, owner, what)
+			switch {
+			case err == nil:
+				*ids = append(*ids, c.vote.IDs...)
+			case errors.Is(err, errWorkerLost):
+				lost = err
+			default:
+				return err
+			}
+		}
+	}
+	return lost
 }
 
 // awaitVote awaits rw's vote of type want for round (k, round), decodes
@@ -570,19 +532,8 @@ func (c *coordinator) awaitVote(rw *remoteWorker, want byte, k, round int32, own
 	return nil
 }
 
-// awaitBarrier awaits rw's Barrier vote for (k, round) and adds the
-// dying hyperedges it names to the spare dying union.
-func (c *coordinator) awaitBarrier(rw *remoteWorker, k, round int32) error {
-	if err := c.awaitVote(rw, mBarrier, k, round, c.part.EdgeOwner, "dying hyperedge"); err != nil {
-		return err
-	}
-	c.spareDying = append(c.spareDying, c.vote.IDs...)
-	return nil
-}
-
-// awaitDecode awaits rw's next frame of type want, decodes it into m
-// and hands the payload back to rw's reader; a frame that does not
-// decode kills the worker.
+// awaitDecode awaits rw's next frame of type want and decodes it into
+// m; a frame that does not decode kills the worker.
 func (c *coordinator) awaitDecode(rw *remoteWorker, want byte, m interface{ decode([]byte) error }) error {
 	payload, err := c.await(rw, want)
 	if err != nil {
@@ -592,7 +543,6 @@ func (c *coordinator) awaitDecode(rw *remoteWorker, want byte, m interface{ deco
 		c.kill(rw)
 		return fmt.Errorf("%w: worker %d: %w", errWorkerLost, rw.id, err)
 	}
-	rw.recycle(payload)
 	return nil
 }
 
@@ -606,18 +556,8 @@ func (c *coordinator) Apply(ctx context.Context, k int, dying []int32) ([]int32,
 	}
 	apply := msgRound{Epoch: c.epoch, K: int32(k), Round: c.barRound, IDs: dying}
 	c.out = apply.encode(c.out)
-	if err := c.broadcast(mApply, c.out); err != nil {
+	if err := c.gather(c.broadcast(mApply, c.out), mFrontier, int32(k), c.barRound); err != nil {
 		return nil, err
-	}
-	c.retired = c.retired[:0]
-	for _, rw := range c.workers {
-		if !rw.alive() {
-			continue
-		}
-		if err := c.awaitVote(rw, mFrontier, int32(k), c.barRound, c.part.VertexOwner, "retired vertex"); err != nil {
-			return nil, err
-		}
-		c.retired = append(c.retired, c.vote.IDs...)
 	}
 	return c.retired, nil
 }
@@ -642,17 +582,8 @@ func (c *coordinator) Shrink(_ context.Context, k int, retired []int32) ([]int32
 	newRound := c.barRound + 1
 	shrink := msgRound{Epoch: c.epoch, K: int32(k), Round: newRound, IDs: retired}
 	c.out = shrink.encode(c.out)
-	if err := c.broadcast(mShrink, c.out); err != nil {
+	if err := c.gather(c.broadcast(mShrink, c.out), mBarrier, int32(k), newRound); err != nil {
 		return nil, err
-	}
-	c.spareDying = c.spareDying[:0]
-	for _, rw := range c.workers {
-		if !rw.alive() {
-			continue
-		}
-		if err := c.awaitBarrier(rw, int32(k), newRound); err != nil {
-			return nil, err
-		}
 	}
 	// The round applied the dying union committed before it, which
 	// RunRounds hands every Apply, so that union and the round's retired
@@ -689,6 +620,11 @@ func (c *coordinator) fireBarrierHook() {
 // workers' shards to the survivors and restores every survivor at the
 // last committed barrier.
 func (c *coordinator) recoverPool() error {
+	// A cancellation closes every connection, so the deaths it causes
+	// are the cancellation, not worth a recovery.
+	if err := c.ctx.Err(); err != nil {
+		return err
+	}
 	c.recoveries++
 	if c.recoveries > c.opts.MaxRecoveries {
 		return fmt.Errorf("%w: recovery budget (%d) exhausted", ErrPoolFailed, c.opts.MaxRecoveries)
@@ -701,12 +637,9 @@ func (c *coordinator) recoverPool() error {
 }
 
 // teardown shuts the pool down: best-effort Shutdown frames, severed
-// connections, closed listener, and a bounded wait for every reader
-// goroutine, in-process worker, and worker process.
+// connections, closed listener, and a bounded wait for every
+// in-process worker and worker process.
 func (c *coordinator) teardown() {
-	if c.timer != nil {
-		c.timer.Stop()
-	}
 	shutdown := newEnc(c.out).b
 	//hyperplexvet:ignore budgettick bounded teardown sweep over the worker table; shutdown must proceed under a cancelled ctx
 	for _, rw := range c.workers {
@@ -725,14 +658,10 @@ func (c *coordinator) teardown() {
 			_ = rw.conn.Close()
 		}
 	}
-	//hyperplexvet:ignore budgettick bounded teardown sweep: one non-blocking Close per accepted connection
-	for _, conn := range c.accepted {
-		_ = conn.Close()
-	}
+	c.closeAccepted()
 	if c.ln != nil {
 		_ = c.ln.Close()
 	}
-	close(c.done)
 	c.wg.Wait()
 	//hyperplexvet:ignore budgettick bounded teardown sweep: per-process wait is capped by the 3s kill watchdog
 	for _, rw := range c.workers {
@@ -747,5 +676,14 @@ func (c *coordinator) teardown() {
 		})
 		_ = cmd.Wait()
 		watchdog.Stop()
+	}
+}
+
+// closeAccepted closes every accepted connection, which ends any read
+// blocked on one at once: at teardown, and when ctx is cancelled.
+func (c *coordinator) closeAccepted() {
+	//hyperplexvet:ignore budgettick bounded teardown sweep: one non-blocking Close per accepted connection
+	for _, conn := range c.accepted {
+		_ = conn.Close()
 	}
 }

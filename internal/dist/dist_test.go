@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -67,7 +68,7 @@ func assertExact(t *testing.T, h *hypergraph.Hypergraph, got *core.Decomposition
 }
 
 // leakChecked wraps a test body with a goroutine-leak assertion: the
-// coordinator must tear down every reader, worker and heartbeat
+// coordinator must tear down every in-process worker and heartbeat
 // goroutine it started, on success and on failure alike.
 func leakChecked(t *testing.T, body func(t *testing.T)) {
 	t.Helper()
@@ -349,27 +350,82 @@ func TestDistSendFaultsRetried(t *testing.T) {
 	})
 }
 
-// TestDistHeartbeatMissDetection unit-tests the silent-worker path:
-// a worker whose frames never arrive and whose last beat is stale is
-// declared dead within the miss window, well before the phase
-// deadline.
+// TestAwaitRecvPanicCostsOneWorker arms an injected dist.recv panic
+// once, at the first committed barrier, so a later frame read panics:
+// the coordinator's read of a worker's frame, or a worker's read of
+// the coordinator's.  Either end recovers it as the death of that one
+// worker, so the run commits one barrier more than a healthy run, the
+// recovery's, and is exact without the local fallback.  The arm skips
+// 0 to 3 reads, so the panic lands on either end across the runs.
+func TestAwaitRecvPanicCostsOneWorker(t *testing.T) {
+	defer failpoint.Disable("dist.recv")
+	leakChecked(t, func(t *testing.T) {
+		h := dataset.Cellzome().H
+		// A slow beat: a worker declared dead would commit extra barriers.
+		opts := Options{Workers: 3, Shards: 5, HeartbeatInterval: time.Second}
+		healthy := 0
+		opts.OnBarrier = func(int32, int32, func(int)) { healthy++ }
+		if _, err := Decompose(h, opts); err != nil {
+			t.Fatal(err)
+		}
+		for after := 0; after < 4; after++ {
+			barriers := 0
+			opts.OnBarrier = func(int32, int32, func(int)) {
+				if barriers++; barriers == 1 {
+					if err := failpoint.Enable("dist.recv", failpoint.Arm{Mode: failpoint.ModePanic, After: after, Times: 1}); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			d, err := Decompose(h, opts)
+			failpoint.Disable("dist.recv")
+			if err != nil {
+				t.Fatalf("panic after %d reads: %v", after, err)
+			}
+			if fired := failpoint.Fired("dist.recv"); fired != 1 {
+				t.Fatalf("panic after %d reads: the arm fired %d times, want 1", after, fired)
+			}
+			if barriers != healthy+1 {
+				t.Fatalf("panic after %d reads: %d barriers committed, want the healthy run's %d and one recovery's", after, barriers, healthy)
+			}
+			assertExact(t, h, d, fmt.Sprintf("panic after %d reads", after))
+		}
+	})
+}
+
+// TestDistHeartbeatMissDetection unit-tests the silent-worker path
+// over a net.Pipe: a worker that beats three times, faster than its
+// interval, and then falls silent is kept alive by each beat the
+// coordinator reads, and is declared dead one miss window after the
+// last of them, well before the phase deadline.
 func TestDistHeartbeatMissDetection(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
+	const beat, gap = 50 * time.Millisecond, 10 * time.Millisecond
 	c := &coordinator{
 		ctx:  context.Background(),
-		opts: Options{HeartbeatInterval: 10 * time.Millisecond, PhaseTimeout: 10 * time.Second}.normalized(dataset.Cellzome().H),
+		opts: Options{HeartbeatInterval: beat, PhaseTimeout: 10 * time.Second}.normalized(dataset.Cellzome().H),
 	}
-	rw := &remoteWorker{id: 0, conn: a, frames: make(chan frameMsg)}
-	rw.lastBeat.Store(time.Now().Add(-time.Second).UnixNano())
+	rw := &remoteWorker{id: 0, conn: a, rd: bufio.NewReader(a)}
+	heartbeat := frameBytes(t, mHeartbeat, nil)
 	start := time.Now()
+	go func() {
+		for i := 0; i < 3; i++ {
+			time.Sleep(gap)
+			if _, err := b.Write(heartbeat); err != nil {
+				return
+			}
+		}
+	}()
 	_, err := c.await(rw, mFrontier)
 	if !errors.Is(err, errWorkerLost) {
 		t.Fatalf("err = %v, want errWorkerLost", err)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("miss detection took %v, want well under the phase deadline", elapsed)
+	// The last beat is read no earlier than 3 gaps in, and restarts the
+	// 4-beat miss window.
+	if elapsed, least := time.Since(start), 3*gap+4*beat; elapsed < least || elapsed > 2*time.Second {
+		t.Fatalf("miss detection took %v, want between %v and well under the phase deadline", elapsed, least)
 	}
 	if !rw.dead {
 		t.Fatal("silent worker not marked dead")

@@ -76,18 +76,20 @@ func (c *countConn) counts() (writes int, bad []string, sent, recv [mTypeMax]int
 // their connections.
 func bufioReader(b []byte) *bufio.Reader { return bufio.NewReader(bytes.NewReader(b)) }
 
-// nopConn accepts every Write and Close and holds nothing.
+// nopConn accepts every Write, Close and read deadline and holds
+// nothing.
 type nopConn struct{ net.Conn }
 
-func (nopConn) Write(p []byte) (int, error) { return len(p), nil }
-func (nopConn) Close() error                { return nil }
+func (nopConn) Write(p []byte) (int, error)     { return len(p), nil }
+func (nopConn) Close() error                    { return nil }
+func (nopConn) SetReadDeadline(time.Time) error { return nil }
 
 // TestTransportOneWritePerFrame pins that every frame leaves in one
 // Write: each frame the coordinator broadcasts, its teardown's
 // Shutdown, and a worker's heartbeats and Error report.
 func TestTransportOneWritePerFrame(t *testing.T) {
 	cc := &countConn{Conn: nopConn{}}
-	c := &coordinator{ctx: context.Background(), done: make(chan struct{}), workers: []*remoteWorker{{id: 0, conn: cc}}}
+	c := &coordinator{ctx: context.Background(), workers: []*remoteWorker{{id: 0, conn: cc}}}
 	toWorker := map[byte]bool{mLoad: true, mAssign: true, mApply: true, mShrink: true}
 	for _, g := range goldenFrames {
 		if toWorker[g.typ] {
@@ -134,18 +136,19 @@ func TestTransportOneWritePerFrame(t *testing.T) {
 
 // bareCoordinator is a coordinator over a two-shard partition, one
 // shard per worker, whose connections swallow every frame: a test plays
-// the workers by queueing their replies on the frames channels.
-func bareCoordinator(t *testing.T, part *partition.Partition) *coordinator {
-	c := &coordinator{ctx: context.Background(), done: make(chan struct{}), part: part, owner: []int{0, 1},
+// the workers by writing their replies into the inboxes it returns,
+// which each worker's reader reads.
+func bareCoordinator(t *testing.T, part *partition.Partition) (*coordinator, []*bytes.Buffer) {
+	c := &coordinator{ctx: context.Background(), part: part, owner: []int{0, 1},
 		opts: Options{HeartbeatInterval: 50 * time.Millisecond, PhaseTimeout: 5 * time.Second},
 		seen: make([]int32, max(len(part.VertexOwner), len(part.EdgeOwner)))}
+	inboxes := make([]*bytes.Buffer, len(c.owner))
 	for id := range c.owner {
-		rw := &remoteWorker{id: id, conn: nopConn{}, frames: make(chan frameMsg, 1)}
-		rw.lastBeat.Store(time.Now().UnixNano())
-		c.workers = append(c.workers, rw)
+		inboxes[id] = new(bytes.Buffer)
+		c.workers = append(c.workers, &remoteWorker{id: id, conn: nopConn{}, rd: bufio.NewReader(inboxes[id])})
 	}
 	t.Cleanup(c.teardown)
-	return c
+	return c, inboxes
 }
 
 // TestCoordinatorChecksVotedIDs feeds the coordinator Frontier and
@@ -156,7 +159,9 @@ func bareCoordinator(t *testing.T, part *partition.Partition) *coordinator {
 // vote must kill its worker with errWorkerLost instead.  So must a vote
 // that names an owned ID twice: every worker's Shrink would retire a
 // repeated vertex twice, and Apply would lower a repeated hyperedge's
-// member degrees twice.  Votes that name owned IDs once pass.
+// member degrees twice.  The other worker's valid vote must still be
+// read, and cost it nothing, before the loss is reported.  Votes that
+// name owned IDs once pass.
 func TestCoordinatorChecksVotedIDs(t *testing.T) {
 	h := dataset.Cellzome().H
 	nv, ne := int32(h.NumVertices()), int32(h.NumEdges())
@@ -172,48 +177,57 @@ func TestCoordinatorChecksVotedIDs(t *testing.T) {
 	}
 	own0, own1 := first(part.VertexOwner, 0), first(part.VertexOwner, 1)
 	edge0, edge1 := first(part.EdgeOwner, 0), first(part.EdgeOwner, 1)
-	vote := func(rw *remoteWorker, m codec, typ byte) {
-		rw.frames <- frameMsg{typ: typ, payload: payloadOf(m)}
+	vote := func(inbox *bytes.Buffer, m codec, typ byte) {
+		inbox.Write(frameBytes(t, typ, payloadOf(m)))
+	}
+	// lostOnly reports whether worker 0 is dead and worker 1 is alive
+	// with its whole vote read.
+	lostOnly := func(c *coordinator, inbox []*bytes.Buffer) bool {
+		return c.workers[0].dead && !c.workers[1].dead && inbox[1].Len()+c.workers[1].rd.Buffered() == 0
 	}
 
 	for _, bad := range []int32{-1, nv, own1, own0} {
-		c := bareCoordinator(t, part)
-		vote(c.workers[0], &msgRound{K: 1, IDs: []int32{own0, bad}}, mFrontier)
-		if _, err := c.Apply(context.Background(), 1, nil); !errors.Is(err, errWorkerLost) || !c.workers[0].dead {
-			t.Errorf("Frontier vote retiring vertex %d: err = %v, worker dead %v; want errWorkerLost and a dead worker", bad, err, c.workers[0].dead)
+		c, inbox := bareCoordinator(t, part)
+		vote(inbox[0], &msgRound{K: 1, IDs: []int32{own0, bad}}, mFrontier)
+		vote(inbox[1], &msgRound{K: 1, IDs: []int32{own1}}, mFrontier)
+		if _, err := c.Apply(context.Background(), 1, nil); !errors.Is(err, errWorkerLost) || !lostOnly(c, inbox) {
+			t.Errorf("Frontier vote retiring vertex %d: err = %v, worker 0 dead %v, worker 1 dead %v, %d bytes of its vote unread; want errWorkerLost, worker 0 alone dead and worker 1's vote read",
+				bad, err, c.workers[0].dead, c.workers[1].dead, inbox[1].Len()+c.workers[1].rd.Buffered())
 		}
 	}
-	c := bareCoordinator(t, part)
-	vote(c.workers[0], &msgRound{K: 1, IDs: []int32{own0}}, mFrontier)
-	vote(c.workers[1], &msgRound{K: 1, IDs: []int32{own1}}, mFrontier)
+	c, inbox := bareCoordinator(t, part)
+	vote(inbox[0], &msgRound{K: 1, IDs: []int32{own0}}, mFrontier)
+	vote(inbox[1], &msgRound{K: 1, IDs: []int32{own1}}, mFrontier)
 	if retired, err := c.Apply(context.Background(), 1, nil); err != nil || !slices.Equal(retired, []int32{own0, own1}) {
 		t.Errorf("owned votes: retired %v, err %v; want [%d %d], nil", retired, err, own0, own1)
 	}
 
 	barrier := func(dying ...int32) *msgRound { return &msgRound{K: 1, Round: 1, IDs: dying} }
 	for _, bad := range []int32{-1, ne, edge1, edge0} {
-		c := bareCoordinator(t, part)
-		vote(c.workers[0], barrier(edge0, bad), mBarrier)
-		if err := c.awaitBarrier(c.workers[0], 1, 1); !errors.Is(err, errWorkerLost) || !c.workers[0].dead {
-			t.Errorf("Barrier vote with dying hyperedge %d: err = %v, worker dead %v; want errWorkerLost and a dead worker", bad, err, c.workers[0].dead)
+		c, inbox := bareCoordinator(t, part)
+		vote(inbox[0], barrier(edge0, bad), mBarrier)
+		vote(inbox[1], barrier(edge1), mBarrier)
+		if _, err := c.Shrink(context.Background(), 1, nil); !errors.Is(err, errWorkerLost) || !lostOnly(c, inbox) {
+			t.Errorf("Barrier vote with dying hyperedge %d: err = %v, worker 0 dead %v, worker 1 dead %v, %d bytes of its vote unread; want errWorkerLost, worker 0 alone dead and worker 1's vote read",
+				bad, err, c.workers[0].dead, c.workers[1].dead, inbox[1].Len()+c.workers[1].rd.Buffered())
 		}
 	}
-	c = bareCoordinator(t, part)
-	vote(c.workers[0], barrier(edge0), mBarrier)
-	if err := c.awaitBarrier(c.workers[0], 1, 1); err != nil || !slices.Equal(c.spareDying, []int32{edge0}) {
-		t.Errorf("owned Barrier vote: dying union %v, err %v; want [%d], nil", c.spareDying, err, edge0)
+	c, inbox = bareCoordinator(t, part)
+	vote(inbox[0], barrier(edge0), mBarrier)
+	vote(inbox[1], barrier(edge1), mBarrier)
+	if dying, err := c.Shrink(context.Background(), 1, nil); err != nil || !slices.Equal(dying, []int32{edge0, edge1}) {
+		t.Errorf("owned Barrier votes: dying union %v, err %v; want [%d %d], nil", dying, err, edge0, edge1)
 	}
 }
 
-// servedRun runs DecomposeCtx of h over 2 workers whose connections
-// the test serves through countConns: the coordinator spawns a command
-// that exits at once, and the test dials its listener and runs serve
-// for worker IDs 0 and 1.  onBarrier is the run's OnBarrier, given the
-// count of barriers committed so far.  It returns the decomposition,
-// each worker's connection and what serve returned for it, and the
-// count of committed barriers.
-func servedRun(t *testing.T, h *hypergraph.Hypergraph, onBarrier func(n int, kill func(int)),
-	serve func(ctx context.Context, id int, conn net.Conn) error) (*core.Decomposition, []*countConn, []error, int) {
+// servePool runs DecomposeCtx(ctx, h, opts) over 2 workers whose
+// connections the test serves through countConns: opts gets a worker
+// command that exits at once and a listen address, and the test dials
+// it and runs serve for worker IDs 0 and 1.  It returns what
+// DecomposeCtx returned, each worker's connection and what serve
+// returned for it.
+func servePool(t *testing.T, ctx context.Context, h *hypergraph.Hypergraph, opts Options,
+	serve func(ctx context.Context, id int, conn net.Conn) error) (*core.Decomposition, []*countConn, []error, error) {
 	t.Helper()
 	noop, err := exec.LookPath("true")
 	if err != nil {
@@ -225,18 +239,9 @@ func servedRun(t *testing.T, h *hypergraph.Hypergraph, onBarrier func(n int, kil
 	}
 	addr := ln.Addr().String()
 	ln.Close()
+	opts.Workers, opts.Shards, opts.WorkerCommand, opts.Listen = 2, 2, []string{noop}, addr
 
-	barriers := 0
-	opts := Options{Workers: 2, Shards: 2, WorkerCommand: []string{noop}, Listen: addr,
-		HeartbeatInterval: time.Second, PhaseTimeout: 10 * time.Second}
-	opts.OnBarrier = func(_, _ int32, kill func(int)) {
-		barriers++
-		if onBarrier != nil {
-			onBarrier(barriers, kill)
-		}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	conns := make([]*countConn, 2)
 	errs := make([]error, len(conns))
@@ -261,6 +266,26 @@ func servedRun(t *testing.T, h *hypergraph.Hypergraph, onBarrier func(n int, kil
 	}
 	d, err := DecomposeCtx(ctx, h, opts)
 	wg.Wait()
+	return d, conns, errs, err
+}
+
+// servedRun runs h over the 2 served workers of servePool and checks
+// that the run is exact.  onBarrier is the run's OnBarrier, given the
+// count of barriers committed so far.  It returns the decomposition,
+// each worker's connection and what serve returned for it, and the
+// count of committed barriers.
+func servedRun(t *testing.T, h *hypergraph.Hypergraph, onBarrier func(n int, kill func(int)),
+	serve func(ctx context.Context, id int, conn net.Conn) error) (*core.Decomposition, []*countConn, []error, int) {
+	t.Helper()
+	barriers := 0
+	opts := Options{HeartbeatInterval: time.Second, PhaseTimeout: 10 * time.Second}
+	opts.OnBarrier = func(_, _ int32, kill func(int)) {
+		barriers++
+		if onBarrier != nil {
+			onBarrier(barriers, kill)
+		}
+	}
+	d, conns, errs, err := servePool(t, context.Background(), h, opts, serve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,6 +302,143 @@ func servedRun(t *testing.T, h *hypergraph.Hypergraph, onBarrier func(n int, kil
 // enough to interleave with the replies.
 func serveWorker(ctx context.Context, id int, conn net.Conn) error {
 	return ServeWorker(ctx, conn, WorkerOptions{ID: id, HeartbeatInterval: time.Millisecond})
+}
+
+// TestAwaitCancelledUnblocks serves 2 silent workers, which join and
+// read every frame but answer none, under a 10 s heartbeat interval,
+// so the coordinator blocks on the read of a Barrier vote for up to
+// its 30 s phase deadline.  The first worker to read its Assign cancels
+// the run's context: the coordinator must return context.Canceled at
+// once, and nothing may leak.
+func TestAwaitCancelledUnblocks(t *testing.T) {
+	leakChecked(t, func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var once sync.Once
+		var cancelled time.Time
+		silent := func(_ context.Context, id int, conn net.Conn) error {
+			if err := writeFrame(conn, mHello, (&msgHello{ID: int32(id)}).encode(nil)); err != nil {
+				return err
+			}
+			rd := bufio.NewReader(conn)
+			for {
+				typ, _, err := readFrame(rd, maxFramePayload, nil)
+				if err != nil {
+					return nil
+				}
+				if typ == mAssign {
+					once.Do(func() {
+						cancelled = time.Now()
+						cancel()
+					})
+				}
+			}
+		}
+		_, _, _, err := servePool(t, ctx, dataset.Cellzome().H, Options{HeartbeatInterval: 10 * time.Second}, silent)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if cancelled.IsZero() {
+			t.Fatal("no worker read an Assign")
+		}
+		if took := time.Since(cancelled); took > 2*time.Second {
+			t.Fatalf("the coordinator returned %v after the cancellation, want at once", took)
+		}
+	})
+}
+
+// retypeConn passes every Write through but one: the nth frame of type
+// from leaves as type to.  Each Write carries one whole frame
+// (TestTransportOneWritePerFrame) and a worker writes under its write
+// lock, so nth needs no lock of its own.
+type retypeConn struct {
+	net.Conn
+	from, to byte
+	nth      int
+}
+
+func (r *retypeConn) Write(p []byte) (int, error) {
+	if len(p) >= headerLen && p[3] == r.from {
+		if r.nth--; r.nth == 0 {
+			p = slices.Clone(p)
+			p[3] = r.to
+		}
+	}
+	return r.Conn.Write(p)
+}
+
+// TestAwaitReadsEverySurvivorVote runs the coordinator over net.Pipe
+// connections, which buffer nothing, so a vote the coordinator leaves
+// unread blocks its sender.  Two real workers serve the pipes.  Worker
+// 0 is lost in the middle of a round: one of its votes leaves as the
+// other vote type, or its connection is severed at the first barrier
+// so the Apply broadcast fails on it.  Worker 1's vote for the same
+// round waits on its pipe meanwhile.  The coordinator must read that
+// vote before the recovery writes worker 1 its Assign, or each write
+// blocks the other until the 10 s timeout closes the pipes; the run
+// must end exact on worker 1 alone.
+func TestAwaitReadsEverySurvivorVote(t *testing.T) {
+	h := dataset.Cellzome().H
+	for _, tc := range []struct {
+		name     string
+		from, to byte // worker 0's nth frame of type from leaves as type to
+		nth      int
+		sever    bool // sever worker 0 at the first barrier instead
+	}{
+		{name: "assign's Barrier vote", from: mBarrier, to: mFrontier, nth: 1},
+		{name: "Apply's Frontier vote", from: mFrontier, to: mBarrier, nth: 1},
+		{name: "Shrink's Barrier vote", from: mBarrier, to: mFrontier, nth: 2},
+		{name: "Apply's broadcast", sever: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leakChecked(t, func(t *testing.T) {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				part := partition.Build(h, 2)
+				c := &coordinator{ctx: ctx, h: h, part: part, owner: []int{-1, -1},
+					opts: Options{HeartbeatInterval: 10 * time.Second, PhaseTimeout: 10 * time.Second}.normalized(h),
+					seen: make([]int32, max(len(part.VertexOwner), len(part.EdgeOwner)))}
+				if tc.sever {
+					c.opts.OnBarrier = func(_, _ int32, kill func(int)) {
+						if c.recoveries == 0 {
+							kill(0)
+						}
+					}
+				}
+				var wg sync.WaitGroup
+				defer wg.Wait()
+				defer c.teardown()
+				for id := range 2 {
+					end, conn := net.Pipe()
+					rw := &remoteWorker{id: id, conn: end, rd: bufio.NewReader(end)}
+					c.accepted, c.workers = append(c.accepted, end), append(c.workers, rw)
+					var served net.Conn = conn
+					if id == 0 && !tc.sever {
+						served = &retypeConn{Conn: conn, from: tc.from, to: tc.to, nth: tc.nth}
+					}
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_ = ServeWorker(ctx, served, WorkerOptions{ID: id, HeartbeatInterval: 10 * time.Second})
+						_ = conn.Close()
+					}()
+					if got, err := c.hello(rw.rd); err != nil || got != id {
+						t.Fatalf("worker %d's Hello: ID %d, err %v", id, got, err)
+					}
+				}
+				defer context.AfterFunc(ctx, c.closeAccepted)()
+				d, err := c.peel()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !c.workers[0].dead || c.workers[1].dead || c.recoveries != 1 {
+					t.Fatalf("worker 0 dead %v, worker 1 dead %v, %d recoveries; want worker 0 alone lost and one recovery",
+						c.workers[0].dead, c.workers[1].dead, c.recoveries)
+				}
+				assertExact(t, h, d, tc.name)
+			})
+		})
+	}
 }
 
 // frames returns the frames that crossed cc by type, both directions,

@@ -71,14 +71,14 @@ func TestScanTextAllocs(t *testing.T) {
 		}
 		data := []byte(b.String())
 		return testing.AllocsPerRun(5, func() {
-			if err := ScanTextCtx(context.Background(), bytes.NewReader(data), TextEvents{}); err != nil {
+			if err := scanText(context.Background(), bytes.NewReader(data), textEvents{}); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	small, large := allocs(1000), allocs(20000)
 	if large > small {
-		t.Fatalf("ScanTextCtx allocations grow with the line count: %v for 1000 lines, %v for 20000", small, large)
+		t.Fatalf("scanText allocations grow with the line count: %v for 1000 lines, %v for 20000", small, large)
 	}
 }
 

@@ -65,7 +65,7 @@ func ReadText(r io.Reader) (*Hypergraph, error) {
 // streaming build does.  On any error it returns (nil, err).
 func ReadTextCtx(ctx context.Context, r io.Reader) (*Hypergraph, error) {
 	b := NewBuilder()
-	err := ScanTextCtx(ctx, r, TextEvents{
+	err := scanText(ctx, r, textEvents{
 		ChargeBytes: true,
 		Vertex: func(name string) error {
 			b.AddVertex(name)
@@ -114,7 +114,7 @@ func ReadTextRowsCtx(ctx context.Context, r io.Reader, row func(members []int32)
 		charged += grown
 		return meter.Alloc(grown)
 	}
-	err = ScanTextCtx(ctx, r, TextEvents{
+	err = scanText(ctx, r, textEvents{
 		Vertex: func(name string) error {
 			b.AddVertex(name)
 			return charge()

@@ -11,41 +11,35 @@ import (
 	"hyperplex/internal/run"
 )
 
-// TextEvents receives the records of the text format as ScanTextCtx
-// encounters them.  A nil callback skips its record kind, so a
-// counting pass can subscribe to only what it needs.
-type TextEvents struct {
+// textEvents receives the records of the text format as scanText
+// encounters them.  A nil callback skips its record kind.
+type textEvents struct {
 	// Vertex is called for each "vertex Name" isolated-vertex line.
 	Vertex func(name string) error
 	// Edge is called for each "name: members..." hyperedge line with
 	// the hyperedge name and the member names as Fields splits them;
 	// duplicates are not yet collapsed.  The name and the members alias
 	// the scanner's line buffer and the slice holding the members is
-	// reused, so none of them may be retained: a consumer resolves a
-	// known name without a copy (ReadTextCtx in its name table's hash
-	// index, the store builder with an index[string(member)] map
-	// lookup) and copies the bytes only when it keeps a name.
+	// reused, so none of them may be retained: the Builder resolves a
+	// known name in its name table's hash index without a copy, and
+	// copies the bytes only when it keeps a name.
 	Edge func(name []byte, members [][]byte) error
 	// ChargeBytes charges the consumed input bytes against the
-	// budget's allocation estimate.  Callers that retain the parsed
-	// content (ReadTextCtx) set it; streaming consumers that keep only
-	// counters and names leave it false, so a MaxAlloc budget bounds
+	// budget's allocation estimate.  ReadTextCtx, which keeps the parsed
+	// content, sets it; ReadTextRowsCtx charges the footprint of the
+	// name tables it keeps instead, so a MaxAlloc budget bounds
 	// resident memory rather than input size.
 	ChargeBytes bool
 }
 
-// ScanText parses the text format as a stream, delivering each record
-// to ev without building a Hypergraph.  ReadText and the out-of-core
-// store builder share this scanner, so both accept exactly the same
-// inputs with the same diagnostics.
-func ScanText(r io.Reader, ev TextEvents) error {
-	return ScanTextCtx(context.Background(), r, ev)
-}
-
-// ScanTextCtx is ScanText honoring cancellation, deadline and any
-// run.Budget attached to ctx, checked at entry and at bounded line
-// intervals (one step per line read).
-func ScanTextCtx(ctx context.Context, r io.Reader, ev TextEvents) error {
+// scanText parses the text format as a stream, delivering each record
+// to ev without building a Hypergraph, honoring cancellation, deadline
+// and any run.Budget attached to ctx, checked at entry and at bounded
+// line intervals (one step per line read).  ReadTextCtx and
+// ReadTextRowsCtx, through which the store's streaming build reads,
+// share it, so both accept exactly the same inputs with the same
+// diagnostics.
+func scanText(ctx context.Context, r io.Reader, ev textEvents) error {
 	meter := run.MeterFrom(ctx)
 	if err := run.Tick(ctx, meter, 0); err != nil {
 		return err

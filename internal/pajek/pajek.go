@@ -100,61 +100,40 @@ type NetInfo struct {
 	Edges  [][2]int
 }
 
-// NetEvents receives the content of a .net file as ScanNetCtx parses
-// it.  Any nil callback skips delivery of that record kind.
-type NetEvents struct {
-	// VertexCount is called once with the *Vertices header count n,
-	// before any Vertex call.  n has already passed the maxNetVertices
-	// cap, so it is safe to size allocations by.
-	VertexCount func(n int) error
-	// Vertex is called per vertex line with a 1-based id in [1, n] and
-	// its label.
-	Vertex func(id int, label string) error
-	// Edge is called per edge line with the 1-based endpoint ids as
-	// stored (unchecked against n, matching the written format, where
-	// hyperedge nodes sit above the vertex range).
-	Edge func(u, v int) error
-	// ChargeBytes charges the consumed input bytes against the budget.
-	// Callers that retain the file's content (ReadNetCtx) set it;
-	// streaming consumers leave it false.
-	ChargeBytes bool
-}
-
-// ScanNet parses the subset of the Pajek .net format emitted by
+// ReadNet parses the subset of the Pajek .net format emitted by
 // WriteNet (a *Vertices section with quoted labels followed by an
-// *Edges section) as a stream, delivering records to ev.  ReadNet and
-// out-of-core ingest hooks share this scanner.
-func ScanNet(r io.Reader, ev NetEvents) error {
-	return ScanNetCtx(context.Background(), r, ev)
+// *Edges section).  It exists so tests can verify WriteNet's round
+// trips.
+func ReadNet(r io.Reader) (*NetInfo, error) {
+	return ReadNetCtx(context.Background(), r)
 }
 
-// ScanNetCtx is ScanNet honoring cancellation, deadline and any
+// ReadNetCtx is ReadNet honoring cancellation, deadline and any
 // run.Budget attached to ctx, checked at entry and at bounded line
-// intervals (one step per line).
-func ScanNetCtx(ctx context.Context, r io.Reader, ev NetEvents) error {
+// intervals (one step per line plus the bytes consumed are charged).
+// On any error it returns (nil, err).
+func ReadNetCtx(ctx context.Context, r io.Reader) (*NetInfo, error) {
 	meter := run.MeterFrom(ctx)
 	if err := run.Tick(ctx, meter, 0); err != nil {
-		return err
+		return nil, err
 	}
+	info := &NetInfo{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	state := 0 // 0=expect header, 1=vertices, 2=edges
-	numVertices := 0
 	pending, pendingBytes := 0, int64(0)
 	for sc.Scan() {
 		pending++
 		pendingBytes += int64(len(sc.Bytes())) + 1
 		if pending >= readCheckEvery {
 			if err := failpoint.Inject(fpReadLine); err != nil {
-				return err
+				return nil, err
 			}
 			if err := run.Tick(ctx, meter, int64(pending)); err != nil {
-				return err
+				return nil, err
 			}
-			if ev.ChargeBytes {
-				if err := meter.Alloc(pendingBytes); err != nil {
-					return err
-				}
+			if err := meter.Alloc(pendingBytes); err != nil {
+				return nil, err
 			}
 			pending, pendingBytes = 0, 0
 		}
@@ -167,99 +146,54 @@ func ScanNetCtx(ctx context.Context, r io.Reader, ev NetEvents) error {
 		case strings.HasPrefix(lower, "*vertices"):
 			fields := strings.Fields(line)
 			if len(fields) < 2 {
-				return fmt.Errorf("pajek: bad *Vertices line %q", line)
+				return nil, fmt.Errorf("pajek: bad *Vertices line %q", line)
 			}
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n < 0 {
-				return fmt.Errorf("pajek: bad vertex count in %q", line)
+				return nil, fmt.Errorf("pajek: bad vertex count in %q", line)
 			}
 			if n > maxNetVertices {
-				return fmt.Errorf("pajek: vertex count %d exceeds the %d limit", n, maxNetVertices)
+				return nil, fmt.Errorf("pajek: vertex count %d exceeds the %d limit", n, maxNetVertices)
 			}
-			numVertices = n
-			if ev.VertexCount != nil {
-				if err := ev.VertexCount(n); err != nil {
-					return err
-				}
-			}
+			info.Labels = make([]string, n)
 			state = 1
 			continue
 		case strings.HasPrefix(lower, "*edges") || strings.HasPrefix(lower, "*arcs"):
 			state = 2
 			continue
 		case strings.HasPrefix(lower, "*"):
-			return fmt.Errorf("pajek: unsupported section %q", line)
+			return nil, fmt.Errorf("pajek: unsupported section %q", line)
 		}
 		switch state {
 		case 1:
 			id, label, err := parseVertexLine(line)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if id < 1 || id > numVertices {
-				return fmt.Errorf("pajek: vertex id %d out of range", id)
+			if id < 1 || id > len(info.Labels) {
+				return nil, fmt.Errorf("pajek: vertex id %d out of range", id)
 			}
-			if ev.Vertex != nil {
-				if err := ev.Vertex(id, label); err != nil {
-					return err
-				}
-			}
+			info.Labels[id-1] = label
 		case 2:
+			// Endpoint ids are kept as stored, unchecked against the
+			// vertex count: the written format puts hyperedge nodes
+			// above the vertex range.
 			fields := strings.Fields(line)
 			if len(fields) < 2 {
-				return fmt.Errorf("pajek: bad edge line %q", line)
+				return nil, fmt.Errorf("pajek: bad edge line %q", line)
 			}
 			u, err1 := strconv.Atoi(fields[0])
 			v, err2 := strconv.Atoi(fields[1])
 			if err1 != nil || err2 != nil {
-				return fmt.Errorf("pajek: bad edge line %q", line)
+				return nil, fmt.Errorf("pajek: bad edge line %q", line)
 			}
-			if ev.Edge != nil {
-				if err := ev.Edge(u, v); err != nil {
-					return err
-				}
-			}
+			info.Edges = append(info.Edges, [2]int{u, v})
 		default:
-			return fmt.Errorf("pajek: content before *Vertices: %q", line)
+			return nil, fmt.Errorf("pajek: content before *Vertices: %q", line)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("pajek: read: %w", err)
-	}
-	return nil
-}
-
-// ReadNet parses the subset of the Pajek .net format emitted by
-// WriteNet (a *Vertices section with quoted labels followed by an
-// *Edges section).  It exists so tests can verify round trips and so
-// the tools can re-ingest their own exports.
-func ReadNet(r io.Reader) (*NetInfo, error) {
-	return ReadNetCtx(context.Background(), r)
-}
-
-// ReadNetCtx is ReadNet honoring cancellation, deadline and any
-// run.Budget attached to ctx, checked at entry and at bounded line
-// intervals (one step per line plus the bytes consumed are charged).
-// On any error it returns (nil, err).
-func ReadNetCtx(ctx context.Context, r io.Reader) (*NetInfo, error) {
-	info := &NetInfo{}
-	err := ScanNetCtx(ctx, r, NetEvents{
-		ChargeBytes: true,
-		VertexCount: func(n int) error {
-			info.Labels = make([]string, n)
-			return nil
-		},
-		Vertex: func(id int, label string) error {
-			info.Labels[id-1] = label
-			return nil
-		},
-		Edge: func(u, v int) error {
-			info.Edges = append(info.Edges, [2]int{u, v})
-			return nil
-		},
-	})
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pajek: read: %w", err)
 	}
 	return info, nil
 }

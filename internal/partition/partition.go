@@ -28,7 +28,6 @@ const buildCheckEvery = 64
 
 // Shard is one block of a Partition.  All IDs are the hypergraph's.
 type Shard struct {
-	Index int
 	First int32   // first owned vertex: the shard owns [First, First+Count)
 	Count int32   // owned vertex count
 	Edges []int32 // owned hyperedges, ascending (anchored at their first member)
@@ -98,10 +97,6 @@ func BuildCtx(ctx context.Context, h *hypergraph.Hypergraph, shards int) (*Parti
 		EdgeOwner:   make([]int32, ne),
 		Shards:      make([]Shard, shards),
 	}
-	for s := range p.Shards {
-		p.Shards[s].Index = s
-	}
-
 	// Assign contiguous vertex blocks greedily by pin weight.  Closing
 	// a block when the remaining vertices exactly match the remaining
 	// shards guarantees every shard owns at least one vertex (shards ≤

@@ -39,9 +39,6 @@ func validate(t *testing.T, h *hypergraph.Hypergraph, p *partition.Partition) {
 	nv, ne := h.NumVertices(), h.NumEdges()
 	next := int32(0)
 	for s, sh := range p.Shards {
-		if sh.Index != s {
-			t.Fatalf("shard %d has Index %d", s, sh.Index)
-		}
 		if sh.First != next {
 			t.Fatalf("shard %d block starts at %d, want %d", s, sh.First, next)
 		}
