@@ -121,7 +121,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 		if *r != 1 {
 			return fmt.Errorf("-exact supports only -r 1")
 		}
-		c, err = cover.Exact(h, weights, 0)
+		c, err = cover.ExactCtx(ctx, h, weights, 0)
 		if err != nil {
 			return err
 		}

@@ -14,8 +14,10 @@ import (
 	"hyperplex/internal/cover"
 	"hyperplex/internal/dataset"
 	"hyperplex/internal/failpoint"
+	"hyperplex/internal/gen"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/store"
+	"hyperplex/internal/xrand"
 )
 
 const sample = "c1: hub a\nc2: hub b\nc3: hub c\n"
@@ -171,6 +173,21 @@ func TestRunPrimalDualTimeout(t *testing.T) {
 	defer failpoint.Disable("cover.primaldual.scan")
 	var out bytes.Buffer
 	if err := run([]string{"-primal-dual", "-quiet", "-timeout", "100ms"}, &cellzome, &out); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, output %q; want context.DeadlineExceeded", err, out.String())
+	}
+}
+
+// TestRunExactTimeout pins that -timeout bounds the exact search: on a
+// random instance of 120 proteins and 200 complexes of up to 4 members,
+// whose search runs into its node cap after far longer than 20 ms, a
+// 20 ms bound must end the run with context.DeadlineExceeded.
+func TestRunExactTimeout(t *testing.T) {
+	var in bytes.Buffer
+	if err := hypergraph.WriteText(&in, gen.RandomHypergraph(120, 200, 4, xrand.New(7))); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-exact", "-quiet", "-timeout", "20ms"}, &in, &out); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, output %q; want context.DeadlineExceeded", err, out.String())
 	}
 }

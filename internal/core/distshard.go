@@ -414,27 +414,6 @@ func (w *DistPeeler) retest(ctx context.Context) error {
 // from.
 func (w *DistPeeler) Resume(err error) (int, []int32, error) { return 0, nil, err }
 
-// stopAt ends the peel at the fixpoint of level d.MaxK: every alive
-// vertex and hyperedge is in the MaxK-core, so each gets coreness MaxK
-// in d.  The pass is charged one step per survivor.  Only a driver that
-// owns every shard stops early, so its mirrors name every survivor.
-func (w *DistPeeler) stopAt(ctx context.Context, d *Decomposition) error {
-	n := 0
-	for v, alive := range w.vAlive {
-		if alive {
-			d.VertexCoreness[v] = d.MaxK
-			n++
-		}
-	}
-	for f, alive := range w.eAlive {
-		if alive {
-			d.EdgeCoreness[f] = d.MaxK
-			n++
-		}
-	}
-	return run.Tick(ctx, run.MeterFrom(ctx), int64(n))
-}
-
 // Restore is the only way a replica gets shards.  It resets the
 // replica to a committed barrier of the round schedule, given by the
 // driver's two logs: dead, every hyperedge the committed rounds killed,

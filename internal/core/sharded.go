@@ -75,7 +75,7 @@ func ShardedDecomposeCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Sha
 
 // decompose computes, over the given number of shards (normalized by
 // partition.NormalizeShards), the decomposition of h whose level k is
-// the (k, l)-core, stopped at level kmax ≥ 1 (see DistPeeler.peel);
+// the (k, l)-core, stopped at level kmax ≥ 1 (see RunRounds);
 // math.MaxInt peels every level.
 // On any error it returns (nil, err): the half-peeled state is not a
 // valid decomposition.
@@ -96,9 +96,7 @@ func decompose(ctx context.Context, h *hypergraph.Hypergraph, shards, l, kmax in
 
 // peel restores the replica, which was built over h, from empty logs
 // with every shard, and runs the round schedule from the barrier (0, 0)
-// that leaves it at to the end, or to the fixpoint of threshold kmax,
-// where every survivor gets coreness kmax, so each coreness is the full
-// decomposition's capped at kmax.
+// that leaves it at to the end, or to the fixpoint of threshold kmax.
 func (w *DistPeeler) peel(ctx context.Context, h *hypergraph.Hypergraph, kmax int) (*Decomposition, error) {
 	all := make([]int32, w.part.NumShards())
 	for s := range all {
@@ -107,14 +105,7 @@ func (w *DistPeeler) peel(ctx context.Context, h *hypergraph.Hypergraph, kmax in
 	if err := w.Restore(ctx, nil, nil, all); err != nil {
 		return nil, err
 	}
-	d, err := RunRounds(ctx, w, h, w.PendingDying(), kmax)
-	if err == nil && d.MaxK >= kmax {
-		err = w.stopAt(ctx, d)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
+	return RunRounds(ctx, w, h, w.PendingDying(), kmax)
 }
 
 // Rounds is one driver of the round schedule RunRounds runs: a
@@ -143,8 +134,11 @@ type Rounds interface {
 // vertex has degree ≥ k.  It counts the vertices alive, those no
 // retired delta it recorded has named yet, and stops at a fixpoint
 // where that count is 0, or at the fixpoint of level kmax with MaxK =
-// kmax, where the survivors' coreness is left for the caller to set.
-// A failed call goes to r.Resume.
+// kmax.  There every alive vertex has degree ≥ kmax and every alive
+// hyperedge is maximal, so the survivors, every vertex and hyperedge
+// no delta named, are the kmax-core: each gets coreness kmax, charged
+// one step, so each coreness is the full decomposition's capped at
+// kmax.  A failed call goes to r.Resume.
 //
 // What leaves at threshold k belonged to the (k-1)-core: every
 // hyperedge of a dying delta handed to Apply at k, and every vertex of
@@ -158,12 +152,15 @@ type Rounds interface {
 // instead of raising k forever.
 func RunRounds(ctx context.Context, r Rounds, h *hypergraph.Hypergraph, dying []int32, kmax int) (*Decomposition, error) {
 	d := &Decomposition{VertexCoreness: make([]int, h.NumVertices()), EdgeCoreness: make([]int, h.NumEdges())}
-	// Until a retired delta names it, a vertex holds coreness -1, which
-	// marks it as counted in alive, so the count needs no array of its
-	// own.
+	// Until a delta names it, a vertex or hyperedge holds coreness -1: a
+	// vertex so marked is counted in alive, so the count needs no array
+	// of its own, and whatever is so marked at kmax survives there.
 	alive := len(d.VertexCoreness)
 	for v := range d.VertexCoreness {
 		d.VertexCoreness[v] = -1
+	}
+	for f := range d.EdgeCoreness {
+		d.EdgeCoreness[f] = -1
 	}
 	maxDeg := h.MaxVertexDegree()
 	k := 1
@@ -185,7 +182,7 @@ func RunRounds(ctx context.Context, r Rounds, h *hypergraph.Hypergraph, dying []
 			}
 			d.MaxK = k
 			if k >= kmax {
-				return d, nil
+				break
 			}
 			k++
 			continue
@@ -209,6 +206,25 @@ func RunRounds(ctx context.Context, r Rounds, h *hypergraph.Hypergraph, dying []
 			k = max(k, 1)
 		}
 	}
+	// The run stopped at the fixpoint of level kmax, d.MaxK: the
+	// survivors are the kmax-core.
+	n := 0
+	for v, c := range d.VertexCoreness {
+		if c < 0 {
+			d.VertexCoreness[v] = d.MaxK
+			n++
+		}
+	}
+	for f, c := range d.EdgeCoreness {
+		if c < 0 {
+			d.EdgeCoreness[f] = d.MaxK
+			n++
+		}
+	}
+	if err := run.Tick(ctx, run.MeterFrom(ctx), int64(n)); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // exchange is the barrier at which a round's delta is handed to the

@@ -1,12 +1,17 @@
 package cover
 
 import (
+	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"hyperplex/internal/gen"
 	"hyperplex/internal/hypergraph"
+	"hyperplex/internal/run"
+	"hyperplex/internal/xrand"
 )
 
 func TestExactTriangle(t *testing.T) {
@@ -70,6 +75,47 @@ func TestExactNodeCap(t *testing.T) {
 	}
 	if !errors.Is(err, ErrSearchCapped) {
 		t.Errorf("cap error %v does not wrap ErrSearchCapped", err)
+	}
+}
+
+// TestExactCtxBudget pins ExactCtx's metering on a random instance
+// whose search visits hundreds of nodes: the run charges its greedy
+// incumbent's pops and one step per search node, each once, checked
+// every greedyCheckEvery nodes.  So a step budget one short of that
+// count ends the run with run.ErrBudgetExceeded and no cover; so does
+// one that leaves the search a single step, within greedyCheckEvery
+// nodes; and a budget of exactly that count returns Exact's cover.
+func TestExactCtxBudget(t *testing.T) {
+	h := gen.RandomHypergraph(40, 60, 4, xrand.New(7))
+	ctx, meter := run.WithBudget(context.Background(), run.Budget{})
+	if _, err := CSRGreedyMulticoverCtx(ctx, h, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	greedy := meter.Steps()
+	ctx, meter = run.WithBudget(context.Background(), run.Budget{})
+	if _, err := ExactCtx(ctx, h, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	steps := meter.Steps()
+	if steps-greedy < 4*greedyCheckEvery {
+		t.Fatalf("the search charged %d steps beyond the incumbent's %d, want a search of at least %d nodes", steps-greedy, greedy, 4*greedyCheckEvery)
+	}
+	for _, short := range []int64{greedy + 1, steps - 1} {
+		ctx, meter := run.WithBudget(context.Background(), run.Budget{MaxSteps: short})
+		if c, err := ExactCtx(ctx, h, nil, 0); !errors.Is(err, run.ErrBudgetExceeded) || c != nil {
+			t.Errorf("a %d-step budget for a %d-step run: cover %v, err %v; want no cover and ErrBudgetExceeded", short, steps, c, err)
+		}
+		if used := meter.Steps(); used > short+greedyCheckEvery {
+			t.Errorf("a %d-step budget: the search stopped after %d steps, want within %d nodes of the budget", short, used, greedyCheckEvery)
+		}
+	}
+	want, err := Exact(h, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, _ = run.WithBudget(context.Background(), run.Budget{MaxSteps: steps})
+	if got, err := ExactCtx(ctx, h, nil, 0); err != nil || !slices.Equal(got.Vertices, want.Vertices) {
+		t.Errorf("a budget of the run's %d steps: err %v, or a cover other than Exact's", steps, err)
 	}
 }
 

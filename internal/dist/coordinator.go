@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"os/exec"
@@ -58,12 +59,17 @@ type coordinator struct {
 	h     *hypergraph.Hypergraph
 	part  *partition.Partition
 
-	ln       net.Listener
-	accepted []net.Conn // every accepted conn, which teardown and a cancellation close
-	workers  []*remoteWorker
-	wg       sync.WaitGroup // in-process workers
+	// accepted holds the listener and every connection it accepted,
+	// which teardown and a cancellation close.  setup adds to it while
+	// a cancellation may be closing it, so mu guards it, and closed
+	// records that closeAccepted ran.
+	mu       sync.Mutex
+	accepted []io.Closer
+	closed   bool
 
-	epoch uint32
+	workers []*remoteWorker
+	wg      sync.WaitGroup // in-process workers
+
 	owner []int // shard → worker id, -1 before the first deal
 
 	// The replay point: the last committed barrier's (k, round) tag and
@@ -98,15 +104,17 @@ type coordinator struct {
 }
 
 func runCoordinator(ctx context.Context, meter *run.Meter, h *hypergraph.Hypergraph, opts Options) (*core.Decomposition, error) {
-	c := &coordinator{ctx: ctx, meter: meter, opts: opts, h: h}
+	// accepted has room for the listener and every worker's connection.
+	c := &coordinator{ctx: ctx, meter: meter, opts: opts, h: h, accepted: make([]io.Closer, 0, opts.Workers+1)}
 	defer c.teardown()
+	// A cancellation closes the listener and every accepted connection,
+	// which ends an Accept, read or write blocked on one at once, in the
+	// join as in the rounds.
+	stop := context.AfterFunc(ctx, c.closeAccepted)
+	defer stop()
 	if err := c.setup(); err != nil {
 		return nil, err
 	}
-	// The accepted connections are final now.  A cancellation closes
-	// them, which ends any read or write blocked on one at once.
-	stop := context.AfterFunc(ctx, c.closeAccepted)
-	defer stop()
 	return c.peel()
 }
 
@@ -158,9 +166,13 @@ func (c *coordinator) setup() error {
 
 	ln, err := net.Listen("tcp", c.opts.Listen)
 	if err != nil {
-		return fmt.Errorf("dist: listen: %w", err)
+		return fmt.Errorf("listen: %w", err)
 	}
-	c.ln = ln
+	c.track(ln)
+	tl, ok := ln.(*net.TCPListener)
+	if !ok {
+		return fmt.Errorf("listener is %T, want *net.TCPListener", ln)
+	}
 	addr := ln.Addr().String()
 	for i := 0; i < c.opts.Workers; i++ {
 		if err := c.ctx.Err(); err != nil {
@@ -170,14 +182,14 @@ func (c *coordinator) setup() error {
 			return err
 		}
 	}
-	return c.join()
+	return c.join(tl)
 }
 
 // load ships Load, the shard count and the hypergraph's rows, to every
 // joined worker.
 func (c *coordinator) load() error {
 	g := c.h.CSR()
-	load := msgLoad{Epoch: c.epoch, Shards: csr.MustInt32(c.part.NumShards()), NumV: csr.MustInt32(c.h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
+	load := msgLoad{Shards: csr.MustInt32(c.part.NumShards()), NumV: csr.MustInt32(c.h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}
 	// The Load frame is the one frame of its size; out does not keep it.
 	frame := load.encode(nil)
 	for _, rw := range c.workers {
@@ -235,35 +247,36 @@ func (c *coordinator) spawn(i int, addr string) error {
 	return nil
 }
 
-// join accepts pool connections and their Hello handshakes until every
-// spawned worker connected or the phase deadline passes; a partial
-// pool proceeds, an empty one is a pool failure.  Each connection is
+// join accepts pool connections on tl and their Hello handshakes until
+// every spawned worker connected or the phase deadline passes; a
+// partial pool proceeds, an empty one is a pool failure, and a
+// cancellation, which closes tl and the connections, ends the join
+// with the context's error.  Each connection is
 // paired with the worker slot its Hello names — never with the accept
 // order, which under concurrent dials matches the spawn order only by
 // luck, and a mispairing would aim every kill (and its Process.Kill)
 // at the wrong process.
-func (c *coordinator) join() error {
+func (c *coordinator) join(tl *net.TCPListener) error {
 	deadline := time.Now().Add(c.opts.PhaseTimeout)
-	tl, ok := c.ln.(*net.TCPListener)
-	if !ok {
-		return fmt.Errorf("dist: listener is %T, want *net.TCPListener", c.ln)
+	if err := tl.SetDeadline(deadline); err != nil {
+		return fmt.Errorf("listener deadline: %w", err)
 	}
 	joined := 0
 	for range c.workers {
 		if c.ctx.Err() != nil {
 			return c.ctx.Err()
 		}
-		if err := tl.SetDeadline(deadline); err != nil {
-			return fmt.Errorf("dist: listener deadline: %w", err)
-		}
 		conn, err := tl.Accept()
 		if err != nil {
+			if cerr := c.ctx.Err(); cerr != nil {
+				return cerr
+			}
 			break // deadline passed; proceed with the joined pool
 		}
 		// Track the conn before the handshake: if an injected fault
 		// panics out of hello, teardown still severs it, so the worker
 		// behind it cannot be left blocked on a read.
-		c.accepted = append(c.accepted, conn)
+		c.track(conn)
 		rd := bufio.NewReader(conn)
 		var id int
 		if err = conn.SetReadDeadline(deadline); err == nil {
@@ -355,13 +368,12 @@ func (c *coordinator) broadcast(typ byte, frame []byte) error {
 	return nil
 }
 
-// await reads rw's frames up to the next current-epoch one, expecting
-// want, and returns its payload, which the next read from rw
-// overwrites.  Heartbeats and stale-epoch frames (replies raced by a
-// recovery) are skipped.  A failed read (a closed connection, a
-// corrupt frame, a missed-heartbeat window or the phase deadline), an
-// Error frame or a protocol violation kills the worker and reports
-// errWorkerLost; a cancelled context surfaces as-is.
+// await reads rw's frames up to the next one that is not a heartbeat,
+// which must be of type want, and returns its payload, which the next
+// read from rw overwrites.  A failed read (a closed connection, a
+// corrupt frame, a missed-heartbeat window or the phase deadline) or a
+// frame of any other type kills the worker and reports errWorkerLost;
+// a cancelled context surfaces as-is.
 //
 //hyperplexvet:wirerecv
 func (c *coordinator) await(rw *remoteWorker, want byte) ([]byte, error) {
@@ -377,20 +389,6 @@ func (c *coordinator) await(rw *remoteWorker, want byte) ([]byte, error) {
 		}
 		if typ == mHeartbeat {
 			continue
-		}
-		ep, ok := peekEpoch(payload)
-		if !ok {
-			c.kill(rw)
-			return nil, fmt.Errorf("%w: worker %d sent an epochless frame", errWorkerLost, rw.id)
-		}
-		if ep != c.epoch {
-			continue // stale reply from before a recovery
-		}
-		if typ == mError {
-			var m msgError
-			_ = m.decode(payload)
-			c.kill(rw)
-			return nil, fmt.Errorf("%w: worker %d failed: %s", errWorkerLost, rw.id, m.Text)
 		}
 		if typ != want {
 			c.kill(rw)
@@ -453,7 +451,7 @@ func (c *coordinator) assign() error {
 				shards = append(shards, int32(s))
 			}
 		}
-		m := msgAssign{Epoch: c.epoch, K: c.barK, Round: c.barRound, Shards: shards, Dead: c.deadLog, Retired: c.retiredLog}
+		m := msgAssign{K: c.barK, Round: c.barRound, Shards: shards, Dead: c.deadLog, Retired: c.retiredLog}
 		c.out = m.encode(c.out)
 		if err := writeFrame(rw.conn, mAssign, c.out); err != nil {
 			c.kill(rw)
@@ -554,7 +552,7 @@ func (c *coordinator) Apply(ctx context.Context, k int, dying []int32) ([]int32,
 	if err := run.Tick(ctx, c.meter, int64(len(dying))+1); err != nil {
 		return nil, err
 	}
-	apply := msgRound{Epoch: c.epoch, K: int32(k), Round: c.barRound, IDs: dying}
+	apply := msgRound{K: int32(k), Round: c.barRound, IDs: dying}
 	c.out = apply.encode(c.out)
 	if err := c.gather(c.broadcast(mApply, c.out), mFrontier, int32(k), c.barRound); err != nil {
 		return nil, err
@@ -580,7 +578,7 @@ func (c *coordinator) newGen() int32 {
 // the next round's dying delta.
 func (c *coordinator) Shrink(_ context.Context, k int, retired []int32) ([]int32, error) {
 	newRound := c.barRound + 1
-	shrink := msgRound{Epoch: c.epoch, K: int32(k), Round: newRound, IDs: retired}
+	shrink := msgRound{K: int32(k), Round: newRound, IDs: retired}
 	c.out = shrink.encode(c.out)
 	if err := c.gather(c.broadcast(mShrink, c.out), mBarrier, int32(k), newRound); err != nil {
 		return nil, err
@@ -615,10 +613,11 @@ func (c *coordinator) fireBarrierHook() {
 	})
 }
 
-// recoverPool is the worker-death recovery: bump the epoch so stale
-// replies are discarded, and assign the pool anew, which deals the dead
-// workers' shards to the survivors and restores every survivor at the
-// last committed barrier.
+// recoverPool is the worker-death recovery: assign the pool anew,
+// which deals the dead workers' shards to the survivors and restores
+// every survivor at the last committed barrier.  No survivor has a
+// reply outstanding then, since gather read every survivor's vote
+// before it reported the loss.
 func (c *coordinator) recoverPool() error {
 	// A cancellation closes every connection, so the deaths it causes
 	// are the cancellation, not worth a recovery.
@@ -632,7 +631,6 @@ func (c *coordinator) recoverPool() error {
 	if err := failpoint.Inject(fpReassign); err != nil {
 		return fmt.Errorf("%w: reassign: %w", ErrPoolFailed, err)
 	}
-	c.epoch++
 	return c.assign()
 }
 
@@ -659,9 +657,6 @@ func (c *coordinator) teardown() {
 		}
 	}
 	c.closeAccepted()
-	if c.ln != nil {
-		_ = c.ln.Close()
-	}
 	c.wg.Wait()
 	//hyperplexvet:ignore budgettick bounded teardown sweep: per-process wait is capped by the 3s kill watchdog
 	for _, rw := range c.workers {
@@ -679,11 +674,28 @@ func (c *coordinator) teardown() {
 	}
 }
 
-// closeAccepted closes every accepted connection, which ends any read
-// blocked on one at once: at teardown, and when ctx is cancelled.
+// track adds cl, the listener or an accepted connection, to what
+// closeAccepted closes, or closes it at once when closeAccepted has
+// already run.
+func (c *coordinator) track(cl io.Closer) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		_ = cl.Close()
+		return
+	}
+	c.accepted = append(c.accepted, cl)
+}
+
+// closeAccepted closes the listener and every accepted connection,
+// which ends any Accept or read blocked on one at once: at teardown,
+// and when ctx is cancelled.
 func (c *coordinator) closeAccepted() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
 	//hyperplexvet:ignore budgettick bounded teardown sweep: one non-blocking Close per accepted connection
-	for _, conn := range c.accepted {
-		_ = conn.Close()
+	for _, cl := range c.accepted {
+		_ = cl.Close()
 	}
 }

@@ -117,7 +117,11 @@ func DecomposeCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (
 		return core.ShardedDecomposeCtx(ctx, h, core.ShardedOptions{Shards: opts.Shards})
 	}
 	if err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
+		if !errors.Is(err, ErrPoolFailed) {
+			// A pool failure names the package already.
+			err = fmt.Errorf("dist: %w", err)
+		}
+		return nil, err
 	}
 	return d, nil
 }

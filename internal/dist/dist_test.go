@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -447,8 +448,8 @@ func TestOptionsShardPolicy(t *testing.T) {
 }
 
 // TestDistNoWorkers pins pool-collapse at the join phase: a worker
-// command that never connects is a pool failure, or a silent local
-// degrade with the fallback.
+// command that never connects is a pool failure, whose text names the
+// package once, or a silent local degrade with the fallback.
 func TestDistNoWorkers(t *testing.T) {
 	leakChecked(t, func(t *testing.T) {
 		h := check.Instances(3, 2)[2]
@@ -456,8 +457,8 @@ func TestDistNoWorkers(t *testing.T) {
 		opts.WorkerCommand = []string{"/bin/false"}
 		opts.PhaseTimeout = 300 * time.Millisecond
 		_, err := Decompose(h, opts)
-		if !errors.Is(err, ErrPoolFailed) {
-			t.Fatalf("err = %v, want ErrPoolFailed", err)
+		if !errors.Is(err, ErrPoolFailed) || strings.Count(err.Error(), "dist:") != 1 {
+			t.Fatalf("err = %v, want ErrPoolFailed, with dist: named once", err)
 		}
 		opts.LocalFallback = true
 		d, err := Decompose(h, opts)

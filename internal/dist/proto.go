@@ -58,12 +58,17 @@ var fpRecv = failpoint.Register("dist.recv")
 // allocated (the same allocation-capped discipline as the mmio and
 // pajek readers).
 //
-// Version 6 ships only what a worker cannot derive: Load carries the
-// shard count and the hypergraph's two flat CSR arrays, from which the
-// worker builds the coordinator's partition itself; Hello carries only
-// the worker ID, since the header already carries the version; and a
-// Frontier vote carries only the retired IDs, since core.RunRounds
-// counts the alive vertices off them.  Version 5 shipped shard
+// A frame carries only what its receiver cannot derive: Load carries
+// the shard count and the hypergraph's two flat CSR arrays, from which
+// the worker builds the coordinator's partition itself; Hello carries
+// only the worker ID, since the header already carries the version;
+// and a Frontier vote carries only the retired IDs, since
+// core.RunRounds counts the alive vertices off them.  No frame carries
+// an epoch: the coordinator reads every survivor's vote of a round
+// before it recovers, so no reply is ever stale.  And no frame reports
+// a failure: a worker that fails closes its connection, which the
+// coordinator reads as its death.  Version 6 led every payload but
+// Hello's with an epoch and had an Error frame.  Version 5 shipped shard
 // descriptors and per-row member counts in Load, a version in Hello
 // and an alive count in every Frontier vote.  Version 4's Assign also
 // carried a list of shards to set up fresh, beside the list to
@@ -72,7 +77,7 @@ var fpRecv = failpoint.Register("dist.recv")
 // Retire and Retired frames for the retired delta.  Each version
 // refuses the others.
 const (
-	protoVersion = 6
+	protoVersion = 7
 	headerLen    = 12
 	// maxFramePayload caps a frame's payload allocation.  The largest
 	// legitimate frame is the Load graph blob; 1 GiB leaves room for
@@ -83,9 +88,8 @@ const (
 
 var frameMagic = [2]byte{'h', 'x'}
 
-// Frame types.  Coordinator→worker frames carry the coordinator's
-// epoch; worker→coordinator frames echo it, so replies raced by a
-// recovery are recognized as stale and dropped.
+// Frame types.  Every worker→coordinator frame but a heartbeat is the
+// reply the coordinator awaits.
 //
 //hyperplexvet:wiretypes
 const (
@@ -98,7 +102,6 @@ const (
 	mBarrier                    // w→c: the dying hyperedge IDs its shards found or re-derived
 	mHeartbeat                  // w→c: liveness beacon
 	mShutdown                   // c→w: exit cleanly
-	mError                      // w→c: typed failure report
 	mTypeMax
 )
 
@@ -220,16 +223,12 @@ func (e *enc) i32s(xs []int32) {
 		binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
 	}
 }
-func (e *enc) str(s string) {
-	e.u32(lenU32(len(s)))
-	e.b = append(e.b, s...)
-}
 
 // dec is a bounds-checked payload reader: every count is validated
 // against the bytes still present before anything is allocated, and
-// the first error sticks.  Nothing it returns aliases the payload
-// except bytes' blob, which its one caller copies: a payload buffer may
-// be reused for the next read as soon as its message is decoded.
+// the first error sticks.  Nothing it returns aliases the payload: a
+// payload buffer may be reused for the next read as soon as its
+// message is decoded.
 type dec struct {
 	b   []byte
 	err error
@@ -276,20 +275,6 @@ func (d *dec) i32s(dst []int32) []int32 {
 		out[i] = int32(binary.LittleEndian.Uint32(d.b[4*i:]))
 	}
 	d.b = d.b[4*n:]
-	return out
-}
-
-func (d *dec) bytes() []byte {
-	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	if uint64(n) > uint64(len(d.b)) {
-		d.fail("byte blob count %d exceeds %d remaining bytes", n, len(d.b))
-		return nil
-	}
-	out := d.b[:n:n]
-	d.b = d.b[n:]
 	return out
 }
 
@@ -343,7 +328,6 @@ func (m *msgHello) decode(b []byte) error {
 // hypergraph.FromRows, which validates them and builds the replica's
 // hypergraph in place.
 type msgLoad struct {
-	Epoch  uint32
 	Shards int32
 	NumV   int32
 	// The member vertex IDs of hyperedge f, in edge order, are
@@ -352,11 +336,10 @@ type msgLoad struct {
 }
 
 func (m *msgLoad) encode(buf []byte) []byte {
-	if size := headerLen + 4*5 + 4*len(m.EOff) + 4*len(m.EAdj); cap(buf) < size {
+	if size := headerLen + 4*4 + 4*len(m.EOff) + 4*len(m.EAdj); cap(buf) < size {
 		buf = make([]byte, 0, size)
 	}
 	e := newEnc(buf)
-	e.u32(m.Epoch)
 	e.i32(m.Shards)
 	e.i32(m.NumV)
 	e.i32s(m.EOff)
@@ -366,7 +349,6 @@ func (m *msgLoad) encode(buf []byte) []byte {
 
 func (m *msgLoad) decode(b []byte) error {
 	d := dec{b: b}
-	m.Epoch = d.u32()
 	m.Shards = d.i32()
 	m.NumV = d.i32()
 	m.EOff = d.i32s(nil)
@@ -383,7 +365,6 @@ func (m *msgLoad) decode(b []byte) error {
 // with a Barrier vote for (K, Round), the dying hyperedges of its
 // shards there.
 type msgAssign struct {
-	Epoch   uint32
 	K       int32
 	Round   int32
 	Shards  []int32
@@ -393,7 +374,6 @@ type msgAssign struct {
 
 func (m *msgAssign) encode(buf []byte) []byte {
 	e := newEnc(buf)
-	e.u32(m.Epoch)
 	e.i32(m.K)
 	e.i32(m.Round)
 	e.i32s(m.Shards)
@@ -404,7 +384,6 @@ func (m *msgAssign) encode(buf []byte) []byte {
 
 func (m *msgAssign) decode(b []byte) error {
 	d := dec{b: b}
-	m.Epoch = d.u32()
 	m.K = d.i32()
 	m.Round = d.i32()
 	m.Shards = d.i32s(m.Shards)
@@ -418,7 +397,6 @@ func (m *msgAssign) decode(b []byte) error {
 // the retired delta, and a Barrier vote its part of the next round's
 // dying delta.
 type msgRound struct {
-	Epoch uint32
 	K     int32
 	Round int32
 	IDs   []int32 // dying (Apply, Barrier) or retired (Frontier, Shrink)
@@ -426,7 +404,6 @@ type msgRound struct {
 
 func (m *msgRound) encode(buf []byte) []byte {
 	e := newEnc(buf)
-	e.u32(m.Epoch)
 	e.i32(m.K)
 	e.i32(m.Round)
 	e.i32s(m.IDs)
@@ -435,39 +412,8 @@ func (m *msgRound) encode(buf []byte) []byte {
 
 func (m *msgRound) decode(b []byte) error {
 	d := dec{b: b}
-	m.Epoch = d.u32()
 	m.K = d.i32()
 	m.Round = d.i32()
 	m.IDs = d.i32s(m.IDs)
 	return d.done()
-}
-
-// msgError is a worker's typed failure report.
-type msgError struct {
-	Epoch uint32
-	Text  string
-}
-
-func (m *msgError) encode(buf []byte) []byte {
-	e := newEnc(buf)
-	e.u32(m.Epoch)
-	e.str(m.Text)
-	return e.b
-}
-
-func (m *msgError) decode(b []byte) error {
-	d := dec{b: b}
-	m.Epoch = d.u32()
-	// The conversion copies: Text must not alias the payload.
-	m.Text = string(d.bytes())
-	return d.done()
-}
-
-// peekEpoch reads the leading epoch shared by every worker reply
-// without consuming the payload.
-func peekEpoch(payload []byte) (uint32, bool) {
-	if len(payload) < 4 {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint32(payload[:4]), true
 }

@@ -94,7 +94,6 @@ func TestFrameLengthCap(t *testing.T) {
 
 func TestMessageRoundTrips(t *testing.T) {
 	load := msgLoad{
-		Epoch:  7,
 		Shards: 2,
 		NumV:   5,
 		EOff:   []int32{0, 3, 3, 5},
@@ -104,34 +103,28 @@ func TestMessageRoundTrips(t *testing.T) {
 	if err := load2.decode(payloadOf(&load)); err != nil {
 		t.Fatalf("load decode: %v", err)
 	}
-	if load2.Shards != 2 || load2.Epoch != 7 ||
+	if load2.Shards != 2 ||
 		load2.NumV != 5 || !slices.Equal(load2.EOff, load.EOff) || !slices.Equal(load2.EAdj, load.EAdj) {
 		t.Fatalf("load round-trip mismatch: %+v", load2)
 	}
 
-	asn := msgAssign{Epoch: 3, K: 2, Round: 5, Shards: []int32{0, 2}, Dead: []int32{9, 7}, Retired: []int32{1, 2, 3}}
+	asn := msgAssign{K: 2, Round: 5, Shards: []int32{0, 2}, Dead: []int32{9, 7}, Retired: []int32{1, 2, 3}}
 	var asn2 msgAssign
 	if err := asn2.decode(payloadOf(&asn)); err != nil {
 		t.Fatalf("assign decode: %v", err)
 	}
-	if asn2.Epoch != 3 || asn2.K != 2 || asn2.Round != 5 || !slices.Equal(asn2.Shards, asn.Shards) ||
+	if asn2.K != 2 || asn2.Round != 5 || !slices.Equal(asn2.Shards, asn.Shards) ||
 		!slices.Equal(asn2.Dead, asn.Dead) || !slices.Equal(asn2.Retired, asn.Retired) {
 		t.Fatalf("assign round-trip mismatch: %+v", asn2)
 	}
 
-	rd := msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{5, -1, 7}}
+	rd := msgRound{K: 4, Round: 9, IDs: []int32{5, -1, 7}}
 	var rd2 msgRound
 	if err := rd2.decode(payloadOf(&rd)); err != nil {
 		t.Fatalf("round decode: %v", err)
 	}
 	if rd2.K != 4 || rd2.Round != 9 || len(rd2.IDs) != 3 || rd2.IDs[1] != -1 {
 		t.Fatalf("round round-trip mismatch: %+v", rd2)
-	}
-
-	em := msgError{Epoch: 6, Text: "worker 3: shard exploded"}
-	var emDec msgError
-	if err := emDec.decode(payloadOf(&em)); err != nil || emDec.Text != em.Text || emDec.Epoch != 6 {
-		t.Fatalf("error round-trip mismatch: %+v err=%v", emDec, err)
 	}
 
 	hello := msgHello{ID: 3}
@@ -146,7 +139,6 @@ func TestMessageRoundTrips(t *testing.T) {
 // it must fail before allocating.
 func TestDecodeRejectsAllocationBombs(t *testing.T) {
 	var en enc
-	en.u32(0) // epoch
 	en.i32(1)
 	en.i32(1)
 	en.u32(1 << 30) // IDs count with no bytes behind it
@@ -155,7 +147,6 @@ func TestDecodeRejectsAllocationBombs(t *testing.T) {
 		t.Fatalf("bomb count: err = %v, want ErrCorruptFrame", err)
 	}
 	var en2 enc
-	en2.u32(0)
 	en2.i32(0)
 	en2.i32(0)
 	en2.i32s([]int32{0})
@@ -169,7 +160,6 @@ func TestDecodeRejectsAllocationBombs(t *testing.T) {
 		t.Fatal("trailing garbage accepted")
 	}
 	var offBomb enc
-	offBomb.u32(0)       // epoch
 	offBomb.i32(1)       // shards
 	offBomb.i32(2)       // NumV
 	offBomb.u32(1 << 29) // EOff count with no bytes behind it
@@ -186,7 +176,6 @@ func TestDecodeRejectsAllocationBombs(t *testing.T) {
 // members with two behind it.
 func loadAdjPastEnd() []byte {
 	var e enc
-	e.u32(0) // epoch
 	e.i32(1) // shards
 	e.i32(2) // NumV
 	e.i32s([]int32{0, 1, 2})
@@ -201,12 +190,12 @@ func loadAdjPastEnd() []byte {
 // Nothing here may panic or over-allocate, whatever the bytes.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBytes(f, mHello, payloadOf(&msgHello{})))
-	f.Add(frameBytes(f, mApply, payloadOf(&msgRound{Epoch: 1, K: 2, Round: 3, IDs: []int32{4, 5}})))
-	f.Add(frameBytes(f, mBarrier, payloadOf(&msgRound{Epoch: 1, K: 1, Round: 1, IDs: []int32{1}})))
+	f.Add(frameBytes(f, mApply, payloadOf(&msgRound{K: 2, Round: 3, IDs: []int32{4, 5}})))
+	f.Add(frameBytes(f, mBarrier, payloadOf(&msgRound{K: 1, Round: 1, IDs: []int32{1}})))
 	f.Add(frameBytes(f, mLoad, payloadOf(&msgLoad{Shards: 1, NumV: 2, EOff: []int32{0, 2}, EAdj: []int32{0, 1}})))
 	f.Add(frameBytes(f, mLoad, payloadOf(&msgLoad{Shards: 2, NumV: 2, EOff: []int32{0, 0, 2, 2}, EAdj: []int32{0, 1}})))
 	f.Add(frameBytes(f, mLoad, loadAdjPastEnd()))
-	f.Add(frameBytes(f, mAssign, payloadOf(&msgAssign{Epoch: 1, K: 2, Round: 3, Shards: []int32{1}, Dead: []int32{3}, Retired: []int32{2, 4}})))
+	f.Add(frameBytes(f, mAssign, payloadOf(&msgAssign{K: 2, Round: 3, Shards: []int32{1}, Dead: []int32{3}, Retired: []int32{2, 4}})))
 	// Truncated header and payload.
 	whole := frameBytes(f, mFrontier, payloadOf(&msgRound{IDs: []int32{1, 2, 3}}))
 	f.Add(whole[:5])
@@ -232,17 +221,15 @@ func FuzzDecodeFrame(f *testing.F) {
 		// payload without panicking, whatever the type byte says.
 		_ = typ
 		var (
-			h  msgHello
-			l  msgLoad
-			a  msgAssign
-			r  msgRound
-			em msgError
+			h msgHello
+			l msgLoad
+			a msgAssign
+			r msgRound
 		)
 		_ = h.decode(payload)
 		_ = l.decode(payload)
 		_ = a.decode(payload)
 		_ = r.decode(payload)
-		_ = em.decode(payload)
 	})
 }
 
@@ -283,7 +270,7 @@ type codec interface {
 }
 
 // goldenFrames is one frame per frame type, with its bytes as recorded
-// from protocol version 6.  The bytes are the interoperability
+// from protocol version 7.  The bytes are the interoperability
 // contract between builds: a coordinator and hgshardd workers built
 // from different sources must frame identically, so a codec change
 // that moves any byte here needs a protoVersion bump instead.
@@ -295,25 +282,23 @@ var goldenFrames = []struct {
 	hex   string
 }{
 	{"Hello", mHello, &msgHello{ID: 3}, func() codec { return &msgHello{} },
-		"6878060104000000f270f13303000000"},
-	{"Load", mLoad, &msgLoad{Epoch: 7, Shards: 2, NumV: 5,
+		"6878070104000000f270f13303000000"},
+	{"Load", mLoad, &msgLoad{Shards: 2, NumV: 5,
 		EOff: []int32{0, 3, 3, 5}, EAdj: []int32{0, 1, 2, 3, 4}}, func() codec { return &msgLoad{} },
-		"6878060238000000b8866c320700000002000000050000000400000000000000030000000300000005000000050000000000000001000000020000000300000004000000"},
-	{"Assign", mAssign, &msgAssign{Epoch: 3, K: 2, Round: 5, Shards: []int32{0, 2},
+		"68780702340000006457647d02000000050000000400000000000000030000000300000005000000050000000000000001000000020000000300000004000000"},
+	{"Assign", mAssign, &msgAssign{K: 2, Round: 5, Shards: []int32{0, 2},
 		Dead: []int32{9, 6}, Retired: []int32{1, 2, 3}}, func() codec { return &msgAssign{} },
-		"6878060334000000574a350403000000020000000500000002000000000000000200000002000000090000000600000003000000010000000200000003000000"},
-	{"Apply", mApply, &msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{5, -1, 7}}, func() codec { return &msgRound{} },
-		"687806041c00000092221ea60100000004000000090000000300000005000000ffffffff07000000"},
-	{"Frontier", mFrontier, &msgRound{Epoch: 1, K: 4, Round: 9, IDs: []int32{2, 3}}, func() codec { return &msgRound{} },
-		"68780605180000008c7cd90d010000000400000009000000020000000200000003000000"},
-	{"Shrink", mShrink, &msgRound{Epoch: 1, K: 4, Round: 10, IDs: []int32{2, 3}}, func() codec { return &msgRound{} },
-		"68780606180000007ec8112401000000040000000a000000020000000200000003000000"},
-	{"Barrier", mBarrier, &msgRound{Epoch: 8, K: 3, Round: 12, IDs: []int32{6, 8}}, func() codec { return &msgRound{} },
-		"68780607180000006bd7a79608000000030000000c000000020000000600000008000000"},
-	{"Heartbeat", mHeartbeat, nil, nil, "687806080000000000000000"},
-	{"Shutdown", mShutdown, nil, nil, "687806090000000000000000"},
-	{"Error", mError, &msgError{Epoch: 6, Text: "worker 3: shard exploded"}, func() codec { return &msgError{} },
-		"6878060a20000000944dfc080600000018000000776f726b657220333a207368617264206578706c6f646564"},
+		"687807033000000065f2c380020000000500000002000000000000000200000002000000090000000600000003000000010000000200000003000000"},
+	{"Apply", mApply, &msgRound{K: 4, Round: 9, IDs: []int32{5, -1, 7}}, func() codec { return &msgRound{} },
+		"687807041800000046621a8404000000090000000300000005000000ffffffff07000000"},
+	{"Frontier", mFrontier, &msgRound{K: 4, Round: 9, IDs: []int32{2, 3}}, func() codec { return &msgRound{} },
+		"68780705140000000648e8200400000009000000020000000200000003000000"},
+	{"Shrink", mShrink, &msgRound{K: 4, Round: 10, IDs: []int32{2, 3}}, func() codec { return &msgRound{} },
+		"6878070614000000f4fc2009040000000a000000020000000200000003000000"},
+	{"Barrier", mBarrier, &msgRound{K: 3, Round: 12, IDs: []int32{6, 8}}, func() codec { return &msgRound{} },
+		"687807071400000078babee8030000000c000000020000000600000008000000"},
+	{"Heartbeat", mHeartbeat, nil, nil, "687807080000000000000000"},
+	{"Shutdown", mShutdown, nil, nil, "687807090000000000000000"},
 }
 
 // TestGoldenFrames pins the wire bytes of one frame per frame type, and
@@ -368,7 +353,7 @@ func bandedLoad(t *testing.T) (*msgLoad, *hypergraph.Hypergraph) {
 		t.Fatal(err)
 	}
 	g := h.CSR()
-	return &msgLoad{Epoch: 1, Shards: 2, NumV: int32(h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}, h
+	return &msgLoad{Shards: 2, NumV: int32(h.NumVertices()), EOff: g.EOff, EAdj: g.EAdj}, h
 }
 
 // TestCodecAllocs pins the allocations of the codec: a slice of 10k
@@ -406,8 +391,8 @@ func TestCodecAllocs(t *testing.T) {
 	}
 
 	ids := make([]int32, 3000)
-	round := msgRound{Epoch: 2, K: 3, Round: 4, IDs: ids}
-	assign := msgAssign{Epoch: 2, K: 3, Round: 4, Shards: []int32{0, 1}, Dead: ids, Retired: make([]int32, 4000)}
+	round := msgRound{K: 3, Round: 4, IDs: ids}
+	assign := msgAssign{K: 3, Round: 4, Shards: []int32{0, 1}, Dead: ids, Retired: make([]int32, 4000)}
 	for _, m := range []struct {
 		name      string
 		typ       byte

@@ -7,9 +7,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os/exec"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -86,7 +88,7 @@ func (nopConn) SetReadDeadline(time.Time) error { return nil }
 
 // TestTransportOneWritePerFrame pins that every frame leaves in one
 // Write: each frame the coordinator broadcasts, its teardown's
-// Shutdown, and a worker's heartbeats and Error report.
+// Shutdown, and a worker's heartbeats.
 func TestTransportOneWritePerFrame(t *testing.T) {
 	cc := &countConn{Conn: nopConn{}}
 	c := &coordinator{ctx: context.Background(), workers: []*remoteWorker{{id: 0, conn: cc}}}
@@ -127,10 +129,9 @@ func TestTransportOneWritePerFrame(t *testing.T) {
 	}
 	close(stop)
 	<-done
-	w.report(errors.New("shard exploded"))
 	writes, bad, sent, _ = wc.counts()
-	if sent[mHeartbeat] < 3 || sent[mError] != 1 || len(bad) != 0 || writes != sent[mHeartbeat]+1 {
-		t.Fatalf("worker: %d writes for %d heartbeats and %d Error frames, bad: %v", writes, sent[mHeartbeat], sent[mError], bad)
+	if sent[mHeartbeat] < 3 || len(bad) != 0 || writes != sent[mHeartbeat] {
+		t.Fatalf("worker: %d writes for %d heartbeats, bad: %v", writes, sent[mHeartbeat], bad)
 	}
 }
 
@@ -160,8 +161,11 @@ func bareCoordinator(t *testing.T, part *partition.Partition) (*coordinator, []*
 // that names an owned ID twice: every worker's Shrink would retire a
 // repeated vertex twice, and Apply would lower a repeated hyperedge's
 // member degrees twice.  The other worker's valid vote must still be
-// read, and cost it nothing, before the loss is reported.  Votes that
-// name owned IDs once pass.
+// read, and cost it nothing, before the loss is reported.  So must a
+// vote of owned IDs tagged with another (k, round): no frame carries an
+// epoch, so the tag is what stops a reply meant for another round.
+// Votes that name owned IDs once, tagged with the round's (k, round),
+// pass.
 func TestCoordinatorChecksVotedIDs(t *testing.T) {
 	h := dataset.Cellzome().H
 	nv, ne := int32(h.NumVertices()), int32(h.NumEdges())
@@ -185,17 +189,30 @@ func TestCoordinatorChecksVotedIDs(t *testing.T) {
 	lostOnly := func(c *coordinator, inbox []*bytes.Buffer) bool {
 		return c.workers[0].dead && !c.workers[1].dead && inbox[1].Len()+c.workers[1].rd.Buffered() == 0
 	}
+	// mustLoseWorker0 fails t unless the round call that returned err
+	// lost worker 0 alone, after worker 1's vote was read.
+	mustLoseWorker0 := func(what string, c *coordinator, inbox []*bytes.Buffer, err error) {
+		t.Helper()
+		if !errors.Is(err, errWorkerLost) || !lostOnly(c, inbox) {
+			t.Errorf("%s: err = %v, worker 0 dead %v, worker 1 dead %v, %d bytes of its vote unread; want errWorkerLost, worker 0 alone dead and worker 1's vote read",
+				what, err, c.workers[0].dead, c.workers[1].dead, inbox[1].Len()+c.workers[1].rd.Buffered())
+		}
+	}
 
 	for _, bad := range []int32{-1, nv, own1, own0} {
 		c, inbox := bareCoordinator(t, part)
 		vote(inbox[0], &msgRound{K: 1, IDs: []int32{own0, bad}}, mFrontier)
 		vote(inbox[1], &msgRound{K: 1, IDs: []int32{own1}}, mFrontier)
-		if _, err := c.Apply(context.Background(), 1, nil); !errors.Is(err, errWorkerLost) || !lostOnly(c, inbox) {
-			t.Errorf("Frontier vote retiring vertex %d: err = %v, worker 0 dead %v, worker 1 dead %v, %d bytes of its vote unread; want errWorkerLost, worker 0 alone dead and worker 1's vote read",
-				bad, err, c.workers[0].dead, c.workers[1].dead, inbox[1].Len()+c.workers[1].rd.Buffered())
-		}
+		_, err := c.Apply(context.Background(), 1, nil)
+		mustLoseWorker0(fmt.Sprintf("Frontier vote retiring vertex %d", bad), c, inbox, err)
 	}
+	// Apply at k = 1 before any barrier awaits votes for (1, 0).
 	c, inbox := bareCoordinator(t, part)
+	vote(inbox[0], &msgRound{K: 1, Round: 1, IDs: []int32{own0}}, mFrontier)
+	vote(inbox[1], &msgRound{K: 1, IDs: []int32{own1}}, mFrontier)
+	_, err := c.Apply(context.Background(), 1, nil)
+	mustLoseWorker0("owned Frontier vote for round (1, 1)", c, inbox, err)
+	c, inbox = bareCoordinator(t, part)
 	vote(inbox[0], &msgRound{K: 1, IDs: []int32{own0}}, mFrontier)
 	vote(inbox[1], &msgRound{K: 1, IDs: []int32{own1}}, mFrontier)
 	if retired, err := c.Apply(context.Background(), 1, nil); err != nil || !slices.Equal(retired, []int32{own0, own1}) {
@@ -207,11 +224,15 @@ func TestCoordinatorChecksVotedIDs(t *testing.T) {
 		c, inbox := bareCoordinator(t, part)
 		vote(inbox[0], barrier(edge0, bad), mBarrier)
 		vote(inbox[1], barrier(edge1), mBarrier)
-		if _, err := c.Shrink(context.Background(), 1, nil); !errors.Is(err, errWorkerLost) || !lostOnly(c, inbox) {
-			t.Errorf("Barrier vote with dying hyperedge %d: err = %v, worker 0 dead %v, worker 1 dead %v, %d bytes of its vote unread; want errWorkerLost, worker 0 alone dead and worker 1's vote read",
-				bad, err, c.workers[0].dead, c.workers[1].dead, inbox[1].Len()+c.workers[1].rd.Buffered())
-		}
+		_, err := c.Shrink(context.Background(), 1, nil)
+		mustLoseWorker0(fmt.Sprintf("Barrier vote with dying hyperedge %d", bad), c, inbox, err)
 	}
+	// Shrink at k = 1 after barrier (0, 0) awaits votes for (1, 1).
+	c, inbox = bareCoordinator(t, part)
+	vote(inbox[0], &msgRound{K: 2, Round: 1, IDs: []int32{edge0}}, mBarrier)
+	vote(inbox[1], barrier(edge1), mBarrier)
+	_, err = c.Shrink(context.Background(), 1, nil)
+	mustLoseWorker0("owned Barrier vote for round (2, 1)", c, inbox, err)
 	c, inbox = bareCoordinator(t, part)
 	vote(inbox[0], barrier(edge0), mBarrier)
 	vote(inbox[1], barrier(edge1), mBarrier)
@@ -344,6 +365,49 @@ func TestAwaitCancelledUnblocks(t *testing.T) {
 		if took := time.Since(cancelled); took > 2*time.Second {
 			t.Fatalf("the coordinator returned %v after the cancellation, want at once", took)
 		}
+	})
+}
+
+// TestJoinCancelledUnblocks cancels runs that wait in the join under a
+// 10 s phase deadline: a pool in which no worker dials (a worker
+// command that exits at once), so the coordinator blocks in Accept, and
+// 2 dialers that never send Hello, so it blocks on a Hello read.  A
+// 200 ms deadline must end each run within 2 s with
+// context.DeadlineExceeded, whose text names the package once, and
+// nothing may leak.
+func TestJoinCancelledUnblocks(t *testing.T) {
+	h := dataset.Cellzome().H
+	cancelled := func(t *testing.T, start time.Time, err error) {
+		t.Helper()
+		if !errors.Is(err, context.DeadlineExceeded) || strings.Count(err.Error(), "dist:") != 1 {
+			t.Fatalf("err = %v, want context.DeadlineExceeded, with dist: named once", err)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Fatalf("the run returned %v after it started, want within 2s of its 200ms deadline", took)
+		}
+	}
+	t.Run("no worker dials", func(t *testing.T) {
+		leakChecked(t, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			opts := Options{Workers: 2, Shards: 2, WorkerCommand: []string{"/bin/false"}, PhaseTimeout: 10 * time.Second}
+			start := time.Now()
+			_, err := DecomposeCtx(ctx, h, opts)
+			cancelled(t, start, err)
+		})
+	})
+	t.Run("no Hello", func(t *testing.T) {
+		leakChecked(t, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			silent := func(_ context.Context, _ int, conn net.Conn) error {
+				_, err := io.Copy(io.Discard, conn)
+				return err
+			}
+			start := time.Now()
+			_, _, _, err := servePool(t, ctx, h, Options{PhaseTimeout: 10 * time.Second}, silent)
+			cancelled(t, start, err)
+		})
 	})
 }
 
@@ -559,13 +623,13 @@ func TestTransportDeathBeforeFirstBarrier(t *testing.T) {
 	})
 }
 
-// TestTransportRejectsVersion1Hello pins that protocol versions 2 to 6
-// are deliberate breaks: a worker's Hello framed at version 1, 2, 3, 4
-// or 5 fails the join with ErrCorruptFrame, and so does a version-5
+// TestTransportRejectsVersion1Hello pins that protocol versions 2 to 7
+// are deliberate breaks: a worker's Hello framed at any version from 1
+// to 6 fails the join with ErrCorruptFrame, and so does a version-5
 // Hello payload, which led with the version before the ID, under a
-// version-6 header.
+// current header.
 func TestTransportRejectsVersion1Hello(t *testing.T) {
-	for _, old := range []byte{1, 2, 3, 4, 5} {
+	for _, old := range []byte{1, 2, 3, 4, 5, 6} {
 		header := frameBytes(t, mHello, payloadOf(&msgHello{ID: 0}))
 		header[2] = old
 		if _, err := (&coordinator{}).hello(bufioReader(header)); !errors.Is(err, ErrCorruptFrame) {

@@ -69,16 +69,17 @@ type workerState struct {
 	out []byte
 
 	peeler *core.DistPeeler
-	epoch  uint32
 
 	hbPanic atomic.Pointer[core.WorkerPanicError]
 }
 
 // ServeWorker runs one worker over conn until the coordinator sends
-// Shutdown, the connection drops, or ctx is cancelled.  It recovers
-// panics (including injected ones) into a *core.WorkerPanicError so a
-// worker process, or an in-process worker goroutine, always fails as a
-// typed error rather than a crash.
+// Shutdown, the connection drops, or ctx is cancelled.  A frame it
+// cannot serve ends it with the error, and no frame reports it: the
+// caller closes conn, which the coordinator reads as the worker's
+// death.  It recovers panics (including injected ones) into a
+// *core.WorkerPanicError so a worker process, or an in-process worker
+// goroutine, always fails as a typed error rather than a crash.
 func ServeWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) (err error) {
 	defer func() {
 		if x := recover(); x != nil {
@@ -139,7 +140,6 @@ func ServeWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) (err er
 			if errors.Is(herr, errShutdown) {
 				return nil
 			}
-			w.report(herr)
 			return herr
 		}
 	}
@@ -179,14 +179,6 @@ func (w *workerState) send(typ byte, frame []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	return writeFrame(w.conn, typ, frame)
-}
-
-// report best-effort ships a typed failure to the coordinator before
-// the worker gives up.
-func (w *workerState) report(err error) {
-	m := msgError{Epoch: w.epoch, Text: err.Error()}
-	w.out = m.encode(w.out)
-	_ = w.send(mError, w.out)
 }
 
 //hyperplexvet:wirerecv
@@ -229,7 +221,6 @@ func (w *workerState) handle(ctx context.Context, typ byte, payload []byte) erro
 // and, from the hypergraph and the shard count, the partition the
 // coordinator built, since partition.BuildCtx is deterministic.
 func (w *workerState) load(ctx context.Context, m *msgLoad) error {
-	w.epoch = m.Epoch
 	// The rows are wire input: FromRows checks their offsets and
 	// members before it sorts, compacts and assembles them in place.
 	h, err := hypergraph.FromRows(int(m.NumV), m.EOff, m.EAdj)
@@ -253,7 +244,6 @@ func (w *workerState) load(ctx context.Context, m *msgLoad) error {
 // coordinator's logs give, with the shards it lists, and answers with
 // the Barrier vote of the dying hyperedges the restore re-derived.
 func (w *workerState) assign(ctx context.Context, m *msgAssign) error {
-	w.epoch = m.Epoch
 	if err := w.peeler.Restore(ctx, m.Dead, m.Retired, m.Shards); err != nil {
 		return err
 	}
@@ -263,7 +253,6 @@ func (w *workerState) assign(ctx context.Context, m *msgAssign) error {
 // apply runs the replica's Apply and answers with the Frontier vote:
 // the retired IDs it returns.
 func (w *workerState) apply(ctx context.Context, m *msgRound) error {
-	w.epoch = m.Epoch
 	retired, err := w.peeler.Apply(ctx, int(m.K), m.IDs)
 	if err != nil {
 		return err
@@ -274,7 +263,6 @@ func (w *workerState) apply(ctx context.Context, m *msgRound) error {
 // shrink runs the replica's Shrink and answers with the Barrier vote:
 // the dying hyperedges its shards found.
 func (w *workerState) shrink(ctx context.Context, m *msgRound) error {
-	w.epoch = m.Epoch
 	dying, err := w.peeler.Shrink(ctx, int(m.K), m.IDs)
 	if err != nil {
 		return err
@@ -284,7 +272,7 @@ func (w *workerState) shrink(ctx context.Context, m *msgRound) error {
 
 // vote sends a vote of type typ for round (k, round).
 func (w *workerState) vote(typ byte, k, round int32, ids []int32) error {
-	reply := msgRound{Epoch: w.epoch, K: k, Round: round, IDs: ids}
+	reply := msgRound{K: k, Round: round, IDs: ids}
 	w.out = reply.encode(w.out)
 	return w.send(typ, w.out)
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"slices"
@@ -44,7 +45,6 @@ type workerDriver struct {
 	t         *testing.T
 	w         *workerState
 	conn      *recordConn
-	epoch     uint32
 	shards    []int32    // every shard; the worker owns them all
 	bar       barrierTag // the barrier the worker last voted at
 	atBarrier func(b barrierTag) error
@@ -124,7 +124,7 @@ func (d *workerDriver) Apply(ctx context.Context, k int, dying []int32) ([]int32
 		return nil, errResume
 	}
 	var fr msgRound
-	d.decode(&fr, d.call(mApply, payloadOf(&msgRound{Epoch: d.epoch, K: int32(k), Round: d.bar.round, IDs: dying}), mFrontier))
+	d.decode(&fr, d.call(mApply, payloadOf(&msgRound{K: int32(k), Round: d.bar.round, IDs: dying}), mFrontier))
 	if d.ref != nil {
 		retired, _ := d.ref.Apply(ctx, k, dying)
 		d.sameIDs("Frontier", fr.IDs, retired)
@@ -136,7 +136,7 @@ func (d *workerDriver) Shrink(ctx context.Context, k int, retired []int32) ([]in
 	d.t.Helper()
 	var vote msgRound
 	next := d.bar.round + 1
-	d.decode(&vote, d.call(mShrink, payloadOf(&msgRound{Epoch: d.epoch, K: int32(k), Round: next, IDs: retired}), mBarrier))
+	d.decode(&vote, d.call(mShrink, payloadOf(&msgRound{K: int32(k), Round: next, IDs: retired}), mBarrier))
 	if vote.K != int32(k) || vote.Round != next {
 		d.t.Fatalf("worker voted barrier (%d, %d), want (%d, %d)", vote.K, vote.Round, k, next)
 	}
@@ -226,11 +226,10 @@ func TestWorkerRestoreAtCommittedBarrier(t *testing.T) {
 			}
 		case b1.round + 1:
 			d.atBarrier = nil
-			d.epoch++
 			var vote msgRound
-			d.decode(&vote, d.call(mAssign, payloadOf(&msgAssign{Epoch: d.epoch, K: b1.k, Round: b1.round, Shards: d.shards, Dead: b1.dead, Retired: b1.retired}), mBarrier))
-			if vote.Epoch != d.epoch || vote.K != b1.k || vote.Round != b1.round {
-				t.Fatalf("the recovery Assign's vote is tagged epoch %d at (%d, %d), want epoch %d at B1 (%d, %d)", vote.Epoch, vote.K, vote.Round, d.epoch, b1.k, b1.round)
+			d.decode(&vote, d.call(mAssign, payloadOf(&msgAssign{K: b1.k, Round: b1.round, Shards: d.shards, Dead: b1.dead, Retired: b1.retired}), mBarrier))
+			if vote.K != b1.k || vote.Round != b1.round {
+				t.Fatalf("the recovery Assign's vote is tagged (%d, %d), want B1 (%d, %d)", vote.K, vote.Round, b1.k, b1.round)
 			}
 			d.bar = b1
 			d.sameIDs("recovery Barrier", vote.IDs, b1.dying)
@@ -287,18 +286,21 @@ func TestWorkerBuildsCoordinatorPartition(t *testing.T) {
 	}
 }
 
-// serveFrame serves a worker over a pipe, sends it frame, a frame of
-// type typ, after its Hello, and returns the text of the Error frame
-// the worker must answer with and what ServeWorker returned, which
-// must not be a recovered panic.
-func serveFrame(t *testing.T, typ byte, frame []byte) (string, error) {
+// serveFrame serves a worker over a pipe, whose end it closes when
+// ServeWorker returns, as hgshardd and the in-process workers do, and
+// sends it frame, a frame of type typ, after its Hello.  The worker
+// must refuse it: its connection must close with no frame but
+// heartbeats before the close.  serveFrame returns what ServeWorker
+// returned, which must not be a recovered panic.
+func serveFrame(t *testing.T, typ byte, frame []byte) error {
 	t.Helper()
 	coord, worker := net.Pipe()
 	defer coord.Close()
-	defer worker.Close()
 	served := make(chan error, 1)
 	go func() {
-		served <- ServeWorker(context.Background(), worker, WorkerOptions{HeartbeatInterval: time.Hour})
+		err := ServeWorker(context.Background(), worker, WorkerOptions{HeartbeatInterval: time.Millisecond})
+		_ = worker.Close()
+		served <- err
 	}()
 	rd := bufio.NewReader(coord)
 	if got, _, err := readFrame(rd, maxFramePayload, nil); err != nil || got != mHello {
@@ -307,26 +309,27 @@ func serveFrame(t *testing.T, typ byte, frame []byte) (string, error) {
 	if err := writeFrame(coord, typ, frame); err != nil {
 		t.Fatal(err)
 	}
-	var report msgError
-	got, payload, err := readFrame(rd, maxFramePayload, nil)
-	if err == nil && got == mError {
-		err = report.decode(payload)
+	for {
+		got, _, err := readFrame(rd, maxFramePayload, nil)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil || got != mHeartbeat {
+			t.Fatalf("frame type %d: read type %d, err %v; want heartbeats, then the connection closed", typ, got, err)
+		}
 	}
-	if err != nil || got != mError {
-		t.Fatalf("frame type %d: reply type %d, err %v; want an Error frame", typ, got, err)
-	}
-	err = <-served
+	err := <-served
 	var panicked *core.WorkerPanicError
 	if errors.As(err, &panicked) {
 		t.Fatalf("frame type %d: ServeWorker recovered a panic: %v", typ, err)
 	}
-	return report.Text, err
+	return err
 }
 
 // TestWorkerFramesBeforeLoad sends Apply, Shrink and Assign frames to
 // workers that have had no Load: handle must refuse each with
-// errBeforeLoad, and ServeWorker must report it in an Error frame and
-// return it, with no panic recovered.
+// errBeforeLoad, and ServeWorker must return it, with no panic
+// recovered, and leave its connection to close.
 func TestWorkerFramesBeforeLoad(t *testing.T) {
 	for _, f := range []struct {
 		typ byte
@@ -340,9 +343,8 @@ func TestWorkerFramesBeforeLoad(t *testing.T) {
 		if err := w.handle(context.Background(), f.typ, payloadOf(f.msg)); !errors.Is(err, errBeforeLoad) {
 			t.Errorf("frame type %d before Load: err = %v, want errBeforeLoad", f.typ, err)
 		}
-		report, err := serveFrame(t, f.typ, f.msg.encode(nil))
-		if !strings.Contains(report, errBeforeLoad.Error()) || !errors.Is(err, errBeforeLoad) {
-			t.Errorf("frame type %d before Load: Error frame %q, ServeWorker returned %v; want both to name %q", f.typ, report, err, errBeforeLoad)
+		if err := serveFrame(t, f.typ, f.msg.encode(nil)); !errors.Is(err, errBeforeLoad) || !strings.Contains(err.Error(), errBeforeLoad.Error()) {
+			t.Errorf("frame type %d before Load: ServeWorker returned %v; want it to name %q", f.typ, err, errBeforeLoad)
 		}
 	}
 }
@@ -354,8 +356,8 @@ func TestWorkerFramesBeforeLoad(t *testing.T) {
 // shard-count policy would change, from which the worker would build a
 // partition other than the coordinator's.  Each must fail as a corrupt
 // frame with the error the table gives, through handle, which must
-// build no replica, and through ServeWorker, which must answer with an
-// Error frame carrying the same text.
+// build no replica, and through ServeWorker, which must return the
+// same error and leave its connection to close.
 func TestLoadRejectsBadMembers(t *testing.T) {
 	rows := func(nv, shards int32) msgLoad {
 		return msgLoad{Shards: shards, NumV: nv, EOff: []int32{0, 2}, EAdj: []int32{0, 1}}
@@ -382,8 +384,8 @@ func TestLoadRejectsBadMembers(t *testing.T) {
 		if w.peeler != nil {
 			t.Errorf("Load %+v: a replica was built", tc.load)
 		}
-		if report, err := serveFrame(t, mLoad, tc.load.encode(nil)); report != tc.want || !errors.Is(err, ErrCorruptFrame) {
-			t.Errorf("Load %+v: Error frame %q, ServeWorker returned %v; want %s", tc.load, report, err, tc.want)
+		if err := serveFrame(t, mLoad, tc.load.encode(nil)); !errors.Is(err, ErrCorruptFrame) || err.Error() != tc.want {
+			t.Errorf("Load %+v: ServeWorker returned %v; want ErrCorruptFrame as %s", tc.load, err, tc.want)
 		}
 	}
 }
