@@ -17,8 +17,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden experiments output")
 
-// goldenIDs is the deterministic subset of the experiment registry:
-// everything except the experiment that samples trial noise (X1), the
+// goldenIDs is the deterministic subset of the experiment registry
+// behind the paper's numbers: everything except the TAP screens and
+// the predicted complexes (X1, X6, X7, pinned in extensionIDs), the
 // human-scale run whose small-world numbers stats pins on its own
 // (X5), time-dependent scaling runs (T1, X3) or write artifact files
 // whose content is covered elsewhere (F3).
@@ -28,15 +29,54 @@ var goldenIDs = []string{"F1", "F2", "S2", "S3", "S4", "X2"}
 // contains machine-independent numbers.
 var timingRe = regexp.MustCompile(`\d+\.\d+s`)
 
+// extensionIDs are the extension experiments that print no timings
+// and give the same bytes at any GOMAXPROCS: the TAP screens (X1 at
+// the golden trials, X7) and the overlap of predicted complexes (X6).
+// They sit outside the paper, so they have a golden file of their own.
+var extensionIDs = []string{"X1", "X6", "X7"}
+
 // TestGoldenPaperNumbers pins the full output of the deterministic
 // experiments, so any drift in the reproduced paper numbers (degree
 // power law, small-world statistics, maximum core, cover sizes) fails
 // loudly with a diff instead of rotting silently.  Run with -update to
 // accept intentional changes.
 func TestGoldenPaperNumbers(t *testing.T) {
+	got := checkGolden(t, goldenIDs, "golden_paper.txt")
+
+	// Belt and braces: the paper's headline numbers must appear verbatim
+	// even if the golden file is regenerated carelessly.
+	for _, must := range []string{
+		"gamma = 2.528",
+		"R² = 0.963",
+		"2.568",
+		"diameter",
+		"6-core with 41 proteins and 54 complexes",
+		"109 @ 3.7",
+		"233 @ 1.14",
+		"558 @ 1.74",
+	} {
+		if !strings.Contains(got, must) {
+			t.Errorf("output lost the paper constant %q", must)
+		}
+	}
+}
+
+// TestGoldenExtensions pins the output of the extension experiments
+// in extensionIDs, so a change to the TAP simulation or to the scoring
+// of predicted complexes that moves a number fails with a diff.  It
+// shares -update with TestGoldenPaperNumbers.
+func TestGoldenExtensions(t *testing.T) {
+	checkGolden(t, extensionIDs, "golden_extensions.txt")
+}
+
+// checkGolden runs the experiments ids at the golden options, compares
+// their output, timings normalized, with testdata/name and returns it.
+// With -update it rewrites the file first.
+func checkGolden(t *testing.T, ids []string, name string) string {
+	t.Helper()
 	var buf bytes.Buffer
 	o := options{short: false, outDir: t.TempDir(), trials: 5}
-	for _, id := range goldenIDs {
+	for _, id := range ids {
 		found := false
 		for _, e := range allExperiments {
 			if e.id != id {
@@ -55,7 +95,7 @@ func TestGoldenPaperNumbers(t *testing.T) {
 	}
 	got := timingRe.ReplaceAllString(buf.String(), "<time>")
 
-	path := filepath.Join("testdata", "golden_paper.txt")
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -72,23 +112,7 @@ func TestGoldenPaperNumbers(t *testing.T) {
 		t.Errorf("experiments output drifted from %s (run with -update to accept):\n%s",
 			path, firstDiff(string(want), got))
 	}
-
-	// Belt and braces: the paper's headline numbers must appear verbatim
-	// even if the golden file is regenerated carelessly.
-	for _, must := range []string{
-		"gamma = 2.528",
-		"R² = 0.963",
-		"2.568",
-		"diameter",
-		"6-core with 41 proteins and 54 complexes",
-		"109 @ 3.7",
-		"233 @ 1.14",
-		"558 @ 1.74",
-	} {
-		if !strings.Contains(got, must) {
-			t.Errorf("output lost the paper constant %q", must)
-		}
-	}
+	return got
 }
 
 // TestGoldenShardedMatchesSequential pins that the sharded engine

@@ -13,7 +13,9 @@
 // input, from a file or stdin, and a Matrix Market file converting to
 // a store stream through store.BuildFile (one pass over the text, two
 // over the Matrix Market file), so the hypergraph never has to fit in
-// RAM.
+// RAM.  Every other conversion reads and writes through the format
+// table in internal/cli, which rejects an unknown -to format before it
+// creates the -o file.
 package main
 
 import (
@@ -25,9 +27,6 @@ import (
 	"os"
 
 	"hyperplex/internal/cli"
-	"hyperplex/internal/hypergraph"
-	"hyperplex/internal/mmio"
-	"hyperplex/internal/pajek"
 	"hyperplex/internal/store"
 )
 
@@ -60,7 +59,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	// input formats fall through to the in-RAM read + write below.
 	if *to == "store" && (*from == "text" || (*from == "mtx" && fs.Arg(0) != "")) {
 		if *out == "" {
-			return fmt.Errorf("-to store needs -o FILE (the store is written with fsync-and-rename, not streamed)")
+			return cli.ErrStoreOutput
 		}
 		src, name := store.FileSource(*from, fs.Arg(0)), fs.Arg(0)
 		if name == "" {
@@ -73,89 +72,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 		return nil
 	}
 
-	var r io.Reader = stdin
-	if fs.Arg(0) != "" && *from != "store" {
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-
-	var h *hypergraph.Hypergraph
-	switch *from {
-	case "text":
-		h, err = hypergraph.ReadTextCtx(ctx, r)
-	case "store":
-		if fs.Arg(0) == "" {
-			return fmt.Errorf("-from store needs an input file path (the store is memory-mapped, not streamed)")
-		}
-		var st *store.File
-		st, h, err = cli.OpenStoreCtx(ctx, fs.Arg(0))
-		if err == nil {
-			// The hypergraph aliases the store's mapped arrays; keep
-			// the backend open until the conversion is written out.
-			defer st.Close()
-		}
-	case "json":
-		var data []byte
-		data, err = io.ReadAll(r)
-		if err == nil {
-			h, err = hypergraph.UnmarshalJSONHypergraph(data)
-		}
-	case "mtx":
-		var m *mmio.Matrix
-		m, err = mmio.ReadCtx(ctx, r)
-		if err == nil {
-			h, err = mmio.ToHypergraph(m)
-		}
-	default:
-		return fmt.Errorf("unknown input format %q", *from)
-	}
+	h, release, err := cli.Read(ctx, *from, fs.Arg(0), stdin)
 	if err != nil {
 		return err
 	}
-
-	if *to == "store" {
-		if *out == "" {
-			return fmt.Errorf("-to store needs -o FILE (the store is written with fsync-and-rename, not streamed)")
-		}
-		if err := store.WriteHCtx(ctx, *out, h); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "hgconvert: %s → store: |V|=%d |F|=%d |E|=%d\n",
-			*from, h.NumVertices(), h.NumEdges(), h.NumPins())
-		return nil
-	}
-
-	var w io.Writer = stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-
-	switch *to {
-	case "text":
-		err = hypergraph.WriteText(w, h)
-	case "json":
-		var data []byte
-		data, err = h.MarshalJSON()
-		if err == nil {
-			_, err = w.Write(append(data, '\n'))
-		}
-	case "mtx":
-		err = mmio.Write(w, mmio.FromHypergraph(h))
-	case "pajek":
-		err = pajek.WriteNet(w, h, nil, nil)
-	default:
-		return fmt.Errorf("unknown output format %q", *to)
-	}
-	if err != nil {
+	// A store's hypergraph aliases its mapped arrays; keep the input
+	// open until the conversion is written out.
+	defer release()
+	if err := cli.Write(ctx, *to, *out, stdout, h); err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "hgconvert: %s → %s: |V|=%d |F|=%d |E|=%d\n",

@@ -68,6 +68,23 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunBadOutputLeavesFile pins that an unknown -to format fails
+// before the -o file is created, so an existing file keeps its bytes.
+func TestRunBadOutputLeavesFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out")
+	const content = "not to be truncated\n"
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-to", "bogus", "-o", path}, strings.NewReader(sample), &out, &errOut); err == nil {
+		t.Error("unknown output format accepted")
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != content {
+		t.Errorf("-to bogus -o left %q (%v), want the file unchanged", data, err)
+	}
+}
+
 // TestRunStoreRoundTrip converts text on stdin → store → text through
 // real files and expects the text to survive unchanged.  The stdin
 // build must take the streaming builder and write the same bytes as a

@@ -197,23 +197,8 @@ func report(stdout io.Writer, h *hypergraph.Hypergraph, r *core.Result, pajekPre
 }
 
 func writePajek(h *hypergraph.Hypergraph, r *core.Result, prefix string) error {
-	if err := writeFile(prefix+".net", func(w io.Writer) error { return pajek.WriteNet(w, h, r.VertexIn, r.EdgeIn) }); err != nil {
+	if err := cli.Create(prefix+".net", nil, func(w io.Writer) error { return pajek.WriteNet(w, h, r.VertexIn, r.EdgeIn) }); err != nil {
 		return err
 	}
-	return writeFile(prefix+".clu", func(w io.Writer) error { return pajek.WriteClu(w, h, r.VertexIn, r.EdgeIn) })
-}
-
-// writeFile creates path, runs write on it and closes it, returning the
-// first error of the three.
-func writeFile(path string, write func(io.Writer) error) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return write(f)
+	return cli.Create(prefix+".clu", nil, func(w io.Writer) error { return pajek.WriteClu(w, h, r.VertexIn, r.EdgeIn) })
 }

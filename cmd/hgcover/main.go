@@ -11,12 +11,15 @@
 // 2-multicover; -reliability 0.7,0.95 derives per-complex requirements
 // from a pull-down success probability and a recovery target;
 // -skip-singletons drops hyperedges too small to satisfy the
-// requirement instead of failing.
+// requirement instead of failing.  These three shape the greedy
+// multicover; -primal-dual and -exact solve the plain cover instead,
+// and a flag outside its mode is a usage error.
 package main
 
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,6 +57,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	quiet := fs.Bool("quiet", false, "suppress the member listing")
 	timeout := fs.Duration("timeout", 0, "abort if reading plus covering exceed this duration (0 = no limit)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkFlags(*primalDual, *exact, *r, *reliability != "", *skipSingletons); err != nil {
 		return err
 	}
 	ctx, cancel := cli.WithTimeout(context.Background(), *timeout)
@@ -106,9 +112,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	var c *cover.Cover
 	switch {
 	case *primalDual:
-		if *r != 1 {
-			return fmt.Errorf("-primal-dual supports only -r 1")
-		}
 		res, err := cover.PrimalDualCtx(ctx, h, weights)
 		if err != nil {
 			return err
@@ -118,9 +121,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 			return err
 		}
 	case *exact:
-		if *r != 1 {
-			return fmt.Errorf("-exact supports only -r 1")
-		}
 		c, err = cover.ExactCtx(ctx, h, weights, 0)
 		if err != nil {
 			return err
@@ -151,6 +151,33 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 		}
 	}
 	return w.Flush()
+}
+
+// checkFlags rejects the flag combinations whose extra flag would
+// otherwise be ignored without a word: -primal-dual and -exact are
+// alternatives that solve the plain cover, so -r other than 1,
+// -reliability and -skip-singletons apply only to the greedy
+// multicover, and -reliability sets the requirements -r would.
+func checkFlags(primalDual, exact bool, r int, reliability, skipSingletons bool) error {
+	alg := "-primal-dual"
+	if exact {
+		alg = "-exact"
+	}
+	switch {
+	case primalDual && exact:
+		return errors.New("-primal-dual and -exact are alternatives: give one of them")
+	case r != 1 && reliability:
+		return errors.New("-r and -reliability are alternatives: -reliability derives each complex's requirement")
+	case !primalDual && !exact:
+		return nil
+	case r != 1:
+		return fmt.Errorf("%s supports only -r 1", alg)
+	case reliability:
+		return fmt.Errorf("-reliability applies only to the greedy multicover; %s solves the plain cover", alg)
+	case skipSingletons:
+		return fmt.Errorf("-skip-singletons applies only to the greedy multicover; %s solves the plain cover", alg)
+	}
+	return nil
 }
 
 // loadWeights reads "name weight" lines; proteins absent from the file

@@ -149,12 +149,49 @@ func TestRunPrimalDualAndExact(t *testing.T) {
 	if !strings.Contains(out.String(), "cover: 1 vertices, weight 1.00") {
 		t.Errorf("exact output:\n%s", out.String())
 	}
-	// Mode restrictions.
-	if err := run([]string{"-primal-dual", "-r", "2"}, strings.NewReader(sample), &out); err == nil {
-		t.Error("-primal-dual with -r 2 accepted")
-	}
-	if err := run([]string{"-exact", "-r", "2"}, strings.NewReader(sample), &out); err == nil {
-		t.Error("-exact with -r 2 accepted")
+}
+
+// TestRunRejectsIgnoredFlags pins that a flag its mode would ignore is
+// a usage error, reported before the input is read, while each flag
+// alone, or with the flags of its mode, is accepted.
+func TestRunRejectsIgnoredFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string // flags the error names; nil for an accepted form
+	}{
+		{[]string{"-primal-dual", "-exact"}, []string{"-primal-dual", "-exact"}},
+		{[]string{"-r", "2", "-reliability", "0.7,0.95"}, []string{"-r", "-reliability"}},
+		{[]string{"-primal-dual", "-r", "2"}, []string{"-primal-dual", "-r 1"}},
+		{[]string{"-exact", "-r", "2"}, []string{"-exact", "-r 1"}},
+		{[]string{"-primal-dual", "-reliability", "0.7,0.95"}, []string{"-primal-dual", "-reliability"}},
+		{[]string{"-exact", "-reliability", "0.7,0.95"}, []string{"-exact", "-reliability"}},
+		{[]string{"-primal-dual", "-skip-singletons"}, []string{"-primal-dual", "-skip-singletons"}},
+		{[]string{"-exact", "-skip-singletons"}, []string{"-exact", "-skip-singletons"}},
+		{[]string{"-primal-dual", "-r", "1"}, nil},
+		{[]string{"-exact"}, nil},
+		{[]string{"-r", "2", "-skip-singletons"}, nil},
+		{[]string{"-reliability", "0.7,0.95", "-skip-singletons"}, nil},
+	} {
+		var out bytes.Buffer
+		err := run(append(tc.args, "-quiet"), strings.NewReader(sample), &out)
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%v: %v", tc.args, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%v: accepted, printed %q", tc.args, out.String())
+			continue
+		}
+		for _, flag := range tc.want {
+			if !strings.Contains(err.Error(), flag) {
+				t.Errorf("%v: error %q does not name %s", tc.args, err, flag)
+			}
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q before failing", tc.args, out.String())
+		}
 	}
 }
 

@@ -2,12 +2,14 @@
 //
 // Usage:
 //
-//	hggen -dataset cellzome [-format text|json|pajek] [-o FILE]
+//	hggen -dataset cellzome [-format text|json|mtx|pajek|store] [-o FILE]
 //	hggen -dataset proteome -nv 20000 -ne 3000 -seed 42 [-o FILE]
 //	hggen -dataset random -nv 100 -ne 50 -maxsize 8 -seed 42 [-o FILE]
 //	hggen -dataset matrix -name fdp011 [-short] [-o FILE]   (Matrix Market output)
 //
-// With no -o, output goes to stdout.
+// -format picks the output format of the three hypergraph datasets,
+// from the formats hgconvert -to writes; a store needs -o.  With no
+// -o, output goes to stdout.
 package main
 
 import (
@@ -23,7 +25,6 @@ import (
 	"hyperplex/internal/gen"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/mmio"
-	"hyperplex/internal/pajek"
 	"hyperplex/internal/xrand"
 )
 
@@ -40,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("hggen", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	ds := fs.String("dataset", "cellzome", "cellzome | proteome | random | matrix")
-	format := fs.String("format", "text", "text | json | pajek (hypergraph datasets)")
+	format := fs.String("format", "text", "text | json | mtx | pajek | store (hypergraph datasets; store needs -o)")
 	out := fs.String("o", "", "output file (default stdout)")
 	nv := fs.Int("nv", 100, "random/proteome: number of vertices")
 	ne := fs.Int("ne", 50, "random/proteome: number of hyperedges")
@@ -73,56 +74,28 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return nil
 	}
 
-	var w io.Writer = stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+	var h *hypergraph.Hypergraph
 	switch *ds {
 	case "cellzome":
-		return writeHypergraph(w, stderr, dataset.Cellzome().H, *format)
+		h = dataset.Cellzome().H
 	case "proteome":
-		return writeHypergraph(w, stderr, dataset.SyntheticProteome(*nv, *ne, *seed), *format)
+		h = dataset.SyntheticProteome(*nv, *ne, *seed)
 	case "random":
-		h := gen.RandomHypergraph(*nv, *ne, *maxSize, xrand.New(*seed))
-		return writeHypergraph(w, stderr, h, *format)
+		h = gen.RandomHypergraph(*nv, *ne, *maxSize, xrand.New(*seed))
 	case "matrix":
 		for _, spec := range gen.Table1Specs(*short) {
 			if spec.Name == *name {
-				return mmio.Write(w, gen.SyntheticMatrix(spec))
+				return cli.Create(*out, stdout, func(w io.Writer) error { return mmio.Write(w, gen.SyntheticMatrix(spec)) })
 			}
 		}
 		return fmt.Errorf("unknown matrix spec %q; known: bfw398a utm5940 fdp011 stk32 fdpm37", *name)
 	default:
 		return fmt.Errorf("unknown dataset %q", *ds)
 	}
-}
-
-func writeHypergraph(w, stderr io.Writer, h *hypergraph.Hypergraph, format string) error {
-	var err error
-	switch format {
-	case "text":
-		err = hypergraph.WriteText(w, h)
-	case "json":
-		var data []byte
-		data, err = h.MarshalJSON()
-		if err == nil {
-			_, err = w.Write(append(data, '\n'))
-		}
-	case "pajek":
-		err = pajek.WriteNet(w, h, nil, nil)
-	default:
-		return fmt.Errorf("unknown format %q", format)
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	if err != nil {
+	if err := cli.Write(ctx, *format, *out, stdout, h); err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "hggen: wrote |V|=%d |F|=%d |E|=%d\n", h.NumVertices(), h.NumEdges(), h.NumPins())

@@ -2,7 +2,6 @@ package bio
 
 import (
 	"fmt"
-	"sort"
 
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/xrand"
@@ -40,51 +39,68 @@ func SimulateScreen(h *hypergraph.Hypergraph, baits []int, p TAPParams, rng *xra
 			if rng.Float64() >= p.PullDownSuccess {
 				continue
 			}
-			pd := PullDown{Bait: b, Complex: int(f)}
-			for _, m := range h.Vertices(int(f)) {
+			// The row is sorted, so Observed is too.
+			row := h.Vertices(int(f))
+			pd := PullDown{Bait: b, Complex: int(f), Observed: make([]int32, 0, len(row))}
+			for _, m := range row {
 				if int(m) == b || rng.Float64() < p.PreyDetection {
 					pd.Observed = append(pd.Observed, m)
 				}
 			}
-			sort.Slice(pd.Observed, func(i, j int) bool { return pd.Observed[i] < pd.Observed[j] })
 			s.PullDowns = append(s.PullDowns, pd)
 		}
 	}
 	return s
 }
 
+// observedPins merges the screen's pull-downs per complex: seen[i]
+// reports whether some pull-down of the complex owning pin i of h (in
+// the row order of h.CSR().EAdj) observed that member.  A pull-down's
+// Observed list and its complex's row are both sorted, so one forward
+// walk of the row finds its pins; a listed protein that is not a
+// member of the complex marks nothing.
+func observedPins(h *hypergraph.Hypergraph, s *Screen) []bool {
+	seen := make([]bool, h.NumPins())
+	off := h.CSR().EOff
+	for _, pd := range s.PullDowns {
+		row, pins := h.Vertices(pd.Complex), seen[off[pd.Complex]:]
+		j := 0
+		for _, m := range pd.Observed {
+			for j < len(row) && row[j] < m {
+				j++
+			}
+			if j < len(row) && row[j] == m {
+				pins[j] = true
+			}
+		}
+	}
+	return seen
+}
+
 // ObservedHypergraph merges the screen's pull-downs into the observed
 // protein-complex hypergraph, the analogue of the published Cellzome
 // dataset: pull-downs of the same underlying complex are unioned into
-// one observed complex.  Vertex IDs and names are shared with the
-// truth hypergraph; proteins never observed become isolated vertices.
+// one observed complex, and the observed complexes keep the order of
+// the true ones.  Vertex IDs and names are shared with the truth
+// hypergraph; proteins never observed become isolated vertices.
 func ObservedHypergraph(truth *hypergraph.Hypergraph, s *Screen) *hypergraph.Hypergraph {
-	merged := make(map[int]map[int32]struct{})
-	for _, pd := range s.PullDowns {
-		set := merged[pd.Complex]
-		if set == nil {
-			set = make(map[int32]struct{})
-			merged[pd.Complex] = set
-		}
-		for _, m := range pd.Observed {
-			set[m] = struct{}{}
-		}
-	}
+	seen := observedPins(truth, s)
+	off := truth.CSR().EOff
 	b := hypergraph.NewBuilder()
 	for v := 0; v < truth.NumVertices(); v++ {
 		b.AddVertex(truth.VertexLabel(v))
 	}
-	complexes := make([]int, 0, len(merged))
-	for f := range merged {
-		complexes = append(complexes, f)
-	}
-	sort.Ints(complexes)
-	for _, f := range complexes {
-		members := make([]int32, 0, len(merged[f]))
-		for m := range merged[f] {
-			members = append(members, m)
+	var members []int32
+	for f := 0; f < truth.NumEdges(); f++ {
+		members = members[:0]
+		for j, m := range truth.Vertices(f) {
+			if seen[int(off[f])+j] {
+				members = append(members, m)
+			}
 		}
-		b.AddEdgeIDs("obs:"+truth.EdgeLabel(f), members)
+		if len(members) > 0 {
+			b.AddEdgeIDs("obs:"+truth.EdgeLabel(f), members)
+		}
 	}
 	return b.MustBuild()
 }

@@ -1,8 +1,11 @@
 package bio
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
+	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/xrand"
 )
 
@@ -40,6 +43,41 @@ func TestObservedHypergraphPerfect(t *testing.T) {
 	}
 	if fi.MeanJaccard != 1 || fi.PerfectComplexes != h.NumEdges() || fi.MissedPins != 0 {
 		t.Errorf("perfect fidelity wrong: %v", fi)
+	}
+}
+
+// TestObservedHypergraphIgnoresNonMembers feeds the merge a hand-built
+// screen whose pull-downs list proteins outside their complex, one
+// sorting past the end of the complex's row: they mark nothing, and
+// the members beside them still count.
+func TestObservedHypergraphIgnoresNonMembers(t *testing.T) {
+	h := smallH(t) // c1={a,b,c}, c2={b,c,d}, c3={d,e}
+	id := func(name string) int32 {
+		v, _ := h.VertexID(name)
+		return int32(v)
+	}
+	c1, _ := h.EdgeID("c1")
+	c3, _ := h.EdgeID("c3")
+	s := &Screen{Attempted: 2, PullDowns: []PullDown{
+		{Bait: int(id("b")), Complex: c1, Observed: []int32{id("b"), id("e")}},
+		{Bait: int(id("e")), Complex: c3, Observed: []int32{id("a"), id("e")}},
+	}}
+	marked := 0
+	for _, in := range observedPins(h, s) {
+		if in {
+			marked++
+		}
+	}
+	if marked != 2 {
+		t.Errorf("the merge marked %d pins, want 2 (b of c1, e of c3)", marked)
+	}
+	obs := ObservedHypergraph(h, s)
+	var got bytes.Buffer
+	if err := hypergraph.WriteText(&got, obs); err != nil {
+		t.Fatal(err)
+	}
+	if obs.NumEdges() != 2 || obs.NumPins() != 2 || !strings.Contains(got.String(), "obs:c1: b\n") || !strings.Contains(got.String(), "obs:c3: e\n") {
+		t.Errorf("observed hypergraph:\n%s\nwant obs:c1 = {b} and obs:c3 = {e}", got.String())
 	}
 }
 

@@ -11,55 +11,6 @@ import (
 // that warning: how well a predicted protein set matches the true
 // complexes of the hypergraph.
 
-// SetMatch scores a predicted vertex set against the ground-truth
-// hyperedges.
-type SetMatch struct {
-	// BestComplex is the hyperedge with the highest Jaccard overlap.
-	BestComplex int
-	// Jaccard = |prediction ∩ complex| / |prediction ∪ complex| of the
-	// best match.
-	Jaccard float64
-	// Precision and Recall of the best match.
-	Precision float64
-	Recall    float64
-}
-
-// MatchPrediction finds the ground-truth complex best matching a
-// predicted protein set (given as a membership slice).  Returns a zero
-// match if the hypergraph has no complexes or the prediction is empty.
-func MatchPrediction(h *hypergraph.Hypergraph, predicted []bool) SetMatch {
-	size := 0
-	for _, in := range predicted {
-		if in {
-			size++
-		}
-	}
-	best := SetMatch{BestComplex: -1}
-	if size == 0 {
-		return best
-	}
-	for f := 0; f < h.NumEdges(); f++ {
-		inter := 0
-		for _, v := range h.Vertices(f) {
-			if predicted[v] {
-				inter++
-			}
-		}
-		union := size + h.EdgeDegree(f) - inter
-		if union == 0 {
-			continue
-		}
-		j := float64(inter) / float64(union)
-		if j > best.Jaccard {
-			best.Jaccard = j
-			best.BestComplex = f
-			best.Precision = float64(inter) / float64(size)
-			best.Recall = float64(inter) / float64(h.EdgeDegree(f))
-		}
-	}
-	return best
-}
-
 // ComplexRecovery reports, for every ground-truth complex, the best
 // Jaccard overlap achievable against a family of predicted sets, and
 // the fraction of complexes recovered above the threshold.  Used to

@@ -1,80 +1,63 @@
 package bio
 
 import (
-	"math"
 	"testing"
 
 	"hyperplex/internal/hypergraph"
 )
 
-func TestMatchPredictionExact(t *testing.T) {
-	h := smallH(t) // c1={a,b,c}, c2={b,c,d}, c3={d,e}
-	pred := make([]bool, h.NumVertices())
-	for _, name := range []string{"a", "b", "c"} {
-		v, _ := h.VertexID(name)
-		pred[v] = true
-	}
-	m := MatchPrediction(h, pred)
-	c1, _ := h.EdgeID("c1")
-	if m.BestComplex != c1 || m.Jaccard != 1 || m.Precision != 1 || m.Recall != 1 {
-		t.Errorf("match = %+v", m)
-	}
-}
-
-func TestMatchPredictionPartial(t *testing.T) {
-	h := smallH(t)
-	pred := make([]bool, h.NumVertices())
-	for _, name := range []string{"b", "c", "e"} {
-		v, _ := h.VertexID(name)
-		pred[v] = true
-	}
-	m := MatchPrediction(h, pred)
-	// Against c1 or c2: |∩|=2, |∪|=4 → J = 0.5.
-	if math.Abs(m.Jaccard-0.5) > 1e-12 {
-		t.Errorf("Jaccard = %v", m.Jaccard)
-	}
-	if math.Abs(m.Precision-2.0/3.0) > 1e-12 || math.Abs(m.Recall-2.0/3.0) > 1e-12 {
-		t.Errorf("P/R = %v/%v", m.Precision, m.Recall)
-	}
-}
-
-func TestMatchPredictionEmpty(t *testing.T) {
-	h := smallH(t)
-	m := MatchPrediction(h, make([]bool, h.NumVertices()))
-	if m.BestComplex != -1 || m.Jaccard != 0 {
-		t.Errorf("empty prediction match = %+v", m)
-	}
-}
-
 func TestComplexRecovery(t *testing.T) {
-	h := smallH(t)
-	// One perfect prediction for c3, nothing for the others.
-	pred := make([]bool, h.NumVertices())
-	for _, name := range []string{"d", "e"} {
-		v, _ := h.VertexID(name)
-		pred[v] = true
+	h := smallH(t) // c1={a,b,c}, c2={b,c,d}, c3={d,e}
+	set := func(names ...string) []bool {
+		pred := make([]bool, h.NumVertices())
+		for _, name := range names {
+			v, _ := h.VertexID(name)
+			pred[v] = true
+		}
+		return pred
 	}
-	per, recovered := ComplexRecovery(h, [][]bool{pred}, 0.5)
-	c3, _ := h.EdgeID("c3")
-	if per[c3] != 1 {
-		t.Errorf("per[c3] = %v", per[c3])
+	for _, tc := range []struct {
+		name      string
+		preds     [][]bool
+		per       map[string]float64 // the best Jaccard of each complex
+		recovered int                // complexes at J ≥ 0.5
+	}{
+		{"exact", [][]bool{set("a", "b", "c")},
+			map[string]float64{"c1": 1, "c2": 0.5, "c3": 0}, 2},
+		// Against c1 or c2: |∩| = 2, |∪| = 4; against c3: 1 of 4.
+		{"partial", [][]bool{set("b", "c", "e")},
+			map[string]float64{"c1": 0.5, "c2": 0.5, "c3": 0.25}, 2},
+		{"empty", [][]bool{set()},
+			map[string]float64{"c1": 0, "c2": 0, "c3": 0}, 0},
+		// One perfect prediction for c3, nothing for the others.
+		{"one complex", [][]bool{set("d", "e")},
+			map[string]float64{"c1": 0, "c2": 0.25, "c3": 1}, 1},
+		{"no predictions", nil,
+			map[string]float64{"c1": 0, "c2": 0, "c3": 0}, 0},
+		// Each complex takes its best over the family.
+		{"family", [][]bool{set("b", "c", "e"), set("d", "e")},
+			map[string]float64{"c1": 0.5, "c2": 0.5, "c3": 1}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			per, recovered := ComplexRecovery(h, tc.preds, 0.5)
+			for name, want := range tc.per {
+				f, _ := h.EdgeID(name)
+				if per[f] != want {
+					t.Errorf("per[%s] = %v, want %v", name, per[f], want)
+				}
+			}
+			if recovered != tc.recovered {
+				t.Errorf("recovered = %d, want %d", recovered, tc.recovered)
+			}
+		})
 	}
-	if recovered != 1 {
-		t.Errorf("recovered = %d, want 1", recovered)
-	}
-	// Empty prediction family.
-	_, rec0 := ComplexRecovery(h, nil, 0.5)
-	if rec0 != 0 {
-		t.Errorf("recovered with no predictions = %d", rec0)
-	}
-	// A singleton complex matched exactly by a different hypergraph:
-	// stays unrecovered here since predictions don't cover it.
+
+	// A singleton complex predicted exactly clears even a 0.99
+	// threshold.
 	hg := hypergraph.NewBuilder()
 	hg.AddEdge("s", "only")
 	h2 := hg.MustBuild()
-	p2 := []bool{true}
-	_, rec2 := ComplexRecovery(h2, [][]bool{p2}, 0.99)
-	if rec2 != 1 {
-		t.Errorf("exact singleton not recovered: %d", rec2)
+	if _, rec := ComplexRecovery(h2, [][]bool{{true}}, 0.99); rec != 1 {
+		t.Errorf("exact singleton not recovered: %d", rec)
 	}
 }

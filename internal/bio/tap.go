@@ -95,9 +95,8 @@ func (o *TAPOutcome) RecoveredCount() int {
 	return n
 }
 
-// RecoveryRate returns the fraction of complexes recovered, counting
-// only complexes with at least one bait among the given target set
-// semantics: the denominator is all complexes of h.
+// RecoveryRate returns the fraction of complexes recovered; the
+// denominator is every complex of h, whether or not a bait reached it.
 func (o *TAPOutcome) RecoveryRate() float64 {
 	if len(o.Recovered) == 0 {
 		return 0
@@ -109,43 +108,30 @@ func (o *TAPOutcome) RecoveryRate() float64 {
 // complex it belongs to; a successful pull-down observes the bait and
 // each other member independently with probability PreyDetection.  A
 // complex is recovered when the union of observations across
-// pull-downs covers at least RecoveryFraction of its members.
+// pull-downs covers at least RecoveryFraction of its members.  It is
+// SimulateScreen with the pull-downs merged per complex.
 func SimulateTAP(h *hypergraph.Hypergraph, baits []int, p TAPParams, rng *xrand.RNG) *TAPOutcome {
+	s := SimulateScreen(h, baits, p, rng)
+	seen := observedPins(h, s)
 	ne := h.NumEdges()
-	observed := make([]map[int32]struct{}, ne)
 	out := &TAPOutcome{
-		Recovered:       make([]bool, ne),
-		ObservedMembers: make([]int, ne),
+		Recovered:           make([]bool, ne),
+		ObservedMembers:     make([]int, ne),
+		PullDowns:           s.Attempted,
+		SuccessfulPullDowns: len(s.PullDowns),
 	}
-	for _, b := range baits {
-		for _, f := range h.Edges(b) {
-			out.PullDowns++
-			if rng.Float64() >= p.PullDownSuccess {
-				continue
-			}
-			out.SuccessfulPullDowns++
-			if observed[f] == nil {
-				observed[f] = make(map[int32]struct{})
-			}
-			observed[f][int32(b)] = struct{}{}
-			for _, m := range h.Vertices(int(f)) {
-				if int(m) == b {
-					continue
-				}
-				if rng.Float64() < p.PreyDetection {
-					observed[f][m] = struct{}{}
-				}
+	off := h.CSR().EOff
+	for f := 0; f < ne; f++ {
+		for _, in := range seen[off[f]:off[f+1]] {
+			if in {
+				out.ObservedMembers[f]++
 			}
 		}
-	}
-	for f := 0; f < ne; f++ {
-		seen := len(observed[f])
-		out.ObservedMembers[f] = seen
 		need := int(p.RecoveryFraction*float64(h.EdgeDegree(f)) + 0.9999)
 		if need < 1 {
 			need = 1
 		}
-		out.Recovered[f] = seen >= need
+		out.Recovered[f] = out.ObservedMembers[f] >= need
 	}
 	return out
 }

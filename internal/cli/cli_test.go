@@ -1,6 +1,10 @@
 package cli
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +12,119 @@ import (
 
 	"hyperplex/internal/hypergraph"
 )
+
+// TestReadWriteFormats writes a hypergraph in every format Write
+// knows, to a file and to stdout, and reads each readable one back
+// through Read, from the file and from stdin.
+func TestReadWriteFormats(t *testing.T) {
+	ctx := context.Background()
+	h, err := hypergraph.ReadText(strings.NewReader("c1: a b\nc2: b c d\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := hypergraph.WriteText(&want, h); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		format string
+		head   string // how the written bytes start
+		names  bool   // the format keeps the names
+	}{
+		{"text", "# hypergraph", true},
+		{"json", "{", true},
+		{"mtx", "%%MatrixMarket", false},
+		{"pajek", "*Vertices", false},
+		{"store", "", true},
+	} {
+		path := filepath.Join(dir, "h."+tc.format)
+		var stdout bytes.Buffer
+		if err := Write(ctx, tc.format, path, &stdout, h); err != nil {
+			t.Fatalf("%s: %v", tc.format, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: a write to a file printed %q", tc.format, stdout.String())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, []byte(tc.head)) {
+			t.Errorf("%s: the file starts %q, want %q", tc.format, data[:min(len(data), 20)], tc.head)
+		}
+		if tc.format != "store" {
+			if err := Write(ctx, tc.format, "", &stdout, h); err != nil {
+				t.Fatalf("%s to stdout: %v", tc.format, err)
+			}
+			if !bytes.Equal(stdout.Bytes(), data) {
+				t.Errorf("%s: stdout differs from the file", tc.format)
+			}
+		}
+		if tc.format == "pajek" {
+			if _, _, err := Read(ctx, tc.format, path, nil); err == nil {
+				t.Error("pajek read back: Pajek is write-only")
+			}
+			continue
+		}
+		inputs := map[string]io.Reader{path: nil}
+		if tc.format != "store" {
+			inputs[""] = bytes.NewReader(data)
+		}
+		for p, stdin := range inputs {
+			back, release, err := Read(ctx, tc.format, p, stdin)
+			if err != nil {
+				t.Fatalf("%s read %q: %v", tc.format, p, err)
+			}
+			var got bytes.Buffer
+			if err := hypergraph.WriteText(&got, back); err != nil {
+				t.Fatal(err)
+			}
+			if back.NumVertices() != h.NumVertices() || back.NumEdges() != h.NumEdges() || back.NumPins() != h.NumPins() ||
+				tc.names && got.String() != want.String() {
+				t.Errorf("%s read %q gives\n%s\nwant\n%s", tc.format, p, got.String(), want.String())
+			}
+			if err := release(); err != nil {
+				t.Errorf("%s release: %v", tc.format, err)
+			}
+		}
+	}
+}
+
+// TestUnknownFormatLeavesFile pins that a format Read or Write does
+// not know, or a store without a file, fails before any file is
+// created or truncated.
+func TestUnknownFormatLeavesFile(t *testing.T) {
+	ctx := context.Background()
+	h, err := hypergraph.ReadText(strings.NewReader("c1: a b\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "keep")
+	const content = "not to be truncated\n"
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	if err := Write(ctx, "bogus", path, &stdout, h); err == nil || !strings.Contains(err.Error(), `unknown output format "bogus"`) {
+		t.Errorf("Write bogus: err = %v", err)
+	}
+	if err := Write(ctx, "store", "", &stdout, h); !errors.Is(err, ErrStoreOutput) {
+		t.Errorf("Write store to stdout: err = %v, want ErrStoreOutput", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("failed writes printed %q", stdout.String())
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != content {
+		t.Errorf("the file reads %q (%v) after the failed write, want it unchanged", data, err)
+	}
+	if _, _, err := Read(ctx, "bogus", path, nil); err == nil || !strings.Contains(err.Error(), `unknown input format "bogus"`) {
+		t.Errorf("Read bogus: err = %v", err)
+	}
+	if _, _, err := Read(ctx, "store", "", strings.NewReader(content)); err == nil {
+		t.Error("Read store from stdin accepted")
+	}
+}
 
 func TestReadHypergraphStdinText(t *testing.T) {
 	h, err := ReadHypergraph(false, "", strings.NewReader("e: a b\n"))

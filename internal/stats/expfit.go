@@ -35,31 +35,9 @@ func FitExponential(hist []int) (ExponentialFit, error) {
 	if len(xs) < 2 {
 		return ExponentialFit{}, fmt.Errorf("stats: exponential fit needs ≥ 2 distinct degrees, have %d", len(xs))
 	}
-	n := float64(len(xs))
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-	}
-	denom := n*sxx - sx*sx
-	if denom == 0 {
+	slope, intercept, r2, ok := fitLine(xs, ys)
+	if !ok {
 		return ExponentialFit{}, fmt.Errorf("stats: degenerate exponential fit (all degrees equal)")
-	}
-	slope := (n*sxy - sx*sy) / denom
-	intercept := (sy - slope*sx) / n
-
-	meanY := sy / n
-	var ssRes, ssTot float64
-	for i := range xs {
-		pred := intercept + slope*xs[i]
-		ssRes += (ys[i] - pred) * (ys[i] - pred)
-		ssTot += (ys[i] - meanY) * (ys[i] - meanY)
-	}
-	r2 := 1.0
-	if ssTot > 0 {
-		r2 = 1 - ssRes/ssTot
 	}
 	return ExponentialFit{
 		A:      math.Exp(intercept),

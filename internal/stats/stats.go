@@ -63,6 +63,25 @@ func FitPowerLaw(hist []int) (PowerLawFit, error) {
 	if len(xs) < 2 {
 		return PowerLawFit{}, fmt.Errorf("stats: power-law fit needs ≥ 2 distinct degrees, have %d", len(xs))
 	}
+	slope, intercept, r2, ok := fitLine(xs, ys)
+	if !ok {
+		return PowerLawFit{}, fmt.Errorf("stats: degenerate power-law fit (all degrees equal)")
+	}
+	return PowerLawFit{
+		LogC:  intercept,
+		C:     math.Pow(10, intercept),
+		Gamma: -slope,
+		R2:    r2,
+		N:     len(xs),
+	}, nil
+}
+
+// fitLine is the least-squares line y = intercept + slope·x through
+// the points (xs[i], ys[i]), with its coefficient of determination
+// R² = 1 − (rᵀr)/(yᵀy), y in deviations from its mean (1 when every y
+// is equal).  ok is false when every x is equal, which leaves the
+// slope undefined.
+func fitLine(xs, ys []float64) (slope, intercept, r2 float64, ok bool) {
 	n := float64(len(xs))
 	var sx, sy, sxx, sxy float64
 	for i := range xs {
@@ -73,12 +92,11 @@ func FitPowerLaw(hist []int) (PowerLawFit, error) {
 	}
 	denom := n*sxx - sx*sx
 	if denom == 0 {
-		return PowerLawFit{}, fmt.Errorf("stats: degenerate power-law fit (all degrees equal)")
+		return 0, 0, 0, false
 	}
-	slope := (n*sxy - sx*sy) / denom
-	intercept := (sy - slope*sx) / n
+	slope = (n*sxy - sx*sy) / denom
+	intercept = (sy - slope*sx) / n
 
-	// R² = 1 − (rᵀr)/(yᵀy) with y in deviations from its mean.
 	meanY := sy / n
 	var ssRes, ssTot float64
 	for i := range xs {
@@ -86,17 +104,11 @@ func FitPowerLaw(hist []int) (PowerLawFit, error) {
 		ssRes += (ys[i] - pred) * (ys[i] - pred)
 		ssTot += (ys[i] - meanY) * (ys[i] - meanY)
 	}
-	r2 := 1.0
+	r2 = 1.0
 	if ssTot > 0 {
 		r2 = 1 - ssRes/ssTot
 	}
-	return PowerLawFit{
-		LogC:  intercept,
-		C:     math.Pow(10, intercept),
-		Gamma: -slope,
-		R2:    r2,
-		N:     len(xs),
-	}, nil
+	return slope, intercept, r2, true
 }
 
 // ComponentInfo describes one connected component of a hypergraph.

@@ -58,6 +58,19 @@ func TestFitPowerLawExact(t *testing.T) {
 	}
 }
 
+func TestFitLine(t *testing.T) {
+	// y = 1.5 − 2x at four points.
+	xs := []float64{-1, 0, 2, 3}
+	ys := []float64{3.5, 1.5, -2.5, -4.5}
+	slope, intercept, r2, ok := fitLine(xs, ys)
+	if !ok || math.Abs(slope+2) > 1e-12 || math.Abs(intercept-1.5) > 1e-12 || math.Abs(r2-1) > 1e-12 {
+		t.Errorf("fitLine on y = 1.5 − 2x = (%v, %v, %v, %v), want (-2, 1.5, 1, true)", slope, intercept, r2, ok)
+	}
+	if _, _, _, ok := fitLine([]float64{2, 2, 2}, []float64{1, 5, 9}); ok {
+		t.Error("fitLine with every x equal reports ok")
+	}
+}
+
 func TestFitPowerLawErrors(t *testing.T) {
 	if _, err := FitPowerLaw([]int{0, 5}); err == nil {
 		t.Error("fit with one point should fail")
